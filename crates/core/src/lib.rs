@@ -51,6 +51,7 @@ pub mod candidates;
 pub mod cost;
 mod error;
 pub mod fingerprint;
+pub mod ladder;
 pub mod oracle;
 pub mod parse;
 mod schedule;
@@ -59,8 +60,9 @@ pub use candidates::{enumerate_candidates, ScheduleCandidate};
 pub use cost::{binding_env, stmt_workspaces};
 pub use error::CoreError;
 pub use fingerprint::fingerprint;
+pub use ladder::DegradeRung;
 pub use schedule::{
-    default_verify_mode, CompiledKernel, DegradeRung, FallbackEvent, IndexStmt, SupervisedOutcome,
+    default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt, SupervisedOutcome,
 };
 pub use taco_verify::{
     analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, OutputBound, Severity,

@@ -2,8 +2,9 @@
 //! supervised degrade-and-retry execution.
 
 use crate::bind::{bind_operand, bind_result, extract_result};
-use crate::cost::stmt_workspaces;
+use crate::ladder::{self, DegradeRung, WorkspaceFit};
 use crate::Result;
+use std::borrow::Cow;
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::concretize::concretize;
 use taco_ir::expr::{IndexExpr, IndexVar, TensorVar};
@@ -11,12 +12,11 @@ use taco_ir::heuristics::{suggest, Suggestion};
 use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::{
-    AbortReason, Binding, BudgetResource, Executable, ExecReport, ResourceBudget, Supervisor,
-    WorkspaceKind,
+    AbortReason, Binding, Executable, ExecReport, ResourceBudget, Supervisor, WorkspaceKind,
 };
 use taco_lower::{lower, KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
-use taco_verify::{analyze_cost, CostEnv, CostReport, VerifyMode, VerifyReport};
+use taco_verify::{analyze_cost, CostReport, VerifyMode, VerifyReport};
 
 /// The default enforcement mode for the static verifier on the compile
 /// path: debug builds fail compilation on any proven violation
@@ -209,130 +209,24 @@ impl IndexStmt {
         budget: ResourceBudget,
         verify: VerifyMode,
     ) -> Result<CompiledKernel> {
-        let mut opts = opts;
-        let mut fallbacks = Vec::new();
-        let mut concrete = &self.concrete;
-        let fallback_concrete;
-        // Lowering already done on the budget path is reused below rather
-        // than repeated.
-        let mut prelowered: Option<LoweredKernel> = None;
-        if let Some(limit) = budget.max_workspace_bytes {
-            if opts.workspace_kind == WorkspaceKind::Dense {
-                let ws_vars = stmt_workspaces(&self.concrete);
-                // The *proven* footprint of the dense lowering, from the
-                // symbolic cost analyzer. Dense workspace bounds close over
-                // declared dimensions alone, so they are concrete at compile
-                // time; a bound the analyzer cannot derive or evaluate trips
-                // the budget (`u64::MAX`).
-                let mut bounds: Vec<(TensorVar, u64)> = Vec::new();
-                if !ws_vars.is_empty() {
-                    if let Ok(lk) = lower(&self.concrete, &opts) {
-                        let cost = analyze_cost(&lk);
-                        let env = CostEnv::from_shapes(&lk);
-                        bounds = ws_vars
-                            .into_iter()
-                            .map(|ws| {
-                                let b = cost
-                                    .workspaces
-                                    .iter()
-                                    .find(|w| w.name == ws.name())
-                                    .and_then(|w| w.bytes.concrete(&env))
-                                    .unwrap_or(u64::MAX);
-                                (ws, b)
-                            })
-                            .collect();
-                        prelowered = Some(lk);
-                    }
-                    // Not lowerable as scheduled: no budget decision to
-                    // make; the error surfaces from the lowering below.
-                }
-                let total: u64 = bounds.iter().map(|(_, b)| *b).fold(0, u64::saturating_add);
-                if !bounds.is_empty() && total > limit {
-                    prelowered = None;
-                    // Graceful degradation: before dropping the schedule for
-                    // the direct merge kernel, try the sparse workspace
-                    // backends. Their footprint scales with the entries
-                    // actually touched, not the dense dimension, so the
-                    // compile-time decision is on the analyzer's *initial*
-                    // footprint bound; growth beyond it is charged against
-                    // the budget at run time. Hash is tried first (O(1)
-                    // scatter), coordinate-list second.
-                    let chosen = [WorkspaceKind::Hash, WorkspaceKind::CoordList]
-                        .into_iter()
-                        .find_map(|kind| {
-                            let lk = lower(
-                                &self.concrete,
-                                &opts.clone().with_workspace_kind(kind),
-                            )
-                            .ok()?;
-                            let cost = analyze_cost(&lk);
-                            let env = CostEnv::from_shapes(&lk);
-                            let mut per_ws = Vec::new();
-                            let mut init_total = 0u64;
-                            for (ws, _) in &bounds {
-                                let init = cost
-                                    .workspaces
-                                    .iter()
-                                    .find(|w| w.name == ws.name())
-                                    .and_then(|w| w.init_bytes.concrete(&env))?;
-                                init_total = init_total.saturating_add(init);
-                                per_ws.push(init);
-                            }
-                            (init_total <= limit).then_some((kind, per_ws, lk))
-                        });
-                    if let Some((kind, per_ws, lk)) = chosen {
-                        for ((ws, bound), init) in bounds.iter().zip(&per_ws) {
-                            fallbacks.push(FallbackEvent::WorkspaceDowngraded {
-                                workspace: ws.name().to_string(),
-                                from: WorkspaceKind::Dense,
-                                to: kind,
-                                estimated_bytes: *bound,
-                                downgraded_bytes: *init,
-                                budget_bytes: limit,
-                            });
-                        }
-                        opts = opts.with_workspace_kind(kind);
-                        prelowered = Some(lk);
-                    } else {
-                        for (ws, bound) in &bounds {
-                            fallbacks.push(FallbackEvent::WorkspaceOverBudget {
-                                workspace: ws.name().to_string(),
-                                dims: ws.shape().to_vec(),
-                                estimated_bytes: *bound,
-                                budget_bytes: limit,
-                                fallback: DegradeRung::DirectMerge,
-                            });
-                        }
-                        fallback_concrete = concretize(&self.source)?;
-                        concrete = &fallback_concrete;
-                    }
-                }
-            }
-        }
-        let lowered = match prelowered.map(Ok).unwrap_or_else(|| lower(concrete, &opts)) {
-            Ok(l) => l,
-            // The fallback kernel can be unrealizable where the workspace
-            // kernel was not (a workspace is what makes sparse scatter
-            // lowerable); report that as a budget failure, not a lowering
-            // bug.
-            Err(e) => match fallbacks.first() {
-                Some(FallbackEvent::WorkspaceOverBudget {
-                    workspace,
-                    estimated_bytes,
-                    budget_bytes,
-                    ..
-                }) => {
-                    return Err(crate::CoreError::BudgetExceeded {
-                        resource: BudgetResource::WorkspaceBytes,
-                        limit: *budget_bytes,
-                        requested: *estimated_bytes,
-                        context: Some(workspace.clone()),
-                    })
-                }
-                _ => return Err(e.into()),
-            },
+        let fit = match budget.max_workspace_bytes {
+            Some(limit) => ladder::arbitrate_workspaces(self, &opts, limit)?,
+            None => WorkspaceFit::Fits { lowered: None },
         };
-        let verify = check_lowered(&lowered, concrete, verify)?;
+        let (opts, concrete, prelowered, fallbacks) = match fit {
+            WorkspaceFit::Fits { lowered } => (opts, Cow::Borrowed(&self.concrete), lowered, Vec::new()),
+            WorkspaceFit::Downgraded { kind, lowered, events } => {
+                (opts.with_workspace_kind(kind), Cow::Borrowed(&self.concrete), Some(lowered), events)
+            }
+            WorkspaceFit::DirectMerge { direct, lowered, events } => {
+                (opts, Cow::Owned(direct), Some(lowered), events)
+            }
+        };
+        let lowered = match prelowered {
+            Some(lowered) => lowered,
+            None => lower(&concrete, &opts)?,
+        };
+        let verify = check_lowered(&lowered, &concrete, verify)?;
         let cost = analyze_cost(&lowered);
         let exe = Executable::compile(&lowered.kernel)?;
         let fingerprint = crate::fingerprint::fingerprint(&self.concrete, &opts, &budget);
@@ -381,152 +275,13 @@ impl IndexStmt {
         output_structure: Option<&Tensor>,
     ) -> Result<SupervisedOutcome> {
         let budget = supervisor.budget();
-        let mut fallbacks: Vec<FallbackEvent> = Vec::new();
-        let mut last_err: Option<crate::CoreError> = None;
-        for rung in DegradeRung::LADDER {
-            let kernel = match self.compile_rung(rung, &opts, budget, &fallbacks) {
-                Ok(Some(k)) => k,
-                // Rung not applicable (already unsorted, no transformations
-                // to drop, ...): try the next one.
-                Ok(None) => continue,
-                // Rung not realizable (e.g. direct sparse scatter): try the
-                // next one, but remember why in case nothing works.
-                Err(e) => {
-                    last_err.get_or_insert(e);
-                    continue;
-                }
-            };
-            if rung == DegradeRung::AsScheduled {
-                fallbacks.extend(kernel.fallback_events().iter().cloned());
-            }
-            match kernel.run_supervised(inputs, output_structure, supervisor) {
-                Ok((result, report)) => {
-                    return Ok(SupervisedOutcome { result, report, rung, fallbacks })
-                }
-                Err(crate::CoreError::Aborted(aborted)) if aborted.reason.is_retryable() => {
-                    fallbacks.push(FallbackEvent::DegradedRetry {
-                        rung,
-                        reason: aborted.reason.clone(),
-                    });
-                    last_err = Some(crate::CoreError::Aborted(aborted));
-                }
-                // Cancellation, runtime failures, and bind errors are not
-                // fixed by a degraded schedule.
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last_err.expect("at least the as-scheduled rung is always attempted"))
-    }
-
-    /// Compiles one rung of the degradation ladder, or `None` if the rung
-    /// would not produce a different kernel.
-    fn compile_rung(
-        &self,
-        rung: DegradeRung,
-        opts: &LowerOptions,
-        budget: ResourceBudget,
-        fallbacks: &[FallbackEvent],
-    ) -> Result<Option<CompiledKernel>> {
-        match rung {
-            DegradeRung::AsScheduled => self.compile_with_budget(opts.clone(), budget).map(Some),
-            DegradeRung::HashWorkspace | DegradeRung::CoordListWorkspace => {
-                let kind = if rung == DegradeRung::HashWorkspace {
-                    WorkspaceKind::Hash
-                } else {
-                    WorkspaceKind::CoordList
-                };
-                // Nothing to downgrade when the schedule has no workspaces,
-                // the caller already asked for this backend, or the
-                // compile-time budget fallback already chose it for the
-                // as-scheduled rung.
-                if opts.workspace_kind == kind
-                    || stmt_workspaces(&self.concrete).is_empty()
-                    || fallbacks.iter().any(|f| {
-                        matches!(f, FallbackEvent::WorkspaceDowngraded { to, .. } if *to == kind)
-                    })
-                {
-                    return Ok(None);
-                }
-                self.compile_with_budget(opts.clone().with_workspace_kind(kind), budget).map(Some)
-            }
-            DegradeRung::UnsortedAssembly => {
-                // The sort pass only exists in kernels that assemble; a
-                // compute kernel is unchanged by `unsorted()`.
-                if !opts.sort_output || opts.kind == KernelKind::Compute {
-                    return Ok(None);
-                }
-                self.compile_with_budget(opts.clone().unsorted(), budget).map(Some)
-            }
-            DegradeRung::DirectMerge => {
-                // If the compile-time workspace estimate already forced the
-                // direct kernel, the as-scheduled rung was this one.
-                if fallbacks
-                    .iter()
-                    .any(|f| matches!(f, FallbackEvent::WorkspaceOverBudget { .. }))
-                {
-                    return Ok(None);
-                }
-                let direct = concretize(&self.source)?;
-                if direct == self.concrete {
-                    return Ok(None);
-                }
-                let lowered = lower(&direct, opts)?;
-                let verify = check_lowered(&lowered, &direct, default_verify_mode())?;
-                let cost = analyze_cost(&lowered);
-                let exe = Executable::compile(&lowered.kernel)?;
-                let fingerprint = crate::fingerprint::fingerprint(&direct, opts, &budget);
-                Ok(Some(CompiledKernel {
-                    lowered,
-                    exe,
-                    budget,
-                    fallbacks: Vec::new(),
-                    fingerprint,
-                    verify,
-                    cost,
-                }))
-            }
-        }
-    }
-}
-
-/// One rung of the degradation ladder
-/// [`IndexStmt::run_supervised`] descends on retryable aborts: faster
-/// schedules first, the plain merge kernel last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DegradeRung {
-    /// The statement exactly as scheduled.
-    AsScheduled,
-    /// The schedule with every workspace stored as a hash map.
-    HashWorkspace,
-    /// The schedule with every workspace stored as a coordinate list.
-    CoordListWorkspace,
-    /// The schedule with the output-sort pass dropped.
-    UnsortedAssembly,
-    /// All transformations dropped: the direct merge kernel.
-    DirectMerge,
-}
-
-impl DegradeRung {
-    /// The full ladder, fastest schedule first — the descent order of
-    /// [`IndexStmt::run_supervised`].
-    pub const LADDER: [DegradeRung; 5] = [
-        DegradeRung::AsScheduled,
-        DegradeRung::HashWorkspace,
-        DegradeRung::CoordListWorkspace,
-        DegradeRung::UnsortedAssembly,
-        DegradeRung::DirectMerge,
-    ];
-}
-
-impl std::fmt::Display for DegradeRung {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DegradeRung::AsScheduled => write!(f, "as scheduled"),
-            DegradeRung::HashWorkspace => write!(f, "hash workspace"),
-            DegradeRung::CoordListWorkspace => write!(f, "coord-list workspace"),
-            DegradeRung::UnsortedAssembly => write!(f, "unsorted assembly"),
-            DegradeRung::DirectMerge => write!(f, "direct merge"),
-        }
+        ladder::descend(
+            self,
+            &opts,
+            |stmt, opts| stmt.compile_with_budget(opts, budget),
+            |kernel: &CompiledKernel| kernel.run_supervised(inputs, output_structure, supervisor),
+            |_| {},
+        )
     }
 }
 
@@ -796,13 +551,7 @@ impl CompiledKernel {
     ) -> Result<Tensor> {
         let mut binding = self.bind(inputs, output_structure)?;
         self.exe.run_with_budget(&mut binding, &self.budget)?;
-        extract_result(
-            &binding,
-            &self.lowered.result,
-            self.lowered.kind,
-            output_structure,
-            self.lowered.nnz_output.as_deref(),
-        )
+        self.extract(&binding, output_structure)
     }
 
     /// Builds the binding without running — used by benchmarks that want to
@@ -859,14 +608,7 @@ impl CompiledKernel {
     ) -> Result<(Tensor, ExecReport)> {
         let mut binding = self.bind(inputs, output_structure)?;
         let report = self.run_bound_supervised(&mut binding, supervisor)?;
-        let result = extract_result(
-            &binding,
-            &self.lowered.result,
-            self.lowered.kind,
-            output_structure,
-            self.lowered.nnz_output.as_deref(),
-        )?;
-        Ok((result, report))
+        Ok((self.extract(&binding, output_structure)?, report))
     }
 
     /// Runs against an existing binding under a [`Supervisor`]. On abort

@@ -16,6 +16,7 @@ use crate::run::NativeKernel;
 use crate::NativeError;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use taco_llir::{NativeSource, ABI_VERSION, ENTRY_SYMBOL};
 
@@ -178,7 +179,16 @@ impl NativeCompiler {
 
 /// Compiles a throwaway TU to a throwaway .so; true on success.
 fn try_compile(cc: &str, flags: &[String], src: &str, cache: &Path) -> bool {
-    let unique = format!("probe-{}-{:x}", std::process::id(), fnv1a(flags.join(" ").as_bytes()));
+    // Engines in one process probe concurrently (parallel tests, one engine
+    // per tenant pool); a per-call sequence number keeps one probe from
+    // deleting the file another is compiling.
+    static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let unique = format!(
+        "probe-{}-{}-{:x}",
+        std::process::id(),
+        PROBE_SEQ.fetch_add(1, Ordering::Relaxed),
+        fnv1a(flags.join(" ").as_bytes())
+    );
     let c_path = cache.join(format!("{unique}.c"));
     let so_path = cache.join(format!("{unique}.so"));
     if std::fs::write(&c_path, src).is_err() {

@@ -95,7 +95,7 @@ pub enum EngineError {
     },
     /// A cached kernel's recorded verification report carries deny-severity
     /// findings, and the caller asked for [`VerifyMode::Deny`] enforcement
-    /// (see [`Engine::run_supervised_cached`]). The kernel stays cached for
+    /// (see [`Engine::run_supervised`]). The kernel stays cached for
     /// callers with laxer policies.
     VerifyDenied {
         /// The refused kernel's canonical fingerprint.

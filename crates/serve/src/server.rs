@@ -618,13 +618,8 @@ impl Server {
                     quota: Quota::InFlight,
                 });
             }
-            if let Some((workspace, bound_bytes, budget_bytes)) = infeasible {
-                return Err(Rejected::BudgetInfeasible {
-                    tenant: request.tenant.clone(),
-                    workspace,
-                    bound_bytes,
-                    budget_bytes,
-                });
+            if let Some(rejected) = infeasible {
+                return Err(rejected);
             }
             if let Some(prior) = prior {
                 st.cost_prior_nanos = prior;
@@ -808,7 +803,7 @@ fn run_job(shared: &Shared, job: Job) {
         .with_cancel_token(token);
     let operand_refs: Vec<(&str, &Tensor)> =
         job.operands.iter().map(|(name, t)| (name.as_str(), &**t)).collect();
-    let outcome = match shared.engine.run_supervised_cached_with_backend(
+    let outcome = match shared.engine.run_supervised(
         &job.stmt,
         job.opts.clone(),
         &supervisor,
