@@ -24,8 +24,7 @@ pub mod figures;
 pub mod timing;
 pub mod workloads;
 
-/// Parses `--scale X`, `--rank N`, `--reps N` and `--json` style options
-/// from argv.
+/// Parses `--scale X`, `--rank N` and `--reps N` from argv.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchArgs {
     /// Dataset scale factor in `(0, 1]`.
@@ -34,21 +33,11 @@ pub struct BenchArgs {
     pub rank: usize,
     /// Timing repetitions (minimum is reported).
     pub reps: usize,
-    /// Also write the bin's machine-readable results to a `BENCH_*.json`
-    /// file next to the working directory (bins that support it say which).
-    pub json: bool,
-    /// Force the static verifier to [`VerifyMode::Deny`] for every compile
-    /// the bin issues, regardless of build profile (bins that support it
-    /// say so). Verification always runs and is always reported; this flag
-    /// only hardens the enforcement.
-    ///
-    /// [`VerifyMode::Deny`]: taco_core::VerifyMode::Deny
-    pub verify: bool,
 }
 
 impl Default for BenchArgs {
     fn default() -> Self {
-        BenchArgs { scale: 0.02, rank: 16, reps: 3, json: false, verify: false }
+        BenchArgs { scale: 0.02, rank: 16, reps: 3 }
     }
 }
 
@@ -71,14 +60,7 @@ impl BenchArgs {
                 "--scale" => out.scale = grab(),
                 "--rank" => out.rank = grab() as usize,
                 "--reps" => out.reps = (grab() as usize).max(1),
-                "--json" => out.json = true,
-                "--verify" => out.verify = true,
-                other => {
-                    panic!(
-                        "unknown option `{other}` \
-                         (expected --scale/--rank/--reps/--json/--verify)"
-                    )
-                }
+                other => panic!("unknown option `{other}` (expected --scale/--rank/--reps)"),
             }
         }
         out

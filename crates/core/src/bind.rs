@@ -1,21 +1,12 @@
 //! Binding tensors to kernel parameters and extracting results, following
-//! the lowerer's naming convention (`X1_pos`, `X1_crd`, `X1_dim`, `X`).
+//! the lowerer's parameter convention ([`taco_lower::params`]).
 
 use crate::{CoreError, Result};
 use taco_ir::expr::TensorVar;
 use taco_llir::Binding;
+use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::KernelKind;
 use taco_tensor::{Format, Tensor};
-
-pub(crate) fn dim_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_dim", level + 1)
-}
-pub(crate) fn pos_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_pos", level + 1)
-}
-pub(crate) fn crd_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_crd", level + 1)
-}
 
 /// Binds one operand tensor's dims, index arrays and values.
 pub(crate) fn bind_operand(
@@ -38,9 +29,7 @@ pub(crate) fn bind_operand(
         expected: format!("valid {} storage: {e}", var.format()),
     })?;
     for l in 0..t.rank() {
-        // Dim parameters are per *storage level*: for mode-reordered formats
-        // (CSC/DCSC) level `l` spans `shape[mode_of_level(l)]`.
-        b.set_scalar(dim_name(var.name(), l), t.dim_of_level(l) as i64);
+        b.set_scalar(dim_name(var.name(), l), level_extent(var, l) as i64);
         let lt = var.format().level(l)?;
         if lt.has_pos_array() {
             b.set_usize(pos_name(var.name(), l), t.pos(l)?);
@@ -78,8 +67,7 @@ pub(crate) fn bind_result(
 ) -> Result<()> {
     let name = var.name();
     for l in 0..var.rank() {
-        let m = var.format().mode_of_level(l);
-        b.set_scalar(dim_name(name, l), var.shape()[m] as i64);
+        b.set_scalar(dim_name(name, l), level_extent(var, l) as i64);
     }
     let sparse_level = result_append_level(var)?;
     match sparse_level {

@@ -31,6 +31,7 @@
 mod error;
 pub mod lattice;
 mod lower;
+pub mod params;
 
 pub use error::LowerError;
 pub use lower::{lower, KernelKind, LowerOptions, LoweredKernel, WorkspaceMeta};

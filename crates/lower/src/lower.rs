@@ -1,6 +1,7 @@
 //! The lowering recursion: concrete index notation → imperative IR.
 
 use crate::lattice::{IterKey, MergeLattice};
+use crate::params::{crd_name, dim_name, pos_name};
 use crate::{LowerError, Result};
 use std::collections::{HashMap, HashSet};
 use taco_ir::concrete::{AssignOp, ConcreteStmt};
@@ -138,6 +139,14 @@ pub struct LoweredKernel {
     pub workspaces: Vec<WorkspaceMeta>,
 }
 
+impl LoweredKernel {
+    /// Every tensor whose storage the kernel takes as parameters
+    /// ([`crate::params`]): the result, then the operands.
+    pub fn tensors(&self) -> impl Iterator<Item = &TensorVar> {
+        std::iter::once(&self.result).chain(&self.operands)
+    }
+}
+
 /// Lowers a concrete index notation statement to an imperative kernel.
 ///
 /// # Errors
@@ -154,7 +163,7 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
     // "parent loop" is the kernel root).
     if let Some(0) = lw.result_sparse_level {
         if lw.append_used && opts.kind != KernelKind::Compute {
-            let pos_arr = format!("{}1_pos", lw.result.name());
+            let pos_arr = pos_name(lw.result.name(), 0);
             body.push(Stmt::store(pos_arr, Expr::int(1), Expr::var(lw.counter_name())));
         }
     }
@@ -1643,17 +1652,6 @@ impl<'o> Lowerer<'o> {
 
 // -- free helpers ------------------------------------------------------------
 
-/// Dimension parameter of a *storage level* (for mode-reordered formats this
-/// is `shape[mode_of_level(level)]`, bound by the runtime accordingly).
-fn dim_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_dim", level + 1)
-}
-fn pos_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_pos", level + 1)
-}
-fn crd_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_crd", level + 1)
-}
 fn pos_var(tensor: &str, level: usize) -> String {
     format!("p{tensor}{}", level + 1)
 }

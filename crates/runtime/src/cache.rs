@@ -138,6 +138,13 @@ struct Shard {
     bytes: u64,
 }
 
+/// Sizing of the cache an [`Engine`](crate::Engine) owns: total charged
+/// bytes ([`entry_weight`]), resident kernels, and shard count (one shard
+/// gives exact global LRU order, more give less lock contention).
+pub(crate) const ENGINE_CACHE_MAX_BYTES: u64 = 64 << 20;
+pub(crate) const ENGINE_CACHE_MAX_ENTRIES: usize = 1024;
+pub(crate) const ENGINE_CACHE_SHARDS: usize = 8;
+
 /// Sharded LRU cache of compiled kernels with single-flight compilation.
 ///
 /// Byte and entry budgets are enforced *per shard* (each shard gets an equal

@@ -1,7 +1,9 @@
 //! The [`Engine`]: one front door for compile-with-caching, supervised
 //! execution, and schedule autotuning.
 
-use crate::cache::{CacheStats, KernelCache};
+use crate::cache::{
+    CacheStats, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES, ENGINE_CACHE_SHARDS,
+};
 use crate::native::{Backend, NativeStore};
 use crate::tuner::{Autotuner, TuneDecision, TuneKey};
 use crate::{EngineError, Result};
@@ -21,14 +23,6 @@ use taco_tensor::{Format, Tensor};
 /// long-lived process serving many kernels.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Total byte budget of the kernel cache (charged per
-    /// [`crate::cache::entry_weight`]). Default 64 MiB.
-    pub cache_max_bytes: u64,
-    /// Maximum resident compiled kernels. Default 1024.
-    pub cache_max_entries: usize,
-    /// Cache shard count; one shard gives exact global LRU order, more
-    /// shards give less lock contention. Default 8.
-    pub cache_shards: usize,
     /// Resource budget applied to every compile and run issued through the
     /// engine (and folded into the cache key, so the same statement under a
     /// different budget class is a different kernel). Default unlimited.
@@ -59,9 +53,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            cache_max_bytes: 64 << 20,
-            cache_max_entries: 1024,
-            cache_shards: 8,
             budget: ResourceBudget::unlimited(),
             tuning_deadline: Duration::from_millis(250),
             max_events: 256,
@@ -98,13 +89,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn budget(mut self, budget: ResourceBudget) -> EngineBuilder {
         self.config.budget = budget;
-        self
-    }
-
-    /// Sets the kernel-cache byte budget.
-    #[must_use]
-    pub fn cache_max_bytes(mut self, bytes: u64) -> EngineBuilder {
-        self.config.cache_max_bytes = bytes;
         self
     }
 
@@ -334,11 +318,13 @@ impl Engine {
 
     /// An engine with explicit configuration.
     pub fn with_config(config: EngineConfig) -> Engine {
-        let cache =
-            KernelCache::new(config.cache_max_bytes, config.cache_max_entries, config.cache_shards);
         Engine {
             config,
-            cache,
+            cache: KernelCache::new(
+                ENGINE_CACHE_MAX_BYTES,
+                ENGINE_CACHE_MAX_ENTRIES,
+                ENGINE_CACHE_SHARDS,
+            ),
             tuner: Autotuner::new(),
             events: Mutex::new(EventLog::default()),
             native: NativeStore::default(),
@@ -367,16 +353,11 @@ impl Engine {
         self.compile_traced(stmt, opts).map(|(kernel, _)| kernel)
     }
 
-    /// Like [`Engine::compile`], additionally reporting whether the kernel
-    /// was served warm: `true` means a cache hit or a coalesced wait on a
+    /// [`Engine::compile`], additionally reporting whether the kernel was
+    /// served warm: `true` means a cache hit or a coalesced wait on a
     /// concurrent compile of the same fingerprint, `false` means this call
-    /// ran the compile pipeline. The serving layer uses this to count
-    /// per-request coalescing.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::compile`].
-    pub fn compile_traced(
+    /// ran the compile pipeline.
+    fn compile_traced(
         &self,
         stmt: &IndexStmt,
         opts: LowerOptions,
@@ -410,10 +391,8 @@ impl Engine {
     /// Compile errors, or the usual bind/run errors.
     pub fn run(&self, stmt: &IndexStmt, opts: LowerOptions, inputs: &[(&str, &Tensor)]) -> Result<Tensor> {
         let kernel = self.compile(stmt, opts)?;
-        if let Some(attempt) = self.try_run_native(&kernel, inputs, None, None, self.config.backend) {
-            return attempt.result.map(|(result, _)| result).map_err(Into::into);
-        }
-        Ok(kernel.run(inputs)?)
+        let (result, ..) = self.run_kernel(&kernel, inputs, None, None, self.config.backend)?;
+        Ok(result)
     }
 
     /// Runs a statement under a [`Supervisor`], descending the
@@ -481,13 +460,10 @@ impl Engine {
                 }
             },
             |kernel| {
-                let attempt =
-                    self.try_run_native(kernel, inputs, output_structure, Some(supervisor), backend);
-                native = attempt.as_ref().is_some_and(|a| a.native);
-                attempt.map_or_else(
-                    || kernel.run_supervised(inputs, output_structure, supervisor),
-                    |a| a.result,
-                )
+                let (result, report, on_native) =
+                    self.run_kernel(kernel, inputs, output_structure, Some(supervisor), backend)?;
+                native = on_native;
+                Ok((result, report))
             },
             |event| self.push_event(EngineEvent::Fallback(event.clone())),
         )?;
@@ -645,18 +621,15 @@ impl Engine {
                     // candidate's kernel is differential-trusted, later reps
                     // (and the remembered decision's reuse path) time the
                     // compiled shared object instead of the interpreter.
-                    let run_result = match self.try_run_native(
+                    let run = self.run_kernel(
                         &kernel,
                         &cand_inputs,
                         None,
                         Some(&supervisor),
                         self.config.backend,
-                    ) {
-                        Some(attempt) => attempt.result,
-                        None => kernel.run_supervised(&cand_inputs, None, &supervisor),
-                    };
-                    match run_result {
-                        Ok((result, report)) => {
+                    );
+                    match run {
+                        Ok((result, report, _)) => {
                             let nanos = report.elapsed.as_nanos() as u64;
                             let peak = report.progress.peak_bytes();
                             measured = Some(match measured.take() {
@@ -752,43 +725,6 @@ impl Engine {
     /// [`EngineBuilder::max_events`]).
     pub fn dropped_events(&self) -> u64 {
         self.events.lock().unwrap_or_else(|p| p.into_inner()).dropped
-    }
-
-    /// Converts a tensor to `format` — the pack/convert kernel surfaced at
-    /// the engine level, so callers that route everything through the
-    /// [`Engine`] never have to reach into [`Tensor`] directly. Identity
-    /// conversions return a cheap copy.
-    ///
-    /// # Errors
-    ///
-    /// [`taco_tensor::TensorError`] (via [`CoreError::Tensor`]) when the
-    /// format's rank does not match or its level chain is invalid.
-    pub fn convert(&self, tensor: &Tensor, format: Format) -> Result<Tensor> {
-        tensor.convert(format).map_err(|e| EngineError::Core(CoreError::Tensor(e)))
-    }
-
-    /// Packs dense (row-major) data into `format` through the engine — the
-    /// companion of [`Engine::convert`] for data that starts outside any
-    /// sparse format.
-    ///
-    /// # Errors
-    ///
-    /// [`taco_tensor::TensorError`] when `data.len()` does not match the
-    /// shape or the format is invalid for the shape.
-    pub fn pack(&self, shape: &[usize], data: &[f64], format: Format) -> Result<Tensor> {
-        let volume: usize = shape.iter().product();
-        if shape.is_empty() || data.len() != volume {
-            return Err(EngineError::Core(CoreError::Tensor(
-                taco_tensor::TensorError::InvalidFormat {
-                    detail: format!(
-                        "pack: {} values do not fill shape {shape:?}",
-                        data.len()
-                    ),
-                },
-            )));
-        }
-        let dense = taco_tensor::DenseTensor::from_data(shape.to_vec(), data.to_vec());
-        Tensor::from_dense(&dense, format).map_err(|e| EngineError::Core(CoreError::Tensor(e)))
     }
 
     pub(crate) fn push_event(&self, event: EngineEvent) {

@@ -171,15 +171,10 @@ impl NativeStore {
     }
 }
 
-/// The outcome of one attempted native dispatch. `None` from
-/// [`Engine::try_run_native`] means "not attempted — run the interpreter";
-/// `Some` carries the committed result (or typed error) plus whether the
-/// native kernel itself produced it (`false` on the differential run, which
-/// returns the interpreter's result).
-pub(crate) struct NativeAttempt {
-    pub(crate) result: std::result::Result<(Tensor, ExecReport), CoreError>,
-    pub(crate) native: bool,
-}
+/// What one kernel run produced: the result, the run report (default for an
+/// unsupervised interpreter run, which measures nothing), and whether a
+/// trusted native kernel served it.
+pub(crate) type KernelRun = std::result::Result<(Tensor, ExecReport, bool), CoreError>;
 
 impl Engine {
     /// Counters for the native backend: compiles, trust promotions,
@@ -188,20 +183,36 @@ impl Engine {
         self.native.stats()
     }
 
-    /// Attempts to serve a run through the native backend. Returns `None`
-    /// when the backend is off or this kernel is rejected — the caller runs
-    /// the interpreter as usual. Returns `Some` when the attempt produced a
-    /// committed result or a typed error that must propagate (supervised
-    /// errors arrive as [`CoreError::Aborted`] so the degrade-and-retry
-    /// ladder treats both backends identically).
-    pub(crate) fn try_run_native(
+    /// Runs a compiled kernel on `backend`: the one step every engine entry
+    /// point shares. The native attempt comes first; a kernel the native
+    /// path is off for or has rejected runs on the interpreter.
+    /// `supervisor: None` is a plain run under the kernel's own budget.
+    /// Supervised native failures arrive as [`CoreError::Aborted`], so the
+    /// degrade-and-retry ladder treats both backends identically.
+    pub(crate) fn run_kernel(
         &self,
         kernel: &CompiledKernel,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
         supervisor: Option<&Supervisor>,
         backend: Backend,
-    ) -> Option<NativeAttempt> {
+    ) -> KernelRun {
+        self.try_run_native(kernel, inputs, output_structure, supervisor, backend)
+            .unwrap_or_else(|| run_interpreted(kernel, inputs, output_structure, supervisor))
+    }
+
+    /// Attempts to serve a run through the native backend. `None` means
+    /// "not attempted" — the backend is off or this kernel is rejected.
+    /// `Some` carries the committed run or a typed error that must
+    /// propagate.
+    fn try_run_native(
+        &self,
+        kernel: &CompiledKernel,
+        inputs: &[(&str, &Tensor)],
+        output_structure: Option<&Tensor>,
+        supervisor: Option<&Supervisor>,
+        backend: Backend,
+    ) -> Option<KernelRun> {
         if !backend.allows_native() {
             return None;
         }
@@ -215,41 +226,34 @@ impl Engine {
 
         if trusted {
             self.native.native_runs.fetch_add(1, Ordering::Relaxed);
-            let result = run_native_once(kernel, &nk, inputs, output_structure, supervisor);
-            return Some(NativeAttempt { result, native: true });
+            let run = run_native_once(kernel, &nk, inputs, output_structure, supervisor);
+            return Some(run.map(|(result, report)| (result, report, true)));
         }
 
         // Differential trust check: interpreter first (its result is what
-        // the caller gets), then the native kernel on a fresh binding.
-        let reference = match supervisor {
-            Some(s) => kernel.run_supervised(inputs, output_structure, s),
-            None => kernel
-                .run_with(inputs, output_structure)
-                .map(|t| (t, ExecReport::default())),
-        };
-        let (ref_result, ref_report) = match reference {
-            Ok(pair) => pair,
-            // The interpreter itself failed (deadline, budget, bad
-            // operands): the check is inconclusive. Propagate the error and
-            // leave the kernel untrusted for the next attempt.
-            Err(e) => return Some(NativeAttempt { result: Err(e), native: false }),
-        };
-        match run_native_once(kernel, &nk, inputs, output_structure, supervisor) {
-            Ok((native_result, _)) if native_result == ref_result => {
-                self.native.set(fingerprint, NativeState::Trusted(nk));
-                self.native.trusted.fetch_add(1, Ordering::Relaxed);
+        // the caller gets), then the native kernel on a fresh binding. When
+        // the interpreter itself fails (deadline, budget, bad operands) the
+        // check is inconclusive: the error propagates and the kernel stays
+        // untrusted for the next attempt.
+        let reference = run_interpreted(kernel, inputs, output_structure, supervisor);
+        if let Ok((ref_result, ..)) = &reference {
+            match run_native_once(kernel, &nk, inputs, output_structure, supervisor) {
+                Ok((native_result, _)) if native_result == *ref_result => {
+                    self.native.set(fingerprint, NativeState::Trusted(nk));
+                    self.native.trusted.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(_) => self.reject_native(
+                    fingerprint,
+                    "differential check failed: native result differs from the interpreter"
+                        .to_string(),
+                ),
+                Err(e) => self.reject_native(
+                    fingerprint,
+                    format!("native run failed where the interpreter succeeded: {e}"),
+                ),
             }
-            Ok(_) => self.reject_native(
-                fingerprint,
-                "differential check failed: native result differs from the interpreter"
-                    .to_string(),
-            ),
-            Err(e) => self.reject_native(
-                fingerprint,
-                format!("native run failed where the interpreter succeeded: {e}"),
-            ),
         }
-        Some(NativeAttempt { result: Ok((ref_result, ref_report)), native: false })
+        Some(reference)
     }
 
     /// Verify-gates, emits, and compiles the native form of a kernel,
@@ -331,6 +335,21 @@ impl Engine {
         self.native.unavailable.fetch_add(1, Ordering::Relaxed);
         self.push_event(EngineEvent::Fallback(FallbackEvent::NativeUnavailable { reason }));
     }
+}
+
+/// Runs the kernel on the interpreter: supervised when a supervisor is given,
+/// otherwise a plain run under the kernel's own budget.
+fn run_interpreted(
+    kernel: &CompiledKernel,
+    inputs: &[(&str, &Tensor)],
+    output_structure: Option<&Tensor>,
+    supervisor: Option<&Supervisor>,
+) -> KernelRun {
+    let run = match supervisor {
+        Some(s) => kernel.run_supervised(inputs, output_structure, s),
+        None => kernel.run_with(inputs, output_structure).map(|t| (t, ExecReport::default())),
+    };
+    run.map(|(result, report)| (result, report, false))
 }
 
 /// Runs the native kernel once on a fresh binding, under the tighter of

@@ -16,6 +16,7 @@
 use crate::server::{Rejected, Request};
 use taco_core::ladder::arbitrate_workspaces;
 use taco_core::{analyze_cost, CoreError, CostEnv, ResourceBudget};
+use taco_lower::params::{crd_name, pos_name};
 use taco_lower::{lower, LoweredKernel};
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.
@@ -63,7 +64,7 @@ pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Optio
 pub(crate) fn service_prior_nanos(req: &Request) -> Option<u64> {
     let lk = lower(req.stmt.concrete(), &req.opts).ok()?;
     let cost = analyze_cost(&lk);
-    let env = pessimistic_env(&lk, req);
+    let env = pessimistic_env(&lk);
     let iterations = cost.iterations.concrete(&env)?;
     Some(
         iterations
@@ -77,24 +78,19 @@ pub(crate) fn service_prior_nanos(req: &Request) -> Option<u64> {
 /// to (a sparse array is never longer than its dense dimension product,
 /// plus one for `pos`). Good enough for a prior; the sound bind-time
 /// environment uses real array lengths instead.
-fn pessimistic_env(lk: &LoweredKernel, req: &Request) -> CostEnv {
+fn pessimistic_env(lk: &LoweredKernel) -> CostEnv {
     let mut env = CostEnv::from_shapes(lk);
-    let mut tensors: Vec<(&str, u64)> = vec![(lk.result.name(), dense_size(lk.result.shape()))];
-    for op in &lk.operands {
-        tensors.push((op.name(), dense_size(op.shape())));
-    }
-    for (name, t) in &req.operands {
-        tensors.push((name.as_str(), dense_size(t.shape())));
-    }
-    for param in &lk.kernel.array_params {
-        // Longest-prefix match: tensor `B` owns `B2_pos`, not tensor `B2`'s
-        // arrays.
-        let owner = tensors
-            .iter()
-            .filter(|(t, _)| param.name.starts_with(t))
-            .max_by_key(|(t, _)| t.len());
-        if let Some((_, size)) = owner {
-            env.lens.insert(param.name.clone(), size.saturating_add(1));
+    for t in lk.tensors() {
+        let len = dense_size(t.shape()).saturating_add(1);
+        env.lens.insert(t.name().to_string(), len);
+        for l in 0..t.rank() {
+            let lt = t.format().mode(l);
+            if lt.has_pos_array() {
+                env.lens.insert(pos_name(t.name(), l), len);
+            }
+            if lt.has_crd_array() {
+                env.lens.insert(crd_name(t.name(), l), len);
+            }
         }
     }
     env

@@ -232,14 +232,14 @@ impl Csr {
         if !m.is_sorted() {
             m.sort_rows();
         }
-        let mut b = TensorBuilderProxy::new(m.nrows, m.ncols);
-        for i in 0..m.nrows {
-            let (cs, vs) = m.row(i);
-            for (c, v) in cs.iter().zip(vs) {
-                b.push(i, *c, *v);
-            }
-        }
-        b.finish()
+        let entries = (0..m.nrows)
+            .flat_map(|i| {
+                let (cs, vs) = m.row(i);
+                cs.iter().zip(vs).map(move |(c, v)| (vec![i, *c], *v))
+            })
+            .collect();
+        Tensor::from_entries(vec![m.nrows, m.ncols], Format::csr(), entries)
+            .expect("entries validated by construction")
     }
 
     /// Dense `nrows * ncols` row-major image of the matrix (duplicates
@@ -264,27 +264,6 @@ impl Csr {
         let a = self.to_dense_vec();
         let b = other.to_dense_vec();
         a.iter().zip(&b).all(|(x, y)| (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())))
-    }
-}
-
-/// Small helper that assembles a CSR tensor row by row (entries must arrive
-/// in lexicographic order).
-struct TensorBuilderProxy {
-    nrows: usize,
-    ncols: usize,
-    entries: Vec<(Vec<usize>, f64)>,
-}
-
-impl TensorBuilderProxy {
-    fn new(nrows: usize, ncols: usize) -> Self {
-        TensorBuilderProxy { nrows, ncols, entries: Vec::new() }
-    }
-    fn push(&mut self, r: usize, c: usize, v: f64) {
-        self.entries.push((vec![r, c], v));
-    }
-    fn finish(self) -> Tensor {
-        Tensor::from_entries(vec![self.nrows, self.ncols], Format::csr(), self.entries)
-            .expect("entries validated by construction")
     }
 }
 

@@ -10,8 +10,10 @@
 //! [`check_crd_slice`] mirror the runtime checks one-to-one for tests that
 //! assert the two layers agree.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::{KernelKind, LoweredKernel};
 
 use crate::error::VerifyError;
@@ -40,16 +42,6 @@ pub struct Assumptions {
     pub notes: Vec<String>,
 }
 
-fn dim_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_dim", level + 1)
-}
-fn pos_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_pos", level + 1)
-}
-fn crd_name(tensor: &str, level: usize) -> String {
-    format!("{tensor}{}_crd", level + 1)
-}
-
 impl Assumptions {
     /// Derives the assumption environment for a lowered kernel from its
     /// operand and result tensor formats.
@@ -62,24 +54,17 @@ impl Assumptions {
         // from the declared tensor variables, so equal declared extents
         // stay equal at run time.
         let mut by_extent: HashMap<usize, String> = HashMap::new();
-        let mut tensors: Vec<(&str, &[usize], &taco_tensor::Format)> = vec![(
-            lk.result.name(),
-            lk.result.shape(),
-            lk.result.format(),
-        )];
-        for op in &lk.operands {
-            tensors.push((op.name(), op.shape(), op.format()));
-        }
-        for (name, shape, _) in &tensors {
-            for (l, &extent) in shape.iter().enumerate() {
-                let dim = dim_name(name, l);
-                match by_extent.get(&extent) {
-                    Some(canon) => {
-                        a.dim_alias.insert(dim.clone(), canon.clone());
+        for t in lk.tensors() {
+            for l in 0..t.rank() {
+                let dim = dim_name(t.name(), l);
+                match by_extent.entry(level_extent(t, l)) {
+                    Entry::Occupied(canon) => {
+                        let canon = canon.get();
                         a.notes.push(format!("{dim} = {canon} (equal declared extents)"));
+                        a.dim_alias.insert(dim, canon.clone());
                     }
-                    None => {
-                        by_extent.insert(extent, dim.clone());
+                    Entry::Vacant(slot) => {
+                        slot.insert(dim);
                     }
                 }
             }
@@ -88,16 +73,17 @@ impl Assumptions {
         // Storage invariants for every sparse level of a tensor the
         // kernel only reads (operands always; the result's structure too
         // for compute kernels, which run over a preassembled output).
-        for (name, shape, format) in &tensors {
+        for t in lk.tensors() {
+            let (name, format) = (t.name(), t.format());
             let structure_is_input =
-                *name != lk.result.name() || lk.kind == KernelKind::Compute;
+                name != lk.result.name() || lk.kind == KernelKind::Compute;
             // Number of parent entries feeding each level: a product of
             // dense extents until the first compressed level, then the
             // previous crd length (unknown for a result still being
             // assembled).
             let mut parents: Option<Sym> = Some(Sym::int(1));
             let mut last_crd: Option<String> = None;
-            for l in 0..shape.len() {
+            for l in 0..t.rank() {
                 let lt = format.mode(l);
                 let dim = a.canon_dim(&dim_name(name, l));
                 if lt.is_full() {
@@ -166,16 +152,16 @@ impl Assumptions {
             // for compute kernels this also covers the result's vals.
             if let Some(crd) = last_crd {
                 if structure_is_input {
-                    a.lens.insert((*name).to_string(), Sym::len(crd.clone()));
+                    a.lens.insert(name.to_string(), Sym::len(crd.clone()));
                     a.notes.push(format!("len({name}) = len({crd}) (validated)"));
                 }
             } else {
                 // Dense tensor: length is the product of its extents.
                 let mut len = Sym::int(1);
-                for l in 0..shape.len() {
+                for l in 0..t.rank() {
                     len = len.mul(&Sym::var(a.canon_dim(&dim_name(name, l))));
                 }
-                a.lens.insert((*name).to_string(), len);
+                a.lens.insert(name.to_string(), len);
             }
         }
         a

@@ -31,6 +31,7 @@ use std::fmt;
 use std::time::Instant;
 
 use taco_llir::{elem_bytes, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
+use taco_lower::params::{dim_name, level_extent};
 use taco_lower::LoweredKernel;
 
 use crate::assume::Assumptions;
@@ -123,13 +124,9 @@ impl CostEnv {
     #[must_use]
     pub fn from_shapes(lk: &LoweredKernel) -> CostEnv {
         let mut env = CostEnv::default();
-        let mut tensors: Vec<(&str, &[usize])> = vec![(lk.result.name(), lk.result.shape())];
-        for op in &lk.operands {
-            tensors.push((op.name(), op.shape()));
-        }
-        for (name, shape) in tensors {
-            for (l, &extent) in shape.iter().enumerate() {
-                env.vars.insert(format!("{name}{}_dim", l + 1), extent as u64);
+        for t in lk.tensors() {
+            for l in 0..t.rank() {
+                env.vars.insert(dim_name(t.name(), l), level_extent(t, l) as u64);
             }
         }
         env

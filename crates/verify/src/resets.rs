@@ -580,7 +580,7 @@ pub(crate) fn check_pos_monotone(kernel: &Kernel, diags: &mut Vec<Diagnostic>) {
     let mut counters: HashSet<String> = HashSet::new();
     visit_stmts(&kernel.body, &mut |s| {
         if let Stmt::Store { arr, val: Expr::Var(c), .. } = s {
-            if arr.ends_with("_pos") {
+            if taco_lower::params::is_pos_name(arr) {
                 counters.insert(c.clone());
             }
         }

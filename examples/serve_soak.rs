@@ -130,11 +130,8 @@ fn main() {
     let stats = server.stats();
     println!("{stats}");
     println!("soak wall time: {:.1} ms for {CLIENTS} clients", wall.as_secs_f64() * 1e3);
-    println!(
-        "latency p50 {:.2} ms, p99 {:.2} ms",
-        percentile(&latencies, 0.50).as_secs_f64() * 1e3,
-        percentile(&latencies, 0.99).as_secs_f64() * 1e3,
-    );
+    let (p50, p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    println!("latency p50 {:.2} ms, p99 {:.2} ms", p50.as_secs_f64() * 1e3, p99.as_secs_f64() * 1e3);
 
     // The soak contract CI relies on.
     assert_eq!(completed + shed + aborted, CLIENTS as u64);
@@ -142,6 +139,9 @@ fn main() {
     assert!(shed > 0, "deliberate overload must shed");
     assert_eq!(stats.totals.shed(), shed);
     assert_eq!(stats.totals.completed, completed);
+    assert!(p99 >= p50 && p50 > Duration::ZERO, "completed requests must take measurable time");
+    assert!((0.0..=1.0).contains(&stats.shed_rate()), "shed rate {}", stats.shed_rate());
+    assert!((0.0..=1.0).contains(&stats.coalesce_rate()), "coalesce {}", stats.coalesce_rate());
     let capped = &stats.tenants["capped"];
     assert_eq!(
         capped.degraded, capped.completed,

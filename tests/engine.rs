@@ -148,7 +148,9 @@ fn autotuner_picks_workspace_schedule_and_tunes_once_per_key() {
     let stmt = unscheduled_spgemm(n);
     let (b, c) = operands(n);
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
-    let engine = Engine::new();
+    // Deny-mode verification in every build profile: a candidate with a
+    // proven violation would fail to compile instead of being raced.
+    let engine = Engine::builder().verify(VerifyMode::Deny).build();
 
     let first = engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
     assert!(first.tuned, "first request runs the search");
@@ -182,6 +184,17 @@ fn autotuner_picks_workspace_schedule_and_tunes_once_per_key() {
         events.iter().any(|e| matches!(e, EngineEvent::AutotuneReused { .. })),
         "reuse must be logged: {events:?}"
     );
+    // So does every fresh compile's verdict, and under deny none may carry
+    // a deny-severity finding.
+    let verdicts: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            EngineEvent::Verified { denies, .. } => Some(*denies),
+            _ => None,
+        })
+        .collect();
+    assert!(!verdicts.is_empty(), "compiles must be verified: {events:?}");
+    assert!(verdicts.iter().all(|d| *d == 0), "deny-mode search admitted a denied kernel");
 }
 
 #[test]
@@ -204,6 +217,13 @@ fn autotuner_is_deterministic_across_engines() {
         let engine = Engine::builder().tuning_deadline(Duration::from_secs(30)).build();
         let out = engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
         chosen.push(out.schedule);
+        // With the whole space searched, the cost analyzer's proven peak
+        // bounds must spare the search at least one timing run.
+        let events = engine.last_events();
+        assert!(
+            events.iter().any(|e| matches!(e, EngineEvent::Autotuned { pruned, .. } if *pruned >= 1)),
+            "the search must statically prune a dominated candidate: {events:?}"
+        );
     }
     assert_eq!(chosen[0], chosen[1], "same inputs, same decision");
 }

@@ -1,6 +1,9 @@
 //! The format matrix: COO, CSC/DCSC, and blocked BCSR run SpMV and SpGEMM
-//! end to end — through the engine, on both execution backends — and the
-//! results are byte-identical to the dense/CSR oracle.
+//! end to end — through the engine, on both execution backends, on square
+//! and non-square operands — and the results are byte-identical to the
+//! dense/CSR oracle. Along the way every kernel's dimension parameters are
+//! checked to mean the same thing to the binder, the cost environment and
+//! the verifier's assumptions.
 //!
 //! Byte-identity (not approximate equality) holds because every format's
 //! loop order visits each accumulator's contributions in the same global
@@ -11,6 +14,7 @@ use taco_core::candidates::enumerate_candidates;
 use taco_core::oracle::eval_dense;
 use taco_runtime::TuneDecision;
 use taco_tensor::gen::random_csr;
+use taco_verify::Assumptions;
 use taco_workspaces::prelude::*;
 
 fn iv(n: &str) -> IndexVar {
@@ -32,13 +36,14 @@ fn dense_mat(m: usize, n: usize, seed: u64) -> Tensor {
     Tensor::from_dense(&taco_tensor::gen::random_dense(m, n, seed), Format::dense(2)).unwrap()
 }
 
-/// `a(i) = Σ_j B(i,j) · x(j)` with `B` in `fmt`. Column-major formats (CSC,
-/// DCSC) iterate columns at the outer level, so their loops are reordered to
-/// `(j, i)`; per accumulator `a(i)` the contributions still arrive in
-/// increasing `j` either way, which is what keeps the results bitwise equal.
-fn spmv(n: usize, fmt: Format) -> (IndexAssignment, IndexStmt) {
-    let a = TensorVar::new("a", vec![n], Format::dvec());
-    let b = TensorVar::new("B", vec![n, n], fmt.clone());
+/// `a(i) = Σ_j B(i,j) · x(j)` with `B` an `m`×`n` matrix in `fmt`.
+/// Column-major formats (CSC, DCSC) iterate columns at the outer level, so
+/// their loops are reordered to `(j, i)`; per accumulator `a(i)` the
+/// contributions still arrive in increasing `j` either way, which is what
+/// keeps the results bitwise equal.
+fn spmv(m: usize, n: usize, fmt: Format) -> (IndexAssignment, IndexStmt) {
+    let a = TensorVar::new("a", vec![m], Format::dvec());
+    let b = TensorVar::new("B", vec![m, n], fmt.clone());
     let x = TensorVar::new("x", vec![n], Format::dvec());
     let (i, j) = (iv("i"), iv("j"));
     let source = IndexAssignment::assign(
@@ -52,21 +57,22 @@ fn spmv(n: usize, fmt: Format) -> (IndexAssignment, IndexStmt) {
     (source, stmt)
 }
 
-/// Dense-result SpGEMM `A(i,j) = Σ_k B(i,k) · C(k,j)` with `B` in `fmt` and
-/// `C` dense. Column-major `B` gets `k` hoisted outermost (`(k,j,i)`), which
-/// preserves the increasing-`k` accumulation order per `A(i,j)`.
-fn spgemm_dense(n: usize, fmt: Format) -> (IndexAssignment, IndexStmt) {
-    let a = TensorVar::new("A", vec![n, n], Format::dense(2));
-    let b = TensorVar::new("B", vec![n, n], fmt.clone());
-    let c = TensorVar::new("C", vec![n, n], Format::dense(2));
-    let (i, j, k) = (iv("i"), iv("j"), iv("k"));
+/// Dense-result SpGEMM `A(i,j) = Σ_k B(i,k) · C(k,j)` with `B` an `m`×`k`
+/// matrix in `fmt` and `C` a dense `k`×`n` matrix. Column-major `B` gets `k`
+/// hoisted outermost (`(k,j,i)`), which preserves the increasing-`k`
+/// accumulation order per `A(i,j)`.
+fn spgemm_dense(m: usize, k: usize, n: usize, fmt: Format) -> (IndexAssignment, IndexStmt) {
+    let a = TensorVar::new("A", vec![m, n], Format::dense(2));
+    let b = TensorVar::new("B", vec![m, k], fmt.clone());
+    let c = TensorVar::new("C", vec![k, n], Format::dense(2));
+    let (i, j, kv) = (iv("i"), iv("j"), iv("k"));
     let source = IndexAssignment::assign(
         a.access([i.clone(), j.clone()]),
-        sum(k.clone(), b.access([i.clone(), k.clone()]) * c.access([k.clone(), j.clone()])),
+        sum(kv.clone(), b.access([i.clone(), kv.clone()]) * c.access([kv.clone(), j.clone()])),
     );
     let mut stmt = IndexStmt::new(source.clone()).unwrap();
     if !fmt.is_identity_order() {
-        stmt.reorder(&i, &k).unwrap();
+        stmt.reorder(&i, &kv).unwrap();
     }
     (source, stmt)
 }
@@ -79,64 +85,97 @@ fn backends() -> [Backend; 2] {
     [Backend::Interp, Backend::Native]
 }
 
+/// The kernel's dimension parameters are per *storage level*, and every
+/// reader must value them as `bind` does: the compile-time cost environment
+/// scalar for scalar, and the verifier may alias only dims bound equal (the
+/// native backend elides load checks on proofs made under those aliases).
+fn assert_dim_params_agree(kernel: &CompiledKernel, inputs: &[(&str, &Tensor)]) {
+    let binding = kernel.bind(inputs, None).unwrap();
+    let env = CostEnv::from_shapes(kernel.lowered());
+    let bound: Vec<(&str, i64)> = binding.scalar_entries().collect();
+    assert_eq!(bound.len(), env.vars.len(), "{bound:?} vs {:?}", env.vars);
+    for (dim, value) in bound {
+        assert_eq!(
+            env.vars.get(dim).copied(),
+            Some(value as u64),
+            "CostEnv::from_shapes and bind disagree on {dim}"
+        );
+    }
+    for (dim, canon) in &Assumptions::for_lowered(kernel.lowered()).dim_alias {
+        assert_eq!(
+            binding.scalar(dim),
+            binding.scalar(canon),
+            "the verifier assumes {dim} = {canon}, which bind does not honour"
+        );
+    }
+}
+
 #[test]
 fn spmv_is_byte_identical_across_formats_and_backends() {
-    let n = 16;
-    let b_csr = random_csr(n, n, 0.3, 101).to_tensor();
-    let x = dense_vec(n);
+    // Square, wide and tall: on the non-square shapes a level/mode mix-up
+    // in any reader of the dim parameters changes a number.
+    for (m, n) in [(16, 16), (3, 7), (7, 3)] {
+        let b_csr = random_csr(m, n, 0.3, 101).to_tensor();
+        let x = dense_vec(n);
 
-    let (source, stmt) = spmv(n, Format::csr());
-    let baseline = Engine::builder()
-        .backend(Backend::Interp)
-        .build()
-        .run(&stmt, LowerOptions::compute("spmv"), &[("B", &b_csr), ("x", &x)])
-        .unwrap();
-    let expect = eval_dense(&source, &[("B", &b_csr), ("x", &x)]).unwrap();
-    assert!(baseline.to_dense().approx_eq(&expect, 1e-12), "CSR SpMV matches the oracle");
+        let (source, stmt) = spmv(m, n, Format::csr());
+        let baseline = Engine::builder()
+            .backend(Backend::Interp)
+            .build()
+            .run(&stmt, LowerOptions::compute("spmv"), &[("B", &b_csr), ("x", &x)])
+            .unwrap();
+        let expect = eval_dense(&source, &[("B", &b_csr), ("x", &x)]).unwrap();
+        assert!(baseline.to_dense().approx_eq(&expect, 1e-12), "CSR SpMV matches the oracle");
 
-    for fmt in sparse_formats() {
-        let b = b_csr.convert(fmt.clone()).unwrap();
-        let (_, stmt) = spmv(n, fmt.clone());
-        for backend in backends() {
-            let engine = Engine::builder().backend(backend).build();
-            let got = engine
-                .run(&stmt, LowerOptions::compute("spmv"), &[("B", &b), ("x", &x)])
-                .unwrap();
-            assert!(
-                got.to_dense().approx_eq(&baseline.to_dense(), 0.0),
-                "SpMV over {fmt} on {backend:?} must be byte-identical to the CSR result"
-            );
+        for fmt in sparse_formats() {
+            let b = b_csr.convert(fmt.clone()).unwrap();
+            let (_, stmt) = spmv(m, n, fmt.clone());
+            let kernel = stmt.compile(LowerOptions::compute("spmv")).unwrap();
+            assert_dim_params_agree(&kernel, &[("B", &b), ("x", &x)]);
+            for backend in backends() {
+                let engine = Engine::builder().backend(backend).build();
+                let got = engine
+                    .run(&stmt, LowerOptions::compute("spmv"), &[("B", &b), ("x", &x)])
+                    .unwrap();
+                assert!(
+                    got.to_dense().approx_eq(&baseline.to_dense(), 0.0),
+                    "{m}x{n} SpMV over {fmt} on {backend:?} must be byte-identical to CSR"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn spgemm_is_byte_identical_across_formats_and_backends() {
-    let n = 12;
-    let b_csr = random_csr(n, n, 0.3, 103).to_tensor();
-    let c = dense_mat(n, n, 104);
+    for (m, k, n) in [(12, 12, 12), (3, 7, 5), (7, 3, 5)] {
+        let b_csr = random_csr(m, k, 0.3, 103).to_tensor();
+        let c = dense_mat(k, n, 104);
 
-    let (source, stmt) = spgemm_dense(n, Format::csr());
-    let baseline = Engine::builder()
-        .backend(Backend::Interp)
-        .build()
-        .run(&stmt, LowerOptions::compute("spgemm"), &[("B", &b_csr), ("C", &c)])
-        .unwrap();
-    let expect = eval_dense(&source, &[("B", &b_csr), ("C", &c)]).unwrap();
-    assert!(baseline.to_dense().approx_eq(&expect, 1e-12), "CSR SpGEMM matches the oracle");
+        let (source, stmt) = spgemm_dense(m, k, n, Format::csr());
+        let baseline = Engine::builder()
+            .backend(Backend::Interp)
+            .build()
+            .run(&stmt, LowerOptions::compute("spgemm"), &[("B", &b_csr), ("C", &c)])
+            .unwrap();
+        let expect = eval_dense(&source, &[("B", &b_csr), ("C", &c)]).unwrap();
+        assert!(baseline.to_dense().approx_eq(&expect, 1e-12), "CSR SpGEMM matches the oracle");
 
-    for fmt in sparse_formats() {
-        let b = b_csr.convert(fmt.clone()).unwrap();
-        let (_, stmt) = spgemm_dense(n, fmt.clone());
-        for backend in backends() {
-            let engine = Engine::builder().backend(backend).build();
-            let got = engine
-                .run(&stmt, LowerOptions::compute("spgemm"), &[("B", &b), ("C", &c)])
-                .unwrap();
-            assert!(
-                got.to_dense().approx_eq(&baseline.to_dense(), 0.0),
-                "SpGEMM over {fmt} on {backend:?} must be byte-identical to the CSR result"
-            );
+        for fmt in sparse_formats() {
+            let b = b_csr.convert(fmt.clone()).unwrap();
+            let (_, stmt) = spgemm_dense(m, k, n, fmt.clone());
+            let kernel = stmt.compile(LowerOptions::compute("spgemm")).unwrap();
+            assert_dim_params_agree(&kernel, &[("B", &b), ("C", &c)]);
+            for backend in backends() {
+                let engine = Engine::builder().backend(backend).build();
+                let got = engine
+                    .run(&stmt, LowerOptions::compute("spgemm"), &[("B", &b), ("C", &c)])
+                    .unwrap();
+                assert!(
+                    got.to_dense().approx_eq(&baseline.to_dense(), 0.0),
+                    "{m}x{k}x{n} SpGEMM over {fmt} on {backend:?} must be byte-identical to CSR"
+                );
+            }
         }
     }
 }
@@ -150,7 +189,7 @@ fn blocked_spmv_matches_flat_csr_on_both_backends() {
     let b_flat = random_csr(n, n, 0.3, 105).to_tensor();
     let x_flat = dense_vec(n);
 
-    let (_, stmt) = spmv(n, Format::csr());
+    let (_, stmt) = spmv(n, n, Format::csr());
     let baseline = Engine::builder()
         .backend(Backend::Interp)
         .build()
@@ -182,6 +221,8 @@ fn blocked_spmv_matches_flat_csr_on_both_backends() {
     ))
     .unwrap();
 
+    let kernel = stmt.compile(LowerOptions::compute("bspmv")).unwrap();
+    assert_dim_params_agree(&kernel, &[("B", &b4), ("x", &x2)]);
     for backend in backends() {
         let engine = Engine::builder().backend(backend).build();
         let got = engine
@@ -206,7 +247,7 @@ fn blocked_spgemm_matches_flat_csr_on_both_backends() {
     let b_flat = random_csr(n, n, 0.4, 107).to_tensor();
     let c_flat = dense_mat(n, n, 108);
 
-    let (_, stmt) = spgemm_dense(n, Format::csr());
+    let (_, stmt) = spgemm_dense(n, n, n, Format::csr());
     let baseline = Engine::builder()
         .backend(Backend::Interp)
         .build()
@@ -336,7 +377,7 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
     // that cannot lower stay in the space and lose during tuning, so the
     // test picks one that compiles.)
     let n = 12;
-    let (source, stmt) = spmv(n, Format::csr());
+    let (source, stmt) = spmv(n, n, Format::csr());
     let opts = LowerOptions::compute("spmv");
 
     let bt = random_csr(n, n, 0.3, 111).to_tensor();
