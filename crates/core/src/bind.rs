@@ -6,7 +6,7 @@ use taco_ir::expr::TensorVar;
 use taco_llir::Binding;
 use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::KernelKind;
-use taco_tensor::{Format, Tensor};
+use taco_tensor::Tensor;
 
 /// Binds one operand tensor's dims, index arrays and values.
 pub(crate) fn bind_operand(
@@ -56,6 +56,23 @@ fn result_append_level(var: &TensorVar) -> Result<Option<usize>> {
     Ok(None)
 }
 
+/// The pre-assembled structure a compute kernel with a sparse result writes
+/// into, checked to have the result's shape and format.
+fn output_structure<'a>(var: &TensorVar, structure: Option<&'a Tensor>) -> Result<&'a Tensor> {
+    let s = structure.ok_or(CoreError::MissingOutputStructure)?;
+    if s.shape() != var.shape() || s.format() != var.format() {
+        return Err(CoreError::OperandMismatch {
+            name: var.name().to_string(),
+            expected: format!(
+                "output structure with shape {:?} format {}",
+                var.shape(),
+                var.format()
+            ),
+        });
+    }
+    Ok(s)
+}
+
 /// Binds the result tensor's buffers according to the kernel kind.
 /// `structure` supplies the pre-assembled index arrays for compute kernels
 /// with sparse results.
@@ -76,20 +93,10 @@ pub(crate) fn bind_result(
             b.set_f64(name, vec![0.0; len]);
         }
         Some(l) => {
-            let parents: usize = var.shape()[..l].iter().product();
+            let parents: usize = (0..l).map(|k| level_extent(var, k)).product();
             match kind {
                 KernelKind::Compute => {
-                    let s = structure.ok_or(CoreError::MissingOutputStructure)?;
-                    if s.shape() != var.shape() || s.format() != var.format() {
-                        return Err(CoreError::OperandMismatch {
-                            name: name.to_string(),
-                            expected: format!(
-                                "output structure with shape {:?} format {}",
-                                var.shape(),
-                                var.format()
-                            ),
-                        });
-                    }
+                    let s = output_structure(var, structure)?;
                     s.validate().map_err(|e| CoreError::OperandMismatch {
                         name: name.to_string(),
                         expected: format!("valid output structure: {e}"),
@@ -113,7 +120,10 @@ pub(crate) fn bind_result(
     Ok(())
 }
 
-/// Extracts the result tensor after a run.
+/// Extracts the result tensor after a run. The kernel owned the result
+/// buffers during the run, so they are untrusted: sparse results go through
+/// [`Tensor::from_appended_level`]'s one checked pass, which also restores
+/// order where an unsorted-assembly kernel left segments unordered.
 pub(crate) fn extract_result(
     b: &Binding,
     var: &TensorVar,
@@ -122,112 +132,23 @@ pub(crate) fn extract_result(
     nnz_output: Option<&str>,
 ) -> Result<Tensor> {
     let name = var.name();
-    let sparse_level = result_append_level(var)?;
-    match sparse_level {
-        None => {
-            let vals =
-                b.f64_array(name).ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-            Ok(Tensor::from_dense(
-                &taco_tensor::DenseTensor::from_data(var.shape().to_vec(), vals.to_vec()),
-                Format::dense(var.rank()),
-            )?)
+    let missing = || CoreError::UnknownOperand(name.to_string());
+    let vals = || b.f64_array(name).ok_or_else(missing);
+    let Some(l) = result_append_level(var)? else {
+        return Ok(Tensor::from_dense_vals(var.shape().to_vec(), vals()?.to_vec())?);
+    };
+    let (shape, format) = (var.shape().to_vec(), var.format().clone());
+    Ok(match kind {
+        KernelKind::Compute => {
+            let s = output_structure(var, structure)?;
+            Tensor::from_appended_level(shape, format, s.pos(l)?, s.crd(l)?, None, Some(vals()?))?
         }
-        Some(l) => match kind {
-            KernelKind::Compute => {
-                let s = structure.ok_or(CoreError::MissingOutputStructure)?;
-                let vals = b
-                    .f64_array(name)
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                let entries: Vec<(Vec<usize>, f64)> = s
-                    .entries()
-                    .into_iter()
-                    .zip(vals)
-                    .map(|((coord, _), v)| (coord, *v))
-                    .collect();
-                Ok(Tensor::from_entries(var.shape().to_vec(), var.format().clone(), entries)?)
-            }
-            KernelKind::Fused | KernelKind::Assemble => {
-                // Borrow the kernel's i64 buffers directly — converting
-                // through `usize_array` would copy both index arrays on
-                // every extraction. Elements are range-checked as they are
-                // consumed instead.
-                let pos = b
-                    .int_array(&pos_name(name, l))
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                let crd = b
-                    .int_array(&crd_name(name, l))
-                    .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                // The kernel owns these arrays during the run, so treat their
-                // relative sizes and signs as untrusted when rebuilding the
-                // tensor.
-                let inconsistent = |detail: String| {
-                    CoreError::Tensor(taco_tensor::TensorError::InvalidStorage { level: l, detail })
-                };
-                let index = |v: i64, what: &str| {
-                    usize::try_from(v).map_err(|_| {
-                        inconsistent(format!("negative {what} value {v} in kernel output"))
-                    })
-                };
-                let nnz = match nnz_output.and_then(|n| b.scalar_output(n)) {
-                    Some(v) => index(v, "nnz")?,
-                    None => index(pos.last().copied().unwrap_or(0), "pos")?,
-                };
-                let vals: Vec<f64> = if kind == KernelKind::Fused {
-                    let all = b
-                        .f64_array(name)
-                        .ok_or_else(|| CoreError::UnknownOperand(name.to_string()))?;
-                    all.get(..nnz)
-                        .ok_or_else(|| {
-                            inconsistent(format!(
-                                "kernel reported {nnz} result entries but produced {}",
-                                all.len()
-                            ))
-                        })?
-                        .to_vec()
-                } else {
-                    vec![0.0; nnz]
-                };
-
-                // Decode parent coordinates from dense offsets and rebuild
-                // the tensor (handles unsorted rows from unsorted kernels).
-                let parent_dims = &var.shape()[..l];
-                let parents: usize = parent_dims.iter().product();
-                let mut entries = Vec::with_capacity(nnz);
-                for p in 0..parents {
-                    let mut coord = vec![0usize; l];
-                    let mut rem = p;
-                    for (k, d) in parent_dims.iter().enumerate().rev() {
-                        coord[k] = rem % d;
-                        rem /= d;
-                    }
-                    let seg = pos.get(p..=p + 1).ok_or_else(|| {
-                        inconsistent(format!(
-                            "result pos has {} entries, expected {}",
-                            pos.len(),
-                            parents + 1
-                        ))
-                    })?;
-                    let (lo, hi) = (index(seg[0], "pos")?, index(seg[1], "pos")?);
-                    for q in lo..hi {
-                        let mut full = coord.clone();
-                        let c = crd.get(q).copied().ok_or_else(|| {
-                            inconsistent(format!(
-                                "result pos segment {lo}..{hi} exceeds crd length {}",
-                                crd.len()
-                            ))
-                        })?;
-                        let v = vals.get(q).ok_or_else(|| {
-                            inconsistent(format!(
-                                "result pos segment {lo}..{hi} exceeds value count {}",
-                                vals.len()
-                            ))
-                        })?;
-                        full.push(index(c, "crd")?);
-                        entries.push((full, *v));
-                    }
-                }
-                Ok(Tensor::from_entries(var.shape().to_vec(), var.format().clone(), entries)?)
-            }
-        },
-    }
+        KernelKind::Fused | KernelKind::Assemble => {
+            let pos = b.int_array(&pos_name(name, l)).ok_or_else(missing)?;
+            let crd = b.int_array(&crd_name(name, l)).ok_or_else(missing)?;
+            let nnz = nnz_output.and_then(|n| b.scalar_output(n));
+            let vals = if kind == KernelKind::Fused { Some(vals()?) } else { None };
+            Tensor::from_appended_level(shape, format, pos, crd, nnz, vals)?
+        }
+    })
 }

@@ -1598,19 +1598,6 @@ impl Binding {
         }
     }
 
-    /// Reads back an integer array as `usize` values.
-    ///
-    /// Returns `None` if the array is missing, has the wrong type, or holds a
-    /// negative value (a malformed kernel output, never a valid `pos`/`crd`).
-    ///
-    /// Unlike the other accessors this returns an owned `Vec`: integer
-    /// buffers are stored as `i64` and a `usize` view cannot be borrowed
-    /// from them. Hot paths should use [`Binding::int_array`] and convert
-    /// elements as they are consumed instead of materializing a copy.
-    pub fn usize_array(&self, name: &str) -> Option<Vec<usize>> {
-        self.int_array(name)?.iter().map(|x| usize::try_from(*x).ok()).collect()
-    }
-
     /// Reads the final value of a kernel scalar output.
     pub fn scalar_output(&self, name: &str) -> Option<i64> {
         self.scalar_outputs.get(name).copied()
@@ -2273,15 +2260,6 @@ mod tests {
         b.set_scalar("x", i64::MAX).set_int("out", vec![0]);
         exe.run(&mut b).unwrap();
         assert_eq!(b.int_array("out").unwrap(), &[i64::MAX.wrapping_add(i64::MAX)]);
-    }
-
-    #[test]
-    fn negative_usize_array_returns_none() {
-        let mut b = Binding::new();
-        b.set_int("p", vec![0, 3, -1]);
-        assert_eq!(b.usize_array("p"), None);
-        b.set_int("q", vec![0, 3, 7]);
-        assert_eq!(b.usize_array("q"), Some(vec![0, 3, 7]));
     }
 
     #[test]

@@ -24,7 +24,10 @@ use crate::{Format, LevelType, ModeStorage, Result, Tensor, TensorError};
 pub struct TensorBuilder {
     shape: Vec<usize>,
     format: Format,
-    entries: Vec<(Vec<usize>, f64)>,
+    /// Queued coordinates, `rank` per entry back to back, so queueing and
+    /// sorting entries allocates nothing per entry.
+    coords: Vec<usize>,
+    vals: Vec<f64>,
 }
 
 impl TensorBuilder {
@@ -46,7 +49,14 @@ impl TensorBuilder {
             });
         }
         format.check_level_types()?;
-        Ok(TensorBuilder { shape, format, entries: Vec::new() })
+        Ok(TensorBuilder { shape, format, coords: Vec::new(), vals: Vec::new() })
+    }
+
+    /// Reserves room for `additional` more entries, so inserting that many
+    /// does not regrow the queue.
+    pub fn reserve(&mut self, additional: usize) {
+        self.coords.reserve(additional * self.shape.len());
+        self.vals.reserve(additional);
     }
 
     /// Queues a component for insertion.
@@ -67,18 +77,19 @@ impl TensorBuilder {
                 return Err(TensorError::CoordOutOfBounds { mode, coord: c, dim: d });
             }
         }
-        self.entries.push((coord.to_vec(), value));
+        self.coords.extend_from_slice(coord);
+        self.vals.push(value);
         Ok(self)
     }
 
     /// Number of queued entries (before duplicate merging).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.vals.len()
     }
 
     /// True if no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.vals.is_empty()
     }
 
     /// Sorts, merges and packs the queued entries into a [`Tensor`].
@@ -92,23 +103,30 @@ impl TensorBuilder {
     /// position, and singleton levels store one coordinate per parent
     /// position.
     pub fn build(mut self) -> Tensor {
-        let order = self.format.mode_order().to_vec();
-        let storage_key = |coord: &[usize]| -> Vec<usize> {
-            order.iter().map(|&m| coord[m]).collect()
-        };
-        self.entries.sort_by_key(|(coord, _)| storage_key(coord));
+        let rank = self.shape.len();
+        let order = self.format.mode_order();
+        let coords = &self.coords;
+        let coord = |e: usize| &coords[e * rank..(e + 1) * rank];
+        // Entry indices in storage order. Coordinates are compared in place
+        // and the sort is stable, so duplicates stay in insertion order.
+        let mut merged: Vec<usize> = (0..self.vals.len()).collect();
+        merged.sort_by(|&a, &b| {
+            let (a, b) = (coord(a), coord(b));
+            order.iter().map(|&m| a[m]).cmp(order.iter().map(|&m| b[m]))
+        });
         // Merge duplicate coordinates up front: non-unique levels below give
         // every surviving entry its own position, so duplicates must not
-        // survive to packing.
-        let mut merged: Vec<(Vec<usize>, f64)> = Vec::with_capacity(self.entries.len());
-        for (coord, v) in self.entries.drain(..) {
-            match merged.last_mut() {
-                Some((prev, pv)) if *prev == coord => *pv += v,
-                _ => merged.push((coord, v)),
+        // survive to packing. The first entry of each run of equal
+        // coordinates survives and collects the run's sum, in order.
+        let queued = &mut self.vals;
+        merged.dedup_by(|e, first| {
+            let duplicate = coord(*e) == coord(*first);
+            if duplicate {
+                queued[*first] += queued[*e];
             }
-        }
+            duplicate
+        });
 
-        let rank = self.shape.len();
         let n = merged.len();
         let mut modes: Vec<ModeStorage> = Vec::with_capacity(rank);
 
@@ -122,8 +140,8 @@ impl TensorBuilder {
             let lt = self.format.mode(level);
             match lt {
                 LevelType::Dense => {
-                    for (e, (coord, _)) in merged.iter().enumerate() {
-                        parent_pos[e] = parent_pos[e] * dim + coord[mode];
+                    for (pp, e) in parent_pos.iter_mut().zip(&merged) {
+                        *pp = *pp * dim + coord(*e)[mode];
                     }
                     num_parent_positions *= dim;
                     modes.push(ModeStorage::Dense { dim });
@@ -136,9 +154,9 @@ impl TensorBuilder {
                     // repeat, as in COO's outer coordinate array.
                     let mut pos = vec![0usize; num_parent_positions + 1];
                     let mut crd = Vec::with_capacity(n);
-                    for (pp, entry) in parent_pos.iter_mut().zip(&merged) {
+                    for (pp, e) in parent_pos.iter_mut().zip(&merged) {
                         pos[*pp + 1] += 1;
-                        crd.push(entry.0[mode]);
+                        crd.push(coord(*e)[mode]);
                         *pp = crd.len() - 1;
                     }
                     for p in 0..num_parent_positions {
@@ -149,10 +167,10 @@ impl TensorBuilder {
                 }
                 LevelType::Compressed | LevelType::Hashed => {
                     let mut pos = vec![0usize; num_parent_positions + 1];
-                    let mut crd = Vec::new();
+                    let mut crd = Vec::with_capacity(n);
                     let mut prev: Option<(usize, usize)> = None;
-                    for (pp, entry) in parent_pos.iter_mut().zip(&merged) {
-                        let key = (*pp, entry.0[mode]);
+                    for (pp, e) in parent_pos.iter_mut().zip(&merged) {
+                        let key = (*pp, coord(*e)[mode]);
                         if prev != Some(key) {
                             // A new (parent, coordinate) group starts here.
                             pos[key.0 + 1] += 1;
@@ -165,6 +183,8 @@ impl TensorBuilder {
                     for p in 0..num_parent_positions {
                         pos[p + 1] += pos[p];
                     }
+                    // Outer levels hold fewer groups than entries.
+                    crd.shrink_to_fit();
                     num_parent_positions = crd.len();
                     modes.push(ModeStorage::Compressed { pos, crd });
                 }
@@ -172,15 +192,15 @@ impl TensorBuilder {
                     // One coordinate per parent position; positions pass
                     // through unchanged. The parent is non-unique, so each
                     // entry already owns a distinct parent position.
-                    let crd: Vec<usize> = merged.iter().map(|(c, _)| c[mode]).collect();
+                    let crd: Vec<usize> = merged.iter().map(|e| coord(*e)[mode]).collect();
                     modes.push(ModeStorage::Singleton { crd });
                 }
             }
         }
 
         let mut vals = vec![0.0; num_parent_positions];
-        for (e, (_, v)) in merged.iter().enumerate() {
-            vals[parent_pos[e]] += v;
+        for (pp, e) in parent_pos.iter().zip(&merged) {
+            vals[*pp] += queued[*e];
         }
 
         Tensor::from_parts(self.shape, self.format, modes, vals)
@@ -215,6 +235,20 @@ mod tests {
         let t = b.build();
         assert_eq!(t.crd(0).unwrap(), &[0, 1, 3]);
         assert_eq!(t.vals(), &[0.5, 1.0, 3.0]);
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // (1e16 + 1) - 1e16 rounds to 0; any other order of the three gives 1.
+        let mut b = TensorBuilder::new(vec![2, 4], Format::csc()).unwrap();
+        b.insert(&[1, 2], 1e16).unwrap();
+        b.insert(&[0, 3], 7.0).unwrap();
+        b.insert(&[1, 2], 1.0).unwrap();
+        b.insert(&[1, 0], 5.0).unwrap();
+        b.insert(&[1, 2], -1e16).unwrap();
+        let t = b.build();
+        assert_eq!(t.crd(1).unwrap(), &[1, 1, 0]);
+        assert_eq!(t.vals(), &[5.0, 0.0, 7.0]);
     }
 
     #[test]

@@ -226,20 +226,18 @@ impl Csr {
         })
     }
 
-    /// Converts into a CSR [`Tensor`]. Rows are sorted first if needed.
+    /// Converts into a CSR [`Tensor`]. Unsorted rows are sorted and repeated
+    /// columns summed.
     pub fn to_tensor(&self) -> Tensor {
-        let mut m = self.clone();
-        if !m.is_sorted() {
-            m.sort_rows();
-        }
-        let entries = (0..m.nrows)
-            .flat_map(|i| {
-                let (cs, vs) = m.row(i);
-                cs.iter().zip(vs).map(move |(c, v)| (vec![i, *c], *v))
-            })
-            .collect();
-        Tensor::from_entries(vec![m.nrows, m.ncols], Format::csr(), entries)
-            .expect("entries validated by construction")
+        Tensor::from_appended_level(
+            vec![self.nrows, self.ncols],
+            Format::csr(),
+            &self.pos,
+            &self.crd,
+            None,
+            Some(&self.vals),
+        )
+        .expect("pos/crd/vals agree by construction (Csr::from_raw's checks)")
     }
 
     /// Dense `nrows * ncols` row-major image of the matrix (duplicates

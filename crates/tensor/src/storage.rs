@@ -122,8 +122,8 @@ pub(crate) fn check_crd_level(
     Ok(())
 }
 
-/// Value-array invariants: one value per innermost position, all finite.
-pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> Result<()> {
+/// Value-array length invariant: one value per innermost position.
+fn check_vals_len(vals: &[f64], positions: usize, level: usize) -> Result<()> {
     let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
     if vals.len() != positions {
         return bad(format!(
@@ -131,10 +131,51 @@ pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> 
             vals.len()
         ));
     }
+    Ok(())
+}
+
+/// Value-array invariants: one value per innermost position, all finite.
+pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> Result<()> {
+    let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
+    check_vals_len(vals, positions, level)?;
     if let Some(q) = vals.iter().position(|v| !v.is_finite()) {
         return bad(format!("non-finite value {} at position {q}", vals[q]));
     }
     Ok(())
+}
+
+/// Sorts every `pos` segment by coordinate (stably) and sums the values of
+/// repeated coordinates in their stored order — what [`TensorBuilder`] does
+/// to unordered input, confined to one segment at a time. `vals` of `None`
+/// stands for all-zero values.
+fn normalise_segments(
+    pos: &[usize],
+    crd: &[usize],
+    vals: Option<&[f64]>,
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut out_pos = Vec::with_capacity(pos.len());
+    let mut out_crd = Vec::with_capacity(crd.len());
+    let mut out_vals: Vec<f64> = Vec::with_capacity(crd.len());
+    let mut order: Vec<usize> = Vec::new();
+    out_pos.push(0);
+    for seg in pos.windows(2) {
+        let start = out_crd.len();
+        order.clear();
+        order.extend(seg[0]..seg[1]);
+        order.sort_by_key(|&q| crd[q]);
+        for &q in &order {
+            let v = vals.map_or(0.0, |vals| vals[q]);
+            match out_vals.last_mut() {
+                Some(sum) if out_crd.len() > start && out_crd.last() == Some(&crd[q]) => *sum += v,
+                _ => {
+                    out_crd.push(crd[q]);
+                    out_vals.push(v);
+                }
+            }
+        }
+        out_pos.push(out_crd.len());
+    }
+    (out_pos, out_crd, out_vals)
 }
 
 /// A sparse (or dense) tensor stored level by level.
@@ -322,7 +363,7 @@ impl Tensor {
             // storage order so no duplicate component can slip through.
             let mut walked = Vec::with_capacity(self.vals.len());
             let mut coord = vec![0usize; self.rank()];
-            self.walk(0, 0, &mut coord, &mut walked);
+            self.walk(0, 0, &mut coord, &mut |coord, val| walked.push((coord.to_vec(), val)));
             let key = |coord: &[usize]| -> Vec<usize> {
                 self.format.mode_order().iter().map(|&m| coord[m]).collect()
             };
@@ -355,10 +396,131 @@ impl Tensor {
         entries: Vec<(Vec<usize>, f64)>,
     ) -> Result<Self> {
         let mut b = TensorBuilder::new(shape, format)?;
+        b.reserve(entries.len());
         for (coord, val) in entries {
             b.insert(&coord, val)?;
         }
         Ok(b.build())
+    }
+
+    /// Builds a tensor of dense levels above one innermost compressed level
+    /// — `(s)`, `(d,s)`, `(d,d,s)`, the formats a kernel can append a result
+    /// into — directly from that level's arrays as an append-assembling
+    /// producer holds them (a kernel's `i64` buffers, a [`crate::Csr`]'s
+    /// `usize` arrays), without decoding them into coordinates.
+    ///
+    /// The arrays are untrusted and checked in one pass: `pos` has one entry
+    /// per parent position plus one, starts at 0, is monotone and ends at
+    /// `nnz` when the producer reports one; `crd` and `vals` hold at least
+    /// that many entries (growth slack beyond it is ignored); no index is
+    /// negative and every coordinate is below the innermost dimension.
+    /// `vals` of `None` stores zeros (assembly-only producers).
+    ///
+    /// Segments need not be sorted or duplicate-free. If any is not strictly
+    /// increasing, each segment is stably sorted by coordinate and repeated
+    /// coordinates are summed in their stored order. Values land in the
+    /// tensor as `0.0 + v`, so `-0.0` is stored as `+0.0`. Both match
+    /// [`Tensor::from_entries`] over the same components bit for bit.
+    /// Non-finite values are accepted — a computed result may overflow —
+    /// so the tensor can fail [`Tensor::validate`] on that rule alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::FormatMismatch`] for any other format and
+    /// [`TensorError::InvalidStorage`] (at the compressed level) for the
+    /// first violated array invariant.
+    pub fn from_appended_level<I>(
+        shape: Vec<usize>,
+        format: Format,
+        pos: &[I],
+        crd: &[I],
+        nnz: Option<I>,
+        vals: Option<&[f64]>,
+    ) -> Result<Tensor>
+    where
+        I: Copy + TryInto<usize> + std::fmt::Display,
+    {
+        let level = shape.len().checked_sub(1).ok_or(TensorError::EmptyShape)?;
+        let mut level_types = vec![LevelType::Dense; level];
+        level_types.push(LevelType::Compressed);
+        if format != Format::new(level_types) {
+            return Err(TensorError::FormatMismatch {
+                expected: "dense levels above one innermost compressed level",
+            });
+        }
+        let bad = |detail: String| TensorError::InvalidStorage { level, detail };
+        let index = |what: &str, v: I| {
+            v.try_into().map_err(|_| bad(format!("{what} value {v} is not a valid index")))
+        };
+        // Sized up front: collecting into a `Result` loses the length hint
+        // and would regrow the vector log(n) times.
+        let indices = |what: &str, xs: &[I]| {
+            let mut out = Vec::with_capacity(xs.len());
+            for &v in xs {
+                out.push(index(what, v)?);
+            }
+            Ok::<Vec<usize>, TensorError>(out)
+        };
+        let parents = shape[..level]
+            .iter()
+            .try_fold(1usize, |n, d| n.checked_mul(*d))
+            .ok_or_else(|| bad(format!("dense parent levels of shape {shape:?} overflow")))?;
+
+        let pos = indices("pos", pos)?;
+        let end = pos.last().copied().unwrap_or(0);
+        check_pos_level(&pos, end, parents, level)?;
+        if let Some(reported) = nnz {
+            let reported = index("nnz", reported)?;
+            if reported != end {
+                return Err(bad(format!(
+                    "pos ends at {end} but the producer reported {reported} entries"
+                )));
+            }
+        }
+        let crd = crd.get(..end).ok_or_else(|| {
+            bad(format!("pos ends at {end} but crd has {} entries", crd.len()))
+        })?;
+        let crd = indices("crd", crd)?;
+        // Bounds only: order and uniqueness are restored below, not required.
+        check_crd_level(&pos, &crd, parents, shape[level], false, false, level)?;
+        let vals = vals
+            .map(|vals| {
+                vals.get(..end).ok_or_else(|| {
+                    bad(format!("pos ends at {end} but vals has {} entries", vals.len()))
+                })
+            })
+            .transpose()?;
+
+        let strictly_increasing =
+            pos.windows(2).all(|seg| crd[seg[0]..seg[1]].windows(2).all(|c| c[0] < c[1]));
+        let (pos, crd, mut vals) = if strictly_increasing {
+            (pos, crd, vals.map_or_else(|| vec![0.0; end], <[f64]>::to_vec))
+        } else {
+            normalise_segments(&pos, &crd, vals)
+        };
+        // The builder accumulates into zeroed storage; `-0.0 + 0.0` is `+0.0`.
+        for v in &mut vals {
+            *v += 0.0;
+        }
+        let mut modes: Vec<ModeStorage> =
+            shape[..level].iter().map(|&dim| ModeStorage::Dense { dim }).collect();
+        modes.push(ModeStorage::Compressed { pos, crd });
+        Ok(Tensor { shape, format, modes, vals })
+    }
+
+    /// Wraps row-major values as an all-dense tensor: every component is
+    /// stored, zeros included.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the shape is empty or `vals` does not hold exactly
+    /// one value per component.
+    pub fn from_dense_vals(shape: Vec<usize>, vals: Vec<f64>) -> Result<Tensor> {
+        let level = shape.len().checked_sub(1).ok_or(TensorError::EmptyShape)?;
+        let volume = shape.iter().try_fold(1usize, |n, d| n.checked_mul(*d));
+        check_vals_len(&vals, volume.unwrap_or(usize::MAX), level)?;
+        let modes = shape.iter().map(|&dim| ModeStorage::Dense { dim }).collect();
+        Ok(Tensor { format: Format::dense(shape.len()), shape, modes, vals })
     }
 
     /// Converts a dense tensor into this format, keeping only nonzeros in
@@ -367,12 +529,7 @@ impl Tensor {
         let mut b = TensorBuilder::new(dense.shape().to_vec(), format.clone())?;
         if format.is_all_dense() && format.is_identity_order() {
             // Preserve every component, including zeros.
-            return Ok(Tensor::from_parts(
-                dense.shape().to_vec(),
-                format,
-                dense.shape().iter().map(|d| ModeStorage::Dense { dim: *d }).collect(),
-                dense.data().to_vec(),
-            ));
+            return Tensor::from_dense_vals(dense.shape().to_vec(), dense.data().to_vec());
         }
         for (coord, val) in dense.iter_nonzeros() {
             b.insert(&coord, val)?;
@@ -393,7 +550,19 @@ impl Tensor {
         if format == *self.format() {
             return Ok(self.clone());
         }
-        Tensor::from_entries(self.shape.clone(), format, self.entries())
+        // Stored components go straight into the builder's queue (in storage
+        // order: they are unique, so the packed tensor does not depend on
+        // it) — no coordinate tuple is materialized per component.
+        let mut b = TensorBuilder::new(self.shape.clone(), format)?;
+        b.reserve(self.nnz());
+        let mut queued = Ok(());
+        self.walk(0, 0, &mut vec![0usize; self.rank()], &mut |coord, val| {
+            if queued.is_ok() {
+                queued = b.insert(coord, val).map(|_| ());
+            }
+        });
+        queued?;
+        Ok(b.build())
     }
 
     /// Blocks a rank-2 tensor into `br x bc` tiles, producing the rank-4
@@ -525,7 +694,7 @@ impl Tensor {
     pub fn entries(&self) -> Vec<(Vec<usize>, f64)> {
         let mut out = Vec::with_capacity(self.vals.len());
         let mut coord = vec![0usize; self.rank()];
-        self.walk(0, 0, &mut coord, &mut out);
+        self.walk(0, 0, &mut coord, &mut |coord, val| out.push((coord.to_vec(), val)));
         if !self.format.is_ordered() {
             // Storage order differs from lexicographic mode order under a
             // mode permutation or hashed levels.
@@ -534,9 +703,17 @@ impl Tensor {
         out
     }
 
-    fn walk(&self, level: usize, parent_pos: usize, coord: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, f64)>) {
+    /// Visits every stored component in storage order as `(coordinate in
+    /// mode order, value)`.
+    fn walk(
+        &self,
+        level: usize,
+        parent_pos: usize,
+        coord: &mut [usize],
+        visit: &mut impl FnMut(&[usize], f64),
+    ) {
         if level == self.rank() {
-            out.push((coord.clone(), self.vals[parent_pos]));
+            visit(coord, self.vals[parent_pos]);
             return;
         }
         let mode = self.format.mode_of_level(level);
@@ -544,7 +721,7 @@ impl Tensor {
             ModeStorage::Dense { dim } => {
                 for c in 0..*dim {
                     coord[mode] = c;
-                    self.walk(level + 1, parent_pos * dim + c, coord, out);
+                    self.walk(level + 1, parent_pos * dim + c, coord, visit);
                 }
             }
             ModeStorage::Compressed { pos, crd } => {
@@ -553,12 +730,12 @@ impl Tensor {
                 #[allow(clippy::needless_range_loop)]
                 for p in pos[parent_pos]..pos[parent_pos + 1] {
                     coord[mode] = crd[p];
-                    self.walk(level + 1, p, coord, out);
+                    self.walk(level + 1, p, coord, visit);
                 }
             }
             ModeStorage::Singleton { crd } => {
                 coord[mode] = crd[parent_pos];
-                self.walk(level + 1, parent_pos, coord, out);
+                self.walk(level + 1, parent_pos, coord, visit);
             }
         }
     }

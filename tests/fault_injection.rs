@@ -745,3 +745,131 @@ fn over_budget_spgemm_completes_through_a_sparse_workspace_rung() {
     let got = kernel.run(&[("B", &b), ("C", &c)]).unwrap();
     assert_eq!(got, expect, "downgraded kernel must be byte-identical");
 }
+
+/// Runs `extract` on a damaged binding under `catch_unwind` and returns its
+/// error; a success or a panic fails the test.
+fn extraction_error(
+    what: &str,
+    kernel: &CompiledKernel,
+    binding: &taco_workspaces::llir::Binding,
+    structure: Option<&Tensor>,
+) -> CoreError {
+    match catch_unwind(AssertUnwindSafe(|| kernel.extract(binding, structure))) {
+        Ok(Ok(t)) => panic!("{what}: extraction accepted the damaged result: {t:?}"),
+        Ok(Err(e)) => e,
+        Err(_) => panic!("{what}: extraction panicked instead of returning an error"),
+    }
+}
+
+#[test]
+fn corrupted_result_buffers_error_at_extraction() {
+    use taco_workspaces::lower::params::{crd_name, pos_name};
+    use taco_workspaces::tensor::TensorError;
+
+    // The result buffers belong to the kernel during a run, so extraction
+    // must treat them as it treats operands: a damaged buffer is a typed
+    // error, never a panic and never a plausible-looking tensor.
+    let n = 4;
+    let kernel = scheduled_spgemm(n).compile(LowerOptions::fused("spgemm")).unwrap();
+    let (b, c) = sample_inputs(n);
+    let (a_pos, a_crd) = (pos_name("A", 1), crd_name("A", 1));
+    let nnz_out = kernel.lowered().nnz_output.clone().expect("fused SpGEMM reports nnz");
+
+    // A hand-written valid result, with doubling slack past nnz = 5.
+    #[derive(Clone)]
+    struct Buffers {
+        pos: Vec<i64>,
+        crd: Vec<i64>,
+        vals: Vec<f64>,
+        nnz: i64,
+    }
+    let valid = Buffers {
+        pos: vec![0, 2, 2, 3, 5],
+        crd: vec![0, 2, 1, 0, 3, 99, 99, 99],
+        vals: vec![1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 0.0],
+        nnz: 5,
+    };
+    let bound = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    let with = |damage: &dyn Fn(&mut Buffers)| {
+        let mut buffers = valid.clone();
+        damage(&mut buffers);
+        let mut binding = bound.clone();
+        binding
+            .set_int(a_pos.clone(), buffers.pos)
+            .set_int(a_crd.clone(), buffers.crd)
+            .set_f64("A", buffers.vals)
+            .set_scalar_output(nnz_out.clone(), buffers.nnz);
+        binding
+    };
+    let good = with(&|_| {});
+    let expect = Tensor::from_entries(
+        vec![n, n],
+        Format::csr(),
+        vec![
+            (vec![0, 0], 1.0),
+            (vec![0, 2], 2.0),
+            (vec![2, 1], 3.0),
+            (vec![3, 0], 4.0),
+            (vec![3, 3], 5.0),
+        ],
+    )
+    .unwrap();
+    assert_eq!(kernel.extract(&good, None).unwrap(), expect);
+
+    let damaged = [
+        ("negative pos", with(&|r| r.pos[1] = -1)),
+        ("negative crd", with(&|r| r.crd[2] = -1)),
+        ("negative nnz", with(&|r| r.nnz = -5)),
+        ("short pos", with(&|r| r.pos.truncate(n))),
+        ("long pos", with(&|r| r.pos.push(5))),
+        ("empty pos", with(&|r| r.pos.clear())),
+        ("non-monotone pos", with(&|r| r.pos[2] = 1)),
+        ("pos not starting at 0", with(&|r| r.pos[0] = 1)),
+        ("pos ending short of nnz", with(&|r| r.pos[n] = 4)),
+        ("pos ending past nnz", with(&|r| r.nnz = 4)),
+        ("segment beyond crd", with(&|r| r.crd.truncate(4))),
+        ("nnz beyond vals", with(&|r| r.vals.truncate(4))),
+        ("coordinate == dim", with(&|r| r.crd[4] = n as i64)),
+    ];
+    for (what, bad) in &damaged {
+        let err = extraction_error(what, &kernel, bad, None);
+        assert!(
+            matches!(err, CoreError::Tensor(TensorError::InvalidStorage { level: 1, .. })),
+            "{what}: expected InvalidStorage at the compressed level, got {err:?}"
+        );
+    }
+
+    for missing in [a_pos.as_str(), a_crd.as_str(), "A"] {
+        let mut bad = good.clone();
+        bad.take(missing);
+        let err = extraction_error(&format!("missing {missing}"), &kernel, &bad, None);
+        assert!(matches!(err, CoreError::UnknownOperand(_)), "missing {missing}: got {err:?}");
+    }
+
+    // Unsorted and duplicate-bearing segments are not damage: the
+    // unsorted-assembly rung produces them and extraction restores order.
+    let unsorted = with(&|r| {
+        r.crd[..2].copy_from_slice(&[2, 0]);
+        r.vals.swap(0, 1);
+    });
+    assert_eq!(kernel.extract(&unsorted, None).unwrap(), expect);
+
+    // Dense results: one value per component, or a typed error.
+    let dense = scheduled_dense_matmul(n).compile(LowerOptions::compute("matmul")).unwrap();
+    let cd = Tensor::from_dense(&gen::random_dense(n, n, 9), Format::dense(2)).unwrap();
+    let mut bad = dense.bind(&[("B", &b), ("C", &cd)], None).unwrap();
+    dense.extract(&bad, None).unwrap();
+    bad.set_f64("A", vec![0.0; n * n - 1]);
+    extraction_error("short dense result", &dense, &bad, None);
+
+    // Compute kernels: the structure handed to `extract` must be the
+    // result's, and the value buffer must cover it.
+    let compute = scheduled_spgemm(n).compile(LowerOptions::compute("spgemm_c")).unwrap();
+    let mut bound = compute.bind(&[("B", &b), ("C", &c)], Some(&expect)).unwrap();
+    assert_eq!(compute.extract(&bound, Some(&expect)).unwrap().nnz(), 5);
+    let other = Tensor::from_entries(vec![n, n + 1], Format::csr(), vec![]).unwrap();
+    extraction_error("structure of another shape", &compute, &bound, Some(&other));
+    extraction_error("no structure", &compute, &bound, None);
+    bound.set_f64("A", vec![0.0; 4]);
+    extraction_error("values short of the structure", &compute, &bound, Some(&expect));
+}

@@ -742,3 +742,149 @@ proptest! {
         }
     }
 }
+
+// Result extraction (DESIGN.md §16, "results are extracted in their level
+// format"): `CompiledKernel::extract` builds the result's level storage in
+// one checked pass over the kernel's buffers. The reference below is an
+// in-test copy of the extraction it replaced — decode every stored position
+// into a coordinate tuple, then repack through `Tensor::from_entries` — and
+// the two must agree bit for bit on anything a kernel may legitimately leave
+// behind.
+
+/// `A = B + C` over rank-`shape.len()` tensors stored as dense levels above
+/// one compressed level: `(s)`, `(d,s)`, `(d,d,s)`.
+fn appended_result_add(shape: &[usize]) -> (IndexStmt, Format) {
+    let mut levels = vec![taco_tensor::LevelType::Dense; shape.len() - 1];
+    levels.push(taco_tensor::LevelType::Compressed);
+    let format = Format::new(levels);
+    let vars: Vec<IndexVar> = (0..shape.len()).map(|m| iv(&format!("i{m}"))).collect();
+    let tensor = |name: &str| TensorVar::new(name, shape.to_vec(), format.clone());
+    let source = IndexAssignment::assign(
+        tensor("A").access(vars.clone()),
+        IndexExpr::from(tensor("B").access(vars.clone())) + tensor("C").access(vars),
+    );
+    (IndexStmt::new(source).unwrap(), format)
+}
+
+/// The replaced extraction: one `(coordinate, value)` pair per stored
+/// position of `pos`/`crd` (parents decoded from the dense offset), repacked
+/// by the builder.
+fn extract_by_repacking(
+    shape: &[usize],
+    format: &Format,
+    pos: &[i64],
+    crd: &[i64],
+    vals: &[f64],
+) -> Tensor {
+    let parent_dims = &shape[..shape.len() - 1];
+    let mut entries = Vec::new();
+    for p in 0..parent_dims.iter().product::<usize>() {
+        let mut coord = vec![0usize; parent_dims.len()];
+        let mut rem = p;
+        for (k, d) in parent_dims.iter().enumerate().rev() {
+            coord[k] = rem % d;
+            rem /= d;
+        }
+        for q in pos[p] as usize..pos[p + 1] as usize {
+            let mut full = coord.clone();
+            full.push(crd[q] as usize);
+            entries.push((full, vals[q]));
+        }
+    }
+    Tensor::from_entries(shape.to_vec(), format.clone(), entries).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Sorted, unsorted and duplicate-bearing segments, explicit zeros,
+    /// `-0.0`, overflowing sums, empty rows, empty results and slack
+    /// capacity, for every kernel kind and result rank.
+    #[test]
+    fn extraction_matches_decode_and_repack_bitwise(
+        rank in 1usize..4,
+        kind in 0usize..3,
+        order in 0usize..3,
+        fill in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape: Vec<usize> = (0..rank).map(|_| rng.gen_range(1usize..5)).collect();
+        let (dim, parents) = (shape[rank - 1], shape[..rank - 1].iter().product::<usize>());
+        let level = rank - 1;
+        let (stmt, format) = appended_result_add(&shape);
+        let empty = Tensor::from_entries(shape.clone(), format.clone(), vec![]).unwrap();
+        let inputs = [("B", &empty), ("C", &empty)];
+        const PALETTE: [f64; 8] = [1.5, -2.25, 0.0, -0.0, 1e308, -1e308, 3.0e-310, 7.0];
+
+        // One segment per parent position: `fill == 0` leaves every segment
+        // empty (nnz = 0); otherwise rows are empty about a third of the time.
+        // order 0: strictly increasing; 1: shuffled, still unique;
+        // 2: drawn with repetition, so unsorted and duplicate-bearing.
+        let (mut pos, mut crd) = (vec![0i64], Vec::<i64>::new());
+        for _ in 0..parents {
+            let mut seg: Vec<i64> = match (fill, order) {
+                (0, _) => Vec::new(),
+                _ if rng.gen_range(0usize..3) == 0 => Vec::new(),
+                (_, 2) => (0..rng.gen_range(1usize..7)).map(|_| rng.gen_range(0..dim) as i64).collect(),
+                _ => (0..dim as i64).filter(|_| rng.gen_bool(0.6)).collect(),
+            };
+            if order == 1 {
+                for k in (1..seg.len()).rev() {
+                    seg.swap(k, rng.gen_range(0..k + 1));
+                }
+            }
+            crd.extend(seg);
+            pos.push(crd.len() as i64);
+        }
+        let nnz = crd.len();
+        let mut vals: Vec<f64> = (0..nnz).map(|_| PALETTE[rng.gen_range(0..PALETTE.len())]).collect();
+
+        let (got, want) = if kind == 2 {
+            // Compute: the structure is pre-assembled (so valid: sorted and
+            // unique) and the kernel fills in values only.
+            let structure = extract_by_repacking(&shape, &format, &pos, &crd, &vec![0.0; nnz]);
+            let vals: Vec<f64> = (0..structure.nnz()).map(|_| PALETTE[rng.gen_range(0..PALETTE.len())]).collect();
+            let kernel = stmt.compile(LowerOptions::compute("add")).unwrap();
+            let mut binding = kernel.bind(&inputs, Some(&structure)).unwrap();
+            binding.set_f64("A", vals.clone());
+            let entries = structure.entries().into_iter().zip(&vals).map(|((c, _), v)| (c, *v)).collect();
+            (
+                kernel.extract(&binding, Some(&structure)).unwrap(),
+                Tensor::from_entries(shape.clone(), format.clone(), entries).unwrap(),
+            )
+        } else {
+            let opts = if kind == 0 { LowerOptions::fused("add") } else { LowerOptions::assemble("add") };
+            let kernel = stmt.compile(opts).unwrap();
+            if kind == 1 {
+                // Assembly produces structure only; stored values are zero.
+                vals = vec![0.0; nnz];
+            }
+            let want = extract_by_repacking(&shape, &format, &pos, &crd, &vals);
+            // Doubling slack past nnz holds stale garbage the extraction
+            // must never read.
+            let slack = rng.gen_range(0usize..4);
+            crd.extend((0..slack).map(|_| -7i64));
+            vals.extend((0..slack).map(|_| f64::NAN));
+            let mut binding = kernel.bind(&inputs, None).unwrap();
+            binding
+                .set_int(taco_lower::params::pos_name("A", level), pos)
+                .set_int(taco_lower::params::crd_name("A", level), crd);
+            if kind == 0 {
+                binding.set_f64("A", vals);
+            }
+            if let Some(name) = &kernel.lowered().nnz_output {
+                binding.set_scalar_output(name.clone(), nnz as i64);
+            }
+            (kernel.extract(&binding, None).unwrap(), want)
+        };
+
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(got.format(), want.format());
+        prop_assert_eq!(got.pos(level).unwrap(), want.pos(level).unwrap());
+        prop_assert_eq!(got.crd(level).unwrap(), want.crd(level).unwrap());
+        let bits = |t: &Tensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
