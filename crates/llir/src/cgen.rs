@@ -24,6 +24,13 @@
 //! * Stores are bounds-checked (a fault, not UB). Loads are *not*: reads
 //!   are trusted to the static verifier plus the differential check — the
 //!   documented trust contract of the native backend (DESIGN.md §15).
+//! * A *straight-line leaf loop* (see [`leaf_loop`]) pays both of those
+//!   once per loop instead of once per element: its store checks are
+//!   hoisted into one precondition at loop entry and its ticks are burnt a
+//!   chunk at a time, polling on exactly the iteration `TACO_TICK` would
+//!   have. When the precondition fails the per-element loop runs instead
+//!   and faults where it always did (DESIGN.md §15, "Versioned leaf
+//!   loops").
 //! * `ParallelFor` is rejected: its deterministic clone-and-merge
 //!   semantics have no plain-OpenMP equivalent, so parallel candidates
 //!   stay on the interpreter and the autotuner races the two backends.
@@ -179,7 +186,7 @@ pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
         maps,
     };
 
-    let mut e = Emitter { plan: &plan, out: String::new(), depth: 1 };
+    let mut e = Emitter { plan: &plan, out: String::new(), depth: 1, stores_prechecked: false };
     let mut src = String::new();
     src.push_str(TACO_KERNEL_H);
     let _ = writeln!(src, "\n/* kernel: {} */", exe.name);
@@ -415,12 +422,130 @@ fn bfaults(e: &BExpr) -> bool {
     }
 }
 
+// --- versioned leaf loops ----------------------------------------------
+
+/// The comment on the fast copy of every versioned leaf loop. Tests count
+/// it to pin which kernels change shape and which emit the C they always
+/// did.
+pub const LEAF_FAST_PATH_MARKER: &str = "/* taco: leaf fast path */";
+
+/// How one store of a leaf loop indexes its array.
+#[derive(PartialEq)]
+enum LeafIndex<'a> {
+    /// The same element on every iteration.
+    Invariant(&'a IExpr),
+    /// `inv + loopvar`; `None` is the bare loop variable.
+    Affine(Option<&'a IExpr>),
+}
+
+/// True when `body` is, recursively through `If`, nothing but scalar
+/// assigns and stores that cannot fault (no integer div/rem): no inner
+/// loop to tick, no host callback, no abort edge other than a store's
+/// range check. Collects the int slots it assigns.
+fn is_straight_line(body: &[RStmt], assigned: &mut Vec<usize>) -> bool {
+    body.iter().all(|s| match s {
+        RStmt::AssignI(slot, e) => {
+            assigned.push(*slot);
+            !ifaults(e)
+        }
+        RStmt::AssignF(_, e) => !ffaults(e),
+        RStmt::AssignB(_, e) => !bfaults(e),
+        RStmt::StoreI(_, i, v) | RStmt::StoreAddI(_, i, v) => !ifaults(i) && !ifaults(v),
+        RStmt::StoreF64(_, i, v)
+        | RStmt::StoreF32(_, i, v)
+        | RStmt::StoreAddF64(_, i, v)
+        | RStmt::StoreAddF32(_, i, v) => !ifaults(i) && !ffaults(v),
+        RStmt::StoreB(_, i, v) => !ifaults(i) && !bfaults(v),
+        RStmt::If(c, t, e) => {
+            !bfaults(c) && is_straight_line(t, assigned) && is_straight_line(e, assigned)
+        }
+        _ => false,
+    })
+}
+
+/// True when `e` has the same value on every iteration and is safe to
+/// evaluate before the first: no loads (reads stay where the verifier saw
+/// them) and no slot the loop writes.
+fn is_invariant(e: &IExpr, written: &[usize]) -> bool {
+    match e {
+        IExpr::Lit(_) | IExpr::Len(_) => true,
+        IExpr::Var(s) => !written.contains(s),
+        IExpr::Load(..) => false,
+        IExpr::Bin(_, a, b) => is_invariant(a, written) && is_invariant(b, written),
+        IExpr::Neg(a) => is_invariant(a, written),
+    }
+}
+
+/// Classifies every store index of a straight-line body; `false` if one
+/// is neither invariant nor `inv + loopvar`.
+fn leaf_stores<'a>(
+    body: &'a [RStmt],
+    var: usize,
+    written: &[usize],
+    out: &mut Vec<(usize, LeafIndex<'a>)>,
+) -> bool {
+    body.iter().all(|s| {
+        let (arr, idx) = match s {
+            RStmt::If(_, t, e) => {
+                return leaf_stores(t, var, written, out) && leaf_stores(e, var, written, out)
+            }
+            RStmt::StoreI(a, i, _)
+            | RStmt::StoreF64(a, i, _)
+            | RStmt::StoreF32(a, i, _)
+            | RStmt::StoreB(a, i, _)
+            | RStmt::StoreAddI(a, i, _)
+            | RStmt::StoreAddF64(a, i, _)
+            | RStmt::StoreAddF32(a, i, _) => (*a, i),
+            _ => return true,
+        };
+        let is_var = |e: &IExpr| matches!(e, IExpr::Var(v) if *v == var);
+        let form = match idx {
+            e if is_invariant(e, written) => LeafIndex::Invariant(e),
+            e if is_var(e) => LeafIndex::Affine(None),
+            IExpr::Bin(BinOp::Add, a, b) if is_var(b) && is_invariant(a, written) => {
+                LeafIndex::Affine(Some(a))
+            }
+            IExpr::Bin(BinOp::Add, a, b) if is_var(a) && is_invariant(b, written) => {
+                LeafIndex::Affine(Some(b))
+            }
+            _ => return false,
+        };
+        if !out.iter().any(|(a, f)| *a == arr && *f == form) {
+            out.push((arr, form));
+        }
+        true
+    })
+}
+
+/// Recognises a **straight-line leaf loop**: a counting loop whose body
+/// is, recursively through `If`, non-faulting scalar assigns and stores
+/// only, never assigns its own loop variable, and stores only at indices
+/// that are loop-invariant or `inv + loopvar` — with `inv` free of loads
+/// and of every slot the loop writes. For such a loop the range check of
+/// every store can be decided at loop entry from `_lo` and `_hi - 1`
+/// alone, and nothing but a supervision poll can abort it.
+///
+/// Returns the distinct (array slot, index form) pairs of its stores: one
+/// term of the hoisted precondition each.
+fn leaf_loop(var: usize, body: &[RStmt]) -> Option<Vec<(usize, LeafIndex<'_>)>> {
+    let mut written = Vec::new();
+    if !is_straight_line(body, &mut written) || written.contains(&var) {
+        return None;
+    }
+    written.push(var);
+    let mut stores = Vec::new();
+    leaf_stores(body, var, &written, &mut stores).then_some(stores)
+}
+
 // --- the emitter -------------------------------------------------------
 
 struct Emitter<'a> {
     plan: &'a AbiPlan,
     out: String,
     depth: usize,
+    /// Inside the fast copy of a versioned leaf loop, whose hoisted
+    /// precondition has already range-checked every store.
+    stores_prechecked: bool,
 }
 
 impl Emitter<'_> {
@@ -538,6 +663,10 @@ impl Emitter<'_> {
         val_faults: bool,
         op: &str,
     ) {
+        if self.stores_prechecked {
+            self.line(&format!("a{arr}[{}] {op} {val};", self.iexpr(idx)));
+            return;
+        }
         let faults = ifaults(idx) || val_faults;
         self.line("{");
         self.depth += 1;
@@ -616,8 +745,15 @@ impl Emitter<'_> {
                 if ifaults(lo) || ifaults(hi) {
                     self.fault_check();
                 }
+                let leaf = leaf_loop(*slot, body);
+                if let Some(stores) = &leaf {
+                    self.leaf_precondition(stores);
+                }
                 self.line("for (int64_t _it = _lo; _it < _hi; _it++) {");
                 self.depth += 1;
+                if leaf.is_some() {
+                    self.leaf_fast_forward(*slot, body);
+                }
                 self.line("TACO_TICK(ctx);");
                 self.line(&format!("i{slot} = _it;"));
                 self.block(body);
@@ -808,6 +944,73 @@ impl Emitter<'_> {
         }
     }
 
+    /// Declares `_pre`, decided once at the entry of a straight-line leaf
+    /// loop: the loop runs at least once and the range check of each of
+    /// its stores holds at the first and at the last iteration. `inv + i`
+    /// is monotone in `i`, so the check then holds at every iteration in
+    /// between — provided the sum did not wrap around i64 on the way,
+    /// which the `<=` term rules out (a bare loop variable cannot wrap:
+    /// `_lo < _hi`). When `_pre` is false the loop is the per-element loop
+    /// it always was and faults where it always did.
+    fn leaf_precondition(&mut self, stores: &[(usize, LeafIndex<'_>)]) {
+        let mut terms = vec!["_lo < _hi".to_string()];
+        for (arr, form) in stores {
+            let in_range = |x: &str| format!("(uint64_t){x} < (uint64_t)a{arr}_n");
+            terms.push(match form {
+                LeafIndex::Invariant(idx) => in_range(&format!("({})", self.iexpr(idx))),
+                LeafIndex::Affine(None) => {
+                    format!("{} && {}", in_range("_lo"), in_range("(_hi - 1LL)"))
+                }
+                LeafIndex::Affine(Some(inv)) => {
+                    let inv = self.iexpr(inv);
+                    let (first, last) = (format!("({inv} + _lo)"), format!("({inv} + (_hi - 1LL))"));
+                    format!("{} && {} && {first} <= {last}", in_range(&first), in_range(&last))
+                }
+            });
+        }
+        let last = terms.len() - 1;
+        for (n, term) in terms.iter().enumerate() {
+            let open = if n == 0 { "bool _pre = " } else { "    && " };
+            let close = if n == last { ";" } else { "" };
+            self.line(&format!("{open}{term}{close}"));
+        }
+    }
+
+    /// The fast path of a straight-line leaf loop, at the top of each
+    /// per-element iteration: while `_pre` holds, run ahead over every
+    /// iteration that would not poll. `ctx->ticks_left` is the number of
+    /// iterations that may still start before `TACO_TICK` polls, so a
+    /// chunk of that many burns its ticks in one subtraction and runs
+    /// with no tick and no store check. What follows the chunk is either
+    /// the end of the loop or exactly the iteration `TACO_TICK` polls on,
+    /// which runs as the per-element iteration it is — tick, poll, checked
+    /// stores that `_pre` says pass. The loop is thereby strip-mined by
+    /// the tick grant; iteration accounting, fuse trips and supervision
+    /// latency are those of the per-element loop, and while `_pre` holds
+    /// the poll is the only abort edge.
+    fn leaf_fast_forward(&mut self, slot: usize, body: &[RStmt]) {
+        self.line("if (_pre) {");
+        self.depth += 1;
+        self.line(LEAF_FAST_PATH_MARKER);
+        self.line("int64_t _n = ctx->ticks_left;");
+        self.line("if ((uint64_t)_hi - (uint64_t)_it < (uint64_t)_n) _n = _hi - _it;");
+        self.line("ctx->ticks_left -= _n;");
+        self.line("int64_t _end = _it + _n;");
+        // The loop variable is a block-local shadow of its slot, so the
+        // chunk is a plain counted loop over a local.
+        self.line(&format!("for (int64_t i{slot} = _it; i{slot} < _end; i{slot}++) {{"));
+        self.depth += 1;
+        self.stores_prechecked = true;
+        self.block(body);
+        self.stores_prechecked = false;
+        self.depth -= 1;
+        self.line("}");
+        self.line(&format!("if (_end == _hi) {{ i{slot} = _hi - 1LL; break; }}"));
+        self.line("_it = _end;");
+        self.depth -= 1;
+        self.line("}");
+    }
+
     fn memset(&mut self, arr: usize, ty: &str, val: String, faults: bool) {
         self.line("{");
         self.depth += 1;
@@ -954,6 +1157,238 @@ mod tests {
     }
 }
 
+/// Which loops are versioned. The three kernels below are transcribed
+/// from what the lowering emits for the benchmark's three paper workloads
+/// (`tests/native_backend.rs` pins the same counts on the real lowered
+/// statements): a kernel with no straight-line leaf loop must emit the C
+/// it always did.
+#[cfg(test)]
+mod leaf_tests {
+    use super::*;
+    use crate::{Expr, Kernel, Param, Stmt};
+
+    fn v(name: &str) -> Expr {
+        Expr::var(name)
+    }
+
+    fn ld(arr: &str, idx: Expr) -> Expr {
+        Expr::load(arr, idx)
+    }
+
+    fn csr_inputs(kernel: Kernel, names: &[&str]) -> Kernel {
+        names.iter().fold(kernel, |k, n| {
+            k.array_param(Param::input(format!("{n}_pos"), ArrayTy::Int))
+                .array_param(Param::input(format!("{n}_crd"), ArrayTy::Int))
+                .array_param(Param::input(format!("{n}_vals"), ArrayTy::F64))
+        })
+    }
+
+    fn csr_output(kernel: Kernel) -> Kernel {
+        kernel
+            .array_param(Param::output("A_pos", ArrayTy::Int))
+            .array_param(Param::output("A_crd", ArrayTy::Int))
+            .array_param(Param::output("A_vals", ArrayTy::F64))
+            .scalar_output("nnz")
+    }
+
+    /// `A_crd[nnz] = j; A_vals[nnz] = val` with realloc-by-doubling.
+    fn append(j: Expr, val: Expr) -> Vec<Stmt> {
+        let grow = |arr: &str| {
+            Stmt::if_(
+                Expr::len(arr).le(v("nnz")),
+                vec![Stmt::Realloc { arr: arr.into(), len: (v("nnz") + Expr::int(1)) * Expr::int(2) }],
+            )
+        };
+        vec![
+            grow("A_crd"),
+            Stmt::store("A_crd", v("nnz"), j),
+            grow("A_vals"),
+            Stmt::store("A_vals", v("nnz"), val),
+        ]
+    }
+
+    /// Fig. 2: CSR SpGEMM with a dense row workspace, fused assembly.
+    fn fig2_spgemm() -> Kernel {
+        let scatter = vec![
+            Stmt::DeclInt("j".into(), ld("C_crd", v("pC"))),
+            Stmt::if_(
+                !ld("seen", v("j")),
+                vec![
+                    Stmt::store("list", v("wn"), v("j")),
+                    Stmt::incr("wn"),
+                    Stmt::store("seen", v("j"), Expr::bool(true)),
+                ],
+            ),
+            Stmt::store_add("w", v("j"), ld("B_vals", v("pB")) * ld("C_vals", v("pC"))),
+        ];
+        let mut gather = vec![Stmt::DeclInt("jw".into(), ld("list", v("q")))];
+        gather.extend(append(v("jw"), ld("w", v("jw"))));
+        gather.extend([
+            Stmt::store("w", v("jw"), Expr::float(0.0)),
+            Stmt::store("seen", v("jw"), Expr::bool(false)),
+            Stmt::incr("nnz"),
+        ]);
+        let row = vec![
+            Stmt::DeclInt("wn".into(), Expr::int(0)),
+            Stmt::for_(
+                "pB",
+                ld("B_pos", v("i")),
+                ld("B_pos", v("i") + Expr::int(1)),
+                vec![
+                    Stmt::DeclInt("k".into(), ld("B_crd", v("pB"))),
+                    Stmt::for_(
+                        "pC",
+                        ld("C_pos", v("k")),
+                        ld("C_pos", v("k") + Expr::int(1)),
+                        scatter,
+                    ),
+                ],
+            ),
+            Stmt::Sort { arr: "list".into(), lo: Expr::int(0), hi: v("wn") },
+            Stmt::for_("q", Expr::int(0), v("wn"), gather),
+            Stmt::store("A_pos", v("i") + Expr::int(1), v("nnz")),
+        ];
+        let kernel = csr_inputs(Kernel::new("spgemm").scalar_param("m").scalar_param("n"), &["B", "C"]);
+        csr_output(kernel).body(vec![
+            Stmt::DeclInt("nnz".into(), Expr::int(0)),
+            Stmt::Alloc { arr: "w".into(), ty: ArrayTy::F64, len: v("n") },
+            Stmt::Alloc { arr: "list".into(), ty: ArrayTy::Int, len: v("n") },
+            Stmt::Alloc { arr: "seen".into(), ty: ArrayTy::Bool, len: v("n") },
+            Stmt::for_("i", Expr::int(0), v("m"), row),
+        ])
+    }
+
+    /// Fig. 13's shape (two operands of the three): a row loop over merge
+    /// `while`s, no workspace, fused assembly.
+    fn merge_add() -> Kernel {
+        let end = |t: &str| ld(&format!("{t}_pos"), v("i") + Expr::int(1));
+        let mut both = vec![
+            Stmt::DeclInt("jB".into(), ld("B_crd", v("pB"))),
+            Stmt::DeclInt("jC".into(), ld("C_crd", v("pC"))),
+            Stmt::DeclInt("j".into(), v("jB").min(v("jC"))),
+        ];
+        let mut hit = append(v("j"), ld("B_vals", v("pB")) + ld("C_vals", v("pC")));
+        hit.push(Stmt::incr("nnz"));
+        both.push(Stmt::if_(v("jB").eq(v("j")).and(v("jC").eq(v("j"))), hit));
+        both.push(Stmt::if_(v("jB").eq(v("j")), vec![Stmt::incr("pB")]));
+        both.push(Stmt::if_(v("jC").eq(v("j")), vec![Stmt::incr("pC")]));
+        let tail = |t: &str| {
+            let p = format!("p{t}");
+            let mut body = append(ld(&format!("{t}_crd"), v(&p)), ld(&format!("{t}_vals"), v(&p)));
+            body.extend([Stmt::incr("nnz"), Stmt::incr(&p)]);
+            Stmt::while_(v(&p).lt(end(t)), body)
+        };
+        let row = vec![
+            Stmt::DeclInt("pB".into(), ld("B_pos", v("i"))),
+            Stmt::DeclInt("pC".into(), ld("C_pos", v("i"))),
+            Stmt::while_(v("pB").lt(end("B")).and(v("pC").lt(end("C"))), both),
+            tail("B"),
+            tail("C"),
+            Stmt::store("A_pos", v("i") + Expr::int(1), v("nnz")),
+        ];
+        let kernel = csr_inputs(Kernel::new("add").scalar_param("m"), &["B", "C"]);
+        csr_output(kernel).body(vec![
+            Stmt::DeclInt("nnz".into(), Expr::int(0)),
+            Stmt::for_("i", Expr::int(0), v("m"), row),
+        ])
+    }
+
+    /// Sec. VII: CSF x dense -> dense MTTKRP, `B*C` precomputed into a
+    /// rank-length workspace: the two dense `j` loops are the leaves.
+    pub(super) fn workspace_mttkrp() -> Kernel {
+        let accumulate = Stmt::for_(
+            "j",
+            Expr::int(0),
+            v("r"),
+            vec![Stmt::store_add(
+                "w",
+                v("j"),
+                ld("B_vals", v("pl")) * ld("C", v("l") * v("r") + v("j")),
+            )],
+        );
+        let drain = Stmt::for_(
+            "j2",
+            Expr::int(0),
+            v("r"),
+            vec![
+                Stmt::store_add(
+                    "A",
+                    v("i") * v("r") + v("j2"),
+                    ld("w", v("j2")) * ld("D", v("k") * v("r") + v("j2")),
+                ),
+                Stmt::store("w", v("j2"), Expr::float(0.0)),
+            ],
+        );
+        let fiber = |p: &str, pos: &str, parent: Expr, body: Vec<Stmt>| {
+            Stmt::for_(p, ld(pos, parent.clone()), ld(pos, parent + Expr::int(1)), body)
+        };
+        let l_loop = fiber(
+            "pl",
+            "B3_pos",
+            v("pk"),
+            vec![Stmt::DeclInt("l".into(), ld("B3_crd", v("pl"))), accumulate],
+        );
+        let k_loop = fiber(
+            "pk",
+            "B2_pos",
+            v("pi"),
+            vec![Stmt::DeclInt("k".into(), ld("B2_crd", v("pk"))), l_loop, drain],
+        );
+        let i_loop = fiber(
+            "pi",
+            "B1_pos",
+            Expr::int(0),
+            vec![Stmt::DeclInt("i".into(), ld("B1_crd", v("pi"))), k_loop],
+        );
+        let mut kernel = Kernel::new("mttkrp").scalar_param("r");
+        for level in ["B1", "B2", "B3"] {
+            kernel = kernel
+                .array_param(Param::input(format!("{level}_pos"), ArrayTy::Int))
+                .array_param(Param::input(format!("{level}_crd"), ArrayTy::Int));
+        }
+        kernel
+            .array_param(Param::input("B_vals", ArrayTy::F64))
+            .array_param(Param::input("C", ArrayTy::F64))
+            .array_param(Param::input("D", ArrayTy::F64))
+            .array_param(Param::output("A", ArrayTy::F64))
+            .body(vec![
+                Stmt::Memset { arr: "A".into(), val: Expr::float(0.0) },
+                Stmt::Alloc { arr: "w".into(), ty: ArrayTy::F64, len: v("r") },
+                i_loop,
+            ])
+    }
+
+    /// The emitted kernel, without the shared prelude.
+    fn tu(kernel: &Kernel) -> String {
+        let src = emit_native(&Executable::compile(kernel).unwrap()).unwrap().c_source;
+        src.strip_prefix(TACO_KERNEL_H).expect("the TU starts with the prelude").to_string()
+    }
+
+    #[test]
+    fn spgemm_and_merge_addition_have_no_leaf_loop() {
+        for kernel in [fig2_spgemm(), merge_add()] {
+            let c = tu(&kernel);
+            assert_eq!(c.matches(LEAF_FAST_PATH_MARKER).count(), 0, "{c}");
+            assert!(!c.contains("_pre"), "{c}");
+            // Every loop is the per-element loop: a tick per back-edge,
+            // a range check per store.
+            let loops = c.matches("for (int64_t _it = _lo;").count() + c.matches("while (").count();
+            assert_eq!(c.matches("TACO_TICK(ctx);").count(), loops, "{c}");
+        }
+    }
+
+    #[test]
+    fn workspace_mttkrp_versions_exactly_its_two_dense_loops() {
+        let c = tu(&workspace_mttkrp());
+        assert_eq!(c.matches(LEAF_FAST_PATH_MARKER).count(), 2, "{c}");
+        // The checked copy of each store is still there for when `_pre`
+        // fails.
+        assert_eq!(c.matches("ctx->fault(ctx, TACO_ERR_OOB").count(), 3, "{c}");
+        assert!(c.contains("a10[i7] += (a6[i5] * a7[((i6 * i0) + i7)]);"), "{c}");
+        assert!(c.contains("a10[i8] = 0.0;"), "{c}");
+    }
+}
+
 #[cfg(test)]
 mod cc_tests {
     use super::*;
@@ -980,6 +1415,12 @@ mod cc_tests {
             ),
             Err(_) => eprintln!("SKIPPED: no C compiler (`{cc}`) on PATH; syntax check not run"),
         }
+    }
+
+    #[test]
+    fn versioned_leaf_loops_parse_with_system_compiler() {
+        let exe = Executable::compile(&super::leaf_tests::workspace_mttkrp()).unwrap();
+        syntax_check("leaf", &emit_native(&exe).unwrap());
     }
 
     #[test]

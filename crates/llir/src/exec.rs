@@ -69,7 +69,7 @@ impl ArrayVal {
 // Resolved (typed, slot-addressed) IR
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum IExpr {
     Lit(i64),
     Var(usize),

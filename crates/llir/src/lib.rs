@@ -54,7 +54,7 @@ pub use alloc::{elem_bytes, AllocSink, BudgetMeter};
 pub use budget::{BudgetEnvError, BudgetResource, ResourceBudget};
 pub use cgen::{
     emit_native, AbiArray, AbiMap, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
-    ABI_VERSION_SYMBOL, ENTRY_SYMBOL, TACO_KERNEL_H,
+    ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};
 pub use exec::{ArrayVal, Binding, Executable, SUPERVISION_STRIDE};

@@ -6,8 +6,9 @@
 //! the interpreter without ever invoking a broken toolchain per kernel.
 //!
 //! Artifacts are cached on disk keyed by kernel fingerprint, an FNV hash
-//! of the full translation unit, and the ABI version — any change to the
-//! kernel, the emitter, or the ABI produces a different file name, so
+//! of the full translation unit, an FNV hash of the compiler and the flag
+//! set it accepted, and the ABI version — any change to the kernel, the
+//! emitter, the toolchain, or the ABI produces a different file name, so
 //! stale objects are never picked up. Writes are atomic (temp file +
 //! rename) so concurrent processes race benignly.
 
@@ -29,6 +30,12 @@ pub fn cache_dir() -> PathBuf {
     }
 }
 
+/// Distinguishes the temporaries of concurrent compiler runs in one
+/// process: engines probe concurrently (parallel tests, one engine per
+/// tenant pool), and two threads may build the same artifact at once on a
+/// cold cache.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -43,6 +50,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct NativeCompiler {
     cc: String,
     flags: Vec<String>,
+    /// FNV of `cc` and `flags`: two compilers, or one whose `-fopenmp`
+    /// probe flips after an upgrade, are different builds of the same TU
+    /// and must not share artifacts in the cross-process cache.
+    toolchain: u64,
     cache: PathBuf,
 }
 
@@ -92,7 +103,8 @@ impl NativeCompiler {
         if try_compile(cc, &with_omp, probe_src, &cache) {
             flags.push("-fopenmp".to_string());
         }
-        Ok(NativeCompiler { cc: cc.to_string(), flags, cache })
+        let toolchain = fnv1a(format!("{cc}\0{}", flags.join("\0")).as_bytes());
+        Ok(NativeCompiler { cc: cc.to_string(), flags, toolchain, cache })
     }
 
     /// The probed compiler binary.
@@ -102,8 +114,8 @@ impl NativeCompiler {
 
     /// Compiles (or fetches from cache) the shared object for an emitted
     /// kernel and loads it. `fingerprint` is the kernel's cache identity
-    /// from the engine; combined with the source hash it content-addresses
-    /// the artifact.
+    /// from the engine; combined with the source hash and the toolchain
+    /// digest it content-addresses the artifact.
     ///
     /// # Errors
     ///
@@ -116,9 +128,10 @@ impl NativeCompiler {
         fingerprint: u64,
     ) -> Result<NativeKernel, NativeError> {
         let src_hash = fnv1a(source.c_source.as_bytes());
-        let so_path = self
-            .cache
-            .join(format!("k{fingerprint:016x}-s{src_hash:016x}-abi{ABI_VERSION}.so"));
+        let so_path = self.cache.join(format!(
+            "k{fingerprint:016x}-s{src_hash:016x}-c{:016x}-abi{ABI_VERSION}.so",
+            self.toolchain
+        ));
 
         let mut compile_nanos = 0u64;
         if !so_path.exists() {
@@ -136,8 +149,9 @@ impl NativeCompiler {
     /// at `so_path`.
     fn build(&self, c_source: &str, so_path: &Path) -> Result<(), NativeError> {
         let unique = format!(
-            "{}-{:x}",
+            "{}-{}-{:x}",
             std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
             fnv1a(so_path.as_os_str().as_encoded_bytes())
         );
         let c_path = self.cache.join(format!("build-{unique}.c"));
@@ -179,14 +193,10 @@ impl NativeCompiler {
 
 /// Compiles a throwaway TU to a throwaway .so; true on success.
 fn try_compile(cc: &str, flags: &[String], src: &str, cache: &Path) -> bool {
-    // Engines in one process probe concurrently (parallel tests, one engine
-    // per tenant pool); a per-call sequence number keeps one probe from
-    // deleting the file another is compiling.
-    static PROBE_SEQ: AtomicU64 = AtomicU64::new(0);
     let unique = format!(
         "probe-{}-{}-{:x}",
         std::process::id(),
-        PROBE_SEQ.fetch_add(1, Ordering::Relaxed),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         fnv1a(flags.join(" ").as_bytes())
     );
     let c_path = cache.join(format!("{unique}.c"));

@@ -10,8 +10,9 @@
 //!    context tables.
 //! 2. [`NativeCompiler`] invokes the system C compiler (`$CC`, falling
 //!    back to `cc`) to build a shared object in a content-addressed
-//!    on-disk cache keyed by kernel fingerprint + source hash + ABI
-//!    version. Identical kernels across processes share one artifact.
+//!    on-disk cache keyed by kernel fingerprint + source hash +
+//!    compiler/flag digest + ABI version. Identical kernels across
+//!    processes share one artifact.
 //! 3. The shared object is loaded with raw `dlopen`/`dlsym`/`dlclose`
 //!    FFI (no crate dependencies) and its exported `taco_abi_version()`
 //!    is checked against the host's [`taco_llir::ABI_VERSION`].
@@ -82,7 +83,8 @@ mod tests {
     use std::time::{Duration, Instant};
     use taco_llir::{
         emit_native, ArrayTy, BudgetResource, Binding, Executable, Expr, Kernel, Param,
-        ResourceBudget, RunError, Stmt, WorkspaceKind,
+        ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind, LEAF_FAST_PATH_MARKER,
+        SUPERVISION_STRIDE,
     };
 
     fn compiler() -> Option<NativeCompiler> {
@@ -163,6 +165,251 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// `out[off + i] = 2 * x[i]` for `i` in `[0, n)`: a straight-line leaf
+    /// loop whose store index is `inv + loopvar`.
+    fn offset_scale_kernel() -> Kernel {
+        Kernel::new("offset_scale")
+            .scalar_param("n")
+            .scalar_param("off")
+            .array_param(Param::input("x", ArrayTy::F64))
+            .array_param(Param::output("out", ArrayTy::F64))
+            .body(vec![Stmt::for_(
+                "i",
+                Expr::int(0),
+                Expr::var("n"),
+                vec![Stmt::store(
+                    "out",
+                    Expr::var("off") + Expr::var("i"),
+                    Expr::float(2.0) * Expr::load("x", Expr::var("i")),
+                )],
+            )])
+    }
+
+    fn offset_scale_binding(n: usize, off: i64, out_len: usize) -> Binding {
+        let mut b = Binding::new();
+        b.set_scalar("n", n as i64).set_scalar("off", off);
+        b.set_f64("x", (0..n).map(|i| i as f64 + 0.5).collect());
+        b.set_f64("out", vec![-1.0; out_len]);
+        b
+    }
+
+    /// Runs `binding` on both backends under `budget`. Success gives each
+    /// side's iteration count and requires equal bindings; failure gives
+    /// each side's error and requires the native binding rolled back.
+    fn run_both(
+        native: &NativeKernel,
+        exe: &Executable,
+        binding: &Binding,
+        budget: &ResourceBudget,
+    ) -> (Result<u64, RunError>, Result<u64, RunError>) {
+        let mut nb = binding.clone();
+        let n = native.run(&mut nb, budget, NativeRunOptions::default()).map(|r| r.iterations);
+        let mut ib = binding.clone();
+        let i = exe.run_with_budget(&mut ib, budget).map(|()| {
+            let report = Supervisor::new()
+                .with_budget(*budget)
+                .run(exe, &mut binding.clone())
+                .expect("the unsupervised run succeeded");
+            report.progress.iterations
+        });
+        if n.is_ok() {
+            assert_eq!(nb, ib, "committed bindings must be byte-identical");
+        } else {
+            assert_eq!(&nb, binding, "an aborted native run must roll the binding back");
+        }
+        (n, i)
+    }
+
+    #[test]
+    fn leaf_loops_are_versioned_only_when_their_store_checks_hoist() {
+        let leaf = |body: Vec<Stmt>| {
+            let kernel = Kernel::new("shape")
+                .scalar_param("n")
+                .array_param(Param::input("x", ArrayTy::Int))
+                .array_param(Param::output("out", ArrayTy::Int))
+                .body(vec![
+                    Stmt::DeclInt("p".into(), Expr::int(0)),
+                    Stmt::for_("i", Expr::int(0), Expr::var("n"), body),
+                ]);
+            let exe = Executable::compile(&kernel).unwrap();
+            emit_native(&exe).unwrap().c_source.matches(LEAF_FAST_PATH_MARKER).count()
+        };
+        let i = || Expr::var("i");
+        assert_eq!(leaf(vec![Stmt::store("out", i(), Expr::load("x", i()))]), 1);
+        assert_eq!(leaf(vec![Stmt::store("out", Expr::var("p") + i(), i())]), 1);
+        // The body assigns its own loop variable.
+        assert_eq!(
+            leaf(vec![Stmt::store("out", i(), i()), Stmt::Assign("i".into(), i() + Expr::int(1))]),
+            0
+        );
+        // The store index is a slot the body assigns.
+        assert_eq!(leaf(vec![Stmt::store("out", Expr::var("p"), i()), Stmt::incr("p")]), 0);
+        // The store index is loaded, or not `inv + loopvar`.
+        assert_eq!(leaf(vec![Stmt::store("out", Expr::load("x", i()), i())]), 0);
+        assert_eq!(leaf(vec![Stmt::store("out", i() * Expr::int(2), i())]), 0);
+        // The body can fault, or is not a leaf.
+        assert_eq!(leaf(vec![Stmt::store("out", i(), i() / Expr::var("n"))]), 0);
+        assert_eq!(
+            leaf(vec![Stmt::for_("j", Expr::int(0), i(), vec![Stmt::store("out", i(), i())])]),
+            1,
+            "only the inner loop is a leaf"
+        );
+    }
+
+    #[test]
+    fn unversioned_bodies_still_match_the_interpreter() {
+        // `out[p] = i; p += 2; i += 1`: assigns its loop variable and
+        // indexes with a slot it assigns, so it is emitted unversioned.
+        let kernel = Kernel::new("stride")
+            .scalar_param("n")
+            .array_param(Param::output("out", ArrayTy::Int))
+            .body(vec![
+                Stmt::DeclInt("p".into(), Expr::int(0)),
+                Stmt::for_(
+                    "i",
+                    Expr::int(0),
+                    Expr::var("n"),
+                    vec![
+                        Stmt::store("out", Expr::var("p"), Expr::var("i")),
+                        Stmt::Assign("p".into(), Expr::var("p") + Expr::int(2)),
+                        Stmt::Assign("i".into(), Expr::var("i") + Expr::int(1)),
+                    ],
+                ),
+            ]);
+        let Some((native, exe)) = build(&kernel) else { return };
+        let src = emit_native(&exe).unwrap().c_source;
+        assert!(!src.contains(LEAF_FAST_PATH_MARKER), "{src}");
+        for out_len in [20, 7] {
+            let mut b = Binding::new();
+            b.set_scalar("n", 10);
+            b.set_int("out", vec![-1; out_len]);
+            let (n, i) = run_both(&native, &exe, &b, &ResourceBudget::unlimited());
+            assert_eq!(n, i);
+            assert_eq!(n.is_ok(), out_len == 20);
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_store_inside_a_leaf_loop_faults_like_the_interpreter() {
+        let Some((native, exe)) = build(&offset_scale_kernel()) else { return };
+        let unlimited = ResourceBudget::unlimited();
+        // `out` shorter than `n`: the fault is at the first element past
+        // the end, not at loop entry.
+        let (n, i) = run_both(&native, &exe, &offset_scale_binding(100, 0, 60), &unlimited);
+        assert_eq!(n, i);
+        assert_eq!(n, Err(RunError::OutOfBounds { name: "out".into(), idx: 60, len: 60 }));
+        // `inv` negative: the very first store is below the array.
+        let (n, i) = run_both(&native, &exe, &offset_scale_binding(100, -3, 200), &unlimited);
+        assert_eq!(n, i);
+        assert_eq!(n, Err(RunError::OutOfBounds { name: "out".into(), idx: -3, len: 200 }));
+        // The last element is the only one out of range.
+        let (n, i) = run_both(&native, &exe, &offset_scale_binding(100, 5, 104), &unlimited);
+        assert_eq!(n, i);
+        assert_eq!(n, Err(RunError::OutOfBounds { name: "out".into(), idx: 104, len: 104 }));
+        // A fuse that trips before the faulting element wins, as it does
+        // in the interpreter.
+        let fuse = ResourceBudget::unlimited().with_max_loop_iterations(40);
+        let (n, i) = run_both(&native, &exe, &offset_scale_binding(100, 0, 60), &fuse);
+        assert_eq!(n, i);
+        assert!(matches!(n, Err(RunError::BudgetExceeded { .. })), "{n:?}");
+        // In range with an offset: committed and byte-identical.
+        let (n, i) = run_both(&native, &exe, &offset_scale_binding(100, 5, 105), &unlimited);
+        assert_eq!((n, i), (Ok(100), Ok(100)));
+    }
+
+    #[test]
+    fn leaf_loop_iteration_counts_match_the_interpreter() {
+        let Some((native, exe)) = build(&offset_scale_kernel()) else { return };
+        let stride = SUPERVISION_STRIDE as usize;
+        for trips in [0, 1, stride - 1, stride, stride + 1, 100_000] {
+            let b = offset_scale_binding(trips, 2, trips + 2);
+            let (n, i) = run_both(&native, &exe, &b, &ResourceBudget::unlimited());
+            assert_eq!(n, Ok(trips as u64), "{trips} trips");
+            assert_eq!(n, i, "{trips} trips");
+        }
+    }
+
+    #[test]
+    fn fuse_trips_inside_a_strip_mined_leaf_loop_at_the_interpreters_iteration() {
+        let Some((native, exe)) = build(&offset_scale_kernel()) else { return };
+        let b = offset_scale_binding(5000, 0, 5000);
+        for limit in [1500, 1023, 1024, 1025, 4999] {
+            let budget = ResourceBudget::unlimited().with_max_loop_iterations(limit);
+            let (n, i) = run_both(&native, &exe, &b, &budget);
+            assert_eq!(n, i, "fuse {limit}");
+            match n {
+                Err(RunError::BudgetExceeded { resource, limit: l, requested, .. }) => {
+                    assert_eq!(resource, BudgetResource::LoopIterations);
+                    assert_eq!((l, requested), (limit, limit + 1));
+                }
+                other => panic!("fuse {limit}: {other:?}"),
+            }
+        }
+        let exact = ResourceBudget::unlimited().with_max_loop_iterations(5000);
+        assert_eq!(run_both(&native, &exe, &b, &exact), (Ok(5000), Ok(5000)));
+    }
+
+    #[test]
+    fn cancellation_inside_a_leaf_loop_is_observed_within_one_stride() {
+        let Some((native, exe)) = build(&scale_kernel()) else { return };
+        assert!(emit_native(&exe).unwrap().c_source.contains(LEAF_FAST_PATH_MARKER));
+        let cancel = AtomicBool::new(true);
+        let mut nb = Binding::new();
+        nb.set_scalar("n", 1_000_000);
+        nb.set_f64("x", vec![0.0; 1_000_000]);
+        nb.set_f64("out", vec![0.0; 1_000_000]);
+        // Each poll charges the elapsed stride before it looks at the
+        // flag, so under this fuse only the first poll can report the
+        // cancellation: a second one would trip the fuse instead.
+        let fuse = u64::from(SUPERVISION_STRIDE) * 2 - 1;
+        let err = native
+            .run(
+                &mut nb,
+                &ResourceBudget::unlimited().with_max_loop_iterations(fuse),
+                NativeRunOptions { cancel: Some(&cancel), ..Default::default() },
+            )
+            .unwrap_err();
+        assert_eq!(err, RunError::Cancelled);
+    }
+
+    #[test]
+    fn artifacts_are_keyed_by_compiler_and_flags() {
+        use std::os::unix::fs::PermissionsExt;
+        let Some(cc) = compiler() else { return };
+        // A second "compiler": the same one behind a wrapper that rejects
+        // -fopenmp, as a toolchain without OpenMP support would.
+        let dir = std::env::temp_dir().join(format!("taco-cc-wrapper-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wrapper = dir.join("cc-no-openmp.sh");
+        std::fs::write(
+            &wrapper,
+            format!(
+                "#!/bin/sh\nfor a in \"$@\"; do [ \"$a\" = -fopenmp ] && exit 1; done\nexec {} \"$@\"\n",
+                cc.cc()
+            ),
+        )
+        .unwrap();
+        std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let plain = NativeCompiler::with_cc(wrapper.to_str().unwrap()).expect("wrapper probes");
+
+        let exe = Executable::compile(&scale_kernel()).unwrap();
+        let src = emit_native(&exe).unwrap();
+        let a = cc.compile(&src, 0xc0de_0001).expect("first compiler");
+        let b = plain.compile(&src, 0xc0de_0001).expect("second compiler");
+        assert_ne!(a.so_path(), b.so_path(), "two compilers must not share an artifact");
+        assert!(a.so_path().exists() && b.so_path().exists());
+
+        let mut binding = Binding::new();
+        binding.set_scalar("n", 37);
+        binding.set_f64("x", (0..37).map(|i| 0.1 * i as f64).collect());
+        binding.set_f64("out", vec![0.0; 37]);
+        for native in [&a, &b] {
+            let (n, i) = run_both(native, &exe, &binding, &ResourceBudget::unlimited());
+            assert_eq!((n, i), (Ok(37), Ok(37)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,8 +9,13 @@
 //! Every test that needs a C toolchain skips with a visible marker when
 //! none is present, so the suite is green (and honest) on minimal images.
 
-use std::sync::Once;
-use taco_native::NativeCompiler;
+use proptest::prelude::*;
+use std::sync::{Once, OnceLock};
+use taco_llir::{
+    emit_native, ArrayTy, Binding, Executable, Expr, Kernel, Param, RunError, Stmt,
+    LEAF_FAST_PATH_MARKER,
+};
+use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
 use taco_tensor::gen::{random_csf3, random_csr};
 use taco_workspaces::prelude::*;
 
@@ -236,17 +241,222 @@ fn native_mttkrp_byte_identical_across_workspace_kinds() {
     let Some(_cc) = require_cc("native_mttkrp_byte_identical_across_workspace_kinds") else {
         return;
     };
-    let (di, dk, dl, r) = (9, 7, 6, 5);
-    let stmt = workspace_mttkrp(di, dk, dl, r);
+    let (di, dk, dl) = (9, 7, 6);
     let b = random_csf3([di, dk, dl], 60, 57).to_tensor();
-    let c = Tensor::from_dense(&taco_workspaces::tensor::gen::random_dense(dl, r, 58), Format::dense(2))
-        .unwrap();
-    let d = Tensor::from_dense(&taco_workspaces::tensor::gen::random_dense(dk, r, 59), Format::dense(2))
-        .unwrap();
-    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c), ("D", &d)];
-    for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
-        let opts = LowerOptions::compute("mttkrp_ws").with_workspace_kind(kind);
-        differential(&stmt, opts, &inputs, &format!("mttkrp/{kind:?}"));
+    // The rank is the trip count of the two dense leaf loops: one element,
+    // odd, a whole number of vectors, and one past it (should `cc`
+    // vectorise them, its epilogue).
+    for r in [1, 3, 5, 16, 17] {
+        let stmt = workspace_mttkrp(di, dk, dl, r);
+        let dense = |rows, seed| {
+            let m = taco_workspaces::tensor::gen::random_dense(rows, r, seed);
+            Tensor::from_dense(&m, Format::dense(2)).unwrap()
+        };
+        let (c, d) = (dense(dl, 58), dense(dk, 59));
+        let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c), ("D", &d)];
+        for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+            let opts = LowerOptions::compute("mttkrp_ws").with_workspace_kind(kind);
+            differential(&stmt, opts, &inputs, &format!("mttkrp/r={r}/{kind:?}"));
+        }
+    }
+}
+
+/// The unit-level form of the benchmark's "must not move": of its three
+/// paper kernels only the workspace MTTKRP has straight-line leaf loops
+/// (its two dense rank loops); the Fig. 2 SpGEMM and the three-way merge
+/// addition emit no versioned loop, i.e. the C they always did.
+#[test]
+fn only_the_mttkrp_of_the_paper_kernels_has_versioned_leaf_loops() {
+    let fast_paths = |stmt: &IndexStmt, opts: LowerOptions| {
+        let kernel = stmt.compile(opts).unwrap();
+        let tu = emit_native(kernel.executable()).unwrap().c_source;
+        tu.matches(LEAF_FAST_PATH_MARKER).count()
+    };
+    assert_eq!(fast_paths(&scheduled_spgemm(512), LowerOptions::fused("spgemm")), 0);
+
+    let n = 2048;
+    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    let (i, j) = (iv("i"), iv("j"));
+    let operand = |name: &str| -> IndexExpr {
+        TensorVar::new(name, vec![n, n], Format::csr()).access([i.clone(), j.clone()]).into()
+    };
+    let add3 = IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone(), j.clone()]),
+        operand("B") + operand("C") + operand("D"),
+    ))
+    .unwrap();
+    assert_eq!(fast_paths(&add3, LowerOptions::fused("add3")), 0);
+
+    let mttkrp = workspace_mttkrp(256, 256, 256, 16);
+    assert_eq!(fast_paths(&mttkrp, LowerOptions::compute("mttkrp")), 2);
+}
+
+// --- random leaf kernels -------------------------------------------------
+
+/// Four straight-line leaf loops over `i` in `[lo, hi)`, each run `reps`
+/// times after an empty `spin`-trip leaf loop (so the loop is entered at
+/// every phase of the tick grant). Loads stay in bounds by construction —
+/// the native backend does not check them — and every store goes to an
+/// array whose length the case chooses.
+fn leaf_kernels() -> Vec<Kernel> {
+    let v = Expr::var;
+    let x = || Expr::load("x", v("i") - v("lo"));
+    let bodies = vec![
+        // Element-wise.
+        vec![Stmt::store("out", v("off") + v("i"), Expr::float(2.0) * x())],
+        // A guarded invariant store and a scalar: the hoisted check is
+        // conservative when the guard never fires.
+        vec![
+            Stmt::if_(
+                x().gt(Expr::float(0.5)),
+                vec![Stmt::store_add("acc", v("c"), x()), Stmt::incr("count")],
+            ),
+            Stmt::store_add("out", v("i") + v("off"), Expr::float(1.0)),
+        ],
+        // Two stores into one array at different offsets.
+        vec![
+            Stmt::store("out", v("off") + v("i"), x()),
+            Stmt::store_add("out", v("i"), Expr::float(1.0)),
+        ],
+        // An integer array beside a float one.
+        vec![
+            Stmt::store("idx", v("i"), v("i") * Expr::int(3)),
+            Stmt::store_add("out", v("off") + v("i"), x()),
+        ],
+    ];
+    bodies
+        .into_iter()
+        .enumerate()
+        .map(|(n, body)| {
+            Kernel::new(format!("leaf{n}"))
+                .scalar_param("lo")
+                .scalar_param("hi")
+                .scalar_param("off")
+                .scalar_param("c")
+                .scalar_param("reps")
+                .scalar_param("spin")
+                .array_param(Param::input("x", ArrayTy::F64))
+                .array_param(Param::output("out", ArrayTy::F64))
+                .array_param(Param::output("acc", ArrayTy::F64))
+                .array_param(Param::output("idx", ArrayTy::Int))
+                .scalar_output("count")
+                .body(vec![
+                    Stmt::DeclInt("count".into(), Expr::int(0)),
+                    Stmt::for_("s", Expr::int(0), v("spin"), vec![]),
+                    Stmt::for_(
+                        "r",
+                        Expr::int(0),
+                        v("reps"),
+                        vec![Stmt::for_("i", v("lo"), v("hi"), body)],
+                    ),
+                ])
+        })
+        .collect()
+}
+
+/// The leaf kernels on both backends, compiled once per test process;
+/// `None` (with a visible marker) without a C toolchain.
+fn compiled_leaf_kernels() -> Option<&'static [(NativeKernel, Executable)]> {
+    static KERNELS: OnceLock<Option<Vec<(NativeKernel, Executable)>>> = OnceLock::new();
+    KERNELS
+        .get_or_init(|| {
+            let cc = require_cc("random_leaf_kernels_match_the_interpreter")?;
+            let build = |(n, kernel): (usize, Kernel)| {
+                let exe = Executable::compile(&kernel).unwrap();
+                let src = emit_native(&exe).unwrap();
+                // Each has the spin loop and its own: two versioned loops.
+                assert_eq!(src.c_source.matches(LEAF_FAST_PATH_MARKER).count(), 2, "leaf{n}");
+                (cc.compile(&src, 0x1eaf_0000 + n as u64).expect("leaf kernel compiles"), exe)
+            };
+            Some(leaf_kernels().into_iter().enumerate().map(build).collect())
+        })
+        .as_deref()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Outputs, scalar outputs, `RunError` payloads, rollback and iteration
+    /// counts of random straight-line leaf loops agree between
+    /// `NativeKernel::run` and `Executable::run_with_budget`: in range,
+    /// too short by a few elements at either end, below zero, entered at
+    /// any phase of the tick grant, longer than a stride, and under a fuse
+    /// that trips anywhere.
+    #[test]
+    fn random_leaf_kernels_match_the_interpreter(
+        shape in 0usize..4,
+        lo_raw in 0u64..13,
+        trip_raw in 0u64..2600,
+        long_trip in 0u8..4,
+        off_raw in 0u64..13,
+        slack_raw in 0u64..7,
+        c_raw in 0u64..8,
+        reps in 1u64..4,
+        spin in 0u64..1500,
+        fused in 0u8..2,
+        fuse_raw in 0u64..10_000,
+        calm in 0u8..3,
+        seed in 0u64..1000,
+    ) {
+        let Some(kernels) = compiled_leaf_kernels() else { return Ok(()) };
+        let (native, exe) = &kernels[shape];
+        let lo = lo_raw as i64 - 6;
+        let trip = if long_trip == 0 { trip_raw } else { trip_raw % 40 } as i64;
+        let (hi, off, slack) = (lo + trip, off_raw as i64 - 4, slack_raw as i64 - 3);
+
+        let mut binding = Binding::new();
+        binding
+            .set_scalar("lo", lo)
+            .set_scalar("hi", hi)
+            .set_scalar("off", off)
+            .set_scalar("c", c_raw as i64 - 2)
+            .set_scalar("reps", reps as i64)
+            .set_scalar("spin", spin as i64);
+        // A third of the cases never fire the guard of shape 1.
+        let scale = if calm == 0 { 0.5 } else { 1.0 };
+        let x = (0..trip.max(1)).map(|k| scale * ((k as u64 * 7919 + seed) % 1000) as f64 / 1000.0);
+        binding.set_f64("x", x.collect());
+        // Long enough for every store, give or take `slack` elements.
+        let out_len = (hi + off.max(0) + slack).max(0) as usize;
+        binding.set_f64("out", (0..out_len).map(|k| 1.0 + k as f64).collect());
+        binding.set_f64("acc", vec![0.0; 4]);
+        binding.set_int("idx", vec![-1; (hi + slack).max(0) as usize]);
+
+        // Half the cases run unlimited; the rest trip a fuse somewhere in
+        // (or just past) the run.
+        let total = spin + reps * trip as u64;
+        let budget = if fused == 0 {
+            ResourceBudget::unlimited()
+        } else {
+            ResourceBudget::unlimited().with_max_loop_iterations(fuse_raw % (total + total / 8 + 2))
+        };
+
+        let mut nb = binding.clone();
+        let ran = native.run(&mut nb, &budget, NativeRunOptions::default());
+        let mut ib = binding.clone();
+        let reference: Result<(), RunError> = exe.run_with_budget(&mut ib, &budget);
+        match (ran, reference) {
+            (Ok(report), Ok(())) => {
+                prop_assert_eq!(&nb, &ib);
+                let bits = |b: &Binding| -> Vec<u64> {
+                    ["out", "acc"]
+                        .iter()
+                        .flat_map(|a| b.f64_array(a).unwrap().iter().map(|v| v.to_bits()))
+                        .collect()
+                };
+                prop_assert_eq!(bits(&nb), bits(&ib));
+                let supervised = taco_llir::Supervisor::new()
+                    .with_budget(budget)
+                    .run(exe, &mut binding.clone())
+                    .expect("the unsupervised run succeeded");
+                prop_assert_eq!(report.iterations, supervised.progress.iterations);
+            }
+            (Err(n), Err(i)) => {
+                prop_assert_eq!(n, i);
+                prop_assert_eq!(&nb, &binding);
+            }
+            (n, i) => prop_assert!(false, "native {n:?} but interpreter {i:?}"),
+        }
     }
 }
 
