@@ -1,16 +1,25 @@
 //! System C compiler driver and content-addressed shared-object cache.
 //!
-//! The compiler is probed once at construction by building a trivial
-//! shared object; a probe failure (including `CC=/nonexistent`) makes the
-//! whole backend [`NativeError::Unavailable`] so the engine degrades to
-//! the interpreter without ever invoking a broken toolchain per kernel.
+//! No compiler run without a cache miss. Construction *resolves* `$CC` to
+//! an executable file (a bare name through `$PATH`) and spawns nothing.
+//! [`NativeCompiler::compile`] *looks up* the artifact first, so a restart
+//! over a warm cache never reaches the compiler; a miss runs the one real
+//! build, and *that build is the probe*. Only when it fails before this
+//! compiler has built anything is a trivial TU compiled, once, to
+//! *classify* the failure: a broken toolchain ([`NativeError::Unavailable`],
+//! remembered by the compiler and its clones, so later kernels spawn
+//! nothing) or a rejected kernel (`CompileFailed`, that kernel only). A
+//! cached artifact that fails to load *self-heals* once: it is unlinked and
+//! rebuilt, and only the fresh object failing is `LoadFailed`. No verdict
+//! is persisted — identity comes from a `stat`, health from a build that
+//! had to happen anyway — so there is no record to invalidate.
 //!
-//! Artifacts are cached on disk keyed by kernel fingerprint, an FNV hash
-//! of the full translation unit, an FNV hash of the compiler and the flag
-//! set it accepted, and the ABI version — any change to the kernel, the
-//! emitter, the toolchain, or the ABI produces a different file name, so
-//! stale objects are never picked up. Writes are atomic (temp file +
-//! rename) so concurrent processes race benignly.
+//! Artifacts are keyed by kernel fingerprint, an FNV hash of the full
+//! translation unit, a toolchain digest (the resolved compiler path, its
+//! length and mtime, the flag set) and the ABI version — any change to the
+//! kernel, the emitter, the toolchain, or the ABI produces a different
+//! file name, so stale objects are never picked up. Writes are atomic
+//! (temp file + rename) so concurrent processes race benignly.
 
 use crate::dl::DynLib;
 use crate::run::NativeKernel;
@@ -18,7 +27,8 @@ use crate::NativeError;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Instant, UNIX_EPOCH};
 use taco_llir::{NativeSource, ABI_VERSION, ENTRY_SYMBOL};
 
 /// The on-disk cache directory: `$TACO_NATIVE_CACHE` when set, otherwise
@@ -30,10 +40,13 @@ pub fn cache_dir() -> PathBuf {
     }
 }
 
-/// Distinguishes the temporaries of concurrent compiler runs in one
-/// process: engines probe concurrently (parallel tests, one engine per
-/// tenant pool), and two threads may build the same artifact at once on a
-/// cold cache.
+/// -fwrapv / -fno-strict-aliasing pin down the C semantics the emitter
+/// assumes (wrapping i64, type-punned host buffers).
+const FLAGS: [&str; 6] =
+    ["-std=c11", "-O2", "-fPIC", "-shared", "-fwrapv", "-fno-strict-aliasing"];
+
+/// Distinguishes the temporaries of concurrent compiler runs in one process:
+/// two threads may build the same artifact at once on a cold cache.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -45,25 +58,40 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A probed, ready-to-use C compiler plus the flag set it accepted.
+/// Resolves a compiler name the way `execvp` would: a name with a `/` is a
+/// path, a bare name is the first executable file of that name on `$PATH`.
+fn resolve(cc: &str) -> Option<(PathBuf, std::fs::Metadata)> {
+    let executable = |path: PathBuf| {
+        let meta = std::fs::metadata(&path).ok()?;
+        #[cfg(unix)]
+        let runnable = std::os::unix::fs::PermissionsExt::mode(&meta.permissions()) & 0o111 != 0;
+        #[cfg(not(unix))]
+        let runnable = true;
+        (meta.is_file() && runnable).then_some((path, meta))
+    };
+    if cc.contains('/') {
+        return executable(PathBuf::from(cc));
+    }
+    std::env::split_paths(&std::env::var_os("PATH")?).find_map(|dir| executable(dir.join(cc)))
+}
+
+/// A resolved C compiler; whether it works is learnt from its first build.
 #[derive(Debug, Clone)]
 pub struct NativeCompiler {
-    cc: String,
-    flags: Vec<String>,
-    /// FNV of `cc` and `flags`: two compilers, or one whose `-fopenmp`
-    /// probe flips after an upgrade, are different builds of the same TU
-    /// and must not share artifacts in the cross-process cache.
+    cc: PathBuf,
+    /// FNV of the resolved path, its length and mtime, and the flags: two
+    /// compilers, or one upgraded behind the same name, are different
+    /// builds of the same TU and must not share cached artifacts.
     toolchain: u64,
     cache: PathBuf,
+    /// Unset until a build succeeds (`Ok`) or the first failed one is
+    /// classified (`Err`: why the toolchain is unusable). Clones share it,
+    /// so a broken `$CC` costs an engine two spawns, not two per kernel.
+    health: Arc<OnceLock<Result<(), String>>>,
 }
 
 impl NativeCompiler {
-    /// Probes `$CC` (falling back to `cc`) by compiling a trivial shared
-    /// object, and `-fopenmp` separately (kept only if supported).
-    ///
-    /// # Errors
-    ///
-    /// [`NativeError::Unavailable`] when no working compiler is found.
+    /// Resolves `$CC` (falling back to `cc`); see [`NativeCompiler::with_cc`].
     pub fn from_env() -> Result<NativeCompiler, NativeError> {
         let cc = match std::env::var("CC") {
             Ok(v) if !v.is_empty() => v,
@@ -72,56 +100,48 @@ impl NativeCompiler {
         NativeCompiler::with_cc(&cc)
     }
 
-    /// Probes a specific compiler binary. See [`NativeCompiler::from_env`].
+    /// Resolves a specific compiler binary without running it: one that is
+    /// present but broken is found out by [`NativeCompiler::compile`].
+    ///
+    /// # Errors
+    ///
+    /// [`NativeError::Unavailable`] when `cc` names no executable file or
+    /// the cache directory cannot be created.
     pub fn with_cc(cc: &str) -> Result<NativeCompiler, NativeError> {
         if !cfg!(unix) {
             return Err(NativeError::Unavailable("dlopen is unix-only".into()));
         }
+        let (path, meta) = resolve(cc).ok_or_else(|| {
+            NativeError::Unavailable(format!("C compiler `{cc}` is not an executable file"))
+        })?;
         let cache = cache_dir();
         std::fs::create_dir_all(&cache).map_err(|e| {
             NativeError::Unavailable(format!("cannot create cache dir {}: {e}", cache.display()))
         })?;
-
-        // -fwrapv / -fno-strict-aliasing pin down the C semantics the
-        // emitter assumes (wrapping i64, type-punned host buffers); -lm
-        // gives the .so its own libm dependency for fmod/fmin.
-        let base: Vec<String> = ["-std=c11", "-O2", "-fPIC", "-shared", "-fwrapv",
-            "-fno-strict-aliasing"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-        let probe_src = "int taco_probe(void) { return 42; }\n";
-        if !try_compile(cc, &base, probe_src, &cache) {
-            return Err(NativeError::Unavailable(format!(
-                "C compiler `{cc}` failed to build a probe shared object"
-            )));
-        }
-        let mut flags = base.clone();
-        let mut with_omp = base;
-        with_omp.push("-fopenmp".to_string());
-        if try_compile(cc, &with_omp, probe_src, &cache) {
-            flags.push("-fopenmp".to_string());
-        }
-        let toolchain = fnv1a(format!("{cc}\0{}", flags.join("\0")).as_bytes());
-        Ok(NativeCompiler { cc: cc.to_string(), flags, toolchain, cache })
+        let mtime = meta.modified().ok().and_then(|t| t.duration_since(UNIX_EPOCH).ok());
+        let mtime = mtime.map_or(0, |d| d.as_nanos());
+        let identity = format!("{}\0{}\0{mtime}\0{}", path.display(), meta.len(), FLAGS.join("\0"));
+        let toolchain = fnv1a(identity.as_bytes());
+        Ok(NativeCompiler { cc: path, toolchain, cache, health: Arc::default() })
     }
 
-    /// The probed compiler binary.
-    pub fn cc(&self) -> &str {
+    /// The resolved compiler binary.
+    pub fn cc(&self) -> &Path {
         &self.cc
     }
 
-    /// Compiles (or fetches from cache) the shared object for an emitted
-    /// kernel and loads it. `fingerprint` is the kernel's cache identity
-    /// from the engine; combined with the source hash and the toolchain
-    /// digest it content-addresses the artifact.
+    /// Fetches from the cache, or compiles, the shared object for an
+    /// emitted kernel and loads it. `fingerprint` is the kernel's cache
+    /// identity from the engine; combined with the source hash and the
+    /// toolchain digest it content-addresses the artifact.
     ///
     /// # Errors
     ///
-    /// [`NativeError::CompileFailed`] when the compiler rejects the TU,
-    /// [`NativeError::LoadFailed`] when the artifact cannot be dlopen'd
-    /// or has a mismatched ABI version.
+    /// [`NativeError::Unavailable`] when the toolchain cannot build even a
+    /// trivial TU (found by this call or an earlier one),
+    /// [`NativeError::CompileFailed`] when a working compiler rejects the
+    /// TU, [`NativeError::LoadFailed`] when the freshly built artifact
+    /// cannot be dlopen'd or has a mismatched ABI version.
     pub fn compile(
         &self,
         source: &NativeSource,
@@ -132,87 +152,66 @@ impl NativeCompiler {
             "k{fingerprint:016x}-s{src_hash:016x}-c{:016x}-abi{ABI_VERSION}.so",
             self.toolchain
         ));
-
-        let mut compile_nanos = 0u64;
-        if !so_path.exists() {
-            let started = Instant::now();
-            self.build(&source.c_source, &so_path)?;
-            compile_nanos = started.elapsed().as_nanos() as u64;
+        let load = |compile_nanos: u64| -> Result<NativeKernel, NativeError> {
+            let lib = DynLib::open_checked(&so_path)?;
+            let entry = lib.sym(ENTRY_SYMBOL)?;
+            Ok(NativeKernel::new(lib, entry, source.plan.clone(), so_path.clone(), compile_nanos))
+        };
+        if so_path.exists() {
+            if let Ok(kernel) = load(0) {
+                return Ok(kernel);
+            }
+            // A poisoned entry would reject this kernel in every engine
+            // over this cache: drop it and rebuild, once.
+            let _ = std::fs::remove_file(&so_path);
         }
-
-        let lib = DynLib::open_checked(&so_path)?;
-        let entry = lib.sym(ENTRY_SYMBOL)?;
-        Ok(NativeKernel::new(lib, entry, source.plan.clone(), so_path, compile_nanos))
+        if let Some(Err(why)) = self.health.get() {
+            return Err(NativeError::Unavailable(why.clone()));
+        }
+        let started = Instant::now();
+        self.build(&source.c_source, &so_path).map_err(|why| self.classify(why))?;
+        let _ = self.health.set(Ok(()));
+        load(started.elapsed().as_nanos() as u64)
     }
 
     /// Runs the compiler on `c_source`, atomically installing the result
-    /// at `so_path`.
-    fn build(&self, c_source: &str, so_path: &Path) -> Result<(), NativeError> {
-        let unique = format!(
-            "{}-{}-{:x}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-            fnv1a(so_path.as_os_str().as_encoded_bytes())
-        );
-        let c_path = self.cache.join(format!("build-{unique}.c"));
-        let tmp_so = self.cache.join(format!("build-{unique}.so.tmp"));
-        std::fs::write(&c_path, c_source)
-            .map_err(|e| NativeError::CompileFailed(format!("writing TU: {e}")))?;
-
+    /// at `so_path`; the error is the rendered reason.
+    fn build(&self, c_source: &str, so_path: &Path) -> Result<(), String> {
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let c_path = self.cache.join(format!("build-{}-{seq}.c", std::process::id()));
+        let tmp_so = c_path.with_extension("so.tmp");
+        std::fs::write(&c_path, c_source).map_err(|e| format!("writing TU: {e}"))?;
+        // -lm gives the .so its own libm dependency for fmod/fmin.
         let out = Command::new(&self.cc)
-            .args(&self.flags)
+            .args(FLAGS)
             .arg("-o")
             .arg(&tmp_so)
             .arg(&c_path)
             .arg("-lm")
             .output();
         let _ = std::fs::remove_file(&c_path);
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => {
-                return Err(NativeError::CompileFailed(format!(
-                    "spawning `{}`: {e}",
-                    self.cc
-                )))
-            }
-        };
+        let cc = self.cc.display();
+        let out = out.map_err(|e| format!("spawning `{cc}`: {e}"))?;
         if !out.status.success() {
             let _ = std::fs::remove_file(&tmp_so);
-            return Err(NativeError::CompileFailed(format!(
-                "`{}` exited with {}: {}",
-                self.cc,
-                out.status,
-                String::from_utf8_lossy(&out.stderr)
-            )));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            return Err(format!("`{cc}` failed with {}: {}", out.status, stderr.trim()));
         }
-        std::fs::rename(&tmp_so, so_path)
-            .map_err(|e| NativeError::CompileFailed(format!("installing artifact: {e}")))?;
-        Ok(())
+        std::fs::rename(&tmp_so, so_path).map_err(|e| format!("installing artifact: {e}"))
     }
-}
 
-/// Compiles a throwaway TU to a throwaway .so; true on success.
-fn try_compile(cc: &str, flags: &[String], src: &str, cache: &Path) -> bool {
-    let unique = format!(
-        "probe-{}-{}-{:x}",
-        std::process::id(),
-        TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        fnv1a(flags.join(" ").as_bytes())
-    );
-    let c_path = cache.join(format!("{unique}.c"));
-    let so_path = cache.join(format!("{unique}.so"));
-    if std::fs::write(&c_path, src).is_err() {
-        return false;
+    /// The failed build is the probe's cue: a trivial TU, compiled at most
+    /// once per compiler, tells a broken toolchain from a rejected kernel.
+    fn classify(&self, why: String) -> NativeError {
+        let health = self.health.get_or_init(|| {
+            let probe_so = self.cache.join(format!("probe-{}.so", std::process::id()));
+            let built = self.build("int taco_probe(void) { return 42; }\n", &probe_so);
+            let _ = std::fs::remove_file(&probe_so);
+            built.map_err(|probe| format!("no working C compiler: {probe}"))
+        });
+        match health {
+            Ok(()) => NativeError::CompileFailed(why),
+            Err(broken) => NativeError::Unavailable(broken.clone()),
+        }
     }
-    let ok = Command::new(cc)
-        .args(flags)
-        .arg("-o")
-        .arg(&so_path)
-        .arg(&c_path)
-        .output()
-        .map(|o| o.status.success())
-        .unwrap_or(false);
-    let _ = std::fs::remove_file(&c_path);
-    let _ = std::fs::remove_file(&so_path);
-    ok
 }

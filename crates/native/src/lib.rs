@@ -8,11 +8,12 @@
 //!    unit against the `taco_ctx` table ABI of `taco_kernel.h`, plus an
 //!    [`AbiPlan`](taco_llir::AbiPlan) describing how bindings map onto the
 //!    context tables.
-//! 2. [`NativeCompiler`] invokes the system C compiler (`$CC`, falling
-//!    back to `cc`) to build a shared object in a content-addressed
-//!    on-disk cache keyed by kernel fingerprint + source hash +
-//!    compiler/flag digest + ABI version. Identical kernels across
-//!    processes share one artifact.
+//! 2. [`NativeCompiler`] looks the kernel up in a content-addressed
+//!    on-disk cache keyed by kernel fingerprint + source hash + toolchain
+//!    digest + ABI version, and only on a miss invokes the system C
+//!    compiler (`$CC`, falling back to `cc`) to build the shared object.
+//!    Identical kernels across processes share one artifact, and a process
+//!    restarted over a warm cache runs no compiler at all.
 //! 3. The shared object is loaded with raw `dlopen`/`dlsym`/`dlclose`
 //!    FFI (no crate dependencies) and its exported `taco_abi_version()`
 //!    is checked against the host's [`taco_llir::ABI_VERSION`].
@@ -34,7 +35,7 @@
 //! # Failure is degradation, not error
 //!
 //! Every way this backend can fail to produce a runnable kernel — no C
-//! compiler, probe failure, unsupported construct, compile or load error —
+//! compiler, a broken one, unsupported construct, compile or load error —
 //! is an [`NativeError`] the engine converts into a typed fallback to the
 //! interpreter, never a user-visible error.
 
@@ -52,8 +53,8 @@ pub use run::{NativeKernel, NativeReport, NativeRunOptions};
 /// recoverable: the engine degrades to the interpreter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NativeError {
-    /// No working C compiler (probe failed, `$CC` missing, or a platform
-    /// without `dlopen`).
+    /// No working C compiler (`$CC` names no executable, it cannot build
+    /// even a trivial shared object, or a platform without `dlopen`).
     Unavailable(String),
     /// The kernel uses a construct with no native equivalent.
     Unsupported(String),
@@ -79,22 +80,55 @@ impl std::error::Error for NativeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
+    use std::sync::OnceLock;
+    use std::time::{Duration, Instant, SystemTime};
     use taco_llir::{
         emit_native, ArrayTy, BudgetResource, Binding, Executable, Expr, Kernel, Param,
         ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind, LEAF_FAST_PATH_MARKER,
         SUPERVISION_STRIDE,
     };
 
+    /// A working compiler, or a visible skip marker: resolving `$CC` spawns
+    /// nothing, so what shows it works is one trivial build per process.
     fn compiler() -> Option<NativeCompiler> {
-        match NativeCompiler::from_env() {
-            Ok(c) => Some(c),
+        static WORKING: OnceLock<Result<NativeCompiler, NativeError>> = OnceLock::new();
+        let working = WORKING.get_or_init(|| {
+            let cc = NativeCompiler::from_env()?;
+            let trivial = Executable::compile(&Kernel::new("trivial")).unwrap();
+            cc.compile(&emit_native(&trivial).unwrap(), 0)?;
+            Ok(cc)
+        });
+        match working {
+            Ok(cc) => Some(cc.clone()),
             Err(e) => {
                 eprintln!("SKIPPED: {e}; native tests not run");
                 None
             }
         }
+    }
+
+    /// A shell script standing in for `$CC`, alone in a per-process
+    /// directory that also holds its run log: `(script, log)`. The script
+    /// appends a line to the log per invocation, then runs `body`.
+    fn cc_script(name: &str, body: &str) -> (PathBuf, PathBuf) {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = std::env::temp_dir().join(format!("taco-cc-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (script, log) = (dir.join("cc.sh"), dir.join("runs.log"));
+        let text = format!("#!/bin/sh\necho run >> '{}'\n{body}\n", log.display());
+        std::fs::write(&script, text).unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        (script, log)
+    }
+
+    fn runs(log: &Path) -> usize {
+        std::fs::read_to_string(log).map_or(0, |log| log.lines().count())
+    }
+
+    fn with_script(script: &Path) -> NativeCompiler {
+        NativeCompiler::with_cc(script.to_str().unwrap()).expect("an executable file resolves")
     }
 
     fn build(kernel: &Kernel) -> Option<(NativeKernel, Executable)> {
@@ -375,41 +409,61 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_keyed_by_compiler_and_flags() {
-        use std::os::unix::fs::PermissionsExt;
+    fn artifacts_are_keyed_by_the_toolchain() {
         let Some(cc) = compiler() else { return };
-        // A second "compiler": the same one behind a wrapper that rejects
-        // -fopenmp, as a toolchain without OpenMP support would.
-        let dir = std::env::temp_dir().join(format!("taco-cc-wrapper-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let wrapper = dir.join("cc-no-openmp.sh");
-        std::fs::write(
-            &wrapper,
-            format!(
-                "#!/bin/sh\nfor a in \"$@\"; do [ \"$a\" = -fopenmp ] && exit 1; done\nexec {} \"$@\"\n",
-                cc.cc()
-            ),
-        )
-        .unwrap();
-        std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755)).unwrap();
-        let plain = NativeCompiler::with_cc(wrapper.to_str().unwrap()).expect("wrapper probes");
-
+        // Two more "compilers": the same one behind two wrappers.
+        let passthrough = format!("exec '{}' \"$@\"", cc.cc().display());
+        let (one, _) = cc_script("key-one", &passthrough);
+        let (two, _) = cc_script("key-two", &passthrough);
         let exe = Executable::compile(&scale_kernel()).unwrap();
         let src = emit_native(&exe).unwrap();
-        let a = cc.compile(&src, 0xc0de_0001).expect("first compiler");
-        let b = plain.compile(&src, 0xc0de_0001).expect("second compiler");
+        let a = with_script(&one).compile(&src, 0xc0de_0001).expect("first wrapper");
+        let b = with_script(&two).compile(&src, 0xc0de_0001).expect("second wrapper");
         assert_ne!(a.so_path(), b.so_path(), "two compilers must not share an artifact");
-        assert!(a.so_path().exists() && b.so_path().exists());
+
+        // An upgrade behind the same name: same path, same length, new mtime.
+        let upgraded = SystemTime::now() + Duration::from_secs(7);
+        std::fs::File::options().write(true).open(&one).unwrap().set_modified(upgraded).unwrap();
+        let c = with_script(&one).compile(&src, 0xc0de_0001).expect("upgraded wrapper");
+        assert_ne!(a.so_path(), c.so_path(), "an upgraded compiler must not reuse old objects");
+        assert!(c.compile_nanos > 0);
 
         let mut binding = Binding::new();
         binding.set_scalar("n", 37);
         binding.set_f64("x", (0..37).map(|i| 0.1 * i as f64).collect());
         binding.set_f64("out", vec![0.0; 37]);
-        for native in [&a, &b] {
+        for native in [&a, &b, &c] {
+            assert!(native.so_path().exists());
             let (n, i) = run_both(native, &exe, &binding, &ResourceBudget::unlimited());
             assert_eq!((n, i), (Ok(37), Ok(37)));
+            let _ = std::fs::remove_file(native.so_path());
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        for script in [one, two] {
+            let _ = std::fs::remove_dir_all(script.parent().unwrap());
+        }
+    }
+
+    #[test]
+    fn the_first_build_is_the_probe_and_a_warm_cache_needs_no_compiler() {
+        let Some(cc) = compiler() else { return };
+        let (script, log) = cc_script("count", &format!("exec '{}' \"$@\"", cc.cc().display()));
+        let exe = Executable::compile(&scale_kernel()).unwrap();
+        let src = emit_native(&exe).unwrap();
+
+        let cold = with_script(&script);
+        assert_eq!(runs(&log), 0, "resolving a compiler spawns nothing");
+        let first = cold.compile(&src, 0xc0de_0002).expect("cold build");
+        assert_eq!(runs(&log), 1, "one compiler run per cache miss, no probe beside it");
+        assert!(first.compile_nanos > 0);
+
+        // A restart: a new compiler value over the now-warm cache.
+        let second = with_script(&script).compile(&src, 0xc0de_0002).expect("warm load");
+        assert_eq!(runs(&log), 1, "a warm cache needs only the file");
+        assert_eq!(second.compile_nanos, 0);
+        assert_eq!(first.so_path(), second.so_path());
+
+        let _ = std::fs::remove_file(first.so_path());
+        let _ = std::fs::remove_dir_all(script.parent().unwrap());
     }
 
     #[test]
@@ -626,7 +680,7 @@ mod tests {
     #[test]
     fn missing_compiler_is_unavailable() {
         let err = NativeCompiler::with_cc("/nonexistent/definitely-not-a-compiler")
-            .expect_err("bogus compiler must not probe successfully");
+            .expect_err("a path that names no file must not resolve");
         assert!(matches!(err, NativeError::Unavailable(_)), "{err:?}");
     }
 

@@ -2,10 +2,14 @@
 //! cached kernel, with the interpreter as the portable fallback and the
 //! correctness oracle.
 //!
-//! The engine owns one [`NativeStore`]: a lazily probed system C compiler
-//! (probed exactly once per engine — a broken `$CC` costs one failed probe,
-//! not one per kernel) and a per-fingerprint trust ledger. A kernel's native
-//! form moves through three states:
+//! The engine owns one [`NativeStore`]: a lazily resolved system C compiler
+//! and a per-fingerprint trust ledger. Resolving spawns nothing and a cached
+//! artifact is loaded without the compiler, so a restart over a warm cache
+//! runs `cc` zero times; a missing `$CC` is found at resolution and a
+//! present-but-broken one by the first build, whose verdict the compiler
+//! value remembers — either way the toolchain costs O(1) spawns per engine,
+//! not one per kernel (see `taco_native`'s `cc` module for the protocol). A
+//! kernel's native form moves through three states:
 //!
 //! ```text
 //! (no entry) ──compile──▶ Untrusted ──differential check──▶ Trusted
@@ -129,13 +133,13 @@ pub struct NativeStats {
     pub native_runs: u64,
 }
 
-/// The engine's native-backend state: one lazily probed compiler and the
+/// The engine's native-backend state: one lazily resolved compiler and the
 /// per-fingerprint trust ledger.
 #[derive(Debug, Default)]
 pub(crate) struct NativeStore {
-    /// `None` = not probed yet; `Some(Err)` = probe failed (rendered
-    /// reason), remembered so a broken toolchain is reported once and never
-    /// re-probed.
+    /// `None` = not resolved yet; `Some(Err)` = `$CC` names no executable
+    /// (rendered reason), remembered so it is never resolved again. A
+    /// compiler that resolves but cannot build remembers that itself.
     compiler: Mutex<Option<Result<NativeCompiler, String>>>,
     entries: Mutex<HashMap<u64, NativeState>>,
     compiled: AtomicU64,
@@ -322,8 +326,9 @@ impl Engine {
         self.push_event(EngineEvent::NativeRejected { fingerprint, reason });
     }
 
-    /// Records a toolchain/compile/load failure: the kernel runs on the
-    /// interpreter, and the degradation is visible as a fallback event.
+    /// Records a toolchain/compile/load failure (a `$CC` that did not
+    /// resolve, or any error of `NativeCompiler::compile`): the kernel runs
+    /// on the interpreter, and the degradation is visible as a fallback event.
     fn native_unavailable(&self, fingerprint: u64, reason: String) {
         // `NativeError::Unavailable` renders with the same preamble the
         // fallback event adds; strip it so the log line reads once.

@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let tu = emit_native(kernel.executable())?.c_source;
-        let body = tu.strip_prefix(TACO_KERNEL_H).unwrap_or(&tu);
+        let body = tu.split_once(TACO_KERNEL_H).map_or(tu.as_str(), |(_, body)| body);
         println!("/* ===== {name}: native translation unit (taco_kernel.h elided) ===== */");
         println!("{}", body.trim_start());
     }

@@ -2,12 +2,13 @@
 //! shared objects and run through the dlopen ABI must be *byte-identical*
 //! to the interpreter across kernels, workspace backends, and thread
 //! counts; the trust lifecycle (untrusted → differential check → trusted)
-//! must be observable through engine events and counters; and a corrupted
-//! on-disk artifact must degrade to the interpreter with a typed fallback,
-//! never an error.
+//! must be observable through engine events and counters; the compiler
+//! must run once per cache miss and never otherwise; and a corrupted
+//! on-disk artifact must be rebuilt, once.
 //!
 //! Every test that needs a C toolchain skips with a visible marker when
-//! none is present, so the suite is green (and honest) on minimal images.
+//! none is present or the one present cannot build, so the suite is green
+//! (and honest) on minimal images.
 
 use proptest::prelude::*;
 use std::sync::{Once, OnceLock};
@@ -19,24 +20,51 @@ use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
 use taco_tensor::gen::{random_csf3, random_csr};
 use taco_workspaces::prelude::*;
 
-/// Points the artifact cache at a per-process temp directory, once, before
-/// any native compile in this test binary. Tests within one binary share
-/// the directory (the cache is content-addressed, so that is safe); other
-/// test binaries are other processes with their own directory.
+/// Where `ci/cc-count.sh` logs this process's compiler runs.
+fn cc_log() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("taco-native-test-{}.cc-log", std::process::id()))
+}
+
+/// How often the compiler has run on a kernel of this name (`-`: on a TU
+/// that names no kernel, i.e. the probe) in this process.
+fn cc_runs(kernel_name: &str) -> usize {
+    let log = std::fs::read_to_string(cc_log()).unwrap_or_default();
+    log.lines().filter(|line| *line == kernel_name).count()
+}
+
+/// Points the artifact cache at a per-process temp directory and `$CC` at
+/// the counting wrapper around whatever `$CC` was, once, before any native
+/// compile in this test binary. Tests within one binary share the directory
+/// (the cache is content-addressed, so that is safe) and the log (runs are
+/// told apart by kernel name); other test binaries are other processes with
+/// their own.
 fn init_cache() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let dir = std::env::temp_dir().join(format!("taco-native-test-{}", std::process::id()));
         std::env::set_var("TACO_NATIVE_CACHE", &dir);
+        let real = std::env::var("CC").ok().filter(|cc| !cc.is_empty());
+        std::env::set_var("CC_COUNT_CC", real.as_deref().unwrap_or("cc"));
+        std::env::set_var("CC_COUNT_LOG", cc_log());
+        std::env::set_var("CC", concat!(env!("CARGO_MANIFEST_DIR"), "/ci/cc-count.sh"));
     });
 }
 
-/// A probed compiler, or a visible skip marker. Returning `None` makes the
-/// caller return early: the test passes but the log says why it was empty.
+/// A working compiler, or a visible skip marker. Resolving `$CC` spawns
+/// nothing, so what shows the toolchain works is one trivial build per
+/// process. Returning `None` makes the caller return early: the test passes
+/// but the log says why it was empty.
 fn require_cc(test: &str) -> Option<NativeCompiler> {
     init_cache();
-    match NativeCompiler::from_env() {
-        Ok(cc) => Some(cc),
+    static WORKING: OnceLock<Result<NativeCompiler, String>> = OnceLock::new();
+    let working = WORKING.get_or_init(|| {
+        let cc = NativeCompiler::from_env().map_err(|e| e.to_string())?;
+        let trivial = Executable::compile(&Kernel::new("require_cc")).unwrap();
+        cc.compile(&emit_native(&trivial).unwrap(), 0).map_err(|e| e.to_string())?;
+        Ok(cc)
+    });
+    match working {
+        Ok(cc) => Some(cc.clone()),
         Err(e) => {
             eprintln!("SKIPPED {test}: no C toolchain ({e})");
             None
@@ -543,19 +571,17 @@ fn interp_backend_never_touches_the_native_pipeline() {
 }
 
 #[test]
-fn corrupted_artifact_degrades_to_interpreter_with_typed_fallback() {
-    let Some(_cc) = require_cc("corrupted_artifact_degrades_to_interpreter_with_typed_fallback")
-    else {
-        return;
-    };
-    // A dimension no other test in this binary uses, so the artifact this
-    // test corrupts is not one a sibling test may later dlopen.
+fn corrupted_artifact_is_rebuilt_once_and_the_kernel_trusted() {
+    let test = "corrupted_artifact_is_rebuilt_once_and_the_kernel_trusted";
+    let Some(_cc) = require_cc(test) else { return };
+    // A dimension and a name no other test in this binary uses, so the
+    // artifact this test corrupts is not one a sibling test may later dlopen.
     let n = 19;
     let stmt = scheduled_spgemm(n);
     let b = random_csr(n, n, 0.2, 65).to_tensor();
     let c = random_csr(n, n, 0.2, 66).to_tensor();
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
-    let opts = LowerOptions::fused("spgemm");
+    let opts = LowerOptions::fused("poisoned");
 
     // Populate the on-disk cache, then drop the engine so nothing holds the
     // shared object mapped while we overwrite it.
@@ -563,6 +589,7 @@ fn corrupted_artifact_degrades_to_interpreter_with_typed_fallback() {
     let reference = warm.run(&stmt, opts.clone(), &inputs).unwrap();
     assert_eq!(warm.native_stats().compiled, 1);
     drop(warm);
+    assert_eq!(cc_runs("poisoned"), 1);
 
     let fp = stmt.compile(opts.clone()).unwrap().fingerprint();
     let prefix = format!("k{fp:016x}");
@@ -578,21 +605,87 @@ fn corrupted_artifact_degrades_to_interpreter_with_typed_fallback() {
     }
     assert!(corrupted >= 1, "the warm run must have installed an artifact under {cache:?}");
 
-    // A fresh engine cache-hits the corrupted artifact: dlopen fails, the
-    // failure is a typed degradation (never an error), and the run commits
-    // the interpreter's byte-identical result.
+    // A fresh engine finds the corrupted artifact: dlopen fails, the entry
+    // is dropped and built again, and the kernel is trusted as if the cache
+    // had been cold — not rejected here and in every later engine.
     let engine = Engine::builder().backend(Backend::Native).build();
-    let result = engine.run(&stmt, opts, &inputs).unwrap();
-    assert_byte_identical(&reference, &result, "corrupt-artifact fallback");
+    let first = engine.run(&stmt, opts.clone(), &inputs).unwrap();
+    assert_byte_identical(&reference, &first, "rebuild (trust-check run)");
+    assert_eq!(cc_runs("poisoned"), 2, "the poisoned entry is rebuilt exactly once");
     let stats = engine.native_stats();
-    assert_eq!(stats.unavailable, 1, "load failure must count as unavailable ({stats:?})");
-    assert_eq!(stats.native_runs, 0);
+    assert_eq!((stats.compiled, stats.trusted, stats.unavailable), (1, 1, 0), "{stats:?}");
     assert!(
         engine.last_events().iter().any(|e| matches!(
             e,
-            EngineEvent::Fallback(FallbackEvent::NativeUnavailable { .. })
+            EngineEvent::NativeCompiled { compile_nanos, .. } if *compile_nanos > 0
         )),
-        "fallback must be logged: {:?}",
+        "the rebuild is a compile, not a cache load: {:?}",
         engine.last_events()
     );
+    let second = engine.run(&stmt, opts.clone(), &inputs).unwrap();
+    assert_byte_identical(&reference, &second, "rebuild (trusted native run)");
+    assert_eq!(engine.native_stats().native_runs, 1);
+
+    // The healed entry is an ordinary cache hit for the next engine.
+    let later = Engine::builder().backend(Backend::Native).build();
+    later.run(&stmt, opts, &inputs).unwrap();
+    assert_eq!(cc_runs("poisoned"), 2);
+    assert_eq!(later.native_stats().trusted, 1);
+}
+
+/// The compiler is counted, not timed: `ci/cc-count.sh` logs every run of
+/// it by the kernel it builds. The first build is the probe, and a warm
+/// cache needs only the file.
+#[test]
+fn a_first_reply_runs_the_compiler_once_and_a_restart_not_at_all() {
+    let test = "a_first_reply_runs_the_compiler_once_and_a_restart_not_at_all";
+    let Some(_cc) = require_cc(test) else { return };
+    let n = 23;
+    let stmt = scheduled_spgemm(n);
+    let b = random_csr(n, n, 0.2, 67).to_tensor();
+    let c = random_csr(n, n, 0.2, 68).to_tensor();
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let opts = LowerOptions::fused("counted_first_reply");
+
+    let cold = Engine::builder().backend(Backend::Native).build();
+    let reference = cold.run(&stmt, opts.clone(), &inputs).unwrap();
+    assert_eq!(cold.native_stats().trusted, 1);
+    assert_eq!(cc_runs("counted_first_reply"), 1, "one compiler run per cache miss");
+    drop(cold);
+
+    let restarted = Engine::builder().backend(Backend::Native).build();
+    let first = restarted.run(&stmt, opts.clone(), &inputs).unwrap();
+    let second = restarted.run(&stmt, opts, &inputs).unwrap();
+    assert_byte_identical(&reference, &first, "restart (trust-check run)");
+    assert_byte_identical(&reference, &second, "restart (trusted native run)");
+    assert_eq!(cc_runs("counted_first_reply"), 1, "a warm cache never reaches the compiler");
+    let stats = restarted.native_stats();
+    assert_eq!((stats.compiled, stats.trusted, stats.native_runs), (1, 1, 1), "{stats:?}");
+    assert!(
+        restarted.last_events().iter().any(|e| matches!(
+            e,
+            EngineEvent::NativeCompiled { compile_nanos: 0, .. }
+        )),
+        "the restart loads the artifact: {:?}",
+        restarted.last_events()
+    );
+    // No test of this binary breaks the toolchain, so nothing in this
+    // process ever had a build failure to classify.
+    assert_eq!(cc_runs("-"), 0, "a working toolchain is never probed");
+}
+
+#[test]
+fn distinct_kernels_cost_one_compiler_run_each() {
+    let Some(_cc) = require_cc("distinct_kernels_cost_one_compiler_run_each") else { return };
+    let engine = Engine::builder().backend(Backend::Native).build();
+    let kernels = 24;
+    for n in 30..30 + kernels {
+        let stmt = scheduled_spgemm(n);
+        let b = random_csr(n, n, 0.1, 69).to_tensor();
+        let c = random_csr(n, n, 0.1, 70).to_tensor();
+        engine.run(&stmt, LowerOptions::fused("counted_many"), &[("B", &b), ("C", &c)]).unwrap();
+    }
+    assert_eq!(cc_runs("counted_many"), kernels);
+    let stats = engine.native_stats();
+    assert_eq!((stats.compiled, stats.trusted), (kernels as u64, kernels as u64), "{stats:?}");
 }
