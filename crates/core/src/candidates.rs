@@ -10,24 +10,26 @@
 //! The runtime engine's autotuner times the candidates on real operands and
 //! picks the winner.
 
-use crate::fingerprint::{fingerprint_kernel, fingerprint_stmt};
+use crate::cost::stmt_workspaces;
+use crate::fingerprint::fingerprint_kernel;
+use crate::passes::FrontHalf;
 use crate::IndexStmt;
 use std::collections::HashSet;
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{IndexVar, TensorVar};
-use crate::cost::stmt_workspaces;
 use taco_ir::transform;
 use taco_llir::WorkspaceKind;
-use taco_lower::{lower, LowerOptions};
+use taco_lower::LowerOptions;
 use taco_tensor::Format;
+use taco_verify::VerifyMode;
 
-/// One point in the schedule search space: a named, fully transformed
-/// statement ready to compile.
+/// One point in the schedule search space, and what an autotune decision
+/// remembers: replaying a candidate needs nothing but the candidate.
 #[derive(Debug, Clone)]
 pub struct ScheduleCandidate {
     /// Human-readable schedule description, e.g.
     /// `"reorder(k,j) + precompute(j)"`. Stable across runs for a given
-    /// statement, so autotune decisions can be keyed and logged by name.
+    /// statement, so autotune decisions can be logged and compared by name.
     pub name: String,
     /// The scheduled statement.
     pub stmt: IndexStmt,
@@ -47,19 +49,26 @@ pub struct ScheduleCandidate {
 /// Name of the candidate that applies no transformation at all.
 pub const DIRECT_MERGE: &str = "direct-merge";
 
-/// Enumerates candidate schedules for a statement.
+/// [`enumerate_candidates_for`] under the canonical `fused` options, without
+/// the products.
+pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
+    let canonical = LowerOptions::fused("candidate");
+    enumerate_candidates_for(stmt, &canonical).into_iter().map(|(c, _)| c).collect()
+}
+
+/// Enumerates the candidate schedules of a statement that compile under
+/// `opts`, each with the [`FrontHalf`] that proves it.
 ///
-/// The search space, deduplicated by the code each candidate *generates*:
-/// every candidate is lowered once under canonical options and keyed by the
-/// structural hash of its verified LLIR
-/// ([`fingerprint_kernel`](crate::fingerprint::fingerprint_kernel)), so two
-/// schedules that are spelled differently but lower to identical kernels —
-/// e.g. a reorder of loops that co-iterate anyway — occupy one slot.
-/// Candidates that do not lower under the canonical options are kept,
-/// deduplicated by concrete-statement fingerprint (they may still lower
-/// under the caller's options); candidates whose lowering the static
-/// verifier *denies* are dropped outright, since they could never compile
-/// under the default deny policy. The space itself:
+/// A candidate is a point of the space below that lowers under the caller's
+/// options (with the candidate's own workspace backend) and that the static
+/// verifier accepts; the front half that showed it is kept, so whoever
+/// compiles the candidate ([`FrontHalf::finish`]) does not lower or verify it
+/// again. A point that does not lower — a loop order that needs random access
+/// into compressed storage, direct sparse scatter (the direct baseline of
+/// SpGEMM into CSR), a format the kernel kind cannot append to — is not a
+/// candidate. Candidates are deduplicated by the code they *generate*
+/// ([`fingerprint_kernel`] of the verified LLIR), so schedules that are
+/// spelled differently but lower to identical kernels occupy one slot.
 ///
 /// 1. the statement **as currently scheduled** (so a user schedule always
 ///    competes);
@@ -70,63 +79,43 @@ pub const DIRECT_MERGE: &str = "direct-merge";
 /// 4. for each loop order from (2)–(3), every **workspace placement** the
 ///    Section V-C heuristics suggest for it, applied with a fresh dense
 ///    workspace sized from the precomputed variables' ranges;
-/// 5. for every candidate that materializes a workspace, a **hash-map** and
+/// 5. for each loop order, every sparse rank-2 operand **converted** to each
+///    other standard rank-2 format;
+/// 6. for every candidate so far, its outermost loop **parallelized** where
+///    the privatization check allows;
+/// 7. for every candidate that materializes a workspace, a **hash-map** and
 ///    a **coordinate-list** storage-backend variant
 ///    ([`WorkspaceKind`]) — the graceful-degradation rungs of the budget
 ///    ladder, raced here on merit rather than necessity.
-///
-/// Candidates are *syntactically* legal schedules; some may still fail to
-/// lower (e.g. a loop order that requires random access into compressed
-/// storage). The autotuner treats a failed compile as an infinitely slow
-/// candidate, which also means the direct baseline of an intrinsically
-/// workspace-requiring kernel (sparse scatter, as in SpGEMM with a
-/// compressed result) simply drops out of the race.
-pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
-    let mut out: Vec<ScheduleCandidate> = Vec::new();
-    let mut seen: HashSet<(u8, u64)> = HashSet::new();
-    fn push(
-        out: &mut Vec<ScheduleCandidate>,
-        seen: &mut HashSet<(u8, u64)>,
-        name: String,
-        s: IndexStmt,
-        kind: WorkspaceKind,
-        conversions: Vec<(String, Format)>,
-    ) {
-        // Key each candidate by the code it generates, not how its schedule
-        // is spelled: lower once under canonical options (plus the
-        // candidate's workspace backend) and hash the LLIR. Unlowerable
-        // dense candidates fall back to the concrete fingerprint (the
-        // caller's options may still lower them); an unlowerable sparse
-        // backend means the schedule is ineligible for that backend and the
-        // variant is dropped. Candidates whose lowering the verifier denies
-        // can never compile under the default policy and are dropped from
-        // the race.
-        let opts = LowerOptions::fused("candidate").with_workspace_kind(kind);
-        let key = match lower(s.concrete(), &opts) {
-            Ok(lk) => {
-                if !taco_verify::verify_lowered(&lk).accepted() {
-                    return;
-                }
-                (0u8, fingerprint_kernel(&lk.kernel))
-            }
-            Err(_) if kind == WorkspaceKind::Dense => (1u8, fingerprint_stmt(s.concrete())),
-            Err(_) => return,
-        };
-        if seen.insert(key) {
-            out.push(ScheduleCandidate { name, stmt: s, workspace_kind: kind, conversions });
+pub fn enumerate_candidates_for(
+    stmt: &IndexStmt,
+    opts: &LowerOptions,
+) -> Vec<(ScheduleCandidate, FrontHalf)> {
+    let mut out: Vec<(ScheduleCandidate, FrontHalf)> = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut push = |out: &mut Vec<(ScheduleCandidate, FrontHalf)>,
+                    name: String,
+                    s: IndexStmt,
+                    kind: WorkspaceKind,
+                    conversions: Vec<(String, Format)>| {
+        let opts = opts.clone().with_workspace_kind(kind);
+        let Ok(front) = FrontHalf::build(s.concrete(), opts, VerifyMode::Deny) else { return };
+        if seen.insert(fingerprint_kernel(&front.lowered().kernel)) {
+            let cand = ScheduleCandidate { name, stmt: s, workspace_kind: kind, conversions };
+            out.push((cand, front));
         }
-    }
+    };
 
     // Base loop orders: the direct concretization plus every pairwise
     // reorder of its outer forall chain.
     let Ok(direct) = IndexStmt::new(stmt.source().clone()) else {
-        push(&mut out, &mut seen, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
+        push(&mut out, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
         return out;
     };
     // An unscheduled statement *is* the direct baseline; only list
     // "as-scheduled" separately when a schedule has actually been applied.
-    if fingerprint_stmt(stmt.concrete()) != fingerprint_stmt(direct.concrete()) {
-        push(&mut out, &mut seen, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
+    if stmt.concrete() != direct.concrete() {
+        push(&mut out, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
     }
     let chain = forall_chain(direct.concrete());
     let mut bases: Vec<(String, IndexStmt)> = vec![(DIRECT_MERGE.to_string(), direct.clone())];
@@ -143,7 +132,7 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 
     // Workspace placements on every base loop order.
     for (base_name, base) in &bases {
-        push(&mut out, &mut seen, base_name.clone(), base.clone(), WorkspaceKind::Dense, Vec::new());
+        push(&mut out, base_name.clone(), base.clone(), WorkspaceKind::Dense, Vec::new());
         for (n, sugg) in base.suggestions().into_iter().enumerate() {
             let Some(ws) = workspace_for(base.concrete(), &sugg.over, n) else {
                 continue;
@@ -157,18 +146,15 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
                 } else {
                     format!("{} + precompute({})", base_name, over.join(","))
                 };
-                push(&mut out, &mut seen, name, IndexStmt::from_parts(stmt.source().clone(), t), WorkspaceKind::Dense, Vec::new());
+                push(&mut out, name, IndexStmt::from_parts(stmt.source().clone(), t), WorkspaceKind::Dense, Vec::new());
             }
         }
     }
 
-    // Format-conversion candidates: every sparse rank-2 operand competes in
-    // the standard rank-2 formats on every base loop order. The statement is
-    // rewritten to the target format with `transform::with_format`; the
-    // runtime converts the operand before executing, so the candidate's
-    // timing includes the conversion it requires. Unlowerable combinations
-    // (e.g. COO feeding a fused sparse append) stay in the space and lose as
-    // uncompilable, exactly like unlowerable loop orders.
+    // Format conversions: the statement is rewritten to the target format
+    // and the runtime converts the operand before executing. A combination
+    // that does not lower (COO feeding a fused sparse append) is dropped
+    // inside `push`, like an unlowerable loop order.
     for (base_name, base) in &bases {
         for (op_name, op_var) in operand_tensors(base.concrete()) {
             if op_var.rank() != 2 || op_var.format().is_all_dense() {
@@ -191,7 +177,6 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
                 };
                 push(
                     &mut out,
-                    &mut seen,
                     name,
                     IndexStmt::from_parts(stmt.source().clone(), t),
                     WorkspaceKind::Dense,
@@ -201,41 +186,32 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
         }
     }
 
-    // Parallel variants: every candidate whose outermost loop passes the
-    // privatization legality check (`transform::parallelize`) also competes
-    // with that loop parallelized. Some may still fail to lower (the
-    // parallel executor only chunks dense loops); the autotuner treats those
-    // as infinitely slow, as with any other uncompilable candidate.
-    let serial: Vec<ScheduleCandidate> = out.clone();
-    for c in serial {
+    // Parallel variants, where the privatization check passes and the loop
+    // lowers (the parallel executor only chunks dense loops).
+    for n in 0..out.len() {
+        let c = out[n].0.clone();
         let chain = forall_chain(c.stmt.concrete());
         let Some(v) = chain.first() else { continue };
         if let Ok(p) = transform::parallelize(c.stmt.concrete(), v) {
             push(
                 &mut out,
-                &mut seen,
                 format!("{} + parallelize({v})", c.name),
                 IndexStmt::from_parts(stmt.source().clone(), p),
                 WorkspaceKind::Dense,
-                c.conversions.clone(),
+                c.conversions,
             );
         }
     }
 
-    // Workspace-backend variants: every candidate that materializes a
-    // workspace also competes with its hash-map and coordinate-list
-    // storage backends (the graceful-degradation rungs, raced here on
-    // merit). Ineligible schedules — a backend the lowerer rejects — are
-    // dropped inside `push`.
-    let dense: Vec<ScheduleCandidate> = out.clone();
-    for c in dense {
+    // Workspace-backend variants of every candidate with a workspace.
+    for n in 0..out.len() {
+        let c = out[n].0.clone();
         if stmt_workspaces(c.stmt.concrete()).is_empty() {
             continue;
         }
         for kind in [WorkspaceKind::Hash, WorkspaceKind::CoordList] {
             push(
                 &mut out,
-                &mut seen,
                 format!("{} + workspace({kind})", c.name),
                 c.stmt.clone(),
                 kind,
@@ -294,7 +270,6 @@ mod tests {
     use super::*;
     use taco_ir::expr::{sum, IndexVar, TensorVar};
     use taco_ir::notation::IndexAssignment;
-    use taco_lower::LowerOptions;
 
     fn spgemm_unscheduled() -> IndexStmt {
         let n = 16;
@@ -310,67 +285,60 @@ mod tests {
     }
 
     #[test]
-    fn spgemm_space_contains_figure2_schedule() {
+    fn spgemm_space_is_the_figure2_schedule_and_its_variants() {
         let cands = enumerate_candidates(&spgemm_unscheduled());
         let names: Vec<&str> = cands.iter().map(|c| c.name.as_str()).collect();
-        assert!(names.contains(&DIRECT_MERGE), "baseline present: {names:?}");
-        assert!(
-            names.iter().any(|n| n.contains("reorder(j,k)") && n.contains("precompute(j)")),
-            "the paper's Figure 2 schedule (Gustavson) must be in the space: {names:?}"
-        );
-        // At least one workspace candidate must actually compile: SpGEMM
-        // into CSR is unrealizable without one.
-        assert!(
-            cands
-                .iter()
-                .filter(|c| c.name.contains("precompute"))
-                .any(|c| c.stmt.compile(LowerOptions::fused("t")).is_ok()),
-            "no workspace candidate compiles"
-        );
-    }
-
-    #[test]
-    fn spgemm_space_contains_sparse_workspace_backends() {
-        let cands = enumerate_candidates(&spgemm_unscheduled());
-        for kind in [WorkspaceKind::Hash, WorkspaceKind::CoordList] {
-            let variant = cands
-                .iter()
-                .find(|c| c.workspace_kind == kind)
-                .unwrap_or_else(|| panic!("no workspace({kind}) candidate in the space"));
-            assert!(
-                variant.name.contains(&format!("workspace({kind})")),
+        // SpGEMM into CSR is unrealizable without a workspace: the direct
+        // baseline does not lower, so it is not a candidate.
+        assert!(!names.contains(&DIRECT_MERGE), "{names:?}");
+        for variant in ["", " + workspace(hash)", " + workspace(coord-list)"] {
+            let name = format!("reorder(j,k) + precompute(j){variant}");
+            assert!(names.contains(&name.as_str()), "`{name}` must be in the space: {names:?}");
+        }
+        for c in &cands {
+            assert_eq!(
+                c.name.contains(&format!("workspace({})", c.workspace_kind)),
+                c.workspace_kind != WorkspaceKind::Dense,
                 "backend variant named after its kind: {}",
-                variant.name
+                c.name
             );
-            // Backend variants only enter the space if they lower (push
-            // drops ineligible ones), so this must compile.
-            variant
-                .stmt
-                .compile(LowerOptions::fused("t").with_workspace_kind(kind))
-                .unwrap_or_else(|e| panic!("workspace({kind}) candidate does not compile: {e}"));
         }
     }
 
     #[test]
-    fn candidates_are_deduplicated() {
-        let cands = enumerate_candidates(&spgemm_unscheduled());
-        // A schedule may appear once per workspace backend (same concrete
-        // statement, different generated code), but never twice with the
-        // same backend.
-        let mut fps: Vec<(u64, WorkspaceKind)> = cands
-            .iter()
-            .map(|c| (fingerprint_stmt(c.stmt.concrete()), c.workspace_kind))
+    fn the_canonical_enumeration_is_the_fused_one_without_products() {
+        let stmt = spgemm_unscheduled();
+        let canonical: Vec<String> =
+            enumerate_candidates(&stmt).into_iter().map(|c| c.name).collect();
+        let fused: Vec<String> = enumerate_candidates_for(&stmt, &LowerOptions::fused("k"))
+            .into_iter()
+            .map(|(c, _)| c.name)
             .collect();
-        fps.sort_unstable_by_key(|(fp, k)| (*fp, *k as u8));
-        fps.dedup();
-        assert_eq!(fps.len(), cands.len(), "duplicate schedules in candidate set");
+        assert_eq!(canonical, fused);
+    }
+
+    #[test]
+    fn candidates_are_deduplicated_by_generated_code() {
+        let cands = enumerate_candidates_for(&spgemm_unscheduled(), &LowerOptions::compute("k"));
+        let mut hashes: Vec<u64> =
+            cands.iter().map(|(_, front)| fingerprint_kernel(&front.lowered().kernel)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), cands.len(), "two candidates generate the same kernel");
     }
 
     #[test]
     fn as_scheduled_statement_is_first_candidate() {
+        // The Figure 2 schedule, applied by hand, competes under the name
+        // "as-scheduled".
         let mut s = spgemm_unscheduled();
-        let (j, k) = (IndexVar::new("j"), IndexVar::new("k"));
+        let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
+        let b = TensorVar::new("B", vec![16, 16], Format::csr());
+        let c = TensorVar::new("C", vec![16, 16], Format::csr());
         s.reorder(&k, &j).unwrap();
+        let w = TensorVar::new("w", vec![16], Format::dvec());
+        let mul = b.access([i, k.clone()]) * c.access([k, j.clone()]);
+        s.precompute(&mul, &[(j.clone(), j.clone(), j)], &w).unwrap();
         let cands = enumerate_candidates(&s);
         assert_eq!(cands[0].name, "as-scheduled");
         assert_eq!(cands[0].stmt.concrete(), s.concrete());

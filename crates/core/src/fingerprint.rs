@@ -92,8 +92,8 @@ pub fn fingerprint(stmt: &ConcreteStmt, opts: &LowerOptions, budget: &ResourceBu
 }
 
 /// Fingerprints a concrete statement alone — schedule and operand signature
-/// without lowering options or budget. The candidate enumerator uses this to
-/// deduplicate schedules, and the autotuner to key decisions by expression.
+/// without lowering options or budget. The autotuner keys decisions by the
+/// fingerprint of the unscheduled expression.
 pub fn fingerprint_stmt(stmt: &ConcreteStmt) -> u64 {
     let mut h = Fnv64::new();
     hash_stmt(&mut h, stmt);
@@ -101,12 +101,12 @@ pub fn fingerprint_stmt(stmt: &ConcreteStmt) -> u64 {
 }
 
 /// Fingerprints a lowered kernel structurally: parameter signature plus the
-/// printed form of every body statement, with the human-readable function
-/// name excluded (two lowerings that differ only in what they were called
-/// generate the same code and must collide). The candidate enumerator uses
+/// one-line head of every *top-level* body statement (`stmt_to_c` elides
+/// nested bodies, so kernels that differ only inside a loop nest collide —
+/// ROADMAP item 3). The function name is excluded: two lowerings that differ
+/// only in what they were called must collide. The candidate enumerator uses
 /// this to recognize schedules that are distinct at the concrete level but
-/// lower to identical code — e.g. reorders of loops the kernel iterates
-/// co-iterated anyway.
+/// lower to identical code — e.g. reorders of loops co-iterated anyway.
 pub fn fingerprint_kernel(kernel: &taco_llir::Kernel) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(kernel.scalar_params.len() as u64);

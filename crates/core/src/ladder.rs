@@ -11,14 +11,14 @@
 //! functions here — none re-derives a rung or the budget chain.
 
 use crate::cost::stmt_workspaces;
+use crate::passes::FrontHalf;
 use crate::schedule::{CompiledKernel, FallbackEvent, IndexStmt, SupervisedOutcome};
 use crate::{CoreError, Result};
 use std::borrow::{Borrow, Cow};
-use taco_ir::concrete::ConcreteStmt;
 use taco_llir::{BudgetResource, ExecReport, WorkspaceKind};
-use taco_lower::{lower, KernelKind, LowerError, LowerOptions, LoweredKernel};
+use taco_lower::{KernelKind, LowerError, LowerOptions};
 use taco_tensor::Tensor;
-use taco_verify::{analyze_cost, Bound, CostEnv, WorkspaceCost};
+use taco_verify::{Bound, CostEnv, VerifyMode, WorkspaceCost};
 
 /// One rung of the degradation ladder [`descend`] walks on retryable
 /// aborts: faster schedules first, the plain merge kernel last.
@@ -181,44 +181,14 @@ where
     }))
 }
 
-/// What the compile-time budget chain decided for a statement's dense
-/// workspaces under a `max_workspace_bytes` limit. Every variant that
-/// lowered a kernel to reach its decision hands that lowering back so the
-/// compile path does not repeat it.
-#[derive(Debug)]
-pub enum WorkspaceFit {
-    /// Nothing to arbitrate, or the proven dense footprint fits: compile as
-    /// scheduled. `lowered` is `Some` when arbitration lowered the kernel.
-    Fits {
-        /// The as-scheduled lowering, when arbitration produced one.
-        lowered: Option<LoweredKernel>,
-    },
-    /// The dense footprint is over the limit but a sparse backend's proven
-    /// *initial* footprint fits; growth past it is charged at run time.
-    Downgraded {
-        /// The sparse backend to compile with.
-        kind: WorkspaceKind,
-        /// The schedule lowered with `kind`.
-        lowered: LoweredKernel,
-        /// One [`FallbackEvent::WorkspaceDowngraded`] per workspace.
-        events: Vec<FallbackEvent>,
-    },
-    /// No workspace backend fits; the schedule's transformations are
-    /// dropped and the direct merge kernel is compiled instead.
-    DirectMerge {
-        /// The untransformed concrete statement.
-        direct: ConcreteStmt,
-        /// Its lowering.
-        lowered: LoweredKernel,
-        /// One [`FallbackEvent::WorkspaceOverBudget`] per workspace.
-        events: Vec<FallbackEvent>,
-    },
-}
-
 /// The single walk over the compile-time budget chain: proven dense bound →
 /// each sparse backend's proven initial footprint (hash, then coordinate
-/// list) → direct merge. Only dense-workspace requests are arbitrated; a
-/// request that already names a sparse backend is charged at run time.
+/// list) → direct merge. `front` is the front half of `stmt` as scheduled;
+/// it comes back untouched when there is no `limit`, nothing to arbitrate
+/// (only dense-workspace requests are; one that already names a sparse
+/// backend is charged at run time) or the dense footprint fits. Otherwise
+/// the product of the first rung that fits replaces it, built under
+/// `mode`, with one [`FallbackEvent`] per workspace saying why.
 ///
 /// The footprints are *proven* by the symbolic cost analyzer over the
 /// lowered kernel. Dense workspace bounds close over declared dimensions
@@ -230,44 +200,42 @@ pub enum WorkspaceFit {
 /// [`CoreError::BudgetExceeded`] (naming the first workspace in `context`)
 /// when nothing fits and the direct kernel does not lower — a workspace is
 /// what makes sparse scatter lowerable, so that is a budget failure, not a
-/// lowering bug. A schedule that does not lower even as scheduled returns
-/// its lowering error: there is no budget decision to make.
+/// lowering bug.
 pub fn arbitrate_workspaces(
     stmt: &IndexStmt,
-    opts: &LowerOptions,
-    limit: u64,
-) -> Result<WorkspaceFit> {
+    front: FrontHalf,
+    limit: Option<u64>,
+    mode: VerifyMode,
+) -> Result<(FrontHalf, Vec<FallbackEvent>)> {
+    let Some(limit) = limit else { return Ok((front, Vec::new())) };
     let ws_vars = stmt_workspaces(stmt.concrete());
-    if opts.workspace_kind != WorkspaceKind::Dense || ws_vars.is_empty() {
-        return Ok(WorkspaceFit::Fits { lowered: None });
+    if front.opts.workspace_kind != WorkspaceKind::Dense || ws_vars.is_empty() {
+        return Ok((front, Vec::new()));
     }
-    // Per-workspace footprints of one lowering, in `ws_vars` order.
-    let footprints = |lk: &LoweredKernel, pick: fn(&WorkspaceCost) -> &Bound| {
-        let cost = analyze_cost(lk);
-        let env = CostEnv::from_shapes(lk);
+    // Per-workspace footprints of one product, in `ws_vars` order.
+    let footprints = |front: &FrontHalf, pick: fn(&WorkspaceCost) -> &Bound| {
+        let env = CostEnv::from_shapes(&front.lowered);
         ws_vars
             .iter()
             .map(|ws| {
-                let w = cost.workspaces.iter().find(|w| w.name == ws.name())?;
+                let w = front.cost.workspaces.iter().find(|w| w.name == ws.name())?;
                 pick(w).concrete(&env)
             })
             .collect::<Vec<Option<u64>>>()
     };
     let total = |bytes: &[u64]| bytes.iter().fold(0u64, |a, b| a.saturating_add(*b));
 
-    let dense = lower(stmt.concrete(), opts)?;
     let bounds: Vec<u64> =
-        footprints(&dense, |w| &w.bytes).into_iter().map(|b| b.unwrap_or(u64::MAX)).collect();
+        footprints(&front, |w| &w.bytes).into_iter().map(|b| b.unwrap_or(u64::MAX)).collect();
     if total(&bounds) <= limit {
-        return Ok(WorkspaceFit::Fits { lowered: Some(dense) });
+        return Ok((front, Vec::new()));
     }
 
     for kind in DegradeRung::LADDER.into_iter().filter_map(DegradeRung::sparse_backend) {
-        let Ok(lowered) = lower(stmt.concrete(), &opts.clone().with_workspace_kind(kind)) else {
-            continue;
-        };
+        let opts = front.opts.clone().with_workspace_kind(kind);
+        let Ok(sparse) = FrontHalf::build(stmt.concrete(), opts, mode) else { continue };
         let Some(inits) =
-            footprints(&lowered, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>()
+            footprints(&sparse, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>()
         else {
             continue;
         };
@@ -286,30 +254,31 @@ pub fn arbitrate_workspaces(
                 budget_bytes: limit,
             })
             .collect();
-        return Ok(WorkspaceFit::Downgraded { kind, lowered, events });
+        return Ok((sparse, events));
     }
 
     let direct = taco_ir::concretize::concretize(stmt.source())?;
-    match lower(&direct, opts) {
-        Ok(lowered) => {
-            let events = ws_vars
-                .iter()
-                .zip(&bounds)
-                .map(|(ws, bound)| FallbackEvent::WorkspaceOverBudget {
-                    workspace: ws.name().to_string(),
-                    dims: ws.shape().to_vec(),
-                    estimated_bytes: *bound,
-                    budget_bytes: limit,
-                    fallback: DegradeRung::DirectMerge,
-                })
-                .collect();
-            Ok(WorkspaceFit::DirectMerge { direct, lowered, events })
+    let direct = match FrontHalf::build(&direct, front.opts.clone(), mode) {
+        Err(CoreError::Lower(_)) => {
+            return Err(CoreError::BudgetExceeded {
+                resource: BudgetResource::WorkspaceBytes,
+                limit,
+                requested: bounds.first().copied().unwrap_or(u64::MAX),
+                context: ws_vars.first().map(|ws| ws.name().to_string()),
+            })
         }
-        Err(_) => Err(CoreError::BudgetExceeded {
-            resource: BudgetResource::WorkspaceBytes,
-            limit,
-            requested: bounds.first().copied().unwrap_or(u64::MAX),
-            context: ws_vars.first().map(|ws| ws.name().to_string()),
-        }),
-    }
+        direct => direct?,
+    };
+    let events = ws_vars
+        .iter()
+        .zip(&bounds)
+        .map(|(ws, bound)| FallbackEvent::WorkspaceOverBudget {
+            workspace: ws.name().to_string(),
+            dims: ws.shape().to_vec(),
+            estimated_bytes: *bound,
+            budget_bytes: limit,
+            fallback: DegradeRung::DirectMerge,
+        })
+        .collect();
+    Ok((direct, events))
 }

@@ -54,13 +54,15 @@ pub mod fingerprint;
 pub mod ladder;
 pub mod oracle;
 pub mod parse;
+pub mod passes;
 mod schedule;
 
-pub use candidates::{enumerate_candidates, ScheduleCandidate};
+pub use candidates::{enumerate_candidates, enumerate_candidates_for, ScheduleCandidate};
 pub use cost::{binding_env, stmt_workspaces};
 pub use error::CoreError;
 pub use fingerprint::fingerprint;
 pub use ladder::DegradeRung;
+pub use passes::FrontHalf;
 pub use schedule::{
     default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt, SupervisedOutcome,
 };

@@ -2,9 +2,9 @@
 //! supervised degrade-and-retry execution.
 
 use crate::bind::{bind_operand, bind_result, extract_result};
-use crate::ladder::{self, DegradeRung, WorkspaceFit};
+use crate::ladder::{self, DegradeRung};
+use crate::passes::FrontHalf;
 use crate::Result;
-use std::borrow::Cow;
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::concretize::concretize;
 use taco_ir::expr::{IndexExpr, IndexVar, TensorVar};
@@ -14,9 +14,9 @@ use taco_ir::transform;
 use taco_llir::{
     AbortReason, Binding, Executable, ExecReport, ResourceBudget, Supervisor, WorkspaceKind,
 };
-use taco_lower::{lower, KernelKind, LowerOptions, LoweredKernel};
+use taco_lower::{KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
-use taco_verify::{analyze_cost, CostReport, VerifyMode, VerifyReport};
+use taco_verify::{CostReport, VerifyMode, VerifyReport};
 
 /// The default enforcement mode for the static verifier on the compile
 /// path: debug builds fail compilation on any proven violation
@@ -29,27 +29,6 @@ pub fn default_verify_mode() -> VerifyMode {
         VerifyMode::Deny
     } else {
         VerifyMode::Warn
-    }
-}
-
-/// Runs the static verifier over a lowered kernel under the given mode,
-/// stamping the concrete statement it was lowered from into every
-/// diagnostic. `Deny` turns a rejected report into [`CoreError::Verify`].
-fn check_lowered(
-    lowered: &LoweredKernel,
-    origin: &ConcreteStmt,
-    mode: VerifyMode,
-) -> Result<Option<VerifyReport>> {
-    match mode {
-        VerifyMode::Off => Ok(None),
-        VerifyMode::Warn | VerifyMode::Deny => {
-            let report =
-                taco_verify::verify_lowered(lowered).with_origin(&origin.to_string());
-            if mode == VerifyMode::Deny && !report.accepted() {
-                return Err(crate::CoreError::Verify(report));
-            }
-            Ok(Some(report))
-        }
     }
 }
 
@@ -186,7 +165,9 @@ impl IndexStmt {
         self.compile_checked(opts, budget, default_verify_mode())
     }
 
-    /// Lowers, statically verifies, and compiles the statement.
+    /// Lowers, statically verifies, and compiles the statement — the driver
+    /// of the pass list ([`crate::passes`]): `lower → verify → cost`, then
+    /// `fit the workspace budget → exec-compile → fingerprint`.
     ///
     /// This is [`IndexStmt::compile_with_budget`] with an explicit
     /// [`VerifyMode`]: the lowered kernel is run through the
@@ -209,28 +190,7 @@ impl IndexStmt {
         budget: ResourceBudget,
         verify: VerifyMode,
     ) -> Result<CompiledKernel> {
-        let fit = match budget.max_workspace_bytes {
-            Some(limit) => ladder::arbitrate_workspaces(self, &opts, limit)?,
-            None => WorkspaceFit::Fits { lowered: None },
-        };
-        let (opts, concrete, prelowered, fallbacks) = match fit {
-            WorkspaceFit::Fits { lowered } => (opts, Cow::Borrowed(&self.concrete), lowered, Vec::new()),
-            WorkspaceFit::Downgraded { kind, lowered, events } => {
-                (opts.with_workspace_kind(kind), Cow::Borrowed(&self.concrete), Some(lowered), events)
-            }
-            WorkspaceFit::DirectMerge { direct, lowered, events } => {
-                (opts, Cow::Owned(direct), Some(lowered), events)
-            }
-        };
-        let lowered = match prelowered {
-            Some(lowered) => lowered,
-            None => lower(&concrete, &opts)?,
-        };
-        let verify = check_lowered(&lowered, &concrete, verify)?;
-        let cost = analyze_cost(&lowered);
-        let exe = Executable::compile(&lowered.kernel)?;
-        let fingerprint = crate::fingerprint::fingerprint(&self.concrete, &opts, &budget);
-        Ok(CompiledKernel { lowered, exe, budget, fallbacks, fingerprint, verify, cost })
+        FrontHalf::build(&self.concrete, opts, verify)?.finish(self, budget, verify)
     }
 
     /// Runs the statement under a [`Supervisor`], descending the degradation
@@ -423,19 +383,17 @@ impl std::fmt::Display for IndexStmt {
 /// statement tree is reference-counted and a run only borrows it.
 #[derive(Debug)]
 pub struct CompiledKernel {
-    lowered: LoweredKernel,
-    exe: Executable,
-    budget: ResourceBudget,
-    fallbacks: Vec<FallbackEvent>,
-    fingerprint: u64,
-    verify: Option<VerifyReport>,
-    cost: CostReport,
+    pub(crate) front: FrontHalf,
+    pub(crate) exe: Executable,
+    pub(crate) budget: ResourceBudget,
+    pub(crate) fallbacks: Vec<FallbackEvent>,
+    pub(crate) fingerprint: u64,
 }
 
 impl CompiledKernel {
     /// The generated C source (paper-style listing).
     pub fn to_c(&self) -> String {
-        self.lowered.kernel.to_c()
+        self.front.lowered.kernel.to_c()
     }
 
     /// The canonical structural fingerprint of the compilation request this
@@ -450,7 +408,7 @@ impl CompiledKernel {
 
     /// The lowered kernel and binding metadata.
     pub fn lowered(&self) -> &LoweredKernel {
-        &self.lowered
+        &self.front.lowered
     }
 
     /// The compiled imperative program. Alternate execution backends feed
@@ -475,12 +433,13 @@ impl CompiledKernel {
         binding: &Binding,
         output_structure: Option<&Tensor>,
     ) -> Result<Tensor> {
+        let lowered = self.lowered();
         extract_result(
             binding,
-            &self.lowered.result,
-            self.lowered.kind,
+            &lowered.result,
+            lowered.kind,
             output_structure,
-            self.lowered.nnz_output.as_deref(),
+            lowered.nnz_output.as_deref(),
         )
     }
 
@@ -497,11 +456,12 @@ impl CompiledKernel {
     }
 
     /// The static-verification report recorded when this kernel was
-    /// compiled, or `None` when it was compiled under [`VerifyMode::Off`].
+    /// compiled, or `None` when the verify pass was skipped
+    /// ([`VerifyMode::Off`]).
     /// A kernel compiled under [`VerifyMode::Deny`] always carries an
     /// accepted report — rejected kernels never compile.
     pub fn verify_report(&self) -> Option<&VerifyReport> {
-        self.verify.as_ref()
+        self.front.verify.as_ref()
     }
 
     /// The symbolic cost report derived when this kernel was compiled:
@@ -511,7 +471,7 @@ impl CompiledKernel {
     /// [`taco_verify::CostEnv::from_shapes`] at compile time or
     /// [`crate::cost::binding_env`] once operands are bound.
     pub fn cost_report(&self) -> &CostReport {
-        &self.cost
+        &self.front.cost
     }
 
     /// The proven ceiling on the largest single allocation charge a run of
@@ -520,7 +480,7 @@ impl CompiledKernel {
     /// peak. `None` when some charge site could not be bounded (the bound
     /// degrades conservatively, it is never silently wrong).
     pub fn static_peak_bytes(&self, binding: &Binding) -> Option<u64> {
-        self.cost.peak_bytes(&crate::cost::binding_env(binding))
+        self.cost_report().peak_bytes(&crate::cost::binding_env(binding))
     }
 
     /// Runs the kernel on named operand tensors and returns the result.
@@ -566,8 +526,9 @@ impl CompiledKernel {
         output_structure: Option<&Tensor>,
     ) -> Result<Binding> {
         let mut binding = Binding::new();
-        let with_vals = self.lowered.kind != KernelKind::Assemble;
-        for var in &self.lowered.operands {
+        let lowered = self.lowered();
+        let with_vals = lowered.kind != KernelKind::Assemble;
+        for var in &lowered.operands {
             let t = inputs
                 .iter()
                 .find(|(n, _)| *n == var.name())
@@ -575,7 +536,7 @@ impl CompiledKernel {
                 .ok_or_else(|| crate::CoreError::UnknownOperand(var.name().to_string()))?;
             bind_operand(&mut binding, var, t, with_vals)?;
         }
-        bind_result(&mut binding, &self.lowered.result, self.lowered.kind, output_structure)?;
+        bind_result(&mut binding, &lowered.result, lowered.kind, output_structure)?;
         Ok(binding)
     }
 

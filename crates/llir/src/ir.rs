@@ -488,6 +488,25 @@ impl Param {
     }
 }
 
+/// Calls `f` on every statement of `body`, nested bodies included, in
+/// program order.
+pub fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Stmt)) {
+    for s in body {
+        f(s);
+        match s {
+            Stmt::For { body, .. }
+            | Stmt::ParallelFor { body, .. }
+            | Stmt::While { body, .. }
+            | Stmt::MapDrainSorted { body, .. } => visit_stmts(body, f),
+            Stmt::If { then, els, .. } => {
+                visit_stmts(then, f);
+                visit_stmts(els, f);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A complete kernel: parameters plus a statement body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {

@@ -58,6 +58,7 @@ pub use cgen::{
 };
 pub use error::{CompileError, RunError};
 pub use exec::{ArrayVal, Binding, Executable, SUPERVISION_STRIDE};
+pub use ir::visit_stmts;
 pub use ir::{AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp, WorkspaceKind};
 pub use printer::stmt_to_c;
 pub use supervise::{

@@ -18,17 +18,24 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use taco_core::CompiledKernel;
+use taco_llir::visit_stmts;
 use std::time::Instant;
 
 /// Fixed per-entry overhead charged on top of the generated-code size:
 /// binding metadata, fingerprint, budget, and map bookkeeping.
 const ENTRY_OVERHEAD_BYTES: u64 = 512;
 
-/// The byte weight the cache charges for one compiled kernel: the size of
-/// its generated C listing (a stable proxy for the compiled statement tree,
-/// which scales with it) plus a fixed metadata overhead.
+/// What one LLIR statement is charged: its average in the display-dialect C
+/// listing whose length the weight used to be, so a budget keeps its meaning.
+const BYTES_PER_LLIR_STMT: u64 = 72;
+
+/// The byte weight the cache charges for one compiled kernel: its LLIR
+/// statements, nested bodies included, at a fixed rate (a walk that renders
+/// and allocates nothing) plus a fixed metadata overhead.
 pub fn entry_weight(kernel: &CompiledKernel) -> u64 {
-    kernel.to_c().len() as u64 + ENTRY_OVERHEAD_BYTES
+    let mut stmts = 0;
+    visit_stmts(&kernel.lowered().kernel.body, &mut |_| stmts += 1);
+    stmts * BYTES_PER_LLIR_STMT + ENTRY_OVERHEAD_BYTES
 }
 
 /// A point-in-time snapshot of cache activity counters.

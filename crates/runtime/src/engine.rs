@@ -7,13 +7,13 @@ use crate::cache::{
 use crate::native::{Backend, NativeStore};
 use crate::tuner::{Autotuner, TuneDecision, TuneKey};
 use crate::{EngineError, Result};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use taco_core::candidates::enumerate_candidates;
 use taco_core::{
-    ladder, CompiledKernel, CoreError, FallbackEvent, IndexStmt, ResourceBudget, Supervisor,
-    SupervisedOutcome, VerifyMode,
+    enumerate_candidates_for, ladder, CompiledKernel, CoreError, FallbackEvent, FrontHalf,
+    IndexStmt, ResourceBudget, ScheduleCandidate, Supervisor, SupervisedOutcome, VerifyMode,
 };
 use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
@@ -350,24 +350,29 @@ impl Engine {
     /// Propagates compile errors; waiters that coalesced onto a failed
     /// compile get [`EngineError::SharedCompileFailed`].
     pub fn compile(&self, stmt: &IndexStmt, opts: LowerOptions) -> Result<Arc<CompiledKernel>> {
-        self.compile_traced(stmt, opts).map(|(kernel, _)| kernel)
+        self.compile_traced(stmt, opts, None).map(|(kernel, _)| kernel)
     }
 
     /// [`Engine::compile`], additionally reporting whether the kernel was
     /// served warm: `true` means a cache hit or a coalesced wait on a
     /// concurrent compile of the same fingerprint, `false` means this call
-    /// ran the compile pipeline.
+    /// ran the compile pipeline. A miss finishes `front`, the front half of
+    /// `stmt` under `opts`, when the caller already holds it.
     fn compile_traced(
         &self,
         stmt: &IndexStmt,
         opts: LowerOptions,
+        front: Option<FrontHalf>,
     ) -> Result<(Arc<CompiledKernel>, bool)> {
-        let budget = self.config.budget;
+        let (budget, verify) = (self.config.budget, self.config.verify);
         let key = taco_core::fingerprint(stmt.concrete(), &opts, &budget);
         let mut compiled_now = false;
         let kernel = self.cache.get_or_compile(key, || {
             compiled_now = true;
-            stmt.compile_checked(opts, budget, self.config.verify)
+            match front {
+                Some(front) => front.finish(stmt, budget, verify),
+                None => stmt.compile_checked(opts, budget, verify),
+            }
         })?;
         if compiled_now {
             for e in kernel.fallback_events() {
@@ -447,7 +452,7 @@ impl Engine {
             stmt,
             &opts,
             |rung_stmt, rung_opts| {
-                let (kernel, warm) = self.compile_traced(rung_stmt, rung_opts)?;
+                let (kernel, warm) = self.compile_traced(rung_stmt, rung_opts, None)?;
                 first_rung_warm.get_or_insert(warm);
                 match kernel.verify_report() {
                     Some(report) if verify == VerifyMode::Deny && report.denies() > 0 => {
@@ -474,20 +479,22 @@ impl Engine {
     ///
     /// On the first call for a [`TuneKey`] (expression fingerprint × operand
     /// format signature × sparsity bucket) the engine enumerates the
-    /// candidate space ([`enumerate_candidates`]: direct merge, loop
-    /// reorders, and every Section V-C workspace placement), compiles each
-    /// through the cache, times it on the *actual operands* under the
-    /// engine budget (best of up to three runs, so one scheduler stall
-    /// cannot flip the decision), and picks the fastest. Candidates that fail to
-    /// compile or abort count as infinitely slow. Once one viable candidate
-    /// is in hand, no new candidate starts after
+    /// candidates that compile under `opts` ([`enumerate_candidates_for`],
+    /// each with its front half already built), finishes each through the
+    /// kernel cache — one compile per candidate and pinned thread count,
+    /// shared by the static-pruning probe and the timing runs — times it on
+    /// the *actual operands* under the engine budget (best of up to three
+    /// runs, so one scheduler stall cannot flip the decision), and picks the
+    /// fastest. Candidates that abort count as infinitely slow. Once one
+    /// viable candidate is in hand, no new candidate starts after
     /// [`EngineConfig::tuning_deadline`]; later candidates race under the
     /// remaining time.
     ///
-    /// The decision is remembered: later calls with the same key skip the
-    /// search (`tuned == false` in the outcome, one
-    /// [`EngineEvent::AutotuneReused`] logged) and go straight through the
-    /// kernel cache.
+    /// The decision — the winning [`ScheduleCandidate`] itself — is
+    /// remembered: later calls with the same key skip the search
+    /// (`tuned == false` in the outcome, one
+    /// [`EngineEvent::AutotuneReused`] logged) and are an [`Engine::run`] of
+    /// the remembered statement on the operands it asks for.
     ///
     /// # Errors
     ///
@@ -500,103 +507,66 @@ impl Engine {
         inputs: &[(&str, &Tensor)],
     ) -> Result<TunedOutcome> {
         let key = TuneKey::new(stmt, inputs);
+        let mut converted: HashMap<(String, Format), Tensor> = HashMap::new();
         if let Some(decision) = self.tuner.decision(&key) {
-            let schedule = decision.schedule;
-            let cand = enumerate_candidates(stmt)
-                .into_iter()
-                .find(|c| c.name == schedule)
-                .ok_or_else(|| EngineError::UnknownSchedule { schedule: schedule.clone() })?;
+            let cand = &decision.candidate;
+            let schedule = cand.name.clone();
             self.push_event(EngineEvent::AutotuneReused { key, schedule: schedule.clone() });
-            let opts = match decision.threads {
-                Some(n) => opts.with_threads(n),
-                None => opts,
-            };
-            let opts = opts.with_workspace_kind(cand.workspace_kind);
-            let converted = converted_operands(inputs, &cand.conversions)
+            let run_inputs = converted_inputs(&mut converted, inputs, &cand.conversions)
                 .map_err(|e| EngineError::Core(CoreError::Tensor(e)))?;
-            let run_inputs: Vec<(&str, &Tensor)> = inputs
-                .iter()
-                .zip(&converted)
-                .map(|((n, t), c)| (*n, c.as_ref().unwrap_or(t)))
-                .collect();
+            let opts = candidate_opts(&opts, cand, decision.threads);
             let result = self.run(&cand.stmt, opts, &run_inputs)?;
             return Ok(TunedOutcome { result, schedule, tuned: false });
         }
 
         let started = Instant::now();
-        let candidates = enumerate_candidates(stmt);
+        let candidates = enumerate_candidates_for(stmt, &opts);
         let total = candidates.len();
         let mut viable = 0usize;
         let mut pruned = 0usize;
-        type Best = (String, Option<usize>, WorkspaceKind, Vec<(String, Format)>, Tensor, u64);
-        let mut best: Option<Best> = None;
+        let mut best: Option<(ScheduleCandidate, Option<usize>, Tensor, u64)> = None;
         // Measured peak allocation charge of the incumbent, for static
         // pruning (0 until a run reports one).
         let mut best_peak: u64 = 0;
-        'candidates: for cand in candidates {
-            // Format-conversion candidates run on converted copies of the
-            // named operands; a conversion that fails (or an identical
-            // format) simply leaves the original bound.
-            let Ok(converted) = converted_operands(inputs, &cand.conversions) else {
-                continue;
-            };
-            let cand_inputs: Vec<(&str, &Tensor)> = inputs
-                .iter()
-                .zip(&converted)
-                .map(|((n, t), c)| (*n, c.as_ref().unwrap_or(t)))
-                .collect();
-            // Static pruning: once an incumbent has been timed, a candidate
-            // whose *proven* peak allocation bound — evaluated against the
-            // actual operands — is at least `TUNE_PRUNE_MARGIN` times the
-            // incumbent's measured peak is dominated on memory by a margin
-            // no timing upset can justify, so it is skipped without a run.
-            // Unknown bounds are never pruned: degradation is conservative.
-            if best_peak > 0 {
-                let prune_opts = opts.clone().with_workspace_kind(cand.workspace_kind);
-                if let Ok(kernel) = self.compile(&cand.stmt, prune_opts) {
-                    if let Ok(binding) = kernel.bind(&cand_inputs, None) {
-                        if let Some(bound) = kernel.static_peak_bytes(&binding) {
-                            if bound >= best_peak.saturating_mul(Self::TUNE_PRUNE_MARGIN) {
-                                pruned += 1;
-                                continue;
-                            }
-                        }
-                    }
-                }
-            }
-            // A parallel candidate is timed at explicit thread counts (two
-            // and the machine width) so the remembered decision also says
-            // how wide to run it; serial candidates get one unpinned run.
-            // On a single-core machine a parallel candidate can only fall
-            // back to its serial twin's exact work, so it is skipped
-            // outright — timing duplicate kernels would make the decision a
-            // coin flip on noise.
-            let thread_counts: Vec<Option<usize>> = if cand.name.contains("parallelize") {
-                let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-                if avail <= 1 {
-                    continue;
-                }
-                let mut counts = vec![Some(2)];
-                if avail > 2 {
-                    counts.push(Some(avail));
-                }
-                counts
-            } else {
-                vec![None]
-            };
-            for threads in thread_counts {
+        'candidates: for (cand, front) in candidates {
+            // The carried front half was built under the unpinned options,
+            // so it finishes the unpinned request; a pinned thread count is
+            // another request and compiles as one.
+            let mut front = Some(front);
+            for (nth, threads) in tuning_thread_counts(&cand).into_iter().enumerate() {
                 let remaining = self.config.tuning_deadline.saturating_sub(started.elapsed());
                 if best.is_some() && remaining.is_zero() {
                     break 'candidates;
                 }
-                let run_opts = match threads {
-                    Some(n) => opts.clone().with_threads(n),
-                    None => opts.clone(),
-                };
-                let run_opts = run_opts.with_workspace_kind(cand.workspace_kind);
-                let Ok(kernel) = self.compile(&cand.stmt, run_opts) else {
+                let carried = if threads.is_none() { front.take() } else { None };
+                let run_opts = candidate_opts(&opts, &cand, threads);
+                let Ok((kernel, _)) = self.compile_traced(&cand.stmt, run_opts, carried) else {
                     continue;
                 };
+                // Format-conversion candidates run on converted copies of
+                // the named operands, made once per search and outside the
+                // timed region; a conversion that fails drops the candidate.
+                let Ok(cand_inputs) = converted_inputs(&mut converted, inputs, &cand.conversions)
+                else {
+                    continue 'candidates;
+                };
+                // Static pruning: once an incumbent has been timed, a candidate
+                // whose *proven* peak allocation bound — evaluated against the
+                // actual operands — is at least `TUNE_PRUNE_MARGIN` times the
+                // incumbent's measured peak is dominated on memory by a margin
+                // no timing upset can justify, so it is skipped without a run.
+                // Unknown bounds are never pruned: degradation is conservative.
+                if nth == 0 && best_peak > 0 {
+                    let bound = kernel
+                        .bind(&cand_inputs, None)
+                        .ok()
+                        .and_then(|binding| kernel.static_peak_bytes(&binding));
+                    let dominated = best_peak.saturating_mul(Self::TUNE_PRUNE_MARGIN);
+                    if bound.is_some_and(|bound| bound >= dominated) {
+                        pruned += 1;
+                        continue 'candidates;
+                    }
+                }
                 // Timing a candidate once makes the decision hostage to a
                 // single scheduler stall: the displacement margin is 5% and
                 // one preempted run easily exceeds that. Each candidate gets
@@ -661,34 +631,16 @@ impl Engine {
                     95
                 };
                 if best.as_ref().is_none_or(|(.., b)| nanos * 100 < *b * margin) {
-                    best = Some((
-                        cand.name.clone(),
-                        threads,
-                        cand.workspace_kind,
-                        cand.conversions.clone(),
-                        result,
-                        nanos,
-                    ));
+                    best = Some((cand.clone(), threads, result, nanos));
                     best_peak = peak;
                 }
             }
         }
-        let Some((schedule, threads, workspace_kind, conversions, result, best_nanos)) = best
-        else {
+        let Some((candidate, threads, result, best_nanos)) = best else {
             return Err(EngineError::NoViableCandidate { candidates: total });
         };
-        self.tuner.record(
-            key,
-            TuneDecision {
-                schedule: schedule.clone(),
-                best_nanos,
-                threads,
-                workspace_kind,
-                conversions,
-                candidates: total,
-                viable,
-            },
-        );
+        let schedule = candidate.name.clone();
+        self.tuner.record(key, TuneDecision { candidate, threads, best_nanos });
         self.push_event(EngineEvent::Autotuned {
             key,
             schedule: schedule.clone(),
@@ -737,18 +689,58 @@ impl Engine {
     }
 }
 
-/// Per-input converted operand for one candidate: `Some(tensor)` where a
-/// conversion names the input and actually changes its format, `None` where
-/// the original binds as-is.
-fn converted_operands(
-    inputs: &[(&str, &Tensor)],
+/// The caller's options with the candidate's workspace backend and, for a
+/// parallel candidate timed at an explicit width, that thread count pinned.
+fn candidate_opts(
+    opts: &LowerOptions,
+    cand: &ScheduleCandidate,
+    threads: Option<usize>,
+) -> LowerOptions {
+    let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
+    match threads {
+        Some(n) => opts.with_threads(n),
+        None => opts,
+    }
+}
+
+/// The thread counts a search times a candidate at: explicit ones (two and
+/// the machine width) for a parallel candidate, so the remembered decision
+/// also says how wide to run it, one unpinned run for a serial one. On a
+/// single core a parallel candidate can only repeat its serial twin's exact
+/// work, so it gets no run — timing duplicates would decide on noise.
+fn tuning_thread_counts(cand: &ScheduleCandidate) -> Vec<Option<usize>> {
+    if !cand.name.contains("parallelize") {
+        return vec![None];
+    }
+    match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+        0 | 1 => Vec::new(),
+        2 => vec![Some(2)],
+        avail => vec![Some(2), Some(avail)],
+    }
+}
+
+/// `inputs` with every operand a conversion names (and whose format it
+/// actually changes) replaced by its converted copy, made on first use and
+/// kept in `converted` for the other candidates of the search that ask for it.
+fn converted_inputs<'r>(
+    converted: &'r mut HashMap<(String, Format), Tensor>,
+    inputs: &[(&'r str, &'r Tensor)],
     conversions: &[(String, Format)],
-) -> std::result::Result<Vec<Option<Tensor>>, taco_tensor::TensorError> {
-    inputs
+) -> std::result::Result<Vec<(&'r str, &'r Tensor)>, taco_tensor::TensorError> {
+    let wanted = |name: &str, t: &Tensor| {
+        conversions.iter().find(|(n, f)| n == name && t.format() != f).cloned()
+    };
+    for (name, t) in inputs {
+        if let Some(key) = wanted(name, t) {
+            if let Entry::Vacant(slot) = converted.entry(key) {
+                let tensor = t.convert(slot.key().1.clone())?;
+                slot.insert(tensor);
+            }
+        }
+    }
+    let converted = &*converted;
+    Ok(inputs
         .iter()
-        .map(|(name, t)| match conversions.iter().find(|(n, _)| n == name) {
-            Some((_, f)) if t.format() != f => t.convert(f.clone()).map(Some),
-            _ => Ok(None),
-        })
-        .collect()
+        .map(|&(name, t)| (name, wanted(name, t).and_then(|key| converted.get(&key)).unwrap_or(t)))
+        .collect())
 }

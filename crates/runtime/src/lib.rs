@@ -86,13 +86,6 @@ pub enum EngineError {
         /// How many candidates were tried.
         candidates: usize,
     },
-    /// A remembered autotune decision names a schedule that is no longer in
-    /// the candidate space (should not happen: candidate names are
-    /// deterministic).
-    UnknownSchedule {
-        /// The stale schedule name.
-        schedule: String,
-    },
     /// A cached kernel's recorded verification report carries deny-severity
     /// findings, and the caller asked for [`VerifyMode::Deny`] enforcement
     /// (see [`Engine::run_supervised`]). The kernel stays cached for
@@ -114,9 +107,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::NoViableCandidate { candidates } => {
                 write!(f, "autotuning found no viable schedule among {candidates} candidates")
-            }
-            EngineError::UnknownSchedule { schedule } => {
-                write!(f, "autotune decision names unknown schedule `{schedule}`")
             }
             EngineError::VerifyDenied { fingerprint, denies } => {
                 write!(

@@ -1,7 +1,7 @@
 //! Autotune bookkeeping: decision keys, cached decisions, and the counters
 //! that prove tuning happens exactly once per key.
 //!
-//! The search itself (enumerate → compile → time → pick) lives in
+//! The search itself (enumerate → finish → time → pick) lives in
 //! [`Engine::run_tuned`](crate::Engine::run_tuned); this module owns the
 //! *memory* of it. Decisions are keyed by what actually changes the best
 //! schedule — the expression being computed, the operand formats, and how
@@ -11,11 +11,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use taco_core::fingerprint::fingerprint_stmt;
-use taco_core::IndexStmt;
-use taco_llir::WorkspaceKind;
-use taco_tensor::{Format, LevelType, Tensor};
+use taco_core::{IndexStmt, ScheduleCandidate};
+use taco_tensor::{LevelType, Tensor};
 
 /// The identity of one autotune decision: *which* computation, on *what
 /// kind* of data.
@@ -118,38 +117,27 @@ fn sparsity_bucket(inputs: &[(&str, &Tensor)]) -> u8 {
     (-mean_log).round().clamp(0.0, 15.0) as u8
 }
 
-/// A remembered winner for one [`TuneKey`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A remembered winner for one [`TuneKey`]: the winning candidate itself,
+/// so replaying the decision is running that candidate's statement — no
+/// search space is consulted again.
+#[derive(Debug, Clone)]
 pub struct TuneDecision {
-    /// Name of the winning candidate (see
-    /// [`taco_core::candidates::ScheduleCandidate::name`]); stable across
-    /// runs, so the engine re-derives the schedule from the candidate set.
-    pub schedule: String,
-    /// Measured wall-clock nanoseconds of the winner during tuning.
-    pub best_nanos: u64,
+    /// The winning candidate: its name, scheduled statement, workspace
+    /// backend and the operand conversions it runs on.
+    pub candidate: ScheduleCandidate,
     /// Pinned worker-thread count of the winner, when the winning schedule
     /// was a parallel candidate timed at an explicit thread count. `None`
     /// means the winner was serial (or parallel with automatic thread
     /// resolution); reuse then runs the schedule unpinned.
     pub threads: Option<usize>,
-    /// The workspace storage backend the winning candidate was compiled
-    /// with (dense for every candidate without a `workspace(...)` variant
-    /// suffix).
-    pub workspace_kind: WorkspaceKind,
-    /// Operand format conversions the winning candidate requires:
-    /// `(operand name, chosen format)`. Empty when the winner runs the
-    /// operands in their declared formats.
-    pub conversions: Vec<(String, Format)>,
-    /// How many candidates were enumerated for this key.
-    pub candidates: usize,
-    /// How many of them compiled and ran to completion.
-    pub viable: usize,
+    /// Measured wall-clock nanoseconds of the winner during tuning.
+    pub best_nanos: u64,
 }
 
 /// Thread-safe store of autotune decisions.
 #[derive(Debug, Default)]
 pub struct Autotuner {
-    decisions: Mutex<HashMap<TuneKey, TuneDecision>>,
+    decisions: Mutex<HashMap<TuneKey, Arc<TuneDecision>>>,
     tunings: AtomicU64,
 }
 
@@ -160,7 +148,7 @@ impl Autotuner {
     }
 
     /// The remembered decision for `key`, if one exists.
-    pub fn decision(&self, key: &TuneKey) -> Option<TuneDecision> {
+    pub fn decision(&self, key: &TuneKey) -> Option<Arc<TuneDecision>> {
         self.decisions.lock().unwrap_or_else(|p| p.into_inner()).get(key).cloned()
     }
 
@@ -168,7 +156,7 @@ impl Autotuner {
     /// overwrites an earlier decision for the same key.
     pub fn record(&self, key: TuneKey, decision: TuneDecision) {
         self.tunings.fetch_add(1, Ordering::Relaxed);
-        self.decisions.lock().unwrap_or_else(|p| p.into_inner()).insert(key, decision);
+        self.decisions.lock().unwrap_or_else(|p| p.into_inner()).insert(key, Arc::new(decision));
     }
 
     /// Number of tuning searches actually executed (decision-cache misses).

@@ -1,8 +1,8 @@
 //! Static cost-model admission checks.
 //!
-//! Both checks run the symbolic cost analyzer
-//! ([`taco_core::analyze_cost`]) over a lowering of the request *before*
-//! the request is queued or compiled:
+//! Both checks read the symbolic cost report off an unverified front half
+//! of the request ([`FrontHalf`], `lower → cost`) *before* the request is
+//! queued or compiled:
 //!
 //! * [`budget_infeasible`] proves a request can never run under its
 //!   tenant's workspace-byte budget — the decision `compile_with_budget`
@@ -15,9 +15,15 @@
 
 use crate::server::{Rejected, Request};
 use taco_core::ladder::arbitrate_workspaces;
-use taco_core::{analyze_cost, CoreError, CostEnv, ResourceBudget};
+use taco_core::{stmt_workspaces, CoreError, CostEnv, FrontHalf, ResourceBudget, VerifyMode};
 use taco_lower::params::{crd_name, pos_name};
-use taco_lower::{lower, LoweredKernel};
+use taco_lower::LoweredKernel;
+
+/// The request's front half, unverified (admission only reads costs). `None`
+/// when the statement does not lower: the worker's to report, not admission's.
+fn front_half(req: &Request) -> Option<FrontHalf> {
+    FrontHalf::build(req.stmt.concrete(), req.opts.clone(), VerifyMode::Off).ok()
+}
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.
 /// Interpreter dispatch costs tens of nanoseconds per statement; one
@@ -42,7 +48,11 @@ const PRIOR_MAX_NANOS: u64 = 1_000_000_000;
 /// and analyses; nothing is compiled, verified or queued.
 pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Option<Rejected> {
     let limit = budget.max_workspace_bytes?;
-    match arbitrate_workspaces(&req.stmt, &req.opts, limit).err()? {
+    // No workspace, nothing the limit could refuse: do not lower to find out.
+    if stmt_workspaces(req.stmt.concrete()).is_empty() {
+        return None;
+    }
+    match arbitrate_workspaces(&req.stmt, front_half(req)?, Some(limit), VerifyMode::Off).err()? {
         CoreError::BudgetExceeded { limit, requested, context, .. } => {
             Some(Rejected::BudgetInfeasible {
                 tenant: req.tenant.clone(),
@@ -51,8 +61,6 @@ pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Optio
                 budget_bytes: limit,
             })
         }
-        // Anything else (a schedule that does not lower) is the worker's to
-        // report as a failed outcome, not an admission decision.
         _ => None,
     }
 }
@@ -62,10 +70,8 @@ pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Optio
 /// `None` when the statement does not lower or the bound cannot be
 /// evaluated even pessimistically.
 pub(crate) fn service_prior_nanos(req: &Request) -> Option<u64> {
-    let lk = lower(req.stmt.concrete(), &req.opts).ok()?;
-    let cost = analyze_cost(&lk);
-    let env = pessimistic_env(&lk);
-    let iterations = cost.iterations.concrete(&env)?;
+    let front = front_half(req)?;
+    let iterations = front.cost_report().iterations.concrete(&pessimistic_env(front.lowered()))?;
     Some(
         iterations
             .saturating_mul(NANOS_PER_ITERATION)

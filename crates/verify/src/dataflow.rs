@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use taco_llir::{stmt_to_c, BinOp, Expr, Kernel, ParamKind, Stmt, UnOp};
+use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Stmt, UnOp};
 
 use crate::assume::Assumptions;
 use crate::error::{Diagnostic, Severity, VerifyError};
@@ -635,23 +635,6 @@ pub(crate) fn collect_decls(body: &[Stmt]) -> Vec<String> {
         _ => {}
     });
     out
-}
-
-pub(crate) fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-    for s in body {
-        f(s);
-        match s {
-            Stmt::For { body, .. }
-            | Stmt::ParallelFor { body, .. }
-            | Stmt::While { body, .. }
-            | Stmt::MapDrainSorted { body, .. } => visit_stmts(body, f),
-            Stmt::If { then, els, .. } => {
-                visit_stmts(then, f);
-                visit_stmts(els, f);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Pre-pass: find guarded-insert groups

@@ -26,10 +26,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use taco_llir::{stmt_to_c, BinOp, Expr, Kernel, Stmt};
+use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, Stmt};
 
 use crate::assume::Assumptions;
-use crate::dataflow::{visit_stmts, Group};
+use crate::dataflow::Group;
 use crate::error::{Diagnostic, Severity, VerifyError};
 use crate::sym::{Atom, Bounds, Sym};
 

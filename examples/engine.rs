@@ -41,6 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Autotuned first request ------------------------------------------
     let first = engine.run_tuned(&spgemm, LowerOptions::fused("spgemm"), &inputs)?;
     println!("first request:  tuned={} schedule=`{}`", first.tuned, first.schedule);
+    // What the search cost, in compiles: a candidate is a schedule that
+    // lowers under the request's options, and each is compiled once.
+    for event in engine.last_events() {
+        if let EngineEvent::Autotuned { candidates, viable, pruned, .. } = event {
+            let compiles = engine.cache_stats().compiles;
+            println!(
+                "autotune: {candidates} candidates, {compiles} compiles, {viable} timed, \
+                 {pruned} pruned"
+            );
+        }
+    }
 
     let oracle = eval_dense(&source, &inputs)?;
     assert!(first.result.to_dense().approx_eq(&oracle, 1e-10));

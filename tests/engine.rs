@@ -5,7 +5,8 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use taco_core::oracle::eval_dense;
-use taco_runtime::{entry_weight, KernelCache};
+use taco_core::ScheduleCandidate;
+use taco_runtime::{entry_weight, KernelCache, TuneDecision, TuneKey};
 use taco_tensor::gen::random_csr;
 use taco_workspaces::prelude::*;
 
@@ -226,6 +227,87 @@ fn autotuner_is_deterministic_across_engines() {
         );
     }
     assert_eq!(chosen[0], chosen[1], "same inputs, same decision");
+}
+
+#[test]
+fn a_search_compiles_each_candidate_once_and_a_reuse_compiles_nothing() {
+    // Compiles are counted, not timed. With a deadline that never cuts the
+    // search short, every (candidate, pinned thread count) pair is one miss
+    // and one compile — the pruning probe and the timing runs share the
+    // kernel — and none of them fails, because a candidate is a schedule
+    // that compiles.
+    let n = 32;
+    let stmt = unscheduled_spgemm(n);
+    let (b, c) = operands(n);
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let opts = LowerOptions::fused("spgemm");
+    let engine = Engine::builder().tuning_deadline(Duration::from_secs(60)).build();
+
+    engine.run_tuned(&stmt, opts.clone(), &inputs).unwrap();
+    let searched = engine.cache_stats();
+
+    // The tuner times a parallel candidate at two threads and at the machine
+    // width, where that is wider, and not at all on one core; a candidate
+    // pruned at its first width is not compiled at its second.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let candidates = taco_core::enumerate_candidates_for(&stmt, &opts);
+    let pairs: usize = candidates
+        .iter()
+        .map(|(cand, _)| match cores {
+            _ if !cand.name.contains("parallelize") => 1,
+            1 => 0,
+            2 => 1,
+            _ => 2,
+        })
+        .sum();
+    assert_eq!(searched.compiles, searched.misses, "a miss that compiled nothing: {searched}");
+    assert!(searched.compiles <= pairs as u64, "{searched} for {pairs} pairs");
+    if cores <= 2 {
+        assert_eq!(searched.compiles, pairs as u64, "{searched}");
+        assert!(pairs <= candidates.len());
+    }
+    assert_eq!(searched.hits, 0, "nothing is compiled to be looked up again: {searched}");
+    assert_eq!(searched.entries, searched.compiles, "a compile of the search failed: {searched}");
+
+    engine.run_tuned(&stmt, opts, &inputs).unwrap();
+    let reused = engine.cache_stats();
+    assert_eq!(
+        (reused.hits, reused.misses, reused.compiles),
+        (searched.hits + 1, searched.misses, searched.compiles),
+        "a reuse is one cache hit"
+    );
+}
+
+#[test]
+fn a_decision_replays_its_candidate_without_consulting_the_space() {
+    // A decision is its candidate, not a name to look one up by: the Figure 2
+    // schedule recorded by hand under a name no enumeration produces (and
+    // with a workspace no enumeration names) replays as recorded.
+    let n = 24;
+    let stmt = unscheduled_spgemm(n);
+    let (b, c) = operands(n);
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let engine = Engine::new();
+    engine.tuner().record(
+        TuneKey::new(&stmt, &inputs),
+        TuneDecision {
+            candidate: ScheduleCandidate {
+                name: "gustavson-by-hand".to_string(),
+                stmt: scheduled_spgemm(n),
+                workspace_kind: WorkspaceKind::Dense,
+                conversions: Vec::new(),
+            },
+            threads: None,
+            best_nanos: 1,
+        },
+    );
+
+    let out = engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
+    assert!(!out.tuned);
+    assert_eq!(out.schedule, "gustavson-by-hand");
+    let oracle = eval_dense(stmt.source(), &inputs).unwrap();
+    assert!(out.result.to_dense().approx_eq(&oracle, 1e-10));
+    assert_eq!(engine.cache_stats().compiles, 1, "the remembered statement, and nothing else");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! column/reduction order as the CSR kernel, and the explicit zeros that pad
 //! BCSR tiles contribute exactly `+0.0`.
 
-use taco_core::candidates::enumerate_candidates;
+use taco_core::{enumerate_candidates_for, ScheduleCandidate};
 use taco_core::oracle::eval_dense;
 use taco_runtime::TuneDecision;
 use taco_tensor::gen::random_csr;
@@ -354,7 +354,14 @@ fn candidate_space_includes_format_conversions() {
     ))
     .unwrap();
 
-    let cands = enumerate_candidates(&stmt);
+    // Under `compute`: a fused SpGEMM appends to its result in loop order, so
+    // only conversions of C lower there, and a candidate is a schedule that
+    // lowers under the options it is enumerated for.
+    let cands: Vec<ScheduleCandidate> =
+        enumerate_candidates_for(&stmt, &LowerOptions::compute("spgemm"))
+            .into_iter()
+            .map(|(c, _)| c)
+            .collect();
     let convs: Vec<_> = cands.iter().filter(|c| !c.conversions.is_empty()).collect();
     assert!(
         !convs.is_empty(),
@@ -371,11 +378,9 @@ fn candidate_space_includes_format_conversions() {
 
 #[test]
 fn recorded_conversion_decision_replays_through_the_reuse_path() {
-    // The autotuner records the chosen formats in TuneDecision.conversions;
-    // a remembered conversion decision must convert the bound operands on
-    // reuse and still produce the oracle answer. (Conversion candidates
-    // that cannot lower stay in the space and lose during tuning, so the
-    // test picks one that compiles.)
+    // The autotuner records the winning candidate, conversions included, in
+    // its TuneDecision; a remembered conversion decision must convert the
+    // bound operands on reuse and still produce the oracle answer.
     let n = 12;
     let (source, stmt) = spmv(n, n, Format::csr());
     let opts = LowerOptions::compute("spmv");
@@ -384,28 +389,22 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
     let x = dense_vec(n);
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &bt), ("x", &x)];
 
-    let cands = enumerate_candidates(&stmt);
-    let conv = cands
+    let cands = enumerate_candidates_for(&stmt, &opts);
+    let (conv, _) = cands
         .iter()
-        .find(|c| {
-            !c.conversions.is_empty()
-                && c.stmt
-                    .compile(opts.clone().with_workspace_kind(c.workspace_kind))
-                    .is_ok()
-        })
-        .expect("a lowerable conversion candidate exists");
+        .find(|(c, _)| !c.conversions.is_empty())
+        .expect("a conversion candidate exists");
+    conv.stmt
+        .compile(opts.clone().with_workspace_kind(conv.workspace_kind))
+        .expect("every candidate compiles under the options it was enumerated for");
 
     let engine = Engine::new();
     engine.tuner().record(
         TuneKey::new(&stmt, &inputs),
         TuneDecision {
-            schedule: conv.name.clone(),
-            best_nanos: 1,
+            candidate: conv.clone(),
             threads: None,
-            workspace_kind: conv.workspace_kind,
-            conversions: conv.conversions.clone(),
-            candidates: cands.len(),
-            viable: 1,
+            best_nanos: 1,
         },
     );
 

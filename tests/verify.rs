@@ -288,13 +288,10 @@ proptest! {
 
         let mut executed = 0usize;
         for cand in &candidates {
-            // compile() verifies under the default mode (deny in debug
-            // builds), so every kernel that comes back is
-            // verifier-accepted; candidates that fail to lower are skipped
-            // exactly as the autotuner skips them.
-            let Ok(kernel) = cand.stmt.compile(LowerOptions::fused("cand")) else {
-                continue;
-            };
+            let kernel = cand
+                .stmt
+                .compile(LowerOptions::fused("cand").with_workspace_kind(cand.workspace_kind))
+                .expect("a candidate lowers under fused options");
             let report = kernel.verify_report().expect("default mode records a report");
             prop_assert!(report.accepted(), "{}: {report}", cand.name);
             let got = kernel.run(&inputs).expect("accepted candidate runs");
