@@ -66,9 +66,11 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 /// again. A point that does not lower — a loop order that needs random access
 /// into compressed storage, direct sparse scatter (the direct baseline of
 /// SpGEMM into CSR), a format the kernel kind cannot append to — is not a
-/// candidate. Candidates are deduplicated by the code they *generate*
-/// ([`fingerprint_kernel`] of the verified LLIR), so schedules that are
-/// spelled differently but lower to identical kernels occupy one slot.
+/// candidate. Candidates are deduplicated by [`fingerprint_kernel`] of the
+/// verified LLIR, so schedules that are spelled differently but lower to
+/// identical kernels occupy one slot — as do, because that hash reads only
+/// the top level of the body, kernels that differ only inside a loop nest
+/// (the later one is dropped; ROADMAP item 3, second finding).
 ///
 /// 1. the statement **as currently scheduled** (so a user schedule always
 ///    competes);
@@ -99,7 +101,8 @@ pub fn enumerate_candidates_for(
                     kind: WorkspaceKind,
                     conversions: Vec<(String, Format)>| {
         let opts = opts.clone().with_workspace_kind(kind);
-        let Ok(front) = FrontHalf::build(s.concrete(), opts, VerifyMode::Deny) else { return };
+        let front = FrontHalf::unverified(&s, opts).and_then(|f| f.verified(VerifyMode::Deny));
+        let Ok(front) = front else { return };
         if seen.insert(fingerprint_kernel(&front.lowered().kernel)) {
             let cand = ScheduleCandidate { name, stmt: s, workspace_kind: kind, conversions };
             out.push((cand, front));
@@ -315,16 +318,6 @@ mod tests {
             .map(|(c, _)| c.name)
             .collect();
         assert_eq!(canonical, fused);
-    }
-
-    #[test]
-    fn candidates_are_deduplicated_by_generated_code() {
-        let cands = enumerate_candidates_for(&spgemm_unscheduled(), &LowerOptions::compute("k"));
-        let mut hashes: Vec<u64> =
-            cands.iter().map(|(_, front)| fingerprint_kernel(&front.lowered().kernel)).collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), cands.len(), "two candidates generate the same kernel");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::borrow::{Borrow, Cow};
 use taco_llir::{BudgetResource, ExecReport, WorkspaceKind};
 use taco_lower::{KernelKind, LowerError, LowerOptions};
 use taco_tensor::Tensor;
-use taco_verify::{Bound, CostEnv, VerifyMode, WorkspaceCost};
+use taco_verify::{Bound, CostEnv, WorkspaceCost};
 
 /// One rung of the degradation ladder [`descend`] walks on retryable
 /// aborts: faster schedules first, the plain merge kernel last.
@@ -183,12 +183,12 @@ where
 
 /// The single walk over the compile-time budget chain: proven dense bound →
 /// each sparse backend's proven initial footprint (hash, then coordinate
-/// list) → direct merge. `front` is the front half of `stmt` as scheduled;
-/// it comes back untouched when there is no `limit`, nothing to arbitrate
-/// (only dense-workspace requests are; one that already names a sparse
-/// backend is charged at run time) or the dense footprint fits. Otherwise
-/// the product of the first rung that fits replaces it, built under
-/// `mode`, with one [`FallbackEvent`] per workspace saying why.
+/// list) → direct merge. `front` is the front half of a statement as
+/// scheduled; `None` says it stands — there is no `limit`, nothing to
+/// arbitrate (only dense-workspace requests are; one that already names a
+/// sparse backend is charged at run time) or the dense footprint fits.
+/// Otherwise the unverified product of the first rung that fits replaces
+/// it, with one [`FallbackEvent`] per workspace saying why.
 ///
 /// The footprints are *proven* by the symbolic cost analyzer over the
 /// lowered kernel. Dense workspace bounds close over declared dimensions
@@ -202,15 +202,13 @@ where
 /// what makes sparse scatter lowerable, so that is a budget failure, not a
 /// lowering bug.
 pub fn arbitrate_workspaces(
-    stmt: &IndexStmt,
-    front: FrontHalf,
+    front: &FrontHalf,
     limit: Option<u64>,
-    mode: VerifyMode,
-) -> Result<(FrontHalf, Vec<FallbackEvent>)> {
-    let Some(limit) = limit else { return Ok((front, Vec::new())) };
-    let ws_vars = stmt_workspaces(stmt.concrete());
+) -> Result<Option<(FrontHalf, Vec<FallbackEvent>)>> {
+    let Some(limit) = limit else { return Ok(None) };
+    let ws_vars = stmt_workspaces(front.stmt.concrete());
     if front.opts.workspace_kind != WorkspaceKind::Dense || ws_vars.is_empty() {
-        return Ok((front, Vec::new()));
+        return Ok(None);
     }
     // Per-workspace footprints of one product, in `ws_vars` order.
     let footprints = |front: &FrontHalf, pick: fn(&WorkspaceCost) -> &Bound| {
@@ -226,14 +224,14 @@ pub fn arbitrate_workspaces(
     let total = |bytes: &[u64]| bytes.iter().fold(0u64, |a, b| a.saturating_add(*b));
 
     let bounds: Vec<u64> =
-        footprints(&front, |w| &w.bytes).into_iter().map(|b| b.unwrap_or(u64::MAX)).collect();
+        footprints(front, |w| &w.bytes).into_iter().map(|b| b.unwrap_or(u64::MAX)).collect();
     if total(&bounds) <= limit {
-        return Ok((front, Vec::new()));
+        return Ok(None);
     }
 
     for kind in DegradeRung::LADDER.into_iter().filter_map(DegradeRung::sparse_backend) {
         let opts = front.opts.clone().with_workspace_kind(kind);
-        let Ok(sparse) = FrontHalf::build(stmt.concrete(), opts, mode) else { continue };
+        let Ok(sparse) = FrontHalf::unverified(&front.stmt, opts) else { continue };
         let Some(inits) =
             footprints(&sparse, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>()
         else {
@@ -254,20 +252,17 @@ pub fn arbitrate_workspaces(
                 budget_bytes: limit,
             })
             .collect();
-        return Ok((sparse, events));
+        return Ok(Some((sparse, events)));
     }
 
-    let direct = taco_ir::concretize::concretize(stmt.source())?;
-    let direct = match FrontHalf::build(&direct, front.opts.clone(), mode) {
-        Err(CoreError::Lower(_)) => {
-            return Err(CoreError::BudgetExceeded {
-                resource: BudgetResource::WorkspaceBytes,
-                limit,
-                requested: bounds.first().copied().unwrap_or(u64::MAX),
-                context: ws_vars.first().map(|ws| ws.name().to_string()),
-            })
-        }
-        direct => direct?,
+    let direct = IndexStmt::new(front.stmt.source().clone())?;
+    let Ok(direct) = FrontHalf::unverified(&direct, front.opts.clone()) else {
+        return Err(CoreError::BudgetExceeded {
+            resource: BudgetResource::WorkspaceBytes,
+            limit,
+            requested: bounds.first().copied().unwrap_or(u64::MAX),
+            context: ws_vars.first().map(|ws| ws.name().to_string()),
+        });
     };
     let events = ws_vars
         .iter()
@@ -280,5 +275,5 @@ pub fn arbitrate_workspaces(
             fallback: DegradeRung::DirectMerge,
         })
         .collect();
-    Ok((direct, events))
+    Ok(Some((direct, events)))
 }

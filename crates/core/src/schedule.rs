@@ -166,8 +166,8 @@ impl IndexStmt {
     }
 
     /// Lowers, statically verifies, and compiles the statement — the driver
-    /// of the pass list ([`crate::passes`]): `lower → verify → cost`, then
-    /// `fit the workspace budget → exec-compile → fingerprint`.
+    /// of the pass list ([`crate::passes`]): `lower → cost`, then `fit the
+    /// workspace budget → verify → exec-compile → fingerprint`.
     ///
     /// This is [`IndexStmt::compile_with_budget`] with an explicit
     /// [`VerifyMode`]: the lowered kernel is run through the
@@ -190,7 +190,7 @@ impl IndexStmt {
         budget: ResourceBudget,
         verify: VerifyMode,
     ) -> Result<CompiledKernel> {
-        FrontHalf::build(&self.concrete, opts, verify)?.finish(self, budget, verify)
+        FrontHalf::unverified(self, opts)?.finish(budget, verify)
     }
 
     /// Runs the statement under a [`Supervisor`], descending the degradation

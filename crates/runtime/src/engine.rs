@@ -366,13 +366,11 @@ impl Engine {
     ) -> Result<(Arc<CompiledKernel>, bool)> {
         let (budget, verify) = (self.config.budget, self.config.verify);
         let key = taco_core::fingerprint(stmt.concrete(), &opts, &budget);
+        debug_assert!(front.as_ref().is_none_or(|f| f.request_fingerprint(&budget) == key));
         let mut compiled_now = false;
         let kernel = self.cache.get_or_compile(key, || {
             compiled_now = true;
-            match front {
-                Some(front) => front.finish(stmt, budget, verify),
-                None => stmt.compile_checked(opts, budget, verify),
-            }
+            front.map_or_else(|| FrontHalf::unverified(stmt, opts), Ok)?.finish(budget, verify)
         })?;
         if compiled_now {
             for e in kernel.fallback_events() {

@@ -1,8 +1,8 @@
 //! Static cost-model admission checks.
 //!
-//! Both checks read the symbolic cost report off an unverified front half
-//! of the request ([`FrontHalf`], `lower → cost`) *before* the request is
-//! queued or compiled:
+//! Both checks read one unverified front half of the request
+//! ([`FrontHalf`], `lower → cost`), built by [`front_half`] *before* the
+//! request is queued or compiled and only when one of them will read it:
 //!
 //! * [`budget_infeasible`] proves a request can never run under its
 //!   tenant's workspace-byte budget — the decision `compile_with_budget`
@@ -15,14 +15,20 @@
 
 use crate::server::{Rejected, Request};
 use taco_core::ladder::arbitrate_workspaces;
-use taco_core::{stmt_workspaces, CoreError, CostEnv, FrontHalf, ResourceBudget, VerifyMode};
+use taco_core::{stmt_workspaces, CoreError, CostEnv, FrontHalf, ResourceBudget};
+use taco_llir::WorkspaceKind;
 use taco_lower::params::{crd_name, pos_name};
 use taco_lower::LoweredKernel;
 
-/// The request's front half, unverified (admission only reads costs). `None`
-/// when the statement does not lower: the worker's to report, not admission's.
-fn front_half(req: &Request) -> Option<FrontHalf> {
-    FrontHalf::build(req.stmt.concrete(), req.opts.clone(), VerifyMode::Off).ok()
+/// The request's front half, unverified (admission only reads costs), for
+/// both checks. `None` when neither would read it — the service-time EMA is
+/// warm and `budget` has nothing to arbitrate — or the statement does not
+/// lower, which is the worker's to report, not admission's.
+pub(crate) fn front_half(req: &Request, budget: &ResourceBudget, ema_cold: bool) -> Option<FrontHalf> {
+    let arbitrated = budget.max_workspace_bytes.is_some()
+        && req.opts.workspace_kind == WorkspaceKind::Dense
+        && !stmt_workspaces(req.stmt.concrete()).is_empty();
+    (ema_cold || arbitrated).then(|| FrontHalf::unverified(&req.stmt, req.opts.clone()).ok()).flatten()
 }
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.
@@ -46,13 +52,12 @@ const PRIOR_MAX_NANOS: u64 = 1_000_000_000;
 /// bound over `max_workspace_bytes`, no sparse backend's initial footprint
 /// under it, and the direct merge kernel unrealizable. Arbitration lowers
 /// and analyses; nothing is compiled, verified or queued.
-pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Option<Rejected> {
-    let limit = budget.max_workspace_bytes?;
-    // No workspace, nothing the limit could refuse: do not lower to find out.
-    if stmt_workspaces(req.stmt.concrete()).is_empty() {
-        return None;
-    }
-    match arbitrate_workspaces(&req.stmt, front_half(req)?, Some(limit), VerifyMode::Off).err()? {
+pub(crate) fn budget_infeasible(
+    req: &Request,
+    front: &FrontHalf,
+    budget: &ResourceBudget,
+) -> Option<Rejected> {
+    match arbitrate_workspaces(front, budget.max_workspace_bytes).err()? {
         CoreError::BudgetExceeded { limit, requested, context, .. } => {
             Some(Rejected::BudgetInfeasible {
                 tenant: req.tenant.clone(),
@@ -67,10 +72,8 @@ pub(crate) fn budget_infeasible(req: &Request, budget: &ResourceBudget) -> Optio
 
 /// A service-time prior for the request, from the analyzer's iteration
 /// bound: `iterations × NANOS_PER_ITERATION`, clamped to a sane range.
-/// `None` when the statement does not lower or the bound cannot be
-/// evaluated even pessimistically.
-pub(crate) fn service_prior_nanos(req: &Request) -> Option<u64> {
-    let front = front_half(req)?;
+/// `None` when the bound cannot be evaluated even pessimistically.
+pub(crate) fn service_prior_nanos(front: &FrontHalf) -> Option<u64> {
     let iterations = front.cost_report().iterations.concrete(&pessimistic_env(front.lowered()))?;
     Some(
         iterations

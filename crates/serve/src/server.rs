@@ -599,10 +599,12 @@ impl Server {
         // while the service-time EMA is cold) the cost-model prior that
         // stands in for it.
         let effective_budget = policy.budget.min_with(&shared.engine.config().budget);
-        let infeasible = admission::budget_infeasible(&request, &effective_budget);
         let ema_cold = { shared.lock().ema_service_nanos == 0 };
-        let prior =
-            if ema_cold { admission::service_prior_nanos(&request) } else { None };
+        let front = admission::front_half(&request, &effective_budget, ema_cold);
+        let infeasible = front
+            .as_ref()
+            .and_then(|front| admission::budget_infeasible(&request, front, &effective_budget));
+        let prior = front.as_ref().filter(|_| ema_cold).and_then(admission::service_prior_nanos);
         let mut st = shared.lock();
         let verdict = (|| {
             if st.draining {
