@@ -94,11 +94,12 @@ fn main() {
                 // product: the sweep checks that the product told the truth.
                 let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
                 let budget = ResourceBudget::unlimited();
-                let compiled = cand.stmt.compile_checked(opts.clone(), budget, VerifyMode::Warn);
-                let Some(report) = compiled.as_ref().ok().and_then(|k| k.verify_report()) else {
+                let Ok(compiled) = cand.stmt.compile_checked(opts.clone(), budget, VerifyMode::Warn)
+                else {
                     println!("UNLOWERABLE {case} [{}] ({:?})", cand.name, opts.kind);
                     continue;
                 };
+                let report = compiled.verify_report();
                 lowered += 1;
                 warns += report.warns();
                 if !report.accepted() {

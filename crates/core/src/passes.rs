@@ -49,7 +49,7 @@ impl FrontHalf {
     ///
     /// [`CoreError::Verify`] under [`VerifyMode::Deny`] on a rejected report.
     pub fn verified(mut self, mode: VerifyMode) -> Result<FrontHalf> {
-        if mode != VerifyMode::Off && self.verify.is_none() {
+        if self.verify.is_none() {
             let origin = self.stmt.concrete().to_string();
             self.verify = Some(taco_verify::verify_lowered(&self.lowered).with_origin(&origin));
         }

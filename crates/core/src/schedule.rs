@@ -12,7 +12,8 @@ use taco_ir::heuristics::{suggest, Suggestion};
 use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::{
-    AbortReason, Binding, Executable, ExecReport, ResourceBudget, Supervisor, WorkspaceKind,
+    run_body, AbortReason, Binding, Executable, ExecReport, KernelBody, ResourceBudget,
+    RunControls, Supervisor, WorkspaceKind,
 };
 use taco_lower::{KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
@@ -176,9 +177,9 @@ impl IndexStmt {
     /// compiled. Under [`VerifyMode::Warn`] the report is recorded on the
     /// kernel ([`CompiledKernel::verify_report`]); under
     /// [`VerifyMode::Deny`] a report with any deny-severity finding fails
-    /// the compile; [`VerifyMode::Off`] skips the pass. The verdict never
-    /// changes the generated code, so it does not participate in the
-    /// kernel [fingerprint](CompiledKernel::fingerprint).
+    /// the compile. The verdict never changes the generated code, so it
+    /// does not participate in the kernel
+    /// [fingerprint](CompiledKernel::fingerprint).
     ///
     /// # Errors
     ///
@@ -419,10 +420,8 @@ impl CompiledKernel {
     }
 
     /// Extracts the result tensor from a binding this kernel has already
-    /// executed on — the same extraction [`CompiledKernel::run_with`]
-    /// performs after the interpreter finishes, exposed so alternate
-    /// backends that run [`CompiledKernel::bind`]-produced bindings
-    /// themselves can commit results identically.
+    /// executed on — the last step of [`CompiledKernel::run_with_body`],
+    /// exposed for callers that time or inspect the steps separately.
     ///
     /// # Errors
     ///
@@ -456,12 +455,10 @@ impl CompiledKernel {
     }
 
     /// The static-verification report recorded when this kernel was
-    /// compiled, or `None` when the verify pass was skipped
-    /// ([`VerifyMode::Off`]).
-    /// A kernel compiled under [`VerifyMode::Deny`] always carries an
-    /// accepted report — rejected kernels never compile.
-    pub fn verify_report(&self) -> Option<&VerifyReport> {
-        self.front.verify.as_ref()
+    /// compiled. A kernel compiled under [`VerifyMode::Deny`] always carries
+    /// an accepted report — rejected kernels never compile.
+    pub fn verify_report(&self) -> &VerifyReport {
+        self.front.verify.as_ref().expect("FrontHalf::finish verifies the product it keeps")
     }
 
     /// The symbolic cost report derived when this kernel was compiled:
@@ -509,9 +506,51 @@ impl CompiledKernel {
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
     ) -> Result<Tensor> {
+        self.run_with_body(&self.exe, inputs, output_structure, None).map(|(result, _)| result)
+    }
+
+    /// Runs the kernel once under a [`Supervisor`]: transactional outputs,
+    /// deadline and cancellation checked at loop back-edges, and the
+    /// tighter of the supervisor's and this kernel's budgets enforced. No
+    /// degrade-and-retry — see [`IndexStmt::run_supervised`] for the ladder.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Aborted`](crate::CoreError::Aborted) on
+    /// deadline, cancellation, budget exhaustion or runtime failure, plus
+    /// the usual bind errors.
+    pub fn run_supervised(
+        &self,
+        inputs: &[(&str, &Tensor)],
+        output_structure: Option<&Tensor>,
+        supervisor: &Supervisor,
+    ) -> Result<(Tensor, ExecReport)> {
+        self.run_with_body(&self.exe, inputs, output_structure, Some(supervisor))
+    }
+
+    /// Bind → run → extract, the one way a kernel meets its operands: every
+    /// `run*` method is this with the interpreter ([`Self::executable`]) as
+    /// `body`, and the runtime passes a native build of the same kernel
+    /// instead. `supervisor: None` is a plain run under the kernel's own
+    /// budget, which measures nothing (a default [`ExecReport`]).
+    ///
+    /// `body` must execute *this* kernel; a body of another kernel fails
+    /// parameter validation at best.
+    ///
+    /// # Errors
+    ///
+    /// Bind errors, then what [`CompiledKernel::run_bound_supervised`] or
+    /// [`CompiledKernel::run_bound`] return, then extraction errors.
+    pub fn run_with_body<B: KernelBody>(
+        &self,
+        body: &B,
+        inputs: &[(&str, &Tensor)],
+        output_structure: Option<&Tensor>,
+        supervisor: Option<&Supervisor>,
+    ) -> Result<(Tensor, ExecReport)> {
         let mut binding = self.bind(inputs, output_structure)?;
-        self.exe.run_with_budget(&mut binding, &self.budget)?;
-        self.extract(&binding, output_structure)
+        let report = self.run_bound_with_body(body, &mut binding, supervisor)?;
+        Ok((self.extract(&binding, output_structure)?, report))
     }
 
     /// Builds the binding without running — used by benchmarks that want to
@@ -541,41 +580,21 @@ impl CompiledKernel {
     }
 
     /// Runs against an existing binding (for benchmarking). The caller must
-    /// re-bind result buffers between runs of fused kernels.
+    /// re-bind result buffers between runs of fused kernels. A failed run
+    /// leaves its partial state in the binding.
     ///
     /// # Errors
     ///
     /// Propagates kernel runtime errors.
     pub fn run_bound(&self, binding: &mut Binding) -> Result<()> {
-        self.exe.run_with_budget(binding, &self.budget)?;
-        Ok(())
+        self.run_bound_with_body(&self.exe, binding, None).map(drop)
     }
 
-    /// Runs the kernel once under a [`Supervisor`]: transactional outputs,
-    /// deadline and cancellation checked at loop back-edges, and the
-    /// tighter of the supervisor's and this kernel's budgets enforced. No
-    /// degrade-and-retry — see [`IndexStmt::run_supervised`] for the ladder.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Aborted`](crate::CoreError::Aborted) on
-    /// deadline, cancellation, budget exhaustion or runtime failure, plus
-    /// the usual bind errors.
-    pub fn run_supervised(
-        &self,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-        supervisor: &Supervisor,
-    ) -> Result<(Tensor, ExecReport)> {
-        let mut binding = self.bind(inputs, output_structure)?;
-        let report = self.run_bound_supervised(&mut binding, supervisor)?;
-        Ok((self.extract(&binding, output_structure)?, report))
-    }
-
-    /// Runs against an existing binding under a [`Supervisor`]. On abort
-    /// the binding is byte-identical to its pre-run state (the
-    /// transactional guarantee of
-    /// [`ExecSession::run`](taco_llir::ExecSession::run)).
+    /// Runs against an existing binding under a [`Supervisor`], which is
+    /// given the tighter of its own and this kernel's budgets. On abort the
+    /// binding is byte-identical to its pre-run state and the error carries
+    /// the budget meter's counters at the stop (the transactional guarantee
+    /// of [`Supervisor::run`], the same on either backend).
     ///
     /// # Errors
     ///
@@ -586,8 +605,25 @@ impl CompiledKernel {
         binding: &mut Binding,
         supervisor: &Supervisor,
     ) -> Result<ExecReport> {
-        let combined = supervisor.budget().min_with(&self.budget);
-        let supervisor = supervisor.clone().with_budget(combined);
-        Ok(supervisor.run(&self.exe, binding)?)
+        self.run_bound_with_body(&self.exe, binding, Some(supervisor))
+    }
+
+    /// The run step of [`CompiledKernel::run_with_body`].
+    fn run_bound_with_body<B: KernelBody>(
+        &self,
+        body: &B,
+        binding: &mut Binding,
+        supervisor: Option<&Supervisor>,
+    ) -> Result<ExecReport> {
+        match supervisor {
+            Some(supervisor) => {
+                let combined = supervisor.budget().min_with(&self.budget);
+                Ok(supervisor.clone().with_budget(combined).run(body, binding)?)
+            }
+            None => {
+                run_body(body, binding, &self.budget, RunControls::default()).1?;
+                Ok(ExecReport::default())
+            }
+        }
     }
 }

@@ -7,21 +7,23 @@
 //! crossed — a serving tier keys retry/degrade decisions off those payloads,
 //! so backends may not disagree about when or how a budget trips.
 //!
-//! [`AllocSink`] is the charging contract; [`BudgetMeter`] is the single
-//! canonical implementation, shared verbatim by both backends:
+//! What guarantees the agreement is that there is one meter type:
+//! [`run_body`](crate::run_body) creates one [`BudgetMeter`] per run and hands
+//! it to whichever [`KernelBody`](crate::KernelBody) executes —
 //!
 //! * the interpreter's machine threads each `Alloc`/`Realloc`/map-growth
-//!   through its meter, and
-//! * the native host's `extern "C"` allocation callbacks charge the same
-//!   meter before touching any buffer.
+//!   through it, and
+//! * the native host's `extern "C"` allocation callbacks charge it before
+//!   touching any buffer.
 //!
 //! The meter also carries the loop-iteration fuse so the native poll
 //! callback can consume iterations in supervision-stride batches and still
-//! abort on exactly the same iteration count as the interpreter.
+//! abort on exactly the same iteration count as the interpreter, and it is
+//! where a run's [`Progress`] counters are read from, committed or aborted.
 
 use crate::budget::{BudgetResource, ResourceBudget};
 use crate::error::RunError;
-use crate::ArrayTy;
+use crate::{ArrayTy, Progress};
 
 /// Bytes charged per element of an array of type `ty`. Both backends size
 /// allocations from this table so their byte charges agree exactly.
@@ -32,26 +34,6 @@ pub fn elem_bytes(ty: ArrayTy) -> u64 {
         ArrayTy::F32 => 4,
         ArrayTy::Bool => 1,
     }
-}
-
-/// The allocation-accounting contract every execution backend charges
-/// through. One implementation — [`BudgetMeter`] — serves both the
-/// interpreter and the native backend, which is what guarantees the two
-/// report byte-identical budget aborts.
-pub trait AllocSink {
-    /// Charges `new_bytes` of fresh allocation for the array `name` against
-    /// the single-allocation and cumulative byte limits.
-    fn charge_array_bytes(&mut self, name: &str, new_bytes: u64) -> Result<(), RunError>;
-
-    /// Charges map-workspace growth: the map's whole `footprint` must fit
-    /// the single-workspace limit, and the growth `delta` counts toward the
-    /// cumulative total.
-    fn charge_map_bytes(&mut self, name: &str, footprint: u64, delta: u64)
-        -> Result<(), RunError>;
-
-    /// Counts one `Realloc` growth of the array in `slot` (named `name`)
-    /// against the per-array doubling cap.
-    fn charge_realloc_doubling(&mut self, slot: usize, name: &str) -> Result<(), RunError>;
 }
 
 /// Mutable budget accounting for one run. Limits of `u64::MAX`/`u32::MAX`
@@ -70,6 +52,8 @@ pub struct BudgetMeter {
     pub(crate) peak_map_bytes: u64,
     pub(crate) max_doublings: u32,
     pub(crate) realloc_counts: Vec<u32>,
+    /// Largest worker-thread count any parallel loop of the run used.
+    pub(crate) workers: u64,
 }
 
 impl BudgetMeter {
@@ -85,30 +69,23 @@ impl BudgetMeter {
             peak_single_bytes: 0,
             peak_map_bytes: 0,
             max_doublings: budget.max_realloc_doublings.unwrap_or(u32::MAX),
-            realloc_counts: vec![0; n_arrays],
+            // Doublings are only counted against a cap.
+            realloc_counts: vec![0; budget.max_realloc_doublings.map_or(0, |_| n_arrays)],
+            workers: 0,
         }
     }
 
-    /// Cumulative bytes charged so far this run.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// High-water mark of the largest single array allocation charged this
-    /// run (the observable the static cost analysis bounds per allocation).
-    pub fn peak_single_bytes(&self) -> u64 {
-        self.peak_single_bytes
-    }
-
-    /// High-water mark of the largest map-workspace footprint (capacity ×
-    /// entry bytes, doubling included) charged this run.
-    pub fn peak_map_bytes(&self) -> u64 {
-        self.peak_map_bytes
-    }
-
-    /// Loop iterations consumed so far, recovered from the fuse.
-    pub fn iterations_done(&self) -> u64 {
-        self.max_iterations - self.iterations_left
+    /// The run's counters so far: iterations recovered from the fuse,
+    /// cumulative bytes charged, and the allocation high-water marks the
+    /// static cost analysis must dominate.
+    pub fn progress(&self) -> Progress {
+        Progress {
+            iterations: self.max_iterations - self.iterations_left,
+            allocated_bytes: self.total_bytes,
+            peak_single_bytes: self.peak_single_bytes,
+            peak_map_bytes: self.peak_map_bytes,
+            workers: self.workers,
+        }
     }
 
     /// Grants a batch of up to `want` loop iterations for coarse-grained
@@ -121,26 +98,32 @@ impl BudgetMeter {
         want.min(self.iterations_left.saturating_add(1))
     }
 
-    /// Consumes `n` loop iterations from the fuse; the error payload is
-    /// identical to the interpreter's per-iteration consumption.
+    /// Consumes `n` loop iterations from the fuse: one per back-edge on the
+    /// interpreter, a supervision-stride batch on the native backend, with
+    /// the same error payload. A trip spends what was left of the fuse, so
+    /// both report the same iteration count in an abort's [`Progress`].
+    #[inline]
     pub fn consume_iterations(&mut self, n: u64) -> Result<(), RunError> {
         match self.iterations_left.checked_sub(n) {
             Some(left) => {
                 self.iterations_left = left;
                 Ok(())
             }
-            None => Err(RunError::BudgetExceeded {
-                resource: BudgetResource::LoopIterations,
-                limit: self.max_iterations,
-                requested: self.max_iterations.saturating_add(1),
-                array: None,
-            }),
+            None => {
+                self.iterations_left = 0;
+                Err(RunError::BudgetExceeded {
+                    resource: BudgetResource::LoopIterations,
+                    limit: self.max_iterations,
+                    requested: self.max_iterations.saturating_add(1),
+                    array: None,
+                })
+            }
         }
     }
-}
 
-impl AllocSink for BudgetMeter {
-    fn charge_array_bytes(&mut self, name: &str, new_bytes: u64) -> Result<(), RunError> {
+    /// Charges `new_bytes` of fresh allocation for the array `name` against
+    /// the single-allocation and cumulative byte limits.
+    pub fn charge_array_bytes(&mut self, name: &str, new_bytes: u64) -> Result<(), RunError> {
         if new_bytes > self.max_single_bytes {
             return Err(RunError::BudgetExceeded {
                 resource: BudgetResource::WorkspaceBytes,
@@ -163,7 +146,10 @@ impl AllocSink for BudgetMeter {
         Ok(())
     }
 
-    fn charge_map_bytes(
+    /// Charges map-workspace growth: the map's whole `footprint` must fit
+    /// the single-workspace limit, and the growth `delta` counts toward the
+    /// cumulative total.
+    pub fn charge_map_bytes(
         &mut self,
         name: &str,
         footprint: u64,
@@ -191,7 +177,12 @@ impl AllocSink for BudgetMeter {
         Ok(())
     }
 
-    fn charge_realloc_doubling(&mut self, slot: usize, name: &str) -> Result<(), RunError> {
+    /// Counts one `Realloc` growth of the array in `slot` (named `name`)
+    /// against the per-array doubling cap.
+    pub fn charge_realloc_doubling(&mut self, slot: usize, name: &str) -> Result<(), RunError> {
+        if self.max_doublings == u32::MAX {
+            return Ok(());
+        }
         let count = self.realloc_counts[slot].saturating_add(1);
         if count > self.max_doublings {
             return Err(RunError::BudgetExceeded {
@@ -266,12 +257,12 @@ mod tests {
         let mut m = BudgetMeter::new(&budget, 2);
         m.charge_array_bytes("a", 100).unwrap();
         m.charge_array_bytes("b", 40).unwrap();
-        assert_eq!(m.peak_single_bytes(), 100);
+        assert_eq!(m.progress().peak_single_bytes, 100);
         m.charge_map_bytes("w", 64, 64).unwrap();
         m.charge_map_bytes("w", 256, 192).unwrap();
         m.charge_map_bytes("w2", 32, 32).unwrap();
-        assert_eq!(m.peak_map_bytes(), 256);
-        assert_eq!(m.total_bytes(), 100 + 40 + 64 + 192 + 32);
+        assert_eq!(m.progress().peak_map_bytes, 256);
+        assert_eq!(m.progress().allocated_bytes, 100 + 40 + 64 + 192 + 32);
     }
 
     #[test]

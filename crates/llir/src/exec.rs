@@ -6,15 +6,14 @@
 //! name lookups in any inner loop — this plays the role of the paper's
 //! "target code" stage (Figure 6) in a pure-Rust setting.
 
-use crate::alloc::{elem_bytes, AllocSink, BudgetMeter};
-use crate::supervise::SharedProgress;
+use crate::alloc::{elem_bytes, BudgetMeter};
 use crate::{
-    ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, ResourceBudget,
-    RunError, Stmt, UnOp, WorkspaceKind,
+    ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
+    ResourceBudget, RunError, Stmt, UnOp, WorkspaceKind,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A buffer bound to (or allocated by) a kernel.
@@ -31,7 +30,8 @@ pub enum ArrayVal {
 }
 
 impl ArrayVal {
-    fn ty(&self) -> ArrayTy {
+    /// The element type.
+    pub fn ty(&self) -> ArrayTy {
         match self {
             ArrayVal::Int(_) => ArrayTy::Int,
             ArrayVal::F64(_) => ArrayTy::F64,
@@ -40,7 +40,8 @@ impl ArrayVal {
         }
     }
 
-    fn empty(ty: ArrayTy) -> ArrayVal {
+    /// An empty buffer of element type `ty`.
+    pub fn empty(ty: ArrayTy) -> ArrayVal {
         match ty {
             ArrayTy::Int => ArrayVal::Int(Vec::new()),
             ArrayTy::F64 => ArrayVal::F64(Vec::new()),
@@ -559,17 +560,47 @@ impl Compiler {
 /// stride of loop iterations after the event.
 pub const SUPERVISION_STRIDE: u32 = 1024;
 
-/// Supervision hooks threaded into one run by
-/// [`ExecSession::run`](crate::ExecSession::run). All-`None` (the `Default`)
-/// runs unsupervised with zero overhead beyond the stride countdown.
+/// Supervision hooks for one run ([`run_body`]). All-`None` (the `Default`)
+/// runs unsupervised with zero overhead beyond the stride countdown. Every
+/// [`KernelBody`] observes them through [`RunControls::check`], at most one
+/// [`SUPERVISION_STRIDE`] of loop back-edges apart.
 #[derive(Default, Clone, Copy)]
-pub(crate) struct RunControls<'a> {
-    /// Cooperative cancellation flag, checked at loop back-edges.
-    pub(crate) cancel: Option<&'a AtomicBool>,
+pub struct RunControls<'a> {
+    /// Cooperative cancellation flag.
+    pub cancel: Option<&'a AtomicBool>,
     /// Wall-clock deadline as (run start, allowed duration).
-    pub(crate) deadline: Option<(Instant, Duration)>,
-    /// Progress counters published for the watchdog thread.
-    pub(crate) shared: Option<&'a SharedProgress>,
+    pub deadline: Option<(Instant, Duration)>,
+    /// Where each check publishes the meter's counters, for a watchdog
+    /// thread to sample while the run is in flight.
+    pub heartbeat: Option<&'a Mutex<Progress>>,
+}
+
+impl RunControls<'_> {
+    /// The periodic supervision check: publish `meter`'s counters, observe
+    /// the cancel flag, compare the clock against the deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Cancelled`] or [`RunError::DeadlineExceeded`].
+    pub fn check(&self, meter: &BudgetMeter) -> Result<(), RunError> {
+        if let Some(heartbeat) = self.heartbeat {
+            *heartbeat.lock().expect("no holder of the heartbeat lock can panic") =
+                meter.progress();
+        }
+        if self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            return Err(RunError::Cancelled);
+        }
+        if let Some((start, limit)) = self.deadline {
+            let elapsed = start.elapsed();
+            if elapsed >= limit {
+                return Err(RunError::DeadlineExceeded {
+                    deadline_ms: limit.as_millis() as u64,
+                    elapsed_ms: elapsed.as_millis() as u64,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Bytes charged per map-workspace entry: key and value, plus slot overhead
@@ -668,57 +699,22 @@ impl Mach<'_> {
     /// (deadline, cancellation, progress publication).
     #[inline]
     fn consume_iteration(&mut self) -> Result<(), RunError> {
-        match self.budget.iterations_left.checked_sub(1) {
-            Some(left) => {
-                self.budget.iterations_left = left;
-                if self.check_countdown == 0 {
-                    self.check_countdown = SUPERVISION_STRIDE;
-                    self.supervision_check()
-                } else {
-                    self.check_countdown -= 1;
-                    Ok(())
-                }
-            }
-            None => Err(RunError::BudgetExceeded {
-                resource: BudgetResource::LoopIterations,
-                limit: self.budget.max_iterations,
-                requested: self.budget.max_iterations.saturating_add(1),
-                array: None,
-            }),
+        self.budget.consume_iterations(1)?;
+        if self.check_countdown == 0 {
+            self.check_countdown = SUPERVISION_STRIDE;
+            self.supervision_check()
+        } else {
+            self.check_countdown -= 1;
+            Ok(())
         }
     }
 
-    /// Iterations executed so far, recovered from the fuse without an extra
-    /// hot-path counter.
-    fn iterations_done(&self) -> u64 {
-        self.budget.max_iterations - self.budget.iterations_left
-    }
-
-    /// The expensive periodic checks: publish progress, observe the cancel
-    /// flag, compare the clock against the deadline.
+    /// The expensive periodic checks ([`RunControls::check`]), out of line so
+    /// the back-edge fast path stays a decrement.
     #[cold]
     #[inline(never)]
     fn supervision_check(&mut self) -> Result<(), RunError> {
-        if let Some(shared) = self.ctl.shared {
-            shared.iterations.store(self.iterations_done(), Ordering::Relaxed);
-            shared.allocated_bytes.store(self.budget.total_bytes, Ordering::Relaxed);
-            shared.note_peaks(self.budget.peak_single_bytes, self.budget.peak_map_bytes);
-        }
-        if let Some(flag) = self.ctl.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Err(RunError::Cancelled);
-            }
-        }
-        if let Some((start, limit)) = self.ctl.deadline {
-            let elapsed = start.elapsed();
-            if elapsed >= limit {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_ms: limit.as_millis() as u64,
-                    elapsed_ms: elapsed.as_millis() as u64,
-                });
-            }
-        }
-        Ok(())
+        self.ctl.check(&self.budget)
     }
 
     /// Charges `new_bytes` of growth for `arr` against the single-allocation
@@ -1159,9 +1155,7 @@ impl Mach<'_> {
         }
         let trip = (hi - lo) as usize;
         let threads = if self.in_parallel { 1 } else { resolved_threads(pf.threads).min(trip) };
-        if let Some(shared) = self.ctl.shared {
-            shared.note_workers(threads.max(1) as u64);
-        }
+        self.budget.workers = self.budget.workers.max(threads.max(1) as u64);
         if threads <= 1 {
             return self.exec_chunk(pf, lo, hi);
         }
@@ -1214,7 +1208,7 @@ impl Mach<'_> {
                         budget: BudgetMeter {
                             iterations_left: self.budget.iterations_left,
                             // Start the fuse at the parent's remaining count
-                            // so `iterations_done()` reports exactly what
+                            // so its `progress().iterations` is exactly what
                             // this worker consumed.
                             max_iterations: self.budget.iterations_left,
                             max_single_bytes: self.budget.max_single_bytes,
@@ -1224,15 +1218,16 @@ impl Mach<'_> {
                             peak_map_bytes: self.budget.peak_map_bytes,
                             max_doublings: self.budget.max_doublings,
                             realloc_counts: self.budget.realloc_counts.clone(),
+                            workers: 0,
                         },
-                        ctl: RunControls { cancel, deadline, shared: None },
+                        ctl: RunControls { cancel, deadline, heartbeat: None },
                         check_countdown: 0,
                         in_parallel: true,
                     };
                     scope.spawn(move || -> Result<WorkerOut, RunError> {
                         m.exec_chunk(pf, clo, chi)?;
                         Ok(WorkerOut {
-                            iterations: m.iterations_done(),
+                            iterations: m.budget.progress().iterations,
                             grown_bytes: m.budget.total_bytes - parent_bytes,
                             peak_single_bytes: m.budget.peak_single_bytes,
                             peak_map_bytes: m.budget.peak_map_bytes,
@@ -1264,7 +1259,7 @@ impl Mach<'_> {
                 return Err(RunError::BudgetExceeded {
                     resource: BudgetResource::LoopIterations,
                     limit: self.budget.max_iterations,
-                    requested: self.iterations_done().saturating_add(consumed),
+                    requested: self.budget.progress().iterations.saturating_add(consumed),
                     array: None,
                 })
             }
@@ -1608,19 +1603,6 @@ impl Binding {
         self.arrays.remove(name)
     }
 
-    /// Borrows a bound array of any element type. Execution backends
-    /// outside this crate (the native backend's marshalling layer) use
-    /// this to move buffers without committing to an element type.
-    pub fn array(&self, name: &str) -> Option<&ArrayVal> {
-        self.arrays.get(name)
-    }
-
-    /// Binds (or replaces) an array of any element type.
-    pub fn set_array(&mut self, name: impl Into<String>, v: ArrayVal) -> &mut Self {
-        self.arrays.insert(name.into(), v);
-        self
-    }
-
     /// Reads a bound scalar parameter.
     pub fn scalar(&self, name: &str) -> Option<i64> {
         self.scalars.get(name).copied()
@@ -1640,8 +1622,7 @@ impl Binding {
         self.arrays.iter().map(|(k, v)| (k.as_str(), v.len()))
     }
 
-    /// Commits a kernel scalar output, as a successful run does. External
-    /// execution backends publish their scalar results through this.
+    /// Commits a kernel scalar output, as a successful run does.
     pub fn set_scalar_output(&mut self, name: impl Into<String>, v: i64) -> &mut Self {
         self.scalar_outputs.insert(name.into(), v);
         self
@@ -1755,16 +1736,6 @@ impl Executable {
         &self.name
     }
 
-    /// Names of the array parameters the kernel may write (`Output` and
-    /// `InOut`); the arrays a transactional run must snapshot. Lowered
-    /// kernels never store into `Input` parameters.
-    pub fn writable_arrays(&self) -> impl Iterator<Item = &str> {
-        self.array_params
-            .iter()
-            .filter(|(_, _, _, kind)| *kind != ParamKind::Input)
-            .map(|(name, ..)| name.as_str())
-    }
-
     /// Runs the kernel against bound buffers. Parameter arrays are moved
     /// into the machine and moved back afterwards, so repeated runs against
     /// the same binding do not reallocate. Scalar outputs become readable
@@ -1786,78 +1757,180 @@ impl Executable {
         binding: &mut Binding,
         budget: &ResourceBudget,
     ) -> Result<(), RunError> {
-        self.run_controlled(binding, budget, RunControls::default())
+        run_body(self, binding, budget, RunControls::default()).1
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The run protocol
+// ---------------------------------------------------------------------------
+
+/// The slot frame a [`KernelBody`] executes over: what [`run_body`] moves a
+/// binding's parameters into before the run and back out of after it.
+#[derive(Debug)]
+pub struct Frame {
+    /// Scalar parameter values, in [`KernelBody::scalar_params`] order.
+    pub scalars: Vec<i64>,
+    /// One array per slot. Parameter slots hold the binding's arrays for the
+    /// length of the run; the rest start empty and belong to the body.
+    pub arrays: Vec<ArrayVal>,
+    /// Scalar outputs, in [`KernelBody::scalar_outputs`] order; the body
+    /// fills them and [`run_body`] commits them when the run succeeds.
+    pub scalar_outputs: Vec<i64>,
+}
+
+/// Something that executes one kernel over a [`Frame`]. There are two: the
+/// interpreter ([`Executable`]) and the `cc`-compiled shared object
+/// (`taco_native::NativeKernel`, foreign code behind the `taco_ctx` table
+/// ABI). Everything around the execution — marshalling, metering,
+/// supervision, rollback — is [`run_body`] and
+/// [`Supervisor::run`](crate::Supervisor::run), written once for both.
+pub trait KernelBody {
+    /// Scalar parameters as (name, int slot), in frame order.
+    fn scalar_params(&self) -> &[(String, usize)];
+
+    /// Scalar outputs as (name, int slot), in frame order.
+    fn scalar_outputs(&self) -> &[(String, usize)];
+
+    /// Array parameters as (name, frame slot, element type, kind).
+    fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)>;
+
+    /// The element type of every frame slot. The body sizes the frame: the
+    /// native form has two hidden backing slots per map workspace that the
+    /// interpreter has not.
+    fn slot_types(&self) -> impl Iterator<Item = ArrayTy>;
+
+    /// Executes the kernel over `frame`, charging every allocation and loop
+    /// back-edge to `meter` and calling [`RunControls::check`] at least once
+    /// per [`SUPERVISION_STRIDE`] back-edges.
+    ///
+    /// # Errors
+    ///
+    /// The first fault, budget trip, cancellation or deadline expiry.
+    fn execute(
+        &self,
+        frame: &mut Frame,
+        meter: &mut BudgetMeter,
+        controls: &RunControls<'_>,
+    ) -> Result<(), RunError>;
+}
+
+impl KernelBody for Executable {
+    fn scalar_params(&self) -> &[(String, usize)] {
+        &self.scalar_params
     }
 
-    /// The full-featured run loop: budget metering plus the supervision
-    /// hooks (cancel flag, deadline, progress publication) used by
-    /// [`ExecSession`](crate::ExecSession).
-    ///
-    /// Binding errors (missing or mistyped parameters) are detected before
-    /// any array is moved out of the binding, so they leave it untouched.
-    pub(crate) fn run_controlled(
+    fn scalar_outputs(&self) -> &[(String, usize)] {
+        &self.scalar_outputs
+    }
+
+    fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)> {
+        self.array_params.iter().map(|(name, slot, ty, kind)| (name.as_str(), *slot, *ty, *kind))
+    }
+
+    fn slot_types(&self) -> impl Iterator<Item = ArrayTy> {
+        // Kernel-local slots are retyped by the `Alloc` that fills them.
+        self.array_names.iter().map(|_| ArrayTy::Int)
+    }
+
+    fn execute(
         &self,
-        binding: &mut Binding,
-        budget: &ResourceBudget,
-        ctl: RunControls<'_>,
+        frame: &mut Frame,
+        meter: &mut BudgetMeter,
+        controls: &RunControls<'_>,
     ) -> Result<(), RunError> {
         let mut mach = Mach {
             ints: vec![0; self.n_int],
             floats: vec![0.0; self.n_float],
             bools: vec![false; self.n_bool],
-            arrays: self.array_names.iter().map(|_| ArrayVal::empty(ArrayTy::Int)).collect(),
+            arrays: std::mem::take(&mut frame.arrays),
             array_names: self.array_names.clone(),
             maps: self.map_names.iter().map(|_| MapWs::default()).collect(),
             map_names: self.map_names.clone(),
-            budget: BudgetMeter::new(budget, self.array_names.len()),
-            ctl,
+            // The machine owns its meter, as each worker of a parallel loop
+            // owns one; it goes back to the caller when the run ends.
+            budget: std::mem::replace(meter, BudgetMeter::new(&ResourceBudget::unlimited(), 0)),
+            ctl: *controls,
             check_countdown: 0,
             in_parallel: false,
         };
-        for (name, slot) in self.scalar_params.iter() {
-            let v = *binding
-                .scalars
-                .get(name)
-                .ok_or_else(|| RunError::MissingScalar(name.clone()))?;
-            mach.ints[*slot] = v;
+        for ((_, slot), v) in self.scalar_params.iter().zip(&frame.scalars) {
+            mach.ints[*slot] = *v;
         }
-        // Validate every array parameter before moving any of them, so a
-        // missing or mistyped binding fails with the binding fully intact.
-        for (name, _, ty, _) in self.array_params.iter() {
-            match binding.arrays.get(name) {
-                None => return Err(RunError::MissingArray(name.clone())),
-                Some(v) if v.ty() != *ty => {
-                    return Err(RunError::WrongArrayType { name: name.clone(), expected: *ty })
-                }
-                Some(_) => {}
-            }
-        }
-        for (name, slot, _, _) in self.array_params.iter() {
-            let v = binding.arrays.remove(name).expect("validated above");
-            mach.arrays[*slot] = v;
-        }
-
         let result = mach.exec_block(&self.body);
+        for ((_, slot), out) in self.scalar_outputs.iter().zip(&mut frame.scalar_outputs) {
+            *out = mach.ints[*slot];
+        }
+        frame.arrays = mach.arrays;
+        *meter = mach.budget;
+        result
+    }
+}
 
-        // Return parameter arrays to the binding even on error so callers
-        // can inspect partial state (supervised runs roll writable arrays
-        // back from a snapshot on top of this).
-        for (name, slot, _, _) in self.array_params.iter() {
-            let v = std::mem::replace(&mut mach.arrays[*slot], ArrayVal::empty(ArrayTy::Int));
-            binding.arrays.insert(name.clone(), v);
+/// Runs `body` against `binding` under `budget` and `controls` — the one
+/// `Binding` ⇄ slot-frame protocol, whichever backend executes. Every
+/// parameter is validated before any array is moved, so a missing or
+/// mistyped binding fails with `binding` untouched; parameter arrays move
+/// into the frame for the run and back afterwards *even on error*, so an
+/// unsupervised caller can inspect the partial state
+/// ([`Supervisor::run`](crate::Supervisor::run) rolls it back from a
+/// snapshot instead); scalar outputs are committed only on success.
+///
+/// Returns the meter's final counters — whether the run committed or not —
+/// beside the run's result.
+pub fn run_body<B: KernelBody>(
+    body: &B,
+    binding: &mut Binding,
+    budget: &ResourceBudget,
+    controls: RunControls<'_>,
+) -> (Progress, Result<(), RunError>) {
+    let mut frame = match checked_frame(body, binding) {
+        Ok(frame) => frame,
+        Err(e) => return (Progress::default(), Err(e)),
+    };
+    let mut meter = BudgetMeter::new(budget, frame.arrays.len());
+    swap_array_params(body, binding, &mut frame);
+    let result = body.execute(&mut frame, &mut meter, &controls);
+    swap_array_params(body, binding, &mut frame);
+    if result.is_ok() {
+        for ((name, _), v) in body.scalar_outputs().iter().zip(&frame.scalar_outputs) {
+            binding.scalar_outputs.insert(name.clone(), *v);
         }
-        // Publish final counters so reports reflect the whole run.
-        if let Some(shared) = mach.ctl.shared {
-            shared.iterations.store(mach.iterations_done(), Ordering::Relaxed);
-            shared.allocated_bytes.store(mach.budget.total_bytes, Ordering::Relaxed);
-            shared.note_peaks(mach.budget.peak_single_bytes, mach.budget.peak_map_bytes);
-        }
-        result?;
+    }
+    (meter.progress(), result)
+}
 
-        for (name, slot) in self.scalar_outputs.iter() {
-            binding.scalar_outputs.insert(name.clone(), mach.ints[*slot]);
+/// Checks every parameter of `body` against `binding` and builds the frame
+/// of a run: scalars read, every array slot still empty.
+fn checked_frame<B: KernelBody>(body: &B, binding: &Binding) -> Result<Frame, RunError> {
+    let mut scalars = Vec::with_capacity(body.scalar_params().len());
+    for (name, _) in body.scalar_params() {
+        let v = binding.scalars.get(name).ok_or_else(|| RunError::MissingScalar(name.clone()))?;
+        scalars.push(*v);
+    }
+    for (name, _, ty, _) in body.array_params() {
+        match binding.arrays.get(name) {
+            None => return Err(RunError::MissingArray(name.to_string())),
+            Some(v) if v.ty() != ty => {
+                return Err(RunError::WrongArrayType { name: name.to_string(), expected: ty })
+            }
+            Some(_) => {}
         }
-        Ok(())
+    }
+    Ok(Frame {
+        scalars,
+        arrays: body.slot_types().map(ArrayVal::empty).collect(),
+        scalar_outputs: vec![0; body.scalar_outputs().len()],
+    })
+}
+
+/// Exchanges each array parameter's entry in `binding` with its frame slot:
+/// into the frame before the run, back out after it. Swapped rather than
+/// removed and re-inserted, so the binding's keys stay put.
+fn swap_array_params<B: KernelBody>(body: &B, binding: &mut Binding, frame: &mut Frame) {
+    for (name, slot, ..) in body.array_params() {
+        let bound = binding.arrays.get_mut(name).expect("checked_frame found every parameter");
+        std::mem::swap(bound, &mut frame.arrays[slot]);
     }
 }
 

@@ -50,18 +50,19 @@ mod printer;
 mod simplify;
 mod supervise;
 
-pub use alloc::{elem_bytes, AllocSink, BudgetMeter};
+pub use alloc::{elem_bytes, BudgetMeter};
 pub use budget::{BudgetEnvError, BudgetResource, ResourceBudget};
 pub use cgen::{
     emit_native, AbiArray, AbiMap, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
     ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};
-pub use exec::{ArrayVal, Binding, Executable, SUPERVISION_STRIDE};
+pub use exec::{
+    run_body, ArrayVal, Binding, Executable, Frame, KernelBody, RunControls, SUPERVISION_STRIDE,
+};
 pub use ir::visit_stmts;
 pub use ir::{AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp, WorkspaceKind};
 pub use printer::stmt_to_c;
 pub use supervise::{
-    Aborted, AbortReason, CancelToken, ExecReport, ExecSession, HeartbeatSample, Progress,
-    Supervisor,
+    Aborted, AbortReason, CancelToken, ExecReport, HeartbeatSample, Progress, Supervisor,
 };

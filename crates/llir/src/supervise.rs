@@ -1,26 +1,31 @@
 //! Supervised kernel execution: deadlines, cooperative cancellation,
 //! transactional outputs, and progress heartbeats.
 //!
-//! [`Executable::run`] is fire-and-forget: a pathological input (a dense row
-//! that explodes a Gustavson workspace, a corrupted `pos` array that drives a
-//! merge loop forever) can run unbounded wall-clock, and a mid-flight error
-//! leaves output arrays half-written. A [`Supervisor`] wraps a run with
+//! A bare [`run_body`] (what [`Executable::run`](crate::Executable::run) is)
+//! is fire-and-forget: a pathological input (a dense row that explodes a
+//! Gustavson workspace, a corrupted `pos` array that drives a merge loop
+//! forever) can run unbounded wall-clock, and a mid-flight error leaves
+//! output arrays half-written. A [`Supervisor`] wraps a run of either
+//! [`KernelBody`] — the interpreter or the native shared object — with
 //!
 //! * a **wall-clock deadline** and a cooperative [`CancelToken`], both
 //!   checked at loop back-edges alongside the iteration fuse;
 //! * a **transactional output guarantee** — writable parameter arrays are
 //!   snapshotted before the run and restored on any error, cancel or
 //!   deadline, so the caller-visible [`Binding`] is byte-identical to its
-//!   pre-run state whenever [`ExecSession::run`] returns [`Aborted`];
-//! * a **progress heartbeat** — loop-iteration and allocated-byte counters
-//!   published by the interpreter and sampled by an optional watchdog
-//!   thread, exposed as an [`ExecReport`].
+//!   pre-run state whenever [`Supervisor::run`] returns [`Aborted`];
+//! * a **progress heartbeat** — the budget meter's counters, published by
+//!   the body at every supervision check and sampled by an optional
+//!   watchdog thread, exposed as an [`ExecReport`].
 //!
 //! The state machine is `running → committed | aborted`: a run either
 //! commits all its outputs (including scalar outputs) or none of them.
 
-use crate::{Binding, BudgetResource, Executable, ResourceBudget, RunError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::{
+    run_body, Binding, BudgetResource, KernelBody, ParamKind, ResourceBudget, RunControls,
+    RunError,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,15 +58,7 @@ impl CancelToken {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// The raw flag behind this token, for alternate execution backends
-    /// (e.g. native-compiled kernels) that poll cancellation outside an
-    /// [`ExecSession`]. The borrow is tied to this clone; hold the token
-    /// alive for as long as the flag is observed.
-    pub fn as_atomic(&self) -> &AtomicBool {
-        &self.0
-    }
-
-    pub(crate) fn flag(&self) -> &AtomicBool {
+    fn flag(&self) -> &AtomicBool {
         &self.0
     }
 }
@@ -106,42 +103,6 @@ impl std::fmt::Display for Progress {
             write!(f, ", {} workers", self.workers)?;
         }
         Ok(())
-    }
-}
-
-/// Shared counters the interpreter publishes at loop back-edges and the
-/// watchdog thread samples concurrently.
-#[derive(Debug, Default)]
-pub(crate) struct SharedProgress {
-    pub(crate) iterations: AtomicU64,
-    pub(crate) allocated_bytes: AtomicU64,
-    pub(crate) peak_single_bytes: AtomicU64,
-    pub(crate) peak_map_bytes: AtomicU64,
-    pub(crate) workers: AtomicU64,
-}
-
-impl SharedProgress {
-    fn snapshot(&self) -> Progress {
-        Progress {
-            iterations: self.iterations.load(Ordering::Relaxed),
-            allocated_bytes: self.allocated_bytes.load(Ordering::Relaxed),
-            peak_single_bytes: self.peak_single_bytes.load(Ordering::Relaxed),
-            peak_map_bytes: self.peak_map_bytes.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records the worker count of a parallel loop, keeping the maximum
-    /// observed across the run.
-    pub(crate) fn note_workers(&self, n: u64) {
-        self.workers.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Publishes the allocation high-water marks, keeping the maxima
-    /// observed across the run (workers publish concurrently).
-    pub(crate) fn note_peaks(&self, peak_single: u64, peak_map: u64) {
-        self.peak_single_bytes.fetch_max(peak_single, Ordering::Relaxed);
-        self.peak_map_bytes.fetch_max(peak_map, Ordering::Relaxed);
     }
 }
 
@@ -224,10 +185,8 @@ impl AbortReason {
         matches!(self, AbortReason::DeadlineExceeded { .. } | AbortReason::BudgetExceeded { .. })
     }
 
-    /// Classifies a [`RunError`] as an abort reason. Public so alternate
-    /// execution backends (the native backend) can report aborts through
-    /// the same taxonomy as the interpreter's supervised sessions.
-    pub fn from_run_error(e: RunError) -> AbortReason {
+    /// Classifies a [`RunError`] as an abort reason.
+    fn from_run_error(e: RunError) -> AbortReason {
         match e {
             RunError::Cancelled => AbortReason::Cancelled,
             RunError::DeadlineExceeded { deadline_ms, elapsed_ms } => {
@@ -293,7 +252,7 @@ impl std::fmt::Display for Aborted {
 impl std::error::Error for Aborted {}
 
 // ---------------------------------------------------------------------------
-// Supervisor / ExecSession
+// Supervisor
 // ---------------------------------------------------------------------------
 
 /// Configuration for supervised execution: deadline, cancellation token,
@@ -386,67 +345,103 @@ impl Supervisor {
         self.budget
     }
 
-    /// The configured relative deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+    /// The allowance a run starting at `start` has: the tighter of the
+    /// relative deadline and what remains of the absolute one. An instant
+    /// already in the past is a zero allowance, aborting at the first
+    /// supervision check.
+    fn allowance(&self, start: Instant) -> Option<Duration> {
+        let remaining = self.deadline_at.map(|at| at.saturating_duration_since(start));
+        match (self.deadline, remaining) {
+            (Some(rel), Some(abs)) => Some(rel.min(abs)),
+            (rel, abs) => rel.or(abs),
+        }
     }
 
-    /// The configured absolute deadline instant, if any.
-    pub fn deadline_at(&self) -> Option<Instant> {
-        self.deadline_at
-    }
-
-    /// Prepares a supervised session for one executable.
-    pub fn session<'e>(&self, exe: &'e Executable) -> ExecSession<'e> {
-        ExecSession { exe, config: self.clone() }
-    }
-
-    /// Runs `exe` against `binding` under this supervisor's limits; see
-    /// [`ExecSession::run`].
+    /// Runs `body` — the interpreter's [`Executable`](crate::Executable) or
+    /// a native kernel — against `binding` transactionally: on success every
+    /// output (arrays and scalar outputs) is committed to `binding` and an
+    /// [`ExecReport`] is returned; on *any* failure — deadline,
+    /// cancellation, budget, or runtime error — writable arrays are restored
+    /// from their pre-run snapshot so `binding` is byte-identical to its
+    /// pre-run state. Snapshot, deadline resolution, metering, watchdog and
+    /// rollback are this function on both backends; the body only executes.
     ///
     /// # Errors
     ///
-    /// Returns [`Aborted`] — with the binding rolled back — on deadline,
-    /// cancellation, budget exhaustion, or any runtime error.
-    pub fn run(&self, exe: &Executable, binding: &mut Binding) -> Result<ExecReport, Aborted> {
-        self.session(exe).run(binding)
+    /// Returns [`Aborted`] carrying the typed reason and the budget meter's
+    /// counters at the moment the run was stopped.
+    pub fn run<B: KernelBody>(
+        &self,
+        body: &B,
+        binding: &mut Binding,
+    ) -> Result<ExecReport, Aborted> {
+        // Lowered kernels only ever store into output and inout parameters
+        // (input arrays are read-only by construction), so snapshotting the
+        // writable parameters is enough for byte-identical restoration.
+        let writable = body
+            .array_params()
+            .filter(|(.., kind)| *kind != ParamKind::Input)
+            .map(|(name, ..)| name);
+        let snapshot = binding.snapshot(writable);
+
+        let start = Instant::now();
+        let watchdog = self.heartbeat.map(|interval| Watchdog::spawn(interval, start));
+        let (progress, result) = run_body(
+            body,
+            binding,
+            &self.budget,
+            RunControls {
+                cancel: Some(self.cancel.flag()),
+                deadline: self.allowance(start).map(|d| (start, d)),
+                heartbeat: watchdog.as_ref().map(|w| &*w.latest),
+            },
+        );
+        let elapsed = start.elapsed();
+        let samples = watchdog.map(Watchdog::finish).unwrap_or_default();
+
+        match result {
+            Ok(()) => Ok(ExecReport { elapsed, progress, samples }),
+            Err(e) => {
+                // `run_body` has already moved the parameter arrays back
+                // into the binding; overwrite the writable ones with their
+                // snapshots.
+                binding.restore(snapshot);
+                Err(Aborted { reason: AbortReason::from_run_error(e), progress, elapsed })
+            }
+        }
     }
 }
 
-/// One executable prepared to run under supervision. Obtain from
-/// [`Supervisor::session`]; cancel concurrent runs through
-/// [`ExecSession::cancel_token`].
-#[derive(Debug)]
-pub struct ExecSession<'e> {
-    exe: &'e Executable,
-    config: Supervisor,
-}
-
-/// Watchdog thread handle: samples shared progress until told to stop.
+/// Watchdog thread handle: samples the run's latest published counters
+/// until told to stop.
 struct Watchdog {
     stop: Arc<AtomicBool>,
+    /// What the run last published ([`RunControls::heartbeat`]).
+    latest: Arc<Mutex<Progress>>,
     samples: Arc<Mutex<Vec<HeartbeatSample>>>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl Watchdog {
-    fn spawn(interval: Duration, shared: Arc<SharedProgress>, start: Instant) -> Watchdog {
+    fn spawn(interval: Duration, start: Instant) -> Watchdog {
         let stop = Arc::new(AtomicBool::new(false));
+        let latest = Arc::new(Mutex::new(Progress::default()));
         let samples = Arc::new(Mutex::new(Vec::new()));
-        let (stop2, samples2) = (Arc::clone(&stop), Arc::clone(&samples));
+        let (stop2, latest2, samples2) =
+            (Arc::clone(&stop), Arc::clone(&latest), Arc::clone(&samples));
         let handle = std::thread::spawn(move || {
             while !stop2.load(Ordering::Relaxed) {
                 std::thread::sleep(interval);
                 if stop2.load(Ordering::Relaxed) {
                     break;
                 }
-                let sample = HeartbeatSample { at: start.elapsed(), progress: shared.snapshot() };
+                let Ok(progress) = latest2.lock().map(|p| *p) else { break };
                 if let Ok(mut s) = samples2.lock() {
-                    s.push(sample);
+                    s.push(HeartbeatSample { at: start.elapsed(), progress });
                 }
             }
         });
-        Watchdog { stop, samples, handle }
+        Watchdog { stop, latest, samples, handle }
     }
 
     fn finish(self) -> Vec<HeartbeatSample> {
@@ -459,77 +454,10 @@ impl Watchdog {
     }
 }
 
-impl ExecSession<'_> {
-    /// The token that cancels runs of this session.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.config.cancel.clone()
-    }
-
-    /// Runs the kernel transactionally: on success every output (arrays and
-    /// scalar outputs) is committed to `binding` and an [`ExecReport`] is
-    /// returned; on *any* failure — deadline, cancellation, budget, or
-    /// runtime error — writable arrays are restored from their pre-run
-    /// snapshot so `binding` is byte-identical to its pre-run state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Aborted`] carrying the typed reason and the progress
-    /// counters at the moment the run was stopped.
-    pub fn run(&self, binding: &mut Binding) -> Result<ExecReport, Aborted> {
-        // Stage 1: snapshot. Lowered kernels only ever store into output and
-        // inout parameters (input arrays are read-only by construction), so
-        // snapshotting the writable parameters is enough for byte-identical
-        // restoration.
-        let snapshot = binding.snapshot(self.exe.writable_arrays());
-
-        let shared = Arc::new(SharedProgress::default());
-        let start = Instant::now();
-        let watchdog =
-            self.config.heartbeat.map(|iv| Watchdog::spawn(iv, Arc::clone(&shared), start));
-
-        // An absolute deadline is folded into the (start, duration) pair the
-        // interpreter checks; an instant already in the past becomes a zero
-        // allowance, aborting at the first supervision check.
-        let remaining_abs =
-            self.config.deadline_at.map(|at| at.saturating_duration_since(start));
-        let deadline = match (self.config.deadline, remaining_abs) {
-            (Some(rel), Some(abs)) => Some(rel.min(abs)),
-            (rel, abs) => rel.or(abs),
-        };
-        let result = self.exe.run_controlled(
-            binding,
-            &self.config.budget,
-            crate::exec::RunControls {
-                cancel: Some(self.config.cancel.flag()),
-                deadline: deadline.map(|d| (start, d)),
-                shared: Some(&shared),
-            },
-        );
-
-        let elapsed = start.elapsed();
-        let samples = watchdog.map(Watchdog::finish).unwrap_or_default();
-
-        match result {
-            Ok(()) => Ok(ExecReport { elapsed, progress: shared.snapshot(), samples }),
-            Err(e) => {
-                // Stage 2: rollback. `run_controlled` has already moved the
-                // parameter arrays back into the binding; overwrite the
-                // writable ones with their snapshots.
-                binding.restore(snapshot);
-                Err(Aborted {
-                    reason: AbortReason::from_run_error(e),
-                    progress: shared.snapshot(),
-                    elapsed,
-                })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArrayTy, Expr, Kernel, Param, Stmt};
+    use crate::{ArrayTy, Executable, Expr, Kernel, Param, Stmt};
 
     /// out[0..n] = x[0..n] * 2, with a spin loop of `spin` iterations first.
     fn spin_then_scale() -> Kernel {

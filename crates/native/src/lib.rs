@@ -17,20 +17,27 @@
 //! 3. The shared object is loaded with raw `dlopen`/`dlsym`/`dlclose`
 //!    FFI (no crate dependencies) and its exported `taco_abi_version()`
 //!    is checked against the host's [`taco_llir::ABI_VERSION`].
-//! 4. [`NativeKernel::run`] marshals a [`Binding`] into the context
-//!    tables (zero-copy: the kernel works directly on the binding's
-//!    buffers) and calls the fixed `taco_kernel_entry` symbol.
+//! 4. [`NativeKernel`] is a [`KernelBody`](taco_llir::KernelBody): the run
+//!    protocol ([`taco_llir::run_body`], and [`taco_llir::Supervisor::run`]
+//!    around it) moves the binding's arrays into a slot frame, and the
+//!    kernel's part is to point the context tables at that frame
+//!    (zero-copy: the C works directly on the binding's buffers) and call
+//!    the fixed `taco_kernel_entry` symbol. [`NativeKernel::run`] is
+//!    `run_body` with the kernel as the body.
 //!
 //! # Supervision and budgets
 //!
 //! All memory is host-owned. The kernel allocates and grows arrays only
-//! through `extern "C"` callbacks, which charge the same
-//! [`BudgetMeter`](taco_llir::BudgetMeter) the interpreter uses — budget
-//! aborts are byte-identical between backends. The loop-iteration fuse is
-//! charged in supervision-stride batches through the poll callback, which
-//! also observes the cancel flag and wall-clock deadline, so a native run
+//! through `extern "C"` callbacks, which charge the run's one
+//! [`BudgetMeter`](taco_llir::BudgetMeter) — the type the interpreter
+//! charges — so budget aborts are byte-identical between backends. The
+//! loop-iteration fuse is charged in supervision-stride batches through the
+//! poll callback, which then runs the protocol's own
+//! [`RunControls::check`](taco_llir::RunControls::check), so a native run
 //! aborts on exactly the same iteration count as an interpreted one and
-//! honours cancellation within one stride.
+//! honours cancellation within one stride. Validation, rollback and the
+//! counters of a report or an abort are not this crate's: they are the
+//! protocol's, written once for both bodies.
 //!
 //! # Failure is degradation, not error
 //!
@@ -47,7 +54,7 @@ mod dl;
 mod run;
 
 pub use cc::{cache_dir, NativeCompiler};
-pub use run::{NativeKernel, NativeReport, NativeRunOptions};
+pub use run::{NativeKernel, NativeRunOptions};
 
 /// Why a native kernel could not be produced or loaded. All variants are
 /// recoverable: the engine degrades to the interpreter.
@@ -85,9 +92,9 @@ mod tests {
     use std::sync::OnceLock;
     use std::time::{Duration, Instant, SystemTime};
     use taco_llir::{
-        emit_native, ArrayTy, BudgetResource, Binding, Executable, Expr, Kernel, Param,
-        ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind, LEAF_FAST_PATH_MARKER,
-        SUPERVISION_STRIDE,
+        emit_native, Aborted, ArrayTy, Binding, BudgetResource, ExecReport, Executable, Expr,
+        Kernel, Param, ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind,
+        LEAF_FAST_PATH_MARKER, SUPERVISION_STRIDE,
     };
 
     /// A working compiler, or a visible skip marker: resolving `$CC` spawns
@@ -168,12 +175,10 @@ mod tests {
         ib.set_f64("x", vec![1.0, 2.5, -3.0, 0.5]);
         ib.set_f64("out", vec![0.0; 4]);
 
-        let report = native
-            .run(&mut nb, &ResourceBudget::unlimited(), NativeRunOptions::default())
-            .expect("native run");
+        let report = Supervisor::new().run(&native, &mut nb).expect("native run");
         exe.run(&mut ib).expect("interp run");
         assert_eq!(nb.f64_array("out").unwrap(), ib.f64_array("out").unwrap());
-        assert_eq!(report.iterations, 4);
+        assert_eq!(report.progress.iterations, 4);
     }
 
     #[test]
@@ -229,9 +234,11 @@ mod tests {
         b
     }
 
-    /// Runs `binding` on both backends under `budget`. Success gives each
-    /// side's iteration count and requires equal bindings; failure gives
-    /// each side's error and requires the native binding rolled back.
+    /// Runs `binding` on both bodies under `budget`, bare and supervised.
+    /// The bare runs must leave byte-identical bindings, committed or
+    /// partial; the supervised runs must commit the same bytes and counters
+    /// or abort for the same reason with the binding rolled back. Gives each
+    /// side's iteration count, or its bare run's error.
     fn run_both(
         native: &NativeKernel,
         exe: &Executable,
@@ -239,21 +246,31 @@ mod tests {
         budget: &ResourceBudget,
     ) -> (Result<u64, RunError>, Result<u64, RunError>) {
         let mut nb = binding.clone();
-        let n = native.run(&mut nb, budget, NativeRunOptions::default()).map(|r| r.iterations);
+        let n = native.run(&mut nb, budget, NativeRunOptions::default());
         let mut ib = binding.clone();
-        let i = exe.run_with_budget(&mut ib, budget).map(|()| {
-            let report = Supervisor::new()
-                .with_budget(*budget)
-                .run(exe, &mut binding.clone())
-                .expect("the unsupervised run succeeded");
-            report.progress.iterations
-        });
-        if n.is_ok() {
-            assert_eq!(nb, ib, "committed bindings must be byte-identical");
-        } else {
-            assert_eq!(&nb, binding, "an aborted native run must roll the binding back");
+        let i = exe.run_with_budget(&mut ib, budget);
+        assert_eq!(nb, ib, "unsupervised runs must leave the same state, committed or partial");
+
+        let supervisor = Supervisor::new().with_budget(*budget);
+        let (mut snb, mut sib) = (binding.clone(), binding.clone());
+        let sn = supervisor.run(native, &mut snb);
+        let si = supervisor.run(exe, &mut sib);
+        match (&sn, &si) {
+            (Ok(sn), Ok(si)) => {
+                assert_eq!((&snb, &sib), (&nb, &ib), "supervision must not change the result");
+                assert_eq!(sn.progress, si.progress, "committed counters must agree");
+            }
+            (Err(sn), Err(si)) => {
+                assert_eq!(&snb, binding, "an aborted native run must roll the binding back");
+                assert_eq!(&sib, binding, "an aborted interpreter run must roll the binding back");
+                assert_eq!(sn.reason, si.reason);
+            }
+            _ => panic!("one body committed and the other aborted: {sn:?} / {si:?}"),
         }
-        (n, i)
+        let iterations = |supervised: Result<ExecReport, Aborted>| {
+            supervised.expect("the bare run succeeded").progress.iterations
+        };
+        (n.map(|()| iterations(sn)), i.map(|()| iterations(si)))
     }
 
     #[test]
@@ -467,19 +484,22 @@ mod tests {
     }
 
     #[test]
-    fn writable_arrays_roll_back_on_abort() {
-        let Some((native, _)) = build(&scale_kernel()) else { return };
+    fn writable_arrays_roll_back_on_a_supervised_abort_with_the_interpreters_counters() {
+        let Some((native, exe)) = build(&scale_kernel()) else { return };
         let budget = ResourceBudget::unlimited().with_max_loop_iterations(2);
+        let supervisor = Supervisor::new().with_budget(budget);
         let mut nb = Binding::new();
         nb.set_scalar("n", 10);
         nb.set_f64("x", vec![1.0; 10]);
         nb.set_f64("out", vec![9.0; 10]);
-        native.run(&mut nb, &budget, NativeRunOptions::default()).unwrap_err();
-        assert_eq!(
-            nb.f64_array("out").unwrap(),
-            &[9.0; 10],
-            "aborted native run must leave outputs untouched"
-        );
+        let before = nb.clone();
+        let native_abort = supervisor.run(&native, &mut nb).unwrap_err();
+        assert_eq!(nb, before, "aborted native run must leave the binding untouched");
+        let interp_abort = supervisor.run(&exe, &mut nb).unwrap_err();
+        assert_eq!(nb, before);
+        assert_eq!(native_abort.reason, interp_abort.reason);
+        assert_eq!(native_abort.progress, interp_abort.progress);
+        assert_eq!(native_abort.progress.iterations, 2, "the fuse was spent, not zero progress");
     }
 
     #[test]
@@ -674,7 +694,7 @@ mod tests {
         let mut ib = mk();
         let ne = native.run(&mut nb, &budget, NativeRunOptions::default()).unwrap_err();
         let ie = exe.run_with_budget(&mut ib, &budget).unwrap_err();
-        assert_eq!(ne, ie, "AllocSink must make backends agree on budget aborts");
+        assert_eq!(ne, ie, "one meter type must make backends agree on budget aborts");
     }
 
     #[test]

@@ -1,26 +1,25 @@
-//! Marshalling a [`Binding`] across the `taco_ctx` table ABI.
+//! The native [`KernelBody`]: one call across the `taco_ctx` table ABI.
 //!
-//! The host owns every buffer: the kernel reads and writes binding arrays
-//! in place and obtains fresh or grown storage only through the
-//! `extern "C"` callbacks below, each of which charges the same
-//! [`BudgetMeter`] the interpreter uses before touching memory. Faults
-//! (division by zero, bounds violations, negative lengths) are recorded
-//! host-side as the interpreter's typed [`RunError`]s, so the two
-//! backends are observationally identical on both success and failure.
+//! [`taco_llir::run_body`] hands [`NativeKernel::execute`] a [`Frame`] that
+//! already holds the binding's parameter arrays, and the run's
+//! [`BudgetMeter`]; this module points the context tables at the frame and
+//! calls the entry symbol. The host owns every buffer: the kernel reads and
+//! writes frame arrays in place and obtains fresh or grown storage only
+//! through the `extern "C"` callbacks below, each of which charges the meter
+//! before touching memory. Faults (division by zero, bounds violations,
+//! negative lengths) are recorded host-side as the interpreter's typed
+//! [`RunError`]s, so the two bodies are observationally identical on both
+//! success and failure. Validation, marshalling, snapshot and rollback are
+//! not here: they are the protocol's and the [`Supervisor`]'s.
 //!
-//! A run is transactional like the interpreter's: parameter validation
-//! happens before any array is moved out of the binding, writable arrays
-//! are snapshotted and restored on abort, and scalar outputs commit only
-//! on success.
+//! [`Supervisor`]: taco_llir::Supervisor
 
 use crate::dl::DynLib;
 use std::ffi::c_void;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 use taco_llir::{
-    elem_bytes, AbiPlan, AllocSink, ArrayTy, ArrayVal, Binding, BudgetMeter, ParamKind,
-    ResourceBudget, RunError, SUPERVISION_STRIDE,
+    elem_bytes, run_body, AbiPlan, ArrayTy, ArrayVal, Binding, BudgetMeter, Frame, KernelBody,
+    ParamKind, ResourceBudget, RunControls, RunError, SUPERVISION_STRIDE,
 };
 
 // Status and element-type codes; must match taco_kernel.h.
@@ -61,32 +60,9 @@ struct TacoCtx {
 
 type EntryFn = unsafe extern "C" fn(*mut TacoCtx, i64, i64) -> i32;
 
-/// Supervision hooks for one native run; the all-`None` default runs
-/// unsupervised. Both hooks are observed at poll boundaries, i.e. within
-/// one [`SUPERVISION_STRIDE`] of loop back-edges, matching the
-/// interpreter's supervision latency.
-#[derive(Default, Clone, Copy)]
-pub struct NativeRunOptions<'a> {
-    /// Cooperative cancellation flag.
-    pub cancel: Option<&'a AtomicBool>,
-    /// Wall-clock deadline as (run start, allowed duration).
-    pub deadline: Option<(Instant, Duration)>,
-}
-
-/// What a successful native run consumed, for engine accounting and
-/// benchmark reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NativeReport {
-    /// Loop iterations executed (back-edges), identical to the
-    /// interpreter's count for the same operands.
-    pub iterations: u64,
-    /// Bytes of output/workspace allocation charged against the budget.
-    pub allocated_bytes: u64,
-    /// Largest single array allocation charged (high-water mark).
-    pub peak_single_bytes: u64,
-    /// Largest map-workspace footprint charged (high-water mark).
-    pub peak_map_bytes: u64,
-}
+/// The controls of a native run are the protocol's [`RunControls`]; the name
+/// the native backend's callers know them by.
+pub type NativeRunOptions<'a> = RunControls<'a>;
 
 /// A loaded, callable native kernel: the dlopen'd shared object, its
 /// resolved entry point, and the [`AbiPlan`] describing how bindings map
@@ -137,80 +113,71 @@ impl NativeKernel {
         &self.so_path
     }
 
-    /// Runs the kernel against `binding`, like
+    /// Runs the kernel against `binding`: [`run_body`] with this kernel as
+    /// the body, exactly as
     /// [`Executable::run_with_budget`](taco_llir::Executable::run_with_budget)
-    /// plus the supervision hooks in `opts`.
+    /// is with the interpreter, plus the supervision hooks in `opts`. Like
+    /// it, a failed run leaves the partial state in `binding`; run under a
+    /// [`Supervisor`](taco_llir::Supervisor) for rollback and counters.
     ///
     /// # Errors
     ///
     /// The same typed [`RunError`]s the interpreter produces, with
     /// identical payloads: binding errors before anything runs, then
     /// faults, budget trips, cancellation, or deadline expiry during the
-    /// run — all of which leave the binding's arrays as they were bound.
+    /// run.
     pub fn run(
         &self,
         binding: &mut Binding,
         budget: &ResourceBudget,
         opts: NativeRunOptions<'_>,
-    ) -> Result<NativeReport, RunError> {
+    ) -> Result<(), RunError> {
+        run_body(self, binding, budget, opts).1
+    }
+}
+
+impl KernelBody for NativeKernel {
+    fn scalar_params(&self) -> &[(String, usize)] {
+        &self.plan.scalar_params
+    }
+
+    fn scalar_outputs(&self) -> &[(String, usize)] {
+        &self.plan.scalar_outputs
+    }
+
+    fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)> {
+        let slots = self.plan.arrays.iter().enumerate();
+        slots.filter_map(|(slot, a)| a.kind.map(|kind| (a.name.as_str(), slot, a.ty, kind)))
+    }
+
+    fn slot_types(&self) -> impl Iterator<Item = ArrayTy> {
+        self.plan.arrays.iter().map(|a| a.ty)
+    }
+
+    fn execute(
+        &self,
+        frame: &mut Frame,
+        meter: &mut BudgetMeter,
+        controls: &RunControls<'_>,
+    ) -> Result<(), RunError> {
         let plan = &self.plan;
-
-        // Validate every parameter before moving anything, so binding
-        // errors leave the binding fully intact (interpreter contract).
-        let mut scalars: Vec<i64> = Vec::with_capacity(plan.scalar_params.len());
-        for (name, _) in &plan.scalar_params {
-            scalars
-                .push(binding.scalar(name).ok_or_else(|| RunError::MissingScalar(name.clone()))?);
+        // The kernel trusts the tables it is handed, so a frame of any other
+        // shape than this kernel's plan must not reach it. `run_body` builds
+        // the frame from `slot_types` and validates the parameters' types;
+        // this is the check the `unsafe` call below rests on.
+        let fits = frame.scalars.len() == plan.scalar_params.len()
+            && frame.scalar_outputs.len() == plan.scalar_outputs.len()
+            && frame.arrays.len() == plan.arrays.len()
+            && frame.arrays.iter().zip(&plan.arrays).all(|(v, a)| v.ty() == a.ty);
+        if !fits {
+            return Err(RunError::Backend(format!(
+                "frame does not have the shape of native kernel `{}`",
+                plan.name
+            )));
         }
-        for a in &plan.arrays {
-            if a.kind.is_none() {
-                continue;
-            }
-            match binding.array(&a.name) {
-                None => return Err(RunError::MissingArray(a.name.clone())),
-                Some(v) if val_ty(v) != a.ty => {
-                    return Err(RunError::WrongArrayType { name: a.name.clone(), expected: a.ty })
-                }
-                Some(_) => {}
-            }
-        }
-
-        // Snapshot writable parameters for rollback on abort.
-        let mut snapshots: Vec<Option<ArrayVal>> = plan
-            .arrays
-            .iter()
-            .map(|a| match a.kind {
-                Some(ParamKind::Output) | Some(ParamKind::InOut) => binding.array(&a.name).cloned(),
-                _ => None,
-            })
-            .collect();
-
-        // Move parameter arrays out of the binding into the slot table;
-        // non-parameter slots (kernel locals, hidden map backing) start
-        // empty and are populated through the alloc/grow callbacks.
-        let arrays: Vec<ArrayVal> = plan
-            .arrays
-            .iter()
-            .map(|a| {
-                if a.kind.is_some() {
-                    binding.take(&a.name).expect("validated above")
-                } else {
-                    empty_of(a.ty)
-                }
-            })
-            .collect();
-
-        let meter = BudgetMeter::new(budget, plan.arrays.len());
         let grant = meter.grant_iterations(u64::from(SUPERVISION_STRIDE));
-        let mut host = Host {
-            plan,
-            arrays,
-            meter,
-            error: None,
-            grant,
-            cancel: opts.cancel,
-            deadline: opts.deadline,
-        };
+        let arrays = &mut frame.arrays;
+        let mut host = Host { plan, arrays, meter, error: None, grant, controls };
 
         let mut ptrs: Vec<*mut c_void> = Vec::with_capacity(plan.arrays.len());
         let mut sizes: Vec<i64> = Vec::with_capacity(plan.arrays.len());
@@ -219,15 +186,14 @@ impl NativeKernel {
             ptrs.push(p);
             sizes.push(n);
         }
-        let mut scalar_out = vec![0i64; plan.scalar_outputs.len()];
         let mut maps = vec![TacoMapState::default(); plan.maps.len()];
 
         let mut ctx = TacoCtx {
             host: (&mut host as *mut Host<'_>).cast(),
             arr: ptrs.as_mut_ptr(),
             arr_size: sizes.as_mut_ptr(),
-            scalars: scalars.as_ptr(),
-            scalar_out: scalar_out.as_mut_ptr(),
+            scalars: frame.scalars.as_ptr(),
+            scalar_out: frame.scalar_outputs.as_mut_ptr(),
             maps: maps.as_mut_ptr(),
             ticks_left: grant as i64 - 1,
             status: TACO_OK,
@@ -239,10 +205,11 @@ impl NativeKernel {
             fault: fault_cb,
         };
 
-        // SAFETY: the context tables point at live, correctly-typed host
-        // buffers for the whole call; the entry function honours the ABI
-        // (checked at load) and only touches memory through those tables
-        // and the callbacks.
+        // SAFETY: the context tables point at live host buffers for the
+        // whole call, with the lengths and element types the plan promises
+        // (`fits`, above); the entry function honours the ABI (checked at
+        // load) and only touches memory through those tables and the
+        // callbacks.
         let rc = unsafe { (self.entry)(&mut ctx, 0, i64::MAX) };
 
         // Charge the back-edges of the final, partially-used grant. The
@@ -251,77 +218,34 @@ impl NativeKernel {
         if ctx.ticks_left >= 0 {
             let residual = (host.grant - 1).saturating_sub(ctx.ticks_left as u64);
             if let Err(e) = host.meter.consume_iterations(residual) {
-                host.error.get_or_insert(e);
+                host.record(e);
             }
         }
 
-        let failed = rc != TACO_OK || host.error.is_some();
-        let mut arrays = host.arrays;
-        for (slot, a) in plan.arrays.iter().enumerate() {
-            if a.kind.is_none() {
-                continue;
-            }
-            let ran = std::mem::replace(&mut arrays[slot], empty_of(a.ty));
-            let back = if failed {
-                snapshots[slot].take().unwrap_or(ran)
-            } else {
-                ran
-            };
-            binding.set_array(a.name.clone(), back);
+        match (host.error, rc) {
+            (Some(e), _) => Err(e),
+            (None, TACO_OK) => Ok(()),
+            (None, TACO_ERR_DIV0) => Err(RunError::DivisionByZero),
+            (None, rc) => Err(RunError::Backend(format!("native kernel exited with status {rc}"))),
         }
-
-        if failed {
-            return Err(host.error.take().unwrap_or_else(|| match rc {
-                TACO_ERR_DIV0 => RunError::DivisionByZero,
-                rc => RunError::Backend(format!("native kernel exited with status {rc}")),
-            }));
-        }
-        for (pos, (name, _)) in plan.scalar_outputs.iter().enumerate() {
-            binding.set_scalar_output(name.clone(), scalar_out[pos]);
-        }
-        Ok(NativeReport {
-            iterations: host.meter.iterations_done(),
-            allocated_bytes: host.meter.total_bytes(),
-            peak_single_bytes: host.meter.peak_single_bytes(),
-            peak_map_bytes: host.meter.peak_map_bytes(),
-        })
     }
 }
 
 /// Host-side state the callbacks operate on, reached through `ctx->host`.
 struct Host<'a> {
     plan: &'a AbiPlan,
-    arrays: Vec<ArrayVal>,
-    meter: BudgetMeter,
+    arrays: &'a mut Vec<ArrayVal>,
+    meter: &'a mut BudgetMeter,
     /// First error recorded; sticky, later faults are ignored.
     error: Option<RunError>,
     /// Iterations granted in the current supervision batch.
     grant: u64,
-    cancel: Option<&'a AtomicBool>,
-    deadline: Option<(Instant, Duration)>,
+    controls: &'a RunControls<'a>,
 }
 
 impl Host<'_> {
     fn record(&mut self, e: RunError) {
         self.error.get_or_insert(e);
-    }
-}
-
-fn val_ty(v: &ArrayVal) -> ArrayTy {
-    match v {
-        ArrayVal::Int(_) => ArrayTy::Int,
-        ArrayVal::F64(_) => ArrayTy::F64,
-        ArrayVal::F32(_) => ArrayTy::F32,
-        ArrayVal::Bool(_) => ArrayTy::Bool,
-    }
-}
-
-fn empty_of(ty: ArrayTy) -> ArrayVal {
-    match ty {
-        ArrayTy::Int => ArrayVal::Int(Vec::new()),
-        ArrayTy::F64 => ArrayVal::F64(Vec::new()),
-        ArrayTy::F32 => ArrayVal::F32(Vec::new()),
-        ArrayTy::Bool => ArrayVal::Bool(Vec::new()),
     }
 }
 
@@ -415,7 +339,7 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
         return 1;
     }
     if !host.plan.arrays[slot].map_backing {
-        let ty = val_ty(&host.arrays[slot]);
+        let ty = host.arrays[slot].ty();
         if let Err(e) = host.meter.charge_array_bytes(&name, (len - old) as u64 * elem_bytes(ty)) {
             return fail(ctx, e);
         }
@@ -431,28 +355,13 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
 /// `ctx->poll`: the batched supervision check. Charges the grant that
 /// just elapsed against the iteration fuse (tripping on exactly the same
 /// iteration count as the interpreter's one-at-a-time accounting), then
-/// observes cancellation and the deadline, then issues the next grant.
+/// runs the protocol's [`RunControls::check`], then issues the next grant.
 unsafe extern "C" fn poll_cb(ctx: *mut TacoCtx) -> i32 {
     let host = host_of(ctx);
-    if let Err(e) = host.meter.consume_iterations(host.grant) {
+    let checked = host.meter.consume_iterations(host.grant);
+    if let Err(e) = checked.and_then(|()| host.controls.check(host.meter)) {
         host.record(e);
         return 1;
-    }
-    if let Some(flag) = host.cancel {
-        if flag.load(Ordering::Relaxed) {
-            host.record(RunError::Cancelled);
-            return 1;
-        }
-    }
-    if let Some((start, limit)) = host.deadline {
-        let elapsed = start.elapsed();
-        if elapsed >= limit {
-            host.record(RunError::DeadlineExceeded {
-                deadline_ms: limit.as_millis() as u64,
-                elapsed_ms: elapsed.as_millis() as u64,
-            });
-            return 1;
-        }
     }
     host.grant = host.meter.grant_iterations(u64::from(SUPERVISION_STRIDE));
     (*ctx).ticks_left = host.grant as i64 - 1;

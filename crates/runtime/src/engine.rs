@@ -376,13 +376,12 @@ impl Engine {
             for e in kernel.fallback_events() {
                 self.push_event(EngineEvent::Fallback(e.clone()));
             }
-            if let Some(report) = kernel.verify_report() {
-                self.push_event(EngineEvent::Verified {
-                    fingerprint: kernel.fingerprint(),
-                    denies: report.denies(),
-                    warns: report.warns(),
-                });
-            }
+            let report = kernel.verify_report();
+            self.push_event(EngineEvent::Verified {
+                fingerprint: kernel.fingerprint(),
+                denies: report.denies(),
+                warns: report.warns(),
+            });
         }
         Ok((kernel, !compiled_now))
     }
@@ -452,15 +451,14 @@ impl Engine {
             |rung_stmt, rung_opts| {
                 let (kernel, warm) = self.compile_traced(rung_stmt, rung_opts, None)?;
                 first_rung_warm.get_or_insert(warm);
-                match kernel.verify_report() {
-                    Some(report) if verify == VerifyMode::Deny && report.denies() > 0 => {
-                        Err(EngineError::VerifyDenied {
-                            fingerprint: kernel.fingerprint(),
-                            denies: report.denies(),
-                        })
-                    }
-                    _ => Ok(kernel),
+                let denies = kernel.verify_report().denies();
+                if verify == VerifyMode::Deny && denies > 0 {
+                    return Err(EngineError::VerifyDenied {
+                        fingerprint: kernel.fingerprint(),
+                        denies,
+                    });
                 }
+                Ok(kernel)
             },
             |kernel| {
                 let (result, report, on_native) =

@@ -42,10 +42,9 @@ use crate::Engine;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use taco_core::{CompiledKernel, CoreError, FallbackEvent, Supervisor};
-use taco_llir::{emit_native, Aborted, AbortReason, CancelToken, ExecReport, Progress};
-use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
+use taco_llir::{emit_native, ExecReport};
+use taco_native::{NativeCompiler, NativeKernel};
 use taco_tensor::Tensor;
 
 /// Which execution backend the engine dispatches kernel runs to.
@@ -188,11 +187,15 @@ impl Engine {
     }
 
     /// Runs a compiled kernel on `backend`: the one step every engine entry
-    /// point shares. The native attempt comes first; a kernel the native
-    /// path is off for or has rejected runs on the interpreter.
+    /// point shares, and every run in it is
+    /// [`CompiledKernel::run_with_body`] — with the interpreter as the body,
+    /// or with the kernel's native build. A kernel the native path is off
+    /// for or has rejected runs on the interpreter; a trusted one runs
+    /// native; an untrusted one runs both, for the differential check.
     /// `supervisor: None` is a plain run under the kernel's own budget.
-    /// Supervised native failures arrive as [`CoreError::Aborted`], so the
-    /// degrade-and-retry ladder treats both backends identically.
+    /// Supervised failures arrive as [`CoreError::Aborted`] with the meter's
+    /// counters whichever body ran, so the degrade-and-retry ladder treats
+    /// both backends identically.
     pub(crate) fn run_kernel(
         &self,
         kernel: &CompiledKernel,
@@ -201,37 +204,18 @@ impl Engine {
         supervisor: Option<&Supervisor>,
         backend: Backend,
     ) -> KernelRun {
-        self.try_run_native(kernel, inputs, output_structure, supervisor, backend)
-            .unwrap_or_else(|| run_interpreted(kernel, inputs, output_structure, supervisor))
-    }
-
-    /// Attempts to serve a run through the native backend. `None` means
-    /// "not attempted" — the backend is off or this kernel is rejected.
-    /// `Some` carries the committed run or a typed error that must
-    /// propagate.
-    fn try_run_native(
-        &self,
-        kernel: &CompiledKernel,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-        supervisor: Option<&Supervisor>,
-        backend: Backend,
-    ) -> Option<KernelRun> {
-        if !backend.allows_native() {
-            return None;
-        }
-        let fingerprint = kernel.fingerprint();
-        let (nk, trusted) = match self.native.get(fingerprint) {
-            Some(NativeState::Rejected) => return None,
-            Some(NativeState::Trusted(nk)) => (nk, true),
-            Some(NativeState::Untrusted(nk)) => (nk, false),
-            None => (self.acquire_native(kernel)?, false),
+        let interpreted = || {
+            let run =
+                kernel.run_with_body(kernel.executable(), inputs, output_structure, supervisor);
+            run.map(|(result, report)| (result, report, false))
         };
-
+        let Some((nk, trusted)) = self.native_form(kernel, backend) else {
+            return interpreted();
+        };
+        let native = || kernel.run_with_body(&*nk, inputs, output_structure, supervisor);
         if trusted {
             self.native.native_runs.fetch_add(1, Ordering::Relaxed);
-            let run = run_native_once(kernel, &nk, inputs, output_structure, supervisor);
-            return Some(run.map(|(result, report)| (result, report, true)));
+            return native().map(|(result, report)| (result, report, true));
         }
 
         // Differential trust check: interpreter first (its result is what
@@ -239,11 +223,12 @@ impl Engine {
         // the interpreter itself fails (deadline, budget, bad operands) the
         // check is inconclusive: the error propagates and the kernel stays
         // untrusted for the next attempt.
-        let reference = run_interpreted(kernel, inputs, output_structure, supervisor);
+        let fingerprint = kernel.fingerprint();
+        let reference = interpreted();
         if let Ok((ref_result, ..)) = &reference {
-            match run_native_once(kernel, &nk, inputs, output_structure, supervisor) {
+            match native() {
                 Ok((native_result, _)) if native_result == *ref_result => {
-                    self.native.set(fingerprint, NativeState::Trusted(nk));
+                    self.native.set(fingerprint, NativeState::Trusted(Arc::clone(&nk)));
                     self.native.trusted.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(_) => self.reject_native(
@@ -257,7 +242,26 @@ impl Engine {
                 ),
             }
         }
-        Some(reference)
+        reference
+    }
+
+    /// The kernel's native build and whether it is trusted, building it on
+    /// first sight. `None` means the interpreter serves this kernel: the
+    /// backend is off or the kernel is rejected.
+    fn native_form(
+        &self,
+        kernel: &CompiledKernel,
+        backend: Backend,
+    ) -> Option<(Arc<NativeKernel>, bool)> {
+        if !backend.allows_native() {
+            return None;
+        }
+        match self.native.get(kernel.fingerprint()) {
+            Some(NativeState::Rejected) => None,
+            Some(NativeState::Trusted(nk)) => Some((nk, true)),
+            Some(NativeState::Untrusted(nk)) => Some((nk, false)),
+            None => Some((self.acquire_native(kernel)?, false)),
+        }
     }
 
     /// Verify-gates, emits, and compiles the native form of a kernel,
@@ -267,25 +271,13 @@ impl Engine {
         let fingerprint = kernel.fingerprint();
         // Trust gate: the emitted C elides the interpreter's bounds checks,
         // so only kernels the static verifier accepted may go native.
-        match kernel.verify_report() {
-            Some(report) if report.denies() == 0 => {}
-            Some(report) => {
-                self.reject_native(
-                    fingerprint,
-                    format!(
-                        "{} deny-severity findings on the kernel's verification report",
-                        report.denies()
-                    ),
-                );
-                return None;
-            }
-            None => {
-                self.reject_native(
-                    fingerprint,
-                    "kernel was compiled without static verification".to_string(),
-                );
-                return None;
-            }
+        let denies = kernel.verify_report().denies();
+        if denies > 0 {
+            self.reject_native(
+                fingerprint,
+                format!("{denies} deny-severity findings on the kernel's verification report"),
+            );
+            return None;
         }
         let source = match emit_native(kernel.executable()) {
             Ok(source) => source,
@@ -339,82 +331,5 @@ impl Engine {
         self.native.set(fingerprint, NativeState::Rejected);
         self.native.unavailable.fetch_add(1, Ordering::Relaxed);
         self.push_event(EngineEvent::Fallback(FallbackEvent::NativeUnavailable { reason }));
-    }
-}
-
-/// Runs the kernel on the interpreter: supervised when a supervisor is given,
-/// otherwise a plain run under the kernel's own budget.
-fn run_interpreted(
-    kernel: &CompiledKernel,
-    inputs: &[(&str, &Tensor)],
-    output_structure: Option<&Tensor>,
-    supervisor: Option<&Supervisor>,
-) -> KernelRun {
-    let run = match supervisor {
-        Some(s) => kernel.run_supervised(inputs, output_structure, s),
-        None => kernel.run_with(inputs, output_structure).map(|t| (t, ExecReport::default())),
-    };
-    run.map(|(result, report)| (result, report, false))
-}
-
-/// Runs the native kernel once on a fresh binding, under the tighter of
-/// the supervisor's and the kernel's budgets, mapping the supervisor's
-/// deadline and cancel token into the native runner's polling options.
-fn run_native_once(
-    kernel: &CompiledKernel,
-    nk: &NativeKernel,
-    inputs: &[(&str, &Tensor)],
-    output_structure: Option<&Tensor>,
-    supervisor: Option<&Supervisor>,
-) -> std::result::Result<(Tensor, ExecReport), CoreError> {
-    let mut binding = kernel.bind(inputs, output_structure)?;
-    let budget = match supervisor {
-        Some(s) => s.budget().min_with(&kernel.budget()),
-        None => kernel.budget(),
-    };
-    let start = Instant::now();
-    let token = supervisor.map(Supervisor::cancel_token);
-    let mut opts = NativeRunOptions::default();
-    if let Some(s) = supervisor {
-        opts.cancel = token.as_ref().map(CancelToken::as_atomic);
-        // Same resolution as ExecSession::run: the tighter of the relative
-        // deadline and what remains of the absolute one.
-        let relative = s.deadline();
-        let absolute = s.deadline_at().map(|at| at.saturating_duration_since(start));
-        let deadline = match (relative, absolute) {
-            (Some(r), Some(a)) => Some(r.min(a)),
-            (r, a) => r.or(a),
-        };
-        opts.deadline = deadline.map(|d| (start, d));
-    }
-    match nk.run(&mut binding, &budget, opts) {
-        Ok(report) => {
-            let result = kernel.extract(&binding, output_structure)?;
-            Ok((
-                result,
-                ExecReport {
-                    elapsed: start.elapsed(),
-                    progress: Progress {
-                        iterations: report.iterations,
-                        allocated_bytes: report.allocated_bytes,
-                        peak_single_bytes: report.peak_single_bytes,
-                        peak_map_bytes: report.peak_map_bytes,
-                        workers: 0,
-                    },
-                    samples: Vec::new(),
-                },
-            ))
-        }
-        Err(e) => match supervisor {
-            // Supervised callers speak the abort protocol; the native
-            // runner already restored the binding's pre-run state, matching
-            // ExecSession's transactional rollback.
-            Some(_) => Err(CoreError::Aborted(Aborted {
-                reason: AbortReason::from_run_error(e),
-                progress: Progress::default(),
-                elapsed: start.elapsed(),
-            })),
-            None => Err(e.into()),
-        },
     }
 }

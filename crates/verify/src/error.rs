@@ -11,8 +11,6 @@ use std::fmt;
 /// How verification verdicts are enforced along the compile path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerifyMode {
-    /// Skip verification entirely.
-    Off,
     /// Verify and record the report, but never fail compilation.
     Warn,
     /// Verify and fail compilation when any deny-severity finding exists.
@@ -22,7 +20,6 @@ pub enum VerifyMode {
 impl fmt::Display for VerifyMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VerifyMode::Off => write!(f, "off"),
             VerifyMode::Warn => write!(f, "warn"),
             VerifyMode::Deny => write!(f, "deny"),
         }

@@ -404,9 +404,9 @@ fn compiled_leaf_kernels() -> Option<&'static [(NativeKernel, Executable)]> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Outputs, scalar outputs, `RunError` payloads, rollback and iteration
-    /// counts of random straight-line leaf loops agree between
-    /// `NativeKernel::run` and `Executable::run_with_budget`: in range,
+    /// Outputs, scalar outputs, `RunError` payloads, rollback and run
+    /// counters of random straight-line leaf loops agree between the native
+    /// body and the interpreter, bare and under a `Supervisor`: in range,
     /// too short by a few elements at either end, below zero, entered at
     /// any phase of the tick grant, longer than a stride, and under a fuse
     /// that trips anywhere.
@@ -459,29 +459,37 @@ proptest! {
             ResourceBudget::unlimited().with_max_loop_iterations(fuse_raw % (total + total / 8 + 2))
         };
 
+        // Unsupervised, the two bodies leave the same state behind whether
+        // they commit or stop part-way, and stop for the same reason.
         let mut nb = binding.clone();
         let ran = native.run(&mut nb, &budget, NativeRunOptions::default());
         let mut ib = binding.clone();
         let reference: Result<(), RunError> = exe.run_with_budget(&mut ib, &budget);
-        match (ran, reference) {
-            (Ok(report), Ok(())) => {
-                prop_assert_eq!(&nb, &ib);
-                let bits = |b: &Binding| -> Vec<u64> {
-                    ["out", "acc"]
-                        .iter()
-                        .flat_map(|a| b.f64_array(a).unwrap().iter().map(|v| v.to_bits()))
-                        .collect()
-                };
-                prop_assert_eq!(bits(&nb), bits(&ib));
-                let supervised = taco_llir::Supervisor::new()
-                    .with_budget(budget)
-                    .run(exe, &mut binding.clone())
-                    .expect("the unsupervised run succeeded");
-                prop_assert_eq!(report.iterations, supervised.progress.iterations);
+        prop_assert_eq!(&ran, &reference);
+        prop_assert_eq!(&nb, &ib);
+        let bits = |b: &Binding| -> Vec<u64> {
+            ["out", "acc"]
+                .iter()
+                .flat_map(|a| b.f64_array(a).unwrap().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(&nb), bits(&ib));
+
+        // Supervised, a commit is those bytes with equal counters and an
+        // abort is the pre-run binding, on either body.
+        let supervisor = taco_llir::Supervisor::new().with_budget(budget);
+        let (mut snb, mut sib) = (binding.clone(), binding.clone());
+        match (supervisor.run(native, &mut snb), supervisor.run(exe, &mut sib)) {
+            (Ok(n), Ok(i)) => {
+                prop_assert!(reference.is_ok());
+                prop_assert_eq!((&snb, &sib), (&nb, &ib));
+                prop_assert_eq!(n.progress, i.progress);
             }
             (Err(n), Err(i)) => {
-                prop_assert_eq!(n, i);
-                prop_assert_eq!(&nb, &binding);
+                prop_assert!(reference.is_err());
+                prop_assert_eq!(n.reason, i.reason);
+                prop_assert_eq!(&snb, &binding);
+                prop_assert_eq!(&sib, &binding);
             }
             (n, i) => prop_assert!(false, "native {n:?} but interpreter {i:?}"),
         }
@@ -549,6 +557,72 @@ fn supervised_runs_report_the_backend_and_trust_transition() {
         )
         .unwrap();
     assert!(!pinned.native, "Backend::Interp must pin this call to the interpreter");
+}
+
+/// An abort is the same abort whichever body ran: the ladder and the serve
+/// tier key on its reason and read its counters, so a trusted native kernel
+/// stopped by the iteration fuse must report what the interpreter reports
+/// for the same trip — not zero progress — and leave the binding as bound.
+#[test]
+fn a_fuse_trip_aborts_with_the_same_reason_and_counters_on_either_backend() {
+    let Some(cc) = require_cc("a_fuse_trip_aborts_with_the_same_reason_and_counters") else {
+        return;
+    };
+    // A one-rung statement (no workspace, compute-only, unscheduled): the
+    // abort the engine returns is this kernel's, not a lower rung's.
+    let n = 64;
+    let a = TensorVar::new("a", vec![n], Format::dvec());
+    let b = TensorVar::new("B", vec![n, n], Format::csr());
+    let x = TensorVar::new("x", vec![n], Format::dvec());
+    let (i, j) = (iv("i"), iv("j"));
+    let stmt = IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone()]),
+        sum(j.clone(), b.access([i, j.clone()]) * x.access([j])),
+    ))
+    .unwrap();
+    let bt = random_csr(n, n, 0.3, 71).to_tensor();
+    let xt = Tensor::from_dense(
+        &DenseTensor::from_data(vec![n], (0..n).map(|v| 0.25 * v as f64).collect()),
+        Format::dvec(),
+    )
+    .unwrap();
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &bt), ("x", &xt)];
+    let opts = || LowerOptions::compute("fuse_spmv");
+    let fuse = 100;
+    let tripped = Supervisor::new()
+        .with_budget(ResourceBudget::unlimited().with_max_loop_iterations(fuse));
+
+    let abort_on = |backend: Backend| -> Aborted {
+        let engine = Engine::builder().backend(backend).build();
+        let run = |supervisor: &Supervisor| {
+            let mode = VerifyMode::Warn;
+            engine.run_supervised(&stmt, opts(), supervisor, &inputs, None, mode, Backend::Auto)
+        };
+        // Two calm runs: the differential check, then a run that shows
+        // which body serves the kernel from here on.
+        run(&Supervisor::new()).expect("calm run commits");
+        let settled = run(&Supervisor::new()).expect("calm run commits");
+        assert_eq!(settled.native, backend == Backend::Native);
+        assert!(settled.outcome.report.progress.iterations > fuse);
+        match run(&tripped) {
+            Err(EngineError::Core(CoreError::Aborted(aborted))) => aborted,
+            other => panic!("{backend}: expected an abort, got {other:?}"),
+        }
+    };
+    let (native, interp) = (abort_on(Backend::Native), abort_on(Backend::Interp));
+    assert!(matches!(native.reason, AbortReason::BudgetExceeded { .. }), "{:?}", native.reason);
+    assert_eq!(native.reason, interp.reason);
+    assert_eq!(native.progress, interp.progress);
+    assert_eq!(native.progress.iterations, fuse, "the spent fuse, not zero progress");
+
+    // The same trip one level down, where the binding is visible.
+    let kernel = stmt.compile(opts()).unwrap();
+    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), kernel.fingerprint()).unwrap();
+    let mut binding = kernel.bind(&inputs, None).unwrap();
+    let before = binding.clone();
+    let aborted = tripped.run(&so, &mut binding).unwrap_err();
+    assert_eq!(aborted.progress, native.progress);
+    assert_eq!(binding, before, "a supervised native abort must roll the binding back");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! shutdown semantics.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use taco_workspaces::serve::Quota;
 use taco_workspaces::tensor::corrupt::{self, Corruption};
 use taco_workspaces::tensor::gen;
@@ -57,10 +57,21 @@ fn request(
 }
 
 /// A request sized to keep a worker busy well past the few milliseconds the
-/// tests need (fresh fingerprint per `n`, so the compile is cold too).
+/// tests need (fresh fingerprint per `n`, so the compile is cold too): at
+/// `n` = 256 the worker holds it for ≥ 90 ms in a release build with no C
+/// toolchain, the fastest configuration, and half a second in a debug one.
 fn plug(server: &Server, n: usize) -> Ticket {
     let (b, c) = operands(n, 0.3, 7070 + n as u64);
-    server.submit(request("plug", &spgemm(n), &b, &c, Duration::from_secs(120))).unwrap()
+    let ticket =
+        server.submit(request("plug", &spgemm(n), &b, &c, Duration::from_secs(120))).unwrap();
+    // Returns only once a worker holds the plug: what the caller submits
+    // next is then queued behind it, not racing it for the worker.
+    let patience = Instant::now() + Duration::from_secs(60);
+    while server.stats().running != 1 {
+        assert!(Instant::now() < patience, "no worker was seen holding the plug within 60 s");
+        std::thread::yield_now();
+    }
+    ticket
 }
 
 #[test]
@@ -152,8 +163,7 @@ fn in_flight_cap_and_queue_bound_reject_with_typed_reasons() {
         .build();
 
     // Occupy the single worker so subsequent submissions stay queued.
-    let plugged = plug(&server, 128);
-    std::thread::sleep(Duration::from_millis(20));
+    let plugged = plug(&server, 256);
 
     // First capped request queues (active = 1); the second breaks the cap
     // (the queue, capacity 2, still has room — this is the quota, not the
@@ -198,8 +208,7 @@ fn infeasible_deadline_is_shed_at_admission_once_the_server_knows_its_speed() {
 
     // Occupy the worker and put a request in the queue: the backlog now
     // makes a nanosecond deadline obviously infeasible.
-    let plugged = plug(&server, 129);
-    std::thread::sleep(Duration::from_millis(20));
+    let plugged = plug(&server, 257);
     let queued = server.submit(request("t", &stmt, &b, &c, Duration::from_secs(60))).unwrap();
 
     let err =
@@ -250,8 +259,7 @@ fn dispatch_is_earliest_deadline_first_not_fifo() {
     // While the single worker chews on the plug, submit three requests in
     // *descending* urgency order. EDF must serve them tightest-first, which
     // shows up as strictly increasing queue waits in deadline order.
-    let plugged = plug(&server, 130);
-    std::thread::sleep(Duration::from_millis(20));
+    let plugged = plug(&server, 258);
     let loose = server.submit(request("t", &stmt, &b, &c, Duration::from_secs(90))).unwrap();
     let middle = server.submit(request("t", &stmt, &b, &c, Duration::from_secs(60))).unwrap();
     let tight = server.submit(request("t", &stmt, &b, &c, Duration::from_secs(30))).unwrap();
@@ -488,8 +496,7 @@ fn shutdown_now_cancels_queued_work_with_typed_outcomes() {
 
     // The plug occupies the only worker; everything behind it is queued
     // when the hard shutdown lands.
-    let plugged = plug(&server, 131);
-    std::thread::sleep(Duration::from_millis(20));
+    let plugged = plug(&server, 259);
     let queued: Vec<Ticket> = (0..4)
         .map(|_| server.submit(request("t", &stmt, &b, &c, Duration::from_secs(120))).unwrap())
         .collect();
