@@ -24,18 +24,22 @@
 //! * Stores are bounds-checked (a fault, not UB). Loads are *not*: reads
 //!   are trusted to the static verifier plus the differential check — the
 //!   documented trust contract of the native backend (DESIGN.md §15).
-//! * A *straight-line leaf loop* (see [`leaf_loop`]) pays both of those
-//!   once per loop instead of once per element: its store checks are
-//!   hoisted into one precondition at loop entry and its ticks are burnt a
-//!   chunk at a time, polling on exactly the iteration `TACO_TICK` would
-//!   have. When the precondition fails the per-element loop runs instead
-//!   and faults where it always did (DESIGN.md §15, "Versioned leaf
-//!   loops").
+//! * A *straight-line leaf loop* pays both of those once per loop instead
+//!   of once per element: its store checks are hoisted into one
+//!   precondition at loop entry and its ticks are burnt a chunk at a time,
+//!   polling on exactly the iteration `TACO_TICK` would have. When the
+//!   precondition fails the per-element loop runs instead and faults where
+//!   it always did. Which loops those are, and the terms of the
+//!   precondition, are not decided here: the emitter reads the
+//!   [`LeafPlan`](crate::leaf::LeafPlan) that [`crate::leaf`] stored on the
+//!   `For` node and renders its *store* terms (DESIGN.md §8, "Leaf loops:
+//!   decide at entry, run a strip"; §15 for the C).
 //! * `ParallelFor` is rejected: its deterministic clone-and-merge
 //!   semantics have no plain-OpenMP equivalent, so parallel candidates
 //!   stay on the interpreter and the autotuner races the two backends.
 
 use crate::exec::{BExpr, FExpr, IExpr, RStmt};
+use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};
 use crate::{ArrayTy, BinOp, CompileError, Executable, ParamKind, WorkspaceKind};
 use std::fmt::Write;
 
@@ -260,7 +264,8 @@ fn check_supported(body: &[RStmt]) -> Result<(), NativeEmitError> {
                     "parallel loop (deterministic clone-and-merge is interpreter-only)".into(),
                 ))
             }
-            RStmt::For(_, _, _, b) | RStmt::While(_, b) => check_supported(b)?,
+            RStmt::For(_, _, _, b) => check_supported(b)?,
+            RStmt::While(_, b) => check_supported(b)?,
             RStmt::If(_, t, e) => {
                 check_supported(t)?;
                 check_supported(e)?;
@@ -284,7 +289,8 @@ fn drains_mutate_map(body: &[RStmt], map: usize) -> bool {
         RStmt::MapInit(m, ..) | RStmt::MapScatter(m, ..) | RStmt::MapDrainSorted(m, ..) => {
             *m == map
         }
-        RStmt::For(_, _, _, b) | RStmt::While(_, b) => drains_mutate_map(b, map),
+        RStmt::For(_, _, _, b) => drains_mutate_map(b, map),
+        RStmt::While(_, b) => drains_mutate_map(b, map),
         RStmt::If(_, t, e) => drains_mutate_map(t, map) || drains_mutate_map(e, map),
         _ => false,
     })
@@ -300,7 +306,8 @@ fn alloc_types(body: &[RStmt]) -> std::collections::HashMap<usize, ArrayTy> {
                 RStmt::Alloc(slot, ty, _) => {
                     out.entry(*slot).or_insert(*ty);
                 }
-                RStmt::For(_, _, _, b) | RStmt::While(_, b) => walk(b, out),
+                RStmt::For(_, _, _, b) => walk(b, out),
+                RStmt::While(_, b) => walk(b, out),
                 RStmt::If(_, t, e) => {
                     walk(t, out);
                     walk(e, out);
@@ -336,7 +343,8 @@ fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
                 | RStmt::Alloc(a, ..)
                 | RStmt::Realloc(a, ..)
                 | RStmt::Sort(a, ..) if !out.contains(a) => out.push(*a),
-                RStmt::For(_, _, _, b) | RStmt::While(_, b) => walk(b, out),
+                RStmt::For(_, _, _, b) => walk(b, out),
+                RStmt::While(_, b) => walk(b, out),
                 RStmt::If(_, t, e) => {
                     walk(t, out);
                     walk(e, out);
@@ -391,154 +399,12 @@ fn f64_lit(v: f64) -> String {
     }
 }
 
-// --- fault detection: does an expression contain integer div/rem? ------
-
-fn ifaults(e: &IExpr) -> bool {
-    match e {
-        IExpr::Lit(_) | IExpr::Var(_) | IExpr::Len(_) => false,
-        IExpr::Load(_, i) => ifaults(i),
-        IExpr::Bin(op, a, b) => {
-            matches!(op, BinOp::Div | BinOp::Rem) || ifaults(a) || ifaults(b)
-        }
-        IExpr::Neg(a) => ifaults(a),
-    }
-}
-
-fn ffaults(e: &FExpr) -> bool {
-    match e {
-        FExpr::Lit(_) | FExpr::Var(_) => false,
-        FExpr::LoadF64(_, i) | FExpr::LoadF32(_, i) => ifaults(i),
-        FExpr::Bin(_, a, b) => ffaults(a) || ffaults(b),
-        FExpr::Neg(a) => ffaults(a),
-        FExpr::FromInt(i) => ifaults(i),
-    }
-}
-
-fn bfaults(e: &BExpr) -> bool {
-    match e {
-        BExpr::Lit(_) | BExpr::Var(_) => false,
-        BExpr::Load(_, i) => ifaults(i),
-        BExpr::CmpI(_, a, b) => ifaults(a) || ifaults(b),
-        BExpr::CmpF(_, a, b) => ffaults(a) || ffaults(b),
-        BExpr::Bin(_, a, b) => bfaults(a) || bfaults(b),
-        BExpr::Not(a) => bfaults(a),
-    }
-}
-
 // --- versioned leaf loops ----------------------------------------------
 
 /// The comment on the fast copy of every versioned leaf loop. Tests count
 /// it to pin which kernels change shape and which emit the C they always
 /// did.
 pub const LEAF_FAST_PATH_MARKER: &str = "/* taco: leaf fast path */";
-
-/// How one store of a leaf loop indexes its array.
-#[derive(PartialEq)]
-enum LeafIndex<'a> {
-    /// The same element on every iteration.
-    Invariant(&'a IExpr),
-    /// `inv + loopvar`; `None` is the bare loop variable.
-    Affine(Option<&'a IExpr>),
-}
-
-/// True when `body` is, recursively through `If`, nothing but scalar
-/// assigns and stores that cannot fault (no integer div/rem): no inner
-/// loop to tick, no host callback, no abort edge other than a store's
-/// range check. Collects the int slots it assigns.
-fn is_straight_line(body: &[RStmt], assigned: &mut Vec<usize>) -> bool {
-    body.iter().all(|s| match s {
-        RStmt::AssignI(slot, e) => {
-            assigned.push(*slot);
-            !ifaults(e)
-        }
-        RStmt::AssignF(_, e) => !ffaults(e),
-        RStmt::AssignB(_, e) => !bfaults(e),
-        RStmt::StoreI(_, i, v) | RStmt::StoreAddI(_, i, v) => !ifaults(i) && !ifaults(v),
-        RStmt::StoreF64(_, i, v)
-        | RStmt::StoreF32(_, i, v)
-        | RStmt::StoreAddF64(_, i, v)
-        | RStmt::StoreAddF32(_, i, v) => !ifaults(i) && !ffaults(v),
-        RStmt::StoreB(_, i, v) => !ifaults(i) && !bfaults(v),
-        RStmt::If(c, t, e) => {
-            !bfaults(c) && is_straight_line(t, assigned) && is_straight_line(e, assigned)
-        }
-        _ => false,
-    })
-}
-
-/// True when `e` has the same value on every iteration and is safe to
-/// evaluate before the first: no loads (reads stay where the verifier saw
-/// them) and no slot the loop writes.
-fn is_invariant(e: &IExpr, written: &[usize]) -> bool {
-    match e {
-        IExpr::Lit(_) | IExpr::Len(_) => true,
-        IExpr::Var(s) => !written.contains(s),
-        IExpr::Load(..) => false,
-        IExpr::Bin(_, a, b) => is_invariant(a, written) && is_invariant(b, written),
-        IExpr::Neg(a) => is_invariant(a, written),
-    }
-}
-
-/// Classifies every store index of a straight-line body; `false` if one
-/// is neither invariant nor `inv + loopvar`.
-fn leaf_stores<'a>(
-    body: &'a [RStmt],
-    var: usize,
-    written: &[usize],
-    out: &mut Vec<(usize, LeafIndex<'a>)>,
-) -> bool {
-    body.iter().all(|s| {
-        let (arr, idx) = match s {
-            RStmt::If(_, t, e) => {
-                return leaf_stores(t, var, written, out) && leaf_stores(e, var, written, out)
-            }
-            RStmt::StoreI(a, i, _)
-            | RStmt::StoreF64(a, i, _)
-            | RStmt::StoreF32(a, i, _)
-            | RStmt::StoreB(a, i, _)
-            | RStmt::StoreAddI(a, i, _)
-            | RStmt::StoreAddF64(a, i, _)
-            | RStmt::StoreAddF32(a, i, _) => (*a, i),
-            _ => return true,
-        };
-        let is_var = |e: &IExpr| matches!(e, IExpr::Var(v) if *v == var);
-        let form = match idx {
-            e if is_invariant(e, written) => LeafIndex::Invariant(e),
-            e if is_var(e) => LeafIndex::Affine(None),
-            IExpr::Bin(BinOp::Add, a, b) if is_var(b) && is_invariant(a, written) => {
-                LeafIndex::Affine(Some(a))
-            }
-            IExpr::Bin(BinOp::Add, a, b) if is_var(a) && is_invariant(b, written) => {
-                LeafIndex::Affine(Some(b))
-            }
-            _ => return false,
-        };
-        if !out.iter().any(|(a, f)| *a == arr && *f == form) {
-            out.push((arr, form));
-        }
-        true
-    })
-}
-
-/// Recognises a **straight-line leaf loop**: a counting loop whose body
-/// is, recursively through `If`, non-faulting scalar assigns and stores
-/// only, never assigns its own loop variable, and stores only at indices
-/// that are loop-invariant or `inv + loopvar` — with `inv` free of loads
-/// and of every slot the loop writes. For such a loop the range check of
-/// every store can be decided at loop entry from `_lo` and `_hi - 1`
-/// alone, and nothing but a supervision poll can abort it.
-///
-/// Returns the distinct (array slot, index form) pairs of its stores: one
-/// term of the hoisted precondition each.
-fn leaf_loop(var: usize, body: &[RStmt]) -> Option<Vec<(usize, LeafIndex<'_>)>> {
-    let mut written = Vec::new();
-    if !is_straight_line(body, &mut written) || written.contains(&var) {
-        return None;
-    }
-    written.push(var);
-    let mut stores = Vec::new();
-    leaf_stores(body, var, &written, &mut stores).then_some(stores)
-}
 
 // --- the emitter -------------------------------------------------------
 
@@ -748,9 +614,9 @@ impl Emitter<'_> {
                 if ifaults(lo) || ifaults(hi) {
                     self.fault_check();
                 }
-                let leaf = leaf_loop(*slot, body);
-                if let Some(stores) = &leaf {
-                    self.leaf_precondition(stores);
+                let leaf = body.leaf_plan();
+                if let Some(plan) = leaf {
+                    self.leaf_precondition(&plan.stores);
                 }
                 self.line("for (int64_t _it = _lo; _it < _hi; _it++) {");
                 self.depth += 1;
@@ -955,7 +821,7 @@ impl Emitter<'_> {
     /// which the `<=` term rules out (a bare loop variable cannot wrap:
     /// `_lo < _hi`). When `_pre` is false the loop is the per-element loop
     /// it always was and faults where it always did.
-    fn leaf_precondition(&mut self, stores: &[(usize, LeafIndex<'_>)]) {
+    fn leaf_precondition(&mut self, stores: &[Access]) {
         let mut terms = vec!["_lo < _hi".to_string()];
         for (arr, form) in stores {
             let in_range = |x: &str| format!("(uint64_t){x} < (uint64_t)a{arr}_n");

@@ -5,8 +5,20 @@
 //! typed statement tree is then interpreted by [`Executable::run`] with no
 //! name lookups in any inner loop — this plays the role of the paper's
 //! "target code" stage (Figure 6) in a pure-Rust setting.
+//!
+//! The interpreter checks every array access dynamically: it is the oracle
+//! the native backend's differential trust run is held against. For a
+//! straight-line leaf loop whose accesses are all range-decidable from the
+//! loop bounds ([`crate::leaf`] plans them at compile time) it makes that
+//! check once, at loop entry, and then runs the loop a strip at a time —
+//! between two supervision polls — through the same evaluators under an
+//! access policy that cannot fault, over a body whose loop-invariant
+//! subexpressions were evaluated once into scalar slots. Every other loop,
+//! and a leaf loop whose precondition is false, runs one checked element at
+//! a time.
 
 use crate::alloc::{elem_bytes, BudgetMeter};
+use crate::leaf::{self, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
     ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
     ResourceBudget, RunError, Stmt, UnOp, WorkspaceKind,
@@ -114,7 +126,7 @@ pub(crate) enum RStmt {
     StoreAddI(usize, IExpr, IExpr),
     StoreAddF64(usize, IExpr, FExpr),
     StoreAddF32(usize, IExpr, FExpr),
-    For(usize, IExpr, IExpr, Vec<RStmt>),
+    For(usize, IExpr, IExpr, LoopBody),
     ParallelFor(Box<RParFor>),
     While(BExpr, Vec<RStmt>),
     If(BExpr, Vec<RStmt>, Vec<RStmt>),
@@ -435,7 +447,7 @@ impl Compiler {
                 let slot = self.declare(var, ScalarTy::Int)?;
                 let body = self.block_in_current_scope(body)?;
                 self.scopes.pop();
-                RStmt::For(slot, lo, hi, body)
+                RStmt::For(slot, lo, hi, LoopBody::new(body))
             }
             Stmt::ParallelFor { var, lo, hi, threads, private, append, body } => {
                 let lo = self.int_expr(lo)?;
@@ -662,6 +674,74 @@ impl MapWs {
     }
 }
 
+/// What the evaluators do at the two places a straight-line statement can
+/// fault: an array access and an integer division. The evaluators are
+/// written once, generic over this policy, and instantiated twice.
+trait AccessPolicy {
+    /// What a faulting access or division yields.
+    type Fault;
+
+    /// The position of element `idx` of array slot `arr`, `len` long.
+    fn index(m: &Mach<'_>, arr: usize, idx: i64, len: usize) -> Result<usize, Self::Fault>;
+
+    fn division_by_zero() -> Self::Fault;
+
+    /// Executes a statement that is not straight-line: a loop, an
+    /// allocation, a sort, a map operation.
+    fn control(m: &mut Mach<'_>, s: &RStmt) -> Result<(), Self::Fault>;
+}
+
+/// Every access is range-checked where it happens: the interpreter as the
+/// dynamically checked oracle of the trust gate.
+struct Checked;
+
+impl AccessPolicy for Checked {
+    type Fault = RunError;
+
+    #[inline]
+    fn index(m: &Mach<'_>, arr: usize, idx: i64, len: usize) -> Result<usize, RunError> {
+        if idx < 0 || idx as usize >= len {
+            Err(m.oob(arr, idx, len))
+        } else {
+            Ok(idx as usize)
+        }
+    }
+
+    fn division_by_zero() -> RunError {
+        RunError::DivisionByZero
+    }
+
+    #[inline]
+    fn control(m: &mut Mach<'_>, s: &RStmt) -> Result<(), RunError> {
+        m.exec_control(s)
+    }
+}
+
+/// Inside a strip of a leaf loop ([`crate::leaf`]): the entry precondition
+/// decided every access of every iteration, and a straight-line body has
+/// no integer division and no control statement, so nothing can fault. A
+/// violated precondition is a bug in the recogniser; it surfaces as the
+/// debug assertion here or as the slice index panic behind it.
+struct Decided;
+
+impl AccessPolicy for Decided {
+    type Fault = std::convert::Infallible;
+
+    #[inline]
+    fn index(_: &Mach<'_>, _: usize, idx: i64, len: usize) -> Result<usize, Self::Fault> {
+        debug_assert!(idx >= 0 && (idx as usize) < len, "leaf precondition violated");
+        Ok(idx as usize)
+    }
+
+    fn division_by_zero() -> Self::Fault {
+        unreachable!("a straight-line body has no integer division")
+    }
+
+    fn control(_: &mut Mach<'_>, _: &RStmt) -> Result<(), Self::Fault> {
+        unreachable!("a straight-line body has no control statement")
+    }
+}
+
 struct Mach<'a> {
     ints: Vec<i64>,
     floats: Vec<f64>,
@@ -683,15 +763,6 @@ impl Mach<'_> {
     #[inline]
     fn oob(&self, arr: usize, idx: i64, len: usize) -> RunError {
         RunError::OutOfBounds { name: self.array_names[arr].clone(), idx, len }
-    }
-
-    #[inline]
-    fn check(&self, arr: usize, idx: i64, len: usize) -> Result<usize, RunError> {
-        if idx < 0 || idx as usize >= len {
-            Err(self.oob(arr, idx, len))
-        } else {
-            Ok(idx as usize)
-        }
     }
 
     /// Burns one unit of the loop-iteration fuse and, every
@@ -757,21 +828,21 @@ impl Mach<'_> {
         self.budget.charge_realloc_doubling(arr, &self.array_names[arr])
     }
 
-    fn eval_i(&self, e: &IExpr) -> Result<i64, RunError> {
+    fn eval_i<A: AccessPolicy>(&self, e: &IExpr) -> Result<i64, A::Fault> {
         Ok(match e {
             IExpr::Lit(v) => *v,
             IExpr::Var(s) => self.ints[*s],
             IExpr::Load(arr, idx) => {
-                let i = self.eval_i(idx)?;
+                let i = self.eval_i::<A>(idx)?;
                 match &self.arrays[*arr] {
-                    ArrayVal::Int(v) => v[self.check(*arr, i, v.len())?],
+                    ArrayVal::Int(v) => v[A::index(self, *arr, i, v.len())?],
                     _ => unreachable!("typed at compile time"),
                 }
             }
             IExpr::Len(arr) => self.arrays[*arr].len() as i64,
             IExpr::Bin(op, a, b) => {
-                let x = self.eval_i(a)?;
-                let y = self.eval_i(b)?;
+                let x = self.eval_i::<A>(a)?;
+                let y = self.eval_i::<A>(b)?;
                 // Wrapping semantics match C integer arithmetic and keep
                 // hostile index expressions from aborting the process in
                 // debug builds; division errors out instead of trapping.
@@ -781,13 +852,13 @@ impl Mach<'_> {
                     BinOp::Mul => x.wrapping_mul(y),
                     BinOp::Div => {
                         if y == 0 {
-                            return Err(RunError::DivisionByZero);
+                            return Err(A::division_by_zero());
                         }
                         x.wrapping_div(y)
                     }
                     BinOp::Rem => {
                         if y == 0 {
-                            return Err(RunError::DivisionByZero);
+                            return Err(A::division_by_zero());
                         }
                         x.wrapping_rem(y)
                     }
@@ -798,31 +869,31 @@ impl Mach<'_> {
                     _ => unreachable!("non-arithmetic op in integer expression"),
                 }
             }
-            IExpr::Neg(a) => self.eval_i(a)?.wrapping_neg(),
+            IExpr::Neg(a) => self.eval_i::<A>(a)?.wrapping_neg(),
         })
     }
 
-    fn eval_f(&self, e: &FExpr) -> Result<f64, RunError> {
+    fn eval_f<A: AccessPolicy>(&self, e: &FExpr) -> Result<f64, A::Fault> {
         Ok(match e {
             FExpr::Lit(v) => *v,
             FExpr::Var(s) => self.floats[*s],
             FExpr::LoadF64(arr, idx) => {
-                let i = self.eval_i(idx)?;
+                let i = self.eval_i::<A>(idx)?;
                 match &self.arrays[*arr] {
-                    ArrayVal::F64(v) => v[self.check(*arr, i, v.len())?],
+                    ArrayVal::F64(v) => v[A::index(self, *arr, i, v.len())?],
                     _ => unreachable!("typed at compile time"),
                 }
             }
             FExpr::LoadF32(arr, idx) => {
-                let i = self.eval_i(idx)?;
+                let i = self.eval_i::<A>(idx)?;
                 match &self.arrays[*arr] {
-                    ArrayVal::F32(v) => v[self.check(*arr, i, v.len())?] as f64,
+                    ArrayVal::F32(v) => v[A::index(self, *arr, i, v.len())?] as f64,
                     _ => unreachable!("typed at compile time"),
                 }
             }
             FExpr::Bin(op, a, b) => {
-                let x = self.eval_f(a)?;
-                let y = self.eval_f(b)?;
+                let x = self.eval_f::<A>(a)?;
+                let y = self.eval_f::<A>(b)?;
                 match op {
                     BinOp::Add => x + y,
                     BinOp::Sub => x - y,
@@ -834,118 +905,132 @@ impl Mach<'_> {
                     _ => unreachable!("non-arithmetic op in float expression"),
                 }
             }
-            FExpr::Neg(a) => -self.eval_f(a)?,
-            FExpr::FromInt(a) => self.eval_i(a)? as f64,
+            FExpr::Neg(a) => -self.eval_f::<A>(a)?,
+            FExpr::FromInt(a) => self.eval_i::<A>(a)? as f64,
         })
     }
 
-    fn eval_b(&self, e: &BExpr) -> Result<bool, RunError> {
+    fn eval_b<A: AccessPolicy>(&self, e: &BExpr) -> Result<bool, A::Fault> {
         Ok(match e {
             BExpr::Lit(v) => *v,
             BExpr::Var(s) => self.bools[*s],
             BExpr::Load(arr, idx) => {
-                let i = self.eval_i(idx)?;
+                let i = self.eval_i::<A>(idx)?;
                 match &self.arrays[*arr] {
-                    ArrayVal::Bool(v) => v[self.check(*arr, i, v.len())?],
+                    ArrayVal::Bool(v) => v[A::index(self, *arr, i, v.len())?],
                     _ => unreachable!("typed at compile time"),
                 }
             }
             BExpr::CmpI(op, a, b) => {
-                let x = self.eval_i(a)?;
-                let y = self.eval_i(b)?;
+                let x = self.eval_i::<A>(a)?;
+                let y = self.eval_i::<A>(b)?;
                 cmp(*op, &x, &y)
             }
             BExpr::CmpF(op, a, b) => {
-                let x = self.eval_f(a)?;
-                let y = self.eval_f(b)?;
+                let x = self.eval_f::<A>(a)?;
+                let y = self.eval_f::<A>(b)?;
                 cmp(*op, &x, &y)
             }
-            BExpr::Bin(BinOp::And, a, b) => self.eval_b(a)? && self.eval_b(b)?,
-            BExpr::Bin(BinOp::Or, a, b) => self.eval_b(a)? || self.eval_b(b)?,
+            BExpr::Bin(BinOp::And, a, b) => self.eval_b::<A>(a)? && self.eval_b::<A>(b)?,
+            BExpr::Bin(BinOp::Or, a, b) => self.eval_b::<A>(a)? || self.eval_b::<A>(b)?,
             BExpr::Bin(op, ..) => unreachable!("non-logical op {op:?} in boolean expression"),
-            BExpr::Not(a) => !self.eval_b(a)?,
+            BExpr::Not(a) => !self.eval_b::<A>(a)?,
         })
     }
 
-    fn exec_block(&mut self, stmts: &[RStmt]) -> Result<(), RunError> {
+    fn exec_block<A: AccessPolicy>(&mut self, stmts: &[RStmt]) -> Result<(), A::Fault> {
         for s in stmts {
-            self.exec(s)?;
+            self.exec::<A>(s)?;
         }
         Ok(())
     }
 
-    fn exec(&mut self, s: &RStmt) -> Result<(), RunError> {
+    /// Executes one statement. The straight-line statements — scalar
+    /// assigns, stores, and `If` over them — are written here, once for both
+    /// access policies; everything else is [`AccessPolicy::control`].
+    fn exec<A: AccessPolicy>(&mut self, s: &RStmt) -> Result<(), A::Fault> {
         match s {
             RStmt::AssignI(slot, e) => {
-                self.ints[*slot] = self.eval_i(e)?;
+                self.ints[*slot] = self.eval_i::<A>(e)?;
             }
             RStmt::AssignF(slot, e) => {
-                self.floats[*slot] = self.eval_f(e)?;
+                self.floats[*slot] = self.eval_f::<A>(e)?;
             }
             RStmt::AssignB(slot, e) => {
-                self.bools[*slot] = self.eval_b(e)?;
+                self.bools[*slot] = self.eval_b::<A>(e)?;
             }
             RStmt::StoreI(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_i(val)?;
-                let len = self.arrays[*arr].len();
-                if i < 0 || i as usize >= len {
-                    return Err(self.oob(*arr, i, len));
-                }
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_i::<A>(val)?;
+                let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
                 if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a[i as usize] = v;
+                    a[i] = v;
                 }
             }
             RStmt::StoreF64(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_f(val)?;
-                self.store_f64(*arr, i, v, false)?;
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_f::<A>(val)?;
+                self.store_f64::<A>(*arr, i, v, false)?;
             }
             RStmt::StoreF32(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_f(val)?;
-                self.store_f32(*arr, i, v, false)?;
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_f::<A>(val)?;
+                self.store_f32::<A>(*arr, i, v, false)?;
             }
             RStmt::StoreB(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_b(val)?;
-                let len = self.arrays[*arr].len();
-                if i < 0 || i as usize >= len {
-                    return Err(self.oob(*arr, i, len));
-                }
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_b::<A>(val)?;
+                let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
                 if let ArrayVal::Bool(a) = &mut self.arrays[*arr] {
-                    a[i as usize] = v;
+                    a[i] = v;
                 }
             }
             RStmt::StoreAddI(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_i(val)?;
-                let len = self.arrays[*arr].len();
-                if i < 0 || i as usize >= len {
-                    return Err(self.oob(*arr, i, len));
-                }
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_i::<A>(val)?;
+                let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
                 if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a[i as usize] += v;
+                    a[i] += v;
                 }
             }
             RStmt::StoreAddF64(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_f(val)?;
-                self.store_f64(*arr, i, v, true)?;
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_f::<A>(val)?;
+                self.store_f64::<A>(*arr, i, v, true)?;
             }
             RStmt::StoreAddF32(arr, idx, val) => {
-                let i = self.eval_i(idx)?;
-                let v = self.eval_f(val)?;
-                self.store_f32(*arr, i, v, true)?;
+                let i = self.eval_i::<A>(idx)?;
+                let v = self.eval_f::<A>(val)?;
+                self.store_f32::<A>(*arr, i, v, true)?;
             }
+            RStmt::If(cond, then, els) => {
+                if self.eval_b::<A>(cond)? {
+                    self.exec_block::<A>(then)?;
+                } else {
+                    self.exec_block::<A>(els)?;
+                }
+            }
+            control => A::control(self, control)?,
+        }
+        Ok(())
+    }
+
+    /// The statements only the checked policy meets: loops, allocation,
+    /// sorting, map workspaces.
+    #[inline]
+    fn exec_control(&mut self, s: &RStmt) -> Result<(), RunError> {
+        match s {
             RStmt::For(slot, lo, hi, body) => {
-                let lo = self.eval_i(lo)?;
-                let hi = self.eval_i(hi)?;
+                let lo = self.eval_i::<Checked>(lo)?;
+                let hi = self.eval_i::<Checked>(hi)?;
+                if let Some(strip) = body.leaf_plan().and_then(|plan| plan.strip.as_ref()) {
+                    return self.exec_leaf_loop(*slot, lo, hi, body, strip);
+                }
                 let mut iv = lo;
                 while iv < hi {
                     self.consume_iteration()?;
                     self.ints[*slot] = iv;
-                    self.exec_block(body)?;
+                    self.exec_block::<Checked>(body)?;
                     iv += 1;
                 }
             }
@@ -953,44 +1038,37 @@ impl Mach<'_> {
                 self.exec_parallel_for(pf)?;
             }
             RStmt::While(cond, body) => {
-                while self.eval_b(cond)? {
+                while self.eval_b::<Checked>(cond)? {
                     self.consume_iteration()?;
-                    self.exec_block(body)?;
-                }
-            }
-            RStmt::If(cond, then, els) => {
-                if self.eval_b(cond)? {
-                    self.exec_block(then)?;
-                } else {
-                    self.exec_block(els)?;
+                    self.exec_block::<Checked>(body)?;
                 }
             }
             RStmt::MemsetI(arr, val) => {
-                let v = self.eval_i(val)?;
+                let v = self.eval_i::<Checked>(val)?;
                 if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
                     a.fill(v);
                 }
             }
             RStmt::MemsetF64(arr, val) => {
-                let v = self.eval_f(val)?;
+                let v = self.eval_f::<Checked>(val)?;
                 if let ArrayVal::F64(a) = &mut self.arrays[*arr] {
                     a.fill(v);
                 }
             }
             RStmt::MemsetF32(arr, val) => {
-                let v = self.eval_f(val)?;
+                let v = self.eval_f::<Checked>(val)?;
                 if let ArrayVal::F32(a) = &mut self.arrays[*arr] {
                     a.fill(v as f32);
                 }
             }
             RStmt::MemsetB(arr, val) => {
-                let v = self.eval_b(val)?;
+                let v = self.eval_b::<Checked>(val)?;
                 if let ArrayVal::Bool(a) = &mut self.arrays[*arr] {
                     a.fill(v);
                 }
             }
             RStmt::Alloc(arr, ty, len) => {
-                let len = self.eval_i(len)?;
+                let len = self.eval_i::<Checked>(len)?;
                 if len < 0 {
                     return Err(RunError::NegativeLength {
                         name: self.array_names[*arr].clone(),
@@ -1006,7 +1084,7 @@ impl Mach<'_> {
                 };
             }
             RStmt::Realloc(arr, len) => {
-                let len = self.eval_i(len)?;
+                let len = self.eval_i::<Checked>(len)?;
                 if len < 0 {
                     return Err(RunError::NegativeLength {
                         name: self.array_names[*arr].clone(),
@@ -1029,8 +1107,8 @@ impl Mach<'_> {
                 }
             }
             RStmt::Sort(arr, lo, hi) => {
-                let lo = self.eval_i(lo)?;
-                let hi = self.eval_i(hi)?;
+                let lo = self.eval_i::<Checked>(lo)?;
+                let hi = self.eval_i::<Checked>(hi)?;
                 let len = self.arrays[*arr].len();
                 if lo < 0 || hi < lo || hi as usize > len {
                     return Err(self.oob(*arr, hi, len));
@@ -1040,7 +1118,7 @@ impl Mach<'_> {
                 }
             }
             RStmt::MapInit(map, kind, cap) => {
-                let cap = self.eval_i(cap)?;
+                let cap = self.eval_i::<Checked>(cap)?;
                 if cap < 0 {
                     return Err(RunError::NegativeLength {
                         name: self.map_names[*map].clone(),
@@ -1058,8 +1136,8 @@ impl Mach<'_> {
                 self.maps[*map] = MapWs { store, charged_entries: cap as u64 };
             }
             RStmt::MapScatter(map, key, val, add) => {
-                let k = self.eval_i(key)?;
-                let v = self.eval_f(val)?;
+                let k = self.eval_i::<Checked>(key)?;
+                let v = self.eval_f::<Checked>(val)?;
                 match &self.maps[*map].store {
                     MapStore::Hash(m) if !m.contains_key(&k) => self.charge_map_growth(*map)?,
                     MapStore::Sorted(s) if s.binary_search_by_key(&k, |e| e.0).is_err() => {
@@ -1094,40 +1172,126 @@ impl Mach<'_> {
                     self.consume_iteration()?;
                     self.ints[*key_slot] = k;
                     self.floats[*val_slot] = v;
-                    self.exec_block(body)?;
+                    self.exec_block::<Checked>(body)?;
                 }
             }
+            _ => unreachable!("straight-line statements are executed by `exec`"),
         }
         Ok(())
     }
 
-    #[inline]
-    fn store_f64(&mut self, arr: usize, i: i64, v: f64, accumulate: bool) -> Result<(), RunError> {
-        let len = self.arrays[arr].len();
-        if i < 0 || i as usize >= len {
-            return Err(self.oob(arr, i, len));
+    /// A `For` whose body carries a [`Strip`]: when the entry precondition
+    /// holds the loop is strip-mined by the tick grant — each strip runs the
+    /// rewritten body with nothing per element but the body, and what
+    /// follows a strip is the end of the loop or exactly the iteration
+    /// [`Mach::consume_iteration`] polls or trips on, which runs as the
+    /// per-element iteration it always was. When it does not hold this is
+    /// the per-element loop, faulting where it always did. Out of line so
+    /// the `For` arm of every other loop keeps its code.
+    #[inline(never)]
+    fn exec_leaf_loop(
+        &mut self,
+        slot: usize,
+        lo: i64,
+        hi: i64,
+        body: &[RStmt],
+        strip: &Strip,
+    ) -> Result<(), RunError> {
+        let decided = lo < hi && self.leaf_precondition(strip, lo, hi);
+        if decided {
+            self.exec_decided(&strip.prologue);
         }
+        let mut iv = lo;
+        while iv < hi {
+            if decided {
+                // Every iteration that neither polls nor trips the fuse:
+                // their ticks burn in one subtraction. `hi - iv` wraps for
+                // hostile bounds and is then still the true distance.
+                let n = ((hi as u64).wrapping_sub(iv as u64))
+                    .min(u64::from(self.check_countdown))
+                    .min(self.budget.iterations_left);
+                self.check_countdown -= n as u32;
+                self.budget.iterations_left -= n;
+                let end = iv.wrapping_add(n as i64);
+                while iv < end {
+                    self.ints[slot] = iv;
+                    self.exec_decided(&strip.body);
+                    iv += 1;
+                }
+                if iv == hi {
+                    break;
+                }
+            }
+            self.consume_iteration()?;
+            self.ints[slot] = iv;
+            self.exec_block::<Checked>(body)?;
+            iv += 1;
+        }
+        Ok(())
+    }
+
+    fn exec_decided(&mut self, stmts: &[RStmt]) {
+        let Ok(()) = self.exec_block::<Decided>(stmts);
+    }
+
+    /// Decides, from the bounds of a leaf loop entered with `lo < hi`, the
+    /// range check of every access of every iteration: an invariant index
+    /// is in range, an `offset + loopvar` index is in range at `lo` and at
+    /// `hi - 1` — it is monotone in between, provided the sum did not wrap
+    /// around i64 on the way, which `first <= last` rules out.
+    fn leaf_precondition(&self, strip: &Strip, lo: i64, hi: i64) -> bool {
+        // Index expressions of a plan have no load and no division.
+        let value = |e: &IExpr| {
+            let Ok(v) = self.eval_i::<Decided>(e);
+            v
+        };
+        strip.accesses.iter().all(|(arr, form)| {
+            let len = self.arrays[*arr].len() as u64;
+            let in_range = |idx: i64| (idx as u64) < len;
+            match form {
+                LeafIndex::Invariant(idx) => in_range(value(idx)),
+                LeafIndex::Affine(offset) => {
+                    let offset = offset.as_ref().map_or(0, value);
+                    let (first, last) = (offset.wrapping_add(lo), offset.wrapping_add(hi - 1));
+                    in_range(first) && in_range(last) && first <= last
+                }
+            }
+        })
+    }
+
+    #[inline]
+    fn store_f64<A: AccessPolicy>(
+        &mut self,
+        arr: usize,
+        i: i64,
+        v: f64,
+        accumulate: bool,
+    ) -> Result<(), A::Fault> {
+        let i = A::index(self, arr, i, self.arrays[arr].len())?;
         if let ArrayVal::F64(a) = &mut self.arrays[arr] {
             if accumulate {
-                a[i as usize] += v;
+                a[i] += v;
             } else {
-                a[i as usize] = v;
+                a[i] = v;
             }
         }
         Ok(())
     }
 
     #[inline]
-    fn store_f32(&mut self, arr: usize, i: i64, v: f64, accumulate: bool) -> Result<(), RunError> {
-        let len = self.arrays[arr].len();
-        if i < 0 || i as usize >= len {
-            return Err(self.oob(arr, i, len));
-        }
+    fn store_f32<A: AccessPolicy>(
+        &mut self,
+        arr: usize,
+        i: i64,
+        v: f64,
+        accumulate: bool,
+    ) -> Result<(), A::Fault> {
+        let i = A::index(self, arr, i, self.arrays[arr].len())?;
         if let ArrayVal::F32(a) = &mut self.arrays[arr] {
             if accumulate {
-                a[i as usize] += v as f32;
+                a[i] += v as f32;
             } else {
-                a[i as usize] = v as f32;
+                a[i] = v as f32;
             }
         }
         Ok(())
@@ -1141,15 +1305,15 @@ impl Mach<'_> {
         while iv < chi {
             self.consume_iteration()?;
             self.ints[pf.var] = iv;
-            self.exec_block(&pf.body)?;
+            self.exec_block::<Checked>(&pf.body)?;
             iv += 1;
         }
         Ok(())
     }
 
     fn exec_parallel_for(&mut self, pf: &RParFor) -> Result<(), RunError> {
-        let lo = self.eval_i(&pf.lo)?;
-        let hi = self.eval_i(&pf.hi)?;
+        let lo = self.eval_i::<Checked>(&pf.lo)?;
+        let hi = self.eval_i::<Checked>(&pf.hi)?;
         if hi <= lo {
             return Ok(());
         }
@@ -1666,9 +1830,14 @@ pub struct Executable {
     pub(crate) scalar_outputs: Arc<Vec<(String, usize)>>,
     pub(crate) array_names: Arc<Vec<String>>,
     pub(crate) map_names: Arc<Vec<String>>,
+    /// Scalar slots the kernel declares, per type; the native backend
+    /// declares one C local each.
     pub(crate) n_int: usize,
     pub(crate) n_float: usize,
     pub(crate) n_bool: usize,
+    /// Those plus the slots the prologues of leaf-loop plans write: what the
+    /// interpreter's machine allocates.
+    mach_slots: Slots,
     pub(crate) body: Arc<Vec<RStmt>>,
 }
 
@@ -1707,7 +1876,9 @@ impl Executable {
 
         // The kernel body shares the top-level scope so that scalar outputs
         // declared there remain visible to the caller.
-        let body = c.block_in_current_scope(&kernel.body)?;
+        let mut body = c.block_in_current_scope(&kernel.body)?;
+        let mut mach_slots = Slots { int: c.n_int, float: c.n_float, boolean: c.n_bool };
+        leaf::attach_plans(&mut body, &mut mach_slots);
 
         let mut scalar_outputs = Vec::new();
         for name in &kernel.scalar_outputs {
@@ -1727,6 +1898,7 @@ impl Executable {
             n_int: c.n_int,
             n_float: c.n_float,
             n_bool: c.n_bool,
+            mach_slots,
             body: Arc::new(body),
         })
     }
@@ -1840,9 +2012,9 @@ impl KernelBody for Executable {
         controls: &RunControls<'_>,
     ) -> Result<(), RunError> {
         let mut mach = Mach {
-            ints: vec![0; self.n_int],
-            floats: vec![0.0; self.n_float],
-            bools: vec![false; self.n_bool],
+            ints: vec![0; self.mach_slots.int],
+            floats: vec![0.0; self.mach_slots.float],
+            bools: vec![false; self.mach_slots.boolean],
             arrays: std::mem::take(&mut frame.arrays),
             array_names: self.array_names.clone(),
             maps: self.map_names.iter().map(|_| MapWs::default()).collect(),
@@ -1857,7 +2029,7 @@ impl KernelBody for Executable {
         for ((_, slot), v) in self.scalar_params.iter().zip(&frame.scalars) {
             mach.ints[*slot] = *v;
         }
-        let result = mach.exec_block(&self.body);
+        let result = mach.exec_block::<Checked>(&self.body);
         for ((_, slot), out) in self.scalar_outputs.iter().zip(&mut frame.scalar_outputs) {
             *out = mach.ints[*slot];
         }
@@ -1931,6 +2103,17 @@ fn swap_array_params<B: KernelBody>(body: &B, binding: &mut Binding, frame: &mut
     for (name, slot, ..) in body.array_params() {
         let bound = binding.arrays.get_mut(name).expect("checked_frame found every parameter");
         std::mem::swap(bound, &mut frame.arrays[slot]);
+    }
+}
+
+#[cfg(test)]
+impl Executable {
+    /// The same kernel with no leaf-loop plan: every loop runs per element.
+    /// What the planned execution is held against, bit for bit.
+    pub(crate) fn without_leaf_plans(&self) -> Executable {
+        let mut body = self.body.as_ref().clone();
+        leaf::strip_plans(&mut body);
+        Executable { body: Arc::new(body), ..self.clone() }
     }
 }
 
@@ -2205,6 +2388,237 @@ mod tests {
             err,
             RunError::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
         ));
+    }
+
+    // --- leaf strips against the per-element loop --------------------------
+
+    /// `out[off + i] = 2 * x[i]` for `i` in `[0, n)`: a straight-line leaf
+    /// loop with an `inv + loopvar` store and a bare-loopvar load.
+    fn offset_scale_kernel() -> Executable {
+        let kernel = Kernel::new("offset_scale")
+            .scalar_param("n")
+            .scalar_param("off")
+            .array_param(Param::input("x", ArrayTy::F64))
+            .array_param(Param::output("out", ArrayTy::F64))
+            .body(vec![Stmt::for_(
+                "i",
+                Expr::int(0),
+                Expr::var("n"),
+                vec![Stmt::store(
+                    "out",
+                    Expr::var("off") + Expr::var("i"),
+                    Expr::float(2.0) * Expr::load("x", Expr::var("i")),
+                )],
+            )]);
+        Executable::compile(&kernel).unwrap()
+    }
+
+    fn offset_scale_binding(n: usize, off: i64, x_len: usize, out_len: usize) -> Binding {
+        let mut b = Binding::new();
+        b.set_scalar("n", n as i64).set_scalar("off", off);
+        b.set_f64("x", (0..x_len).map(|i| i as f64 + 0.5).collect());
+        b.set_f64("out", vec![-1.0; out_len]);
+        b
+    }
+
+    /// `acc[c] += 1.0` for `i` in `[lo, hi)`: no array grows with the trip
+    /// count, so the bounds can be anything.
+    fn count_kernel() -> Executable {
+        let kernel = Kernel::new("count")
+            .scalar_param("lo")
+            .scalar_param("hi")
+            .scalar_param("c")
+            .array_param(Param::output("acc", ArrayTy::F64))
+            .body(vec![Stmt::for_(
+                "i",
+                Expr::var("lo"),
+                Expr::var("hi"),
+                vec![Stmt::store_add("acc", Expr::var("c"), Expr::float(1.0))],
+            )]);
+        Executable::compile(&kernel).unwrap()
+    }
+
+    fn count_binding(lo: i64, hi: i64) -> Binding {
+        let mut b = Binding::new();
+        b.set_scalar("lo", lo).set_scalar("hi", hi).set_scalar("c", 1);
+        b.set_f64("acc", vec![0.0; 2]);
+        b
+    }
+
+    /// Runs `binding` on `exe`, whose loops must all carry a decided plan,
+    /// and on its copy without plans. Result, counters and the state left
+    /// behind — committed or partial — must be identical; gives them.
+    fn run_planned(
+        exe: &Executable,
+        binding: &Binding,
+        budget: &ResourceBudget,
+    ) -> (Progress, Result<(), RunError>, Binding) {
+        let plans = leaf::loop_plans(&exe.body);
+        assert!(!plans.is_empty() && plans.iter().all(|p| p.is_some_and(|p| p.strip.is_some())));
+        let mut planned = binding.clone();
+        let (progress, result) = run_body(exe, &mut planned, budget, RunControls::default());
+        let mut per_element = binding.clone();
+        let (reference_progress, reference) =
+            run_body(&exe.without_leaf_plans(), &mut per_element, budget, RunControls::default());
+        assert_eq!(result, reference);
+        assert_eq!(progress, reference_progress);
+        assert_eq!(planned, per_element, "the same state, committed or partial");
+        (progress, result, planned)
+    }
+
+    #[test]
+    fn leaf_strip_iteration_counts_equal_the_trip_count() {
+        let exe = offset_scale_kernel();
+        let stride = SUPERVISION_STRIDE as usize;
+        for trips in [0, 1, stride - 1, stride, stride + 1, 100_000] {
+            let b = offset_scale_binding(trips, 2, trips, trips + 2);
+            let (progress, result, after) = run_planned(&exe, &b, &ResourceBudget::unlimited());
+            assert_eq!(result, Ok(()), "{trips} trips");
+            assert_eq!(progress.iterations, trips as u64);
+            let out = after.f64_array("out").unwrap();
+            assert!(out[..2].iter().all(|v| *v == -1.0));
+            assert!(out[2..].iter().enumerate().all(|(i, v)| *v == 2.0 * (i as f64 + 0.5)));
+        }
+    }
+
+    #[test]
+    fn fuse_inside_a_leaf_strip_trips_at_the_per_element_iteration() {
+        let exe = offset_scale_kernel();
+        let b = offset_scale_binding(5000, 0, 5000, 5000);
+        for limit in [1023, 1024, 1025, 1500, 4999] {
+            let budget = ResourceBudget::unlimited().with_max_loop_iterations(limit);
+            let (progress, result, after) = run_planned(&exe, &b, &budget);
+            assert_eq!(
+                result,
+                Err(RunError::BudgetExceeded {
+                    resource: BudgetResource::LoopIterations,
+                    limit,
+                    requested: limit + 1,
+                    array: None,
+                })
+            );
+            assert_eq!(progress.iterations, limit);
+            // Exactly the iterations the fuse paid for ran.
+            let written = after.f64_array("out").unwrap().iter().filter(|v| **v != -1.0).count();
+            assert_eq!(written as u64, limit);
+        }
+        let exact = ResourceBudget::unlimited().with_max_loop_iterations(5000);
+        let (progress, result, _) = run_planned(&exe, &b, &exact);
+        assert_eq!((progress.iterations, result), (5000, Ok(())));
+    }
+
+    #[test]
+    fn cancellation_inside_a_leaf_strip_is_observed_within_one_stride() {
+        let exe = count_kernel();
+        // Long enough that a strip that never polled would be noticed: the
+        // run would commit instead of stopping.
+        let mut b = count_binding(0, 5_000_000);
+        let cancel = AtomicBool::new(false);
+        let heartbeat = Mutex::new(Progress::default());
+        let controls =
+            RunControls { cancel: Some(&cancel), deadline: None, heartbeat: Some(&heartbeat) };
+        let (seen, (progress, result)) = std::thread::scope(|scope| {
+            let run =
+                scope.spawn(|| run_body(&exe, &mut b, &ResourceBudget::unlimited(), controls));
+            // Every poll publishes the counters under the heartbeat lock
+            // before it reads the flag. Raise the flag while holding that
+            // lock, once a poll has published: the run cannot be past its
+            // next poll, and that poll finds the flag up.
+            let seen = loop {
+                let published = heartbeat.lock().unwrap();
+                if published.iterations > 0 || run.is_finished() {
+                    cancel.store(true, Ordering::Relaxed);
+                    break published.iterations;
+                }
+                drop(published);
+                std::thread::yield_now();
+            };
+            (seen, run.join().unwrap())
+        });
+        assert_eq!(result, Err(RunError::Cancelled), "no poll after iteration {seen}");
+        assert!(
+            progress.iterations <= seen + u64::from(SUPERVISION_STRIDE) + 1,
+            "flag raised after iteration {seen}, run stopped at {}",
+            progress.iterations
+        );
+    }
+
+    #[test]
+    fn out_of_range_accesses_of_a_leaf_loop_fault_at_their_iteration() {
+        let exe = offset_scale_kernel();
+        let unlimited = ResourceBudget::unlimited();
+        let oob = |name: &str, idx: i64, len: usize| {
+            Err(RunError::OutOfBounds { name: name.into(), idx, len })
+        };
+        // (binding, the fault, iterations started when it is raised)
+        let cases = [
+            // Stores: below the array at the first iteration, past a short
+            // one in the middle, one element short at the last.
+            (offset_scale_binding(100, -3, 100, 200), oob("out", -3, 200), 1),
+            (offset_scale_binding(100, 0, 100, 60), oob("out", 60, 60), 61),
+            (offset_scale_binding(100, 5, 100, 104), oob("out", 104, 104), 100),
+            // Loads, which only the interpreter checks: the same three.
+            (offset_scale_binding(100, 0, 0, 100), oob("x", 0, 0), 1),
+            (offset_scale_binding(100, 0, 60, 100), oob("x", 60, 60), 61),
+            (offset_scale_binding(100, 0, 99, 100), oob("x", 99, 99), 100),
+        ];
+        for (binding, fault, started) in cases {
+            let (progress, result, after) = run_planned(&exe, &binding, &unlimited);
+            assert_eq!(result, fault);
+            assert_eq!(progress.iterations, started);
+            // Every iteration before the faulting one stored its element.
+            let written = after.f64_array("out").unwrap().iter().filter(|v| **v != -1.0).count();
+            assert_eq!(written as u64, started - 1);
+        }
+        // A fuse that trips before the faulting element wins.
+        let fuse = ResourceBudget::unlimited().with_max_loop_iterations(40);
+        let (_, result, _) = run_planned(&exe, &offset_scale_binding(100, 0, 100, 60), &fuse);
+        assert!(matches!(result, Err(RunError::BudgetExceeded { .. })), "{result:?}");
+        // In range with an offset: committed.
+        let (progress, result, _) =
+            run_planned(&exe, &offset_scale_binding(100, 5, 100, 105), &unlimited);
+        assert_eq!((progress.iterations, result), (100, Ok(())));
+    }
+
+    #[test]
+    fn hostile_leaf_loop_bounds_do_not_panic() {
+        // Every access decided over 2^64 - 1 iterations: the strip length
+        // is computed wrapping and the fuse still trips on its iteration.
+        let fuse = ResourceBudget::unlimited().with_max_loop_iterations(1);
+        let (progress, result, after) =
+            run_planned(&count_kernel(), &count_binding(i64::MIN, i64::MAX), &fuse);
+        assert_eq!(
+            result,
+            Err(RunError::BudgetExceeded {
+                resource: BudgetResource::LoopIterations,
+                limit: 1,
+                requested: 2,
+                array: None,
+            })
+        );
+        assert_eq!(progress.iterations, 1);
+        assert_eq!(after.f64_array("acc").unwrap(), &[0.0, 1.0]);
+        // `off + i` wraps around i64 between the first iteration and the
+        // last while both ends land in range (3 and 1 of 8): only the wrap
+        // guard keeps the strip from running off the end of `out`.
+        let kernel = Kernel::new("offset_fill")
+            .scalar_param("lo")
+            .scalar_param("hi")
+            .scalar_param("off")
+            .array_param(Param::output("out", ArrayTy::F64))
+            .body(vec![Stmt::for_(
+                "i",
+                Expr::var("lo"),
+                Expr::var("hi"),
+                vec![Stmt::store("out", Expr::var("off") + Expr::var("i"), Expr::float(1.0))],
+            )]);
+        let mut b = Binding::new();
+        b.set_scalar("lo", i64::MIN).set_scalar("hi", i64::MAX).set_scalar("off", i64::MIN + 3);
+        b.set_f64("out", vec![0.0; 8]);
+        let (progress, result, _) =
+            run_planned(&Executable::compile(&kernel).unwrap(), &b, &ResourceBudget::unlimited());
+        assert_eq!(result, Err(RunError::OutOfBounds { name: "out".into(), idx: 8, len: 8 }));
+        assert_eq!(progress.iterations, 6);
     }
 
     #[test]

@@ -46,6 +46,7 @@ mod cgen;
 mod error;
 mod exec;
 mod ir;
+mod leaf;
 mod printer;
 mod simplify;
 mod supervise;

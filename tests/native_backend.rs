@@ -321,7 +321,7 @@ fn only_the_mttkrp_of_the_paper_kernels_has_versioned_leaf_loops() {
 
 // --- random leaf kernels -------------------------------------------------
 
-/// Four straight-line leaf loops over `i` in `[lo, hi)`, each run `reps`
+/// Six straight-line leaf loops over `i` in `[lo, hi)`, each run `reps`
 /// times after an empty `spin`-trip leaf loop (so the loop is entered at
 /// every phase of the tick grant). Loads stay in bounds by construction —
 /// the native backend does not check them — and every store goes to an
@@ -351,6 +351,10 @@ fn leaf_kernels() -> Vec<Kernel> {
             Stmt::store("idx", v("i"), v("i") * Expr::int(3)),
             Stmt::store_add("out", v("off") + v("i"), x()),
         ],
+        // An `inv + i` load from a second input, stored at `i - inv`.
+        vec![Stmt::store("out", v("i") - v("lo"), Expr::load("y", v("yo") + v("i")))],
+        // A loop-invariant load, which the interpreter hoists.
+        vec![Stmt::store("out", v("off") + v("i"), Expr::load("y", v("yk")) * x())],
     ];
     bodies
         .into_iter()
@@ -363,7 +367,10 @@ fn leaf_kernels() -> Vec<Kernel> {
                 .scalar_param("c")
                 .scalar_param("reps")
                 .scalar_param("spin")
+                .scalar_param("yo")
+                .scalar_param("yk")
                 .array_param(Param::input("x", ArrayTy::F64))
+                .array_param(Param::input("y", ArrayTy::F64))
                 .array_param(Param::output("out", ArrayTy::F64))
                 .array_param(Param::output("acc", ArrayTy::F64))
                 .array_param(Param::output("idx", ArrayTy::Int))
@@ -412,7 +419,7 @@ proptest! {
     /// that trips anywhere.
     #[test]
     fn random_leaf_kernels_match_the_interpreter(
-        shape in 0usize..4,
+        shape in 0usize..6,
         lo_raw in 0u64..13,
         trip_raw in 0u64..2600,
         long_trip in 0u8..4,
@@ -444,6 +451,10 @@ proptest! {
         let scale = if calm == 0 { 0.5 } else { 1.0 };
         let x = (0..trip.max(1)).map(|k| scale * ((k as u64 * 7919 + seed) % 1000) as f64 / 1000.0);
         binding.set_f64("x", x.collect());
+        // `y[yo + i]` and `y[yk]` stay inside `y` whatever the case.
+        let y_len = trip.max(1) + 2;
+        binding.set_scalar("yo", (seed % 3) as i64 - lo).set_scalar("yk", seed as i64 % y_len);
+        binding.set_f64("y", (0..y_len).map(|k| 0.5 + k as f64).collect());
         // Long enough for every store, give or take `slack` elements.
         let out_len = (hi + off.max(0) + slack).max(0) as usize;
         binding.set_f64("out", (0..out_len).map(|k| 1.0 + k as f64).collect());
