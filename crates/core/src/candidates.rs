@@ -7,8 +7,9 @@
 //! turns the heuristics into a concrete search space: the direct-merge
 //! baseline, every loop reorder of the outer forall chain, and every legal
 //! workspace placement the heuristics propose on each of those loop orders.
-//! The runtime engine's autotuner times the candidates on real operands and
-//! picks the winner.
+//! The runtime engine's autotuner ranks the candidates by their iteration
+//! bounds on the real operands, replies with the best and checks it against
+//! the runner-up.
 
 use crate::cost::stmt_workspaces;
 use crate::fingerprint::fingerprint_kernel;
@@ -40,9 +41,8 @@ pub struct ScheduleCandidate {
     /// Operand format conversions this candidate requires at run time:
     /// `(operand name, target format)`. The statement is already rewritten
     /// to the target format; the runtime converts the bound tensors to match
-    /// before executing. The conversion happens outside the timed region, so
-    /// the tuner demands a decisive (not noise-level) win before a
-    /// conversion candidate displaces one that runs the operands as-is.
+    /// before executing, on every request, so the tuner counts the conversion
+    /// into the candidate's predicted cost and into its measured time.
     pub conversions: Vec<(String, Format)>,
 }
 
@@ -68,9 +68,7 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 /// SpGEMM into CSR), a format the kernel kind cannot append to — is not a
 /// candidate. Candidates are deduplicated by [`fingerprint_kernel`] of the
 /// verified LLIR, so schedules that are spelled differently but lower to
-/// identical kernels occupy one slot — as do, because that hash reads only
-/// the top level of the body, kernels that differ only inside a loop nest
-/// (the later one is dropped; ROADMAP item 3, second finding).
+/// identical kernels occupy one slot.
 ///
 /// 1. the statement **as currently scheduled** (so a user schedule always
 ///    competes);
@@ -88,7 +86,7 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 /// 7. for every candidate that materializes a workspace, a **hash-map** and
 ///    a **coordinate-list** storage-backend variant
 ///    ([`WorkspaceKind`]) — the graceful-degradation rungs of the budget
-///    ladder, raced here on merit rather than necessity.
+///    ladder, ranked here on merit rather than necessity.
 pub fn enumerate_candidates_for(
     stmt: &IndexStmt,
     opts: &LowerOptions,

@@ -13,6 +13,7 @@
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::TensorVar;
 use taco_llir::Binding;
+use taco_lower::params::is_pos_name;
 use taco_verify::CostEnv;
 
 /// The workspace tensors a schedule's `where` statements introduce: rank ≥ 1
@@ -57,9 +58,11 @@ fn workspaces_walk(stmt: &ConcreteStmt, out: &mut Vec<TensorVar>) {
 
 /// Builds the bind-time evaluation environment for a compiled kernel's
 /// symbolic cost bounds: every bound integer scalar (the dimension
-/// parameters) values the matching `Var` atom, and every bound array's
-/// length values its `len(...)` atom. With a complete binding, every bound
-/// the analyzer derives becomes a concrete byte or iteration ceiling.
+/// parameters) values the matching `Var` atom, every bound array's length
+/// values its `len(...)` atom, and every bound `pos` array's longest segment
+/// (one pass over it) values its `seg(...)` atom. With a complete binding,
+/// every bound the analyzer derives becomes a concrete byte or iteration
+/// ceiling.
 #[must_use]
 pub fn binding_env(binding: &Binding) -> CostEnv {
     let mut env = CostEnv::default();
@@ -68,6 +71,13 @@ pub fn binding_env(binding: &Binding) -> CostEnv {
     }
     for (name, len) in binding.array_len_entries() {
         env.lens.insert(name.to_string(), len as u64);
+        if !is_pos_name(name) {
+            continue;
+        }
+        if let Some(pos) = binding.int_array(name) {
+            let longest = pos.windows(2).map(|w| w[1].saturating_sub(w[0])).max().unwrap_or(0);
+            env.segs.insert(name.to_string(), u64::try_from(longest).unwrap_or(0));
+        }
     }
     env
 }

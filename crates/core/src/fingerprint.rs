@@ -101,12 +101,13 @@ pub fn fingerprint_stmt(stmt: &ConcreteStmt) -> u64 {
 }
 
 /// Fingerprints a lowered kernel structurally: parameter signature plus the
-/// one-line head of every *top-level* body statement (`stmt_to_c` elides
-/// nested bodies, so kernels that differ only inside a loop nest collide —
-/// ROADMAP item 3). The function name is excluded: two lowerings that differ
-/// only in what they were called must collide. The candidate enumerator uses
-/// this to recognize schedules that are distinct at the concrete level but
-/// lower to identical code — e.g. reorders of loops co-iterated anyway.
+/// whole body, nested bodies included (its derived `Debug` rendering, which
+/// spells every field of every statement and brackets every body, so distinct
+/// trees render distinctly). The function name is excluded: two lowerings
+/// that differ only in what they were called must collide. The candidate
+/// enumerator uses this to recognize schedules that are distinct at the
+/// concrete level but lower to identical code — e.g. reorders of loops
+/// co-iterated anyway.
 pub fn fingerprint_kernel(kernel: &taco_llir::Kernel) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(kernel.scalar_params.len() as u64);
@@ -122,9 +123,7 @@ pub fn fingerprint_kernel(kernel: &taco_llir::Kernel) -> u64 {
     for s in &kernel.scalar_outputs {
         h.write_str(s);
     }
-    for s in &kernel.body {
-        h.write_str(&taco_llir::stmt_to_c(s));
-    }
+    h.write_str(&format!("{:?}", kernel.body));
     h.finish()
 }
 

@@ -5,9 +5,10 @@ use crate::cache::{
     CacheStats, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES, ENGINE_CACHE_SHARDS,
 };
 use crate::native::{Backend, NativeStore};
-use crate::tuner::{Autotuner, TuneDecision, TuneKey};
+use crate::tuner::{
+    converted_inputs, Autotuner, ConversionSet, Ranked, TuneDecision, TuneKey, TunedRun,
+};
 use crate::{EngineError, Result};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -134,25 +135,34 @@ pub enum EngineEvent {
     /// [`FallbackEvent`]). Recorded once per actual compile or supervised
     /// retry — cache hits on a degraded kernel do not repeat it.
     Fallback(FallbackEvent),
-    /// An autotune search ran and picked a schedule.
+    /// An autotune search ranked the candidates and picked a schedule.
     Autotuned {
         /// The decision key (expression × formats × sparsity class).
         key: TuneKey,
         /// Name of the winning candidate schedule.
         schedule: String,
-        /// Candidates enumerated.
+        /// Candidates enumerated, all of them ranked.
         candidates: usize,
-        /// Candidates that compiled and ran to completion.
+        /// Candidates that were compiled and ran to completion (at most
+        /// two: the reply and the check).
         viable: usize,
-        /// Candidates skipped without a timing run because the symbolic
-        /// cost analyzer proved their peak allocation charge at least
-        /// [`Engine::TUNE_PRUNE_MARGIN`] times the incumbent's measured
-        /// peak — statically dominated on memory, not worth racing.
+        /// Candidates ranked out: never compiled, never run.
         pruned: usize,
-        /// Measured nanoseconds of the winner.
+        /// Measured nanoseconds of the winner, its operand conversions
+        /// included.
         best_nanos: u64,
         /// Pinned thread count of the winner (`None` = serial/auto).
         threads: Option<usize>,
+        /// The winner's predicted cost: its iteration bound on the actual
+        /// operands plus the entries its conversions touch (`u64::MAX` when
+        /// the analyzer has no bound for it).
+        predicted: u64,
+        /// The check: the name of the best candidate predicted strictly worse
+        /// than the reply, its predicted cost, and its measured nanoseconds
+        /// — `None` when it was cut at the reply's time or aborted. Absent
+        /// when no candidate is predicted worse or the search deadline had
+        /// passed.
+        checked: Option<(String, u64, Option<u64>)>,
     },
     /// A previously tuned decision was reused without searching.
     AutotuneReused {
@@ -208,16 +218,26 @@ impl std::fmt::Display for EngineEvent {
                 pruned,
                 best_nanos,
                 threads,
+                predicted,
+                checked,
             } => {
                 write!(
                     f,
-                    "autotuned [{key}]: chose `{schedule}` ({viable}/{candidates} runs viable, \
-                     {pruned} statically pruned, best {:.3} ms",
+                    "autotuned [{key}]: chose `{schedule}` (ranked {candidates}, ran {}, {viable} \
+                     to completion; predicted {predicted}, measured {:.3} ms",
+                    candidates - pruned,
                     *best_nanos as f64 / 1e6
                 )?;
-                match threads {
-                    Some(n) => write!(f, ", {n} threads)"),
-                    None => write!(f, ")"),
+                if let Some(n) = threads {
+                    write!(f, " on {n} threads")?;
+                }
+                let Some((name, predicted, nanos)) = checked else {
+                    return write!(f, "; nothing checked)");
+                };
+                write!(f, "; checked `{name}`: predicted {predicted}, ")?;
+                match nanos {
+                    Some(nanos) => write!(f, "measured {:.3} ms)", *nanos as f64 / 1e6),
+                    None => write!(f, "cut at that time)"),
                 }
             }
             EngineEvent::AutotuneReused { key, schedule } => {
@@ -299,13 +319,6 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Static-pruning margin of the autotune search: a candidate is skipped
-    /// without a timing run when its proven peak-allocation bound is at
-    /// least this many times the incumbent's *measured* peak. Chosen well
-    /// above the analyzer's typical bound-tightness ratio so a loose (but
-    /// sound) bound never prunes a genuinely competitive schedule.
-    pub const TUNE_PRUNE_MARGIN: u64 = 4;
-
     /// An engine with [`EngineConfig::default`].
     pub fn new() -> Engine {
         Engine::with_config(EngineConfig::default())
@@ -471,20 +484,46 @@ impl Engine {
         Ok(SupervisedRun { outcome, cache_hit: first_rung_warm.unwrap_or(false), native })
     }
 
-    /// Picks the best schedule for a statement by measurement, then runs it.
+    /// Picks a schedule for a statement by predicted cost, replies with it,
+    /// and checks the prediction against the runner-up once.
     ///
     /// On the first call for a [`TuneKey`] (expression fingerprint × operand
     /// format signature × sparsity bucket) the engine enumerates the
     /// candidates that compile under `opts` ([`enumerate_candidates_for`],
-    /// each with its front half already built), finishes each through the
-    /// kernel cache — one compile per candidate and pinned thread count,
-    /// shared by the static-pruning probe and the timing runs — times it on
-    /// the *actual operands* under the engine budget (best of up to three
-    /// runs, so one scheduler stall cannot flip the decision), and picks the
-    /// fastest. Candidates that abort count as infinitely slow. Once one
-    /// viable candidate is in hand, no new candidate starts after
-    /// [`EngineConfig::tuning_deadline`]; later candidates race under the
-    /// remaining time.
+    /// each with its front half already built) and **ranks** them: a
+    /// candidate's predicted cost is the cost analyzer's iteration bound
+    /// evaluated on the *actual operands* (no bound = last), plus, for a
+    /// format-conversion candidate, the stored entries × levels of every
+    /// operand it makes the engine convert on each request. The sort is
+    /// stable, so equal predictions keep enumeration order: simplest first,
+    /// serial before its parallel twin.
+    ///
+    /// The **reply** is a run of the predicted best under the engine budget;
+    /// the ranking is walked further only when a candidate fails to compile
+    /// or aborts. Then, if [`EngineConfig::tuning_deadline`] has not passed,
+    /// the best dense-workspace candidate predicted *strictly worse* is the
+    /// **check**: it is finished and run once (a parallel candidate at its
+    /// pinned widths in turn until one completes), its own conversion on the
+    /// clock, with the leader's time as its deadline. It takes the decision
+    /// only if it completes having done *less work* than the leader (metered
+    /// iterations plus conversion entries — the bound that ranked it was
+    /// loose), faster, *and* the leader, run again with the challenger's time
+    /// as its deadline, does not complete. The deadline only ends a lost run
+    /// early; the comparisons decide, and the clock can confirm a misranking
+    /// the meter has shown but never make one. Both check runs stay on the
+    /// interpreter, which is what timed the leader's first run, so a losing
+    /// candidate is never handed to the C compiler.
+    ///
+    /// Candidates predicted *equal* to the leader are never run: the model
+    /// has called them the same, and letting the clock break that tie is the
+    /// race this search replaces (a serial schedule and its two-thread twin
+    /// trade places run to run on a shared machine). Sparse-workspace
+    /// variants are not checked either: their drain bounds are loose by
+    /// orders of magnitude, so where they fall in the ranking says nothing.
+    /// Both kinds reply when the ranking is walked to them. A search
+    /// therefore compiles and runs at most two candidates, and
+    /// [`EngineEvent::Autotuned`] says what was predicted and what was
+    /// measured for both.
     ///
     /// The decision — the winning [`ScheduleCandidate`] itself — is
     /// remembered: later calls with the same key skip the search
@@ -518,135 +557,119 @@ impl Engine {
         let started = Instant::now();
         let candidates = enumerate_candidates_for(stmt, &opts);
         let total = candidates.len();
-        let mut viable = 0usize;
-        let mut pruned = 0usize;
-        let mut best: Option<(ScheduleCandidate, Option<usize>, Tensor, u64)> = None;
-        // Measured peak allocation charge of the incumbent, for static
-        // pruning (0 until a run reports one).
-        let mut best_peak: u64 = 0;
-        'candidates: for (cand, front) in candidates {
-            // The carried front half was built under the unpinned options,
-            // so it finishes the unpinned request; a pinned thread count is
-            // another request and compiles as one.
-            let mut front = Some(front);
-            for (nth, threads) in tuning_thread_counts(&cand).into_iter().enumerate() {
-                let remaining = self.config.tuning_deadline.saturating_sub(started.elapsed());
-                if best.is_some() && remaining.is_zero() {
-                    break 'candidates;
-                }
-                let carried = if threads.is_none() { front.take() } else { None };
-                let run_opts = candidate_opts(&opts, &cand, threads);
-                let Ok((kernel, _)) = self.compile_traced(&cand.stmt, run_opts, carried) else {
-                    continue;
-                };
-                // Format-conversion candidates run on converted copies of
-                // the named operands, made once per search and outside the
-                // timed region; a conversion that fails drops the candidate.
-                let Ok(cand_inputs) = converted_inputs(&mut converted, inputs, &cand.conversions)
-                else {
-                    continue 'candidates;
-                };
-                // Static pruning: once an incumbent has been timed, a candidate
-                // whose *proven* peak allocation bound — evaluated against the
-                // actual operands — is at least `TUNE_PRUNE_MARGIN` times the
-                // incumbent's measured peak is dominated on memory by a margin
-                // no timing upset can justify, so it is skipped without a run.
-                // Unknown bounds are never pruned: degradation is conservative.
-                if nth == 0 && best_peak > 0 {
-                    let bound = kernel
-                        .bind(&cand_inputs, None)
-                        .ok()
-                        .and_then(|binding| kernel.static_peak_bytes(&binding));
-                    let dominated = best_peak.saturating_mul(Self::TUNE_PRUNE_MARGIN);
-                    if bound.is_some_and(|bound| bound >= dominated) {
-                        pruned += 1;
-                        continue 'candidates;
-                    }
-                }
-                // Timing a candidate once makes the decision hostage to a
-                // single scheduler stall: the displacement margin is 5% and
-                // one preempted run easily exceeds that. Each candidate gets
-                // up to TUNE_REPS runs and the minimum counts — the first
-                // run of the first viable candidate still ignores the
-                // deadline so a slow search budget can never turn a tunable
-                // statement into an error; every other rep only spends
-                // remaining search time.
-                const TUNE_REPS: usize = 3;
-                let mut measured: Option<(Tensor, u64, u64)> = None;
-                for rep in 0..TUNE_REPS {
-                    let remaining =
-                        self.config.tuning_deadline.saturating_sub(started.elapsed());
-                    if rep > 0 && remaining.is_zero() {
-                        break;
-                    }
-                    let mut supervisor = Supervisor::new().with_budget(self.config.budget);
-                    if best.is_some() || rep > 0 {
-                        supervisor = supervisor.with_deadline(remaining);
-                    }
-                    // The native backend competes on equal footing: once a
-                    // candidate's kernel is differential-trusted, later reps
-                    // (and the remembered decision's reuse path) time the
-                    // compiled shared object instead of the interpreter.
-                    let run = self.run_kernel(
-                        &kernel,
-                        &cand_inputs,
-                        None,
-                        Some(&supervisor),
-                        self.config.backend,
-                    );
-                    match run {
-                        Ok((result, report, _)) => {
-                            let nanos = report.elapsed.as_nanos() as u64;
-                            let peak = report.progress.peak_bytes();
-                            measured = Some(match measured.take() {
-                                Some((first, b, p)) => (first, b.min(nanos), p.max(peak)),
-                                None => (result, nanos, peak),
-                            });
-                        }
-                        Err(_) => break,
-                    }
-                }
-                let Some((result, nanos, peak)) = measured else { continue };
-                viable += 1;
-                // A challenger displaces the incumbent only by a clear
-                // margin (5%): candidates are enumerated simplest-first, so
-                // near-ties deterministically keep the simpler schedule
-                // instead of flipping on timing noise. Sparse workspace
-                // backends need a decisive win (40%): on small operands
-                // their times sit within noise of their dense twin, and
-                // their real role is the budget ladder, not shaving
-                // single-digit percents here. Format-conversion candidates
-                // need the same decisive win: their conversion cost is paid
-                // outside the timed region, so a noise-level advantage would
-                // pick a schedule whose end-to-end cost is strictly worse.
-                let margin = if cand.workspace_kind != WorkspaceKind::Dense
-                    || !cand.conversions.is_empty()
-                {
-                    60
-                } else {
-                    95
-                };
-                if best.as_ref().is_none_or(|(.., b)| nanos * 100 < *b * margin) {
-                    best = Some((cand.clone(), threads, result, nanos));
-                    best_peak = peak;
+        let mut sets: HashMap<Vec<(String, Format)>, ConversionSet> = HashMap::new();
+        let mut ranked: Vec<Ranked> = Vec::with_capacity(total);
+        for (cand, front) in candidates {
+            let set = sets.entry(cand.conversions.clone()).or_insert_with(|| {
+                ConversionSet::of(front.lowered(), inputs, &cand.conversions, &mut converted)
+            });
+            let iterations = front.cost_report().iterations.concrete(&set.env);
+            let predicted = iterations.map_or(u64::MAX, |n| n.saturating_add(set.entries));
+            let conversion = (set.entries, set.nanos);
+            ranked.push(Ranked { predicted, conversion, cand, front: Some(front) });
+        }
+        ranked.sort_by_key(|r| r.predicted);
+
+        let mut ranked = ranked.into_iter();
+        let mut ran = 0usize;
+        // One candidate: its pinned widths in turn, until a run completes.
+        let mut attempt = |of: &mut Ranked, deadline, backend| {
+            ran += 1;
+            tuning_thread_counts(&of.cand).into_iter().find_map(|threads| {
+                self.tuning_run(&opts, of, threads, inputs, &mut converted, deadline, backend)
+            })
+        };
+        let leader = ranked.by_ref().find_map(|mut of| {
+            attempt(&mut of, None, self.config.backend).map(|run| (of, run))
+        });
+        let Some((mut best, mut reply)) = leader else {
+            return Err(EngineError::NoViableCandidate { candidates: total });
+        };
+        let (mut viable, mut checked) = (1usize, None);
+        // The check is the best dense-workspace candidate predicted strictly
+        // worse: between equal predictions enumeration order has already
+        // decided, and a sparse workspace's drain bound is too loose for its
+        // place in the ranking to mean anything. It measures, it does not
+        // reply: its runs stay on the interpreter, which is what timed the
+        // leader's first run (an untrusted native kernel commits the
+        // interpreter's result), so a candidate about to lose never costs a
+        // compiler run.
+        let in_time = started.elapsed() < self.config.tuning_deadline;
+        let checkable = |r: &Ranked| {
+            r.predicted > best.predicted && r.cand.workspace_kind == WorkspaceKind::Dense
+        };
+        if let Some(mut of) = ranked.find(checkable).filter(|_| in_time) {
+            let interp = Backend::Interp;
+            let run = attempt(&mut of, Some(reply.nanos), interp);
+            viable += usize::from(run.is_some());
+            checked = Some((of.cand.name.clone(), of.predicted, run.as_ref().map(|run| run.nanos)));
+            // The clock may confirm a misranking the meter has shown — the
+            // challenger did less work than the leader, so a loose bound
+            // misplaced it — never make one: schedules that do the same work
+            // trade places on the clock from run to run.
+            if let Some(run) = run.filter(|run| run.work < reply.work && run.nanos < reply.nanos) {
+                let (limit, width) = (Some(run.nanos), reply.threads);
+                let again =
+                    self.tuning_run(&opts, &mut best, width, inputs, &mut converted, limit, interp);
+                if again.is_none() {
+                    (best, reply) = (of, run);
                 }
             }
         }
-        let Some((candidate, threads, result, best_nanos)) = best else {
-            return Err(EngineError::NoViableCandidate { candidates: total });
-        };
+        let TunedRun { threads, result, nanos, .. } = reply;
+        let Ranked { predicted, cand: candidate, .. } = best;
         let schedule = candidate.name.clone();
-        self.tuner.record(key, TuneDecision { candidate, threads, best_nanos });
+        self.tuner.record(key, TuneDecision { candidate, threads, best_nanos: nanos });
         self.push_event(EngineEvent::Autotuned {
             key,
             schedule: schedule.clone(),
             candidates: total,
             viable,
-            pruned,
-            best_nanos,
+            pruned: total - ran,
+            best_nanos: nanos,
             threads,
+            predicted,
+            checked,
         });
         Ok(TunedOutcome { result, schedule, tuned: true })
+    }
+
+    /// Finishes a ranked candidate at `threads` through the kernel cache and
+    /// runs it once under the engine budget, on the operands it asks for.
+    /// `None` when it does not compile or aborts — at `deadline`, which its
+    /// conversion time counts against, or for any other reason.
+    #[allow(clippy::too_many_arguments)]
+    fn tuning_run(
+        &self,
+        opts: &LowerOptions,
+        of: &mut Ranked,
+        threads: Option<usize>,
+        inputs: &[(&str, &Tensor)],
+        converted: &mut HashMap<(String, Format), Tensor>,
+        deadline: Option<u64>,
+        backend: Backend,
+    ) -> Option<TunedRun> {
+        let (conversion_entries, conversion_nanos) = of.conversion;
+        let mut supervisor = Supervisor::new().with_budget(self.config.budget);
+        if let Some(limit) = deadline {
+            let left = limit.checked_sub(conversion_nanos)?;
+            supervisor = supervisor.with_deadline(Duration::from_nanos(left));
+        }
+        // The carried front half was built under the unpinned options, so it
+        // finishes the unpinned request; a pinned thread count is another
+        // request and compiles as one.
+        let carried = if threads.is_none() { of.front.take() } else { None };
+        let run_opts = candidate_opts(opts, &of.cand, threads);
+        let (kernel, _) = self.compile_traced(&of.cand.stmt, run_opts, carried).ok()?;
+        let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
+        let (result, report, _) =
+            self.run_kernel(&kernel, &operands, None, Some(&supervisor), backend).ok()?;
+        Some(TunedRun {
+            threads,
+            result,
+            nanos: conversion_nanos.saturating_add(report.elapsed.as_nanos() as u64),
+            work: conversion_entries.saturating_add(report.progress.iterations),
+        })
     }
 
     /// Snapshot of the kernel-cache counters.
@@ -686,7 +709,7 @@ impl Engine {
 }
 
 /// The caller's options with the candidate's workspace backend and, for a
-/// parallel candidate timed at an explicit width, that thread count pinned.
+/// parallel candidate run at an explicit width, that thread count pinned.
 fn candidate_opts(
     opts: &LowerOptions,
     cand: &ScheduleCandidate,
@@ -699,11 +722,11 @@ fn candidate_opts(
     }
 }
 
-/// The thread counts a search times a candidate at: explicit ones (two and
-/// the machine width) for a parallel candidate, so the remembered decision
-/// also says how wide to run it, one unpinned run for a serial one. On a
-/// single core a parallel candidate can only repeat its serial twin's exact
-/// work, so it gets no run — timing duplicates would decide on noise.
+/// The thread counts a search runs a candidate at, in turn until one run
+/// completes: explicit ones (two, then the machine width) for a parallel
+/// candidate, so the remembered decision also says how wide to run it, one
+/// unpinned run for a serial one. On a single core a parallel candidate can
+/// only repeat its serial twin's exact work, so it gets no run.
 fn tuning_thread_counts(cand: &ScheduleCandidate) -> Vec<Option<usize>> {
     if !cand.name.contains("parallelize") {
         return vec![None];
@@ -713,30 +736,4 @@ fn tuning_thread_counts(cand: &ScheduleCandidate) -> Vec<Option<usize>> {
         2 => vec![Some(2)],
         avail => vec![Some(2), Some(avail)],
     }
-}
-
-/// `inputs` with every operand a conversion names (and whose format it
-/// actually changes) replaced by its converted copy, made on first use and
-/// kept in `converted` for the other candidates of the search that ask for it.
-fn converted_inputs<'r>(
-    converted: &'r mut HashMap<(String, Format), Tensor>,
-    inputs: &[(&'r str, &'r Tensor)],
-    conversions: &[(String, Format)],
-) -> std::result::Result<Vec<(&'r str, &'r Tensor)>, taco_tensor::TensorError> {
-    let wanted = |name: &str, t: &Tensor| {
-        conversions.iter().find(|(n, f)| n == name && t.format() != f).cloned()
-    };
-    for (name, t) in inputs {
-        if let Some(key) = wanted(name, t) {
-            if let Entry::Vacant(slot) = converted.entry(key) {
-                let tensor = t.convert(slot.key().1.clone())?;
-                slot.insert(tensor);
-            }
-        }
-    }
-    let converted = &*converted;
-    Ok(inputs
-        .iter()
-        .map(|&(name, t)| (name, wanted(name, t).and_then(|key| converted.get(&key)).unwrap_or(t)))
-        .collect())
 }

@@ -1,6 +1,6 @@
 //! Serving-shaped runtime for `taco-workspaces`: a concurrent
-//! compiled-kernel cache and a measurement-driven schedule autotuner behind
-//! one [`Engine`] façade.
+//! compiled-kernel cache and a cost-ranked schedule autotuner behind one
+//! [`Engine`] façade.
 //!
 //! The compiler crates answer "how do I compile this statement"; this crate
 //! answers "how do I *serve* it": compile once and share the kernel across
@@ -8,8 +8,10 @@
 //! [`taco_core::fingerprint`]), coalesce concurrent compiles of the same
 //! kernel into one (single-flight), evict cold kernels against byte/entry
 //! budgets, and — when the caller does not want to schedule by hand — pick
-//! the workspace placement and loop order empirically by timing the
-//! Section V-C candidate space on the real operands ([`Engine::run_tuned`]).
+//! the workspace placement and loop order by ranking the Section V-C
+//! candidate space with the cost analyzer's iteration bounds on the real
+//! operands, and checking the prediction against the runner-up once
+//! ([`Engine::run_tuned`]).
 //!
 //! # Quickstart
 //!

@@ -1,20 +1,26 @@
 //! Autotune bookkeeping: decision keys, cached decisions, and the counters
 //! that prove tuning happens exactly once per key.
 //!
-//! The search itself (enumerate → finish → time → pick) lives in
-//! [`Engine::run_tuned`](crate::Engine::run_tuned); this module owns the
-//! *memory* of it. Decisions are keyed by what actually changes the best
-//! schedule — the expression being computed, the operand formats, and how
-//! sparse the operands are — so a decision made for one SpGEMM carries over
-//! to every later SpGEMM on same-shaped data of similar density, but not to
-//! a dense matmul or to operands three orders of magnitude denser.
+//! The search itself (enumerate → rank → reply → check) lives in
+//! [`Engine::run_tuned`](crate::Engine::run_tuned); this module owns what it
+//! ranks by ([`Ranked`], [`ConversionSet`]) and the *memory* of it.
+//! Decisions are keyed by what actually changes the best schedule — the
+//! expression being computed, the operand formats, and how sparse the
+//! operands are — so a decision made for one SpGEMM carries over to every
+//! later SpGEMM on same-shaped data of similar density, but not to a dense
+//! matmul or to operands three orders of magnitude denser.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use taco_core::fingerprint::fingerprint_stmt;
-use taco_core::{IndexStmt, ScheduleCandidate};
-use taco_tensor::{LevelType, Tensor};
+use taco_core::{binding_env, CostEnv, FrontHalf, IndexStmt, ScheduleCandidate};
+use taco_llir::Binding;
+use taco_lower::params::{crd_name, pos_name};
+use taco_lower::LoweredKernel;
+use taco_tensor::{Format, LevelType, Tensor};
 
 /// The identity of one autotune decision: *which* computation, on *what
 /// kind* of data.
@@ -168,4 +174,102 @@ impl Autotuner {
     pub fn decisions_len(&self) -> usize {
         self.decisions.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
+}
+
+/// A candidate and its place in a search's ranking.
+pub(crate) struct Ranked {
+    /// Predicted cost: the iteration bound on the actual operands plus the
+    /// entries its conversions touch (`u64::MAX` when there is no bound).
+    pub(crate) predicted: u64,
+    /// What its operand conversions cost: entries touched, and nanoseconds
+    /// during the search ([`ConversionSet`]; zeros for a candidate that runs
+    /// the operands as they are).
+    pub(crate) conversion: (u64, u64),
+    pub(crate) cand: ScheduleCandidate,
+    /// The front half it was enumerated with, until its unpinned compile
+    /// finishes it.
+    pub(crate) front: Option<FrontHalf>,
+}
+
+/// One completed run of a ranked candidate, its conversions included in both
+/// measures.
+pub(crate) struct TunedRun {
+    /// Pinned thread count (`None` = serial).
+    pub(crate) threads: Option<usize>,
+    pub(crate) result: Tensor,
+    pub(crate) nanos: u64,
+    /// Metered loop iterations plus conversion entries: what the predicted
+    /// cost bounds.
+    pub(crate) work: u64,
+}
+
+/// What a search knows about the operands one set of conversions yields —
+/// shared by every candidate that asks for that set.
+pub(crate) struct ConversionSet {
+    /// The bind-time cost environment: the candidates' declared dimensions,
+    /// and what [`binding_env`] reads off the (converted) operands' index
+    /// arrays, bound alone under their [`taco_lower::params`] names. A failed
+    /// conversion leaves the arrays out, and bounds over them unvalued.
+    pub(crate) env: CostEnv,
+    /// What the conversions cost per request in the unit of the iteration
+    /// bound: stored entries × levels of every operand they change.
+    pub(crate) entries: u64,
+    /// What they cost on the clock when the search made them.
+    pub(crate) nanos: u64,
+}
+
+impl ConversionSet {
+    pub(crate) fn of(
+        lowered: &LoweredKernel,
+        inputs: &[(&str, &Tensor)],
+        conversions: &[(String, Format)],
+        converted: &mut HashMap<(String, Format), Tensor>,
+    ) -> ConversionSet {
+        let clock = Instant::now();
+        let operands = converted_inputs(converted, inputs, conversions).unwrap_or_default();
+        let nanos = clock.elapsed().as_nanos() as u64;
+        let (mut index_arrays, mut entries) = (Binding::new(), 0);
+        for ((name, t), (_, given)) in operands.iter().zip(inputs) {
+            if t.format() != given.format() {
+                entries += (given.nnz() * given.rank()) as u64;
+            }
+            for l in 0..t.rank() {
+                if let Ok(pos) = t.pos(l) {
+                    index_arrays.set_usize(pos_name(name, l), pos);
+                }
+                if let Ok(crd) = t.crd(l) {
+                    index_arrays.set_usize(crd_name(name, l), crd);
+                }
+            }
+        }
+        let arrays = binding_env(&index_arrays);
+        let env = CostEnv { lens: arrays.lens, segs: arrays.segs, ..CostEnv::from_shapes(lowered) };
+        ConversionSet { env, entries, nanos }
+    }
+}
+
+/// `inputs` with every operand a conversion names (and whose format it
+/// actually changes) replaced by its converted copy, made on first use and
+/// kept in `converted` for the other candidates of the search that ask for it.
+pub(crate) fn converted_inputs<'r>(
+    converted: &'r mut HashMap<(String, Format), Tensor>,
+    inputs: &[(&'r str, &'r Tensor)],
+    conversions: &[(String, Format)],
+) -> std::result::Result<Vec<(&'r str, &'r Tensor)>, taco_tensor::TensorError> {
+    let wanted = |name: &str, t: &Tensor| {
+        conversions.iter().find(|(n, f)| n == name && t.format() != f).cloned()
+    };
+    for (name, t) in inputs {
+        if let Some(key) = wanted(name, t) {
+            if let Entry::Vacant(slot) = converted.entry(key) {
+                let tensor = t.convert(slot.key().1.clone())?;
+                slot.insert(tensor);
+            }
+        }
+    }
+    let converted = &*converted;
+    Ok(inputs
+        .iter()
+        .map(|&(name, t)| (name, wanted(name, t).and_then(|key| converted.get(&key)).unwrap_or(t)))
+        .collect())
 }

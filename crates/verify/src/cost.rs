@@ -31,11 +31,11 @@ use std::fmt;
 use std::time::Instant;
 
 use taco_llir::{elem_bytes, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
-use taco_lower::params::{dim_name, level_extent};
+use taco_lower::params::{dim_name, is_pos_name, level_extent};
 use taco_lower::LoweredKernel;
 
 use crate::assume::Assumptions;
-use crate::sym::Sym;
+use crate::sym::{Atom, Sym};
 
 /// A proven upper bound, or a named reason none could be derived.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,22 +105,26 @@ impl fmt::Display for Bound {
 }
 
 /// Concrete atom values for evaluating a [`Bound`]: dimension parameters
-/// (and any other integer scalars bound to the kernel) plus bound array
-/// lengths. Built from declared shapes at compile time or from a full
-/// binding at bind time.
+/// (and any other integer scalars bound to the kernel), bound array lengths
+/// and the longest segment of each bound `pos` array. Built from declared
+/// shapes at compile time or from a full binding at bind time.
 #[derive(Debug, Clone, Default)]
 pub struct CostEnv {
     /// Values for `Var` atoms (dimension parameters, scalar params).
     pub vars: HashMap<String, u64>,
     /// Values for `Len` atoms (bound array lengths).
     pub lens: HashMap<String, u64>,
+    /// Values for `Seg` atoms: the longest segment `pos[p + 1] - pos[p]` of
+    /// each `pos` array, or any ceiling on it (a level's extent).
+    pub segs: HashMap<String, u64>,
 }
 
 impl CostEnv {
     /// The compile-time environment: dimension parameters valued from the
     /// kernel's *declared* tensor shapes (the runtime rejects bindings whose
-    /// shapes differ, so these are exact). Array lengths stay unvalued —
-    /// bounds that scale with nnz evaluate only at bind time.
+    /// shapes differ, so these are exact). Array lengths and segment
+    /// lengths stay unvalued — bounds that scale with nnz evaluate only at
+    /// bind time.
     #[must_use]
     pub fn from_shapes(lk: &LoweredKernel) -> CostEnv {
         let mut env = CostEnv::default();
@@ -142,9 +146,10 @@ impl CostEnv {
             let mut term: i128 = i128::from(coeff);
             for atom in &mono {
                 let v = match atom {
-                    crate::sym::Atom::Var(name) => *self.vars.get(name)?,
-                    crate::sym::Atom::Len(arr) => *self.lens.get(arr)?,
-                    crate::sym::Atom::Opaque(_) => return None,
+                    Atom::Var(name) => *self.vars.get(name)?,
+                    Atom::Len(arr) => *self.lens.get(arr)?,
+                    Atom::Seg(pos) => *self.segs.get(pos)?,
+                    Atom::Opaque(_) => return None,
                 };
                 term = term.saturating_mul(i128::from(v));
             }
@@ -295,9 +300,22 @@ impl CostReport {
 ///
 /// * `For`/`ParallelFor` trip count ≤ UB(`hi`) (lower bounds are ≥ 0 under
 ///   the validated-operand assumptions);
+/// * *segment rule:* a `For`/`ParallelFor` from `pos[e]` to `pos[e + 1]`
+///   over a validated input `pos` array runs at most `seg(pos)` times, the
+///   array's longest segment;
+/// * *telescoping rule:* when that `e` is the variable of an enclosing
+///   `For`, a trip product containing both loops takes the enclosing loop's
+///   factor as 1 and the segment loop's as `len(crd)` — the enclosing loop
+///   visits each `e` once and `pos` is monotone, so the segments it selects
+///   are disjoint pieces of `crd`;
 /// * `While` loops matching the merge co-iteration idiom (a conjunction of
 ///   `v < end` tests over counters some of which the body advances) run at
 ///   most Σ UB(`end`) iterations;
+/// * *merge rule:* a conjunct `v < pos[e + 1]` whose `v` was declared
+///   `pos[e]`, for an `e` unchanged since, contributes `seg(pos)` instead
+///   (`v` only advances, so it stays inside that one segment), and the loop
+///   telescopes like a segment loop when every conjunct does, to one
+///   enclosing `For`;
 /// * monotone append counters are bounded by their initialization plus
 ///   every increment times the trip bounds of the loops enclosing it;
 /// * reallocation-by-doubling sites contribute at most UB of their length
@@ -313,7 +331,8 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     // Classify scalars: a *counter* is only ever assigned `v + c` (c > 0) or
     // a nonnegative constant; every other reassigned scalar is havocked.
     let mut assigned: HashMap<String, bool> = HashMap::new(); // name -> counter-like
-    classify(&lk.kernel.body, &mut assigned);
+    let mut reset: HashSet<String> = HashSet::new(); // assigned a constant somewhere
+    classify(&lk.kernel.body, &mut assigned, &mut reset);
 
     // Counter bounds and per-map scatter totals feed trip bounds of later
     // loops (a drain loop runs `w_size` times; `w_size` is a counter), so
@@ -323,7 +342,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     // lookups.
     let mut state = FixState::default();
     for _ in 0..6 {
-        let mut w = Walk::new(&assume, &scalar_params, &assigned, state.clone());
+        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, state.clone());
         w.block(&lk.kernel.body);
         let next = w.fix_out();
         let stable = next == state;
@@ -334,7 +353,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     }
     // Final pass with the stable state collects the charges. (Every round's
     // output is sound, so an unconverged cap is conservative, not wrong.)
-    let mut walk = Walk::new(&assume, &scalar_params, &assigned, state);
+    let mut walk = Walk::new(&assume, &scalar_params, &assigned, &reset, state);
     walk.block(&lk.kernel.body);
 
     let mut charges = walk.charges;
@@ -403,13 +422,17 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
 
 /// Classifies every `Assign` target: `true` when all assignments are
 /// counter-shaped (`v = v + c`, c > 0, or `v = k`, k >= 0), `false` once any
-/// other assignment is seen.
-fn classify(body: &[Stmt], out: &mut HashMap<String, bool>) {
+/// other assignment is seen. Targets of a `v = k` go into `reset` as well: a
+/// counter outside it only ever advances.
+fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<String>) {
     for s in body {
         match s {
             Stmt::Assign(v, e) => {
                 let counter_shaped = match e {
-                    Expr::Int(k) => *k >= 0,
+                    Expr::Int(k) => {
+                        reset.insert(v.clone());
+                        *k >= 0
+                    }
                     Expr::Bin(BinOp::Add, a, b) => {
                         matches!((a.as_ref(), b.as_ref()),
                             (Expr::Var(n), Expr::Int(c)) if n == v && *c > 0)
@@ -424,10 +447,10 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>) {
             Stmt::For { body, .. }
             | Stmt::ParallelFor { body, .. }
             | Stmt::While { body, .. }
-            | Stmt::MapDrainSorted { body, .. } => classify(body, out),
+            | Stmt::MapDrainSorted { body, .. } => classify(body, out, reset),
             Stmt::If { then, els, .. } => {
-                classify(then, out);
-                classify(els, out);
+                classify(then, out, reset);
+                classify(els, out, reset);
             }
             _ => {}
         }
@@ -455,15 +478,31 @@ struct CounterAcc {
     increments: Option<Sym>,
 }
 
+/// One enclosing loop on the trip stack.
+#[derive(Debug, Clone, Default)]
+struct Trip {
+    /// Bound on the trips of one execution of the loop (`None` = unbounded).
+    bound: Option<Sym>,
+    /// The variable of a `For`/`ParallelFor`, while nothing in its body has
+    /// redeclared or assigned it: what the index of a nested segment loop is
+    /// matched against.
+    var: Option<String>,
+    /// Telescoping rule: the stack index of the enclosing `For` whose
+    /// variable selects this loop's segment(s), and the bound on this loop's
+    /// trips summed over one whole execution of that `For`.
+    telescope: Option<(usize, Sym)>,
+}
+
 /// One abstract-execution round over the kernel body.
 struct Walk<'a> {
     assume: &'a Assumptions,
     scalar_params: &'a HashSet<String>,
     assigned: &'a HashMap<String, bool>,
+    reset: &'a HashSet<String>,
     prev: FixState,
 
-    /// Trip-bound stack of the enclosing loops (`None` = unbounded loop).
-    trips: Vec<Option<Sym>>,
+    /// The enclosing loops, outermost first.
+    trips: Vec<Trip>,
     /// Scoped upper bounds for never-reassigned declared scalars.
     scopes: Vec<HashMap<String, Option<Sym>>>,
     /// This round's counter accumulation.
@@ -489,12 +528,14 @@ impl<'a> Walk<'a> {
         assume: &'a Assumptions,
         scalar_params: &'a HashSet<String>,
         assigned: &'a HashMap<String, bool>,
+        reset: &'a HashSet<String>,
         prev: FixState,
     ) -> Walk<'a> {
         Walk {
             assume,
             scalar_params,
             assigned,
+            reset,
             prev,
             trips: Vec::new(),
             scopes: vec![HashMap::new()],
@@ -528,13 +569,61 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Product of the trip bounds of the loops entered since `depth`.
+    /// Product of the trip bounds of the loops entered since `depth`. A
+    /// telescoping loop whose selecting `For` is inside the product counts
+    /// its total over that `For`, which then counts once.
     fn trip_product_since(&self, depth: usize) -> Option<Sym> {
-        let mut p = Sym::int(1);
-        for t in &self.trips[depth..] {
-            p = p.mul(t.as_ref()?);
+        // A telescope counts only when its selecting loop is inside the product.
+        fn telescoped(t: &Trip, depth: usize) -> Option<&(usize, Sym)> {
+            t.telescope.as_ref().filter(|(selector, _)| *selector >= depth)
         }
-        Some(p)
+        let mut product = Sym::int(1);
+        for (n, t) in self.trips.iter().enumerate().skip(depth) {
+            let selects = |inner: &Trip| telescoped(inner, depth).is_some_and(|(a, _)| *a == n);
+            if self.trips[n + 1..].iter().any(selects) {
+                continue; // counted once, under the loop whose segments it selects
+            }
+            let factor = telescoped(t, depth).map(|(_, total)| total).or(t.bound.as_ref())?;
+            product = product.mul(factor);
+        }
+        Some(product)
+    }
+
+    /// `(pos, total)` when `pos` is a validated input `pos` array: a
+    /// monotone array whose segments partition `crd`, so they sum to at most
+    /// `total` = `len(crd)`. Never the result's `pos` while it is assembled.
+    fn input_pos(&self, pos: &str) -> Option<&Sym> {
+        self.assume.arrays.get(pos).filter(|_| is_pos_name(pos))?.value_ub.as_ref()
+    }
+
+    /// Stack index of the innermost enclosing `For` whose variable `e` is.
+    fn selector(&self, e: &Expr) -> Option<usize> {
+        let Expr::Var(x) = e else { return None };
+        self.trips.iter().rposition(|t| t.var.as_deref() == Some(x))
+    }
+
+    /// A loop variable that is redeclared or assigned stops selecting
+    /// segments (conservatively, for the rest of its loop).
+    fn forget_loop_var(&mut self, v: &str) {
+        for t in self.trips.iter_mut().filter(|t| t.var.as_deref() == Some(v)) {
+            t.var = None;
+        }
+    }
+
+    /// Segment and telescoping rules: the trip of a `For` over `lo..hi`,
+    /// `hi` bounded by `hi_ub`.
+    fn for_trip(&self, var: &str, lo: &Expr, hi: &Expr, hi_ub: Option<Sym>) -> Trip {
+        let var = (!self.assigned.contains_key(var)).then(|| var.to_string());
+        if let (Expr::Load(pos, e), Expr::Load(hi_pos, next)) = (lo, hi) {
+            if let Some(total) = self.input_pos(pos).filter(|_| pos == hi_pos && is_next(e, next)) {
+                return Trip {
+                    bound: Some(Sym::atom(Atom::Seg(pos.clone()))),
+                    var,
+                    telescope: self.selector(e).map(|a| (a, total.clone())),
+                };
+            }
+        }
+        Trip { bound: hi_ub, var, telescope: None }
     }
 
     /// `true` for scalars whose every assignment is counter-shaped.
@@ -646,12 +735,13 @@ impl<'a> Walk<'a> {
         self.total_bytes = self.total_bytes.add(&contribution);
     }
 
-    fn add_iterations(&mut self, trip: &Option<Sym>) {
-        let total = match (trip, self.trip_product_since(0)) {
-            (Some(t), Some(p)) => Bound::Finite(t.mul(&p)),
-            _ => Bound::Unknown("loop with unbounded trip count".to_string()),
-        };
+    /// Walks a loop body under `trip`, charging the loop's own back-edges.
+    fn looped(&mut self, trip: Trip, body: impl FnOnce(&mut Self)) {
+        self.trips.push(trip);
+        let total = Bound::from_opt(self.trip_product_since(0), "loop with unbounded trip count");
         self.iterations = self.iterations.add(&total);
+        body(self);
+        self.trips.pop();
     }
 
     /// Trip bound of a `While` matching the merge co-iteration idiom: split
@@ -660,43 +750,98 @@ impl<'a> Walk<'a> {
     /// loop runs at most Σ UB(rhs) (+1 per `<=`) iterations — each
     /// iteration strictly advances one monotone counter toward its end.
     /// (The dataflow verifier independently checks counter monotonicity.)
-    fn while_trip(&self, cond: &Expr, body: &[Stmt]) -> Option<Sym> {
+    /// Merge rule: a conjunct that keeps its counter inside one segment of an
+    /// input `pos` array ([`Walk::merge_segment`]) contributes `seg(pos)`,
+    /// and when every conjunct does, selected by one enclosing `For`, the
+    /// loop telescopes to the sum of their `len(crd)`. `before` is what
+    /// precedes the loop in its block.
+    fn while_trip(&self, cond: &Expr, body: &[Stmt], before: &[Stmt]) -> Trip {
         let mut conjuncts = Vec::new();
         split_and(cond, &mut conjuncts);
-        let mut total = Sym::int(0);
-        let mut lhs_vars = Vec::new();
+        let mut bound = Sym::int(0);
+        let mut telescope = Some((None, Sym::int(0)));
+        let mut advances = false;
         for c in conjuncts {
-            match c {
-                Expr::Bin(BinOp::Lt, a, b) => {
-                    let Expr::Var(v) = a.as_ref() else { return None };
-                    lhs_vars.push(v.clone());
-                    total = total.add(&self.ub(&b)?);
-                }
-                Expr::Bin(BinOp::Le, a, b) => {
-                    let Expr::Var(v) = a.as_ref() else { return None };
-                    lhs_vars.push(v.clone());
-                    total = total.add(&self.ub(&b)?).add(&Sym::int(1));
-                }
-                _ => return None,
+            let Expr::Bin(op @ (BinOp::Lt | BinOp::Le), a, b) = c else { return Trip::default() };
+            let Expr::Var(v) = a.as_ref() else { return Trip::default() };
+            advances |= increments_var(body, v);
+            let segment = self.merge_segment(v, b, body, before).filter(|_| *op == BinOp::Lt);
+            if let Some((pos, e, total)) = segment {
+                bound = bound.add(&Sym::atom(Atom::Seg(pos.to_string())));
+                telescope = telescope.and_then(|(a, sum)| {
+                    let selector = self.selector(e).filter(|s| a.is_none_or(|a| a == *s))?;
+                    Some((Some(selector), sum.add(total)))
+                });
+            } else {
+                let Some(end) = self.ub(b) else { return Trip::default() };
+                bound = bound.add(&end).add(&Sym::int(i64::from(*op == BinOp::Le)));
+                telescope = None;
             }
         }
-        if lhs_vars.is_empty() || !lhs_vars.iter().any(|v| increments_var(body, v)) {
+        if !advances {
+            return Trip::default();
+        }
+        let telescope = telescope.and_then(|(a, sum)| Some((a?, sum)));
+        Trip { bound: Some(bound), var: None, telescope }
+    }
+
+    /// `(pos, e, len(crd))` when `end` is `pos[e + 1]` over an input `pos`
+    /// array and the counter `v` was declared `pos[e]` earlier in the same
+    /// block, for an `e` that cannot have changed since — a constant, the
+    /// variable of an enclosing `For`, or a scalar that nothing between the
+    /// declaration and the end of the loop `body` writes (the row cursor of
+    /// a DCSR merge, advanced after its inner loops): `v` is never reset, so
+    /// it is still inside that segment.
+    fn merge_segment<'e>(
+        &'e self,
+        v: &str,
+        end: &'e Expr,
+        body: &[Stmt],
+        before: &'e [Stmt],
+    ) -> Option<(&'e str, &'e Expr, &'e Sym)> {
+        let Expr::Load(pos, next) = end else { return None };
+        let total = self.input_pos(pos)?;
+        let declared_at =
+            before.iter().rposition(|s| matches!(s, Stmt::DeclInt(name, _) if name == v))?;
+        let Stmt::DeclInt(_, Expr::Load(from, e)) = &before[declared_at] else { return None };
+        if from != pos || !is_next(e, next) || !self.is_counter(v) || self.reset.contains(v) {
             return None;
         }
-        Some(total)
+        let stable = match e.as_ref() {
+            Expr::Int(_) => true,
+            Expr::Var(x) => {
+                let mut written = false;
+                let writes = &mut |s: &Stmt| {
+                    written |= matches!(s, Stmt::Assign(n, _) | Stmt::DeclInt(n, _) if n == x);
+                };
+                self.selector(e).is_some() || {
+                    taco_llir::visit_stmts(&before[declared_at + 1..], writes);
+                    taco_llir::visit_stmts(body, writes);
+                    !written
+                }
+            }
+            _ => false,
+        };
+        stable.then_some((pos.as_str(), e.as_ref(), total))
     }
 
     fn block(&mut self, body: &[Stmt]) {
         self.scopes.push(HashMap::new());
-        for s in body {
-            self.stmt(s);
-        }
+        self.stmts(body);
         self.scopes.pop();
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmts(&mut self, body: &[Stmt]) {
+        for (n, s) in body.iter().enumerate() {
+            self.stmt(s, &body[..n]);
+        }
+    }
+
+    /// One statement; `before` is what precedes it in its block.
+    fn stmt(&mut self, s: &Stmt, before: &[Stmt]) {
         match s {
             Stmt::DeclInt(v, e) => {
+                self.forget_loop_var(v);
                 if self.is_counter(v) {
                     let base = self.ub(e);
                     let depth = self.trips.len();
@@ -728,23 +873,15 @@ impl<'a> Walk<'a> {
                     };
                     let depth =
                         self.counters.get(v).map_or(0, |acc| acc.decl_depth.min(self.trips.len()));
+                    let contribution =
+                        inc.map(|c| self.trip_product_since(depth).map(|p| p.mul(&Sym::int(c))));
                     let acc = self.counters.entry(v.clone()).or_insert(CounterAcc {
                         decl_depth: depth,
                         base: Some(Sym::int(0)),
                         increments: Some(Sym::int(0)),
                     });
-                    match inc {
-                        Some(c) => {
-                            let contribution = self
-                                .trips
-                                .get(depth..)
-                                .and_then(|rest| {
-                                    let mut p = Sym::int(c);
-                                    for t in rest {
-                                        p = p.mul(t.as_ref()?);
-                                    }
-                                    Some(p)
-                                });
+                    match contribution {
+                        Some(contribution) => {
                             acc.increments = match (&acc.increments, contribution) {
                                 (Some(a), Some(b)) => Some(a.add(&b)),
                                 _ => None,
@@ -765,32 +902,28 @@ impl<'a> Walk<'a> {
                 // declaration; nothing to update.
             }
             Stmt::Store { .. } | Stmt::StoreAdd { .. } | Stmt::Memset { .. } => {}
-            Stmt::For { var, hi, body, .. } | Stmt::ParallelFor { var, hi, body, .. } => {
-                let trip = self.ub(hi);
-                self.add_iterations(&trip);
-                self.trips.push(trip.clone());
-                self.scopes.push(HashMap::new());
-                let var_ub = trip.map(|t| t.sub(&Sym::int(1)));
-                self.scopes.last_mut().expect("scope stack").insert(var.clone(), var_ub);
-                for s in body {
-                    self.stmt(s);
-                }
-                self.scopes.pop();
-                self.trips.pop();
+            Stmt::For { var, lo, hi, body } | Stmt::ParallelFor { var, lo, hi, body, .. } => {
+                // The variable stays below `hi` itself, however short the
+                // segment it walks.
+                let hi_ub = self.ub(hi);
+                let var_ub = hi_ub.as_ref().map(|t| t.sub(&Sym::int(1)));
+                let trip = self.for_trip(var, lo, hi, hi_ub);
+                self.looped(trip, |w| {
+                    w.scopes.push(HashMap::from([(var.clone(), var_ub)]));
+                    w.stmts(body);
+                    w.scopes.pop();
+                });
             }
             Stmt::While { cond, body } => {
-                let trip = self.while_trip(cond, body);
-                if trip.is_none() {
+                let trip = self.while_trip(cond, body, before);
+                if trip.bound.is_none() {
                     self.notes.push(
                         "while loop outside the merge co-iteration idiom: iteration bound \
                          degrades to unknown"
                             .to_string(),
                     );
                 }
-                self.add_iterations(&trip);
-                self.trips.push(trip);
-                self.block(body);
-                self.trips.pop();
+                self.looped(trip, |w| w.block(body));
             }
             Stmt::If { then, els, .. } => {
                 // Charges and counter increments from both branches
@@ -846,10 +979,7 @@ impl<'a> Walk<'a> {
                 let entries_bound =
                     Bound::from_opt(entries.clone(), "drain of a map with unbounded scatters");
                 self.drain_entries = self.drain_entries.add(&entries_bound);
-                self.add_iterations(&entries);
-                self.trips.push(entries);
-                self.block(body);
-                self.trips.pop();
+                self.looped(Trip { bound: entries, ..Trip::default() }, |w| w.block(body));
             }
             Stmt::Comment(_) => {}
         }
@@ -888,13 +1018,22 @@ impl Bound {
 }
 
 /// Splits a conjunction into its conjuncts.
-fn split_and(e: &Expr, out: &mut Vec<Expr>) {
+fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match e {
         Expr::Bin(BinOp::And, a, b) => {
             split_and(a, out);
             split_and(b, out);
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
+    }
+}
+
+/// True when `next` is `e + 1`, structurally (`0` and `1` count).
+fn is_next(e: &Expr, next: &Expr) -> bool {
+    match next {
+        Expr::Bin(BinOp::Add, a, b) => **a == *e && **b == Expr::Int(1),
+        Expr::Int(n) => matches!(e, Expr::Int(k) if k.checked_add(1) == Some(*n)),
+        _ => false,
     }
 }
 
@@ -917,4 +1056,207 @@ fn increments_var(body: &[Stmt], v: &str) -> bool {
         Stmt::If { then, els, .. } => increments_var(then, v) || increments_var(els, v),
         _ => false,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taco_ir::expr::TensorVar;
+    use taco_llir::Kernel;
+    use taco_lower::params::{crd_name, pos_name};
+    use taco_lower::KernelKind;
+    use taco_tensor::{Format, ModeFormat};
+
+    /// A kernel over a 5×7 CSR result `A`, CSR operands `B` and `C` of the
+    /// same shape and a 5×7×9 (dense, compressed, compressed) operand `T`.
+    /// Equal extents alias, so bounds print `A1_dim` (5) and `A2_dim` (7).
+    fn lowered(kind: KernelKind, body: Vec<Stmt>) -> LoweredKernel {
+        let csr = |name: &str| TensorVar::new(name, vec![5, 7], Format::csr());
+        let csf =
+            Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed]);
+        let (result, operands) =
+            (csr("A"), vec![csr("B"), csr("C"), TensorVar::new("T", vec![5, 7, 9], csf)]);
+        let mut kernel = Kernel::new("k").body(body);
+        for t in std::iter::once(&result).chain(&operands) {
+            for l in 0..t.rank() {
+                kernel = kernel.scalar_param(dim_name(t.name(), l));
+            }
+        }
+        LoweredKernel {
+            kernel,
+            result,
+            operands,
+            kind,
+            nnz_output: None,
+            workspaces: Vec::new(),
+        }
+    }
+
+    fn iterations(kind: KernelKind, body: Vec<Stmt>) -> String {
+        analyze_cost(&lowered(kind, body)).iterations.to_string()
+    }
+
+    fn fused(body: Vec<Stmt>) -> String {
+        iterations(KernelKind::Fused, body)
+    }
+
+    fn var(v: &str) -> Expr {
+        Expr::var(v)
+    }
+
+    /// `for v in pos[e]..pos[e + 1] body` over the `pos` array of `tensor`'s
+    /// second level (a 1-based level number, as in the array's name).
+    fn segment(v: &str, tensor: &str, e: Expr, body: Vec<Stmt>) -> Stmt {
+        segment_at(v, tensor, 2, e, body)
+    }
+
+    fn segment_at(v: &str, tensor: &str, level: usize, e: Expr, body: Vec<Stmt>) -> Stmt {
+        let pos = pos_name(tensor, level - 1);
+        Stmt::for_(v, Expr::load(&pos, e.clone()), Expr::load(&pos, e + Expr::int(1)), body)
+    }
+
+    /// A dense loop `for v in 0..dim` over level `level` (1-based) of `B`.
+    fn dense(v: &str, level: usize, body: Vec<Stmt>) -> Stmt {
+        Stmt::for_(v, Expr::int(0), var(&dim_name("B", level - 1)), body)
+    }
+
+    fn rows(body: Vec<Stmt>) -> Stmt {
+        dense("i", 1, body)
+    }
+
+    /// `int v = pos[e]` over `tensor`'s second level, and the conjunct
+    /// `v < pos[e + 1]`.
+    fn cursor(v: &str, tensor: &str, e: Expr) -> (Stmt, Expr) {
+        let pos = pos_name(tensor, 1);
+        (
+            Stmt::DeclInt(v.to_string(), Expr::load(&pos, e.clone())),
+            var(v).lt(Expr::load(&pos, e + Expr::int(1))),
+        )
+    }
+
+    #[test]
+    fn segment_rule_bounds_one_segment_whatever_selects_it() {
+        // A constant index (a DCSR top level), a scalar, and a load.
+        assert_eq!(fused(vec![segment("p", "B", Expr::int(0), vec![])]), "seg(B2_pos)");
+        let by_load = segment("q", "C", Expr::load(crd_name("B", 1), var("p")), vec![]);
+        assert_eq!(
+            fused(vec![dense("p", 2, vec![by_load])]),
+            "A2_dim + A2_dim*seg(C2_pos)",
+            "a loaded index selects segments in no order: no telescoping"
+        );
+    }
+
+    #[test]
+    fn telescoping_counts_each_segment_once_under_the_loop_that_selects_it() {
+        let direct = rows(vec![segment("p", "B", var("i"), vec![])]);
+        assert_eq!(fused(vec![direct]), "A1_dim + len(B2_crd)");
+        // Loops between stay factors.
+        let between = dense("j", 2, vec![segment("p", "B", var("i"), vec![])]);
+        assert_eq!(fused(vec![rows(vec![between])]), "A1_dim + A1_dim*A2_dim + A2_dim*len(B2_crd)");
+        // Chains compose: CSF fibers under CSF rows under a dense loop.
+        let fibers = segment_at("p2", "T", 3, var("p1"), vec![]);
+        let csf = rows(vec![segment("p1", "T", var("i"), vec![fibers])]);
+        assert_eq!(fused(vec![csf]), "A1_dim + len(T2_crd) + len(T3_crd)");
+    }
+
+    #[test]
+    fn a_product_that_starts_below_the_selecting_loop_uses_the_segment() {
+        // `c` is declared per row, so its bound is one row's segment; the
+        // loop over it runs once per row.
+        let body = vec![
+            Stmt::DeclInt("c".into(), Expr::int(0)),
+            segment("p", "B", var("i"), vec![Stmt::incr("c")]),
+            Stmt::for_("q", Expr::int(0), var("c"), vec![]),
+        ];
+        let report = analyze_cost(&lowered(KernelKind::Fused, vec![rows(body)]));
+        assert_eq!(report.iterations.to_string(), "A1_dim + A1_dim*seg(B2_pos) + len(B2_crd)");
+        // Empty rows and an all-empty operand evaluate to the dense loop alone.
+        let mut env = CostEnv::default();
+        env.vars.insert(dim_name("A", 0), 5);
+        env.lens.insert(crd_name("B", 1), 0);
+        env.segs.insert(pos_name("B", 1), 0);
+        assert_eq!(report.iterations.concrete(&env), Some(5));
+    }
+
+    #[test]
+    fn segment_rules_refuse_what_they_cannot_prove() {
+        // `pos[i]..pos[i + 2]` is not one segment: the old UB(hi) per row.
+        let pos = pos_name("B", 1);
+        let two = Stmt::for_(
+            "p",
+            Expr::load(&pos, var("i")),
+            Expr::load(&pos, var("i") + Expr::int(2)),
+            vec![],
+        );
+        assert_eq!(fused(vec![rows(vec![two])]), "A1_dim + A1_dim*len(B2_crd)");
+        // The result's `pos` is being assembled under `fused`: nothing is
+        // known about it. Under `compute` it is a validated input.
+        let own = || vec![rows(vec![segment("p", "A", var("i"), vec![])])];
+        assert!(fused(own()).starts_with("unbounded"), "{}", fused(own()));
+        assert_eq!(iterations(KernelKind::Compute, own()), "A1_dim + len(A2_crd)");
+        // A loop variable redeclared in the body stops selecting.
+        let shadowed =
+            vec![Stmt::DeclInt("i".into(), Expr::int(0)), segment("p", "B", var("i"), vec![])];
+        assert_eq!(fused(vec![rows(shadowed)]), "A1_dim + A1_dim*seg(B2_pos)");
+    }
+
+    #[test]
+    fn merge_rule_keeps_each_cursor_inside_its_segment() {
+        let (decl_b, in_b) = cursor("pB", "B", var("i"));
+        let (decl_c, in_c) = cursor("pC", "C", var("i"));
+        let both = Stmt::while_(in_b.clone().and(in_c), vec![Stmt::incr("pB"), Stmt::incr("pC")]);
+        let tail = Stmt::while_(in_b, vec![Stmt::incr("pB")]);
+        // Every conjunct selected by `i`: both loops telescope.
+        assert_eq!(
+            fused(vec![rows(vec![decl_b, decl_c, both, tail])]),
+            "A1_dim + 2*len(B2_crd) + len(C2_crd)"
+        );
+        // Conjuncts selected by different loops: one segment each, per visit.
+        let (decl_b, in_b) = cursor("pB", "B", var("i"));
+        let (decl_c, in_c) = cursor("pC", "C", var("k"));
+        let merge = Stmt::while_(in_b.and(in_c), vec![Stmt::incr("pB"), Stmt::incr("pC")]);
+        let cols = dense("k", 1, vec![decl_b, decl_c, merge]);
+        assert_eq!(
+            fused(vec![rows(vec![cols])]),
+            "A1_dim + A1_dim*A1_dim + A1_dim*A1_dim*seg(B2_pos) + A1_dim*A1_dim*seg(C2_pos)"
+        );
+    }
+
+    #[test]
+    fn merge_rule_follows_a_row_cursor_that_advances_after_its_inner_loops() {
+        // A DCSR-style merge: the row cursor `r` selects the inner segment
+        // and moves on only after the inner loop, so each visit stays in one
+        // segment — but `r` may pause on a row, so nothing telescopes.
+        let (decl_r, in_r) = cursor("r", "T", Expr::int(0));
+        let (decl_p, in_p) = cursor("p", "B", var("r"));
+        let inner = Stmt::while_(in_p.clone(), vec![Stmt::incr("p")]);
+        let rows = |body| fused(vec![decl_r.clone(), Stmt::while_(in_r.clone(), body)]);
+        assert_eq!(
+            rows(vec![decl_p.clone(), inner.clone(), Stmt::incr("r")]),
+            "seg(B2_pos)*seg(T2_pos) + seg(T2_pos)"
+        );
+        // Advanced between the declaration and the loop, or inside it: the
+        // old UB(rhs).
+        let old = "len(B2_crd)*seg(T2_pos) + seg(T2_pos)";
+        assert_eq!(rows(vec![decl_p.clone(), Stmt::incr("r"), inner]), old);
+        let moving = Stmt::while_(in_p, vec![Stmt::incr("p"), Stmt::incr("r")]);
+        assert_eq!(rows(vec![decl_p, moving]), old);
+    }
+
+    #[test]
+    fn merge_rule_refuses_a_cursor_it_cannot_place() {
+        let old = "A1_dim + A1_dim*len(B2_crd)";
+        let (_, in_b) = cursor("pB", "B", var("i"));
+        let walk = || Stmt::while_(in_b.clone(), vec![Stmt::incr("pB")]);
+        // Not declared from `pos[i]`.
+        let from_zero = vec![Stmt::DeclInt("pB".into(), Expr::int(0)), walk()];
+        assert_eq!(fused(vec![rows(from_zero)]), old);
+        // Declared from `pos[i]`, but reset somewhere.
+        let (decl_b, _) = cursor("pB", "B", var("i"));
+        let reset = vec![decl_b, walk(), Stmt::assign("pB", Expr::int(0))];
+        assert_eq!(fused(vec![rows(reset)]), old);
+        // Declared from the segment of another row.
+        let (other_row, _) = cursor("pB", "B", var("i") + Expr::int(1));
+        assert_eq!(fused(vec![rows(vec![other_row, walk()])]), old);
+    }
 }

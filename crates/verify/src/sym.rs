@@ -20,6 +20,10 @@ pub enum Atom {
     Var(String),
     /// The allocated length of an array.
     Len(String),
+    /// The longest segment `pos[p + 1] - pos[p]` of a validated input `pos`
+    /// array (the cost analyzer's per-entry trip bound for loops over one
+    /// segment).
+    Seg(String),
     /// An opaque nonnegative value (e.g. an array load) with an identity so
     /// bounds can be attached to it.
     Opaque(u64),
@@ -30,6 +34,7 @@ impl fmt::Display for Atom {
         match self {
             Atom::Var(v) => write!(f, "{v}"),
             Atom::Len(a) => write!(f, "len({a})"),
+            Atom::Seg(a) => write!(f, "seg({a})"),
             Atom::Opaque(id) => write!(f, "?{id}"),
         }
     }

@@ -6,8 +6,9 @@
 //! 1. **kernel caching** — the second request for a structurally identical
 //!    kernel skips the compile pipeline (fingerprint hit, shared `Arc`);
 //! 2. **autotuning** — an *unscheduled* SpGEMM gets its workspace placement
-//!    and loop order picked empirically, by timing the Section V-C candidate
-//!    space on the real operands; the decision is remembered;
+//!    and loop order picked by ranking the Section V-C candidate space with
+//!    the cost analyzer's iteration bounds on the real operands, replying
+//!    with the best and checking the runner-up; the decision is remembered;
 //! 3. **one event log** — fallbacks and autotune decisions all land in
 //!    `Engine::last_events()`.
 //!
@@ -41,15 +42,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Autotuned first request ------------------------------------------
     let first = engine.run_tuned(&spgemm, LowerOptions::fused("spgemm"), &inputs)?;
     println!("first request:  tuned={} schedule=`{}`", first.tuned, first.schedule);
-    // What the search cost, in compiles: a candidate is a schedule that
-    // lowers under the request's options, and each is compiled once.
+    // What the search did: every candidate is ranked by its iteration bound
+    // on these operands, and only the reply and the check are compiled and
+    // run.
     for event in engine.last_events() {
-        if let EngineEvent::Autotuned { candidates, viable, pruned, .. } = event {
+        if let EngineEvent::Autotuned {
+            candidates, viable, pruned, best_nanos, predicted, checked, ..
+        } = event
+        {
             let compiles = engine.cache_stats().compiles;
             println!(
-                "autotune: {candidates} candidates, {compiles} compiles, {viable} timed, \
-                 {pruned} pruned"
+                "autotune: ranked {candidates}, ran {} ({compiles} compiles, {viable} to \
+                 completion), {pruned} pruned",
+                candidates - pruned
             );
+            println!("  reply:  predicted {predicted} iterations, measured {best_nanos} ns");
+            match checked {
+                Some((name, predicted, Some(nanos))) => {
+                    println!("  check:  `{name}` predicted {predicted}, measured {nanos} ns")
+                }
+                Some((name, predicted, None)) => {
+                    println!("  check:  `{name}` predicted {predicted}, cut at the reply's time")
+                }
+                None => println!("  check:  none (nothing predicted worse, or out of search time)"),
+            }
         }
     }
 
@@ -90,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // dense row workspace of a 1024-column SpGEMM (~17 KB) no longer fits,
     // so the engine must complete the request through a sparse workspace —
     // either the compile-time downgrade (DESIGN.md §13) or an explicit
-    // `workspace(...)` candidate winning the race — not direct merge, which
+    // `workspace(...)` candidate taking the reply — not direct merge, which
     // cannot lower for a CSR result at all.
     let budget = ResourceBudget::from_env();
     if !budget.is_unlimited() {

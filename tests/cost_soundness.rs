@@ -1,20 +1,28 @@
 //! Differential soundness harness for the symbolic cost analyzer.
 //!
 //! The analyzer's contract is an *upper bound*: for any kernel it derives a
-//! finite peak-byte bound for, no real execution may allocate past it. This
-//! suite drives that claim adversarially — random shapes, densities, and
-//! operand formats through the autotuner's whole candidate space (every
-//! loop order, workspace placement, format conversion, and workspace
-//! backend that compiles), comparing the bound evaluated at bind time
-//! against the budget meter's allocation high-water mark from a real run.
+//! finite peak-byte or iteration bound for, no real execution may allocate
+//! or iterate past it. This suite drives that claim adversarially — random
+//! shapes, densities, sparsity patterns and operand formats through the
+//! autotuner's whole candidate space (every loop order, workspace placement,
+//! format conversion, and workspace backend that compiles), comparing the
+//! bounds evaluated at bind time against the budget meter's counters from a
+//! real run — and pins how *tight* the iteration bound is where the segment
+//! rules make it exact or nearly so.
 
 use proptest::prelude::*;
-use taco_core::{enumerate_candidates, IndexStmt, Supervisor};
-use taco_ir::expr::{sum, IndexVar, TensorVar};
+use taco_core::cost::binding_env;
+use taco_core::oracle::eval_dense;
+use taco_core::{enumerate_candidates_for, IndexStmt, Supervisor};
+use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
-use taco_lower::LowerOptions;
-use taco_tensor::gen::random_csr;
-use taco_tensor::{Format, Tensor};
+use taco_lower::{KernelKind, LowerOptions};
+use taco_tensor::gen::{random_csr, random_csr_nnz, random_dense, Pattern};
+use taco_tensor::{DenseTensor, Format, ModeFormat, Tensor};
+
+fn iv(n: &str) -> IndexVar {
+    IndexVar::new(n)
+}
 
 fn spgemm(dims: (usize, usize, usize), fmts: (Format, Format, Format)) -> IndexStmt {
     let (m, k, n) = dims;
@@ -22,12 +30,174 @@ fn spgemm(dims: (usize, usize, usize), fmts: (Format, Format, Format)) -> IndexS
     let a = TensorVar::new("A", vec![m, n], fa);
     let b = TensorVar::new("B", vec![m, k], fb);
     let c = TensorVar::new("C", vec![k, n], fc);
-    let (i, j, kk) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
+    let (i, j, kk) = (iv("i"), iv("j"), iv("k"));
     IndexStmt::new(IndexAssignment::assign(
         a.access([i.clone(), j.clone()]),
         sum(kk.clone(), b.access([i, kk.clone()]) * c.access([kk, j])),
     ))
     .unwrap()
+}
+
+/// The result and operand formats the SpGEMM sweeps cycle through.
+fn spgemm_formats(sel: usize) -> (Format, Format, Format) {
+    match sel % 4 {
+        0 => (Format::csr(), Format::csr(), Format::csr()),
+        1 => (Format::dense(2), Format::csr(), Format::csr()),
+        2 => (Format::csr(), Format::dcsr(), Format::csr()),
+        _ => (Format::csr(), Format::csr(), Format::dcsr()),
+    }
+}
+
+/// `A = B + C + D` into CSR, every operand in `format`.
+fn add3(m: usize, n: usize, format: &Format) -> IndexStmt {
+    let (i, j) = (iv("i"), iv("j"));
+    let term = |name: &str| -> IndexExpr {
+        TensorVar::new(name, vec![m, n], format.clone()).access([i.clone(), j.clone()]).into()
+    };
+    let a = TensorVar::new("A", vec![m, n], Format::csr());
+    IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone(), j.clone()]),
+        term("B") + term("C") + term("D"),
+    ))
+    .unwrap()
+}
+
+fn spmv(m: usize, n: usize, format: Format) -> IndexStmt {
+    let y = TensorVar::new("y", vec![m], Format::dvec());
+    let b = TensorVar::new("B", vec![m, n], format);
+    let x = TensorVar::new("x", vec![n], Format::dvec());
+    let (i, j) = (iv("i"), iv("j"));
+    IndexStmt::new(IndexAssignment::assign(
+        y.access([i.clone()]),
+        sum(j.clone(), b.access([i, j.clone()]) * x.access([j])),
+    ))
+    .unwrap()
+}
+
+fn csf() -> Format {
+    Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed])
+}
+
+/// MTTKRP over a CSF tensor with dense factor matrices.
+fn mttkrp(dims: [usize; 3], r: usize) -> IndexStmt {
+    let [di, dk, dl] = dims;
+    let b = TensorVar::new("B", vec![di, dk, dl], csf());
+    let a = TensorVar::new("A", vec![di, r], Format::dense(2));
+    let c = TensorVar::new("C", vec![dl, r], Format::dense(2));
+    let d = TensorVar::new("D", vec![dk, r], Format::dense(2));
+    let (i, j, k, l) = (iv("i"), iv("j"), iv("k"), iv("l"));
+    IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone(), j.clone()]),
+        sum(
+            k.clone(),
+            sum(
+                l.clone(),
+                b.access([i, k.clone(), l.clone()]) * c.access([l, j.clone()]) * d.access([k, j]),
+            ),
+        ),
+    ))
+    .unwrap()
+}
+
+fn pattern(sel: usize) -> Pattern {
+    [Pattern::Uniform, Pattern::PowerLaw, Pattern::Banded(0.2)][sel % 3]
+}
+
+fn matrix(m: usize, n: usize, density: f64, sel: usize, seed: u64) -> Tensor {
+    let nnz = ((m * n) as f64 * density).round() as usize;
+    random_csr_nnz(m, n, nnz, pattern(sel), seed).to_tensor()
+}
+
+/// A CSF 3-tensor whose `(i, k·l)` unfolding is a patterned matrix.
+fn tensor3(dims: [usize; 3], density: f64, sel: usize, seed: u64) -> Tensor {
+    let [di, dk, dl] = dims;
+    let entries = matrix(di, dk * dl, density, sel, seed)
+        .entries()
+        .into_iter()
+        .map(|(c, v)| (vec![c[0], c[1] / dl, c[1] % dl], v))
+        .collect();
+    Tensor::from_entries(dims.to_vec(), csf(), entries).unwrap()
+}
+
+fn dense_matrix(m: usize, n: usize, seed: u64) -> Tensor {
+    Tensor::from_dense(&random_dense(m, n, seed), Format::dense(2)).unwrap()
+}
+
+fn dense_vector(n: usize, seed: u64) -> Tensor {
+    let data = random_dense(n, 1, seed).into_data();
+    Tensor::from_dense(&DenseTensor::from_data(vec![n], data), Format::dvec()).unwrap()
+}
+
+/// What one sweep over a statement's candidates saw.
+#[derive(Debug, Default)]
+struct Sweep {
+    /// Candidates that bound and ran to completion.
+    accepted: usize,
+    /// Of those, how many had a finite peak-byte bound.
+    finite_peaks: usize,
+    /// `(candidate, iteration bound, observed iterations)` for every accepted
+    /// candidate with a finite iteration bound.
+    iterations: Vec<(String, u64, u64)>,
+}
+
+/// Runs every candidate of `stmt` under `opts` on `inputs` and checks both
+/// static bounds, evaluated on the pre-run binding (soundness is a promise
+/// about what the run *will* do), against the meter. A violation is an
+/// analyzer soundness bug, not flake: both sides are deterministic functions
+/// of the inputs.
+fn sweep(
+    stmt: &IndexStmt,
+    opts: &LowerOptions,
+    inputs: &[(&str, &Tensor)],
+    what: &str,
+) -> Result<Sweep, String> {
+    let supervisor = Supervisor::new();
+    // A compute kernel with a sparse result runs over its assembled structure.
+    let structure = (opts.kind == KernelKind::Compute).then(|| {
+        let result = stmt.source().lhs().tensor();
+        let dense = eval_dense(stmt.source(), inputs).unwrap();
+        Tensor::from_dense(&dense, result.format().clone()).unwrap()
+    });
+    let mut seen = Sweep::default();
+    for (cand, _) in enumerate_candidates_for(stmt, opts) {
+        let kernel = cand
+            .stmt
+            .compile(opts.clone().with_workspace_kind(cand.workspace_kind))
+            .expect("a candidate lowers under the options it was enumerated for");
+        // Conversion candidates expect their operand in the rewritten
+        // format; feed them what the engine would.
+        let ops: Vec<(&str, Tensor)> = inputs
+            .iter()
+            .map(|&(name, t)| match cand.conversions.iter().find(|(cn, _)| cn == name) {
+                Some((_, f)) if t.format() != f => (name, t.convert(f.clone()).unwrap()),
+                _ => (name, t.clone()),
+            })
+            .collect();
+        let op_refs: Vec<(&str, &Tensor)> = ops.iter().map(|(nm, t)| (*nm, t)).collect();
+        let Ok(mut binding) = kernel.bind(&op_refs, structure.as_ref()) else { continue };
+        let peak = kernel.static_peak_bytes(&binding);
+        let iterations = kernel.cost_report().iterations.concrete(&binding_env(&binding));
+        let Ok(report) = kernel.run_bound_supervised(&mut binding, &supervisor) else {
+            continue;
+        };
+        seen.accepted += 1;
+        let name = format!("`{}` ({}) of {what}", cand.name, cand.workspace_kind);
+        // An unknown bound is conservative (it can never admit or prune
+        // anything), so it cannot be unsound — but it should be the
+        // exception, which the callers check.
+        if let Some(bound) = peak {
+            seen.finite_peaks += 1;
+            let observed = report.progress.peak_bytes();
+            prop_assert!(bound >= observed, "unsound peak for {name}: {bound} < {observed}");
+        }
+        if let Some(bound) = iterations {
+            let observed = report.progress.iterations;
+            prop_assert!(bound >= observed, "unsound iterations for {name}: {bound} < {observed}");
+            seen.iterations.push((cand.name, bound, observed));
+        }
+    }
+    prop_assert!(seen.accepted > 0, "no candidate ran for {what}");
+    Ok(seen)
 }
 
 proptest! {
@@ -36,9 +206,7 @@ proptest! {
     /// For every candidate the enumerator accepts — across output/operand
     /// formats and all three workspace backends — the statically proven
     /// peak-byte bound, evaluated against the real binding, dominates the
-    /// meter's observed allocation peak. A single violation here is an
-    /// analyzer soundness bug, not flake: both sides are deterministic
-    /// functions of the inputs.
+    /// meter's observed allocation peak.
     #[test]
     fn static_peak_bound_dominates_observed_peak_for_every_accepted_candidate(
         m in 2usize..12,
@@ -49,63 +217,128 @@ proptest! {
         fmt_sel in 0usize..4,
         seed in 0u64..1000,
     ) {
-        let fmts = match fmt_sel {
-            0 => (Format::csr(), Format::csr(), Format::csr()),
-            1 => (Format::dense(2), Format::csr(), Format::csr()),
-            2 => (Format::csr(), Format::dcsr(), Format::csr()),
-            _ => (Format::csr(), Format::csr(), Format::dcsr()),
-        };
+        let fmts = spgemm_formats(fmt_sel);
         let stmt = spgemm((m, k, n), fmts.clone());
         let bt = random_csr(m, k, db, seed).to_tensor().convert(fmts.1).unwrap();
         let ct = random_csr(k, n, dc, seed + 1).to_tensor().convert(fmts.2).unwrap();
-
-        let supervisor = Supervisor::new();
-        let mut accepted = 0usize;
-        let mut finite_bounds = 0usize;
-        for cand in enumerate_candidates(&stmt) {
-            let opts = LowerOptions::fused("soundness").with_workspace_kind(cand.workspace_kind);
-            let kernel = cand.stmt.compile(opts).expect("a candidate lowers under fused options");
-            // Conversion candidates expect their operand in the rewritten
-            // format; feed them what the engine would.
-            let ops: Vec<(String, Tensor)> = [("B", &bt), ("C", &ct)]
-                .into_iter()
-                .map(|(name, t)| {
-                    let t = match cand.conversions.iter().find(|(cn, _)| cn == name) {
-                        Some((_, f)) if t.format() != f => t.convert(f.clone()).unwrap(),
-                        _ => t.clone(),
-                    };
-                    (name.to_string(), t)
-                })
-                .collect();
-            let op_refs: Vec<(&str, &Tensor)> =
-                ops.iter().map(|(nm, t)| (nm.as_str(), t)).collect();
-            let Ok(mut binding) = kernel.bind(&op_refs, None) else { continue };
-            // The bound is evaluated on the pre-run binding: soundness is
-            // a promise about what the run *will* allocate.
-            let bound = kernel.static_peak_bytes(&binding);
-            let Ok(report) = kernel.run_bound_supervised(&mut binding, &supervisor) else {
-                continue;
-            };
-            accepted += 1;
-            let observed = report.progress.peak_bytes();
-            // An unknown bound is conservative (it can never admit or
-            // prune anything), so it cannot be unsound — but it should be
-            // the exception, which `finite_bounds` checks below.
-            if let Some(bound) = bound {
-                finite_bounds += 1;
-                prop_assert!(
-                    bound >= observed,
-                    "unsound bound for `{}` ({}): static {} < observed {} \
-                     (dims {m}x{k}x{n}, fmt {fmt_sel}, seed {seed})",
-                    cand.name, cand.workspace_kind, bound, observed,
-                );
-            }
-        }
-        prop_assert!(accepted > 0, "no candidate ran for dims {m}x{k}x{n}, fmt {fmt_sel}");
+        let what = format!("spgemm {m}x{k}x{n}, fmt {fmt_sel}, seed {seed}");
+        let opts = LowerOptions::fused("soundness");
+        let seen = sweep(&stmt, &opts, &[("B", &bt), ("C", &ct)], &what)?;
         prop_assert!(
-            finite_bounds > 0,
-            "analyzer proved nothing finite across {accepted} accepted candidates \
-             (dims {m}x{k}x{n}, fmt {fmt_sel})"
+            seen.finite_peaks > 0,
+            "analyzer proved nothing finite across {} accepted candidates of {what}",
+            seen.accepted
         );
     }
+
+    /// The twin property for the iteration bound, which the tuner ranks by
+    /// and admission builds its service-time prior from: over the same
+    /// SpGEMM sweep, three-operand addition, SpMV in four formats and
+    /// dense-factor MTTKRP, on uniform, power-law and banded operands, under
+    /// both `fused` and `compute`, no accepted candidate iterates past its
+    /// bound.
+    #[test]
+    fn iteration_bound_dominates_observed_iterations_for_every_accepted_candidate(
+        m in 2usize..12,
+        k in 2usize..12,
+        n in 2usize..12,
+        db in 0.05f64..0.6,
+        dc in 0.05f64..0.6,
+        sel in 0usize..12,
+        seed in 0u64..1000,
+    ) {
+        let what = |kernel: &str| format!("{kernel} {m}x{k}x{n}, sel {sel}, seed {seed}");
+        let mut bounded = 0usize;
+        let mut check =
+            |stmt: &IndexStmt, opts: &LowerOptions, inputs: &[(&str, &Tensor)], kernel: &str| {
+                sweep(stmt, opts, inputs, &what(kernel)).map(|seen| bounded += seen.iterations.len())
+            };
+        for opts in [LowerOptions::fused("soundness"), LowerOptions::compute("soundness")] {
+            let fmts = spgemm_formats(sel);
+            let bt = matrix(m, k, db, sel, seed).convert(fmts.1.clone()).unwrap();
+            let ct = matrix(k, n, dc, sel + 1, seed + 1).convert(fmts.2.clone()).unwrap();
+            check(&spgemm((m, k, n), fmts), &opts, &[("B", &bt), ("C", &ct)], "spgemm")?;
+
+            let format = [Format::csr(), Format::dcsr()][sel % 2].clone();
+            let operand = |o: usize, density| {
+                matrix(m, n, density, sel + o, seed + o as u64).convert(format.clone()).unwrap()
+            };
+            let (b, c, d) = (operand(0, db), operand(1, dc), operand(2, db));
+            check(&add3(m, n, &format), &opts, &[("B", &b), ("C", &c), ("D", &d)], "B+C+D")?;
+
+
+            let formats = [Format::csr(), Format::dcsr(), Format::csc(), Format::coo(2)];
+            let format = formats[sel % 4].clone();
+            let mut stmt = spmv(m, n, format.clone());
+            if !format.is_identity_order() {
+                stmt.reorder(&iv("i"), &iv("j")).unwrap();
+            }
+            let b = matrix(m, n, db, sel, seed).convert(format).unwrap();
+            check(&stmt, &opts, &[("B", &b), ("x", &dense_vector(n, seed))], "spmv")?;
+
+            let (b, r) = (tensor3([m, k, n], db / 2.0, sel, seed), 1 + seed as usize % 5);
+            let (c, d) = (dense_matrix(n, r, seed + 1), dense_matrix(k, r, seed + 2));
+            check(&mttkrp([m, k, n], r), &opts, &[("B", &b), ("C", &c), ("D", &d)], "mttkrp")?;
+        }
+        prop_assert!(bounded > 0, "no finite iteration bound anywhere in {}", what("the sweep"));
+    }
+}
+
+/// Bound over observed iterations of the named candidate.
+fn tightness(seen: &Sweep, name: &str) -> (u64, u64) {
+    let (_, bound, observed) = seen
+        .iterations
+        .iter()
+        .find(|(cand, ..)| cand == name)
+        .unwrap_or_else(|| panic!("`{name}` has no finite iteration bound: {seen:?}"));
+    (*bound, *observed)
+}
+
+/// Where the segment rules are exact or near it, the bound stays there: the
+/// tuner's ranking is only as good as these ratios.
+#[test]
+fn iteration_bound_stays_tight_where_the_segment_rules_are_exact() {
+    // MTTKRP loops only over dense extents and CSF segments selected by the
+    // loop above them, so telescoping makes the bound the iteration count.
+    let dims = [14, 9, 11];
+    for sel in 0..3 {
+        let b = tensor3(dims, 0.08, sel, 5);
+        let (c, d) = (dense_matrix(11, 6, 6), dense_matrix(9, 6, 7));
+        let inputs = [("B", &b), ("C", &c), ("D", &d)];
+        let seen =
+            sweep(&mttkrp(dims, 6), &LowerOptions::compute("tight"), &inputs, "mttkrp").unwrap();
+        for name in ["direct-merge", "reorder(i,j)"] {
+            let (bound, observed) = tightness(&seen, name);
+            assert_eq!(bound, observed, "`{name}`, pattern {sel}");
+        }
+    }
+
+    // Fig. 2 SpGEMM on operands with the same number of entries in every
+    // row: the only slack is the row workspace's occupancy, bounded by
+    // seg(B)·seg(C) where distinct columns collide.
+    let n = 48;
+    let fixed_rows = |seed: u64| {
+        let triplets: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|r| (0..4).map(move |e| (r, (r * 7 + e * 11 + seed as usize) % n, 1.0)))
+            .collect();
+        taco_tensor::Csr::from_triplets(n, n, &triplets).to_tensor()
+    };
+    let (b, c) = (fixed_rows(1), fixed_rows(2));
+    let stmt = spgemm((n, n, n), (Format::csr(), Format::csr(), Format::csr()));
+    let seen =
+        sweep(&stmt, &LowerOptions::fused("tight"), &[("B", &b), ("C", &c)], "spgemm").unwrap();
+    let (bound, observed) = tightness(&seen, "reorder(j,k) + precompute(j)");
+    assert!(bound <= 4 * observed, "Fig. 2 SpGEMM: {bound} against {observed}");
+
+    // B + C + D over CSR: every merge loop telescopes to the operands' entry
+    // counts; what is left is that all seven loops of the merge lattice are
+    // charged in full. (DCSR operands select their row segments with a merge
+    // cursor, not a loop variable, so they get the segment rule only.)
+    let [b, c, d] = [0, 1, 2].map(|o| matrix(40, 40, 0.1, o, 3 + o as u64));
+    let inputs = [("B", &b), ("C", &c), ("D", &d)];
+    let seen =
+        sweep(&add3(40, 40, &Format::csr()), &LowerOptions::fused("tight"), &inputs, "B+C+D")
+            .unwrap();
+    let (bound, observed) = tightness(&seen, "direct-merge");
+    assert!(bound <= 8 * observed, "B+C+D: {bound} against {observed}");
 }
