@@ -3,14 +3,18 @@
 //!
 //! The candidates are enumerated under each lowering the autotuner is asked
 //! for (fused and compute), so each must lower and be accepted (zero
-//! deny-severity findings) when compiled the way a caller would. Exits
-//! nonzero otherwise, so CI can gate on it.
+//! deny-severity findings) when compiled the way a caller would. The
+//! autotuner's space is serial, so the sweep adds the `parallelize(outer)`
+//! form of every candidate that has one and lowers, and holds it to the same
+//! verdict (the race check only runs on parallel loops). Exits nonzero
+//! otherwise, so CI can gate on it.
 //!
 //! ```text
 //! cargo run --release -p taco-bench --bin verify
 //! ```
 
-use taco_core::{enumerate_candidates_for, IndexStmt, ResourceBudget, VerifyMode};
+use taco_core::{enumerate_candidates_for, IndexStmt, ResourceBudget, ScheduleCandidate, VerifyMode};
+use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_lower::LowerOptions;
@@ -72,6 +76,18 @@ fn mttkrp(di: usize, dk: usize, dl: usize, r: usize, sparse: bool) -> IndexStmt 
     .unwrap()
 }
 
+/// `cand` with its outermost loop parallelized, where the privatization
+/// check allows.
+fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
+    let ConcreteStmt::Forall { var, parallel: false, .. } = cand.stmt.concrete() else {
+        return None;
+    };
+    let mut stmt = cand.stmt.clone();
+    stmt.parallelize(var).ok()?;
+    let name = format!("{} + parallelize({var})", cand.name);
+    Some(ScheduleCandidate { name, stmt, ..cand.clone() })
+}
+
 fn main() {
     let cases: Vec<(&str, IndexStmt)> = vec![
         ("spgemm", spgemm(16)),
@@ -83,24 +99,34 @@ fn main() {
     let mut lowered = 0usize;
     let mut warns = 0usize;
     let mut denies = 0usize;
+    let mut parallel = 0usize;
     for (case, stmt) in &cases {
         for opts in [
             LowerOptions::fused(format!("{case}_f")),
             LowerOptions::compute(format!("{case}_c")),
         ] {
-            for (cand, _) in enumerate_candidates_for(stmt, &opts) {
-                total += 1;
+            let candidates = enumerate_candidates_for(stmt, &opts).into_iter();
+            let with_twins = candidates.flat_map(|(cand, _)| {
+                let twin = parallel_twin(&cand).map(|twin| (twin, true));
+                std::iter::once((cand, false)).chain(twin)
+            });
+            for (cand, is_twin) in with_twins {
                 // Compiled from the statement, not finished from the carried
                 // product: the sweep checks that the product told the truth.
                 let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
                 let budget = ResourceBudget::unlimited();
-                let Ok(compiled) = cand.stmt.compile_checked(opts.clone(), budget, VerifyMode::Warn)
-                else {
+                let compiled = cand.stmt.compile_checked(opts.clone(), budget, VerifyMode::Warn);
+                if is_twin && compiled.is_err() {
+                    continue;
+                }
+                total += 1;
+                let Ok(compiled) = compiled else {
                     println!("UNLOWERABLE {case} [{}] ({:?})", cand.name, opts.kind);
                     continue;
                 };
                 let report = compiled.verify_report();
                 lowered += 1;
+                parallel += usize::from(is_twin);
                 warns += report.warns();
                 if !report.accepted() {
                     denies += report.denies();
@@ -113,10 +139,11 @@ fn main() {
         }
     }
     println!(
-        "verified {lowered}/{total} lowered candidates across {} kernels: {denies} deny, {warns} warn",
+        "verified {lowered}/{total} lowered candidates ({parallel} parallel) across {} kernels: \
+         {denies} deny, {warns} warn",
         cases.len()
     );
-    if denies > 0 || lowered != total {
+    if denies > 0 || lowered != total || parallel == 0 {
         std::process::exit(1);
     }
 }

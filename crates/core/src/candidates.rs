@@ -81,12 +81,15 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 ///    workspace sized from the precomputed variables' ranges;
 /// 5. for each loop order, every sparse rank-2 operand **converted** to each
 ///    other standard rank-2 format;
-/// 6. for every candidate so far, its outermost loop **parallelized** where
-///    the privatization check allows;
-/// 7. for every candidate that materializes a workspace, a **hash-map** and
+/// 6. for every candidate that materializes a workspace, a **hash-map** and
 ///    a **coordinate-list** storage-backend variant
 ///    ([`WorkspaceKind`]) — the graceful-degradation rungs of the budget
 ///    ladder, ranked here on merit rather than necessity.
+///
+/// The space is serial: a parallel loop enters it only in the statement the
+/// caller scheduled — (1) and its backend variants from (6). A parallel
+/// twin of a serial schedule does the same iterations, so the ranking could
+/// not tell the two apart, and the native backend does not emit it.
 pub fn enumerate_candidates_for(
     stmt: &IndexStmt,
     opts: &LowerOptions,
@@ -184,23 +187,6 @@ pub fn enumerate_candidates_for(
                     vec![(op_name.clone(), alt)],
                 );
             }
-        }
-    }
-
-    // Parallel variants, where the privatization check passes and the loop
-    // lowers (the parallel executor only chunks dense loops).
-    for n in 0..out.len() {
-        let c = out[n].0.clone();
-        let chain = forall_chain(c.stmt.concrete());
-        let Some(v) = chain.first() else { continue };
-        if let Ok(p) = transform::parallelize(c.stmt.concrete(), v) {
-            push(
-                &mut out,
-                format!("{} + parallelize({v})", c.name),
-                IndexStmt::from_parts(stmt.source().clone(), p),
-                WorkspaceKind::Dense,
-                c.conversions,
-            );
         }
     }
 

@@ -35,8 +35,8 @@
 //!   `For` node and renders its *store* terms (DESIGN.md §8, "Leaf loops:
 //!   decide at entry, run a strip"; §15 for the C).
 //! * `ParallelFor` is rejected: its deterministic clone-and-merge
-//!   semantics have no plain-OpenMP equivalent, so parallel candidates
-//!   stay on the interpreter and the autotuner races the two backends.
+//!   semantics have no plain-OpenMP equivalent, so a kernel with a parallel
+//!   loop stays on the interpreter (the autotuner's candidates are serial).
 
 use crate::exec::{BExpr, FExpr, IExpr, RStmt};
 use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};

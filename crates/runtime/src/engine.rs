@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use taco_core::{
     enumerate_candidates_for, ladder, CompiledKernel, CoreError, FallbackEvent, FrontHalf,
-    IndexStmt, ResourceBudget, ScheduleCandidate, Supervisor, SupervisedOutcome, VerifyMode,
+    IndexStmt, ResourceBudget, Supervisor, SupervisedOutcome, VerifyMode,
 };
 use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
@@ -151,8 +151,6 @@ pub enum EngineEvent {
         /// Measured nanoseconds of the winner, its operand conversions
         /// included.
         best_nanos: u64,
-        /// Pinned thread count of the winner (`None` = serial/auto).
-        threads: Option<usize>,
         /// The winner's predicted cost: its iteration bound on the actual
         /// operands plus the entries its conversions touch (`u64::MAX` when
         /// the analyzer has no bound for it).
@@ -217,7 +215,6 @@ impl std::fmt::Display for EngineEvent {
                 viable,
                 pruned,
                 best_nanos,
-                threads,
                 predicted,
                 checked,
             } => {
@@ -228,9 +225,6 @@ impl std::fmt::Display for EngineEvent {
                     candidates - pruned,
                     *best_nanos as f64 / 1e6
                 )?;
-                if let Some(n) = threads {
-                    write!(f, " on {n} threads")?;
-                }
                 let Some((name, predicted, nanos)) = checked else {
                     return write!(f, "; nothing checked)");
                 };
@@ -495,15 +489,13 @@ impl Engine {
     /// evaluated on the *actual operands* (no bound = last), plus, for a
     /// format-conversion candidate, the stored entries × levels of every
     /// operand it makes the engine convert on each request. The sort is
-    /// stable, so equal predictions keep enumeration order: simplest first,
-    /// serial before its parallel twin.
+    /// stable, so equal predictions keep enumeration order: simplest first.
     ///
     /// The **reply** is a run of the predicted best under the engine budget;
     /// the ranking is walked further only when a candidate fails to compile
     /// or aborts. Then, if [`EngineConfig::tuning_deadline`] has not passed,
     /// the best dense-workspace candidate predicted *strictly worse* is the
-    /// **check**: it is finished and run once (a parallel candidate at its
-    /// pinned widths in turn until one completes), its own conversion on the
+    /// **check**: it is finished and run once, its own conversion on the
     /// clock, with the leader's time as its deadline. It takes the decision
     /// only if it completes having done *less work* than the leader (metered
     /// iterations plus conversion entries — the bound that ranked it was
@@ -516,16 +508,16 @@ impl Engine {
     ///
     /// Candidates predicted *equal* to the leader are never run: the model
     /// has called them the same, and letting the clock break that tie is the
-    /// race this search replaces (a serial schedule and its two-thread twin
-    /// trade places run to run on a shared machine). Sparse-workspace
-    /// variants are not checked either: their drain bounds are loose by
-    /// orders of magnitude, so where they fall in the ranking says nothing.
-    /// Both kinds reply when the ranking is walked to them. A search
-    /// therefore compiles and runs at most two candidates, and
-    /// [`EngineEvent::Autotuned`] says what was predicted and what was
+    /// race this search replaces. Sparse-workspace variants are not checked
+    /// either: their drain bounds are loose by orders of magnitude, so where
+    /// they fall in the ranking says nothing. Both kinds reply when the
+    /// ranking is walked to them. A search therefore compiles and runs at
+    /// most two candidates, each from the front half it was enumerated with,
+    /// and [`EngineEvent::Autotuned`] says what was predicted and what was
     /// measured for both.
     ///
-    /// The decision — the winning [`ScheduleCandidate`] itself — is
+    /// The decision — the winning
+    /// [`ScheduleCandidate`](taco_core::ScheduleCandidate) itself — is
     /// remembered: later calls with the same key skip the search
     /// (`tuned == false` in the outcome, one
     /// [`EngineEvent::AutotuneReused`] logged) and are an [`Engine::run`] of
@@ -549,7 +541,7 @@ impl Engine {
             self.push_event(EngineEvent::AutotuneReused { key, schedule: schedule.clone() });
             let run_inputs = converted_inputs(&mut converted, inputs, &cand.conversions)
                 .map_err(|e| EngineError::Core(CoreError::Tensor(e)))?;
-            let opts = candidate_opts(&opts, cand, decision.threads);
+            let opts = opts.with_workspace_kind(cand.workspace_kind);
             let result = self.run(&cand.stmt, opts, &run_inputs)?;
             return Ok(TunedOutcome { result, schedule, tuned: false });
         }
@@ -572,12 +564,9 @@ impl Engine {
 
         let mut ranked = ranked.into_iter();
         let mut ran = 0usize;
-        // One candidate: its pinned widths in turn, until a run completes.
         let mut attempt = |of: &mut Ranked, deadline, backend| {
             ran += 1;
-            tuning_thread_counts(&of.cand).into_iter().find_map(|threads| {
-                self.tuning_run(&opts, of, threads, inputs, &mut converted, deadline, backend)
-            })
+            self.tuning_run(&opts, of, inputs, &mut converted, deadline, backend)
         };
         let leader = ranked.by_ref().find_map(|mut of| {
             attempt(&mut of, None, self.config.backend).map(|run| (of, run))
@@ -608,18 +597,18 @@ impl Engine {
             // misplaced it — never make one: schedules that do the same work
             // trade places on the clock from run to run.
             if let Some(run) = run.filter(|run| run.work < reply.work && run.nanos < reply.nanos) {
-                let (limit, width) = (Some(run.nanos), reply.threads);
+                let limit = Some(run.nanos);
                 let again =
-                    self.tuning_run(&opts, &mut best, width, inputs, &mut converted, limit, interp);
+                    self.tuning_run(&opts, &mut best, inputs, &mut converted, limit, interp);
                 if again.is_none() {
                     (best, reply) = (of, run);
                 }
             }
         }
-        let TunedRun { threads, result, nanos, .. } = reply;
+        let TunedRun { result, nanos, .. } = reply;
         let Ranked { predicted, cand: candidate, .. } = best;
         let schedule = candidate.name.clone();
-        self.tuner.record(key, TuneDecision { candidate, threads, best_nanos: nanos });
+        self.tuner.record(key, TuneDecision { candidate, best_nanos: nanos });
         self.push_event(EngineEvent::Autotuned {
             key,
             schedule: schedule.clone(),
@@ -627,23 +616,21 @@ impl Engine {
             viable,
             pruned: total - ran,
             best_nanos: nanos,
-            threads,
             predicted,
             checked,
         });
         Ok(TunedOutcome { result, schedule, tuned: true })
     }
 
-    /// Finishes a ranked candidate at `threads` through the kernel cache and
-    /// runs it once under the engine budget, on the operands it asks for.
-    /// `None` when it does not compile or aborts — at `deadline`, which its
-    /// conversion time counts against, or for any other reason.
-    #[allow(clippy::too_many_arguments)]
+    /// Finishes a ranked candidate through the kernel cache — from the front
+    /// half it was enumerated with, on its first run — and runs it once under
+    /// the engine budget, on the operands it asks for. `None` when it does
+    /// not compile or aborts — at `deadline`, which its conversion time
+    /// counts against, or for any other reason.
     fn tuning_run(
         &self,
         opts: &LowerOptions,
         of: &mut Ranked,
-        threads: Option<usize>,
         inputs: &[(&str, &Tensor)],
         converted: &mut HashMap<(String, Format), Tensor>,
         deadline: Option<u64>,
@@ -655,17 +642,12 @@ impl Engine {
             let left = limit.checked_sub(conversion_nanos)?;
             supervisor = supervisor.with_deadline(Duration::from_nanos(left));
         }
-        // The carried front half was built under the unpinned options, so it
-        // finishes the unpinned request; a pinned thread count is another
-        // request and compiles as one.
-        let carried = if threads.is_none() { of.front.take() } else { None };
-        let run_opts = candidate_opts(opts, &of.cand, threads);
-        let (kernel, _) = self.compile_traced(&of.cand.stmt, run_opts, carried).ok()?;
+        let run_opts = opts.clone().with_workspace_kind(of.cand.workspace_kind);
+        let (kernel, _) = self.compile_traced(&of.cand.stmt, run_opts, of.front.take()).ok()?;
         let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
         let (result, report, _) =
             self.run_kernel(&kernel, &operands, None, Some(&supervisor), backend).ok()?;
         Some(TunedRun {
-            threads,
             result,
             nanos: conversion_nanos.saturating_add(report.elapsed.as_nanos() as u64),
             work: conversion_entries.saturating_add(report.progress.iterations),
@@ -705,35 +687,5 @@ impl Engine {
             events.dropped += 1;
         }
         events.buf.push_back(event);
-    }
-}
-
-/// The caller's options with the candidate's workspace backend and, for a
-/// parallel candidate run at an explicit width, that thread count pinned.
-fn candidate_opts(
-    opts: &LowerOptions,
-    cand: &ScheduleCandidate,
-    threads: Option<usize>,
-) -> LowerOptions {
-    let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
-    match threads {
-        Some(n) => opts.with_threads(n),
-        None => opts,
-    }
-}
-
-/// The thread counts a search runs a candidate at, in turn until one run
-/// completes: explicit ones (two, then the machine width) for a parallel
-/// candidate, so the remembered decision also says how wide to run it, one
-/// unpinned run for a serial one. On a single core a parallel candidate can
-/// only repeat its serial twin's exact work, so it gets no run.
-fn tuning_thread_counts(cand: &ScheduleCandidate) -> Vec<Option<usize>> {
-    if !cand.name.contains("parallelize") {
-        return vec![None];
-    }
-    match std::thread::available_parallelism().map_or(1, |n| n.get()) {
-        0 | 1 => Vec::new(),
-        2 => vec![Some(2)],
-        avail => vec![Some(2), Some(avail)],
     }
 }

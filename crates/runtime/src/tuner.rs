@@ -131,11 +131,6 @@ pub struct TuneDecision {
     /// The winning candidate: its name, scheduled statement, workspace
     /// backend and the operand conversions it runs on.
     pub candidate: ScheduleCandidate,
-    /// Pinned worker-thread count of the winner, when the winning schedule
-    /// was a parallel candidate timed at an explicit thread count. `None`
-    /// means the winner was serial (or parallel with automatic thread
-    /// resolution); reuse then runs the schedule unpinned.
-    pub threads: Option<usize>,
     /// Measured wall-clock nanoseconds of the winner during tuning.
     pub best_nanos: u64,
 }
@@ -186,7 +181,7 @@ pub(crate) struct Ranked {
     /// the operands as they are).
     pub(crate) conversion: (u64, u64),
     pub(crate) cand: ScheduleCandidate,
-    /// The front half it was enumerated with, until its unpinned compile
+    /// The front half it was enumerated with, until its first compile
     /// finishes it.
     pub(crate) front: Option<FrontHalf>,
 }
@@ -194,8 +189,6 @@ pub(crate) struct Ranked {
 /// One completed run of a ranked candidate, its conversions included in both
 /// measures.
 pub(crate) struct TunedRun {
-    /// Pinned thread count (`None` = serial).
-    pub(crate) threads: Option<usize>,
     pub(crate) result: Tensor,
     pub(crate) nanos: u64,
     /// Metered loop iterations plus conversion entries: what the predicted

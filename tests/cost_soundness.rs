@@ -5,7 +5,8 @@
 //! or iterate past it. This suite drives that claim adversarially — random
 //! shapes, densities, sparsity patterns and operand formats through the
 //! autotuner's whole candidate space (every loop order, workspace placement,
-//! format conversion, and workspace backend that compiles), comparing the
+//! format conversion, and workspace backend that compiles) and the
+//! `parallelize(outer)` form of each candidate that has one, comparing the
 //! bounds evaluated at bind time against the budget meter's counters from a
 //! real run — and pins how *tight* the iteration bound is where the segment
 //! rules make it exact or nearly so.
@@ -13,7 +14,8 @@
 use proptest::prelude::*;
 use taco_core::cost::binding_env;
 use taco_core::oracle::eval_dense;
-use taco_core::{enumerate_candidates_for, IndexStmt, Supervisor};
+use taco_core::{enumerate_candidates_for, IndexStmt, ScheduleCandidate, Supervisor};
+use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_lower::{KernelKind, LowerOptions};
@@ -128,6 +130,18 @@ fn dense_vector(n: usize, seed: u64) -> Tensor {
     Tensor::from_dense(&DenseTensor::from_data(vec![n], data), Format::dvec()).unwrap()
 }
 
+/// `cand` with its outermost loop parallelized, where the privatization
+/// check allows: the tuner's space is serial, so a sweep adds these itself.
+fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
+    let ConcreteStmt::Forall { var, parallel: false, .. } = cand.stmt.concrete() else {
+        return None;
+    };
+    let mut stmt = cand.stmt.clone();
+    stmt.parallelize(var).ok()?;
+    let name = format!("{} + parallelize({var})", cand.name);
+    Some(ScheduleCandidate { name, stmt, ..cand.clone() })
+}
+
 /// What one sweep over a statement's candidates saw.
 #[derive(Debug, Default)]
 struct Sweep {
@@ -135,6 +149,8 @@ struct Sweep {
     accepted: usize,
     /// Of those, how many had a finite peak-byte bound.
     finite_peaks: usize,
+    /// Parallel twins that lowered (a twin that does not is skipped).
+    parallel: usize,
     /// `(candidate, iteration bound, observed iterations)` for every accepted
     /// candidate with a finite iteration bound.
     iterations: Vec<(String, u64, u64)>,
@@ -159,11 +175,19 @@ fn sweep(
         Tensor::from_dense(&dense, result.format().clone()).unwrap()
     });
     let mut seen = Sweep::default();
-    for (cand, _) in enumerate_candidates_for(stmt, opts) {
-        let kernel = cand
-            .stmt
-            .compile(opts.clone().with_workspace_kind(cand.workspace_kind))
-            .expect("a candidate lowers under the options it was enumerated for");
+    let candidates = enumerate_candidates_for(stmt, opts).into_iter().flat_map(|(cand, _)| {
+        let twin = parallel_twin(&cand).map(|twin| (twin, true));
+        std::iter::once((cand, false)).chain(twin)
+    });
+    for (cand, is_twin) in candidates {
+        let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
+        let kernel = match cand.stmt.compile(opts) {
+            Ok(kernel) => kernel,
+            Err(_) if is_twin => continue,
+            Err(e) => panic!("`{}` does not lower under its enumeration's options: {e}", cand.name),
+        };
+        seen.parallel += usize::from(is_twin);
+
         // Conversion candidates expect their operand in the rewritten
         // format; feed them what the engine would.
         let ops: Vec<(&str, Tensor)> = inputs
@@ -235,8 +259,8 @@ proptest! {
     /// and admission builds its service-time prior from: over the same
     /// SpGEMM sweep, three-operand addition, SpMV in four formats and
     /// dense-factor MTTKRP, on uniform, power-law and banded operands, under
-    /// both `fused` and `compute`, no accepted candidate iterates past its
-    /// bound.
+    /// both `fused` and `compute`, no accepted candidate or parallel twin
+    /// iterates past its bound.
     #[test]
     fn iteration_bound_dominates_observed_iterations_for_every_accepted_candidate(
         m in 2usize..12,
@@ -248,10 +272,13 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let what = |kernel: &str| format!("{kernel} {m}x{k}x{n}, sel {sel}, seed {seed}");
-        let mut bounded = 0usize;
+        let (mut bounded, mut parallel) = (0usize, 0usize);
         let mut check =
             |stmt: &IndexStmt, opts: &LowerOptions, inputs: &[(&str, &Tensor)], kernel: &str| {
-                sweep(stmt, opts, inputs, &what(kernel)).map(|seen| bounded += seen.iterations.len())
+                sweep(stmt, opts, inputs, &what(kernel)).map(|seen| {
+                    bounded += seen.iterations.len();
+                    parallel += seen.parallel;
+                })
             };
         for opts in [LowerOptions::fused("soundness"), LowerOptions::compute("soundness")] {
             let fmts = spgemm_formats(sel);
@@ -281,6 +308,7 @@ proptest! {
             check(&mttkrp([m, k, n], r), &opts, &[("B", &b), ("C", &c), ("D", &d)], "mttkrp")?;
         }
         prop_assert!(bounded > 0, "no finite iteration bound anywhere in {}", what("the sweep"));
+        prop_assert!(parallel > 0, "no parallel twin lowered anywhere in {}", what("the sweep"));
     }
 }
 

@@ -401,11 +401,7 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
     let engine = Engine::new();
     engine.tuner().record(
         TuneKey::new(&stmt, &inputs),
-        TuneDecision {
-            candidate: conv.clone(),
-            threads: None,
-            best_nanos: 1,
-        },
+        TuneDecision { candidate: conv.clone(), best_nanos: 1 },
     );
 
     let out = engine.run_tuned(&stmt, opts, &inputs).unwrap();

@@ -172,18 +172,46 @@ fn non_dense_loops_are_rejected_at_lowering_with_a_typed_error() {
     }
 }
 
+fn has_parallel_loop(kernel: &taco_workspaces::llir::Kernel) -> bool {
+    let mut found = false;
+    taco_workspaces::llir::visit_stmts(&kernel.body, &mut |s| {
+        found |= matches!(s, taco_workspaces::llir::Stmt::ParallelFor { .. });
+    });
+    found
+}
+
 #[test]
-fn parallel_candidates_appear_in_the_autotune_space() {
-    let stmt = scheduled_spgemm(16, 16, 16);
-    let names: Vec<String> =
-        taco_workspaces::core::candidates::enumerate_candidates(&stmt)
-            .into_iter()
-            .map(|c| c.name)
-            .collect();
-    assert!(
-        names.iter().any(|n| n.contains("parallelize(i)")),
-        "candidate space must contain parallel schedules: {names:?}"
-    );
+fn the_candidate_space_is_serial_unless_the_caller_parallelized() {
+    // The tuner cannot tell a parallel twin from its serial schedule (same
+    // iterations) and the native backend does not emit it, so the space
+    // adds none. A caller's own parallel loop still competes, first, as the
+    // statement it scheduled (in each workspace backend that lowers).
+    let mut by_hand = scheduled_spgemm(16, 16, 16);
+    by_hand.parallelize(&iv("i")).unwrap();
+    let stmts = [
+        ("spgemm", scheduled_spgemm(16, 16, 16), false),
+        ("sparse add", sparse_add(12, 14), false),
+        ("mttkrp", mttkrp(8, 7, 6, 5), false),
+        ("parallel spgemm", by_hand, true),
+    ];
+    for (what, stmt, caller_parallel) in &stmts {
+        for opts in [LowerOptions::fused("k"), LowerOptions::compute("k")] {
+            let cands = taco_workspaces::core::enumerate_candidates_for(stmt, &opts);
+            assert!(!cands.is_empty(), "{what}: no candidate under {opts:?}");
+            if *caller_parallel {
+                assert_eq!(cands[0].0.name, "as-scheduled", "{what} under {opts:?}");
+            }
+            for (cand, front) in &cands {
+                let callers = *caller_parallel && cand.stmt.concrete() == stmt.concrete();
+                assert_eq!(
+                    has_parallel_loop(&front.lowered().kernel),
+                    callers,
+                    "{what}: `{}` under {opts:?}",
+                    cand.name
+                );
+            }
+        }
+    }
 }
 
 #[test]

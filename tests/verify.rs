@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use taco_workspaces::core::candidates::DIRECT_MERGE;
-use taco_workspaces::core::{enumerate_candidates, IndexStmt};
+use taco_workspaces::core::{enumerate_candidates, IndexStmt, ScheduleCandidate};
 use taco_workspaces::ir::concrete::ConcreteStmt;
 use taco_workspaces::ir::transform;
 use taco_workspaces::ir::IrError;
@@ -260,9 +260,23 @@ fn assert_byte_identical(oracle: &Tensor, got: &Tensor, what: &str) {
     assert_eq!(ob, gb, "{what}: values differ bitwise");
 }
 
+/// `cand` with its outermost loop parallelized, where the privatization
+/// check allows: the tuner's space is serial, so the sweep adds these itself.
+fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
+    let ConcreteStmt::Forall { var, parallel: false, .. } = cand.stmt.concrete() else {
+        return None;
+    };
+    let mut stmt = cand.stmt.clone();
+    stmt.parallelize(var).ok()?;
+    let name = format!("{} + parallelize({var})", cand.name);
+    Some(ScheduleCandidate { name, stmt, ..cand.clone() })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// Every candidate, and the parallel twin of every candidate that has
+    /// one and lowers, is accepted and byte-identical to direct merge.
     #[test]
     fn accepted_candidates_match_direct_merge_oracle(
         m in 2usize..12,
@@ -286,12 +300,16 @@ proptest! {
             .run(&inputs)
             .expect("direct merge runs");
 
+        let twins: Vec<ScheduleCandidate> = candidates.iter().filter_map(parallel_twin).collect();
         let mut executed = 0usize;
-        for cand in &candidates {
-            let kernel = cand
-                .stmt
-                .compile(LowerOptions::fused("cand").with_workspace_kind(cand.workspace_kind))
-                .expect("a candidate lowers under fused options");
+        let all = candidates.iter().map(|c| (c, false)).chain(twins.iter().map(|c| (c, true)));
+        for (cand, is_twin) in all {
+            let opts = LowerOptions::fused("cand").with_workspace_kind(cand.workspace_kind);
+            let kernel = match cand.stmt.compile(opts) {
+                Ok(kernel) => kernel,
+                Err(_) if is_twin => continue,
+                Err(e) => panic!("{}: a candidate lowers under fused options: {e}", cand.name),
+            };
             let report = kernel.verify_report();
             prop_assert!(report.accepted(), "{}: {report}", cand.name);
             let got = kernel.run(&inputs).expect("accepted candidate runs");
