@@ -38,7 +38,7 @@
 //!   semantics have no plain-OpenMP equivalent, so a kernel with a parallel
 //!   loop stays on the interpreter (the autotuner's candidates are serial).
 
-use crate::exec::{BExpr, FExpr, IExpr, RStmt};
+use crate::exec::{BExpr, DenseWs, FExpr, IExpr, RStmt, Ws};
 use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};
 use crate::{ArrayTy, BinOp, CompileError, Executable, ParamKind, WorkspaceKind};
 use std::fmt::Write;
@@ -64,7 +64,7 @@ pub struct AbiArray {
     /// Array name (parameter name, or the kernel-local name).
     pub name: String,
     /// Element type: a parameter's declared type, or the type of the
-    /// `Alloc` that materializes a kernel-local array. The emitted C
+    /// allocation that materializes a kernel-local array. The emitted C
     /// declares the slot's pointer with this type, so it must match what
     /// the kernel actually stores there.
     pub ty: ArrayTy,
@@ -140,26 +140,17 @@ impl std::error::Error for NativeEmitError {}
 /// # Errors
 ///
 /// [`NativeEmitError::Unsupported`] when the kernel uses `ParallelFor`
-/// (deterministic clone-and-merge is interpreter-only) or mutates a map
-/// workspace inside its own drain loop.
+/// (deterministic clone-and-merge is interpreter-only).
 pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
     check_supported(&exe.body)?;
 
     let n_visible = exe.array_names.len();
-    let alloc_tys = alloc_types(&exe.body);
     let mut arrays: Vec<AbiArray> = Vec::with_capacity(n_visible + 2 * exe.map_names.len());
     for (slot, name) in exe.array_names.iter().enumerate() {
         let param = exe.array_params.iter().find(|(_, s, _, _)| *s == slot);
-        // Kernel-local arrays have no parameter declaration; their element
-        // type is the one their Alloc materializes. Defaulting to Int here
-        // would declare e.g. a double workspace as int64_t* and type-pun
-        // every load and store through it.
         arrays.push(AbiArray {
             name: name.clone(),
-            ty: param
-                .map(|(_, _, ty, _)| *ty)
-                .or_else(|| alloc_tys.get(&slot).copied())
-                .unwrap_or(ArrayTy::Int),
+            ty: exe.array_tys[slot],
             kind: param.map(|(_, _, _, k)| *k),
             map_backing: false,
         });
@@ -265,18 +256,10 @@ fn check_supported(body: &[RStmt]) -> Result<(), NativeEmitError> {
                 ))
             }
             RStmt::For(_, _, _, b) => check_supported(b)?,
-            RStmt::While(_, b) => check_supported(b)?,
+            RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => check_supported(b)?,
             RStmt::If(_, t, e) => {
                 check_supported(t)?;
                 check_supported(e)?;
-            }
-            RStmt::MapDrainSorted(m, _, _, b) => {
-                if drains_mutate_map(b, *m) {
-                    return Err(NativeEmitError::Unsupported(
-                        "map workspace mutated inside its own drain loop".into(),
-                    ));
-                }
-                check_supported(b)?;
             }
             _ => {}
         }
@@ -284,46 +267,8 @@ fn check_supported(body: &[RStmt]) -> Result<(), NativeEmitError> {
     Ok(())
 }
 
-fn drains_mutate_map(body: &[RStmt], map: usize) -> bool {
-    body.iter().any(|s| match s {
-        RStmt::MapInit(m, ..) | RStmt::MapScatter(m, ..) | RStmt::MapDrainSorted(m, ..) => {
-            *m == map
-        }
-        RStmt::For(_, _, _, b) => drains_mutate_map(b, map),
-        RStmt::While(_, b) => drains_mutate_map(b, map),
-        RStmt::If(_, t, e) => drains_mutate_map(t, map) || drains_mutate_map(e, map),
-        _ => false,
-    })
-}
-
-/// Element types of kernel-local arrays, recovered from the `Alloc` that
-/// materializes each slot (slots are never reused, so first wins).
-fn alloc_types(body: &[RStmt]) -> std::collections::HashMap<usize, ArrayTy> {
-    let mut out = std::collections::HashMap::new();
-    fn walk(body: &[RStmt], out: &mut std::collections::HashMap<usize, ArrayTy>) {
-        for s in body {
-            match s {
-                RStmt::Alloc(slot, ty, _) => {
-                    out.entry(*slot).or_insert(*ty);
-                }
-                RStmt::For(_, _, _, b) => walk(b, out),
-                RStmt::While(_, b) => walk(b, out),
-                RStmt::If(_, t, e) => {
-                    walk(t, out);
-                    walk(e, out);
-                }
-                RStmt::MapDrainSorted(_, _, _, b) => walk(b, out),
-                RStmt::ParallelFor(pf) => walk(&pf.body, out),
-                _ => {}
-            }
-        }
-    }
-    walk(body, &mut out);
-    out
-}
-
-/// Array slots written (stored to, filled, allocated, grown, or sorted)
-/// anywhere in the body; the rest get `const` locals.
+/// Array slots written (stored to, filled, allocated or grown) anywhere in
+/// the body; the rest get `const` locals.
 fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
     let mut out = Vec::new();
     fn walk(body: &[RStmt], out: &mut Vec<usize>) {
@@ -341,15 +286,14 @@ fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
                 | RStmt::MemsetF32(a, ..)
                 | RStmt::MemsetB(a, ..)
                 | RStmt::Alloc(a, ..)
-                | RStmt::Realloc(a, ..)
-                | RStmt::Sort(a, ..) if !out.contains(a) => out.push(*a),
+                | RStmt::Realloc(a, ..) if !out.contains(a) => out.push(*a),
+                RStmt::WsInit(Ws::Dense(d), _) => out.extend([d.vals, d.list, d.guard]),
                 RStmt::For(_, _, _, b) => walk(b, out),
-                RStmt::While(_, b) => walk(b, out),
+                RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => walk(b, out),
                 RStmt::If(_, t, e) => {
                     walk(t, out);
                     walk(e, out);
                 }
-                RStmt::MapDrainSorted(_, _, _, b) => walk(b, out),
                 RStmt::ParallelFor(pf) => walk(&pf.body, out),
                 _ => {}
             }
@@ -687,27 +631,7 @@ impl Emitter<'_> {
                 self.memset(*arr, "float", v, ffaults(val));
             }
             RStmt::MemsetB(arr, val) => self.memset(*arr, "bool", self.bexpr(val), bfaults(val)),
-            RStmt::Alloc(arr, ty, len) => {
-                let l = self.iexpr(len);
-                if ifaults(len) {
-                    self.line("{");
-                    self.depth += 1;
-                    self.line(&format!("int64_t _l = {l};"));
-                    self.fault_check();
-                    self.line(&format!(
-                        "if (!ctx->alloc(ctx, {arr}, {}, _l)) goto taco_abort;",
-                        ty_code(*ty)
-                    ));
-                    self.depth -= 1;
-                    self.line("}");
-                } else {
-                    self.line(&format!(
-                        "if (!ctx->alloc(ctx, {arr}, {}, {l})) goto taco_abort;",
-                        ty_code(*ty)
-                    ));
-                }
-                self.refresh(*arr);
-            }
+            RStmt::Alloc(arr, ty, len) => self.alloc(*arr, *ty, len),
             RStmt::Realloc(arr, len) => {
                 let l = self.iexpr(len);
                 if ifaults(len) {
@@ -723,35 +647,22 @@ impl Emitter<'_> {
                 }
                 self.refresh(*arr);
             }
-            RStmt::Sort(arr, lo, hi) => {
-                let (l, h) = (self.iexpr(lo), self.iexpr(hi));
-                if ifaults(lo) || ifaults(hi) {
-                    self.line("{");
-                    self.depth += 1;
-                    self.line(&format!("int64_t _l = {l};"));
-                    self.line(&format!("int64_t _h = {h};"));
-                    self.fault_check();
-                    self.line(&format!(
-                        "if (!taco_sort_range(ctx, {arr}, _l, _h)) goto taco_abort;"
-                    ));
-                    self.depth -= 1;
-                    self.line("}");
-                } else {
-                    self.line(&format!(
-                        "if (!taco_sort_range(ctx, {arr}, {l}, {h})) goto taco_abort;"
-                    ));
+            RStmt::WsInit(Ws::Dense(d), extent) => {
+                for arr in [d.vals, d.list, d.guard] {
+                    self.alloc(arr, self.plan.arrays[arr].ty, extent);
                 }
+                self.line(&format!("i{} = 0LL;", d.len));
             }
-            RStmt::MapInit(map, kind, cap) => {
+            RStmt::WsInit(Ws::Map(map, kind), extent) => {
                 let m = &self.plan.maps[*map];
                 let (ks, vs) = (m.keys_slot, m.vals_slot);
-                let tag = match kind {
-                    WorkspaceKind::Hash => "TACO_WS_HASH",
-                    WorkspaceKind::CoordList => "TACO_WS_COORDLIST",
-                    WorkspaceKind::Dense => "TACO_WS_DENSE",
-                };
-                let c = self.iexpr(cap);
-                if ifaults(cap) {
+                let tag = kind.c_tag();
+                let c = format!(
+                    "taco_min_i64({}, {})",
+                    i64_lit(WorkspaceKind::INITIAL_CAPACITY),
+                    self.iexpr(extent)
+                );
+                if ifaults(extent) {
                     self.line("{");
                     self.depth += 1;
                     self.line(&format!("int64_t _c = {c};"));
@@ -767,7 +678,8 @@ impl Emitter<'_> {
                     ));
                 }
             }
-            RStmt::MapScatter(map, key, val, add) => {
+            RStmt::WsScatter(Ws::Dense(d), key, val, add) => self.dense_scatter(d, key, val, *add),
+            RStmt::WsScatter(Ws::Map(map, _), key, val, add) => {
                 let m = &self.plan.maps[*map];
                 let (ks, vs) = (m.keys_slot, m.vals_slot);
                 let add = i32::from(*add);
@@ -790,7 +702,10 @@ impl Emitter<'_> {
                     ));
                 }
             }
-            RStmt::MapDrainSorted(map, key_slot, val_slot, body) => {
+            RStmt::WsDrain(Ws::Dense(d), key, val, sorted, body) => {
+                self.dense_drain(d, *key, *val, *sorted, body);
+            }
+            RStmt::WsDrain(Ws::Map(map, _), key_slot, val_slot, _, body) => {
                 let m = &self.plan.maps[*map];
                 let (ks, vs) = (m.keys_slot, m.vals_slot);
                 self.line("{");
@@ -811,6 +726,91 @@ impl Emitter<'_> {
                 self.line("}");
             }
         }
+    }
+
+    /// `ctx->alloc` of `arr`, `len` elements of `ty`, and the refreshed
+    /// pointer/length locals.
+    fn alloc(&mut self, arr: usize, ty: ArrayTy, len: &IExpr) {
+        let l = self.iexpr(len);
+        let ty = ty_code(ty);
+        if ifaults(len) {
+            self.line("{");
+            self.depth += 1;
+            self.line(&format!("int64_t _l = {l};"));
+            self.fault_check();
+            self.line(&format!("if (!ctx->alloc(ctx, {arr}, {ty}, _l)) goto taco_abort;"));
+            self.depth -= 1;
+            self.line("}");
+        } else {
+            self.line(&format!("if (!ctx->alloc(ctx, {arr}, {ty}, {l})) goto taco_abort;"));
+        }
+        self.refresh(arr);
+    }
+
+    /// A dense scatter in the shape of Figure 8 lines 15–18: the guarded
+    /// insert, then the checked value store.
+    fn dense_scatter(&mut self, d: &DenseWs, key: &IExpr, val: &FExpr, add: bool) {
+        let len = || IExpr::Var(d.len);
+        let insert = RStmt::If(
+            BExpr::Not(Box::new(BExpr::Load(d.guard, Box::new(key.clone())))),
+            vec![
+                RStmt::StoreI(d.list, len(), key.clone()),
+                RStmt::AssignI(
+                    d.len,
+                    IExpr::Bin(BinOp::Add, Box::new(len()), Box::new(IExpr::Lit(1))),
+                ),
+                RStmt::StoreB(d.guard, key.clone(), BExpr::Lit(true)),
+            ],
+            Vec::new(),
+        );
+        let (k, v) = (key.clone(), val.clone());
+        let store = match (d.ty, add) {
+            (ArrayTy::F32, true) => RStmt::StoreAddF32(d.vals, k, v),
+            (ArrayTy::F32, false) => RStmt::StoreF32(d.vals, k, v),
+            (_, true) => RStmt::StoreAddF64(d.vals, k, v),
+            (_, false) => RStmt::StoreF64(d.vals, k, v),
+        };
+        self.stmt(&insert);
+        self.stmt(&store);
+    }
+
+    /// A dense drain: `taco_sort_range` over the listed coordinates when
+    /// asked, then a ticked loop over them that binds key and value and
+    /// zeroes value and guard (checked stores) before the body; the list is
+    /// empty afterwards.
+    fn dense_drain(&mut self, d: &DenseWs, key: usize, val: usize, sorted: bool, body: &[RStmt]) {
+        let (list, len) = (d.list, d.len);
+        if sorted {
+            self.line(&format!("if (!taco_sort_range(ctx, {list}, 0LL, i{len})) goto taco_abort;"));
+        }
+        self.line("{");
+        self.depth += 1;
+        self.line("int64_t _lo = 0LL;");
+        self.line(&format!("int64_t _hi = i{len};"));
+        self.line("for (int64_t _it = _lo; _it < _hi; _it++) {");
+        self.depth += 1;
+        self.line("TACO_TICK(ctx);");
+        self.line(&format!("i{key} = a{list}[_it];"));
+        let at = || IExpr::Var(key);
+        let (bind, zero) = match d.ty {
+            ArrayTy::F32 => (
+                FExpr::LoadF32(d.vals, Box::new(at())),
+                RStmt::StoreF32(d.vals, at(), FExpr::Lit(0.0)),
+            ),
+            _ => (
+                FExpr::LoadF64(d.vals, Box::new(at())),
+                RStmt::StoreF64(d.vals, at(), FExpr::Lit(0.0)),
+            ),
+        };
+        self.stmt(&RStmt::AssignF(val, bind));
+        self.stmt(&zero);
+        self.stmt(&RStmt::StoreB(d.guard, at(), BExpr::Lit(false)));
+        self.block(body);
+        self.depth -= 1;
+        self.line("}");
+        self.depth -= 1;
+        self.line("}");
+        self.line(&format!("i{len} = 0LL;"));
     }
 
     /// Declares `_pre`, decided once at the entry of a straight-line leaf
@@ -997,21 +997,23 @@ mod tests {
             .scalar_param("n")
             .array_param(Param::output("out", ArrayTy::F64))
             .body(vec![
-                Stmt::MapInit {
-                    map: "w".into(),
+                Stmt::WsInit {
+                    ws: "w".into(),
                     kind: WorkspaceKind::Hash,
-                    capacity: Expr::int(0),
+                    ty: ArrayTy::F64,
+                    extent: Expr::int(0),
                 },
-                Stmt::MapScatter {
-                    map: "w".into(),
+                Stmt::WsScatter {
+                    ws: "w".into(),
                     key: Expr::int(3),
                     val: Expr::float(1.5),
                     add: true,
                 },
-                Stmt::MapDrainSorted {
-                    map: "w".into(),
+                Stmt::WsDrain {
+                    ws: "w".into(),
                     key: "k".into(),
                     val: "v".into(),
+                    sorted: true,
                     body: vec![Stmt::store("out", Expr::var("k"), Expr::var("v"))],
                 },
             ]);
@@ -1080,25 +1082,16 @@ mod leaf_tests {
     fn fig2_spgemm() -> Kernel {
         let scatter = vec![
             Stmt::DeclInt("j".into(), ld("C_crd", v("pC"))),
-            Stmt::if_(
-                !ld("seen", v("j")),
-                vec![
-                    Stmt::store("list", v("wn"), v("j")),
-                    Stmt::incr("wn"),
-                    Stmt::store("seen", v("j"), Expr::bool(true)),
-                ],
-            ),
-            Stmt::store_add("w", v("j"), ld("B_vals", v("pB")) * ld("C_vals", v("pC"))),
+            Stmt::WsScatter {
+                ws: "w".into(),
+                key: v("j"),
+                val: ld("B_vals", v("pB")) * ld("C_vals", v("pC")),
+                add: true,
+            },
         ];
-        let mut gather = vec![Stmt::DeclInt("jw".into(), ld("list", v("q")))];
-        gather.extend(append(v("jw"), ld("w", v("jw"))));
-        gather.extend([
-            Stmt::store("w", v("jw"), Expr::float(0.0)),
-            Stmt::store("seen", v("jw"), Expr::bool(false)),
-            Stmt::incr("nnz"),
-        ]);
+        let mut gather = append(v("jw"), v("wv"));
+        gather.push(Stmt::incr("nnz"));
         let row = vec![
-            Stmt::DeclInt("wn".into(), Expr::int(0)),
             Stmt::for_(
                 "pB",
                 ld("B_pos", v("i")),
@@ -1113,16 +1106,24 @@ mod leaf_tests {
                     ),
                 ],
             ),
-            Stmt::Sort { arr: "list".into(), lo: Expr::int(0), hi: v("wn") },
-            Stmt::for_("q", Expr::int(0), v("wn"), gather),
+            Stmt::WsDrain {
+                ws: "w".into(),
+                key: "jw".into(),
+                val: "wv".into(),
+                sorted: true,
+                body: gather,
+            },
             Stmt::store("A_pos", v("i") + Expr::int(1), v("nnz")),
         ];
         let kernel = csr_inputs(Kernel::new("spgemm").scalar_param("m").scalar_param("n"), &["B", "C"]);
         csr_output(kernel).body(vec![
             Stmt::DeclInt("nnz".into(), Expr::int(0)),
-            Stmt::Alloc { arr: "w".into(), ty: ArrayTy::F64, len: v("n") },
-            Stmt::Alloc { arr: "list".into(), ty: ArrayTy::Int, len: v("n") },
-            Stmt::Alloc { arr: "seen".into(), ty: ArrayTy::Bool, len: v("n") },
+            Stmt::WsInit {
+                ws: "w".into(),
+                kind: WorkspaceKind::Dense,
+                ty: ArrayTy::F64,
+                extent: v("n"),
+            },
             Stmt::for_("i", Expr::int(0), v("m"), row),
         ])
     }
@@ -1295,8 +1296,8 @@ mod cc_tests {
     #[test]
     fn emitted_c_parses_with_system_compiler() {
         // A kernel exercising every statement family the emitter handles:
-        // loops, while, if, stores, memset, alloc/realloc/sort, and a map
-        // workspace with scatter + drain.
+        // loops, while, if, stores, memset, alloc/realloc, and a map and a
+        // single-precision dense workspace with scatter + drain.
         let kernel = Kernel::new("allstmt")
             .scalar_param("n")
             .array_param(Param::input("x", ArrayTy::F64))
@@ -1313,10 +1314,17 @@ mod cc_tests {
                     len: Expr::var("n"),
                 },
                 Stmt::Memset { arr: "w".into(), val: Expr::float(0.0) },
-                Stmt::MapInit {
-                    map: "m".into(),
+                Stmt::WsInit {
+                    ws: "m".into(),
                     kind: WorkspaceKind::CoordList,
-                    capacity: Expr::int(4),
+                    ty: ArrayTy::F64,
+                    extent: Expr::var("n") + Expr::int(1),
+                },
+                Stmt::WsInit {
+                    ws: "d".into(),
+                    kind: WorkspaceKind::Dense,
+                    ty: ArrayTy::F32,
+                    extent: Expr::var("n"),
                 },
                 Stmt::for_(
                     "i",
@@ -1332,12 +1340,18 @@ mod cc_tests {
                                     Expr::load("x", Expr::var("i"))
                                         + Expr::load("h", Expr::var("i")),
                                 ),
-                                Stmt::MapScatter {
-                                    map: "m".into(),
+                                Stmt::WsScatter {
+                                    ws: "m".into(),
                                     key: Expr::var("i")
                                         % (Expr::var("n") + Expr::int(1)),
                                     val: Expr::load("x", Expr::var("i")),
                                     add: true,
+                                },
+                                Stmt::WsScatter {
+                                    ws: "d".into(),
+                                    key: Expr::var("n") - Expr::var("i") - Expr::int(1),
+                                    val: Expr::load("h", Expr::var("i")),
+                                    add: false,
                                 },
                             ],
                         ),
@@ -1350,11 +1364,18 @@ mod cc_tests {
                 ),
                 Stmt::Realloc { arr: "w".into(), len: Expr::var("n") * Expr::int(2) },
                 Stmt::Alloc { arr: "order".into(), ty: ArrayTy::Int, len: Expr::var("n") },
-                Stmt::Sort { arr: "order".into(), lo: Expr::int(0), hi: Expr::var("n") },
-                Stmt::MapDrainSorted {
-                    map: "m".into(),
+                Stmt::WsDrain {
+                    ws: "d".into(),
                     key: "k".into(),
                     val: "v".into(),
+                    sorted: true,
+                    body: vec![Stmt::store("order", Expr::var("k"), Expr::var("k"))],
+                },
+                Stmt::WsDrain {
+                    ws: "m".into(),
+                    key: "k".into(),
+                    val: "v".into(),
+                    sorted: true,
                     body: vec![
                         Stmt::store_add("out", Expr::var("k"), Expr::var("v")),
                         Stmt::Assign("nnz".into(), Expr::var("nnz") + Expr::int(1)),

@@ -17,8 +17,9 @@ pub enum CompileError {
         /// Where the mismatch occurred.
         context: String,
     },
-    /// `Sort` applied to a non-integer array.
-    SortNonInt(String),
+    /// A workspace is initialized, scattered into or drained inside the
+    /// body of its own drain.
+    WorkspaceInOwnDrain(String),
     /// A scalar output is not a top-level declaration.
     BadScalarOutput(String),
 }
@@ -30,7 +31,9 @@ impl fmt::Display for CompileError {
             CompileError::UnknownArray(n) => write!(f, "unknown array `{n}`"),
             CompileError::Duplicate(n) => write!(f, "duplicate declaration of `{n}`"),
             CompileError::TypeMismatch { context } => write!(f, "type mismatch in {context}"),
-            CompileError::SortNonInt(n) => write!(f, "sort requires an integer array, got `{n}`"),
+            CompileError::WorkspaceInOwnDrain(n) => {
+                write!(f, "workspace `{n}` is used inside the body of its own drain")
+            }
             CompileError::BadScalarOutput(n) => {
                 write!(f, "scalar output `{n}` is not declared at the top level of the kernel")
             }

@@ -136,10 +136,31 @@ pub(crate) enum RStmt {
     MemsetB(usize, BExpr),
     Alloc(usize, ArrayTy, IExpr),
     Realloc(usize, IExpr),
-    Sort(usize, IExpr, IExpr),
-    MapInit(usize, WorkspaceKind, IExpr),
-    MapScatter(usize, IExpr, FExpr, bool),
-    MapDrainSorted(usize, usize, usize, Vec<RStmt>),
+    WsInit(Ws, IExpr),
+    WsScatter(Ws, IExpr, FExpr, bool),
+    /// Workspace, key and value slots, `sorted`, body.
+    WsDrain(Ws, usize, usize, bool, Vec<RStmt>),
+}
+
+/// Where a workspace's state lives: a map kind's store slot, or the slots
+/// of the dense kind's arrays.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ws {
+    Map(usize, WorkspaceKind),
+    Dense(DenseWs),
+}
+
+/// A dense workspace (Figure 8): value, coordinate-list and guard array
+/// slots, none of them reachable by name, and the int slot counting the
+/// listed coordinates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseWs {
+    pub(crate) vals: usize,
+    /// `F64`, or `F32` for a mixed-precision workspace.
+    pub(crate) ty: ArrayTy,
+    pub(crate) list: usize,
+    pub(crate) guard: usize,
+    pub(crate) len: usize,
 }
 
 /// A slot-resolved [`Stmt::ParallelFor`]: a counting loop whose iterations
@@ -193,8 +214,11 @@ struct Compiler {
     scopes: Vec<HashMap<String, (ScalarTy, usize)>>,
     arrays: HashMap<String, (usize, ArrayTy)>,
     array_names: Vec<String>,
-    maps: HashMap<String, usize>,
+    array_tys: Vec<ArrayTy>,
+    workspaces: HashMap<String, Ws>,
     map_names: Vec<String>,
+    /// Workspaces whose drain body is being compiled, innermost last.
+    draining: Vec<String>,
     n_int: usize,
     n_float: usize,
     n_bool: usize,
@@ -205,15 +229,17 @@ impl Compiler {
         self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
+    fn fresh_int(&mut self) -> usize {
+        self.n_int += 1;
+        self.n_int - 1
+    }
+
     fn declare(&mut self, name: &str, ty: ScalarTy) -> Result<usize, CompileError> {
         if self.scopes.last().expect("scope stack nonempty").contains_key(name) {
             return Err(CompileError::Duplicate(name.to_string()));
         }
         let slot = match ty {
-            ScalarTy::Int => {
-                self.n_int += 1;
-                self.n_int - 1
-            }
+            ScalarTy::Int => self.fresh_int(),
             ScalarTy::Float => {
                 self.n_float += 1;
                 self.n_float - 1
@@ -234,21 +260,57 @@ impl Compiler {
             .ok_or_else(|| CompileError::UnknownArray(name.to_string()))
     }
 
-    fn map(&mut self, name: &str) -> Result<usize, CompileError> {
-        self.maps.get(name).copied().ok_or_else(|| CompileError::UnknownArray(name.to_string()))
+    /// A workspace declared by an earlier `WsInit`, outside its own drain.
+    fn ws(&self, name: &str) -> Result<Ws, CompileError> {
+        if self.draining.iter().any(|d| d == name) {
+            return Err(CompileError::WorkspaceInOwnDrain(name.to_string()));
+        }
+        let unknown = || CompileError::UnknownArray(name.to_string());
+        self.workspaces.get(name).copied().ok_or_else(unknown)
     }
 
-    fn declare_map(&mut self, name: &str) -> Result<usize, CompileError> {
-        if let Some(&slot) = self.maps.get(name) {
-            return Ok(slot);
+    fn declare_ws(
+        &mut self,
+        name: &str,
+        kind: WorkspaceKind,
+        ty: ArrayTy,
+    ) -> Result<Ws, CompileError> {
+        let mismatch = || CompileError::TypeMismatch {
+            context: format!("{kind} workspace `{name}` of {ty:?} values"),
+        };
+        match self.ws(name) {
+            Ok(ws @ Ws::Map(_, k)) if k == kind && ty == ArrayTy::F64 => return Ok(ws),
+            Ok(ws @ Ws::Dense(d)) if kind == WorkspaceKind::Dense && d.ty == ty => return Ok(ws),
+            Ok(_) => return Err(mismatch()),
+            Err(e @ CompileError::WorkspaceInOwnDrain(_)) => return Err(e),
+            Err(_) => {}
         }
         if self.arrays.contains_key(name) {
             return Err(CompileError::Duplicate(name.to_string()));
         }
-        let slot = self.map_names.len();
-        self.map_names.push(name.to_string());
-        self.maps.insert(name.to_string(), slot);
-        Ok(slot)
+        let ws = match (kind, ty) {
+            (WorkspaceKind::Dense, ArrayTy::F64 | ArrayTy::F32) => Ws::Dense(DenseWs {
+                vals: self.local_array(name, ty),
+                ty,
+                list: self.local_array(&format!("{name}.list"), ArrayTy::Int),
+                guard: self.local_array(&format!("{name}.guard"), ArrayTy::Bool),
+                len: self.fresh_int(),
+            }),
+            (WorkspaceKind::Hash | WorkspaceKind::CoordList, ArrayTy::F64) => {
+                self.map_names.push(name.to_string());
+                Ws::Map(self.map_names.len() - 1, kind)
+            }
+            _ => return Err(mismatch()),
+        };
+        self.workspaces.insert(name.to_string(), ws);
+        Ok(ws)
+    }
+
+    /// A kernel-local array slot no statement can name.
+    fn local_array(&mut self, name: &str, ty: ArrayTy) -> usize {
+        self.array_names.push(name.to_string());
+        self.array_tys.push(ty);
+        self.array_names.len() - 1
     }
 
     fn declare_array(&mut self, name: &str, ty: ArrayTy) -> Result<usize, CompileError> {
@@ -260,8 +322,10 @@ impl Compiler {
             }
             return Ok(slot);
         }
-        let slot = self.array_names.len();
-        self.array_names.push(name.to_string());
+        if self.workspaces.contains_key(name) {
+            return Err(CompileError::Duplicate(name.to_string()));
+        }
+        let slot = self.local_array(name, ty);
         self.arrays.insert(name.to_string(), (slot, ty));
         Ok(slot)
     }
@@ -452,10 +516,16 @@ impl Compiler {
             Stmt::ParallelFor { var, lo, hi, threads, private, append, body } => {
                 let lo = self.int_expr(lo)?;
                 let hi = self.int_expr(hi)?;
-                let private = private
-                    .iter()
-                    .map(|n| self.array(n).map(|(slot, _)| slot))
-                    .collect::<Result<Vec<_>, _>>()?;
+                // A private dense workspace is its three arrays; map stores
+                // are per worker anyway.
+                let mut private_slots = Vec::with_capacity(private.len());
+                for n in private {
+                    match self.workspaces.get(n) {
+                        Some(Ws::Dense(d)) => private_slots.extend([d.vals, d.list, d.guard]),
+                        Some(Ws::Map(..)) => {}
+                        None => private_slots.push(self.array(n)?.0),
+                    }
+                }
                 let append = match append {
                     Some(a) => {
                         let counter = match self.lookup_var(&a.counter) {
@@ -484,7 +554,7 @@ impl Compiler {
                     lo,
                     hi,
                     threads: *threads,
-                    private,
+                    private: private_slots,
                     append,
                     body,
                 }))
@@ -519,37 +589,24 @@ impl Compiler {
                 let len = self.int_expr(len)?;
                 RStmt::Realloc(slot, len)
             }
-            Stmt::Sort { arr, lo, hi } => {
-                let (slot, ty) = self.array(arr)?;
-                if ty != ArrayTy::Int {
-                    return Err(CompileError::SortNonInt(arr.clone()));
-                }
-                RStmt::Sort(slot, self.int_expr(lo)?, self.int_expr(hi)?)
+            Stmt::WsInit { ws, kind, ty, extent } => {
+                let extent = self.int_expr(extent)?;
+                RStmt::WsInit(self.declare_ws(ws, *kind, *ty)?, extent)
             }
-            Stmt::MapInit { map, kind, capacity } => {
-                if *kind == WorkspaceKind::Dense {
-                    return Err(CompileError::TypeMismatch {
-                        context: format!("map workspace `{map}` initialized with dense kind"),
-                    });
-                }
-                let cap = self.int_expr(capacity)?;
-                let slot = self.declare_map(map)?;
-                RStmt::MapInit(slot, *kind, cap)
+            Stmt::WsScatter { ws, key, val, add } => {
+                let ws = self.ws(ws)?;
+                RStmt::WsScatter(ws, self.int_expr(key)?, self.float_expr(val)?, *add)
             }
-            Stmt::MapScatter { map, key, val, add } => {
-                let slot = self.map(map)?;
-                let key = self.int_expr(key)?;
-                let val = self.float_expr(val)?;
-                RStmt::MapScatter(slot, key, val, *add)
-            }
-            Stmt::MapDrainSorted { map, key, val, body } => {
-                let slot = self.map(map)?;
+            Stmt::WsDrain { ws: name, key, val, sorted, body } => {
+                let ws = self.ws(name)?;
+                self.draining.push(name.clone());
                 self.scopes.push(HashMap::new());
                 let key_slot = self.declare(key, ScalarTy::Int)?;
                 let val_slot = self.declare(val, ScalarTy::Float)?;
                 let body = self.block_in_current_scope(body)?;
                 self.scopes.pop();
-                RStmt::MapDrainSorted(slot, key_slot, val_slot, body)
+                self.draining.pop();
+                RStmt::WsDrain(ws, key_slot, val_slot, *sorted, body)
             }
             Stmt::Comment(_) => return Ok(None),
         }))
@@ -613,12 +670,6 @@ impl RunControls<'_> {
         }
         Ok(())
     }
-}
-
-/// Bytes charged per map-workspace entry: key and value, plus slot overhead
-/// for the open-addressing hash variant.
-pub(crate) fn map_entry_bytes(kind: WorkspaceKind) -> u64 {
-    kind.entry_bytes()
 }
 
 /// A sparse map workspace: kernel-local machine state keyed by integer
@@ -687,7 +738,7 @@ trait AccessPolicy {
     fn division_by_zero() -> Self::Fault;
 
     /// Executes a statement that is not straight-line: a loop, an
-    /// allocation, a sort, a map operation.
+    /// allocation, a workspace node.
     fn control(m: &mut Mach<'_>, s: &RStmt) -> Result<(), Self::Fault>;
 }
 
@@ -815,7 +866,7 @@ impl Mach<'_> {
         if needed <= ws.charged_entries {
             return Ok(());
         }
-        let per = map_entry_bytes(ws.kind());
+        let per = ws.kind().entry_bytes();
         let new_cap = (ws.charged_entries * 2).max(needed).max(8);
         let delta = (new_cap - ws.charged_entries).saturating_mul(per);
         self.charge_map_bytes(map, new_cap.saturating_mul(per), delta)?;
@@ -826,6 +877,87 @@ impl Mach<'_> {
     /// Counts one `Realloc` growth of `arr` against the doubling cap.
     fn charge_realloc(&mut self, arr: usize) -> Result<(), RunError> {
         self.budget.charge_realloc_doubling(arr, &self.array_names[arr])
+    }
+
+    /// Allocates `arr` zero-filled, `len` elements of `ty`, after charging
+    /// it against the budget.
+    fn alloc(&mut self, arr: usize, ty: ArrayTy, len: i64) -> Result<(), RunError> {
+        if len < 0 {
+            return Err(RunError::NegativeLength { name: self.array_names[arr].clone(), len });
+        }
+        self.charge_bytes(arr, len as u64 * elem_bytes(ty))?;
+        self.arrays[arr] = match ty {
+            ArrayTy::Int => ArrayVal::Int(vec![0; len as usize]),
+            ArrayTy::F64 => ArrayVal::F64(vec![0.0; len as usize]),
+            ArrayTy::F32 => ArrayVal::F32(vec![0.0; len as usize]),
+            ArrayTy::Bool => ArrayVal::Bool(vec![false; len as usize]),
+        };
+        Ok(())
+    }
+
+    /// A dense scatter: the guarded insert of Figure 8 lines 15–18, which
+    /// lists a coordinate the first time it is scattered, then the value
+    /// store. A listed key passed both range checks, so a drain indexes
+    /// with it directly.
+    fn dense_scatter(
+        &mut self,
+        d: &DenseWs,
+        key: &IExpr,
+        val: &FExpr,
+        add: bool,
+    ) -> Result<(), RunError> {
+        let k = self.eval_i::<Checked>(key)?;
+        let g = Checked::index(self, d.guard, k, self.arrays[d.guard].len())?;
+        if matches!(&self.arrays[d.guard], ArrayVal::Bool(guard) if !guard[g]) {
+            let n = self.ints[d.len];
+            let at = Checked::index(self, d.list, n, self.arrays[d.list].len())?;
+            if let ArrayVal::Int(list) = &mut self.arrays[d.list] {
+                list[at] = k;
+            }
+            self.ints[d.len] = n + 1;
+            if let ArrayVal::Bool(guard) = &mut self.arrays[d.guard] {
+                guard[g] = true;
+            }
+        }
+        let v = self.eval_f::<Checked>(val)?;
+        match d.ty {
+            ArrayTy::F32 => self.store_f32::<Checked>(d.vals, k, v, add),
+            _ => self.store_f64::<Checked>(d.vals, k, v, add),
+        }
+    }
+
+    /// A dense drain: the listed coordinates, sorted first when asked
+    /// (Figure 8 line 23), each bound with its value, which is zeroed with
+    /// its guard before the body runs; the list is empty afterwards.
+    fn dense_drain(
+        &mut self,
+        d: &DenseWs,
+        key: usize,
+        val: usize,
+        sorted: bool,
+        body: &[RStmt],
+    ) -> Result<(), RunError> {
+        let n = self.ints[d.len] as usize;
+        if let (true, ArrayVal::Int(list)) = (sorted, &mut self.arrays[d.list]) {
+            list[..n].sort_unstable();
+        }
+        for p in 0..n {
+            self.consume_iteration()?;
+            let ArrayVal::Int(list) = &self.arrays[d.list] else { unreachable!("an Int array") };
+            let k = list[p];
+            self.ints[key] = k;
+            self.floats[val] = match &mut self.arrays[d.vals] {
+                ArrayVal::F64(v) => std::mem::take(&mut v[k as usize]),
+                ArrayVal::F32(v) => f64::from(std::mem::take(&mut v[k as usize])),
+                _ => unreachable!("a float array"),
+            };
+            if let ArrayVal::Bool(guard) = &mut self.arrays[d.guard] {
+                guard[k as usize] = false;
+            }
+            self.exec_block::<Checked>(body)?;
+        }
+        self.ints[d.len] = 0;
+        Ok(())
     }
 
     fn eval_i<A: AccessPolicy>(&self, e: &IExpr) -> Result<i64, A::Fault> {
@@ -1016,7 +1148,7 @@ impl Mach<'_> {
     }
 
     /// The statements only the checked policy meets: loops, allocation,
-    /// sorting, map workspaces.
+    /// workspace nodes.
     #[inline]
     fn exec_control(&mut self, s: &RStmt) -> Result<(), RunError> {
         match s {
@@ -1069,19 +1201,7 @@ impl Mach<'_> {
             }
             RStmt::Alloc(arr, ty, len) => {
                 let len = self.eval_i::<Checked>(len)?;
-                if len < 0 {
-                    return Err(RunError::NegativeLength {
-                        name: self.array_names[*arr].clone(),
-                        len,
-                    });
-                }
-                self.charge_bytes(*arr, len as u64 * elem_bytes(*ty))?;
-                self.arrays[*arr] = match ty {
-                    ArrayTy::Int => ArrayVal::Int(vec![0; len as usize]),
-                    ArrayTy::F64 => ArrayVal::F64(vec![0.0; len as usize]),
-                    ArrayTy::F32 => ArrayVal::F32(vec![0.0; len as usize]),
-                    ArrayTy::Bool => ArrayVal::Bool(vec![false; len as usize]),
-                };
+                self.alloc(*arr, *ty, len)?;
             }
             RStmt::Realloc(arr, len) => {
                 let len = self.eval_i::<Checked>(len)?;
@@ -1106,26 +1226,22 @@ impl Mach<'_> {
                     _ => {}
                 }
             }
-            RStmt::Sort(arr, lo, hi) => {
-                let lo = self.eval_i::<Checked>(lo)?;
-                let hi = self.eval_i::<Checked>(hi)?;
-                let len = self.arrays[*arr].len();
-                if lo < 0 || hi < lo || hi as usize > len {
-                    return Err(self.oob(*arr, hi, len));
-                }
-                if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a[lo as usize..hi as usize].sort_unstable();
-                }
+            RStmt::WsInit(Ws::Dense(d), extent) => {
+                let len = self.eval_i::<Checked>(extent)?;
+                self.alloc(d.vals, d.ty, len)?;
+                self.alloc(d.list, ArrayTy::Int, len)?;
+                self.alloc(d.guard, ArrayTy::Bool, len)?;
+                self.ints[d.len] = 0;
             }
-            RStmt::MapInit(map, kind, cap) => {
-                let cap = self.eval_i::<Checked>(cap)?;
+            RStmt::WsInit(Ws::Map(map, kind), extent) => {
+                let cap = self.eval_i::<Checked>(extent)?.min(WorkspaceKind::INITIAL_CAPACITY);
                 if cap < 0 {
                     return Err(RunError::NegativeLength {
                         name: self.map_names[*map].clone(),
                         len: cap,
                     });
                 }
-                let per = map_entry_bytes(*kind);
+                let per = kind.entry_bytes();
                 self.charge_map_bytes(*map, cap as u64 * per, cap as u64 * per)?;
                 let store = match kind {
                     WorkspaceKind::Hash => {
@@ -1135,7 +1251,8 @@ impl Mach<'_> {
                 };
                 self.maps[*map] = MapWs { store, charged_entries: cap as u64 };
             }
-            RStmt::MapScatter(map, key, val, add) => {
+            RStmt::WsScatter(Ws::Dense(d), key, val, add) => self.dense_scatter(d, key, val, *add)?,
+            RStmt::WsScatter(Ws::Map(map, _), key, val, add) => {
                 let k = self.eval_i::<Checked>(key)?;
                 let v = self.eval_f::<Checked>(val)?;
                 match &self.maps[*map].store {
@@ -1166,7 +1283,10 @@ impl Mach<'_> {
                     },
                 }
             }
-            RStmt::MapDrainSorted(map, key_slot, val_slot, body) => {
+            RStmt::WsDrain(Ws::Dense(d), key, val, sorted, body) => {
+                self.dense_drain(d, *key, *val, *sorted, body)?;
+            }
+            RStmt::WsDrain(Ws::Map(map, _), key_slot, val_slot, _, body) => {
                 let entries = self.maps[*map].drain_sorted();
                 for (k, v) in entries {
                     self.consume_iteration()?;
@@ -1829,6 +1949,9 @@ pub struct Executable {
     pub(crate) array_params: Arc<Vec<(String, usize, ArrayTy, ParamKind)>>,
     pub(crate) scalar_outputs: Arc<Vec<(String, usize)>>,
     pub(crate) array_names: Arc<Vec<String>>,
+    /// The element type each array slot is declared with: a parameter's,
+    /// or the type its kernel-local allocation materializes.
+    pub(crate) array_tys: Arc<Vec<ArrayTy>>,
     pub(crate) map_names: Arc<Vec<String>>,
     /// Scalar slots the kernel declares, per type; the native backend
     /// declares one C local each.
@@ -1853,8 +1976,10 @@ impl Executable {
             scopes: vec![HashMap::new()],
             arrays: HashMap::new(),
             array_names: Vec::new(),
-            maps: HashMap::new(),
+            array_tys: Vec::new(),
+            workspaces: HashMap::new(),
             map_names: Vec::new(),
+            draining: Vec::new(),
             n_int: 0,
             n_float: 0,
             n_bool: 0,
@@ -1894,6 +2019,7 @@ impl Executable {
             array_params: Arc::new(array_params),
             scalar_outputs: Arc::new(scalar_outputs),
             array_names: Arc::new(c.array_names),
+            array_tys: Arc::new(c.array_tys),
             map_names: Arc::new(c.map_names),
             n_int: c.n_int,
             n_float: c.n_float,
@@ -2201,7 +2327,7 @@ mod tests {
     }
 
     #[test]
-    fn alloc_realloc_sort_and_scalar_output() {
+    fn alloc_realloc_and_scalar_output() {
         let k = Kernel::new("assemble")
             .array_param(Param::input("src", ArrayTy::Int))
             .array_param(Param::inout("dst", ArrayTy::Int))
@@ -2226,7 +2352,6 @@ mod tests {
                         Stmt::incr("size"),
                     ],
                 ),
-                Stmt::Sort { arr: "tmp".into(), lo: Expr::int(0), hi: Expr::var("size") },
                 Stmt::for_(
                     "i",
                     Expr::int(0),
@@ -2239,8 +2364,92 @@ mod tests {
         b.set_int("src", vec![5, 1, 4, 2, 3]);
         b.set_int("dst", vec![0; 5]);
         run_kernel(&k, &mut b);
-        assert_eq!(b.int_array("dst").unwrap(), &[1, 2, 3, 4, 5]);
+        assert_eq!(b.int_array("dst").unwrap(), &[5, 1, 4, 2, 3]);
         assert_eq!(b.scalar_output("size"), Some(5));
+    }
+
+    /// Scatters `vals[i]` at `keys[i]` into a dense workspace over `[0, 8)`
+    /// and drains it twice into `out_k`/`out_v`: the second drain must find
+    /// the workspace empty.
+    fn dense_drain_kernel(sorted: bool) -> Kernel {
+        let drain = || Stmt::WsDrain {
+            ws: "w".into(),
+            key: "k".into(),
+            val: "v".into(),
+            sorted,
+            body: vec![
+                Stmt::store("out_k", Expr::var("nnz"), Expr::var("k")),
+                Stmt::store("out_v", Expr::var("nnz"), Expr::var("v")),
+                Stmt::incr("nnz"),
+            ],
+        };
+        Kernel::new("dense_ws")
+            .scalar_param("n")
+            .array_param(Param::input("keys", ArrayTy::Int))
+            .array_param(Param::input("vals", ArrayTy::F64))
+            .array_param(Param::output("out_k", ArrayTy::Int))
+            .array_param(Param::output("out_v", ArrayTy::F64))
+            .scalar_output("nnz")
+            .body(vec![
+                Stmt::DeclInt("nnz".into(), Expr::int(0)),
+                Stmt::WsInit {
+                    ws: "w".into(),
+                    kind: WorkspaceKind::Dense,
+                    ty: ArrayTy::F64,
+                    extent: Expr::int(8),
+                },
+                Stmt::for_(
+                    "i",
+                    Expr::int(0),
+                    Expr::var("n"),
+                    vec![Stmt::WsScatter {
+                        ws: "w".into(),
+                        key: Expr::load("keys", Expr::var("i")),
+                        val: Expr::load("vals", Expr::var("i")),
+                        add: true,
+                    }],
+                ),
+                drain(),
+                drain(),
+            ])
+    }
+
+    #[test]
+    fn dense_workspace_lists_each_key_once_and_drains_it_empty() {
+        for (sorted, keys) in [(true, [1, 4, 5]), (false, [5, 1, 4])] {
+            let mut b = Binding::new();
+            b.set_scalar("n", 5);
+            b.set_int("keys", vec![5, 1, 4, 1, 5]);
+            b.set_f64("vals", vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+            b.set_int("out_k", vec![-1; 4]).set_f64("out_v", vec![-1.0; 4]);
+            let exe = Executable::compile(&dense_drain_kernel(sorted)).unwrap();
+            let (progress, result) =
+                run_body(&exe, &mut b, &ResourceBudget::unlimited(), RunControls::default());
+            assert_eq!(result, Ok(()));
+            // One scatter loop of five, one drain of three, one of none.
+            assert_eq!(progress.iterations, 8);
+            assert_eq!(b.scalar_output("nnz"), Some(3));
+            assert_eq!(&b.int_array("out_k").unwrap()[..3], &keys, "sorted: {sorted}");
+            let sums = keys.map(|k| [0.0, 6.0, 0.0, 0.0, 3.0, 6.0][k as usize]);
+            assert_eq!(&b.f64_array("out_v").unwrap()[..3], &sums);
+        }
+    }
+
+    #[test]
+    fn a_workspace_used_inside_its_own_drain_does_not_compile() {
+        let mut k = dense_drain_kernel(true);
+        let scatter = Stmt::WsScatter {
+            ws: "w".into(),
+            key: Expr::int(0),
+            val: Expr::float(1.0),
+            add: false,
+        };
+        let Some(Stmt::WsDrain { body, .. }) = k.body.last_mut() else { unreachable!() };
+        body.push(scatter);
+        assert_eq!(
+            Executable::compile(&k).unwrap_err(),
+            CompileError::WorkspaceInOwnDrain("w".into())
+        );
     }
 
     #[test]

@@ -13,16 +13,23 @@ pub enum ArrayTy {
     Bool,
 }
 
-/// Backing storage of a precompute workspace.
+/// An implementation of the workspace nodes [`Stmt::WsInit`],
+/// [`Stmt::WsScatter`] and [`Stmt::WsDrain`].
 ///
-/// The dense array workspace of the paper is sized by the result dimension;
-/// the two sparse variants (after *Compilation of Modular and General Sparse
-/// Workspaces*) scale with the number of distinct keys scattered instead,
-/// which makes them the middle rungs of the budget and degrade-and-retry
-/// ladders.
+/// After *Compilation of Modular and General Sparse Workspaces*, a
+/// workspace is an interface — scatter at a coordinate, drain the touched
+/// coordinates (in ascending order when asked) leaving it empty — and a kind
+/// is one implementation of it. The dense array workspace of the paper is
+/// sized by the result dimension; the two sparse kinds scale with the number
+/// of distinct keys scattered instead, which makes them the middle rungs of
+/// the budget and degrade-and-retry ladders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkspaceKind {
-    /// A dense value array over the full workspace index set (Figure 8).
+    /// A value array over the full index set, a guard array and a
+    /// coordinate list (Figure 8): a scatter is the guarded insert, a drain
+    /// sorts the list when asked and zeroes value and guard at each listed
+    /// coordinate. The only kind with random access, so a workspace read by
+    /// random access is a plain array instead of the three nodes.
     #[default]
     Dense,
     /// A hash-map workspace: unordered `O(1)` accumulate, sorted on drain.
@@ -45,10 +52,19 @@ impl WorkspaceKind {
         }
     }
 
-    /// The initial map capacity the lowerer requests (and therefore the
-    /// compile-time footprint estimate of one map workspace:
-    /// `INITIAL_CAPACITY * entry_bytes()`).
-    pub const INITIAL_CAPACITY: u64 = 16;
+    /// The entry capacity a map kind's [`Stmt::WsInit`] starts with, when
+    /// its extent is not smaller (and therefore the compile-time footprint
+    /// estimate of one map workspace: `INITIAL_CAPACITY * entry_bytes()`).
+    pub const INITIAL_CAPACITY: i64 = 16;
+
+    /// The kind's `TACO_WS_*` tag in `taco_kernel.h`.
+    pub(crate) fn c_tag(self) -> &'static str {
+        match self {
+            WorkspaceKind::Dense => "TACO_WS_DENSE",
+            WorkspaceKind::Hash => "TACO_WS_HASH",
+            WorkspaceKind::CoordList => "TACO_WS_COORDLIST",
+        }
+    }
 }
 
 impl std::fmt::Display for WorkspaceKind {
@@ -342,32 +358,30 @@ pub enum Stmt {
         /// New length (no-op if smaller than the current length).
         len: Expr,
     },
-    /// Sort the integer subarray `arr[lo..hi]` ascending (Figure 8 line 23).
-    Sort {
-        /// Array name (must be an integer array).
-        arr: String,
-        /// Inclusive start index.
-        lo: Expr,
-        /// Exclusive end index.
-        hi: Expr,
-    },
-    /// Initialize (or reset to empty) a kernel-local sparse map workspace
-    /// keyed by integer coordinates with `f64` values. The map is machine
-    /// state, never a bound buffer: it exists only between `MapInit` and the
-    /// last drain, so supervised rollback semantics are unchanged.
-    MapInit {
-        /// Map workspace name.
-        map: String,
-        /// Backing storage; must not be [`WorkspaceKind::Dense`].
+    /// Initialize (or reset to empty) a kernel-local workspace over the
+    /// coordinates `[0, extent)`. The workspace is reachable only through
+    /// the three workspace nodes, never as a bound buffer, so supervised
+    /// rollback semantics are unchanged. A dense workspace allocates its
+    /// value, coordinate-list and guard arrays here (three charges against
+    /// the budget, in that order); a map kind starts at
+    /// `min(INITIAL_CAPACITY, extent)` entries and is charged in doublings
+    /// as it grows.
+    WsInit {
+        /// Workspace name.
+        ws: String,
+        /// The implementation.
         kind: WorkspaceKind,
-        /// Initial capacity hint charged against the workspace-bytes budget;
-        /// growth beyond it is charged in doublings at run time.
-        capacity: Expr,
+        /// Value element type: `F64`, or `F32` for a dense workspace (the
+        /// mixed-precision option of Section III).
+        ty: ArrayTy,
+        /// Number of coordinates.
+        extent: Expr,
     },
-    /// `map[key] = val` (or `+= val` when `add`), inserting the key if absent.
-    MapScatter {
-        /// Map workspace name.
-        map: String,
+    /// `ws[key] = val` (or `+= val` when `add`), inserting the key if
+    /// absent (Figure 8 lines 15–18).
+    WsScatter {
+        /// Workspace name.
+        ws: String,
         /// Integer key (the workspace coordinate).
         key: Expr,
         /// Value to store or accumulate.
@@ -375,17 +389,23 @@ pub enum Stmt {
         /// Accumulate instead of overwrite.
         add: bool,
     },
-    /// Iterate the map's entries in ascending key order, binding `key` and
-    /// `val` as fresh scalars per entry, then leave the map empty — the
-    /// sort-on-drain idiom that discharges the Section VI reset obligation
-    /// for sparse workspaces.
-    MapDrainSorted {
-        /// Map workspace name.
-        map: String,
+    /// Iterate the entries scattered since the workspace was last empty,
+    /// binding `key` and `val` as fresh scalars per entry, and leave it
+    /// empty — the drain that discharges the Section VI reset obligation
+    /// (Figure 8 lines 22–36). The body may not touch the drained
+    /// workspace.
+    WsDrain {
+        /// Workspace name.
+        ws: String,
         /// Name of the integer key variable bound in the body.
         key: String,
         /// Name of the float value variable bound in the body.
         val: String,
+        /// Visit keys in ascending order (Figure 8 line 23: "the sort is
+        /// optional and only needed if the result must be ordered"). Only
+        /// the dense kind sorts on request; the map kinds always drain in
+        /// ascending order.
+        sorted: bool,
         /// Per-entry body.
         body: Vec<Stmt>,
     },
@@ -497,7 +517,7 @@ pub fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Stmt)) {
             Stmt::For { body, .. }
             | Stmt::ParallelFor { body, .. }
             | Stmt::While { body, .. }
-            | Stmt::MapDrainSorted { body, .. } => visit_stmts(body, f),
+            | Stmt::WsDrain { body, .. } => visit_stmts(body, f),
             Stmt::If { then, els, .. } => {
                 visit_stmts(then, f);
                 visit_stmts(els, f);

@@ -56,7 +56,7 @@ pub fn stmt_to_c(s: &Stmt) -> String {
         | Stmt::ParallelFor { .. }
         | Stmt::While { .. }
         | Stmt::If { .. }
-        | Stmt::MapDrainSorted { .. } => {
+        | Stmt::WsDrain { .. } => {
             format!("{} ... }}", first)
         }
         _ => first,
@@ -188,35 +188,30 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             indent(out, level);
             let _ = writeln!(out, "{arr}_size = {l};");
         }
-        Stmt::Sort { arr, lo, hi } => {
-            let _ = writeln!(out, "taco_sort_i32({arr}, {}, {});", print_expr(lo), print_expr(hi));
-        }
-        Stmt::MapInit { map, kind, capacity } => {
-            let tag = match kind {
-                crate::WorkspaceKind::Hash => "TACO_WS_HASH",
-                crate::WorkspaceKind::CoordList => "TACO_WS_COORDLIST",
-                crate::WorkspaceKind::Dense => "TACO_WS_DENSE",
-            };
+        // Every workspace kind displays as the prelude's ordered map, whose
+        // drain is always ascending.
+        Stmt::WsInit { ws, kind, extent, .. } => {
             let _ = writeln!(
                 out,
-                "taco_ws_map* restrict {map} = taco_ws_map_init({tag}, {});",
-                print_expr(capacity)
+                "taco_ws_map* restrict {ws} = taco_ws_map_init({}, {});",
+                kind.c_tag(),
+                print_expr(extent)
             );
         }
-        Stmt::MapScatter { map, key, val, add } => {
+        Stmt::WsScatter { ws, key, val, add } => {
             let f = if *add { "taco_ws_map_accum" } else { "taco_ws_map_put" };
-            let _ = writeln!(out, "{f}({map}, {}, {});", print_expr(key), print_expr(val));
+            let _ = writeln!(out, "{f}({ws}, {}, {});", print_expr(key), print_expr(val));
         }
-        Stmt::MapDrainSorted { map, key, val, body } => {
+        Stmt::WsDrain { ws, key, val, body, .. } => {
             let _ = writeln!(
                 out,
-                "for (taco_ws_iter {map}_it = taco_ws_drain_sorted({map}); \
-                 taco_ws_iter_next(&{map}_it);) {{"
+                "for (taco_ws_iter {ws}_it = taco_ws_drain_sorted({ws}); \
+                 taco_ws_iter_next(&{ws}_it);) {{"
             );
             indent(out, level + 1);
-            let _ = writeln!(out, "int32_t {key} = (int32_t){map}_it.key;");
+            let _ = writeln!(out, "int32_t {key} = (int32_t){ws}_it.key;");
             indent(out, level + 1);
-            let _ = writeln!(out, "double {val} = {map}_it.val;");
+            let _ = writeln!(out, "double {val} = {ws}_it.val;");
             print_block(out, body, level + 1);
             indent(out, level);
             let _ = writeln!(out, "}}");
@@ -358,16 +353,28 @@ mod tests {
     }
 
     #[test]
-    fn memset_and_sort_render() {
+    fn memset_and_workspace_nodes_render() {
         let mut out = String::new();
         print_stmt(&mut out, &Stmt::Memset { arr: "w".into(), val: Expr::float(0.0) }, 0);
         assert!(out.contains("memset(w, 0, w_size * sizeof(*w));"));
+        let init = Stmt::WsInit {
+            ws: "row".into(),
+            kind: crate::WorkspaceKind::Dense,
+            ty: ArrayTy::F64,
+            extent: Expr::var("n"),
+        };
+        let printed = "taco_ws_map* restrict row = taco_ws_map_init(TACO_WS_DENSE, n);";
+        assert_eq!(stmt_to_c(&init), printed);
+        let drain = Stmt::WsDrain {
+            ws: "row".into(),
+            key: "j".into(),
+            val: "v".into(),
+            sorted: true,
+            body: Vec::new(),
+        };
         let mut out2 = String::new();
-        print_stmt(
-            &mut out2,
-            &Stmt::Sort { arr: "rowlist".into(), lo: Expr::int(0), hi: Expr::var("n") },
-            0,
-        );
-        assert!(out2.contains("taco_sort_i32(rowlist, 0, n);"));
+        print_stmt(&mut out2, &drain, 0);
+        assert!(out2.contains("taco_ws_drain_sorted(row)"), "{out2}");
+        assert!(out2.contains("int32_t j = (int32_t)row_it.key;"), "{out2}");
     }
 }

@@ -100,16 +100,12 @@ fn simplify_stmt(s: &mut Stmt) {
         }
         Stmt::Memset { val, .. } => *val = val.simplified(),
         Stmt::Alloc { len, .. } | Stmt::Realloc { len, .. } => *len = len.simplified(),
-        Stmt::Sort { lo, hi, .. } => {
-            *lo = lo.simplified();
-            *hi = hi.simplified();
-        }
-        Stmt::MapInit { capacity, .. } => *capacity = capacity.simplified(),
-        Stmt::MapScatter { key, val, .. } => {
+        Stmt::WsInit { extent, .. } => *extent = extent.simplified(),
+        Stmt::WsScatter { key, val, .. } => {
             *key = key.simplified();
             *val = val.simplified();
         }
-        Stmt::MapDrainSorted { body, .. } => simplify_block(body),
+        Stmt::WsDrain { body, .. } => simplify_block(body),
         Stmt::Comment(_) => {}
     }
 }

@@ -102,23 +102,20 @@ impl LowerOptions {
     }
 }
 
-/// Bound-relevant metadata for one workspace the lowerer emitted: which
-/// `Alloc`/`MapInit` names belong to a workspace, its storage backend, and
-/// the dimension expressions its dense footprint is a product of. The
-/// static cost analysis keys its per-workspace bounds off this record
-/// instead of re-deriving workspace identity from the kernel body.
+/// Bound-relevant metadata for one workspace the lowerer emitted: the name
+/// its `Alloc` or `WsInit` carries, its storage backend, and the dimension
+/// expressions its dense footprint is a product of. The static cost
+/// analysis keys its per-workspace bounds off this record instead of
+/// re-deriving workspace identity from the kernel body.
 #[derive(Debug, Clone)]
 pub struct WorkspaceMeta {
-    /// Workspace (array or map) name as it appears in the kernel body.
+    /// Workspace name as it appears in the kernel body.
     pub name: String,
     /// Storage backend the workspace was lowered with.
     pub kind: WorkspaceKind,
     /// Dimension expressions, one per workspace mode, in terms of the
-    /// kernel's scalar dimension parameters (or integer literals).
+    /// kernel's scalar dimension parameters.
     pub dims: Vec<Expr>,
-    /// Whether a dense workspace carries a coordinate list (`{name}_list`)
-    /// and guard set (`{name}_set`) alongside the value array.
-    pub needs_list: bool,
 }
 
 /// A lowered kernel plus the binding metadata the runtime needs.
@@ -232,7 +229,6 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
             name: name.clone(),
             kind: info.kind,
             dims: info.dims.clone(),
-            needs_list: info.needs_list,
         })
         .collect();
     workspaces.sort_by(|a, b| a.name.cmp(&b.name));
@@ -264,17 +260,24 @@ struct Ctx {
 struct WsInfo {
     /// Dimension expressions, one per mode.
     dims: Vec<Expr>,
-    /// Whether the workspace tracks inserted coordinates with a list +
-    /// guard array (Figure 8's `rowlist`/`row`).
-    needs_list: bool,
+    /// Whether the consumer assembles result rows from the workspace's own
+    /// coordinates (Figure 8), rather than from another tensor's structure.
+    assembles: bool,
     /// Whether the consumer covers all touched coordinates so entries can
     /// be drained on read (otherwise the workspace is re-zeroed at each
     /// where execution, as in Figure 10 line 6).
     drainable: bool,
-    /// Storage backend: `Dense` is the paper's zero-initialized array;
-    /// `Hash`/`CoordList` are map workspaces lowered to
-    /// `MapInit`/`MapScatter`/`MapDrainSorted`.
+    /// Storage backend.
     kind: WorkspaceKind,
+}
+
+impl WsInfo {
+    /// Whether the workspace is lowered to `WsInit`/`WsScatter`/`WsDrain`:
+    /// when it assembles, whatever its kind, and always for a map kind. A
+    /// dense workspace read by random access stays a plain array.
+    fn nodes(&self) -> bool {
+        self.assembles || self.kind != WorkspaceKind::Dense
+    }
 }
 
 struct Lowerer<'o> {
@@ -287,10 +290,10 @@ struct Lowerer<'o> {
     /// First access seen per tensor (operands and result).
     access_map: HashMap<String, Access>,
     workspaces: HashMap<String, WsInfo>,
-    /// While lowering a `MapDrainSorted` body, maps the drained workspace's
-    /// name to the value variable the drain binds; reads of the workspace
-    /// become reads of that variable.
-    map_drain_val: HashMap<String, String>,
+    /// While lowering a `WsDrain` body, maps the drained workspace's name
+    /// to the value variable the drain binds; reads of the workspace become
+    /// reads of that variable.
+    drain_val: HashMap<String, String>,
     scalar_temps: HashSet<String>,
     /// Positions of compressed levels bound by enclosing loops.
     pos: HashMap<(String, usize), Expr>,
@@ -422,7 +425,7 @@ impl<'o> Lowerer<'o> {
             operands,
             access_map,
             workspaces: HashMap::new(),
-            map_drain_val: HashMap::new(),
+            drain_val: HashMap::new(),
             scalar_temps: HashSet::new(),
             pos: HashMap::new(),
             var_dims,
@@ -558,77 +561,51 @@ impl<'o> Lowerer<'o> {
             }
 
             if !self.workspaces.contains_key(&ws_name) {
+                // Extents come from the dimension parameters only, so a
+                // kernel does not depend on the shapes it was lowered at.
                 let dims: Vec<Expr> = ws_vars
                     .iter()
-                    .enumerate()
-                    .map(|(n, v)| {
+                    .map(|v| {
                         self.var_dims
                             .get(v.name())
                             .cloned()
-                            .unwrap_or(Expr::int(ws_var.shape()[n] as i64))
+                            .ok_or_else(|| LowerError::NoRangeForVar(v.name().to_string()))
                     })
-                    .collect();
+                    .collect::<Result<_>>()?;
 
-                let needs_list = self.opts.kind != KernelKind::Compute
+                let assembles = self.opts.kind != KernelKind::Compute
                     && ws_var.rank() == 1
                     && self.result_sparse_level.is_some_and(|l| {
                         self.result_access
                             .vars()
                             .get(l)
-                            .is_some_and(|rv| consumer_wlist_driven(consumer, rv))
+                            .is_some_and(|rv| workspace_drives_row(consumer, rv))
                     })
                     && consumer_feeds_result(consumer, &ws_name, self.result.name());
                 let drainable = self.consumer_drains(consumer, &ws_name);
-                let kind = self.map_kind_for(&ws_name, &ws_var, consumer, needs_list, drainable)?;
+                let kind = self.map_kind_for(&ws_name, &ws_var, consumer, assembles, drainable)?;
+                let info = WsInfo { dims, assembles, drainable, kind };
 
-                let len = dims.iter().cloned().reduce(|a, b| a * b).ok_or_else(|| {
+                let extent = info.dims.iter().cloned().reduce(|a, b| a * b).ok_or_else(|| {
                     LowerError::Unsupported(format!("workspace `{ws_name}` has no modes"))
                 })?;
                 self.preamble.push(Stmt::Comment(format!("workspace for `{ws_name}`")));
-                if kind == WorkspaceKind::Dense {
-                    // Allocate the workspace (zero-filled) in the preamble.
-                    self.preamble.push(Stmt::Alloc {
-                        arr: ws_name.clone(),
-                        ty: self.ws_ty(),
-                        len: len.clone(),
-                    });
-                    if needs_list {
-                        self.preamble.push(Stmt::Alloc {
-                            arr: list_name(&ws_name),
-                            ty: ArrayTy::Int,
-                            len: len.clone(),
-                        });
-                        self.preamble.push(Stmt::Alloc {
-                            arr: set_name(&ws_name),
-                            ty: ArrayTy::Bool,
-                            len,
-                        });
-                    }
+                let (ws, ty) = (ws_name.clone(), self.ws_ty());
+                self.preamble.push(if info.nodes() {
+                    Stmt::WsInit { ws, kind, ty, extent }
                 } else {
-                    // Map workspace: footprint scales with touched entries,
-                    // not the dimension. Start small and let the executor
-                    // grow (and budget-charge) by doubling.
-                    self.preamble.push(Stmt::MapInit {
-                        map: ws_name.clone(),
-                        kind,
-                        capacity: Expr::int(16).min(len),
-                    });
-                }
-                self.workspaces
-                    .insert(ws_name.clone(), WsInfo { dims, needs_list, drainable, kind });
+                    // A zero-filled array in the preamble.
+                    Stmt::Alloc { arr: ws, ty, len: extent }
+                });
+                self.workspaces.insert(ws_name.clone(), info);
             }
 
+            // Workspace nodes need no per-where reset: a drain empties them.
             let info = &self.workspaces[&ws_name];
-            if info.kind == WorkspaceKind::Dense {
-                if !info.drainable && self.opts.kind != KernelKind::Assemble {
-                    // Re-zero at each where execution (Figure 10 line 6).
-                    out.push(Stmt::Memset { arr: ws_name.clone(), val: Expr::float(0.0) });
-                }
-                if info.needs_list {
-                    out.push(Stmt::DeclInt(size_name(&ws_name), Expr::int(0)));
-                }
+            if !info.nodes() && !info.drainable && self.opts.kind != KernelKind::Assemble {
+                // Re-zero at each where execution (Figure 10 line 6).
+                out.push(Stmt::Memset { arr: ws_name.clone(), val: Expr::float(0.0) });
             }
-            // Map workspaces need no per-where reset: a drain empties them.
             if info.drainable {
                 my_drains.push(ws_name.clone());
             }
@@ -681,15 +658,15 @@ impl<'o> Lowerer<'o> {
 
     /// Decides the storage backend for a workspace and validates that the
     /// statement's shape supports it. Map workspaces (hash / coord-list)
-    /// only lower when the consumer fully drains the workspace in sorted
-    /// key order — random access into a map has no provably-clean idiom, so
-    /// ineligible shapes error and the budget/retry ladders skip the rung.
+    /// only lower when the consumer fully drains the workspace — random
+    /// access into a map has no provably-clean idiom, so ineligible shapes
+    /// error and the budget/retry ladders skip the rung.
     fn map_kind_for(
         &self,
         ws_name: &str,
         ws_var: &TensorVar,
         consumer: &ConcreteStmt,
-        needs_list: bool,
+        assembles: bool,
         drainable: bool,
     ) -> Result<WorkspaceKind> {
         let kind = self.opts.workspace_kind;
@@ -707,7 +684,7 @@ impl<'o> Lowerer<'o> {
                 "{kind} workspace `{ws_name}`: map workspaces are double-precision only"
             )));
         }
-        if !needs_list && !drainable {
+        if !assembles && !drainable {
             // Figure 10's shape: another tensor's sparsity drives the
             // consumer, which random-accesses the workspace.
             return Err(LowerError::Unsupported(format!(
@@ -783,9 +760,7 @@ impl<'o> Lowerer<'o> {
             if result_sparse_here {
                 match self.opts.kind {
                     KernelKind::Compute => self.result_driven_loop(var, body, ctx),
-                    KernelKind::Fused | KernelKind::Assemble => {
-                        self.wlist_driven_loop(var, body, ctx)
-                    }
+                    KernelKind::Fused | KernelKind::Assemble => self.row_drain(var, body, ctx),
                 }
             } else {
                 self.dense_loop(var, body, ctx)
@@ -875,26 +850,16 @@ impl<'o> Lowerer<'o> {
         out: Vec<Stmt>,
         ws_before: &HashSet<String>,
     ) -> Result<Vec<Stmt>> {
-        // Per-thread private arrays: every workspace (plus its coordinate
-        // list and guard set) first allocated while lowering this body.
-        // Sorted so the generated kernel is deterministic.
-        let mut private: Vec<String> = Vec::new();
-        for (name, info) in &self.workspaces {
-            if ws_before.contains(name) {
-                continue;
-            }
-            if info.kind != WorkspaceKind::Dense {
-                // Map workspaces are machine state, not bound arrays: the
-                // executor clones them per worker, so they are inherently
-                // thread-private and never appear in the private list.
-                continue;
-            }
-            private.push(name.clone());
-            if info.needs_list {
-                private.push(list_name(name));
-                private.push(set_name(name));
-            }
-        }
+        // Per-thread private arrays: every dense workspace first allocated
+        // while lowering this body. (Map workspaces are machine state, not
+        // bound arrays: the executor clones them per worker.) Sorted so the
+        // generated kernel is deterministic.
+        let mut private: Vec<String> = self
+            .workspaces
+            .iter()
+            .filter(|(name, info)| info.kind == WorkspaceKind::Dense && !ws_before.contains(*name))
+            .map(|(name, _)| name.clone())
+            .collect();
         private.sort();
 
         // Appends into a sparse result are only mergeable when the parallel
@@ -969,12 +934,12 @@ impl<'o> Lowerer<'o> {
         }
     }
 
-    /// `for (v = 0; v < dim; v++) body` — or, when the body drains a map
-    /// workspace at exactly this variable, a sorted map drain over the
+    /// `for (v = 0; v < dim; v++) body` — or, when the body drains a
+    /// workspace node at exactly this variable, a sorted drain over the
     /// touched keys (the map analog of Figure 9's dense drain loop).
     fn dense_loop(&mut self, var: &IndexVar, body: &ConcreteStmt, ctx: &Ctx) -> Result<Vec<Stmt>> {
-        if let Some(ws) = self.map_drain_at(var, body, ctx)? {
-            return self.map_drain_loop(var, body, &ws, ctx);
+        if let Some(ws) = self.drain_at(var, body, ctx)? {
+            return self.drain_loop(var, body, &ws, ctx);
         }
         let dim = self
             .var_dims
@@ -985,11 +950,11 @@ impl<'o> Lowerer<'o> {
         Ok(vec![Stmt::for_(var.name(), Expr::int(0), dim, inner)])
     }
 
-    /// Finds the map workspace the body drains at `var`, if any. The drain
+    /// Finds the workspace node the body drains at `var`, if any. The drain
     /// only iterates *touched* keys, so it is valid only when zeroing the
     /// workspace vanishes the body (untouched keys then contribute exactly
     /// what the dense loop's `+= 0` iterations would).
-    fn map_drain_at(
+    fn drain_at(
         &self,
         var: &IndexVar,
         body: &ConcreteStmt,
@@ -1000,14 +965,11 @@ impl<'o> Lowerer<'o> {
             if let ConcreteStmt::Assign { rhs, .. } = s {
                 for a in rhs.accesses() {
                     let name = a.tensor().name();
-                    let is_map_drain = ctx.drains.iter().any(|d| d == name)
-                        && self
-                            .workspaces
-                            .get(name)
-                            .is_some_and(|w| w.kind != WorkspaceKind::Dense)
+                    let is_drain = ctx.drains.iter().any(|d| d == name)
+                        && self.workspaces.get(name).is_some_and(WsInfo::nodes)
                         && a.vars().len() == 1
                         && &a.vars()[0] == var;
-                    if is_map_drain && !found.iter().any(|f| f == name) {
+                    if is_drain && !found.iter().any(|f| f == name) {
                         found.push(name.to_string());
                     }
                 }
@@ -1020,35 +982,37 @@ impl<'o> Lowerer<'o> {
                 let absent: HashSet<String> = std::iter::once(ws.clone()).collect();
                 if restrict_stmt(body, &absent).is_some() {
                     return Err(LowerError::Unsupported(format!(
-                        "map workspace `{ws}`: the consumer contributes values at untouched \
-                         keys, which a sorted drain over touched keys cannot reproduce"
+                        "{} workspace `{ws}`: the consumer contributes values at untouched \
+                         keys, which a sorted drain over touched keys cannot reproduce",
+                        self.workspaces[&ws].kind
                     )));
                 }
                 Ok(Some(ws))
             }
             _ => Err(LowerError::Unsupported(format!(
-                "multiple map workspaces ({found:?}) drained in one loop"
+                "multiple workspaces ({found:?}) drained in one loop"
             ))),
         }
     }
 
-    /// `MapDrainSorted` over the touched keys, binding the loop variable to
-    /// each key and substituting workspace reads with the drained value.
-    fn map_drain_loop(
+    /// A sorted `WsDrain` over the touched keys, binding the loop variable
+    /// to each key and substituting workspace reads with the drained value.
+    fn drain_loop(
         &mut self,
         var: &IndexVar,
         body: &ConcreteStmt,
         ws: &str,
         ctx: &Ctx,
     ) -> Result<Vec<Stmt>> {
-        let val = map_val_name(ws);
-        self.map_drain_val.insert(ws.to_string(), val.clone());
+        let val = drain_val_name(ws);
+        self.drain_val.insert(ws.to_string(), val.clone());
         let inner = self.lower_stmt(body, ctx);
-        self.map_drain_val.remove(ws);
-        Ok(vec![Stmt::MapDrainSorted {
-            map: ws.to_string(),
+        self.drain_val.remove(ws);
+        Ok(vec![Stmt::WsDrain {
+            ws: ws.to_string(),
             key: var.name().to_string(),
             val,
+            sorted: true,
             body: inner?,
         }])
     }
@@ -1292,15 +1256,10 @@ impl<'o> Lowerer<'o> {
         Ok(vec![Stmt::for_(pvar, lo, hi, inner)])
     }
 
-    /// Iterate a workspace coordinate list to append a result row
-    /// (Figure 8 lines 22–36 fused with value copy).
-    fn wlist_driven_loop(
-        &mut self,
-        var: &IndexVar,
-        body: &ConcreteStmt,
-        ctx: &Ctx,
-    ) -> Result<Vec<Stmt>> {
-        // Find the listed workspace the body reads.
+    /// Drains the assembling workspace the body reads into one result row
+    /// (Figure 8 lines 22–36): each touched coordinate, in ascending order
+    /// under `sort_output`, appends one result nonzero.
+    fn row_drain(&mut self, var: &IndexVar, body: &ConcreteStmt, ctx: &Ctx) -> Result<Vec<Stmt>> {
         let ws = body
             .assignments()
             .iter()
@@ -1309,88 +1268,26 @@ impl<'o> Lowerer<'o> {
                     rhs.accesses()
                         .iter()
                         .map(|a| a.tensor().name().to_string())
-                        .find(|n| self.workspaces.get(n).is_some_and(|w| w.needs_list))
+                        .find(|n| self.workspaces.get(n).is_some_and(|w| w.assembles))
                 } else {
                     None
                 }
             })
             .ok_or_else(|| {
                 LowerError::Unsupported(format!(
-                    "sparse result at `{var}` needs a workspace coordinate list to assemble; \
-                     precompute into a workspace first"
+                    "sparse result at `{var}` needs a workspace to assemble from; precompute \
+                     into a workspace first"
                 ))
             })?;
 
-        if self.workspaces[&ws].kind != WorkspaceKind::Dense {
-            return self.map_wlist_drain(var, body, &ws, ctx);
-        }
-
-        let l = self.result_sparse_level.expect("wlist loop implies sparse result");
-        self.append_used = true;
-        self.ensure_counter();
-
-        let mut out = Vec::new();
-        if self.opts.sort_output {
-            out.push(Stmt::Sort {
-                arr: list_name(&ws),
-                lo: Expr::int(0),
-                hi: Expr::var(size_name(&ws)),
-            });
-        }
-
-        let pvar = format!("p{ws}");
-        let counter = self.counter_name();
-        self.pos.insert((self.result.name().to_string(), l), Expr::var(&counter));
-        let mut inner = vec![Stmt::DeclInt(
-            var.name().to_string(),
-            Expr::load(list_name(&ws), Expr::var(&pvar)),
-        )];
-        // Grow the crd (and value) arrays by doubling (Figure 8 lines 26-29).
-        let crd = crd_name(self.result.name(), l);
-        inner.push(Stmt::if_(
-            Expr::len(&crd).le(Expr::var(&counter)),
-            vec![Stmt::Realloc { arr: crd.clone(), len: (Expr::var(&counter) + Expr::int(1)) * Expr::int(2) }],
-        ));
-        inner.push(Stmt::store(&crd, Expr::var(&counter), Expr::var(var.name())));
-        if self.opts.kind == KernelKind::Fused {
-            let vals = self.result.name().to_string();
-            inner.push(Stmt::if_(
-                Expr::len(&vals).le(Expr::var(&counter)),
-                vec![Stmt::Realloc {
-                    arr: vals.clone(),
-                    len: (Expr::var(&counter) + Expr::int(1)) * Expr::int(2),
-                }],
-            ));
-            inner.extend(self.lower_stmt(body, ctx)?);
-        }
-        // Reset the guard so the next row starts clean (Figure 8 line 35).
-        inner.push(Stmt::store(set_name(&ws), Expr::var(var.name()), Expr::bool(false)));
-        inner.push(Stmt::incr(&counter));
-        self.pos.remove(&(self.result.name().to_string(), l));
-
-        out.push(Stmt::for_(pvar, Expr::int(0), Expr::var(size_name(&ws)), inner));
-        Ok(out)
-    }
-
-    /// Map-workspace analog of [`Lowerer::wlist_driven_loop`]: the drain
-    /// yields `(coordinate, value)` pairs in ascending key order — already
-    /// sorted, so the coordinate-list sort pass disappears — and each entry
-    /// appends one result nonzero.
-    fn map_wlist_drain(
-        &mut self,
-        var: &IndexVar,
-        body: &ConcreteStmt,
-        ws: &str,
-        ctx: &Ctx,
-    ) -> Result<Vec<Stmt>> {
-        let l = self.result_sparse_level.expect("wlist loop implies sparse result");
+        let l = self.result_sparse_level.expect("a row drain implies a sparse result");
         self.append_used = true;
         self.ensure_counter();
         let counter = self.counter_name();
-        let val = map_val_name(ws);
+        let val = drain_val_name(&ws);
 
         self.pos.insert((self.result.name().to_string(), l), Expr::var(&counter));
-        self.map_drain_val.insert(ws.to_string(), val.clone());
+        self.drain_val.insert(ws.clone(), val.clone());
 
         // Grow the crd (and value) arrays by doubling (Figure 8 lines 26-29).
         let crd = crd_name(self.result.name(), l);
@@ -1416,15 +1313,16 @@ impl<'o> Lowerer<'o> {
             // Assemble kernels append structure only.
             Ok(Vec::new())
         };
-        self.map_drain_val.remove(ws);
+        self.drain_val.remove(&ws);
         self.pos.remove(&(self.result.name().to_string(), l));
         inner.extend(lowered?);
         inner.push(Stmt::incr(&counter));
 
-        Ok(vec![Stmt::MapDrainSorted {
-            map: ws.to_string(),
+        Ok(vec![Stmt::WsDrain {
+            ws,
             key: var.name().to_string(),
             val,
+            sorted: self.opts.sort_output,
             body: inner,
         }])
     }
@@ -1450,31 +1348,16 @@ impl<'o> Lowerer<'o> {
         let lhs_name = lhs.tensor().name().to_string();
         let assemble = self.opts.kind == KernelKind::Assemble;
 
-        // Workspace with coordinate tracking: guard-insert (Figure 8
-        // lines 15-18). Map workspaces track their own keys, so an assemble
-        // kernel records the coordinate with a zero-valued put instead.
-        if let Some(info) = self.workspaces.get(&lhs_name) {
-            if info.kind != WorkspaceKind::Dense {
-                if assemble {
-                    out.push(Stmt::MapScatter {
-                        map: lhs_name.clone(),
-                        key: Expr::var(lhs.vars()[0].name()),
-                        val: Expr::float(0.0),
-                        add: false,
-                    });
-                }
-            } else if info.needs_list && self.opts.kind != KernelKind::Compute {
-                let coord = Expr::var(lhs.vars()[0].name());
-                let sz = size_name(&lhs_name);
-                out.push(Stmt::if_(
-                    !Expr::load(set_name(&lhs_name), coord.clone()),
-                    vec![
-                        Stmt::store(list_name(&lhs_name), Expr::var(&sz), coord.clone()),
-                        Stmt::assign(&sz, Expr::var(&sz) + Expr::int(1)),
-                        Stmt::store(set_name(&lhs_name), coord, Expr::bool(true)),
-                    ],
-                ));
-            }
+        // Workspace nodes track their own keys, so an assemble kernel
+        // records the coordinate with a zero-valued scatter.
+        let nodes = self.workspaces.get(&lhs_name).is_some_and(WsInfo::nodes);
+        if assemble && nodes {
+            out.push(Stmt::WsScatter {
+                ws: lhs_name.clone(),
+                key: Expr::var(lhs.vars()[0].name()),
+                val: Expr::float(0.0),
+                add: false,
+            });
         }
         // Appending to the sparse result inside a sparse-driven loop
         // (Figure 5a): write the coordinate (fused/assemble), then the
@@ -1520,9 +1403,9 @@ impl<'o> Lowerer<'o> {
                 }
             }
         } else if self.workspaces.contains_key(&lhs_name) {
-            if self.workspaces[&lhs_name].kind != WorkspaceKind::Dense {
-                out.push(Stmt::MapScatter {
-                    map: lhs_name.clone(),
+            if nodes {
+                out.push(Stmt::WsScatter {
+                    ws: lhs_name.clone(),
                     key: Expr::var(lhs.vars()[0].name()),
                     val,
                     add: op == AssignOp::Accum,
@@ -1545,11 +1428,11 @@ impl<'o> Lowerer<'o> {
         }
 
         // Drain read workspaces (Figures 1d line 14, 5b line 16, 9 line 22).
-        // Map workspaces are emptied by their `MapDrainSorted` loop instead.
+        // Workspace nodes are emptied by their `WsDrain` instead.
         for a in rhs.accesses() {
             let name = a.tensor().name();
             if ctx.drains.iter().any(|d| d == name)
-                && self.workspaces.get(name).is_some_and(|w| w.kind == WorkspaceKind::Dense)
+                && self.workspaces.get(name).is_some_and(|w| !w.nodes())
             {
                 let off = self.ws_offset(a)?;
                 out.push(Stmt::store(name, off, Expr::float(0.0)));
@@ -1567,7 +1450,7 @@ impl<'o> Lowerer<'o> {
                 let name = a.tensor().name();
                 if self.scalar_temps.contains(name) {
                     Expr::var(name)
-                } else if let Some(v) = self.map_drain_val.get(name) {
+                } else if let Some(v) = self.drain_val.get(name) {
                     // Inside this workspace's drain: the value is bound.
                     Expr::var(v)
                 } else if self.workspaces.contains_key(name) {
@@ -1658,16 +1541,7 @@ fn pos_var(tensor: &str, level: usize) -> String {
 fn coord_var(var: &IndexVar, tensor: &str) -> String {
     format!("{}{}", var.name(), tensor)
 }
-fn list_name(ws: &str) -> String {
-    format!("{ws}_list")
-}
-fn set_name(ws: &str) -> String {
-    format!("{ws}_set")
-}
-fn size_name(ws: &str) -> String {
-    format!("{ws}_size")
-}
-fn map_val_name(ws: &str) -> String {
+fn drain_val_name(ws: &str) -> String {
     format!("{ws}_val")
 }
 
@@ -1719,15 +1593,12 @@ fn direct_written(stmt: &ConcreteStmt) -> Vec<String> {
     out
 }
 
-/// True if the where-consumer assigns the workspace's values into the
-/// result.
 /// True when the consumer's loop over the result's sparse-level variable
-/// has no sparse operand driving it, so assembly must iterate the
-/// workspace's coordinate list (Figure 8 lines 22–36). When another
-/// tensor's sparsity drives that loop, result coordinates come from the
-/// driver's `crd` array instead and the list/guard machinery would be
-/// emitted but never consumed — and its guard never reset.
-fn consumer_wlist_driven(consumer: &ConcreteStmt, rv: &IndexVar) -> bool {
+/// has no sparse operand driving it, so assembly must drain the workspace's
+/// own coordinates (Figure 8 lines 22–36). When another tensor's sparsity
+/// drives that loop, result coordinates come from the driver's `crd` array
+/// instead.
+fn workspace_drives_row(consumer: &ConcreteStmt, rv: &IndexVar) -> bool {
     let mut driven = false;
     consumer.visit(&mut |s| {
         if let ConcreteStmt::Forall { var, body, .. } = s {
@@ -1745,6 +1616,8 @@ fn consumer_wlist_driven(consumer: &ConcreteStmt, rv: &IndexVar) -> bool {
     driven
 }
 
+/// True if the where-consumer assigns the workspace's values into the
+/// result.
 fn consumer_feeds_result(consumer: &ConcreteStmt, ws: &str, result: &str) -> bool {
     let mut feeds = false;
     consumer.visit(&mut |s| {
@@ -1992,13 +1865,24 @@ mod tests {
         assert!(lk.nnz_output.is_none());
     }
 
+    /// The first statement of the kernel body `pick` chooses.
+    fn find<T>(lk: &LoweredKernel, pick: impl Fn(&Stmt) -> Option<T>) -> T {
+        let mut found = None;
+        taco_llir::visit_stmts(&lk.kernel.body, &mut |s| found = found.take().or_else(|| pick(s)));
+        found.expect("the kernel has the statement")
+    }
+
     #[test]
     fn unsorted_option_drops_the_sort() {
-        let sorted = lower(&scheduled_spgemm(8), &LowerOptions::fused("k")).unwrap();
-        let unsorted =
-            lower(&scheduled_spgemm(8), &LowerOptions::fused("k").unsorted()).unwrap();
-        assert!(sorted.kernel.to_c().contains("taco_sort_i32("));
-        assert!(!unsorted.kernel.to_c().contains("taco_sort_i32("));
+        let sorted_drain = |opts: &LowerOptions| {
+            let lk = lower(&scheduled_spgemm(8), opts).unwrap();
+            find(&lk, |s| match s {
+                Stmt::WsDrain { sorted, .. } => Some(*sorted),
+                _ => None,
+            })
+        };
+        assert!(sorted_drain(&LowerOptions::fused("k")));
+        assert!(!sorted_drain(&LowerOptions::fused("k").unsorted()));
     }
 
     #[test]
@@ -2008,7 +1892,63 @@ mod tests {
             &LowerOptions::fused("k").with_f32_workspaces(),
         )
         .unwrap();
-        assert!(lk.kernel.to_c().contains("float* restrict w"));
+        let ty = find(&lk, |s| match s {
+            Stmt::WsInit { ty, .. } => Some(*ty),
+            _ => None,
+        });
+        assert_eq!(ty, ArrayTy::F32);
+    }
+
+    /// The workspace extents and every other expression come from the
+    /// dimension parameters: a kernel does not depend on the shapes it was
+    /// lowered at.
+    #[test]
+    fn kernels_do_not_depend_on_the_shapes_they_are_lowered_at() {
+        fn add3(n: usize) -> ConcreteStmt {
+            let (i, j) = (iv("i"), iv("j"));
+            let t = |name: &str| TensorVar::new(name, vec![n, n + 3], Format::csr());
+            let term = |name: &str| -> IndexExpr { t(name).access([i.clone(), j.clone()]).into() };
+            let sum3 = term("B") + term("C") + term("D");
+            let lhs = t("A").access([i.clone(), j.clone()]);
+            concretize(&IndexAssignment::assign(lhs, sum3)).unwrap()
+        }
+        fn spmv(n: usize) -> ConcreteStmt {
+            let y = TensorVar::new("y", vec![n], Format::dvec());
+            let b = TensorVar::new("B", vec![n, 2 * n], Format::csr());
+            let x = TensorVar::new("x", vec![2 * n], Format::dvec());
+            let (i, j) = (iv("i"), iv("j"));
+            let bx = b.access([i.clone(), j.clone()]) * x.access([j.clone()]);
+            concretize(&IndexAssignment::assign(y.access([i]), sum(j, bx))).unwrap()
+        }
+        fn mttkrp(n: usize) -> ConcreteStmt {
+            let a = TensorVar::new("A", vec![n, 4], Format::dense(2));
+            let b = TensorVar::new("B", vec![n, n + 1, n + 2], Format::csf3());
+            let c = TensorVar::new("C", vec![n + 2, 4], Format::dense(2));
+            let d = TensorVar::new("D", vec![n + 1, 4], Format::dense(2));
+            let (i, j, k, l) = (iv("i"), iv("j"), iv("k"), iv("l"));
+            let bc = b.access([i.clone(), k.clone(), l.clone()]) * c.access([l.clone(), j.clone()]);
+            let s = concretize(&IndexAssignment::assign(
+                a.access([i, j.clone()]),
+                sum(k.clone(), sum(l.clone(), bc.clone() * d.access([k.clone(), j.clone()]))),
+            ))
+            .unwrap();
+            let s = transform::reorder(&transform::reorder(&s, &j, &k).unwrap(), &j, &l).unwrap();
+            let w = TensorVar::new("w", vec![4], Format::dvec());
+            transform::precompute(&s, &bc, &[(j.clone(), j.clone(), j)], &w).unwrap()
+        }
+        let cases = [
+            (scheduled_spgemm(8), scheduled_spgemm(13), LowerOptions::fused("spgemm")),
+            (add3(8), add3(13), LowerOptions::fused("add3")),
+            (mttkrp(8), mttkrp(13), LowerOptions::compute("mttkrp")),
+            (spmv(8), spmv(13), LowerOptions::compute("spmv")),
+        ];
+        for (small, large, opts) in cases {
+            for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+                let opts = opts.clone().with_workspace_kind(kind);
+                let (small, large) = (lower(&small, &opts).unwrap(), lower(&large, &opts).unwrap());
+                assert_eq!(small.kernel, large.kernel, "`{}` under {kind}", opts.name);
+            }
+        }
     }
 
     #[test]

@@ -552,26 +552,28 @@ mod tests {
             .array_param(Param::input("vals", ArrayTy::F64))
             .array_param(Param::output("out", ArrayTy::F64))
             .body(vec![
-                Stmt::MapInit {
-                    map: "w".into(),
+                Stmt::WsInit {
+                    ws: "w".into(),
                     kind: WorkspaceKind::Hash,
-                    capacity: Expr::int(2),
+                    ty: ArrayTy::F64,
+                    extent: Expr::int(2),
                 },
                 Stmt::for_(
                     "i",
                     Expr::int(0),
                     Expr::var("n"),
-                    vec![Stmt::MapScatter {
-                        map: "w".into(),
+                    vec![Stmt::WsScatter {
+                        ws: "w".into(),
                         key: Expr::load("keys", Expr::var("i")),
                         val: Expr::load("vals", Expr::var("i")),
                         add: true,
                     }],
                 ),
-                Stmt::MapDrainSorted {
-                    map: "w".into(),
+                Stmt::WsDrain {
+                    ws: "w".into(),
                     key: "k".into(),
                     val: "v".into(),
+                    sorted: true,
                     body: vec![Stmt::store_add("out", Expr::var("k"), Expr::var("v"))],
                 },
             ]);

@@ -577,12 +577,12 @@ impl Engine {
         let (mut viable, mut checked) = (1usize, None);
         // The check is the best dense-workspace candidate predicted strictly
         // worse: between equal predictions enumeration order has already
-        // decided, and a sparse workspace's drain bound is too loose for its
-        // place in the ranking to mean anything. It measures, it does not
-        // reply: its runs stay on the interpreter, which is what timed the
-        // leader's first run (an untrusted native kernel commits the
-        // interpreter's result), so a candidate about to lose never costs a
-        // compiler run.
+        // decided, and a sparse workspace's bound counts the iterations of
+        // its loops, not what its map operations cost next to the dense
+        // scatters they replace. It measures, it does not reply: its runs
+        // stay on the interpreter, which is what timed the leader's first
+        // run (an untrusted native kernel commits the interpreter's result),
+        // so a candidate about to lose never costs a compiler run.
         let in_time = started.elapsed() < self.config.tuning_deadline;
         let checkable = |r: &Ranked| {
             r.predicted > best.predicted && r.cand.workspace_kind == WorkspaceKind::Dense

@@ -9,8 +9,7 @@
 //!   growth, map-workspace footprint including capacity doubling),
 //! * the cumulative bytes charged over the whole run,
 //! * the loop iterations consumed at back-edges,
-//! * the entries drained through sorted map drains and coordinate-list
-//!   sorts (the sort work of the drain idiom), and
+//! * the entries all workspace drains visit, and
 //! * the resident footprint and final output sizes of every workspace and
 //!   reallocated result array.
 //!
@@ -30,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
-use taco_llir::{elem_bytes, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
+use taco_llir::{elem_bytes, visit_stmts, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
 use taco_lower::params::{dim_name, is_pos_name, level_extent};
 use taco_lower::LoweredKernel;
 
@@ -161,18 +160,19 @@ impl CostEnv {
 
 /// One metered charge site: a bound on the largest single charge the site
 /// can put through the budget meter (array allocation bytes, realloc growth
-/// bytes, or a map workspace's whole footprint).
+/// bytes, one array of a dense workspace, or a map workspace's whole
+/// footprint).
 #[derive(Debug, Clone)]
 pub struct ChargeBound {
-    /// Array or map name charged.
+    /// Array or workspace name charged.
     pub name: String,
     /// Upper bound on any single charge from this site, in bytes.
     pub bytes: Bound,
 }
 
 /// The derived footprint of one workspace: for dense workspaces the sum of
-/// its value/list/flag arrays, for map workspaces the charged capacity with
-/// doubling slack included.
+/// its arrays, for map workspaces the charged capacity with doubling slack
+/// included.
 #[derive(Debug, Clone)]
 pub struct WorkspaceCost {
     /// Workspace name.
@@ -213,8 +213,8 @@ pub struct CostReport {
     pub total_bytes: Bound,
     /// Bound on loop iterations consumed (`For`/`While`/drain back-edges).
     pub iterations: Bound,
-    /// Bound on entries passing through sorted drains and coordinate-list
-    /// sorts — the sort work of the map-drain idiom.
+    /// Bound on the entries all workspace drains visit over the run — the
+    /// sort work of the sorted ones.
     pub drain_entries: Bound,
     /// Per-workspace resident-footprint bounds.
     pub workspaces: Vec<WorkspaceCost>,
@@ -320,6 +320,11 @@ impl CostReport {
 ///   every increment times the trip bounds of the loops enclosing it;
 /// * reallocation-by-doubling sites contribute at most UB of their length
 ///   expression (growth deltas telescope);
+/// * *drain rule:* a `WsDrain` visits at most the entries scattered since
+///   the workspace's last drain. When every scatter into it comes before
+///   the drain in the drain's own block, that is one execution's worth of
+///   them — the block reached the drain the last time it ran; otherwise
+///   every scatter of the run counts;
 /// * a map workspace's charged capacity never exceeds its initial capacity
 ///   plus twice the scatter count plus the executor's minimum grant of 8.
 #[must_use]
@@ -333,16 +338,22 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     let mut assigned: HashMap<String, bool> = HashMap::new(); // name -> counter-like
     let mut reset: HashSet<String> = HashSet::new(); // assigned a constant somewhere
     classify(&lk.kernel.body, &mut assigned, &mut reset);
+    let mut sites: HashMap<String, usize> = HashMap::new();
+    visit_stmts(&lk.kernel.body, &mut |s| {
+        if let Stmt::WsScatter { ws, .. } = s {
+            *sites.entry(ws.clone()).or_default() += 1;
+        }
+    });
 
-    // Counter bounds and per-map scatter totals feed trip bounds of later
-    // loops (a drain loop runs `w_size` times; `w_size` is a counter), so
-    // iterate the walk to a fixpoint. Dependency chains in generated code
-    // are no deeper than the loop nesting; four rounds are ample, and every
-    // round is sound given the previous round's (initially all-unknown)
-    // lookups.
+    // Counter bounds and per-workspace scatter totals feed trip bounds of
+    // later loops (a loop may run to a counter; a drain may run to every
+    // scatter of the run), so iterate the walk to a fixpoint. Dependency
+    // chains in generated code are no deeper than the loop nesting; four
+    // rounds are ample, and every round is sound given the previous round's
+    // (initially all-unknown) lookups.
     let mut state = FixState::default();
     for _ in 0..6 {
-        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, state.clone());
+        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state.clone());
         w.block(&lk.kernel.body);
         let next = w.fix_out();
         let stable = next == state;
@@ -353,7 +364,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     }
     // Final pass with the stable state collects the charges. (Every round's
     // output is sound, so an unconverged cap is conservative, not wrong.)
-    let mut walk = Walk::new(&assume, &scalar_params, &assigned, &reset, state);
+    let mut walk = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state);
     walk.block(&lk.kernel.body);
 
     let mut charges = walk.charges;
@@ -361,16 +372,13 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     for meta in &lk.workspaces {
         let (bytes, init_bytes) = match meta.kind {
             WorkspaceKind::Dense => {
-                // Resident footprint: the value array plus, when the
-                // workspace assembles, its coordinate list and flag array.
-                // All of it is allocated up front, so the initial footprint
-                // is the full footprint.
-                let members =
-                    [meta.name.clone(), format!("{}_list", meta.name), format!("{}_set", meta.name)];
-                let mut total = Bound::zero();
-                for c in charges.iter().filter(|c| members.contains(&c.name)) {
-                    total = total.add(&c.bytes);
-                }
+                // Resident footprint: every array charged under the
+                // workspace's name. All of it is allocated up front, so the
+                // initial footprint is the full footprint.
+                let total = charges
+                    .iter()
+                    .filter(|c| c.name == meta.name)
+                    .fold(Bound::zero(), |total, c| total.add(&c.bytes));
                 (total.clone(), total)
             }
             WorkspaceKind::Hash | WorkspaceKind::CoordList => {
@@ -447,7 +455,7 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<
             Stmt::For { body, .. }
             | Stmt::ParallelFor { body, .. }
             | Stmt::While { body, .. }
-            | Stmt::MapDrainSorted { body, .. } => classify(body, out, reset),
+            | Stmt::WsDrain { body, .. } => classify(body, out, reset),
             Stmt::If { then, els, .. } => {
                 classify(then, out, reset);
                 classify(els, out, reset);
@@ -458,7 +466,8 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<
 }
 
 /// Fixpoint-carried state: final counter bounds (relative to their
-/// declaration scope) and per-map scatter totals from the previous round.
+/// declaration scope) and per-workspace scatter totals from the previous
+/// round.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FixState {
     counters: HashMap<String, Option<Sym>>,
@@ -493,21 +502,33 @@ struct Trip {
     telescope: Option<(usize, Sym)>,
 }
 
+/// The scatters walked so far in one block, per workspace: how many scatter
+/// statements, and a bound on their executions per execution of the block.
+struct Frame {
+    /// Trip-stack depth of the block.
+    depth: usize,
+    scatters: HashMap<String, (usize, Option<Sym>)>,
+}
+
 /// One abstract-execution round over the kernel body.
 struct Walk<'a> {
     assume: &'a Assumptions,
     scalar_params: &'a HashSet<String>,
     assigned: &'a HashMap<String, bool>,
     reset: &'a HashSet<String>,
+    /// Scatter statements per workspace.
+    sites: &'a HashMap<String, usize>,
     prev: FixState,
 
     /// The enclosing loops, outermost first.
     trips: Vec<Trip>,
+    /// The enclosing blocks, outermost first.
+    frames: Vec<Frame>,
     /// Scoped upper bounds for never-reassigned declared scalars.
     scopes: Vec<HashMap<String, Option<Sym>>>,
     /// This round's counter accumulation.
     counters: HashMap<String, CounterAcc>,
-    /// This round's per-map scatter totals.
+    /// This round's per-workspace scatter totals.
     scatters: HashMap<String, Option<Sym>>,
     /// Map init-capacity bounds (for footprint math).
     map_caps: HashMap<String, (WorkspaceKind, Bound)>,
@@ -529,6 +550,7 @@ impl<'a> Walk<'a> {
         scalar_params: &'a HashSet<String>,
         assigned: &'a HashMap<String, bool>,
         reset: &'a HashSet<String>,
+        sites: &'a HashMap<String, usize>,
         prev: FixState,
     ) -> Walk<'a> {
         Walk {
@@ -536,8 +558,10 @@ impl<'a> Walk<'a> {
             scalar_params,
             assigned,
             reset,
+            sites,
             prev,
             trips: Vec::new(),
+            frames: Vec::new(),
             scopes: vec![HashMap::new()],
             counters: HashMap::new(),
             scatters: HashMap::new(),
@@ -832,8 +856,22 @@ impl<'a> Walk<'a> {
     }
 
     fn stmts(&mut self, body: &[Stmt]) {
+        self.frames.push(Frame { depth: self.trips.len(), scatters: HashMap::new() });
         for (n, s) in body.iter().enumerate() {
             self.stmt(s, &body[..n]);
+        }
+        self.frames.pop();
+    }
+
+    /// Drain rule: the entries a `WsDrain` of `ws` visits, bounded by the
+    /// scatters since the workspace's last drain.
+    fn drain_entries_bound(&self, ws: &str) -> Option<Sym> {
+        let block = self.frames.last().expect("a statement is walked inside a block");
+        let (sites, since) = block.scatters.get(ws).cloned().unwrap_or((0, Some(Sym::int(0))));
+        if sites == self.sites.get(ws).copied().unwrap_or(0) {
+            since
+        } else {
+            Some(since?.add(&self.prev.scatters.get(ws).cloned().flatten()?))
         }
     }
 
@@ -948,37 +986,50 @@ impl<'a> Walk<'a> {
                 self.charge_site(arr, &bytes, true);
                 self.realloc_finals.push((arr.clone(), bytes));
             }
-            Stmt::Sort { hi, .. } => {
-                let entries = Bound::from_opt(self.ub(hi), "sort extent not bounded");
-                self.drain_entries = self.drain_entries.add(&entries);
+            Stmt::WsInit { ws, kind: WorkspaceKind::Dense, ty, extent } => {
+                // Value, coordinate-list and guard arrays over the extent.
+                let len =
+                    Bound::from_opt(self.ub(extent), "workspace extent not bounded by the formats");
+                for elem in [ty, &ArrayTy::Int, &ArrayTy::Bool] {
+                    self.charge_site(ws, &len.mul_const(elem_bytes(*elem)), false);
+                }
             }
-            Stmt::MapInit { map, kind, capacity } => {
+            Stmt::WsInit { ws, kind, .. } => {
                 // The init charge (capacity × entry bytes) is subsumed by
                 // the footprint bound, which the meter checks in whole on
                 // every growth; init + growth deltas telescope to the final
                 // footprint, which is the map's total-bytes contribution.
-                let cap = Bound::from_opt(self.ub(capacity), "map capacity not bounded");
-                self.map_caps.insert(map.clone(), (*kind, cap));
-                self.finish_map_footprint(map);
+                let cap = Bound::Finite(Sym::int(WorkspaceKind::INITIAL_CAPACITY));
+                self.map_caps.insert(ws.clone(), (*kind, cap));
+                self.finish_map_footprint(ws);
             }
-            Stmt::MapScatter { map, .. } => {
+            Stmt::WsScatter { ws, .. } => {
                 let contribution = self.trip_product_since(0);
-                let entry =
-                    self.scatters.entry(map.clone()).or_insert_with(|| Some(Sym::int(0)));
-                let prev = entry.clone();
-                *entry = match (prev, contribution) {
+                let entry = self.scatters.entry(ws.clone()).or_insert_with(|| Some(Sym::int(0)));
+                *entry = match (entry.take(), contribution) {
                     (Some(a), Some(b)) => Some(a.add(&b)),
                     _ => None,
                 };
+                for f in 0..self.frames.len() {
+                    let per_block = self.trip_product_since(self.frames[f].depth);
+                    let (sites, since) = self.frames[f]
+                        .scatters
+                        .entry(ws.clone())
+                        .or_insert((0, Some(Sym::int(0))));
+                    *sites += 1;
+                    *since = match (since.take(), per_block) {
+                        (Some(a), Some(b)) => Some(a.add(&b)),
+                        _ => None,
+                    };
+                }
             }
-            Stmt::MapDrainSorted { map, body, .. } => {
-                // Entries per drain are bounded by the map's total scatter
-                // count (a drain leaves the map empty, so this is a global
-                // over-estimate).
-                let entries = self.prev.scatters.get(map).cloned().flatten();
-                let entries_bound =
-                    Bound::from_opt(entries.clone(), "drain of a map with unbounded scatters");
-                self.drain_entries = self.drain_entries.add(&entries_bound);
+            Stmt::WsDrain { ws, body, .. } => {
+                let entries = self.drain_entries_bound(ws);
+                let total = entries.as_ref().zip(self.trip_product_since(0));
+                let total = total.map(|(per_drain, drains)| per_drain.mul(&drains));
+                self.drain_entries = self
+                    .drain_entries
+                    .add(&Bound::from_opt(total, "drain of a workspace with unbounded scatters"));
                 self.looped(Trip { bound: entries, ..Trip::default() }, |w| w.block(body));
             }
             Stmt::Comment(_) => {}
@@ -1052,7 +1103,7 @@ fn increments_var(body: &[Stmt], v: &str) -> bool {
         Stmt::For { body, .. }
         | Stmt::ParallelFor { body, .. }
         | Stmt::While { body, .. }
-        | Stmt::MapDrainSorted { body, .. } => increments_var(body, v),
+        | Stmt::WsDrain { body, .. } => increments_var(body, v),
         Stmt::If { then, els, .. } => increments_var(then, v) || increments_var(els, v),
         _ => false,
     })

@@ -25,21 +25,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Stmt, UnOp};
+use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Stmt, UnOp, WorkspaceKind};
 
 use crate::assume::Assumptions;
 use crate::error::{Diagnostic, Severity, VerifyError};
 use crate::race::{self, RaceCtx, WriteKind};
 use crate::sym::{Atom, Bounds, Sym};
-
-/// A recognized guarded-insert group (Figure 8 lines 12–16): boolean guard
-/// set, coordinate list, and insertion counter.
-#[derive(Debug, Clone)]
-pub(crate) struct Group {
-    pub(crate) set: String,
-    pub(crate) list: String,
-    pub(crate) counter: String,
-}
 
 /// The walking interpreter.
 pub(crate) struct Analyzer<'a> {
@@ -58,7 +49,6 @@ pub(crate) struct Analyzer<'a> {
     pub(crate) locals: HashSet<String>,
     /// Scalars declared as float/bool (excluded from the integer env).
     non_int: HashSet<String>,
-    pub(crate) groups: Vec<Group>,
     fresh: u64,
     pub(crate) diags: Vec<Diagnostic>,
     pub(crate) notes: Vec<String>,
@@ -68,10 +58,14 @@ pub(crate) struct Analyzer<'a> {
     race_stack: Vec<RaceCtx>,
     /// Arrays already reported as read-uninitialized (one diagnostic each).
     reported_undef: HashSet<String>,
-    /// Map workspaces established by a `MapInit` on the current path.
-    inited_maps: HashSet<String>,
-    /// Maps already reported as used-before-init (one diagnostic each).
-    reported_maps: HashSet<String>,
+    /// Workspaces established by a `WsInit` on the current path.
+    inited_ws: HashSet<String>,
+    /// Dense workspaces: their keys index arrays over `[0, extent)`, which
+    /// `lens` records under the workspace's name.
+    dense_ws: HashSet<String>,
+    /// Workspaces already reported as used-before-init (one diagnostic
+    /// each).
+    reported_ws: HashSet<String>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -85,15 +79,15 @@ impl<'a> Analyzer<'a> {
             known_arrays: HashSet::new(),
             locals: HashSet::new(),
             non_int: HashSet::new(),
-            groups: Vec::new(),
             fresh: 0,
             diags: Vec::new(),
             notes: Vec::new(),
             path: Vec::new(),
             race_stack: Vec::new(),
             reported_undef: HashSet::new(),
-            inited_maps: HashSet::new(),
-            reported_maps: HashSet::new(),
+            inited_ws: HashSet::new(),
+            dense_ws: HashSet::new(),
+            reported_ws: HashSet::new(),
         };
         for p in &kernel.array_params {
             a.known_arrays.insert(p.name.clone());
@@ -107,7 +101,6 @@ impl<'a> Analyzer<'a> {
             let canon = assume.canon_dim(s);
             a.env.insert(s.clone(), Sym::var(canon));
         }
-        a.groups = collect_groups(&kernel.body);
         a
     }
 
@@ -319,10 +312,10 @@ impl<'a> Analyzer<'a> {
                 self.walk_loop(var, lo, hi, &hi_sym, body, Some((private, append)));
                 let ctx = self.race_stack.pop().expect("pushed by walk_loop");
                 race::analyze(self, ctx, s);
-                // Map workspaces are cloned per worker and discarded at
+                // Workspaces are private to each worker and discarded at
                 // join: entries scattered but not drained inside the same
                 // parallel body are silently lost.
-                self.check_parallel_map_drains(var, body, s);
+                self.check_parallel_drains(var, body, s);
             }
             Stmt::While { cond, body } => {
                 self.check_expr(cond, s);
@@ -344,13 +337,6 @@ impl<'a> Analyzer<'a> {
                     return;
                 }
                 let saved = self.env.clone();
-                // Guarded insert strengthens the counter: inserting
-                // requires a false guard entry, so counter ≤ len(set) - 1.
-                if let Some(g) = self.matches_insert(cond) {
-                    if let Some(atom) = self.env.get(&g.counter).and_then(single_atom) {
-                        self.bounds.add_ub(atom, Sym::len(&g.set).sub(&Sym::int(1)));
-                    }
-                }
                 self.refine(cond);
                 self.walk_block(then);
                 self.env = saved.clone();
@@ -382,46 +368,36 @@ impl<'a> Analyzer<'a> {
                     ctx.record_whole_array(arr, stmt_to_c(s));
                 }
             }
-            Stmt::Sort { arr, lo, hi } => {
-                self.check_expr(lo, s);
-                self.check_expr(hi, s);
-                let hi_sym = self.eval(hi);
-                let proven = match self.lens.get(arr) {
-                    Some((len, _)) => {
-                        let len = len.clone();
-                        self.bounds.prove_le(&hi_sym, &len)
-                    }
-                    None => self.bounds.prove_le(&hi_sym, &Sym::len(arr)),
-                };
-                if !proven {
-                    self.diag(
-                        VerifyError::Unproven {
-                            obligation: format!("sort range end `{hi_sym}` ≤ len({arr})"),
-                        },
-                        Severity::Warn,
-                        s,
-                    );
-                }
-                for ctx in &mut self.race_stack {
-                    ctx.record_whole_array(arr, stmt_to_c(s));
+            Stmt::WsInit { ws, kind, extent, .. } => {
+                self.check_expr(extent, s);
+                self.inited_ws.insert(ws.clone());
+                if *kind == WorkspaceKind::Dense {
+                    let extent = self.eval(extent);
+                    self.lens.insert(ws.clone(), (extent, true));
+                    self.dense_ws.insert(ws.clone());
                 }
             }
-            Stmt::MapInit { map, capacity, .. } => {
-                self.check_expr(capacity, s);
-                self.inited_maps.insert(map.clone());
-            }
-            Stmt::MapScatter { map, key, val, .. } => {
+            Stmt::WsScatter { ws, key, val, .. } => {
                 self.check_expr(key, s);
                 self.check_expr(val, s);
-                self.check_map_inited(map, s);
+                self.check_ws_inited(ws, s);
+                // A dense key indexes the value and guard arrays.
+                if self.dense_ws.contains(ws) {
+                    let key = self.eval(key);
+                    self.check_bounds(ws, &key, s);
+                }
             }
-            Stmt::MapDrainSorted { map, key, val, body } => {
-                self.check_map_inited(map, s);
+            Stmt::WsDrain { ws, key, val, body, .. } => {
+                self.check_ws_inited(ws, s);
                 let saved = self.env.clone();
                 self.havoc_assigned(body);
-                // The drain binds each touched key (an arbitrary integer
-                // coordinate) and its accumulated value.
+                // The drain binds each touched key and its accumulated
+                // value; a dense key passed the scatter's bound check.
                 let k_atom = self.fresh_atom();
+                if self.dense_ws.contains(ws) {
+                    let (extent, _) = &self.lens[ws];
+                    self.bounds.add_ub(k_atom.clone(), extent.sub(&Sym::int(1)));
+                }
                 self.env.insert(key.clone(), Sym::atom(k_atom));
                 self.non_int.insert(val.clone());
                 self.walk_block(body);
@@ -433,39 +409,39 @@ impl<'a> Analyzer<'a> {
         let _ = (block, at);
     }
 
-    fn check_map_inited(&mut self, map: &str, stmt: &Stmt) {
-        if !self.inited_maps.contains(map) && self.reported_maps.insert(map.to_string()) {
+    fn check_ws_inited(&mut self, ws: &str, stmt: &Stmt) {
+        if !self.inited_ws.contains(ws) && self.reported_ws.insert(ws.to_string()) {
             self.diag(
-                VerifyError::MapNotInitialized { map: map.to_string() },
+                VerifyError::WorkspaceNotInitialized { workspace: ws.to_string() },
                 Severity::Deny,
                 stmt,
             );
         }
     }
 
-    /// Denies parallel bodies that scatter into a map workspace without
-    /// draining it before the iteration ends (worker-local maps are
+    /// Denies parallel bodies that scatter into a workspace without
+    /// draining it before the iteration ends (worker-local workspaces are
     /// discarded at join — the updates would be lost).
-    fn check_parallel_map_drains(&mut self, var: &str, body: &[Stmt], s: &Stmt) {
+    fn check_parallel_drains(&mut self, var: &str, body: &[Stmt], s: &Stmt) {
         let mut scattered: Vec<String> = Vec::new();
         let mut drained: HashSet<String> = HashSet::new();
         visit_stmts(body, &mut |t| match t {
-            Stmt::MapScatter { map, .. } if !scattered.contains(map) => {
-                scattered.push(map.clone());
+            Stmt::WsScatter { ws, .. } if !scattered.contains(ws) => {
+                scattered.push(ws.clone());
             }
-            Stmt::MapDrainSorted { map, .. } => {
-                drained.insert(map.clone());
+            Stmt::WsDrain { ws, .. } => {
+                drained.insert(ws.clone());
             }
             _ => {}
         });
-        for map in scattered {
-            if !drained.contains(&map) {
+        for ws in scattered {
+            if !drained.contains(&ws) {
                 self.diag(
                     VerifyError::DataRace {
-                        name: map.clone(),
+                        name: ws.clone(),
                         var: var.to_string(),
-                        detail: "a map workspace is scattered into but never drained inside \
-                                 the parallel body; worker-local maps are discarded at join, \
+                        detail: "a workspace is scattered into but never drained inside the \
+                                 parallel body; worker-local workspaces are discarded at join, \
                                  losing the updates"
                             .to_string(),
                     },
@@ -477,9 +453,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Shared loop handling: bind the loop variable to a fresh atom bounded
-    /// by `hi - 1`, havoc body-assigned scalars (attaching the guard-set
-    /// invariant bound to guarded-insert counters), interpret the body
-    /// once, and restore.
+    /// by `hi - 1`, havoc body-assigned scalars, interpret the body once,
+    /// and restore.
     fn walk_loop(
         &mut self,
         var: &str,
@@ -531,18 +506,13 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Replaces every scalar assigned in the block with a fresh opaque
-    /// atom. Guarded-insert counters keep their invariant bound
-    /// `counter ≤ len(set)` (the counter counts true guard entries).
+    /// atom.
     fn havoc_assigned(&mut self, body: &[Stmt]) {
         for v in collect_assigned(body) {
-            if self.non_int.contains(&v) {
-                continue;
+            if !self.non_int.contains(&v) {
+                let atom = self.fresh_atom();
+                self.env.insert(v, Sym::atom(atom));
             }
-            let atom = self.fresh_atom();
-            if let Some(g) = self.groups.iter().find(|g| g.counter == v) {
-                self.bounds.add_ub(atom.clone(), Sym::len(&g.set));
-            }
-            self.env.insert(v, Sym::atom(atom));
         }
     }
 
@@ -576,13 +546,6 @@ impl<'a> Analyzer<'a> {
             }
             _ => {}
         }
-    }
-
-    /// Does this condition open a recognized guarded insert?
-    fn matches_insert(&self, cond: &Expr) -> Option<Group> {
-        let Expr::Un(UnOp::Not, inner) = cond else { return None };
-        let Expr::Load(arr, _) = inner.as_ref() else { return None };
-        self.groups.iter().find(|g| &g.set == arr).cloned()
     }
 }
 
@@ -628,45 +591,11 @@ pub(crate) fn collect_decls(body: &[Stmt]) -> Vec<String> {
     visit_stmts(body, &mut |s| match s {
         Stmt::DeclInt(v, _) | Stmt::DeclFloat(v, _) | Stmt::DeclBool(v, _) => out.push(v.clone()),
         Stmt::For { var, .. } | Stmt::ParallelFor { var, .. } => out.push(var.clone()),
-        Stmt::MapDrainSorted { key, val, .. } => {
+        Stmt::WsDrain { key, val, .. } => {
             out.push(key.clone());
             out.push(val.clone());
         }
         _ => {}
-    });
-    out
-}
-
-/// Pre-pass: find guarded-insert groups
-/// `if (!set[j]) { list[c] = j; c = c + 1; set[j] = true; }`.
-fn collect_groups(body: &[Stmt]) -> Vec<Group> {
-    let mut out: Vec<Group> = Vec::new();
-    visit_stmts(body, &mut |s| {
-        let Stmt::If { cond, then, els } = s else { return };
-        if !els.is_empty() {
-            return;
-        }
-        let Expr::Un(UnOp::Not, inner) = cond else { return };
-        let Expr::Load(set, guard_idx) = inner.as_ref() else { return };
-        let mut list: Option<(String, String)> = None; // (list, counter)
-        let mut closes = false;
-        for t in then {
-            if let Stmt::Store { arr, idx, val } = t {
-                if let Expr::Var(c) = idx {
-                    if val == guard_idx.as_ref() {
-                        list = Some((arr.clone(), c.clone()));
-                    }
-                }
-                if arr == set && idx == guard_idx.as_ref() {
-                    closes = matches!(val, Expr::Bool(true));
-                }
-            }
-        }
-        if let (Some((list, counter)), true) = (list, closes) {
-            if !out.iter().any(|g| g.set == *set) {
-                out.push(Group { set: set.clone(), list, counter });
-            }
-        }
     });
     out
 }

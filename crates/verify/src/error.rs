@@ -36,11 +36,11 @@ pub enum VerifyError {
         /// The array read too early.
         array: String,
     },
-    /// A workspace, guard set, or coordinate list is assumed clean at the
-    /// top of a loop iteration but is not restored by the end of the
-    /// previous iteration (Section VI reset obligation).
+    /// A workspace is assumed clean (an array all zero, a workspace node
+    /// empty) at the top of a loop iteration but is not restored by the end
+    /// of the previous iteration (Section VI reset obligation).
     MissingReset {
-        /// The array whose reset obligation is not discharged.
+        /// The workspace whose reset obligation is not discharged.
         array: String,
     },
     /// An array access whose index is provably outside `[0, len)`.
@@ -66,11 +66,11 @@ pub enum VerifyError {
         /// Why the accesses conflict.
         detail: String,
     },
-    /// A map workspace (hash / coord-list) is scattered into or drained
-    /// before any `MapInit` establishes its slots on some path.
-    MapNotInitialized {
-        /// The map workspace used too early.
-        map: String,
+    /// A workspace is scattered into or drained before any `WsInit`
+    /// establishes it on some path.
+    WorkspaceNotInitialized {
+        /// The workspace used too early.
+        workspace: String,
     },
     /// A bound or disjointness obligation the verifier could neither prove
     /// nor refute (reported at warn severity).
@@ -102,8 +102,8 @@ impl fmt::Display for VerifyError {
                 f,
                 "parallel loop over `{var}` has conflicting accesses to `{name}`: {detail}"
             ),
-            VerifyError::MapNotInitialized { map } => {
-                write!(f, "map workspace `{map}` is used before any MapInit establishes it")
+            VerifyError::WorkspaceNotInitialized { workspace } => {
+                write!(f, "workspace `{workspace}` is used before any WsInit establishes it")
             }
             VerifyError::Unproven { obligation } => {
                 write!(f, "could not prove: {obligation}")

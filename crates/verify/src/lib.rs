@@ -4,10 +4,9 @@
 //! arbitrary hand-built [`taco_llir::Kernel`]s) *before* they run, by
 //! abstract interpretation over the LLIR:
 //!
-//! * **definite initialization** — every workspace, guard-set, and
-//!   coordinate-list read is dominated by an initialization on all paths,
-//!   and the where-consumer reset obligation of Section VI is discharged
-//!   between outer-loop iterations;
+//! * **definite initialization** — every workspace read is dominated by an
+//!   initialization on all paths, and the where-consumer reset obligation
+//!   of Section VI is discharged between outer-loop iterations;
 //! * **symbolic bounds** — loop variables and `pos`-array accesses carry
 //!   symbolic intervals, proving every index in bounds and every append
 //!   counter monotone;
@@ -85,10 +84,9 @@ pub fn verify_kernel(kernel: &Kernel) -> VerifyReport {
 fn run(kernel: &Kernel, assume: &Assumptions) -> VerifyReport {
     let mut az = dataflow::Analyzer::new(kernel, assume);
     az.walk_block(&kernel.body);
-    let groups = az.groups.clone();
     let mut diags = az.diags;
     let mut notes = az.notes;
-    resets::check(kernel, &groups, assume, &mut diags, &mut notes);
+    resets::check(kernel, assume, &mut diags, &mut notes);
     resets::check_pos_monotone(kernel, &mut diags);
 
     // One diagnostic per distinct finding, deny severity first, then by

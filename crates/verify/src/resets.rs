@@ -7,14 +7,15 @@
 //! *phase loop*: each top-level loop of the kernel that uses a workspace
 //! allocated before it.
 //!
-//! An iteration restores cleanliness through one of three *drain* idioms
-//! the lowerer emits (or a `memset`):
+//! A workspace lowered to the workspace nodes — every kind when it
+//! assembles result rows, the map kinds always — carries the obligation as
+//! one rule: every `WsScatter` reaches a `WsDrain` (or a re-`WsInit`) before
+//! the phase loop's back-edge. A dense workspace read by random access is a
+//! plain array, and an iteration restores it through one of two *drain*
+//! idioms the lowerer emits (or a `memset`):
 //!
 //! * **full-range drain** — `for (j = 0; j < D; j++) w[j] = 0;` where `D`
 //!   provably covers the allocation length;
-//! * **list drain** — iterate the guarded-insert coordinate list and zero
-//!   the workspace (and guard set) at each listed coordinate (Figure 8
-//!   lines 17–23);
 //! * **structure drain** — iterate one row segment of a `pos`/`crd`
 //!   structure and zero the workspace at each stored coordinate. This is
 //!   sound only if the structure covers every coordinate the iteration
@@ -29,7 +30,6 @@ use std::collections::{HashMap, HashSet};
 use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, Stmt};
 
 use crate::assume::Assumptions;
-use crate::dataflow::Group;
 use crate::error::{Diagnostic, Severity, VerifyError};
 use crate::sym::{Atom, Bounds, Sym};
 
@@ -116,16 +116,10 @@ fn stmt_uses(s: &Stmt, arr: &str) -> bool {
                 }
                 vec![len]
             }
-            Stmt::Sort { arr: a, lo, hi } => {
-                if a == arr {
-                    used = true;
-                }
-                vec![lo, hi]
-            }
-            Stmt::MapInit { capacity, .. } => vec![capacity],
-            Stmt::MapScatter { key, val, .. } => vec![key, val],
+            Stmt::WsInit { extent, .. } => vec![extent],
+            Stmt::WsScatter { key, val, .. } => vec![key, val],
             // Drain bodies are visited by the surrounding recursion.
-            Stmt::MapDrainSorted { .. } => vec![],
+            Stmt::WsDrain { .. } => vec![],
             Stmt::Comment(_) => vec![],
         };
         if exprs.iter().any(|e| expr_reads(e, arr)) {
@@ -198,13 +192,6 @@ fn stmt_requirement(s: &Stmt, arr: &str) -> Req {
                 Req::Nothing
             }
         }
-        Stmt::Sort { lo, hi, .. } => {
-            if reads_any(&[lo, hi]) {
-                Req::Reads
-            } else {
-                Req::Nothing
-            }
-        }
         Stmt::For { lo, hi, body, .. } | Stmt::ParallelFor { lo, hi, body, .. } => {
             if reads_any(&[lo, hi]) {
                 return Req::Reads;
@@ -237,35 +224,35 @@ fn stmt_requirement(s: &Stmt, arr: &str) -> Req {
                 Req::Nothing
             }
         }
-        Stmt::MapInit { capacity, .. } => {
-            if expr_reads(capacity, arr) {
+        Stmt::WsInit { extent, .. } => {
+            if expr_reads(extent, arr) {
                 Req::Reads
             } else {
                 Req::Nothing
             }
         }
-        Stmt::MapScatter { key, val, .. } => {
+        Stmt::WsScatter { key, val, .. } => {
             if reads_any(&[key, val]) {
                 Req::Reads
             } else {
                 Req::Nothing
             }
         }
-        Stmt::MapDrainSorted { body, .. } => match requirement(body, arr) {
+        Stmt::WsDrain { body, .. } => match requirement(body, arr) {
             Req::Reads => Req::Reads,
-            // A drain over an empty map runs its body zero times.
+            // A drain over an empty workspace runs its body zero times.
             _ => Req::Nothing,
         },
         Stmt::Comment(_) => Req::Nothing,
     }
 }
 
-/// What the block requires of map workspace `m` at entry: any scatter or
-/// drain assumes the map holds exactly this iteration's entries, i.e. it
-/// was empty at entry; a re-`MapInit` defines it.
-fn map_requirement(block: &[Stmt], m: &str) -> Req {
+/// What the block requires of workspace node `w` at entry: any scatter or
+/// drain assumes it holds exactly this iteration's entries, i.e. it was
+/// empty at entry; a re-`WsInit` defines it.
+fn ws_requirement(block: &[Stmt], w: &str) -> Req {
     for s in block {
-        let req = map_stmt_requirement(s, m);
+        let req = ws_stmt_requirement(s, w);
         if req != Req::Nothing {
             return req;
         }
@@ -273,20 +260,20 @@ fn map_requirement(block: &[Stmt], m: &str) -> Req {
     Req::Nothing
 }
 
-fn map_stmt_requirement(s: &Stmt, m: &str) -> Req {
+fn ws_stmt_requirement(s: &Stmt, w: &str) -> Req {
     match s {
-        Stmt::MapInit { map, .. } if map == m => Req::Defines,
-        Stmt::MapScatter { map, .. } | Stmt::MapDrainSorted { map, .. } if map == m => Req::Reads,
+        Stmt::WsInit { ws, .. } if ws == w => Req::Defines,
+        Stmt::WsScatter { ws, .. } | Stmt::WsDrain { ws, .. } if ws == w => Req::Reads,
         Stmt::For { body, .. }
         | Stmt::ParallelFor { body, .. }
         | Stmt::While { body, .. }
-        | Stmt::MapDrainSorted { body, .. } => match map_requirement(body, m) {
+        | Stmt::WsDrain { body, .. } => match ws_requirement(body, w) {
             Req::Reads => Req::Reads,
             // Loop and drain bodies may run zero times.
             _ => Req::Nothing,
         },
         Stmt::If { then, els, .. } => {
-            let (t, e) = (map_requirement(then, m), map_requirement(els, m));
+            let (t, e) = (ws_requirement(then, w), ws_requirement(els, w));
             if t == Req::Reads || e == Req::Reads {
                 Req::Reads
             } else if t == Req::Defines && e == Req::Defines {
@@ -299,14 +286,12 @@ fn map_stmt_requirement(s: &Stmt, m: &str) -> Req {
     }
 }
 
-/// Does the statement use map workspace `m` at all?
-fn stmt_uses_map(s: &Stmt, m: &str) -> bool {
+/// Does the statement use workspace node `w` at all?
+fn stmt_uses_ws(s: &Stmt, w: &str) -> bool {
     let mut used = false;
     visit_stmts(std::slice::from_ref(s), &mut |t| match t {
-        Stmt::MapInit { map, .. }
-        | Stmt::MapScatter { map, .. }
-        | Stmt::MapDrainSorted { map, .. }
-            if map == m =>
+        Stmt::WsInit { ws, .. } | Stmt::WsScatter { ws, .. } | Stmt::WsDrain { ws, .. }
+            if ws == w =>
         {
             used = true;
         }
@@ -318,7 +303,6 @@ fn stmt_uses_map(s: &Stmt, m: &str) -> bool {
 /// Simulation context shared across one phase loop's body.
 struct Sim<'a> {
     assume: &'a Assumptions,
-    groups: &'a [Group],
     /// Allocation lengths of tracked workspaces.
     alloc_len: &'a HashMap<String, Sym>,
     bounds: Bounds,
@@ -375,35 +359,34 @@ impl Sim<'_> {
                 self.sim_block(body, &mut inner);
                 Sim::join(state, &inner);
                 // A matched drain restores exactly the region that can be
-                // dirty (the full array, the inserted coordinates, or the
-                // stored structure), including the empty-region case where
-                // the loop runs zero times.
+                // dirty (the full array or the stored structure), including
+                // the empty-region case where the loop runs zero times.
                 for a in drained {
                     state.insert(a, Z::Clean);
                 }
             }
-            // Map-workspace idioms: a re-init or a sorted drain empties the
-            // map (the fourth drain idiom); a scatter dirties it.
-            Stmt::MapInit { map, .. } if state.contains_key(map) => {
-                state.insert(map.clone(), Z::Clean);
+            // Workspace nodes: a re-init or a drain empties the workspace,
+            // a scatter dirties it.
+            Stmt::WsInit { ws, .. } if state.contains_key(ws) => {
+                state.insert(ws.clone(), Z::Clean);
             }
-            Stmt::MapScatter { map, .. } if state.contains_key(map) => {
-                state.insert(map.clone(), Z::Dirty);
+            Stmt::WsScatter { ws, .. } if state.contains_key(ws) => {
+                state.insert(ws.clone(), Z::Dirty);
             }
-            Stmt::MapDrainSorted { map, body, .. } => {
+            Stmt::WsDrain { ws, body, .. } => {
                 let mut inner = state.clone();
                 self.sim_block(body, &mut inner);
                 Sim::join(state, &inner);
-                if state.contains_key(map) {
-                    // The drain removes every entry, touched or not.
-                    state.insert(map.clone(), Z::Clean);
+                if state.contains_key(ws) {
+                    // The drain removes every entry.
+                    state.insert(ws.clone(), Z::Clean);
                 }
             }
             _ => {}
         }
     }
 
-    /// Arrays this loop provably restores to zero (the three drain idioms).
+    /// Arrays this loop provably restores to zero (the two drain idioms).
     fn drain_targets(
         &mut self,
         var: &str,
@@ -441,8 +424,8 @@ impl Sim<'_> {
             }
         }
 
-        // The list and structure drains both start by decoding a
-        // coordinate: int32_t j = <list-or-crd>[var];
+        // A structure drain starts by decoding a coordinate:
+        // int32_t j = crd[var];
         let Some(Stmt::DeclInt(j, Expr::Load(decode, didx))) = body.first() else {
             return out;
         };
@@ -462,20 +445,6 @@ impl Sim<'_> {
             })
             .collect();
         if coord_zero.is_empty() {
-            return out;
-        }
-
-        // List drain: for (p = 0; p < counter; p++) over the group's list.
-        let group = self.groups.iter().find(|g| &g.list == decode);
-        if let Some(g) = group {
-            let counter_bound = matches!(hi, Expr::Var(c) if *c == g.counter);
-            if matches!(lo, Expr::Int(0)) && counter_bound {
-                for arr in &coord_zero {
-                    if state.contains_key(*arr) {
-                        out.push((*arr).to_string());
-                    }
-                }
-            }
             return out;
         }
 
@@ -502,29 +471,23 @@ impl Sim<'_> {
 /// Checks reset obligations for every top-level phase loop.
 pub(crate) fn check(
     kernel: &Kernel,
-    groups: &[Group],
     assume: &Assumptions,
     diags: &mut Vec<Diagnostic>,
     notes: &mut Vec<String>,
 ) {
-    let lists: HashSet<&String> = groups.iter().map(|g| &g.list).collect();
     let mut alloc_len: HashMap<String, Sym> = HashMap::new();
-    let mut map_ws: HashSet<String> = HashSet::new();
+    let mut ws_nodes: HashSet<String> = HashSet::new();
     let mut fresh_outer = 0u64;
     for (i, s) in kernel.body.iter().enumerate() {
         if let Stmt::Alloc { arr, len, .. } = s {
-            // Coordinate lists are valid only up to their counter; they
-            // carry no cleanliness obligation.
-            if !lists.contains(arr) {
-                alloc_len.insert(arr.clone(), eval_static(len, assume, &mut fresh_outer));
-            }
+            alloc_len.insert(arr.clone(), eval_static(len, assume, &mut fresh_outer));
             continue;
         }
-        if let Stmt::MapInit { map, .. } = s {
-            // Map workspaces start empty and carry the same between-phase
+        if let Stmt::WsInit { ws, .. } = s {
+            // Workspace nodes start empty and carry the same between-phase
             // obligation as zero-filled arrays: empty again at iteration
             // exit.
-            map_ws.insert(map.clone());
+            ws_nodes.insert(ws.clone());
             continue;
         }
         let (Stmt::For { body, .. } | Stmt::ParallelFor { body, .. } | Stmt::While { body, .. }) =
@@ -536,9 +499,9 @@ pub(crate) fn check(
             .keys()
             .filter(|a| stmt_uses(s, a) && requirement(body, a) == Req::Reads)
             .chain(
-                map_ws
+                ws_nodes
                     .iter()
-                    .filter(|m| stmt_uses_map(s, m) && map_requirement(body, m) == Req::Reads),
+                    .filter(|w| stmt_uses_ws(s, w) && ws_requirement(body, w) == Req::Reads),
             )
             .cloned()
             .collect();
@@ -547,7 +510,6 @@ pub(crate) fn check(
         }
         let mut sim = Sim {
             assume,
-            groups,
             alloc_len: &alloc_len,
             bounds: Bounds::default(),
             fresh: 0,

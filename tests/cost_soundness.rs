@@ -1,8 +1,8 @@
 //! Differential soundness harness for the symbolic cost analyzer.
 //!
 //! The analyzer's contract is an *upper bound*: for any kernel it derives a
-//! finite peak-byte or iteration bound for, no real execution may allocate
-//! or iterate past it. This suite drives that claim adversarially — random
+//! finite peak-byte, iteration or drain-entry bound for, no real execution
+//! may allocate, iterate or drain past it. This suite drives that claim adversarially — random
 //! shapes, densities, sparsity patterns and operand formats through the
 //! autotuner's whole candidate space (every loop order, workspace placement,
 //! format conversion, and workspace backend that compiles) and the
@@ -14,10 +14,11 @@
 use proptest::prelude::*;
 use taco_core::cost::binding_env;
 use taco_core::oracle::eval_dense;
-use taco_core::{enumerate_candidates_for, IndexStmt, ScheduleCandidate, Supervisor};
+use taco_core::{enumerate_candidates_for, CompiledKernel, IndexStmt, ScheduleCandidate, Supervisor};
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
+use taco_llir::{Binding, Stmt, WorkspaceKind};
 use taco_lower::{KernelKind, LowerOptions};
 use taco_tensor::gen::{random_csr, random_csr_nnz, random_dense, Pattern};
 use taco_tensor::{DenseTensor, Format, ModeFormat, Tensor};
@@ -142,6 +143,39 @@ fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
     Some(ScheduleCandidate { name, stmt, ..cand.clone() })
 }
 
+/// The entries the run's drains visited, where a run shows them: every
+/// entry of a row drain appends one result nonzero, so when the kernel
+/// appends nowhere else the append counter's final value is that count.
+fn drained_entries(kernel: &CompiledKernel, binding: &Binding) -> Option<u64> {
+    let counter = kernel.lowered().nnz_output.as_deref()?;
+    fn appends(body: &[Stmt], counter: &str, in_drain: bool, seen: &mut (usize, usize)) {
+        for s in body {
+            match s {
+                Stmt::Assign(v, _) if v == counter => {
+                    if in_drain {
+                        seen.0 += 1;
+                    } else {
+                        seen.1 += 1;
+                    }
+                }
+                Stmt::WsDrain { body, .. } => appends(body, counter, true, seen),
+                Stmt::For { body, .. }
+                | Stmt::ParallelFor { body, .. }
+                | Stmt::While { body, .. } => appends(body, counter, in_drain, seen),
+                Stmt::If { then, els, .. } => {
+                    appends(then, counter, in_drain, seen);
+                    appends(els, counter, in_drain, seen);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut seen = (0, 0);
+    appends(&kernel.lowered().kernel.body, counter, false, &mut seen);
+    let nnz = binding.scalar_output(counter)?;
+    (seen.0 > 0 && seen.1 == 0).then_some(nnz as u64)
+}
+
 /// What one sweep over a statement's candidates saw.
 #[derive(Debug, Default)]
 struct Sweep {
@@ -154,6 +188,8 @@ struct Sweep {
     /// `(candidate, iteration bound, observed iterations)` for every accepted
     /// candidate with a finite iteration bound.
     iterations: Vec<(String, u64, u64)>,
+    /// Candidates whose drained entries were checked against their bound.
+    drains: usize,
 }
 
 /// Runs every candidate of `stmt` under `opts` on `inputs` and checks both
@@ -201,6 +237,7 @@ fn sweep(
         let Ok(mut binding) = kernel.bind(&op_refs, structure.as_ref()) else { continue };
         let peak = kernel.static_peak_bytes(&binding);
         let iterations = kernel.cost_report().iterations.concrete(&binding_env(&binding));
+        let drain_bound = kernel.cost_report().drain_entries.concrete(&binding_env(&binding));
         let Ok(report) = kernel.run_bound_supervised(&mut binding, &supervisor) else {
             continue;
         };
@@ -217,7 +254,11 @@ fn sweep(
         if let Some(bound) = iterations {
             let observed = report.progress.iterations;
             prop_assert!(bound >= observed, "unsound iterations for {name}: {bound} < {observed}");
-            seen.iterations.push((cand.name, bound, observed));
+            seen.iterations.push((cand.name.clone(), bound, observed));
+        }
+        if let (Some(bound), Some(observed)) = (drain_bound, drained_entries(&kernel, &binding)) {
+            prop_assert!(bound >= observed, "unsound drains for {name}: {bound} < {observed}");
+            seen.drains += 1;
         }
     }
     prop_assert!(seen.accepted > 0, "no candidate ran for {what}");
@@ -253,6 +294,10 @@ proptest! {
             "analyzer proved nothing finite across {} accepted candidates of {what}",
             seen.accepted
         );
+        // A CSR result is assembled by row drains.
+        if fmt_sel != 1 {
+            prop_assert!(seen.drains > 0, "no drain checked in {what}");
+        }
     }
 
     /// The twin property for the iteration bound, which the tuner ranks by
@@ -309,6 +354,43 @@ proptest! {
         }
         prop_assert!(bounded > 0, "no finite iteration bound anywhere in {}", what("the sweep"));
         prop_assert!(parallel > 0, "no parallel twin lowered anywhere in {}", what("the sweep"));
+    }
+}
+
+/// One drain rule for every workspace kind: on the 128² Fig. 2 SpGEMM with
+/// eight entries in every row, the hash and coordinate-list kernels are
+/// bounded exactly as the dense one, which is within a few percent of what
+/// it runs.
+#[test]
+fn every_workspace_kind_drains_under_the_dense_bound() {
+    let n = 128;
+    let fixed_rows = |seed: usize| {
+        let triplets: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|r| (0..8).map(move |e| (r, (r * 7 + e * 13 + seed) % n, 1.0)))
+            .collect();
+        taco_tensor::Csr::from_triplets(n, n, &triplets).to_tensor()
+    };
+    let (b, c) = (fixed_rows(1), fixed_rows(2));
+    let csr = |name: &str| TensorVar::new(name, vec![n, n], Format::csr());
+    let (i, j, k) = (iv("i"), iv("j"), iv("k"));
+    let mul = csr("B").access([i.clone(), k.clone()]) * csr("C").access([k.clone(), j.clone()]);
+    let (lhs, rhs) = (csr("A").access([i, j.clone()]), sum(k.clone(), mul.clone()));
+    let mut stmt = IndexStmt::new(IndexAssignment::assign(lhs, rhs)).unwrap();
+    stmt.reorder(&k, &j).unwrap();
+    let w = TensorVar::new("w", vec![n], Format::dvec());
+    stmt.precompute(&mul, &[(j.clone(), j.clone(), j)], &w).unwrap();
+    let mut dense_bound = None;
+    for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+        let kernel = stmt.compile(LowerOptions::fused("tight").with_workspace_kind(kind)).unwrap();
+        let mut binding = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+        let env = binding_env(&binding);
+        let bound = kernel.cost_report().iterations.concrete(&env).unwrap();
+        let drains = kernel.cost_report().drain_entries.concrete(&env).unwrap();
+        let report = kernel.run_bound_supervised(&mut binding, &Supervisor::new()).unwrap();
+        let observed = report.progress.iterations;
+        assert!(bound <= 8 * observed, "{kind}: {bound} against {observed}");
+        assert!(drains >= drained_entries(&kernel, &binding).unwrap(), "{kind}");
+        assert_eq!(bound, *dense_bound.get_or_insert(bound), "{kind} bound like dense");
     }
 }
 

@@ -12,9 +12,10 @@
 
 use proptest::prelude::*;
 use std::sync::{Once, OnceLock};
+use taco_core::oracle::eval_dense;
 use taco_llir::{
-    emit_native, ArrayTy, Binding, Executable, Expr, Kernel, Param, RunError, Stmt,
-    LEAF_FAST_PATH_MARKER,
+    emit_native, run_body, ArrayTy, Binding, BudgetResource, Executable, Expr, Kernel, Param,
+    RunControls, RunError, Stmt, LEAF_FAST_PATH_MARKER,
 };
 use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
 use taco_tensor::gen::{random_csf3, random_csr};
@@ -183,20 +184,108 @@ fn differential(
     native
 }
 
+/// A CSR matrix with small-integer values at pseudo-random positions: every
+/// sum of products is exact in f32 and f64 alike, so any accumulation order
+/// gives the same bits.
+fn int_csr(m: usize, n: usize, seed: u64) -> Tensor {
+    let mut s = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut next = move || {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s >> 33
+    };
+    let mut entries = Vec::new();
+    for r in 0..m {
+        for c in 0..n {
+            if next() % 10 < 3 {
+                entries.push((vec![r, c], (next() % 7 + 1) as f64));
+            }
+        }
+    }
+    Tensor::from_entries(vec![m, n], Format::csr(), entries).unwrap()
+}
+
+/// The Fig. 2 SpGEMM under every workspace kind, fused and assemble,
+/// sorted and unsorted, and with a single-precision dense workspace: the
+/// interpreter and the `.so` agree bytewise with each other and with the
+/// dense oracle, and every configuration counts the same 2138 iterations on
+/// these operands (a scatter is no iteration, a drained entry is one).
 #[test]
 fn native_spgemm_byte_identical_across_workspace_kinds() {
-    let Some(_cc) = require_cc("native_spgemm_byte_identical_across_workspace_kinds") else {
+    let Some(cc) = require_cc("native_spgemm_byte_identical_across_workspace_kinds") else {
         return;
     };
     let n = 24;
     let stmt = scheduled_spgemm(n);
-    let b = random_csr(n, n, 0.2, 51).to_tensor();
-    let c = random_csr(n, n, 0.2, 52).to_tensor();
+    let (b, c) = (int_csr(n, n, 51), int_csr(n, n, 52));
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let oracle = eval_dense(stmt.source(), &inputs).unwrap();
+    let oracle = Tensor::from_dense(&oracle, Format::csr()).unwrap();
+    let supervisor = Supervisor::new();
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+        for f32 in [false, true].into_iter().filter(|f32| !f32 || kind == WorkspaceKind::Dense) {
+            for sorted in [true, false] {
+                for fused in [true, false] {
+                    let mut opts = if fused {
+                        LowerOptions::fused("spgemm")
+                    } else {
+                        LowerOptions::assemble("spgemm")
+                    }
+                    .with_workspace_kind(kind);
+                    if !sorted {
+                        opts = opts.unsorted();
+                    }
+                    if f32 {
+                        opts = opts.with_f32_workspaces();
+                    }
+                    let what = format!("spgemm/{kind}/f32={f32}/sorted={sorted}/fused={fused}");
+                    let kernel = stmt.compile(opts).unwrap();
+                    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), 0).unwrap();
+                    let (interp, ran) = kernel.run_supervised(&inputs, None, &supervisor).unwrap();
+                    let (native, native_ran) =
+                        kernel.run_with_body(&so, &inputs, None, Some(&supervisor)).unwrap();
+                    assert_byte_identical(&interp, &native, &what);
+                    if fused {
+                        assert_byte_identical(&oracle, &interp, &what);
+                    } else {
+                        assert_eq!(interp.pos(1).unwrap(), oracle.pos(1).unwrap(), "{what}");
+                        assert_eq!(interp.crd(1).unwrap(), oracle.crd(1).unwrap(), "{what}");
+                    }
+                    assert_eq!(ran.progress.iterations, 2138, "{what}");
+                    assert_eq!(native_ran.progress.iterations, 2138, "{what}");
+                }
+            }
+        }
+        // And through the engines: the trust lifecycle of each kind.
         let opts = LowerOptions::fused("spgemm").with_workspace_kind(kind);
         differential(&stmt, opts, &inputs, &format!("spgemm/{kind:?}"));
     }
+}
+
+/// A dense workspace whose value array does not fit the single-allocation
+/// limit trips on that array, by name, on either backend: the first of its
+/// three allocations.
+#[test]
+fn a_dense_workspace_over_the_allocation_limit_trips_on_its_value_array() {
+    let Some(cc) = require_cc("a_dense_workspace_over_the_allocation_limit") else { return };
+    let n = 24;
+    let kernel = scheduled_spgemm(n).compile(LowerOptions::fused("spgemm_budget")).unwrap();
+    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), 0).unwrap();
+    let (b, c) = (int_csr(n, n, 51), int_csr(n, n, 52));
+    let values = 8 * n as u64;
+    let budget = ResourceBudget::unlimited().with_max_workspace_bytes(values - 1);
+    let tripped = RunError::BudgetExceeded {
+        resource: BudgetResource::WorkspaceBytes,
+        limit: values - 1,
+        requested: values,
+        array: Some("w".into()),
+    };
+    let mut binding = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    let interp = run_body(kernel.executable(), &mut binding, &budget, RunControls::default());
+    let mut binding = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    let native = run_body(&so, &mut binding, &budget, RunControls::default());
+    assert_eq!(interp.1, Err(tripped.clone()));
+    assert_eq!(native.1, Err(tripped));
+    assert_eq!(interp.0, native.0);
 }
 
 #[test]

@@ -105,7 +105,8 @@ fn f32_workspace_mixed_precision() {
 
     let kernel =
         stmt.compile(LowerOptions::fused("spgemm_f32").with_f32_workspaces()).unwrap();
-    assert!(kernel.to_c().contains("float"), "f32 workspace in generated code");
+    let c = taco_llir::emit_native(kernel.executable()).unwrap().c_source;
+    assert!(c.contains("float* restrict"), "f32 workspace in generated code");
 
     let bt = random_csr(n, n, 0.3, 5).to_tensor();
     let ct = random_csr(n, n, 0.3, 6).to_tensor();

@@ -219,6 +219,48 @@ fn racy_parallel_accumulate_is_denied() {
 }
 
 // ---------------------------------------------------------------------------
+// The workspace nodes carry their own obligations: a scatter's key is
+// checked against the extent once, and a drain needs nothing the scatters
+// did not prove. The Fig. 2 SpGEMM verifies clean under every kind.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn fig2_spgemm_and_its_parallel_twin_verify_clean_under_every_workspace_kind() {
+    let n = 16;
+    let fig2 = || {
+        let a = TensorVar::new("A", vec![n, n], Format::csr());
+        let b = TensorVar::new("B", vec![n, n], Format::csr());
+        let c = TensorVar::new("C", vec![n, n], Format::csr());
+        let (i, j, k) = (iv("i"), iv("j"), iv("k"));
+        let mul = b.access([i.clone(), k.clone()]) * c.access([k.clone(), j.clone()]);
+        let mut stmt = IndexStmt::new(IndexAssignment::assign(
+            a.access([i, j.clone()]),
+            sum(k.clone(), mul.clone()),
+        ))
+        .unwrap();
+        stmt.reorder(&k, &j).unwrap();
+        let w = TensorVar::new("w", vec![n], Format::dvec());
+        stmt.precompute(&mul, &[(j.clone(), j.clone(), j)], &w).unwrap();
+        stmt
+    };
+    let mut twin = fig2();
+    twin.parallelize(&iv("i")).unwrap();
+    for (what, stmt) in [("serial", fig2()), ("parallelize(i)", twin)] {
+        for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+            let kernel =
+                stmt.compile(LowerOptions::fused("fig2").with_workspace_kind(kind)).unwrap();
+            let report = kernel.verify_report();
+            assert_eq!(
+                (report.denies(), report.warns()),
+                (0, 0),
+                "{what} under {kind}: {:#?}",
+                report.diagnostics
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Every verifier-accepted autotuner candidate executes byte-identically to
 // the direct-merge oracle. Integer-valued operands keep f64 arithmetic
 // exact, so reassociation by workspaces/reorders cannot change a single
