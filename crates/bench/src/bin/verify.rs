@@ -9,10 +9,16 @@
 //! verdict (the race check only runs on parallel loops). Exits nonzero
 //! otherwise, so CI can gate on it.
 //!
+//! The summary line ends with an FNV-1a digest of every report's diagnostic
+//! and assumption lines (each tagged with its candidate and its position in
+//! the report), sorted: two builds whose reports are byte-identical print
+//! the same digest.
+//!
 //! ```text
 //! cargo run --release -p taco-bench --bin verify
 //! ```
 
+use taco_core::fingerprint::Fnv64;
 use taco_core::{enumerate_candidates_for, IndexStmt, ResourceBudget, ScheduleCandidate, VerifyMode};
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
@@ -100,6 +106,7 @@ fn main() {
     let mut warns = 0usize;
     let mut denies = 0usize;
     let mut parallel = 0usize;
+    let mut lines: Vec<String> = Vec::new();
     for (case, stmt) in &cases {
         for opts in [
             LowerOptions::fused(format!("{case}_f")),
@@ -128,6 +135,13 @@ fn main() {
                 lowered += 1;
                 parallel += usize::from(is_twin);
                 warns += report.warns();
+                let tag = format!("{case} [{}] ({:?})", cand.name, opts.kind);
+                for (i, d) in report.diagnostics.iter().enumerate() {
+                    lines.push(format!("{tag} diagnostic {i}: {d}"));
+                }
+                for (i, a) in report.assumptions.iter().enumerate() {
+                    lines.push(format!("{tag} assumption {i}: {a}"));
+                }
                 if !report.accepted() {
                     denies += report.denies();
                     println!("DENY {case} [{}] ({:?}):", cand.name, opts.kind);
@@ -138,10 +152,16 @@ fn main() {
             }
         }
     }
+    lines.sort();
+    let mut digest = Fnv64::new();
+    for line in &lines {
+        digest.write_str(line);
+    }
     println!(
         "verified {lowered}/{total} lowered candidates ({parallel} parallel) across {} kernels: \
-         {denies} deny, {warns} warn",
-        cases.len()
+         {denies} deny, {warns} warn, report digest {:016x}",
+        cases.len(),
+        digest.finish()
     );
     if denies > 0 || lowered != total || parallel == 0 {
         std::process::exit(1);

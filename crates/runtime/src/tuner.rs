@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use taco_core::fingerprint::fingerprint_stmt;
+use taco_core::fingerprint::{fingerprint_stmt, Fnv64};
 use taco_core::{binding_env, CostEnv, FrontHalf, IndexStmt, ScheduleCandidate};
 use taco_llir::Binding;
 use taco_lower::params::{crd_name, pos_name};
@@ -70,25 +70,14 @@ impl std::fmt::Display for TuneKey {
 
 /// FNV-1a over the operand names, shapes and per-mode formats.
 fn format_signature(inputs: &[(&str, &Tensor)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut byte = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv64::new();
     for (name, t) in inputs {
-        for b in name.bytes() {
-            byte(b);
-        }
-        byte(0xff);
+        h.write(name.as_bytes()).write_tag(0xff);
         for &d in t.shape() {
-            for b in (d as u64).to_le_bytes() {
-                byte(b);
-            }
+            h.write_u64(d as u64);
         }
         for m in t.format().modes() {
-            byte(match m {
+            h.write_tag(match m {
                 LevelType::Dense => 1,
                 LevelType::Compressed => 2,
                 LevelType::Singleton => 3,
@@ -97,13 +86,11 @@ fn format_signature(inputs: &[(&str, &Tensor)]) -> u64 {
         }
         // Mode order distinguishes CSR from CSC (same level chain).
         for &m in t.format().mode_order() {
-            for b in (m as u64).to_le_bytes() {
-                byte(b);
-            }
+            h.write_u64(m as u64);
         }
-        byte(0xfe);
+        h.write_tag(0xfe);
     }
-    h
+    h.finish()
 }
 
 /// `round(-log10(geometric mean density))` over all operands, clamped to

@@ -1,27 +1,46 @@
 //! The abstract interpreter: definite initialization, workspace reset
 //! obligations, symbolic bounds, and pos-counter monotonicity.
 //!
-//! One walk over the kernel threads the abstract domains of DESIGN.md §12:
+//! One forward walk over the kernel threads the four abstract domains of
+//! DESIGN.md §12, and one evaluator values every expression they look at
+//! ([`Analyzer::eval`], against the walk's `env`, `lens` and `bounds`):
 //!
 //! * **Definedness** — which arrays have defined contents. Only `Output`
 //!   parameters start undefined; an `Alloc` (calloc) or a `Memset` defines
 //!   an array. Reading or accumulating into an undefined array is
-//!   [`VerifyError::UninitializedRead`].
-//! * **Zeroness** — whether a kernel-local workspace is all zeros between
-//!   iterations of its *phase loop* (the outermost loop using it). If the
-//!   first use in an iteration assumes cleanliness (any read or
-//!   accumulation not dominated by a `Memset`), the iteration must also
-//!   restore cleanliness before it ends, or the next iteration observes
-//!   stale state — [`VerifyError::MissingReset`].
+//!   [`VerifyError::UninitializedRead`]; scattering into or draining a
+//!   workspace before a `WsInit` is [`VerifyError::WorkspaceNotInitialized`].
+//! * **Zeroness** — the Section VI reset rule, per *phase loop* (a top-level
+//!   loop). Every array `Alloc`'d and every workspace `WsInit`'d at top level
+//!   before the loop carries three facts: whether the iteration read it
+//!   before fully defining it, whether it was fully defined (allocated,
+//!   memset, re-initialized) since the iteration began, and whether it may
+//!   be dirty (a nonzero value, an entry). Branches join them; a body that
+//!   may run zero times (a loop, a drain) keeps its dirt but not its
+//!   definitions. A `WsScatter` dirties a workspace and a
+//!   `WsDrain` cleans it; a plain array is cleaned by one of the two drain
+//!   loops the lowerer emits:
+//!   - *full-range drain* — `for (v = 0; v < D; v++) a[v] = 0;` where `D`
+//!     provably covers the array's length;
+//!   - *structure drain* — a loop over one `pos` segment that decodes
+//!     `j = crd[p]` and zeroes `a[j]`. It covers what the iteration dirtied
+//!     only if the structure does, which the report records as an
+//!     assumption.
+//!
+//!   An iteration that reads an array before defining it assumes it clean
+//!   at its start, so the array must be clean again at the back-edge, or
+//!   the next iteration observes stale state — [`VerifyError::MissingReset`].
 //! * **Bounds** — every array index is checked against the array's known
 //!   length with the [`crate::sym`] engine. A provable violation is
 //!   [`VerifyError::OutOfBounds`] (deny); an undischarged obligation is
 //!   [`VerifyError::Unproven`] (warn).
-//! * **Monotonicity** — scalars stored into a kernel-written `pos` array
-//!   may only ever increase ([`VerifyError::PosNotMonotone`]).
+//! * **Monotonicity** — an assignment to a scalar the kernel stores into a
+//!   `*_pos` array must not decrease it: `eval(rhs) − env[c] ≥ 0`. A refuted
+//!   obligation is [`VerifyError::PosNotMonotone`], an undischarged one a
+//!   warn.
 //!
-//! Parallel loops additionally run the write-set race check in
-//! [`crate::race`], fed by the footprints this walk records.
+//! Parallel loops additionally run the race check in [`crate::race`], fed by
+//! the footprints this walk records.
 
 use std::collections::{HashMap, HashSet};
 
@@ -32,9 +51,39 @@ use crate::error::{Diagnostic, Severity, VerifyError};
 use crate::race::{self, RaceCtx, WriteKind};
 use crate::sym::{Atom, Bounds, Sym};
 
+/// The zeroness of one tracked array or workspace since the current phase
+/// loop's iteration began.
+#[derive(Debug, Clone, Copy, Default)]
+struct Zero {
+    /// Read before a full definition: assumed clean at the iteration's start.
+    assumed_clean: bool,
+    /// Fully defined on every path since the iteration began.
+    defined: bool,
+    /// May hold a nonzero value or an entry.
+    dirty: bool,
+}
+
+impl Zero {
+    fn read(&mut self) {
+        self.assumed_clean |= !self.defined;
+    }
+
+    fn define(&mut self, dirty: bool) {
+        self.defined = true;
+        self.dirty = dirty;
+    }
+
+    /// Joins another path's state into this one.
+    fn join(&mut self, other: Zero) {
+        self.assumed_clean |= other.assumed_clean;
+        self.defined &= other.defined;
+        self.dirty |= other.dirty;
+    }
+}
+
 /// The walking interpreter.
 pub(crate) struct Analyzer<'a> {
-    pub(crate) assume: &'a Assumptions,
+    assume: &'a Assumptions,
     /// Current symbolic value per integer scalar.
     env: HashMap<String, Sym>,
     pub(crate) bounds: Bounds,
@@ -45,8 +94,6 @@ pub(crate) struct Analyzer<'a> {
     defined: HashSet<String>,
     /// Arrays that are kernel parameters or locals (definedness applies).
     known_arrays: HashSet<String>,
-    /// Kernel-local arrays introduced by `Alloc`.
-    pub(crate) locals: HashSet<String>,
     /// Scalars declared as float/bool (excluded from the integer env).
     non_int: HashSet<String>,
     fresh: u64,
@@ -66,6 +113,17 @@ pub(crate) struct Analyzer<'a> {
     /// Workspaces already reported as used-before-init (one diagnostic
     /// each).
     reported_ws: HashSet<String>,
+    /// Arrays `Alloc`'d and workspaces `WsInit`'d at top level, in program
+    /// order: the names the zeroness domain tracks.
+    zero_tracked: Vec<String>,
+    /// Zeroness per tracked name inside the current phase loop (empty
+    /// outside one).
+    zero: HashMap<String, Zero>,
+    /// Structure-drain assumptions taken in the current phase loop, with the
+    /// array each one cleans.
+    drain_notes: Vec<(String, String)>,
+    /// Scalars stored into a `*_pos` array: the append counters.
+    pos_counters: HashSet<String>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -77,7 +135,6 @@ impl<'a> Analyzer<'a> {
             lens: assume.lens.iter().map(|(k, v)| (k.clone(), (v.clone(), true))).collect(),
             defined: HashSet::new(),
             known_arrays: HashSet::new(),
-            locals: HashSet::new(),
             non_int: HashSet::new(),
             fresh: 0,
             diags: Vec::new(),
@@ -88,6 +145,10 @@ impl<'a> Analyzer<'a> {
             inited_ws: HashSet::new(),
             dense_ws: HashSet::new(),
             reported_ws: HashSet::new(),
+            zero_tracked: Vec::new(),
+            zero: HashMap::new(),
+            drain_notes: Vec::new(),
+            pos_counters: HashSet::new(),
         };
         for p in &kernel.array_params {
             a.known_arrays.insert(p.name.clone());
@@ -101,6 +162,13 @@ impl<'a> Analyzer<'a> {
             let canon = assume.canon_dim(s);
             a.env.insert(s.clone(), Sym::var(canon));
         }
+        visit_stmts(&kernel.body, &mut |s| {
+            if let Stmt::Store { arr, val: Expr::Var(c), .. } = s {
+                if taco_lower::params::is_pos_name(arr) {
+                    a.pos_counters.insert(c.clone());
+                }
+            }
+        });
         a
     }
 
@@ -108,13 +176,7 @@ impl<'a> Analyzer<'a> {
         self.diag_at(error, severity, self.path.clone(), stmt);
     }
 
-    pub(crate) fn diag_at(
-        &mut self,
-        error: VerifyError,
-        severity: Severity,
-        path: Vec<usize>,
-        stmt: &Stmt,
-    ) {
+    fn diag_at(&mut self, error: VerifyError, severity: Severity, path: Vec<usize>, stmt: &Stmt) {
         self.diags.push(Diagnostic { error, severity, path, stmt: stmt_to_c(stmt), origin: None });
     }
 
@@ -173,7 +235,7 @@ impl<'a> Analyzer<'a> {
         match e {
             Expr::Load(arr, idx) => {
                 self.check_expr(idx, stmt);
-                self.check_read_defined(arr, stmt);
+                self.read_array(arr, stmt);
                 let idx_sym = self.eval(idx);
                 self.check_bounds(arr, &idx_sym, stmt);
                 for ctx in &mut self.race_stack {
@@ -189,7 +251,10 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn check_read_defined(&mut self, arr: &str, stmt: &Stmt) {
+    /// A read of an array's contents: it must be defined, and a tracked
+    /// array not defined in this iteration is assumed clean at its start.
+    fn read_array(&mut self, arr: &str, stmt: &Stmt) {
+        self.zero_event(arr, Zero::read);
         if self.known_arrays.contains(arr)
             && !self.defined.contains(arr)
             && self.reported_undef.insert(arr.to_string())
@@ -237,17 +302,76 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Interprets a statement list.
+    /// Interprets a statement list. A top-level loop is a phase loop, and
+    /// its back-edge is where the reset rule is checked.
     pub(crate) fn walk_block(&mut self, body: &[Stmt]) {
         for (i, s) in body.iter().enumerate() {
             self.path.push(i);
-            self.walk_stmt(s, body, i);
+            self.walk_stmt(s);
+            if self.path.len() == 1 {
+                self.check_resets(s);
+            }
             self.path.pop();
         }
     }
 
+    /// The reset rule at a phase loop's back-edge: whatever the iteration
+    /// assumed clean must be clean again. Structure-drain assumptions are
+    /// reported for the arrays the rule obliged.
+    fn check_resets(&mut self, phase: &Stmt) {
+        let zero = std::mem::take(&mut self.zero);
+        let obliged = |name: &str| zero.get(name).is_some_and(|z| z.assumed_clean);
+        let stale: Vec<String> = self
+            .zero_tracked
+            .iter()
+            .filter(|name| obliged(name) && zero[*name].dirty)
+            .cloned()
+            .collect();
+        for array in stale {
+            self.diag(VerifyError::MissingReset { array }, Severity::Deny, phase);
+        }
+        for (array, note) in std::mem::take(&mut self.drain_notes) {
+            if obliged(&array) {
+                self.notes.push(note);
+            }
+        }
+    }
+
+    /// Applies a zeroness event to a tracked name (a no-op outside a phase
+    /// loop).
+    fn zero_event(&mut self, name: &str, event: impl FnOnce(&mut Zero)) {
+        if let Some(z) = self.zero.get_mut(name) {
+            event(z);
+        }
+    }
+
+    fn join_zero(&mut self, other: &HashMap<String, Zero>) {
+        for (name, z) in &mut self.zero {
+            z.join(other[name]);
+        }
+    }
+
+    /// Walks a loop or drain body, which may run zero times: its definitions
+    /// do not outlive it, its dirt does. The body of a top-level loop starts
+    /// a phase, with every tracked name undefined and clean.
+    fn walk_body(&mut self, body: &[Stmt], is_loop: bool) {
+        if is_loop && self.path.len() == 1 {
+            self.zero = self.zero_tracked.iter().map(|n| (n.clone(), Zero::default())).collect();
+        }
+        let entry = self.zero.clone();
+        self.walk_block(body);
+        self.join_zero(&entry);
+    }
+
+    /// Tracks a top-level `Alloc` or `WsInit` for the zeroness domain.
+    fn track(&mut self, name: &str) {
+        if self.path.len() == 1 && !self.zero_tracked.iter().any(|n| n == name) {
+            self.zero_tracked.push(name.to_string());
+        }
+    }
+
     #[allow(clippy::too_many_lines)]
-    fn walk_stmt(&mut self, s: &Stmt, block: &[Stmt], at: usize) {
+    fn walk_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::DeclInt(v, e) => {
                 self.check_expr(e, s);
@@ -262,6 +386,9 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(e, s);
                 if !self.non_int.contains(v) {
                     let val = self.eval(e);
+                    if self.pos_counters.contains(v) {
+                        self.check_counter_update(v, &val, s);
+                    }
                     self.env.insert(v.clone(), val);
                 }
                 for i in 0..self.race_stack.len() {
@@ -290,7 +417,10 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(val, s);
                 if is_add {
                     // An accumulate reads the previous contents.
-                    self.check_read_defined(arr, s);
+                    self.read_array(arr, s);
+                }
+                if !is_zero(val) {
+                    self.zero_event(arr, |z| z.dirty = true);
                 }
                 let idx_sym = self.eval(idx);
                 self.check_bounds(arr, &idx_sym, s);
@@ -312,17 +442,13 @@ impl<'a> Analyzer<'a> {
                 self.walk_loop(var, lo, hi, &hi_sym, body, Some((private, append)));
                 let ctx = self.race_stack.pop().expect("pushed by walk_loop");
                 race::analyze(self, ctx, s);
-                // Workspaces are private to each worker and discarded at
-                // join: entries scattered but not drained inside the same
-                // parallel body are silently lost.
-                self.check_parallel_drains(var, body, s);
             }
             Stmt::While { cond, body } => {
                 self.check_expr(cond, s);
                 let saved = self.env.clone();
                 self.havoc_assigned(body);
                 self.refine(cond);
-                self.walk_block(body);
+                self.walk_body(body, true);
                 self.env = saved;
                 self.havoc_assigned(body);
             }
@@ -337,16 +463,20 @@ impl<'a> Analyzer<'a> {
                     return;
                 }
                 let saved = self.env.clone();
+                let entry = self.zero.clone();
                 self.refine(cond);
                 self.walk_block(then);
+                let then_zero = std::mem::replace(&mut self.zero, entry);
                 self.env = saved.clone();
                 self.walk_block(els);
+                self.join_zero(&then_zero);
                 self.env = saved;
                 self.havoc_assigned(then);
                 self.havoc_assigned(els);
             }
             Stmt::Memset { arr, val } => {
                 self.check_expr(val, s);
+                self.zero_event(arr, |z| z.define(!is_zero(val)));
                 self.defined.insert(arr.clone());
                 for ctx in &mut self.race_stack {
                     ctx.record_whole_array(arr, stmt_to_c(s));
@@ -356,9 +486,10 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(len, s);
                 let len_sym = self.eval(len);
                 self.lens.insert(arr.clone(), (len_sym, true));
-                self.locals.insert(arr.clone());
                 self.known_arrays.insert(arr.clone());
                 self.defined.insert(arr.clone());
+                self.track(arr);
+                self.zero_event(arr, |z| z.define(false));
             }
             Stmt::Realloc { arr, len } => {
                 self.check_expr(len, s);
@@ -371,6 +502,8 @@ impl<'a> Analyzer<'a> {
             Stmt::WsInit { ws, kind, extent, .. } => {
                 self.check_expr(extent, s);
                 self.inited_ws.insert(ws.clone());
+                self.track(ws);
+                self.zero_event(ws, |z| z.define(false));
                 if *kind == WorkspaceKind::Dense {
                     let extent = self.eval(extent);
                     self.lens.insert(ws.clone(), (extent, true));
@@ -380,7 +513,11 @@ impl<'a> Analyzer<'a> {
             Stmt::WsScatter { ws, key, val, .. } => {
                 self.check_expr(key, s);
                 self.check_expr(val, s);
-                self.check_ws_inited(ws, s);
+                self.use_ws(ws, s);
+                self.zero_event(ws, |z| z.dirty = true);
+                for ctx in &mut self.race_stack {
+                    ctx.record_scatter(ws);
+                }
                 // A dense key indexes the value and guard arrays.
                 if self.dense_ws.contains(ws) {
                     let key = self.eval(key);
@@ -388,7 +525,10 @@ impl<'a> Analyzer<'a> {
                 }
             }
             Stmt::WsDrain { ws, key, val, body, .. } => {
-                self.check_ws_inited(ws, s);
+                self.use_ws(ws, s);
+                for ctx in &mut self.race_stack {
+                    ctx.record_drain(ws);
+                }
                 let saved = self.env.clone();
                 self.havoc_assigned(body);
                 // The drain binds each touched key and its accumulated
@@ -400,55 +540,44 @@ impl<'a> Analyzer<'a> {
                 }
                 self.env.insert(key.clone(), Sym::atom(k_atom));
                 self.non_int.insert(val.clone());
-                self.walk_block(body);
+                self.walk_body(body, false);
                 self.env = saved;
                 self.havoc_assigned(body);
+                // The drain leaves the workspace empty.
+                self.zero_event(ws, |z| z.dirty = false);
             }
             Stmt::Comment(_) => {}
         }
-        let _ = (block, at);
     }
 
-    fn check_ws_inited(&mut self, ws: &str, stmt: &Stmt) {
+    /// Monotonicity: an assignment to an append counter must not decrease
+    /// it. Reported against the kernel rather than a statement path, so a
+    /// counter updated at several sites is one finding.
+    fn check_counter_update(&mut self, c: &str, new: &Sym, stmt: &Stmt) {
+        let delta = new.sub(&self.eval(&Expr::var(c)));
+        if self.bounds.prove_le(&Sym::int(0), &delta) {
+            return;
+        }
+        let (error, severity) = if self.bounds.prove_le(&delta, &Sym::int(-1)) {
+            (VerifyError::PosNotMonotone { counter: c.to_string() }, Severity::Deny)
+        } else {
+            let obligation = format!("append counter `{c}` never decreases");
+            (VerifyError::Unproven { obligation }, Severity::Warn)
+        };
+        self.diag_at(error, severity, Vec::new(), stmt);
+    }
+
+    /// A scatter or drain: the workspace must be established, and a tracked
+    /// one not re-initialized in this iteration is assumed empty at its
+    /// start.
+    fn use_ws(&mut self, ws: &str, stmt: &Stmt) {
+        self.zero_event(ws, Zero::read);
         if !self.inited_ws.contains(ws) && self.reported_ws.insert(ws.to_string()) {
             self.diag(
                 VerifyError::WorkspaceNotInitialized { workspace: ws.to_string() },
                 Severity::Deny,
                 stmt,
             );
-        }
-    }
-
-    /// Denies parallel bodies that scatter into a workspace without
-    /// draining it before the iteration ends (worker-local workspaces are
-    /// discarded at join — the updates would be lost).
-    fn check_parallel_drains(&mut self, var: &str, body: &[Stmt], s: &Stmt) {
-        let mut scattered: Vec<String> = Vec::new();
-        let mut drained: HashSet<String> = HashSet::new();
-        visit_stmts(body, &mut |t| match t {
-            Stmt::WsScatter { ws, .. } if !scattered.contains(ws) => {
-                scattered.push(ws.clone());
-            }
-            Stmt::WsDrain { ws, .. } => {
-                drained.insert(ws.clone());
-            }
-            _ => {}
-        });
-        for ws in scattered {
-            if !drained.contains(&ws) {
-                self.diag(
-                    VerifyError::DataRace {
-                        name: ws.clone(),
-                        var: var.to_string(),
-                        detail: "a workspace is scattered into but never drained inside the \
-                                 parallel body; worker-local workspaces are discarded at join, \
-                                 losing the updates"
-                            .to_string(),
-                    },
-                    Severity::Deny,
-                    s,
-                );
-            }
         }
     }
 
@@ -464,6 +593,7 @@ impl<'a> Analyzer<'a> {
         body: &[Stmt],
         parallel: Option<(&Vec<String>, &Option<taco_llir::AppendMerge>)>,
     ) {
+        let drained = self.drained_by(var, lo, hi, hi_sym, body);
         let saved = self.env.clone();
         let v_atom = self.fresh_atom();
         self.bounds.add_ub(v_atom.clone(), hi_sym.sub(&Sym::int(1)));
@@ -483,9 +613,60 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        self.walk_block(body);
+        self.walk_body(body, true);
+        for arr in drained {
+            self.zero_event(&arr, |z| z.dirty = false);
+        }
         self.env = saved;
         self.havoc_assigned(body);
+    }
+
+    /// The tracked arrays a `for` loop restores to zero: a full-range or a
+    /// structure drain (module docs). A structure drain's assumption waits
+    /// for the phase loop's verdict on whether the array needed it.
+    fn drained_by(
+        &mut self,
+        var: &str,
+        lo: &Expr,
+        hi: &Expr,
+        hi_sym: &Sym,
+        body: &[Stmt],
+    ) -> Vec<String> {
+        // Unconditional `a[x] = 0` stores at the top level of the body.
+        let zeroed = |x: &str| -> Vec<String> {
+            body.iter()
+                .filter_map(|s| match s {
+                    Stmt::Store { arr, idx: Expr::Var(v), val }
+                        if v == x && is_zero(val) && self.zero.contains_key(arr) =>
+                    {
+                        Some(arr.clone())
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut out = Vec::new();
+        if matches!(lo, Expr::Int(0)) {
+            out = zeroed(var)
+                .into_iter()
+                .filter(|a| {
+                    matches!(self.lens.get(a), Some((len, true)) if self.bounds.prove_le(len, hi_sym))
+                })
+                .collect();
+        }
+        let Some(Stmt::DeclInt(j, Expr::Load(crd, at))) = body.first() else { return out };
+        let (Expr::Load(pos, _), Expr::Load(pos_hi, _)) = (lo, hi) else { return out };
+        if pos == pos_hi && matches!(&**at, Expr::Var(v) if v == var) {
+            for arr in zeroed(j) {
+                let note = format!(
+                    "structure `{pos}`/`{crd}` covers every coordinate of `{arr}` dirtied in one \
+                     iteration (preassembled output structure)"
+                );
+                self.drain_notes.push((arr.clone(), note));
+                out.push(arr);
+            }
+        }
+        out
     }
 
     /// Recognizes `lo = P[e]`, `hi = P[e + 1]` over a validated (monotone)
@@ -547,6 +728,10 @@ impl<'a> Analyzer<'a> {
             _ => {}
         }
     }
+}
+
+fn is_zero(e: &Expr) -> bool {
+    matches!(e, Expr::Int(0) | Expr::Bool(false)) || matches!(e, Expr::Float(v) if *v == 0.0)
 }
 
 /// `x` when the scalar's current value is a single atom with coefficient 1.

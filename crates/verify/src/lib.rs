@@ -1,19 +1,23 @@
 //! Static verification of lowered kernels.
 //!
 //! This crate checks the imperative kernels produced by `taco-lower` (and
-//! arbitrary hand-built [`taco_llir::Kernel`]s) *before* they run, by
-//! abstract interpretation over the LLIR:
+//! arbitrary hand-built [`taco_llir::Kernel`]s) *before* they run, by one
+//! abstract-interpretation walk over the LLIR with one expression
+//! evaluator:
 //!
-//! * **definite initialization** — every workspace read is dominated by an
-//!   initialization on all paths, and the where-consumer reset obligation
-//!   of Section VI is discharged between outer-loop iterations;
+//! * **definite initialization** — every array read and every workspace
+//!   scatter or drain is dominated by an initialization on all paths;
+//! * **zeroness** — the where-consumer reset obligation of Section VI is
+//!   discharged between iterations of every top-level loop;
 //! * **symbolic bounds** — loop variables and `pos`-array accesses carry
-//!   symbolic intervals, proving every index in bounds and every append
-//!   counter monotone;
+//!   symbolic intervals, proving every index in bounds;
+//! * **monotonicity** — every append counter stored into a `pos` array
+//!   never decreases;
 //! * **race freedom** — each `parallelize`d loop's per-iteration write set
 //!   is checked for disjointness modulo the declared merge strategy
 //!   (privatization and append merges), re-deriving the
-//!   `ReductionNotPrivatized` legality verdict at the LLIR level.
+//!   `ReductionNotPrivatized` legality verdict at the LLIR level, and no
+//!   worker-local workspace is discarded undrained.
 //!
 //! Findings are typed [`VerifyError`]s wrapped in provenance-carrying
 //! [`Diagnostic`]s; a proven violation *denies* the kernel, an
@@ -51,7 +55,6 @@ mod cost;
 mod dataflow;
 mod error;
 mod race;
-mod resets;
 mod sym;
 
 pub use assume::{check_crd_slice, check_pos_slice, ArrayFacts, Assumptions};
@@ -85,9 +88,6 @@ fn run(kernel: &Kernel, assume: &Assumptions) -> VerifyReport {
     let mut az = dataflow::Analyzer::new(kernel, assume);
     az.walk_block(&kernel.body);
     let mut diags = az.diags;
-    let mut notes = az.notes;
-    resets::check(kernel, assume, &mut diags, &mut notes);
-    resets::check_pos_monotone(kernel, &mut diags);
 
     // One diagnostic per distinct finding, deny severity first, then by
     // statement path.
@@ -95,6 +95,9 @@ fn run(kernel: &Kernel, assume: &Assumptions) -> VerifyReport {
     diags.retain(|d| seen.insert((d.error.clone(), d.path.clone())));
     diags.sort_by(|a, b| b.severity.cmp(&a.severity).then_with(|| a.path.cmp(&b.path)));
 
+    let mut notes = az.notes;
+    notes.sort();
+    notes.dedup();
     let mut assumptions = assume.notes.clone();
     assumptions.extend(notes);
     assumptions.dedup();

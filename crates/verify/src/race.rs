@@ -19,7 +19,10 @@
 //! * a plain store to an unproven slice merges deterministically (last
 //!   chunk wins, matching serial last-iteration-wins), so it only warns;
 //! * whole-array operations (`memset`, `sort`, `realloc`) on a shared
-//!   array are denied outright.
+//!   array are denied outright;
+//! * workspaces are private to each worker and discarded at the join, so a
+//!   workspace the body scatters into but never drains loses its updates
+//!   (denied).
 //!
 //! Two slice idioms are proven disjoint: affine indices mentioning the
 //! parallel variable (`A[i*D + j]` with `j < D`), and loop variables that
@@ -70,6 +73,9 @@ pub(crate) struct RaceCtx {
     writes: Vec<Write>,
     reads: Vec<(String, Sym)>,
     whole: Vec<(String, String)>,
+    /// Workspaces scattered into, in first-scatter order, and drained.
+    scattered: Vec<String>,
+    drained: HashSet<String>,
 }
 
 impl RaceCtx {
@@ -99,6 +105,8 @@ impl RaceCtx {
             writes: Vec::new(),
             reads: Vec::new(),
             whole: Vec::new(),
+            scattered: Vec::new(),
+            drained: HashSet::new(),
         }
     }
 
@@ -118,6 +126,16 @@ impl RaceCtx {
         if !self.skip.contains(arr) {
             self.whole.push((arr.to_string(), stmt));
         }
+    }
+
+    pub(crate) fn record_scatter(&mut self, ws: &str) {
+        if !self.scattered.iter().any(|w| w == ws) {
+            self.scattered.push(ws.to_string());
+        }
+    }
+
+    pub(crate) fn record_drain(&mut self, ws: &str) {
+        self.drained.insert(ws.to_string());
     }
 }
 
@@ -325,6 +343,20 @@ pub(crate) fn analyze(az: &mut Analyzer<'_>, ctx: RaceCtx, stmt: &Stmt) {
                 break;
             }
         }
+    }
+
+    for ws in ctx.scattered.iter().filter(|w| !ctx.drained.contains(*w)) {
+        az.diag(
+            VerifyError::DataRace {
+                name: ws.clone(),
+                var: ctx.var_name.clone(),
+                detail: "a workspace is scattered into but never drained inside the parallel \
+                         body; worker-local workspaces are discarded at join, losing the updates"
+                    .to_string(),
+            },
+            Severity::Deny,
+            stmt,
+        );
     }
 }
 

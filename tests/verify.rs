@@ -219,6 +219,183 @@ fn racy_parallel_accumulate_is_denied() {
 }
 
 // ---------------------------------------------------------------------------
+// Rule table: one hand-built kernel per reset, monotonicity and
+// parallel-drain rule, each with the verdict the verifier must reach.
+// ---------------------------------------------------------------------------
+
+/// What a rule-table kernel must produce.
+enum Verdict {
+    /// A deny-severity diagnostic matching the predicate.
+    Deny(fn(&VerifyError) -> bool),
+    /// No deny, and a warn-severity diagnostic matching the predicate.
+    Warn(fn(&VerifyError) -> bool),
+    /// No deny, and every listed text occurs in some recorded assumption.
+    Accepted(&'static [&'static str]),
+}
+
+fn rule_kernel(name: &str, arrays: &[Param], body: Vec<Stmt>) -> Kernel {
+    let mut k = Kernel::new(name);
+    k.scalar_params.push("n".to_string());
+    k.array_params.extend(arrays.iter().cloned());
+    k.body = body;
+    k
+}
+
+fn up_to_n(var: &str, body: Vec<Stmt>) -> Stmt {
+    Stmt::for_(var, Expr::int(0), Expr::var("n"), body)
+}
+
+/// `for i < n { pA2 = <update>; A2_pos[i + 1] = pA2; }`
+fn append_counter(name: &str, update: Expr) -> Kernel {
+    let arrays = [Param::input("B_crd", ArrayTy::Int), Param::output("A2_pos", ArrayTy::Int)];
+    let body = vec![
+        Stmt::DeclInt("pA2".to_string(), Expr::int(0)),
+        up_to_n(
+            "i",
+            vec![
+                Stmt::assign("pA2", update),
+                Stmt::store("A2_pos", Expr::var("i") + Expr::int(1), Expr::var("pA2")),
+            ],
+        ),
+    ];
+    rule_kernel(name, &arrays, body)
+}
+
+fn ws_init() -> Stmt {
+    Stmt::WsInit {
+        ws: "w".to_string(),
+        kind: WorkspaceKind::Dense,
+        ty: ArrayTy::F64,
+        extent: Expr::var("n"),
+    }
+}
+
+fn ws_scatter(key: Expr) -> Stmt {
+    Stmt::WsScatter { ws: "w".to_string(), key, val: Expr::float(1.0), add: true }
+}
+
+/// `for p in B2_pos[i] .. B2_pos[i + 1] { int j = B2_crd[p]; <then> }`
+fn row_segment(then: Vec<Stmt>) -> Stmt {
+    let i = || Expr::var("i");
+    let mut body = vec![Stmt::DeclInt("j".to_string(), Expr::load("B2_crd", Expr::var("p")))];
+    body.extend(then);
+    Stmt::for_("p", Expr::load("B2_pos", i()), Expr::load("B2_pos", i() + Expr::int(1)), body)
+}
+
+#[test]
+fn reset_monotonicity_and_parallel_drain_rules_reach_their_verdicts() {
+    let structure = [
+        Param::input("B2_pos", ArrayTy::Int),
+        Param::input("B2_crd", ArrayTy::Int),
+        Param::input("B_vals", ArrayTy::F64),
+        Param::output("out", ArrayTy::F64),
+    ];
+    let j = || Expr::var("j");
+    let table: Vec<(Kernel, Verdict)> = vec![
+        (
+            append_counter("decreasing_counter", Expr::var("pA2") - Expr::int(1)),
+            Verdict::Deny(
+                |e| matches!(e, VerifyError::PosNotMonotone { counter } if counter == "pA2"),
+            ),
+        ),
+        (
+            append_counter("loaded_counter", Expr::load("B_crd", Expr::var("i"))),
+            Verdict::Warn(|e| {
+                matches!(e, VerifyError::Unproven { obligation }
+                    if obligation == "append counter `pA2` never decreases")
+            }),
+        ),
+        (
+            rule_kernel(
+                "undrained_scatter",
+                &[],
+                vec![ws_init(), up_to_n("i", vec![ws_scatter(Expr::var("i"))])],
+            ),
+            Verdict::Deny(|e| matches!(e, VerifyError::MissingReset { array } if array == "w")),
+        ),
+        (
+            rule_kernel(
+                "reinitialized_scatter",
+                &[],
+                vec![ws_init(), up_to_n("i", vec![ws_scatter(Expr::var("i")), ws_init()])],
+            ),
+            Verdict::Accepted(&[]),
+        ),
+        (
+            rule_kernel(
+                "structure_drain",
+                &structure,
+                vec![
+                    Stmt::Alloc { arr: "w".to_string(), ty: ArrayTy::F64, len: Expr::var("n") },
+                    Stmt::Memset { arr: "out".to_string(), val: Expr::float(0.0) },
+                    up_to_n(
+                        "i",
+                        vec![
+                            row_segment(vec![Stmt::store_add(
+                                "w",
+                                j(),
+                                Expr::load("B_vals", Expr::var("p")),
+                            )]),
+                            row_segment(vec![
+                                Stmt::store_add("out", Expr::var("i"), Expr::load("w", j())),
+                                Stmt::store("w", j(), Expr::float(0.0)),
+                            ]),
+                        ],
+                    ),
+                ],
+            ),
+            Verdict::Accepted(&["structure `B2_pos`/`B2_crd` covers every coordinate of `w`"]),
+        ),
+        (
+            rule_kernel(
+                "parallel_scatter_without_drain",
+                &[],
+                vec![Stmt::ParallelFor {
+                    var: "i".to_string(),
+                    lo: Expr::int(0),
+                    hi: Expr::var("n"),
+                    threads: 0,
+                    private: Vec::new(),
+                    append: None,
+                    body: vec![ws_init(), ws_scatter(Expr::var("i"))],
+                }],
+            ),
+            Verdict::Deny(|e| {
+                matches!(e, VerifyError::DataRace { name, detail, .. }
+                    if name == "w" && detail.contains("scattered into but never drained"))
+            }),
+        ),
+        (
+            rule_kernel("scatter_before_init", &[], vec![ws_scatter(Expr::int(0)), ws_init()]),
+            Verdict::Deny(
+                |e| matches!(e, VerifyError::WorkspaceNotInitialized { workspace } if workspace == "w"),
+            ),
+        ),
+    ];
+    for (kernel, verdict) in table {
+        let report = verify_kernel(&kernel);
+        let found = |severity, pred: fn(&VerifyError) -> bool| {
+            report.diagnostics.iter().any(|d| d.severity == severity && pred(&d.error))
+        };
+        let ok = match verdict {
+            Verdict::Deny(pred) => found(taco_workspaces::verify::Severity::Deny, pred),
+            Verdict::Warn(pred) => {
+                report.accepted() && found(taco_workspaces::verify::Severity::Warn, pred)
+            }
+            Verdict::Accepted(notes) => {
+                report.accepted()
+                    && notes.iter().all(|n| report.assumptions.iter().any(|a| a.contains(n)))
+            }
+        };
+        assert!(
+            ok,
+            "{}: {report}\n{:#?}\n{:#?}",
+            kernel.name, report.diagnostics, report.assumptions
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The workspace nodes carry their own obligations: a scatter's key is
 // checked against the extent once, and a drain needs nothing the scatters
 // did not prove. The Fig. 2 SpGEMM verifies clean under every kind.
