@@ -2,13 +2,15 @@
 //! the lowerer's parameter convention ([`taco_lower::params`]).
 
 use crate::{CoreError, Result};
+use std::sync::Arc;
 use taco_ir::expr::TensorVar;
 use taco_llir::Binding;
 use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::KernelKind;
 use taco_tensor::Tensor;
 
-/// Binds one operand tensor's dims, index arrays and values.
+/// Binds one operand tensor's dims, index arrays and values. The arrays are
+/// the tensor's own, shared: a bind copies none of them.
 pub(crate) fn bind_operand(
     b: &mut Binding,
     var: &TensorVar,
@@ -23,8 +25,8 @@ pub(crate) fn bind_operand(
     }
     // Reject corrupted storage before the executor can index with it: the
     // generated kernels trust pos/crd invariants the way the paper's C code
-    // does.
-    t.validate().map_err(|e| CoreError::OperandMismatch {
+    // does. The verdict is the tensor's, reached on its first bind.
+    let arrays = t.index_arrays().map_err(|e| CoreError::OperandMismatch {
         name: var.name().to_string(),
         expected: format!("valid {} storage: {e}", var.format()),
     })?;
@@ -32,14 +34,14 @@ pub(crate) fn bind_operand(
         b.set_scalar(dim_name(var.name(), l), level_extent(var, l) as i64);
         let lt = var.format().level(l)?;
         if lt.has_pos_array() {
-            b.set_usize(pos_name(var.name(), l), t.pos(l)?);
+            b.set_shared_int(pos_name(var.name(), l), Arc::clone(arrays.pos(l)?));
         }
         if lt.has_crd_array() {
-            b.set_usize(crd_name(var.name(), l), t.crd(l)?);
+            b.set_shared_int(crd_name(var.name(), l), Arc::clone(arrays.crd(l)?));
         }
     }
     if with_vals {
-        b.set_f64(var.name(), t.vals().to_vec());
+        b.set_shared_f64(var.name(), Arc::clone(t.shared_vals()));
     }
     Ok(())
 }
@@ -97,12 +99,12 @@ pub(crate) fn bind_result(
             match kind {
                 KernelKind::Compute => {
                     let s = output_structure(var, structure)?;
-                    s.validate().map_err(|e| CoreError::OperandMismatch {
+                    let arrays = s.index_arrays().map_err(|e| CoreError::OperandMismatch {
                         name: name.to_string(),
                         expected: format!("valid output structure: {e}"),
                     })?;
-                    b.set_usize(pos_name(name, l), s.pos(l)?);
-                    b.set_usize(crd_name(name, l), s.crd(l)?);
+                    b.set_shared_int(pos_name(name, l), Arc::clone(arrays.pos(l)?));
+                    b.set_shared_int(crd_name(name, l), Arc::clone(arrays.crd(l)?));
                     b.set_f64(name, vec![0.0; s.nnz()]);
                 }
                 KernelKind::Fused => {
@@ -135,7 +137,7 @@ pub(crate) fn extract_result(
     let missing = || CoreError::UnknownOperand(name.to_string());
     let vals = || b.f64_array(name).ok_or_else(missing);
     let Some(l) = result_append_level(var)? else {
-        return Ok(Tensor::from_dense_vals(var.shape().to_vec(), vals()?.to_vec())?);
+        return Ok(Tensor::from_dense_vals(var.shape().to_vec(), vals()?)?);
     };
     let (shape, format) = (var.shape().to_vec(), var.format().clone());
     Ok(match kind {

@@ -22,6 +22,10 @@ pub enum CompileError {
     WorkspaceInOwnDrain(String),
     /// A scalar output is not a top-level declaration.
     BadScalarOutput(String),
+    /// A statement writes an input array: a store, accumulate, memset,
+    /// `Alloc`, `Realloc`, workspace or parallel append target. Inputs are
+    /// bound shared with their tensors, so they are read-only.
+    WriteToInput(String),
 }
 
 impl fmt::Display for CompileError {
@@ -37,6 +41,7 @@ impl fmt::Display for CompileError {
             CompileError::BadScalarOutput(n) => {
                 write!(f, "scalar output `{n}` is not declared at the top level of the kernel")
             }
+            CompileError::WriteToInput(n) => write!(f, "input array `{n}` is written"),
         }
     }
 }
@@ -74,6 +79,10 @@ pub enum RunError {
         /// Requested length.
         len: i64,
     },
+    /// A write reached a shared, read-only buffer
+    /// ([`Buf::Shared`](crate::Buf::Shared)), or one is bound to a parameter
+    /// the kernel may write.
+    ReadOnlyArray(String),
     /// Integer division or remainder by zero.
     DivisionByZero,
     /// Execution was stopped through a
@@ -121,6 +130,7 @@ impl fmt::Display for RunError {
             RunError::NegativeLength { name, len } => {
                 write!(f, "negative length {len} requested for array `{name}`")
             }
+            RunError::ReadOnlyArray(n) => write!(f, "array `{n}` is shared and read-only"),
             RunError::DivisionByZero => write!(f, "integer division by zero"),
             RunError::Backend(what) => write!(f, "execution backend fault: {what}"),
             RunError::Cancelled => write!(f, "execution cancelled"),

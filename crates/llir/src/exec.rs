@@ -18,28 +18,97 @@
 //! a time.
 
 use crate::alloc::{elem_bytes, BudgetMeter};
-use crate::leaf::{self, LeafIndex, LoopBody, Slots, Strip};
+use crate::leaf::{self, Access, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
     ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
     ResourceBudget, RunError, Stmt, UnOp, WorkspaceKind,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The storage behind an [`ArrayVal`]: a vector the binding owns, or a
+/// slice it shares with whoever else holds the `Arc` — an operand tensor and
+/// every other binding of it. Both read as a slice; only an owned vector is
+/// ever written, and a shared slice may be bound only to an input parameter.
+///
+/// A shared slice is an `Arc<[T]>`, not an `Arc<Vec<T>>`: its length sits in
+/// the handle and its elements at a fixed offset behind it, so reading
+/// either kind is a select, not a branch and a second load.
+#[derive(Debug, Clone)]
+pub enum Buf<T> {
+    /// Owned by the binding.
+    Owned(Vec<T>),
+    /// Shared, read-only.
+    Shared(Arc<[T]>),
+}
+
+impl<T> Buf<T> {
+    /// The vector, if the buffer owns it.
+    pub(crate) fn owned_mut(&mut self) -> Option<&mut Vec<T>> {
+        match self {
+            Buf::Owned(v) => Some(v),
+            Buf::Shared(_) => None,
+        }
+    }
+}
+
+impl<T> Deref for Buf<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Buf::Owned(v) => v,
+            Buf::Shared(v) => v,
+        }
+    }
+}
+
+/// Element by element, whoever owns the storage.
+impl<T: PartialEq> PartialEq for Buf<T> {
+    fn eq(&self, other: &Buf<T>) -> bool {
+        **self == **other
+    }
+}
 
 /// A buffer bound to (or allocated by) a kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrayVal {
     /// 64-bit integer buffer.
-    Int(Vec<i64>),
+    Int(Buf<i64>),
     /// Double-precision buffer.
-    F64(Vec<f64>),
+    F64(Buf<f64>),
     /// Single-precision buffer.
-    F32(Vec<f32>),
+    F32(Buf<f32>),
     /// Boolean buffer.
-    Bool(Vec<bool>),
+    Bool(Buf<bool>),
 }
+
+/// An element type of an [`ArrayVal`]: which variant holds its buffer.
+pub(crate) trait Elem: Sized {
+    fn buf_mut(v: &mut ArrayVal) -> Option<&mut Buf<Self>>;
+}
+
+macro_rules! elem {
+    ($t:ty, $variant:ident) => {
+        impl Elem for $t {
+            #[inline]
+            fn buf_mut(v: &mut ArrayVal) -> Option<&mut Buf<$t>> {
+                match v {
+                    ArrayVal::$variant(b) => Some(b),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+elem!(i64, Int);
+elem!(f64, F64);
+elem!(f32, F32);
+elem!(bool, Bool);
 
 impl ArrayVal {
     /// The element type.
@@ -54,11 +123,39 @@ impl ArrayVal {
 
     /// An empty buffer of element type `ty`.
     pub fn empty(ty: ArrayTy) -> ArrayVal {
+        ArrayVal::zeroed(ty, 0)
+    }
+
+    /// An owned buffer of `len` zero elements of type `ty`: what `Alloc`
+    /// makes on either backend.
+    pub fn zeroed(ty: ArrayTy, len: usize) -> ArrayVal {
         match ty {
-            ArrayTy::Int => ArrayVal::Int(Vec::new()),
-            ArrayTy::F64 => ArrayVal::F64(Vec::new()),
-            ArrayTy::F32 => ArrayVal::F32(Vec::new()),
-            ArrayTy::Bool => ArrayVal::Bool(Vec::new()),
+            ArrayTy::Int => ArrayVal::Int(Buf::Owned(vec![0; len])),
+            ArrayTy::F64 => ArrayVal::F64(Buf::Owned(vec![0.0; len])),
+            ArrayTy::F32 => ArrayVal::F32(Buf::Owned(vec![0.0; len])),
+            ArrayTy::Bool => ArrayVal::Bool(Buf::Owned(vec![false; len])),
+        }
+    }
+
+    /// Grows an owned buffer to `len` elements, zero-filled, as `Realloc`
+    /// does on either backend; a shorter `len` leaves it as it is.
+    ///
+    /// # Errors
+    ///
+    /// A shared buffer is read-only: [`RunError::ReadOnlyArray`] for `name`.
+    pub fn grow_zeroed(&mut self, len: usize, name: &str) -> Result<(), RunError> {
+        fn grow<T: Clone>(b: &mut Buf<T>, len: usize, zero: T, name: &str) -> Result<(), RunError> {
+            let v = b.owned_mut().ok_or_else(|| RunError::ReadOnlyArray(name.to_string()))?;
+            if len > v.len() {
+                v.resize(len, zero);
+            }
+            Ok(())
+        }
+        match self {
+            ArrayVal::Int(b) => grow(b, len, 0, name),
+            ArrayVal::F64(b) => grow(b, len, 0.0, name),
+            ArrayVal::F32(b) => grow(b, len, 0.0, name),
+            ArrayVal::Bool(b) => grow(b, len, false, name),
         }
     }
 
@@ -75,6 +172,17 @@ impl ArrayVal {
     /// True if the buffer has no elements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True if the buffer is shared (and so read-only).
+    pub fn is_shared(&self) -> bool {
+        matches!(
+            self,
+            ArrayVal::Int(Buf::Shared(_))
+                | ArrayVal::F64(Buf::Shared(_))
+                | ArrayVal::F32(Buf::Shared(_))
+                | ArrayVal::Bool(Buf::Shared(_))
+        )
     }
 }
 
@@ -219,6 +327,9 @@ struct Compiler {
     map_names: Vec<String>,
     /// Workspaces whose drain body is being compiled, innermost last.
     draining: Vec<String>,
+    /// Array slots of input parameters. They are bound shared with the
+    /// caller's tensors, so no statement may write them.
+    inputs: HashSet<usize>,
     n_int: usize,
     n_float: usize,
     n_bool: usize,
@@ -260,6 +371,20 @@ impl Compiler {
             .ok_or_else(|| CompileError::UnknownArray(name.to_string()))
     }
 
+    /// An array a statement writes: any but an input.
+    fn written(&mut self, name: &str) -> Result<(usize, ArrayTy), CompileError> {
+        let (slot, ty) = self.array(name)?;
+        self.not_input(name, slot)?;
+        Ok((slot, ty))
+    }
+
+    fn not_input(&self, name: &str, slot: usize) -> Result<(), CompileError> {
+        if self.inputs.contains(&slot) {
+            return Err(CompileError::WriteToInput(name.to_string()));
+        }
+        Ok(())
+    }
+
     /// A workspace declared by an earlier `WsInit`, outside its own drain.
     fn ws(&self, name: &str) -> Result<Ws, CompileError> {
         if self.draining.iter().any(|d| d == name) {
@@ -285,7 +410,8 @@ impl Compiler {
             Err(e @ CompileError::WorkspaceInOwnDrain(_)) => return Err(e),
             Err(_) => {}
         }
-        if self.arrays.contains_key(name) {
+        if let Some(&(slot, _)) = self.arrays.get(name) {
+            self.not_input(name, slot)?;
             return Err(CompileError::Duplicate(name.to_string()));
         }
         let ws = match (kind, ty) {
@@ -481,7 +607,7 @@ impl Compiler {
                 }
             }
             Stmt::Store { arr, idx, val } => {
-                let (slot, ty) = self.array(arr)?;
+                let (slot, ty) = self.written(arr)?;
                 let idx = self.int_expr(idx)?;
                 match ty {
                     ArrayTy::Int => RStmt::StoreI(slot, idx, self.int_expr(val)?),
@@ -491,7 +617,7 @@ impl Compiler {
                 }
             }
             Stmt::StoreAdd { arr, idx, val } => {
-                let (slot, ty) = self.array(arr)?;
+                let (slot, ty) = self.written(arr)?;
                 let idx = self.int_expr(idx)?;
                 match ty {
                     ArrayTy::Int => RStmt::StoreAddI(slot, idx, self.int_expr(val)?),
@@ -535,10 +661,10 @@ impl Compiler {
                         let data = a
                             .data
                             .iter()
-                            .map(|n| self.array(n).map(|(slot, _)| slot))
+                            .map(|n| self.written(n).map(|(slot, _)| slot))
                             .collect::<Result<Vec<_>, _>>()?;
                         let pos = match &a.pos {
-                            Some(p) => Some(self.array(p)?.0),
+                            Some(p) => Some(self.written(p)?.0),
                             None => None,
                         };
                         Some(RAppend { counter, data, pos })
@@ -571,7 +697,7 @@ impl Compiler {
                 RStmt::If(cond, then, els)
             }
             Stmt::Memset { arr, val } => {
-                let (slot, ty) = self.array(arr)?;
+                let (slot, ty) = self.written(arr)?;
                 match ty {
                     ArrayTy::Int => RStmt::MemsetI(slot, self.int_expr(val)?),
                     ArrayTy::F64 => RStmt::MemsetF64(slot, self.float_expr(val)?),
@@ -582,10 +708,11 @@ impl Compiler {
             Stmt::Alloc { arr, ty, len } => {
                 let len = self.int_expr(len)?;
                 let slot = self.declare_array(arr, *ty)?;
+                self.not_input(arr, slot)?;
                 RStmt::Alloc(slot, *ty, len)
             }
             Stmt::Realloc { arr, len } => {
-                let (slot, _) = self.array(arr)?;
+                let (slot, _) = self.written(arr)?;
                 let len = self.int_expr(len)?;
                 RStmt::Realloc(slot, len)
             }
@@ -737,6 +864,9 @@ trait AccessPolicy {
 
     fn division_by_zero() -> Self::Fault;
 
+    /// What a write to the shared, read-only array `name` yields.
+    fn read_only(name: &str) -> Self::Fault;
+
     /// Executes a statement that is not straight-line: a loop, an
     /// allocation, a workspace node.
     fn control(m: &mut Mach<'_>, s: &RStmt) -> Result<(), Self::Fault>;
@@ -760,6 +890,10 @@ impl AccessPolicy for Checked {
 
     fn division_by_zero() -> RunError {
         RunError::DivisionByZero
+    }
+
+    fn read_only(name: &str) -> RunError {
+        RunError::ReadOnlyArray(name.to_string())
     }
 
     #[inline]
@@ -788,6 +922,10 @@ impl AccessPolicy for Decided {
         unreachable!("a straight-line body has no integer division")
     }
 
+    fn read_only(_: &str) -> Self::Fault {
+        unreachable!("the leaf precondition found every stored array writable")
+    }
+
     fn control(_: &mut Mach<'_>, _: &RStmt) -> Result<(), Self::Fault> {
         unreachable!("a straight-line body has no control statement")
     }
@@ -814,6 +952,20 @@ impl Mach<'_> {
     #[inline]
     fn oob(&self, arr: usize, idx: i64, len: usize) -> RunError {
         RunError::OutOfBounds { name: self.array_names[arr].clone(), idx, len }
+    }
+
+    /// The owned vector of array slot `arr`, which a statement is about to
+    /// write: every store and fill of a named array reaches it through here
+    /// (growth through [`ArrayVal::grow_zeroed`], the same check). A shared
+    /// buffer is an operand's own storage, so writing it is a typed fault,
+    /// neither a write nor a copy.
+    #[inline(always)]
+    fn writable<T: Elem, A: AccessPolicy>(&mut self, arr: usize) -> Result<&mut Vec<T>, A::Fault> {
+        match T::buf_mut(&mut self.arrays[arr]) {
+            Some(Buf::Owned(v)) => Ok(v),
+            // Shared: a slot's element type is fixed at compile time.
+            _ => Err(A::read_only(&self.array_names[arr])),
+        }
     }
 
     /// Burns one unit of the loop-iteration fuse and, every
@@ -886,19 +1038,16 @@ impl Mach<'_> {
             return Err(RunError::NegativeLength { name: self.array_names[arr].clone(), len });
         }
         self.charge_bytes(arr, len as u64 * elem_bytes(ty))?;
-        self.arrays[arr] = match ty {
-            ArrayTy::Int => ArrayVal::Int(vec![0; len as usize]),
-            ArrayTy::F64 => ArrayVal::F64(vec![0.0; len as usize]),
-            ArrayTy::F32 => ArrayVal::F32(vec![0.0; len as usize]),
-            ArrayTy::Bool => ArrayVal::Bool(vec![false; len as usize]),
-        };
+        self.arrays[arr] = ArrayVal::zeroed(ty, len as usize);
         Ok(())
     }
 
     /// A dense scatter: the guarded insert of Figure 8 lines 15–18, which
     /// lists a coordinate the first time it is scattered, then the value
     /// store. A listed key passed both range checks, so a drain indexes
-    /// with it directly.
+    /// with it directly. A dense workspace's arrays are the machine's own
+    /// (`WsInit` allocates them), never shared: the scatter and the drain
+    /// write them in place.
     fn dense_scatter(
         &mut self,
         d: &DenseWs,
@@ -911,11 +1060,11 @@ impl Mach<'_> {
         if matches!(&self.arrays[d.guard], ArrayVal::Bool(guard) if !guard[g]) {
             let n = self.ints[d.len];
             let at = Checked::index(self, d.list, n, self.arrays[d.list].len())?;
-            if let ArrayVal::Int(list) = &mut self.arrays[d.list] {
+            if let ArrayVal::Int(Buf::Owned(list)) = &mut self.arrays[d.list] {
                 list[at] = k;
             }
             self.ints[d.len] = n + 1;
-            if let ArrayVal::Bool(guard) = &mut self.arrays[d.guard] {
+            if let ArrayVal::Bool(Buf::Owned(guard)) = &mut self.arrays[d.guard] {
                 guard[g] = true;
             }
         }
@@ -938,7 +1087,7 @@ impl Mach<'_> {
         body: &[RStmt],
     ) -> Result<(), RunError> {
         let n = self.ints[d.len] as usize;
-        if let (true, ArrayVal::Int(list)) = (sorted, &mut self.arrays[d.list]) {
+        if let (true, ArrayVal::Int(Buf::Owned(list))) = (sorted, &mut self.arrays[d.list]) {
             list[..n].sort_unstable();
         }
         for p in 0..n {
@@ -947,11 +1096,11 @@ impl Mach<'_> {
             let k = list[p];
             self.ints[key] = k;
             self.floats[val] = match &mut self.arrays[d.vals] {
-                ArrayVal::F64(v) => std::mem::take(&mut v[k as usize]),
-                ArrayVal::F32(v) => f64::from(std::mem::take(&mut v[k as usize])),
-                _ => unreachable!("a float array"),
+                ArrayVal::F64(Buf::Owned(v)) => std::mem::take(&mut v[k as usize]),
+                ArrayVal::F32(Buf::Owned(v)) => f64::from(std::mem::take(&mut v[k as usize])),
+                _ => unreachable!("an owned float array"),
             };
-            if let ArrayVal::Bool(guard) = &mut self.arrays[d.guard] {
+            if let ArrayVal::Bool(Buf::Owned(guard)) = &mut self.arrays[d.guard] {
                 guard[k as usize] = false;
             }
             self.exec_block::<Checked>(body)?;
@@ -1095,9 +1244,7 @@ impl Mach<'_> {
                 let i = self.eval_i::<A>(idx)?;
                 let v = self.eval_i::<A>(val)?;
                 let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
-                if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a[i] = v;
-                }
+                self.writable::<i64, A>(*arr)?[i] = v;
             }
             RStmt::StoreF64(arr, idx, val) => {
                 let i = self.eval_i::<A>(idx)?;
@@ -1113,17 +1260,13 @@ impl Mach<'_> {
                 let i = self.eval_i::<A>(idx)?;
                 let v = self.eval_b::<A>(val)?;
                 let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
-                if let ArrayVal::Bool(a) = &mut self.arrays[*arr] {
-                    a[i] = v;
-                }
+                self.writable::<bool, A>(*arr)?[i] = v;
             }
             RStmt::StoreAddI(arr, idx, val) => {
                 let i = self.eval_i::<A>(idx)?;
                 let v = self.eval_i::<A>(val)?;
                 let i = A::index(self, *arr, i, self.arrays[*arr].len())?;
-                if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a[i] += v;
-                }
+                self.writable::<i64, A>(*arr)?[i] += v;
             }
             RStmt::StoreAddF64(arr, idx, val) => {
                 let i = self.eval_i::<A>(idx)?;
@@ -1155,8 +1298,10 @@ impl Mach<'_> {
             RStmt::For(slot, lo, hi, body) => {
                 let lo = self.eval_i::<Checked>(lo)?;
                 let hi = self.eval_i::<Checked>(hi)?;
-                if let Some(strip) = body.leaf_plan().and_then(|plan| plan.strip.as_ref()) {
-                    return self.exec_leaf_loop(*slot, lo, hi, body, strip);
+                if let Some(plan) = body.leaf_plan() {
+                    if let Some(strip) = &plan.strip {
+                        return self.exec_leaf_loop(*slot, lo, hi, body, &plan.stores, strip);
+                    }
                 }
                 let mut iv = lo;
                 while iv < hi {
@@ -1177,27 +1322,19 @@ impl Mach<'_> {
             }
             RStmt::MemsetI(arr, val) => {
                 let v = self.eval_i::<Checked>(val)?;
-                if let ArrayVal::Int(a) = &mut self.arrays[*arr] {
-                    a.fill(v);
-                }
+                self.writable::<i64, Checked>(*arr)?.fill(v);
             }
             RStmt::MemsetF64(arr, val) => {
                 let v = self.eval_f::<Checked>(val)?;
-                if let ArrayVal::F64(a) = &mut self.arrays[*arr] {
-                    a.fill(v);
-                }
+                self.writable::<f64, Checked>(*arr)?.fill(v);
             }
             RStmt::MemsetF32(arr, val) => {
                 let v = self.eval_f::<Checked>(val)?;
-                if let ArrayVal::F32(a) = &mut self.arrays[*arr] {
-                    a.fill(v as f32);
-                }
+                self.writable::<f32, Checked>(*arr)?.fill(v as f32);
             }
             RStmt::MemsetB(arr, val) => {
                 let v = self.eval_b::<Checked>(val)?;
-                if let ArrayVal::Bool(a) = &mut self.arrays[*arr] {
-                    a.fill(v);
-                }
+                self.writable::<bool, Checked>(*arr)?.fill(v);
             }
             RStmt::Alloc(arr, ty, len) => {
                 let len = self.eval_i::<Checked>(len)?;
@@ -1217,13 +1354,7 @@ impl Mach<'_> {
                     let ty = self.arrays[*arr].ty();
                     self.charge_bytes(*arr, (len - old_len) as u64 * elem_bytes(ty))?;
                     self.charge_realloc(*arr)?;
-                }
-                match &mut self.arrays[*arr] {
-                    ArrayVal::Int(a) if len > a.len() => a.resize(len, 0),
-                    ArrayVal::F64(a) if len > a.len() => a.resize(len, 0.0),
-                    ArrayVal::F32(a) if len > a.len() => a.resize(len, 0.0),
-                    ArrayVal::Bool(a) if len > a.len() => a.resize(len, false),
-                    _ => {}
+                    self.arrays[*arr].grow_zeroed(len, &self.array_names[*arr])?;
                 }
             }
             RStmt::WsInit(Ws::Dense(d), extent) => {
@@ -1315,9 +1446,10 @@ impl Mach<'_> {
         lo: i64,
         hi: i64,
         body: &[RStmt],
+        stores: &[Access],
         strip: &Strip,
     ) -> Result<(), RunError> {
-        let decided = lo < hi && self.leaf_precondition(strip, lo, hi);
+        let decided = lo < hi && self.leaf_precondition(stores, strip, lo, hi);
         if decided {
             self.exec_decided(&strip.prologue);
         }
@@ -1358,14 +1490,17 @@ impl Mach<'_> {
     /// range check of every access of every iteration: an invariant index
     /// is in range, an `offset + loopvar` index is in range at `lo` and at
     /// `hi - 1` — it is monotone in between, provided the sum did not wrap
-    /// around i64 on the way, which `first <= last` rules out.
-    fn leaf_precondition(&self, strip: &Strip, lo: i64, hi: i64) -> bool {
+    /// around i64 on the way, which `first <= last` rules out. And every
+    /// array it stores to is writable: a shared buffer leaves the loop to the
+    /// per-element path, whose first store is the typed fault.
+    fn leaf_precondition(&self, stores: &[Access], strip: &Strip, lo: i64, hi: i64) -> bool {
         // Index expressions of a plan have no load and no division.
         let value = |e: &IExpr| {
             let Ok(v) = self.eval_i::<Decided>(e);
             v
         };
-        strip.accesses.iter().all(|(arr, form)| {
+        let writable = stores.iter().all(|(arr, _)| !self.arrays[*arr].is_shared());
+        writable && strip.accesses.iter().all(|(arr, form)| {
             let len = self.arrays[*arr].len() as u64;
             let in_range = |idx: i64| (idx as u64) < len;
             match form {
@@ -1379,7 +1514,10 @@ impl Mach<'_> {
         })
     }
 
-    #[inline]
+    // Always inlined, like `store_f32` and `writable`: with the shared-buffer
+    // check LLVM outlines them, and the calls cost the SpGEMM interpreter
+    // about 4 %.
+    #[inline(always)]
     fn store_f64<A: AccessPolicy>(
         &mut self,
         arr: usize,
@@ -1388,17 +1526,16 @@ impl Mach<'_> {
         accumulate: bool,
     ) -> Result<(), A::Fault> {
         let i = A::index(self, arr, i, self.arrays[arr].len())?;
-        if let ArrayVal::F64(a) = &mut self.arrays[arr] {
-            if accumulate {
-                a[i] += v;
-            } else {
-                a[i] = v;
-            }
+        let a = self.writable::<f64, A>(arr)?;
+        if accumulate {
+            a[i] += v;
+        } else {
+            a[i] = v;
         }
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     fn store_f32<A: AccessPolicy>(
         &mut self,
         arr: usize,
@@ -1407,12 +1544,11 @@ impl Mach<'_> {
         accumulate: bool,
     ) -> Result<(), A::Fault> {
         let i = A::index(self, arr, i, self.arrays[arr].len())?;
-        if let ArrayVal::F32(a) = &mut self.arrays[arr] {
-            if accumulate {
-                a[i] += v as f32;
-            } else {
-                a[i] = v as f32;
-            }
+        let a = self.writable::<f32, A>(arr)?;
+        if accumulate {
+            a[i] += v as f32;
+        } else {
+            a[i] = v as f32;
         }
         Ok(())
     }
@@ -1448,9 +1584,10 @@ impl Mach<'_> {
 
     /// The multi-threaded path: iterations are split into `threads`
     /// contiguous chunks (OpenMP `schedule(static)`), each worker interprets
-    /// its chunk on a full private clone of the machine state, and the
-    /// per-worker states are merged back in chunk order so the parent ends
-    /// byte-identical to a serial run. Shared arrays merge by bitwise diff
+    /// its chunk on a private clone of the machine state (read-only operand
+    /// buffers are shared, not copied), and the per-worker states are merged
+    /// back in chunk order so the parent ends byte-identical to a serial
+    /// run. Arrays every worker may write merge by bitwise diff
     /// against the pre-loop state (legal schedules write disjoint regions);
     /// private (workspace) arrays are discarded; append-style output (sparse
     /// coordinate lists) is stitched by explicit segment rebasing.
@@ -1480,6 +1617,7 @@ impl Mach<'_> {
                         ints: self.ints.clone(),
                         floats: self.floats.clone(),
                         bools: self.bools.clone(),
+                        // Operand buffers are shared: an `Arc` bump each.
                         arrays: self.arrays.clone(),
                         array_names: self.array_names.clone(),
                         // Map workspaces are per-thread by construction: each
@@ -1603,7 +1741,8 @@ impl Mach<'_> {
 
         // Shared-array merge: bitwise diff against the pre-loop snapshot,
         // applied in chunk order. Private workspaces keep the parent's
-        // pristine copies; append arrays are handled by rebasing below.
+        // pristine copies; append arrays are handled by rebasing below;
+        // read-only (shared) buffers no worker can have written.
         let mut skip: Vec<bool> = vec![false; self.arrays.len()];
         for &s in &pf.private {
             skip[s] = true;
@@ -1620,7 +1759,7 @@ impl Mach<'_> {
             .arrays
             .iter()
             .enumerate()
-            .map(|(i, a)| if skip[i] { None } else { Some(a.clone()) })
+            .map(|(i, a)| if skip[i] || a.is_shared() { None } else { Some(a.clone()) })
             .collect();
         for o in &outs {
             for (i, worker) in o.arrays.iter().enumerate() {
@@ -1651,7 +1790,7 @@ impl Mach<'_> {
                 if let Some(pos_slot) = ap.pos {
                     let shift = base - c0;
                     let (clo, chi) = chunks[w];
-                    if let (ArrayVal::Int(p), ArrayVal::Int(wv)) =
+                    if let (ArrayVal::Int(Buf::Owned(p)), ArrayVal::Int(wv)) =
                         (&mut self.arrays[pos_slot], &o.arrays[pos_slot])
                     {
                         for j in (clo + 1)..=chi {
@@ -1703,48 +1842,29 @@ fn resolved_threads(explicit: usize) -> usize {
 /// Applies one worker's writes to a shared array: every element whose bits
 /// differ from the pre-loop snapshot was written by that worker and
 /// overwrites the parent's. Arrays a worker grew extend the parent first.
+/// A read-only [`Buf::Shared`] buffer is never snapshotted: a worker's write
+/// to it would have failed the loop.
 fn merge_shared(parent: &mut ArrayVal, snap: &ArrayVal, worker: &ArrayVal) {
-    match (parent, snap, worker) {
-        (ArrayVal::Int(p), ArrayVal::Int(s), ArrayVal::Int(w)) => {
-            if w.len() > p.len() {
-                p.resize(w.len(), 0);
-            }
-            for (i, &wv) in w.iter().enumerate() {
-                if s.get(i).copied().unwrap_or(0) != wv {
-                    p[i] = wv;
-                }
+    fn merge<T: Copy + Default>(p: &mut Buf<T>, s: &[T], w: &[T], same: impl Fn(T, T) -> bool) {
+        let Some(p) = p.owned_mut() else { return };
+        if w.len() > p.len() {
+            p.resize(w.len(), T::default());
+        }
+        for (i, &wv) in w.iter().enumerate() {
+            if !same(s.get(i).copied().unwrap_or_default(), wv) {
+                p[i] = wv;
             }
         }
+    }
+    match (parent, snap, worker) {
+        (ArrayVal::Int(p), ArrayVal::Int(s), ArrayVal::Int(w)) => merge(p, s, w, |a, b| a == b),
         (ArrayVal::F64(p), ArrayVal::F64(s), ArrayVal::F64(w)) => {
-            if w.len() > p.len() {
-                p.resize(w.len(), 0.0);
-            }
-            for (i, &wv) in w.iter().enumerate() {
-                if s.get(i).copied().unwrap_or(0.0).to_bits() != wv.to_bits() {
-                    p[i] = wv;
-                }
-            }
+            merge(p, s, w, |a, b| a.to_bits() == b.to_bits())
         }
         (ArrayVal::F32(p), ArrayVal::F32(s), ArrayVal::F32(w)) => {
-            if w.len() > p.len() {
-                p.resize(w.len(), 0.0);
-            }
-            for (i, &wv) in w.iter().enumerate() {
-                if s.get(i).copied().unwrap_or(0.0).to_bits() != wv.to_bits() {
-                    p[i] = wv;
-                }
-            }
+            merge(p, s, w, |a, b| a.to_bits() == b.to_bits())
         }
-        (ArrayVal::Bool(p), ArrayVal::Bool(s), ArrayVal::Bool(w)) => {
-            if w.len() > p.len() {
-                p.resize(w.len(), false);
-            }
-            for (i, &wv) in w.iter().enumerate() {
-                if s.get(i).copied().unwrap_or(false) != wv {
-                    p[i] = wv;
-                }
-            }
-        }
+        (ArrayVal::Bool(p), ArrayVal::Bool(s), ArrayVal::Bool(w)) => merge(p, s, w, |a, b| a == b),
         _ => {}
     }
 }
@@ -1752,36 +1872,23 @@ fn merge_shared(parent: &mut ArrayVal, snap: &ArrayVal, worker: &ArrayVal) {
 /// Copies `worker[src_lo..src_hi]` to `parent[dst..]`, growing the parent as
 /// needed — one worker's appended segment of a coordinate or value array.
 fn append_copy(parent: &mut ArrayVal, worker: &ArrayVal, src_lo: usize, src_hi: usize, dst: usize) {
+    fn copy<T: Copy + Default>(p: &mut Buf<T>, w: &[T], dst: usize) {
+        let Some(p) = p.owned_mut() else { return };
+        if p.len() < dst + w.len() {
+            p.resize(dst + w.len(), T::default());
+        }
+        p[dst..dst + w.len()].copy_from_slice(w);
+    }
     let src_hi = src_hi.min(worker.len());
     if src_hi <= src_lo {
         return;
     }
-    let n = src_hi - src_lo;
+    let src = src_lo..src_hi;
     match (parent, worker) {
-        (ArrayVal::Int(p), ArrayVal::Int(w)) => {
-            if p.len() < dst + n {
-                p.resize(dst + n, 0);
-            }
-            p[dst..dst + n].copy_from_slice(&w[src_lo..src_hi]);
-        }
-        (ArrayVal::F64(p), ArrayVal::F64(w)) => {
-            if p.len() < dst + n {
-                p.resize(dst + n, 0.0);
-            }
-            p[dst..dst + n].copy_from_slice(&w[src_lo..src_hi]);
-        }
-        (ArrayVal::F32(p), ArrayVal::F32(w)) => {
-            if p.len() < dst + n {
-                p.resize(dst + n, 0.0);
-            }
-            p[dst..dst + n].copy_from_slice(&w[src_lo..src_hi]);
-        }
-        (ArrayVal::Bool(p), ArrayVal::Bool(w)) => {
-            if p.len() < dst + n {
-                p.resize(dst + n, false);
-            }
-            p[dst..dst + n].copy_from_slice(&w[src_lo..src_hi]);
-        }
+        (ArrayVal::Int(p), ArrayVal::Int(w)) => copy(p, &w[src], dst),
+        (ArrayVal::F64(p), ArrayVal::F64(w)) => copy(p, &w[src], dst),
+        (ArrayVal::F32(p), ArrayVal::F32(w)) => copy(p, &w[src], dst),
+        (ArrayVal::Bool(p), ArrayVal::Bool(w)) => copy(p, &w[src], dst),
         _ => {}
     }
 }
@@ -1825,35 +1932,44 @@ impl Binding {
 
     /// Binds a double-precision array.
     pub fn set_f64(&mut self, name: impl Into<String>, v: Vec<f64>) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::F64(v));
+        self.arrays.insert(name.into(), ArrayVal::F64(Buf::Owned(v)));
         self
     }
 
     /// Binds a single-precision array.
     pub fn set_f32(&mut self, name: impl Into<String>, v: Vec<f32>) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::F32(v));
+        self.arrays.insert(name.into(), ArrayVal::F32(Buf::Owned(v)));
         self
     }
 
     /// Binds an integer array.
     pub fn set_int(&mut self, name: impl Into<String>, v: Vec<i64>) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::Int(v));
-        self
-    }
-
-    /// Binds an integer array from `usize` values (tensor `pos`/`crd`).
-    pub fn set_usize(&mut self, name: impl Into<String>, v: &[usize]) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::Int(v.iter().map(|x| *x as i64).collect()));
+        self.arrays.insert(name.into(), ArrayVal::Int(Buf::Owned(v)));
         self
     }
 
     /// Binds a boolean array.
     pub fn set_bool(&mut self, name: impl Into<String>, v: Vec<bool>) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::Bool(v));
+        self.arrays.insert(name.into(), ArrayVal::Bool(Buf::Owned(v)));
         self
     }
 
-    /// Reads back a double-precision array.
+    /// Binds a double-precision array shared read-only with whoever else
+    /// holds `v` (an operand tensor's values): nothing is copied, and only
+    /// an input parameter may take it.
+    pub fn set_shared_f64(&mut self, name: impl Into<String>, v: Arc<[f64]>) -> &mut Self {
+        self.arrays.insert(name.into(), ArrayVal::F64(Buf::Shared(v)));
+        self
+    }
+
+    /// Binds an integer array shared read-only (an operand tensor's widened
+    /// `pos` or `crd`), as [`Binding::set_shared_f64`].
+    pub fn set_shared_int(&mut self, name: impl Into<String>, v: Arc<[i64]>) -> &mut Self {
+        self.arrays.insert(name.into(), ArrayVal::Int(Buf::Shared(v)));
+        self
+    }
+
+    /// Reads back a double-precision array, owned or shared.
     pub fn f64_array(&self, name: &str) -> Option<&[f64]> {
         match self.arrays.get(name) {
             Some(ArrayVal::F64(v)) => Some(v),
@@ -1980,6 +2096,7 @@ impl Executable {
             workspaces: HashMap::new(),
             map_names: Vec::new(),
             draining: Vec::new(),
+            inputs: HashSet::new(),
             n_int: 0,
             n_float: 0,
             n_bool: 0,
@@ -1996,6 +2113,9 @@ impl Executable {
                 return Err(CompileError::Duplicate(p.name.clone()));
             }
             let slot = c.declare_array(&p.name, p.ty)?;
+            if p.kind == ParamKind::Input {
+                c.inputs.insert(slot);
+            }
             array_params.push((p.name.clone(), slot, p.ty, p.kind));
         }
 
@@ -2127,8 +2247,7 @@ impl KernelBody for Executable {
     }
 
     fn slot_types(&self) -> impl Iterator<Item = ArrayTy> {
-        // Kernel-local slots are retyped by the `Alloc` that fills them.
-        self.array_names.iter().map(|_| ArrayTy::Int)
+        self.array_tys.iter().copied()
     }
 
     fn execute(
@@ -2168,7 +2287,8 @@ impl KernelBody for Executable {
 /// Runs `body` against `binding` under `budget` and `controls` — the one
 /// `Binding` ⇄ slot-frame protocol, whichever backend executes. Every
 /// parameter is validated before any array is moved, so a missing or
-/// mistyped binding fails with `binding` untouched; parameter arrays move
+/// mistyped binding, or a shared buffer bound to anything but an input,
+/// fails with `binding` untouched; parameter arrays move
 /// into the frame for the run and back afterwards *even on error*, so an
 /// unsupervised caller can inspect the partial state
 /// ([`Supervisor::run`](crate::Supervisor::run) rolls it back from a
@@ -2206,11 +2326,15 @@ fn checked_frame<B: KernelBody>(body: &B, binding: &Binding) -> Result<Frame, Ru
         let v = binding.scalars.get(name).ok_or_else(|| RunError::MissingScalar(name.clone()))?;
         scalars.push(*v);
     }
-    for (name, _, ty, _) in body.array_params() {
+    for (name, _, ty, kind) in body.array_params() {
         match binding.arrays.get(name) {
             None => return Err(RunError::MissingArray(name.to_string())),
             Some(v) if v.ty() != ty => {
                 return Err(RunError::WrongArrayType { name: name.to_string(), expected: ty })
+            }
+            // Only an input is never written (`Executable::compile` checks).
+            Some(v) if v.is_shared() && kind != ParamKind::Input => {
+                return Err(RunError::ReadOnlyArray(name.to_string()))
             }
             Some(_) => {}
         }

@@ -59,7 +59,8 @@ pub use cgen::{
 };
 pub use error::{CompileError, RunError};
 pub use exec::{
-    run_body, ArrayVal, Binding, Executable, Frame, KernelBody, RunControls, SUPERVISION_STRIDE,
+    run_body, ArrayVal, Binding, Buf, Executable, Frame, KernelBody, RunControls,
+    SUPERVISION_STRIDE,
 };
 pub use ir::visit_stmts;
 pub use ir::{AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp, WorkspaceKind};

@@ -375,8 +375,9 @@ impl Supervisor {
         body: &B,
         binding: &mut Binding,
     ) -> Result<ExecReport, Aborted> {
-        // Lowered kernels only ever store into output and inout parameters
-        // (input arrays are read-only by construction), so snapshotting the
+        // A kernel stores only into output and inout parameters: inputs are
+        // read-only by check (`Executable::compile` refuses a write to one,
+        // and every body is compiled through it), so snapshotting the
         // writable parameters is enough for byte-identical restoration.
         let writable = body
             .array_params()

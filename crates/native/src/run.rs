@@ -18,7 +18,7 @@ use crate::dl::DynLib;
 use std::ffi::c_void;
 use std::path::{Path, PathBuf};
 use taco_llir::{
-    elem_bytes, run_body, AbiPlan, ArrayTy, ArrayVal, Binding, BudgetMeter, Frame, KernelBody,
+    elem_bytes, run_body, AbiPlan, ArrayTy, ArrayVal, Binding, Buf, BudgetMeter, Frame, KernelBody,
     ParamKind, ResourceBudget, RunControls, RunError, SUPERVISION_STRIDE,
 };
 
@@ -162,13 +162,17 @@ impl KernelBody for NativeKernel {
     ) -> Result<(), RunError> {
         let plan = &self.plan;
         // The kernel trusts the tables it is handed, so a frame of any other
-        // shape than this kernel's plan must not reach it. `run_body` builds
-        // the frame from `slot_types` and validates the parameters' types;
-        // this is the check the `unsafe` call below rests on.
+        // shape than this kernel's plan must not reach it, and a shared
+        // (read-only) buffer may sit only in an input's slot, which the
+        // kernel never writes. `run_body` builds the frame from `slot_types`
+        // and validates the parameters; this is the check the `unsafe` call
+        // below rests on.
         let fits = frame.scalars.len() == plan.scalar_params.len()
             && frame.scalar_outputs.len() == plan.scalar_outputs.len()
             && frame.arrays.len() == plan.arrays.len()
-            && frame.arrays.iter().zip(&plan.arrays).all(|(v, a)| v.ty() == a.ty);
+            && frame.arrays.iter().zip(&plan.arrays).all(|(v, a)| {
+                v.ty() == a.ty && (!v.is_shared() || a.kind == Some(ParamKind::Input))
+            });
         if !fits {
             return Err(RunError::Backend(format!(
                 "frame does not have the shape of native kernel `{}`",
@@ -209,7 +213,9 @@ impl KernelBody for NativeKernel {
         // whole call, with the lengths and element types the plan promises
         // (`fits`, above); the entry function honours the ABI (checked at
         // load) and only touches memory through those tables and the
-        // callbacks.
+        // callbacks. It reads shared buffers and never writes them: they
+        // are inputs (`fits`), and the `Executable` the C was emitted from
+        // has no statement that writes an input.
         let rc = unsafe { (self.entry)(&mut ctx, 0, i64::MAX) };
 
         // Charge the back-edges of the final, partially-used grant. The
@@ -249,32 +255,23 @@ impl Host<'_> {
     }
 }
 
-fn zeroed(ty: ArrayTy, len: usize) -> ArrayVal {
-    match ty {
-        ArrayTy::Int => ArrayVal::Int(vec![0; len]),
-        ArrayTy::F64 => ArrayVal::F64(vec![0.0; len]),
-        ArrayTy::F32 => ArrayVal::F32(vec![0.0; len]),
-        ArrayTy::Bool => ArrayVal::Bool(vec![false; len]),
-    }
-}
-
+/// Where a buffer's elements start and how many there are, for the context
+/// tables. A shared buffer is read in place: its pointer is `*mut` only
+/// because the table's type is.
 fn raw_parts(v: &mut ArrayVal) -> (*mut c_void, i64) {
-    match v {
-        ArrayVal::Int(a) => (a.as_mut_ptr().cast(), a.len() as i64),
-        ArrayVal::F64(a) => (a.as_mut_ptr().cast(), a.len() as i64),
-        ArrayVal::F32(a) => (a.as_mut_ptr().cast(), a.len() as i64),
-        ArrayVal::Bool(a) => (a.as_mut_ptr().cast(), a.len() as i64),
+    fn parts<T>(b: &mut Buf<T>) -> (*mut c_void, i64) {
+        let len = b.len() as i64;
+        let ptr = match b {
+            Buf::Owned(a) => a.as_mut_ptr(),
+            Buf::Shared(a) => a.as_ptr().cast_mut(),
+        };
+        (ptr.cast(), len)
     }
-}
-
-/// Zero-filled in-place growth matching the interpreter's `Realloc`.
-fn resize_zero(v: &mut ArrayVal, len: usize) {
     match v {
-        ArrayVal::Int(a) if len > a.len() => a.resize(len, 0),
-        ArrayVal::F64(a) if len > a.len() => a.resize(len, 0.0),
-        ArrayVal::F32(a) if len > a.len() => a.resize(len, 0.0),
-        ArrayVal::Bool(a) if len > a.len() => a.resize(len, false),
-        _ => {}
+        ArrayVal::Int(a) => parts(a),
+        ArrayVal::F64(a) => parts(a),
+        ArrayVal::F32(a) => parts(a),
+        ArrayVal::Bool(a) => parts(a),
     }
 }
 
@@ -318,7 +315,7 @@ unsafe extern "C" fn alloc_cb(ctx: *mut TacoCtx, slot: i64, ty: i32, len: i64) -
             return fail(ctx, e);
         }
     }
-    host.arrays[slot] = zeroed(ty, len as usize);
+    host.arrays[slot] = ArrayVal::zeroed(ty, len as usize);
     refresh_tables(ctx, slot);
     1
 }
@@ -347,7 +344,9 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
             return fail(ctx, e);
         }
     }
-    resize_zero(&mut host.arrays[slot], len);
+    if let Err(e) = host.arrays[slot].grow_zeroed(len, &name) {
+        return fail(ctx, e);
+    }
     refresh_tables(ctx, slot);
     1
 }

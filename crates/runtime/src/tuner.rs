@@ -188,8 +188,9 @@ pub(crate) struct TunedRun {
 pub(crate) struct ConversionSet {
     /// The bind-time cost environment: the candidates' declared dimensions,
     /// and what [`binding_env`] reads off the (converted) operands' index
-    /// arrays, bound alone under their [`taco_lower::params`] names. A failed
-    /// conversion leaves the arrays out, and bounds over them unvalued.
+    /// arrays, bound alone (shared, as a kernel binds them) under their
+    /// [`taco_lower::params`] names. A failed conversion or an operand that
+    /// fails validation leaves the arrays out, and bounds over them unvalued.
     pub(crate) env: CostEnv,
     /// What the conversions cost per request in the unit of the iteration
     /// bound: stored entries × levels of every operand they change.
@@ -213,12 +214,13 @@ impl ConversionSet {
             if t.format() != given.format() {
                 entries += (given.nnz() * given.rank()) as u64;
             }
+            let Ok(arrays) = t.index_arrays() else { continue };
             for l in 0..t.rank() {
-                if let Ok(pos) = t.pos(l) {
-                    index_arrays.set_usize(pos_name(name, l), pos);
+                if let Ok(pos) = arrays.pos(l) {
+                    index_arrays.set_shared_int(pos_name(name, l), Arc::clone(pos));
                 }
-                if let Ok(crd) = t.crd(l) {
-                    index_arrays.set_usize(crd_name(name, l), crd);
+                if let Ok(crd) = arrays.crd(l) {
+                    index_arrays.set_shared_int(crd_name(name, l), Arc::clone(crd));
                 }
             }
         }

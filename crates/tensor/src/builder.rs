@@ -1,4 +1,5 @@
 use crate::{Format, LevelType, ModeStorage, Result, Tensor, TensorError};
+use std::sync::Arc;
 
 /// Incremental builder for [`Tensor`] values.
 ///
@@ -198,12 +199,14 @@ impl TensorBuilder {
             }
         }
 
-        let mut vals = vec![0.0; num_parent_positions];
+        // Summed straight behind the tensor's `Arc`, never copied into it.
+        let mut vals: Arc<[f64]> = std::iter::repeat_n(0.0, num_parent_positions).collect();
+        let slots = Arc::get_mut(&mut vals).expect("a fresh Arc has one owner");
         for (pp, e) in parent_pos.iter().zip(&merged) {
-            vals[*pp] += queued[*e];
+            slots[*pp] += queued[*e];
         }
 
-        Tensor::from_parts(self.shape, self.format, modes, vals)
+        Tensor::assemble(self.shape, self.format, modes, vals)
     }
 }
 

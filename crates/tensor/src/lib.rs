@@ -69,7 +69,7 @@ pub use csr::Csr;
 pub use dense::DenseTensor;
 pub use error::TensorError;
 pub use format::{Format, LevelType, ModeFormat};
-pub use storage::{ModeStorage, Tensor};
+pub use storage::{IndexArrays, ModeStorage, Tensor};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -1,4 +1,6 @@
 use crate::{DenseTensor, Format, LevelType, Result, TensorBuilder, TensorError};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Storage of a single tensor level.
 ///
@@ -178,6 +180,46 @@ fn normalise_segments(
     (out_pos, out_crd, out_vals)
 }
 
+/// A validated tensor's index arrays as kernels read them: every `pos` and
+/// `crd` array widened from `usize` to `i64` once, each behind an `Arc` that
+/// every binding of the tensor shares. See [`Tensor::index_arrays`].
+#[derive(Debug, Clone)]
+pub struct IndexArrays {
+    pos: Vec<Option<Arc<[i64]>>>,
+    crd: Vec<Option<Arc<[i64]>>>,
+}
+
+impl IndexArrays {
+    fn widen(t: &Tensor) -> IndexArrays {
+        let widen = |a: &[usize]| a.iter().map(|&x| x as i64).collect::<Arc<[i64]>>();
+        let levels = 0..t.rank();
+        IndexArrays {
+            pos: levels.clone().map(|l| t.pos(l).ok().map(widen)).collect(),
+            crd: levels.map(|l| t.crd(l).ok().map(widen)).collect(),
+        }
+    }
+
+    /// Level `level`'s `pos` array.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::pos`]: the level stores no `pos` array.
+    pub fn pos(&self, level: usize) -> Result<&Arc<[i64]>> {
+        let missing = TensorError::FormatMismatch { expected: "level with a pos array" };
+        self.pos.get(level).and_then(Option::as_ref).ok_or(missing)
+    }
+
+    /// Level `level`'s `crd` array.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::crd`]: the level stores no `crd` array.
+    pub fn crd(&self, level: usize) -> Result<&Arc<[i64]>> {
+        let missing = TensorError::FormatMismatch { expected: "level with a crd array" };
+        self.crd.get(level).and_then(Option::as_ref).ok_or(missing)
+    }
+}
+
 /// A sparse (or dense) tensor stored level by level.
 ///
 /// The value array stores one `f64` per position of the innermost level, in
@@ -186,19 +228,49 @@ fn normalise_segments(
 /// Construct tensors with [`Tensor::from_entries`], [`TensorBuilder`], or
 /// [`Tensor::from_dense`]; convert between formats with [`Tensor::convert`]
 /// and [`Tensor::to_blocked`]/[`Tensor::from_blocked`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A tensor is immutable once built. Its values sit behind an `Arc`, and a
+/// clone or a kernel binding shares them.
+#[derive(Clone)]
 pub struct Tensor {
     shape: Vec<usize>,
     format: Format,
     modes: Vec<ModeStorage>,
-    vals: Vec<f64>,
+    vals: Arc<[f64]>,
+    /// [`Tensor::validate`]'s verdict with, when it passed, the widened
+    /// index arrays: made by the first [`Tensor::index_arrays`] call. The
+    /// tensor never changes, so neither does this. It takes no part in
+    /// equality or `Debug`. Behind an `Arc`, which keeps the tensor small
+    /// and lets a clone share it.
+    index_arrays: OnceLock<Arc<Result<IndexArrays>>>,
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape
+            && self.format == other.format
+            && self.modes == other.modes
+            && self.vals == other.vals
+    }
+}
+
+impl fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tensor")
+            .field("shape", &self.shape)
+            .field("format", &self.format)
+            .field("modes", &self.modes)
+            .field("vals", &self.vals)
+            .finish()
+    }
 }
 
 impl Tensor {
-    /// Creates a tensor directly from its level storage and values.
+    /// Creates a tensor directly from its level storage and values, which
+    /// are copied once behind the tensor's `Arc`.
     ///
-    /// This is the raw constructor used by builders and kernel output
-    /// extraction; most callers want [`Tensor::from_entries`].
+    /// This is the raw constructor; most callers want
+    /// [`Tensor::from_entries`].
     ///
     /// # Panics
     ///
@@ -217,7 +289,7 @@ impl Tensor {
             positions = m.num_positions(positions);
         }
         assert_eq!(positions, vals.len(), "vals length must match innermost positions");
-        Tensor { shape, format, modes, vals }
+        Tensor::assemble(shape, format, modes, vals.into())
     }
 
     /// Creates a tensor from its level storage and values with **no**
@@ -233,12 +305,24 @@ impl Tensor {
         modes: Vec<ModeStorage>,
         vals: Vec<f64>,
     ) -> Self {
-        Tensor { shape, format, modes, vals }
+        Tensor::assemble(shape, format, modes, vals.into())
     }
 
-    /// Decomposes the tensor into `(shape, format, modes, vals)`.
+    /// Every constructor ends here, with the values already behind their
+    /// `Arc`. Unchecked, like [`Tensor::from_parts_unchecked`].
+    pub(crate) fn assemble(
+        shape: Vec<usize>,
+        format: Format,
+        modes: Vec<ModeStorage>,
+        vals: Arc<[f64]>,
+    ) -> Self {
+        Tensor { shape, format, modes, vals, index_arrays: OnceLock::new() }
+    }
+
+    /// Decomposes the tensor into `(shape, format, modes, vals)`, copying
+    /// the values out.
     pub fn into_parts(self) -> (Vec<usize>, Format, Vec<ModeStorage>, Vec<f64>) {
-        (self.shape, self.format, self.modes, self.vals)
+        (self.shape, self.format, self.modes, self.vals.to_vec())
     }
 
     /// Checks every storage invariant the compiled kernels rely on, level by
@@ -259,9 +343,10 @@ impl Tensor {
     /// * `vals` holds exactly one value per innermost position, and every
     ///   value is finite.
     ///
-    /// Binding a tensor into the execution pipeline runs this check first, so
-    /// corrupted operands fail with a typed error before any kernel touches
-    /// their arrays.
+    /// This is the full pass, every call. Binding a tensor goes through
+    /// [`Tensor::index_arrays`], which runs it once per tensor and keeps the
+    /// verdict, so corrupted operands fail with a typed error before any
+    /// kernel touches their arrays.
     ///
     /// # Errors
     ///
@@ -493,34 +578,38 @@ impl Tensor {
 
         let strictly_increasing =
             pos.windows(2).all(|seg| crd[seg[0]..seg[1]].windows(2).all(|c| c[0] < c[1]));
-        let (pos, crd, mut vals) = if strictly_increasing {
-            (pos, crd, vals.map_or_else(|| vec![0.0; end], <[f64]>::to_vec))
-        } else {
-            normalise_segments(&pos, &crd, vals)
-        };
         // The builder accumulates into zeroed storage; `-0.0 + 0.0` is `+0.0`.
-        for v in &mut vals {
-            *v += 0.0;
-        }
+        // Collected straight behind the `Arc`: one pass, one allocation.
+        let plus_zero = |vals: &[f64]| vals.iter().map(|v| v + 0.0).collect::<Arc<[f64]>>();
+        let (pos, crd, vals) = if strictly_increasing {
+            let zeros = || std::iter::repeat_n(0.0, end).collect();
+            (pos, crd, vals.map_or_else(zeros, plus_zero))
+        } else {
+            let (pos, crd, vals) = normalise_segments(&pos, &crd, vals);
+            (pos, crd, plus_zero(&vals))
+        };
         let mut modes: Vec<ModeStorage> =
             shape[..level].iter().map(|&dim| ModeStorage::Dense { dim }).collect();
         modes.push(ModeStorage::Compressed { pos, crd });
-        Ok(Tensor { shape, format, modes, vals })
+        Ok(Tensor::assemble(shape, format, modes, vals))
     }
 
     /// Wraps row-major values as an all-dense tensor: every component is
-    /// stored, zeros included.
+    /// stored, zeros included. The values are copied once behind the
+    /// tensor's `Arc`; pass a slice rather than a fresh `Vec` copy of one.
     ///
     /// # Errors
     ///
     /// Returns an error if the shape is empty or `vals` does not hold exactly
     /// one value per component.
-    pub fn from_dense_vals(shape: Vec<usize>, vals: Vec<f64>) -> Result<Tensor> {
+    pub fn from_dense_vals(shape: Vec<usize>, vals: impl Into<Arc<[f64]>>) -> Result<Tensor> {
+        let vals = vals.into();
         let level = shape.len().checked_sub(1).ok_or(TensorError::EmptyShape)?;
         let volume = shape.iter().try_fold(1usize, |n, d| n.checked_mul(*d));
         check_vals_len(&vals, volume.unwrap_or(usize::MAX), level)?;
         let modes = shape.iter().map(|&dim| ModeStorage::Dense { dim }).collect();
-        Ok(Tensor { format: Format::dense(shape.len()), shape, modes, vals })
+        let format = Format::dense(shape.len());
+        Ok(Tensor::assemble(shape, format, modes, vals))
     }
 
     /// Converts a dense tensor into this format, keeping only nonzeros in
@@ -529,7 +618,7 @@ impl Tensor {
         let mut b = TensorBuilder::new(dense.shape().to_vec(), format.clone())?;
         if format.is_all_dense() && format.is_identity_order() {
             // Preserve every component, including zeros.
-            return Tensor::from_dense_vals(dense.shape().to_vec(), dense.data().to_vec());
+            return Tensor::from_dense_vals(dense.shape().to_vec(), dense.data());
         }
         for (coord, val) in dense.iter_nonzeros() {
             b.insert(&coord, val)?;
@@ -681,6 +770,26 @@ impl Tensor {
     /// The value array (one value per innermost position).
     pub fn vals(&self) -> &[f64] {
         &self.vals
+    }
+
+    /// The value array as the tensor holds it, for a binding to share.
+    pub fn shared_vals(&self) -> &Arc<[f64]> {
+        &self.vals
+    }
+
+    /// The tensor's index arrays as kernels read them, made on the first
+    /// call: [`Tensor::validate`] runs once, and if it passes every `pos`
+    /// and `crd` array is widened to `i64` once. Later calls, and calls on a
+    /// clone made after the first, return the same arrays or the same error.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::validate`]'s error, every time.
+    pub fn index_arrays(&self) -> Result<&IndexArrays> {
+        let made = self.index_arrays.get_or_init(|| {
+            Arc::new(self.validate().map(|()| IndexArrays::widen(self)))
+        });
+        made.as_ref().as_ref().map_err(Clone::clone)
     }
 
     /// Number of stored components.

@@ -99,6 +99,94 @@ fn corrupted_operands_error_at_bind_time_in_every_kernel_kind() {
     }
 }
 
+/// A tensor's validation verdict is memoized with it, never skipped: a
+/// corrupted operand fails every bind with the same error — the first, the
+/// second, and one through a clone made after the first.
+#[test]
+fn a_corrupted_operand_fails_every_bind_with_the_same_error() {
+    let n = 8;
+    let kernel = scheduled_spgemm(n).compile(LowerOptions::fused("spgemm")).unwrap();
+    let (b, c) = sample_inputs(n);
+    for (why, bad) in corrupt::all_corruptions(&b) {
+        let bind = |t: &Tensor| match kernel.bind(&[("B", t), ("C", &c)], None) {
+            Err(CoreError::OperandMismatch { name, expected }) => format!("{name}: {expected}"),
+            other => panic!("{why:?}: expected OperandMismatch, got {:?}", other.map(drop)),
+        };
+        let first = bind(&bad);
+        assert_eq!(bind(&bad), first, "{why:?}: second bind");
+        assert_eq!(bind(&bad.clone()), first, "{why:?}: bind of a clone");
+    }
+}
+
+/// The memoized verdict takes no part in equality or `Debug`: a tensor that
+/// has been bound, and so validated, equals a copy that never was.
+#[test]
+fn a_validated_tensor_equals_an_unvalidated_copy() {
+    let n = 8;
+    let kernel = scheduled_spgemm(n).compile(LowerOptions::fused("spgemm")).unwrap();
+    let (b, c) = sample_inputs(n);
+    let unvalidated = b.clone();
+    kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    assert_eq!(b, unvalidated);
+    assert_eq!(format!("{b:?}"), format!("{unvalidated:?}"));
+}
+
+/// Inputs are read-only by check, not by comment: `Executable::compile`
+/// refuses a kernel that writes an input parameter in any way a statement
+/// can write an array. `Supervisor::run` rolls back only the writable
+/// parameters, so such a kernel stopped mid-run would otherwise leave its
+/// input changed — and an input is bound shared with the caller's tensor.
+#[test]
+fn a_kernel_that_writes_an_input_is_refused_at_compile() {
+    use taco_workspaces::llir::{
+        AppendMerge, ArrayTy, CompileError, Executable, Expr, Kernel, Param, Stmt,
+    };
+    let x = || "x".to_string();
+    let writes = [
+        ("store", Stmt::store("x", Expr::var("i"), Expr::float(1.0))),
+        ("accumulate", Stmt::store_add("x", Expr::var("i"), Expr::float(1.0))),
+        ("memset", Stmt::Memset { arr: x(), val: Expr::float(0.0) }),
+        ("alloc", Stmt::Alloc { arr: x(), ty: ArrayTy::F64, len: Expr::var("n") }),
+        ("realloc", Stmt::Realloc { arr: x(), len: Expr::var("n") }),
+        (
+            "workspace",
+            Stmt::WsInit { ws: x(), kind: WorkspaceKind::Hash, ty: ArrayTy::F64, extent: Expr::var("n") },
+        ),
+        (
+            "parallel append",
+            Stmt::ParallelFor {
+                var: "p".into(),
+                lo: Expr::int(0),
+                hi: Expr::var("n"),
+                threads: 1,
+                private: Vec::new(),
+                append: Some(AppendMerge { counter: "count".into(), data: vec![x()], pos: None }),
+                body: Vec::new(),
+            },
+        ),
+    ];
+    for (what, write) in writes {
+        let kernel = Kernel::new("writes_its_input")
+            .scalar_param("n")
+            .array_param(Param::input("x", ArrayTy::F64))
+            .array_param(Param::output("y", ArrayTy::F64))
+            .body(vec![
+                Stmt::DeclInt("count".into(), Expr::int(0)),
+                Stmt::for_(
+                    "i",
+                    Expr::int(0),
+                    Expr::var("n"),
+                    vec![Stmt::store("y", Expr::var("i"), Expr::load("x", Expr::var("i"))), write],
+                ),
+            ]);
+        assert_eq!(
+            Executable::compile(&kernel).map(drop),
+            Err(CompileError::WriteToInput(x())),
+            "a kernel that writes its input with a {what}"
+        );
+    }
+}
+
 #[test]
 fn corrupted_output_structure_errors_in_compute_kernels() {
     let n = 8;

@@ -11,12 +11,13 @@
 //! (and honest) on minimal images.
 
 use proptest::prelude::*;
-use std::sync::{Once, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 use taco_core::oracle::eval_dense;
 use taco_llir::{
-    emit_native, run_body, ArrayTy, Binding, BudgetResource, Executable, Expr, Kernel, Param,
-    RunControls, RunError, Stmt, LEAF_FAST_PATH_MARKER,
+    emit_native, run_body, ArrayTy, ArrayVal, Binding, Buf, BudgetResource, Executable, Expr,
+    Kernel, KernelBody, Param, RunControls, RunError, Stmt, LEAF_FAST_PATH_MARKER,
 };
+use taco_lower::params::{crd_name, pos_name};
 use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
 use taco_tensor::gen::{random_csf3, random_csr};
 use taco_workspaces::prelude::*;
@@ -723,6 +724,92 @@ fn a_fuse_trip_aborts_with_the_same_reason_and_counters_on_either_backend() {
     let aborted = tripped.run(&so, &mut binding).unwrap_err();
     assert_eq!(aborted.progress, native.progress);
     assert_eq!(binding, before, "a supervised native abort must roll the binding back");
+}
+
+/// Asserts every operand array of `binding` is still its tensor's own
+/// storage (`Arc::ptr_eq` with what the tensor shares) and holds, bit for
+/// bit, what `copies` — deep copies made before any bind — hold.
+fn assert_bound_by_reference(
+    binding: &mut Binding,
+    operands: &[(&str, &Tensor)],
+    copies: &[Tensor],
+    what: &str,
+) {
+    for ((name, t), copy) in operands.iter().zip(copies) {
+        let shared = t.index_arrays().unwrap();
+        for l in 0..t.rank() {
+            let levels = [
+                (pos_name(name, l), shared.pos(l), copy.pos(l)),
+                (crd_name(name, l), shared.crd(l), copy.crd(l)),
+            ];
+            for (array, tensors, expected) in levels {
+                let (Ok(tensors), Ok(expected)) = (tensors, expected) else { continue };
+                let Some(ArrayVal::Int(Buf::Shared(bound))) = binding.take(&array) else {
+                    panic!("{what}: `{array}` is not bound shared");
+                };
+                assert!(Arc::ptr_eq(&bound, tensors), "{what}: `{array}` is not the tensor's own");
+                assert!(bound.iter().copied().eq(expected.iter().map(|&x| x as i64)), "{what}: `{array}` changed");
+            }
+        }
+        let Some(ArrayVal::F64(Buf::Shared(bound))) = binding.take(name) else {
+            panic!("{what}: `{name}` is not bound shared");
+        };
+        assert!(Arc::ptr_eq(&bound, t.shared_vals()), "{what}: `{name}` is not the tensor's own");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&bound), bits(copy.vals()), "{what}: `{name}` changed");
+    }
+}
+
+/// Runs `body` (either backend) over fresh bindings of `operands` under
+/// `Supervisor::run` three ways — committed, stopped by a 1-iteration fuse,
+/// cancelled — and checks each leaves every operand shared and unchanged.
+fn every_outcome_shares_operands<B: KernelBody>(
+    body: &B,
+    kernel: &CompiledKernel,
+    operands: &[(&str, &Tensor)],
+    copies: &[Tensor],
+    backend: &str,
+) {
+    let fuse = Supervisor::new().with_budget(ResourceBudget::unlimited().with_max_loop_iterations(1));
+    let cancelled = Supervisor::new();
+    cancelled.cancel_token().cancel();
+    for (outcome, supervisor, commits) in
+        [("committed", Supervisor::new(), true), ("fuse abort", fuse, false), ("cancelled", cancelled, false)]
+    {
+        let mut binding = kernel.bind(operands, None).unwrap();
+        let run = supervisor.run(body, &mut binding);
+        assert_eq!(run.is_ok(), commits, "{backend} {outcome}: {:?}", run.err());
+        assert_bound_by_reference(&mut binding, operands, copies, &format!("{backend} {outcome}"));
+    }
+}
+
+/// Operands are bound by reference on both backends: no run — committed,
+/// aborted by the fuse or cancelled — writes an operand or trades its
+/// shared storage for a copy.
+#[test]
+fn operands_stay_shared_and_unchanged_through_every_run_outcome() {
+    let Some(cc) = require_cc("operands_stay_shared_and_unchanged_through_every_run_outcome") else {
+        return;
+    };
+    let (di, dk, dl, r) = (24, 20, 16, 8);
+    let kernel = workspace_mttkrp(di, dk, dl, r).compile(LowerOptions::compute("shared_mttkrp")).unwrap();
+    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), kernel.fingerprint()).unwrap();
+    let b = random_csf3([di, dk, dl], 3000, 5).to_tensor();
+    let factor = |rows: usize, seed: u64| {
+        let data = (0..rows * r).map(|q| ((q as u64 * 31 + seed) % 97) as f64 / 97.0).collect();
+        Tensor::from_dense(&DenseTensor::from_data(vec![rows, r], data), Format::dense(2)).unwrap()
+    };
+    let (c, d) = (factor(dl, 1), factor(dk, 2));
+    let operands = [("B", &b), ("C", &c), ("D", &d)];
+    let copies: Vec<Tensor> = operands
+        .iter()
+        .map(|(_, t)| {
+            let (shape, format, modes, vals) = (*t).clone().into_parts();
+            Tensor::from_parts(shape, format, modes, vals)
+        })
+        .collect();
+    every_outcome_shares_operands(kernel.executable(), &kernel, &operands, &copies, "interp");
+    every_outcome_shares_operands(&so, &kernel, &operands, &copies, "native");
 }
 
 #[test]

@@ -5,8 +5,11 @@
 //! supervision (cancellation, rollback) must hold with workers in flight.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 use taco_workspaces::ir::IrError;
+use taco_workspaces::llir::{ArrayVal, Buf};
+use taco_workspaces::lower::params::{crd_name, pos_name};
 use taco_workspaces::lower::LowerError;
 use taco_workspaces::prelude::*;
 use taco_workspaces::tensor::gen;
@@ -236,6 +239,38 @@ fn parallel_run_reports_workers_and_matches_serial_under_supervision() {
         "expected >= 2 workers in the report, got {}",
         report.progress.workers
     );
+}
+
+/// Workers share the operands rather than copy them, and the merge leaves
+/// them alone: after a four-worker run the result is the serial one and the
+/// binding's operand arrays are still the tensors' own.
+#[test]
+fn parallel_workers_share_the_operands() {
+    let stmt = scheduled_spgemm(64, 64, 64);
+    let mut par = stmt.clone();
+    par.parallelize(&iv("i")).unwrap();
+    let b = gen::random_csr(64, 64, 0.3, 53).to_tensor();
+    let c = gen::random_csr(64, 64, 0.3, 54).to_tensor();
+    let inputs = [("B", &b), ("C", &c)];
+    let serial = stmt.compile(LowerOptions::fused("spgemm")).unwrap().run(&inputs).unwrap();
+
+    let kernel = par.compile(LowerOptions::fused("spgemm_par").with_threads(4)).unwrap();
+    let mut binding = kernel.bind(&inputs, None).unwrap();
+    kernel.run_bound(&mut binding).unwrap();
+    assert_byte_identical(&serial, &kernel.extract(&binding, None).unwrap(), "parallel SpGEMM");
+    for (name, t) in inputs {
+        let arrays = t.index_arrays().unwrap();
+        for (array, shared) in [(pos_name(name, 1), arrays.pos(1)), (crd_name(name, 1), arrays.crd(1))] {
+            let Some(ArrayVal::Int(Buf::Shared(bound))) = binding.take(&array) else {
+                panic!("`{array}` is no longer shared");
+            };
+            assert!(Arc::ptr_eq(&bound, shared.unwrap()), "`{array}` is not the tensor's own");
+        }
+        let Some(ArrayVal::F64(Buf::Shared(bound))) = binding.take(name) else {
+            panic!("`{name}` is no longer shared");
+        };
+        assert!(Arc::ptr_eq(&bound, t.shared_vals()), "`{name}` is not the tensor's own");
+    }
 }
 
 #[test]
