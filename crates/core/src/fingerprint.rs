@@ -103,11 +103,11 @@ pub fn fingerprint_stmt(stmt: &ConcreteStmt) -> u64 {
 /// Fingerprints a lowered kernel structurally: parameter signature plus the
 /// whole body, nested bodies included (its derived `Debug` rendering, which
 /// spells every field of every statement and brackets every body, so distinct
-/// trees render distinctly). The function name is excluded: two lowerings
-/// that differ only in what they were called must collide. The candidate
-/// enumerator uses this to recognize schedules that are distinct at the
-/// concrete level but lower to identical code — e.g. reorders of loops
-/// co-iterated anyway.
+/// trees render distinctly), and a parallel kernel's row ranges. The function
+/// name is excluded: two lowerings that differ only in what they were called
+/// must collide. The candidate enumerator uses this to recognize schedules
+/// that are distinct at the concrete level but lower to identical code — e.g.
+/// reorders of loops co-iterated anyway.
 pub fn fingerprint_kernel(kernel: &taco_llir::Kernel) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(kernel.scalar_params.len() as u64);
@@ -124,6 +124,10 @@ pub fn fingerprint_kernel(kernel: &taco_llir::Kernel) -> u64 {
         h.write_str(s);
     }
     h.write_str(&format!("{:?}", kernel.body));
+    // A serial kernel hashes as it always has.
+    if let Some(rows) = &kernel.rows {
+        h.write_str(&format!("{rows:?}"));
+    }
     h.finish()
 }
 

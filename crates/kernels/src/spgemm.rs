@@ -77,8 +77,8 @@ fn spgemm_workspace(b: &Csr, c: &Csr, sort: bool) -> Csr {
     Csr::from_raw(m, n, pos, crd, vals)
 }
 
-/// Hand-parallel workspace SpGEMM: the rayon-free baseline the compiled
-/// `ParallelFor` path is benchmarked against.
+/// Hand-parallel workspace SpGEMM: the rayon-free baseline a compiled
+/// parallel kernel (`IndexStmt::parallelize`) is benchmarked against.
 ///
 /// Rows of `B` are split into contiguous chunks, one per worker; each
 /// worker owns a *private* dense workspace (`w`/`wset`/`wlist` — exactly
@@ -107,7 +107,7 @@ pub fn spgemm_workspace_parallel(b: &Csr, c: &Csr, threads: usize) -> Csr {
         return spgemm_workspace_sorted(b, c);
     }
 
-    // Static row chunking, identical to the executor's ParallelFor split.
+    // Static row chunking, identical to the row dispatcher's split.
     let per = m / threads;
     let extra = m % threads;
     let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(threads);

@@ -52,8 +52,6 @@ pub struct BudgetMeter {
     pub(crate) peak_map_bytes: u64,
     pub(crate) max_doublings: u32,
     pub(crate) realloc_counts: Vec<u32>,
-    /// Largest worker-thread count any parallel loop of the run used.
-    pub(crate) workers: u64,
 }
 
 impl BudgetMeter {
@@ -71,7 +69,6 @@ impl BudgetMeter {
             max_doublings: budget.max_realloc_doublings.unwrap_or(u32::MAX),
             // Doublings are only counted against a cap.
             realloc_counts: vec![0; budget.max_realloc_doublings.map_or(0, |_| n_arrays)],
-            workers: 0,
         }
     }
 
@@ -84,7 +81,7 @@ impl BudgetMeter {
             allocated_bytes: self.total_bytes,
             peak_single_bytes: self.peak_single_bytes,
             peak_map_bytes: self.peak_map_bytes,
-            workers: self.workers,
+            workers: 0,
         }
     }
 

@@ -34,13 +34,13 @@
 //!   [`LeafPlan`](crate::leaf::LeafPlan) that [`crate::leaf`] stored on the
 //!   `For` node and renders its *store* terms (DESIGN.md §8, "Leaf loops:
 //!   decide at entry, run a strip"; §15 for the C).
-//! * `ParallelFor` is rejected: its deterministic clone-and-merge
-//!   semantics have no plain-OpenMP equivalent, so a kernel with a parallel
-//!   loop stays on the interpreter (the autotuner's candidates are serial).
+//! * A parallel kernel emits like any other: its row range is two of its
+//!   scalar parameters, and the dispatcher beside
+//!   [`run_body`](crate::run_body) runs it as ranges ([`AbiPlan::rows`]).
 
 use crate::exec::{BExpr, DenseWs, FExpr, IExpr, RStmt, Ws};
 use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};
-use crate::{ArrayTy, BinOp, CompileError, Executable, ParamKind, WorkspaceKind};
+use crate::{ArrayTy, BinOp, Executable, ParamKind, Rows, WorkspaceKind};
 use std::fmt::Write;
 
 /// The C prelude shared by every emitted kernel (and by the display
@@ -56,7 +56,7 @@ pub const ABI_VERSION_SYMBOL: &str = "taco_abi_version";
 
 /// ABI version the emitted C and the Rust host must agree on. Keep in
 /// sync with `TACO_ABI_VERSION` in `taco_kernel.h`.
-pub const ABI_VERSION: i32 = 1;
+pub const ABI_VERSION: i32 = 2;
 
 /// One array slot of the table ABI.
 #[derive(Debug, Clone)]
@@ -101,6 +101,8 @@ pub struct AbiPlan {
     pub arrays: Vec<AbiArray>,
     /// Map workspaces by map slot.
     pub maps: Vec<AbiMap>,
+    /// The row ranges of a parallel kernel.
+    pub rows: Option<Rows>,
 }
 
 /// An emitted native translation unit plus its marshalling plan.
@@ -112,24 +114,15 @@ pub struct NativeSource {
     pub plan: AbiPlan,
 }
 
-/// Why a kernel cannot be emitted natively. Every variant degrades to
-/// the interpreter; none is an error at the engine level.
+/// Why a kernel cannot be emitted natively: it always can, so there is no
+/// value of this type. The `Result` [`emit_native`] returns keeps its
+/// callers' error paths, which the compiler now knows are unreachable.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NativeEmitError {
-    /// The kernel failed to compile to the resolved IR (a lowering bug).
-    Compile(CompileError),
-    /// A construct with no native equivalent. The payload names it.
-    Unsupported(String),
-}
+pub enum NativeEmitError {}
 
 impl std::fmt::Display for NativeEmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NativeEmitError::Compile(e) => write!(f, "kernel failed to compile: {e}"),
-            NativeEmitError::Unsupported(what) => {
-                write!(f, "no native equivalent for {what}")
-            }
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
@@ -139,11 +132,8 @@ impl std::error::Error for NativeEmitError {}
 ///
 /// # Errors
 ///
-/// [`NativeEmitError::Unsupported`] when the kernel uses `ParallelFor`
-/// (deterministic clone-and-merge is interpreter-only).
+/// None: every resolved statement has a native form.
 pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
-    check_supported(&exe.body)?;
-
     let n_visible = exe.array_names.len();
     let mut arrays: Vec<AbiArray> = Vec::with_capacity(n_visible + 2 * exe.map_names.len());
     for (slot, name) in exe.array_names.iter().enumerate() {
@@ -180,6 +170,7 @@ pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
         scalar_outputs: exe.scalar_outputs.as_ref().clone(),
         arrays,
         maps,
+        rows: exe.rows.as_deref().cloned(),
     };
 
     let mut e = Emitter { plan: &plan, out: String::new(), depth: 1, stores_prechecked: false };
@@ -189,11 +180,7 @@ pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
     src.push_str(TACO_KERNEL_H);
     let _ = writeln!(src, "\n/* kernel: {} */", exe.name);
     let _ = writeln!(src, "int32_t {ABI_VERSION_SYMBOL}(void) {{ return TACO_ABI_VERSION; }}\n");
-    let _ = writeln!(
-        src,
-        "int32_t {ENTRY_SYMBOL}(taco_ctx* ctx, int64_t row_lo, int64_t row_hi) {{"
-    );
-    let _ = writeln!(src, "  (void)row_lo; (void)row_hi;");
+    let _ = writeln!(src, "int32_t {ENTRY_SYMBOL}(taco_ctx* ctx) {{");
 
     // Flat scalar locals: slots are never reused across declarations, so
     // one function-scope local per slot reproduces interpreter scoping.
@@ -246,27 +233,6 @@ pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
     Ok(NativeSource { c_source: src, plan })
 }
 
-/// Rejects constructs the native backend cannot reproduce.
-fn check_supported(body: &[RStmt]) -> Result<(), NativeEmitError> {
-    for s in body {
-        match s {
-            RStmt::ParallelFor(_) => {
-                return Err(NativeEmitError::Unsupported(
-                    "parallel loop (deterministic clone-and-merge is interpreter-only)".into(),
-                ))
-            }
-            RStmt::For(_, _, _, b) => check_supported(b)?,
-            RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => check_supported(b)?,
-            RStmt::If(_, t, e) => {
-                check_supported(t)?;
-                check_supported(e)?;
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 /// Array slots written (stored to, filled, allocated or grown) anywhere in
 /// the body; the rest get `const` locals.
 fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
@@ -294,7 +260,6 @@ fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
                     walk(t, out);
                     walk(e, out);
                 }
-                RStmt::ParallelFor(pf) => walk(&pf.body, out),
                 _ => {}
             }
         }
@@ -574,9 +539,6 @@ impl Emitter<'_> {
                 self.line("}");
                 self.depth -= 1;
                 self.line("}");
-            }
-            RStmt::ParallelFor(_) => {
-                unreachable!("rejected by check_supported before emission")
             }
             RStmt::While(cond, body) => {
                 if bfaults(cond) {
@@ -973,25 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_parallel_for() {
-        let kernel = Kernel::new("par")
-            .scalar_param("n")
-            .array_param(Param::output("out", ArrayTy::F64))
-            .body(vec![Stmt::ParallelFor {
-                var: "i".into(),
-                lo: Expr::int(0),
-                hi: Expr::var("n"),
-                threads: 0,
-                private: vec![],
-                append: None,
-                body: vec![Stmt::store("out", Expr::var("i"), Expr::float(1.0))],
-            }]);
-        let exe = Executable::compile(&kernel).unwrap();
-        let err = emit_native(&exe).unwrap_err();
-        assert!(matches!(err, NativeEmitError::Unsupported(_)));
-    }
-
-    #[test]
     fn map_workspace_gets_hidden_backing_slots() {
         let kernel = Kernel::new("ws")
             .scalar_param("n")
@@ -1285,6 +1228,36 @@ mod cc_tests {
             ),
             Err(_) => eprintln!("SKIPPED: no C compiler (`{cc}`) on PATH; syntax check not run"),
         }
+    }
+
+    #[test]
+    fn a_parallel_kernel_emits_and_parses_with_system_compiler() {
+        let v = Expr::var;
+        let kernel = Kernel::new("par")
+            .scalar_param("n")
+            .scalar_param("row_lo")
+            .scalar_param("row_hi")
+            .array_param(Param::output("out", ArrayTy::F64))
+            .body(vec![Stmt::for_(
+                "i",
+                Expr::int(0).max(v("row_lo")),
+                v("n").min(v("row_hi")),
+                vec![Stmt::store("out", v("i"), Expr::float(1.0))],
+            )])
+            .rows(crate::Rows {
+                var: "i".into(),
+                lo: "row_lo".into(),
+                hi: "row_hi".into(),
+                extent: "n".into(),
+                threads: 0,
+                private: Vec::new(),
+                append: None,
+            });
+        let exe = Executable::compile(&kernel).unwrap();
+        let Ok(src) = emit_native(&exe);
+        assert_eq!(src.plan.rows, kernel.rows);
+        assert_eq!(src.plan.scalar_params.len(), 3);
+        syntax_check("par", &src);
     }
 
     #[test]

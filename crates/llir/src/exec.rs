@@ -21,7 +21,7 @@ use crate::alloc::{elem_bytes, BudgetMeter};
 use crate::leaf::{self, Access, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
     ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
-    ResourceBudget, RunError, Stmt, UnOp, WorkspaceKind,
+    ResourceBudget, Rows, RunError, Stmt, UnOp, WorkspaceKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
@@ -235,7 +235,6 @@ pub(crate) enum RStmt {
     StoreAddF64(usize, IExpr, FExpr),
     StoreAddF32(usize, IExpr, FExpr),
     For(usize, IExpr, IExpr, LoopBody),
-    ParallelFor(Box<RParFor>),
     While(BExpr, Vec<RStmt>),
     If(BExpr, Vec<RStmt>, Vec<RStmt>),
     MemsetI(usize, IExpr),
@@ -269,36 +268,6 @@ pub(crate) struct DenseWs {
     pub(crate) list: usize,
     pub(crate) guard: usize,
     pub(crate) len: usize,
-}
-
-/// A slot-resolved [`Stmt::ParallelFor`]: a counting loop whose iterations
-/// are distributed over worker threads in contiguous chunks and whose
-/// per-worker state is merged back deterministically (boxed to keep the
-/// common `RStmt` variants small).
-#[derive(Debug, Clone)]
-pub(crate) struct RParFor {
-    /// Loop-variable int slot.
-    pub(crate) var: usize,
-    pub(crate) lo: IExpr,
-    pub(crate) hi: IExpr,
-    /// Worker count baked in at lowering; 0 resolves at run time.
-    pub(crate) threads: usize,
-    /// Array slots private to each worker (per-thread workspaces): workers
-    /// run on clones, and the parent's pristine copies survive the loop.
-    pub(crate) private: Vec<usize>,
-    pub(crate) append: Option<RAppend>,
-    pub(crate) body: Vec<RStmt>,
-}
-
-/// Slot-resolved [`AppendMerge`](crate::AppendMerge).
-#[derive(Debug, Clone)]
-pub(crate) struct RAppend {
-    /// Int slot of the append counter scalar.
-    pub(crate) counter: usize,
-    /// Array slots appended to at counter positions.
-    pub(crate) data: Vec<usize>,
-    /// Slot of the result `pos` array whose per-row entries need rebasing.
-    pub(crate) pos: Option<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -639,52 +608,6 @@ impl Compiler {
                 self.scopes.pop();
                 RStmt::For(slot, lo, hi, LoopBody::new(body))
             }
-            Stmt::ParallelFor { var, lo, hi, threads, private, append, body } => {
-                let lo = self.int_expr(lo)?;
-                let hi = self.int_expr(hi)?;
-                // A private dense workspace is its three arrays; map stores
-                // are per worker anyway.
-                let mut private_slots = Vec::with_capacity(private.len());
-                for n in private {
-                    match self.workspaces.get(n) {
-                        Some(Ws::Dense(d)) => private_slots.extend([d.vals, d.list, d.guard]),
-                        Some(Ws::Map(..)) => {}
-                        None => private_slots.push(self.array(n)?.0),
-                    }
-                }
-                let append = match append {
-                    Some(a) => {
-                        let counter = match self.lookup_var(&a.counter) {
-                            Some((ScalarTy::Int, slot)) => slot,
-                            _ => return Err(CompileError::UnknownVar(a.counter.clone())),
-                        };
-                        let data = a
-                            .data
-                            .iter()
-                            .map(|n| self.written(n).map(|(slot, _)| slot))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let pos = match &a.pos {
-                            Some(p) => Some(self.written(p)?.0),
-                            None => None,
-                        };
-                        Some(RAppend { counter, data, pos })
-                    }
-                    None => None,
-                };
-                self.scopes.push(HashMap::new());
-                let slot = self.declare(var, ScalarTy::Int)?;
-                let body = self.block_in_current_scope(body)?;
-                self.scopes.pop();
-                RStmt::ParallelFor(Box::new(RParFor {
-                    var: slot,
-                    lo,
-                    hi,
-                    threads: *threads,
-                    private: private_slots,
-                    append,
-                    body,
-                }))
-            }
             Stmt::While { cond, body } => {
                 let cond = self.bool_expr(cond)?;
                 let body = self.block(body)?;
@@ -943,9 +866,6 @@ struct Mach<'a> {
     ctl: RunControls<'a>,
     /// Iterations until the next supervision check.
     check_countdown: u32,
-    /// True inside a worker thread of a parallel loop: nested
-    /// `ParallelFor`s then run serially instead of spawning again.
-    in_parallel: bool,
 }
 
 impl Mach<'_> {
@@ -1311,9 +1231,6 @@ impl Mach<'_> {
                     iv += 1;
                 }
             }
-            RStmt::ParallelFor(pf) => {
-                self.exec_parallel_for(pf)?;
-            }
             RStmt::While(cond, body) => {
                 while self.eval_b::<Checked>(cond)? {
                     self.consume_iteration()?;
@@ -1553,344 +1470,6 @@ impl Mach<'_> {
         Ok(())
     }
 
-    /// Executes `[clo, chi)` of a parallel loop body serially — the chunk a
-    /// worker runs, and also the whole-range fallback when only one thread
-    /// is available.
-    fn exec_chunk(&mut self, pf: &RParFor, clo: i64, chi: i64) -> Result<(), RunError> {
-        let mut iv = clo;
-        while iv < chi {
-            self.consume_iteration()?;
-            self.ints[pf.var] = iv;
-            self.exec_block::<Checked>(&pf.body)?;
-            iv += 1;
-        }
-        Ok(())
-    }
-
-    fn exec_parallel_for(&mut self, pf: &RParFor) -> Result<(), RunError> {
-        let lo = self.eval_i::<Checked>(&pf.lo)?;
-        let hi = self.eval_i::<Checked>(&pf.hi)?;
-        if hi <= lo {
-            return Ok(());
-        }
-        let trip = (hi - lo) as usize;
-        let threads = if self.in_parallel { 1 } else { resolved_threads(pf.threads).min(trip) };
-        self.budget.workers = self.budget.workers.max(threads.max(1) as u64);
-        if threads <= 1 {
-            return self.exec_chunk(pf, lo, hi);
-        }
-        self.run_workers(pf, lo, hi, threads)
-    }
-
-    /// The multi-threaded path: iterations are split into `threads`
-    /// contiguous chunks (OpenMP `schedule(static)`), each worker interprets
-    /// its chunk on a private clone of the machine state (read-only operand
-    /// buffers are shared, not copied), and the per-worker states are merged
-    /// back in chunk order so the parent ends byte-identical to a serial
-    /// run. Arrays every worker may write merge by bitwise diff
-    /// against the pre-loop state (legal schedules write disjoint regions);
-    /// private (workspace) arrays are discarded; append-style output (sparse
-    /// coordinate lists) is stitched by explicit segment rebasing.
-    #[cold]
-    #[inline(never)]
-    fn run_workers(&mut self, pf: &RParFor, lo: i64, hi: i64, threads: usize) -> Result<(), RunError> {
-        let trip = (hi - lo) as usize;
-        let per = trip / threads;
-        let extra = trip % threads;
-        let mut chunks: Vec<(i64, i64)> = Vec::with_capacity(threads);
-        let mut start = lo;
-        for w in 0..threads {
-            let len = (per + usize::from(w < extra)) as i64;
-            chunks.push((start, start + len));
-            start += len;
-        }
-
-        let cancel = self.ctl.cancel;
-        let deadline = self.ctl.deadline;
-        let parent_bytes = self.budget.total_bytes;
-
-        let results: Vec<Result<WorkerOut, RunError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(clo, chi)| {
-                    let mut m = Mach {
-                        ints: self.ints.clone(),
-                        floats: self.floats.clone(),
-                        bools: self.bools.clone(),
-                        // Operand buffers are shared: an `Arc` bump each.
-                        arrays: self.arrays.clone(),
-                        array_names: self.array_names.clone(),
-                        // Map workspaces are per-thread by construction: each
-                        // worker scatters into and drains its own clone, and
-                        // worker maps are discarded at the join (the verifier
-                        // denies parallel bodies that scatter without
-                        // draining in the same iteration).
-                        maps: self.maps.clone(),
-                        map_names: self.map_names.clone(),
-                        budget: BudgetMeter {
-                            iterations_left: self.budget.iterations_left,
-                            // Start the fuse at the parent's remaining count
-                            // so its `progress().iterations` is exactly what
-                            // this worker consumed.
-                            max_iterations: self.budget.iterations_left,
-                            max_single_bytes: self.budget.max_single_bytes,
-                            max_total_bytes: self.budget.max_total_bytes,
-                            total_bytes: self.budget.total_bytes,
-                            peak_single_bytes: self.budget.peak_single_bytes,
-                            peak_map_bytes: self.budget.peak_map_bytes,
-                            max_doublings: self.budget.max_doublings,
-                            realloc_counts: self.budget.realloc_counts.clone(),
-                            workers: 0,
-                        },
-                        ctl: RunControls { cancel, deadline, heartbeat: None },
-                        check_countdown: 0,
-                        in_parallel: true,
-                    };
-                    scope.spawn(move || -> Result<WorkerOut, RunError> {
-                        m.exec_chunk(pf, clo, chi)?;
-                        Ok(WorkerOut {
-                            iterations: m.budget.progress().iterations,
-                            grown_bytes: m.budget.total_bytes - parent_bytes,
-                            peak_single_bytes: m.budget.peak_single_bytes,
-                            peak_map_bytes: m.budget.peak_map_bytes,
-                            realloc_counts: m.budget.realloc_counts,
-                            ints: m.ints,
-                            floats: m.floats,
-                            bools: m.bools,
-                            arrays: m.arrays,
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-
-        // The first error in chunk order wins, matching the serial run's
-        // error for deterministic failures; the parent state is untouched
-        // (workers ran on clones), so supervised rollback works unchanged.
-        let mut outs: Vec<WorkerOut> = Vec::with_capacity(results.len());
-        for r in results {
-            outs.push(r?);
-        }
-
-        // Charge the combined budget use before mutating any parent state.
-        let consumed: u64 = outs.iter().map(|o| o.iterations).sum();
-        match self.budget.iterations_left.checked_sub(consumed) {
-            Some(left) => self.budget.iterations_left = left,
-            None => {
-                return Err(RunError::BudgetExceeded {
-                    resource: BudgetResource::LoopIterations,
-                    limit: self.budget.max_iterations,
-                    requested: self.budget.progress().iterations.saturating_add(consumed),
-                    array: None,
-                })
-            }
-        }
-        let grown: u64 = outs.iter().map(|o| o.grown_bytes).sum();
-        let total = self.budget.total_bytes.saturating_add(grown);
-        if total > self.budget.max_total_bytes {
-            return Err(RunError::BudgetExceeded {
-                resource: BudgetResource::TotalBytes,
-                limit: self.budget.max_total_bytes,
-                requested: total,
-                array: None,
-            });
-        }
-        self.budget.total_bytes = total;
-        for o in &outs {
-            self.budget.peak_single_bytes = self.budget.peak_single_bytes.max(o.peak_single_bytes);
-            self.budget.peak_map_bytes = self.budget.peak_map_bytes.max(o.peak_map_bytes);
-        }
-        for o in &outs {
-            for (i, &c) in o.realloc_counts.iter().enumerate() {
-                let delta = c.saturating_sub(self.budget.realloc_counts[i]);
-                // Deltas accumulate without a post-hoc cap check: each
-                // worker already enforced the doubling limit individually.
-                self.budget.realloc_counts[i] =
-                    self.budget.realloc_counts[i].saturating_add(delta);
-            }
-        }
-        self.supervision_check()?;
-
-        // Scalar merge in chunk order: later chunks overwrite, matching the
-        // serial run where the last iteration's writes survive. The append
-        // counter is excluded — it accumulates across chunks and is rebased
-        // below.
-        let counter_slot = pf.append.as_ref().map(|a| a.counter);
-        let c0 = counter_slot.map(|s| self.ints[s]).unwrap_or(0);
-        let int_snap = self.ints.clone();
-        let float_snap = self.floats.clone();
-        let bool_snap = self.bools.clone();
-        for o in &outs {
-            for (i, &v) in o.ints.iter().enumerate() {
-                if Some(i) != counter_slot && int_snap[i] != v {
-                    self.ints[i] = v;
-                }
-            }
-            for (i, &v) in o.floats.iter().enumerate() {
-                if float_snap[i].to_bits() != v.to_bits() {
-                    self.floats[i] = v;
-                }
-            }
-            for (i, &v) in o.bools.iter().enumerate() {
-                if bool_snap[i] != v {
-                    self.bools[i] = v;
-                }
-            }
-        }
-
-        // Shared-array merge: bitwise diff against the pre-loop snapshot,
-        // applied in chunk order. Private workspaces keep the parent's
-        // pristine copies; append arrays are handled by rebasing below;
-        // read-only (shared) buffers no worker can have written.
-        let mut skip: Vec<bool> = vec![false; self.arrays.len()];
-        for &s in &pf.private {
-            skip[s] = true;
-        }
-        if let Some(a) = &pf.append {
-            for &s in &a.data {
-                skip[s] = true;
-            }
-            if let Some(p) = a.pos {
-                skip[p] = true;
-            }
-        }
-        let snapshot: Vec<Option<ArrayVal>> = self
-            .arrays
-            .iter()
-            .enumerate()
-            .map(|(i, a)| if skip[i] || a.is_shared() { None } else { Some(a.clone()) })
-            .collect();
-        for o in &outs {
-            for (i, worker) in o.arrays.iter().enumerate() {
-                if let Some(snap) = &snapshot[i] {
-                    merge_shared(&mut self.arrays[i], snap, worker);
-                }
-            }
-        }
-
-        // Append merge (sparse result rows): worker `w`'s segment
-        // `[c0, counter_w)` lands after the segments of workers `0..w`, its
-        // `pos` entries shift by the same offset, and the parent counter
-        // ends at the total — exactly the serial values.
-        if let Some(ap) = &pf.append {
-            let mut base = c0;
-            for (w, o) in outs.iter().enumerate() {
-                let wc = o.ints[ap.counter];
-                if wc > c0 {
-                    let (src_lo, src_hi) = (c0 as usize, wc as usize);
-                    let dst = base as usize;
-                    for &slot in &ap.data {
-                        append_copy(&mut self.arrays[slot], &o.arrays[slot], src_lo, src_hi, dst);
-                    }
-                }
-                // Rebase the worker's `pos` entries even when it appended
-                // nothing: its rows still closed at (its view of) the
-                // counter, which maps to `base` in the stitched output.
-                if let Some(pos_slot) = ap.pos {
-                    let shift = base - c0;
-                    let (clo, chi) = chunks[w];
-                    if let (ArrayVal::Int(Buf::Owned(p)), ArrayVal::Int(wv)) =
-                        (&mut self.arrays[pos_slot], &o.arrays[pos_slot])
-                    {
-                        for j in (clo + 1)..=chi {
-                            let j = j as usize;
-                            if j < p.len() && j < wv.len() {
-                                p[j] = wv[j] + shift;
-                            }
-                        }
-                    }
-                }
-                base += (wc - c0).max(0);
-            }
-            self.ints[ap.counter] = base;
-        }
-        Ok(())
-    }
-}
-
-/// What one parallel-loop worker hands back for the merge.
-struct WorkerOut {
-    iterations: u64,
-    grown_bytes: u64,
-    peak_single_bytes: u64,
-    peak_map_bytes: u64,
-    realloc_counts: Vec<u32>,
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    bools: Vec<bool>,
-    arrays: Vec<ArrayVal>,
-}
-
-/// Resolves the worker-thread count for a parallel loop: an explicit
-/// schedule choice wins, then the `TACO_THREADS` environment variable, then
-/// the machine's available parallelism.
-fn resolved_threads(explicit: usize) -> usize {
-    if explicit > 0 {
-        return explicit;
-    }
-    if let Ok(s) = std::env::var("TACO_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Applies one worker's writes to a shared array: every element whose bits
-/// differ from the pre-loop snapshot was written by that worker and
-/// overwrites the parent's. Arrays a worker grew extend the parent first.
-/// A read-only [`Buf::Shared`] buffer is never snapshotted: a worker's write
-/// to it would have failed the loop.
-fn merge_shared(parent: &mut ArrayVal, snap: &ArrayVal, worker: &ArrayVal) {
-    fn merge<T: Copy + Default>(p: &mut Buf<T>, s: &[T], w: &[T], same: impl Fn(T, T) -> bool) {
-        let Some(p) = p.owned_mut() else { return };
-        if w.len() > p.len() {
-            p.resize(w.len(), T::default());
-        }
-        for (i, &wv) in w.iter().enumerate() {
-            if !same(s.get(i).copied().unwrap_or_default(), wv) {
-                p[i] = wv;
-            }
-        }
-    }
-    match (parent, snap, worker) {
-        (ArrayVal::Int(p), ArrayVal::Int(s), ArrayVal::Int(w)) => merge(p, s, w, |a, b| a == b),
-        (ArrayVal::F64(p), ArrayVal::F64(s), ArrayVal::F64(w)) => {
-            merge(p, s, w, |a, b| a.to_bits() == b.to_bits())
-        }
-        (ArrayVal::F32(p), ArrayVal::F32(s), ArrayVal::F32(w)) => {
-            merge(p, s, w, |a, b| a.to_bits() == b.to_bits())
-        }
-        (ArrayVal::Bool(p), ArrayVal::Bool(s), ArrayVal::Bool(w)) => merge(p, s, w, |a, b| a == b),
-        _ => {}
-    }
-}
-
-/// Copies `worker[src_lo..src_hi]` to `parent[dst..]`, growing the parent as
-/// needed — one worker's appended segment of a coordinate or value array.
-fn append_copy(parent: &mut ArrayVal, worker: &ArrayVal, src_lo: usize, src_hi: usize, dst: usize) {
-    fn copy<T: Copy + Default>(p: &mut Buf<T>, w: &[T], dst: usize) {
-        let Some(p) = p.owned_mut() else { return };
-        if p.len() < dst + w.len() {
-            p.resize(dst + w.len(), T::default());
-        }
-        p[dst..dst + w.len()].copy_from_slice(w);
-    }
-    let src_hi = src_hi.min(worker.len());
-    if src_hi <= src_lo {
-        return;
-    }
-    let src = src_lo..src_hi;
-    match (parent, worker) {
-        (ArrayVal::Int(p), ArrayVal::Int(w)) => copy(p, &w[src], dst),
-        (ArrayVal::F64(p), ArrayVal::F64(w)) => copy(p, &w[src], dst),
-        (ArrayVal::F32(p), ArrayVal::F32(w)) => copy(p, &w[src], dst),
-        (ArrayVal::Bool(p), ArrayVal::Bool(w)) => copy(p, &w[src], dst),
-        _ => {}
-    }
 }
 
 fn cmp<T: PartialOrd>(op: BinOp, x: &T, y: &T) -> bool {
@@ -2052,6 +1631,31 @@ impl Binding {
     }
 }
 
+/// Checks that a parallel kernel names what the row dispatcher reads: its
+/// range and extent parameters and, when it appends, a counter that is a
+/// scalar output and stitched arrays that are written parameters.
+fn check_rows(kernel: &Kernel, rows: &Rows) -> Result<(), CompileError> {
+    for p in [&rows.lo, &rows.hi, &rows.extent] {
+        if !kernel.scalar_params.contains(p) {
+            return Err(CompileError::UnknownVar(p.clone()));
+        }
+    }
+    let Some(a) = &rows.append else { return Ok(()) };
+    if !kernel.scalar_outputs.contains(&a.counter) {
+        return Err(CompileError::BadScalarOutput(a.counter.clone()));
+    }
+    for name in a.data.iter().chain([&a.pos]) {
+        match kernel.array_params.iter().find(|p| p.name == *name) {
+            None => return Err(CompileError::UnknownArray(name.clone())),
+            Some(p) if p.kind == ParamKind::Input => {
+                return Err(CompileError::WriteToInput(name.clone()))
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
+}
+
 /// A compiled kernel ready to run against a [`Binding`].
 ///
 /// The compiled statement tree and metadata tables are reference-counted
@@ -2078,6 +1682,8 @@ pub struct Executable {
     /// interpreter's machine allocates.
     mach_slots: Slots,
     pub(crate) body: Arc<Vec<RStmt>>,
+    /// The row ranges of a parallel kernel.
+    pub(crate) rows: Option<Arc<Rows>>,
 }
 
 impl Executable {
@@ -2132,6 +1738,9 @@ impl Executable {
                 _ => return Err(CompileError::BadScalarOutput(name.clone())),
             }
         }
+        if let Some(rows) = &kernel.rows {
+            check_rows(kernel, rows)?;
+        }
 
         Ok(Executable {
             name: kernel.name.clone(),
@@ -2146,6 +1755,7 @@ impl Executable {
             n_bool: c.n_bool,
             mach_slots,
             body: Arc::new(body),
+            rows: kernel.rows.clone().map(Arc::new),
         })
     }
 
@@ -2203,12 +1813,17 @@ pub struct Frame {
 /// ABI). Everything around the execution — marshalling, metering,
 /// supervision, rollback — is [`run_body`] and
 /// [`Supervisor::run`](crate::Supervisor::run), written once for both.
-pub trait KernelBody {
+/// A parallel kernel's row ranges run on scoped threads, so a body is
+/// `Sync`.
+pub trait KernelBody: Sync {
     /// Scalar parameters as (name, int slot), in frame order.
     fn scalar_params(&self) -> &[(String, usize)];
 
     /// Scalar outputs as (name, int slot), in frame order.
     fn scalar_outputs(&self) -> &[(String, usize)];
+
+    /// The row ranges of a parallel kernel; `None` for a serial one.
+    fn rows(&self) -> Option<&Rows>;
 
     /// Array parameters as (name, frame slot, element type, kind).
     fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)>;
@@ -2242,6 +1857,10 @@ impl KernelBody for Executable {
         &self.scalar_outputs
     }
 
+    fn rows(&self) -> Option<&Rows> {
+        self.rows.as_deref()
+    }
+
     fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)> {
         self.array_params.iter().map(|(name, slot, ty, kind)| (name.as_str(), *slot, *ty, *kind))
     }
@@ -2264,12 +1883,11 @@ impl KernelBody for Executable {
             array_names: self.array_names.clone(),
             maps: self.map_names.iter().map(|_| MapWs::default()).collect(),
             map_names: self.map_names.clone(),
-            // The machine owns its meter, as each worker of a parallel loop
-            // owns one; it goes back to the caller when the run ends.
+            // The machine owns its meter; it goes back to the caller when
+            // the run ends.
             budget: std::mem::replace(meter, BudgetMeter::new(&ResourceBudget::unlimited(), 0)),
             ctl: *controls,
             check_countdown: 0,
-            in_parallel: false,
         };
         for ((_, slot), v) in self.scalar_params.iter().zip(&frame.scalars) {
             mach.ints[*slot] = *v;
@@ -2294,6 +1912,11 @@ impl KernelBody for Executable {
 /// ([`Supervisor::run`](crate::Supervisor::run) rolls it back from a
 /// snapshot instead); scalar outputs are committed only on success.
 ///
+/// A parallel kernel ([`KernelBody::rows`]) goes to the row dispatcher
+/// instead: whole-kernel runs of this protocol over disjoint row ranges,
+/// each on its own copy of `binding`, merged into `binding` only when every
+/// range has committed. A failed parallel run leaves `binding` untouched.
+///
 /// Returns the meter's final counters — whether the run committed or not —
 /// beside the run's result.
 pub fn run_body<B: KernelBody>(
@@ -2302,7 +1925,22 @@ pub fn run_body<B: KernelBody>(
     budget: &ResourceBudget,
     controls: RunControls<'_>,
 ) -> (Progress, Result<(), RunError>) {
-    let mut frame = match checked_frame(body, binding) {
+    match body.rows() {
+        Some(rows) => run_rows(body, rows, binding, budget, controls),
+        None => run_range(body, binding, budget, controls, None),
+    }
+}
+
+/// One run of the whole kernel; `range` binds a parallel kernel's range
+/// parameters.
+fn run_range<B: KernelBody>(
+    body: &B,
+    binding: &mut Binding,
+    budget: &ResourceBudget,
+    controls: RunControls<'_>,
+    range: Option<(i64, i64)>,
+) -> (Progress, Result<(), RunError>) {
+    let mut frame = match checked_frame(body, binding, range) {
         Ok(frame) => frame,
         Err(e) => return (Progress::default(), Err(e)),
     };
@@ -2319,12 +1957,22 @@ pub fn run_body<B: KernelBody>(
 }
 
 /// Checks every parameter of `body` against `binding` and builds the frame
-/// of a run: scalars read, every array slot still empty.
-fn checked_frame<B: KernelBody>(body: &B, binding: &Binding) -> Result<Frame, RunError> {
+/// of a run: scalars read, every array slot still empty. A parallel
+/// kernel's range parameters take `range` rather than a bound value.
+fn checked_frame<B: KernelBody>(
+    body: &B,
+    binding: &Binding,
+    range: Option<(i64, i64)>,
+) -> Result<Frame, RunError> {
     let mut scalars = Vec::with_capacity(body.scalar_params().len());
     for (name, _) in body.scalar_params() {
-        let v = binding.scalars.get(name).ok_or_else(|| RunError::MissingScalar(name.clone()))?;
-        scalars.push(*v);
+        let ranged = match (body.rows(), range) {
+            (Some(rows), Some((lo, _))) if *name == rows.lo => Some(lo),
+            (Some(rows), Some((_, hi))) if *name == rows.hi => Some(hi),
+            _ => None,
+        };
+        let bound = || binding.scalars.get(name).copied();
+        scalars.push(ranged.or_else(bound).ok_or_else(|| RunError::MissingScalar(name.clone()))?);
     }
     for (name, _, ty, kind) in body.array_params() {
         match binding.arrays.get(name) {
@@ -2344,6 +1992,217 @@ fn checked_frame<B: KernelBody>(body: &B, binding: &Binding) -> Result<Frame, Ru
         arrays: body.slot_types().map(ArrayVal::empty).collect(),
         scalar_outputs: vec![0; body.scalar_outputs().len()],
     })
+}
+
+/// The row dispatcher: runs a parallel kernel as contiguous ranges of its
+/// rows `[0, extent)` (OpenMP `schedule(static)`), one scoped thread and one
+/// whole-kernel [`run_range`] per range, each on its own clone of `binding`
+/// (operands are shared, an `Arc` bump each) with its own meter.
+///
+/// Only when every range has committed are the clones merged into
+/// `binding`, in row order, so the result is byte-identical to the serial
+/// run (the race model of DESIGN.md §12): the arrays an [`AppendMerge`]
+/// names are stitched, and every other written array takes each range's
+/// writes — the elements whose bits differ from a run over no rows, the
+/// state every range's loop started from. The first error in row order
+/// wins and `binding` is left untouched.
+///
+/// The counters are the sums over the runs (the peaks their maxima), held
+/// against the budget's iteration fuse and byte ceiling as one run's are;
+/// `workers` is the number of ranges. The cancel flag and the deadline are
+/// checked at the fork and the join as well as inside every range. At one
+/// thread the kernel runs once, over every row.
+///
+/// [`AppendMerge`]: crate::AppendMerge
+fn run_rows<B: KernelBody>(
+    body: &B,
+    rows: &Rows,
+    binding: &mut Binding,
+    budget: &ResourceBudget,
+    controls: RunControls<'_>,
+) -> (Progress, Result<(), RunError>) {
+    let Some(extent) = binding.scalars.get(&rows.extent).map(|&n| n.max(0)) else {
+        return (Progress::default(), Err(RunError::MissingScalar(rows.extent.clone())));
+    };
+    let threads = resolved_threads(rows.threads).min(extent as usize);
+    if threads <= 1 {
+        let (progress, result) = run_range(body, binding, budget, controls, Some((0, extent)));
+        return (Progress { workers: 1, ..progress }, result);
+    }
+    let (per, extra) = (extent / threads as i64, extent % threads as i64);
+    let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(threads + 1);
+    for w in 0..threads as i64 {
+        let start = ranges.last().map_or(0, |r| r.1);
+        ranges.push((start, start + per + i64::from(w < extra)));
+    }
+    let written: Vec<&str> =
+        body.array_params().filter(|(.., kind)| *kind != ParamKind::Input).map(|p| p.0).collect();
+    let stitched = |name: &str| {
+        rows.append.as_ref().is_some_and(|a| a.pos == name || a.data.iter().any(|d| d == name))
+    };
+    let diffed: Vec<&str> = written.iter().copied().filter(|name| !stitched(name)).collect();
+    if !diffed.is_empty() {
+        ranges.push((0, 0));
+    }
+
+    // The controls are observed at the fork and at the join too, so a run
+    // cancelled or out of time before it starts runs nothing, and one no
+    // range observed commits nothing.
+    let controls = RunControls { heartbeat: None, ..controls };
+    let unmetered = BudgetMeter::new(budget, 0);
+    let mut progress = Progress { workers: threads as u64, ..Progress::default() };
+    if let Err(e) = controls.check(&unmetered) {
+        return (progress, Err(e));
+    }
+    let shared: &Binding = binding;
+    let runs: Vec<(Binding, Progress, Result<(), RunError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|&range| {
+                scope.spawn(move || {
+                    let mut copy = shared.clone();
+                    let (progress, result) = run_range(body, &mut copy, budget, controls, Some(range));
+                    (copy, progress, result)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("a row range's thread panicked")).collect()
+    });
+
+    for (_, p, _) in &runs {
+        progress.iterations = progress.iterations.saturating_add(p.iterations);
+        progress.allocated_bytes = progress.allocated_bytes.saturating_add(p.allocated_bytes);
+        progress.peak_single_bytes = progress.peak_single_bytes.max(p.peak_single_bytes);
+        progress.peak_map_bytes = progress.peak_map_bytes.max(p.peak_map_bytes);
+    }
+    let mut copies = Vec::with_capacity(runs.len());
+    for (copy, _, result) in runs {
+        if let Err(e) = result {
+            return (progress, Err(e));
+        }
+        copies.push(copy);
+    }
+    let sums = [
+        (BudgetResource::LoopIterations, budget.max_loop_iterations, progress.iterations),
+        (BudgetResource::TotalBytes, budget.max_total_bytes, progress.allocated_bytes),
+    ];
+    for (resource, limit, requested) in sums {
+        if let Some(limit) = limit.filter(|&limit| requested > limit) {
+            let e = RunError::BudgetExceeded { resource, limit, requested, array: None };
+            return (progress, Err(e));
+        }
+    }
+    if let Err(e) = controls.check(&unmetered) {
+        return (progress, Err(e));
+    }
+
+    // Range 0's copy is the base; later ranges merge into it in row order.
+    let before = (!diffed.is_empty()).then(|| copies.pop().expect("the run over no rows"));
+    let mut merged = std::mem::take(&mut copies[0]);
+    let counter = rows.append.as_ref().map(|a| a.counter.as_str());
+    let mut appended = counter.and_then(|c| merged.scalar_output(c)).unwrap_or(0);
+    for (copy, &(lo, hi)) in copies.iter().zip(&ranges).skip(1) {
+        if let Some(before) = &before {
+            for &name in &diffed {
+                let target = merged.arrays.get_mut(name).expect("written");
+                merge_writes(target, &before.arrays[name], &copy.arrays[name]);
+            }
+        }
+        let Some(a) = &rows.append else { continue };
+        let n = copy.scalar_output(&a.counter).unwrap_or(0);
+        for name in &a.data {
+            append_at(merged.arrays.get_mut(name).expect("written"), &copy.arrays[name], n, appended);
+        }
+        if let (Some(ArrayVal::Int(Buf::Owned(pos))), Some(ArrayVal::Int(theirs))) =
+            (merged.arrays.get_mut(&a.pos), copy.arrays.get(&a.pos))
+        {
+            // Row `v` closes at `pos[v + 1]`.
+            for j in (lo + 1) as usize..=hi as usize {
+                if j < pos.len() && j < theirs.len() {
+                    pos[j] = theirs[j] + appended;
+                }
+            }
+        }
+        appended += n;
+    }
+
+    for name in written {
+        let array = merged.arrays.remove(name).expect("written");
+        binding.arrays.insert(name.to_string(), array);
+    }
+    // The counter is the ranges' sum; any other output is the last range's,
+    // as the last iteration's write survives a serial run.
+    let last = copies.last().expect("two ranges or more");
+    for (name, _) in body.scalar_outputs() {
+        let v = if Some(name.as_str()) == counter { Some(appended) } else { last.scalar_output(name) };
+        binding.scalar_outputs.insert(name.clone(), v.expect("a committed run's output"));
+    }
+    (progress, Ok(()))
+}
+
+/// Resolves the worker-thread count of a parallel kernel: an explicit
+/// schedule choice wins, then the `TACO_THREADS` environment variable, then
+/// the machine's available parallelism.
+fn resolved_threads(explicit: usize) -> usize {
+    if explicit > 0 {
+        return explicit;
+    }
+    if let Ok(s) = std::env::var("TACO_THREADS") {
+        if let Ok(n) = s.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Applies one range's writes to `merged`: every element whose bits differ
+/// from `before` was written by that range. An array the range grew extends
+/// `merged` first.
+fn merge_writes(merged: &mut ArrayVal, before: &ArrayVal, theirs: &ArrayVal) {
+    fn merge<T: Copy + Default>(m: &mut Buf<T>, b: &[T], t: &[T], same: impl Fn(T, T) -> bool) {
+        let Some(m) = m.owned_mut() else { return };
+        if t.len() > m.len() {
+            m.resize(t.len(), T::default());
+        }
+        for (i, &tv) in t.iter().enumerate() {
+            if !same(b.get(i).copied().unwrap_or_default(), tv) {
+                m[i] = tv;
+            }
+        }
+    }
+    match (merged, before, theirs) {
+        (ArrayVal::Int(m), ArrayVal::Int(b), ArrayVal::Int(t)) => merge(m, b, t, |x, y| x == y),
+        (ArrayVal::F64(m), ArrayVal::F64(b), ArrayVal::F64(t)) => {
+            merge(m, b, t, |x, y| x.to_bits() == y.to_bits())
+        }
+        (ArrayVal::F32(m), ArrayVal::F32(b), ArrayVal::F32(t)) => {
+            merge(m, b, t, |x, y| x.to_bits() == y.to_bits())
+        }
+        (ArrayVal::Bool(m), ArrayVal::Bool(b), ArrayVal::Bool(t)) => merge(m, b, t, |x, y| x == y),
+        _ => {}
+    }
+}
+
+/// Copies the first `n` elements of one range's appended array to
+/// `merged[at..]`, growing `merged` as needed.
+fn append_at(merged: &mut ArrayVal, theirs: &ArrayVal, n: i64, at: i64) {
+    fn copy<T: Copy + Default>(m: &mut Buf<T>, t: &[T], at: usize) {
+        let Some(m) = m.owned_mut() else { return };
+        if m.len() < at + t.len() {
+            m.resize(at + t.len(), T::default());
+        }
+        m[at..at + t.len()].copy_from_slice(t);
+    }
+    let (n, at) = ((n.max(0) as usize).min(theirs.len()), at.max(0) as usize);
+    match (merged, theirs) {
+        (ArrayVal::Int(m), ArrayVal::Int(t)) => copy(m, &t[..n], at),
+        (ArrayVal::F64(m), ArrayVal::F64(t)) => copy(m, &t[..n], at),
+        (ArrayVal::F32(m), ArrayVal::F32(t)) => copy(m, &t[..n], at),
+        (ArrayVal::Bool(m), ArrayVal::Bool(t)) => copy(m, &t[..n], at),
+        _ => {}
+    }
 }
 
 /// Exchanges each array parameter's entry in `binding` with its frame slot:
@@ -3095,5 +2954,62 @@ mod tests {
         b.set_f64("y", vec![0.0]);
         run_kernel(&k, &mut b);
         assert_eq!(b.f64_array("y").unwrap(), &[4.5]);
+    }
+
+    /// `out[i] = 2 x[i]` after zeroing `out`, over the rows of a range, at
+    /// `threads` threads.
+    fn parallel_scale(threads: usize) -> Executable {
+        let v = Expr::var;
+        let kernel = Kernel::new("par_scale")
+            .scalar_param("n")
+            .scalar_param("row_lo")
+            .scalar_param("row_hi")
+            .array_param(Param::input("x", ArrayTy::F64))
+            .array_param(Param::output("out", ArrayTy::F64))
+            .body(vec![
+                Stmt::Memset { arr: "out".into(), val: Expr::float(0.0) },
+                Stmt::for_(
+                    "i",
+                    Expr::int(0).max(v("row_lo")),
+                    v("n").min(v("row_hi")),
+                    vec![Stmt::store("out", v("i"), Expr::float(2.0) * Expr::load("x", v("i")))],
+                ),
+            ])
+            .rows(Rows {
+                var: "i".into(),
+                lo: "row_lo".into(),
+                hi: "row_hi".into(),
+                extent: "n".into(),
+                threads,
+                private: Vec::new(),
+                append: None,
+            });
+        Executable::compile(&kernel).unwrap()
+    }
+
+    /// Every range zeroes the whole output before its rows, so a range's
+    /// writes are told from the run over no rows, not from the binding: a
+    /// rerun on the binding of a finished run is that run again.
+    #[test]
+    fn a_parallel_rerun_over_its_own_result_is_the_same_run() {
+        let run = |exe: &Executable, b: &mut Binding| {
+            run_body(exe, b, &ResourceBudget::unlimited(), RunControls::default())
+        };
+        let mut b = Binding::new();
+        b.set_scalar("n", 7);
+        b.set_f64("x", (1..=7).map(f64::from).collect()).set_f64("out", vec![0.0; 7]);
+        let expected: Vec<f64> = (1..=7).map(|x| 2.0 * f64::from(x)).collect();
+        let (progress, result) = run(&parallel_scale(1), &mut b);
+        assert_eq!((result, progress.workers, progress.iterations), (Ok(()), 1, 7));
+        assert_eq!(b.f64_array("out").unwrap(), &expected[..]);
+        for threads in [2, 3, 7, 9] {
+            let exe = parallel_scale(threads);
+            for _ in 0..2 {
+                let (progress, result) = run(&exe, &mut b);
+                assert_eq!(result, Ok(()));
+                assert_eq!((progress.workers, progress.iterations), (threads.min(7) as u64, 7));
+                assert_eq!(b.f64_array("out").unwrap(), &expected[..], "{threads} threads");
+            }
+        }
     }
 }

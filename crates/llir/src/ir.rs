@@ -291,32 +291,6 @@ pub enum Stmt {
         /// Loop body.
         body: Vec<Stmt>,
     },
-    /// `for (var = lo; var < hi; var++) body`, with iterations distributed
-    /// over worker threads in contiguous chunks. Produced by lowering a
-    /// forall that the schedule marked parallel (`IndexStmt::parallelize`);
-    /// the executor merges per-worker results in chunk order so the outcome
-    /// is byte-identical to running the plain `For`.
-    ParallelFor {
-        /// Loop variable (fresh integer declaration scoped to the body).
-        var: String,
-        /// Inclusive lower bound.
-        lo: Expr,
-        /// Exclusive upper bound.
-        hi: Expr,
-        /// Worker-thread count; 0 means decide at run time (the
-        /// `TACO_THREADS` environment variable, then available parallelism).
-        threads: usize,
-        /// Arrays private to each iteration (per-thread workspace clones):
-        /// every worker gets its own pristine copy, discarded after the
-        /// loop.
-        private: Vec<String>,
-        /// Present when the body appends to a sparse result level;
-        /// describes how per-worker coordinate lists are stitched back
-        /// together deterministically.
-        append: Option<AppendMerge>,
-        /// Loop body.
-        body: Vec<Stmt>,
-    },
     /// `while (cond) body`.
     While {
         /// Boolean condition.
@@ -413,27 +387,58 @@ pub enum Stmt {
     Comment(String),
 }
 
-/// How a [`Stmt::ParallelFor`] merges per-worker append-style output
-/// (compressed coordinate lists grown with a counter) back into the shared
-/// arrays.
+/// How a parallel kernel's row ranges stitch their appends to a sparse
+/// result level (compressed coordinate lists grown with a counter) back
+/// together.
 ///
-/// Each worker starts from the parent's counter value and appends its
-/// chunk's entries to its private clone of the data arrays. At the merge,
-/// workers are visited in chunk order: worker *w*'s appended entries are
-/// copied after those of workers `0..w`, the counter advances by the sum,
-/// and `pos` entries written by the worker are rebased by the same offset —
-/// exactly the values a serial run would have produced.
+/// Every range runs the whole kernel, so its counter starts where the
+/// kernel starts it, at zero, and its entries sit at `[0, counter)` of its
+/// own copy of the data arrays. Ranges are stitched in row order: range
+/// *w*'s entries are copied after those of ranges `0..w`, its rows' `pos`
+/// entries shift by the same offset, and the counter is the sum — exactly
+/// the values a serial run would have produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendMerge {
-    /// The append counter variable (e.g. `pA2`), incremented once per
-    /// appended entry.
+    /// The append counter (e.g. `pA2`), incremented once per appended
+    /// entry: a scalar output of the kernel.
     pub counter: String,
     /// Arrays appended to at `counter` positions (`crd`, and `vals` for
     /// fused kernels).
     pub data: Vec<String>,
-    /// The result `pos` array closed per iteration (`pos[v+1] = counter`);
-    /// `None` for rank-1 results whose pos is closed after the loop.
-    pub pos: Option<String>,
+    /// The result `pos` array closed per row (`pos[v+1] = counter`).
+    pub pos: String,
+}
+
+/// What makes a kernel parallel: its top-level `For` over [`Rows::var`]
+/// runs from `max(0, row_lo)` to `min(extent, row_hi)`, where `row_lo` and
+/// `row_hi` are the scalar parameters [`Rows::lo`] and [`Rows::hi`] name,
+/// so a run over `[row_lo, row_hi)` is the kernel restricted to those rows. The dispatcher beside
+/// [`run_body`](crate::run_body) splits `[0, extent)` into contiguous
+/// ranges, runs the whole kernel once per range on its own copy of the
+/// binding, and merges the copies in row order; run whole, the kernel is
+/// the serial one.
+///
+/// Produced by lowering a forall the schedule marked parallel
+/// (`IndexStmt::parallelize`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rows {
+    /// The variable of the top-level loop the ranges split.
+    pub var: String,
+    /// The scalar parameter holding the first row of a range.
+    pub lo: String,
+    /// The scalar parameter holding the end (exclusive) of a range.
+    pub hi: String,
+    /// The scalar parameter that is the loop's extent: the rows are
+    /// `[0, extent)`.
+    pub extent: String,
+    /// Worker-thread count; 0 means decide at run time (the `TACO_THREADS`
+    /// environment variable, then available parallelism).
+    pub threads: usize,
+    /// Workspaces private to each range. They are kernel-local, so every
+    /// run of the kernel has its own; the race check exempts them.
+    pub private: Vec<String>,
+    /// Present when the loop appends to a sparse result level.
+    pub append: Option<AppendMerge>,
 }
 
 impl Stmt {
@@ -515,7 +520,6 @@ pub fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Stmt)) {
         f(s);
         match s {
             Stmt::For { body, .. }
-            | Stmt::ParallelFor { body, .. }
             | Stmt::While { body, .. }
             | Stmt::WsDrain { body, .. } => visit_stmts(body, f),
             Stmt::If { then, els, .. } => {
@@ -541,6 +545,8 @@ pub struct Kernel {
     pub scalar_outputs: Vec<String>,
     /// Kernel body.
     pub body: Vec<Stmt>,
+    /// The row ranges a parallel kernel runs as; `None` for a serial one.
+    pub rows: Option<Rows>,
 }
 
 impl Kernel {
@@ -552,6 +558,7 @@ impl Kernel {
             array_params: Vec::new(),
             scalar_outputs: Vec::new(),
             body: Vec::new(),
+            rows: None,
         }
     }
 
@@ -576,6 +583,12 @@ impl Kernel {
     /// Sets the kernel body.
     pub fn body(mut self, body: Vec<Stmt>) -> Kernel {
         self.body = body;
+        self
+    }
+
+    /// Makes the kernel parallel over `rows`.
+    pub fn rows(mut self, rows: Rows) -> Kernel {
+        self.rows = Some(rows);
         self
     }
 }

@@ -163,7 +163,6 @@ fn for_each_loop(body: &mut [RStmt], f: &mut impl FnMut(usize, &mut LoopBody)) {
                 for_each_loop(&mut b.stmts, f);
                 f(*var, b);
             }
-            RStmt::ParallelFor(pf) => for_each_loop(&mut pf.body, f),
             RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => for_each_loop(b, f),
             RStmt::If(_, t, e) => {
                 for_each_loop(t, f);
@@ -550,7 +549,6 @@ pub(crate) fn loop_plans(body: &[RStmt]) -> Vec<Option<&LeafPlan>> {
                 out.push(b.leaf_plan());
                 out.extend(loop_plans(b));
             }
-            RStmt::ParallelFor(pf) => out.extend(loop_plans(&pf.body)),
             RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => out.extend(loop_plans(b)),
             RStmt::If(_, t, e) => {
                 out.extend(loop_plans(t));

@@ -63,7 +63,9 @@ pub use exec::{
     SUPERVISION_STRIDE,
 };
 pub use ir::visit_stmts;
-pub use ir::{AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Stmt, UnOp, WorkspaceKind};
+pub use ir::{
+    AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Rows, Stmt, UnOp, WorkspaceKind,
+};
 pub use printer::stmt_to_c;
 pub use supervise::{
     Aborted, AbortReason, CancelToken, ExecReport, HeartbeatSample, Progress, Supervisor,

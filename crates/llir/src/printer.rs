@@ -38,6 +38,20 @@ impl Kernel {
         }));
         let _ = writeln!(out, "void {}({}) {{", self.name, params.join(", "));
         for s in &self.body {
+            // The loop a parallel kernel's row ranges split.
+            match (&self.rows, s) {
+                (Some(rows), Stmt::For { var, .. }) if *var == rows.var => {
+                    let mut pragma = String::from("  #pragma omp parallel for schedule(static)");
+                    if rows.threads > 0 {
+                        let _ = write!(pragma, " num_threads({})", rows.threads);
+                    }
+                    if !rows.private.is_empty() {
+                        let _ = write!(pragma, " private({})", rows.private.join(", "));
+                    }
+                    let _ = writeln!(out, "{pragma}");
+                }
+                _ => {}
+            }
             print_stmt(&mut out, s, 1);
         }
         let _ = writeln!(out, "}}");
@@ -53,7 +67,6 @@ pub fn stmt_to_c(s: &Stmt) -> String {
     let first = out.lines().next().unwrap_or("").trim().to_string();
     match s {
         Stmt::For { .. }
-        | Stmt::ParallelFor { .. }
         | Stmt::While { .. }
         | Stmt::If { .. }
         | Stmt::WsDrain { .. } => {
@@ -115,26 +128,6 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             let _ = writeln!(out, "{arr}[{}] += {};", print_expr(idx), print_expr(val));
         }
         Stmt::For { var, lo, hi, body } => {
-            let _ = writeln!(
-                out,
-                "for (int32_t {var} = {}; {var} < {}; {var}++) {{",
-                print_expr(lo),
-                print_expr(hi)
-            );
-            print_block(out, body, level + 1);
-            indent(out, level);
-            let _ = writeln!(out, "}}");
-        }
-        Stmt::ParallelFor { var, lo, hi, threads, private, body, .. } => {
-            let mut pragma = String::from("#pragma omp parallel for schedule(static)");
-            if *threads > 0 {
-                let _ = write!(pragma, " num_threads({threads})");
-            }
-            if !private.is_empty() {
-                let _ = write!(pragma, " private({})", private.join(", "));
-            }
-            let _ = writeln!(out, "{pragma}");
-            indent(out, level);
             let _ = writeln!(
                 out,
                 "for (int32_t {var} = {}; {var} < {}; {var}++) {{",

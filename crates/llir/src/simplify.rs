@@ -84,7 +84,7 @@ fn simplify_stmt(s: &mut Stmt) {
             *idx = idx.simplified();
             *val = val.simplified();
         }
-        Stmt::For { lo, hi, body, .. } | Stmt::ParallelFor { lo, hi, body, .. } => {
+        Stmt::For { lo, hi, body, .. } => {
             *lo = lo.simplified();
             *hi = hi.simplified();
             simplify_block(body);

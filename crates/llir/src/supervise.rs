@@ -81,8 +81,8 @@ pub struct Progress {
     /// Largest map-workspace footprint (capacity × entry bytes, doubling
     /// included) charged so far.
     pub peak_map_bytes: u64,
-    /// Largest worker-thread count any parallel loop of the run used so far
-    /// (0 when no parallel loop has executed).
+    /// The row ranges a parallel kernel ran as (1 when it ran whole on one
+    /// thread, 0 for a serial kernel).
     pub workers: u64,
 }
 

@@ -7,8 +7,8 @@
  *     The prelude makes those listings parse and compile as C99.
  *
  *  2. The *native* dialect produced by the native-backend emitter: a
- *     single `taco_kernel_entry` function against the table-based
- *     `taco_ctx` ABI below, compiled to a shared object and dlopen'd by
+ *     single `int32_t taco_kernel_entry(taco_ctx* ctx)` function against
+ *     the table-based `taco_ctx` ABI below, compiled to a shared object and dlopen'd by
  *     taco-native. All memory is host-owned; the kernel asks the host to
  *     (re)allocate through callbacks so budget accounting stays on the
  *     host side of the boundary. The emitter defines TACO_NATIVE_TU ahead
@@ -53,16 +53,6 @@ double fmax(double x, double y);
 #ifndef max
 #define max(a, b) (((a) > (b)) ? (a) : (b))
 #endif
-
-static inline int taco_cmp_i32_(const void* a, const void* b) {
-    int32_t x = *(const int32_t*)a, y = *(const int32_t*)b;
-    return (x > y) - (x < y);
-}
-
-/* sort of an index range, as `Stmt::Sort` prints it */
-static inline void taco_sort_i32(int32_t* a, int32_t lo, int32_t hi) {
-    qsort(a + lo, (size_t)(hi - lo), sizeof(int32_t), taco_cmp_i32_);
-}
 
 /* A sparse map workspace for the display dialect: a sorted coordinate
  * list (both the hash and coord-list kinds drain in ascending key order,
@@ -158,7 +148,7 @@ static inline bool taco_ws_iter_next(taco_ws_iter* it) {
 /* Bump on any change to taco_ctx, taco_map_state, the status codes, or
  * the entry signature. The host refuses shared objects whose exported
  * taco_abi_version() disagrees. */
-#define TACO_ABI_VERSION 1
+#define TACO_ABI_VERSION 2
 
 #define TACO_OK 0
 #define TACO_ERR_HOST 1 /* a host callback recorded the error */

@@ -1,12 +1,12 @@
 //! The lowering recursion: concrete index notation → imperative IR.
 
 use crate::lattice::{IterKey, MergeLattice};
-use crate::params::{crd_name, dim_name, pos_name};
+use crate::params::{crd_name, dim_name, pos_name, ROW_HI, ROW_LO};
 use crate::{LowerError, Result};
 use std::collections::{HashMap, HashSet};
 use taco_ir::concrete::{AssignOp, ConcreteStmt};
 use taco_ir::expr::{Access, IndexExpr, IndexVar, TensorVar};
-use taco_llir::{ArrayTy, Expr, Kernel, Param, Stmt, WorkspaceKind};
+use taco_llir::{ArrayTy, Expr, Kernel, Param, Rows, Stmt, WorkspaceKind};
 
 /// What the generated kernel does with the result's sparse index structures
 /// (paper Section VI).
@@ -205,8 +205,12 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
     }
     stmts.append(&mut lw.preamble);
     stmts.append(&mut body);
+    if let Some(rows) = &lw.rows {
+        check_top_level(&stmts, rows)?;
+    }
 
     let mut kernel = Kernel::new(opts.name.clone()).body(stmts);
+    kernel.rows = lw.rows.clone();
     kernel.simplify();
     for p in lw.scalar_params() {
         kernel = kernel.scalar_param(p);
@@ -241,6 +245,28 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
         nnz_output,
         workspaces,
     })
+}
+
+/// A parallel kernel runs whole once per range of rows, so its parallel
+/// loop must be the last statement at its top level, after straight-line
+/// statements only: a loop before it would run once per range, and
+/// anything after it would see only its range's rows.
+fn check_top_level(stmts: &[Stmt], rows: &Rows) -> Result<()> {
+    let is_loop =
+        |s: &Stmt| matches!(s, Stmt::For { .. } | Stmt::While { .. } | Stmt::WsDrain { .. });
+    match stmts.split_last() {
+        Some((Stmt::For { var, .. }, before))
+            if *var == rows.var && !before.iter().any(is_loop) =>
+        {
+            Ok(())
+        }
+        _ => Err(LowerError::UnsupportedParallelLoop {
+            var: rows.var.clone(),
+            reason: "only the kernel's outermost loop, with nothing after it, can be \
+                     parallelized"
+                .to_string(),
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -311,6 +337,8 @@ struct Lowerer<'o> {
     /// may skip rows: the kernel then needs a pos-finalization epilogue
     /// carrying the append counter across unvisited rows.
     append_pos_may_skip: bool,
+    /// The row ranges of the parallel loop, once lowered.
+    rows: Option<Rows>,
 }
 
 impl<'o> Lowerer<'o> {
@@ -435,6 +463,7 @@ impl<'o> Lowerer<'o> {
             enclosing: Vec::new(),
             nonfull_loops: HashSet::new(),
             append_pos_may_skip: false,
+            rows: None,
         })
     }
 
@@ -461,6 +490,9 @@ impl<'o> Lowerer<'o> {
             for l in 0..t.rank() {
                 out.push(dim_name(t.name(), l));
             }
+        }
+        if self.rows.is_some() {
+            out.extend([ROW_LO.to_string(), ROW_HI.to_string()]);
         }
         out
     }
@@ -839,12 +871,12 @@ impl<'o> Lowerer<'o> {
         Ok(out)
     }
 
-    /// Converts the single dense loop a parallel forall lowered to into a
-    /// [`Stmt::ParallelFor`], computing the per-thread private workspace set
-    /// and (when the loop appends rows into a sparse result) the
-    /// deterministic merge description.
+    /// Restricts the single dense loop a parallel forall lowered to to the
+    /// rows of a range, `max(0, row_lo) .. min(extent, row_hi)`, and records
+    /// the kernel's [`Rows`]: the private workspace set and (when the loop
+    /// appends rows into a sparse result) how the ranges' appends stitch.
     fn parallelize_loop(
-        &self,
+        &mut self,
         var: &IndexVar,
         body: &ConcreteStmt,
         out: Vec<Stmt>,
@@ -890,7 +922,7 @@ impl<'o> Lowerer<'o> {
             Some(taco_llir::AppendMerge {
                 counter: self.counter_name(),
                 data,
-                pos: Some(pos_name(self.result.name(), l)),
+                pos: pos_name(self.result.name(), l),
             })
         } else {
             None
@@ -913,24 +945,34 @@ impl<'o> Lowerer<'o> {
             });
         }
 
+        let unsupported = |reason: &str| LowerError::UnsupportedParallelLoop {
+            var: var.name().to_string(),
+            reason: reason.to_string(),
+        };
+        if self.rows.is_some() {
+            return Err(unsupported("a kernel has at most one parallel loop"));
+        }
         match <[Stmt; 1]>::try_from(out) {
-            Ok([Stmt::For { var: lv, lo, hi, body }]) if lv == var.name() => {
-                Ok(vec![Stmt::ParallelFor {
-                    var: lv,
-                    lo,
-                    hi,
+            Ok([Stmt::For { var: lv, lo: lo @ Expr::Int(0), hi: Expr::Var(extent), body }])
+                if lv == var.name() =>
+            {
+                let lo = lo.max(Expr::var(ROW_LO));
+                let hi = Expr::var(&extent).min(Expr::var(ROW_HI));
+                self.rows = Some(Rows {
+                    var: lv.clone(),
+                    lo: ROW_LO.to_string(),
+                    hi: ROW_HI.to_string(),
+                    extent,
                     threads: self.opts.num_threads.unwrap_or(0),
                     private,
                     append,
-                    body,
-                }])
+                });
+                Ok(vec![Stmt::For { var: lv, lo, hi, body }])
             }
-            _ => Err(LowerError::UnsupportedParallelLoop {
-                var: var.name().to_string(),
-                reason: "only dense loops (`for v = 0..N`) can be parallelized; coiteration \
-                         and position loops must stay serial"
-                    .to_string(),
-            }),
+            _ => Err(unsupported(
+                "only dense loops (`for v = 0..N`) can be parallelized; coiteration and \
+                 position loops must stay serial",
+            )),
         }
     }
 

@@ -27,6 +27,14 @@ pub fn crd_name(tensor: &str, level: usize) -> String {
     format!("{tensor}{}_crd", level + 1)
 }
 
+/// The scalar parameter holding the first row of a parallel kernel's range:
+/// its top-level loop starts at `max(lo, ROW_LO)` ([`taco_llir::Rows`]).
+pub const ROW_LO: &str = "row_lo";
+
+/// The scalar parameter holding the end (exclusive) of a parallel kernel's
+/// range: its top-level loop stops at `min(hi, ROW_HI)`.
+pub const ROW_HI: &str = "row_hi";
+
 /// True when `array` is some level's `pos` array.
 pub fn is_pos_name(array: &str) -> bool {
     array.ends_with("_pos")

@@ -19,7 +19,7 @@ use std::ffi::c_void;
 use std::path::{Path, PathBuf};
 use taco_llir::{
     elem_bytes, run_body, AbiPlan, ArrayTy, ArrayVal, Binding, Buf, BudgetMeter, Frame, KernelBody,
-    ParamKind, ResourceBudget, RunControls, RunError, SUPERVISION_STRIDE,
+    ParamKind, ResourceBudget, Rows, RunControls, RunError, SUPERVISION_STRIDE,
 };
 
 // Status and element-type codes; must match taco_kernel.h.
@@ -58,7 +58,7 @@ struct TacoCtx {
     fault: unsafe extern "C" fn(*mut TacoCtx, i32, i64, i64, i64),
 }
 
-type EntryFn = unsafe extern "C" fn(*mut TacoCtx, i64, i64) -> i32;
+type EntryFn = unsafe extern "C" fn(*mut TacoCtx) -> i32;
 
 /// The controls of a native run are the protocol's [`RunControls`]; the name
 /// the native backend's callers know them by.
@@ -145,6 +145,10 @@ impl KernelBody for NativeKernel {
         &self.plan.scalar_outputs
     }
 
+    fn rows(&self) -> Option<&Rows> {
+        self.plan.rows.as_ref()
+    }
+
     fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)> {
         let slots = self.plan.arrays.iter().enumerate();
         slots.filter_map(|(slot, a)| a.kind.map(|kind| (a.name.as_str(), slot, a.ty, kind)))
@@ -216,7 +220,7 @@ impl KernelBody for NativeKernel {
         // callbacks. It reads shared buffers and never writes them: they
         // are inputs (`fits`), and the `Executable` the C was emitted from
         // has no statement that writes an input.
-        let rc = unsafe { (self.entry)(&mut ctx, 0, i64::MAX) };
+        let rc = unsafe { (self.entry)(&mut ctx) };
 
         // Charge the back-edges of the final, partially-used grant. The
         // residual never exceeds what the fuse has left (the grant was

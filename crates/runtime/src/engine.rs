@@ -192,8 +192,8 @@ pub enum EngineEvent {
         /// object was served from the on-disk artifact cache).
         compile_nanos: u64,
     },
-    /// A kernel was refused the native backend — by the verify gate, the
-    /// emitter, or a failed differential check — and will run on the
+    /// A kernel was refused the native backend — by the verify gate or a
+    /// failed differential check — and will run on the
     /// interpreter. Recorded once per fingerprint. Toolchain failures are
     /// recorded as [`FallbackEvent::NativeUnavailable`] instead.
     NativeRejected {

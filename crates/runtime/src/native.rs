@@ -15,7 +15,7 @@
 //! (no entry) ──compile──▶ Untrusted ──differential check──▶ Trusted
 //!      │                      │                                │
 //!      └──verify gate /       └── mismatch / native error ──▶ Rejected
-//!          emit / toolchain
+//!          toolchain
 //!          failure ─▶ Rejected
 //! ```
 //!
@@ -26,8 +26,8 @@
 //!   receives the interpreter's result on this run.
 //! * **Trusted**: the differential check passed; later runs go straight to
 //!   the native kernel, under the same budget/deadline/cancel supervision.
-//! * **Rejected**: the verify gate, the emitter, the toolchain, or the
-//!   differential check refused the kernel. Recorded once per fingerprint
+//! * **Rejected**: the verify gate, the toolchain, or the differential
+//!   check refused the kernel. Recorded once per fingerprint
 //!   so the refusal costs nothing on later runs.
 //!
 //! Only statically *verified* kernels (an accepted [`VerifyReport`] with
@@ -51,8 +51,8 @@ use taco_tensor::Tensor;
 ///
 /// The interpreter is always the fallback: `Native` and `Auto` *attempt*
 /// the native path and degrade to the interpreter — recording a
-/// [`FallbackEvent::NativeUnavailable`] — whenever the toolchain, the
-/// emitter, or the trust protocol refuses a kernel.
+/// [`FallbackEvent::NativeUnavailable`] — whenever the toolchain or the
+/// trust protocol refuses a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Let the engine decide: native when a working C toolchain is present
@@ -109,7 +109,7 @@ pub(crate) enum NativeState {
     Untrusted(Arc<NativeKernel>),
     /// Differential check passed; runs go straight to the native kernel.
     Trusted(Arc<NativeKernel>),
-    /// Refused (verify gate, emitter, toolchain, or differential mismatch).
+    /// Refused (verify gate, toolchain, or differential mismatch).
     Rejected,
 }
 
@@ -122,8 +122,7 @@ pub struct NativeStats {
     pub compiled: u64,
     /// Kernels promoted to trusted by a passing differential check.
     pub trusted: u64,
-    /// Kernels refused by the verify gate, the emitter, or a failed
-    /// differential check.
+    /// Kernels refused by the verify gate or a failed differential check.
     pub rejected: u64,
     /// Kernels that fell back to the interpreter because the toolchain was
     /// missing or the compile/load failed.
@@ -279,13 +278,7 @@ impl Engine {
             );
             return None;
         }
-        let source = match emit_native(kernel.executable()) {
-            Ok(source) => source,
-            Err(e) => {
-                self.reject_native(fingerprint, e.to_string());
-                return None;
-            }
-        };
+        let Ok(source) = emit_native(kernel.executable());
         let compiler = match self.native.compiler() {
             Ok(c) => c,
             Err(reason) => {

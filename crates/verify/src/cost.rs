@@ -298,9 +298,9 @@ impl CostReport {
 ///
 /// The walk is a sound abstract execution of the LLIR statement tree:
 ///
-/// * `For`/`ParallelFor` trip count ≤ UB(`hi`) (lower bounds are ≥ 0 under
+/// * `For` trip count ≤ UB(`hi`) (lower bounds are ≥ 0 under
 ///   the validated-operand assumptions);
-/// * *segment rule:* a `For`/`ParallelFor` from `pos[e]` to `pos[e + 1]`
+/// * *segment rule:* a `For` from `pos[e]` to `pos[e + 1]`
 ///   over a validated input `pos` array runs at most `seg(pos)` times, the
 ///   array's longest segment;
 /// * *telescoping rule:* when that `e` is the variable of an enclosing
@@ -453,7 +453,6 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<
                 *entry = *entry && counter_shaped;
             }
             Stmt::For { body, .. }
-            | Stmt::ParallelFor { body, .. }
             | Stmt::While { body, .. }
             | Stmt::WsDrain { body, .. } => classify(body, out, reset),
             Stmt::If { then, els, .. } => {
@@ -492,7 +491,7 @@ struct CounterAcc {
 struct Trip {
     /// Bound on the trips of one execution of the loop (`None` = unbounded).
     bound: Option<Sym>,
-    /// The variable of a `For`/`ParallelFor`, while nothing in its body has
+    /// The variable of a `For`, while nothing in its body has
     /// redeclared or assigned it: what the index of a nested segment loop is
     /// matched against.
     var: Option<String>,
@@ -940,7 +939,7 @@ impl<'a> Walk<'a> {
                 // declaration; nothing to update.
             }
             Stmt::Store { .. } | Stmt::StoreAdd { .. } | Stmt::Memset { .. } => {}
-            Stmt::For { var, lo, hi, body } | Stmt::ParallelFor { var, lo, hi, body, .. } => {
+            Stmt::For { var, lo, hi, body } => {
                 // The variable stays below `hi` itself, however short the
                 // segment it walks.
                 let hi_ub = self.ub(hi);
@@ -1101,7 +1100,6 @@ fn increments_var(body: &[Stmt], v: &str) -> bool {
             )
         }
         Stmt::For { body, .. }
-        | Stmt::ParallelFor { body, .. }
         | Stmt::While { body, .. }
         | Stmt::WsDrain { body, .. } => increments_var(body, v),
         Stmt::If { then, els, .. } => increments_var(then, v) || increments_var(els, v),

@@ -39,12 +39,15 @@
 //!   obligation is [`VerifyError::PosNotMonotone`], an undischarged one a
 //!   warn.
 //!
-//! Parallel loops additionally run the race check in [`crate::race`], fed by
-//! the footprints this walk records.
+//! The loop a parallel kernel's row ranges split ([`Rows`]) additionally runs
+//! the race check in [`crate::race`], fed by the footprints this walk
+//! records.
 
 use std::collections::{HashMap, HashSet};
 
-use taco_llir::{stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Stmt, UnOp, WorkspaceKind};
+use taco_llir::{
+    stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Rows, Stmt, UnOp, WorkspaceKind,
+};
 
 use crate::assume::Assumptions;
 use crate::error::{Diagnostic, Severity, VerifyError};
@@ -100,9 +103,9 @@ pub(crate) struct Analyzer<'a> {
     pub(crate) diags: Vec<Diagnostic>,
     pub(crate) notes: Vec<String>,
     path: Vec<usize>,
-    /// Active parallel-loop contexts, innermost last; every array access
-    /// inside a parallel body is recorded into each active context.
-    race_stack: Vec<RaceCtx>,
+    /// While the loop a parallel kernel's row ranges split is walked, its
+    /// footprint: every array access inside it is recorded here.
+    race: Option<RaceCtx>,
     /// Arrays already reported as read-uninitialized (one diagnostic each).
     reported_undef: HashSet<String>,
     /// Workspaces established by a `WsInit` on the current path.
@@ -124,6 +127,8 @@ pub(crate) struct Analyzer<'a> {
     drain_notes: Vec<(String, String)>,
     /// Scalars stored into a `*_pos` array: the append counters.
     pos_counters: HashSet<String>,
+    /// The row ranges of a parallel kernel.
+    rows: Option<Rows>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -140,7 +145,7 @@ impl<'a> Analyzer<'a> {
             diags: Vec::new(),
             notes: Vec::new(),
             path: Vec::new(),
-            race_stack: Vec::new(),
+            race: None,
             reported_undef: HashSet::new(),
             inited_ws: HashSet::new(),
             dense_ws: HashSet::new(),
@@ -149,6 +154,7 @@ impl<'a> Analyzer<'a> {
             zero: HashMap::new(),
             drain_notes: Vec::new(),
             pos_counters: HashSet::new(),
+            rows: kernel.rows.clone(),
         };
         for p in &kernel.array_params {
             a.known_arrays.insert(p.name.clone());
@@ -238,7 +244,7 @@ impl<'a> Analyzer<'a> {
                 self.read_array(arr, stmt);
                 let idx_sym = self.eval(idx);
                 self.check_bounds(arr, &idx_sym, stmt);
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_read(arr, &idx_sym);
                 }
             }
@@ -391,12 +397,12 @@ impl<'a> Analyzer<'a> {
                     }
                     self.env.insert(v.clone(), val);
                 }
-                for i in 0..self.race_stack.len() {
-                    if !self.race_stack[i].declared.contains(v)
-                        && self.race_stack[i].counter.as_deref() != Some(v.as_str())
-                        && self.race_stack[i].reported_scalars.insert(v.clone())
+                if let Some(ctx) = &mut self.race {
+                    if !ctx.declared.contains(v)
+                        && ctx.counter.as_deref() != Some(v.as_str())
+                        && ctx.reported_scalars.insert(v.clone())
                     {
-                        let var = self.race_stack[i].var_name.clone();
+                        let var = ctx.var_name.clone();
                         self.diag(
                             VerifyError::DataRace {
                                 name: v.clone(),
@@ -425,7 +431,7 @@ impl<'a> Analyzer<'a> {
                 let idx_sym = self.eval(idx);
                 self.check_bounds(arr, &idx_sym, s);
                 let kind = if is_add { WriteKind::Accumulate } else { WriteKind::Assign };
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_write(arr, &idx_sym, kind, stmt_to_c(s));
                 }
             }
@@ -433,15 +439,14 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(lo, s);
                 self.check_expr(hi, s);
                 let hi_sym = self.eval(hi);
-                self.walk_loop(var, lo, hi, &hi_sym, body, None);
-            }
-            Stmt::ParallelFor { var, lo, hi, private, append, body, .. } => {
-                self.check_expr(lo, s);
-                self.check_expr(hi, s);
-                let hi_sym = self.eval(hi);
-                self.walk_loop(var, lo, hi, &hi_sym, body, Some((private, append)));
-                let ctx = self.race_stack.pop().expect("pushed by walk_loop");
-                race::analyze(self, ctx, s);
+                // The loop a parallel kernel's row ranges split: its
+                // iterations run in different ranges.
+                let rows = self.rows.clone().filter(|r| self.path.len() == 1 && r.var == *var);
+                self.walk_loop(var, lo, hi, &hi_sym, body, rows.as_ref());
+                if rows.is_some() {
+                    let ctx = self.race.take().expect("set by walk_loop");
+                    race::analyze(self, ctx, s);
+                }
             }
             Stmt::While { cond, body } => {
                 self.check_expr(cond, s);
@@ -478,7 +483,7 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(val, s);
                 self.zero_event(arr, |z| z.define(!is_zero(val)));
                 self.defined.insert(arr.clone());
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_whole_array(arr, stmt_to_c(s));
                 }
             }
@@ -495,7 +500,7 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(len, s);
                 let len_sym = self.eval(len);
                 self.lens.insert(arr.clone(), (len_sym, false));
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_whole_array(arr, stmt_to_c(s));
                 }
             }
@@ -515,7 +520,7 @@ impl<'a> Analyzer<'a> {
                 self.check_expr(val, s);
                 self.use_ws(ws, s);
                 self.zero_event(ws, |z| z.dirty = true);
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_scatter(ws);
                 }
                 // A dense key indexes the value and guard arrays.
@@ -526,7 +531,7 @@ impl<'a> Analyzer<'a> {
             }
             Stmt::WsDrain { ws, key, val, body, .. } => {
                 self.use_ws(ws, s);
-                for ctx in &mut self.race_stack {
+                if let Some(ctx) = &mut self.race {
                     ctx.record_drain(ws);
                 }
                 let saved = self.env.clone();
@@ -591,7 +596,7 @@ impl<'a> Analyzer<'a> {
         hi: &Expr,
         hi_sym: &Sym,
         body: &[Stmt],
-        parallel: Option<(&Vec<String>, &Option<taco_llir::AppendMerge>)>,
+        rows: Option<&Rows>,
     ) {
         let drained = self.drained_by(var, lo, hi, hi_sym, body);
         let saved = self.env.clone();
@@ -599,15 +604,15 @@ impl<'a> Analyzer<'a> {
         self.bounds.add_ub(v_atom.clone(), hi_sym.sub(&Sym::int(1)));
         self.env.insert(var.to_string(), Sym::atom(v_atom.clone()));
         self.havoc_assigned(body);
-        if let Some((private, append)) = parallel {
-            let mut ctx = RaceCtx::new(var, v_atom.clone(), private, append);
+        if let Some(rows) = rows {
+            let mut ctx = RaceCtx::new(v_atom.clone(), rows);
             ctx.declared.extend(collect_decls(body));
-            self.race_stack.push(ctx);
+            self.race = Some(ctx);
         }
         // A loop over one segment of a monotone pos array: its variable's
         // slices are disjoint across the enclosing parallel iterations.
         if let Some(parent) = self.pos_segment_loop(lo, hi) {
-            for ctx in &mut self.race_stack {
+            if let Some(ctx) = &mut self.race {
                 if parent == ctx.var_name {
                     ctx.sliced.insert(v_atom.clone());
                 }
@@ -775,7 +780,7 @@ pub(crate) fn collect_decls(body: &[Stmt]) -> Vec<String> {
     let mut out = Vec::new();
     visit_stmts(body, &mut |s| match s {
         Stmt::DeclInt(v, _) | Stmt::DeclFloat(v, _) | Stmt::DeclBool(v, _) => out.push(v.clone()),
-        Stmt::For { var, .. } | Stmt::ParallelFor { var, .. } => out.push(var.clone()),
+        Stmt::For { var, .. } => out.push(var.clone()),
         Stmt::WsDrain { key, val, .. } => {
             out.push(key.clone());
             out.push(val.clone());

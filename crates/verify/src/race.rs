@@ -1,14 +1,16 @@
 //! Parallel write-set race check.
 //!
-//! For every [`Stmt::ParallelFor`] the main walk records the symbolic
-//! footprint of each iteration: every store, accumulate, whole-array
-//! operation, and load touching an array that is neither in the loop's
-//! `private` list nor covered by its [`AppendMerge`]. This module then
-//! decides whether the per-iteration write sets are disjoint.
+//! For the top-level `For` a parallel kernel's [`Rows`] name, the main walk
+//! records the symbolic footprint of each iteration: every store,
+//! accumulate, whole-array operation, and load touching an array that is
+//! neither in the kernel's `private` list nor covered by its
+//! [`AppendMerge`](taco_llir::AppendMerge). This module then decides
+//! whether the per-iteration write sets are disjoint.
 //!
-//! The execution model (see `taco_llir::exec`) gives each worker a clone
-//! of the machine state and merges shared arrays back by bitwise diff in
-//! chunk order. Under that model:
+//! The execution model (the row dispatcher beside `taco_llir::run_body`)
+//! runs the whole kernel once per contiguous range of iterations, each on
+//! a private copy of the binding, and merges written arrays back by bitwise
+//! diff in row order; appends are stitched. Under that model:
 //!
 //! * writing a scalar declared *outside* the loop is loop-carried state and
 //!   always wrong with more than one worker (the classic
@@ -20,9 +22,9 @@
 //!   chunk wins, matching serial last-iteration-wins), so it only warns;
 //! * whole-array operations (`memset`, `sort`, `realloc`) on a shared
 //!   array are denied outright;
-//! * workspaces are private to each worker and discarded at the join, so a
-//!   workspace the body scatters into but never drains loses its updates
-//!   (denied).
+//! * workspaces are kernel-local, so each range has its own and discards it
+//!   at the join: a workspace the body scatters into but never drains loses
+//!   its updates (denied).
 //!
 //! Two slice idioms are proven disjoint: affine indices mentioning the
 //! parallel variable (`A[i*D + j]` with `j < D`), and loop variables that
@@ -31,7 +33,7 @@
 
 use std::collections::HashSet;
 
-use taco_llir::{AppendMerge, Stmt};
+use taco_llir::{Rows, Stmt};
 
 use crate::dataflow::Analyzer;
 use crate::error::{Severity, VerifyError};
@@ -79,23 +81,16 @@ pub(crate) struct RaceCtx {
 }
 
 impl RaceCtx {
-    pub(crate) fn new(
-        var: &str,
-        var_atom: Atom,
-        private: &[String],
-        append: &Option<AppendMerge>,
-    ) -> RaceCtx {
-        let mut skip: HashSet<String> = private.iter().cloned().collect();
+    pub(crate) fn new(var_atom: Atom, rows: &Rows) -> RaceCtx {
+        let mut skip: HashSet<String> = rows.private.iter().cloned().collect();
         let mut counter = None;
-        if let Some(a) = append {
+        if let Some(a) = &rows.append {
             skip.extend(a.data.iter().cloned());
-            if let Some(pos) = &a.pos {
-                skip.insert(pos.clone());
-            }
+            skip.insert(a.pos.clone());
             counter = Some(a.counter.clone());
         }
         RaceCtx {
-            var_name: var.to_string(),
+            var_name: rows.var.clone(),
             var_atom,
             skip,
             counter,

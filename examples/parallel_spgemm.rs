@@ -5,13 +5,15 @@
 //! the outer row loop parallelized — runs both on the same operands, and
 //! asserts the results are *byte-identical*. Also demonstrates the legality
 //! check (parallelizing the unprivatized reduction variable is a typed
-//! error) and reports how many workers the supervised run used.
+//! error), reports how many row ranges the supervised run used, and runs the
+//! parallel kernel on a native engine, which trusts it like any other.
 //!
 //! ```text
 //! cargo run --release --example parallel_spgemm
 //! ```
 //!
-//! CI runs this as a smoke test and greps for the `workers:` line.
+//! CI runs this as a smoke test and greps for the `workers:` and
+//! `native: trusted` lines.
 
 use std::time::Instant;
 use taco_tensor::gen::random_csr;
@@ -73,5 +75,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("serial: {serial_time:?}  parallel: {par_time:?}");
     println!("workers: {}", report.progress.workers);
     assert!(report.progress.workers >= 1, "expected at least one worker");
+
+    // The native backend runs the same row ranges through the same
+    // dispatcher: the first run is the differential trust check, the second
+    // runs the shared object.
+    let engine = Engine::builder().backend(Backend::Native).build();
+    for _ in 0..2 {
+        let native = engine.run(&par, LowerOptions::fused("spgemm_par"), &inputs)?;
+        assert_eq!(bits(&serial), bits(&native), "native values must match bitwise");
+    }
+    let stats = engine.native_stats();
+    match (stats.trusted, stats.native_runs) {
+        (1, runs) if runs > 0 => println!("native: trusted ({runs} native runs)"),
+        _ => println!("native: unavailable ({stats:?})"),
+    }
     Ok(())
 }

@@ -159,9 +159,9 @@ fn drained_entries(kernel: &CompiledKernel, binding: &Binding) -> Option<u64> {
                     }
                 }
                 Stmt::WsDrain { body, .. } => appends(body, counter, true, seen),
-                Stmt::For { body, .. }
-                | Stmt::ParallelFor { body, .. }
-                | Stmt::While { body, .. } => appends(body, counter, in_drain, seen),
+                Stmt::For { body, .. } | Stmt::While { body, .. } => {
+                    appends(body, counter, in_drain, seen)
+                }
                 Stmt::If { then, els, .. } => {
                     appends(then, counter, in_drain, seen);
                     appends(els, counter, in_drain, seen);

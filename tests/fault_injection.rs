@@ -139,7 +139,7 @@ fn a_validated_tensor_equals_an_unvalidated_copy() {
 #[test]
 fn a_kernel_that_writes_an_input_is_refused_at_compile() {
     use taco_workspaces::llir::{
-        AppendMerge, ArrayTy, CompileError, Executable, Expr, Kernel, Param, Stmt,
+        AppendMerge, ArrayTy, CompileError, Executable, Expr, Kernel, Param, Rows, Stmt,
     };
     let x = || "x".to_string();
     let writes = [
@@ -152,33 +152,36 @@ fn a_kernel_that_writes_an_input_is_refused_at_compile() {
             "workspace",
             Stmt::WsInit { ws: x(), kind: WorkspaceKind::Hash, ty: ArrayTy::F64, extent: Expr::var("n") },
         ),
-        (
-            "parallel append",
-            Stmt::ParallelFor {
-                var: "p".into(),
-                lo: Expr::int(0),
-                hi: Expr::var("n"),
-                threads: 1,
-                private: Vec::new(),
-                append: Some(AppendMerge { counter: "count".into(), data: vec![x()], pos: None }),
-                body: Vec::new(),
-            },
-        ),
     ];
-    for (what, write) in writes {
-        let kernel = Kernel::new("writes_its_input")
+    let kernel = |write: Vec<Stmt>| {
+        let mut body = vec![Stmt::store("y", Expr::var("i"), Expr::load("x", Expr::var("i")))];
+        body.extend(write);
+        Kernel::new("writes_its_input")
             .scalar_param("n")
             .array_param(Param::input("x", ArrayTy::F64))
             .array_param(Param::output("y", ArrayTy::F64))
+            .scalar_output("count")
             .body(vec![
                 Stmt::DeclInt("count".into(), Expr::int(0)),
-                Stmt::for_(
-                    "i",
-                    Expr::int(0),
-                    Expr::var("n"),
-                    vec![Stmt::store("y", Expr::var("i"), Expr::load("x", Expr::var("i"))), write],
-                ),
-            ]);
+                Stmt::for_("i", Expr::int(0), Expr::var("n"), body),
+            ])
+    };
+    let mut kernels: Vec<(&str, Kernel)> =
+        writes.into_iter().map(|(what, write)| (what, kernel(vec![write]))).collect();
+    // A parallel kernel whose row ranges would stitch their appends into x.
+    let append = AppendMerge { counter: "count".into(), data: vec![x()], pos: "y".into() };
+    let rows = Rows {
+        var: "i".into(),
+        lo: "row_lo".into(),
+        hi: "row_hi".into(),
+        extent: "n".into(),
+        threads: 1,
+        private: Vec::new(),
+        append: Some(append),
+    };
+    let parallel = kernel(Vec::new()).scalar_param("row_lo").scalar_param("row_hi").rows(rows);
+    kernels.push(("parallel append", parallel));
+    for (what, kernel) in kernels {
         assert_eq!(
             Executable::compile(&kernel).map(drop),
             Err(CompileError::WriteToInput(x())),
@@ -293,6 +296,108 @@ fn over_budget_workspace_without_viable_fallback_is_a_budget_error() {
             assert_eq!(context.as_deref(), Some("w"));
         }
         other => panic!("expected BudgetExceeded, got {other}"),
+    }
+}
+
+/// The Fig. 2 SpGEMM with its row loop parallelized over four ranges, bound
+/// to `n`×`n` operands.
+fn parallel_spgemm(n: usize) -> (CompiledKernel, taco_workspaces::llir::Binding) {
+    let mut stmt = scheduled_spgemm(n);
+    stmt.parallelize(&iv("i")).unwrap();
+    let kernel = stmt.compile(LowerOptions::fused("spgemm_par4").with_threads(4)).unwrap();
+    let (b, c) = sample_inputs(n);
+    let binding = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
+    (kernel, binding)
+}
+
+/// The kernel as a shared object, or `None` (with a visible marker) when
+/// the C toolchain cannot build one.
+fn native_body(
+    kernel: &CompiledKernel,
+    test: &str,
+) -> Option<taco_workspaces::native::NativeKernel> {
+    let Ok(source) = taco_workspaces::llir::emit_native(kernel.executable());
+    let built = taco_workspaces::native::NativeCompiler::from_env()
+        .map_err(|e| e.to_string())
+        .and_then(|cc| cc.compile(&source, kernel.fingerprint()).map_err(|e| e.to_string()));
+    built.map_err(|e| eprintln!("SKIPPED the native half of {test}: {e}")).ok()
+}
+
+/// A parallel run charges what its row ranges allocate. Each range runs the
+/// whole kernel, so each of the four ranges of a Fig. 2 SpGEMM charges its
+/// own dense row workspace and grows its own `crd` and values from empty: a
+/// ceiling one byte below their sum aborts with `TotalBytes` and rolls back
+/// byte-identically, on either backend.
+#[test]
+fn a_parallel_run_charges_what_its_row_ranges_allocate() {
+    let n = 64;
+    let (kernel, mut binding) = parallel_spgemm(n);
+    let mut committed = binding.clone();
+    let charged = Supervisor::new().run(kernel.executable(), &mut committed).unwrap().progress;
+    let pos = kernel.extract(&committed, None).unwrap().pos(1).unwrap().to_vec();
+    // A range's appends grow `crd` and the values (8 bytes each) from empty
+    // to the first capacity of the doubling `c -> 2c + 2` that holds them;
+    // its workspace is a value, a coordinate-list and a guard array.
+    let capacity = |nnz: usize| (0..).map(|k| (1usize << k) * 2 - 2).find(|&c| c >= nnz).unwrap();
+    let workspace = (8 + 8 + 1) * n;
+    let ranges = (0..4).map(|w| pos[16 * (w + 1)] - pos[16 * w]);
+    let expected: usize = ranges.map(|nnz| workspace + 16 * capacity(nnz)).sum();
+    assert_eq!(charged.workers, 4);
+    assert_eq!(charged.allocated_bytes, expected as u64, "every range charged: {charged:?}");
+
+    let limit = charged.allocated_bytes - 1;
+    let starved =
+        Supervisor::new().with_budget(ResourceBudget::unlimited().with_max_total_bytes(limit));
+    let reason = AbortReason::BudgetExceeded {
+        resource: BudgetResource::TotalBytes,
+        limit,
+        requested: charged.allocated_bytes,
+        array: None,
+    };
+    let before = binding.clone();
+    let interp = starved.run(kernel.executable(), &mut binding).unwrap_err();
+    assert_eq!((&interp.reason, interp.progress), (&reason, charged));
+    assert_eq!(binding, before, "an over-budget parallel run must roll back");
+    let test = "a_parallel_run_charges_what_its_row_ranges_allocate";
+    let Some(so) = native_body(&kernel, test) else { return };
+    let native = starved.run(&so, &mut binding).unwrap_err();
+    assert_eq!((native.reason, native.progress), (reason, charged));
+    assert_eq!(binding, before, "an over-budget native parallel run must roll back");
+}
+
+/// A fuse trip and a cancellation stop a four-range parallel run the same
+/// way on either backend: same reason, same counters, and the binding rolled
+/// back byte-identically. A small fuse trips inside every range; one every
+/// range fits trips on their sum, at the join; a token cancelled before the
+/// run stops it at the fork.
+#[test]
+fn parallel_aborts_agree_across_backends() {
+    let (kernel, mut binding) = parallel_spgemm(64);
+    let Some(so) = native_body(&kernel, "parallel_aborts_agree_across_backends") else { return };
+    let total = Supervisor::new().run(kernel.executable(), &mut binding.clone()).unwrap().progress;
+    let fuse =
+        |n| Supervisor::new().with_budget(ResourceBudget::unlimited().with_max_loop_iterations(n));
+    let cancelled = Supervisor::new();
+    cancelled.cancel_token().cancel();
+    let before = binding.clone();
+    for (what, supervisor, iterations) in [
+        ("a fuse trip in every range", fuse(10), 4 * 10),
+        ("a fuse trip at the join", fuse(total.iterations / 2), total.iterations),
+        ("a cancellation", cancelled, 0),
+    ] {
+        let interp = supervisor.run(kernel.executable(), &mut binding).unwrap_err();
+        assert_eq!(binding, before, "{what}: the interpreter's run must roll back");
+        let native = supervisor.run(&so, &mut binding).unwrap_err();
+        assert_eq!(binding, before, "{what}: the native run must roll back");
+        assert_eq!(native.reason, interp.reason, "{what}");
+        assert_eq!(native.progress, interp.progress, "{what}");
+        let counters = (interp.progress.iterations, interp.progress.workers);
+        assert_eq!(counters, (iterations, 4), "{what}");
+        let fused = matches!(
+            interp.reason,
+            AbortReason::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
+        );
+        assert_eq!(fused, iterations > 0, "{what}: {:?}", interp.reason);
     }
 }
 

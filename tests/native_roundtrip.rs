@@ -132,30 +132,45 @@ fn every_candidate_round_trips_through_c() {
     }
 
     let mut seq = 0;
-    let mut lowered = 0;
+    let (mut lowered, mut parallel) = (0, 0);
     for (name, stmt) in &stmts {
         let candidates = enumerate_candidates(stmt);
         assert!(!candidates.is_empty(), "{name}: the candidate space is empty");
         for cand in candidates {
             let opts = LowerOptions::fused("roundtrip").with_workspace_kind(cand.workspace_kind);
-            let kernel = cand.stmt.compile(opts).expect("a candidate lowers under fused options");
+            let kernel =
+                cand.stmt.compile(opts.clone()).expect("a candidate lowers under fused options");
             lowered += 1;
-            let what = format!("{name}/{}", cand.name);
-
-            let display = format!("{TACO_KERNEL_H}\n{}", kernel.to_c());
-            // The candidate space is serial, so every candidate has a
-            // native form.
-            let native = emit_native(kernel.executable())
-                .unwrap_or_else(|e| panic!("{what}: emit_native rejected a candidate: {e}"));
-
-            if let Some(cc) = &cc {
-                assert_compiles(cc, &display, &format!("{what} (display dialect)"), seq);
-                assert_compiles(cc, &native.c_source, &format!("{what} (native TU)"), seq + 1);
-                seq += 2;
-            } else {
-                assert_structure(&kernel.to_c(), &native.c_source, &what);
+            // The candidate's parallel twin, as the verifier sweep builds it,
+            // where it lowers: a parallel kernel emits like any other.
+            let twin = parallel_twin(&cand.stmt).and_then(|twin| twin.compile(opts).ok());
+            parallel += usize::from(twin.is_some());
+            let twin = twin.map(|t| (t, " (parallel)"));
+            for (kernel, twin) in std::iter::once((kernel, "")).chain(twin) {
+                let what = format!("{name}/{}{twin}", cand.name);
+                let display = format!("{TACO_KERNEL_H}\n{}", kernel.to_c());
+                let Ok(native) = emit_native(kernel.executable());
+                if let Some(cc) = &cc {
+                    assert_compiles(cc, &display, &format!("{what} (display dialect)"), seq);
+                    assert_compiles(cc, &native.c_source, &format!("{what} (native TU)"), seq + 1);
+                    seq += 2;
+                } else {
+                    assert_structure(&kernel.to_c(), &native.c_source, &what);
+                }
             }
         }
     }
     assert!(lowered >= 6, "too few candidates lowered ({lowered}); the sweep lost its teeth");
+    assert!(parallel > 0, "no parallel twin lowered; the sweep lost its parallel kernels");
+}
+
+/// `stmt` with its outermost loop parallelized, where the privatization
+/// check allows it.
+fn parallel_twin(stmt: &IndexStmt) -> Option<IndexStmt> {
+    let taco_workspaces::ir::concrete::ConcreteStmt::Forall { var, .. } = stmt.concrete() else {
+        return None;
+    };
+    let mut twin = stmt.clone();
+    twin.parallelize(var).ok()?;
+    Some(twin)
 }

@@ -175,14 +175,6 @@ fn non_dense_loops_are_rejected_at_lowering_with_a_typed_error() {
     }
 }
 
-fn has_parallel_loop(kernel: &taco_workspaces::llir::Kernel) -> bool {
-    let mut found = false;
-    taco_workspaces::llir::visit_stmts(&kernel.body, &mut |s| {
-        found |= matches!(s, taco_workspaces::llir::Stmt::ParallelFor { .. });
-    });
-    found
-}
-
 #[test]
 fn the_candidate_space_is_serial_unless_the_caller_parallelized() {
     // The tuner cannot tell a parallel twin from its serial schedule (same
@@ -207,7 +199,7 @@ fn the_candidate_space_is_serial_unless_the_caller_parallelized() {
             for (cand, front) in &cands {
                 let callers = *caller_parallel && cand.stmt.concrete() == stmt.concrete();
                 assert_eq!(
-                    has_parallel_loop(&front.lowered().kernel),
+                    front.lowered().kernel.rows.is_some(),
                     callers,
                     "{what}: `{}` under {opts:?}",
                     cand.name
@@ -304,11 +296,46 @@ fn cancellation_with_four_workers_rolls_back_bindings_byte_identically() {
     assert_eq!(binding, before, "cancelled parallel run must roll back byte-identically");
 }
 
+/// Runs `par` serially and in parallel under `opts`, and checks the parallel
+/// run is the serial one: byte-identical, in as many loop iterations. Then
+/// runs it through a native engine (the first run is the differential trust
+/// check, the second runs natively), which must trust it, run it natively
+/// and reply byte-identically too. Without a C toolchain the engine serves
+/// it on the interpreter and the native half is skipped, visibly.
+fn assert_parallel_is_serial(
+    serial: &IndexStmt,
+    par: &IndexStmt,
+    opts: LowerOptions,
+    inputs: &[(&str, &Tensor)],
+    what: &str,
+) {
+    let supervisor = Supervisor::new();
+    let run = |stmt: &IndexStmt, opts: LowerOptions| {
+        stmt.compile(opts).unwrap().run_supervised(inputs, None, &supervisor).unwrap()
+    };
+    let (expected, serial_run) = run(serial, LowerOptions { num_threads: None, ..opts.clone() });
+    let (out, parallel_run) = run(par, opts.clone());
+    assert_byte_identical(&expected, &out, what);
+    assert_eq!(parallel_run.progress.iterations, serial_run.progress.iterations, "{what}");
+
+    let engine = Engine::builder().backend(Backend::Native).build();
+    for _ in 0..2 {
+        assert_byte_identical(&expected, &engine.run(par, opts.clone(), inputs).unwrap(), what);
+    }
+    let stats = engine.native_stats();
+    if stats.unavailable > 0 {
+        eprintln!("SKIPPED the native half of {what}: no C toolchain ({stats:?})");
+        return;
+    }
+    assert_eq!((stats.trusted, stats.rejected), (1, 0), "{what}: {stats:?}");
+    assert!(stats.native_runs > 0, "{what}: {stats:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Parallel SpGEMM is byte-identical to serial across random shapes,
-    /// densities and thread counts.
+    /// densities and thread counts, on both backends.
     #[test]
     fn prop_parallel_spgemm_byte_identical(
         m in 1usize..24,
@@ -324,15 +351,12 @@ proptest! {
         par.parallelize(&iv("i")).unwrap();
         let b = gen::random_csr(m, k, db, seed).to_tensor();
         let c = gen::random_csr(k, n, dc, seed + 1).to_tensor();
-        let serial = stmt.compile(LowerOptions::fused("s")).unwrap()
-            .run(&[("B", &b), ("C", &c)]).unwrap();
-        let out = par.compile(LowerOptions::fused("p").with_threads(threads)).unwrap()
-            .run(&[("B", &b), ("C", &c)]).unwrap();
-        assert_byte_identical(&serial, &out, "SpGEMM");
+        let opts = LowerOptions::fused("p").with_threads(threads);
+        assert_parallel_is_serial(&stmt, &par, opts, &[("B", &b), ("C", &c)], "SpGEMM");
     }
 
     /// Parallel sparse addition (concat-style appends, no workspace) is
-    /// byte-identical to serial.
+    /// byte-identical to serial, on both backends.
     #[test]
     fn prop_parallel_sparse_add_byte_identical(
         m in 1usize..24,
@@ -347,15 +371,12 @@ proptest! {
         par.parallelize(&iv("i")).unwrap();
         let b = gen::random_csr(m, n, db, seed + 10).to_tensor();
         let c = gen::random_csr(m, n, dc, seed + 11).to_tensor();
-        let serial = stmt.compile(LowerOptions::fused("s")).unwrap()
-            .run(&[("B", &b), ("C", &c)]).unwrap();
-        let out = par.compile(LowerOptions::fused("p").with_threads(threads)).unwrap()
-            .run(&[("B", &b), ("C", &c)]).unwrap();
-        assert_byte_identical(&serial, &out, "sparse add");
+        let opts = LowerOptions::fused("p").with_threads(threads);
+        assert_parallel_is_serial(&stmt, &par, opts, &[("B", &b), ("C", &c)], "sparse add");
     }
 
     /// Parallel MTTKRP (dense result, sparse 3-tensor operand) is
-    /// byte-identical to serial.
+    /// byte-identical to serial, on both backends.
     #[test]
     fn prop_parallel_mttkrp_byte_identical(
         nnz in 0usize..60,
@@ -379,9 +400,7 @@ proptest! {
         let cd = Tensor::from_dense(&gen::random_dense(dl, r, seed + 1), Format::dense(2)).unwrap();
         let dd = Tensor::from_dense(&gen::random_dense(dk, r, seed + 2), Format::dense(2)).unwrap();
         let inputs = [("B", &b3), ("C", &cd), ("D", &dd)];
-        let serial = stmt.compile(LowerOptions::compute("s")).unwrap().run(&inputs).unwrap();
-        let out = par.compile(LowerOptions::compute("p").with_threads(threads)).unwrap()
-            .run(&inputs).unwrap();
-        assert_byte_identical(&serial, &out, "MTTKRP");
+        let opts = LowerOptions::compute("p").with_threads(threads);
+        assert_parallel_is_serial(&stmt, &par, opts, &inputs, "MTTKRP");
     }
 }

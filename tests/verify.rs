@@ -10,7 +10,7 @@ use taco_workspaces::core::{enumerate_candidates, IndexStmt, ScheduleCandidate};
 use taco_workspaces::ir::concrete::ConcreteStmt;
 use taco_workspaces::ir::transform;
 use taco_workspaces::ir::IrError;
-use taco_workspaces::llir::{ArrayTy, Expr, Kernel, Param, Stmt};
+use taco_workspaces::llir::{ArrayTy, Expr, Kernel, Param, Rows, Stmt};
 use taco_workspaces::lower::lower;
 use taco_workspaces::prelude::*;
 use taco_workspaces::verify::{verify_kernel, VerifyError};
@@ -180,9 +180,31 @@ fn out_of_bounds_append_is_denied() {
     );
 }
 
+/// Makes `k` parallel over its top-level loop `var`, as lowering a parallel
+/// forall does: the loop must be [`rows_loop`]'s.
+fn parallel(mut k: Kernel, var: &str) -> Kernel {
+    k.scalar_params.extend(["row_lo".to_string(), "row_hi".to_string()]);
+    k.rows(Rows {
+        var: var.to_string(),
+        lo: "row_lo".to_string(),
+        hi: "row_hi".to_string(),
+        extent: "n".to_string(),
+        threads: 0,
+        private: Vec::new(),
+        append: None,
+    })
+}
+
+/// `for (var = max(0, row_lo); var < min(n, row_hi); var++) body`: the loop
+/// a parallel kernel's row ranges split.
+fn rows_loop(var: &str, body: Vec<Stmt>) -> Stmt {
+    let (lo, hi) = (Expr::int(0).max(Expr::var("row_lo")), Expr::var("n").min(Expr::var("row_hi")));
+    Stmt::for_(var, lo, hi, body)
+}
+
 #[test]
 fn racy_parallel_accumulate_is_denied() {
-    // A ParallelFor whose body accumulates into a location independent of
+    // A parallel loop whose body accumulates into a location independent of
     // the parallel variable: the classic unprivatized reduction, at the
     // LLIR level.
     let mut k = Kernel::new("bad_race");
@@ -190,27 +212,22 @@ fn racy_parallel_accumulate_is_denied() {
     k.array_params.push(Param::input("B_vals", ArrayTy::F64));
     k.array_params.push(Param::output("out", ArrayTy::F64));
     k.body.push(Stmt::Memset { arr: "out".to_string(), val: Expr::float(0.0) });
-    k.body.push(Stmt::ParallelFor {
-        var: "i".to_string(),
-        lo: Expr::int(0),
-        hi: Expr::var("n"),
-        threads: 0,
-        private: Vec::new(),
-        append: None,
-        body: vec![Stmt::StoreAdd {
+    k.body.push(rows_loop(
+        "i",
+        vec![Stmt::StoreAdd {
             arr: "out".to_string(),
             idx: Expr::int(0),
             val: Expr::load("B_vals", Expr::var("i")),
         }],
-    });
+    ));
+    let mut k = parallel(k, "i");
     let report = verify_kernel(&k);
     assert!(
         has_deny(&report, |e| matches!(e, VerifyError::DataRace { name, .. } if name == "out")),
         "expected DataRace for `out`, got: {report:?}"
     );
     // Privatizing the array clears the race (and only the race).
-    let Stmt::ParallelFor { private, .. } = &mut k.body[1] else { unreachable!() };
-    private.push("out".to_string());
+    k.rows.as_mut().unwrap().private.push("out".to_string());
     let report = verify_kernel(&k);
     assert!(
         !has_deny(&report, |e| matches!(e, VerifyError::DataRace { .. })),
@@ -347,18 +364,13 @@ fn reset_monotonicity_and_parallel_drain_rules_reach_their_verdicts() {
             Verdict::Accepted(&["structure `B2_pos`/`B2_crd` covers every coordinate of `w`"]),
         ),
         (
-            rule_kernel(
-                "parallel_scatter_without_drain",
-                &[],
-                vec![Stmt::ParallelFor {
-                    var: "i".to_string(),
-                    lo: Expr::int(0),
-                    hi: Expr::var("n"),
-                    threads: 0,
-                    private: Vec::new(),
-                    append: None,
-                    body: vec![ws_init(), ws_scatter(Expr::var("i"))],
-                }],
+            parallel(
+                rule_kernel(
+                    "parallel_scatter_without_drain",
+                    &[],
+                    vec![rows_loop("i", vec![ws_init(), ws_scatter(Expr::var("i"))])],
+                ),
+                "i",
             ),
             Verdict::Deny(|e| {
                 matches!(e, VerifyError::DataRace { name, detail, .. }
@@ -679,6 +691,7 @@ fn race_check_rederives_every_reduction_not_privatized_verdict() {
             }
         }
     }
+    eprintln!("race check: {checked} forced parallel lowerings checked");
     assert!(checked > 0, "differential test must exercise at least one forced lowering");
     assert!(disagreements.is_empty(), "verdict disagreements:\n{}", disagreements.join("\n"));
 }
