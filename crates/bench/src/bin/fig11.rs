@@ -1,6 +1,7 @@
-//! Regenerates Figure 11: sparse matrix multiplication, workspace kernel
-//! vs Eigen-style (sorted) and MKL-style (unsorted) baselines, for every
-//! Table I matrix at synthetic-operand densities 4E-4 and 1E-4.
+//! Regenerates Figure 11: sparse matrix multiplication, the compiled Fig. 2
+//! workspace kernel vs Eigen-style (sorted) and MKL-style (unsorted)
+//! baselines, for every Table I matrix at synthetic-operand densities 4E-4
+//! and 1E-4.
 //!
 //! The paper reports normalized time (baseline / taco-workspace); averages
 //! of 4x (Eigen, sorted) and ~1.16–1.28x (MKL, unsorted) are the shapes to
@@ -18,7 +19,8 @@ fn main() {
         args.scale, args.reps
     );
 
-    let rows = fig11(args.scale, args.reps);
+    let fig = fig11(args.scale, args.reps);
+    let rows = fig.rows;
 
     for sorted in [true, false] {
         let label = if sorted { "SORTED (vs Eigen-style)" } else { "UNSORTED (vs MKL-style)" };
@@ -44,4 +46,5 @@ fn main() {
             (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
         println!("geometric-mean normalized time: {geo:.2}x  (paper: ~4x sorted, ~1.2x unsorted)\n");
     }
+    println!("off the clock: {}", fig.setup);
 }

@@ -12,14 +12,18 @@
 //! cargo run --release -p taco-bench --bin fig13
 //! ```
 //!
-//! The paper's absolute numbers came from compiled C on a dual-socket Xeon
-//! against the real SuiteSparse/FROSTT datasets; this harness runs native
-//! Rust kernels on synthetic stand-ins (DESIGN.md §5), so only the *shape*
+//! Every "taco" and "workspace" series is a kernel the engine compiles from
+//! a scheduled index statement ([`compiled`]) and runs on the native
+//! backend; the library baselines are the hand-written stand-ins of
+//! `taco-kernels`. The paper's absolute numbers came from compiled C on a
+//! dual-socket Xeon against the real SuiteSparse/FROSTT datasets; this
+//! harness runs on synthetic stand-ins (DESIGN.md §5), so only the *shape*
 //! of each result — who wins, by roughly what factor, where crossovers
 //! fall — is expected to match. `EXPERIMENTS.md` records both.
 
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod figures;
 pub mod timing;
 pub mod workloads;

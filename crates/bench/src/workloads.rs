@@ -4,7 +4,7 @@
 use taco_kernels::mttkrp::DenseMat;
 use taco_tensor::datasets::{MATRICES, TENSORS};
 use taco_tensor::gen::{random_csr, random_dense};
-use taco_tensor::{Csf3, Csr};
+use taco_tensor::{Csf3, Csr, Tensor};
 
 /// One SpGEMM workload of Figure 11: a Table I matrix stand-in multiplied
 /// by a uniform-random matrix of a target density.
@@ -70,6 +70,12 @@ pub fn fig12_workloads(scale: f64, rank: usize, max_dim: usize) -> Vec<MttkrpWor
 pub fn dense_mat(rows: usize, cols: usize, seed: u64) -> DenseMat {
     let t = random_dense(rows, cols, seed);
     DenseMat { nrows: rows, ncols: cols, data: t.into_data() }
+}
+
+/// A dense matrix as the all-dense tensor a compiled kernel binds.
+pub fn dense_tensor(m: &DenseMat) -> Tensor {
+    Tensor::from_dense_vals(vec![m.nrows, m.ncols], m.data.as_slice())
+        .expect("one value per component")
 }
 
 /// Sparse factor matrices for the Figure 12 (right) density sweep.

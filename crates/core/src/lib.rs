@@ -71,8 +71,8 @@ pub use taco_verify::{
     VerifyError, VerifyMode, VerifyReport, WorkspaceCost,
 };
 pub use taco_llir::{
-    Aborted, AbortReason, BudgetResource, CancelToken, ExecReport, HeartbeatSample, Progress,
-    ResourceBudget, Supervisor,
+    Aborted, AbortReason, BudgetResource, CancelToken, ExecReport, Progress, ResourceBudget,
+    Supervisor,
 };
 
 /// Result alias used throughout this crate.

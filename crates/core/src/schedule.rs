@@ -349,8 +349,7 @@ impl std::fmt::Display for FallbackEvent {
 pub struct SupervisedOutcome {
     /// The computed tensor.
     pub result: Tensor,
-    /// Wall-clock, progress counters and heartbeat samples of the
-    /// committing run.
+    /// Wall-clock and progress counters of the committing run.
     pub report: ExecReport,
     /// The degradation-ladder rung that produced the result.
     pub rung: DegradeRung,

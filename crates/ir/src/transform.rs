@@ -107,26 +107,27 @@ pub fn reorder(stmt: &ConcreteStmt, a: &IndexVar, b: &IndexVar) -> Result<Concre
 ///
 /// If `workspace` names the *result* tensor of the assignment, the
 /// result-reuse optimization (Section V-B) applies instead and the statement
-/// becomes a sequence that accumulates into the result.
+/// becomes a sequence that accumulates into the result. Result reuse also
+/// splits an assignment that is already part of a sequence, so applying it
+/// once per operand turns a k-operand addition into k accumulations.
 ///
 /// # Errors
 ///
-/// Returns an error if the statement contains sequences, the target
-/// expression is not found, the workspace shape does not match, or the
-/// foralls cannot be distributed.
+/// Returns an error if the statement contains sequences (outside result
+/// reuse), the target expression is not found, the workspace shape does not
+/// match, or the foralls cannot be distributed.
 pub fn precompute(
     stmt: &ConcreteStmt,
     target: &IndexExpr,
     splits: &[(IndexVar, IndexVar, IndexVar)],
     workspace: &TensorVar,
 ) -> Result<ConcreteStmt> {
-    if stmt.contains_sequence() {
-        return Err(IrError::ContainsSequence);
-    }
-
     // Result reuse: the workspace *is* the result (Section V-B).
     if written_by_match(stmt, workspace) {
         return result_reuse(stmt, target, workspace);
+    }
+    if stmt.contains_sequence() {
+        return Err(IrError::ContainsSequence);
     }
 
     validate_workspace_shape(stmt, splits, workspace)?;
@@ -651,7 +652,9 @@ pub fn with_format(
 // ---------------------------------------------------------------------------
 
 /// Splits an addition into a sequence that accumulates into the result:
-/// `∀ a = E + R  ⇒  (∀ a ⊕= E ; ∀ a += R)`.
+/// `∀ a = E + R  ⇒  (∀ a ⊕= E ; ∀ a += R)`. Inside a sequence the first
+/// statement that splits is split in place, so `a = B0 ; a += B1 + B2`
+/// becomes `a = B0 ; a += B1 ; a += B2`.
 fn result_reuse(
     stmt: &ConcreteStmt,
     target: &IndexExpr,
@@ -709,7 +712,11 @@ fn result_reuse(
                 Ok(Some(ConcreteStmt::sequence(first, second)))
             }
             ConcreteStmt::Where { consumer, producer } => go_where(consumer, producer, target, ws),
-            ConcreteStmt::Sequence { .. } => Err(IrError::ContainsSequence),
+            ConcreteStmt::Sequence { first, second } => match go(first, target, ws) {
+                Ok(Some(f)) => Ok(Some(ConcreteStmt::sequence(f, (**second).clone()))),
+                _ => Ok(go(second, target, ws)?
+                    .map(|s| ConcreteStmt::sequence((**first).clone(), s))),
+            },
         }
     }
 
@@ -899,6 +906,44 @@ mod tests {
         assert_eq!(
             out2.to_string(),
             "∀i ((∀j A(i,j) = w(j)) where (∀j w(j) = B(i,j) ; ∀j w(j) += C(i,j)))"
+        );
+    }
+
+    /// Figure 13: result reuse applied once per operand splits a k-operand
+    /// addition into k accumulations, reaching into the sequence the
+    /// previous application made.
+    #[test]
+    fn kway_add_result_reuse_splits_inside_sequences() {
+        let n = 16;
+        let a = TensorVar::new("A", vec![n, n], Format::csr());
+        let (i, j) = (iv("i"), iv("j"));
+        let ops: Vec<IndexExpr> = (0..3)
+            .map(|x| {
+                TensorVar::new(format!("B{x}"), vec![n, n], Format::csr())
+                    .access([i.clone(), j.clone()])
+                    .into()
+            })
+            .collect();
+        let total = IndexExpr::sum_of(ops.clone());
+        let s = IndexAssignment::assign(a.access([i.clone(), j.clone()]), total.clone());
+        let w = TensorVar::new("w", vec![n], Format::dvec());
+        let mut out =
+            precompute(&concretize(&s).unwrap(), &total, &[(j.clone(), j.clone(), j.clone())], &w)
+                .unwrap();
+        for op in &ops[..2] {
+            out = precompute(&out, op, &[], &w).unwrap();
+        }
+        assert_eq!(
+            out.to_string(),
+            "∀i ((∀j A(i,j) = w(j)) where (∀j w(j) = B0(i,j) ; ∀j w(j) += B1(i,j) ; ∀j w(j) += B2(i,j)))"
+        );
+        // The last operand has nothing left to split off, and every other
+        // transform still refuses the sequence.
+        assert_eq!(precompute(&out, &ops[2], &[], &w), Err(IrError::ResultReuseNotApplicable));
+        let v = TensorVar::new("v", vec![n], Format::dvec());
+        assert_eq!(
+            precompute(&out, &ops[2], &[(j.clone(), j.clone(), j.clone())], &v),
+            Err(IrError::ContainsSequence)
         );
     }
 

@@ -1,11 +1,10 @@
 //! Sparse matrix addition kernels (paper Figures 5, 13).
 //!
-//! The evaluation of Section VIII-E adds `n+1` CSR operands with four
-//! strategies: pairwise binary additions that materialize temporaries (how
-//! Eigen/MKL users must write it), a single merged multi-operand kernel
-//! (taco without workspaces — Figure 5a generalized), and the workspace
-//! kernel (Figure 5b generalized). Assembly and compute phases are split so
-//! Figure 13 (right) can report them separately.
+//! The evaluation of Section VIII-E adds `n+1` CSR operands. The library
+//! baselines here add them pairwise, materializing a temporary per step
+//! (how Eigen/MKL users must write it); [`add_kway_merge`] is a hand-written
+//! copy of the single merged multi-operand kernel taco generates without
+//! workspaces (Figure 5a generalized).
 
 use taco_tensor::Csr;
 
@@ -15,7 +14,7 @@ use taco_tensor::Csr;
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn add2_merge(b: &Csr, c: &Csr) -> Csr {
+fn add2_merge(b: &Csr, c: &Csr) -> Csr {
     assert_eq!((b.nrows(), b.ncols()), (c.nrows(), c.ncols()), "shape mismatch in add");
     let m = b.nrows();
     let mut pos = Vec::with_capacity(m + 1);
@@ -116,55 +115,6 @@ pub fn add_kway_merge(ops: &[&Csr]) -> Csr {
     Csr::from_raw(m, n, pos, crd, vals)
 }
 
-/// Multi-operand workspace addition — Figure 5b generalized to `k`
-/// operands via the result-reuse sequence statement: every operand is
-/// scattered into a dense row workspace, then the row is appended to the
-/// result (fused assembly, sorted).
-///
-/// # Panics
-///
-/// Panics if `ops` is empty or shapes differ.
-pub fn add_kway_workspace(ops: &[&Csr]) -> Csr {
-    assert!(!ops.is_empty(), "at least one operand required");
-    let m = ops[0].nrows();
-    let n = ops[0].ncols();
-    for o in ops {
-        assert_eq!((o.nrows(), o.ncols()), (m, n), "shape mismatch in add");
-    }
-
-    let mut w = vec![0.0f64; n];
-    let mut wset = vec![false; n];
-    let mut wlist: Vec<usize> = Vec::with_capacity(n);
-
-    let mut pos = Vec::with_capacity(m + 1);
-    pos.push(0usize);
-    let mut crd = Vec::new();
-    let mut vals = Vec::new();
-
-    for i in 0..m {
-        wlist.clear();
-        for o in ops {
-            let (cs, vs) = o.row(i);
-            for (c, v) in cs.iter().zip(vs) {
-                if !wset[*c] {
-                    wset[*c] = true;
-                    wlist.push(*c);
-                }
-                w[*c] += *v;
-            }
-        }
-        wlist.sort_unstable();
-        for &j in &wlist {
-            crd.push(j);
-            vals.push(w[j]);
-            w[j] = 0.0;
-            wset[j] = false;
-        }
-        pos.push(crd.len());
-    }
-    Csr::from_raw(m, n, pos, crd, vals)
-}
-
 /// Library-style pairwise addition: folds the operands two at a time with
 /// [`add2_merge`], materializing a full temporary per step — how a user of
 /// Eigen or MKL computes a chained addition ("the libraries are hampered by
@@ -244,71 +194,6 @@ fn add2_two_phase(b: &Csr, c: &Csr) -> Csr {
     Csr::from_raw(m, b.ncols(), pos, crd, vals)
 }
 
-/// The assembly phase of the workspace addition alone (structure only) —
-/// for the Figure 13 (right) assembly/compute breakdown.
-///
-/// # Panics
-///
-/// Panics if `ops` is empty or shapes differ.
-pub fn add_kway_assemble(ops: &[&Csr]) -> (Vec<usize>, Vec<usize>) {
-    assert!(!ops.is_empty(), "at least one operand required");
-    let m = ops[0].nrows();
-    let n = ops[0].ncols();
-    let mut wset = vec![false; n];
-    let mut wlist: Vec<usize> = Vec::with_capacity(n);
-    let mut pos = Vec::with_capacity(m + 1);
-    pos.push(0usize);
-    let mut crd = Vec::new();
-    for i in 0..m {
-        wlist.clear();
-        for o in ops {
-            let (cs, _) = o.row(i);
-            for c in cs {
-                if !wset[*c] {
-                    wset[*c] = true;
-                    wlist.push(*c);
-                }
-            }
-        }
-        wlist.sort_unstable();
-        for &j in &wlist {
-            crd.push(j);
-            wset[j] = false;
-        }
-        pos.push(crd.len());
-    }
-    (pos, crd)
-}
-
-/// The compute phase of the workspace addition against a pre-assembled
-/// structure — for the Figure 13 (right) breakdown ("we reuse the matrix
-/// assembly code produced by taco to build the output, but compute using a
-/// workspace").
-///
-/// # Panics
-///
-/// Panics if shapes differ or the structure does not cover the operands.
-pub fn add_kway_compute(ops: &[&Csr], pos: &[usize], crd: &[usize]) -> Vec<f64> {
-    let n = ops[0].ncols();
-    let m = ops[0].nrows();
-    let mut w = vec![0.0f64; n];
-    let mut vals = vec![0.0f64; crd.len()];
-    for i in 0..m {
-        for o in ops {
-            let (cs, vs) = o.row(i);
-            for (c, v) in cs.iter().zip(vs) {
-                w[*c] += *v;
-            }
-        }
-        for q in pos[i]..pos[i + 1] {
-            let j = crd[q];
-            vals[q] = w[j];
-            w[j] = 0.0;
-        }
-    }
-    vals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +218,6 @@ mod tests {
             a.to_dense_vec().iter().zip(&expect).all(|(x, y)| (x - y).abs() < 1e-10)
         };
         assert!(close(&add_kway_merge(&ops)));
-        assert!(close(&add_kway_workspace(&ops)));
         assert!(close(&add_pairwise(&ops)));
         assert!(close(&add_pairwise_mkl_style(&ops)));
     }
@@ -346,26 +230,6 @@ mod tests {
         assert_eq!(a.pos(), &[0, 3, 4]);
         assert_eq!(a.crd(), &[0, 2, 3, 3]);
         assert_eq!(a.vals(), &[1.0, 12.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn assemble_then_compute_matches_fused() {
-        let mats: Vec<Csr> = (0..4).map(|s| random_csr(20, 20, 0.1, 10 + s)).collect();
-        let ops: Vec<&Csr> = mats.iter().collect();
-        let fused = add_kway_workspace(&ops);
-        let (pos, crd) = add_kway_assemble(&ops);
-        assert_eq!(fused.pos(), &pos[..]);
-        assert_eq!(fused.crd(), &crd[..]);
-        let vals = add_kway_compute(&ops, &pos, &crd);
-        assert_eq!(fused.vals(), &vals[..]);
-    }
-
-    #[test]
-    fn structure_union_is_exact() {
-        let b = Csr::from_triplets(1, 5, &[(0, 1, 1.0)]);
-        let c = Csr::from_triplets(1, 5, &[(0, 3, 1.0)]);
-        let a = add_kway_workspace(&[&b, &c]);
-        assert_eq!(a.crd(), &[1, 3]);
     }
 
     #[test]

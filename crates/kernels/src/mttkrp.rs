@@ -45,43 +45,10 @@ impl DenseMat {
     }
 }
 
-/// MTTKRP without workspaces — the merge-based kernel taco generates before
-/// the transformation (the red side of Figure 9): everything is computed in
-/// the innermost loop.
-///
-/// # Panics
-///
-/// Panics if operand dimensions are inconsistent.
-pub fn mttkrp_taco(b: &Csf3, c: &DenseMat, d: &DenseMat) -> DenseMat {
-    let [di, dk, dl] = b.dims();
-    assert_eq!(c.nrows, dl, "C rows must match B mode-2");
-    assert_eq!(d.nrows, dk, "D rows must match B mode-1");
-    assert_eq!(c.ncols, d.ncols, "C and D must have equal columns");
-    let n = c.ncols;
-    let mut a = DenseMat::zeros(di, n);
-
-    for p1 in b.pos1()[0]..b.pos1()[1] {
-        let i = b.crd1()[p1];
-        for p2 in b.pos2()[p1]..b.pos2()[p1 + 1] {
-            let k = b.crd2()[p2];
-            let drow = &d.data[k * n..(k + 1) * n];
-            for p3 in b.pos3()[p2]..b.pos3()[p2 + 1] {
-                let l = b.crd3()[p3];
-                let bv = b.vals()[p3];
-                let crow = &c.data[l * n..(l + 1) * n];
-                let arow = &mut a.data[i * n..(i + 1) * n];
-                for ((av, cv), dv) in arow.iter_mut().zip(crow).zip(drow) {
-                    *av += bv * cv * dv;
-                }
-            }
-        }
-    }
-    a
-}
-
 /// MTTKRP with a dense workspace that hoists the `D` multiplication out of
-/// the `l` loop — the kernel after the first workspace transformation (the
-/// green side of Figure 9), roughly equivalent to SPLATT's algorithm.
+/// the `l` loop — a hand-written copy of the kernel after the first
+/// workspace transformation (the green side of Figure 9), roughly
+/// equivalent to SPLATT's algorithm.
 ///
 /// # Panics
 ///
@@ -170,86 +137,10 @@ pub fn mttkrp_splatt(b: &Csf3, c: &DenseMat, d: &DenseMat) -> DenseMat {
     a
 }
 
-/// MTTKRP with sparse matrices and a sparse output — the kernel after the
-/// second workspace transformation (Figure 10), with assembly fused via a
-/// coordinate list on the outer workspace.
-///
-/// # Panics
-///
-/// Panics if operand dimensions are inconsistent.
-pub fn mttkrp_sparse(b: &Csf3, c: &Csr, d: &Csr) -> Csr {
-    let [di, dk, dl] = b.dims();
-    assert_eq!(c.nrows(), dl, "C rows must match B mode-2");
-    assert_eq!(d.nrows(), dk, "D rows must match B mode-1");
-    assert_eq!(c.ncols(), d.ncols(), "C and D must have equal columns");
-    let n = c.ncols();
-
-    let mut w = vec![0.0f64; n];
-    let mut v = vec![0.0f64; n];
-    let mut vset = vec![false; n];
-    let mut vlist: Vec<usize> = Vec::with_capacity(n);
-
-    let mut pos = vec![0usize; di + 1];
-    let mut crd = Vec::new();
-    let mut vals = Vec::new();
-
-    for p1 in b.pos1()[0]..b.pos1()[1] {
-        let i = b.crd1()[p1];
-        vlist.clear();
-        for p2 in b.pos2()[p1]..b.pos2()[p1 + 1] {
-            let k = b.crd2()[p2];
-            // w is re-zeroed per (i,k) iteration because the consumer loop
-            // over D's row may not visit every touched entry (Figure 10
-            // line 6).
-            for x in w.iter_mut() {
-                *x = 0.0;
-            }
-            for p3 in b.pos3()[p2]..b.pos3()[p2 + 1] {
-                let l = b.crd3()[p3];
-                let bv = b.vals()[p3];
-                let (ccs, cvs) = c.row(l);
-                for (j, cv) in ccs.iter().zip(cvs) {
-                    w[*j] += bv * cv;
-                }
-            }
-            let (dcs, dvs) = d.row(k);
-            for (j, dv) in dcs.iter().zip(dvs) {
-                if w[*j] != 0.0 || vset[*j] {
-                    if !vset[*j] {
-                        vset[*j] = true;
-                        vlist.push(*j);
-                    }
-                    v[*j] += w[*j] * dv;
-                }
-            }
-        }
-        vlist.sort_unstable();
-        for &j in &vlist {
-            crd.push(j);
-            vals.push(v[j]);
-            v[j] = 0.0;
-            vset[j] = false;
-        }
-        pos[i + 1] = crd.len();
-    }
-    // Rows of B that are absent keep their previous pos; fix up the gaps.
-    for i in 0..di {
-        if pos[i + 1] < pos[i] {
-            pos[i + 1] = pos[i];
-        }
-    }
-    Csr::from_raw(di, n, pos, crd, vals)
-}
-
-/// Reference MTTKRP via dense materialization (for tests).
-pub fn mttkrp_dense_reference(b: &Csf3, c: &DenseMat, d: &DenseMat) -> DenseMat {
-    mttkrp_taco(b, c, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taco_tensor::gen::{random_csf3, random_csr, random_dense};
+    use taco_tensor::gen::{random_csf3, random_dense};
 
     fn dense_from(t: &taco_tensor::DenseTensor) -> DenseMat {
         DenseMat {
@@ -260,32 +151,23 @@ mod tests {
     }
 
     #[test]
-    fn workspace_and_splatt_match_taco() {
+    fn workspace_and_splatt_match_the_dense_product() {
         let b = random_csf3([15, 12, 10], 150, 1);
         let c = dense_from(&random_dense(10, 8, 2));
         let d = dense_from(&random_dense(12, 8, 3));
-        let base = mttkrp_taco(&b, &c, &d);
+        let t = b.to_tensor().to_dense();
+        let mut base = DenseMat::zeros(15, 8);
+        for i in 0..15 {
+            for k in 0..12 {
+                for l in 0..10 {
+                    for j in 0..8 {
+                        base.data[i * 8 + j] += t.get(&[i, k, l]) * c.get(l, j) * d.get(k, j);
+                    }
+                }
+            }
+        }
         assert!(mttkrp_workspace(&b, &c, &d).max_abs_diff(&base) < 1e-10);
         assert!(mttkrp_splatt(&b, &c, &d).max_abs_diff(&base) < 1e-10);
-    }
-
-    #[test]
-    fn sparse_matches_dense_on_densified_operands() {
-        let b = random_csf3([10, 8, 9], 80, 4);
-        let c = random_csr(9, 6, 0.4, 5);
-        let d = random_csr(8, 6, 0.4, 6);
-        let sparse = mttkrp_sparse(&b, &c, &d);
-        let dense = mttkrp_taco(&b, &DenseMat::from_csr(&c), &DenseMat::from_csr(&d));
-        let sd = DenseMat { nrows: 10, ncols: 6, data: sparse.to_dense_vec() };
-        assert!(sd.max_abs_diff(&dense) < 1e-10, "diff {}", sd.max_abs_diff(&dense));
-    }
-
-    #[test]
-    fn sparse_output_has_sorted_rows() {
-        let b = random_csf3([12, 6, 6], 60, 7);
-        let c = random_csr(6, 10, 0.5, 8);
-        let d = random_csr(6, 10, 0.5, 9);
-        assert!(mttkrp_sparse(&b, &c, &d).is_sorted());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::{
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The storage behind an [`ArrayVal`]: a vector the binding owns, or a
@@ -689,23 +689,16 @@ pub struct RunControls<'a> {
     pub cancel: Option<&'a AtomicBool>,
     /// Wall-clock deadline as (run start, allowed duration).
     pub deadline: Option<(Instant, Duration)>,
-    /// Where each check publishes the meter's counters, for a watchdog
-    /// thread to sample while the run is in flight.
-    pub heartbeat: Option<&'a Mutex<Progress>>,
 }
 
 impl RunControls<'_> {
-    /// The periodic supervision check: publish `meter`'s counters, observe
-    /// the cancel flag, compare the clock against the deadline.
+    /// The periodic supervision check: observe the cancel flag, compare the
+    /// clock against the deadline.
     ///
     /// # Errors
     ///
     /// [`RunError::Cancelled`] or [`RunError::DeadlineExceeded`].
-    pub fn check(&self, meter: &BudgetMeter) -> Result<(), RunError> {
-        if let Some(heartbeat) = self.heartbeat {
-            *heartbeat.lock().expect("no holder of the heartbeat lock can panic") =
-                meter.progress();
-        }
+    pub fn check(&self) -> Result<(), RunError> {
         if self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             return Err(RunError::Cancelled);
         }
@@ -908,7 +901,7 @@ impl Mach<'_> {
     #[cold]
     #[inline(never)]
     fn supervision_check(&mut self) -> Result<(), RunError> {
-        self.ctl.check(&self.budget)
+        self.ctl.check()
     }
 
     /// Charges `new_bytes` of growth for `arr` against the single-allocation
@@ -2048,10 +2041,8 @@ fn run_rows<B: KernelBody>(
     // The controls are observed at the fork and at the join too, so a run
     // cancelled or out of time before it starts runs nothing, and one no
     // range observed commits nothing.
-    let controls = RunControls { heartbeat: None, ..controls };
-    let unmetered = BudgetMeter::new(budget, 0);
     let mut progress = Progress { workers: threads as u64, ..Progress::default() };
-    if let Err(e) = controls.check(&unmetered) {
+    if let Err(e) = controls.check() {
         return (progress, Err(e));
     }
     let shared: &Binding = binding;
@@ -2092,7 +2083,7 @@ fn run_rows<B: KernelBody>(
             return (progress, Err(e));
         }
     }
-    if let Err(e) = controls.check(&unmetered) {
+    if let Err(e) = controls.check() {
         return (progress, Err(e));
     }
 
@@ -2705,32 +2696,16 @@ mod tests {
         // Long enough that a strip that never polled would be noticed: the
         // run would commit instead of stopping.
         let mut b = count_binding(0, 5_000_000);
-        let cancel = AtomicBool::new(false);
-        let heartbeat = Mutex::new(Progress::default());
-        let controls =
-            RunControls { cancel: Some(&cancel), deadline: None, heartbeat: Some(&heartbeat) };
-        let (seen, (progress, result)) = std::thread::scope(|scope| {
-            let run =
-                scope.spawn(|| run_body(&exe, &mut b, &ResourceBudget::unlimited(), controls));
-            // Every poll publishes the counters under the heartbeat lock
-            // before it reads the flag. Raise the flag while holding that
-            // lock, once a poll has published: the run cannot be past its
-            // next poll, and that poll finds the flag up.
-            let seen = loop {
-                let published = heartbeat.lock().unwrap();
-                if published.iterations > 0 || run.is_finished() {
-                    cancel.store(true, Ordering::Relaxed);
-                    break published.iterations;
-                }
-                drop(published);
-                std::thread::yield_now();
-            };
-            (seen, run.join().unwrap())
-        });
-        assert_eq!(result, Err(RunError::Cancelled), "no poll after iteration {seen}");
+        // The flag is up before the run starts, so the first poll finds it:
+        // a strip that polls at most one stride apart stops within its first
+        // stride.
+        let cancel = AtomicBool::new(true);
+        let controls = RunControls { cancel: Some(&cancel), deadline: None };
+        let (progress, result) = run_body(&exe, &mut b, &ResourceBudget::unlimited(), controls);
+        assert_eq!(result, Err(RunError::Cancelled));
         assert!(
-            progress.iterations <= seen + u64::from(SUPERVISION_STRIDE) + 1,
-            "flag raised after iteration {seen}, run stopped at {}",
+            progress.iterations <= u64::from(SUPERVISION_STRIDE) + 1,
+            "run stopped at iteration {}",
             progress.iterations
         );
     }

@@ -68,5 +68,5 @@ pub use ir::{
 };
 pub use printer::stmt_to_c;
 pub use supervise::{
-    Aborted, AbortReason, CancelToken, ExecReport, HeartbeatSample, Progress, Supervisor,
+    Aborted, AbortReason, CancelToken, ExecReport, Progress, Supervisor,
 };

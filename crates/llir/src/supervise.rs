@@ -1,5 +1,5 @@
 //! Supervised kernel execution: deadlines, cooperative cancellation,
-//! transactional outputs, and progress heartbeats.
+//! transactional outputs, and a progress report.
 //!
 //! A bare [`run_body`] (what [`Executable::run`](crate::Executable::run) is)
 //! is fire-and-forget: a pathological input (a dense row that explodes a
@@ -14,9 +14,8 @@
 //!   snapshotted before the run and restored on any error, cancel or
 //!   deadline, so the caller-visible [`Binding`] is byte-identical to its
 //!   pre-run state whenever [`Supervisor::run`] returns [`Aborted`];
-//! * a **progress heartbeat** — the budget meter's counters, published by
-//!   the body at every supervision check and sampled by an optional
-//!   watchdog thread, exposed as an [`ExecReport`].
+//! * a **progress report** — the budget meter's counters at the end of the
+//!   run, in the [`ExecReport`] of a commit or the [`Aborted`] of an abort.
 //!
 //! The state machine is `running → committed | aborted`: a run either
 //! commits all its outputs (including scalar outputs) or none of them.
@@ -26,7 +25,7 @@ use crate::{
     RunError,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -106,41 +105,21 @@ impl std::fmt::Display for Progress {
     }
 }
 
-/// One watchdog observation of a running kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatSample {
-    /// Time since the run started.
-    pub at: Duration,
-    /// Progress counters at that instant.
-    pub progress: Progress,
-}
-
-/// What a committed run reports back: wall-clock time, final progress
-/// counters, and any heartbeat samples the watchdog collected.
+/// What a committed run reports back: wall-clock time and final progress
+/// counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecReport {
     /// Total wall-clock time of the run.
     pub elapsed: Duration,
     /// Final progress counters.
     pub progress: Progress,
-    /// Watchdog samples, oldest first. Empty unless a heartbeat interval
-    /// was configured with [`Supervisor::with_heartbeat`].
-    pub samples: Vec<HeartbeatSample>,
 }
 
 impl ExecReport {
     /// A one-line human-readable account of the run, e.g. for examples and
     /// bench output.
     pub fn summary(&self) -> String {
-        let mut s = format!(
-            "committed in {:.3} ms ({})",
-            self.elapsed.as_secs_f64() * 1e3,
-            self.progress
-        );
-        if !self.samples.is_empty() {
-            s.push_str(&format!(", {} heartbeat samples", self.samples.len()));
-        }
-        s
+        format!("committed in {:.3} ms ({})", self.elapsed.as_secs_f64() * 1e3, self.progress)
     }
 }
 
@@ -255,8 +234,8 @@ impl std::error::Error for Aborted {}
 // Supervisor
 // ---------------------------------------------------------------------------
 
-/// Configuration for supervised execution: deadline, cancellation token,
-/// resource budget and heartbeat interval.
+/// Configuration for supervised execution: deadline, cancellation token
+/// and resource budget.
 ///
 /// # Example
 ///
@@ -292,7 +271,6 @@ pub struct Supervisor {
     deadline_at: Option<Instant>,
     budget: ResourceBudget,
     cancel: CancelToken,
-    heartbeat: Option<Duration>,
 }
 
 impl Supervisor {
@@ -329,12 +307,6 @@ impl Supervisor {
         self
     }
 
-    /// Enables the watchdog thread, sampling progress at `interval`.
-    pub fn with_heartbeat(mut self, interval: Duration) -> Supervisor {
-        self.heartbeat = Some(interval);
-        self
-    }
-
     /// The cancellation token runs under this supervisor observe.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
@@ -363,8 +335,8 @@ impl Supervisor {
     /// [`ExecReport`] is returned; on *any* failure — deadline,
     /// cancellation, budget, or runtime error — writable arrays are restored
     /// from their pre-run snapshot so `binding` is byte-identical to its
-    /// pre-run state. Snapshot, deadline resolution, metering, watchdog and
-    /// rollback are this function on both backends; the body only executes.
+    /// pre-run state. Snapshot, deadline resolution, metering and rollback
+    /// are this function on both backends; the body only executes.
     ///
     /// # Errors
     ///
@@ -386,7 +358,6 @@ impl Supervisor {
         let snapshot = binding.snapshot(writable);
 
         let start = Instant::now();
-        let watchdog = self.heartbeat.map(|interval| Watchdog::spawn(interval, start));
         let (progress, result) = run_body(
             body,
             binding,
@@ -394,14 +365,12 @@ impl Supervisor {
             RunControls {
                 cancel: Some(self.cancel.flag()),
                 deadline: self.allowance(start).map(|d| (start, d)),
-                heartbeat: watchdog.as_ref().map(|w| &*w.latest),
             },
         );
         let elapsed = start.elapsed();
-        let samples = watchdog.map(Watchdog::finish).unwrap_or_default();
 
         match result {
-            Ok(()) => Ok(ExecReport { elapsed, progress, samples }),
+            Ok(()) => Ok(ExecReport { elapsed, progress }),
             Err(e) => {
                 // `run_body` has already moved the parameter arrays back
                 // into the binding; overwrite the writable ones with their
@@ -409,48 +378,6 @@ impl Supervisor {
                 binding.restore(snapshot);
                 Err(Aborted { reason: AbortReason::from_run_error(e), progress, elapsed })
             }
-        }
-    }
-}
-
-/// Watchdog thread handle: samples the run's latest published counters
-/// until told to stop.
-struct Watchdog {
-    stop: Arc<AtomicBool>,
-    /// What the run last published ([`RunControls::heartbeat`]).
-    latest: Arc<Mutex<Progress>>,
-    samples: Arc<Mutex<Vec<HeartbeatSample>>>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl Watchdog {
-    fn spawn(interval: Duration, start: Instant) -> Watchdog {
-        let stop = Arc::new(AtomicBool::new(false));
-        let latest = Arc::new(Mutex::new(Progress::default()));
-        let samples = Arc::new(Mutex::new(Vec::new()));
-        let (stop2, latest2, samples2) =
-            (Arc::clone(&stop), Arc::clone(&latest), Arc::clone(&samples));
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(progress) = latest2.lock().map(|p| *p) else { break };
-                if let Ok(mut s) = samples2.lock() {
-                    s.push(HeartbeatSample { at: start.elapsed(), progress });
-                }
-            }
-        });
-        Watchdog { stop, latest, samples, handle }
-    }
-
-    fn finish(self) -> Vec<HeartbeatSample> {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.handle.join();
-        match self.samples.lock() {
-            Ok(mut s) => std::mem::take(&mut *s),
-            Err(_) => Vec::new(),
         }
     }
 }
@@ -630,30 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_watchdog_samples_a_long_run() {
-        let exe = Executable::compile(&spin_then_scale()).unwrap();
-        let supervisor = Supervisor::new()
-            .with_deadline(Duration::from_millis(80))
-            .with_heartbeat(Duration::from_millis(5));
-        let mut b = binding(i64::MAX);
-        let err = supervisor.run(&exe, &mut b).unwrap_err();
-        assert!(matches!(err.reason, AbortReason::DeadlineExceeded { .. }));
-        // The watchdog samples are only exposed on commit; spin fast enough
-        // to commit and observe them instead.
-        let mut b2 = binding(2_000_000);
-        let report = Supervisor::new()
-            .with_heartbeat(Duration::from_millis(1))
-            .run(&exe, &mut b2)
-            .expect("no deadline, commits");
-        assert!(
-            report.samples.windows(2).all(|w| w[0].at <= w[1].at
-                && w[0].progress.iterations <= w[1].progress.iterations),
-            "samples are monotone"
-        );
-        assert_eq!(report.progress.iterations, 2_000_000 + 3);
-    }
-
-    #[test]
     fn report_summary_and_abort_display_are_human_readable() {
         let report = ExecReport {
             elapsed: Duration::from_millis(12),
@@ -662,7 +565,6 @@ mod tests {
                 allocated_bytes: 1024,
                 ..Progress::default()
             },
-            samples: vec![],
         };
         let s = report.summary();
         assert!(s.contains("42 iterations") && s.contains("1024 bytes"), "{s}");

@@ -362,7 +362,7 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
 unsafe extern "C" fn poll_cb(ctx: *mut TacoCtx) -> i32 {
     let host = host_of(ctx);
     let checked = host.meter.consume_iterations(host.grant);
-    if let Err(e) = checked.and_then(|()| host.controls.check(host.meter)) {
+    if let Err(e) = checked.and_then(|()| host.controls.check()) {
         host.record(e);
         return 1;
     }

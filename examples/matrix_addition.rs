@@ -1,14 +1,11 @@
 //! Sparse matrix addition case study (paper Figure 5 + Section VIII-E):
-//! merge kernel vs workspace kernel with result reuse, and the scaling
-//! behaviour with growing operand counts.
+//! merge kernel vs workspace kernel with result reuse, applied once per
+//! operand. The scaling with operand count is Figure 13's bench, `fig13`.
 //!
 //! ```text
 //! cargo run --release --example matrix_addition
 //! ```
 
-use std::time::Instant;
-use taco_kernels::add::{add_kway_merge, add_kway_workspace, add_pairwise};
-use taco_tensor::gen::random_csr;
 use taco_workspaces::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,33 +25,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Workspace + result reuse (Figure 5b): two precompute applications.
     let mut ws = IndexStmt::new(source.clone())?;
     let w = TensorVar::new("w", vec![n], Format::dvec());
-    let sum_expr = bij.clone() + cij;
+    let sum_expr = bij.clone() + cij.clone();
     ws.precompute(&sum_expr, &[(j.clone(), j.clone(), j.clone())], &w)?;
     ws.precompute(&bij, &[], &w)?; // result reuse -> sequence statement
     println!("concrete: {ws}\n");
     println!("== workspace kernel (Figure 5b) ==\n{}", ws.compile(LowerOptions::fused("add_ws"))?.to_c());
 
-    // Scaling with operand count (Figure 13's effect, via native kernels).
-    let dim = 4000;
-    let mats: Vec<_> = (0..7)
-        .map(|x| random_csr(dim, dim, [2.56e-2, 1.68e-3, 2.89e-4, 2.5e-3, 2.92e-3, 2.96e-2, 1.06e-2][x], x as u64))
-        .collect();
-    println!("adding k operands of {dim}x{dim} (times in ms):");
-    println!("{:>4} {:>12} {:>12} {:>12}", "k", "pairwise", "merge", "workspace");
-    for k in 2..=7 {
-        let ops: Vec<&Csr> = mats[..k].iter().collect();
-        let t = |f: &dyn Fn() -> Csr| {
-            let s = Instant::now();
-            let _ = f();
-            s.elapsed().as_secs_f64() * 1e3
-        };
-        println!(
-            "{k:>4} {:>12.2} {:>12.2} {:>12.2}",
-            t(&|| add_pairwise(&ops)),
-            t(&|| add_kway_merge(&ops)),
-            t(&|| add_kway_workspace(&ops)),
-        );
-    }
-    println!("\n(the workspace kernel overtakes the merge kernel as operands grow — Figure 13)");
+    // Result reuse once per operand: k operands, k accumulations into w.
+    let d = TensorVar::new("D", vec![n, n], Format::csr());
+    let dij: IndexExpr = d.access([i.clone(), j.clone()]).into();
+    let total = bij.clone() + cij.clone() + dij;
+    let mut ws3 = IndexStmt::new(IndexAssignment::assign(a.access([i.clone(), j.clone()]), total.clone()))?;
+    ws3.precompute(&total, &[(j.clone(), j.clone(), j.clone())], &w)?;
+    ws3.precompute(&bij, &[], &w)?;
+    ws3.precompute(&cij, &[], &w)?;
+    println!("three operands: {ws3}\n");
+
+    // How the two kernels scale with the operand count is Figure 13, timed
+    // on compiled native kernels.
+    println!("(Figure 13's scaling: cargo run --release -p taco-bench --bin fig13)");
     Ok(())
 }
