@@ -4,10 +4,12 @@
 //! The candidates are enumerated under each lowering the autotuner is asked
 //! for (fused and compute), so each must lower and be accepted (zero
 //! deny-severity findings) when compiled the way a caller would. The
-//! autotuner's space is serial, so the sweep adds the `parallelize(outer)`
-//! form of every candidate that has one and lowers, and holds it to the same
-//! verdict (the race check only runs on parallel loops). Exits nonzero
-//! otherwise, so CI can gate on it.
+//! autotuner's space is serial and leaves storage to the caller, so the
+//! sweep adds, and holds to the same verdict, the hash and coordinate-list
+//! form of every candidate with a workspace and the `parallelize(outer)` form
+//! of every candidate that has one, each where it lowers (the race check
+//! only runs on parallel loops). Exits nonzero otherwise, so CI can gate on
+//! it.
 //!
 //! The summary line ends with an FNV-1a digest of every report's diagnostic
 //! and assumption lines (each tagged with its candidate and its position in
@@ -19,12 +21,16 @@
 //! ```
 
 use taco_core::fingerprint::Fnv64;
-use taco_core::{enumerate_candidates_for, IndexStmt, ResourceBudget, ScheduleCandidate, VerifyMode};
+use taco_core::{
+    enumerate_candidates_for, stmt_workspaces, IndexStmt, ResourceBudget, ScheduleCandidate,
+    VerifyMode,
+};
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
+use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
-use taco_tensor::{Format, ModeFormat};
+use taco_tensor::{Format, LevelType};
 
 fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
@@ -61,7 +67,7 @@ fn mttkrp(di: usize, dk: usize, dl: usize, r: usize, sparse: bool) -> IndexStmt 
     let b = TensorVar::new(
         "B",
         vec![di, dk, dl],
-        Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed]),
+        Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed]),
     );
     let (c, d) = if sparse {
         (TensorVar::new("C", vec![dl, r], Format::csr()), TensorVar::new("D", vec![dk, r], Format::csr()))
@@ -94,6 +100,20 @@ fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
     Some(ScheduleCandidate { name, stmt, ..cand.clone() })
 }
 
+/// `cand` under every workspace kind when it has a workspace, a map kind
+/// named in the candidate's name; under the dense kind alone otherwise.
+fn kind_variants(cand: ScheduleCandidate) -> Vec<(ScheduleCandidate, WorkspaceKind)> {
+    if stmt_workspaces(cand.stmt.concrete()).is_empty() {
+        return vec![(cand, WorkspaceKind::Dense)];
+    }
+    let map = |kind: WorkspaceKind| {
+        let name = format!("{} + workspace({kind})", cand.name);
+        (ScheduleCandidate { name, ..cand.clone() }, kind)
+    };
+    let maps = [map(WorkspaceKind::Hash), map(WorkspaceKind::CoordList)];
+    std::iter::once((cand, WorkspaceKind::Dense)).chain(maps).collect()
+}
+
 fn main() {
     let cases: Vec<(&str, IndexStmt)> = vec![
         ("spgemm", spgemm(16)),
@@ -113,17 +133,18 @@ fn main() {
             LowerOptions::compute(format!("{case}_c")),
         ] {
             let candidates = enumerate_candidates_for(stmt, &opts).into_iter();
-            let with_twins = candidates.flat_map(|(cand, _)| {
-                let twin = parallel_twin(&cand).map(|twin| (twin, true));
-                std::iter::once((cand, false)).chain(twin)
+            let with_kinds = candidates.flat_map(|(cand, _)| kind_variants(cand));
+            let with_twins = with_kinds.flat_map(|(cand, kind)| {
+                let twin = parallel_twin(&cand).map(|twin| (twin, kind, true));
+                std::iter::once((cand, kind, false)).chain(twin)
             });
-            for (cand, is_twin) in with_twins {
+            for (cand, kind, is_twin) in with_twins {
                 // Compiled from the statement, not finished from the carried
                 // product: the sweep checks that the product told the truth.
-                let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
+                let opts = opts.clone().with_workspace_kind(kind);
                 let budget = ResourceBudget::unlimited();
                 let compiled = cand.stmt.compile_checked(opts.clone(), budget, VerifyMode::Warn);
-                if is_twin && compiled.is_err() {
+                if (is_twin || kind != WorkspaceKind::Dense) && compiled.is_err() {
                     continue;
                 }
                 total += 1;

@@ -10,8 +10,12 @@
 //! The runtime engine's autotuner ranks the candidates by their iteration
 //! bounds on the real operands, replies with the best and checks it against
 //! the runner-up.
+//!
+//! The space holds schedules and operand conversions, not storage: every
+//! candidate lowers under the caller's options as given, so a workspace's
+//! data structure is the caller's choice, or the budget's
+//! ([`crate::ladder`]), never the tuner's.
 
-use crate::cost::stmt_workspaces;
 use crate::fingerprint::fingerprint_kernel;
 use crate::passes::FrontHalf;
 use crate::IndexStmt;
@@ -19,7 +23,6 @@ use std::collections::HashSet;
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{IndexVar, TensorVar};
 use taco_ir::transform;
-use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
 use taco_tensor::Format;
 use taco_verify::VerifyMode;
@@ -34,10 +37,6 @@ pub struct ScheduleCandidate {
     pub name: String,
     /// The scheduled statement.
     pub stmt: IndexStmt,
-    /// The workspace storage backend this candidate is compiled with
-    /// (`workspace(hash)` / `workspace(coord-list)` variants of a schedule
-    /// compete against its dense original).
-    pub workspace_kind: WorkspaceKind,
     /// Operand format conversions this candidate requires at run time:
     /// `(operand name, target format)`. The statement is already rewritten
     /// to the target format; the runtime converts the bound tensors to match
@@ -60,13 +59,12 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 /// `opts`, each with the [`FrontHalf`] that proves it.
 ///
 /// A candidate is a point of the space below that lowers under the caller's
-/// options (with the candidate's own workspace backend) and that the static
-/// verifier accepts; the front half that showed it is kept, so whoever
-/// compiles the candidate ([`FrontHalf::finish`]) does not lower or verify it
-/// again. A point that does not lower — a loop order that needs random access
-/// into compressed storage, direct sparse scatter (the direct baseline of
-/// SpGEMM into CSR), a format the kernel kind cannot append to — is not a
-/// candidate. Candidates are deduplicated by [`fingerprint_kernel`] of the
+/// options, unchanged, and that the static verifier accepts; the front half
+/// that showed it is kept, so whoever compiles the candidate
+/// ([`FrontHalf::finish`]) does not lower or verify it again. A point that
+/// does not lower — a loop order that needs random access into compressed
+/// storage, direct sparse scatter (the direct baseline of SpGEMM into CSR), a
+/// format the kernel kind cannot append to — is not a candidate. Candidates are deduplicated by [`fingerprint_kernel`] of the
 /// verified LLIR, so schedules that are spelled differently but lower to
 /// identical kernels occupy one slot.
 ///
@@ -80,32 +78,24 @@ pub fn enumerate_candidates(stmt: &IndexStmt) -> Vec<ScheduleCandidate> {
 ///    Section V-C heuristics suggest for it, applied with a fresh dense
 ///    workspace sized from the precomputed variables' ranges;
 /// 5. for each loop order, every sparse rank-2 operand **converted** to each
-///    other standard rank-2 format;
-/// 6. for every candidate that materializes a workspace, a **hash-map** and
-///    a **coordinate-list** storage-backend variant
-///    ([`WorkspaceKind`]) — the graceful-degradation rungs of the budget
-///    ladder, ranked here on merit rather than necessity.
+///    other standard rank-2 format.
 ///
 /// The space is serial: a parallel loop enters it only in the statement the
-/// caller scheduled — (1) and its backend variants from (6). A parallel
-/// twin of a serial schedule does the same iterations, so the ranking could
-/// not tell the two apart, and the native backend does not emit it.
+/// caller scheduled, (1). A parallel twin of a serial schedule does the same
+/// iterations, so the ranking could not tell the two apart, and the native
+/// backend does not emit it.
 pub fn enumerate_candidates_for(
     stmt: &IndexStmt,
     opts: &LowerOptions,
 ) -> Vec<(ScheduleCandidate, FrontHalf)> {
     let mut out: Vec<(ScheduleCandidate, FrontHalf)> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
-    let mut push = |out: &mut Vec<(ScheduleCandidate, FrontHalf)>,
-                    name: String,
-                    s: IndexStmt,
-                    kind: WorkspaceKind,
-                    conversions: Vec<(String, Format)>| {
-        let opts = opts.clone().with_workspace_kind(kind);
-        let front = FrontHalf::unverified(&s, opts).and_then(|f| f.verified(VerifyMode::Deny));
+    let mut push = |name: String, s: IndexStmt, conversions: Vec<(String, Format)>| {
+        let front =
+            FrontHalf::unverified(&s, opts.clone()).and_then(|f| f.verified(VerifyMode::Deny));
         let Ok(front) = front else { return };
         if seen.insert(fingerprint_kernel(&front.lowered().kernel)) {
-            let cand = ScheduleCandidate { name, stmt: s, workspace_kind: kind, conversions };
+            let cand = ScheduleCandidate { name, stmt: s, conversions };
             out.push((cand, front));
         }
     };
@@ -113,13 +103,13 @@ pub fn enumerate_candidates_for(
     // Base loop orders: the direct concretization plus every pairwise
     // reorder of its outer forall chain.
     let Ok(direct) = IndexStmt::new(stmt.source().clone()) else {
-        push(&mut out, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
+        push("as-scheduled".to_string(), stmt.clone(), Vec::new());
         return out;
     };
     // An unscheduled statement *is* the direct baseline; only list
     // "as-scheduled" separately when a schedule has actually been applied.
     if stmt.concrete() != direct.concrete() {
-        push(&mut out, "as-scheduled".to_string(), stmt.clone(), WorkspaceKind::Dense, Vec::new());
+        push("as-scheduled".to_string(), stmt.clone(), Vec::new());
     }
     let chain = forall_chain(direct.concrete());
     let mut bases: Vec<(String, IndexStmt)> = vec![(DIRECT_MERGE.to_string(), direct.clone())];
@@ -136,7 +126,7 @@ pub fn enumerate_candidates_for(
 
     // Workspace placements on every base loop order.
     for (base_name, base) in &bases {
-        push(&mut out, base_name.clone(), base.clone(), WorkspaceKind::Dense, Vec::new());
+        push(base_name.clone(), base.clone(), Vec::new());
         for (n, sugg) in base.suggestions().into_iter().enumerate() {
             let Some(ws) = workspace_for(base.concrete(), &sugg.over, n) else {
                 continue;
@@ -150,7 +140,7 @@ pub fn enumerate_candidates_for(
                 } else {
                     format!("{} + precompute({})", base_name, over.join(","))
                 };
-                push(&mut out, name, IndexStmt::from_parts(stmt.source().clone(), t), WorkspaceKind::Dense, Vec::new());
+                push(name, IndexStmt::from_parts(stmt.source().clone(), t), Vec::new());
             }
         }
     }
@@ -180,30 +170,11 @@ pub fn enumerate_candidates_for(
                     format!("{base_name} + {conv}")
                 };
                 push(
-                    &mut out,
                     name,
                     IndexStmt::from_parts(stmt.source().clone(), t),
-                    WorkspaceKind::Dense,
                     vec![(op_name.clone(), alt)],
                 );
             }
-        }
-    }
-
-    // Workspace-backend variants of every candidate with a workspace.
-    for n in 0..out.len() {
-        let c = out[n].0.clone();
-        if stmt_workspaces(c.stmt.concrete()).is_empty() {
-            continue;
-        }
-        for kind in [WorkspaceKind::Hash, WorkspaceKind::CoordList] {
-            push(
-                &mut out,
-                format!("{} + workspace({kind})", c.name),
-                c.stmt.clone(),
-                kind,
-                c.conversions.clone(),
-            );
         }
     }
     out
@@ -278,18 +249,9 @@ mod tests {
         // SpGEMM into CSR is unrealizable without a workspace: the direct
         // baseline does not lower, so it is not a candidate.
         assert!(!names.contains(&DIRECT_MERGE), "{names:?}");
-        for variant in ["", " + workspace(hash)", " + workspace(coord-list)"] {
-            let name = format!("reorder(j,k) + precompute(j){variant}");
-            assert!(names.contains(&name.as_str()), "`{name}` must be in the space: {names:?}");
-        }
-        for c in &cands {
-            assert_eq!(
-                c.name.contains(&format!("workspace({})", c.workspace_kind)),
-                c.workspace_kind != WorkspaceKind::Dense,
-                "backend variant named after its kind: {}",
-                c.name
-            );
-        }
+        assert!(names.contains(&"reorder(j,k) + precompute(j)"), "{names:?}");
+        // Storage is not a point of the space: no candidate names a backend.
+        assert!(names.iter().all(|name| !name.contains("workspace(")), "{names:?}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! compile path asks around it:
 //!
 //! * *which* workspaces a schedule introduces, before lowering — the
-//!   structural question the budget fallback, the degrade ladder, and the
-//!   candidate enumerator all share ([`stmt_workspaces`]); and
+//!   structural question the budget fallback, the degrade ladder and serve
+//!   admission share ([`stmt_workspaces`]); and
 //! * how to *evaluate* the symbolic bounds once real operands are bound
 //!   ([`binding_env`]).
 

@@ -16,7 +16,6 @@ use taco_core::{
     enumerate_candidates_for, ladder, CompiledKernel, CoreError, FallbackEvent, FrontHalf,
     IndexStmt, ResourceBudget, Supervisor, SupervisedOutcome, VerifyMode,
 };
-use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
 use taco_tensor::{Format, Tensor};
 
@@ -494,27 +493,27 @@ impl Engine {
     /// The **reply** is a run of the predicted best under the engine budget;
     /// the ranking is walked further only when a candidate fails to compile
     /// or aborts. Then, if [`EngineConfig::tuning_deadline`] has not passed,
-    /// the best dense-workspace candidate predicted *strictly worse* is the
-    /// **check**: it is finished and run once, its own conversion on the
-    /// clock, with the leader's time as its deadline. It takes the decision
-    /// only if it completes having done *less work* than the leader (metered
-    /// iterations plus conversion entries — the bound that ranked it was
-    /// loose), faster, *and* the leader, run again with the challenger's time
-    /// as its deadline, does not complete. The deadline only ends a lost run
-    /// early; the comparisons decide, and the clock can confirm a misranking
-    /// the meter has shown but never make one. Both check runs stay on the
+    /// the best candidate predicted *strictly worse* is the **check**: it is
+    /// finished and run once, its own conversion on the clock, with the
+    /// leader's time as its deadline. It takes the decision only if it
+    /// completes having done *less work* than the leader (metered iterations
+    /// plus conversion entries — the bound that ranked it was loose), faster,
+    /// *and* the leader, run again with the challenger's time as its
+    /// deadline, does not complete. The deadline only ends a lost run early;
+    /// the comparisons decide, and the clock can confirm a misranking the
+    /// meter has shown but never make one. Both check runs stay on the
     /// interpreter, which is what timed the leader's first run, so a losing
     /// candidate is never handed to the C compiler.
     ///
     /// Candidates predicted *equal* to the leader are never run: the model
     /// has called them the same, and letting the clock break that tie is the
-    /// race this search replaces. Sparse-workspace variants are not checked
-    /// either: their drain bounds are loose by orders of magnitude, so where
-    /// they fall in the ranking says nothing. Both kinds reply when the
-    /// ranking is walked to them. A search therefore compiles and runs at
-    /// most two candidates, each from the front half it was enumerated with,
-    /// and [`EngineEvent::Autotuned`] says what was predicted and what was
-    /// measured for both.
+    /// race this search replaces; they reply when the ranking is walked to
+    /// them. A search therefore compiles and runs at most two candidates,
+    /// each from the front half it was enumerated with, and
+    /// [`EngineEvent::Autotuned`] says what was predicted and what was
+    /// measured for both. Every candidate compiles under `opts` as given,
+    /// workspace kind included: storage is the caller's and the budget's
+    /// choice, not a point of the search.
     ///
     /// The decision — the winning
     /// [`ScheduleCandidate`](taco_core::ScheduleCandidate) itself — is
@@ -541,7 +540,6 @@ impl Engine {
             self.push_event(EngineEvent::AutotuneReused { key, schedule: schedule.clone() });
             let run_inputs = converted_inputs(&mut converted, inputs, &cand.conversions)
                 .map_err(|e| EngineError::Core(CoreError::Tensor(e)))?;
-            let opts = opts.with_workspace_kind(cand.workspace_kind);
             let result = self.run(&cand.stmt, opts, &run_inputs)?;
             return Ok(TunedOutcome { result, schedule, tuned: false });
         }
@@ -575,18 +573,14 @@ impl Engine {
             return Err(EngineError::NoViableCandidate { candidates: total });
         };
         let (mut viable, mut checked) = (1usize, None);
-        // The check is the best dense-workspace candidate predicted strictly
-        // worse: between equal predictions enumeration order has already
-        // decided, and a sparse workspace's bound counts the iterations of
-        // its loops, not what its map operations cost next to the dense
-        // scatters they replace. It measures, it does not reply: its runs
-        // stay on the interpreter, which is what timed the leader's first
-        // run (an untrusted native kernel commits the interpreter's result),
-        // so a candidate about to lose never costs a compiler run.
+        // The check is the best candidate predicted strictly worse: between
+        // equal predictions enumeration order has already decided. It
+        // measures, it does not reply: its runs stay on the interpreter,
+        // which is what timed the leader's first run (an untrusted native
+        // kernel commits the interpreter's result), so a candidate about to
+        // lose never costs a compiler run.
         let in_time = started.elapsed() < self.config.tuning_deadline;
-        let checkable = |r: &Ranked| {
-            r.predicted > best.predicted && r.cand.workspace_kind == WorkspaceKind::Dense
-        };
+        let checkable = |r: &Ranked| r.predicted > best.predicted;
         if let Some(mut of) = ranked.find(checkable).filter(|_| in_time) {
             let interp = Backend::Interp;
             let run = attempt(&mut of, Some(reply.nanos), interp);
@@ -642,8 +636,7 @@ impl Engine {
             let left = limit.checked_sub(conversion_nanos)?;
             supervisor = supervisor.with_deadline(Duration::from_nanos(left));
         }
-        let run_opts = opts.clone().with_workspace_kind(of.cand.workspace_kind);
-        let (kernel, _) = self.compile_traced(&of.cand.stmt, run_opts, of.front.take()).ok()?;
+        let (kernel, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
         let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
         let (result, report, _) =
             self.run_kernel(&kernel, &operands, None, Some(&supervisor), backend).ok()?;

@@ -115,8 +115,8 @@ fn sparsity_bucket(inputs: &[(&str, &Tensor)]) -> u8 {
 /// search space is consulted again.
 #[derive(Debug, Clone)]
 pub struct TuneDecision {
-    /// The winning candidate: its name, scheduled statement, workspace
-    /// backend and the operand conversions it runs on.
+    /// The winning candidate: its name, scheduled statement and the operand
+    /// conversions it runs on.
     pub candidate: ScheduleCandidate,
     /// Measured wall-clock nanoseconds of the winner during tuning.
     pub best_nanos: u64,

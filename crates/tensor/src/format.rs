@@ -36,10 +36,6 @@ pub enum LevelType {
     Hashed,
 }
 
-/// Backwards-compatible alias: earlier revisions called the per-level type
-/// `ModeFormat` with only the `Dense`/`Compressed` variants.
-pub type ModeFormat = LevelType;
-
 impl LevelType {
     /// **Property — full:** every coordinate in `0..dim` has a stored
     /// position (no compression).
@@ -124,11 +120,11 @@ impl fmt::Display for LevelType {
 /// # Example
 ///
 /// ```
-/// use taco_tensor::{Format, ModeFormat};
+/// use taco_tensor::{Format, LevelType};
 ///
 /// let csr = Format::csr();
-/// assert_eq!(csr.mode(0), ModeFormat::Dense);
-/// assert_eq!(csr.mode(1), ModeFormat::Compressed);
+/// assert_eq!(csr.mode(0), LevelType::Dense);
+/// assert_eq!(csr.mode(1), LevelType::Compressed);
 /// assert_eq!(csr.to_string(), "(d,s)");
 ///
 /// let csc = Format::csc();

@@ -68,7 +68,7 @@ pub use csf::Csf3;
 pub use csr::Csr;
 pub use dense::DenseTensor;
 pub use error::TensorError;
-pub use format::{Format, LevelType, ModeFormat};
+pub use format::{Format, LevelType};
 pub use storage::{IndexArrays, ModeStorage, Tensor};
 
 /// Result alias used throughout this crate.

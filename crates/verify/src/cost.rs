@@ -1114,7 +1114,7 @@ mod tests {
     use taco_llir::Kernel;
     use taco_lower::params::{crd_name, pos_name};
     use taco_lower::KernelKind;
-    use taco_tensor::{Format, ModeFormat};
+    use taco_tensor::{Format, LevelType};
 
     /// A kernel over a 5×7 CSR result `A`, CSR operands `B` and `C` of the
     /// same shape and a 5×7×9 (dense, compressed, compressed) operand `T`.
@@ -1122,7 +1122,7 @@ mod tests {
     fn lowered(kind: KernelKind, body: Vec<Stmt>) -> LoweredKernel {
         let csr = |name: &str| TensorVar::new(name, vec![5, 7], Format::csr());
         let csf =
-            Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed]);
+            Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed]);
         let (result, operands) =
             (csr("A"), vec![csr("B"), csr("C"), TensorVar::new("T", vec![5, 7, 9], csf)]);
         let mut kernel = Kernel::new("k").body(body);

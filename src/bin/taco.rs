@@ -27,7 +27,7 @@ use taco_core::parse::{parse_assignment, Declarations};
 use taco_core::IndexStmt;
 use taco_ir::expr::{IndexVar, TensorVar};
 use taco_lower::{KernelKind, LowerOptions};
-use taco_tensor::{Format, ModeFormat};
+use taco_tensor::{Format, LevelType};
 
 struct Args {
     expr: String,
@@ -123,7 +123,7 @@ fn run(args: &Args) -> Result<(), String> {
         let ws = TensorVar::new(
             ws_name.clone(),
             vec![args.dim],
-            Format::new(vec![ModeFormat::Dense]),
+            Format::new(vec![LevelType::Dense]),
         );
         stmt.precompute(&target, &[(v.clone(), v.clone(), v.clone())], &ws)
             .map_err(|e| e.to_string())?;

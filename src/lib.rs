@@ -80,5 +80,5 @@ pub mod prelude {
     pub use taco_serve::{
         Outcome, Priority, Rejected, Request, Server, ServerStats, TenantPolicy, Ticket,
     };
-    pub use taco_tensor::{Csf3, Csr, DenseTensor, Format, LevelType, ModeFormat, Tensor};
+    pub use taco_tensor::{Csf3, Csr, DenseTensor, Format, LevelType, Tensor};
 }

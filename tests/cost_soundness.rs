@@ -14,14 +14,17 @@
 use proptest::prelude::*;
 use taco_core::cost::binding_env;
 use taco_core::oracle::eval_dense;
-use taco_core::{enumerate_candidates_for, CompiledKernel, IndexStmt, ScheduleCandidate, Supervisor};
+use taco_core::{
+    enumerate_candidates_for, stmt_workspaces, CompiledKernel, IndexStmt, ScheduleCandidate,
+    Supervisor,
+};
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_llir::{Binding, Stmt, WorkspaceKind};
 use taco_lower::{KernelKind, LowerOptions};
 use taco_tensor::gen::{random_csr, random_csr_nnz, random_dense, Pattern};
-use taco_tensor::{DenseTensor, Format, ModeFormat, Tensor};
+use taco_tensor::{DenseTensor, Format, LevelType, Tensor};
 
 fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
@@ -78,7 +81,7 @@ fn spmv(m: usize, n: usize, format: Format) -> IndexStmt {
 }
 
 fn csf() -> Format {
-    Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed])
+    Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed])
 }
 
 /// MTTKRP over a CSF tensor with dense factor matrices.
@@ -141,6 +144,17 @@ fn parallel_twin(cand: &ScheduleCandidate) -> Option<ScheduleCandidate> {
     stmt.parallelize(var).ok()?;
     let name = format!("{} + parallelize({var})", cand.name);
     Some(ScheduleCandidate { name, stmt, ..cand.clone() })
+}
+
+/// The workspace kinds a candidate is swept under: the tuner's space leaves
+/// storage to the caller, so a sweep adds the map kinds itself wherever there
+/// is a workspace to store.
+fn kinds_of(stmt: &IndexStmt) -> &'static [WorkspaceKind] {
+    if stmt_workspaces(stmt.concrete()).is_empty() {
+        &[WorkspaceKind::Dense]
+    } else {
+        &[WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList]
+    }
 }
 
 /// The entries the run's drains visited, where a run shows them: every
@@ -215,11 +229,13 @@ fn sweep(
         let twin = parallel_twin(&cand).map(|twin| (twin, true));
         std::iter::once((cand, false)).chain(twin)
     });
-    for (cand, is_twin) in candidates {
-        let opts = opts.clone().with_workspace_kind(cand.workspace_kind);
-        let kernel = match cand.stmt.compile(opts) {
+    let with_kinds = candidates.flat_map(|(cand, is_twin)| {
+        kinds_of(&cand.stmt).iter().map(move |&kind| (cand.clone(), is_twin, kind))
+    });
+    for (cand, is_twin, kind) in with_kinds {
+        let kernel = match cand.stmt.compile(opts.clone().with_workspace_kind(kind)) {
             Ok(kernel) => kernel,
-            Err(_) if is_twin => continue,
+            Err(_) if is_twin || kind != WorkspaceKind::Dense => continue,
             Err(e) => panic!("`{}` does not lower under its enumeration's options: {e}", cand.name),
         };
         seen.parallel += usize::from(is_twin);
@@ -242,7 +258,7 @@ fn sweep(
             continue;
         };
         seen.accepted += 1;
-        let name = format!("`{}` ({}) of {what}", cand.name, cand.workspace_kind);
+        let name = format!("`{}` ({kind}) of {what}", cand.name);
         // An unknown bound is conservative (it can never admit or prune
         // anything), so it cannot be unsound — but it should be the
         // exception, which the callers check.

@@ -290,8 +290,8 @@ fn spmv(m: usize, n: usize) -> IndexStmt {
 }
 
 fn csf() -> Format {
-    use taco_tensor::ModeFormat;
-    Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed])
+    use taco_tensor::LevelType;
+    Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed])
 }
 
 /// MTTKRP over a CSF tensor with dense rank-`r` factor matrices.
@@ -347,12 +347,8 @@ fn exhaustive_race(
     let candidates = taco_core::enumerate_candidates_for(stmt, opts);
     let mut race: Vec<(String, u64, [u128; 3])> =
         candidates.iter().map(|(cand, _)| (cand.name.clone(), 0, [0; 3])).collect();
-    let kernels: Vec<CompiledKernel> = candidates
-        .iter()
-        .map(|(cand, _)| {
-            cand.stmt.compile(opts.clone().with_workspace_kind(cand.workspace_kind)).unwrap()
-        })
-        .collect();
+    let kernels: Vec<CompiledKernel> =
+        candidates.iter().map(|(cand, _)| cand.stmt.compile(opts.clone()).unwrap()).collect();
     for round in 0..3 {
         for (((cand, _), kernel), entry) in candidates.iter().zip(&kernels).zip(&mut race) {
             let converts = |name: &str, t: &Tensor| {
@@ -391,14 +387,9 @@ fn predicted_rank_one_is_the_winner_of_an_exhaustive_race() {
     // deadline is zero, so the reply is rank 1 whatever the clock would say
     // about the check); the test runs every candidate. Rank 1 must be the
     // pinned schedule, do the least work of the whole space (ties in
-    // enumeration order, which is how a schedule keeps its place ahead of its
-    // sparse-workspace variants: they do the same work), and not lose the
-    // clock to any other *schedule* by more than 2x in every round of a
-    // best-of-3 race — a margin two machines would agree on. Sparse-workspace
-    // variants are left out of the timed comparison: at these sizes a
-    // coordinate-list workspace is up to 1.7x faster than its dense twin in
-    // the interpreter on one run and slower on the next, and the ranking does
-    // not model that (ROADMAP item 1).
+    // enumeration order), and not lose the clock to any other candidate by
+    // more than 2x in every round of a best-of-3 race — a margin two machines
+    // would agree on.
     let patterns = [Pattern::Uniform, Pattern::Banded(0.1), Pattern::PowerLaw];
     for (size, pattern) in [48usize, 96].into_iter().flat_map(|n| patterns.map(|p| (n, p))) {
         let matrix =
@@ -445,7 +436,7 @@ fn agrees_with_the_race(
     let leader = race.iter().find(|r| r.0 == pinned).unwrap().2;
     for (other, _, nanos) in &race {
         assert!(
-            other.contains("workspace(") || (0..3).any(|round| leader[round] <= 2 * nanos[round]),
+            (0..3).any(|round| leader[round] <= 2 * nanos[round]),
             "{what}: `{other}` beats rank 1 by more than 2x every time: {race:?}"
         );
     }
@@ -515,7 +506,6 @@ fn a_decision_replays_its_candidate_without_consulting_the_space() {
             candidate: ScheduleCandidate {
                 name: "gustavson-by-hand".to_string(),
                 stmt: scheduled_spgemm(n),
-                workspace_kind: WorkspaceKind::Dense,
                 conversions: Vec::new(),
             },
             best_nanos: 1,
@@ -528,6 +518,38 @@ fn a_decision_replays_its_candidate_without_consulting_the_space() {
     let oracle = eval_dense(stmt.source(), &inputs).unwrap();
     assert!(out.result.to_dense().approx_eq(&oracle, 1e-10));
     assert_eq!(engine.cache_stats().compiles, 1, "the remembered statement, and nothing else");
+}
+
+#[test]
+fn a_tuned_reply_keeps_the_callers_workspace_kind() {
+    // The tuner searches schedules; storage is the caller's. A search asked
+    // for hash workspaces replies with a hash kernel: the one kernel it
+    // compiled (no time for the check) is what compiling the decided
+    // statement under the caller's options finds in the cache.
+    let n = 24;
+    let stmt = unscheduled_spgemm(n);
+    let (b, c) = operands(n);
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let engine =
+        Engine::builder().backend(Backend::Interp).tuning_deadline(Duration::ZERO).build();
+    let opts = LowerOptions::fused("spgemm").with_workspace_kind(WorkspaceKind::Hash);
+    let out = engine.run_tuned(&stmt, opts.clone(), &inputs).unwrap();
+    assert_eq!(out.schedule, "reorder(j,k) + precompute(j)");
+    let oracle = eval_dense(stmt.source(), &inputs).unwrap();
+    assert!(out.result.to_dense().approx_eq(&oracle, 1e-10));
+
+    let decided = engine.tuner().decision(&TuneKey::new(&stmt, &inputs)).unwrap();
+    let before = engine.cache_stats();
+    assert_eq!(before.compiles, 1, "the reply, and nothing else");
+    let kernel = engine.compile(&decided.candidate.stmt, opts.clone()).unwrap();
+    let after = engine.cache_stats();
+    assert_eq!((after.compiles, after.hits), (before.compiles, before.hits + 1), "a cache hit");
+    let budget = engine.config().budget;
+    let expected = taco_core::fingerprint(decided.candidate.stmt.concrete(), &opts, &budget);
+    assert_eq!(kernel.fingerprint(), expected);
+    let workspaces = &kernel.lowered().workspaces;
+    assert!(!workspaces.is_empty());
+    assert!(workspaces.iter().all(|w| w.kind == WorkspaceKind::Hash), "{workspaces:?}");
 }
 
 #[test]

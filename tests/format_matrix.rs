@@ -395,7 +395,7 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
         .find(|(c, _)| !c.conversions.is_empty())
         .expect("a conversion candidate exists");
     conv.stmt
-        .compile(opts.clone().with_workspace_kind(conv.workspace_kind))
+        .compile(opts.clone())
         .expect("every candidate compiles under the options it was enumerated for");
 
     let engine = Engine::new();

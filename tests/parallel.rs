@@ -57,7 +57,7 @@ fn mttkrp(di: usize, dk: usize, dl: usize, r: usize) -> IndexStmt {
     let b = TensorVar::new(
         "B",
         vec![di, dk, dl],
-        Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed]),
+        Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed]),
     );
     let c = TensorVar::new("C", vec![dl, r], Format::dense(2));
     let d = TensorVar::new("D", vec![dk, r], Format::dense(2));
@@ -392,7 +392,7 @@ proptest! {
         let b3 = Tensor::from_entries(
             vec![di, dk, dl],
             Format::new(vec![
-                ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed,
+                LevelType::Dense, LevelType::Compressed, LevelType::Compressed,
             ]),
             random_entries_3d([di, dk, dl], nnz, seed),
         )

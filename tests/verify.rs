@@ -535,8 +535,7 @@ proptest! {
         let mut executed = 0usize;
         let all = candidates.iter().map(|c| (c, false)).chain(twins.iter().map(|c| (c, true)));
         for (cand, is_twin) in all {
-            let opts = LowerOptions::fused("cand").with_workspace_kind(cand.workspace_kind);
-            let kernel = match cand.stmt.compile(opts) {
+            let kernel = match cand.stmt.compile(LowerOptions::fused("cand")) {
                 Ok(kernel) => kernel,
                 Err(_) if is_twin => continue,
                 Err(e) => panic!("{}: a candidate lowers under fused options: {e}", cand.name),
@@ -628,7 +627,7 @@ fn dense_mttkrp() -> IndexStmt {
     let b = TensorVar::new(
         "B",
         vec![di, dk, dl],
-        Format::new(vec![ModeFormat::Dense, ModeFormat::Compressed, ModeFormat::Compressed]),
+        Format::new(vec![LevelType::Dense, LevelType::Compressed, LevelType::Compressed]),
     );
     let c = TensorVar::new("C", vec![dl, r], Format::dense(2));
     let d = TensorVar::new("D", vec![dk, r], Format::dense(2));
