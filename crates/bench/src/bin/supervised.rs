@@ -19,6 +19,7 @@ use taco_core::{IndexStmt, Supervisor};
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_lower::LowerOptions;
+use taco_runtime::{Backend, Engine};
 use taco_tensor::gen::random_csr;
 use taco_tensor::{DenseTensor, Format, Tensor};
 
@@ -94,13 +95,15 @@ fn main() {
 
     println!("DEGRADE AND RETRY: sampled product with a pathological workspace, 50 ms deadline\n");
     let deadline = Supervisor::new().with_deadline(Duration::from_millis(50));
-    match sampled.run_supervised(
+    let engine = Engine::builder().backend(Backend::Interp).budget(deadline.budget()).build();
+    match engine.run_supervised(
+        &sampled,
         LowerOptions::fused("sampled"),
         &deadline,
         &[("B", &b2t), ("C", &c2t)],
         None,
     ) {
-        Ok(outcome) => println!("  {}", outcome.summary().replace('\n', "\n  ")),
+        Ok(run) => println!("  {}", run.summary().replace('\n', "\n  ")),
         Err(e) => println!("  every rung aborted: {e}"),
     }
 }

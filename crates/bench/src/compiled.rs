@@ -214,16 +214,8 @@ impl Harness {
             None => self.engine.run(stmt, opts.clone(), inputs),
             Some(s) => self
                 .engine
-                .run_supervised(
-                    stmt,
-                    opts.clone(),
-                    &Supervisor::new(),
-                    inputs,
-                    Some(s),
-                    self.engine.config().verify,
-                    Backend::Native,
-                )
-                .map(|run| run.outcome.result),
+                .run_supervised(stmt, opts.clone(), &Supervisor::new(), inputs, Some(s))
+                .map(|run| run.result),
         };
         if !self.trusted.get() {
             self.first_runs.set(self.first_runs.get() + start.elapsed());

@@ -1,26 +1,26 @@
 //! The degradation policy, written once: which kernel each ladder rung
-//! asks for ([`DegradeRung::request`]), how a supervised run descends the
-//! rungs on retryable aborts ([`descend`]), and how an over-budget dense
+//! asks for ([`DegradeRung::request`]) and how an over-budget dense
 //! workspace is arbitrated at compile time ([`arbitrate_workspaces`]).
 //!
 //! The ladder walks the paper's Section V-C heuristics and Section VI
 //! unsorted-assembly trade-off in reverse; the sparse-workspace rungs follow
 //! Zhang et al., *Compilation of Modular and General Sparse Workspaces*.
-//! [`IndexStmt::run_supervised`], the runtime engine's supervised path and
-//! the serving daemon's admission check are all instantiations of the
-//! functions here — none re-derives a rung or the budget chain.
+//! The runtime engine's `run_supervised` is the one function that walks
+//! [`DegradeRung::LADDER`] on retryable aborts; the compile path
+//! ([`IndexStmt::compile_checked`]) and the serving daemon's admission
+//! check share [`arbitrate_workspaces`]. None re-derives a rung or the
+//! budget chain.
 
 use crate::cost::stmt_workspaces;
 use crate::passes::FrontHalf;
-use crate::schedule::{CompiledKernel, FallbackEvent, IndexStmt, SupervisedOutcome};
+use crate::schedule::{FallbackEvent, IndexStmt};
 use crate::{CoreError, Result};
-use std::borrow::{Borrow, Cow};
-use taco_llir::{BudgetResource, ExecReport, WorkspaceKind};
-use taco_lower::{KernelKind, LowerError, LowerOptions};
-use taco_tensor::Tensor;
+use std::borrow::Cow;
+use taco_llir::{BudgetResource, WorkspaceKind};
+use taco_lower::{KernelKind, LowerOptions};
 use taco_verify::{Bound, CostEnv, WorkspaceCost};
 
-/// One rung of the degradation ladder [`descend`] walks on retryable
+/// One rung of the degradation ladder a supervised run walks on retryable
 /// aborts: faster schedules first, the plain merge kernel last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeRung {
@@ -37,8 +37,7 @@ pub enum DegradeRung {
 }
 
 impl DegradeRung {
-    /// The full ladder, fastest schedule first — the descent order of
-    /// [`descend`].
+    /// The full ladder, fastest schedule first — the descent order.
     pub const LADDER: [DegradeRung; 5] = [
         DegradeRung::AsScheduled,
         DegradeRung::HashWorkspace,
@@ -117,68 +116,6 @@ impl std::fmt::Display for DegradeRung {
             DegradeRung::DirectMerge => write!(f, "direct merge"),
         }
     }
-}
-
-/// Runs `stmt` down the degradation ladder: each applicable rung is
-/// compiled with `compile` and run with `run`; a *retryable* abort (missed
-/// deadline, exhausted budget) records a [`FallbackEvent::DegradedRetry`]
-/// (also reported to `on_retry` as it happens) and moves one rung down.
-/// The first rung to commit wins.
-///
-/// The caller chooses how a kernel is obtained (a fresh compile, a kernel
-/// cache) and how it is executed (interpreter, native); the rung order, the
-/// skip rules and the error bookkeeping are the same for every caller.
-///
-/// # Errors
-///
-/// A rung `compile` refuses is skipped, remembering the *earliest* such
-/// reason; a retryable abort replaces it. When no rung commits the
-/// remembered error is returned. Cancellation, runtime failures and bind
-/// errors are not fixed by a degraded schedule and return immediately.
-pub fn descend<K, E>(
-    stmt: &IndexStmt,
-    opts: &LowerOptions,
-    mut compile: impl FnMut(&IndexStmt, LowerOptions) -> std::result::Result<K, E>,
-    mut run: impl FnMut(&K) -> Result<(Tensor, ExecReport)>,
-    mut on_retry: impl FnMut(&FallbackEvent),
-) -> std::result::Result<SupervisedOutcome, E>
-where
-    K: Borrow<CompiledKernel>,
-    E: From<CoreError>,
-{
-    let mut fallbacks: Vec<FallbackEvent> = Vec::new();
-    let mut last_err: Option<E> = None;
-    for rung in DegradeRung::LADDER {
-        let Some((rung_stmt, rung_opts)) = rung.request(stmt, opts, &fallbacks) else { continue };
-        let kernel = match compile(&rung_stmt, rung_opts) {
-            Ok(k) => k,
-            // Rung not realizable (e.g. direct sparse scatter): try the next
-            // one, but remember why in case nothing works.
-            Err(e) => {
-                last_err.get_or_insert(e);
-                continue;
-            }
-        };
-        if rung == DegradeRung::AsScheduled {
-            fallbacks.extend(kernel.borrow().fallback_events().iter().cloned());
-        }
-        match run(&kernel) {
-            Ok((result, report)) => return Ok(SupervisedOutcome { result, report, rung, fallbacks }),
-            Err(CoreError::Aborted(aborted)) if aborted.reason.is_retryable() => {
-                let event = FallbackEvent::DegradedRetry { rung, reason: aborted.reason.clone() };
-                on_retry(&event);
-                fallbacks.push(event);
-                last_err = Some(CoreError::Aborted(aborted).into());
-            }
-            Err(other) => return Err(other.into()),
-        }
-    }
-    // The as-scheduled rung always has a request, so an exhausted ladder has
-    // recorded an error; the fallback only keeps this total without a panic.
-    Err(last_err.unwrap_or_else(|| {
-        let none_applies = "no degradation-ladder rung applies to this statement";
-        CoreError::Lower(LowerError::Unsupported(none_applies.to_string())).into()
-    }))
 }
 
 /// The single walk over the compile-time budget chain: proven dense bound →

@@ -63,9 +63,7 @@ pub use error::CoreError;
 pub use fingerprint::fingerprint;
 pub use ladder::DegradeRung;
 pub use passes::FrontHalf;
-pub use schedule::{
-    default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt, SupervisedOutcome,
-};
+pub use schedule::{default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt};
 pub use taco_verify::{
     analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, OutputBound, Severity,
     VerifyError, VerifyMode, VerifyReport, WorkspaceCost,

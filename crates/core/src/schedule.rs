@@ -1,8 +1,8 @@
-//! The scheduling API (paper Section III), compiled-kernel execution, and
-//! supervised degrade-and-retry execution.
+//! The scheduling API (paper Section III), the compile pipeline's entry
+//! points, and compiled-kernel execution.
 
 use crate::bind::{bind_operand, bind_result, extract_result};
-use crate::ladder::{self, DegradeRung};
+use crate::ladder::DegradeRung;
 use crate::passes::FrontHalf;
 use crate::Result;
 use taco_ir::concrete::ConcreteStmt;
@@ -123,17 +123,20 @@ impl IndexStmt {
     }
 
     /// Lowers and compiles the statement into a runnable kernel with no
-    /// resource limits.
+    /// resource limits, verified under [`default_verify_mode`].
     ///
     /// # Errors
     ///
     /// Returns a lowering error if the schedule is not realizable — e.g.
     /// scattering into a sparse result without a workspace.
     pub fn compile(&self, opts: LowerOptions) -> Result<CompiledKernel> {
-        self.compile_with_budget(opts, ResourceBudget::unlimited())
+        self.compile_checked(opts, ResourceBudget::unlimited(), default_verify_mode())
     }
 
-    /// Lowers and compiles the statement under a [`ResourceBudget`].
+    /// Lowers, statically verifies, and compiles the statement under a
+    /// [`ResourceBudget`], running the pass list ([`crate::passes`]):
+    /// `lower → cost`, then `fit the workspace budget → verify →
+    /// exec-compile → fingerprint`.
     ///
     /// The budget applies at both ends of the pipeline. At compile time the
     /// dense-workspace footprint of every `where` statement is *proven* by
@@ -141,49 +144,31 @@ impl IndexStmt {
     /// lowered kernel and evaluated against the declared dimensions; if the
     /// total exceeds `max_workspace_bytes`, the cheapest sparse workspace
     /// backend whose proven initial footprint fits — hash map first, then
-    /// coordinate list — is
-    /// compiled instead, keeping the schedule and recording one
-    /// [`FallbackEvent::WorkspaceDowngraded`] per workspace. Only when no
-    /// sparse backend is lowerable either are the schedule's transformations
-    /// dropped and the original statement lowered directly — the slower
-    /// merge kernel — with one [`FallbackEvent::WorkspaceOverBudget`]
-    /// recorded per skipped workspace. At run time the compiled kernel
-    /// enforces the budget's allocation and iteration limits on every
-    /// [`CompiledKernel::run`].
+    /// coordinate list — is compiled instead, keeping the schedule and
+    /// recording one [`FallbackEvent::WorkspaceDowngraded`] per workspace.
+    /// Only when no sparse backend is lowerable either are the schedule's
+    /// transformations dropped and the original statement lowered directly
+    /// — the slower merge kernel — with one
+    /// [`FallbackEvent::WorkspaceOverBudget`] recorded per skipped
+    /// workspace. At run time the compiled kernel enforces the budget's
+    /// allocation and iteration limits on every [`CompiledKernel::run`].
+    ///
+    /// The kernel it keeps is run through the `taco-verify` abstract
+    /// interpreter (definite initialization, symbolic bounds, parallel
+    /// write-set disjointness) before it is compiled. Under
+    /// [`VerifyMode::Warn`] the report is recorded on the kernel
+    /// ([`CompiledKernel::verify_report`]); under [`VerifyMode::Deny`] a
+    /// report with any deny-severity finding fails the compile. The verdict
+    /// never changes the generated code, so it does not participate in the
+    /// kernel [fingerprint](CompiledKernel::fingerprint).
     ///
     /// # Errors
     ///
-    /// Returns a lowering error if the schedule is not realizable, or
+    /// Returns a lowering error if the schedule is not realizable,
     /// [`CoreError::BudgetExceeded`](crate::CoreError::BudgetExceeded) if the
     /// workspaces are over budget *and* the untransformed statement cannot be
     /// lowered either (e.g. it scatters into a sparse result, which is only
-    /// realizable through a workspace).
-    pub fn compile_with_budget(
-        &self,
-        opts: LowerOptions,
-        budget: ResourceBudget,
-    ) -> Result<CompiledKernel> {
-        self.compile_checked(opts, budget, default_verify_mode())
-    }
-
-    /// Lowers, statically verifies, and compiles the statement — the driver
-    /// of the pass list ([`crate::passes`]): `lower → cost`, then `fit the
-    /// workspace budget → verify → exec-compile → fingerprint`.
-    ///
-    /// This is [`IndexStmt::compile_with_budget`] with an explicit
-    /// [`VerifyMode`]: the lowered kernel is run through the
-    /// `taco-verify` abstract interpreter (definite initialization,
-    /// symbolic bounds, parallel write-set disjointness) before it is
-    /// compiled. Under [`VerifyMode::Warn`] the report is recorded on the
-    /// kernel ([`CompiledKernel::verify_report`]); under
-    /// [`VerifyMode::Deny`] a report with any deny-severity finding fails
-    /// the compile. The verdict never changes the generated code, so it
-    /// does not participate in the kernel
-    /// [fingerprint](CompiledKernel::fingerprint).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`IndexStmt::compile_with_budget`] returns, plus
+    /// realizable through a workspace), or
     /// [`CoreError::Verify`](crate::CoreError::Verify) under `Deny`.
     pub fn compile_checked(
         &self,
@@ -193,69 +178,18 @@ impl IndexStmt {
     ) -> Result<CompiledKernel> {
         FrontHalf::unverified(self, opts)?.finish(budget, verify)
     }
-
-    /// Runs the statement under a [`Supervisor`], descending the degradation
-    /// ladder on retryable aborts.
-    ///
-    /// The first rung compiles the statement as scheduled (under the
-    /// supervisor's budget, so an over-budget workspace already falls back
-    /// at compile time). If the run aborts with a *retryable* reason — a
-    /// missed deadline or an exhausted resource budget — the statement is
-    /// re-lowered one rung down the ladder and retried with a fresh
-    /// deadline:
-    ///
-    /// 1. [`DegradeRung::AsScheduled`] — the full schedule (workspace
-    ///    precompute, sorted output);
-    /// 2. [`DegradeRung::HashWorkspace`] — the schedule kept but every
-    ///    workspace stored as a hash map (unordered accumulate, sorted
-    ///    drain) whose footprint scales with the entries touched;
-    /// 3. [`DegradeRung::CoordListWorkspace`] — likewise, with the
-    ///    coordinate-list backend (ordered append with dedup);
-    /// 4. [`DegradeRung::UnsortedAssembly`] — the schedule kept but the
-    ///    output-sort pass dropped (paper §VI, unsorted kernels);
-    /// 5. [`DegradeRung::DirectMerge`] — every transformation dropped and
-    ///    the original statement lowered to the direct merge kernel (the
-    ///    reverse of the Section V-C heuristics).
-    ///
-    /// Every abandoned rung is recorded as a
-    /// [`FallbackEvent::DegradedRetry`] in the returned
-    /// [`SupervisedOutcome`], so callers can query *why* a result was
-    /// slower than scheduled. Cancellation and genuine runtime failures are
-    /// not retried.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Aborted`](crate::CoreError::Aborted) when every
-    /// viable rung aborted (carrying the last abort), or the usual
-    /// compile/bind errors for problems no rung can fix.
-    pub fn run_supervised(
-        &self,
-        opts: LowerOptions,
-        supervisor: &Supervisor,
-        inputs: &[(&str, &Tensor)],
-        output_structure: Option<&Tensor>,
-    ) -> Result<SupervisedOutcome> {
-        let budget = supervisor.budget();
-        ladder::descend(
-            self,
-            &opts,
-            |stmt, opts| stmt.compile_with_budget(opts, budget),
-            |kernel: &CompiledKernel| kernel.run_supervised(inputs, output_structure, supervisor),
-            |_| {},
-        )
-    }
 }
 
 /// Why a kernel was compiled or retried in a degraded form. Queryable via
-/// [`CompiledKernel::fallback_events`] and
-/// [`SupervisedOutcome::fallbacks`], and printable for operator-facing
+/// [`CompiledKernel::fallback_events`] and on the supervised runs of the
+/// runtime's engine, and printable for operator-facing
 /// output.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FallbackEvent {
     /// A workspace was skipped at compile time because its estimated
     /// footprint exceeded the budget and no sparse backend fit either (see
-    /// [`IndexStmt::compile_with_budget`]).
+    /// [`IndexStmt::compile_checked`]).
     WorkspaceOverBudget {
         /// Name of the workspace tensor that was not materialized.
         workspace: String,
@@ -270,7 +204,7 @@ pub enum FallbackEvent {
     },
     /// A dense workspace was over budget but a sparse backend fit, so the
     /// schedule was kept and only the workspace storage was downgraded (see
-    /// [`IndexStmt::compile_with_budget`]).
+    /// [`IndexStmt::compile_checked`]).
     WorkspaceDowngraded {
         /// Name of the workspace tensor whose storage was downgraded.
         workspace: String,
@@ -287,7 +221,8 @@ pub enum FallbackEvent {
         budget_bytes: u64,
     },
     /// A supervised run of one degradation-ladder rung aborted and the next
-    /// rung was tried (see [`IndexStmt::run_supervised`]).
+    /// rung was tried (the runtime engine's `run_supervised` walks the
+    /// ladder).
     DegradedRetry {
         /// The rung that aborted.
         rung: DegradeRung,
@@ -339,34 +274,6 @@ impl std::fmt::Display for FallbackEvent {
                 write!(f, "native backend unavailable ({reason}); ran on the interpreter")
             }
         }
-    }
-}
-
-/// The committed result of [`IndexStmt::run_supervised`]: the tensor, the
-/// run report of the rung that committed, which rung that was, and the
-/// fallback trail explaining any degradation.
-#[derive(Debug, Clone)]
-pub struct SupervisedOutcome {
-    /// The computed tensor.
-    pub result: Tensor,
-    /// Wall-clock and progress counters of the committing run.
-    pub report: ExecReport,
-    /// The degradation-ladder rung that produced the result.
-    pub rung: DegradeRung,
-    /// Compile-time workspace skips and aborted rungs, in order.
-    pub fallbacks: Vec<FallbackEvent>,
-}
-
-impl SupervisedOutcome {
-    /// A human-readable account of the run: how it committed and why it was
-    /// degraded, if it was.
-    pub fn summary(&self) -> String {
-        let mut s = format!("{} kernel {}", self.rung, self.report.summary());
-        for event in &self.fallbacks {
-            s.push_str("\n  - ");
-            s.push_str(&event.to_string());
-        }
-        s
     }
 }
 
@@ -511,7 +418,8 @@ impl CompiledKernel {
     /// Runs the kernel once under a [`Supervisor`]: transactional outputs,
     /// deadline and cancellation checked at loop back-edges, and the
     /// tighter of the supervisor's and this kernel's budgets enforced. No
-    /// degrade-and-retry — see [`IndexStmt::run_supervised`] for the ladder.
+    /// degrade-and-retry: the runtime engine's `run_supervised` walks the
+    /// ladder.
     ///
     /// # Errors
     ///

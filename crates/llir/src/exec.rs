@@ -1520,12 +1520,6 @@ impl Binding {
         self
     }
 
-    /// Binds a boolean array.
-    pub fn set_bool(&mut self, name: impl Into<String>, v: Vec<bool>) -> &mut Self {
-        self.arrays.insert(name.into(), ArrayVal::Bool(Buf::Owned(v)));
-        self
-    }
-
     /// Binds a double-precision array shared read-only with whoever else
     /// holds `v` (an operand tensor's values): nothing is copied, and only
     /// an input parameter may take it.
@@ -1545,14 +1539,6 @@ impl Binding {
     pub fn f64_array(&self, name: &str) -> Option<&[f64]> {
         match self.arrays.get(name) {
             Some(ArrayVal::F64(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Reads back a single-precision array.
-    pub fn f32_array(&self, name: &str) -> Option<&[f32]> {
-        match self.arrays.get(name) {
-            Some(ArrayVal::F32(v)) => Some(v),
             _ => None,
         }
     }

@@ -52,11 +52,6 @@ impl CancelToken {
         self.0.store(true, Ordering::Relaxed);
     }
 
-    /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
     fn flag(&self) -> &AtomicBool {
         &self.0
     }

@@ -13,10 +13,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use taco_core::{
-    enumerate_candidates_for, ladder, CompiledKernel, CoreError, FallbackEvent, FrontHalf,
-    IndexStmt, ResourceBudget, Supervisor, SupervisedOutcome, VerifyMode,
+    enumerate_candidates_for, CompiledKernel, CoreError, DegradeRung, ExecReport, FallbackEvent,
+    FrontHalf, IndexStmt, ResourceBudget, Supervisor, VerifyMode,
 };
-use taco_lower::LowerOptions;
+use taco_lower::{LowerError, LowerOptions};
 use taco_tensor::{Format, Tensor};
 
 /// Engine construction parameters. `EngineConfig::default()` is sized for a
@@ -257,12 +257,20 @@ impl std::fmt::Display for EngineEvent {
     }
 }
 
-/// The result of [`Engine::run_supervised`]: the committed ladder outcome
-/// plus the request-level warm-kernel and backend signals.
+/// The result of [`Engine::run_supervised`]: the tensor, the run report of
+/// the rung that committed, which rung that was, the fallback trail
+/// explaining any degradation, and the request-level warm-kernel and
+/// backend signals.
 #[derive(Debug, Clone)]
 pub struct SupervisedRun {
-    /// The committed result, rung, run report, and fallback trail.
-    pub outcome: SupervisedOutcome,
+    /// The computed tensor.
+    pub result: Tensor,
+    /// Wall-clock and progress counters of the committing run.
+    pub report: ExecReport,
+    /// The degradation-ladder rung that produced the result.
+    pub rung: DegradeRung,
+    /// Compile-time workspace fallbacks and aborted rungs, in order.
+    pub fallbacks: Vec<FallbackEvent>,
     /// True when the first attempted rung's kernel was served from the
     /// cache (hit or coalesced) rather than compiled by this call.
     pub cache_hit: bool,
@@ -270,6 +278,19 @@ pub struct SupervisedRun {
     /// rather than the interpreter. (A differential trust-check run counts
     /// as interpreted: the interpreter's result is what committed.)
     pub native: bool,
+}
+
+impl SupervisedRun {
+    /// A human-readable account of the run: how it committed and why it was
+    /// degraded, if it was.
+    pub fn summary(&self) -> String {
+        let mut s = format!("{} kernel {}", self.rung, self.report.summary());
+        for event in &self.fallbacks {
+            s.push_str("\n  - ");
+            s.push_str(&event.to_string());
+        }
+        s
+    }
 }
 
 /// The result of [`Engine::run_tuned`].
@@ -403,41 +424,38 @@ impl Engine {
         Ok(result)
     }
 
-    /// Runs a statement under a [`Supervisor`], descending the
-    /// degrade-and-retry ladder ([`taco_core::ladder::descend`]) on
-    /// retryable aborts with every rung compiled *through the kernel
-    /// cache*, so a serving workload coalesces onto warm kernels: N
-    /// concurrent requests for one statement cost one compile
-    /// (single-flight), and a rung that aborted for an earlier request
-    /// retries from a cached kernel for the next. Every retry is recorded
-    /// in the engine's event log.
+    /// Runs a statement under a [`Supervisor`], descending the degradation
+    /// ladder ([`DegradeRung::LADDER`]) on retryable aborts. No other code
+    /// walks the ladder.
     ///
-    /// `verify` is enforced per call, on top of the engine-wide
-    /// [`EngineConfig::verify`] applied at compile time: under
-    /// [`VerifyMode::Deny`], a *cached* kernel whose recorded report carries
-    /// deny-severity findings (possible when the engine compiled it under
-    /// [`VerifyMode::Warn`]) is refused for this caller with
-    /// [`EngineError::VerifyDenied`] and the ladder moves on. This is what
-    /// lets one shared engine serve tenants with different verification
-    /// policies; pass [`EngineConfig::verify`] for the engine's own floor.
+    /// The first rung compiles the statement as scheduled (under the
+    /// engine's budget, so an over-budget workspace already falls back at
+    /// compile time). If the run aborts with a *retryable* reason — a missed
+    /// deadline or an exhausted resource budget — the request of the next
+    /// applicable rung ([`DegradeRung::request`]) is compiled and run with a
+    /// fresh deadline: hash workspace, coordinate-list workspace, unsorted
+    /// assembly, direct merge. The first rung to commit wins. Every
+    /// abandoned rung is recorded as a [`FallbackEvent::DegradedRetry`] in
+    /// the returned run and in the engine's event log. Cancellation,
+    /// runtime failures and bind errors are not fixed by a degraded schedule
+    /// and are not retried.
     ///
-    /// `backend` is a per-call preference (e.g. a tenant policy):
-    /// [`Backend::Auto`] defers to [`EngineConfig::backend`], anything else
-    /// wins for this call. The trust ledger and compiled shared objects are
-    /// engine-wide, so a native-preferring tenant warms them for every
-    /// other tenant.
-    ///
-    /// Returns the committed [`SupervisedOutcome`] plus whether the *first
-    /// attempted rung* was served from the cache (the request-level
-    /// coalesce/warm signal).
+    /// Every rung is compiled *through the kernel cache* under
+    /// [`EngineConfig::verify`] and run on [`EngineConfig::backend`], so a
+    /// serving workload coalesces onto warm kernels: N concurrent requests
+    /// for one statement cost one compile (single-flight), and a rung that
+    /// aborted for an earlier request retries from a cached kernel for the
+    /// next. [`SupervisedRun::cache_hit`] says whether the *first attempted
+    /// rung* was served from the cache (the request-level coalesce/warm
+    /// signal).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Aborted`] via [`EngineError::Core`] when every viable
-    /// rung aborted; compile/bind errors for problems no rung can fix;
-    /// [`EngineError::VerifyDenied`] when the only viable kernels are
-    /// verify-denied for this caller.
-    #[allow(clippy::too_many_arguments)]
+    /// A rung that does not compile is skipped, remembering the *earliest*
+    /// such error; a retryable abort replaces it. When no rung commits, the
+    /// remembered error is returned: [`CoreError::Aborted`] via
+    /// [`EngineError::Core`] when every viable rung aborted, or the compile
+    /// error no rung could fix. Bind and runtime errors return immediately.
     pub fn run_supervised(
         &self,
         stmt: &IndexStmt,
@@ -445,36 +463,57 @@ impl Engine {
         supervisor: &Supervisor,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
-        verify: VerifyMode,
-        backend: Backend,
     ) -> Result<SupervisedRun> {
-        let backend = backend.resolve_with(self.config.backend);
-        let mut first_rung_warm: Option<bool> = None;
-        let mut native = false;
-        let outcome = ladder::descend(
-            stmt,
-            &opts,
-            |rung_stmt, rung_opts| {
-                let (kernel, warm) = self.compile_traced(rung_stmt, rung_opts, None)?;
-                first_rung_warm.get_or_insert(warm);
-                let denies = kernel.verify_report().denies();
-                if verify == VerifyMode::Deny && denies > 0 {
-                    return Err(EngineError::VerifyDenied {
-                        fingerprint: kernel.fingerprint(),
-                        denies,
-                    });
+        let mut fallbacks: Vec<FallbackEvent> = Vec::new();
+        let mut last_err: Option<EngineError> = None;
+        let mut cache_hit: Option<bool> = None;
+        for rung in DegradeRung::LADDER {
+            let Some((rung_stmt, rung_opts)) = rung.request(stmt, &opts, &fallbacks) else {
+                continue;
+            };
+            let kernel = match self.compile_traced(&rung_stmt, rung_opts, None) {
+                Ok((kernel, warm)) => {
+                    cache_hit.get_or_insert(warm);
+                    kernel
                 }
-                Ok(kernel)
-            },
-            |kernel| {
-                let (result, report, on_native) =
-                    self.run_kernel(kernel, inputs, output_structure, Some(supervisor), backend)?;
-                native = on_native;
-                Ok((result, report))
-            },
-            |event| self.push_event(EngineEvent::Fallback(event.clone())),
-        )?;
-        Ok(SupervisedRun { outcome, cache_hit: first_rung_warm.unwrap_or(false), native })
+                // Rung not realizable (e.g. direct sparse scatter): try the
+                // next one, but remember why in case nothing works.
+                Err(e) => {
+                    last_err.get_or_insert(e);
+                    continue;
+                }
+            };
+            if rung == DegradeRung::AsScheduled {
+                fallbacks.extend(kernel.fallback_events().iter().cloned());
+            }
+            let run = self.run_kernel(
+                &kernel,
+                inputs,
+                output_structure,
+                Some(supervisor),
+                self.config.backend,
+            );
+            match run {
+                Ok((result, report, native)) => {
+                    let cache_hit = cache_hit.unwrap_or(false);
+                    return Ok(SupervisedRun { result, report, rung, fallbacks, cache_hit, native });
+                }
+                Err(CoreError::Aborted(aborted)) if aborted.reason.is_retryable() => {
+                    let event = FallbackEvent::DegradedRetry { rung, reason: aborted.reason.clone() };
+                    self.push_event(EngineEvent::Fallback(event.clone()));
+                    fallbacks.push(event);
+                    last_err = Some(CoreError::Aborted(aborted).into());
+                }
+                Err(other) => return Err(other.into()),
+            }
+        }
+        // The as-scheduled rung always has a request, so an exhausted ladder
+        // has recorded an error; the fallback only keeps this total without
+        // a panic.
+        Err(last_err.unwrap_or_else(|| {
+            let none_applies = "no degradation-ladder rung applies to this statement";
+            CoreError::Lower(LowerError::Unsupported(none_applies.to_string())).into()
+        }))
     }
 
     /// Picks a schedule for a statement by predicted cost, replies with it,

@@ -88,16 +88,6 @@ pub enum EngineError {
         /// How many candidates were tried.
         candidates: usize,
     },
-    /// A cached kernel's recorded verification report carries deny-severity
-    /// findings, and the caller asked for [`VerifyMode::Deny`] enforcement
-    /// (see [`Engine::run_supervised`]). The kernel stays cached for
-    /// callers with laxer policies.
-    VerifyDenied {
-        /// The refused kernel's canonical fingerprint.
-        fingerprint: u64,
-        /// Deny-severity findings on its recorded report.
-        denies: usize,
-    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -109,13 +99,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::NoViableCandidate { candidates } => {
                 write!(f, "autotuning found no viable schedule among {candidates} candidates")
-            }
-            EngineError::VerifyDenied { fingerprint, denies } => {
-                write!(
-                    f,
-                    "kernel {fingerprint:016x} refused under deny-mode verification \
-                     ({denies} deny-severity findings on its cached report)"
-                )
             }
         }
     }

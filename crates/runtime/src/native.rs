@@ -57,8 +57,7 @@ use taco_tensor::Tensor;
 pub enum Backend {
     /// Let the engine decide: native when a working C toolchain is present
     /// and the kernel passes the trust protocol, interpreter otherwise.
-    /// In [`crate::EngineConfig`] this currently behaves like `Native`; as
-    /// a per-tenant policy it defers to the engine-wide setting.
+    /// In [`crate::EngineConfig`] this currently behaves like `Native`.
     #[default]
     Auto,
     /// Interpreter only; the native backend is never consulted.
@@ -80,15 +79,6 @@ impl Backend {
 
     pub(crate) fn allows_native(self) -> bool {
         !matches!(self, Backend::Interp)
-    }
-
-    /// Resolves a per-call (e.g. per-tenant) preference against the
-    /// engine-wide default: `Auto` defers, anything else wins.
-    pub(crate) fn resolve_with(self, engine_default: Backend) -> Backend {
-        match self {
-            Backend::Auto => engine_default,
-            other => other,
-        }
     }
 }
 

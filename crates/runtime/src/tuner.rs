@@ -151,11 +151,6 @@ impl Autotuner {
     pub fn tunings(&self) -> u64 {
         self.tunings.load(Ordering::Relaxed)
     }
-
-    /// Number of distinct keys with a remembered decision.
-    pub fn decisions_len(&self) -> usize {
-        self.decisions.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
 }
 
 /// A candidate and its place in a search's ranking.

@@ -5,7 +5,7 @@
 //! request is queued or compiled and only when one of them will read it:
 //!
 //! * [`budget_infeasible`] proves a request can never run under its
-//!   tenant's workspace-byte budget — the decision `compile_with_budget`
+//!   tenant's workspace-byte budget — the decision `compile_checked`
 //!   reaches with a `BudgetExceeded` error, from the same
 //!   `taco_core::ladder` walk, made at the front door so the doomed
 //!   request sheds instead of occupying queue and compile capacity;
@@ -48,7 +48,7 @@ const PRIOR_MAX_NANOS: u64 = 1_000_000_000;
 /// might run. `Some(Rejected::BudgetInfeasible)` means compiling this
 /// request is guaranteed to fail with a budget error: the compile-time
 /// budget chain ([`arbitrate_workspaces`] — the very walk
-/// `IndexStmt::compile_with_budget` makes) finds the proven dense workspace
+/// `IndexStmt::compile_checked` makes) finds the proven dense workspace
 /// bound over `max_workspace_bytes`, no sparse backend's initial footprint
 /// under it, and the direct merge kernel unrealizable. Arbitration lowers
 /// and analyses; nothing is compiled, verified or queued.

@@ -3,7 +3,7 @@
 //! [`Server`] turns the single-call [`Engine`](taco_runtime::Engine) into a
 //! long-running front end fit for many concurrent tenants: a bounded
 //! admission queue with typed backpressure ([`Rejected`]), per-tenant
-//! [`TenantPolicy`] quotas (resource budget, verification floor,
+//! [`TenantPolicy`] quotas (resource budget,
 //! token-bucket rate, in-flight cap), earliest-deadline-first dispatch into
 //! a supervised worker pool, overload shedding at admission, and graceful
 //! drain. Every request runs under the same reliability machinery the rest

@@ -1,18 +1,19 @@
-//! Per-tenant serving policy: resource budgets, verification mode, and the
-//! two admission quotas (token-bucket rate, in-flight cap).
+//! Per-tenant serving policy: a resource budget and the two admission
+//! quotas (token-bucket rate, in-flight cap).
 
 use std::time::{Duration, Instant};
-use taco_core::{ResourceBudget, VerifyMode};
-use taco_runtime::Backend;
+use taco_core::ResourceBudget;
 
 /// What one tenant is allowed to do to the shared engine.
 ///
 /// A policy maps straight onto the existing reliability machinery: the
 /// budget is enforced by the [`Supervisor`](taco_core::Supervisor) (folded
-/// with the engine's own budget via [`ResourceBudget::min_with`]), the
-/// verify mode gates which cached kernels the tenant may run, and the two
-/// quotas are checked at admission so an abusive tenant is rejected with a
-/// typed reason instead of starving everyone else's workers.
+/// with the engine's own budget via [`ResourceBudget::min_with`]), and the
+/// two quotas are checked at admission so an abusive tenant is rejected
+/// with a typed reason instead of starving everyone else's workers. The
+/// verification mode and the execution backend are the engine's
+/// ([`EngineConfig`](taco_runtime::EngineConfig)`::{verify, backend}`),
+/// the same for every tenant.
 ///
 /// [`TenantPolicy::default`] is fully permissive — an unknown tenant under
 /// the default policy behaves like a pre-quota client.
@@ -22,11 +23,6 @@ pub struct TenantPolicy {
     /// with the supervisor deadline per request. The engine's own budget
     /// still applies on top (the tighter limit wins per resource).
     pub budget: ResourceBudget,
-    /// Verification floor for this tenant: under [`VerifyMode::Deny`], a
-    /// cached kernel whose recorded report carries deny-severity findings
-    /// is refused for this tenant even if the engine compiled it under
-    /// [`VerifyMode::Warn`] for someone else.
-    pub verify: VerifyMode,
     /// Sustained admission rate, requests per second (token-bucket refill).
     /// `f64::INFINITY` disables rate limiting.
     pub rate_per_sec: f64,
@@ -36,25 +32,15 @@ pub struct TenantPolicy {
     /// Maximum requests this tenant may have admitted at once (queued plus
     /// running). `usize::MAX` disables the cap.
     pub max_in_flight: usize,
-    /// Execution backend for this tenant's runs. [`Backend::Auto`] (the
-    /// default) defers to the engine-wide setting; [`Backend::Interp`] pins
-    /// a tenant to the interpreter (e.g. while qualifying a new toolchain);
-    /// [`Backend::Native`] opts in to compiled kernels even when the engine
-    /// default is interpreter-only. Native kernels still pass the static
-    /// verifier and a differential check before any tenant's run commits on
-    /// one.
-    pub backend: Backend,
 }
 
 impl Default for TenantPolicy {
     fn default() -> TenantPolicy {
         TenantPolicy {
             budget: ResourceBudget::unlimited(),
-            verify: taco_core::default_verify_mode(),
             rate_per_sec: f64::INFINITY,
             burst: u32::MAX,
             max_in_flight: usize::MAX,
-            backend: Backend::Auto,
         }
     }
 }
@@ -72,13 +58,6 @@ impl TenantPolicy {
         self
     }
 
-    /// Sets the verification floor.
-    #[must_use]
-    pub fn with_verify(mut self, mode: VerifyMode) -> TenantPolicy {
-        self.verify = mode;
-        self
-    }
-
     /// Sets the token-bucket rate limit: `rate_per_sec` sustained, up to
     /// `burst` back to back.
     #[must_use]
@@ -92,13 +71,6 @@ impl TenantPolicy {
     #[must_use]
     pub fn with_max_in_flight(mut self, max: usize) -> TenantPolicy {
         self.max_in_flight = max;
-        self
-    }
-
-    /// Sets the execution backend for this tenant's runs.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> TenantPolicy {
-        self.backend = backend;
         self
     }
 }

@@ -236,8 +236,7 @@ pub enum Outcome {
         /// Time spent queued.
         queue_wait: Duration,
     },
-    /// The request could never run: compile or bind error, or a
-    /// verify-denied kernel under the tenant's policy.
+    /// The request could never run: a compile or bind error.
     Failed {
         /// Rendered error.
         message: String,
@@ -287,10 +286,6 @@ impl Ticket {
         })
     }
 
-    /// Waits up to `timeout`; `None` if the outcome has not arrived yet.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        self.rx.recv_timeout(timeout).ok()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -811,16 +806,14 @@ fn run_job(shared: &Shared, job: Job) {
         &supervisor,
         &operand_refs,
         job.output_structure.as_deref(),
-        policy.verify,
-        policy.backend,
     ) {
         Ok(run) => Outcome::Completed {
-            result: run.outcome.result,
-            rung: run.outcome.rung,
-            report: run.outcome.report,
+            result: run.result,
+            rung: run.rung,
+            report: run.report,
             cache_hit: run.cache_hit,
             queue_wait,
-            fallbacks: run.outcome.fallbacks,
+            fallbacks: run.fallbacks,
             native: run.native,
         },
         Err(EngineError::Core(CoreError::Aborted(aborted))) => {

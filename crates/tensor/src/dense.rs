@@ -93,11 +93,6 @@ impl DenseTensor {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the tensor and returns its row-major data.
     pub fn into_data(self) -> Vec<f64> {
         self.data

@@ -268,15 +268,6 @@ impl CostReport {
         Some(total)
     }
 
-    /// True when every charge site, the byte total and the iteration count
-    /// all have finite symbolic bounds.
-    #[must_use]
-    pub fn all_finite(&self) -> bool {
-        self.charges.iter().all(|c| c.bytes.is_finite())
-            && self.total_bytes.is_finite()
-            && self.iterations.is_finite()
-    }
-
     /// A compact multi-line rendering of the report.
     #[must_use]
     pub fn summary(&self) -> String {

@@ -61,17 +61,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  A({},{}) = {v}", coord[0], coord[1]);
     }
 
-    // Run the same statement under a supervisor with a wall-clock deadline:
-    // on success the report says what was done; had the deadline fired, the
-    // outputs would have been rolled back and the schedule degraded one
-    // rung at a time (drop sort, then drop the workspace).
+    // Run the same statement through an engine, under a supervisor with a
+    // wall-clock deadline: on success the report says what was done; had the
+    // deadline fired, the outputs would have been rolled back and the
+    // schedule degraded one rung at a time (sparse workspace storage, then
+    // drop the sort, then drop the workspace).
     let supervisor = Supervisor::new().with_deadline(std::time::Duration::from_secs(1));
-    let outcome = matmul.run_supervised(
+    let engine = Engine::builder().backend(Backend::Interp).budget(supervisor.budget()).build();
+    let run = engine.run_supervised(
+        &matmul,
         LowerOptions::fused("spgemm"),
         &supervisor,
         &[("B", &fig1a), ("C", &fig1a)],
         None,
     )?;
-    println!("\nsupervised: {}", outcome.summary());
+    println!("\nsupervised: {}", run.summary());
     Ok(())
 }

@@ -87,13 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Format::dense(2),
     )?;
     let deadline = Supervisor::new().with_deadline(std::time::Duration::from_millis(50));
-    let outcome = sampled.run_supervised(
+    let engine = Engine::builder().backend(Backend::Interp).budget(deadline.budget()).build();
+    let run = engine.run_supervised(
+        &sampled,
         LowerOptions::fused("sampled"),
         &deadline,
         &[("B", &b2t), ("C", &c2t)],
         None,
     )?;
-    println!("{}\n", outcome.summary());
+    println!("{}\n", run.summary());
 
     // --- Performance shape: compiled workspace vs library baselines -------
     let info = matrix_by_name("pdb1HYS").expect("table 1 matrix");

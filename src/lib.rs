@@ -66,8 +66,8 @@ pub mod prelude {
     pub use taco_core::{
         analyze_cost, binding_env, stmt_workspaces, Aborted, AbortReason, Bound, BudgetResource,
         CancelToken, CompiledKernel, CoreError, CostEnv, CostReport, DegradeRung, ExecReport,
-        FallbackEvent, IndexStmt, Progress, ResourceBudget, SupervisedOutcome, Supervisor,
-        VerifyMode, VerifyReport,
+        FallbackEvent, IndexStmt, Progress, ResourceBudget, Supervisor, VerifyMode,
+        VerifyReport,
     };
     pub use taco_ir::concrete::{AssignOp, ConcreteStmt};
     pub use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
@@ -75,7 +75,8 @@ pub mod prelude {
     pub use taco_llir::WorkspaceKind;
     pub use taco_lower::{KernelKind, LowerOptions};
     pub use taco_runtime::{
-        Backend, CacheStats, Engine, EngineConfig, EngineError, EngineEvent, NativeStats, TuneKey,
+        Backend, CacheStats, Engine, EngineConfig, EngineError, EngineEvent, NativeStats,
+        SupervisedRun, TuneKey,
     };
     pub use taco_serve::{
         Outcome, Priority, Rejected, Request, Server, ServerStats, TenantPolicy, Ticket,

@@ -2,7 +2,7 @@
 //! where the arithmetic is pinned down, conservative-but-sound degradation
 //! where it is not, and the compile-time consumers that act on them.
 
-use taco_core::{CostEnv, IndexStmt, ResourceBudget, Supervisor};
+use taco_core::{default_verify_mode, CostEnv, IndexStmt, ResourceBudget, Supervisor};
 use taco_ir::expr::{sum, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_llir::WorkspaceKind;
@@ -99,9 +99,10 @@ fn hash_workspace_bound_degrades_conservatively_but_stays_sound() {
 fn budget_fallback_decisions_match_the_reported_bounds() {
     let n = 64; // dense 17n = 1088; hash init 384 fits under 1000
     let kernel = spgemm(n)
-        .compile_with_budget(
+        .compile_checked(
             LowerOptions::fused("bounds_budget"),
             ResourceBudget::unlimited().with_max_workspace_bytes(1000),
+            default_verify_mode(),
         )
         .unwrap();
     let ws = &kernel.cost_report().workspaces[0];

@@ -10,6 +10,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
+use taco_workspaces::core::default_verify_mode;
 use taco_workspaces::core::oracle::eval_dense;
 use taco_workspaces::prelude::*;
 use taco_workspaces::tensor::{corrupt, gen};
@@ -71,6 +72,21 @@ fn assert_graceful<T: std::fmt::Debug>(
         Ok(Err(_)) => {}
         Err(_) => panic!("{what}: panicked instead of returning an error"),
     }
+}
+
+/// Runs `stmt` down the degrade ladder on an interpreter engine whose budget
+/// is the supervisor's. Every error it can return here is a core error.
+fn run_supervised(
+    stmt: &IndexStmt,
+    opts: LowerOptions,
+    supervisor: &Supervisor,
+    inputs: &[(&str, &Tensor)],
+) -> Result<SupervisedRun, CoreError> {
+    let engine = Engine::builder().backend(Backend::Interp).budget(supervisor.budget()).build();
+    engine.run_supervised(stmt, opts, supervisor, inputs, None).map_err(|e| match e {
+        EngineError::Core(e) => e,
+        other => panic!("non-core engine error: {other}"),
+    })
 }
 
 #[test]
@@ -258,7 +274,9 @@ fn over_budget_workspace_falls_back_to_direct_kernel() {
 
     // The n-element dense workspace wants n * 8 bytes; allow less.
     let budget = ResourceBudget::default().with_max_workspace_bytes(8 * n as u64 - 1);
-    let fallback = stmt.compile_with_budget(LowerOptions::compute("matmul_fb"), budget).unwrap();
+    let fallback = stmt
+        .compile_checked(LowerOptions::compute("matmul_fb"), budget, default_verify_mode())
+        .unwrap();
 
     let events = fallback.fallback_events();
     assert_eq!(events.len(), 1, "one skipped workspace expected");
@@ -287,7 +305,9 @@ fn over_budget_workspace_without_viable_fallback_is_a_budget_error() {
     let n = 16;
     let stmt = scheduled_spgemm(n);
     let budget = ResourceBudget::default().with_max_workspace_bytes(16);
-    let err = stmt.compile_with_budget(LowerOptions::fused("spgemm"), budget).unwrap_err();
+    let err = stmt
+        .compile_checked(LowerOptions::fused("spgemm"), budget, default_verify_mode())
+        .unwrap_err();
     match err {
         CoreError::BudgetExceeded { resource, limit, requested, context } => {
             assert_eq!(resource, BudgetResource::WorkspaceBytes);
@@ -407,9 +427,10 @@ fn iteration_fuse_stops_runaway_kernels() {
     let stmt = scheduled_spgemm(n);
     let (b, c) = sample_inputs(n);
     let kernel = stmt
-        .compile_with_budget(
+        .compile_checked(
             LowerOptions::fused("spgemm"),
             ResourceBudget::default().with_max_loop_iterations(10),
+            default_verify_mode(),
         )
         .unwrap();
     let err = kernel.run(&[("B", &b), ("C", &c)]).unwrap_err();
@@ -428,9 +449,10 @@ fn allocation_budget_stops_oversized_runs() {
     let stmt = scheduled_spgemm(n);
     let (b, c) = sample_inputs(n);
     let kernel = stmt
-        .compile_with_budget(
+        .compile_checked(
             LowerOptions::fused("spgemm"),
             ResourceBudget::default().with_max_total_bytes(32),
+            default_verify_mode(),
         )
         .unwrap();
     let err = kernel.run(&[("B", &b), ("C", &c)]).unwrap_err();
@@ -453,7 +475,11 @@ fn unlimited_budget_matches_unbudgeted_compile() {
     let (b, c) = sample_inputs(n);
     let plain = stmt.compile(LowerOptions::fused("spgemm")).unwrap();
     let budgeted = stmt
-        .compile_with_budget(LowerOptions::fused("spgemm"), ResourceBudget::unlimited())
+        .compile_checked(
+            LowerOptions::fused("spgemm"),
+            ResourceBudget::unlimited(),
+            default_verify_mode(),
+        )
         .unwrap();
     assert!(budgeted.fallback_events().is_empty());
     let r1 = plain.run(&[("B", &b), ("C", &c)]).unwrap();
@@ -560,9 +586,9 @@ fn mid_execution_cancellation_rolls_back_and_is_not_retried() {
 
     // The degradation ladder refuses to retry a cancelled run: the whole
     // pipeline surfaces the abort instead of burning time on lower rungs.
-    let err = stmt
-        .run_supervised(LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)], None)
-        .unwrap_err();
+    let err =
+        run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)])
+            .unwrap_err();
     assert!(
         matches!(err, CoreError::Aborted(ref a) if a.reason == AbortReason::Cancelled),
         "expected an unretried cancellation, got {err}"
@@ -575,9 +601,9 @@ fn ladder_exhaustion_surfaces_the_last_abort() {
     // rung blows the deadline the caller gets the final abort, typed.
     let (stmt, b, c) = big_spgemm();
     let supervisor = Supervisor::new().with_deadline(Duration::from_millis(10));
-    let err = stmt
-        .run_supervised(LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)], None)
-        .unwrap_err();
+    let err =
+        run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)])
+            .unwrap_err();
     match err {
         CoreError::Aborted(a) => {
             assert!(matches!(a.reason, AbortReason::DeadlineExceeded { .. }));
@@ -617,9 +643,9 @@ fn pathological_schedule_degrades_to_direct_merge_under_deadline() {
 
     // Then the ladder: the retry lands on direct merge and the abandoned
     // rungs are on the record.
-    let outcome = stmt
-        .run_supervised(LowerOptions::fused("sample"), &supervisor, &[("B", &b), ("C", &c)], None)
-        .unwrap();
+    let outcome =
+        run_supervised(&stmt, LowerOptions::fused("sample"), &supervisor, &[("B", &b), ("C", &c)])
+            .unwrap();
     assert_eq!(outcome.rung, DegradeRung::DirectMerge);
     assert!(
         outcome.fallbacks.iter().any(|f| matches!(
@@ -653,21 +679,17 @@ fn supervised_runs_over_corrupted_operands_stay_graceful() {
 
     for (why, bad) in corrupt::all_corruptions(&b) {
         assert_graceful(&format!("supervised run with B corrupted by {why:?}"), || {
-            stmt.run_supervised(
-                LowerOptions::fused("spgemm"),
-                &supervisor,
-                &[("B", &bad), ("C", &c)],
-                None,
-            )
+            let inputs = [("B", &bad), ("C", &c)];
+            run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &inputs)
         });
     }
 
     // A pre-cancelled supervisor aborts before the first write, over good
     // and corrupted inputs alike.
     token.cancel();
-    let err = stmt
-        .run_supervised(LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)], None)
-        .unwrap_err();
+    let err =
+        run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)])
+            .unwrap_err();
     match err {
         CoreError::Aborted(a) => {
             assert_eq!(a.reason, AbortReason::Cancelled);

@@ -1,7 +1,8 @@
-//! The degrade ladder and the compile-time budget chain have three
-//! consumers — `IndexStmt::run_supervised`, `Engine::run_supervised` and
-//! the serving daemon's admission check. This suite pins that they reach
-//! the same decision on every request of a small matrix:
+//! One function walks the degrade ladder, `Engine::run_supervised`, and the
+//! compile-time budget chain has two consumers: `IndexStmt::compile_checked`
+//! and the serving daemon's admission check. This suite pins the engine's
+//! verdict (committed rung, or how it failed) on every request of a small
+//! matrix, and that admission sheds exactly what the compile refuses:
 //!
 //! {SpGEMM CSR, SpGEMM DCSR×CSR, sparse add, MTTKRP}
 //!   × {fused sorted, fused unsorted, compute}
@@ -14,6 +15,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use taco_workspaces::core::default_verify_mode;
 use taco_workspaces::lower::lower;
 use taco_workspaces::prelude::*;
 use taco_workspaces::tensor::gen::{random_csf3, random_csr, random_dense};
@@ -172,29 +174,41 @@ fn budget(limit: Option<u64>, fuse: bool) -> ResourceBudget {
     b
 }
 
-/// What a supervised run committed, or how it failed, reduced to the parts
-/// the two runners must agree on.
-#[derive(Debug, PartialEq)]
+/// What a supervised run committed, or how it failed.
+#[derive(Debug)]
 enum Verdict {
-    Committed { rung: DegradeRung, fallbacks: Vec<FallbackEvent>, result: Tensor, bits: Vec<u64> },
+    Committed { rung: DegradeRung, fallbacks: Vec<FallbackEvent> },
     Failed(String),
 }
 
-fn verdict(outcome: Result<SupervisedOutcome, CoreError>) -> Verdict {
-    match outcome {
-        Ok(o) => Verdict::Committed {
-            rung: o.rung,
-            fallbacks: o.fallbacks,
-            bits: o.result.vals().iter().map(|v| v.to_bits()).collect(),
-            result: o.result,
-        },
-        // Same variant, and for aborts the same reason; wall-clock payloads
+impl Verdict {
+    /// The verdict's cell in [`VERDICTS`].
+    fn code(&self) -> &'static str {
+        match self {
+            Verdict::Committed { rung: DegradeRung::AsScheduled, .. } => "S",
+            Verdict::Committed { rung: DegradeRung::HashWorkspace, .. } => "H",
+            Verdict::Committed { rung: DegradeRung::CoordListWorkspace, .. } => "C",
+            Verdict::Committed { rung: DegradeRung::UnsortedAssembly, .. } => "U",
+            Verdict::Committed { rung: DegradeRung::DirectMerge, .. } => "D",
+            Verdict::Failed(why) if why.starts_with("Aborted") => "a",
+            Verdict::Failed(why) if why.starts_with("BudgetExceeded") => "b",
+            Verdict::Failed(_) => "?",
+        }
+    }
+}
+
+fn verdict(run: Result<SupervisedRun, EngineError>) -> Verdict {
+    match run {
+        Ok(run) => Verdict::Committed { rung: run.rung, fallbacks: run.fallbacks },
+        // For aborts the reason is the verdict; wall-clock payloads
         // (elapsed, progress at abort) are not part of the contract.
-        Err(CoreError::Aborted(a)) => Verdict::Failed(format!("Aborted({})", a.reason)),
-        Err(CoreError::BudgetExceeded { resource, limit, context, .. }) => {
+        Err(EngineError::Core(CoreError::Aborted(a))) => {
+            Verdict::Failed(format!("Aborted({})", a.reason))
+        }
+        Err(EngineError::Core(CoreError::BudgetExceeded { resource, limit, context, .. })) => {
             Verdict::Failed(format!("BudgetExceeded({resource}, {limit}, {context:?})"))
         }
-        Err(other) => Verdict::Failed(format!("{:?}", std::mem::discriminant(&other))),
+        Err(other) => Verdict::Failed(format!("{other:?}")),
     }
 }
 
@@ -205,32 +219,61 @@ fn output_structure(case: &Case, inputs: &[(&str, &Tensor)]) -> Option<Tensor> {
     sparse_result.then(|| case.stmt.compile(LowerOptions::fused("pre")).unwrap().run(inputs).unwrap())
 }
 
-/// Cumulative-allocation limits that make the ladder genuinely descend:
-/// each workspace backend's measured allocation total, so the limit fits
-/// that backend's kernel exactly and aborts (retryably, at run time) every
-/// rung that allocates more.
-fn total_byte_limits(
+/// The budgets of one (statement, options) row. First the
+/// cumulative-allocation limits that make the ladder genuinely descend: each
+/// workspace backend's measured allocation total, so the limit fits that
+/// backend's kernel exactly and aborts (retryably, at run time) every rung
+/// that allocates more; `None` where the backend does not lower. Then each
+/// workspace limit without and with the fuse.
+fn budgets(
     stmt: &IndexStmt,
     opts: &LowerOptions,
     inputs: &[(&str, &Tensor)],
     structure: Option<&Tensor>,
-) -> Vec<(String, ResourceBudget)> {
-    let mut limits = Vec::new();
+) -> Vec<(String, Option<ResourceBudget>)> {
+    let mut budgets = Vec::new();
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
-        let Ok(kernel) = stmt.compile(opts.clone().with_workspace_kind(kind)) else { continue };
-        let (_, report) = kernel.run_supervised(inputs, structure, &Supervisor::new()).unwrap();
-        let total = report.progress.allocated_bytes;
-        limits.push((
-            format!("total-fits-{kind}"),
-            ResourceBudget::unlimited().with_max_total_bytes(total),
-        ));
+        let total = stmt.compile(opts.clone().with_workspace_kind(kind)).ok().map(|kernel| {
+            let (_, report) = kernel.run_supervised(inputs, structure, &Supervisor::new()).unwrap();
+            ResourceBudget::unlimited().with_max_total_bytes(report.progress.allocated_bytes)
+        });
+        budgets.push((format!("total-fits-{kind}"), total));
     }
-    limits
+    for (limit_name, limit) in workspace_limits(stmt, opts) {
+        for fuse in [false, true] {
+            budgets.push((format!("{limit_name} fuse={fuse}"), Some(budget(limit, fuse))));
+        }
+    }
+    budgets
 }
 
+/// The engine's verdict on every request of the matrix, one row per
+/// (case, options) pair and one cell per budget, in [`budgets`] order: the
+/// three total-byte limits (dense, hash, coord-list; `.` where that kind
+/// does not lower), then the five workspace limits without the fuse. A cell
+/// is the committed rung (`S` as scheduled, `H` hash workspace, `C`
+/// coord-list workspace, `U` unsorted assembly, `D` direct merge) or the
+/// failure (`a` every rung aborted, `b` the compile-time budget refused).
+/// The fused columns are not listed: every one of them is `a`.
+const VERDICTS: &str = "\
+spgemm-csr fused-sorted:    S S C S a a a a
+spgemm-csr fused-unsorted:  S S C S a a a a
+spgemm-csr compute:         S . . S S b b b
+spgemm-dcsr fused-sorted:   S S C S a a a a
+spgemm-dcsr fused-unsorted: S S C S a a a a
+spgemm-dcsr compute:        S . . S S b b b
+sparse-add fused-sorted:    S H C S a a a a
+sparse-add fused-unsorted:  S H C S a a a a
+sparse-add compute:         S . . S S S S S
+mttkrp fused-sorted:        S S S S S D D S
+mttkrp fused-unsorted:      S S S S S D D S
+mttkrp compute:             S S S S S D D S
+";
+
 #[test]
-fn stmt_and_engine_ladders_commit_the_same_rung_trail_and_bytes() {
+fn the_engine_ladder_commits_the_pinned_verdict_table() {
     let mut committed_rungs = std::collections::HashSet::new();
+    let mut table = String::new();
     for case in cases() {
         let inputs: Vec<(&str, &Tensor)> =
             case.operands.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
@@ -238,51 +281,55 @@ fn stmt_and_engine_ladders_commit_the_same_rung_trail_and_bytes() {
         for (opt_name, opts) in option_sets() {
             let structure =
                 if opts.kind == KernelKind::Compute { structure.as_ref() } else { None };
-            let mut budgets = total_byte_limits(&case.stmt, &opts, &inputs, structure);
-            for (limit_name, limit) in workspace_limits(&case.stmt, &opts) {
-                for fuse in [false, true] {
-                    budgets.push((format!("{limit_name} fuse={fuse}"), budget(limit, fuse)));
-                }
-            }
-            for (budget_name, budget) in budgets {
+            let mut row = format!("{:<27}", format!("{} {opt_name}:", case.name));
+            for (budget_name, budget) in budgets(&case.stmt, &opts, &inputs, structure) {
                 let what = format!("{} {opt_name} {budget_name}", case.name);
+                let Some(budget) = budget else {
+                    row.push_str(" .");
+                    continue;
+                };
                 let supervisor = Supervisor::new().with_budget(budget);
-
-                let by_stmt =
-                    verdict(case.stmt.run_supervised(opts.clone(), &supervisor, &inputs, structure));
-
                 let engine = Engine::builder().budget(budget).backend(Backend::Interp).build();
-                let by_engine = verdict(
-                    engine
-                        .run_supervised(
-                            &case.stmt,
-                            opts.clone(),
-                            &supervisor,
-                            &inputs,
-                            structure,
-                            engine.config().verify,
-                            Backend::Interp,
-                        )
-                        .map(|run| run.outcome)
-                        .map_err(|e| match e {
-                            EngineError::Core(e) => e,
-                            other => panic!("{what}: non-core engine error {other}"),
-                        }),
-                );
-                assert_eq!(by_stmt, by_engine, "{what}: the two ladders disagree");
-
-                if let Verdict::Committed { rung, .. } = &by_stmt {
-                    committed_rungs.insert(*rung);
-                }
+                let verdict = verdict(engine.run_supervised(
+                    &case.stmt,
+                    opts.clone(),
+                    &supervisor,
+                    &inputs,
+                    structure,
+                ));
                 if budget.max_loop_iterations.is_some() {
                     assert!(
-                        matches!(by_stmt, Verdict::Failed(_)),
+                        matches!(verdict, Verdict::Failed(_)),
                         "{what}: a 1-iteration fuse must abort every rung"
+                    );
+                    continue;
+                }
+                row.push(' ');
+                row.push_str(verdict.code());
+                if let Verdict::Committed { rung, fallbacks } = &verdict {
+                    committed_rungs.insert(*rung);
+                    // The abandoned rungs, then the one that committed, in
+                    // ladder order.
+                    let position = |r: &DegradeRung| DegradeRung::LADDER.iter().position(|l| l == r);
+                    let descent: Vec<Option<usize>> = fallbacks
+                        .iter()
+                        .filter_map(|f| match f {
+                            FallbackEvent::DegradedRetry { rung, .. } => Some(position(rung)),
+                            _ => None,
+                        })
+                        .chain([position(rung)])
+                        .collect();
+                    assert!(
+                        descent.windows(2).all(|w| w[0] < w[1]),
+                        "{what}: trail out of ladder order: {fallbacks:?}"
                     );
                 }
             }
+            table.push_str(&row);
+            table.push('\n');
         }
     }
+    assert_eq!(table, VERDICTS, "the engine's verdict table moved");
     // The matrix is only a test of the ladder if it actually descends it.
     assert!(committed_rungs.len() >= 4, "matrix exercised only {committed_rungs:?}");
 }
@@ -307,7 +354,7 @@ fn admission_sheds_exactly_what_compile_with_budget_refuses() {
                         (limited, ResourceBudget::unlimited())
                     };
                     let refused = matches!(
-                        case.stmt.compile_with_budget(opts.clone(), limited),
+                        case.stmt.compile_checked(opts.clone(), limited, default_verify_mode()),
                         Err(CoreError::BudgetExceeded { .. })
                     );
 

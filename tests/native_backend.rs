@@ -593,51 +593,14 @@ fn supervised_runs_report_the_backend_and_trust_transition() {
 
     // First supervised run is the differential trust check: it commits the
     // interpreter's result, so `native` must read false.
-    let first = engine
-        .run_supervised(
-            &stmt,
-            opts.clone(),
-            &supervisor,
-            &inputs,
-            None,
-            VerifyMode::Warn,
-            Backend::Auto,
-        )
-        .unwrap();
+    let first = engine.run_supervised(&stmt, opts.clone(), &supervisor, &inputs, None).unwrap();
     assert!(!first.native, "trust-check run commits the interpreter's result");
     assert_eq!(engine.native_stats().trusted, 1);
 
     // Second run executes on the now-trusted native kernel.
-    let second = engine
-        .run_supervised(
-            &stmt,
-            opts,
-            &supervisor,
-            &inputs,
-            None,
-            VerifyMode::Warn,
-            Backend::Auto,
-        )
-        .unwrap();
+    let second = engine.run_supervised(&stmt, opts, &supervisor, &inputs, None).unwrap();
     assert!(second.native, "trusted kernel must run natively");
-    assert_byte_identical(
-        &first.outcome.result,
-        &second.outcome.result,
-        "supervised interp vs native",
-    );
-    // Per-call interpreter pinning overrides the engine default.
-    let pinned = engine
-        .run_supervised(
-            &stmt,
-            LowerOptions::fused("spgemm"),
-            &supervisor,
-            &inputs,
-            None,
-            VerifyMode::Warn,
-            Backend::Interp,
-        )
-        .unwrap();
-    assert!(!pinned.native, "Backend::Interp must pin this call to the interpreter");
+    assert_byte_identical(&first.result, &second.result, "supervised interp vs native");
 }
 
 /// An abort is the same abort whichever body ran: the ladder and the serve
@@ -676,15 +639,14 @@ fn a_fuse_trip_aborts_with_the_same_reason_and_counters_on_either_backend() {
     let abort_on = |backend: Backend| -> Aborted {
         let engine = Engine::builder().backend(backend).build();
         let run = |supervisor: &Supervisor| {
-            let mode = VerifyMode::Warn;
-            engine.run_supervised(&stmt, opts(), supervisor, &inputs, None, mode, Backend::Auto)
+            engine.run_supervised(&stmt, opts(), supervisor, &inputs, None)
         };
         // Two calm runs: the differential check, then a run that shows
         // which body serves the kernel from here on.
         run(&Supervisor::new()).expect("calm run commits");
         let settled = run(&Supervisor::new()).expect("calm run commits");
         assert_eq!(settled.native, backend == Backend::Native);
-        assert!(settled.outcome.report.progress.iterations > fuse);
+        assert!(settled.report.progress.iterations > fuse);
         match run(&tripped) {
             Err(EngineError::Core(CoreError::Aborted(aborted))) => aborted,
             other => panic!("{backend}: expected an abort, got {other:?}"),

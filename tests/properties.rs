@@ -9,6 +9,7 @@ use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
+use taco_runtime::{Backend, Engine, SupervisedRun};
 use taco_tensor::gen::{random_csf3, random_csr};
 use taco_tensor::{Csr, Format, Tensor};
 
@@ -26,6 +27,18 @@ fn check(stmt: &IndexAssignment, result: &Tensor, inputs: &[(&str, &Tensor)]) {
         result.to_dense().approx_eq(&expect, 1e-9),
         "kernel disagrees with oracle for {stmt}"
     );
+}
+
+/// Runs `stmt` down the degrade ladder on an interpreter engine whose budget
+/// is the supervisor's.
+fn run_supervised(
+    stmt: &IndexStmt,
+    opts: LowerOptions,
+    supervisor: &Supervisor,
+    inputs: &[(&str, &Tensor)],
+) -> SupervisedRun {
+    let engine = Engine::builder().backend(Backend::Interp).budget(supervisor.budget()).build();
+    engine.run_supervised(stmt, opts, supervisor, inputs, None).unwrap()
 }
 
 proptest! {
@@ -332,9 +345,8 @@ proptest! {
         let supervisor = Supervisor::new()
             .with_deadline(std::time::Duration::from_secs(30))
             .with_cancel_token(taco_core::CancelToken::new());
-        let outcome = stmt
-            .run_supervised(LowerOptions::fused("spgemm"), &supervisor, &[("B", &bt), ("C", &ct)], None)
-            .unwrap();
+        let outcome =
+            run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &[("B", &bt), ("C", &ct)]);
         prop_assert_eq!(outcome.rung, DegradeRung::AsScheduled);
         prop_assert!(outcome.fallbacks.is_empty());
         check(&source, &outcome.result, &[("B", &bt), ("C", &ct)]);
@@ -368,9 +380,7 @@ proptest! {
 
         let stmt = IndexStmt::new(source.clone()).unwrap();
         let supervisor = Supervisor::new().with_deadline(std::time::Duration::from_secs(30));
-        let outcome = stmt
-            .run_supervised(LowerOptions::compute("mttkrp"), &supervisor, &inputs, None)
-            .unwrap();
+        let outcome = run_supervised(&stmt, LowerOptions::compute("mttkrp"), &supervisor, &inputs);
         prop_assert_eq!(outcome.rung, DegradeRung::AsScheduled);
         check(&source, &outcome.result, &inputs);
     }
@@ -410,9 +420,8 @@ proptest! {
         let fuse = (m * n / 2) as u64;
         let supervisor = Supervisor::new()
             .with_budget(ResourceBudget::default().with_max_loop_iterations(fuse));
-        let outcome = stmt
-            .run_supervised(LowerOptions::fused("sample"), &supervisor, &[("B", &bt), ("C", &ct)], None)
-            .unwrap();
+        let outcome =
+            run_supervised(&stmt, LowerOptions::fused("sample"), &supervisor, &[("B", &bt), ("C", &ct)]);
         prop_assert_eq!(outcome.rung, DegradeRung::DirectMerge);
         prop_assert!(
             outcome.fallbacks.iter().any(|f| matches!(
