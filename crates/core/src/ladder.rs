@@ -2,9 +2,11 @@
 //! asks for ([`DegradeRung::request`]) and how an over-budget dense
 //! workspace is arbitrated at compile time ([`arbitrate_workspaces`]).
 //!
-//! The ladder walks the paper's Section V-C heuristics and Section VI
-//! unsorted-assembly trade-off in reverse; the sparse-workspace rungs follow
-//! Zhang et al., *Compilation of Modular and General Sparse Workspaces*.
+//! The ladder walks the paper's Section V-C heuristics in reverse; its
+//! sparse-workspace rung follows Zhang et al., *Compilation of Modular and
+//! General Sparse Workspaces*. Its one sparse kind is the coordinate list:
+//! a hash workspace is the same store charged 3/2 as much per entry, so a
+//! budget a hash rung would fit, the coordinate-list rung fits too.
 //! The runtime engine's `run_supervised` is the one function that walks
 //! [`DegradeRung::LADDER`] on retryable aborts; the compile path
 //! ([`IndexStmt::compile_checked`]) and the serving daemon's admission
@@ -17,46 +19,26 @@ use crate::schedule::{FallbackEvent, IndexStmt};
 use crate::{CoreError, Result};
 use std::borrow::Cow;
 use taco_llir::{BudgetResource, WorkspaceKind};
-use taco_lower::{KernelKind, LowerOptions};
+use taco_lower::LowerOptions;
 use taco_verify::{Bound, CostEnv, WorkspaceCost};
 
 /// One rung of the degradation ladder a supervised run walks on retryable
-/// aborts: faster schedules first, the plain merge kernel last.
+/// aborts: faster schedules first, the plain merge kernel last. Each rung
+/// can change the outcome of the one above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeRung {
     /// The statement exactly as scheduled.
     AsScheduled,
-    /// The schedule with every workspace stored as a hash map.
-    HashWorkspace,
     /// The schedule with every workspace stored as a coordinate list.
     CoordListWorkspace,
-    /// The schedule with the output-sort pass dropped.
-    UnsortedAssembly,
     /// All transformations dropped: the direct merge kernel.
     DirectMerge,
 }
 
 impl DegradeRung {
     /// The full ladder, fastest schedule first — the descent order.
-    pub const LADDER: [DegradeRung; 5] = [
-        DegradeRung::AsScheduled,
-        DegradeRung::HashWorkspace,
-        DegradeRung::CoordListWorkspace,
-        DegradeRung::UnsortedAssembly,
-        DegradeRung::DirectMerge,
-    ];
-
-    /// The sparse workspace backend this rung swaps in, if it is one of the
-    /// workspace-downgrade rungs. Hash comes first on the ladder (O(1)
-    /// scatter), coordinate list second; [`arbitrate_workspaces`] tries
-    /// them in the same order.
-    fn sparse_backend(self) -> Option<WorkspaceKind> {
-        match self {
-            DegradeRung::HashWorkspace => Some(WorkspaceKind::Hash),
-            DegradeRung::CoordListWorkspace => Some(WorkspaceKind::CoordList),
-            _ => None,
-        }
-    }
+    pub const LADDER: [DegradeRung; 3] =
+        [DegradeRung::AsScheduled, DegradeRung::CoordListWorkspace, DegradeRung::DirectMerge];
 
     /// The compile request this rung stands for — the statement and options
     /// to hand to the ordinary compile path — or `None` when the rung would
@@ -75,10 +57,10 @@ impl DegradeRung {
     ) -> Option<(Cow<'s, IndexStmt>, LowerOptions)> {
         match self {
             DegradeRung::AsScheduled => Some((Cow::Borrowed(stmt), opts.clone())),
-            DegradeRung::HashWorkspace | DegradeRung::CoordListWorkspace => {
-                let kind = self.sparse_backend()?;
+            DegradeRung::CoordListWorkspace => {
+                let kind = WorkspaceKind::CoordList;
                 // Nothing to downgrade when the schedule has no workspaces,
-                // the caller already asked for this backend, or the
+                // the caller already asked for this kind, or the
                 // compile-time budget chain already chose it for the
                 // as-scheduled rung.
                 let already = opts.workspace_kind == kind
@@ -88,10 +70,6 @@ impl DegradeRung {
                     });
                 (!already).then(|| (Cow::Borrowed(stmt), opts.clone().with_workspace_kind(kind)))
             }
-            // The sort pass only exists in kernels that assemble; a compute
-            // kernel is unchanged by `unsorted()`.
-            DegradeRung::UnsortedAssembly => (opts.sort_output && opts.kind != KernelKind::Compute)
-                .then(|| (Cow::Borrowed(stmt), opts.clone().unsorted())),
             DegradeRung::DirectMerge => {
                 // If the compile-time workspace bound already forced the
                 // direct kernel, the as-scheduled rung was this one.
@@ -110,22 +88,20 @@ impl std::fmt::Display for DegradeRung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DegradeRung::AsScheduled => write!(f, "as scheduled"),
-            DegradeRung::HashWorkspace => write!(f, "hash workspace"),
             DegradeRung::CoordListWorkspace => write!(f, "coord-list workspace"),
-            DegradeRung::UnsortedAssembly => write!(f, "unsorted assembly"),
             DegradeRung::DirectMerge => write!(f, "direct merge"),
         }
     }
 }
 
 /// The single walk over the compile-time budget chain: proven dense bound →
-/// each sparse backend's proven initial footprint (hash, then coordinate
-/// list) → direct merge. `front` is the front half of a statement as
-/// scheduled; `None` says it stands — there is no `limit`, nothing to
-/// arbitrate (only dense-workspace requests are; one that already names a
-/// sparse backend is charged at run time) or the dense footprint fits.
-/// Otherwise the unverified product of the first rung that fits replaces
-/// it, with one [`FallbackEvent`] per workspace saying why.
+/// the coordinate-list store's proven initial footprint → direct merge.
+/// `front` is the front half of a statement as scheduled; `None` says it
+/// stands — there is no `limit`, nothing to arbitrate (only dense-workspace
+/// requests are; one that already names a map kind is charged at run time)
+/// or the dense footprint fits. Otherwise the unverified product of the
+/// first rung that fits replaces it, with one [`FallbackEvent`] per
+/// workspace saying why.
 ///
 /// The footprints are *proven* by the symbolic cost analyzer over the
 /// lowered kernel. Dense workspace bounds close over declared dimensions
@@ -166,30 +142,27 @@ pub fn arbitrate_workspaces(
         return Ok(None);
     }
 
-    for kind in DegradeRung::LADDER.into_iter().filter_map(DegradeRung::sparse_backend) {
-        let opts = front.opts.clone().with_workspace_kind(kind);
-        let Ok(sparse) = FrontHalf::unverified(&front.stmt, opts) else { continue };
-        let Some(inits) =
-            footprints(&sparse, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>()
-        else {
-            continue;
-        };
-        if total(&inits) > limit {
-            continue;
+    let kind = WorkspaceKind::CoordList;
+    if let Ok(sparse) =
+        FrontHalf::unverified(&front.stmt, front.opts.clone().with_workspace_kind(kind))
+    {
+        let inits =
+            footprints(&sparse, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>();
+        if let Some(inits) = inits.filter(|inits| total(inits) <= limit) {
+            let events = ws_vars
+                .iter()
+                .zip(bounds.iter().zip(&inits))
+                .map(|(ws, (bound, init))| FallbackEvent::WorkspaceDowngraded {
+                    workspace: ws.name().to_string(),
+                    from: WorkspaceKind::Dense,
+                    to: kind,
+                    estimated_bytes: *bound,
+                    downgraded_bytes: *init,
+                    budget_bytes: limit,
+                })
+                .collect();
+            return Ok(Some((sparse, events)));
         }
-        let events = ws_vars
-            .iter()
-            .zip(bounds.iter().zip(&inits))
-            .map(|(ws, (bound, init))| FallbackEvent::WorkspaceDowngraded {
-                workspace: ws.name().to_string(),
-                from: WorkspaceKind::Dense,
-                to: kind,
-                estimated_bytes: *bound,
-                downgraded_bytes: *init,
-                budget_bytes: limit,
-            })
-            .collect();
-        return Ok(Some((sparse, events)));
     }
 
     let direct = IndexStmt::new(front.stmt.source().clone())?;

@@ -142,13 +142,12 @@ impl IndexStmt {
     /// dense-workspace footprint of every `where` statement is *proven* by
     /// the symbolic cost analyzer ([`taco_verify::analyze_cost`]) over the
     /// lowered kernel and evaluated against the declared dimensions; if the
-    /// total exceeds `max_workspace_bytes`, the cheapest sparse workspace
-    /// backend whose proven initial footprint fits — hash map first, then
-    /// coordinate list — is compiled instead, keeping the schedule and
-    /// recording one [`FallbackEvent::WorkspaceDowngraded`] per workspace.
-    /// Only when no sparse backend is lowerable either are the schedule's
-    /// transformations dropped and the original statement lowered directly
-    /// — the slower merge kernel — with one
+    /// total exceeds `max_workspace_bytes`, the coordinate-list workspace is
+    /// compiled instead when its proven initial footprint fits, keeping the
+    /// schedule and recording one [`FallbackEvent::WorkspaceDowngraded`]
+    /// per workspace. Only when it does not fit or lower either are the
+    /// schedule's transformations dropped and the original statement
+    /// lowered directly — the slower merge kernel — with one
     /// [`FallbackEvent::WorkspaceOverBudget`] recorded per skipped
     /// workspace. At run time the compiled kernel enforces the budget's
     /// allocation and iteration limits on every [`CompiledKernel::run`].

@@ -38,7 +38,7 @@
 //!   scalar parameters, and the dispatcher beside
 //!   [`run_body`](crate::run_body) runs it as ranges ([`AbiPlan::rows`]).
 
-use crate::exec::{BExpr, DenseWs, FExpr, IExpr, RStmt, Ws};
+use crate::exec::{BExpr, DenseWs, FExpr, IExpr, MapWs, RStmt, Ws};
 use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};
 use crate::{ArrayTy, BinOp, Executable, ParamKind, Rows, WorkspaceKind};
 use std::fmt::Write;
@@ -56,7 +56,7 @@ pub const ABI_VERSION_SYMBOL: &str = "taco_abi_version";
 
 /// ABI version the emitted C and the Rust host must agree on. Keep in
 /// sync with `TACO_ABI_VERSION` in `taco_kernel.h`.
-pub const ABI_VERSION: i32 = 2;
+pub const ABI_VERSION: i32 = 3;
 
 /// One array slot of the table ABI.
 #[derive(Debug, Clone)]
@@ -70,21 +70,10 @@ pub struct AbiArray {
     pub ty: ArrayTy,
     /// Parameter kind; `None` for kernel-local arrays.
     pub kind: Option<ParamKind>,
-    /// True for the hidden key/val slots backing a map workspace: they
-    /// are never charged against the byte budget (maps charge through
-    /// the logical entry model instead).
+    /// True for the key and value slots of a map workspace: they are
+    /// never charged against the byte budget as arrays (a map charges
+    /// through the entry model, `ctx->map_charge`, instead).
     pub map_backing: bool,
-}
-
-/// One map workspace of the table ABI, with its hidden backing slots.
-#[derive(Debug, Clone)]
-pub struct AbiMap {
-    /// Map workspace name (for budget-abort payloads).
-    pub name: String,
-    /// Hidden array slot holding sorted keys (`int64_t`).
-    pub keys_slot: usize,
-    /// Hidden array slot holding values (`double`).
-    pub vals_slot: usize,
 }
 
 /// Everything the host needs to marshal a [`Binding`](crate::Binding)
@@ -97,10 +86,8 @@ pub struct AbiPlan {
     pub scalar_params: Vec<(String, usize)>,
     /// Scalar outputs in `ctx->scalar_out` order: (name, int slot).
     pub scalar_outputs: Vec<(String, usize)>,
-    /// Every array slot, visible then hidden map backings, by index.
+    /// Every array slot of the [`Executable`], by index.
     pub arrays: Vec<AbiArray>,
-    /// Map workspaces by map slot.
-    pub maps: Vec<AbiMap>,
     /// The row ranges of a parallel kernel.
     pub rows: Option<Rows>,
 }
@@ -134,42 +121,25 @@ impl std::error::Error for NativeEmitError {}
 ///
 /// None: every resolved statement has a native form.
 pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
-    let n_visible = exe.array_names.len();
-    let mut arrays: Vec<AbiArray> = Vec::with_capacity(n_visible + 2 * exe.map_names.len());
-    for (slot, name) in exe.array_names.iter().enumerate() {
-        let param = exe.array_params.iter().find(|(_, s, _, _)| *s == slot);
-        arrays.push(AbiArray {
+    let mut backing = Vec::new();
+    map_backing(&exe.body, &mut backing);
+    let arrays = exe
+        .array_names
+        .iter()
+        .enumerate()
+        .map(|(slot, name)| AbiArray {
             name: name.clone(),
             ty: exe.array_tys[slot],
-            kind: param.map(|(_, _, _, k)| *k),
-            map_backing: false,
-        });
-    }
-    let mut maps = Vec::with_capacity(exe.map_names.len());
-    for name in exe.map_names.iter() {
-        let keys_slot = arrays.len();
-        arrays.push(AbiArray {
-            name: format!("{name}.keys"),
-            ty: ArrayTy::Int,
-            kind: None,
-            map_backing: true,
-        });
-        let vals_slot = arrays.len();
-        arrays.push(AbiArray {
-            name: format!("{name}.vals"),
-            ty: ArrayTy::F64,
-            kind: None,
-            map_backing: true,
-        });
-        maps.push(AbiMap { name: name.clone(), keys_slot, vals_slot });
-    }
+            kind: exe.array_params.iter().find(|(_, s, _, _)| *s == slot).map(|(_, _, _, k)| *k),
+            map_backing: backing.contains(&slot),
+        })
+        .collect();
 
     let plan = AbiPlan {
         name: exe.name.clone(),
         scalar_params: exe.scalar_params.as_ref().clone(),
         scalar_outputs: exe.scalar_outputs.as_ref().clone(),
         arrays,
-        maps,
         rows: exe.rows.as_deref().cloned(),
     };
 
@@ -201,10 +171,10 @@ pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
         let _ = writeln!(src, "  bool b{slot} = false; (void)b{slot};");
     }
 
-    // Array locals for the visible slots (hidden map backings are only
-    // touched through the prelude helpers, via the ctx tables).
+    // Array locals for every slot but a map's keys and values, which only
+    // the prelude's helpers touch, through the ctx tables.
     let mutated = mutated_slots(&exe.body);
-    for slot in 0..n_visible {
+    for slot in (0..plan.arrays.len()).filter(|s| !backing.contains(s)) {
         let ty = c_ty(plan.arrays[slot].ty);
         let konst = if mutated.contains(&slot) { "" } else { "const " };
         let _ = writeln!(
@@ -266,6 +236,32 @@ fn mutated_slots(body: &[RStmt]) -> Vec<usize> {
     }
     walk(body, &mut out);
     out
+}
+
+/// The key and value slots of every map workspace in `body`.
+fn map_backing(body: &[RStmt], out: &mut Vec<usize>) {
+    for s in body {
+        match s {
+            RStmt::WsInit(Ws::Map(m), _) => out.extend([m.keys, m.vals]),
+            RStmt::For(_, _, _, b) => map_backing(b, out),
+            RStmt::While(_, b) | RStmt::WsDrain(_, _, _, _, b) => map_backing(b, out),
+            RStmt::If(_, t, e) => {
+                map_backing(t, out);
+                map_backing(e, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A call of the prelude's `taco_map_<helper>` on map `m`, aborting when it
+/// fails: the context, the key and value slots, the length and
+/// charged-capacity locals by pointer, the bytes an entry is charged, then
+/// `rest`.
+fn map_call(helper: &str, m: &MapWs, rest: &str) -> String {
+    let (ks, vs, len, charged, per) = (m.keys, m.vals, m.len, m.charged, m.kind.entry_bytes());
+    let call = format!("taco_map_{helper}(ctx, {ks}, {vs}, &i{len}, &i{charged}, {per}LL, {rest})");
+    format!("if (!{call}) goto taco_abort;")
 }
 
 fn c_ty(ty: ArrayTy) -> &'static str {
@@ -615,10 +611,7 @@ impl Emitter<'_> {
                 }
                 self.line(&format!("i{} = 0LL;", d.len));
             }
-            RStmt::WsInit(Ws::Map(map, kind), extent) => {
-                let m = &self.plan.maps[*map];
-                let (ks, vs) = (m.keys_slot, m.vals_slot);
-                let tag = kind.c_tag();
+            RStmt::WsInit(Ws::Map(m), extent) => {
                 let c = format!(
                     "taco_min_i64({}, {})",
                     i64_lit(WorkspaceKind::INITIAL_CAPACITY),
@@ -629,21 +622,15 @@ impl Emitter<'_> {
                     self.depth += 1;
                     self.line(&format!("int64_t _c = {c};"));
                     self.fault_check();
-                    self.line(&format!(
-                        "if (!taco_map_init(ctx, {map}, {ks}, {vs}, {tag}, _c)) goto taco_abort;"
-                    ));
+                    self.line(&map_call("init", m, "_c"));
                     self.depth -= 1;
                     self.line("}");
                 } else {
-                    self.line(&format!(
-                        "if (!taco_map_init(ctx, {map}, {ks}, {vs}, {tag}, {c})) goto taco_abort;"
-                    ));
+                    self.line(&map_call("init", m, &c));
                 }
             }
             RStmt::WsScatter(Ws::Dense(d), key, val, add) => self.dense_scatter(d, key, val, *add),
-            RStmt::WsScatter(Ws::Map(map, _), key, val, add) => {
-                let m = &self.plan.maps[*map];
-                let (ks, vs) = (m.keys_slot, m.vals_slot);
+            RStmt::WsScatter(Ws::Map(m), key, val, add) => {
                 let add = i32::from(*add);
                 let k = self.iexpr(key);
                 let v = self.fexpr(val);
@@ -653,27 +640,22 @@ impl Emitter<'_> {
                     self.line(&format!("int64_t _k = {k};"));
                     self.line(&format!("double _w = {v};"));
                     self.fault_check();
-                    self.line(&format!(
-                        "if (!taco_map_scatter(ctx, {map}, {ks}, {vs}, _k, _w, {add})) goto taco_abort;"
-                    ));
+                    self.line(&map_call("scatter", m, &format!("_k, _w, {add}")));
                     self.depth -= 1;
                     self.line("}");
                 } else {
-                    self.line(&format!(
-                        "if (!taco_map_scatter(ctx, {map}, {ks}, {vs}, {k}, {v}, {add})) goto taco_abort;"
-                    ));
+                    self.line(&map_call("scatter", m, &format!("{k}, {v}, {add}")));
                 }
             }
             RStmt::WsDrain(Ws::Dense(d), key, val, sorted, body) => {
                 self.dense_drain(d, *key, *val, *sorted, body);
             }
-            RStmt::WsDrain(Ws::Map(map, _), key_slot, val_slot, _, body) => {
-                let m = &self.plan.maps[*map];
-                let (ks, vs) = (m.keys_slot, m.vals_slot);
+            RStmt::WsDrain(Ws::Map(m), key_slot, val_slot, _, body) => {
+                let (ks, vs, len) = (m.keys, m.vals, m.len);
                 self.line("{");
                 self.depth += 1;
-                self.line(&format!("int64_t _n = ctx->maps[{map}].len;"));
-                self.line(&format!("ctx->maps[{map}].len = 0;"));
+                self.line(&format!("int64_t _n = i{len};"));
+                self.line(&format!("i{len} = 0LL;"));
                 self.line(&format!("const int64_t* _ks = (const int64_t*)ctx->arr[{ks}];"));
                 self.line(&format!("const double* _vs = (const double*)ctx->arr[{vs}];"));
                 self.line("for (int64_t _di = 0; _di < _n; _di++) {");
@@ -876,7 +858,7 @@ fn cmp_str(op: BinOp) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Expr, Kernel, Param, Stmt};
+    use crate::{Expr, Kernel, KernelBody, Param, Stmt};
 
     fn scale_kernel() -> Executable {
         let kernel = Kernel::new("scale")
@@ -907,7 +889,6 @@ mod tests {
         assert!(src.c_source.contains("double* restrict a1"));
         assert_eq!(src.plan.scalar_params.len(), 1);
         assert_eq!(src.plan.arrays.len(), 2);
-        assert!(src.plan.maps.is_empty());
     }
 
     #[test]
@@ -934,40 +915,42 @@ mod tests {
         assert!(src.c_source.contains("bool* restrict a2"), "{}", src.c_source);
     }
 
+    /// A map workspace's key and value slots are the `Executable`'s own, one
+    /// for one, under either map kind: both bodies size the same frame, and
+    /// the kinds differ only in the bytes an entry is charged.
     #[test]
-    fn map_workspace_gets_hidden_backing_slots() {
-        let kernel = Kernel::new("ws")
-            .scalar_param("n")
-            .array_param(Param::output("out", ArrayTy::F64))
-            .body(vec![
-                Stmt::WsInit {
-                    ws: "w".into(),
-                    kind: WorkspaceKind::Hash,
-                    ty: ArrayTy::F64,
-                    extent: Expr::int(0),
-                },
-                Stmt::WsScatter {
-                    ws: "w".into(),
-                    key: Expr::int(3),
-                    val: Expr::float(1.5),
-                    add: true,
-                },
-                Stmt::WsDrain {
-                    ws: "w".into(),
-                    key: "k".into(),
-                    val: "v".into(),
-                    sorted: true,
-                    body: vec![Stmt::store("out", Expr::var("k"), Expr::var("v"))],
-                },
-            ]);
-        let exe = Executable::compile(&kernel).unwrap();
-        let src = emit_native(&exe).unwrap();
-        assert_eq!(src.plan.maps.len(), 1);
-        let m = &src.plan.maps[0];
-        assert_eq!(m.keys_slot, 1);
-        assert_eq!(m.vals_slot, 2);
-        assert!(src.plan.arrays[m.keys_slot].map_backing);
-        assert!(src.c_source.contains("taco_map_scatter(ctx, 0, 1, 2, 3LL, 1.5, 1)"));
+    fn map_workspace_slots_are_the_executables() {
+        for (kind, per) in [(WorkspaceKind::Hash, 24), (WorkspaceKind::CoordList, 16)] {
+            let kernel = Kernel::new("ws")
+                .scalar_param("n")
+                .array_param(Param::output("out", ArrayTy::F64))
+                .body(vec![
+                    Stmt::WsInit { ws: "w".into(), kind, ty: ArrayTy::F64, extent: Expr::int(0) },
+                    Stmt::WsScatter {
+                        ws: "w".into(),
+                        key: Expr::int(3),
+                        val: Expr::float(1.5),
+                        add: true,
+                    },
+                    Stmt::WsDrain {
+                        ws: "w".into(),
+                        key: "k".into(),
+                        val: "v".into(),
+                        sorted: true,
+                        body: vec![Stmt::store("out", Expr::var("k"), Expr::var("v"))],
+                    },
+                ]);
+            let exe = Executable::compile(&kernel).unwrap();
+            let src = emit_native(&exe).unwrap();
+            let native: Vec<ArrayTy> = src.plan.arrays.iter().map(|a| a.ty).collect();
+            assert_eq!(native, exe.slot_types().collect::<Vec<_>>(), "{kind}");
+            let names: Vec<&str> = src.plan.arrays.iter().map(|a| a.name.as_str()).collect();
+            assert_eq!(names, ["out", "w.keys", "w"], "{kind}");
+            let backing: Vec<bool> = src.plan.arrays.iter().map(|a| a.map_backing).collect();
+            assert_eq!(backing, [false, true, true], "{kind}");
+            let scatter = format!("taco_map_scatter(ctx, 1, 2, &i1, &i2, {per}LL, 3LL, 1.5, 1)");
+            assert!(src.c_source.contains(&scatter), "{kind}: {}", src.c_source);
+        }
     }
 }
 

@@ -249,12 +249,28 @@ pub(crate) enum RStmt {
     WsDrain(Ws, usize, usize, bool, Vec<RStmt>),
 }
 
-/// Where a workspace's state lives: a map kind's store slot, or the slots
-/// of the dense kind's arrays.
+/// Where a workspace's state lives: the slots of a map kind's store or of
+/// the dense kind's arrays.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ws {
-    Map(usize, WorkspaceKind),
+    Map(MapWs),
     Dense(DenseWs),
+}
+
+/// A map workspace, hash and coordinate list alike: a key array kept sorted
+/// and a value array beside it, neither reachable by name, whose first `len`
+/// entries are live, and the int slots counting those entries and the entry
+/// capacity charged against the byte budget so far. The value slot carries
+/// the workspace's name, for budget and fault payloads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MapWs {
+    pub(crate) keys: usize,
+    pub(crate) vals: usize,
+    pub(crate) len: usize,
+    pub(crate) charged: usize,
+    /// What an entry is charged ([`WorkspaceKind::entry_bytes`]); the store
+    /// is the same for both map kinds.
+    pub(crate) kind: WorkspaceKind,
 }
 
 /// A dense workspace (Figure 8): value, coordinate-list and guard array
@@ -293,7 +309,6 @@ struct Compiler {
     array_names: Vec<String>,
     array_tys: Vec<ArrayTy>,
     workspaces: HashMap<String, Ws>,
-    map_names: Vec<String>,
     /// Workspaces whose drain body is being compiled, innermost last.
     draining: Vec<String>,
     /// Array slots of input parameters. They are bound shared with the
@@ -373,7 +388,7 @@ impl Compiler {
             context: format!("{kind} workspace `{name}` of {ty:?} values"),
         };
         match self.ws(name) {
-            Ok(ws @ Ws::Map(_, k)) if k == kind && ty == ArrayTy::F64 => return Ok(ws),
+            Ok(ws @ Ws::Map(m)) if m.kind == kind && ty == ArrayTy::F64 => return Ok(ws),
             Ok(ws @ Ws::Dense(d)) if kind == WorkspaceKind::Dense && d.ty == ty => return Ok(ws),
             Ok(_) => return Err(mismatch()),
             Err(e @ CompileError::WorkspaceInOwnDrain(_)) => return Err(e),
@@ -391,10 +406,13 @@ impl Compiler {
                 guard: self.local_array(&format!("{name}.guard"), ArrayTy::Bool),
                 len: self.fresh_int(),
             }),
-            (WorkspaceKind::Hash | WorkspaceKind::CoordList, ArrayTy::F64) => {
-                self.map_names.push(name.to_string());
-                Ws::Map(self.map_names.len() - 1, kind)
-            }
+            (WorkspaceKind::Hash | WorkspaceKind::CoordList, ArrayTy::F64) => Ws::Map(MapWs {
+                keys: self.local_array(&format!("{name}.keys"), ArrayTy::Int),
+                vals: self.local_array(name, ty),
+                len: self.fresh_int(),
+                charged: self.fresh_int(),
+                kind,
+            }),
             _ => return Err(mismatch()),
         };
         self.workspaces.insert(name.to_string(), ws);
@@ -715,59 +733,6 @@ impl RunControls<'_> {
     }
 }
 
-/// A sparse map workspace: kernel-local machine state keyed by integer
-/// coordinates. Never part of a [`Binding`], so supervised snapshot/rollback
-/// is unaffected by map contents.
-#[derive(Debug, Clone)]
-enum MapStore {
-    /// Hash-map backing: unordered accumulate, sorted on drain.
-    Hash(HashMap<i64, f64>),
-    /// Coordinate-list backing: ordered insert with dedup, drained in place.
-    Sorted(Vec<(i64, f64)>),
-}
-
-#[derive(Debug, Clone)]
-struct MapWs {
-    store: MapStore,
-    /// Entry capacity already charged against the byte budget; grows by
-    /// doubling as entries are inserted, like `Realloc`.
-    charged_entries: u64,
-}
-
-impl Default for MapWs {
-    fn default() -> MapWs {
-        MapWs { store: MapStore::Hash(HashMap::new()), charged_entries: 0 }
-    }
-}
-
-impl MapWs {
-    fn kind(&self) -> WorkspaceKind {
-        match self.store {
-            MapStore::Hash(_) => WorkspaceKind::Hash,
-            MapStore::Sorted(_) => WorkspaceKind::CoordList,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.store {
-            MapStore::Hash(m) => m.len(),
-            MapStore::Sorted(v) => v.len(),
-        }
-    }
-
-    /// Removes all entries in ascending key order.
-    fn drain_sorted(&mut self) -> Vec<(i64, f64)> {
-        match &mut self.store {
-            MapStore::Hash(m) => {
-                let mut entries: Vec<(i64, f64)> = m.drain().collect();
-                entries.sort_unstable_by_key(|&(k, _)| k);
-                entries
-            }
-            MapStore::Sorted(v) => std::mem::take(v),
-        }
-    }
-}
-
 /// What the evaluators do at the two places a straight-line statement can
 /// fault: an array access and an integer division. The evaluators are
 /// written once, generic over this policy, and instantiated twice.
@@ -853,8 +818,6 @@ struct Mach<'a> {
     bools: Vec<bool>,
     arrays: Vec<ArrayVal>,
     array_names: Arc<Vec<String>>,
-    maps: Vec<MapWs>,
-    map_names: Arc<Vec<String>>,
     budget: BudgetMeter,
     ctl: RunControls<'a>,
     /// Iterations until the next supervision check.
@@ -910,32 +873,17 @@ impl Mach<'_> {
         self.budget.charge_array_bytes(&self.array_names[arr], new_bytes)
     }
 
-    /// Charges map-workspace growth: the map's whole footprint must fit the
-    /// single-workspace limit (so a hash workspace that outgrows
+    /// Charges map-workspace capacity: the map's whole footprint must fit
+    /// the single-workspace limit (so a map that outgrows
     /// `max_workspace_bytes` aborts retryably, like an oversized `Alloc`),
-    /// and the growth delta counts toward the cumulative total.
-    fn charge_map_bytes(
-        &mut self,
-        map: usize,
-        footprint: u64,
-        delta: u64,
-    ) -> Result<(), RunError> {
-        self.budget.charge_map_bytes(&self.map_names[map], footprint, delta)
-    }
-
-    /// Grows the charged capacity of a map (by doubling) when an insert
-    /// pushes its entry count past what has been paid for.
-    fn charge_map_growth(&mut self, map: usize) -> Result<(), RunError> {
-        let ws = &self.maps[map];
-        let needed = ws.len() as u64 + 1;
-        if needed <= ws.charged_entries {
-            return Ok(());
-        }
-        let per = ws.kind().entry_bytes();
-        let new_cap = (ws.charged_entries * 2).max(needed).max(8);
-        let delta = (new_cap - ws.charged_entries).saturating_mul(per);
-        self.charge_map_bytes(map, new_cap.saturating_mul(per), delta)?;
-        self.maps[map].charged_entries = new_cap;
+    /// and the growth delta counts toward the cumulative total. The charged
+    /// capacity goes `from` → `to` entries: from nothing to the `WsInit`
+    /// extent, then by doubling, like `Realloc`, as inserts pass it.
+    fn charge_map(&mut self, m: &MapWs, from: u64, to: u64) -> Result<(), RunError> {
+        let per = m.kind.entry_bytes();
+        let (footprint, delta) = (to.saturating_mul(per), (to - from).saturating_mul(per));
+        self.budget.charge_map_bytes(&self.array_names[m.vals], footprint, delta)?;
+        self.ints[m.charged] = to as i64;
         Ok(())
     }
 
@@ -1019,6 +967,52 @@ impl Mach<'_> {
             self.exec_block::<Checked>(body)?;
         }
         self.ints[d.len] = 0;
+        Ok(())
+    }
+
+    /// A map scatter: a binary search of the live keys, then an update in
+    /// place, or an insert that keeps the keys sorted. An insert past the
+    /// charged capacity charges its doubling first; one past the arrays'
+    /// length grows them by doubling, uncharged (the entry model is the
+    /// charge). Both map kinds run this, and the native prelude's
+    /// `taco_map_scatter` is the same code in C.
+    fn map_scatter(
+        &mut self,
+        m: &MapWs,
+        key: &IExpr,
+        val: &FExpr,
+        add: bool,
+    ) -> Result<(), RunError> {
+        let k = self.eval_i::<Checked>(key)?;
+        let v = self.eval_f::<Checked>(val)?;
+        let n = self.ints[m.len] as usize;
+        let ArrayVal::Int(keys) = &self.arrays[m.keys] else { unreachable!("an Int array") };
+        let (found, len) = (keys[..n].binary_search(&k), keys.len());
+        let at = match found {
+            Ok(at) => {
+                let vals = self.writable::<f64, Checked>(m.vals)?;
+                vals[at] = if add { vals[at] + v } else { v };
+                return Ok(());
+            }
+            Err(at) => at,
+        };
+        let needed = n as u64 + 1;
+        let charged = self.ints[m.charged] as u64;
+        if needed > charged {
+            self.charge_map(m, charged, (charged * 2).max(needed).max(8))?;
+        }
+        if n == len {
+            for arr in [m.keys, m.vals] {
+                self.arrays[arr].grow_zeroed((2 * n).max(8), &self.array_names[arr])?;
+            }
+        }
+        let keys = self.writable::<i64, Checked>(m.keys)?;
+        keys.copy_within(at..n, at + 1);
+        keys[at] = k;
+        let vals = self.writable::<f64, Checked>(m.vals)?;
+        vals.copy_within(at..n, at + 1);
+        vals[at] = v;
+        self.ints[m.len] = needed as i64;
         Ok(())
     }
 
@@ -1274,65 +1268,36 @@ impl Mach<'_> {
                 self.alloc(d.guard, ArrayTy::Bool, len)?;
                 self.ints[d.len] = 0;
             }
-            RStmt::WsInit(Ws::Map(map, kind), extent) => {
+            RStmt::WsInit(Ws::Map(m), extent) => {
                 let cap = self.eval_i::<Checked>(extent)?.min(WorkspaceKind::INITIAL_CAPACITY);
                 if cap < 0 {
-                    return Err(RunError::NegativeLength {
-                        name: self.map_names[*map].clone(),
-                        len: cap,
-                    });
+                    let name = self.array_names[m.vals].clone();
+                    return Err(RunError::NegativeLength { name, len: cap });
                 }
-                let per = kind.entry_bytes();
-                self.charge_map_bytes(*map, cap as u64 * per, cap as u64 * per)?;
-                let store = match kind {
-                    WorkspaceKind::Hash => {
-                        MapStore::Hash(HashMap::with_capacity(cap as usize))
-                    }
-                    _ => MapStore::Sorted(Vec::with_capacity(cap as usize)),
-                };
-                self.maps[*map] = MapWs { store, charged_entries: cap as u64 };
+                self.charge_map(m, 0, cap as u64)?;
+                self.ints[m.len] = 0;
+                for arr in [m.keys, m.vals] {
+                    self.arrays[arr].grow_zeroed(cap as usize, &self.array_names[arr])?;
+                }
             }
             RStmt::WsScatter(Ws::Dense(d), key, val, add) => self.dense_scatter(d, key, val, *add)?,
-            RStmt::WsScatter(Ws::Map(map, _), key, val, add) => {
-                let k = self.eval_i::<Checked>(key)?;
-                let v = self.eval_f::<Checked>(val)?;
-                match &self.maps[*map].store {
-                    MapStore::Hash(m) if !m.contains_key(&k) => self.charge_map_growth(*map)?,
-                    MapStore::Sorted(s) if s.binary_search_by_key(&k, |e| e.0).is_err() => {
-                        self.charge_map_growth(*map)?
-                    }
-                    _ => {}
-                }
-                match &mut self.maps[*map].store {
-                    MapStore::Hash(m) => {
-                        let slot = m.entry(k).or_insert(0.0);
-                        if *add {
-                            *slot += v;
-                        } else {
-                            *slot = v;
-                        }
-                    }
-                    MapStore::Sorted(s) => match s.binary_search_by_key(&k, |e| e.0) {
-                        Ok(i) => {
-                            if *add {
-                                s[i].1 += v;
-                            } else {
-                                s[i].1 = v;
-                            }
-                        }
-                        Err(i) => s.insert(i, (k, v)),
-                    },
-                }
-            }
+            RStmt::WsScatter(Ws::Map(m), key, val, add) => self.map_scatter(m, key, val, *add)?,
             RStmt::WsDrain(Ws::Dense(d), key, val, sorted, body) => {
                 self.dense_drain(d, *key, *val, *sorted, body)?;
             }
-            RStmt::WsDrain(Ws::Map(map, _), key_slot, val_slot, _, body) => {
-                let entries = self.maps[*map].drain_sorted();
-                for (k, v) in entries {
+            RStmt::WsDrain(Ws::Map(m), key, val, _, body) => {
+                // Live entries are in key order already; the map is empty
+                // as the drain starts.
+                let n = std::mem::take(&mut self.ints[m.len]) as usize;
+                for p in 0..n {
                     self.consume_iteration()?;
-                    self.ints[*key_slot] = k;
-                    self.floats[*val_slot] = v;
+                    let (ArrayVal::Int(keys), ArrayVal::F64(vals)) =
+                        (&self.arrays[m.keys], &self.arrays[m.vals])
+                    else {
+                        unreachable!("an Int and an F64 array")
+                    };
+                    self.ints[*key] = keys[p];
+                    self.floats[*val] = vals[p];
                     self.exec_block::<Checked>(body)?;
                 }
             }
@@ -1651,7 +1616,6 @@ pub struct Executable {
     /// The element type each array slot is declared with: a parameter's,
     /// or the type its kernel-local allocation materializes.
     pub(crate) array_tys: Arc<Vec<ArrayTy>>,
-    pub(crate) map_names: Arc<Vec<String>>,
     /// Scalar slots the kernel declares, per type; the native backend
     /// declares one C local each.
     pub(crate) n_int: usize,
@@ -1679,7 +1643,6 @@ impl Executable {
             array_names: Vec::new(),
             array_tys: Vec::new(),
             workspaces: HashMap::new(),
-            map_names: Vec::new(),
             draining: Vec::new(),
             inputs: HashSet::new(),
             n_int: 0,
@@ -1728,7 +1691,6 @@ impl Executable {
             scalar_outputs: Arc::new(scalar_outputs),
             array_names: Arc::new(c.array_names),
             array_tys: Arc::new(c.array_tys),
-            map_names: Arc::new(c.map_names),
             n_int: c.n_int,
             n_float: c.n_float,
             n_bool: c.n_bool,
@@ -1807,9 +1769,7 @@ pub trait KernelBody: Sync {
     /// Array parameters as (name, frame slot, element type, kind).
     fn array_params(&self) -> impl Iterator<Item = (&str, usize, ArrayTy, ParamKind)>;
 
-    /// The element type of every frame slot. The body sizes the frame: the
-    /// native form has two hidden backing slots per map workspace that the
-    /// interpreter has not.
+    /// The element type of every frame slot: the body sizes the frame.
     fn slot_types(&self) -> impl Iterator<Item = ArrayTy>;
 
     /// Executes the kernel over `frame`, charging every allocation and loop
@@ -1860,8 +1820,6 @@ impl KernelBody for Executable {
             bools: vec![false; self.mach_slots.boolean],
             arrays: std::mem::take(&mut frame.arrays),
             array_names: self.array_names.clone(),
-            maps: self.map_names.iter().map(|_| MapWs::default()).collect(),
-            map_names: self.map_names.clone(),
             // The machine owns its meter; it goes back to the caller when
             // the run ends.
             budget: std::mem::replace(meter, BudgetMeter::new(&ResourceBudget::unlimited(), 0)),

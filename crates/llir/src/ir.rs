@@ -20,9 +20,12 @@ pub enum ArrayTy {
 /// workspace is an interface — scatter at a coordinate, drain the touched
 /// coordinates (in ascending order when asked) leaving it empty — and a kind
 /// is one implementation of it. The dense array workspace of the paper is
-/// sized by the result dimension; the two sparse kinds scale with the number
-/// of distinct keys scattered instead, which makes them the middle rungs of
-/// the budget and degrade-and-retry ladders.
+/// sized by the result dimension; the two map kinds scale with the number
+/// of distinct keys scattered instead. They are one store on both backends
+/// (sorted keys and values beside them, searched and inserted in place) and
+/// differ only in what an entry is charged ([`WorkspaceKind::entry_bytes`]);
+/// the coordinate list, the cheaper, is the middle rung of the budget and
+/// degrade-and-retry ladders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WorkspaceKind {
     /// A value array over the full index set, a guard array and a
@@ -32,18 +35,19 @@ pub enum WorkspaceKind {
     /// random access is a plain array instead of the three nodes.
     #[default]
     Dense,
-    /// A hash-map workspace: unordered `O(1)` accumulate, sorted on drain.
+    /// The map store charged as a hash map: 24 bytes an entry.
     Hash,
-    /// A compressed coordinate-list workspace: ordered insert with dedup,
-    /// already sorted when drained.
+    /// The map store charged as a coordinate list: 16 bytes an entry, a key
+    /// and a value.
     CoordList,
 }
 
 impl WorkspaceKind {
     /// Bytes the executor charges against the budget per map entry: a hash
-    /// entry costs a key, a value and bucket overhead; a coordinate-list
-    /// entry just a key and a value. Dense workspaces are charged per
-    /// element at allocation instead.
+    /// entry is charged a key, a value and bucket overhead; a
+    /// coordinate-list entry just a key and a value. The store behind both is
+    /// the same. Dense workspaces are charged per element at allocation
+    /// instead.
     #[must_use]
     pub fn entry_bytes(self) -> u64 {
         match self {

@@ -54,7 +54,7 @@ mod supervise;
 pub use alloc::{elem_bytes, BudgetMeter};
 pub use budget::{BudgetEnvError, BudgetResource, ResourceBudget};
 pub use cgen::{
-    emit_native, AbiArray, AbiMap, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
+    emit_native, AbiArray, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
     ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};

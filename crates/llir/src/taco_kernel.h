@@ -21,10 +21,6 @@
 #include <stdint.h>
 #include <stdbool.h>
 
-#define TACO_WS_DENSE 0
-#define TACO_WS_HASH 1
-#define TACO_WS_COORDLIST 2
-
 #ifdef TACO_NATIVE_TU
 
 /* The native dialect calls five libc functions. Declaring them (C11
@@ -46,6 +42,10 @@ double fmax(double x, double y);
 /* ------------------------------------------------------------------ */
 /* Display dialect: paper-style listings                              */
 /* ------------------------------------------------------------------ */
+
+#define TACO_WS_DENSE 0
+#define TACO_WS_HASH 1
+#define TACO_WS_COORDLIST 2
 
 #ifndef min
 #define min(a, b) (((a) < (b)) ? (a) : (b))
@@ -145,16 +145,15 @@ static inline bool taco_ws_iter_next(taco_ws_iter* it) {
 /* Native dialect: the taco_ctx table ABI                             */
 /* ------------------------------------------------------------------ */
 
-/* Bump on any change to taco_ctx, taco_map_state, the status codes, or
- * the entry signature. The host refuses shared objects whose exported
- * taco_abi_version() disagrees. */
-#define TACO_ABI_VERSION 2
+/* Bump on any change to taco_ctx, the status codes, the map helpers'
+ * arguments, or the entry signature. The host refuses shared objects whose
+ * exported taco_abi_version() disagrees. */
+#define TACO_ABI_VERSION 3
 
 #define TACO_OK 0
 #define TACO_ERR_HOST 1 /* a host callback recorded the error */
 #define TACO_ERR_DIV0 2
 #define TACO_ERR_OOB 3
-#define TACO_ERR_MAP_NEG_LEN 4
 
 /* Element-type codes for the alloc callback. */
 #define TACO_TY_INT 0
@@ -164,25 +163,12 @@ static inline bool taco_ws_iter_next(taco_ws_iter* it) {
 
 typedef struct taco_ctx taco_ctx;
 
-/* Per-map bookkeeping. Entry storage lives in two host-owned array
- * slots (keys: int64, vals: double), kept sorted by key so both the
- * hash and coord-list workspace kinds drain identically to the
- * interpreter. `charged` is the entry capacity already charged against
- * the byte budget — the budget model, not the physical capacity. */
-typedef struct {
-    int64_t len;
-    int64_t charged;
-    int32_t kind;
-    int32_t pad_;
-} taco_map_state;
-
 struct taco_ctx {
     void* host; /* opaque host state for callbacks */
     void** arr; /* array buffers, indexed by array slot */
     int64_t* arr_size; /* element counts, indexed by array slot */
     const int64_t* scalars; /* scalar params, declaration order */
     int64_t* scalar_out; /* scalar outputs, declaration order */
-    taco_map_state* maps; /* map workspaces, indexed by map slot */
     int64_t ticks_left; /* loop iterations before the next poll */
     int32_t status; /* sticky fault code, TACO_OK while healthy */
     int32_t pad_;
@@ -192,7 +178,7 @@ struct taco_ctx {
     int32_t (*alloc)(taco_ctx* ctx, int64_t slot, int32_t ty, int64_t len);
     int32_t (*grow)(taco_ctx* ctx, int64_t slot, int64_t len);
     int32_t (*poll)(taco_ctx* ctx);
-    int32_t (*map_charge)(taco_ctx* ctx, int64_t map_slot, int64_t footprint_bytes,
+    int32_t (*map_charge)(taco_ctx* ctx, int64_t vals_slot, int64_t footprint_bytes,
                           int64_t delta_bytes);
     void (*fault)(taco_ctx* ctx, int32_t code, int64_t slot, int64_t a, int64_t b);
 };
@@ -248,25 +234,20 @@ static inline int32_t taco_sort_range(taco_ctx* ctx, int64_t slot, int64_t lo, i
     return 1;
 }
 
-/* Map workspaces: sorted-pair backing on the hidden key/val slots. The
- * *budget* model follows the declared kind (hash entries charge 24
- * bytes, coord-list 16), exactly like the interpreter. */
-static inline int64_t taco_map_entry_bytes(int32_t kind) {
-    return kind == TACO_WS_HASH ? 24 : 16;
-}
-
-static inline int32_t taco_map_init(taco_ctx* ctx, int64_t m, int64_t ks, int64_t vs,
-                                    int32_t kind, int64_t cap) {
-    int64_t per;
-    if (cap < 0) {
-        ctx->fault(ctx, TACO_ERR_MAP_NEG_LEN, m, cap, 0);
-        return 0;
-    }
-    per = taco_map_entry_bytes(kind);
-    if (!ctx->map_charge(ctx, m, cap * per, cap * per)) return 0;
-    ctx->maps[m].len = 0;
-    ctx->maps[m].charged = cap;
-    ctx->maps[m].kind = kind;
+/* Map workspaces, hash and coord-list alike, exactly the interpreter's
+ * store: keys kept sorted in one array slot (int64), values beside them in
+ * another (double), the first *len entries live. *charged is the entry
+ * capacity already charged against the byte budget at `per` bytes an
+ * entry (24 hash, 16 coord-list): the budget model, not the physical
+ * capacity. Budget payloads name the value slot, which is the
+ * workspace's name. */
+static inline int32_t taco_map_init(taco_ctx* ctx, int64_t ks, int64_t vs, int64_t* len,
+                                    int64_t* charged, int64_t per, int64_t cap) {
+    /* The host's grow refuses a negative length as NegativeLength. */
+    if (cap < 0) return ctx->grow(ctx, vs, cap);
+    if (!ctx->map_charge(ctx, vs, cap * per, cap * per)) return 0;
+    *len = 0;
+    *charged = cap;
     if (cap > ctx->arr_size[ks]) {
         if (!ctx->grow(ctx, ks, cap)) return 0;
         if (!ctx->grow(ctx, vs, cap)) return 0;
@@ -274,44 +255,42 @@ static inline int32_t taco_map_init(taco_ctx* ctx, int64_t m, int64_t ks, int64_
     return 1;
 }
 
-static inline int32_t taco_map_scatter(taco_ctx* ctx, int64_t m, int64_t ks, int64_t vs,
-                                       int64_t key, double val, int add) {
-    taco_map_state* st = &ctx->maps[m];
+static inline int32_t taco_map_scatter(taco_ctx* ctx, int64_t ks, int64_t vs, int64_t* len,
+                                       int64_t* charged, int64_t per, int64_t key, double val,
+                                       int add) {
     int64_t* keys = (int64_t*)ctx->arr[ks];
     double* vals = (double*)ctx->arr[vs];
-    int64_t lo = 0, hi = st->len;
+    int64_t n = *len, lo = 0, hi = n;
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
         if (keys[mid] < key) lo = mid + 1; else hi = mid;
     }
-    if (lo < st->len && keys[lo] == key) {
+    if (lo < n && keys[lo] == key) {
         if (add) vals[lo] += val; else vals[lo] = val;
         return 1;
     }
-    /* New key: charge doubled capacity first, exactly like the
-     * interpreter's charge_map_growth. */
-    if (st->len + 1 > st->charged) {
-        int64_t per = taco_map_entry_bytes(st->kind);
-        int64_t ncap = st->charged * 2;
-        if (ncap < st->len + 1) ncap = st->len + 1;
+    /* New key: charge doubled capacity first. */
+    if (n + 1 > *charged) {
+        int64_t ncap = *charged * 2;
+        if (ncap < n + 1) ncap = n + 1;
         if (ncap < 8) ncap = 8;
-        if (!ctx->map_charge(ctx, m, ncap * per, (ncap - st->charged) * per)) return 0;
-        st->charged = ncap;
+        if (!ctx->map_charge(ctx, vs, ncap * per, (ncap - *charged) * per)) return 0;
+        *charged = ncap;
     }
-    if (st->len + 1 > ctx->arr_size[ks]) {
+    if (n + 1 > ctx->arr_size[ks]) {
         int64_t pcap = ctx->arr_size[ks] * 2;
-        if (pcap < st->len + 1) pcap = st->len + 1;
+        if (pcap < n + 1) pcap = n + 1;
         if (pcap < 8) pcap = 8;
         if (!ctx->grow(ctx, ks, pcap)) return 0;
         if (!ctx->grow(ctx, vs, pcap)) return 0;
         keys = (int64_t*)ctx->arr[ks];
         vals = (double*)ctx->arr[vs];
     }
-    memmove(keys + lo + 1, keys + lo, (size_t)(st->len - lo) * sizeof(int64_t));
-    memmove(vals + lo + 1, vals + lo, (size_t)(st->len - lo) * sizeof(double));
+    memmove(keys + lo + 1, keys + lo, (size_t)(n - lo) * sizeof(int64_t));
+    memmove(vals + lo + 1, vals + lo, (size_t)(n - lo) * sizeof(double));
     keys[lo] = key;
     vals[lo] = val;
-    st->len += 1;
+    *len = n + 1;
     return 1;
 }
 

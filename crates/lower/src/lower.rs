@@ -45,8 +45,9 @@ pub struct LowerOptions {
     /// Storage backend for rank-1 workspaces (Section VII: "a workspace can
     /// also be implemented with other data structures such as hash maps").
     /// `Dense` lowers the paper's array workspaces; `Hash` and `CoordList`
-    /// lower map workspaces whose footprint scales with touched entries —
-    /// the graceful-degradation rungs of the budget and retry ladders.
+    /// lower map workspaces whose footprint scales with touched entries
+    /// (one store, charged 24 and 16 bytes an entry); `CoordList` is the
+    /// graceful-degradation rung of the budget and retry ladders.
     pub workspace_kind: WorkspaceKind,
 }
 

@@ -93,7 +93,7 @@ mod tests {
     use std::time::{Duration, Instant, SystemTime};
     use taco_llir::{
         emit_native, Aborted, ArrayTy, Binding, BudgetResource, ExecReport, Executable, Expr,
-        Kernel, Param, ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind,
+        Kernel, KernelBody, Param, ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind,
         LEAF_FAST_PATH_MARKER, SUPERVISION_STRIDE,
     };
 
@@ -545,9 +545,12 @@ mod tests {
     #[test]
     fn map_workspace_matches_interpreter() {
         // Scatter with duplicate keys, drain sorted into the output —
-        // exercises map init/scatter/drain and the hidden backing slots.
+        // exercises map init/scatter/drain, growth past the initial
+        // capacity, and a negative one, which both bodies refuse by the
+        // workspace's name.
         let kernel = Kernel::new("ws")
             .scalar_param("n")
+            .scalar_param("cap")
             .array_param(Param::input("keys", ArrayTy::Int))
             .array_param(Param::input("vals", ArrayTy::F64))
             .array_param(Param::output("out", ArrayTy::F64))
@@ -556,7 +559,7 @@ mod tests {
                     ws: "w".into(),
                     kind: WorkspaceKind::Hash,
                     ty: ArrayTy::F64,
-                    extent: Expr::int(2),
+                    extent: Expr::var("cap"),
                 },
                 Stmt::for_(
                     "i",
@@ -578,23 +581,30 @@ mod tests {
                 },
             ]);
         let Some((native, exe)) = build(&kernel) else { return };
-        let keys = vec![7i64, 3, 7, 0, 3, 7];
-        let vals = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut nb = Binding::new();
-        nb.set_scalar("n", 6);
-        nb.set_int("keys", keys.clone());
-        nb.set_f64("vals", vals.clone());
-        nb.set_f64("out", vec![0.0; 8]);
-        let mut ib = Binding::new();
-        ib.set_scalar("n", 6);
-        ib.set_int("keys", keys);
-        ib.set_f64("vals", vals);
-        ib.set_f64("out", vec![0.0; 8]);
+        // The map's slots are the interpreter's: both bodies size one frame.
+        assert!(native.slot_types().eq(exe.slot_types()));
+        let binding = |cap| {
+            let mut b = Binding::new();
+            b.set_scalar("n", 6);
+            b.set_scalar("cap", cap);
+            b.set_int("keys", vec![7i64, 3, 7, 0, 3, 7]);
+            b.set_f64("vals", vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+            b.set_f64("out", vec![0.0; 8]);
+            b
+        };
+        let (mut nb, mut ib) = (binding(2), binding(2));
         native
             .run(&mut nb, &ResourceBudget::unlimited(), NativeRunOptions::default())
             .expect("native");
         exe.run(&mut ib).expect("interp");
         assert_eq!(nb.f64_array("out").unwrap(), ib.f64_array("out").unwrap());
+
+        let (mut nb, mut ib) = (binding(-1), binding(-1));
+        let ne = native
+            .run(&mut nb, &ResourceBudget::unlimited(), NativeRunOptions::default())
+            .unwrap_err();
+        assert_eq!(ne, exe.run(&mut ib).unwrap_err());
+        assert_eq!(ne, RunError::NegativeLength { name: "w".into(), len: -1 });
     }
 
     #[test]

@@ -27,17 +27,6 @@ const TACO_OK: i32 = 0;
 const TACO_ERR_HOST: i32 = 1;
 const TACO_ERR_DIV0: i32 = 2;
 const TACO_ERR_OOB: i32 = 3;
-const TACO_ERR_MAP_NEG_LEN: i32 = 4;
-
-/// Mirror of `taco_map_state` in taco_kernel.h.
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-struct TacoMapState {
-    len: i64,
-    charged: i64,
-    kind: i32,
-    pad_: i32,
-}
 
 /// Mirror of `struct taco_ctx` in taco_kernel.h; field order is the ABI.
 #[repr(C)]
@@ -47,7 +36,6 @@ struct TacoCtx {
     arr_size: *mut i64,
     scalars: *const i64,
     scalar_out: *mut i64,
-    maps: *mut TacoMapState,
     ticks_left: i64,
     status: i32,
     pad_: i32,
@@ -194,7 +182,6 @@ impl KernelBody for NativeKernel {
             ptrs.push(p);
             sizes.push(n);
         }
-        let mut maps = vec![TacoMapState::default(); plan.maps.len()];
 
         let mut ctx = TacoCtx {
             host: (&mut host as *mut Host<'_>).cast(),
@@ -202,7 +189,6 @@ impl KernelBody for NativeKernel {
             arr_size: sizes.as_mut_ptr(),
             scalars: frame.scalars.as_ptr(),
             scalar_out: frame.scalar_outputs.as_mut_ptr(),
-            maps: maps.as_mut_ptr(),
             ticks_left: grant as i64 - 1,
             status: TACO_OK,
             pad_: 0,
@@ -371,15 +357,16 @@ unsafe extern "C" fn poll_cb(ctx: *mut TacoCtx) -> i32 {
     0
 }
 
-/// `ctx->map_charge`: budget accounting for map-workspace capacity.
+/// `ctx->map_charge`: budget accounting for map-workspace capacity, named
+/// after the map's value slot.
 unsafe extern "C" fn map_charge_cb(
     ctx: *mut TacoCtx,
-    map_slot: i64,
+    slot: i64,
     footprint: i64,
     delta: i64,
 ) -> i32 {
     let host = host_of(ctx);
-    let name = host.plan.maps[map_slot as usize].name.clone();
+    let name = host.plan.arrays[slot as usize].name.clone();
     match host.meter.charge_map_bytes(&name, footprint as u64, delta as u64) {
         Ok(()) => 1,
         Err(e) => fail(ctx, e),
@@ -396,10 +383,6 @@ unsafe extern "C" fn fault_cb(ctx: *mut TacoCtx, code: i32, slot: i64, a: i64, b
             name: host.plan.arrays[slot as usize].name.clone(),
             idx: a,
             len: b as usize,
-        },
-        TACO_ERR_MAP_NEG_LEN => RunError::NegativeLength {
-            name: host.plan.maps[slot as usize].name.clone(),
-            len: a,
         },
         other => RunError::Backend(format!("unknown native fault code {other}")),
     };

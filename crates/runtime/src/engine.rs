@@ -433,12 +433,11 @@ impl Engine {
     /// compile time). If the run aborts with a *retryable* reason — a missed
     /// deadline or an exhausted resource budget — the request of the next
     /// applicable rung ([`DegradeRung::request`]) is compiled and run with a
-    /// fresh deadline: hash workspace, coordinate-list workspace, unsorted
-    /// assembly, direct merge. The first rung to commit wins. Every
-    /// abandoned rung is recorded as a [`FallbackEvent::DegradedRetry`] in
-    /// the returned run and in the engine's event log. Cancellation,
-    /// runtime failures and bind errors are not fixed by a degraded schedule
-    /// and are not retried.
+    /// fresh deadline: coordinate-list workspace, then direct merge. The
+    /// first rung to commit wins. Every abandoned rung is recorded as a
+    /// [`FallbackEvent::DegradedRetry`] in the returned run and in the
+    /// engine's event log. Cancellation, runtime failures and bind errors
+    /// are not fixed by a degraded schedule and are not retried.
     ///
     /// Every rung is compiled *through the kernel cache* under
     /// [`EngineConfig::verify`] and run on [`EngineConfig::backend`], so a

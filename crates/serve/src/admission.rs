@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn budget_verdicts_do_not_depend_on_segment_lengths() {
         // The budget chain reads dimension-valued workspace bounds only: the
-        // dense row workspace of the n = 16 SpGEMM is 17n bytes, a hash one
-        // starts at 384, and the direct kernel does not lower.
+        // dense row workspace of the n = 16 SpGEMM is 17n bytes, a
+        // coord-list one starts at 256, and the direct kernel does not lower.
         let req = spgemm_request(16);
         let verdict = |bytes: u64| {
             let budget = ResourceBudget::unlimited().with_max_workspace_bytes(bytes);

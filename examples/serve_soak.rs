@@ -57,9 +57,9 @@ fn main() {
     // metered tenant (every fourth client) gets a burst of two and no
     // refill, so shedding is guaranteed even on a fast machine. The capped
     // tenant's 1 KiB per-array budget rejects the 2 KiB dense row workspace
-    // at run time but admits the hash backend (and the output assembly
-    // arrays, which at this sparsity stay under 1 KiB each), forcing the
-    // degrade ladder onto a sparse rung mid-soak.
+    // but admits the coordinate-list store (and the output assembly arrays,
+    // which at this sparsity stay under 1 KiB each), forcing its requests
+    // onto a sparse workspace mid-soak.
     let server = Server::builder()
         .workers(4)
         .queue_capacity(8)

@@ -92,12 +92,12 @@ fn hash_workspace_bound_degrades_conservatively_but_stays_sound() {
 }
 
 /// The compile-time budget fallback acts on the proven bound: a limit just
-/// under the dense 17n footprint forces the sparse downgrade whose *initial*
-/// footprint fits, and the downgraded kernel's own report reflects the
-/// chosen backend — the decision chain is analyzer-driven end to end.
+/// under the dense 17n footprint forces the coordinate-list downgrade, whose
+/// *initial* footprint fits, and the downgraded kernel's own report reflects
+/// the chosen kind — the decision chain is analyzer-driven end to end.
 #[test]
 fn budget_fallback_decisions_match_the_reported_bounds() {
-    let n = 64; // dense 17n = 1088; hash init 384 fits under 1000
+    let n = 64; // dense 17n = 1088; coord-list init 256 fits under 1000
     let kernel = spgemm(n)
         .compile_checked(
             LowerOptions::fused("bounds_budget"),
@@ -106,7 +106,7 @@ fn budget_fallback_decisions_match_the_reported_bounds() {
         )
         .unwrap();
     let ws = &kernel.cost_report().workspaces[0];
-    assert_eq!(ws.kind, WorkspaceKind::Hash, "downgrade must pick the first fitting backend");
+    assert_eq!(ws.kind, WorkspaceKind::CoordList, "downgrade must pick the sparse rung");
     let env = CostEnv::from_shapes(kernel.lowered());
     assert!(
         kernel.cost_report().workspace_init_bytes(&env).unwrap() <= 1000,

@@ -641,21 +641,22 @@ fn pathological_schedule_degrades_to_direct_merge_under_deadline() {
     }
     assert_eq!(binding, before, "aborted run must leave the binding byte-identical");
 
-    // Then the ladder: the retry lands on direct merge and the abandoned
-    // rungs are on the record.
+    // Then the ladder: the retry lands on direct merge, and the one
+    // abandoned rung is on the record. The coordinate-list rung does not
+    // lower this schedule, and no rung re-runs the kernel that aborted.
     let outcome =
         run_supervised(&stmt, LowerOptions::fused("sample"), &supervisor, &[("B", &b), ("C", &c)])
             .unwrap();
     assert_eq!(outcome.rung, DegradeRung::DirectMerge);
     assert!(
-        outcome.fallbacks.iter().any(|f| matches!(
-            f,
-            FallbackEvent::DegradedRetry {
+        matches!(
+            outcome.fallbacks.as_slice(),
+            [FallbackEvent::DegradedRetry {
                 rung: DegradeRung::AsScheduled,
                 reason: AbortReason::DeadlineExceeded { .. },
-            }
-        )),
-        "the as-scheduled deadline abort must be recorded: {:?}",
+            }]
+        ),
+        "exactly the as-scheduled deadline abort must be recorded: {:?}",
         outcome.fallbacks
     );
 
@@ -1061,8 +1062,9 @@ fn corrupted_result_buffers_error_at_extraction() {
         assert!(matches!(err, CoreError::UnknownOperand(_)), "missing {missing}: got {err:?}");
     }
 
-    // Unsorted and duplicate-bearing segments are not damage: the
-    // unsorted-assembly rung produces them and extraction restores order.
+    // Unsorted and duplicate-bearing segments are not damage: an unsorted
+    // kernel (`LowerOptions::unsorted()`) produces them and extraction
+    // restores order.
     let unsorted = with(&|r| {
         r.crd[..2].copy_from_slice(&[2, 0]);
         r.vals.swap(0, 1);

@@ -1,17 +1,23 @@
 //! One function walks the degrade ladder, `Engine::run_supervised`, and the
 //! compile-time budget chain has two consumers: `IndexStmt::compile_checked`
-//! and the serving daemon's admission check. This suite pins the engine's
+//! and the serving daemon's admission check. The ladder has three rungs (as
+//! scheduled → coordinate-list workspace → direct merge) and the chain one
+//! sparse kind between dense and direct merge. This suite pins the engine's
 //! verdict (committed rung, or how it failed) on every request of a small
-//! matrix, and that admission sheds exactly what the compile refuses:
+//! matrix, that every rung commits somewhere in it, and that admission sheds
+//! exactly what the compile refuses:
 //!
 //! {SpGEMM CSR, SpGEMM DCSR×CSR, sparse add, MTTKRP}
 //!   × {fused sorted, fused unsorted, compute}
-//!   × workspace budget {unlimited, fits dense, fits only hash init,
-//!     fits only coord-list init, fits nothing}
+//!   × workspace budget {unlimited, fits dense, fits the hash kind's init,
+//!     fits the coord-list kind's init, fits nothing}
 //!   × {no iteration fuse, a 1-iteration fuse that aborts every rung},
 //!
-//! plus cumulative-allocation limits sized to each workspace backend, which
-//! abort the rungs above it at run time so the ladder commits mid-descent.
+//! plus cumulative-allocation limits sized to what each workspace kind's
+//! kernel allocates, which abort the rungs that allocate more at run time so
+//! the ladder commits mid-descent. A hash kernel is a coordinate-list
+//! kernel charged 3/2 as much per map entry, so its limit commits the
+//! coordinate-list rung.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -186,9 +192,7 @@ impl Verdict {
     fn code(&self) -> &'static str {
         match self {
             Verdict::Committed { rung: DegradeRung::AsScheduled, .. } => "S",
-            Verdict::Committed { rung: DegradeRung::HashWorkspace, .. } => "H",
             Verdict::Committed { rung: DegradeRung::CoordListWorkspace, .. } => "C",
-            Verdict::Committed { rung: DegradeRung::UnsortedAssembly, .. } => "U",
             Verdict::Committed { rung: DegradeRung::DirectMerge, .. } => "D",
             Verdict::Failed(why) if why.starts_with("Aborted") => "a",
             Verdict::Failed(why) if why.starts_with("BudgetExceeded") => "b",
@@ -251,10 +255,10 @@ fn budgets(
 /// (case, options) pair and one cell per budget, in [`budgets`] order: the
 /// three total-byte limits (dense, hash, coord-list; `.` where that kind
 /// does not lower), then the five workspace limits without the fuse. A cell
-/// is the committed rung (`S` as scheduled, `H` hash workspace, `C`
-/// coord-list workspace, `U` unsorted assembly, `D` direct merge) or the
-/// failure (`a` every rung aborted, `b` the compile-time budget refused).
-/// The fused columns are not listed: every one of them is `a`.
+/// is the committed rung (`S` as scheduled, `C` coord-list workspace, `D`
+/// direct merge) or the failure (`a` every rung aborted, `b` the
+/// compile-time budget refused). The fused columns are not listed: every
+/// one of them is `a`.
 const VERDICTS: &str = "\
 spgemm-csr fused-sorted:    S S C S a a a a
 spgemm-csr fused-unsorted:  S S C S a a a a
@@ -262,8 +266,8 @@ spgemm-csr compute:         S . . S S b b b
 spgemm-dcsr fused-sorted:   S S C S a a a a
 spgemm-dcsr fused-unsorted: S S C S a a a a
 spgemm-dcsr compute:        S . . S S b b b
-sparse-add fused-sorted:    S H C S a a a a
-sparse-add fused-unsorted:  S H C S a a a a
+sparse-add fused-sorted:    S C C S a a a a
+sparse-add fused-unsorted:  S C C S a a a a
 sparse-add compute:         S . . S S S S S
 mttkrp fused-sorted:        S S S S S D D S
 mttkrp fused-unsorted:      S S S S S D D S
@@ -330,8 +334,11 @@ fn the_engine_ladder_commits_the_pinned_verdict_table() {
         }
     }
     assert_eq!(table, VERDICTS, "the engine's verdict table moved");
-    // The matrix is only a test of the ladder if it actually descends it.
-    assert!(committed_rungs.len() >= 4, "matrix exercised only {committed_rungs:?}");
+    // The matrix is only a test of the ladder if it actually descends it:
+    // every rung commits somewhere.
+    for rung in DegradeRung::LADDER {
+        assert!(committed_rungs.contains(&rung), "nothing committed {rung}: {committed_rungs:?}");
+    }
 }
 
 #[test]

@@ -141,6 +141,42 @@ fn assert_byte_identical(interp: &Tensor, native: &Tensor, what: &str) {
     assert_eq!(ib, nb, "{what}: values differ bitwise");
 }
 
+/// One supervised run of `stmt` under `opts` on each body, interpreter
+/// first, with what it committed and what it charged.
+fn on_both_bodies(
+    cc: &NativeCompiler,
+    stmt: &IndexStmt,
+    opts: LowerOptions,
+    inputs: &[(&str, &Tensor)],
+) -> [(Tensor, Progress); 2] {
+    let kernel = stmt.compile(opts).unwrap();
+    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), 0).unwrap();
+    let supervisor = Supervisor::new();
+    let (interp, ran) = kernel.run_supervised(inputs, None, &supervisor).unwrap();
+    let (native, native_ran) = kernel.run_with_body(&so, inputs, None, Some(&supervisor)).unwrap();
+    [(interp, ran.progress), (native, native_ran.progress)]
+}
+
+/// A hash workspace is the coordinate-list store charged 24 bytes an entry
+/// instead of 16. On each body the two kinds' runs of one statement agree on
+/// the result's bits and the iteration count, and every map charge of the
+/// hash run is 3/2 the coordinate list's: a budget the hash kind fits, the
+/// coordinate list fits too, which is why the degrade ladder has no hash
+/// rung.
+fn assert_hash_is_coord_list_at_three_halves(
+    hash: &[(Tensor, Progress)],
+    coord: &[(Tensor, Progress)],
+    what: &str,
+) {
+    assert_eq!(hash.len(), coord.len(), "{what}");
+    for ((h, hp), (c, cp)) in hash.iter().zip(coord) {
+        assert_byte_identical(c, h, &format!("{what}: hash vs coord-list"));
+        assert_eq!(hp.iterations, cp.iterations, "{what}");
+        assert!(cp.peak_map_bytes > 0, "{what}: no map was charged");
+        assert_eq!(2 * hp.peak_map_bytes, 3 * cp.peak_map_bytes, "{what}: {hp:?} vs {cp:?}");
+    }
+}
+
 /// Runs `stmt` on an interpreter-pinned engine and a native-pinned engine
 /// (twice — the first native-engine run is the differential trust check and
 /// commits the interpreter's result) and asserts all three results are
@@ -221,8 +257,10 @@ fn native_spgemm_byte_identical_across_workspace_kinds() {
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
     let oracle = eval_dense(stmt.source(), &inputs).unwrap();
     let oracle = Tensor::from_dense(&oracle, Format::csr()).unwrap();
-    let supervisor = Supervisor::new();
+    // Per map kind, both bodies' runs of every (sorted, fused) variant.
+    let mut map_runs: Vec<Vec<(Tensor, Progress)>> = Vec::new();
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
+        let mut runs = Vec::new();
         for f32 in [false, true].into_iter().filter(|f32| !f32 || kind == WorkspaceKind::Dense) {
             for sorted in [true, false] {
                 for fused in [true, false] {
@@ -239,11 +277,8 @@ fn native_spgemm_byte_identical_across_workspace_kinds() {
                         opts = opts.with_f32_workspaces();
                     }
                     let what = format!("spgemm/{kind}/f32={f32}/sorted={sorted}/fused={fused}");
-                    let kernel = stmt.compile(opts).unwrap();
-                    let so = cc.compile(&emit_native(kernel.executable()).unwrap(), 0).unwrap();
-                    let (interp, ran) = kernel.run_supervised(&inputs, None, &supervisor).unwrap();
-                    let (native, native_ran) =
-                        kernel.run_with_body(&so, &inputs, None, Some(&supervisor)).unwrap();
+                    let [(interp, ran), (native, native_ran)] =
+                        on_both_bodies(&cc, &stmt, opts, &inputs);
                     assert_byte_identical(&interp, &native, &what);
                     if fused {
                         assert_byte_identical(&oracle, &interp, &what);
@@ -251,15 +286,20 @@ fn native_spgemm_byte_identical_across_workspace_kinds() {
                         assert_eq!(interp.pos(1).unwrap(), oracle.pos(1).unwrap(), "{what}");
                         assert_eq!(interp.crd(1).unwrap(), oracle.crd(1).unwrap(), "{what}");
                     }
-                    assert_eq!(ran.progress.iterations, 2138, "{what}");
-                    assert_eq!(native_ran.progress.iterations, 2138, "{what}");
+                    assert_eq!(ran.iterations, 2138, "{what}");
+                    assert_eq!(native_ran.iterations, 2138, "{what}");
+                    runs.extend([(interp, ran), (native, native_ran)]);
                 }
             }
+        }
+        if kind != WorkspaceKind::Dense {
+            map_runs.push(runs);
         }
         // And through the engines: the trust lifecycle of each kind.
         let opts = LowerOptions::fused("spgemm").with_workspace_kind(kind);
         differential(&stmt, opts, &inputs, &format!("spgemm/{kind:?}"));
     }
+    assert_hash_is_coord_list_at_three_halves(&map_runs[0], &map_runs[1], "spgemm");
 }
 
 /// A dense workspace whose value array does not fit the single-allocation
@@ -320,7 +360,7 @@ fn native_spgemm_byte_identical_across_thread_counts() {
 
 #[test]
 fn native_sparse_add_byte_identical_across_workspace_kinds() {
-    let Some(_cc) = require_cc("native_sparse_add_byte_identical_across_workspace_kinds") else {
+    let Some(cc) = require_cc("native_sparse_add_byte_identical_across_workspace_kinds") else {
         return;
     };
     let (m, n) = (17, 23);
@@ -328,15 +368,20 @@ fn native_sparse_add_byte_identical_across_workspace_kinds() {
     let b = random_csr(m, n, 0.3, 55).to_tensor();
     let c = random_csr(m, n, 0.3, 56).to_tensor();
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let mut map_runs = Vec::new();
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
         let opts = LowerOptions::fused("add_ws").with_workspace_kind(kind);
-        differential(&stmt, opts, &inputs, &format!("sparse-add/{kind:?}"));
+        differential(&stmt, opts.clone(), &inputs, &format!("sparse-add/{kind:?}"));
+        if kind != WorkspaceKind::Dense {
+            map_runs.push(on_both_bodies(&cc, &stmt, opts, &inputs));
+        }
     }
+    assert_hash_is_coord_list_at_three_halves(&map_runs[0], &map_runs[1], "sparse-add");
 }
 
 #[test]
 fn native_mttkrp_byte_identical_across_workspace_kinds() {
-    let Some(_cc) = require_cc("native_mttkrp_byte_identical_across_workspace_kinds") else {
+    let Some(cc) = require_cc("native_mttkrp_byte_identical_across_workspace_kinds") else {
         return;
     };
     let (di, dk, dl) = (9, 7, 6);
@@ -352,10 +397,16 @@ fn native_mttkrp_byte_identical_across_workspace_kinds() {
         };
         let (c, d) = (dense(dl, 58), dense(dk, 59));
         let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c), ("D", &d)];
+        let mut map_runs = Vec::new();
         for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
             let opts = LowerOptions::compute("mttkrp_ws").with_workspace_kind(kind);
-            differential(&stmt, opts, &inputs, &format!("mttkrp/r={r}/{kind:?}"));
+            differential(&stmt, opts.clone(), &inputs, &format!("mttkrp/r={r}/{kind:?}"));
+            if kind != WorkspaceKind::Dense {
+                map_runs.push(on_both_bodies(&cc, &stmt, opts, &inputs));
+            }
         }
+        let what = format!("mttkrp/r={r}");
+        assert_hash_is_coord_list_at_three_halves(&map_runs[0], &map_runs[1], &what);
     }
 }
 
