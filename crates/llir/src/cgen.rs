@@ -115,6 +115,25 @@ impl std::fmt::Display for NativeEmitError {
 
 impl std::error::Error for NativeEmitError {}
 
+/// The C dialect an emitted TU is written for: the one flag list of every
+/// `cc` run on it (the native backend's builds and the tests that compile
+/// a TU). `-fwrapv` and `-fno-strict-aliasing` pin the semantics the
+/// emitter assumes (wrapping i64, type-punned host buffers); the OpenMP
+/// SIMD flag honours [`LEAF_SIMD_PRAGMA`] and nothing else of OpenMP (no
+/// runtime, no threads); `-ffp-contract=off` keeps `a*b + c`
+/// two roundings, as the interpreter computes it, where the compiler would
+/// otherwise fuse it.
+pub const NATIVE_CC_FLAGS: [&str; 8] = [
+    "-std=c11",
+    "-O2",
+    "-fPIC",
+    "-shared",
+    "-fwrapv",
+    "-fno-strict-aliasing",
+    "-fopenmp-simd",
+    "-ffp-contract=off",
+];
+
 /// Emits the native C translation unit for a compiled kernel.
 ///
 /// # Errors
@@ -310,6 +329,11 @@ fn f64_lit(v: f64) -> String {
 /// it to pin which kernels change shape and which emit the C they always
 /// did.
 pub const LEAF_FAST_PATH_MARKER: &str = "/* taco: leaf fast path */";
+
+/// The line above the chunk loop of a fast path whose lanes are independent
+/// ([`LeafPlan::independent_lanes`](crate::leaf::LeafPlan::independent_lanes)).
+/// Tests count it; the native backend's flags make the compiler honour it.
+pub const LEAF_SIMD_PRAGMA: &str = "#pragma omp simd";
 
 // --- the emitter -------------------------------------------------------
 
@@ -525,8 +549,8 @@ impl Emitter<'_> {
                 }
                 self.line("for (int64_t _it = _lo; _it < _hi; _it++) {");
                 self.depth += 1;
-                if leaf.is_some() {
-                    self.leaf_fast_forward(*slot, body);
+                if let Some(plan) = leaf {
+                    self.leaf_fast_forward(*slot, body, plan.independent_lanes());
                 }
                 self.line("TACO_TICK(ctx);");
                 self.line(&format!("i{slot} = _it;"));
@@ -800,8 +824,11 @@ impl Emitter<'_> {
     /// stores that `_pre` says pass. The loop is thereby strip-mined by
     /// the tick grant; iteration accounting, fuse trips and supervision
     /// latency are those of the per-element loop, and while `_pre` holds
-    /// the poll is the only abort edge.
-    fn leaf_fast_forward(&mut self, slot: usize, body: &[RStmt]) {
+    /// the poll is the only abort edge. When the plan's lanes are
+    /// independent the chunk is an `omp simd` loop: it has no exit but its
+    /// end and no scalar carried from one iteration to the next, and no
+    /// `reduction` clause asks the compiler to reassociate anything.
+    fn leaf_fast_forward(&mut self, slot: usize, body: &[RStmt], simd: bool) {
         self.line("if (_pre) {");
         self.depth += 1;
         self.line(LEAF_FAST_PATH_MARKER);
@@ -811,6 +838,9 @@ impl Emitter<'_> {
         self.line("int64_t _end = _it + _n;");
         // The loop variable is a block-local shadow of its slot, so the
         // chunk is a plain counted loop over a local.
+        if simd {
+            self.line(LEAF_SIMD_PRAGMA);
+        }
         self.line(&format!("for (int64_t i{slot} = _it; i{slot} < _end; i{slot}++) {{"));
         self.depth += 1;
         self.stores_prechecked = true;
@@ -1165,6 +1195,7 @@ mod leaf_tests {
         for kernel in [fig2_spgemm(), merge_add()] {
             let c = tu(&kernel);
             assert_eq!(c.matches(LEAF_FAST_PATH_MARKER).count(), 0, "{c}");
+            assert_eq!(c.matches(LEAF_SIMD_PRAGMA).count(), 0, "{c}");
             assert!(!c.contains("_pre"), "{c}");
             // Every loop is the per-element loop: a tick per back-edge,
             // a range check per store.
@@ -1177,6 +1208,10 @@ mod leaf_tests {
     fn workspace_mttkrp_versions_exactly_its_two_dense_loops() {
         let c = tu(&workspace_mttkrp());
         assert_eq!(c.matches(LEAF_FAST_PATH_MARKER).count(), 2, "{c}");
+        // Both strips are independent lanes: the accumulation writes `w[j]`,
+        // the drain `A[i*r + j2]` and `w[j2]`, and neither touches a written
+        // array at any other index.
+        assert_eq!(c.matches(LEAF_SIMD_PRAGMA).count(), 2, "{c}");
         // The checked copy of each store is still there for when `_pre`
         // fails.
         assert_eq!(c.matches("ctx->fault(ctx, TACO_ERR_OOB").count(), 3, "{c}");
@@ -1190,8 +1225,10 @@ mod cc_tests {
     use super::*;
     use crate::{Expr, Kernel, Param, Stmt};
 
-    /// Compiles an emitted TU with the system C compiler when one is
-    /// present; prints a visible skip marker otherwise.
+    /// Compiles an emitted TU with the system C compiler, under the native
+    /// backend's flags, when one is present; prints a visible skip marker
+    /// otherwise. `-Wall` warns about a pragma the flags leave unknown, so a
+    /// `omp simd` the compiler would ignore fails this check.
     fn syntax_check(name: &str, src: &NativeSource) {
         let cc = std::env::var("CC").unwrap_or_else(|_| "cc".to_string());
         let dir = std::env::temp_dir().join(format!("taco-cgen-test-{}", std::process::id()));
@@ -1199,7 +1236,8 @@ mod cc_tests {
         let c_path = dir.join(format!("{name}.c"));
         std::fs::write(&c_path, &src.c_source).unwrap();
         let out = std::process::Command::new(&cc)
-            .args(["-std=c11", "-fsyntax-only", "-Wall", "-Werror"])
+            .args(NATIVE_CC_FLAGS)
+            .args(["-fsyntax-only", "-Wall", "-Werror"])
             .arg(&c_path)
             .output();
         match out {

@@ -15,7 +15,8 @@
 //! backends read the stored plan and neither classifies anything itself:
 //!
 //! * `cgen` reads the **store** terms ([`LeafPlan::stores`]) and emits the
-//!   versioned C loop (loads are unchecked in native code either way).
+//!   versioned C loop (loads are unchecked in native code either way), its
+//!   fast strip a SIMD loop when [`LeafPlan::independent_lanes`] holds.
 //! * the interpreter reads the [`Strip`], present when *every* access —
 //!   loads included — is decided: the terms of the entry precondition, a
 //!   prologue that evaluates the body's maximal loop-invariant
@@ -129,6 +130,34 @@ pub(crate) struct LeafPlan {
     pub(crate) stores: Vec<Access>,
     /// Present when the body's loads are all decided too.
     pub(crate) strip: Option<Strip>,
+}
+
+impl LeafPlan {
+    /// True when the iterations of the loop's fast strip are independent
+    /// lanes, so the native backend may run the strip as a SIMD loop:
+    /// every load is decided (the plan has a [`Strip`]), the body assigns no
+    /// scalar slot, and every array it stores to is loaded and stored at one
+    /// index, an [`LeafIndex::Affine`] one. Lane `i` then touches element
+    /// `inv + i` of a written array and no other, and reads the rest of what
+    /// it reads from arrays no lane writes: no lane sees another lane's
+    /// store, in any order.
+    pub(crate) fn independent_lanes(&self) -> bool {
+        let Some(strip) = &self.strip else { return false };
+        !assigns(&strip.body)
+            && self.stores.iter().all(|(arr, _)| {
+                let mut forms = strip.accesses.iter().filter(|(a, _)| a == arr);
+                matches!((forms.next(), forms.next()), (Some((_, LeafIndex::Affine(_))), None))
+            })
+    }
+}
+
+/// True when a straight-line body assigns a scalar slot anywhere.
+fn assigns(body: &[RStmt]) -> bool {
+    body.iter().any(|s| match s {
+        RStmt::AssignI(..) | RStmt::AssignF(..) | RStmt::AssignB(..) => true,
+        RStmt::If(_, t, e) => assigns(t) || assigns(e),
+        _ => false,
+    })
 }
 
 /// The interpreter's half of a [`LeafPlan`]: everything it needs to run

@@ -55,7 +55,8 @@ pub use alloc::{elem_bytes, BudgetMeter};
 pub use budget::{BudgetEnvError, BudgetResource, ResourceBudget};
 pub use cgen::{
     emit_native, AbiArray, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
-    ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, TACO_KERNEL_H,
+    ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, LEAF_SIMD_PRAGMA,
+    NATIVE_CC_FLAGS, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};
 pub use exec::{

@@ -29,7 +29,7 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Instant, UNIX_EPOCH};
-use taco_llir::{NativeSource, ABI_VERSION, ENTRY_SYMBOL};
+use taco_llir::{NativeSource, ABI_VERSION, ENTRY_SYMBOL, NATIVE_CC_FLAGS};
 
 /// The on-disk cache directory: `$TACO_NATIVE_CACHE` when set, otherwise
 /// a versioned directory under the system temp dir.
@@ -39,11 +39,6 @@ pub fn cache_dir() -> PathBuf {
         _ => std::env::temp_dir().join(format!("taco-native-cache-abi{ABI_VERSION}")),
     }
 }
-
-/// -fwrapv / -fno-strict-aliasing pin down the C semantics the emitter
-/// assumes (wrapping i64, type-punned host buffers).
-const FLAGS: [&str; 6] =
-    ["-std=c11", "-O2", "-fPIC", "-shared", "-fwrapv", "-fno-strict-aliasing"];
 
 /// Distinguishes the temporaries of concurrent compiler runs in one process:
 /// two threads may build the same artifact at once on a cold cache.
@@ -120,7 +115,8 @@ impl NativeCompiler {
         })?;
         let mtime = meta.modified().ok().and_then(|t| t.duration_since(UNIX_EPOCH).ok());
         let mtime = mtime.map_or(0, |d| d.as_nanos());
-        let identity = format!("{}\0{}\0{mtime}\0{}", path.display(), meta.len(), FLAGS.join("\0"));
+        let flags = NATIVE_CC_FLAGS.join("\0");
+        let identity = format!("{}\0{}\0{mtime}\0{flags}", path.display(), meta.len());
         let toolchain = fnv1a(identity.as_bytes());
         Ok(NativeCompiler { cc: path, toolchain, cache, health: Arc::default() })
     }
@@ -183,7 +179,7 @@ impl NativeCompiler {
         std::fs::write(&c_path, c_source).map_err(|e| format!("writing TU: {e}"))?;
         // -lm gives the .so its own libm dependency for fmod/fmin.
         let out = Command::new(&self.cc)
-            .args(FLAGS)
+            .args(NATIVE_CC_FLAGS)
             .arg("-o")
             .arg(&tmp_so)
             .arg(&c_path)

@@ -94,7 +94,7 @@ mod tests {
     use taco_llir::{
         emit_native, Aborted, ArrayTy, Binding, BudgetResource, ExecReport, Executable, Expr,
         Kernel, KernelBody, Param, ResourceBudget, RunError, Stmt, Supervisor, WorkspaceKind,
-        LEAF_FAST_PATH_MARKER, SUPERVISION_STRIDE,
+        LEAF_FAST_PATH_MARKER, LEAF_SIMD_PRAGMA, NATIVE_CC_FLAGS, SUPERVISION_STRIDE,
     };
 
     /// A working compiler, or a visible skip marker: resolving `$CC` spawns
@@ -385,6 +385,8 @@ mod tests {
     #[test]
     fn fuse_trips_inside_a_strip_mined_leaf_loop_at_the_interpreters_iteration() {
         let Some((native, exe)) = build(&offset_scale_kernel()) else { return };
+        // `out[off + i]` is its only access of `out`: a SIMD strip.
+        assert_eq!(emit_native(&exe).unwrap().c_source.matches(LEAF_SIMD_PRAGMA).count(), 1);
         let b = offset_scale_binding(5000, 0, 5000);
         for limit in [1500, 1023, 1024, 1025, 4999] {
             let budget = ResourceBudget::unlimited().with_max_loop_iterations(limit);
@@ -405,7 +407,8 @@ mod tests {
     #[test]
     fn cancellation_inside_a_leaf_loop_is_observed_within_one_stride() {
         let Some((native, exe)) = build(&scale_kernel()) else { return };
-        assert!(emit_native(&exe).unwrap().c_source.contains(LEAF_FAST_PATH_MARKER));
+        let src = emit_native(&exe).unwrap().c_source;
+        assert!(src.contains(LEAF_FAST_PATH_MARKER) && src.contains(LEAF_SIMD_PRAGMA), "{src}");
         let cancel = AtomicBool::new(true);
         let mut nb = Binding::new();
         nb.set_scalar("n", 1_000_000);
@@ -423,6 +426,277 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, RunError::Cancelled);
+    }
+
+    // --- SIMD strips ------------------------------------------------------
+
+    /// `for i in [lo, hi) { body }` over input `x`, a one-element input `s`
+    /// (the `a` of `a*x[i]`), in-out `y` and `z`, with scalars `c` and the
+    /// scalar output `t`.
+    fn simd_shape(body: Vec<Stmt>) -> Kernel {
+        Kernel::new("simd_shape")
+            .scalar_param("lo")
+            .scalar_param("hi")
+            .scalar_param("c")
+            .array_param(Param::input("x", ArrayTy::F64))
+            .array_param(Param::input("s", ArrayTy::F64))
+            .array_param(Param::inout("y", ArrayTy::F64))
+            .array_param(Param::inout("z", ArrayTy::F64))
+            .scalar_output("t")
+            .body(vec![
+                Stmt::DeclInt("t".into(), Expr::int(0)),
+                Stmt::for_("i", Expr::var("lo"), Expr::var("hi"), body),
+            ])
+    }
+
+    /// Values whose sums and products round differently in every order.
+    fn noisy(n: usize, seed: u64) -> Vec<f64> {
+        (0..n as u64).map(|k| ((k * 7919 + seed) % 1009) as f64 / 97.0 - 5.0).collect()
+    }
+
+    /// `i` over `[1, n - 1)`, so `x[i ± 1]` stays in range: the native
+    /// backend does not check loads.
+    fn simd_binding(n: usize) -> Binding {
+        let mut b = Binding::new();
+        b.set_scalar("lo", 1).set_scalar("hi", n as i64 - 1).set_scalar("c", 2);
+        b.set_f64("x", noisy(n, 3));
+        b.set_f64("s", vec![1.37]);
+        b.set_f64("y", noisy(n, 11));
+        b.set_f64("z", noisy(4, 5));
+        b
+    }
+
+    /// Runs `binding` on both bodies, unlimited, and compares the bits of
+    /// the float `arrays` and the scalar output `t`, where there is one.
+    fn assert_bitwise(
+        (native, exe): (&NativeKernel, &Executable),
+        binding: &Binding,
+        arrays: &[&str],
+        what: &str,
+    ) {
+        let unlimited = ResourceBudget::unlimited();
+        let (mut nb, mut ib) = (binding.clone(), binding.clone());
+        native.run(&mut nb, &unlimited, NativeRunOptions::default()).unwrap();
+        exe.run_with_budget(&mut ib, &unlimited).unwrap();
+        let bits = |b: &Binding| -> Vec<u64> {
+            let values = arrays.iter().flat_map(|a| b.f64_array(a).unwrap());
+            values.map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&nb), bits(&ib), "{what}");
+        assert_eq!(nb.scalar_output("t"), ib.scalar_output("t"), "{what}");
+    }
+
+    /// Sec. VII's workspace MTTKRP as the lowering emits it, over a CSF `B`:
+    /// `w[j] += B[pl] * C[l*r + j]` per stored `(i, k, l)`, then, per
+    /// `(i, k)`, `A[i*r + j] += w[j] * D[k*r + j]; w[j] = 0`.
+    fn mttkrp_kernel() -> Kernel {
+        let v = Expr::var;
+        let ld = Expr::load;
+        let accumulate = Stmt::for_(
+            "j",
+            Expr::int(0),
+            v("r"),
+            vec![Stmt::store_add(
+                "w",
+                v("j"),
+                ld("B_vals", v("pl")) * ld("C", v("l") * v("r") + v("j")),
+            )],
+        );
+        let drain = Stmt::for_(
+            "j2",
+            Expr::int(0),
+            v("r"),
+            vec![
+                Stmt::store_add(
+                    "A",
+                    v("i") * v("r") + v("j2"),
+                    ld("w", v("j2")) * ld("D", v("k") * v("r") + v("j2")),
+                ),
+                Stmt::store("w", v("j2"), Expr::float(0.0)),
+            ],
+        );
+        let fiber = |p: &str, level: &str, parent: Expr, coord: &str, mut body: Vec<Stmt>| {
+            let (pos, crd) = (format!("{level}_pos"), format!("{level}_crd"));
+            body.insert(0, Stmt::DeclInt(coord.into(), Expr::load(&crd, Expr::var(p))));
+            let lo = Expr::load(&pos, parent.clone());
+            Stmt::for_(p, lo, Expr::load(&pos, parent + Expr::int(1)), body)
+        };
+        let l_loop = fiber("pl", "B3", v("pk"), "l", vec![accumulate]);
+        let k_loop = fiber("pk", "B2", v("pi"), "k", vec![l_loop, drain]);
+        let i_loop = fiber("pi", "B1", Expr::int(0), "i", vec![k_loop]);
+        let mut kernel = Kernel::new("mttkrp").scalar_param("r");
+        for level in ["B1", "B2", "B3"] {
+            kernel = kernel
+                .array_param(Param::input(format!("{level}_pos"), ArrayTy::Int))
+                .array_param(Param::input(format!("{level}_crd"), ArrayTy::Int));
+        }
+        kernel
+            .array_param(Param::input("B_vals", ArrayTy::F64))
+            .array_param(Param::input("C", ArrayTy::F64))
+            .array_param(Param::input("D", ArrayTy::F64))
+            .array_param(Param::output("A", ArrayTy::F64))
+            .body(vec![
+                Stmt::Memset { arr: "A".into(), val: Expr::float(0.0) },
+                Stmt::Alloc { arr: "w".into(), ty: ArrayTy::F64, len: v("r") },
+                i_loop,
+            ])
+    }
+
+    /// A 3 × 4 × 5 CSF `B` that stores `(i, k, l)` when `i + 2k + l` is not
+    /// a multiple of 3, dense `C` and `D`, rank `r`.
+    fn mttkrp_binding(r: usize) -> Binding {
+        let (di, dk, dl) = (3usize, 4usize, 5usize);
+        let (mut p2, mut c2, mut p3, mut c3) = (vec![0], vec![], vec![0], vec![]);
+        for i in 0..di {
+            for k in 0..dk {
+                c2.push(k as i64);
+                c3.extend((0..dl).filter(|l| (i + 2 * k + l) % 3 != 0).map(|l| l as i64));
+                p3.push(c3.len() as i64);
+            }
+            p2.push(c2.len() as i64);
+        }
+        let mut b = Binding::new();
+        b.set_scalar("r", r as i64);
+        b.set_int("B1_pos", vec![0, di as i64]).set_int("B1_crd", (0..di as i64).collect());
+        b.set_f64("B_vals", noisy(c3.len(), 7));
+        b.set_int("B2_pos", p2).set_int("B2_crd", c2).set_int("B3_pos", p3).set_int("B3_crd", c3);
+        b.set_f64("C", noisy(dl * r, 13)).set_f64("D", noisy(dk * r, 17));
+        b.set_f64("A", vec![0.0; di * r]);
+        b
+    }
+
+    #[test]
+    fn independent_strips_carry_the_simd_pragma_and_match_the_interpreter_bitwise() {
+        let (v, ld) = (Expr::var, Expr::load);
+        let (i, one) = (|| v("i"), || Expr::int(1));
+        let a = || ld("s", Expr::int(0));
+        let x = |idx: Expr| ld("x", idx);
+        let y = |idx: Expr| ld("y", idx);
+        let recurrence = |at: Expr| vec![Stmt::store("y", i(), a() * y(at) + x(i()))];
+        // (shape, kernel, strips that carry the pragma)
+        let table = [
+            ("y[i] = a*y[i-1] + x[i]", recurrence(i() - one()), 0),
+            ("y[i] = a*y[i+1] + x[i]", recurrence(i() + one()), 0),
+            (
+                "y[i] = x[i]; y[i+1] += a*x[i]",
+                vec![
+                    Stmt::store("y", i(), x(i())),
+                    Stmt::store_add("y", i() + one(), a() * x(i())),
+                ],
+                0,
+            ),
+            ("z[c] += a*x[i]", vec![Stmt::store_add("z", v("c"), a() * x(i()))], 0),
+            (
+                "f = a*x[i]; y[i] = f + y[i]; t += i",
+                vec![
+                    Stmt::DeclFloat("f".into(), a() * x(i())),
+                    Stmt::store("y", i(), v("f") + y(i())),
+                    Stmt::Assign("t".into(), v("t") + i()),
+                ],
+                0,
+            ),
+            ("y[i] = a*x[i] + y[i]", vec![Stmt::store("y", i(), a() * x(i()) + y(i()))], 1),
+            (
+                "z[c + i] = x[i+1]; y[i] = y[i] * x[i-1]",
+                vec![
+                    Stmt::store("z", v("c") + i(), x(i() + one())),
+                    Stmt::store("y", i(), y(i()) * x(i() - one())),
+                ],
+                1,
+            ),
+        ];
+        for (shape, body, simd) in table {
+            let kernel = simd_shape(body);
+            let src = emit_native(&Executable::compile(&kernel).unwrap()).unwrap().c_source;
+            assert_eq!(src.matches(LEAF_FAST_PATH_MARKER).count(), 1, "{shape}");
+            assert_eq!(src.matches(LEAF_SIMD_PRAGMA).count(), simd, "{shape}");
+            let Some((native, exe)) = build(&kernel) else { return };
+            // The last shape stores `z` at `c + i`: keep `z` long enough.
+            let mut binding = simd_binding(2600);
+            binding.set_f64("z", noisy(2602, 5));
+            let unlimited = ResourceBudget::unlimited();
+            let (n, i) = run_both(&native, &exe, &binding, &unlimited);
+            assert_eq!((n, i), (Ok(2598), Ok(2598)), "{shape}");
+            assert_bitwise((&native, &exe), &binding, &["y", "z"], shape);
+        }
+
+        let kernel = mttkrp_kernel();
+        let src = emit_native(&Executable::compile(&kernel).unwrap()).unwrap().c_source;
+        assert_eq!(src.matches(LEAF_SIMD_PRAGMA).count(), 2, "MTTKRP's two strips");
+        let Some((native, exe)) = build(&kernel) else { return };
+        // Ranks below, at and past a vector width, odd and even.
+        for r in [1, 2, 3, 5, 16, 17] {
+            let binding = mttkrp_binding(r);
+            let (n, i) = run_both(&native, &exe, &binding, &ResourceBudget::unlimited());
+            assert_eq!(n, i, "rank {r}");
+            assert_bitwise((&native, &exe), &binding, &["A"], &format!("rank {r}"));
+        }
+    }
+
+    /// `<file>:<line>:<col>: optimized: loop vectorized …` lines of GCC's
+    /// vectoriser report, by line.
+    fn vectorised_lines(report: &str, file: &str) -> Vec<usize> {
+        let at = format!("{file}:");
+        report
+            .lines()
+            .filter(|l| l.contains("loop vectorized"))
+            .filter_map(|l| l.split_once(&at)?.1.split(':').next()?.parse().ok())
+            .collect()
+    }
+
+    /// The pragma is worth its `cc` time only while the compiler does
+    /// vectorise the strips: GCC's vectoriser report must name the chunk
+    /// loop under each pragma of the MTTKRP TU. A compiler that does not
+    /// take the report flag, or that vectorises not even a one-line SIMD
+    /// loop (GCC under the sanitizers, whose checks keep every access
+    /// scalar), skips the check.
+    #[test]
+    fn both_mttkrp_strips_are_vectorised() {
+        let Some(cc) = compiler() else { return };
+        let dir = std::env::temp_dir().join(format!("taco-vec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let report = |name: &str, source: &str| {
+            let c_path = dir.join(format!("{name}.c"));
+            std::fs::write(&c_path, source).unwrap();
+            std::process::Command::new(cc.cc())
+                .args(NATIVE_CC_FLAGS)
+                .arg("-fopt-info-vec-optimized")
+                .arg("-o")
+                .arg(dir.join(format!("{name}.so")))
+                .arg(&c_path)
+                .output()
+                .unwrap()
+        };
+        let probe = format!(
+            "void taco_probe(double* restrict a, const double* restrict b, long n) {{\n\
+             {LEAF_SIMD_PRAGMA}\n\
+             for (long i = 0; i < n; i++) a[i] = 2.0 * b[i];\n}}\n"
+        );
+        let out = report("probe", &probe);
+        let probed = vectorised_lines(&String::from_utf8_lossy(&out.stderr), "probe.c");
+        if !out.status.success() || probed.is_empty() {
+            eprintln!("SKIPPED: `{}` reports no vectorised loop", cc.cc().display());
+            return;
+        }
+        let src = emit_native(&Executable::compile(&mttkrp_kernel()).unwrap()).unwrap().c_source;
+        let out = report("mttkrp", &src);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let said = String::from_utf8_lossy(&out.stderr);
+        // The line named is the loop's `for` or one of its body's.
+        let vectorised = vectorised_lines(&said, "mttkrp.c");
+        let pragmas: Vec<usize> = src
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| line.trim() == LEAF_SIMD_PRAGMA)
+            .map(|(n, _)| n + 1)
+            .collect();
+        assert_eq!(pragmas.len(), 2, "{src}");
+        for pragma in pragmas {
+            assert!(
+                vectorised.iter().any(|&line| line > pragma && line <= pragma + 3),
+                "the strip under line {pragma} is not vectorised:\n{said}"
+            );
+        }
     }
 
     #[test]

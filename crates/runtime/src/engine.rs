@@ -11,7 +11,7 @@ use crate::tuner::{
 use crate::{EngineError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use taco_core::{
     enumerate_candidates_for, CompiledKernel, CoreError, DegradeRung, ExecReport, FallbackEvent,
     FrontHalf, IndexStmt, ResourceBudget, Supervisor, VerifyMode,
@@ -27,9 +27,11 @@ pub struct EngineConfig {
     /// engine (and folded into the cache key, so the same statement under a
     /// different budget class is a different kernel). Default unlimited.
     pub budget: ResourceBudget,
-    /// Wall-clock budget for one autotune search. Once a viable candidate
-    /// is in hand, no new candidate is timed past this deadline. Default
-    /// 250 ms.
+    /// Wall-clock cap on the runner-up check of an autotune search: the
+    /// check's run ends at the leader's time or at this deadline, whichever
+    /// comes first. Zero runs no check at all. Whether the check runs is
+    /// never decided by the clock, so two engines that differ only here
+    /// compile the same kernels. Default 250 ms.
     pub tuning_deadline: Duration,
     /// Ring-buffer capacity of [`Engine::last_events`]; oldest events are
     /// dropped beyond it. Default 256.
@@ -92,7 +94,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the wall-clock budget for one autotune search.
+    /// Sets the wall-clock cap on an autotune search's runner-up check;
+    /// zero runs no check.
     #[must_use]
     pub fn tuning_deadline(mut self, deadline: Duration) -> EngineBuilder {
         self.config.tuning_deadline = deadline;
@@ -530,10 +533,12 @@ impl Engine {
     ///
     /// The **reply** is a run of the predicted best under the engine budget;
     /// the ranking is walked further only when a candidate fails to compile
-    /// or aborts. Then, if [`EngineConfig::tuning_deadline`] has not passed,
+    /// or aborts. Then, unless [`EngineConfig::tuning_deadline`] is zero,
     /// the best candidate predicted *strictly worse* is the **check**: it is
     /// finished and run once, its own conversion on the clock, with the
-    /// leader's time as its deadline. It takes the decision only if it
+    /// leader's time or the tuning deadline, whichever is shorter, as its
+    /// deadline. Whether it runs depends on the ranking alone, never on how
+    /// long the search has taken so far. It takes the decision only if it
     /// completes having done *less work* than the leader (metered iterations
     /// plus conversion entries — the bound that ranked it was loose), faster,
     /// *and* the leader, run again with the challenger's time as its
@@ -582,7 +587,6 @@ impl Engine {
             return Ok(TunedOutcome { result, schedule, tuned: false });
         }
 
-        let started = Instant::now();
         let candidates = enumerate_candidates_for(stmt, &opts);
         let total = candidates.len();
         let mut sets: HashMap<Vec<(String, Format)>, ConversionSet> = HashMap::new();
@@ -617,11 +621,12 @@ impl Engine {
         // which is what timed the leader's first run (an untrusted native
         // kernel commits the interpreter's result), so a candidate about to
         // lose never costs a compiler run.
-        let in_time = started.elapsed() < self.config.tuning_deadline;
+        let deadline = self.config.tuning_deadline;
         let checkable = |r: &Ranked| r.predicted > best.predicted;
-        if let Some(mut of) = ranked.find(checkable).filter(|_| in_time) {
+        if let Some(mut of) = ranked.find(checkable).filter(|_| !deadline.is_zero()) {
             let interp = Backend::Interp;
-            let run = attempt(&mut of, Some(reply.nanos), interp);
+            let limit = reply.nanos.min(u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX));
+            let run = attempt(&mut of, Some(limit), interp);
             viable += usize::from(run.is_some());
             checked = Some((of.cand.name.clone(), of.predicted, run.as_ref().map(|run| run.nanos)));
             // The clock may confirm a misranking the meter has shown — the
@@ -669,12 +674,14 @@ impl Engine {
         backend: Backend,
     ) -> Option<TunedRun> {
         let (conversion_entries, conversion_nanos) = of.conversion;
+        // Compiled before the clock is read: which kernels a search compiles
+        // does not depend on how fast anything ran.
+        let (kernel, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
         let mut supervisor = Supervisor::new().with_budget(self.config.budget);
         if let Some(limit) = deadline {
             let left = limit.checked_sub(conversion_nanos)?;
             supervisor = supervisor.with_deadline(Duration::from_nanos(left));
         }
-        let (kernel, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
         let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
         let (result, report, _) =
             self.run_kernel(&kernel, &operands, None, Some(&supervisor), backend).ok()?;

@@ -521,6 +521,29 @@ fn a_decision_replays_its_candidate_without_consulting_the_space() {
 }
 
 #[test]
+fn the_tuning_deadline_caps_the_check_and_never_decides_whether_it_runs() {
+    // Whether the runner-up check runs is decided by the ranking alone: a
+    // deadline too short for any run still compiles and starts the check,
+    // so two engines that differ only in the deadline log the same events.
+    let n = 16;
+    let stmt = unscheduled_spgemm(n);
+    let (b, c) = operands(n);
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let events = |deadline: Duration| {
+        let engine =
+            Engine::builder().backend(Backend::Interp).tuning_deadline(deadline).build();
+        for _ in 0..6 {
+            engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
+        }
+        (engine.last_events().len(), engine.cache_stats().compiles)
+    };
+    let (short, long) = (events(Duration::from_nanos(1)), events(Duration::from_secs(60)));
+    assert_eq!(short, long, "(events, compiles) at 1 ns and at 60 s");
+    assert_eq!(short.1, 2, "the reply and the check");
+    assert_eq!(events(Duration::ZERO).1, 1, "a zero deadline runs no check");
+}
+
+#[test]
 fn a_tuned_reply_keeps_the_callers_workspace_kind() {
     // The tuner searches schedules; storage is the caller's. A search asked
     // for hash workspaces replies with a hash kernel: the one kernel it

@@ -16,6 +16,7 @@ use taco_core::oracle::eval_dense;
 use taco_llir::{
     emit_native, run_body, ArrayTy, ArrayVal, Binding, Buf, BudgetResource, Executable, Expr,
     Kernel, KernelBody, Param, RunControls, RunError, Stmt, LEAF_FAST_PATH_MARKER,
+    LEAF_SIMD_PRAGMA,
 };
 use taco_lower::params::{crd_name, pos_name};
 use taco_native::{NativeCompiler, NativeKernel, NativeRunOptions};
@@ -412,14 +413,18 @@ fn native_mttkrp_byte_identical_across_workspace_kinds() {
 
 /// The unit-level form of the benchmark's "must not move": of its three
 /// paper kernels only the workspace MTTKRP has straight-line leaf loops
-/// (its two dense rank loops); the Fig. 2 SpGEMM and the three-way merge
-/// addition emit no versioned loop, i.e. the C they always did.
+/// (its two dense rank loops, both SIMD strips); the Fig. 2 SpGEMM and the
+/// three-way merge addition emit no versioned loop, i.e. the C they always
+/// did.
 #[test]
 fn only_the_mttkrp_of_the_paper_kernels_has_versioned_leaf_loops() {
     let fast_paths = |stmt: &IndexStmt, opts: LowerOptions| {
         let kernel = stmt.compile(opts).unwrap();
         let tu = emit_native(kernel.executable()).unwrap().c_source;
-        tu.matches(LEAF_FAST_PATH_MARKER).count()
+        let (paths, simd) =
+            (tu.matches(LEAF_FAST_PATH_MARKER).count(), tu.matches(LEAF_SIMD_PRAGMA).count());
+        assert_eq!(paths, simd, "every strip of the paper kernels is independent lanes");
+        paths
     };
     assert_eq!(fast_paths(&scheduled_spgemm(512), LowerOptions::fused("spgemm")), 0);
 
@@ -521,7 +526,12 @@ fn compiled_leaf_kernels() -> Option<&'static [(NativeKernel, Executable)]> {
                 let exe = Executable::compile(&kernel).unwrap();
                 let src = emit_native(&exe).unwrap();
                 // Each has the spin loop and its own: two versioned loops.
+                // The empty spin loop is a SIMD strip; so is each shape's own
+                // loop but the invariant accumulation and the two stores
+                // into one array.
                 assert_eq!(src.c_source.matches(LEAF_FAST_PATH_MARKER).count(), 2, "leaf{n}");
+                let simd = if matches!(n, 1 | 2) { 1 } else { 2 };
+                assert_eq!(src.c_source.matches(LEAF_SIMD_PRAGMA).count(), simd, "leaf{n}");
                 (cc.compile(&src, 0x1eaf_0000 + n as u64).expect("leaf kernel compiles"), exe)
             };
             Some(leaf_kernels().into_iter().enumerate().map(build).collect())

@@ -5,12 +5,13 @@
 //! every schedule candidate of the three paper kernels, under every
 //! workspace kind it lowers with.
 //!
-//! With a system C compiler the check is `-fsyntax-only`; without one the
-//! test degrades to structural golden assertions and says so visibly.
+//! With a system C compiler the check is `-fsyntax-only` under the native
+//! backend's flags; without one the test degrades to structural golden
+//! assertions and says so visibly.
 
 use std::process::Command;
 use taco_core::enumerate_candidates;
-use taco_llir::{emit_native, TACO_KERNEL_H};
+use taco_llir::{emit_native, NATIVE_CC_FLAGS, TACO_KERNEL_H};
 use taco_workspaces::prelude::*;
 
 fn iv(n: &str) -> IndexVar {
@@ -69,7 +70,8 @@ fn syntax_checker() -> Option<String> {
     let probe = dir.join("probe.c");
     std::fs::write(&probe, "int main(void) { return 0; }\n").ok()?;
     let ok = Command::new(&cc)
-        .args(["-std=c11", "-fsyntax-only"])
+        .args(NATIVE_CC_FLAGS)
+        .arg("-fsyntax-only")
         .arg(&probe)
         .output()
         .map(|o| o.status.success())
@@ -85,7 +87,8 @@ fn assert_compiles(cc: &str, source: &str, what: &str, seq: usize) {
     let path = dir.join(format!("tu-{seq}.c"));
     std::fs::write(&path, source).unwrap();
     let out = Command::new(cc)
-        .args(["-std=c11", "-fsyntax-only"])
+        .args(NATIVE_CC_FLAGS)
+        .arg("-fsyntax-only")
         .arg(&path)
         .output()
         .expect("spawning the probed compiler");
