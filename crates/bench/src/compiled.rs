@@ -19,7 +19,7 @@ use taco_ir::notation::IndexAssignment;
 use taco_kernels::mttkrp::DenseMat;
 use taco_lower::LowerOptions;
 use taco_runtime::{Backend, Engine, EngineEvent, NativeStats};
-use taco_tensor::{Csr, Format, Tensor};
+use taco_tensor::{Csr, Format, LevelType, Tensor};
 
 /// A scheduled statement and how it is lowered: one compiled kernel.
 #[derive(Debug, Clone)]
@@ -32,12 +32,13 @@ fn iv(name: &str) -> IndexVar {
     IndexVar::new(name)
 }
 
-/// The Fig. 2 SpGEMM `A = B·C`, all CSR: `reorder(k, j)` to linear
+/// The Fig. 2 SpGEMM `A = B·C` over CSR operands: `reorder(k, j)` to linear
 /// combinations of rows, then `B·C` precomputed into a dense row workspace.
-/// Fused assembly with sorted rows; `.unsorted()` leaves rows in scatter
-/// order.
+/// Fused assembly into a CSR result (`sorted`) or a `(d,h)` one, whose rows
+/// stay in scatter order.
 pub fn spgemm(m: usize, k: usize, n: usize, sorted: bool) -> Kernel {
-    let a = TensorVar::new("A", vec![m, n], Format::csr());
+    let rows = if sorted { LevelType::Compressed } else { LevelType::Hashed };
+    let a = TensorVar::new("A", vec![m, n], Format::new(vec![LevelType::Dense, rows]));
     let b = TensorVar::new("B", vec![m, k], Format::csr());
     let c = TensorVar::new("C", vec![k, n], Format::csr());
     let (i, j, kv) = (iv("i"), iv("j"), iv("k"));
@@ -47,8 +48,7 @@ pub fn spgemm(m: usize, k: usize, n: usize, sorted: bool) -> Kernel {
     stmt.reorder(&kv, &j).expect("SpGEMM reorders to rows");
     let w = TensorVar::new("w", vec![n], Format::dvec());
     stmt.precompute(&mul, &[(j.clone(), j.clone(), j)], &w).expect("SpGEMM workspace");
-    let opts = LowerOptions::fused("spgemm");
-    Kernel { stmt, opts: if sorted { opts } else { opts.unsorted() } }
+    Kernel { stmt, opts: LowerOptions::fused("spgemm") }
 }
 
 /// Which MTTKRP schedule to build ([`mttkrp`]).

@@ -66,9 +66,9 @@ impl Fig11Row {
     }
 }
 
-/// Runs the Figure 11 experiment: the Fig. 2 SpGEMM compiled sorted against
-/// the Eigen-style baseline and `.unsorted()` against the MKL-style one, on
-/// every Table I matrix at densities 4E-4 and 1E-4.
+/// Runs the Figure 11 experiment: the Fig. 2 SpGEMM compiled into CSR
+/// against the Eigen-style baseline and into `(d,h)` against the MKL-style
+/// one, on every Table I matrix at densities 4E-4 and 1E-4.
 pub fn fig11(scale: f64, reps: usize) -> Figure<Fig11Row> {
     let h = Harness::new();
     let work: Vec<_> = fig11_workloads(scale)

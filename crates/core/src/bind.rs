@@ -46,7 +46,7 @@ pub(crate) fn bind_operand(
     Ok(())
 }
 
-/// The result's append (compressed) level, if any. Uses the checked
+/// The result's append (compressed or hashed) level, if any. Uses the checked
 /// [`Format::level`] accessor so a malformed result format surfaces as a
 /// typed error at bind time rather than a panic.
 fn result_append_level(var: &TensorVar) -> Result<Option<usize>> {
@@ -124,8 +124,8 @@ pub(crate) fn bind_result(
 
 /// Extracts the result tensor after a run. The kernel owned the result
 /// buffers during the run, so they are untrusted: sparse results go through
-/// [`Tensor::from_appended_level`]'s one checked pass, which also restores
-/// order where an unsorted-assembly kernel left segments unordered.
+/// [`Tensor::from_appended_level`]'s one checked pass. A hashed result keeps
+/// the drain's order; a compressed one is left sorted.
 pub(crate) fn extract_result(
     b: &Binding,
     var: &TensorVar,

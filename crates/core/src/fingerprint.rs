@@ -231,7 +231,6 @@ fn hash_opts(h: &mut Fnv64, opts: &LowerOptions) {
         KernelKind::Assemble => 1,
         KernelKind::Fused => 2,
     });
-    h.write_tag(opts.sort_output as u8);
     h.write_tag(opts.f32_workspaces as u8);
     // The workspace storage backend changes the lowered idiom entirely
     // (array scatter/drain vs. map scatter/sorted drain).
@@ -272,8 +271,12 @@ mod tests {
     use taco_tensor::Format;
 
     fn spgemm(fmt: Format) -> ConcreteStmt {
+        spgemm_into(fmt.clone(), fmt)
+    }
+
+    fn spgemm_into(result: Format, fmt: Format) -> ConcreteStmt {
         let n = 16;
-        let a = TensorVar::new("A", vec![n, n], fmt.clone());
+        let a = TensorVar::new("A", vec![n, n], result);
         let b = TensorVar::new("B", vec![n, n], fmt.clone());
         let c = TensorVar::new("C", vec![n, n], fmt);
         let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
@@ -300,11 +303,10 @@ mod tests {
         let opts = LowerOptions::fused("k");
         let csr = fingerprint(&spgemm(Format::csr()), &opts, &b);
         assert_ne!(csr, fingerprint(&spgemm(Format::dcsr()), &opts, &b), "format signature");
-        assert_ne!(
-            csr,
-            fingerprint(&spgemm(Format::csr()), &opts.clone().unsorted(), &b),
-            "lower options"
-        );
+        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+        assert_ne!(csr, fingerprint(&spgemm_into(dh, Format::csr()), &opts, &b), "result order");
+        let assemble = LowerOptions::assemble("k");
+        assert_ne!(csr, fingerprint(&spgemm(Format::csr()), &assemble, &b), "lower options");
         assert_ne!(
             csr,
             fingerprint(

@@ -30,10 +30,6 @@ pub struct LowerOptions {
     pub name: String,
     /// Kernel kind.
     pub kind: KernelKind,
-    /// Sort workspace coordinate lists before appending them to the result
-    /// (Figure 8 line 23: "the sort is optional and only needed if the
-    /// result must be ordered").
-    pub sort_output: bool,
     /// Allocate workspaces in single precision (the mixed-precision option
     /// of Section III).
     pub f32_workspaces: bool,
@@ -57,7 +53,6 @@ impl LowerOptions {
         LowerOptions {
             name: name.into(),
             kind: KernelKind::Compute,
-            sort_output: true,
             f32_workspaces: false,
             num_threads: None,
             workspace_kind: WorkspaceKind::Dense,
@@ -72,12 +67,6 @@ impl LowerOptions {
     /// Assembly (symbolic) options with the given name.
     pub fn assemble(name: impl Into<String>) -> LowerOptions {
         LowerOptions { kind: KernelKind::Assemble, ..LowerOptions::compute(name) }
-    }
-
-    /// Disables output sorting (MKL-style unsorted results, Section VIII-B).
-    pub fn unsorted(mut self) -> LowerOptions {
-        self.sort_output = false;
-        self
     }
 
     /// Enables single-precision workspaces.
@@ -311,8 +300,10 @@ struct Lowerer<'o> {
     opts: &'o LowerOptions,
     result: TensorVar,
     result_access: Access,
-    /// Innermost level of the result if compressed.
+    /// Innermost level of the result if compressed or hashed.
     result_sparse_level: Option<usize>,
+    /// Whether the result's appended level is ordered, so a drain sorts.
+    result_ordered: bool,
     operands: Vec<TensorVar>,
     /// First access seen per tensor (operands and result).
     access_map: HashMap<String, Access>,
@@ -397,10 +388,11 @@ impl<'o> Lowerer<'o> {
 
         // Validate result format by capability: every level must support
         // either random insert (dense) or appending, and an append level is
-        // only assemblable at the innermost position in storage order.
-        // Branchless (singleton), unordered (hashed), and mode-reordered
-        // results have no append idiom here; they are produced by computing
-        // into a supported format and converting afterwards.
+        // only assemblable at the innermost position in storage order. An
+        // unordered (hashed) one is appended in drain order, unsorted.
+        // Branchless (singleton) and mode-reordered results have no append
+        // idiom here; they are produced by computing into a supported format
+        // and converting afterwards.
         if !result.format().is_identity_order() {
             return Err(LowerError::UnsupportedResultFormat(result_name.clone()));
         }
@@ -410,7 +402,7 @@ impl<'o> Lowerer<'o> {
             if lt.has_insert() {
                 continue;
             }
-            if lt.has_append() && lt.is_ordered() && l + 1 == result.rank() {
+            if lt.has_append() && l + 1 == result.rank() {
                 result_sparse_level = Some(l);
             } else {
                 return Err(LowerError::UnsupportedResultFormat(result_name.clone()));
@@ -419,6 +411,8 @@ impl<'o> Lowerer<'o> {
         if opts.kind == KernelKind::Assemble && result_sparse_level.is_none() {
             return Err(LowerError::NothingToAssemble);
         }
+        let result_ordered =
+            result_sparse_level.is_none_or(|l| result.format().mode(l).is_ordered());
 
         let operands: Vec<TensorVar> = tensors
             .iter()
@@ -451,6 +445,7 @@ impl<'o> Lowerer<'o> {
             result,
             result_access,
             result_sparse_level,
+            result_ordered,
             operands,
             access_map,
             workspaces: HashMap::new(),
@@ -1072,18 +1067,20 @@ impl<'o> Lowerer<'o> {
     /// Rejects loop drivers that cannot feed an ordered, deduplicated append
     /// into the sparse result: unordered (hashed) levels and non-unique
     /// levels (COO outer coordinates) would emit coordinates out of order or
-    /// repeatedly.
+    /// repeatedly. A compute kernel writes values in driver order, which a
+    /// hashed result structure need not share, so it needs an ordered one.
     fn check_append_driver(&self, iter: &IterKey, ctx: &Ctx) -> Result<()> {
         if !ctx.append_result {
             return Ok(());
         }
         let fmt = self.format_of(&iter.tensor)?;
         let lt = fmt.mode(iter.level);
-        if !lt.is_ordered() || !fmt.level_unique(iter.level) {
+        let unordered_structure = self.opts.kind == KernelKind::Compute && !self.result_ordered;
+        if !lt.is_ordered() || !fmt.level_unique(iter.level) || unordered_structure {
             return Err(LowerError::Unsupported(format!(
                 "cannot append to sparse result `{}` from level {} of `{}`: append needs an \
-                 ordered, duplicate-free driver; convert the operand or precompute into a \
-                 workspace",
+                 ordered, duplicate-free driver and, in a compute kernel, an ordered result; \
+                 convert the operand or precompute into a workspace",
                 self.result.name(),
                 iter.level,
                 iter.tensor
@@ -1300,8 +1297,10 @@ impl<'o> Lowerer<'o> {
     }
 
     /// Drains the assembling workspace the body reads into one result row
-    /// (Figure 8 lines 22–36): each touched coordinate, in ascending order
-    /// under `sort_output`, appends one result nonzero.
+    /// (Figure 8 lines 22–36): each touched coordinate appends one result
+    /// nonzero, in ascending order when the result level is ordered (line
+    /// 23: "the sort is optional and only needed if the result must be
+    /// ordered").
     fn row_drain(&mut self, var: &IndexVar, body: &ConcreteStmt, ctx: &Ctx) -> Result<Vec<Stmt>> {
         let ws = body
             .assignments()
@@ -1365,7 +1364,7 @@ impl<'o> Lowerer<'o> {
             ws,
             key: var.name().to_string(),
             val,
-            sorted: self.opts.sort_output,
+            sorted: self.result_ordered,
             body: inner,
         }])
     }
@@ -1843,8 +1842,16 @@ mod tests {
         IndexVar::new(n)
     }
 
+    fn dh() -> Format {
+        Format::new(vec![taco_tensor::LevelType::Dense, taco_tensor::LevelType::Hashed])
+    }
+
     fn scheduled_spgemm(n: usize) -> ConcreteStmt {
-        let a = TensorVar::new("A", vec![n, n], Format::csr());
+        scheduled_spgemm_into(n, Format::csr())
+    }
+
+    fn scheduled_spgemm_into(n: usize, result: Format) -> ConcreteStmt {
+        let a = TensorVar::new("A", vec![n, n], result);
         let b = TensorVar::new("B", vec![n, n], Format::csr());
         let c = TensorVar::new("C", vec![n, n], Format::csr());
         let (i, j, k) = (iv("i"), iv("j"), iv("k"));
@@ -1916,16 +1923,18 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_option_drops_the_sort() {
-        let sorted_drain = |opts: &LowerOptions| {
-            let lk = lower(&scheduled_spgemm(8), opts).unwrap();
+    fn a_hashed_result_drains_unsorted() {
+        let sorted_drain = |result: Format, opts: &LowerOptions| {
+            let lk = lower(&scheduled_spgemm_into(8, result), opts).unwrap();
             find(&lk, |s| match s {
                 Stmt::WsDrain { sorted, .. } => Some(*sorted),
                 _ => None,
             })
         };
-        assert!(sorted_drain(&LowerOptions::fused("k")));
-        assert!(!sorted_drain(&LowerOptions::fused("k").unsorted()));
+        for opts in [LowerOptions::fused("k"), LowerOptions::assemble("k")] {
+            assert!(sorted_drain(Format::csr(), &opts));
+            assert!(!sorted_drain(dh(), &opts));
+        }
     }
 
     #[test]
@@ -2036,6 +2045,51 @@ mod tests {
             lower(&s, &LowerOptions::compute("k")).unwrap_err(),
             LowerError::UnsupportedResultFormat("A".into())
         );
+    }
+
+    /// `A(i,j) = B(i,j) + C(i,j)` over `n × n` matrices in the given formats.
+    fn add_into(a: Format, b: Format, c: Format) -> ConcreteStmt {
+        let n = 8;
+        let (a, b, c) = (
+            TensorVar::new("A", vec![n, n], a),
+            TensorVar::new("B", vec![n, n], b),
+            TensorVar::new("C", vec![n, n], c),
+        );
+        let (i, j) = (iv("i"), iv("j"));
+        concretize(&IndexAssignment::assign(
+            a.access([i.clone(), j.clone()]),
+            b.access([i.clone(), j.clone()]) + c.access([i, j]),
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_hashed_level_above_the_innermost_is_refused() {
+        let hd = Format::new(vec![taco_tensor::LevelType::Hashed, taco_tensor::LevelType::Dense]);
+        let hs =
+            Format::new(vec![taco_tensor::LevelType::Hashed, taco_tensor::LevelType::Compressed]);
+        for result in [hd, hs] {
+            assert_eq!(
+                lower(&add_into(result, Format::csr(), Format::csr()), &LowerOptions::fused("k"))
+                    .unwrap_err(),
+                LowerError::UnsupportedResultFormat("A".into())
+            );
+        }
+    }
+
+    #[test]
+    fn a_hashed_tensor_is_refused_where_order_is_needed() {
+        let refused = |s: ConcreteStmt, opts: LowerOptions| {
+            matches!(lower(&s, &opts), Err(LowerError::Unsupported(_)))
+        };
+        // A co-iterating consumer of a hashed result merges it by order.
+        assert!(refused(add_into(Format::csr(), dh(), Format::csr()), LowerOptions::fused("k")));
+        assert!(refused(add_into(dh(), Format::csr(), dh()), LowerOptions::fused("k")));
+        // A compute kernel writes values in merge order, which a hashed
+        // structure need not share.
+        assert!(refused(add_into(dh(), Format::csr(), Format::csr()), LowerOptions::compute("k")));
+        // Appending merge order into a hashed result is fine.
+        lower(&add_into(dh(), Format::csr(), Format::csr()), &LowerOptions::fused("k")).unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{Format, Result, Tensor, TensorError};
+use crate::{Format, LevelType, Result, Tensor, TensorError};
 
 /// A compressed sparse row matrix in the exact array layout of Figure 1b of
 /// the paper (`pos`, `crd`, `vals`).
@@ -208,14 +208,15 @@ impl Csr {
         Csr { nrows: self.ncols, ncols: self.nrows, pos, crd, vals }
     }
 
-    /// Converts a CSR [`Tensor`] into this flat representation.
+    /// Converts a `(d,s)` or `(d,h)` [`Tensor`] into this flat form, rows as stored.
     ///
     /// # Errors
     ///
-    /// Returns an error if the tensor is not rank-2 `{Dense, Compressed}`.
+    /// Returns an error if the tensor is not rank-2 `(d,s)` or `(d,h)`.
     pub fn from_tensor(t: &Tensor) -> Result<Self> {
-        if t.rank() != 2 || *t.format() != Format::csr() {
-            return Err(TensorError::FormatMismatch { expected: "rank-2 (d,s) CSR tensor" });
+        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+        if ![Format::csr(), dh].contains(t.format()) {
+            return Err(TensorError::FormatMismatch { expected: "rank-2 (d,s) or (d,h) tensor" });
         }
         Ok(Csr {
             nrows: t.dim(0),
@@ -312,6 +313,18 @@ mod tests {
     fn from_tensor_rejects_wrong_format() {
         let t = Tensor::from_entries(vec![3, 4], Format::dcsr(), vec![(vec![0, 3], 1.0)]).unwrap();
         assert!(Csr::from_tensor(&t).is_err());
+        assert!(Csr::from_tensor(&t.convert(Format::csc()).unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_hashed_tensor_keeps_its_row_order() {
+        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+        let (pos, crd) = ([0usize, 2], [3usize, 1]);
+        let t = Tensor::from_appended_level(vec![1, 4], dh, &pos, &crd, None, Some(&[1.0, 2.0]))
+            .unwrap();
+        let m = Csr::from_tensor(&t).unwrap();
+        assert_eq!((m.crd(), m.vals()), (&[3, 1][..], &[1.0, 2.0][..]));
+        assert_eq!(m.to_tensor(), t.convert(Format::csr()).unwrap());
     }
 
     #[test]

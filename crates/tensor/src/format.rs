@@ -16,7 +16,7 @@ use crate::{Result, TensorError};
 /// Rather than matching on the concrete type, consumers should ask a level
 /// for its **properties** ([`LevelType::is_full`], [`LevelType::is_ordered`],
 /// [`LevelType::is_branchless`]) and **capabilities**
-/// ([`LevelType::has_locate`], [`LevelType::has_position_iter`],
+/// ([`LevelType::has_locate`], [`LevelType::has_pos_array`],
 /// [`LevelType::has_append`], [`LevelType::has_insert`]); uniqueness is a
 /// property of a level *within* a [`Format`] (see [`Format::level_unique`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,13 +62,6 @@ impl LevelType {
         matches!(self, LevelType::Dense)
     }
 
-    /// **Capability — position iteration:** the level owns a `pos` array
-    /// describing, per parent position, a contiguous position range to loop
-    /// over.
-    pub fn has_position_iter(self) -> bool {
-        matches!(self, LevelType::Compressed | LevelType::Hashed)
-    }
-
     /// **Capability — position pass-through:** the level stores exactly one
     /// coordinate per parent position, so "iterating" it is a single `crd`
     /// load at the parent position with no loop.
@@ -77,9 +70,9 @@ impl LevelType {
     }
 
     /// **Capability — append assembly:** result coordinates can be appended
-    /// in order, growing `crd`/`vals` and recording segment bounds in `pos`.
+    /// (in any order to a hashed level), growing `crd`/`vals` and `pos`.
     pub fn has_append(self) -> bool {
-        matches!(self, LevelType::Compressed)
+        self.has_pos_array()
     }
 
     /// **Capability — insert assembly:** results can be written by locating
@@ -88,7 +81,8 @@ impl LevelType {
         matches!(self, LevelType::Dense)
     }
 
-    /// True if the level stores an explicit `pos` array.
+    /// **Capability — position iteration:** the level stores an explicit
+    /// `pos` array: per parent position, a contiguous position range.
     pub fn has_pos_array(self) -> bool {
         matches!(self, LevelType::Compressed | LevelType::Hashed)
     }
@@ -442,14 +436,15 @@ mod tests {
         assert!(LevelType::Dense.is_full());
         assert!(LevelType::Dense.has_insert());
         assert!(!LevelType::Dense.has_pos_array());
-        assert!(LevelType::Compressed.has_position_iter());
+        assert!(LevelType::Compressed.has_pos_array());
         assert!(LevelType::Compressed.has_append());
         assert!(LevelType::Compressed.is_ordered());
         assert!(LevelType::Singleton.is_position_passthrough());
         assert!(LevelType::Singleton.is_branchless());
         assert!(!LevelType::Singleton.has_pos_array());
         assert!(LevelType::Singleton.has_crd_array());
-        assert!(LevelType::Hashed.has_position_iter());
+        assert!(LevelType::Hashed.has_pos_array());
+        assert!(LevelType::Hashed.has_append());
         assert!(!LevelType::Hashed.is_ordered());
     }
 

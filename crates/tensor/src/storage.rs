@@ -83,9 +83,10 @@ pub(crate) fn check_pos_level(
 }
 
 /// Per-level `crd` segment invariants, parameterized by the level's
-/// properties: `ordered` requires sorted segments (strictly increasing when
-/// also `unique`, non-decreasing otherwise); `unique` without order checks
-/// duplicate-freedom; bounds are always checked.
+/// properties: bounds always; `ordered` requires sorted segments (strictly
+/// increasing when also `unique`, non-decreasing otherwise); `unique` alone,
+/// O(nnz): a lazily made `dim`-bit set cleared per segment, or a sorted
+/// copy of the segment where that set would outsize `crd`.
 pub(crate) fn check_crd_level(
     pos: &[usize],
     crd: &[usize],
@@ -96,8 +97,12 @@ pub(crate) fn check_crd_level(
     level: usize,
 ) -> Result<()> {
     let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
+    let mut seen: Option<Vec<u64>> = None;
     for p in 0..parent_positions {
         let seg = &crd[pos[p]..pos[p + 1]];
+        if let Some(c) = seg.iter().find(|c| **c >= dim) {
+            return bad(format!("coordinate {c} out of bounds for dimension {dim}"));
+        }
         if ordered {
             let violation = seg.windows(2).find(|w| if unique { w[0] >= w[1] } else { w[0] > w[1] });
             if let Some(w) = violation {
@@ -107,18 +112,24 @@ pub(crate) fn check_crd_level(
                     w[0], w[1]
                 ));
             }
-        } else if unique && seg.len() > 1 {
-            let mut sorted = seg.to_vec();
-            sorted.sort_unstable();
-            if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                return bad(format!(
-                    "crd segment of parent position {p} repeats coordinate {}",
-                    w[0]
-                ));
+        } else if unique && seg.windows(2).any(|w| w[0] >= w[1]) {
+            let repeated = if dim.div_ceil(64) <= crd.len() {
+                let seen = seen.get_or_insert_with(|| vec![0; dim.div_ceil(64)]);
+                let repeated = seg.iter().copied().find(|&c| {
+                    let hit = seen[c / 64] & 1 << (c % 64) != 0;
+                    seen[c / 64] |= 1 << (c % 64);
+                    hit
+                });
+                seg.iter().for_each(|&c| seen[c / 64] = 0);
+                repeated
+            } else {
+                let mut sorted = seg.to_vec();
+                sorted.sort_unstable();
+                sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+            };
+            if let Some(c) = repeated {
+                return bad(format!("crd segment of parent position {p} repeats coordinate {c}"));
             }
-        }
-        if let Some(c) = seg.iter().find(|c| **c >= dim) {
-            return bad(format!("coordinate {c} out of bounds for dimension {dim}"));
         }
     }
     Ok(())
@@ -245,6 +256,7 @@ pub struct Tensor {
     index_arrays: OnceLock<Arc<Result<IndexArrays>>>,
 }
 
+/// Structural: `(d,h)` tensors storing the same entries in other orders differ.
 impl PartialEq for Tensor {
     fn eq(&self, other: &Tensor) -> bool {
         self.shape == other.shape
@@ -488,9 +500,9 @@ impl Tensor {
         Ok(b.build())
     }
 
-    /// Builds a tensor of dense levels above one innermost compressed level
-    /// — `(s)`, `(d,s)`, `(d,d,s)`, the formats a kernel can append a result
-    /// into — directly from that level's arrays as an append-assembling
+    /// Builds a tensor of dense levels above one innermost compressed or
+    /// hashed level — `(d,s)`, `(d,d,h)`, the formats a kernel can append a
+    /// result into — directly from that level's arrays as an append-assembling
     /// producer holds them (a kernel's `i64` buffers, a [`crate::Csr`]'s
     /// `usize` arrays), without decoding them into coordinates.
     ///
@@ -501,19 +513,19 @@ impl Tensor {
     /// negative and every coordinate is below the innermost dimension.
     /// `vals` of `None` stores zeros (assembly-only producers).
     ///
-    /// Segments need not be sorted or duplicate-free. If any is not strictly
-    /// increasing, each segment is stably sorted by coordinate and repeated
-    /// coordinates are summed in their stored order. Values land in the
-    /// tensor as `0.0 + v`, so `-0.0` is stored as `+0.0`. Both match
-    /// [`Tensor::from_entries`] over the same components bit for bit.
-    /// Non-finite values are accepted — a computed result may overflow —
-    /// so the tensor can fail [`Tensor::validate`] on that rule alone.
+    /// Hashed segments must be duplicate-free and keep their order. If any
+    /// compressed segment is not strictly increasing, each segment is stably
+    /// sorted by coordinate and repeated coordinates are summed in their
+    /// stored order. Values land as `0.0 + v`, so `-0.0` is stored as `+0.0`.
+    /// Both match [`Tensor::from_entries`] over the same components bit for
+    /// bit. Non-finite values are accepted — a computed result may overflow
+    /// — so the tensor can fail [`Tensor::validate`] on that rule alone.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::FormatMismatch`] for any other format and
-    /// [`TensorError::InvalidStorage`] (at the compressed level) for the
-    /// first violated array invariant.
+    /// [`TensorError::InvalidStorage`] (at the appended level) for the first
+    /// violated array invariant.
     pub fn from_appended_level<I>(
         shape: Vec<usize>,
         format: Format,
@@ -526,11 +538,12 @@ impl Tensor {
         I: Copy + TryInto<usize> + std::fmt::Display,
     {
         let level = shape.len().checked_sub(1).ok_or(TensorError::EmptyShape)?;
+        let hashed = format.modes().last() == Some(&LevelType::Hashed);
         let mut level_types = vec![LevelType::Dense; level];
-        level_types.push(LevelType::Compressed);
+        level_types.push(if hashed { LevelType::Hashed } else { LevelType::Compressed });
         if format != Format::new(level_types) {
             return Err(TensorError::FormatMismatch {
-                expected: "dense levels above one innermost compressed level",
+                expected: "dense levels above one innermost compressed or hashed level",
             });
         }
         let bad = |detail: String| TensorError::InvalidStorage { level, detail };
@@ -566,8 +579,8 @@ impl Tensor {
             bad(format!("pos ends at {end} but crd has {} entries", crd.len()))
         })?;
         let crd = indices("crd", crd)?;
-        // Bounds only: order and uniqueness are restored below, not required.
-        check_crd_level(&pos, &crd, parents, shape[level], false, false, level)?;
+        // Bounds, and hashed uniqueness: compressed order is restored below.
+        check_crd_level(&pos, &crd, parents, shape[level], false, hashed, level)?;
         let vals = vals
             .map(|vals| {
                 vals.get(..end).ok_or_else(|| {
@@ -576,12 +589,12 @@ impl Tensor {
             })
             .transpose()?;
 
-        let strictly_increasing =
-            pos.windows(2).all(|seg| crd[seg[0]..seg[1]].windows(2).all(|c| c[0] < c[1]));
+        let as_stored = hashed
+            || pos.windows(2).all(|seg| crd[seg[0]..seg[1]].windows(2).all(|c| c[0] < c[1]));
         // The builder accumulates into zeroed storage; `-0.0 + 0.0` is `+0.0`.
         // Collected straight behind the `Arc`: one pass, one allocation.
         let plus_zero = |vals: &[f64]| vals.iter().map(|v| v + 0.0).collect::<Arc<[f64]>>();
-        let (pos, crd, vals) = if strictly_increasing {
+        let (pos, crd, vals) = if as_stored {
             let zeros = || std::iter::repeat_n(0.0, end).collect();
             (pos, crd, vals.map_or_else(zeros, plus_zero))
         } else {
@@ -1142,5 +1155,66 @@ mod tests {
             vec![1.0, 2.0, 3.0],
         );
         assert!(bad.validate().is_err());
+    }
+
+    fn dh() -> Format {
+        Format::new(vec![LevelType::Dense, LevelType::Hashed])
+    }
+
+    #[test]
+    fn a_hashed_level_is_extracted_in_stored_order() {
+        let (pos, crd) = ([0i64, 2, 4], [3i64, 0, 0, 2]);
+        let vals = [1.0, 2.0, 3.0, -0.0];
+        let t = Tensor::from_appended_level(vec![2, 4], dh(), &pos, &crd, Some(4), Some(&vals))
+            .unwrap();
+        assert_eq!(t.crd(1).unwrap(), &[3, 0, 0, 2]);
+        assert_eq!(t.vals()[3].to_bits(), 0.0f64.to_bits(), "stored as 0.0 + v");
+        t.validate().unwrap();
+        let with_crd = |crd: [i64; 4]| {
+            let t = Tensor::from_appended_level(vec![2, 4], dh(), &pos, &crd, None, None);
+            t.unwrap_err().to_string()
+        };
+        let msg = with_crd([3, 0, 2, 2]);
+        assert!(msg.contains("crd segment of parent position 1 repeats coordinate 2"), "{msg}");
+        assert!(with_crd([3, 0, 4, 2]).contains("out of bounds"));
+    }
+
+    #[test]
+    fn the_duplicate_check_clears_its_set_between_segments() {
+        let segs = |pos: Vec<usize>, crd: Vec<usize>| {
+            check_crd_level(&pos, &crd, pos.len() - 1, 130, false, true, 1)
+        };
+        segs(vec![0, 3, 6, 7], vec![129, 64, 0, 0, 129, 64, 64]).unwrap();
+        let err = segs(vec![0, 3, 6], vec![129, 64, 0, 0, 129, 0]).unwrap_err();
+        assert!(err.to_string().contains("parent position 1 repeats coordinate 0"), "{err}");
+    }
+
+    #[test]
+    fn the_duplicate_check_allocates_no_more_than_its_input() {
+        // A `dim`-bit set here would be 2^57 words; the check sorts instead.
+        let huge = usize::MAX / 2;
+        let with_crd = |crd: Vec<usize>| {
+            let inner = ModeStorage::Compressed { pos: vec![0, 2], crd };
+            let modes = vec![ModeStorage::Dense { dim: 1 }, inner];
+            Tensor::from_parts_unchecked(vec![1, huge], dh(), modes, vec![1.0, 2.0]).validate()
+        };
+        with_crd(vec![3, 1]).unwrap();
+        let err = with_crd(vec![3, 3]).unwrap_err();
+        assert!(err.to_string().contains("parent position 0 repeats coordinate 3"), "{err}");
+        let (pos, crd) = ([0i64, 2], [3i64, 1]);
+        Tensor::from_appended_level(vec![1, huge], dh(), &pos, &crd, None, None).unwrap();
+    }
+
+    #[test]
+    fn hashed_equality_is_structural() {
+        let t = |crd: Vec<usize>, vals: Vec<f64>| {
+            let inner = ModeStorage::Compressed { pos: vec![0, 2, 3], crd };
+            let modes = vec![ModeStorage::Dense { dim: 2 }, inner];
+            Tensor::from_parts(vec![2, 4], dh(), modes, vals)
+        };
+        let (a, b) = (t(vec![3, 0, 1], vec![1.0, 2.0, 3.0]), t(vec![0, 3, 1], vec![2.0, 1.0, 3.0]));
+        assert_ne!(a, b);
+        assert!(a.approx_eq(&b, 0.0));
+        assert_eq!(a.convert(Format::csr()).unwrap(), b.convert(Format::csr()).unwrap());
     }
 }

@@ -16,10 +16,11 @@ use taco_tensor::datasets::matrix_by_name;
 use taco_tensor::gen::random_csr;
 use taco_workspaces::prelude::*;
 
-/// The Fig. 2 SpGEMM over `n × n` CSR matrices: the source assignment and
-/// its workspace schedule.
-fn scheduled(n: usize) -> Result<(IndexAssignment, IndexStmt), CoreError> {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+/// The Fig. 2 SpGEMM over `n × n` CSR matrices into a `result` of CSR
+/// (sorted rows) or `(d,h)` (rows in scatter order): the source assignment
+/// and its workspace schedule.
+fn scheduled(n: usize, result: Format) -> Result<(IndexAssignment, IndexStmt), CoreError> {
+    let a = TensorVar::new("A", vec![n, n], result);
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
@@ -35,7 +36,7 @@ fn scheduled(n: usize) -> Result<(IndexAssignment, IndexStmt), CoreError> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Correctness: compiled kernel vs oracle on a small instance -------
     let n = 32;
-    let (source, stmt) = scheduled(n)?;
+    let (source, stmt) = scheduled(n, Format::csr())?;
     let kernel = stmt.compile(LowerOptions::fused("spgemm"))?;
     let (i, j) = (IndexVar::new("i"), IndexVar::new("j"));
 
@@ -112,13 +113,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // first run, off the clock; the timed runs are warm native runs,
     // operands in and result tensor out.
     let engine = Engine::builder().backend(Backend::Native).build();
-    let (_, big_stmt) = scheduled(big.nrows())?;
+    let (_, sorted) = scheduled(big.nrows(), Format::csr())?;
+    let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+    let (_, unsorted) = scheduled(big.nrows(), dh)?;
     let (bt, st) = (big.to_tensor(), synth.to_tensor());
     let inputs = [("B", &bt), ("C", &st)];
-    let sorted = LowerOptions::fused("spgemm");
-    let unsorted = LowerOptions::fused("spgemm").unsorted();
-    for opts in [&sorted, &unsorted] {
-        engine.run(&big_stmt, opts.clone(), &inputs)?;
+    let opts = LowerOptions::fused("spgemm");
+    for stmt in [&sorted, &unsorted] {
+        engine.run(stmt, opts.clone(), &inputs)?;
     }
     let native = engine.native_stats();
     println!("  native: {} kernels trusted, {} rejected", native.trusted, native.rejected);
@@ -134,7 +136,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {name:<22} {:>10.3} ms  (nnz {nnz})", best * 1e3);
         best
     };
-    let compiled = |opts: &LowerOptions| engine.run(&big_stmt, opts.clone(), &inputs).expect("warm run").nnz();
+    let compiled =
+        |stmt: &IndexStmt| engine.run(stmt, opts.clone(), &inputs).expect("warm run").nnz();
     let tw = time("compiled sorted", &|| compiled(&sorted));
     let te = time("Eigen-style sorted", &|| spgemm_eigen_style(&big, &synth).nnz());
     let tu = time("compiled unsorted", &|| compiled(&unsorted));

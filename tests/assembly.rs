@@ -8,7 +8,7 @@ use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_lower::LowerOptions;
 use taco_tensor::gen::random_csr;
-use taco_tensor::{Format, ModeStorage, Tensor};
+use taco_tensor::{Format, LevelType, ModeStorage, Tensor};
 
 fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
@@ -16,7 +16,17 @@ fn iv(n: &str) -> IndexVar {
 
 /// Builds the scheduled workspace SpGEMM statement.
 fn spgemm(n: usize) -> IndexStmt {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    spgemm_into(n, Format::csr())
+}
+
+/// The `(d,h)` format: dense rows, each an unordered segment.
+fn dh() -> Format {
+    Format::new(vec![LevelType::Dense, LevelType::Hashed])
+}
+
+/// The scheduled workspace SpGEMM into a result of the given format.
+fn spgemm_into(n: usize, result: Format) -> IndexStmt {
+    let a = TensorVar::new("A", vec![n, n], result);
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (iv("i"), iv("j"), iv("k"));
@@ -105,17 +115,38 @@ fn assembled_pattern_is_structural_product() {
 #[test]
 fn unsorted_assembly_has_same_rows_modulo_order() {
     let n = 18;
-    let stmt = spgemm(n);
-    let sorted = stmt.compile(LowerOptions::fused("s")).unwrap();
-    let unsorted = stmt.compile(LowerOptions::fused("u").unsorted()).unwrap();
+    let sorted = spgemm(n).compile(LowerOptions::fused("s")).unwrap();
+    let unsorted = spgemm_into(n, dh()).compile(LowerOptions::fused("u")).unwrap();
     let bt = random_csr(n, n, 0.2, 7).to_tensor();
     let ct = random_csr(n, n, 0.2, 8).to_tensor();
     let s = sorted.run(&[("B", &bt), ("C", &ct)]).unwrap();
     let u = unsorted.run(&[("B", &bt), ("C", &ct)]).unwrap();
-    // Extraction re-sorts entries, so the tensors must be equal; the
-    // unsorted kernel must not drop or duplicate entries.
-    assert_eq!(s.nnz(), u.nnz());
-    assert!(s.approx_eq(&u, 1e-12));
+    // A hashed result keeps the scatter order: valid, not sorted, and the
+    // sorted result once converted — no entry dropped or duplicated.
+    assert_eq!(u.format(), &dh());
+    u.validate().unwrap();
+    assert_csr_invariants(&u, false);
+    let (pos, crd) = (u.pos(1).unwrap(), u.crd(1).unwrap());
+    assert!((0..n).any(|r| crd[pos[r]..pos[r + 1]].windows(2).any(|w| w[0] > w[1])));
+    assert_ne!(s, u);
+    assert_eq!(s, u.convert(Format::csr()).unwrap());
+}
+
+/// A compute kernel fills a pre-assembled `(d,h)` structure in its stored
+/// order: the values land where the fused kernel put them.
+#[test]
+fn compute_fills_a_hashed_structure_in_stored_order() {
+    let n = 18;
+    let stmt = spgemm_into(n, dh());
+    let bt = random_csr(n, n, 0.2, 7).to_tensor();
+    let ct = random_csr(n, n, 0.2, 8).to_tensor();
+    let inputs = [("B", &bt), ("C", &ct)];
+    let structure = stmt.compile(LowerOptions::assemble("a")).unwrap().run(&inputs).unwrap();
+    let compute = stmt.compile(LowerOptions::compute("c")).unwrap();
+    let computed = compute.run_with(&inputs, Some(&structure)).unwrap();
+    let fused = stmt.compile(LowerOptions::fused("f")).unwrap().run(&inputs).unwrap();
+    assert_eq!(computed.crd(1).unwrap(), structure.crd(1).unwrap());
+    assert_eq!(computed, fused);
 }
 
 /// The workspace guard array prevents duplicate coordinates even when many

@@ -12,7 +12,11 @@ fn iv(n: &str) -> IndexVar {
 }
 
 fn spgemm(n: usize) -> IndexStmt {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    spgemm_into(n, Format::csr())
+}
+
+fn spgemm_into(n: usize, result: Format) -> IndexStmt {
+    let a = TensorVar::new("A", vec![n, n], result);
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (iv("i"), iv("j"), iv("k"));
@@ -70,32 +74,36 @@ fn spmv(n: usize) -> IndexStmt {
     .unwrap()
 }
 
-fn option_sets() -> [LowerOptions; 5] {
+fn option_sets() -> [LowerOptions; 4] {
     [
         LowerOptions::fused("k"),
         LowerOptions::compute("k"),
         LowerOptions::assemble("k"),
-        LowerOptions::fused("k").unsorted(),
         LowerOptions::fused("k").with_f32_workspaces(),
     ]
 }
 
 #[test]
 fn every_candidate_compiles_under_the_options_it_was_enumerated_for() {
-    // Candidates per kernel under [fused, compute, assemble, unsorted, f32
+    // Candidates per kernel under [fused, compute, assemble, f32
     // workspaces]: the option-sensitivity table of EXPERIMENTS.md, "One
     // front half, run once". A row is not constant, which is why the
     // enumerator takes the caller's options instead of guessing with one set.
-    let kernels: [(&str, IndexStmt, [usize; 5]); 6] = [
-        ("spgemm", spgemm(16), [3, 11, 3, 3, 3]),
-        ("add2", sparse_add(16, 20, 2), [1, 1, 1, 1, 1]),
-        ("add3", sparse_add(16, 20, 3), [1, 1, 1, 1, 1]),
-        ("mttkrp-dense", mttkrp(12, 10, 11, 8, false), [6, 6, 0, 6, 6]),
-        ("mttkrp-sparse", mttkrp(14, 9, 10, 12, true), [0, 2, 0, 0, 0]),
-        ("spmv", spmv(12), [5, 5, 0, 5, 5]),
+    // Result order is the result's format: `spgemm-hashed` is SpGEMM into
+    // `(d,h)`, where a compute kernel must drain through the structure
+    // (a counter-ordered write could miss a hashed row's order).
+    let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+    let kernels: [(&str, IndexStmt, [usize; 4]); 7] = [
+        ("spgemm", spgemm(16), [3, 11, 3, 3]),
+        ("spgemm-hashed", spgemm_into(16, dh), [3, 2, 3, 3]),
+        ("add2", sparse_add(16, 20, 2), [1, 1, 1, 1]),
+        ("add3", sparse_add(16, 20, 3), [1, 1, 1, 1]),
+        ("mttkrp-dense", mttkrp(12, 10, 11, 8, false), [6, 6, 0, 6]),
+        ("mttkrp-sparse", mttkrp(14, 9, 10, 12, true), [0, 2, 0, 0]),
+        ("spmv", spmv(12), [5, 5, 0, 5]),
     ];
     for (kernel, stmt, expected) in &kernels {
-        let mut counts = [0usize; 5];
+        let mut counts = [0usize; 4];
         for (count, opts) in counts.iter_mut().zip(option_sets()) {
             let cands = enumerate_candidates_for(stmt, &opts);
             *count = cands.len();

@@ -1062,9 +1062,8 @@ fn corrupted_result_buffers_error_at_extraction() {
         assert!(matches!(err, CoreError::UnknownOperand(_)), "missing {missing}: got {err:?}");
     }
 
-    // Unsorted and duplicate-bearing segments are not damage: an unsorted
-    // kernel (`LowerOptions::unsorted()`) produces them and extraction
-    // restores order.
+    // Unsorted and duplicate-bearing segments in a CSR result are not
+    // damage: a flat `Csr` can hold them, and extraction normalises them.
     let unsorted = with(&|r| {
         r.crd[..2].copy_from_slice(&[2, 0]);
         r.vals.swap(0, 1);

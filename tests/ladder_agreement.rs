@@ -8,7 +8,7 @@
 //! exactly what the compile refuses:
 //!
 //! {SpGEMM CSR, SpGEMM DCSR×CSR, sparse add, MTTKRP}
-//!   × {fused sorted, fused unsorted, compute}
+//!   × {fused sorted, fused into a `(d,h)` result, compute}
 //!   × workspace budget {unlimited, fits dense, fits the hash kind's init,
 //!     fits the coord-list kind's init, fits nothing}
 //!   × {no iteration fuse, a 1-iteration fuse that aborts every rung},
@@ -30,9 +30,15 @@ fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
 }
 
-/// Figure 2 SpGEMM (reorder + row workspace); `bf` is B's format.
-fn spgemm(n: usize, bf: Format) -> IndexStmt {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+/// The `(d,h)` format: rows kept in the order a drain appends them.
+fn dh() -> Format {
+    Format::new(vec![LevelType::Dense, LevelType::Hashed])
+}
+
+/// Figure 2 SpGEMM (reorder + row workspace) into an `af` result; `bf` is
+/// B's format.
+fn spgemm(n: usize, af: Format, bf: Format) -> IndexStmt {
+    let a = TensorVar::new("A", vec![n, n], af);
     let b = TensorVar::new("B", vec![n, n], bf);
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (iv("i"), iv("j"), iv("k"));
@@ -49,9 +55,10 @@ fn spgemm(n: usize, bf: Format) -> IndexStmt {
 }
 
 /// Sparse addition `A = B + C` through a row workspace (Figure 13's
-/// workspace variant); its direct merge kernel lowers, unlike SpGEMM's.
-fn sparse_add(n: usize) -> IndexStmt {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+/// workspace variant) into an `af` result; its direct merge kernel lowers,
+/// unlike SpGEMM's.
+fn sparse_add(n: usize, af: Format) -> IndexStmt {
+    let a = TensorVar::new("A", vec![n, n], af);
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j) = (iv("i"), iv("j"));
@@ -88,7 +95,20 @@ fn mttkrp(d: usize, r: usize) -> IndexStmt {
 struct Case {
     name: &'static str,
     stmt: IndexStmt,
+    /// The statement into a `(d,h)` result, for a sparse result; a dense
+    /// result has no order to drop.
+    hashed: Option<IndexStmt>,
     operands: Vec<(String, Arc<Tensor>)>,
+}
+
+impl Case {
+    /// The statement a request row compiles.
+    fn stmt_for(&self, row: Row) -> &IndexStmt {
+        match (row, &self.hashed) {
+            (Row::Hashed, Some(hashed)) => hashed,
+            _ => &self.stmt,
+        }
+    }
 }
 
 fn cases() -> Vec<Case> {
@@ -103,18 +123,26 @@ fn cases() -> Vec<Case> {
     vec![
         Case {
             name: "spgemm-csr",
-            stmt: spgemm(n, Format::csr()),
+            stmt: spgemm(n, Format::csr(), Format::csr()),
+            hashed: Some(spgemm(n, dh(), Format::csr())),
             operands: named(vec![("B", b.clone()), ("C", c.clone())]),
         },
         Case {
             name: "spgemm-dcsr",
-            stmt: spgemm(n, Format::dcsr()),
+            stmt: spgemm(n, Format::csr(), Format::dcsr()),
+            hashed: Some(spgemm(n, dh(), Format::dcsr())),
             operands: named(vec![("B", b.convert(Format::dcsr()).unwrap()), ("C", c.clone())]),
         },
-        Case { name: "sparse-add", stmt: sparse_add(n), operands: named(vec![("B", b), ("C", c)]) },
+        Case {
+            name: "sparse-add",
+            stmt: sparse_add(n, Format::csr()),
+            hashed: Some(sparse_add(n, dh())),
+            operands: named(vec![("B", b), ("C", c)]),
+        },
         Case {
             name: "mttkrp",
             stmt: mttkrp(d, r),
+            hashed: None,
             operands: named(vec![
                 ("B", random_csf3([d, d, d], 80, 13).to_tensor()),
                 ("C", dense(14)),
@@ -124,11 +152,19 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn option_sets() -> Vec<(&'static str, LowerOptions)> {
+/// Which statement a request row compiles: the case's own, or the case's
+/// statement into a `(d,h)` result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Row {
+    Sorted,
+    Hashed,
+}
+
+fn option_sets() -> Vec<(&'static str, Row, LowerOptions)> {
     vec![
-        ("fused-sorted", LowerOptions::fused("k")),
-        ("fused-unsorted", LowerOptions::fused("k").unsorted()),
-        ("compute", LowerOptions::compute("k")),
+        ("fused-sorted", Row::Sorted, LowerOptions::fused("k")),
+        ("fused-unsorted", Row::Hashed, LowerOptions::fused("k")),
+        ("compute", Row::Sorted, LowerOptions::compute("k")),
     ]
 }
 
@@ -278,15 +314,18 @@ mttkrp compute:             S S S S S D D S
 fn the_engine_ladder_commits_the_pinned_verdict_table() {
     let mut committed_rungs = std::collections::HashSet::new();
     let mut table = String::new();
+    let mut hashed_commits = 0;
     for case in cases() {
         let inputs: Vec<(&str, &Tensor)> =
             case.operands.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
-        let structure = output_structure(&case, &inputs);
-        for (opt_name, opts) in option_sets() {
-            let structure =
-                if opts.kind == KernelKind::Compute { structure.as_ref() } else { None };
+        // The sorted result: a compute kernel's structure, and what a
+        // `(d,h)` result is once converted to CSR, bit for bit.
+        let sorted = output_structure(&case, &inputs);
+        for (opt_name, which, opts) in option_sets() {
+            let stmt = case.stmt_for(which);
+            let structure = if opts.kind == KernelKind::Compute { sorted.as_ref() } else { None };
             let mut row = format!("{:<27}", format!("{} {opt_name}:", case.name));
-            for (budget_name, budget) in budgets(&case.stmt, &opts, &inputs, structure) {
+            for (budget_name, budget) in budgets(stmt, &opts, &inputs, structure) {
                 let what = format!("{} {opt_name} {budget_name}", case.name);
                 let Some(budget) = budget else {
                     row.push_str(" .");
@@ -294,13 +333,14 @@ fn the_engine_ladder_commits_the_pinned_verdict_table() {
                 };
                 let supervisor = Supervisor::new().with_budget(budget);
                 let engine = Engine::builder().budget(budget).backend(Backend::Interp).build();
-                let verdict = verdict(engine.run_supervised(
-                    &case.stmt,
-                    opts.clone(),
-                    &supervisor,
-                    &inputs,
-                    structure,
-                ));
+                let run =
+                    engine.run_supervised(stmt, opts.clone(), &supervisor, &inputs, structure);
+                if let (Row::Hashed, Ok(run), Some(sorted)) = (which, &run, &sorted) {
+                    assert_eq!(run.result.format(), &dh(), "{what}");
+                    assert_eq!(&run.result.convert(Format::csr()).unwrap(), sorted, "{what}");
+                    hashed_commits += 1;
+                }
+                let verdict = verdict(run);
                 if budget.max_loop_iterations.is_some() {
                     assert!(
                         matches!(verdict, Verdict::Failed(_)),
@@ -334,6 +374,7 @@ fn the_engine_ladder_commits_the_pinned_verdict_table() {
         }
     }
     assert_eq!(table, VERDICTS, "the engine's verdict table moved");
+    assert!(hashed_commits > 0, "no `(d,h)` result was compared");
     // The matrix is only a test of the ladder if it actually descends it:
     // every rung commits somewhere.
     for rung in DegradeRung::LADDER {
@@ -348,8 +389,9 @@ fn admission_sheds_exactly_what_compile_with_budget_refuses() {
         let inputs: Vec<(&str, &Tensor)> =
             case.operands.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
         let structure = output_structure(&case, &inputs).map(Arc::new);
-        for (opt_name, opts) in option_sets() {
-            for (limit_name, limit) in workspace_limits(&case.stmt, &opts) {
+        for (opt_name, which, opts) in option_sets() {
+            let stmt = case.stmt_for(which);
+            for (limit_name, limit) in workspace_limits(stmt, &opts) {
                 // The effective budget is tenant ∧ engine: put the limit on
                 // each side in turn.
                 for on_engine in [false, true] {
@@ -361,7 +403,7 @@ fn admission_sheds_exactly_what_compile_with_budget_refuses() {
                         (limited, ResourceBudget::unlimited())
                     };
                     let refused = matches!(
-                        case.stmt.compile_checked(opts.clone(), limited, default_verify_mode()),
+                        stmt.compile_checked(opts.clone(), limited, default_verify_mode()),
                         Err(CoreError::BudgetExceeded { .. })
                     );
 
@@ -374,7 +416,7 @@ fn admission_sheds_exactly_what_compile_with_budget_refuses() {
                         .build();
                     let mut request = Request::new(
                         "t",
-                        case.stmt.clone(),
+                        stmt.clone(),
                         opts.clone(),
                         case.operands.clone(),
                         Duration::from_secs(120),

@@ -81,7 +81,12 @@ fn iv(n: &str) -> IndexVar {
 
 /// Figure 2 SpGEMM (reorder + row workspace) over `n`×`n` CSR matrices.
 fn scheduled_spgemm(n: usize) -> IndexStmt {
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    scheduled_spgemm_into(n, Format::csr())
+}
+
+/// The Fig. 2 SpGEMM into a `result` of the given format.
+fn scheduled_spgemm_into(n: usize, result: Format) -> IndexStmt {
+    let a = TensorVar::new("A", vec![n, n], result);
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (iv("i"), iv("j"), iv("k"));
@@ -242,11 +247,12 @@ fn int_csr(m: usize, n: usize, seed: u64) -> Tensor {
     Tensor::from_entries(vec![m, n], Format::csr(), entries).unwrap()
 }
 
-/// The Fig. 2 SpGEMM under every workspace kind, fused and assemble,
-/// sorted and unsorted, and with a single-precision dense workspace: the
-/// interpreter and the `.so` agree bytewise with each other and with the
-/// dense oracle, and every configuration counts the same 2138 iterations on
-/// these operands (a scatter is no iteration, a drained entry is one).
+/// The Fig. 2 SpGEMM under every workspace kind, fused and assemble, into a
+/// CSR and a `(d,h)` result, and with a single-precision dense workspace:
+/// the interpreter and the `.so` agree bytewise with each other and, the
+/// `(d,h)` result once converted to CSR, with the dense oracle, and every
+/// configuration counts the same 2138 iterations on these operands (a
+/// scatter is no iteration, a drained entry is one).
 #[test]
 fn native_spgemm_byte_identical_across_workspace_kinds() {
     let Some(cc) = require_cc("native_spgemm_byte_identical_across_workspace_kinds") else {
@@ -254,16 +260,18 @@ fn native_spgemm_byte_identical_across_workspace_kinds() {
     };
     let n = 24;
     let stmt = scheduled_spgemm(n);
+    let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
     let (b, c) = (int_csr(n, n, 51), int_csr(n, n, 52));
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
     let oracle = eval_dense(stmt.source(), &inputs).unwrap();
     let oracle = Tensor::from_dense(&oracle, Format::csr()).unwrap();
-    // Per map kind, both bodies' runs of every (sorted, fused) variant.
+    // Per map kind, both bodies' runs of every (result, fused) variant.
     let mut map_runs: Vec<Vec<(Tensor, Progress)>> = Vec::new();
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
         let mut runs = Vec::new();
         for f32 in [false, true].into_iter().filter(|f32| !f32 || kind == WorkspaceKind::Dense) {
-            for sorted in [true, false] {
+            for result in [Format::csr(), dh.clone()] {
+                let stmt = scheduled_spgemm_into(n, result.clone());
                 for fused in [true, false] {
                     let mut opts = if fused {
                         LowerOptions::fused("spgemm")
@@ -271,21 +279,20 @@ fn native_spgemm_byte_identical_across_workspace_kinds() {
                         LowerOptions::assemble("spgemm")
                     }
                     .with_workspace_kind(kind);
-                    if !sorted {
-                        opts = opts.unsorted();
-                    }
                     if f32 {
                         opts = opts.with_f32_workspaces();
                     }
-                    let what = format!("spgemm/{kind}/f32={f32}/sorted={sorted}/fused={fused}");
+                    let what = format!("spgemm/{kind}/f32={f32}/result={result}/fused={fused}");
                     let [(interp, ran), (native, native_ran)] =
                         on_both_bodies(&cc, &stmt, opts, &inputs);
                     assert_byte_identical(&interp, &native, &what);
+                    assert_eq!(interp.format(), &result, "{what}");
+                    let sorted = interp.convert(Format::csr()).unwrap();
                     if fused {
-                        assert_byte_identical(&oracle, &interp, &what);
+                        assert_byte_identical(&oracle, &sorted, &what);
                     } else {
-                        assert_eq!(interp.pos(1).unwrap(), oracle.pos(1).unwrap(), "{what}");
-                        assert_eq!(interp.crd(1).unwrap(), oracle.crd(1).unwrap(), "{what}");
+                        assert_eq!(sorted.pos(1).unwrap(), oracle.pos(1).unwrap(), "{what}");
+                        assert_eq!(sorted.crd(1).unwrap(), oracle.crd(1).unwrap(), "{what}");
                     }
                     assert_eq!(ran.iterations, 2138, "{what}");
                     assert_eq!(native_ran.iterations, 2138, "{what}");
