@@ -1,17 +1,20 @@
 //! The degradation policy, written once: which kernel each ladder rung
-//! asks for ([`DegradeRung::request`]) and how an over-budget dense
-//! workspace is arbitrated at compile time ([`arbitrate_workspaces`]).
+//! asks for ([`DegradeRung::request`]), which requests a workspace budget
+//! arbitrates ([`arbitrated`]) and the compile-time walk down the same
+//! rungs ([`arbitrate_workspaces`]).
 //!
 //! The ladder walks the paper's Section V-C heuristics in reverse; its
 //! sparse-workspace rung follows Zhang et al., *Compilation of Modular and
 //! General Sparse Workspaces*. Its one sparse kind is the coordinate list:
 //! a hash workspace is the same store charged 3/2 as much per entry, so a
 //! budget a hash rung would fit, the coordinate-list rung fits too.
-//! The runtime engine's `run_supervised` is the one function that walks
-//! [`DegradeRung::LADDER`] on retryable aborts; the compile path
-//! ([`IndexStmt::compile_checked`]) and the serving daemon's admission
-//! check share [`arbitrate_workspaces`]. None re-derives a rung or the
-//! budget chain.
+//! Two drivers climb [`DegradeRung::LADDER`], both through
+//! [`DegradeRung::request`]: the compile-time walk, which keeps the first
+//! rung whose proven initial workspace footprint fits the budget (shared by
+//! [`IndexStmt::compile_checked`] and the serving daemon's admission
+//! check), and the runtime engine's `run_supervised`, which moves down on
+//! retryable aborts. A kernel the walk degraded stands for the rung it
+//! compiled ([`CompiledKernel::rung`](crate::CompiledKernel::rung)).
 
 use crate::cost::stmt_workspaces;
 use crate::passes::FrontHalf;
@@ -20,12 +23,12 @@ use crate::{CoreError, Result};
 use std::borrow::Cow;
 use taco_llir::{BudgetResource, WorkspaceKind};
 use taco_lower::LowerOptions;
-use taco_verify::{Bound, CostEnv, WorkspaceCost};
+use taco_verify::CostEnv;
 
-/// One rung of the degradation ladder a supervised run walks on retryable
-/// aborts: faster schedules first, the plain merge kernel last. Each rung
-/// can change the outcome of the one above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// One rung of the degradation ladder, faster schedules first, the plain
+/// merge kernel last. Each rung can change the outcome of the one above
+/// it; the order of the variants is the descent order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DegradeRung {
     /// The statement exactly as scheduled.
     AsScheduled,
@@ -41,10 +44,10 @@ impl DegradeRung {
         [DegradeRung::AsScheduled, DegradeRung::CoordListWorkspace, DegradeRung::DirectMerge];
 
     /// The compile request this rung stands for — the statement and options
-    /// to hand to the ordinary compile path — or `None` when the rung would
-    /// not produce a different kernel from one already tried. `fallbacks`
-    /// is the trail so far: the compile-time events of the as-scheduled
-    /// kernel say which rungs the budget chain already took.
+    /// to hand to the ordinary compile path — or `None` when it would ask
+    /// for the as-scheduled kernel again: the schedule has no workspace or
+    /// already asks for the coordinate list, or the statement is
+    /// unscheduled.
     ///
     /// Every rung is expressed through `LowerOptions` or a re-concretized
     /// statement, so each rung's kernel has its own fingerprint and is
@@ -53,30 +56,16 @@ impl DegradeRung {
         self,
         stmt: &'s IndexStmt,
         opts: &LowerOptions,
-        fallbacks: &[FallbackEvent],
     ) -> Option<(Cow<'s, IndexStmt>, LowerOptions)> {
         match self {
             DegradeRung::AsScheduled => Some((Cow::Borrowed(stmt), opts.clone())),
             DegradeRung::CoordListWorkspace => {
                 let kind = WorkspaceKind::CoordList;
-                // Nothing to downgrade when the schedule has no workspaces,
-                // the caller already asked for this kind, or the
-                // compile-time budget chain already chose it for the
-                // as-scheduled rung.
-                let already = opts.workspace_kind == kind
-                    || stmt_workspaces(stmt.concrete()).is_empty()
-                    || fallbacks.iter().any(|f| {
-                        matches!(f, FallbackEvent::WorkspaceDowngraded { to, .. } if *to == kind)
-                    });
-                (!already).then(|| (Cow::Borrowed(stmt), opts.clone().with_workspace_kind(kind)))
+                let same =
+                    opts.workspace_kind == kind || stmt_workspaces(stmt.concrete()).is_empty();
+                (!same).then(|| (Cow::Borrowed(stmt), opts.clone().with_workspace_kind(kind)))
             }
             DegradeRung::DirectMerge => {
-                // If the compile-time workspace bound already forced the
-                // direct kernel, the as-scheduled rung was this one.
-                if fallbacks.iter().any(|f| matches!(f, FallbackEvent::WorkspaceOverBudget { .. }))
-                {
-                    return None;
-                }
                 let direct = IndexStmt::new(stmt.source().clone()).ok()?;
                 (direct.concrete() != stmt.concrete()).then(|| (Cow::Owned(direct), opts.clone()))
             }
@@ -94,96 +83,76 @@ impl std::fmt::Display for DegradeRung {
     }
 }
 
-/// The single walk over the compile-time budget chain: proven dense bound →
-/// the coordinate-list store's proven initial footprint → direct merge.
-/// `front` is the front half of a statement as scheduled; `None` says it
-/// stands — there is no `limit`, nothing to arbitrate (only dense-workspace
-/// requests are; one that already names a map kind is charged at run time)
-/// or the dense footprint fits. Otherwise the unverified product of the
-/// first rung that fits replaces it, with one [`FallbackEvent`] per
-/// workspace saying why.
+/// Whether a workspace budget of `limit` bytes arbitrates the request: a
+/// limit is set and the schedule has dense workspaces. A request that
+/// already names a map kind is charged at run time instead.
+pub fn arbitrated(stmt: &IndexStmt, opts: &LowerOptions, limit: Option<u64>) -> bool {
+    limit.is_some()
+        && opts.workspace_kind == WorkspaceKind::Dense
+        && !stmt_workspaces(stmt.concrete()).is_empty()
+}
+
+/// The compile-time walk down [`DegradeRung::LADDER`]. `front` is the front
+/// half of a statement as scheduled; `None` says it stands — the request is
+/// not [`arbitrated`] or its workspaces fit. Otherwise the unverified
+/// product of the first lower rung that lowers and fits replaces it, with
+/// one [`FallbackEvent::OverBudget`] per as-scheduled workspace naming that
+/// rung.
 ///
-/// The footprints are *proven* by the symbolic cost analyzer over the
-/// lowered kernel. Dense workspace bounds close over declared dimensions
+/// A product fits when its proven initial workspace footprint
+/// ([`CostReport::workspace_init_bytes`](taco_verify::CostReport::workspace_init_bytes))
+/// is within `limit`: a dense workspace is allocated up front, so its
+/// initial footprint is its whole footprint, and a map workspace's growth
+/// is charged at run time. The footprints close over declared dimensions
 /// alone, so they are concrete at compile time; a bound the analyzer cannot
-/// derive or evaluate trips the budget.
+/// derive or evaluate does not fit.
 ///
 /// # Errors
 ///
 /// [`CoreError::BudgetExceeded`] (naming the first workspace in `context`)
-/// when nothing fits and the direct kernel does not lower — a workspace is
-/// what makes sparse scatter lowerable, so that is a budget failure, not a
-/// lowering bug.
+/// when no rung fits — a workspace is what makes sparse scatter lowerable,
+/// so that is a budget failure, not a lowering bug.
 pub fn arbitrate_workspaces(
     front: &FrontHalf,
     limit: Option<u64>,
 ) -> Result<Option<(FrontHalf, Vec<FallbackEvent>)>> {
-    let Some(limit) = limit else { return Ok(None) };
-    let ws_vars = stmt_workspaces(front.stmt.concrete());
-    if front.opts.workspace_kind != WorkspaceKind::Dense || ws_vars.is_empty() {
+    let (true, Some(limit)) = (arbitrated(&front.stmt, &front.opts, limit), limit) else {
         return Ok(None);
-    }
-    // Per-workspace footprints of one product, in `ws_vars` order.
-    let footprints = |front: &FrontHalf, pick: fn(&WorkspaceCost) -> &Bound| {
-        let env = CostEnv::from_shapes(&front.lowered);
-        ws_vars
-            .iter()
-            .map(|ws| {
-                let w = front.cost.workspaces.iter().find(|w| w.name == ws.name())?;
-                pick(w).concrete(&env)
-            })
-            .collect::<Vec<Option<u64>>>()
     };
-    let total = |bytes: &[u64]| bytes.iter().fold(0u64, |a, b| a.saturating_add(*b));
-
-    let bounds: Vec<u64> =
-        footprints(front, |w| &w.bytes).into_iter().map(|b| b.unwrap_or(u64::MAX)).collect();
-    if total(&bounds) <= limit {
+    let fits = |product: &FrontHalf| {
+        let env = CostEnv::from_shapes(&product.lowered);
+        product.cost.workspace_init_bytes(&env).is_some_and(|bytes| bytes <= limit)
+    };
+    if fits(front) {
         return Ok(None);
     }
-
-    let kind = WorkspaceKind::CoordList;
-    if let Ok(sparse) =
-        FrontHalf::unverified(&front.stmt, front.opts.clone().with_workspace_kind(kind))
-    {
-        let inits =
-            footprints(&sparse, |w| &w.init_bytes).into_iter().collect::<Option<Vec<u64>>>();
-        if let Some(inits) = inits.filter(|inits| total(inits) <= limit) {
-            let events = ws_vars
+    let env = CostEnv::from_shapes(&front.lowered);
+    let bounds: Vec<(&str, u64)> = front
+        .cost
+        .workspaces
+        .iter()
+        .map(|w| (w.name.as_str(), w.init_bytes.concrete(&env).unwrap_or(u64::MAX)))
+        .collect();
+    for rung in &DegradeRung::LADDER[1..] {
+        let Some((stmt, opts)) = rung.request(&front.stmt, &front.opts) else { continue };
+        let Ok(product) = FrontHalf::unverified(&stmt, opts) else { continue };
+        if fits(&product) {
+            let events = bounds
                 .iter()
-                .zip(bounds.iter().zip(&inits))
-                .map(|(ws, (bound, init))| FallbackEvent::WorkspaceDowngraded {
-                    workspace: ws.name().to_string(),
-                    from: WorkspaceKind::Dense,
-                    to: kind,
-                    estimated_bytes: *bound,
-                    downgraded_bytes: *init,
+                .map(|&(workspace, estimated_bytes)| FallbackEvent::OverBudget {
+                    workspace: workspace.to_string(),
+                    estimated_bytes,
                     budget_bytes: limit,
+                    rung: *rung,
                 })
                 .collect();
-            return Ok(Some((sparse, events)));
+            return Ok(Some((product, events)));
         }
     }
-
-    let direct = IndexStmt::new(front.stmt.source().clone())?;
-    let Ok(direct) = FrontHalf::unverified(&direct, front.opts.clone()) else {
-        return Err(CoreError::BudgetExceeded {
-            resource: BudgetResource::WorkspaceBytes,
-            limit,
-            requested: bounds.first().copied().unwrap_or(u64::MAX),
-            context: ws_vars.first().map(|ws| ws.name().to_string()),
-        });
-    };
-    let events = ws_vars
-        .iter()
-        .zip(&bounds)
-        .map(|(ws, bound)| FallbackEvent::WorkspaceOverBudget {
-            workspace: ws.name().to_string(),
-            dims: ws.shape().to_vec(),
-            estimated_bytes: *bound,
-            budget_bytes: limit,
-            fallback: DegradeRung::DirectMerge,
-        })
-        .collect();
-    Ok(Some((direct, events)))
+    Err(CoreError::BudgetExceeded {
+        resource: BudgetResource::WorkspaceBytes,
+        limit,
+        requested: bounds.first().map_or(u64::MAX, |&(_, bytes)| bytes),
+        context: bounds.first().map(|&(workspace, _)| workspace.to_string()),
+    })
 }

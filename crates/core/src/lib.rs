@@ -65,8 +65,8 @@ pub use ladder::DegradeRung;
 pub use passes::FrontHalf;
 pub use schedule::{default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt};
 pub use taco_verify::{
-    analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, OutputBound, Severity,
-    VerifyError, VerifyMode, VerifyReport, WorkspaceCost,
+    analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, Severity, VerifyError,
+    VerifyMode, VerifyReport, WorkspaceCost,
 };
 pub use taco_llir::{
     Aborted, AbortReason, BudgetResource, CancelToken, ExecReport, Progress, ResourceBudget,

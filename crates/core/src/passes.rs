@@ -7,7 +7,7 @@
 //! everything else builds a `FrontHalf` and reads it or hands it on
 //! (DESIGN.md §3 lists the consumers).
 //!
-//! The budget chain decides on costs alone, so the compile driver verifies
+//! The budget walk decides on costs alone, so the compile driver verifies
 //! *after* it, only what is kept; the enumerator verifies up front, because
 //! acceptance is what makes a schedule a candidate (DESIGN.md §3).
 
@@ -78,12 +78,13 @@ impl FrontHalf {
     }
 
     /// The back half: fits the product to the budget's workspace limit
-    /// ([`arbitrate_workspaces`], which may replace it), verifies the one
-    /// kept, compiles it for the interpreter and fingerprints the request.
+    /// ([`arbitrate_workspaces`], which may replace it with a lower rung's),
+    /// verifies the one kept, compiles it for the interpreter and
+    /// fingerprints the request.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BudgetExceeded`] when no rung of the budget chain fits,
+    /// [`CoreError::BudgetExceeded`] when no rung of the ladder fits,
     /// [`CoreError::Verify`] under [`VerifyMode::Deny`], or an internal
     /// exec-compile error.
     pub fn finish(self, budget: ResourceBudget, mode: VerifyMode) -> Result<CompiledKernel> {

@@ -13,7 +13,7 @@ use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::{
     run_body, AbortReason, Binding, Executable, ExecReport, KernelBody, ResourceBudget,
-    RunControls, Supervisor, WorkspaceKind,
+    RunControls, Supervisor,
 };
 use taco_lower::{KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
@@ -139,18 +139,17 @@ impl IndexStmt {
     /// exec-compile → fingerprint`.
     ///
     /// The budget applies at both ends of the pipeline. At compile time the
-    /// dense-workspace footprint of every `where` statement is *proven* by
-    /// the symbolic cost analyzer ([`taco_verify::analyze_cost`]) over the
-    /// lowered kernel and evaluated against the declared dimensions; if the
-    /// total exceeds `max_workspace_bytes`, the coordinate-list workspace is
-    /// compiled instead when its proven initial footprint fits, keeping the
-    /// schedule and recording one [`FallbackEvent::WorkspaceDowngraded`]
-    /// per workspace. Only when it does not fit or lower either are the
-    /// schedule's transformations dropped and the original statement
-    /// lowered directly — the slower merge kernel — with one
-    /// [`FallbackEvent::WorkspaceOverBudget`] recorded per skipped
-    /// workspace. At run time the compiled kernel enforces the budget's
-    /// allocation and iteration limits on every [`CompiledKernel::run`].
+    /// workspace-byte limit is arbitrated by the walk down the degrade
+    /// ladder ([`crate::ladder::arbitrate_workspaces`]): the initial
+    /// workspace footprint of the as-scheduled kernel is *proven* by the
+    /// symbolic cost analyzer ([`taco_verify::analyze_cost`]) and evaluated
+    /// against the declared dimensions; if it exceeds `max_workspace_bytes`,
+    /// the first lower rung whose proven footprint fits is compiled instead —
+    /// the schedule over coordinate-list workspaces, else the original
+    /// statement lowered directly (the slower merge kernel) — with one
+    /// [`FallbackEvent::OverBudget`] per workspace naming that rung. At run
+    /// time the compiled kernel enforces the budget's allocation and
+    /// iteration limits on every [`CompiledKernel::run`].
     ///
     /// The kernel it keeps is run through the `taco-verify` abstract
     /// interpreter (definite initialization, symbolic bounds, parallel
@@ -186,38 +185,18 @@ impl IndexStmt {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FallbackEvent {
-    /// A workspace was skipped at compile time because its estimated
-    /// footprint exceeded the budget and no sparse backend fit either (see
-    /// [`IndexStmt::compile_checked`]).
-    WorkspaceOverBudget {
-        /// Name of the workspace tensor that was not materialized.
+    /// The as-scheduled workspaces were over the budget at compile time, so
+    /// the compile walked down the ladder (see
+    /// [`IndexStmt::compile_checked`]). One event per workspace.
+    OverBudget {
+        /// Name of the as-scheduled workspace tensor.
         workspace: String,
-        /// Dense dimensions the workspace would have had.
-        dims: Vec<usize>,
-        /// Estimated bytes the workspace would have allocated.
+        /// Proven bytes the workspace would have allocated.
         estimated_bytes: u64,
         /// The `max_workspace_bytes` limit in force.
         budget_bytes: u64,
-        /// The ladder rung the compile fell back to instead.
-        fallback: DegradeRung,
-    },
-    /// A dense workspace was over budget but a sparse backend fit, so the
-    /// schedule was kept and only the workspace storage was downgraded (see
-    /// [`IndexStmt::compile_checked`]).
-    WorkspaceDowngraded {
-        /// Name of the workspace tensor whose storage was downgraded.
-        workspace: String,
-        /// The storage backend the schedule asked for.
-        from: WorkspaceKind,
-        /// The sparse backend that was compiled instead.
-        to: WorkspaceKind,
-        /// Estimated bytes the `from` backend would have allocated.
-        estimated_bytes: u64,
-        /// Initial footprint of the `to` backend (growth is budget-charged
-        /// at run time).
-        downgraded_bytes: u64,
-        /// The `max_workspace_bytes` limit in force.
-        budget_bytes: u64,
+        /// The ladder rung compiled instead.
+        rung: DegradeRung,
     },
     /// A supervised run of one degradation-ladder rung aborted and the next
     /// rung was tried (the runtime engine's `run_supervised` walks the
@@ -242,30 +221,13 @@ pub enum FallbackEvent {
 impl std::fmt::Display for FallbackEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FallbackEvent::WorkspaceOverBudget {
-                workspace,
-                dims,
-                estimated_bytes,
-                budget_bytes,
-                fallback,
-            } => write!(
-                f,
-                "workspace `{workspace}` (dims {dims:?}, ~{estimated_bytes} bytes) exceeds the \
-                 {budget_bytes}-byte workspace budget; compiled the {fallback} kernel instead",
-            ),
-            FallbackEvent::WorkspaceDowngraded {
-                workspace,
-                from,
-                to,
-                estimated_bytes,
-                downgraded_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "workspace `{workspace}` downgraded {from} -> {to}: ~{estimated_bytes} bytes \
-                 exceeds the {budget_bytes}-byte workspace budget, {to} starts at \
-                 {downgraded_bytes} bytes",
-            ),
+            FallbackEvent::OverBudget { workspace, estimated_bytes, budget_bytes, rung } => {
+                write!(
+                    f,
+                    "workspace `{workspace}` (~{estimated_bytes} bytes) exceeds the \
+                     {budget_bytes}-byte workspace budget; compiled the {rung} kernel instead",
+                )
+            }
             FallbackEvent::DegradedRetry { rung, reason } => {
                 write!(f, "{rung} kernel aborted ({reason}); retried one rung down the ladder")
             }
@@ -352,11 +314,24 @@ impl CompiledKernel {
         self.budget
     }
 
-    /// Workspaces that were skipped at compile time because their estimated
-    /// footprint exceeded the budget. Empty when the kernel was compiled as
-    /// scheduled.
+    /// Why the compile walked down the ladder: one
+    /// [`FallbackEvent::OverBudget`] per as-scheduled workspace over the
+    /// budget. Empty when the kernel was compiled as scheduled.
     pub fn fallback_events(&self) -> &[FallbackEvent] {
         &self.fallbacks
+    }
+
+    /// The ladder rung this kernel stands for: the highest rung among its
+    /// [`FallbackEvent::OverBudget`] events, as scheduled when it has none.
+    pub fn rung(&self) -> DegradeRung {
+        self.fallbacks
+            .iter()
+            .filter_map(|e| match e {
+                FallbackEvent::OverBudget { rung, .. } => Some(*rung),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(DegradeRung::AsScheduled)
     }
 
     /// The static-verification report recorded when this kernel was

@@ -1116,17 +1116,32 @@ impl<'o> Lowerer<'o> {
             return Ok(out);
         }
         let parent = self.parent_pos(&iter.tensor, iter.level)?;
-        let pvar = pos_var(&iter.tensor, iter.level);
-        let lo = Expr::load(pos_name(&iter.tensor, iter.level), parent.clone());
-        let hi = Expr::load(pos_name(&iter.tensor, iter.level), parent + Expr::int(1));
+        self.segment_loop(&iter.tensor, iter.level, parent, var, body, ctx)
+    }
 
-        self.pos.insert((iter.tensor.clone(), iter.level), Expr::var(&pvar));
+    /// One position segment of `tensor`'s level `l`:
+    /// `for (p = T_pos[parent]; p < T_pos[parent + 1]; p++) { v = T_crd[p]; body }`,
+    /// with `p` the level's position while `body` lowers.
+    fn segment_loop(
+        &mut self,
+        tensor: &str,
+        l: usize,
+        parent: Expr,
+        var: &IndexVar,
+        body: &ConcreteStmt,
+        ctx: &Ctx,
+    ) -> Result<Vec<Stmt>> {
+        let pvar = pos_var(tensor, l);
+        let lo = Expr::load(pos_name(tensor, l), parent.clone());
+        let hi = Expr::load(pos_name(tensor, l), parent + Expr::int(1));
+
+        self.pos.insert((tensor.to_string(), l), Expr::var(&pvar));
         let mut inner = vec![Stmt::DeclInt(
             var.name().to_string(),
-            Expr::load(crd_name(&iter.tensor, iter.level), Expr::var(&pvar)),
+            Expr::load(crd_name(tensor, l), Expr::var(&pvar)),
         )];
         inner.extend(self.lower_stmt(body, ctx)?);
-        self.pos.remove(&(iter.tensor.clone(), iter.level));
+        self.pos.remove(&(tensor.to_string(), l));
 
         Ok(vec![Stmt::for_(pvar, lo, hi, inner)])
     }
@@ -1281,19 +1296,7 @@ impl<'o> Lowerer<'o> {
         let name = self.result.name().to_string();
         let parent = self.access_pos(&self.result_access.clone(), l.wrapping_sub(1).min(l))?;
         let parent = if l == 0 { Expr::int(0) } else { parent };
-        let pvar = pos_var(&name, l);
-        let lo = Expr::load(pos_name(&name, l), parent.clone());
-        let hi = Expr::load(pos_name(&name, l), parent + Expr::int(1));
-
-        self.pos.insert((name.clone(), l), Expr::var(&pvar));
-        let mut inner = vec![Stmt::DeclInt(
-            var.name().to_string(),
-            Expr::load(crd_name(&name, l), Expr::var(&pvar)),
-        )];
-        inner.extend(self.lower_stmt(body, ctx)?);
-        self.pos.remove(&(name, l));
-
-        Ok(vec![Stmt::for_(pvar, lo, hi, inner)])
+        self.segment_loop(&name, l, parent, var, body, ctx)
     }
 
     /// Drains the assembling workspace the body reads into one result row

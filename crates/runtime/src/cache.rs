@@ -1,11 +1,10 @@
-//! The sharded, thread-safe compiled-kernel cache.
+//! The thread-safe compiled-kernel cache.
 //!
 //! Keys are canonical kernel fingerprints
 //! ([`CompiledKernel::fingerprint`]); values are `Arc`-shared compiled
-//! kernels. The cache is split into shards selected by key, so concurrent
-//! lookups of different kernels never contend on one lock, and each shard
-//! evicts least-recently-used entries against per-shard byte and entry
-//! budgets.
+//! kernels. One lock guards the entries, which are evicted in exact
+//! least-recently-used order against a byte and an entry budget. The lock
+//! is held for map operations only, never across a compile.
 //!
 //! **Single-flight:** when N threads request the same uncached kernel, one
 //! of them (the *leader*) runs the compile pipeline while the others wait on
@@ -139,31 +138,32 @@ impl Flight {
 }
 
 #[derive(Default)]
-struct Shard {
+struct Store {
     entries: HashMap<u64, Entry>,
     inflight: HashMap<u64, Arc<Flight>>,
     bytes: u64,
+    /// The LRU clock, advanced by every lookup and insert.
+    clock: u64,
+}
+
+impl Store {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 }
 
 /// Sizing of the cache an [`Engine`](crate::Engine) owns: total charged
-/// bytes ([`entry_weight`]), resident kernels, and shard count (one shard
-/// gives exact global LRU order, more give less lock contention).
+/// bytes ([`entry_weight`]) and resident kernels.
 pub(crate) const ENGINE_CACHE_MAX_BYTES: u64 = 64 << 20;
 pub(crate) const ENGINE_CACHE_MAX_ENTRIES: usize = 1024;
-pub(crate) const ENGINE_CACHE_SHARDS: usize = 8;
 
-/// Sharded LRU cache of compiled kernels with single-flight compilation.
-///
-/// Byte and entry budgets are enforced *per shard* (each shard gets an equal
-/// split of the configured totals), so eviction decisions never take a
-/// global lock. Configure one shard when exact global LRU order matters
-/// (tests do).
+/// LRU cache of compiled kernels with single-flight compilation.
 pub struct KernelCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_max_bytes: u64,
-    shard_max_entries: usize,
+    store: Mutex<Store>,
+    max_bytes: u64,
+    max_entries: usize,
     counters: Counters,
-    clock: AtomicU64,
 }
 
 /// A mutex poisoned by a panicking kernel compile would otherwise take the
@@ -174,28 +174,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl KernelCache {
-    /// Creates a cache with the given total budgets split over `shards`
-    /// shards (clamped to at least one shard, one entry and one
-    /// `entry_weight` of bytes per shard).
-    pub fn new(max_bytes: u64, max_entries: usize, shards: usize) -> KernelCache {
-        let shards = shards.max(1);
+    /// Creates a cache with the given budgets (clamped to at least one
+    /// entry and one byte).
+    pub fn new(max_bytes: u64, max_entries: usize) -> KernelCache {
         KernelCache {
-            shard_max_bytes: (max_bytes / shards as u64).max(1),
-            shard_max_entries: (max_entries / shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            store: Mutex::new(Store::default()),
+            max_bytes: max_bytes.max(1),
+            max_entries: max_entries.max(1),
             counters: Counters::default(),
-            clock: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // The low fingerprint bits already mix the whole structure (FNV-1a),
-        // so a simple modulus spreads keys evenly.
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Looks up `key`, or compiles it with `compile` under single-flight.
@@ -210,11 +197,12 @@ impl KernelCache {
         key: u64,
         compile: impl FnOnce() -> taco_core::Result<CompiledKernel>,
     ) -> Result<Arc<CompiledKernel>> {
-        // Fast path / flight discovery under the shard lock.
+        // Fast path / flight discovery under the lock.
         let flight = {
-            let mut shard = lock(self.shard(key));
-            if let Some(entry) = shard.entries.get_mut(&key) {
-                entry.last_used = self.tick();
+            let mut store = lock(&self.store);
+            let now = store.tick();
+            if let Some(entry) = store.entries.get_mut(&key) {
+                entry.last_used = now;
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 self.counters
                     .compile_nanos_saved
@@ -222,14 +210,14 @@ impl KernelCache {
                 return Ok(Arc::clone(&entry.kernel));
             }
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            match shard.inflight.get(&key) {
+            match store.inflight.get(&key) {
                 Some(flight) => {
                     self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                     Some(Arc::clone(flight))
                 }
                 None => {
                     let flight = Arc::new(Flight::new());
-                    shard.inflight.insert(key, Arc::clone(&flight));
+                    store.inflight.insert(key, Arc::clone(&flight));
                     None
                 }
             }
@@ -246,18 +234,18 @@ impl KernelCache {
         let compile_nanos = started.elapsed().as_nanos() as u64;
         self.counters.compiles.fetch_add(1, Ordering::Relaxed);
 
-        let mut shard = lock(self.shard(key));
-        let flight = shard.inflight.remove(&key).expect("leader owns the flight slot");
+        let mut store = lock(&self.store);
+        let flight = store.inflight.remove(&key).expect("leader owns the flight slot");
         match compiled {
             Ok(kernel) => {
                 let kernel = Arc::new(kernel);
-                self.insert_locked(&mut shard, key, Arc::clone(&kernel), compile_nanos);
-                drop(shard);
+                self.insert_locked(&mut store, key, Arc::clone(&kernel), compile_nanos);
+                drop(store);
                 flight.publish(Ok(Arc::clone(&kernel)));
                 Ok(kernel)
             }
             Err(e) => {
-                drop(shard);
+                drop(store);
                 flight.publish(Err(e.to_string()));
                 Err(EngineError::Core(e))
             }
@@ -266,53 +254,53 @@ impl KernelCache {
 
     /// Inserts an already-compiled kernel (used by tests and warm-up paths).
     pub fn insert(&self, key: u64, kernel: Arc<CompiledKernel>, compile_nanos: u64) {
-        let mut shard = lock(self.shard(key));
-        self.insert_locked(&mut shard, key, kernel, compile_nanos);
+        let mut store = lock(&self.store);
+        self.insert_locked(&mut store, key, kernel, compile_nanos);
     }
 
     fn insert_locked(
         &self,
-        shard: &mut Shard,
+        store: &mut Store,
         key: u64,
         kernel: Arc<CompiledKernel>,
         compile_nanos: u64,
     ) {
         let bytes = entry_weight(&kernel);
-        let last_used = self.tick();
-        if let Some(old) = shard
+        let last_used = store.tick();
+        if let Some(old) = store
             .entries
             .insert(key, Entry { kernel, bytes, compile_nanos, last_used })
         {
-            shard.bytes -= old.bytes;
+            store.bytes -= old.bytes;
             self.counters.entries.fetch_sub(1, Ordering::Relaxed);
             self.counters.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
         }
-        shard.bytes += bytes;
+        store.bytes += bytes;
         self.counters.entries.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
 
         // Evict least-recently-used entries until back under budget. The
-        // just-inserted key goes last: if it alone exceeds the shard budget
+        // just-inserted key goes last: if it alone exceeds the budget
         // it is dropped too (the caller still holds its Arc), leaving the
         // cache empty rather than wedged over budget.
-        while shard.bytes > self.shard_max_bytes || shard.entries.len() > self.shard_max_entries {
-            let victim = shard
+        while store.bytes > self.max_bytes || store.entries.len() > self.max_entries {
+            let victim = store
                 .entries
                 .iter()
                 .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
-                .or_else(|| shard.entries.keys().next().copied());
+                .or_else(|| store.entries.keys().next().copied());
             match victim {
-                Some(v) => self.evict_locked(shard, v),
+                Some(v) => self.evict_locked(store, v),
                 None => break,
             }
         }
     }
 
-    fn evict_locked(&self, shard: &mut Shard, key: u64) {
-        if let Some(e) = shard.entries.remove(&key) {
-            shard.bytes -= e.bytes;
+    fn evict_locked(&self, store: &mut Store, key: u64) {
+        if let Some(e) = store.entries.remove(&key) {
+            store.bytes -= e.bytes;
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             self.counters.entries.fetch_sub(1, Ordering::Relaxed);
             self.counters.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
@@ -321,7 +309,7 @@ impl KernelCache {
 
     /// True if `key` is resident (does not touch LRU order or counters).
     pub fn contains(&self, key: u64) -> bool {
-        lock(self.shard(key)).entries.contains_key(&key)
+        lock(&self.store).entries.contains_key(&key)
     }
 
     /// Snapshots the activity counters.
@@ -342,9 +330,8 @@ impl KernelCache {
 impl std::fmt::Debug for KernelCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelCache")
-            .field("shards", &self.shards.len())
-            .field("shard_max_bytes", &self.shard_max_bytes)
-            .field("shard_max_entries", &self.shard_max_entries)
+            .field("max_bytes", &self.max_bytes)
+            .field("max_entries", &self.max_entries)
             .field("stats", &self.stats())
             .finish()
     }

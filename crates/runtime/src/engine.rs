@@ -1,9 +1,7 @@
 //! The [`Engine`]: one front door for compile-with-caching, supervised
 //! execution, and schedule autotuning.
 
-use crate::cache::{
-    CacheStats, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES, ENGINE_CACHE_SHARDS,
-};
+use crate::cache::{CacheStats, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES};
 use crate::native::{Backend, NativeStore};
 use crate::tuner::{
     converted_inputs, Autotuner, ConversionSet, Ranked, TuneDecision, TuneKey, TunedRun,
@@ -270,7 +268,9 @@ pub struct SupervisedRun {
     pub result: Tensor,
     /// Wall-clock and progress counters of the committing run.
     pub report: ExecReport,
-    /// The degradation-ladder rung that produced the result.
+    /// The degradation-ladder rung whose kernel produced the result
+    /// ([`CompiledKernel::rung`]: a kernel the compile-time walk degraded
+    /// reports the rung it compiled).
     pub rung: DegradeRung,
     /// Compile-time workspace fallbacks and aborted rungs, in order.
     pub fallbacks: Vec<FallbackEvent>,
@@ -350,11 +350,7 @@ impl Engine {
     pub fn with_config(config: EngineConfig) -> Engine {
         Engine {
             config,
-            cache: KernelCache::new(
-                ENGINE_CACHE_MAX_BYTES,
-                ENGINE_CACHE_MAX_ENTRIES,
-                ENGINE_CACHE_SHARDS,
-            ),
+            cache: KernelCache::new(ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES),
             tuner: Autotuner::new(),
             events: Mutex::new(EventLog::default()),
             native: NativeStore::default(),
@@ -429,15 +425,18 @@ impl Engine {
 
     /// Runs a statement under a [`Supervisor`], descending the degradation
     /// ladder ([`DegradeRung::LADDER`]) on retryable aborts. No other code
-    /// walks the ladder.
+    /// walks the ladder at run time.
     ///
     /// The first rung compiles the statement as scheduled (under the
-    /// engine's budget, so an over-budget workspace already falls back at
-    /// compile time). If the run aborts with a *retryable* reason — a missed
-    /// deadline or an exhausted resource budget — the request of the next
-    /// applicable rung ([`DegradeRung::request`]) is compiled and run with a
-    /// fresh deadline: coordinate-list workspace, then direct merge. The
-    /// first rung to commit wins. Every abandoned rung is recorded as a
+    /// engine's budget, so an over-budget workspace already walks down the
+    /// ladder at compile time, and the kernel stands for the rung it
+    /// compiled: [`CompiledKernel::rung`]). If the run aborts with a
+    /// *retryable* reason — a missed deadline or an exhausted resource
+    /// budget — the request of the next rung below the one that ran
+    /// ([`DegradeRung::request`]) is compiled and run with a fresh
+    /// deadline: coordinate-list workspace, then direct merge. No rung at or
+    /// above one already run is compiled. The first rung to commit wins.
+    /// Every abandoned rung is recorded as a
     /// [`FallbackEvent::DegradedRetry`] in the returned run and in the
     /// engine's event log. Cancellation, runtime failures and bind errors
     /// are not fixed by a degraded schedule and are not retried.
@@ -469,8 +468,13 @@ impl Engine {
         let mut fallbacks: Vec<FallbackEvent> = Vec::new();
         let mut last_err: Option<EngineError> = None;
         let mut cache_hit: Option<bool> = None;
+        // The lowest rung run so far.
+        let mut ran: Option<DegradeRung> = None;
         for rung in DegradeRung::LADDER {
-            let Some((rung_stmt, rung_opts)) = rung.request(stmt, &opts, &fallbacks) else {
+            if ran >= Some(rung) {
+                continue;
+            }
+            let Some((rung_stmt, rung_opts)) = rung.request(stmt, &opts) else {
                 continue;
             };
             let kernel = match self.compile_traced(&rung_stmt, rung_opts, None) {
@@ -485,9 +489,9 @@ impl Engine {
                     continue;
                 }
             };
-            if rung == DegradeRung::AsScheduled {
-                fallbacks.extend(kernel.fallback_events().iter().cloned());
-            }
+            let rung = rung.max(kernel.rung());
+            ran = Some(rung);
+            fallbacks.extend(kernel.fallback_events().iter().cloned());
             let run = self.run_kernel(
                 &kernel,
                 inputs,

@@ -7,28 +7,27 @@
 //! * [`budget_infeasible`] proves a request can never run under its
 //!   tenant's workspace-byte budget — the decision `compile_checked`
 //!   reaches with a `BudgetExceeded` error, from the same
-//!   `taco_core::ladder` walk, made at the front door so the doomed
-//!   request sheds instead of occupying queue and compile capacity;
+//!   `taco_core::ladder` walk down the degrade ladder, made at the front
+//!   door so the doomed request sheds instead of occupying queue and
+//!   compile capacity;
 //! * [`service_prior_nanos`] turns the analyzer's iteration bound into a
 //!   service-time prior that seeds the queue-wait estimate before any
 //!   completion has been observed (the EMA cold start).
 
 use crate::server::{Rejected, Request};
-use taco_core::ladder::arbitrate_workspaces;
-use taco_core::{stmt_workspaces, CoreError, CostEnv, FrontHalf, ResourceBudget};
-use taco_llir::WorkspaceKind;
+use taco_core::ladder::{arbitrate_workspaces, arbitrated};
+use taco_core::{CoreError, CostEnv, FrontHalf, ResourceBudget};
 use taco_lower::params::{crd_name, level_extent, pos_name};
 use taco_lower::LoweredKernel;
 
 /// The request's front half, unverified (admission only reads costs), for
 /// both checks. `None` when neither would read it — the service-time EMA is
-/// warm and `budget` has nothing to arbitrate — or the statement does not
-/// lower, which is the worker's to report, not admission's.
+/// warm and `budget` does not [arbitrate](arbitrated) the request — or the
+/// statement does not lower, which is the worker's to report, not
+/// admission's.
 pub(crate) fn front_half(req: &Request, budget: &ResourceBudget, ema_cold: bool) -> Option<FrontHalf> {
-    let arbitrated = budget.max_workspace_bytes.is_some()
-        && req.opts.workspace_kind == WorkspaceKind::Dense
-        && !stmt_workspaces(req.stmt.concrete()).is_empty();
-    (ema_cold || arbitrated).then(|| FrontHalf::unverified(&req.stmt, req.opts.clone()).ok()).flatten()
+    let read = ema_cold || arbitrated(&req.stmt, &req.opts, budget.max_workspace_bytes);
+    read.then(|| FrontHalf::unverified(&req.stmt, req.opts.clone()).ok()).flatten()
 }
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.
@@ -46,12 +45,11 @@ const PRIOR_MAX_NANOS: u64 = 1_000_000_000;
 
 /// Proves a request infeasible under `budget`, or returns `None` when it
 /// might run. `Some(Rejected::BudgetInfeasible)` means compiling this
-/// request is guaranteed to fail with a budget error: the compile-time
-/// budget chain ([`arbitrate_workspaces`] — the very walk
-/// `IndexStmt::compile_checked` makes) finds the proven dense workspace
-/// bound over `max_workspace_bytes`, no sparse backend's initial footprint
-/// under it, and the direct merge kernel unrealizable. Arbitration lowers
-/// and analyses; nothing is compiled, verified or queued.
+/// request is guaranteed to fail with a budget error: the compile-time walk
+/// down the ladder ([`arbitrate_workspaces`] — the very walk
+/// `IndexStmt::compile_checked` makes) finds no rung whose proven initial
+/// workspace footprint fits `max_workspace_bytes` and lowers. The walk
+/// lowers and analyses; nothing is compiled, verified or queued.
 pub(crate) fn budget_infeasible(
     req: &Request,
     front: &FrontHalf,
@@ -157,7 +155,7 @@ mod tests {
 
     #[test]
     fn budget_verdicts_do_not_depend_on_segment_lengths() {
-        // The budget chain reads dimension-valued workspace bounds only: the
+        // The budget walk reads dimension-valued workspace bounds only: the
         // dense row workspace of the n = 16 SpGEMM is 17n bytes, a
         // coord-list one starts at 256, and the direct kernel does not lower.
         let req = spgemm_request(16);

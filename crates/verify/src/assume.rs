@@ -6,9 +6,7 @@
 //! length; `crd` coordinates are within the dimension; `crd` and `vals`
 //! pair up). The verifier *assumes* them for input parameters and records
 //! each one in the report, so the bind-time check and the static proof are
-//! two views of the same contract — [`check_pos_slice`] and
-//! [`check_crd_slice`] mirror the runtime checks one-to-one for tests that
-//! assert the two layers agree.
+//! two views of the same contract.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -16,7 +14,6 @@ use std::collections::HashMap;
 use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::{KernelKind, LoweredKernel};
 
-use crate::error::VerifyError;
 use crate::sym::{Atom, Bounds, Sym};
 
 /// Facts about one integer array whose values are used as indices.
@@ -184,54 +181,4 @@ impl Assumptions {
         bounds.add_ub(atom.clone(), ub);
         Some(Sym::atom(atom))
     }
-}
-
-/// Mirrors the bind-time `pos` checks of `Csr::validate`/`Csf::validate` on
-/// a raw slice: `parents + 1` entries, starts at 0, monotone, ends at the
-/// `crd` length.
-///
-/// # Errors
-///
-/// Returns the [`VerifyError`] the static layer would raise for a kernel
-/// whose `pos` input violated the invariant.
-pub fn check_pos_slice(pos: &[usize], parents: usize, crd_len: usize) -> Result<(), VerifyError> {
-    if pos.len() != parents + 1 {
-        return Err(VerifyError::OutOfBounds {
-            array: "pos".to_string(),
-            index: format!("{parents} (pos has {} entries)", pos.len()),
-        });
-    }
-    if pos.first() != Some(&0) {
-        return Err(VerifyError::PosNotMonotone { counter: "pos[0]".to_string() });
-    }
-    if pos.windows(2).any(|w| w[0] > w[1]) {
-        return Err(VerifyError::PosNotMonotone { counter: "pos".to_string() });
-    }
-    if pos.last() != Some(&crd_len) {
-        return Err(VerifyError::OutOfBounds {
-            array: "crd".to_string(),
-            index: format!("pos ends at {} but crd has {crd_len} entries", pos.last().unwrap()),
-        });
-    }
-    Ok(())
-}
-
-/// Mirrors the bind-time `crd`/`vals` checks on raw slices: coordinates in
-/// `[0, dim)` and one value per coordinate.
-///
-/// # Errors
-///
-/// Returns the [`VerifyError`] the static layer would raise for a kernel
-/// whose `crd` input violated the invariant.
-pub fn check_crd_slice(crd: &[usize], dim: usize, vals_len: usize) -> Result<(), VerifyError> {
-    if let Some(c) = crd.iter().find(|c| **c >= dim) {
-        return Err(VerifyError::OutOfBounds {
-            array: "crd".to_string(),
-            index: format!("coordinate {c} with dimension {dim}"),
-        });
-    }
-    if crd.len() != vals_len {
-        return Err(VerifyError::UninitializedRead { array: "vals".to_string() });
-    }
-    Ok(())
 }

@@ -10,8 +10,7 @@
 //! * the cumulative bytes charged over the whole run,
 //! * the loop iterations consumed at back-edges,
 //! * the entries all workspace drains visit, and
-//! * the resident footprint and final output sizes of every workspace and
-//!   reallocated result array.
+//! * the resident and initial footprint of every workspace.
 //!
 //! The bounds are *sound* with respect to the runtime meter under the same
 //! assumptions the rest of the verifier makes (and the runtime enforces at
@@ -27,7 +26,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::Instant;
 
 use taco_llir::{elem_bytes, visit_stmts, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
 use taco_lower::params::{dim_name, is_pos_name, level_extent};
@@ -185,18 +183,8 @@ pub struct WorkspaceCost {
     /// dense workspace this equals [`WorkspaceCost::bytes`] (its arrays are
     /// allocated up front); for a map workspace it is the initial capacity
     /// times the entry size, with growth beyond it charged against the
-    /// budget at run time. The compile-time budget fallback decides on this.
+    /// budget at run time. The compile-time budget walk decides on this.
     pub init_bytes: Bound,
-}
-
-/// Final-size bound for an output array the kernel grows by reallocation
-/// (result `crd`/`vals` of assembling kernels).
-#[derive(Debug, Clone)]
-pub struct OutputBound {
-    /// Array name.
-    pub array: String,
-    /// Upper bound on the array's final size in bytes.
-    pub bytes: Bound,
 }
 
 /// The full cost report for one lowered kernel. Cached on the compiled
@@ -218,13 +206,9 @@ pub struct CostReport {
     pub drain_entries: Bound,
     /// Per-workspace resident-footprint bounds.
     pub workspaces: Vec<WorkspaceCost>,
-    /// Final-size bounds for reallocated output arrays.
-    pub outputs: Vec<OutputBound>,
     /// Human-readable derivation notes (inherited assumptions, degradation
     /// reasons).
     pub notes: Vec<String>,
-    /// Wall-clock nanoseconds the analysis took.
-    pub analysis_nanos: u64,
 }
 
 impl CostReport {
@@ -255,10 +239,10 @@ impl CostReport {
 
     /// Initial (pre-scatter) workspace footprint under `env`: the sum of
     /// every workspace's [`WorkspaceCost::init_bytes`] bound. This is what
-    /// the compile-time budget fallback compares against
-    /// `max_workspace_bytes` when considering a sparse backend, since map
-    /// growth past the initial capacity is charged at run time. `None` when
-    /// any bound is unknown or unvalued.
+    /// the compile-time budget walk compares against `max_workspace_bytes`
+    /// on every rung (a dense workspace's initial footprint is its whole
+    /// footprint; map growth past the initial capacity is charged at run
+    /// time). `None` when any bound is unknown or unvalued.
     #[must_use]
     pub fn workspace_init_bytes(&self, env: &CostEnv) -> Option<u64> {
         let mut total = 0u64;
@@ -266,22 +250,6 @@ impl CostReport {
             total = total.saturating_add(w.init_bytes.concrete(env)?);
         }
         Some(total)
-    }
-
-    /// A compact multi-line rendering of the report.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "cost[{}]: total_bytes <= {}, iterations <= {}, drain_entries <= {}",
-            self.kernel, self.total_bytes, self.iterations, self.drain_entries
-        );
-        for w in &self.workspaces {
-            s.push_str(&format!("\n  workspace {} ({}): <= {} bytes", w.name, w.kind, w.bytes));
-        }
-        for o in &self.outputs {
-            s.push_str(&format!("\n  output {}: <= {} bytes", o.array, o.bytes));
-        }
-        s
     }
 }
 
@@ -320,7 +288,6 @@ impl CostReport {
 ///   plus twice the scatter count plus the executor's minimum grant of 8.
 #[must_use]
 pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
-    let start = Instant::now();
     let assume = Assumptions::for_lowered(lk);
     let scalar_params: HashSet<String> = lk.kernel.scalar_params.iter().cloned().collect();
 
@@ -394,15 +361,6 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
         charges.push(ChargeBound { name: map.clone(), bytes: bytes.clone() });
     }
 
-    let mut outputs: Vec<OutputBound> = Vec::new();
-    for (arr, bytes) in walk.realloc_finals {
-        match outputs.iter_mut().find(|o| o.array == arr) {
-            Some(o) => o.bytes = o.bytes.add(&bytes),
-            None => outputs.push(OutputBound { array: arr, bytes }),
-        }
-    }
-    outputs.sort_by(|a, b| a.array.cmp(&b.array));
-
     let mut notes = walk.notes;
     notes.extend(assume.notes.iter().cloned());
 
@@ -413,9 +371,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
         iterations: walk.iterations,
         drain_entries: walk.drain_entries,
         workspaces,
-        outputs,
         notes,
-        analysis_nanos: start.elapsed().as_nanos().try_into().unwrap_or(u64::MAX),
     }
 }
 
@@ -529,8 +485,6 @@ struct Walk<'a> {
     total_bytes: Bound,
     iterations: Bound,
     drain_entries: Bound,
-    /// Final-size byte bounds per reallocated array site.
-    realloc_finals: Vec<(String, Bound)>,
     notes: Vec<String>,
 }
 
@@ -561,7 +515,6 @@ impl<'a> Walk<'a> {
             total_bytes: Bound::zero(),
             iterations: Bound::zero(),
             drain_entries: Bound::zero(),
-            realloc_finals: Vec::new(),
             notes: Vec::new(),
         }
     }
@@ -974,7 +927,6 @@ impl<'a> Walk<'a> {
                     Bound::from_opt(self.ub(len), "realloc length not bounded by the formats")
                         .mul_const(elem_bytes(ty));
                 self.charge_site(arr, &bytes, true);
-                self.realloc_finals.push((arr.clone(), bytes));
             }
             Stmt::WsInit { ws, kind: WorkspaceKind::Dense, ty, extent } => {
                 // Value, coordinate-list and guard arrays over the extent.

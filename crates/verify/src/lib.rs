@@ -57,10 +57,8 @@ mod error;
 mod race;
 mod sym;
 
-pub use assume::{check_crd_slice, check_pos_slice, ArrayFacts, Assumptions};
-pub use cost::{
-    analyze_cost, Bound, ChargeBound, CostEnv, CostReport, OutputBound, WorkspaceCost,
-};
+pub use assume::{ArrayFacts, Assumptions};
+pub use cost::{analyze_cost, Bound, ChargeBound, CostEnv, CostReport, WorkspaceCost};
 pub use error::{Diagnostic, Severity, VerifyError, VerifyMode, VerifyReport};
 pub use sym::{Atom, Sym};
 

@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // CI's low-budget matrix sets TACO_BUDGET_BYTES to a few kilobytes: the
     // dense row workspace of a 1024-column SpGEMM (~17 KB) no longer fits,
     // so the engine must complete the request through a sparse workspace,
-    // which only the compile-time downgrade (DESIGN.md §13) chooses: the
+    // which only the compile-time budget walk (DESIGN.md §13) chooses: the
     // tuner searches schedules, not storage, and direct merge cannot lower
     // for a CSR result at all.
     let budget = ResourceBudget::from_env();
@@ -140,7 +140,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(tuned.result.to_dense().approx_eq(&unconstrained.to_dense(), 1e-10));
 
         let downgraded = low.last_events().iter().any(|e| {
-            matches!(e, EngineEvent::Fallback(FallbackEvent::WorkspaceDowngraded { .. }))
+            matches!(
+                e,
+                EngineEvent::Fallback(FallbackEvent::OverBudget {
+                    rung: DegradeRung::CoordListWorkspace,
+                    ..
+                })
+            )
         });
         assert!(
             downgraded,

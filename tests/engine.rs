@@ -117,10 +117,10 @@ fn lru_eviction_respects_byte_budget_and_recency() {
     let (w1, w2, w3) = (entry_weight(k1), entry_weight(k2), entry_weight(k3));
 
     // Budget holds the first two (and the first plus the third), never all
-    // three. One shard so global LRU order is exact.
+    // three.
     let budget = (w1 + w2).max(w1 + w3);
     assert!(budget < w1 + w2 + w3);
-    let cache = KernelCache::new(budget, 64, 1);
+    let cache = KernelCache::new(budget, 64);
 
     cache.insert(k1.fingerprint(), Arc::clone(k1), 1_000);
     cache.insert(k2.fingerprint(), Arc::clone(k2), 1_000);

@@ -1,11 +1,14 @@
-//! One function walks the degrade ladder, `Engine::run_supervised`, and the
-//! compile-time budget chain has two consumers: `IndexStmt::compile_checked`
-//! and the serving daemon's admission check. The ladder has three rungs (as
-//! scheduled → coordinate-list workspace → direct merge) and the chain one
-//! sparse kind between dense and direct merge. This suite pins the engine's
-//! verdict (committed rung, or how it failed) on every request of a small
-//! matrix, that every rung commits somewhere in it, and that admission sheds
-//! exactly what the compile refuses:
+//! The degrade ladder is written once: `DegradeRung::request` turns each
+//! rung into a compile request, and two walks climb `DegradeRung::LADDER`
+//! through it — the compile-time budget walk, which `IndexStmt::compile_checked`
+//! and the serving daemon's admission check share, and
+//! `Engine::run_supervised` at run time. The ladder has three rungs (as
+//! scheduled → coordinate-list workspace → direct merge). This suite pins
+//! the engine's verdict (the rung of the kernel that committed, or how it
+//! failed) on every request of a small matrix, that every rung commits
+//! somewhere in it, that no rung the compile already walked past is
+//! compiled again, and that admission sheds exactly what the compile
+//! refuses:
 //!
 //! {SpGEMM CSR, SpGEMM DCSR×CSR, sparse add, MTTKRP}
 //!   × {fused sorted, fused into a `(d,h)` result, compute}
@@ -304,10 +307,10 @@ spgemm-dcsr fused-unsorted: S S C S a a a a
 spgemm-dcsr compute:        S . . S S b b b
 sparse-add fused-sorted:    S C C S a a a a
 sparse-add fused-unsorted:  S C C S a a a a
-sparse-add compute:         S . . S S S S S
-mttkrp fused-sorted:        S S S S S D D S
-mttkrp fused-unsorted:      S S S S S D D S
-mttkrp compute:             S S S S S D D S
+sparse-add compute:         S . . S S D D D
+mttkrp fused-sorted:        S S S S S D D D
+mttkrp fused-unsorted:      S S S S S D D D
+mttkrp compute:             S S S S S D D D
 ";
 
 #[test]
@@ -380,6 +383,63 @@ fn the_engine_ladder_commits_the_pinned_verdict_table() {
     for rung in DegradeRung::LADDER {
         assert!(committed_rungs.contains(&rung), "nothing committed {rung}: {committed_rungs:?}");
     }
+}
+
+/// One supervised run of the named case on a fresh interpreter engine whose
+/// budget is also the supervisor's.
+fn supervised(
+    name: &str,
+    opts: LowerOptions,
+    budget: ResourceBudget,
+) -> (Engine, Result<SupervisedRun, EngineError>) {
+    let case = cases().into_iter().find(|c| c.name == name).unwrap();
+    let inputs: Vec<(&str, &Tensor)> = case.operands.iter().map(|(n, t)| (n.as_str(), &**t)).collect();
+    let engine = Engine::builder().budget(budget).backend(Backend::Interp).build();
+    let supervisor = Supervisor::new().with_budget(budget);
+    let run = engine.run_supervised(&case.stmt, opts, &supervisor, &inputs, None);
+    (engine, run)
+}
+
+#[test]
+fn a_rung_the_compile_already_walked_past_is_never_compiled() {
+    // Under a 1-byte workspace limit the compile-time walk proves the
+    // coord-list kernel over budget (256 B initial footprint) and compiles
+    // direct merge. When the fuse aborts that kernel, no rung is left to
+    // try: one compile, one retry event naming direct merge, and the fuse
+    // is the error.
+    let (engine, run) = supervised("sparse-add", LowerOptions::fused("k"), budget(Some(1), true));
+    match run {
+        Err(EngineError::Core(CoreError::Aborted(a))) => assert!(
+            matches!(
+                a.reason,
+                AbortReason::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
+            ),
+            "{}",
+            a.reason
+        ),
+        other => panic!("expected the fuse to abort the run, got {other:?}"),
+    }
+    assert_eq!(engine.cache_stats().compiles, 1);
+    let retries: Vec<DegradeRung> = engine
+        .last_events()
+        .iter()
+        .filter_map(|e| match e {
+            EngineEvent::Fallback(FallbackEvent::DegradedRetry { rung, .. }) => Some(*rung),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retries, [DegradeRung::DirectMerge]);
+
+    // A committed run reports the rung of the kernel that ran: MTTKRP
+    // `compute` under the same limit commits the direct-merge kernel.
+    let (_, run) = supervised("mttkrp", LowerOptions::compute("k"), budget(Some(1), false));
+    let run = run.unwrap();
+    assert_eq!(run.rung, DegradeRung::DirectMerge);
+    assert!(
+        matches!(run.fallbacks[..], [FallbackEvent::OverBudget { rung: DegradeRung::DirectMerge, .. }]),
+        "{:?}",
+        run.fallbacks
+    );
 }
 
 #[test]
