@@ -1,24 +1,27 @@
 //! The thread-safe compiled-kernel cache.
 //!
 //! Keys are canonical kernel fingerprints
-//! ([`CompiledKernel::fingerprint`]); values are `Arc`-shared compiled
-//! kernels. One lock guards the entries, which are evicted in exact
-//! least-recently-used order against a byte and an entry budget. The lock
-//! is held for map operations only, never across a compile.
+//! ([`CompiledKernel::fingerprint`]); values are [`CachedKernel`] records,
+//! the engine's one record per kernel: the compiled kernel and its native
+//! form's trust state. One lock guards the entries and the counters; the
+//! entries are evicted in exact least-recently-used order against a byte and
+//! an entry budget. The lock is held for map operations only, never across
+//! a compile, a C compiler run or a kernel run.
 //!
 //! **Single-flight:** when N threads request the same uncached kernel, one
 //! of them (the *leader*) runs the compile pipeline while the others wait on
 //! a per-key flight slot; exactly one compile happens and every thread gets
-//! the same `Arc`. A failed compile is broadcast to the waiters too, and the
-//! flight slot is removed so a later request retries.
+//! the same record. A failed or panicking compile is broadcast to the
+//! waiters too, and the flight slot is removed so a later request retries.
 
+use crate::native::NativeState;
 use crate::{EngineError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 use taco_core::CompiledKernel;
 use taco_llir::visit_stmts;
-use std::time::Instant;
 
 /// Fixed per-entry overhead charged on top of the generated-code size:
 /// binding metadata, fingerprint, budget, and map bookkeeping.
@@ -91,47 +94,54 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    compiles: AtomicU64,
-    coalesced: AtomicU64,
-    evictions: AtomicU64,
-    compile_nanos_saved: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
+/// One resident kernel, the engine's whole record of it: the compiled
+/// kernel and its native form's trust state. The cache entry owns it, so
+/// an eviction drops the native form with the kernel; a request that
+/// already holds the record keeps both alive until it is done.
+#[derive(Debug)]
+pub struct CachedKernel {
+    kernel: Arc<CompiledKernel>,
+    /// Per-record lock: held across the native build, never across a run.
+    pub(crate) native: Mutex<NativeState>,
+}
+
+impl CachedKernel {
+    fn new(kernel: Arc<CompiledKernel>) -> CachedKernel {
+        CachedKernel { kernel, native: Mutex::new(NativeState::Untried) }
+    }
+
+    /// The compiled kernel.
+    pub fn kernel(&self) -> &Arc<CompiledKernel> {
+        &self.kernel
+    }
 }
 
 struct Entry {
-    kernel: Arc<CompiledKernel>,
+    record: Arc<CachedKernel>,
     bytes: u64,
     compile_nanos: u64,
     last_used: u64,
 }
 
+/// What a flight broadcasts. Compile errors travel as strings because
+/// `CoreError` is not `Clone`able across waiters in general (and the
+/// waiters did not run the pipeline).
+type Shared = std::result::Result<Arc<CachedKernel>, String>;
+
 /// One thread compiles; the rest block here until the result is broadcast.
-/// Compile errors travel as strings because `CoreError` is not `Clone`able
-/// across waiters in general (and the waiters did not run the pipeline).
+#[derive(Default)]
 struct Flight {
-    slot: Mutex<Option<std::result::Result<Arc<CompiledKernel>, String>>>,
+    slot: Mutex<Option<Shared>>,
     ready: Condvar,
 }
 
 impl Flight {
-    fn new() -> Flight {
-        Flight { slot: Mutex::new(None), ready: Condvar::new() }
+    fn wait(&self) -> Shared {
+        let slot = self.ready.wait_while(lock(&self.slot), |slot| slot.is_none());
+        slot.expect("flight condvar").clone().expect("published")
     }
 
-    fn wait(&self) -> std::result::Result<Arc<CompiledKernel>, String> {
-        let mut slot = lock(&self.slot);
-        while slot.is_none() {
-            slot = self.ready.wait(slot).expect("flight condvar");
-        }
-        slot.as_ref().expect("checked above").clone()
-    }
-
-    fn publish(&self, result: std::result::Result<Arc<CompiledKernel>, String>) {
+    fn publish(&self, result: Shared) {
         *lock(&self.slot) = Some(result);
         self.ready.notify_all();
     }
@@ -141,9 +151,11 @@ impl Flight {
 struct Store {
     entries: HashMap<u64, Entry>,
     inflight: HashMap<u64, Arc<Flight>>,
-    bytes: u64,
     /// The LRU clock, advanced by every lookup and insert.
     clock: u64,
+    /// The counters and the charged bytes resident; `entries` stays zero
+    /// here, as [`KernelCache::stats`] reads it off the map.
+    counts: CacheStats,
 }
 
 impl Store {
@@ -163,13 +175,13 @@ pub struct KernelCache {
     store: Mutex<Store>,
     max_bytes: u64,
     max_entries: usize,
-    counters: Counters,
 }
 
-/// A mutex poisoned by a panicking kernel compile would otherwise take the
-/// whole cache down; the data under it is a plain map that is still
-/// structurally valid, so recover the guard.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// A mutex poisoned by a panic elsewhere would otherwise take the engine
+/// down; every update under the cache's, a record's and the native
+/// counters' locks leaves their data valid at each step, so recover the
+/// guard.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -181,11 +193,12 @@ impl KernelCache {
             store: Mutex::new(Store::default()),
             max_bytes: max_bytes.max(1),
             max_entries: max_entries.max(1),
-            counters: Counters::default(),
         }
     }
 
     /// Looks up `key`, or compiles it with `compile` under single-flight.
+    /// A compile that panics is broadcast to the waiters as a failure, its
+    /// flight slot removed, and the panic resumed in the leader.
     ///
     /// # Errors
     ///
@@ -196,28 +209,27 @@ impl KernelCache {
         &self,
         key: u64,
         compile: impl FnOnce() -> taco_core::Result<CompiledKernel>,
-    ) -> Result<Arc<CompiledKernel>> {
+    ) -> Result<Arc<CachedKernel>> {
         // Fast path / flight discovery under the lock.
         let flight = {
             let mut store = lock(&self.store);
             let now = store.tick();
             if let Some(entry) = store.entries.get_mut(&key) {
                 entry.last_used = now;
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .compile_nanos_saved
-                    .fetch_add(entry.compile_nanos, Ordering::Relaxed);
-                return Ok(Arc::clone(&entry.kernel));
+                let (record, saved) = (Arc::clone(&entry.record), entry.compile_nanos);
+                store.counts.hits += 1;
+                store.counts.compile_nanos_saved += saved;
+                return Ok(record);
             }
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            store.counts.misses += 1;
             match store.inflight.get(&key) {
                 Some(flight) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(flight))
+                    let flight = Arc::clone(flight);
+                    store.counts.coalesced += 1;
+                    Some(flight)
                 }
                 None => {
-                    let flight = Arc::new(Flight::new());
-                    store.inflight.insert(key, Arc::clone(&flight));
+                    store.inflight.insert(key, Arc::default());
                     None
                 }
             }
@@ -230,60 +242,61 @@ impl KernelCache {
 
         // This thread is the leader: compile outside any lock.
         let started = Instant::now();
-        let compiled = compile();
+        let compiled = panic::catch_unwind(AssertUnwindSafe(compile));
         let compile_nanos = started.elapsed().as_nanos() as u64;
-        self.counters.compiles.fetch_add(1, Ordering::Relaxed);
 
         let mut store = lock(&self.store);
+        store.counts.compiles += 1;
         let flight = store.inflight.remove(&key).expect("leader owns the flight slot");
-        match compiled {
-            Ok(kernel) => {
-                let kernel = Arc::new(kernel);
-                self.insert_locked(&mut store, key, Arc::clone(&kernel), compile_nanos);
-                drop(store);
-                flight.publish(Ok(Arc::clone(&kernel)));
-                Ok(kernel)
+        let (result, shared) = match compiled {
+            Ok(Ok(kernel)) => {
+                let record = Arc::new(CachedKernel::new(Arc::new(kernel)));
+                self.insert_locked(&mut store, key, Arc::clone(&record), compile_nanos);
+                (Ok(Arc::clone(&record)), Ok(record))
             }
-            Err(e) => {
-                drop(store);
-                flight.publish(Err(e.to_string()));
-                Err(EngineError::Core(e))
+            Ok(Err(e)) => {
+                let message = e.to_string();
+                (Err(EngineError::Core(e)), Err(message))
             }
-        }
+            Err(payload) => {
+                drop(store);
+                flight.publish(Err("the compile panicked".to_string()));
+                panic::resume_unwind(payload)
+            }
+        };
+        drop(store);
+        flight.publish(shared);
+        result
     }
 
     /// Inserts an already-compiled kernel (used by tests and warm-up paths).
     pub fn insert(&self, key: u64, kernel: Arc<CompiledKernel>, compile_nanos: u64) {
-        let mut store = lock(&self.store);
-        self.insert_locked(&mut store, key, kernel, compile_nanos);
+        let record = Arc::new(CachedKernel::new(kernel));
+        self.insert_locked(&mut lock(&self.store), key, record, compile_nanos);
     }
 
     fn insert_locked(
         &self,
         store: &mut Store,
         key: u64,
-        kernel: Arc<CompiledKernel>,
+        record: Arc<CachedKernel>,
         compile_nanos: u64,
     ) {
-        let bytes = entry_weight(&kernel);
+        let bytes = entry_weight(&record.kernel);
         let last_used = store.tick();
         if let Some(old) = store
             .entries
-            .insert(key, Entry { kernel, bytes, compile_nanos, last_used })
+            .insert(key, Entry { record, bytes, compile_nanos, last_used })
         {
-            store.bytes -= old.bytes;
-            self.counters.entries.fetch_sub(1, Ordering::Relaxed);
-            self.counters.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+            store.counts.bytes -= old.bytes;
         }
-        store.bytes += bytes;
-        self.counters.entries.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
+        store.counts.bytes += bytes;
 
         // Evict least-recently-used entries until back under budget. The
         // just-inserted key goes last: if it alone exceeds the budget
         // it is dropped too (the caller still holds its Arc), leaving the
         // cache empty rather than wedged over budget.
-        while store.bytes > self.max_bytes || store.entries.len() > self.max_entries {
+        while store.counts.bytes > self.max_bytes || store.entries.len() > self.max_entries {
             let victim = store
                 .entries
                 .iter()
@@ -291,19 +304,9 @@ impl KernelCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
                 .or_else(|| store.entries.keys().next().copied());
-            match victim {
-                Some(v) => self.evict_locked(store, v),
-                None => break,
-            }
-        }
-    }
-
-    fn evict_locked(&self, store: &mut Store, key: u64) {
-        if let Some(e) = store.entries.remove(&key) {
-            store.bytes -= e.bytes;
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            self.counters.entries.fetch_sub(1, Ordering::Relaxed);
-            self.counters.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
+            let Some(evicted) = victim.and_then(|v| store.entries.remove(&v)) else { break };
+            store.counts.bytes -= evicted.bytes;
+            store.counts.evictions += 1;
         }
     }
 
@@ -314,16 +317,8 @@ impl KernelCache {
 
     /// Snapshots the activity counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            compiles: self.counters.compiles.load(Ordering::Relaxed),
-            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            compile_nanos_saved: self.counters.compile_nanos_saved.load(Ordering::Relaxed),
-            entries: self.counters.entries.load(Ordering::Relaxed),
-            bytes: self.counters.bytes.load(Ordering::Relaxed),
-        }
+        let store = lock(&self.store);
+        CacheStats { entries: store.entries.len() as u64, ..store.counts }
     }
 }
 

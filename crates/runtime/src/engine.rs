@@ -1,7 +1,9 @@
 //! The [`Engine`]: one front door for compile-with-caching, supervised
 //! execution, and schedule autotuning.
 
-use crate::cache::{CacheStats, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES};
+use crate::cache::{
+    CacheStats, CachedKernel, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES,
+};
 use crate::native::{Backend, NativeStore};
 use crate::tuner::{
     converted_inputs, Autotuner, ConversionSet, Ranked, TuneDecision, TuneKey, TunedRun,
@@ -120,7 +122,13 @@ impl EngineBuilder {
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> Engine {
-        Engine::with_config(self.config)
+        Engine {
+            config: self.config,
+            cache: KernelCache::new(ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES),
+            tuner: Autotuner::new(),
+            events: Mutex::new(EventLog::default()),
+            native: NativeStore::default(),
+        }
     }
 }
 
@@ -184,7 +192,7 @@ pub enum EngineEvent {
     },
     /// A kernel's emitted C was compiled to a native shared object and
     /// loaded (still untrusted until its differential check passes).
-    /// Recorded once per fingerprint.
+    /// Recorded once per cache residency.
     NativeCompiled {
         /// The kernel's canonical fingerprint.
         fingerprint: u64,
@@ -194,7 +202,7 @@ pub enum EngineEvent {
     },
     /// A kernel was refused the native backend — by the verify gate or a
     /// failed differential check — and will run on the
-    /// interpreter. Recorded once per fingerprint. Toolchain failures are
+    /// interpreter. Recorded once per cache residency. Toolchain failures are
     /// recorded as [`FallbackEvent::NativeUnavailable`] instead.
     NativeRejected {
         /// The kernel's canonical fingerprint.
@@ -338,23 +346,12 @@ impl Default for Engine {
 impl Engine {
     /// An engine with [`EngineConfig::default`].
     pub fn new() -> Engine {
-        Engine::with_config(EngineConfig::default())
+        Engine::builder().build()
     }
 
     /// Fluent construction: `Engine::builder().verify(VerifyMode::Deny).build()`.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// An engine with explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Engine {
-        Engine {
-            config,
-            cache: KernelCache::new(ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES),
-            tuner: Autotuner::new(),
-            events: Mutex::new(EventLog::default()),
-            native: NativeStore::default(),
-        }
     }
 
     /// The configuration this engine was built with.
@@ -376,29 +373,31 @@ impl Engine {
     /// Propagates compile errors; waiters that coalesced onto a failed
     /// compile get [`EngineError::SharedCompileFailed`].
     pub fn compile(&self, stmt: &IndexStmt, opts: LowerOptions) -> Result<Arc<CompiledKernel>> {
-        self.compile_traced(stmt, opts, None).map(|(kernel, _)| kernel)
+        self.compile_traced(stmt, opts, None).map(|(record, _)| Arc::clone(record.kernel()))
     }
 
-    /// [`Engine::compile`], additionally reporting whether the kernel was
-    /// served warm: `true` means a cache hit or a coalesced wait on a
-    /// concurrent compile of the same fingerprint, `false` means this call
-    /// ran the compile pipeline. A miss finishes `front`, the front half of
-    /// `stmt` under `opts`, when the caller already holds it.
+    /// [`Engine::compile`], returning the kernel's cache record (the kernel
+    /// and its native form) and whether it was served warm: `true` means a
+    /// cache hit or a coalesced wait on a concurrent compile of the same
+    /// fingerprint, `false` means this call ran the compile pipeline. A miss
+    /// finishes `front`, the front half of `stmt` under `opts`, when the
+    /// caller already holds it.
     fn compile_traced(
         &self,
         stmt: &IndexStmt,
         opts: LowerOptions,
         front: Option<FrontHalf>,
-    ) -> Result<(Arc<CompiledKernel>, bool)> {
+    ) -> Result<(Arc<CachedKernel>, bool)> {
         let (budget, verify) = (self.config.budget, self.config.verify);
         let key = taco_core::fingerprint(stmt.concrete(), &opts, &budget);
         debug_assert!(front.as_ref().is_none_or(|f| f.request_fingerprint(&budget) == key));
         let mut compiled_now = false;
-        let kernel = self.cache.get_or_compile(key, || {
+        let record = self.cache.get_or_compile(key, || {
             compiled_now = true;
             front.map_or_else(|| FrontHalf::unverified(stmt, opts), Ok)?.finish(budget, verify)
         })?;
         if compiled_now {
+            let kernel = record.kernel();
             for e in kernel.fallback_events() {
                 self.push_event(EngineEvent::Fallback(e.clone()));
             }
@@ -409,7 +408,7 @@ impl Engine {
                 warns: report.warns(),
             });
         }
-        Ok((kernel, !compiled_now))
+        Ok((record, !compiled_now))
     }
 
     /// Compiles (through the cache) and runs a statement.
@@ -418,8 +417,8 @@ impl Engine {
     ///
     /// Compile errors, or the usual bind/run errors.
     pub fn run(&self, stmt: &IndexStmt, opts: LowerOptions, inputs: &[(&str, &Tensor)]) -> Result<Tensor> {
-        let kernel = self.compile(stmt, opts)?;
-        let (result, ..) = self.run_kernel(&kernel, inputs, None, None, self.config.backend)?;
+        let (record, _) = self.compile_traced(stmt, opts, None)?;
+        let (result, ..) = self.run_kernel(&record, inputs, None, None, self.config.backend)?;
         Ok(result)
     }
 
@@ -477,10 +476,10 @@ impl Engine {
             let Some((rung_stmt, rung_opts)) = rung.request(stmt, &opts) else {
                 continue;
             };
-            let kernel = match self.compile_traced(&rung_stmt, rung_opts, None) {
-                Ok((kernel, warm)) => {
+            let record = match self.compile_traced(&rung_stmt, rung_opts, None) {
+                Ok((record, warm)) => {
                     cache_hit.get_or_insert(warm);
-                    kernel
+                    record
                 }
                 // Rung not realizable (e.g. direct sparse scatter): try the
                 // next one, but remember why in case nothing works.
@@ -489,11 +488,11 @@ impl Engine {
                     continue;
                 }
             };
-            let rung = rung.max(kernel.rung());
+            let rung = rung.max(record.kernel().rung());
             ran = Some(rung);
-            fallbacks.extend(kernel.fallback_events().iter().cloned());
+            fallbacks.extend(record.kernel().fallback_events().iter().cloned());
             let run = self.run_kernel(
-                &kernel,
+                &record,
                 inputs,
                 output_structure,
                 Some(supervisor),
@@ -680,7 +679,7 @@ impl Engine {
         let (conversion_entries, conversion_nanos) = of.conversion;
         // Compiled before the clock is read: which kernels a search compiles
         // does not depend on how fast anything ran.
-        let (kernel, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
+        let (record, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
         let mut supervisor = Supervisor::new().with_budget(self.config.budget);
         if let Some(limit) = deadline {
             let left = limit.checked_sub(conversion_nanos)?;
@@ -688,7 +687,7 @@ impl Engine {
         }
         let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
         let (result, report, _) =
-            self.run_kernel(&kernel, &operands, None, Some(&supervisor), backend).ok()?;
+            self.run_kernel(&record, &operands, None, Some(&supervisor), backend).ok()?;
         Some(TunedRun {
             result,
             nanos: conversion_nanos.saturating_add(report.elapsed.as_nanos() as u64),
@@ -729,5 +728,51 @@ impl Engine {
             events.dropped += 1;
         }
         events.buf.push_back(event);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NativeStats;
+    use taco_ir::expr::{sum, IndexVar, TensorVar};
+    use taco_ir::notation::IndexAssignment;
+    use taco_tensor::gen::random_csr;
+
+    /// Gustavson's SpGEMM (reorder + row workspace) over `n`×`n` CSR.
+    fn spgemm(n: usize) -> IndexStmt {
+        let [a, b, c] = ["A", "B", "C"].map(|name| TensorVar::new(name, vec![n, n], Format::csr()));
+        let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));
+        let mul = b.access([i.clone(), k.clone()]) * c.access([k.clone(), j.clone()]);
+        let assign = IndexAssignment::assign(a.access([i, j.clone()]), sum(k.clone(), mul.clone()));
+        let mut stmt = IndexStmt::new(assign).unwrap();
+        stmt.reorder(&k, &j).unwrap();
+        let w = TensorVar::new("w", vec![n], Format::dvec());
+        stmt.precompute(&mul, &[(j.clone(), j.clone(), j)], &w).unwrap();
+        stmt
+    }
+
+    /// A kernel's native form lives in its cache entry: a kernel evicted
+    /// and compiled again is acquired and checked again, and no reply runs
+    /// from a shared object whose kernel the cache has let go.
+    #[test]
+    fn eviction_drops_the_native_form() {
+        let engine = Engine {
+            cache: KernelCache::new(u64::MAX, 1),
+            ..Engine::builder().backend(Backend::Native).build()
+        };
+        for n in [8, 9, 8, 10, 8] {
+            let (b, c) = (random_csr(n, n, 0.3, 1).to_tensor(), random_csr(n, n, 0.3, 2).to_tensor());
+            engine.run(&spgemm(n), LowerOptions::fused("spgemm"), &[("B", &b), ("C", &c)]).unwrap();
+        }
+        let cache = engine.cache_stats();
+        assert_eq!((cache.compiles, cache.evictions, cache.entries), (5, 4, 1), "{cache}");
+        let native = engine.native_stats();
+        if native.unavailable > 0 {
+            eprintln!("SKIPPED eviction_drops_the_native_form: no C toolchain ({native:?})");
+            return;
+        }
+        let NativeStats { compiled, trusted, native_runs, .. } = native;
+        assert_eq!((compiled, trusted, native_runs), (5, 5, 0), "{native:?}");
     }
 }

@@ -59,7 +59,7 @@ pub mod engine;
 pub mod native;
 pub mod tuner;
 
-pub use cache::{entry_weight, CacheStats, KernelCache};
+pub use cache::{entry_weight, CacheStats, CachedKernel, KernelCache};
 pub use engine::{Engine, EngineBuilder, EngineConfig, EngineEvent, SupervisedRun, TunedOutcome};
 pub use native::{Backend, NativeStats};
 pub use taco_core::{VerifyMode, VerifyReport};

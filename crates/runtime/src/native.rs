@@ -3,22 +3,31 @@
 //! correctness oracle.
 //!
 //! The engine owns one [`NativeStore`]: a lazily resolved system C compiler
-//! and a per-fingerprint trust ledger. Resolving spawns nothing and a cached
+//! and the [`NativeStats`] counters. Resolving spawns nothing and a cached
 //! artifact is loaded without the compiler, so a restart over a warm cache
 //! runs `cc` zero times; a missing `$CC` is found at resolution and a
 //! present-but-broken one by the first build, whose verdict the compiler
 //! value remembers — either way the toolchain costs O(1) spawns per engine,
-//! not one per kernel (see `taco_native`'s `cc` module for the protocol). A
-//! kernel's native form moves through three states:
+//! not one per kernel (see `taco_native`'s `cc` module for the protocol).
+//!
+//! A kernel's native form and its trust state are fields of its cache
+//! record ([`CachedKernel`]), so they live exactly as long as the kernel is
+//! resident: an eviction drops the shared object with the kernel, and a
+//! kernel compiled again starts over from `Untried` (its `.so` is then
+//! loaded from the on-disk artifact cache, not rebuilt, and checked again).
+//! Within one residency the native form moves through four states:
 //!
 //! ```text
-//! (no entry) ──compile──▶ Untrusted ──differential check──▶ Trusted
-//!      │                      │                                │
-//!      └──verify gate /       └── mismatch / native error ──▶ Rejected
-//!          toolchain
-//!          failure ─▶ Rejected
+//! Untried ──build──▶ Untrusted ──differential check──▶ Trusted
+//!    │                   │
+//!    └──verify gate /    └── mismatch / native error ──▶ Rejected
+//!        toolchain
+//!        failure ─▶ Rejected
 //! ```
 //!
+//! * **Untried**: no native request has reached the record yet. The first
+//!   one builds the native form under the record's lock, so concurrent
+//!   requests for one resident kernel run the C compiler once.
 //! * **Untrusted**: the shared object compiled and loaded, but has never
 //!   produced a result. The first run is *differential*: the interpreter
 //!   runs on the actual operands first, then the native kernel on a fresh
@@ -27,8 +36,8 @@
 //! * **Trusted**: the differential check passed; later runs go straight to
 //!   the native kernel, under the same budget/deadline/cancel supervision.
 //! * **Rejected**: the verify gate, the toolchain, or the differential
-//!   check refused the kernel. Recorded once per fingerprint
-//!   so the refusal costs nothing on later runs.
+//!   check refused the kernel. Recorded once per cache residency, so the
+//!   refusal costs nothing on later runs.
 //!
 //! Only statically *verified* kernels (an accepted [`VerifyReport`] with
 //! zero deny-severity findings recorded at compile time) are eligible: the
@@ -37,11 +46,10 @@
 //!
 //! [`VerifyReport`]: taco_core::VerifyReport
 
+use crate::cache::{lock, CachedKernel};
 use crate::engine::EngineEvent;
 use crate::Engine;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use taco_core::{CompiledKernel, CoreError, FallbackEvent, Supervisor};
 use taco_llir::{emit_native, ExecReport};
 use taco_native::{NativeCompiler, NativeKernel};
@@ -92,9 +100,12 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Per-fingerprint trust state of a kernel's native form.
-#[derive(Debug, Clone)]
+/// The trust state of a resident kernel's native form, a field of its
+/// [`CachedKernel`] record.
+#[derive(Debug)]
 pub(crate) enum NativeState {
+    /// No native build attempted in this residency.
+    Untried,
     /// Compiled and loaded, but not yet differentially validated.
     Untrusted(Arc<NativeKernel>),
     /// Differential check passed; runs go straight to the native kernel.
@@ -122,44 +133,25 @@ pub struct NativeStats {
 }
 
 /// The engine's native-backend state: one lazily resolved compiler and the
-/// per-fingerprint trust ledger.
+/// counters. Each kernel's native form lives in its cache record.
 #[derive(Debug, Default)]
 pub(crate) struct NativeStore {
     /// `None` = not resolved yet; `Some(Err)` = `$CC` names no executable
     /// (rendered reason), remembered so it is never resolved again. A
     /// compiler that resolves but cannot build remembers that itself.
     compiler: Mutex<Option<Result<NativeCompiler, String>>>,
-    entries: Mutex<HashMap<u64, NativeState>>,
-    compiled: AtomicU64,
-    trusted: AtomicU64,
-    rejected: AtomicU64,
-    unavailable: AtomicU64,
-    native_runs: AtomicU64,
+    counts: Mutex<NativeStats>,
 }
 
 impl NativeStore {
     fn compiler(&self) -> Result<NativeCompiler, String> {
-        let mut slot = self.compiler.lock().unwrap_or_else(|p| p.into_inner());
-        slot.get_or_insert_with(|| NativeCompiler::from_env().map_err(|e| e.to_string()))
+        lock(&self.compiler)
+            .get_or_insert_with(|| NativeCompiler::from_env().map_err(|e| e.to_string()))
             .clone()
     }
 
-    fn get(&self, fingerprint: u64) -> Option<NativeState> {
-        self.entries.lock().unwrap_or_else(|p| p.into_inner()).get(&fingerprint).cloned()
-    }
-
-    fn set(&self, fingerprint: u64, state: NativeState) {
-        self.entries.lock().unwrap_or_else(|p| p.into_inner()).insert(fingerprint, state);
-    }
-
-    pub(crate) fn stats(&self) -> NativeStats {
-        NativeStats {
-            compiled: self.compiled.load(Ordering::Relaxed),
-            trusted: self.trusted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            unavailable: self.unavailable.load(Ordering::Relaxed),
-            native_runs: self.native_runs.load(Ordering::Relaxed),
-        }
+    fn count(&self) -> MutexGuard<'_, NativeStats> {
+        lock(&self.counts)
     }
 }
 
@@ -172,10 +164,10 @@ impl Engine {
     /// Counters for the native backend: compiles, trust promotions,
     /// rejections, toolchain fallbacks, and runs served natively.
     pub fn native_stats(&self) -> NativeStats {
-        self.native.stats()
+        *self.native.count()
     }
 
-    /// Runs a compiled kernel on `backend`: the one step every engine entry
+    /// Runs a resident kernel on `backend`: the one step every engine entry
     /// point shares, and every run in it is
     /// [`CompiledKernel::run_with_body`] — with the interpreter as the body,
     /// or with the kernel's native build. A kernel the native path is off
@@ -187,23 +179,24 @@ impl Engine {
     /// both backends identically.
     pub(crate) fn run_kernel(
         &self,
-        kernel: &CompiledKernel,
+        record: &CachedKernel,
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
         supervisor: Option<&Supervisor>,
         backend: Backend,
     ) -> KernelRun {
+        let kernel = record.kernel();
         let interpreted = || {
             let run =
                 kernel.run_with_body(kernel.executable(), inputs, output_structure, supervisor);
             run.map(|(result, report)| (result, report, false))
         };
-        let Some((nk, trusted)) = self.native_form(kernel, backend) else {
+        let Some((nk, trusted)) = self.native_form(record, backend) else {
             return interpreted();
         };
         let native = || kernel.run_with_body(&*nk, inputs, output_structure, supervisor);
         if trusted {
-            self.native.native_runs.fetch_add(1, Ordering::Relaxed);
+            self.native.count().native_runs += 1;
             return native().map(|(result, report)| (result, report, true));
         }
 
@@ -212,107 +205,104 @@ impl Engine {
         // the interpreter itself fails (deadline, budget, bad operands) the
         // check is inconclusive: the error propagates and the kernel stays
         // untrusted for the next attempt.
-        let fingerprint = kernel.fingerprint();
         let reference = interpreted();
         if let Ok((ref_result, ..)) = &reference {
-            match native() {
-                Ok((native_result, _)) if native_result == *ref_result => {
-                    self.native.set(fingerprint, NativeState::Trusted(Arc::clone(&nk)));
-                    self.native.trusted.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(_) => self.reject_native(
-                    fingerprint,
+            let verdict = match native() {
+                Ok((native_result, _)) if native_result == *ref_result => Ok(()),
+                Ok(_) => Err(
                     "differential check failed: native result differs from the interpreter"
                         .to_string(),
                 ),
-                Err(e) => self.reject_native(
-                    fingerprint,
-                    format!("native run failed where the interpreter succeeded: {e}"),
-                ),
+                Err(e) => Err(format!("native run failed where the interpreter succeeded: {e}")),
+            };
+            // Only the first check to finish settles the record: a
+            // concurrent one of the same residency finds it settled.
+            let mut state = lock(&record.native);
+            if matches!(*state, NativeState::Untrusted(_)) {
+                *state = match verdict {
+                    Ok(()) => {
+                        self.native.count().trusted += 1;
+                        NativeState::Trusted(nk)
+                    }
+                    Err(reason) => self.reject_native(kernel.fingerprint(), reason),
+                };
             }
         }
         reference
     }
 
     /// The kernel's native build and whether it is trusted, building it on
-    /// first sight. `None` means the interpreter serves this kernel: the
-    /// backend is off or the kernel is rejected.
+    /// the record's first native request. `None` means the interpreter
+    /// serves this kernel: the backend is off or the kernel is rejected.
     fn native_form(
         &self,
-        kernel: &CompiledKernel,
+        record: &CachedKernel,
         backend: Backend,
     ) -> Option<(Arc<NativeKernel>, bool)> {
         if !backend.allows_native() {
             return None;
         }
-        match self.native.get(kernel.fingerprint()) {
-            Some(NativeState::Rejected) => None,
-            Some(NativeState::Trusted(nk)) => Some((nk, true)),
-            Some(NativeState::Untrusted(nk)) => Some((nk, false)),
-            None => Some((self.acquire_native(kernel)?, false)),
+        let mut state = lock(&record.native);
+        if let NativeState::Untried = *state {
+            *state = self.acquire_native(record.kernel());
+        }
+        match &*state {
+            NativeState::Trusted(nk) => Some((Arc::clone(nk), true)),
+            NativeState::Untrusted(nk) => Some((Arc::clone(nk), false)),
+            NativeState::Untried | NativeState::Rejected => None,
         }
     }
 
     /// Verify-gates, emits, and compiles the native form of a kernel,
-    /// recording the outcome in the trust ledger and the event log. `None`
-    /// means the interpreter serves this kernel from now on.
-    fn acquire_native(&self, kernel: &CompiledKernel) -> Option<Arc<NativeKernel>> {
+    /// recording the outcome in the counters and the event log; the state
+    /// returned goes into the kernel's record.
+    fn acquire_native(&self, kernel: &CompiledKernel) -> NativeState {
         let fingerprint = kernel.fingerprint();
         // Trust gate: the emitted C elides the interpreter's bounds checks,
         // so only kernels the static verifier accepted may go native.
         let denies = kernel.verify_report().denies();
         if denies > 0 {
-            self.reject_native(
+            return self.reject_native(
                 fingerprint,
                 format!("{denies} deny-severity findings on the kernel's verification report"),
             );
-            return None;
         }
         let Ok(source) = emit_native(kernel.executable());
-        let compiler = match self.native.compiler() {
-            Ok(c) => c,
-            Err(reason) => {
-                self.native_unavailable(fingerprint, reason);
-                return None;
-            }
-        };
-        match compiler.compile(&source, fingerprint) {
+        let built = self.native.compiler().and_then(|compiler| {
+            compiler.compile(&source, fingerprint).map_err(|e| e.to_string())
+        });
+        match built {
             Ok(nk) => {
-                let nk = Arc::new(nk);
-                self.native.compiled.fetch_add(1, Ordering::Relaxed);
+                self.native.count().compiled += 1;
                 self.push_event(EngineEvent::NativeCompiled {
                     fingerprint,
                     compile_nanos: nk.compile_nanos,
                 });
-                self.native.set(fingerprint, NativeState::Untrusted(Arc::clone(&nk)));
-                Some(nk)
+                NativeState::Untrusted(Arc::new(nk))
             }
-            Err(e) => {
-                self.native_unavailable(fingerprint, e.to_string());
-                None
-            }
+            Err(reason) => self.native_unavailable(reason),
         }
     }
 
-    /// Records a per-kernel rejection (verify gate, emitter, differential).
-    fn reject_native(&self, fingerprint: u64, reason: String) {
-        self.native.set(fingerprint, NativeState::Rejected);
-        self.native.rejected.fetch_add(1, Ordering::Relaxed);
+    /// Records a per-kernel rejection (verify gate, differential check).
+    fn reject_native(&self, fingerprint: u64, reason: String) -> NativeState {
+        self.native.count().rejected += 1;
         self.push_event(EngineEvent::NativeRejected { fingerprint, reason });
+        NativeState::Rejected
     }
 
     /// Records a toolchain/compile/load failure (a `$CC` that did not
     /// resolve, or any error of `NativeCompiler::compile`): the kernel runs
     /// on the interpreter, and the degradation is visible as a fallback event.
-    fn native_unavailable(&self, fingerprint: u64, reason: String) {
+    fn native_unavailable(&self, reason: String) -> NativeState {
         // `NativeError::Unavailable` renders with the same preamble the
         // fallback event adds; strip it so the log line reads once.
         let reason = match reason.strip_prefix("native backend unavailable: ") {
             Some(trimmed) => trimmed.to_string(),
             None => reason,
         };
-        self.native.set(fingerprint, NativeState::Rejected);
-        self.native.unavailable.fetch_add(1, Ordering::Relaxed);
+        self.native.count().unavailable += 1;
         self.push_event(EngineEvent::Fallback(FallbackEvent::NativeUnavailable { reason }));
+        NativeState::Rejected
     }
 }

@@ -2,7 +2,8 @@
 //! single-flight under contention, LRU eviction, autotuning, and the
 //! thread-safety contract.
 
-use std::sync::{Arc, Barrier};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 use taco_core::oracle::eval_dense;
 use taco_core::ScheduleCandidate;
@@ -128,7 +129,7 @@ fn lru_eviction_respects_byte_budget_and_recency() {
 
     // Touch k1 so k2 becomes the least recently used entry.
     let hit = cache.get_or_compile(k1.fingerprint(), || panic!("must hit")).unwrap();
-    assert_eq!(hit.fingerprint(), k1.fingerprint());
+    assert_eq!(hit.kernel().fingerprint(), k1.fingerprint());
 
     // Inserting k3 must evict k2 (LRU), not k1 (recently used).
     cache.insert(k3.fingerprint(), Arc::clone(k3), 1_000);
@@ -141,6 +142,30 @@ fn lru_eviction_respects_byte_budget_and_recency() {
     assert_eq!(stats.entries, 2);
     assert_eq!(stats.bytes, w1 + w3);
     assert!(stats.bytes <= budget);
+}
+
+#[test]
+fn a_panicking_compile_does_not_wedge_its_key() {
+    let cache = Arc::new(KernelCache::new(u64::MAX, 64));
+    let leader =
+        catch_unwind(AssertUnwindSafe(|| cache.get_or_compile(7, || panic!("compile panics"))));
+    assert!(leader.is_err(), "the panic reaches the leader");
+
+    // A later request for the key compiles instead of waiting on the dead
+    // leader's flight. Waited for with a timeout: a wedged key blocks forever.
+    let (tx, rx) = mpsc::channel();
+    let retry = Arc::clone(&cache);
+    let handle = std::thread::spawn(move || {
+        let compiled = retry.get_or_compile(7, || {
+            scheduled_spgemm(8).compile(LowerOptions::fused("spgemm"))
+        });
+        tx.send(compiled.is_ok()).unwrap();
+    });
+    let compiled = rx.recv_timeout(Duration::from_secs(60)).expect("the key is wedged");
+    handle.join().unwrap();
+    assert!(compiled, "the retry compiles");
+    assert!(cache.contains(7));
+    assert_eq!(cache.stats().compiles, 2, "the panicking compile counts as one");
 }
 
 #[test]
