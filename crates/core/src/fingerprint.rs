@@ -253,7 +253,6 @@ fn hash_budget(h: &mut Fnv64, budget: &ResourceBudget) {
         budget.max_workspace_bytes,
         budget.max_total_bytes,
         budget.max_loop_iterations,
-        budget.max_realloc_doublings.map(u64::from),
     ] {
         match limit {
             Some(v) => h.write_tag(1).write_u64(v),

@@ -16,11 +16,12 @@
 //! retryable aborts. A kernel the walk degraded stands for the rung it
 //! compiled ([`CompiledKernel::rung`](crate::CompiledKernel::rung)).
 
-use crate::cost::stmt_workspaces;
 use crate::passes::FrontHalf;
 use crate::schedule::{FallbackEvent, IndexStmt};
 use crate::{CoreError, Result};
 use std::borrow::Cow;
+use taco_ir::concrete::ConcreteStmt;
+use taco_ir::expr::TensorVar;
 use taco_llir::{BudgetResource, WorkspaceKind};
 use taco_lower::LowerOptions;
 use taco_verify::CostEnv;
@@ -79,6 +80,44 @@ impl std::fmt::Display for DegradeRung {
             DegradeRung::AsScheduled => write!(f, "as scheduled"),
             DegradeRung::CoordListWorkspace => write!(f, "coord-list workspace"),
             DegradeRung::DirectMerge => write!(f, "direct merge"),
+        }
+    }
+}
+
+/// The workspace tensors a schedule's `where` statements introduce: rank ≥ 1
+/// producer results read back by the consumer, in occurrence order, each
+/// listed once. Scalar (rank-0) temporaries cost one accumulator, not an
+/// array, and are excluded. Their sizes come from
+/// [`taco_verify::analyze_cost`] over the lowered kernel.
+#[must_use]
+pub fn stmt_workspaces(stmt: &ConcreteStmt) -> Vec<TensorVar> {
+    let mut out = Vec::new();
+    workspaces_walk(stmt, &mut out);
+    out
+}
+
+fn workspaces_walk(stmt: &ConcreteStmt, out: &mut Vec<TensorVar>) {
+    match stmt {
+        ConcreteStmt::Assign { .. } => {}
+        ConcreteStmt::Forall { body, .. } => workspaces_walk(body, out),
+        ConcreteStmt::Where { consumer, producer } => {
+            for s in producer.assignments() {
+                let ConcreteStmt::Assign { lhs, .. } = s else { continue };
+                let ws = lhs.tensor();
+                if ws.rank() == 0
+                    || !consumer.reads_tensor(ws.name())
+                    || out.iter().any(|t| t.name() == ws.name())
+                {
+                    continue;
+                }
+                out.push(ws.clone());
+            }
+            workspaces_walk(producer, out);
+            workspaces_walk(consumer, out);
+        }
+        ConcreteStmt::Sequence { first, second } => {
+            workspaces_walk(first, out);
+            workspaces_walk(second, out);
         }
     }
 }

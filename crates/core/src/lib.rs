@@ -48,7 +48,6 @@
 
 mod bind;
 pub mod candidates;
-pub mod cost;
 mod error;
 pub mod fingerprint;
 pub mod ladder;
@@ -58,15 +57,14 @@ pub mod passes;
 mod schedule;
 
 pub use candidates::{enumerate_candidates, enumerate_candidates_for, ScheduleCandidate};
-pub use cost::{binding_env, stmt_workspaces};
 pub use error::CoreError;
 pub use fingerprint::fingerprint;
-pub use ladder::DegradeRung;
+pub use ladder::{stmt_workspaces, DegradeRung};
 pub use passes::FrontHalf;
 pub use schedule::{default_verify_mode, CompiledKernel, FallbackEvent, IndexStmt};
 pub use taco_verify::{
-    analyze_cost, Bound, ChargeBound, CostEnv, CostReport, Diagnostic, Severity, VerifyError,
-    VerifyMode, VerifyReport, WorkspaceCost,
+    analyze_cost, Bound, CostEnv, CostReport, Diagnostic, Severity, VerifyError, VerifyMode,
+    VerifyReport, WorkspaceCost,
 };
 pub use taco_llir::{
     Aborted, AbortReason, BudgetResource, CancelToken, ExecReport, Progress, ResourceBudget,

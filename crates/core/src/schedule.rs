@@ -342,11 +342,11 @@ impl CompiledKernel {
     }
 
     /// The symbolic cost report derived when this kernel was compiled:
-    /// provable upper bounds on every metered charge, the workspace
-    /// footprints, iteration count and drain work, as polynomials over
-    /// dimension and operand-length atoms. Evaluate them with
-    /// [`taco_verify::CostEnv::from_shapes`] at compile time or
-    /// [`crate::cost::binding_env`] once operands are bound.
+    /// provable upper bounds on its iterations, on every metered single
+    /// charge and on each workspace's initial footprint, as polynomials
+    /// over dimension and operand-length atoms. Evaluate them with a
+    /// [`CostEnv`](taco_verify::CostEnv): `from_shapes` at compile time,
+    /// `from_binding` once operands are bound.
     pub fn cost_report(&self) -> &CostReport {
         &self.front.cost
     }
@@ -357,7 +357,7 @@ impl CompiledKernel {
     /// peak. `None` when some charge site could not be bounded (the bound
     /// degrades conservatively, it is never silently wrong).
     pub fn static_peak_bytes(&self, binding: &Binding) -> Option<u64> {
-        self.cost_report().peak_bytes(&crate::cost::binding_env(binding))
+        self.cost_report().peak_bytes(&taco_verify::CostEnv::from_binding(binding))
     }
 
     /// Runs the kernel on named operand tensors and returns the result.

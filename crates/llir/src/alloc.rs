@@ -50,13 +50,11 @@ pub struct BudgetMeter {
     pub(crate) total_bytes: u64,
     pub(crate) peak_single_bytes: u64,
     pub(crate) peak_map_bytes: u64,
-    pub(crate) max_doublings: u32,
-    pub(crate) realloc_counts: Vec<u32>,
 }
 
 impl BudgetMeter {
-    /// Creates a meter for one run over `n_arrays` array slots.
-    pub fn new(budget: &ResourceBudget, n_arrays: usize) -> BudgetMeter {
+    /// Creates a meter for one run.
+    pub fn new(budget: &ResourceBudget) -> BudgetMeter {
         let max_iterations = budget.max_loop_iterations.unwrap_or(u64::MAX);
         BudgetMeter {
             iterations_left: max_iterations,
@@ -66,9 +64,6 @@ impl BudgetMeter {
             total_bytes: 0,
             peak_single_bytes: 0,
             peak_map_bytes: 0,
-            max_doublings: budget.max_realloc_doublings.unwrap_or(u32::MAX),
-            // Doublings are only counted against a cap.
-            realloc_counts: vec![0; budget.max_realloc_doublings.map_or(0, |_| n_arrays)],
         }
     }
 
@@ -173,25 +168,6 @@ impl BudgetMeter {
         self.peak_map_bytes = self.peak_map_bytes.max(footprint);
         Ok(())
     }
-
-    /// Counts one `Realloc` growth of the array in `slot` (named `name`)
-    /// against the per-array doubling cap.
-    pub fn charge_realloc_doubling(&mut self, slot: usize, name: &str) -> Result<(), RunError> {
-        if self.max_doublings == u32::MAX {
-            return Ok(());
-        }
-        let count = self.realloc_counts[slot].saturating_add(1);
-        if count > self.max_doublings {
-            return Err(RunError::BudgetExceeded {
-                resource: BudgetResource::ReallocDoublings,
-                limit: self.max_doublings as u64,
-                requested: count as u64,
-                array: Some(name.to_string()),
-            });
-        }
-        self.realloc_counts[slot] = count;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +177,7 @@ mod tests {
     #[test]
     fn single_allocation_limit_trips_with_array_name() {
         let budget = ResourceBudget::unlimited().with_max_workspace_bytes(100);
-        let mut m = BudgetMeter::new(&budget, 2);
+        let mut m = BudgetMeter::new(&budget);
         assert!(m.charge_array_bytes("w", 100).is_ok());
         let err = m.charge_array_bytes("w", 101).unwrap_err();
         match err {
@@ -218,7 +194,7 @@ mod tests {
     #[test]
     fn cumulative_limit_counts_across_arrays() {
         let budget = ResourceBudget::unlimited().with_max_total_bytes(150);
-        let mut m = BudgetMeter::new(&budget, 2);
+        let mut m = BudgetMeter::new(&budget);
         assert!(m.charge_array_bytes("a", 100).is_ok());
         let err = m.charge_array_bytes("b", 100).unwrap_err();
         match err {
@@ -233,7 +209,7 @@ mod tests {
     #[test]
     fn batched_iteration_fuse_matches_per_iteration_payload() {
         let budget = ResourceBudget::unlimited().with_max_loop_iterations(500);
-        let mut m = BudgetMeter::new(&budget, 0);
+        let mut m = BudgetMeter::new(&budget);
         let g = m.grant_iterations(1024);
         assert_eq!(g, 501, "grant includes the first over-budget iteration");
         let err = m.consume_iterations(g).unwrap_err();
@@ -251,7 +227,7 @@ mod tests {
     #[test]
     fn peak_high_water_marks_track_largest_charges() {
         let budget = ResourceBudget::unlimited();
-        let mut m = BudgetMeter::new(&budget, 2);
+        let mut m = BudgetMeter::new(&budget);
         m.charge_array_bytes("a", 100).unwrap();
         m.charge_array_bytes("b", 40).unwrap();
         assert_eq!(m.progress().peak_single_bytes, 100);
@@ -260,21 +236,5 @@ mod tests {
         m.charge_map_bytes("w2", 32, 32).unwrap();
         assert_eq!(m.progress().peak_map_bytes, 256);
         assert_eq!(m.progress().allocated_bytes, 100 + 40 + 64 + 192 + 32);
-    }
-
-    #[test]
-    fn realloc_doubling_cap() {
-        let budget = ResourceBudget::unlimited().with_max_realloc_doublings(2);
-        let mut m = BudgetMeter::new(&budget, 1);
-        assert!(m.charge_realloc_doubling(0, "crd").is_ok());
-        assert!(m.charge_realloc_doubling(0, "crd").is_ok());
-        let err = m.charge_realloc_doubling(0, "crd").unwrap_err();
-        match err {
-            RunError::BudgetExceeded { resource, array, .. } => {
-                assert_eq!(resource, BudgetResource::ReallocDoublings);
-                assert_eq!(array.as_deref(), Some("crd"));
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
     }
 }

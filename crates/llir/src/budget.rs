@@ -47,8 +47,6 @@ pub enum BudgetResource {
     TotalBytes,
     /// Total loop iterations executed (the iteration fuse).
     LoopIterations,
-    /// Times a single array was grown by `Realloc`.
-    ReallocDoublings,
 }
 
 impl std::fmt::Display for BudgetResource {
@@ -57,7 +55,6 @@ impl std::fmt::Display for BudgetResource {
             BudgetResource::WorkspaceBytes => write!(f, "workspace bytes"),
             BudgetResource::TotalBytes => write!(f, "total allocated bytes"),
             BudgetResource::LoopIterations => write!(f, "loop iterations"),
-            BudgetResource::ReallocDoublings => write!(f, "realloc doublings"),
         }
     }
 }
@@ -91,10 +88,6 @@ pub struct ResourceBudget {
     /// Loop-iteration fuse: total `For`/`While` body executions before the
     /// run is aborted. Guards against hangs from corrupted `pos` arrays.
     pub max_loop_iterations: Option<u64>,
-    /// How many times any single array may be grown by `Realloc`. Lowered
-    /// assembly kernels double capacity each time, so `k` doublings bound an
-    /// array at `initial * 2^k` elements.
-    pub max_realloc_doublings: Option<u32>,
 }
 
 impl ResourceBudget {
@@ -153,12 +146,6 @@ impl ResourceBudget {
         self
     }
 
-    /// Sets the per-array realloc-doubling cap.
-    pub fn with_max_realloc_doublings(mut self, doublings: u32) -> Self {
-        self.max_realloc_doublings = Some(doublings);
-        self
-    }
-
     /// Combines two budgets, taking the tighter limit for each resource.
     /// Used when a kernel's compile-time budget and a supervisor's run-time
     /// budget both apply to one run.
@@ -173,10 +160,6 @@ impl ResourceBudget {
             max_workspace_bytes: tighter(self.max_workspace_bytes, other.max_workspace_bytes),
             max_total_bytes: tighter(self.max_total_bytes, other.max_total_bytes),
             max_loop_iterations: tighter(self.max_loop_iterations, other.max_loop_iterations),
-            max_realloc_doublings: tighter(
-                self.max_realloc_doublings,
-                other.max_realloc_doublings,
-            ),
         }
     }
 
@@ -185,7 +168,6 @@ impl ResourceBudget {
         self.max_workspace_bytes.is_none()
             && self.max_total_bytes.is_none()
             && self.max_loop_iterations.is_none()
-            && self.max_realloc_doublings.is_none()
     }
 }
 
@@ -207,7 +189,6 @@ mod tests {
         assert_eq!(m.max_workspace_bytes, Some(50));
         assert_eq!(m.max_total_bytes, Some(500));
         assert_eq!(m.max_loop_iterations, Some(9));
-        assert_eq!(m.max_realloc_doublings, None);
         assert_eq!(ResourceBudget::unlimited().min_with(&ResourceBudget::unlimited()), ResourceBudget::unlimited());
     }
 
@@ -243,12 +224,10 @@ mod tests {
         let b = ResourceBudget::unlimited()
             .with_max_workspace_bytes(100)
             .with_max_total_bytes(200)
-            .with_max_loop_iterations(300)
-            .with_max_realloc_doublings(4);
+            .with_max_loop_iterations(300);
         assert!(!b.is_unlimited());
         assert_eq!(b.max_workspace_bytes, Some(100));
         assert_eq!(b.max_total_bytes, Some(200));
         assert_eq!(b.max_loop_iterations, Some(300));
-        assert_eq!(b.max_realloc_doublings, Some(4));
     }
 }

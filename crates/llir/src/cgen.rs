@@ -101,20 +101,6 @@ pub struct NativeSource {
     pub plan: AbiPlan,
 }
 
-/// Why a kernel cannot be emitted natively: it always can, so there is no
-/// value of this type. The `Result` [`emit_native`] returns keeps its
-/// callers' error paths, which the compiler now knows are unreachable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NativeEmitError {}
-
-impl std::fmt::Display for NativeEmitError {
-    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {}
-    }
-}
-
-impl std::error::Error for NativeEmitError {}
-
 /// The C dialect an emitted TU is written for: the one flag list of every
 /// `cc` run on it (the native backend's builds and the tests that compile
 /// a TU). `-fwrapv` and `-fno-strict-aliasing` pin the semantics the
@@ -138,8 +124,9 @@ pub const NATIVE_CC_FLAGS: [&str; 8] = [
 ///
 /// # Errors
 ///
-/// None: every resolved statement has a native form.
-pub fn emit_native(exe: &Executable) -> Result<NativeSource, NativeEmitError> {
+/// None: every resolved statement has a native form, so the error type has
+/// no values and callers match `let Ok(src) = emit_native(exe);`.
+pub fn emit_native(exe: &Executable) -> Result<NativeSource, std::convert::Infallible> {
     let mut backing = Vec::new();
     map_backing(&exe.body, &mut backing);
     let arrays = exe
@@ -1271,7 +1258,6 @@ mod cc_tests {
                 hi: "row_hi".into(),
                 extent: "n".into(),
                 threads: 0,
-                private: Vec::new(),
                 append: None,
             });
         let exe = Executable::compile(&kernel).unwrap();

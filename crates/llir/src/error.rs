@@ -26,6 +26,9 @@ pub enum CompileError {
     /// `Alloc`, `Realloc`, workspace or parallel append target. Inputs are
     /// bound shared with their tensors, so they are read-only.
     WriteToInput(String),
+    /// A parallel kernel is not one the row dispatcher runs as its serial
+    /// kernel ([`check_rows`](crate::check_rows)); the string says why.
+    BadRows(String),
 }
 
 impl fmt::Display for CompileError {
@@ -42,6 +45,7 @@ impl fmt::Display for CompileError {
                 write!(f, "scalar output `{n}` is not declared at the top level of the kernel")
             }
             CompileError::WriteToInput(n) => write!(f, "input array `{n}` is written"),
+            CompileError::BadRows(why) => write!(f, "parallel kernel: {why}"),
         }
     }
 }
@@ -101,6 +105,8 @@ pub enum RunError {
     /// e.g. a native kernel reported a fault code the host did not record.
     /// Never produced by the interpreter.
     Backend(String),
+    /// The operating system refused a worker thread of a parallel run.
+    ThreadSpawn(String),
     /// A [`ResourceBudget`](crate::ResourceBudget) limit was exceeded.
     BudgetExceeded {
         /// Which limit was violated.
@@ -133,6 +139,7 @@ impl fmt::Display for RunError {
             RunError::ReadOnlyArray(n) => write!(f, "array `{n}` is shared and read-only"),
             RunError::DivisionByZero => write!(f, "integer division by zero"),
             RunError::Backend(what) => write!(f, "execution backend fault: {what}"),
+            RunError::ThreadSpawn(why) => write!(f, "cannot start a worker thread: {why}"),
             RunError::Cancelled => write!(f, "execution cancelled"),
             RunError::DeadlineExceeded { deadline_ms, elapsed_ms } => {
                 write!(f, "deadline of {deadline_ms} ms exceeded after {elapsed_ms} ms")

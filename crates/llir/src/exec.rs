@@ -20,7 +20,7 @@
 use crate::alloc::{elem_bytes, BudgetMeter};
 use crate::leaf::{self, Access, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
-    ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
+    visit_stmts, ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
     ResourceBudget, Rows, RunError, Stmt, UnOp, WorkspaceKind,
 };
 use std::collections::{HashMap, HashSet};
@@ -887,11 +887,6 @@ impl Mach<'_> {
         Ok(())
     }
 
-    /// Counts one `Realloc` growth of `arr` against the doubling cap.
-    fn charge_realloc(&mut self, arr: usize) -> Result<(), RunError> {
-        self.budget.charge_realloc_doubling(arr, &self.array_names[arr])
-    }
-
     /// Allocates `arr` zero-filled, `len` elements of `ty`, after charging
     /// it against the budget.
     fn alloc(&mut self, arr: usize, ty: ArrayTy, len: i64) -> Result<(), RunError> {
@@ -1257,7 +1252,6 @@ impl Mach<'_> {
                 if len > old_len {
                     let ty = self.arrays[*arr].ty();
                     self.charge_bytes(*arr, (len - old_len) as u64 * elem_bytes(ty))?;
-                    self.charge_realloc(*arr)?;
                     self.arrays[*arr].grow_zeroed(len, &self.array_names[*arr])?;
                 }
             }
@@ -1575,29 +1569,120 @@ impl Binding {
     }
 }
 
-/// Checks that a parallel kernel names what the row dispatcher reads: its
-/// range and extent parameters and, when it appends, a counter that is a
-/// scalar output and stitched arrays that are written parameters.
-fn check_rows(kernel: &Kernel, rows: &Rows) -> Result<(), CompileError> {
+/// Checks that a parallel kernel is one the row dispatcher ([`run_rows`])
+/// runs as its serial kernel. Every range runs the whole kernel on its own
+/// copy of the binding, so:
+///
+/// * the kernel names what the dispatcher reads: its range and extent
+///   parameters and, when it appends, a counter that is a scalar output and
+///   stitched arrays that are written parameters;
+/// * the loop over `max(0, lo) .. min(extent, hi)` is the last top-level
+///   statement, with no loop before it: what precedes it runs once per
+///   range, and what followed it would see one range's rows only;
+/// * an append counter is declared 0 before the loop and only ever
+///   advances, so each range's entries start at 0 of its copy;
+/// * inside the loop the data arrays are stored (or accumulated) only at
+///   the counter (a `Realloc` only grows them, keeping every entry) and
+///   `pos` only as `pos[var + 1] = counter`, and nothing outside it writes
+///   either: the stitch moves everything the kernel writes to them.
+///
+/// Every other written array is merged by its bitwise diff, and every
+/// array the kernel allocates is per range.
+///
+/// # Errors
+///
+/// [`CompileError::UnknownVar`], [`CompileError::BadScalarOutput`],
+/// [`CompileError::UnknownArray`] or [`CompileError::WriteToInput`] for a
+/// name, then [`CompileError::BadRows`] for the shape.
+pub fn check_rows(kernel: &Kernel, rows: &Rows) -> Result<(), CompileError> {
     for p in [&rows.lo, &rows.hi, &rows.extent] {
         if !kernel.scalar_params.contains(p) {
             return Err(CompileError::UnknownVar(p.clone()));
         }
     }
-    let Some(a) = &rows.append else { return Ok(()) };
-    if !kernel.scalar_outputs.contains(&a.counter) {
-        return Err(CompileError::BadScalarOutput(a.counter.clone()));
-    }
-    for name in a.data.iter().chain([&a.pos]) {
-        match kernel.array_params.iter().find(|p| p.name == *name) {
-            None => return Err(CompileError::UnknownArray(name.clone())),
-            Some(p) if p.kind == ParamKind::Input => {
-                return Err(CompileError::WriteToInput(name.clone()))
+    if let Some(a) = &rows.append {
+        if !kernel.scalar_outputs.contains(&a.counter) {
+            return Err(CompileError::BadScalarOutput(a.counter.clone()));
+        }
+        for name in a.data.iter().chain([&a.pos]) {
+            match kernel.array_params.iter().find(|p| p.name == *name) {
+                None => return Err(CompileError::UnknownArray(name.clone())),
+                Some(p) if p.kind == ParamKind::Input => {
+                    return Err(CompileError::WriteToInput(name.clone()))
+                }
+                Some(_) => {}
             }
-            Some(_) => {}
         }
     }
-    Ok(())
+
+    let bad = |why: String| Err(CompileError::BadRows(why));
+    let lo = Expr::int(0).max(Expr::var(&rows.lo));
+    let hi = Expr::var(&rows.extent).min(Expr::var(&rows.hi));
+    let Some((Stmt::For { var, lo: l, hi: h, body }, before)) = kernel.body.split_last() else {
+        return bad("the kernel does not end with its row loop".to_string());
+    };
+    if *var != rows.var || *l != lo || *h != hi {
+        return bad(format!(
+            "the last top-level statement is not the loop over `{}` from `max(0, {})` to \
+             `min({}, {})`",
+            rows.var, rows.lo, rows.extent, rows.hi
+        ));
+    }
+    let mut looped = false;
+    visit_stmts(before, &mut |s| {
+        looped |= matches!(s, Stmt::For { .. } | Stmt::While { .. } | Stmt::WsDrain { .. });
+    });
+    if looped {
+        return bad("a loop comes before the row loop".to_string());
+    }
+    let Some(a) = &rows.append else { return Ok(()) };
+    if !before.contains(&Stmt::DeclInt(a.counter.clone(), Expr::int(0))) {
+        return bad(format!("append counter `{}` is not declared 0 before the row loop", a.counter));
+    }
+    // `Some((name, allowed))` for a statement that writes the appended
+    // state: whether it has the one form the stitch allows in the loop.
+    let stitched = |arr: &String| a.data.contains(arr) || *arr == a.pos;
+    let counter = Expr::var(&a.counter);
+    let append_write = |s: &Stmt| match s {
+        Stmt::Store { arr, idx, val } if *arr == a.pos => {
+            Some((arr.clone(), *idx == Expr::var(var) + Expr::int(1) && *val == counter))
+        }
+        Stmt::Store { arr, idx, .. } | Stmt::StoreAdd { arr, idx, .. } if a.data.contains(arr) => {
+            Some((arr.clone(), *idx == counter))
+        }
+        Stmt::Realloc { arr, .. } if a.data.contains(arr) => Some((arr.clone(), true)),
+        Stmt::StoreAdd { arr, .. }
+        | Stmt::Memset { arr, .. }
+        | Stmt::Alloc { arr, .. }
+        | Stmt::Realloc { arr, .. }
+            if stitched(arr) =>
+        {
+            Some((arr.clone(), false))
+        }
+        Stmt::Assign(v, e) if *v == a.counter => {
+            let advances = matches!(e, Expr::Bin(BinOp::Add, x, c)
+                if **x == counter && matches!(**c, Expr::Int(c) if c > 0));
+            Some((v.clone(), advances))
+        }
+        Stmt::DeclInt(v, _) if *v == a.counter => Some((v.clone(), false)),
+        _ => None,
+    };
+    let decl = Stmt::DeclInt(a.counter.clone(), Expr::int(0));
+    let (mut outside, mut inside) = (Vec::new(), Vec::new());
+    for s in before.iter().filter(|s| **s != decl) {
+        visit_stmts(std::slice::from_ref(s), &mut |s| outside.extend(append_write(s)));
+    }
+    visit_stmts(body, &mut |s| inside.extend(append_write(s).filter(|(_, allowed)| !allowed)));
+    if let Some((name, _)) = outside.first() {
+        return bad(format!("`{name}` is written before the row loop"));
+    }
+    match inside.first() {
+        Some((name, _)) => bad(format!(
+            "`{name}` is written in the row loop other than by an append at counter `{}`",
+            a.counter
+        )),
+        None => Ok(()),
+    }
 }
 
 /// A compiled kernel ready to run against a [`Binding`].
@@ -1822,7 +1907,7 @@ impl KernelBody for Executable {
             array_names: self.array_names.clone(),
             // The machine owns its meter; it goes back to the caller when
             // the run ends.
-            budget: std::mem::replace(meter, BudgetMeter::new(&ResourceBudget::unlimited(), 0)),
+            budget: std::mem::replace(meter, BudgetMeter::new(&ResourceBudget::unlimited())),
             ctl: *controls,
             check_countdown: 0,
         };
@@ -1881,7 +1966,7 @@ fn run_range<B: KernelBody>(
         Ok(frame) => frame,
         Err(e) => return (Progress::default(), Err(e)),
     };
-    let mut meter = BudgetMeter::new(budget, frame.arrays.len());
+    let mut meter = BudgetMeter::new(budget);
     swap_array_params(body, binding, &mut frame);
     let result = body.execute(&mut frame, &mut meter, &controls);
     swap_array_params(body, binding, &mut frame);
@@ -1961,16 +2046,11 @@ fn run_rows<B: KernelBody>(
     let Some(extent) = binding.scalars.get(&rows.extent).map(|&n| n.max(0)) else {
         return (Progress::default(), Err(RunError::MissingScalar(rows.extent.clone())));
     };
-    let threads = resolved_threads(rows.threads).min(extent as usize);
+    let mut ranges = row_ranges(extent, resolved_threads(rows.threads));
+    let threads = ranges.len();
     if threads <= 1 {
         let (progress, result) = run_range(body, binding, budget, controls, Some((0, extent)));
         return (Progress { workers: 1, ..progress }, result);
-    }
-    let (per, extra) = (extent / threads as i64, extent % threads as i64);
-    let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(threads + 1);
-    for w in 0..threads as i64 {
-        let start = ranges.last().map_or(0, |r| r.1);
-        ranges.push((start, start + per + i64::from(w < extra)));
     }
     let written: Vec<&str> =
         body.array_params().filter(|(.., kind)| *kind != ParamKind::Input).map(|p| p.0).collect();
@@ -1990,19 +2070,26 @@ fn run_rows<B: KernelBody>(
         return (progress, Err(e));
     }
     let shared: &Binding = binding;
-    let runs: Vec<(Binding, Progress, Result<(), RunError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&range| {
-                scope.spawn(move || {
-                    let mut copy = shared.clone();
-                    let (progress, result) = run_range(body, &mut copy, budget, controls, Some(range));
-                    (copy, progress, result)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("a row range's thread panicked")).collect()
+    let spawned = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(ranges.len());
+        for &range in &ranges {
+            // A refused thread ends the run; the ranges already started are
+            // joined as the scope ends and their copies dropped.
+            handles.push(std::thread::Builder::new().spawn_scoped(scope, move || {
+                let mut copy = shared.clone();
+                let (progress, result) = run_range(body, &mut copy, budget, controls, Some(range));
+                (copy, progress, result)
+            })?);
+        }
+        let joined = handles.into_iter().map(|h| h.join());
+        Ok::<Vec<_>, std::io::Error>(
+            joined.map(|run| run.expect("a row range's thread panicked")).collect(),
+        )
     });
+    let runs = match spawned {
+        Ok(runs) => runs,
+        Err(e) => return (progress, Err(RunError::ThreadSpawn(e.to_string()))),
+    };
 
     for (_, p, _) in &runs {
         progress.iterations = progress.iterations.saturating_add(p.iterations);
@@ -2073,6 +2160,30 @@ fn run_rows<B: KernelBody>(
         binding.scalar_outputs.insert(name.clone(), v.expect("a committed run's output"));
     }
     (progress, Ok(()))
+}
+
+/// The most ranges one parallel run splits into. Each range runs on a
+/// thread of its own over its own clone of the binding, every written array
+/// copied once per range, so past the machine's cores more ranges only
+/// multiply that memory and ask the OS for threads it may refuse. Nothing
+/// bounds the requested count (`with_threads`, `TACO_THREADS`); this does.
+const MAX_RANGES: usize = 64;
+
+/// The contiguous ranges `[0, extent)` splits into for `threads` workers
+/// (OpenMP `schedule(static)`): at most [`MAX_RANGES`], none empty, sizes
+/// differing by at most one row. Empty when there are no rows.
+fn row_ranges(extent: i64, threads: usize) -> Vec<(i64, i64)> {
+    let n = threads.clamp(1, MAX_RANGES).min(usize::try_from(extent).unwrap_or(0));
+    let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(n + 1);
+    if n == 0 {
+        return ranges;
+    }
+    let (per, extra) = (extent / n as i64, extent % n as i64);
+    for w in 0..n as i64 {
+        let start = ranges.last().map_or(0, |r| r.1);
+        ranges.push((start, start + per + i64::from(w < extra)));
+    }
+    ranges
 }
 
 /// Resolves the worker-thread count of a parallel kernel: an explicit
@@ -2782,36 +2893,6 @@ mod tests {
     }
 
     #[test]
-    fn realloc_doubling_cap() {
-        // Doubles `w` from 1 element 5 times: reallocs to 2, 4, 8, 16, 32.
-        let k = Kernel::new("grow").body(vec![
-            Stmt::Alloc { arr: "w".into(), ty: ArrayTy::Int, len: Expr::int(1) },
-            Stmt::for_(
-                "i",
-                Expr::int(0),
-                Expr::int(5),
-                vec![Stmt::Realloc { arr: "w".into(), len: Expr::len("w") * Expr::int(2) }],
-            ),
-        ]);
-        let exe = Executable::compile(&k).unwrap();
-        let mut b = Binding::new();
-        exe.run_with_budget(&mut b, &ResourceBudget::unlimited().with_max_realloc_doublings(5))
-            .expect("five doublings allowed");
-        let err = exe
-            .run_with_budget(&mut b, &ResourceBudget::unlimited().with_max_realloc_doublings(4))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RunError::BudgetExceeded {
-                resource: BudgetResource::ReallocDoublings,
-                limit: 4,
-                requested: 5,
-                array: Some("w".into()),
-            }
-        );
-    }
-
-    #[test]
     fn unlimited_budget_matches_run() {
         let k = Kernel::new("sum")
             .scalar_param("n")
@@ -2900,10 +2981,23 @@ mod tests {
                 hi: "row_hi".into(),
                 extent: "n".into(),
                 threads,
-                private: Vec::new(),
                 append: None,
             });
         Executable::compile(&kernel).unwrap()
+    }
+
+    /// Ranges split the rows evenly, and their count is clamped whatever
+    /// count is asked for. (A pure function: no thread is started.)
+    #[test]
+    fn row_ranges_split_evenly_and_never_exceed_the_clamp() {
+        assert_eq!(row_ranges(7, 3), vec![(0, 3), (3, 5), (5, 7)]);
+        assert_eq!(row_ranges(2, 8), vec![(0, 1), (1, 2)]);
+        assert_eq!(row_ranges(5, 0), vec![(0, 5)]);
+        assert!(row_ranges(0, 4).is_empty());
+        let many = row_ranges(1_000_000, usize::MAX);
+        assert_eq!(many.len(), MAX_RANGES);
+        assert_eq!((many[0].0, many[MAX_RANGES - 1].1), (0, 1_000_000));
+        assert!(many.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
     }
 
     /// Every range zeroes the whole output before its rows, so a range's

@@ -420,7 +420,10 @@ pub struct AppendMerge {
 /// [`run_body`](crate::run_body) splits `[0, extent)` into contiguous
 /// ranges, runs the whole kernel once per range on its own copy of the
 /// binding, and merges the copies in row order; run whole, the kernel is
-/// the serial one.
+/// the serial one. What makes the merge the serial result is checked where
+/// it is relied on, by [`check_rows`](crate::check_rows) when the kernel
+/// compiles: every array the kernel allocates is per range, and only the
+/// [`AppendMerge`] arrays are stitched.
 ///
 /// Produced by lowering a forall the schedule marked parallel
 /// (`IndexStmt::parallelize`).
@@ -438,9 +441,6 @@ pub struct Rows {
     /// Worker-thread count; 0 means decide at run time (the `TACO_THREADS`
     /// environment variable, then available parallelism).
     pub threads: usize,
-    /// Workspaces private to each range. They are kernel-local, so every
-    /// run of the kernel has its own; the race check exempts them.
-    pub private: Vec<String>,
     /// Present when the loop appends to a sparse result level.
     pub append: Option<AppendMerge>,
 }

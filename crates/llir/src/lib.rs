@@ -54,13 +54,13 @@ mod supervise;
 pub use alloc::{elem_bytes, BudgetMeter};
 pub use budget::{BudgetEnvError, BudgetResource, ResourceBudget};
 pub use cgen::{
-    emit_native, AbiArray, AbiPlan, NativeEmitError, NativeSource, ABI_VERSION,
+    emit_native, AbiArray, AbiPlan, NativeSource, ABI_VERSION,
     ABI_VERSION_SYMBOL, ENTRY_SYMBOL, LEAF_FAST_PATH_MARKER, LEAF_SIMD_PRAGMA,
     NATIVE_CC_FLAGS, TACO_KERNEL_H,
 };
 pub use error::{CompileError, RunError};
 pub use exec::{
-    run_body, ArrayVal, Binding, Buf, Executable, Frame, KernelBody, RunControls,
+    check_rows, run_body, ArrayVal, Binding, Buf, Executable, Frame, KernelBody, RunControls,
     SUPERVISION_STRIDE,
 };
 pub use ir::visit_stmts;

@@ -45,9 +45,6 @@ impl Kernel {
                     if rows.threads > 0 {
                         let _ = write!(pragma, " num_threads({})", rows.threads);
                     }
-                    if !rows.private.is_empty() {
-                        let _ = write!(pragma, " private({})", rows.private.join(", "));
-                    }
                     let _ = writeln!(out, "{pragma}");
                 }
                 _ => {}

@@ -93,8 +93,7 @@ impl LowerOptions {
 }
 
 /// Bound-relevant metadata for one workspace the lowerer emitted: the name
-/// its `Alloc` or `WsInit` carries, its storage backend, and the dimension
-/// expressions its dense footprint is a product of. The static cost
+/// its `Alloc` or `WsInit` carries and its storage backend. The static cost
 /// analysis keys its per-workspace bounds off this record instead of
 /// re-deriving workspace identity from the kernel body.
 #[derive(Debug, Clone)]
@@ -103,9 +102,6 @@ pub struct WorkspaceMeta {
     pub name: String,
     /// Storage backend the workspace was lowered with.
     pub kind: WorkspaceKind,
-    /// Dimension expressions, one per workspace mode, in terms of the
-    /// kernel's scalar dimension parameters.
-    pub dims: Vec<Expr>,
 }
 
 /// A lowered kernel plus the binding metadata the runtime needs.
@@ -195,9 +191,6 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
     }
     stmts.append(&mut lw.preamble);
     stmts.append(&mut body);
-    if let Some(rows) = &lw.rows {
-        check_top_level(&stmts, rows)?;
-    }
 
     let mut kernel = Kernel::new(opts.name.clone()).body(stmts);
     kernel.rows = lw.rows.clone();
@@ -215,15 +208,20 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
     } else {
         None
     };
+    // Every range of a parallel kernel runs the whole kernel: only a row
+    // loop last at top level, after straight-line statements, merges into
+    // the serial result.
+    if let Some(rows) = &kernel.rows {
+        taco_llir::check_rows(&kernel, rows).map_err(|e| LowerError::UnsupportedParallelLoop {
+            var: rows.var.clone(),
+            reason: e.to_string(),
+        })?;
+    }
 
     let mut workspaces: Vec<WorkspaceMeta> = lw
         .workspaces
         .iter()
-        .map(|(name, info)| WorkspaceMeta {
-            name: name.clone(),
-            kind: info.kind,
-            dims: info.dims.clone(),
-        })
+        .map(|(name, info)| WorkspaceMeta { name: name.clone(), kind: info.kind })
         .collect();
     workspaces.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -235,28 +233,6 @@ pub fn lower(stmt: &ConcreteStmt, opts: &LowerOptions) -> Result<LoweredKernel> 
         nnz_output,
         workspaces,
     })
-}
-
-/// A parallel kernel runs whole once per range of rows, so its parallel
-/// loop must be the last statement at its top level, after straight-line
-/// statements only: a loop before it would run once per range, and
-/// anything after it would see only its range's rows.
-fn check_top_level(stmts: &[Stmt], rows: &Rows) -> Result<()> {
-    let is_loop =
-        |s: &Stmt| matches!(s, Stmt::For { .. } | Stmt::While { .. } | Stmt::WsDrain { .. });
-    match stmts.split_last() {
-        Some((Stmt::For { var, .. }, before))
-            if *var == rows.var && !before.iter().any(is_loop) =>
-        {
-            Ok(())
-        }
-        _ => Err(LowerError::UnsupportedParallelLoop {
-            var: rows.var.clone(),
-            reason: "only the kernel's outermost loop, with nothing after it, can be \
-                     parallelized"
-                .to_string(),
-        }),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -742,10 +718,6 @@ impl<'o> Lowerer<'o> {
         parallel: bool,
         ctx: &Ctx,
     ) -> Result<Vec<Stmt>> {
-        // Workspaces allocated while lowering this body become the
-        // per-thread private arrays of a parallel loop.
-        let ws_before: HashSet<String> =
-            if parallel { self.workspaces.keys().cloned().collect() } else { HashSet::new() };
         // Combined expression across every assignment in the body, for the
         // iterator analysis at this variable.
         let combined = combined_rhs(body, var);
@@ -862,34 +834,21 @@ impl<'o> Lowerer<'o> {
         }
         self.enclosing.pop();
         if parallel {
-            out = self.parallelize_loop(var, body, out, &ws_before)?;
+            out = self.parallelize_loop(var, body, out)?;
         }
         Ok(out)
     }
 
     /// Restricts the single dense loop a parallel forall lowered to to the
     /// rows of a range, `max(0, row_lo) .. min(extent, row_hi)`, and records
-    /// the kernel's [`Rows`]: the private workspace set and (when the loop
+    /// the kernel's [`Rows`]: its range parameters and (when the loop
     /// appends rows into a sparse result) how the ranges' appends stitch.
     fn parallelize_loop(
         &mut self,
         var: &IndexVar,
         body: &ConcreteStmt,
         out: Vec<Stmt>,
-        ws_before: &HashSet<String>,
     ) -> Result<Vec<Stmt>> {
-        // Per-thread private arrays: every dense workspace first allocated
-        // while lowering this body. (Map workspaces are machine state, not
-        // bound arrays: the executor clones them per worker.) Sorted so the
-        // generated kernel is deterministic.
-        let mut private: Vec<String> = self
-            .workspaces
-            .iter()
-            .filter(|(name, info)| info.kind == WorkspaceKind::Dense && !ws_before.contains(*name))
-            .map(|(name, _)| name.clone())
-            .collect();
-        private.sort();
-
         // Appends into a sparse result are only mergeable when the parallel
         // variable owns whole rows of the appended level: each iteration
         // then produces one contiguous coordinate segment and closes
@@ -960,7 +919,6 @@ impl<'o> Lowerer<'o> {
                     hi: ROW_HI.to_string(),
                     extent,
                     threads: self.opts.num_threads.unwrap_or(0),
-                    private,
                     append,
                 });
                 Ok(vec![Stmt::For { var: lv, lo, hi, body }])

@@ -330,9 +330,6 @@ unsafe extern "C" fn grow_cb(ctx: *mut TacoCtx, slot: i64, len: i64) -> i32 {
         if let Err(e) = host.meter.charge_array_bytes(&name, (len - old) as u64 * elem_bytes(ty)) {
             return fail(ctx, e);
         }
-        if let Err(e) = host.meter.charge_realloc_doubling(slot, &name) {
-            return fail(ctx, e);
-        }
     }
     if let Err(e) = host.arrays[slot].grow_zeroed(len, &name) {
         return fail(ctx, e);

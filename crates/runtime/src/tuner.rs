@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use taco_core::fingerprint::{fingerprint_stmt, Fnv64};
-use taco_core::{binding_env, CostEnv, FrontHalf, IndexStmt, ScheduleCandidate};
+use taco_core::{CostEnv, FrontHalf, IndexStmt, ScheduleCandidate};
 use taco_llir::Binding;
 use taco_lower::params::{crd_name, pos_name};
 use taco_lower::LoweredKernel;
@@ -182,7 +182,7 @@ pub(crate) struct TunedRun {
 /// shared by every candidate that asks for that set.
 pub(crate) struct ConversionSet {
     /// The bind-time cost environment: the candidates' declared dimensions,
-    /// and what [`binding_env`] reads off the (converted) operands' index
+    /// and what [`CostEnv::from_binding`] reads off the (converted) operands' index
     /// arrays, bound alone (shared, as a kernel binds them) under their
     /// [`taco_lower::params`] names. A failed conversion or an operand that
     /// fails validation leaves the arrays out, and bounds over them unvalued.
@@ -219,7 +219,7 @@ impl ConversionSet {
                 }
             }
         }
-        let arrays = binding_env(&index_arrays);
+        let arrays = CostEnv::from_binding(&index_arrays);
         let env = CostEnv { lens: arrays.lens, segs: arrays.segs, ..CostEnv::from_shapes(lowered) };
         ConversionSet { env, entries, nanos }
     }

@@ -17,8 +17,6 @@
 use crate::server::{Rejected, Request};
 use taco_core::ladder::{arbitrate_workspaces, arbitrated};
 use taco_core::{CoreError, CostEnv, FrontHalf, ResourceBudget};
-use taco_lower::params::{crd_name, level_extent, pos_name};
-use taco_lower::LoweredKernel;
 
 /// The request's front half, unverified (admission only reads costs), for
 /// both checks. `None` when neither would read it — the service-time EMA is
@@ -72,41 +70,13 @@ pub(crate) fn budget_infeasible(
 /// bound: `iterations × NANOS_PER_ITERATION`, clamped to a sane range.
 /// `None` when the bound cannot be evaluated even pessimistically.
 pub(crate) fn service_prior_nanos(front: &FrontHalf) -> Option<u64> {
-    let iterations = front.cost_report().iterations.concrete(&pessimistic_env(front.lowered()))?;
+    let env = CostEnv::pessimistic(front.lowered());
+    let iterations = front.cost_report().iterations.concrete(&env)?;
     Some(
         iterations
             .saturating_mul(NANOS_PER_ITERATION)
             .clamp(PRIOR_MIN_NANOS, PRIOR_MAX_NANOS),
     )
-}
-
-/// The shape-derived environment, with `len(...)` atoms valued
-/// pessimistically from the *dense* size of the tensor each array belongs
-/// to (a sparse array is never longer than its dense dimension product,
-/// plus one for `pos`) and `seg(...)` atoms from the level's extent (a
-/// segment stores each coordinate at most once). Good enough for a prior;
-/// the sound bind-time environment uses real array contents instead.
-fn pessimistic_env(lk: &LoweredKernel) -> CostEnv {
-    let mut env = CostEnv::from_shapes(lk);
-    for t in lk.tensors() {
-        let len = dense_size(t.shape()).saturating_add(1);
-        env.lens.insert(t.name().to_string(), len);
-        for l in 0..t.rank() {
-            let lt = t.format().mode(l);
-            if lt.has_pos_array() {
-                env.lens.insert(pos_name(t.name(), l), len);
-                env.segs.insert(pos_name(t.name(), l), level_extent(t, l) as u64);
-            }
-            if lt.has_crd_array() {
-                env.lens.insert(crd_name(t.name(), l), len);
-            }
-        }
-    }
-    env
-}
-
-fn dense_size(shape: &[usize]) -> u64 {
-    shape.iter().try_fold(1u64, |acc, &d| acc.checked_mul(d as u64)).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -2,15 +2,16 @@
 //!
 //! [`analyze_cost`] walks a lowered kernel and derives *provable upper
 //! bounds* — polynomials over format-derived atoms (dimension parameters
-//! and operand array lengths) — on every resource the executor meters
-//! against a [`ResourceBudget`](taco_llir::ResourceBudget):
+//! and operand array lengths) — on what the compile path reads of a run
+//! the executor meters against a [`ResourceBudget`](taco_llir::ResourceBudget):
 //!
+//! * the loop iterations consumed at back-edges, which the tuner ranks by
+//!   and serve admission turns into a service-time prior;
 //! * the bytes of every single allocation charge (`Alloc`, `Realloc`
-//!   growth, map-workspace footprint including capacity doubling),
-//! * the cumulative bytes charged over the whole run,
-//! * the loop iterations consumed at back-edges,
-//! * the entries all workspace drains visit, and
-//! * the resident and initial footprint of every workspace.
+//!   growth, map-workspace footprint including capacity doubling), whose
+//!   maximum is a kernel's static peak; and
+//! * the initial footprint of every workspace, which the compile-time
+//!   budget walk fits.
 //!
 //! The bounds are *sound* with respect to the runtime meter under the same
 //! assumptions the rest of the verifier makes (and the runtime enforces at
@@ -22,13 +23,16 @@
 //! differential soundness suite asserts across the whole candidate space.
 //!
 //! Bounds that cannot be derived degrade to [`Bound::Unknown`] with the
-//! blocking construct named, never to a silently wrong number.
+//! blocking construct named, never to a silently wrong number. Every
+//! environment that values them is built here ([`CostEnv`]).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use taco_llir::{elem_bytes, visit_stmts, ArrayTy, BinOp, Expr, Stmt, UnOp, WorkspaceKind};
-use taco_lower::params::{dim_name, is_pos_name, level_extent};
+use taco_llir::{
+    elem_bytes, visit_stmts, ArrayTy, BinOp, Binding, Expr, Stmt, UnOp, WorkspaceKind,
+};
+use taco_lower::params::{crd_name, dim_name, is_pos_name, level_extent, pos_name};
 use taco_lower::LoweredKernel;
 
 use crate::assume::Assumptions;
@@ -103,8 +107,11 @@ impl fmt::Display for Bound {
 
 /// Concrete atom values for evaluating a [`Bound`]: dimension parameters
 /// (and any other integer scalars bound to the kernel), bound array lengths
-/// and the longest segment of each bound `pos` array. Built from declared
-/// shapes at compile time or from a full binding at bind time.
+/// and the longest segment of each bound `pos` array. Built by one of three
+/// constructors: from declared shapes at compile time
+/// ([`CostEnv::from_shapes`]), pessimistically from shapes alone
+/// ([`CostEnv::pessimistic`]), or from a binding at bind time
+/// ([`CostEnv::from_binding`]).
 #[derive(Debug, Clone, Default)]
 pub struct CostEnv {
     /// Values for `Var` atoms (dimension parameters, scalar params).
@@ -133,6 +140,60 @@ impl CostEnv {
         env
     }
 
+    /// [`CostEnv::from_shapes`], with `len(...)` atoms valued
+    /// pessimistically from the *dense* size of the tensor each array
+    /// belongs to (a sparse array is never longer than its dense dimension
+    /// product, plus one for `pos`) and `seg(...)` atoms from the level's
+    /// extent (a segment stores each coordinate at most once). A ceiling
+    /// for a prior before any operand is seen; the sound bind-time
+    /// environment reads real array contents instead.
+    #[must_use]
+    pub fn pessimistic(lk: &LoweredKernel) -> CostEnv {
+        let mut env = CostEnv::from_shapes(lk);
+        for t in lk.tensors() {
+            let dense =
+                t.shape().iter().try_fold(1u64, |acc, &d| acc.checked_mul(d as u64));
+            let len = dense.unwrap_or(u64::MAX).saturating_add(1);
+            env.lens.insert(t.name().to_string(), len);
+            for l in 0..t.rank() {
+                let lt = t.format().mode(l);
+                if lt.has_pos_array() {
+                    env.lens.insert(pos_name(t.name(), l), len);
+                    env.segs.insert(pos_name(t.name(), l), level_extent(t, l) as u64);
+                }
+                if lt.has_crd_array() {
+                    env.lens.insert(crd_name(t.name(), l), len);
+                }
+            }
+        }
+        env
+    }
+
+    /// The bind-time environment: every bound integer scalar (the
+    /// dimension parameters) values the matching `Var` atom, every bound
+    /// array's length values its `len(...)` atom, and every bound `pos`
+    /// array's longest segment (one pass over it) values its `seg(...)`
+    /// atom. With a complete binding, every bound the analyzer derives
+    /// becomes a concrete byte or iteration ceiling.
+    #[must_use]
+    pub fn from_binding(binding: &Binding) -> CostEnv {
+        let mut env = CostEnv::default();
+        for (name, v) in binding.scalar_entries() {
+            env.vars.insert(name.to_string(), u64::try_from(v).unwrap_or(0));
+        }
+        for (name, len) in binding.array_len_entries() {
+            env.lens.insert(name.to_string(), len as u64);
+            if !is_pos_name(name) {
+                continue;
+            }
+            if let Some(pos) = binding.int_array(name) {
+                let longest = pos.windows(2).map(|w| w[1].saturating_sub(w[0])).max().unwrap_or(0);
+                env.segs.insert(name.to_string(), u64::try_from(longest).unwrap_or(0));
+            }
+        }
+        env
+    }
+
     /// Evaluates a polynomial under the environment, saturating at
     /// `u64::MAX` and clamping negative results (a bound like `dim - 1`) to
     /// zero. `None` when an atom has no value.
@@ -156,59 +217,36 @@ impl CostEnv {
     }
 }
 
-/// One metered charge site: a bound on the largest single charge the site
-/// can put through the budget meter (array allocation bytes, realloc growth
-/// bytes, one array of a dense workspace, or a map workspace's whole
-/// footprint).
-#[derive(Debug, Clone)]
-pub struct ChargeBound {
-    /// Array or workspace name charged.
-    pub name: String,
-    /// Upper bound on any single charge from this site, in bytes.
-    pub bytes: Bound,
-}
-
-/// The derived footprint of one workspace: for dense workspaces the sum of
-/// its arrays, for map workspaces the charged capacity with doubling slack
-/// included.
+/// A workspace's initial footprint: the bytes resident *before any entry
+/// is written*. For a dense workspace that is its whole footprint (its
+/// arrays are allocated up front); for a map workspace it is the initial
+/// capacity times the entry size, with growth beyond it charged against the
+/// budget at run time. The compile-time budget walk decides on this.
 #[derive(Debug, Clone)]
 pub struct WorkspaceCost {
     /// Workspace name.
     pub name: String,
-    /// Storage backend.
-    pub kind: WorkspaceKind,
-    /// Upper bound on the workspace's resident bytes.
-    pub bytes: Bound,
-    /// Bound on the bytes resident *before any entry is written*: for a
-    /// dense workspace this equals [`WorkspaceCost::bytes`] (its arrays are
-    /// allocated up front); for a map workspace it is the initial capacity
-    /// times the entry size, with growth beyond it charged against the
-    /// budget at run time. The compile-time budget walk decides on this.
+    /// Upper bound on the workspace's initial footprint, in bytes.
     pub init_bytes: Bound,
 }
 
-/// The full cost report for one lowered kernel. Cached on the compiled
-/// kernel beside the verification report; every field is an *upper bound*
-/// provable from the operand formats alone.
+/// What the compile path reads of one lowered kernel's cost: the iteration
+/// bound the tuner and serve admission rank by, the single-charge bounds a
+/// static peak is the maximum of, and the initial workspace footprints the
+/// budget walk fits. Cached on the compiled kernel beside the verification
+/// report; every field is an *upper bound* provable from the operand
+/// formats alone.
 #[derive(Debug, Clone)]
 pub struct CostReport {
-    /// Kernel name.
-    pub kernel: String,
-    /// Per-site single-charge bounds (the meter's `peak_single_bytes` /
-    /// `peak_map_bytes` observables are each dominated by some entry).
-    pub charges: Vec<ChargeBound>,
-    /// Bound on cumulative bytes charged over the whole run.
-    pub total_bytes: Bound,
     /// Bound on loop iterations consumed (`For`/`While`/drain back-edges).
     pub iterations: Bound,
-    /// Bound on the entries all workspace drains visit over the run — the
-    /// sort work of the sorted ones.
-    pub drain_entries: Bound,
-    /// Per-workspace resident-footprint bounds.
+    /// Per-site single-charge bounds, in bytes: array allocations, realloc
+    /// growth, one array of a dense workspace, a map workspace's whole
+    /// footprint. The meter's `peak_single_bytes` and `peak_map_bytes`
+    /// observables are each dominated by some entry.
+    pub charges: Vec<Bound>,
+    /// Per-workspace initial footprints, in the lowered kernel's order.
     pub workspaces: Vec<WorkspaceCost>,
-    /// Human-readable derivation notes (inherited assumptions, degradation
-    /// reasons).
-    pub notes: Vec<String>,
 }
 
 impl CostReport {
@@ -220,29 +258,15 @@ impl CostReport {
     pub fn peak_bytes(&self, env: &CostEnv) -> Option<u64> {
         let mut peak = 0u64;
         for c in &self.charges {
-            peak = peak.max(c.bytes.concrete(env)?);
+            peak = peak.max(c.concrete(env)?);
         }
         Some(peak)
-    }
-
-    /// Total workspace footprint under `env`: the sum of every workspace's
-    /// resident-byte bound. `None` when any workspace bound is unknown or
-    /// unvalued.
-    #[must_use]
-    pub fn workspace_bytes(&self, env: &CostEnv) -> Option<u64> {
-        let mut total = 0u64;
-        for w in &self.workspaces {
-            total = total.saturating_add(w.bytes.concrete(env)?);
-        }
-        Some(total)
     }
 
     /// Initial (pre-scatter) workspace footprint under `env`: the sum of
     /// every workspace's [`WorkspaceCost::init_bytes`] bound. This is what
     /// the compile-time budget walk compares against `max_workspace_bytes`
-    /// on every rung (a dense workspace's initial footprint is its whole
-    /// footprint; map growth past the initial capacity is charged at run
-    /// time). `None` when any bound is unknown or unvalued.
+    /// on every rung. `None` when any bound is unknown or unvalued.
     #[must_use]
     pub fn workspace_init_bytes(&self, env: &CostEnv) -> Option<u64> {
         let mut total = 0u64;
@@ -277,8 +301,8 @@ impl CostReport {
 ///   enclosing `For`;
 /// * monotone append counters are bounded by their initialization plus
 ///   every increment times the trip bounds of the loops enclosing it;
-/// * reallocation-by-doubling sites contribute at most UB of their length
-///   expression (growth deltas telescope);
+/// * a reallocation-by-doubling site charges at most UB of its length
+///   expression at once;
 /// * *drain rule:* a `WsDrain` visits at most the entries scattered since
 ///   the workspace's last drain. When every scatter into it comes before
 ///   the drain in the drain's own block, that is one execution's worth of
@@ -325,54 +349,33 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     let mut walk = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state);
     walk.block(&lk.kernel.body);
 
-    let mut charges = walk.charges;
-    let mut workspaces = Vec::new();
-    for meta in &lk.workspaces {
-        let (bytes, init_bytes) = match meta.kind {
-            WorkspaceKind::Dense => {
-                // Resident footprint: every array charged under the
-                // workspace's name. All of it is allocated up front, so the
-                // initial footprint is the full footprint.
-                let total = charges
+    let workspaces = lk
+        .workspaces
+        .iter()
+        .map(|meta| {
+            let init_bytes = match meta.kind {
+                // Every array charged under the workspace's name: all of it
+                // is allocated up front.
+                WorkspaceKind::Dense => walk
+                    .charges
                     .iter()
-                    .filter(|c| c.name == meta.name)
-                    .fold(Bound::zero(), |total, c| total.add(&c.bytes));
-                (total.clone(), total)
-            }
-            WorkspaceKind::Hash | WorkspaceKind::CoordList => {
-                let bytes = walk.map_footprints.get(&meta.name).cloned().unwrap_or_else(|| {
-                    Bound::Unknown(format!("map `{}` never initialized", meta.name))
-                });
-                let init = walk
-                    .map_caps
-                    .get(&meta.name)
-                    .map(|(kind, cap)| cap.mul_const(kind.entry_bytes()))
-                    .unwrap_or_else(|| {
-                        Bound::Unknown(format!("map `{}` never initialized", meta.name))
-                    });
-                (bytes, init)
-            }
-        };
-        workspaces.push(WorkspaceCost { name: meta.name.clone(), kind: meta.kind, bytes, init_bytes });
-    }
+                    .filter(|(name, _)| *name == meta.name)
+                    .fold(Bound::zero(), |total, (_, bytes)| total.add(bytes)),
+                WorkspaceKind::Hash | WorkspaceKind::CoordList => {
+                    walk.map_caps.get(&meta.name).map_or_else(
+                        || Bound::Unknown(format!("map `{}` never initialized", meta.name)),
+                        |(kind, cap)| cap.mul_const(kind.entry_bytes()),
+                    )
+                }
+            };
+            WorkspaceCost { name: meta.name.clone(), init_bytes }
+        })
+        .collect();
     // Map footprints are themselves single charges (the meter checks the
     // whole footprint against the single-charge limit on every growth).
-    for (map, bytes) in &walk.map_footprints {
-        charges.push(ChargeBound { name: map.clone(), bytes: bytes.clone() });
-    }
-
-    let mut notes = walk.notes;
-    notes.extend(assume.notes.iter().cloned());
-
-    CostReport {
-        kernel: lk.kernel.name.clone(),
-        charges,
-        total_bytes: walk.total_bytes,
-        iterations: walk.iterations,
-        drain_entries: walk.drain_entries,
-        workspaces,
-        notes,
-    }
+    let charges =
+        walk.charges.into_iter().map(|(_, bytes)| bytes).chain(walk.map_footprints.into_values());
+    CostReport { iterations: walk.iterations, charges: charges.collect(), workspaces }
 }
 
 /// Classifies every `Assign` target: `true` when all assignments are
@@ -481,11 +484,9 @@ struct Walk<'a> {
     /// Finished map footprint bounds.
     map_footprints: HashMap<String, Bound>,
 
-    charges: Vec<ChargeBound>,
-    total_bytes: Bound,
+    /// Single-charge bounds, with the array or workspace each charges.
+    charges: Vec<(String, Bound)>,
     iterations: Bound,
-    drain_entries: Bound,
-    notes: Vec<String>,
 }
 
 impl<'a> Walk<'a> {
@@ -512,10 +513,7 @@ impl<'a> Walk<'a> {
             map_caps: HashMap::new(),
             map_footprints: HashMap::new(),
             charges: Vec::new(),
-            total_bytes: Bound::zero(),
             iterations: Bound::zero(),
-            drain_entries: Bound::zero(),
-            notes: Vec::new(),
         }
     }
 
@@ -685,23 +683,6 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Bound charge accounting helpers. `site` charges happen once per
-    /// execution of the surrounding loops; telescoping charges (realloc
-    /// growth, map growth) contribute their *final* value once.
-    fn charge_site(&mut self, name: &str, per_exec: &Bound, telescoping: bool) {
-        self.charges.push(ChargeBound { name: name.to_string(), bytes: per_exec.clone() });
-        let contribution = if telescoping {
-            per_exec.clone()
-        } else {
-            match (per_exec.finite(), self.trip_product_since(0)) {
-                (Some(b), Some(p)) => Bound::Finite(b.mul(&p)),
-                (Some(_), None) => Bound::Unknown("charge inside unbounded loop".to_string()),
-                (None, _) => per_exec.clone(),
-            }
-        };
-        self.total_bytes = self.total_bytes.add(&contribution);
-    }
-
     /// Walks a loop body under `trip`, charging the loop's own back-edges.
     fn looped(&mut self, trip: Trip, body: impl FnOnce(&mut Self)) {
         self.trips.push(trip);
@@ -808,7 +789,7 @@ impl<'a> Walk<'a> {
 
     /// Drain rule: the entries a `WsDrain` of `ws` visits, bounded by the
     /// scatters since the workspace's last drain.
-    fn drain_entries_bound(&self, ws: &str) -> Option<Sym> {
+    fn drain_trips(&self, ws: &str) -> Option<Sym> {
         let block = self.frames.last().expect("a statement is walked inside a block");
         let (sites, since) = block.scatters.get(ws).cloned().unwrap_or((0, Some(Sym::int(0))));
         if sites == self.sites.get(ws).copied().unwrap_or(0) {
@@ -897,13 +878,6 @@ impl<'a> Walk<'a> {
             }
             Stmt::While { cond, body } => {
                 let trip = self.while_trip(cond, body, before);
-                if trip.bound.is_none() {
-                    self.notes.push(
-                        "while loop outside the merge co-iteration idiom: iteration bound \
-                         degrades to unknown"
-                            .to_string(),
-                    );
-                }
                 self.looped(trip, |w| w.block(body));
             }
             Stmt::If { then, els, .. } => {
@@ -917,30 +891,29 @@ impl<'a> Walk<'a> {
                 let bytes =
                     Bound::from_opt(self.ub(len), "allocation length not bounded by the formats")
                         .mul_const(elem_bytes(*ty));
-                self.charge_site(arr, &bytes, false);
+                self.charges.push((arr.clone(), bytes));
             }
             Stmt::Realloc { arr, len } => {
-                // Growth deltas telescope: their sum (and any single delta)
-                // is bounded by the largest length the site can request.
+                // Any single growth delta is bounded by the largest length
+                // the site can request.
                 let ty = ArrayTy::Int; // realloc'd arrays are crd (Int) or vals (F64): 8 bytes.
                 let bytes =
                     Bound::from_opt(self.ub(len), "realloc length not bounded by the formats")
                         .mul_const(elem_bytes(ty));
-                self.charge_site(arr, &bytes, true);
+                self.charges.push((arr.clone(), bytes));
             }
             Stmt::WsInit { ws, kind: WorkspaceKind::Dense, ty, extent } => {
                 // Value, coordinate-list and guard arrays over the extent.
                 let len =
                     Bound::from_opt(self.ub(extent), "workspace extent not bounded by the formats");
                 for elem in [ty, &ArrayTy::Int, &ArrayTy::Bool] {
-                    self.charge_site(ws, &len.mul_const(elem_bytes(*elem)), false);
+                    self.charges.push((ws.clone(), len.mul_const(elem_bytes(*elem))));
                 }
             }
             Stmt::WsInit { ws, kind, .. } => {
                 // The init charge (capacity × entry bytes) is subsumed by
                 // the footprint bound, which the meter checks in whole on
-                // every growth; init + growth deltas telescope to the final
-                // footprint, which is the map's total-bytes contribution.
+                // every growth.
                 let cap = Bound::Finite(Sym::int(WorkspaceKind::INITIAL_CAPACITY));
                 self.map_caps.insert(ws.clone(), (*kind, cap));
                 self.finish_map_footprint(ws);
@@ -966,12 +939,7 @@ impl<'a> Walk<'a> {
                 }
             }
             Stmt::WsDrain { ws, body, .. } => {
-                let entries = self.drain_entries_bound(ws);
-                let total = entries.as_ref().zip(self.trip_product_since(0));
-                let total = total.map(|(per_drain, drains)| per_drain.mul(&drains));
-                self.drain_entries = self
-                    .drain_entries
-                    .add(&Bound::from_opt(total, "drain of a workspace with unbounded scatters"));
+                let entries = self.drain_trips(ws);
                 self.looped(Trip { bound: entries, ..Trip::default() }, |w| w.block(body));
             }
             Stmt::Comment(_) => {}
@@ -990,10 +958,7 @@ impl<'a> Walk<'a> {
         let scatters_bound = Bound::from_opt(scatters, "scatter count not bounded");
         let entries =
             cap.add(&scatters_bound.mul_const(2)).add(&Bound::Finite(Sym::int(8)));
-        let footprint = entries.mul_const(kind.entry_bytes());
-        if self.map_footprints.insert(map.to_string(), footprint.clone()).is_none() {
-            self.total_bytes = self.total_bytes.add(&footprint);
-        }
+        self.map_footprints.insert(map.to_string(), entries.mul_const(kind.entry_bytes()));
     }
 }
 

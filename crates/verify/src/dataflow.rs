@@ -129,6 +129,8 @@ pub(crate) struct Analyzer<'a> {
     pos_counters: HashSet<String>,
     /// The row ranges of a parallel kernel.
     rows: Option<Rows>,
+    /// The kernel's array parameters: the arrays its row ranges share.
+    params: HashSet<String>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -155,6 +157,7 @@ impl<'a> Analyzer<'a> {
             drain_notes: Vec::new(),
             pos_counters: HashSet::new(),
             rows: kernel.rows.clone(),
+            params: kernel.array_params.iter().map(|p| p.name.clone()).collect(),
         };
         for p in &kernel.array_params {
             a.known_arrays.insert(p.name.clone());
@@ -605,7 +608,7 @@ impl<'a> Analyzer<'a> {
         self.env.insert(var.to_string(), Sym::atom(v_atom.clone()));
         self.havoc_assigned(body);
         if let Some(rows) = rows {
-            let mut ctx = RaceCtx::new(v_atom.clone(), rows);
+            let mut ctx = RaceCtx::new(v_atom.clone(), rows, &self.params);
             ctx.declared.extend(collect_decls(body));
             self.race = Some(ctx);
         }

@@ -58,7 +58,7 @@ mod race;
 mod sym;
 
 pub use assume::{ArrayFacts, Assumptions};
-pub use cost::{analyze_cost, Bound, ChargeBound, CostEnv, CostReport, WorkspaceCost};
+pub use cost::{analyze_cost, Bound, CostEnv, CostReport, WorkspaceCost};
 pub use error::{Diagnostic, Severity, VerifyError, VerifyMode, VerifyReport};
 pub use sym::{Atom, Sym};
 

@@ -2,10 +2,11 @@
 //!
 //! For the top-level `For` a parallel kernel's [`Rows`] name, the main walk
 //! records the symbolic footprint of each iteration: every store,
-//! accumulate, whole-array operation, and load touching an array that is
-//! neither in the kernel's `private` list nor covered by its
-//! [`AppendMerge`](taco_llir::AppendMerge). This module then decides
-//! whether the per-iteration write sets are disjoint.
+//! accumulate, whole-array operation, and load touching an array parameter
+//! that its [`AppendMerge`](taco_llir::AppendMerge) does not cover. Every
+//! other array is allocated by the kernel, and every range runs the whole
+//! kernel, so each range has its own. This module then decides whether the
+//! per-iteration write sets are disjoint.
 //!
 //! The execution model (the row dispatcher beside `taco_llir::run_body`)
 //! runs the whole kernel once per contiguous range of iterations, each on
@@ -59,9 +60,9 @@ struct Write {
 pub(crate) struct RaceCtx {
     pub(crate) var_name: String,
     pub(crate) var_atom: Atom,
-    /// Arrays exempt from the check: per-thread privates and the arrays a
-    /// declared [`AppendMerge`] stitches after the join.
-    skip: HashSet<String>,
+    /// The arrays the check covers: the kernel's array parameters, less
+    /// the ones a declared [`AppendMerge`] stitches after the join.
+    shared: HashSet<String>,
     /// The append counter, if any — the one outer scalar a parallel loop
     /// may legally advance.
     pub(crate) counter: Option<String>,
@@ -81,19 +82,15 @@ pub(crate) struct RaceCtx {
 }
 
 impl RaceCtx {
-    pub(crate) fn new(var_atom: Atom, rows: &Rows) -> RaceCtx {
-        let mut skip: HashSet<String> = rows.private.iter().cloned().collect();
-        let mut counter = None;
-        if let Some(a) = &rows.append {
-            skip.extend(a.data.iter().cloned());
-            skip.insert(a.pos.clone());
-            counter = Some(a.counter.clone());
-        }
+    pub(crate) fn new(var_atom: Atom, rows: &Rows, params: &HashSet<String>) -> RaceCtx {
+        let stitched = |arr: &String| {
+            rows.append.as_ref().is_some_and(|a| a.pos == *arr || a.data.contains(arr))
+        };
         RaceCtx {
             var_name: rows.var.clone(),
             var_atom,
-            skip,
-            counter,
+            shared: params.iter().filter(|arr| !stitched(arr)).cloned().collect(),
+            counter: rows.append.as_ref().map(|a| a.counter.clone()),
             declared: HashSet::new(),
             reported_scalars: HashSet::new(),
             sliced: HashSet::new(),
@@ -106,19 +103,19 @@ impl RaceCtx {
     }
 
     pub(crate) fn record_write(&mut self, arr: &str, idx: &Sym, kind: WriteKind, stmt: String) {
-        if !self.skip.contains(arr) {
+        if self.shared.contains(arr) {
             self.writes.push(Write { arr: arr.to_string(), idx: idx.clone(), kind, stmt });
         }
     }
 
     pub(crate) fn record_read(&mut self, arr: &str, idx: &Sym) {
-        if !self.skip.contains(arr) {
+        if self.shared.contains(arr) {
             self.reads.push((arr.to_string(), idx.clone()));
         }
     }
 
     pub(crate) fn record_whole_array(&mut self, arr: &str, stmt: String) {
-        if !self.skip.contains(arr) {
+        if self.shared.contains(arr) {
             self.whole.push((arr.to_string(), stmt));
         }
     }
@@ -210,8 +207,8 @@ pub(crate) fn analyze(az: &mut Analyzer<'_>, ctx: RaceCtx, stmt: &Stmt) {
                 name: arr.clone(),
                 var: ctx.var_name.clone(),
                 detail: format!(
-                    "whole-array operation `{op}` on an array that is neither private \
-                     nor merged by append"
+                    "whole-array operation `{op}` on a parameter that is not merged by \
+                     append"
                 ),
             },
             Severity::Deny,

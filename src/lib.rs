@@ -64,7 +64,7 @@ pub use taco_verify as verify;
 /// Commonly used items, for `use taco_workspaces::prelude::*`.
 pub mod prelude {
     pub use taco_core::{
-        analyze_cost, binding_env, stmt_workspaces, Aborted, AbortReason, Bound, BudgetResource,
+        analyze_cost, stmt_workspaces, Aborted, AbortReason, Bound, BudgetResource,
         CancelToken, CompiledKernel, CoreError, CostEnv, CostReport, DegradeRung, ExecReport,
         FallbackEvent, IndexStmt, Progress, ResourceBudget, Supervisor, VerifyMode,
         VerifyReport,

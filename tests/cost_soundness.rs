@@ -1,8 +1,8 @@
 //! Differential soundness harness for the symbolic cost analyzer.
 //!
 //! The analyzer's contract is an *upper bound*: for any kernel it derives a
-//! finite peak-byte, iteration or drain-entry bound for, no real execution
-//! may allocate, iterate or drain past it. This suite drives that claim adversarially — random
+//! finite peak-byte or iteration bound for, no real execution may allocate
+//! or iterate past it. This suite drives that claim adversarially — random
 //! shapes, densities, sparsity patterns and operand formats through the
 //! autotuner's whole candidate space (every loop order, workspace placement,
 //! format conversion, and workspace backend that compiles) and the
@@ -12,16 +12,14 @@
 //! rules make it exact or nearly so.
 
 use proptest::prelude::*;
-use taco_core::cost::binding_env;
 use taco_core::oracle::eval_dense;
 use taco_core::{
-    enumerate_candidates_for, stmt_workspaces, CompiledKernel, IndexStmt, ScheduleCandidate,
-    Supervisor,
+    enumerate_candidates_for, stmt_workspaces, CostEnv, IndexStmt, ScheduleCandidate, Supervisor,
 };
 use taco_ir::concrete::ConcreteStmt;
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
-use taco_llir::{Binding, Stmt, WorkspaceKind};
+use taco_llir::WorkspaceKind;
 use taco_lower::{KernelKind, LowerOptions};
 use taco_tensor::gen::{random_csr, random_csr_nnz, random_dense, Pattern};
 use taco_tensor::{DenseTensor, Format, LevelType, Tensor};
@@ -157,39 +155,6 @@ fn kinds_of(stmt: &IndexStmt) -> &'static [WorkspaceKind] {
     }
 }
 
-/// The entries the run's drains visited, where a run shows them: every
-/// entry of a row drain appends one result nonzero, so when the kernel
-/// appends nowhere else the append counter's final value is that count.
-fn drained_entries(kernel: &CompiledKernel, binding: &Binding) -> Option<u64> {
-    let counter = kernel.lowered().nnz_output.as_deref()?;
-    fn appends(body: &[Stmt], counter: &str, in_drain: bool, seen: &mut (usize, usize)) {
-        for s in body {
-            match s {
-                Stmt::Assign(v, _) if v == counter => {
-                    if in_drain {
-                        seen.0 += 1;
-                    } else {
-                        seen.1 += 1;
-                    }
-                }
-                Stmt::WsDrain { body, .. } => appends(body, counter, true, seen),
-                Stmt::For { body, .. } | Stmt::While { body, .. } => {
-                    appends(body, counter, in_drain, seen)
-                }
-                Stmt::If { then, els, .. } => {
-                    appends(then, counter, in_drain, seen);
-                    appends(els, counter, in_drain, seen);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut seen = (0, 0);
-    appends(&kernel.lowered().kernel.body, counter, false, &mut seen);
-    let nnz = binding.scalar_output(counter)?;
-    (seen.0 > 0 && seen.1 == 0).then_some(nnz as u64)
-}
-
 /// What one sweep over a statement's candidates saw.
 #[derive(Debug, Default)]
 struct Sweep {
@@ -202,8 +167,6 @@ struct Sweep {
     /// `(candidate, iteration bound, observed iterations)` for every accepted
     /// candidate with a finite iteration bound.
     iterations: Vec<(String, u64, u64)>,
-    /// Candidates whose drained entries were checked against their bound.
-    drains: usize,
 }
 
 /// Runs every candidate of `stmt` under `opts` on `inputs` and checks both
@@ -252,8 +215,8 @@ fn sweep(
         let op_refs: Vec<(&str, &Tensor)> = ops.iter().map(|(nm, t)| (*nm, t)).collect();
         let Ok(mut binding) = kernel.bind(&op_refs, structure.as_ref()) else { continue };
         let peak = kernel.static_peak_bytes(&binding);
-        let iterations = kernel.cost_report().iterations.concrete(&binding_env(&binding));
-        let drain_bound = kernel.cost_report().drain_entries.concrete(&binding_env(&binding));
+        let env = CostEnv::from_binding(&binding);
+        let iterations = kernel.cost_report().iterations.concrete(&env);
         let Ok(report) = kernel.run_bound_supervised(&mut binding, &supervisor) else {
             continue;
         };
@@ -271,10 +234,6 @@ fn sweep(
             let observed = report.progress.iterations;
             prop_assert!(bound >= observed, "unsound iterations for {name}: {bound} < {observed}");
             seen.iterations.push((cand.name.clone(), bound, observed));
-        }
-        if let (Some(bound), Some(observed)) = (drain_bound, drained_entries(&kernel, &binding)) {
-            prop_assert!(bound >= observed, "unsound drains for {name}: {bound} < {observed}");
-            seen.drains += 1;
         }
     }
     prop_assert!(seen.accepted > 0, "no candidate ran for {what}");
@@ -310,10 +269,6 @@ proptest! {
             "analyzer proved nothing finite across {} accepted candidates of {what}",
             seen.accepted
         );
-        // A CSR result is assembled by row drains.
-        if fmt_sel != 1 {
-            prop_assert!(seen.drains > 0, "no drain checked in {what}");
-        }
     }
 
     /// The twin property for the iteration bound, which the tuner ranks by
@@ -399,13 +354,11 @@ fn every_workspace_kind_drains_under_the_dense_bound() {
     for kind in [WorkspaceKind::Dense, WorkspaceKind::Hash, WorkspaceKind::CoordList] {
         let kernel = stmt.compile(LowerOptions::fused("tight").with_workspace_kind(kind)).unwrap();
         let mut binding = kernel.bind(&[("B", &b), ("C", &c)], None).unwrap();
-        let env = binding_env(&binding);
+        let env = CostEnv::from_binding(&binding);
         let bound = kernel.cost_report().iterations.concrete(&env).unwrap();
-        let drains = kernel.cost_report().drain_entries.concrete(&env).unwrap();
         let report = kernel.run_bound_supervised(&mut binding, &Supervisor::new()).unwrap();
         let observed = report.progress.iterations;
         assert!(bound <= 8 * observed, "{kind}: {bound} against {observed}");
-        assert!(drains >= drained_entries(&kernel, &binding).unwrap(), "{kind}");
         assert_eq!(bound, *dense_bound.get_or_insert(bound), "{kind} bound like dense");
     }
 }

@@ -192,7 +192,6 @@ fn a_kernel_that_writes_an_input_is_refused_at_compile() {
         hi: "row_hi".into(),
         extent: "n".into(),
         threads: 1,
-        private: Vec::new(),
         append: Some(append),
     };
     let parallel = kernel(Vec::new()).scalar_param("row_lo").scalar_param("row_hi").rows(rows);

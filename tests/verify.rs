@@ -10,7 +10,10 @@ use taco_workspaces::core::{enumerate_candidates, IndexStmt, ScheduleCandidate};
 use taco_workspaces::ir::concrete::ConcreteStmt;
 use taco_workspaces::ir::transform;
 use taco_workspaces::ir::IrError;
-use taco_workspaces::llir::{ArrayTy, Expr, Kernel, Param, Rows, Stmt};
+use taco_workspaces::llir::{
+    run_body, AppendMerge, ArrayTy, Binding, CompileError, Executable, Expr, Kernel, Param, Rows,
+    RunControls, Stmt,
+};
 use taco_workspaces::lower::lower;
 use taco_workspaces::prelude::*;
 use taco_workspaces::verify::{verify_kernel, VerifyError};
@@ -190,7 +193,6 @@ fn parallel(mut k: Kernel, var: &str) -> Kernel {
         hi: "row_hi".to_string(),
         extent: "n".to_string(),
         threads: 0,
-        private: Vec::new(),
         append: None,
     })
 }
@@ -220,19 +222,105 @@ fn racy_parallel_accumulate_is_denied() {
             val: Expr::load("B_vals", Expr::var("i")),
         }],
     ));
-    let mut k = parallel(k, "i");
+    let k = parallel(k, "i");
     let report = verify_kernel(&k);
     assert!(
         has_deny(&report, |e| matches!(e, VerifyError::DataRace { name, .. } if name == "out")),
         "expected DataRace for `out`, got: {report:?}"
     );
-    // Privatizing the array clears the race (and only the race).
-    k.rows.as_mut().unwrap().private.push("out".to_string());
+}
+
+/// Runs `k` at `threads` threads on `B_vals = 1..=n` and returns `out`.
+fn run_rows_at(k: &Kernel, threads: usize, n: usize) -> Vec<f64> {
+    let mut k = k.clone();
+    k.rows.as_mut().unwrap().threads = threads;
+    let exe = Executable::compile(&k).unwrap();
+    let mut b = Binding::new();
+    b.set_scalar("n", n as i64);
+    b.set_f64("B_vals", (1..=n).map(|v| v as f64).collect()).set_f64("out", vec![0.0; n]);
+    let (_, result) = run_body(&exe, &mut b, &ResourceBudget::unlimited(), RunControls::default());
+    result.unwrap();
+    b.f64_array("out").unwrap().to_vec()
+}
+
+/// An array the kernel allocates is per range: every range runs the whole
+/// kernel, so each has its own. Accumulating into one from every iteration
+/// of the row loop, and resetting it per row, races nothing, and two ranges
+/// give the serial answer.
+#[test]
+fn a_kernel_local_array_accumulated_in_the_row_loop_does_not_race() {
+    let (acc, zero) = ("acc".to_string(), || Expr::int(0));
+    let b_i = || Expr::load("B_vals", Expr::var("i"));
+    let k = Kernel::new("local_acc")
+        .scalar_param("n")
+        .array_param(Param::input("B_vals", ArrayTy::F64))
+        .array_param(Param::output("out", ArrayTy::F64))
+        .body(vec![
+            Stmt::Alloc { arr: acc.clone(), ty: ArrayTy::F64, len: Expr::int(1) },
+            rows_loop(
+                "i",
+                vec![
+                    Stmt::StoreAdd { arr: acc.clone(), idx: zero(), val: b_i() },
+                    Stmt::StoreAdd { arr: acc.clone(), idx: zero(), val: b_i() },
+                    Stmt::store("out", Expr::var("i"), Expr::load(&acc, zero())),
+                    Stmt::store(acc.clone(), zero(), Expr::float(0.0)),
+                ],
+            ),
+        ]);
+    let k = parallel(k, "i");
     let report = verify_kernel(&k);
     assert!(
         !has_deny(&report, |e| matches!(e, VerifyError::DataRace { .. })),
-        "privatized array must not race: {report:?}"
+        "a kernel-local array is per range: {report:?}"
     );
+    let serial = run_rows_at(&k, 1, 8);
+    assert_eq!(serial, (1..=8).map(|v| 2.0 * v as f64).collect::<Vec<_>>());
+    assert_eq!(run_rows_at(&k, 2, 8), serial);
+}
+
+/// The row dispatcher runs the whole kernel once per range and stitches the
+/// arrays an `AppendMerge` names at the counter. A kernel that writes a
+/// stitched array anywhere else, or reads the rows after its row loop,
+/// would answer differently on two ranges than on one: it does not compile.
+#[test]
+fn kernels_the_row_dispatcher_cannot_merge_are_refused_at_compile() {
+    let out_at = |idx: i64| Expr::load("out", Expr::int(idx));
+    let append = Kernel::new("append_at_zero")
+        .scalar_param("n")
+        .array_param(Param::input("B_vals", ArrayTy::F64))
+        .array_param(Param::output("out", ArrayTy::F64))
+        .array_param(Param::output("out_pos", ArrayTy::Int))
+        .scalar_output("count")
+        .body(vec![
+            Stmt::DeclInt("count".into(), Expr::int(0)),
+            rows_loop(
+                "i",
+                vec![Stmt::StoreAdd {
+                    arr: "out".into(),
+                    idx: Expr::int(0),
+                    val: Expr::load("B_vals", Expr::var("i")),
+                }],
+            ),
+        ]);
+    let mut append = parallel(append, "i");
+    append.rows.as_mut().unwrap().append = Some(AppendMerge {
+        counter: "count".into(),
+        data: vec!["out".into()],
+        pos: "out_pos".into(),
+    });
+    let after = Kernel::new("after_the_loop")
+        .scalar_param("n")
+        .array_param(Param::output("out", ArrayTy::F64))
+        .array_param(Param::output("total", ArrayTy::F64))
+        .body(vec![
+            rows_loop("i", vec![Stmt::store("out", Expr::var("i"), Expr::float(1.0))]),
+            Stmt::store("total", Expr::int(0), out_at(0) + out_at(7)),
+        ]);
+    let after = parallel(after, "i");
+    for k in [append, after] {
+        let compiled = Executable::compile(&k).map(drop);
+        assert!(matches!(compiled, Err(CompileError::BadRows(_))), "{}: {compiled:?}", k.name);
+    }
 }
 
 // ---------------------------------------------------------------------------
