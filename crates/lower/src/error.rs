@@ -32,13 +32,16 @@ pub enum LowerError {
     /// Assembly was requested for a kernel whose result is dense (nothing
     /// to assemble).
     NothingToAssemble,
-    /// The schedule scatters into a sparse result inside a reduction loop —
-    /// compressed formats do not support random inserts (Section V: "avoid
-    /// expensive inserts"); precompute into a workspace first.
+    /// The schedule appends to a sparse result under loops other than the
+    /// result's index variables in level order — inside a reduction loop or
+    /// out of order, so a row would be revisited and inserted into, which
+    /// compressed formats do not support (Section V: "avoid expensive
+    /// inserts"); precompute into a workspace first.
     SparseScatter {
         /// The sparse result tensor.
         result: String,
-        /// The reduction variable whose loop encloses the insert.
+        /// The first loop enclosing the append out of the result's level
+        /// order: a reduction variable, or a result variable out of place.
         var: String,
     },
     /// A forall marked parallel lowers to a loop shape the parallel
@@ -89,9 +92,9 @@ impl fmt::Display for LowerError {
             }
             LowerError::SparseScatter { result, var } => write!(
                 f,
-                "sparse result `{result}` would be scattered into inside the reduction loop \
-                 over `{var}`; compressed formats do not support random inserts — precompute \
-                 into a dense workspace (Section V of the paper)"
+                "sparse result `{result}` would be scattered into inside the loop over `{var}`, \
+                 out of the result's level order; compressed formats do not support random \
+                 inserts — precompute into a dense workspace (Section V of the paper)"
             ),
             LowerError::UnsupportedParallelLoop { var, reason } => {
                 write!(f, "cannot lower parallel loop over `{var}`: {reason}")

@@ -733,21 +733,6 @@ impl<'o> Lowerer<'o> {
             && body.uses_tensor(self.result.name())
             && writes_tensor(body, self.result.name());
 
-        // Appending into a sparse result is only valid when every enclosing
-        // loop binds a result variable; inside a reduction loop, each row
-        // would be revisited and inserted into repeatedly — the expensive
-        // sparse insert the workspace transformation exists to avoid.
-        if result_sparse_here && self.opts.kind != KernelKind::Compute {
-            if let Some(red) =
-                self.enclosing.iter().find(|v| !self.result_access.uses_var(v))
-            {
-                return Err(LowerError::SparseScatter {
-                    result: self.result.name().to_string(),
-                    var: red.name().to_string(),
-                });
-            }
-        }
-
         self.enclosing.push(var.clone());
         let full_loop = lattice.points.is_empty() || lattice.is_dense();
         if !full_loop {
@@ -1116,15 +1101,20 @@ impl<'o> Lowerer<'o> {
         let iters = lattice.iterators();
 
         // Coiteration advances one cursor per iterator through an ordered
-        // pos/crd segment; levels without their own position iteration
-        // (singleton) or without coordinate order (hashed) cannot merge.
+        // pos/crd segment, past each merged coordinate once; levels without
+        // their own position iteration (singleton), without coordinate order
+        // (hashed) or with repeated coordinates (COO's outer level) cannot
+        // merge.
         for it in &iters {
             let fmt = self.format_of(&it.tensor)?;
             let lt = fmt.mode(it.level);
-            if lt.is_position_passthrough() || !lt.is_ordered() || !lt.has_pos_array() {
+            let unique = fmt.level_unique(it.level);
+            if lt.is_position_passthrough() || !lt.is_ordered() || !lt.has_pos_array() || !unique
+            {
                 return Err(LowerError::Unsupported(format!(
-                    "cannot coiterate level {} of `{}` at `{var}`: merging needs ordered \
-                     position iteration; convert the operand or precompute into a workspace",
+                    "cannot coiterate level {} of `{}` at `{var}`: merging needs ordered, \
+                     duplicate-free position iteration; convert the operand or precompute \
+                     into a workspace",
                     it.level, it.tensor
                 )));
             }
@@ -1257,12 +1247,32 @@ impl<'o> Lowerer<'o> {
         self.segment_loop(&name, l, parent, var, body, ctx)
     }
 
+    /// The append contract (Section V-C, "avoid expensive inserts"): a store
+    /// at the result's counter is allowed only where the loops enclosing it
+    /// are exactly the result's index variables in level order, so every
+    /// coordinate is appended once and in order. Anything else would revisit
+    /// a row and insert into it. The error names the first enclosing loop out
+    /// of that order.
+    fn check_append_site(&self) -> Result<()> {
+        let vars = self.result_access.vars();
+        if self.enclosing == vars {
+            return Ok(());
+        }
+        let at = self.enclosing.iter().zip(vars).take_while(|(e, v)| e == v).count();
+        let var = self.enclosing.get(at).or(self.enclosing.last());
+        Err(LowerError::SparseScatter {
+            result: self.result.name().to_string(),
+            var: var.map_or_else(String::new, |v| v.name().to_string()),
+        })
+    }
+
     /// Drains the assembling workspace the body reads into one result row
     /// (Figure 8 lines 22–36): each touched coordinate appends one result
     /// nonzero, in ascending order when the result level is ordered (line
     /// 23: "the sort is optional and only needed if the result must be
     /// ordered").
     fn row_drain(&mut self, var: &IndexVar, body: &ConcreteStmt, ctx: &Ctx) -> Result<Vec<Stmt>> {
+        self.check_append_site()?;
         let ws = body
             .assignments()
             .iter()
@@ -1366,6 +1376,9 @@ impl<'o> Lowerer<'o> {
         // (Figure 5a): write the coordinate (fused/assemble), then the
         // value, then bump the counter.
         let appending = ctx.append_result && lhs_name == self.result.name();
+        if appending {
+            self.check_append_site()?;
+        }
         if appending && self.opts.kind != KernelKind::Compute {
             let l = self.result_sparse_level.expect("append implies sparse result");
             let counter = self.counter_name();

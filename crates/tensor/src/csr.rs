@@ -1,4 +1,4 @@
-use crate::{Format, LevelType, Result, Tensor, TensorError};
+use crate::{Format, LevelType, Result, Tensor, TensorBuilder, TensorError};
 
 /// A compressed sparse row matrix in the exact array layout of Figure 1b of
 /// the paper (`pos`, `crd`, `vals`).
@@ -228,17 +228,26 @@ impl Csr {
     }
 
     /// Converts into a CSR [`Tensor`]. Unsorted rows are sorted and repeated
-    /// columns summed.
+    /// columns summed, in stored order, by [`TensorBuilder`]; sorted rows are
+    /// taken as they are.
     pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_appended_level(
-            vec![self.nrows, self.ncols],
-            Format::csr(),
-            &self.pos,
-            &self.crd,
-            None,
-            Some(&self.vals),
-        )
-        .expect("pos/crd/vals agree by construction (Csr::from_raw's checks)")
+        let shape = vec![self.nrows, self.ncols];
+        let (pos, crd, vals) = (&self.pos, &self.crd, Some(&self.vals[..]));
+        let built = if self.is_sorted() {
+            Tensor::from_appended_level(shape, Format::csr(), pos, crd, None, vals)
+        } else {
+            TensorBuilder::new(shape, Format::csr()).and_then(|mut b| {
+                b.reserve(self.nnz());
+                for i in 0..self.nrows {
+                    let (crd, vals) = self.row(i);
+                    for (&j, &v) in crd.iter().zip(vals) {
+                        b.insert(&[i, j], v)?;
+                    }
+                }
+                Ok(b.build())
+            })
+        };
+        built.expect("pos/crd/vals agree by construction (Csr::from_raw's checks)")
     }
 
     /// Dense `nrows * ncols` row-major image of the matrix (duplicates

@@ -157,40 +157,6 @@ pub(crate) fn check_vals_level(vals: &[f64], positions: usize, level: usize) -> 
     Ok(())
 }
 
-/// Sorts every `pos` segment by coordinate (stably) and sums the values of
-/// repeated coordinates in their stored order — what [`TensorBuilder`] does
-/// to unordered input, confined to one segment at a time. `vals` of `None`
-/// stands for all-zero values.
-fn normalise_segments(
-    pos: &[usize],
-    crd: &[usize],
-    vals: Option<&[f64]>,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let mut out_pos = Vec::with_capacity(pos.len());
-    let mut out_crd = Vec::with_capacity(crd.len());
-    let mut out_vals: Vec<f64> = Vec::with_capacity(crd.len());
-    let mut order: Vec<usize> = Vec::new();
-    out_pos.push(0);
-    for seg in pos.windows(2) {
-        let start = out_crd.len();
-        order.clear();
-        order.extend(seg[0]..seg[1]);
-        order.sort_by_key(|&q| crd[q]);
-        for &q in &order {
-            let v = vals.map_or(0.0, |vals| vals[q]);
-            match out_vals.last_mut() {
-                Some(sum) if out_crd.len() > start && out_crd.last() == Some(&crd[q]) => *sum += v,
-                _ => {
-                    out_crd.push(crd[q]);
-                    out_vals.push(v);
-                }
-            }
-        }
-        out_pos.push(out_crd.len());
-    }
-    (out_pos, out_crd, out_vals)
-}
-
 /// A validated tensor's index arrays as kernels read them: every `pos` and
 /// `crd` array widened from `usize` to `i64` once, each behind an `Arc` that
 /// every binding of the tensor shares. See [`Tensor::index_arrays`].
@@ -513,13 +479,13 @@ impl Tensor {
     /// negative and every coordinate is below the innermost dimension.
     /// `vals` of `None` stores zeros (assembly-only producers).
     ///
-    /// Hashed segments must be duplicate-free and keep their order. If any
-    /// compressed segment is not strictly increasing, each segment is stably
-    /// sorted by coordinate and repeated coordinates are summed in their
-    /// stored order. Values land as `0.0 + v`, so `-0.0` is stored as `+0.0`.
-    /// Both match [`Tensor::from_entries`] over the same components bit for
-    /// bit. Non-finite values are accepted — a computed result may overflow
-    /// — so the tensor can fail [`Tensor::validate`] on that rule alone.
+    /// Every segment must be duplicate-free, and a compressed one strictly
+    /// increasing: the producer establishes the level's properties, this
+    /// pass only checks them (a hashed segment keeps its order). Values land
+    /// as `0.0 + v`, so `-0.0` is stored as `+0.0`, as
+    /// [`Tensor::from_entries`] stores it. Non-finite values are accepted — a
+    /// computed result may overflow — so the tensor can fail
+    /// [`Tensor::validate`] on that rule alone.
     ///
     /// # Errors
     ///
@@ -579,8 +545,7 @@ impl Tensor {
             bad(format!("pos ends at {end} but crd has {} entries", crd.len()))
         })?;
         let crd = indices("crd", crd)?;
-        // Bounds, and hashed uniqueness: compressed order is restored below.
-        check_crd_level(&pos, &crd, parents, shape[level], false, hashed, level)?;
+        check_crd_level(&pos, &crd, parents, shape[level], !hashed, true, level)?;
         let vals = vals
             .map(|vals| {
                 vals.get(..end).ok_or_else(|| {
@@ -589,17 +554,11 @@ impl Tensor {
             })
             .transpose()?;
 
-        let as_stored = hashed
-            || pos.windows(2).all(|seg| crd[seg[0]..seg[1]].windows(2).all(|c| c[0] < c[1]));
         // The builder accumulates into zeroed storage; `-0.0 + 0.0` is `+0.0`.
         // Collected straight behind the `Arc`: one pass, one allocation.
-        let plus_zero = |vals: &[f64]| vals.iter().map(|v| v + 0.0).collect::<Arc<[f64]>>();
-        let (pos, crd, vals) = if as_stored {
-            let zeros = || std::iter::repeat_n(0.0, end).collect();
-            (pos, crd, vals.map_or_else(zeros, plus_zero))
-        } else {
-            let (pos, crd, vals) = normalise_segments(&pos, &crd, vals);
-            (pos, crd, plus_zero(&vals))
+        let vals: Arc<[f64]> = match vals {
+            Some(vals) => vals.iter().map(|v| v + 0.0).collect(),
+            None => std::iter::repeat_n(0.0, end).collect(),
         };
         let mut modes: Vec<ModeStorage> =
             shape[..level].iter().map(|&dim| ModeStorage::Dense { dim }).collect();

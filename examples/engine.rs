@@ -5,10 +5,13 @@
 //!
 //! 1. **kernel caching** — the second request for a structurally identical
 //!    kernel skips the compile pipeline (fingerprint hit, shared `Arc`);
-//! 2. **autotuning** — an *unscheduled* SpGEMM gets its workspace placement
-//!    and loop order picked by ranking the Section V-C candidate space with
-//!    the cost analyzer's iteration bounds on the real operands, replying
-//!    with the best and checking the runner-up; the decision is remembered;
+//! 2. **autotuning** — an *unscheduled* SpGEMM into a dense result gets its
+//!    loop order and operand formats picked by ranking the Section V-C
+//!    candidate space with the cost analyzer's iteration bounds on the real
+//!    operands, replying with the best and checking the runner-up; the
+//!    decision is remembered. (Into a CSR result the space is the Figure 2
+//!    schedule alone: any other loop order would append out of the result's
+//!    level order.)
 //! 3. **one event log** — fallbacks and autotune decisions all land in
 //!    `Engine::last_events()`.
 //!
@@ -22,7 +25,7 @@ use taco_workspaces::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 64;
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    let a = TensorVar::new("A", vec![n, n], Format::dense(2));
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"));

@@ -213,15 +213,19 @@ fn sweep(
             })
             .collect();
         let op_refs: Vec<(&str, &Tensor)> = ops.iter().map(|(nm, t)| (*nm, t)).collect();
-        let Ok(mut binding) = kernel.bind(&op_refs, structure.as_ref()) else { continue };
+        // A candidate that lowers binds and runs: a failure here is a
+        // wrong kernel, not one to skip.
+        let name = format!("`{}` ({kind}) of {what}", cand.name);
+        let mut binding = kernel
+            .bind(&op_refs, structure.as_ref())
+            .map_err(|e| format!("{name} does not bind: {e}"))?;
         let peak = kernel.static_peak_bytes(&binding);
         let env = CostEnv::from_binding(&binding);
         let iterations = kernel.cost_report().iterations.concrete(&env);
-        let Ok(report) = kernel.run_bound_supervised(&mut binding, &supervisor) else {
-            continue;
-        };
+        let report = kernel
+            .run_bound_supervised(&mut binding, &supervisor)
+            .map_err(|e| format!("{name} does not run: {e}"))?;
         seen.accepted += 1;
-        let name = format!("`{}` ({kind}) of {what}", cand.name);
         // An unknown bound is conservative (it can never admit or prune
         // anything), so it cannot be unsound — but it should be the
         // exception, which the callers check.

@@ -232,18 +232,18 @@ fn autotuner_is_deterministic_across_engines() {
     // the same schedule. A generous search deadline keeps the check of the
     // runner-up in both searches even when sibling tests load the machine —
     // what's under test is the decision protocol (rank, reply, one check),
-    // not the deadline's truncation point. The operands are large enough
-    // that the checked candidate (an inner-product SpGEMM, an order of
-    // magnitude slower) cannot fit into a preempted run of the leader.
+    // not the deadline's truncation point. The checked candidate (SpMV over
+    // a COO conversion of `B`) does more work than the leader, conversion
+    // entries included, so the clock cannot hand it the decision.
     let n = 96;
-    let stmt = unscheduled_spgemm(n);
+    let stmt = spmv(n, n);
     let mut chosen = Vec::new();
     for _ in 0..2 {
         let b = random_csr(n, n, 0.1, 21).to_tensor();
-        let c = random_csr(n, n, 0.1, 22).to_tensor();
-        let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+        let x = dense_operand(vec![n], 22);
+        let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
         let engine = Engine::builder().tuning_deadline(Duration::from_secs(30)).build();
-        let out = engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
+        let out = engine.run_tuned(&stmt, LowerOptions::fused("spmv"), &inputs).unwrap();
         chosen.push(out.schedule);
         // The ranking must spare the search most of the space: at least one
         // candidate is never compiled or run, and at most two are.
@@ -266,10 +266,10 @@ fn a_search_compiles_what_it_runs_and_a_reuse_compiles_nothing() {
     // and a compile, none looked up twice, and none failing, because a
     // candidate is a schedule that compiles.
     let n = 32;
-    let stmt = unscheduled_spgemm(n);
-    let (b, c) = operands(n);
-    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
-    let opts = LowerOptions::fused("spgemm");
+    let stmt = spmv(n, n);
+    let (b, x) = (random_csr(n, n, 0.1, 11).to_tensor(), dense_operand(vec![n], 12));
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
+    let opts = LowerOptions::fused("spmv");
     let engine = Engine::builder().tuning_deadline(Duration::from_secs(60)).build();
 
     engine.run_tuned(&stmt, opts.clone(), &inputs).unwrap();
@@ -551,14 +551,14 @@ fn the_tuning_deadline_caps_the_check_and_never_decides_whether_it_runs() {
     // deadline too short for any run still compiles and starts the check,
     // so two engines that differ only in the deadline log the same events.
     let n = 16;
-    let stmt = unscheduled_spgemm(n);
-    let (b, c) = operands(n);
-    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
+    let stmt = spmv(n, n);
+    let (b, x) = (random_csr(n, n, 0.1, 11).to_tensor(), dense_operand(vec![n], 12));
+    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
     let events = |deadline: Duration| {
         let engine =
             Engine::builder().backend(Backend::Interp).tuning_deadline(deadline).build();
         for _ in 0..6 {
-            engine.run_tuned(&stmt, LowerOptions::fused("spgemm"), &inputs).unwrap();
+            engine.run_tuned(&stmt, LowerOptions::fused("spmv"), &inputs).unwrap();
         }
         (engine.last_events().len(), engine.cache_stats().compiles)
     };

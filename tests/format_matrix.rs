@@ -343,25 +343,26 @@ fn sparse_result_spgemm_agrees_across_row_major_operand_formats() {
 
 #[test]
 fn candidate_space_includes_format_conversions() {
+    // SpGEMM into a dense result appends nothing, so conversions of both
+    // operands lower (into a CSR result only conversions of C do: an append
+    // must follow the result's level order), and every conversion candidate
+    // computes what the oracle does on the operand it converts.
     let n = 12;
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    let a = TensorVar::new("A", vec![n, n], Format::dense(2));
     let b = TensorVar::new("B", vec![n, n], Format::csr());
     let c = TensorVar::new("C", vec![n, n], Format::csr());
     let (i, j, k) = (iv("i"), iv("j"), iv("k"));
-    let stmt = IndexStmt::new(IndexAssignment::assign(
+    let source = IndexAssignment::assign(
         a.access([i.clone(), j.clone()]),
         sum(k.clone(), b.access([i, k.clone()]) * c.access([k, j])),
-    ))
-    .unwrap();
+    );
+    let stmt = IndexStmt::new(source.clone()).unwrap();
+    let (bt, ct) = (random_csr(n, n, 0.3, 131).to_tensor(), random_csr(n, n, 0.3, 132).to_tensor());
+    let expect = eval_dense(&source, &[("B", &bt), ("C", &ct)]).unwrap();
 
-    // Under `compute`: a fused SpGEMM appends to its result in loop order, so
-    // only conversions of C lower there, and a candidate is a schedule that
-    // lowers under the options it is enumerated for.
+    let opts = LowerOptions::compute("spgemm");
     let cands: Vec<ScheduleCandidate> =
-        enumerate_candidates_for(&stmt, &LowerOptions::compute("spgemm"))
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
+        enumerate_candidates_for(&stmt, &opts).into_iter().map(|(c, _)| c).collect();
     let convs: Vec<_> = cands.iter().filter(|c| !c.conversions.is_empty()).collect();
     assert!(
         !convs.is_empty(),
@@ -370,6 +371,13 @@ fn candidate_space_includes_format_conversions() {
     );
     for cand in &convs {
         assert!(cand.name.contains("convert("), "conversion candidate named {}", cand.name);
+        let ops = [("B", &bt), ("C", &ct)].map(|(name, t)| {
+            let target = cand.conversions.iter().find(|(c, _)| c == name);
+            (name, target.map_or_else(|| t.clone(), |(_, f)| t.convert(f.clone()).unwrap()))
+        });
+        let refs: Vec<(&str, &Tensor)> = ops.iter().map(|(name, t)| (*name, t)).collect();
+        let got = cand.stmt.compile(opts.clone()).unwrap().run(&refs).unwrap();
+        assert!(got.to_dense().approx_eq(&expect, 1e-9), "`{}` against the oracle", cand.name);
     }
     // Both operands are offered alternatives.
     assert!(convs.iter().any(|c| c.name.contains("convert(B:")));

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use taco_core::oracle::eval_dense;
-use taco_core::{AbortReason, DegradeRung, FallbackEvent, IndexStmt, ResourceBudget, Supervisor};
+use taco_core::{
+    AbortReason, CoreError, DegradeRung, FallbackEvent, IndexStmt, ResourceBudget, Supervisor,
+};
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
@@ -11,7 +13,7 @@ use taco_llir::WorkspaceKind;
 use taco_lower::LowerOptions;
 use taco_runtime::{Backend, Engine, SupervisedRun};
 use taco_tensor::gen::{random_csf3, random_csr};
-use taco_tensor::{Csr, Format, LevelType, Tensor};
+use taco_tensor::{Csr, Format, LevelType, Tensor, TensorError};
 
 fn iv(n: &str) -> IndexVar {
     IndexVar::new(n)
@@ -813,7 +815,10 @@ proptest! {
 
     /// Sorted, unsorted and duplicate-bearing segments, explicit zeros,
     /// `-0.0`, overflowing sums, empty rows, empty results and slack
-    /// capacity, for every kernel kind and result rank.
+    /// capacity, for every kernel kind and result rank. A kernel appends a
+    /// compressed level in order, once per coordinate, so an appended
+    /// segment that is not strictly increasing is `InvalidStorage`, never
+    /// repaired.
     #[test]
     fn extraction_matches_decode_and_repack_bitwise(
         rank in 1usize..4,
@@ -876,6 +881,9 @@ proptest! {
                 vals = vec![0.0; nnz];
             }
             let want = extract_by_repacking(&shape, &format, &pos, &crd, &vals);
+            let in_order = pos.windows(2).all(|seg| {
+                crd[seg[0] as usize..seg[1] as usize].windows(2).all(|c| c[0] < c[1])
+            });
             // Doubling slack past nnz holds stale garbage the extraction
             // must never read.
             let slack = rng.gen_range(0usize..4);
@@ -891,7 +899,17 @@ proptest! {
             if let Some(name) = &kernel.lowered().nnz_output {
                 binding.set_scalar_output(name.clone(), nnz as i64);
             }
-            (kernel.extract(&binding, None).unwrap(), want)
+            let extracted = kernel.extract(&binding, None);
+            if !in_order {
+                let invalid = matches!(
+                    &extracted,
+                    Err(CoreError::Tensor(TensorError::InvalidStorage { level: l, .. }))
+                        if *l == level
+                );
+                prop_assert!(invalid, "unsorted or repeated segment extracted: {extracted:?}");
+                return Ok(());
+            }
+            (extracted.unwrap(), want)
         };
 
         prop_assert_eq!(got.shape(), want.shape());

@@ -44,6 +44,39 @@ fn sparse_scatter_without_workspace_is_rejected() {
     }
 }
 
+/// An append must follow the result's level order under every kernel kind:
+/// the inner product (`k` below `j`, with `C` stored by columns) would
+/// append once per matched `k`, and `j` above `i` would fill rows out of
+/// order. Both are the same typed error, naming the first loop out of
+/// order.
+#[test]
+fn appends_out_of_the_results_level_order_are_rejected() {
+    let n = 8;
+    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    let b = TensorVar::new("B", vec![n, n], Format::csr());
+    let c = TensorVar::new("C", vec![n, n], Format::dcsc());
+    let (i, j, k) = (iv("i"), iv("j"), iv("k"));
+    let inner = IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone(), j.clone()]),
+        sum(k.clone(), b.access([i.clone(), k.clone()]) * c.access([k, j.clone()])),
+    ))
+    .unwrap();
+    let mut columns_first = inner.clone();
+    columns_first.reorder(&i, &j).unwrap();
+    let kinds = [LowerOptions::fused("f"), LowerOptions::assemble("a"), LowerOptions::compute("c")];
+    for (stmt, first_out_of_order) in [(&inner, "k"), (&columns_first, "j")] {
+        for opts in &kinds {
+            match stmt.compile(opts.clone()) {
+                Err(CoreError::Lower(LowerError::SparseScatter { result, var })) => {
+                    assert_eq!((result.as_str(), var.as_str()), ("A", first_out_of_order));
+                }
+                Err(other) => panic!("{:?}: expected SparseScatter, got {other}", opts.kind),
+                Ok(_) => panic!("{:?}: an append out of level order compiled", opts.kind),
+            }
+        }
+    }
+}
+
 /// The heuristics point at the problem, and following them fixes it.
 #[test]
 fn following_the_insert_heuristic_makes_the_kernel_compile() {
