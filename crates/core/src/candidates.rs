@@ -8,8 +8,7 @@
 //! baseline, every loop reorder of the outer forall chain, and every legal
 //! workspace placement the heuristics propose on each of those loop orders.
 //! The runtime engine's autotuner ranks the candidates by their iteration
-//! bounds on the real operands, replies with the best and checks it against
-//! the runner-up.
+//! bounds on the real operands and replies with the best.
 //!
 //! The space holds schedules and operand conversions, not storage: every
 //! candidate lowers under the caller's options as given, so a workspace's

@@ -239,8 +239,11 @@ fn hash_opts(h: &mut Fnv64, opts: &LowerOptions) {
         taco_llir::WorkspaceKind::Hash => 1,
         taco_llir::WorkspaceKind::CoordList => 2,
     });
-    // A pinned worker-thread count changes the generated parallel loop (it
-    // is baked into the kernel), so it is part of the kernel's identity.
+    // A pinned worker-thread count is part of the kernel's identity because
+    // the kernel carries it as `Rows::threads`, which the row dispatcher reads
+    // to split the rows into ranges. No emitter of the native C reads it, so
+    // one translation unit at two counts is two cache records and two `cc`
+    // runs: the artifact name carries this fingerprint (ROADMAP item 11).
     // The statement's own parallel flags are hashed with the statement.
     match opts.num_threads {
         Some(n) => h.write_tag(1).write_u64(n as u64),

@@ -5,16 +5,14 @@ use crate::cache::{
     CacheStats, CachedKernel, KernelCache, ENGINE_CACHE_MAX_BYTES, ENGINE_CACHE_MAX_ENTRIES,
 };
 use crate::native::{Backend, NativeStore};
-use crate::tuner::{
-    converted_inputs, Autotuner, ConversionSet, Ranked, TuneDecision, TuneKey, TunedRun,
-};
+use crate::tuner::{converted_inputs, Autotuner, ConversionSet, Ranked, TuneKey};
 use crate::{EngineError, Result};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use taco_core::{
     enumerate_candidates_for, CompiledKernel, CoreError, DegradeRung, ExecReport, FallbackEvent,
-    FrontHalf, IndexStmt, ResourceBudget, Supervisor, VerifyMode,
+    FrontHalf, IndexStmt, ResourceBudget, ScheduleCandidate, Supervisor, VerifyMode,
 };
 use taco_lower::{LowerError, LowerOptions};
 use taco_tensor::{Format, Tensor};
@@ -27,12 +25,6 @@ pub struct EngineConfig {
     /// engine (and folded into the cache key, so the same statement under a
     /// different budget class is a different kernel). Default unlimited.
     pub budget: ResourceBudget,
-    /// Wall-clock cap on the runner-up check of an autotune search: the
-    /// check's run ends at the leader's time or at this deadline, whichever
-    /// comes first. Zero runs no check at all. Whether the check runs is
-    /// never decided by the clock, so two engines that differ only here
-    /// compile the same kernels. Default 250 ms.
-    pub tuning_deadline: Duration,
     /// Ring-buffer capacity of [`Engine::last_events`]; oldest events are
     /// dropped beyond it. Default 256.
     pub max_events: usize,
@@ -56,7 +48,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             budget: ResourceBudget::unlimited(),
-            tuning_deadline: Duration::from_millis(250),
             max_events: 256,
             verify: taco_core::default_verify_mode(),
             backend: Backend::from_env(),
@@ -94,11 +85,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the wall-clock cap on an autotune search's runner-up check;
-    /// zero runs no check.
+    /// Accepted and ignored: an autotune search ranks and replies, and runs
+    /// nothing on a clock that a deadline could cap. Kept only because the
+    /// repository benchmark's adapter (`benchmark/src/sut.rs`) is pinned to
+    /// this builder surface; it goes when that adapter is repinned.
     #[must_use]
-    pub fn tuning_deadline(mut self, deadline: Duration) -> EngineBuilder {
-        self.config.tuning_deadline = deadline;
+    pub fn tuning_deadline(self, _ignored: Duration) -> EngineBuilder {
         self
     }
 
@@ -151,24 +143,19 @@ pub enum EngineEvent {
         schedule: String,
         /// Candidates enumerated, all of them ranked.
         candidates: usize,
-        /// Candidates that were compiled and ran to completion (at most
-        /// two: the reply and the check).
+        /// Candidates that were compiled and ran to completion: always 1,
+        /// the reply. The ones ranked above it that failed to compile or
+        /// aborted are in neither this count nor `pruned`.
         viable: usize,
         /// Candidates ranked out: never compiled, never run.
         pruned: usize,
-        /// Measured nanoseconds of the winner, its operand conversions
-        /// included.
+        /// Measured nanoseconds of the reply's run
+        /// ([`ExecReport::elapsed`]; its operand conversions are not timed).
         best_nanos: u64,
         /// The winner's predicted cost: its iteration bound on the actual
         /// operands plus the entries its conversions touch (`u64::MAX` when
         /// the analyzer has no bound for it).
         predicted: u64,
-        /// The check: the name of the best candidate predicted strictly worse
-        /// than the reply, its predicted cost, and its measured nanoseconds
-        /// — `None` when it was cut at the reply's time or aborted. Absent
-        /// when no candidate is predicted worse or the search deadline had
-        /// passed.
-        checked: Option<(String, u64, Option<u64>)>,
     },
     /// A previously tuned decision was reused without searching.
     AutotuneReused {
@@ -224,24 +211,13 @@ impl std::fmt::Display for EngineEvent {
                 pruned,
                 best_nanos,
                 predicted,
-                checked,
-            } => {
-                write!(
-                    f,
-                    "autotuned [{key}]: chose `{schedule}` (ranked {candidates}, ran {}, {viable} \
-                     to completion; predicted {predicted}, measured {:.3} ms",
-                    candidates - pruned,
-                    *best_nanos as f64 / 1e6
-                )?;
-                let Some((name, predicted, nanos)) = checked else {
-                    return write!(f, "; nothing checked)");
-                };
-                write!(f, "; checked `{name}`: predicted {predicted}, ")?;
-                match nanos {
-                    Some(nanos) => write!(f, "measured {:.3} ms)", *nanos as f64 / 1e6),
-                    None => write!(f, "cut at that time)"),
-                }
-            }
+            } => write!(
+                f,
+                "autotuned [{key}]: chose `{schedule}` (ranked {candidates}, ran {}, {viable} to \
+                 completion; predicted {predicted}, measured {:.3} ms)",
+                candidates - pruned,
+                *best_nanos as f64 / 1e6
+            ),
             EngineEvent::AutotuneReused { key, schedule } => {
                 write!(f, "autotune reused [{key}]: `{schedule}`")
             }
@@ -521,8 +497,8 @@ impl Engine {
         }))
     }
 
-    /// Picks a schedule for a statement by predicted cost, replies with it,
-    /// and checks the prediction against the runner-up once.
+    /// Picks a schedule for a statement by predicted cost and replies with
+    /// it.
     ///
     /// On the first call for a [`TuneKey`] (expression fingerprint × operand
     /// format signature × sparsity bucket) the engine enumerates the
@@ -534,35 +510,18 @@ impl Engine {
     /// operand it makes the engine convert on each request. The sort is
     /// stable, so equal predictions keep enumeration order: simplest first.
     ///
-    /// The **reply** is a run of the predicted best under the engine budget;
-    /// the ranking is walked further only when a candidate fails to compile
-    /// or aborts. Then, unless [`EngineConfig::tuning_deadline`] is zero,
-    /// the best candidate predicted *strictly worse* is the **check**: it is
-    /// finished and run once, its own conversion on the clock, with the
-    /// leader's time or the tuning deadline, whichever is shorter, as its
-    /// deadline. Whether it runs depends on the ranking alone, never on how
-    /// long the search has taken so far. It takes the decision only if it
-    /// completes having done *less work* than the leader (metered iterations
-    /// plus conversion entries — the bound that ranked it was loose), faster,
-    /// *and* the leader, run again with the challenger's time as its
-    /// deadline, does not complete. The deadline only ends a lost run early;
-    /// the comparisons decide, and the clock can confirm a misranking the
-    /// meter has shown but never make one. Both check runs stay on the
-    /// interpreter, which is what timed the leader's first run, so a losing
-    /// candidate is never handed to the C compiler.
-    ///
-    /// Candidates predicted *equal* to the leader are never run: the model
-    /// has called them the same, and letting the clock break that tie is the
-    /// race this search replaces; they reply when the ranking is walked to
-    /// them. A search therefore compiles and runs at most two candidates,
-    /// each from the front half it was enumerated with, and
-    /// [`EngineEvent::Autotuned`] says what was predicted and what was
-    /// measured for both. Every candidate compiles under `opts` as given,
+    /// The **reply** is a run of the predicted best under the engine budget,
+    /// finished from the front half it was enumerated with. The ranking is
+    /// walked further only when a candidate fails to compile or aborts, so a
+    /// decision depends on the candidates and the operands alone, and a
+    /// search compiles and runs exactly the candidates it walked: one, unless
+    /// a better-ranked one failed. Nothing else is run and no clock is read
+    /// to decide; [`EngineEvent::Autotuned`] says what was predicted and what
+    /// the reply measured. Every candidate compiles under `opts` as given,
     /// workspace kind included: storage is the caller's and the budget's
     /// choice, not a point of the search.
     ///
-    /// The decision — the winning
-    /// [`ScheduleCandidate`](taco_core::ScheduleCandidate) itself — is
+    /// The decision — the winning [`ScheduleCandidate`] itself — is
     /// remembered: later calls with the same key skip the search
     /// (`tuned == false` in the outcome, one
     /// [`EngineEvent::AutotuneReused`] logged) and are an [`Engine::run`] of
@@ -580,8 +539,7 @@ impl Engine {
     ) -> Result<TunedOutcome> {
         let key = TuneKey::new(stmt, inputs);
         let mut converted: HashMap<(String, Format), Tensor> = HashMap::new();
-        if let Some(decision) = self.tuner.decision(&key) {
-            let cand = &decision.candidate;
+        if let Some(cand) = self.tuner.decision(&key) {
             let schedule = cand.name.clone();
             self.push_event(EngineEvent::AutotuneReused { key, schedule: schedule.clone() });
             let run_inputs = converted_inputs(&mut converted, inputs, &cand.conversions)
@@ -600,99 +558,52 @@ impl Engine {
             });
             let iterations = front.cost_report().iterations.concrete(&set.env);
             let predicted = iterations.map_or(u64::MAX, |n| n.saturating_add(set.entries));
-            let conversion = (set.entries, set.nanos);
-            ranked.push(Ranked { predicted, conversion, cand, front: Some(front) });
+            ranked.push(Ranked { predicted, cand, front });
         }
         ranked.sort_by_key(|r| r.predicted);
 
-        let mut ranked = ranked.into_iter();
         let mut ran = 0usize;
-        let mut attempt = |of: &mut Ranked, deadline, backend| {
+        let reply = ranked.into_iter().find_map(|Ranked { predicted, cand, front }| {
             ran += 1;
-            self.tuning_run(&opts, of, inputs, &mut converted, deadline, backend)
-        };
-        let leader = ranked.by_ref().find_map(|mut of| {
-            attempt(&mut of, None, self.config.backend).map(|run| (of, run))
+            let run = self.tuning_run(&opts, &cand, front, inputs, &mut converted)?;
+            Some((predicted, cand, run))
         });
-        let Some((mut best, mut reply)) = leader else {
+        let Some((predicted, candidate, (result, report))) = reply else {
             return Err(EngineError::NoViableCandidate { candidates: total });
         };
-        let (mut viable, mut checked) = (1usize, None);
-        // The check is the best candidate predicted strictly worse: between
-        // equal predictions enumeration order has already decided. It
-        // measures, it does not reply: its runs stay on the interpreter,
-        // which is what timed the leader's first run (an untrusted native
-        // kernel commits the interpreter's result), so a candidate about to
-        // lose never costs a compiler run.
-        let deadline = self.config.tuning_deadline;
-        let checkable = |r: &Ranked| r.predicted > best.predicted;
-        if let Some(mut of) = ranked.find(checkable).filter(|_| !deadline.is_zero()) {
-            let interp = Backend::Interp;
-            let limit = reply.nanos.min(u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX));
-            let run = attempt(&mut of, Some(limit), interp);
-            viable += usize::from(run.is_some());
-            checked = Some((of.cand.name.clone(), of.predicted, run.as_ref().map(|run| run.nanos)));
-            // The clock may confirm a misranking the meter has shown — the
-            // challenger did less work than the leader, so a loose bound
-            // misplaced it — never make one: schedules that do the same work
-            // trade places on the clock from run to run.
-            if let Some(run) = run.filter(|run| run.work < reply.work && run.nanos < reply.nanos) {
-                let limit = Some(run.nanos);
-                let again =
-                    self.tuning_run(&opts, &mut best, inputs, &mut converted, limit, interp);
-                if again.is_none() {
-                    (best, reply) = (of, run);
-                }
-            }
-        }
-        let TunedRun { result, nanos, .. } = reply;
-        let Ranked { predicted, cand: candidate, .. } = best;
         let schedule = candidate.name.clone();
-        self.tuner.record(key, TuneDecision { candidate, best_nanos: nanos });
+        self.tuner.record(key, candidate);
         self.push_event(EngineEvent::Autotuned {
             key,
             schedule: schedule.clone(),
             candidates: total,
-            viable,
+            viable: 1,
             pruned: total - ran,
-            best_nanos: nanos,
+            best_nanos: report.elapsed.as_nanos() as u64,
             predicted,
-            checked,
         });
         Ok(TunedOutcome { result, schedule, tuned: true })
     }
 
-    /// Finishes a ranked candidate through the kernel cache — from the front
-    /// half it was enumerated with, on its first run — and runs it once under
-    /// the engine budget, on the operands it asks for. `None` when it does
-    /// not compile or aborts — at `deadline`, which its conversion time
-    /// counts against, or for any other reason.
+    /// Finishes a ranked candidate through the kernel cache from the front
+    /// half it was enumerated with, and runs it once under the engine budget
+    /// on the operands it asks for. `None` when it does not compile, its
+    /// conversions fail, or the run aborts.
     fn tuning_run(
         &self,
         opts: &LowerOptions,
-        of: &mut Ranked,
+        cand: &ScheduleCandidate,
+        front: FrontHalf,
         inputs: &[(&str, &Tensor)],
         converted: &mut HashMap<(String, Format), Tensor>,
-        deadline: Option<u64>,
-        backend: Backend,
-    ) -> Option<TunedRun> {
-        let (conversion_entries, conversion_nanos) = of.conversion;
-        // Compiled before the clock is read: which kernels a search compiles
-        // does not depend on how fast anything ran.
-        let (record, _) = self.compile_traced(&of.cand.stmt, opts.clone(), of.front.take()).ok()?;
-        let mut supervisor = Supervisor::new().with_budget(self.config.budget);
-        if let Some(limit) = deadline {
-            let left = limit.checked_sub(conversion_nanos)?;
-            supervisor = supervisor.with_deadline(Duration::from_nanos(left));
-        }
-        let operands = converted_inputs(converted, inputs, &of.cand.conversions).ok()?;
+    ) -> Option<(Tensor, ExecReport)> {
+        let (record, _) = self.compile_traced(&cand.stmt, opts.clone(), Some(front)).ok()?;
+        let supervisor = Supervisor::new().with_budget(self.config.budget);
+        let operands = converted_inputs(converted, inputs, &cand.conversions).ok()?;
+        let backend = self.config.backend;
         let (result, report, _) =
             self.run_kernel(&record, &operands, None, Some(&supervisor), backend).ok()?;
-        Some(TunedRun {
-            result,
-            nanos: conversion_nanos.saturating_add(report.elapsed.as_nanos() as u64),
-            work: conversion_entries.saturating_add(report.progress.iterations),
-        })
+        Some((result, report))
     }
 
     /// Snapshot of the kernel-cache counters.
@@ -753,7 +664,7 @@ mod tests {
     }
 
     /// A kernel's native form lives in its cache entry: a kernel evicted
-    /// and compiled again is acquired and checked again, and no reply runs
+    /// and compiled again is acquired and trusted anew, and no reply runs
     /// from a shared object whose kernel the cache has let go.
     #[test]
     fn eviction_drops_the_native_form() {

@@ -10,8 +10,7 @@
 //! budgets, and — when the caller does not want to schedule by hand — pick
 //! the workspace placement and loop order by ranking the Section V-C
 //! candidate space with the cost analyzer's iteration bounds on the real
-//! operands, and checking the prediction against the runner-up once
-//! ([`Engine::run_tuned`]).
+//! operands and replying with the best ([`Engine::run_tuned`]).
 //!
 //! # Quickstart
 //!
@@ -63,7 +62,7 @@ pub use cache::{entry_weight, CacheStats, CachedKernel, KernelCache};
 pub use engine::{Engine, EngineBuilder, EngineConfig, EngineEvent, SupervisedRun, TunedOutcome};
 pub use native::{Backend, NativeStats};
 pub use taco_core::{VerifyMode, VerifyReport};
-pub use tuner::{Autotuner, TuneDecision, TuneKey};
+pub use tuner::{Autotuner, TuneKey};
 
 use taco_core::CoreError;
 

@@ -14,7 +14,8 @@
 //! record ([`CachedKernel`]), so they live exactly as long as the kernel is
 //! resident: an eviction drops the shared object with the kernel, and a
 //! kernel compiled again starts over from `Untried` (its `.so` is then
-//! loaded from the on-disk artifact cache, not rebuilt, and checked again).
+//! loaded from the on-disk artifact cache, not rebuilt, and must pass the
+//! differential check again).
 //! Within one residency the native form moves through four states:
 //!
 //! ```text

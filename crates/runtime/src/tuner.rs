@@ -1,7 +1,7 @@
 //! Autotune bookkeeping: decision keys, cached decisions, and the counters
 //! that prove tuning happens exactly once per key.
 //!
-//! The search itself (enumerate → rank → reply → check) lives in
+//! The search itself (enumerate → rank → reply) lives in
 //! [`Engine::run_tuned`](crate::Engine::run_tuned); this module owns what it
 //! ranks by ([`Ranked`], [`ConversionSet`]) and the *memory* of it.
 //! Decisions are keyed by what actually changes the best schedule — the
@@ -14,7 +14,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use taco_core::fingerprint::{fingerprint_stmt, Fnv64};
 use taco_core::{CostEnv, FrontHalf, IndexStmt, ScheduleCandidate};
 use taco_llir::Binding;
@@ -110,22 +109,13 @@ fn sparsity_bucket(inputs: &[(&str, &Tensor)]) -> u8 {
     (-mean_log).round().clamp(0.0, 15.0) as u8
 }
 
-/// A remembered winner for one [`TuneKey`]: the winning candidate itself,
-/// so replaying the decision is running that candidate's statement — no
-/// search space is consulted again.
-#[derive(Debug, Clone)]
-pub struct TuneDecision {
-    /// The winning candidate: its name, scheduled statement and the operand
-    /// conversions it runs on.
-    pub candidate: ScheduleCandidate,
-    /// Measured wall-clock nanoseconds of the winner during tuning.
-    pub best_nanos: u64,
-}
-
-/// Thread-safe store of autotune decisions.
+/// Thread-safe store of autotune decisions. A decision is the winning
+/// candidate itself — its name, scheduled statement and the operand
+/// conversions it runs on — so replaying it is running that candidate's
+/// statement: no search space is consulted again.
 #[derive(Debug, Default)]
 pub struct Autotuner {
-    decisions: Mutex<HashMap<TuneKey, Arc<TuneDecision>>>,
+    decisions: Mutex<HashMap<TuneKey, Arc<ScheduleCandidate>>>,
     tunings: AtomicU64,
 }
 
@@ -136,13 +126,13 @@ impl Autotuner {
     }
 
     /// The remembered decision for `key`, if one exists.
-    pub fn decision(&self, key: &TuneKey) -> Option<Arc<TuneDecision>> {
+    pub fn decision(&self, key: &TuneKey) -> Option<Arc<ScheduleCandidate>> {
         self.decisions.lock().unwrap_or_else(|p| p.into_inner()).get(key).cloned()
     }
 
     /// Records a tuning outcome. Counts as one tuning run even if it
     /// overwrites an earlier decision for the same key.
-    pub fn record(&self, key: TuneKey, decision: TuneDecision) {
+    pub fn record(&self, key: TuneKey, decision: ScheduleCandidate) {
         self.tunings.fetch_add(1, Ordering::Relaxed);
         self.decisions.lock().unwrap_or_else(|p| p.into_inner()).insert(key, Arc::new(decision));
     }
@@ -158,24 +148,9 @@ pub(crate) struct Ranked {
     /// Predicted cost: the iteration bound on the actual operands plus the
     /// entries its conversions touch (`u64::MAX` when there is no bound).
     pub(crate) predicted: u64,
-    /// What its operand conversions cost: entries touched, and nanoseconds
-    /// during the search ([`ConversionSet`]; zeros for a candidate that runs
-    /// the operands as they are).
-    pub(crate) conversion: (u64, u64),
     pub(crate) cand: ScheduleCandidate,
-    /// The front half it was enumerated with, until its first compile
-    /// finishes it.
-    pub(crate) front: Option<FrontHalf>,
-}
-
-/// One completed run of a ranked candidate, its conversions included in both
-/// measures.
-pub(crate) struct TunedRun {
-    pub(crate) result: Tensor,
-    pub(crate) nanos: u64,
-    /// Metered loop iterations plus conversion entries: what the predicted
-    /// cost bounds.
-    pub(crate) work: u64,
+    /// The front half it was enumerated with, which its compile finishes.
+    pub(crate) front: FrontHalf,
 }
 
 /// What a search knows about the operands one set of conversions yields —
@@ -190,8 +165,6 @@ pub(crate) struct ConversionSet {
     /// What the conversions cost per request in the unit of the iteration
     /// bound: stored entries × levels of every operand they change.
     pub(crate) entries: u64,
-    /// What they cost on the clock when the search made them.
-    pub(crate) nanos: u64,
 }
 
 impl ConversionSet {
@@ -201,9 +174,7 @@ impl ConversionSet {
         conversions: &[(String, Format)],
         converted: &mut HashMap<(String, Format), Tensor>,
     ) -> ConversionSet {
-        let clock = Instant::now();
         let operands = converted_inputs(converted, inputs, conversions).unwrap_or_default();
-        let nanos = clock.elapsed().as_nanos() as u64;
         let (mut index_arrays, mut entries) = (Binding::new(), 0);
         for ((name, t), (_, given)) in operands.iter().zip(inputs) {
             if t.format() != given.format() {
@@ -221,7 +192,7 @@ impl ConversionSet {
         }
         let arrays = CostEnv::from_binding(&index_arrays);
         let env = CostEnv { lens: arrays.lens, segs: arrays.segs, ..CostEnv::from_shapes(lowered) };
-        ConversionSet { env, entries, nanos }
+        ConversionSet { env, entries }
     }
 }
 

@@ -8,8 +8,8 @@
 //! 2. **autotuning** — an *unscheduled* SpGEMM into a dense result gets its
 //!    loop order and operand formats picked by ranking the Section V-C
 //!    candidate space with the cost analyzer's iteration bounds on the real
-//!    operands, replying with the best and checking the runner-up; the
-//!    decision is remembered. (Into a CSR result the space is the Figure 2
+//!    operands and replying with the best, the one candidate it compiles and
+//!    runs; the decision is remembered. (Into a CSR result the space is the Figure 2
 //!    schedule alone: any other loop order would append out of the result's
 //!    level order.)
 //! 3. **one event log** — fallbacks and autotune decisions all land in
@@ -46,12 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let first = engine.run_tuned(&spgemm, LowerOptions::fused("spgemm"), &inputs)?;
     println!("first request:  tuned={} schedule=`{}`", first.tuned, first.schedule);
     // What the search did: every candidate is ranked by its iteration bound
-    // on these operands, and only the reply and the check are compiled and
-    // run.
+    // on these operands, and only the reply is compiled and run.
     for event in engine.last_events() {
-        if let EngineEvent::Autotuned {
-            candidates, viable, pruned, best_nanos, predicted, checked, ..
-        } = event
+        if let EngineEvent::Autotuned { candidates, viable, pruned, best_nanos, predicted, .. } =
+            event
         {
             let compiles = engine.cache_stats().compiles;
             println!(
@@ -60,15 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 candidates - pruned
             );
             println!("  reply:  predicted {predicted} iterations, measured {best_nanos} ns");
-            match checked {
-                Some((name, predicted, Some(nanos))) => {
-                    println!("  check:  `{name}` predicted {predicted}, measured {nanos} ns")
-                }
-                Some((name, predicted, None)) => {
-                    println!("  check:  `{name}` predicted {predicted}, cut at the reply's time")
-                }
-                None => println!("  check:  none (nothing predicted worse, or out of search time)"),
-            }
         }
     }
 

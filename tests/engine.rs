@@ -7,7 +7,7 @@ use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 use taco_core::oracle::eval_dense;
 use taco_core::ScheduleCandidate;
-use taco_runtime::{entry_weight, KernelCache, TuneDecision, TuneKey, TunedOutcome};
+use taco_runtime::{entry_weight, KernelCache, TuneKey, TunedOutcome};
 use taco_tensor::gen::{random_csr, random_csr_nnz, Pattern};
 use taco_workspaces::prelude::*;
 
@@ -229,12 +229,8 @@ fn autotuner_is_deterministic_across_engines() {
     // seed), candidate enumeration order is structural, and the ranking is a
     // function of the candidates and the operands alone, so two engines
     // tuning the same statement on identically generated operands must pick
-    // the same schedule. A generous search deadline keeps the check of the
-    // runner-up in both searches even when sibling tests load the machine —
-    // what's under test is the decision protocol (rank, reply, one check),
-    // not the deadline's truncation point. The checked candidate (SpMV over
-    // a COO conversion of `B`) does more work than the leader, conversion
-    // entries included, so the clock cannot hand it the decision.
+    // the same schedule. No clock takes part in the decision (rank, then
+    // reply), so sibling tests loading the machine cannot move it.
     let n = 96;
     let stmt = spmv(n, n);
     let mut chosen = Vec::new();
@@ -242,16 +238,16 @@ fn autotuner_is_deterministic_across_engines() {
         let b = random_csr(n, n, 0.1, 21).to_tensor();
         let x = dense_operand(vec![n], 22);
         let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
-        let engine = Engine::builder().tuning_deadline(Duration::from_secs(30)).build();
+        let engine = Engine::new();
         let out = engine.run_tuned(&stmt, LowerOptions::fused("spmv"), &inputs).unwrap();
         chosen.push(out.schedule);
         // The ranking must spare the search most of the space: at least one
-        // candidate is never compiled or run, and at most two are.
+        // candidate is never compiled or run, and only the reply completes.
         let events = engine.last_events();
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                EngineEvent::Autotuned { pruned, viable, .. } if *pruned >= 1 && *viable <= 2
+                EngineEvent::Autotuned { pruned, viable, .. } if *pruned >= 1 && *viable == 1
             )),
             "the search must rank candidates out, not run them: {events:?}"
         );
@@ -261,22 +257,21 @@ fn autotuner_is_deterministic_across_engines() {
 
 #[test]
 fn a_search_compiles_what_it_runs_and_a_reuse_compiles_nothing() {
-    // Compiles are counted, not timed. A search finishes only the candidates
-    // it runs — the reply and at most one check — every one of them a miss
-    // and a compile, none looked up twice, and none failing, because a
-    // candidate is a schedule that compiles.
+    // Compiles are counted, not timed. A search finishes only the candidate
+    // it replies with — a miss and a compile, looked up once, and not
+    // failing, because a candidate is a schedule that compiles.
     let n = 32;
     let stmt = spmv(n, n);
     let (b, x) = (random_csr(n, n, 0.1, 11).to_tensor(), dense_operand(vec![n], 12));
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
     let opts = LowerOptions::fused("spmv");
-    let engine = Engine::builder().tuning_deadline(Duration::from_secs(60)).build();
+    let engine = Engine::new();
 
     engine.run_tuned(&stmt, opts.clone(), &inputs).unwrap();
     let searched = engine.cache_stats();
 
     assert_eq!(searched.compiles, searched.misses, "a miss that compiled nothing: {searched}");
-    assert!((1..=2).contains(&searched.compiles), "{searched}");
+    assert_eq!(searched.compiles, 1, "{searched}");
     assert!(searched.compiles < taco_core::enumerate_candidates_for(&stmt, &opts).len() as u64);
     assert_eq!(searched.hits, 0, "nothing is compiled to be looked up again: {searched}");
     assert_eq!(searched.entries, searched.compiles, "a compile of the search failed: {searched}");
@@ -397,24 +392,32 @@ fn exhaustive_race(
     race
 }
 
-/// The reply of a search with no time for the check: predicted rank 1, by a
-/// fresh engine (so no remembered decision answers instead).
+/// The reply of a search: predicted rank 1, by a fresh engine (so no
+/// remembered decision answers instead), which compiled and completed that
+/// candidate and no other.
 fn rank_one(stmt: &IndexStmt, opts: &LowerOptions, inputs: &[(&str, &Tensor)]) -> TunedOutcome {
-    let engine =
-        Engine::builder().backend(Backend::Interp).tuning_deadline(Duration::ZERO).build();
-    engine.run_tuned(stmt, opts.clone(), inputs).unwrap()
+    let engine = Engine::builder().backend(Backend::Interp).build();
+    let out = engine.run_tuned(stmt, opts.clone(), inputs).unwrap();
+    let searched = engine.cache_stats();
+    assert_eq!(searched.compiles, 1, "`{}`: one compile, the reply: {searched}", out.schedule);
+    let events = engine.last_events();
+    assert!(
+        events.iter().any(|e| matches!(e, EngineEvent::Autotuned { viable: 1, .. })),
+        "`{}`: one candidate run to completion, the reply: {events:?}",
+        out.schedule
+    );
+    out
 }
 
 #[test]
 fn predicted_rank_one_is_the_winner_of_an_exhaustive_race() {
     // The decision table: four unscheduled statements on uniform, banded and
-    // power-law operands at two sizes. The tuner ranks and replies (its search
-    // deadline is zero, so the reply is rank 1 whatever the clock would say
-    // about the check); the test runs every candidate. Rank 1 must be the
-    // pinned schedule, do the least work of the whole space (ties in
-    // enumeration order), and not lose the clock to any other candidate by
-    // more than 2x in every round of a best-of-3 race — a margin two machines
-    // would agree on.
+    // power-law operands at two sizes. The tuner ranks and replies with rank
+    // 1, compiling and completing that candidate alone; the test runs every
+    // candidate. Rank 1 must be the pinned schedule, do the least work of the
+    // whole space (ties in enumeration order), and not lose the clock to any
+    // other candidate by more than 2x in every round of a best-of-3 race — a
+    // margin two machines would agree on.
     let patterns = [Pattern::Uniform, Pattern::Banded(0.1), Pattern::PowerLaw];
     for (size, pattern) in [48usize, 96].into_iter().flat_map(|n| patterns.map(|p| (n, p))) {
         let matrix =
@@ -527,13 +530,10 @@ fn a_decision_replays_its_candidate_without_consulting_the_space() {
     let engine = Engine::new();
     engine.tuner().record(
         TuneKey::new(&stmt, &inputs),
-        TuneDecision {
-            candidate: ScheduleCandidate {
-                name: "gustavson-by-hand".to_string(),
-                stmt: scheduled_spgemm(n),
-                conversions: Vec::new(),
-            },
-            best_nanos: 1,
+        ScheduleCandidate {
+            name: "gustavson-by-hand".to_string(),
+            stmt: scheduled_spgemm(n),
+            conversions: Vec::new(),
         },
     );
 
@@ -546,40 +546,16 @@ fn a_decision_replays_its_candidate_without_consulting_the_space() {
 }
 
 #[test]
-fn the_tuning_deadline_caps_the_check_and_never_decides_whether_it_runs() {
-    // Whether the runner-up check runs is decided by the ranking alone: a
-    // deadline too short for any run still compiles and starts the check,
-    // so two engines that differ only in the deadline log the same events.
-    let n = 16;
-    let stmt = spmv(n, n);
-    let (b, x) = (random_csr(n, n, 0.1, 11).to_tensor(), dense_operand(vec![n], 12));
-    let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("x", &x)];
-    let events = |deadline: Duration| {
-        let engine =
-            Engine::builder().backend(Backend::Interp).tuning_deadline(deadline).build();
-        for _ in 0..6 {
-            engine.run_tuned(&stmt, LowerOptions::fused("spmv"), &inputs).unwrap();
-        }
-        (engine.last_events().len(), engine.cache_stats().compiles)
-    };
-    let (short, long) = (events(Duration::from_nanos(1)), events(Duration::from_secs(60)));
-    assert_eq!(short, long, "(events, compiles) at 1 ns and at 60 s");
-    assert_eq!(short.1, 2, "the reply and the check");
-    assert_eq!(events(Duration::ZERO).1, 1, "a zero deadline runs no check");
-}
-
-#[test]
 fn a_tuned_reply_keeps_the_callers_workspace_kind() {
     // The tuner searches schedules; storage is the caller's. A search asked
     // for hash workspaces replies with a hash kernel: the one kernel it
-    // compiled (no time for the check) is what compiling the decided
-    // statement under the caller's options finds in the cache.
+    // compiled is what compiling the decided statement under the caller's
+    // options finds in the cache.
     let n = 24;
     let stmt = unscheduled_spgemm(n);
     let (b, c) = operands(n);
     let inputs: Vec<(&str, &Tensor)> = vec![("B", &b), ("C", &c)];
-    let engine =
-        Engine::builder().backend(Backend::Interp).tuning_deadline(Duration::ZERO).build();
+    let engine = Engine::builder().backend(Backend::Interp).build();
     let opts = LowerOptions::fused("spgemm").with_workspace_kind(WorkspaceKind::Hash);
     let out = engine.run_tuned(&stmt, opts.clone(), &inputs).unwrap();
     assert_eq!(out.schedule, "reorder(j,k) + precompute(j)");
@@ -589,11 +565,11 @@ fn a_tuned_reply_keeps_the_callers_workspace_kind() {
     let decided = engine.tuner().decision(&TuneKey::new(&stmt, &inputs)).unwrap();
     let before = engine.cache_stats();
     assert_eq!(before.compiles, 1, "the reply, and nothing else");
-    let kernel = engine.compile(&decided.candidate.stmt, opts.clone()).unwrap();
+    let kernel = engine.compile(&decided.stmt, opts.clone()).unwrap();
     let after = engine.cache_stats();
     assert_eq!((after.compiles, after.hits), (before.compiles, before.hits + 1), "a cache hit");
     let budget = engine.config().budget;
-    let expected = taco_core::fingerprint(decided.candidate.stmt.concrete(), &opts, &budget);
+    let expected = taco_core::fingerprint(decided.stmt.concrete(), &opts, &budget);
     assert_eq!(kernel.fingerprint(), expected);
     let workspaces = &kernel.lowered().workspaces;
     assert!(!workspaces.is_empty());

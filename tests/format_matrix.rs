@@ -12,7 +12,6 @@
 
 use taco_core::{enumerate_candidates_for, ScheduleCandidate};
 use taco_core::oracle::eval_dense;
-use taco_runtime::TuneDecision;
 use taco_tensor::gen::random_csr;
 use taco_verify::Assumptions;
 use taco_workspaces::prelude::*;
@@ -386,8 +385,8 @@ fn candidate_space_includes_format_conversions() {
 
 #[test]
 fn recorded_conversion_decision_replays_through_the_reuse_path() {
-    // The autotuner records the winning candidate, conversions included, in
-    // its TuneDecision; a remembered conversion decision must convert the
+    // The autotuner records the winning candidate itself, conversions
+    // included; a remembered conversion decision must convert the
     // bound operands on reuse and still produce the oracle answer.
     let n = 12;
     let (source, stmt) = spmv(n, n, Format::csr());
@@ -407,10 +406,7 @@ fn recorded_conversion_decision_replays_through_the_reuse_path() {
         .expect("every candidate compiles under the options it was enumerated for");
 
     let engine = Engine::new();
-    engine.tuner().record(
-        TuneKey::new(&stmt, &inputs),
-        TuneDecision { candidate: conv.clone(), best_nanos: 1 },
-    );
+    engine.tuner().record(TuneKey::new(&stmt, &inputs), conv.clone());
 
     let out = engine.run_tuned(&stmt, opts, &inputs).unwrap();
     assert!(!out.tuned, "the recorded decision must be reused, not re-searched");
