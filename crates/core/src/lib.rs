@@ -67,7 +67,7 @@ pub use taco_verify::{
     VerifyReport, WorkspaceCost,
 };
 pub use taco_llir::{
-    Aborted, AbortReason, BudgetResource, CancelToken, ExecReport, Progress, ResourceBudget,
+    Aborted, BudgetResource, CancelToken, ExecReport, Progress, ResourceBudget, RunError,
     Supervisor,
 };
 

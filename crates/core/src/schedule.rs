@@ -12,8 +12,8 @@ use taco_ir::heuristics::{suggest, Suggestion};
 use taco_ir::notation::IndexAssignment;
 use taco_ir::transform;
 use taco_llir::{
-    run_body, AbortReason, Binding, Executable, ExecReport, KernelBody, ResourceBudget,
-    RunControls, Supervisor,
+    run_body, Binding, Executable, ExecReport, KernelBody, ResourceBudget, RunControls, RunError,
+    Supervisor,
 };
 use taco_lower::{KernelKind, LowerOptions, LoweredKernel};
 use taco_tensor::Tensor;
@@ -204,8 +204,8 @@ pub enum FallbackEvent {
     DegradedRetry {
         /// The rung that aborted.
         rung: DegradeRung,
-        /// Why it was abandoned.
-        reason: AbortReason,
+        /// Why it was abandoned (a retryable [`RunError`]).
+        reason: RunError,
     },
     /// The native codegen backend could not serve this kernel — no working
     /// C toolchain, a compile failure, or a shared-object load failure —

@@ -1,6 +1,7 @@
 use crate::{ArrayTy, BudgetResource};
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 /// Errors detected while compiling a kernel to executable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,11 +96,10 @@ pub enum RunError {
     /// The wall-clock deadline expired mid-run (checked at loop back-edges
     /// alongside the iteration fuse).
     DeadlineExceeded {
-        /// The configured deadline, in milliseconds.
-        deadline_ms: u64,
-        /// Wall-clock time elapsed when the overrun was detected, in
-        /// milliseconds.
-        elapsed_ms: u64,
+        /// The configured deadline.
+        deadline: Duration,
+        /// Wall-clock time elapsed when the overrun was detected.
+        elapsed: Duration,
     },
     /// An execution backend failed in a way that has no richer mapping —
     /// e.g. a native kernel reported a fault code the host did not record.
@@ -141,9 +141,12 @@ impl fmt::Display for RunError {
             RunError::Backend(what) => write!(f, "execution backend fault: {what}"),
             RunError::ThreadSpawn(why) => write!(f, "cannot start a worker thread: {why}"),
             RunError::Cancelled => write!(f, "execution cancelled"),
-            RunError::DeadlineExceeded { deadline_ms, elapsed_ms } => {
-                write!(f, "deadline of {deadline_ms} ms exceeded after {elapsed_ms} ms")
-            }
+            RunError::DeadlineExceeded { deadline, elapsed } => write!(
+                f,
+                "deadline of {:.1} ms exceeded after {:.1} ms",
+                deadline.as_secs_f64() * 1e3,
+                elapsed.as_secs_f64() * 1e3
+            ),
             RunError::BudgetExceeded { resource, limit, requested, array } => {
                 write!(f, "resource budget exceeded: {resource} limit {limit}, needed {requested}")?;
                 if let Some(name) = array {
@@ -155,4 +158,69 @@ impl fmt::Display for RunError {
     }
 }
 
+impl RunError {
+    /// True for stops that a degraded schedule might avoid: a missed
+    /// deadline or an exhausted budget. Cancellation and every other
+    /// runtime failure are not retried.
+    pub fn is_retryable(&self) -> bool {
+        matches!(self, RunError::DeadlineExceeded { .. } | RunError::BudgetExceeded { .. })
+    }
+}
+
 impl Error for RunError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_a_deadline_or_a_budget_stop_is_retryable() {
+        let table = [
+            (RunError::MissingArray("A".into()), false),
+            (RunError::MissingScalar("n".into()), false),
+            (RunError::WrongArrayType { name: "A".into(), expected: ArrayTy::F64 }, false),
+            (RunError::OutOfBounds { name: "A".into(), idx: 9, len: 3 }, false),
+            (RunError::NegativeLength { name: "w".into(), len: -1 }, false),
+            (RunError::ReadOnlyArray("B".into()), false),
+            (RunError::DivisionByZero, false),
+            (RunError::Cancelled, false),
+            (
+                RunError::DeadlineExceeded {
+                    deadline: Duration::from_micros(300),
+                    elapsed: Duration::from_micros(301),
+                },
+                true,
+            ),
+            (RunError::Backend("fault code 7".into()), false),
+            (RunError::ThreadSpawn("no threads".into()), false),
+            (
+                RunError::BudgetExceeded {
+                    resource: BudgetResource::LoopIterations,
+                    limit: 5,
+                    requested: 6,
+                    array: None,
+                },
+                true,
+            ),
+        ];
+        for (e, retryable) in table {
+            assert_eq!(e.is_retryable(), retryable, "{e:?}");
+        }
+    }
+
+    #[test]
+    fn a_deadline_prints_fractional_milliseconds() {
+        let e = RunError::DeadlineExceeded {
+            deadline: Duration::from_micros(300),
+            elapsed: Duration::from_micros(1_200),
+        };
+        assert_eq!(e.to_string(), "deadline of 0.3 ms exceeded after 1.2 ms");
+    }
+
+    /// Every interpreter evaluator returns `Result<_, RunError>`: two
+    /// `Duration`s must fit under the largest variant.
+    #[test]
+    fn run_error_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<RunError>(), 48);
+    }
+}

@@ -723,10 +723,7 @@ impl RunControls<'_> {
         if let Some((start, limit)) = self.deadline {
             let elapsed = start.elapsed();
             if elapsed >= limit {
-                return Err(RunError::DeadlineExceeded {
-                    deadline_ms: limit.as_millis() as u64,
-                    elapsed_ms: elapsed.as_millis() as u64,
-                });
+                return Err(RunError::DeadlineExceeded { deadline: limit, elapsed });
             }
         }
         Ok(())

@@ -68,6 +68,4 @@ pub use ir::{
     AppendMerge, ArrayTy, BinOp, Expr, Kernel, Param, ParamKind, Rows, Stmt, UnOp, WorkspaceKind,
 };
 pub use printer::stmt_to_c;
-pub use supervise::{
-    Aborted, AbortReason, CancelToken, ExecReport, Progress, Supervisor,
-};
+pub use supervise::{Aborted, CancelToken, ExecReport, Progress, Supervisor};

@@ -18,12 +18,13 @@
 //!   run, in the [`ExecReport`] of a commit or the [`Aborted`] of an abort.
 //!
 //! The state machine is `running → committed | aborted`: a run either
-//! commits all its outputs (including scalar outputs) or none of them.
+//! commits all its outputs (including scalar outputs) or none of them. An
+//! abort's reason is the [`RunError`] that stopped the run, exactly as the
+//! budget meter or [`RunControls::check`] raised it (a deadline keeps its
+//! `Duration`s); [`RunError::is_retryable`] says whether a degraded
+//! schedule might avoid it.
 
-use crate::{
-    run_body, Binding, BudgetResource, KernelBody, ParamKind, ResourceBudget, RunControls,
-    RunError,
-};
+use crate::{run_body, Binding, KernelBody, ParamKind, ResourceBudget, RunControls, RunError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,93 +119,13 @@ impl ExecReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Abort
-// ---------------------------------------------------------------------------
-
-/// Why a supervised run was rolled back.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum AbortReason {
-    /// A [`CancelToken`] was triggered.
-    Cancelled,
-    /// The wall-clock deadline expired.
-    DeadlineExceeded {
-        /// The configured deadline.
-        deadline: Duration,
-        /// Elapsed wall-clock time when the overrun was detected.
-        elapsed: Duration,
-    },
-    /// A [`ResourceBudget`] limit was exceeded mid-run.
-    BudgetExceeded {
-        /// Which limit was violated.
-        resource: BudgetResource,
-        /// The configured ceiling.
-        limit: u64,
-        /// What the kernel tried to use.
-        requested: u64,
-        /// The array involved, when the violation is tied to one.
-        array: Option<String>,
-    },
-    /// Any other runtime failure (out-of-bounds access, missing binding,
-    /// division by zero, ...).
-    Failed(RunError),
-}
-
-impl AbortReason {
-    /// True for aborts that a degraded schedule might avoid (deadline and
-    /// budget overruns). Cancellation and genuine runtime failures are not
-    /// retried.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, AbortReason::DeadlineExceeded { .. } | AbortReason::BudgetExceeded { .. })
-    }
-
-    /// Classifies a [`RunError`] as an abort reason.
-    fn from_run_error(e: RunError) -> AbortReason {
-        match e {
-            RunError::Cancelled => AbortReason::Cancelled,
-            RunError::DeadlineExceeded { deadline_ms, elapsed_ms } => {
-                AbortReason::DeadlineExceeded {
-                    deadline: Duration::from_millis(deadline_ms),
-                    elapsed: Duration::from_millis(elapsed_ms),
-                }
-            }
-            RunError::BudgetExceeded { resource, limit, requested, array } => {
-                AbortReason::BudgetExceeded { resource, limit, requested, array }
-            }
-            other => AbortReason::Failed(other),
-        }
-    }
-}
-
-impl std::fmt::Display for AbortReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AbortReason::Cancelled => write!(f, "cancelled by caller"),
-            AbortReason::DeadlineExceeded { deadline, elapsed } => write!(
-                f,
-                "deadline of {:.1} ms exceeded after {:.1} ms",
-                deadline.as_secs_f64() * 1e3,
-                elapsed.as_secs_f64() * 1e3
-            ),
-            AbortReason::BudgetExceeded { resource, limit, requested, array } => {
-                write!(f, "{resource} budget exceeded: limit {limit}, needed {requested}")?;
-                if let Some(name) = array {
-                    write!(f, " (array `{name}`)")?;
-                }
-                Ok(())
-            }
-            AbortReason::Failed(e) => write!(f, "runtime failure: {e}"),
-        }
-    }
-}
-
 /// A supervised run that was rolled back. The binding the run was given is
 /// byte-identical to its pre-run state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aborted {
-    /// Why the run was rolled back.
-    pub reason: AbortReason,
+    /// Why the run was rolled back: the error that stopped it, as the body
+    /// raised it ([`RunError::is_retryable`] classifies it).
+    pub reason: RunError,
     /// How far the run had progressed when it was stopped.
     pub progress: Progress,
     /// Wall-clock time spent before the rollback.
@@ -371,7 +292,7 @@ impl Supervisor {
                 // into the binding; overwrite the writable ones with their
                 // snapshots.
                 binding.restore(snapshot);
-                Err(Aborted { reason: AbortReason::from_run_error(e), progress, elapsed })
+                Err(Aborted { reason: e, progress, elapsed })
             }
         }
     }
@@ -429,7 +350,7 @@ mod tests {
         let mut b = binding(10);
         let before = b.clone();
         let err = supervisor.run(&exe, &mut b).unwrap_err();
-        assert_eq!(err.reason, AbortReason::Cancelled);
+        assert_eq!(err.reason, RunError::Cancelled);
         assert_eq!(b, before, "binding must be byte-identical after an abort");
     }
 
@@ -446,7 +367,7 @@ mod tests {
         let before = b.clone();
         let err = supervisor.run(&exe, &mut b).unwrap_err();
         canceller.join().unwrap();
-        assert_eq!(err.reason, AbortReason::Cancelled);
+        assert_eq!(err.reason, RunError::Cancelled);
         assert_eq!(b, before);
         assert!(err.progress.iterations > 0, "made progress before the cancel");
     }
@@ -459,13 +380,28 @@ mod tests {
         let before = b.clone();
         let err = supervisor.run(&exe, &mut b).unwrap_err();
         match err.reason {
-            AbortReason::DeadlineExceeded { deadline, elapsed } => {
+            RunError::DeadlineExceeded { deadline, elapsed } => {
                 assert_eq!(deadline, Duration::from_millis(30));
                 assert!(elapsed >= deadline);
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert_eq!(b, before);
+    }
+
+    #[test]
+    fn a_sub_millisecond_deadline_is_reported_exactly() {
+        let exe = Executable::compile(&spin_then_scale()).unwrap();
+        let supervisor = Supervisor::new().with_deadline(Duration::from_micros(300));
+        let mut b = binding(i64::MAX);
+        let err = supervisor.run(&exe, &mut b).unwrap_err();
+        match err.reason {
+            RunError::DeadlineExceeded { deadline, elapsed } => {
+                assert_eq!(deadline, Duration::from_micros(300));
+                assert!(elapsed >= deadline, "{elapsed:?} < {deadline:?}");
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
     }
 
     #[test]
@@ -479,7 +415,7 @@ mod tests {
         let before = b.clone();
         let err = supervisor.run(&exe, &mut b).unwrap_err();
         assert!(
-            matches!(err.reason, AbortReason::DeadlineExceeded { .. }),
+            matches!(err.reason, RunError::DeadlineExceeded { .. }),
             "expected DeadlineExceeded, got {:?}",
             err.reason
         );
@@ -498,7 +434,7 @@ mod tests {
             .with_deadline(Duration::from_millis(20))
             .run(&exe, &mut both)
             .unwrap_err();
-        assert!(matches!(err.reason, AbortReason::DeadlineExceeded { .. }));
+        assert!(matches!(err.reason, RunError::DeadlineExceeded { .. }));
     }
 
     #[test]
@@ -509,8 +445,7 @@ mod tests {
         let mut b = binding(1000);
         let before = b.clone();
         let err = supervisor.run(&exe, &mut b).unwrap_err();
-        assert!(matches!(err.reason, AbortReason::BudgetExceeded { .. }));
-        assert!(err.reason.is_retryable());
+        assert!(matches!(err.reason, RunError::BudgetExceeded { .. }));
         assert_eq!(b, before);
     }
 
@@ -529,8 +464,7 @@ mod tests {
         b.set_f64("out", vec![0.0; 3]);
         let before = b.clone();
         let err = Supervisor::new().run(&exe, &mut b).unwrap_err();
-        assert!(matches!(err.reason, AbortReason::Failed(RunError::OutOfBounds { .. })));
-        assert!(!err.reason.is_retryable());
+        assert!(matches!(err.reason, RunError::OutOfBounds { .. }));
         assert_eq!(b, before, "partial store must be rolled back");
     }
 
@@ -565,7 +499,7 @@ mod tests {
         assert!(s.contains("42 iterations") && s.contains("1024 bytes"), "{s}");
 
         let aborted = Aborted {
-            reason: AbortReason::DeadlineExceeded {
+            reason: RunError::DeadlineExceeded {
                 deadline: Duration::from_millis(50),
                 elapsed: Duration::from_millis(61),
             },
@@ -574,6 +508,6 @@ mod tests {
         };
         let s = aborted.to_string();
         assert!(s.contains("deadline") && s.contains("rolled back"), "{s}");
-        assert!(AbortReason::Cancelled.to_string().contains("cancel"));
+        assert!(RunError::Cancelled.to_string().contains("cancel"));
     }
 }

@@ -394,7 +394,7 @@ impl Engine {
     /// Compile errors, or the usual bind/run errors.
     pub fn run(&self, stmt: &IndexStmt, opts: LowerOptions, inputs: &[(&str, &Tensor)]) -> Result<Tensor> {
         let (record, _) = self.compile_traced(stmt, opts, None)?;
-        let (result, ..) = self.run_kernel(&record, inputs, None, None, self.config.backend)?;
+        let (result, ..) = self.run_kernel(&record, inputs, None, None)?;
         Ok(result)
     }
 
@@ -467,13 +467,7 @@ impl Engine {
             let rung = rung.max(record.kernel().rung());
             ran = Some(rung);
             fallbacks.extend(record.kernel().fallback_events().iter().cloned());
-            let run = self.run_kernel(
-                &record,
-                inputs,
-                output_structure,
-                Some(supervisor),
-                self.config.backend,
-            );
+            let run = self.run_kernel(&record, inputs, output_structure, Some(supervisor));
             match run {
                 Ok((result, report, native)) => {
                     let cache_hit = cache_hit.unwrap_or(false);
@@ -600,9 +594,8 @@ impl Engine {
         let (record, _) = self.compile_traced(&cand.stmt, opts.clone(), Some(front)).ok()?;
         let supervisor = Supervisor::new().with_budget(self.config.budget);
         let operands = converted_inputs(converted, inputs, &cand.conversions).ok()?;
-        let backend = self.config.backend;
         let (result, report, _) =
-            self.run_kernel(&record, &operands, None, Some(&supervisor), backend).ok()?;
+            self.run_kernel(&record, &operands, None, Some(&supervisor)).ok()?;
         Some((result, report))
     }
 

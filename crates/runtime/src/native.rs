@@ -85,10 +85,6 @@ impl Backend {
             _ => Backend::Auto,
         }
     }
-
-    pub(crate) fn allows_native(self) -> bool {
-        !matches!(self, Backend::Interp)
-    }
 }
 
 impl std::fmt::Display for Backend {
@@ -168,8 +164,8 @@ impl Engine {
         *self.native.count()
     }
 
-    /// Runs a resident kernel on `backend`: the one step every engine entry
-    /// point shares, and every run in it is
+    /// Runs a resident kernel on the engine's [`Backend`]: the one step
+    /// every engine entry point shares, and every run in it is
     /// [`CompiledKernel::run_with_body`] — with the interpreter as the body,
     /// or with the kernel's native build. A kernel the native path is off
     /// for or has rejected runs on the interpreter; a trusted one runs
@@ -184,7 +180,6 @@ impl Engine {
         inputs: &[(&str, &Tensor)],
         output_structure: Option<&Tensor>,
         supervisor: Option<&Supervisor>,
-        backend: Backend,
     ) -> KernelRun {
         let kernel = record.kernel();
         let interpreted = || {
@@ -192,7 +187,7 @@ impl Engine {
                 kernel.run_with_body(kernel.executable(), inputs, output_structure, supervisor);
             run.map(|(result, report)| (result, report, false))
         };
-        let Some((nk, trusted)) = self.native_form(record, backend) else {
+        let Some((nk, trusted)) = self.native_form(record) else {
             return interpreted();
         };
         let native = || kernel.run_with_body(&*nk, inputs, output_structure, supervisor);
@@ -235,12 +230,8 @@ impl Engine {
     /// The kernel's native build and whether it is trusted, building it on
     /// the record's first native request. `None` means the interpreter
     /// serves this kernel: the backend is off or the kernel is rejected.
-    fn native_form(
-        &self,
-        record: &CachedKernel,
-        backend: Backend,
-    ) -> Option<(Arc<NativeKernel>, bool)> {
-        if !backend.allows_native() {
+    fn native_form(&self, record: &CachedKernel) -> Option<(Arc<NativeKernel>, bool)> {
+        if self.config().backend == Backend::Interp {
             return None;
         }
         let mut state = lock(&record.native);

@@ -22,7 +22,10 @@
 //! deadline infeasible, the request is rejected with a typed
 //! [`Rejected`] reason *before* it can waste a worker. Everything admitted
 //! gets exactly one typed [`Outcome`] through its [`Ticket`], including
-//! across [`Server::drain`] and [`Server::shutdown_now`].
+//! across [`Server::drain`] and [`Server::shutdown_now`]. An aborted
+//! outcome carries a [`RunError`]: the supervised run's own, or the
+//! `DeadlineExceeded`/`Cancelled` the dispatch check raises for a request
+//! that expired or was cancelled in the queue.
 
 use crate::admission;
 use crate::policy::{fmt_ms, TenantPolicy, TokenBucket};
@@ -33,7 +36,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use taco_core::{
-    AbortReason, CancelToken, CoreError, DegradeRung, ExecReport, FallbackEvent, IndexStmt,
+    CancelToken, CoreError, DegradeRung, ExecReport, FallbackEvent, IndexStmt, RunError,
     Supervisor,
 };
 use taco_lower::LowerOptions;
@@ -232,7 +235,7 @@ pub enum Outcome {
     /// rolled back by the supervisor's transactional guarantee.
     Aborted {
         /// Why: deadline, cancellation (drain), budget, or runtime failure.
-        reason: AbortReason,
+        reason: RunError,
         /// Time spent queued.
         queue_wait: Duration,
     },
@@ -690,7 +693,7 @@ impl Server {
 
     /// Hard shutdown: stop admitting, cancel in-flight runs through their
     /// [`CancelToken`]s (their outcomes become [`Outcome::Aborted`] with
-    /// [`AbortReason::Cancelled`], outputs rolled back), complete queued
+    /// [`RunError::Cancelled`], outputs rolled back), complete queued
     /// requests as cancelled without running them, and join the pool.
     pub fn shutdown_now(&self) {
         {
@@ -777,9 +780,9 @@ fn run_job(shared: &Shared, job: Job) {
     let cancelled = { shared.lock().cancel_queued };
     if expired || cancelled {
         let reason = if cancelled {
-            AbortReason::Cancelled
+            RunError::Cancelled
         } else {
-            AbortReason::DeadlineExceeded { deadline: job.requested_deadline, elapsed: queue_wait }
+            RunError::DeadlineExceeded { deadline: job.requested_deadline, elapsed: queue_wait }
         };
         finish(shared, &job, queue_wait, Duration::ZERO, Outcome::Aborted { reason, queue_wait });
         return;

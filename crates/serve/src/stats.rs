@@ -5,7 +5,7 @@
 use crate::server::{Outcome, Quota, Rejected};
 use std::collections::HashMap;
 use std::time::Duration;
-use taco_core::{AbortReason, DegradeRung};
+use taco_core::{DegradeRung, RunError};
 use taco_runtime::CacheStats;
 
 /// Monotone counters for one tenant (or, in [`ServerStats::totals`], the
@@ -103,10 +103,9 @@ impl TenantCounters {
                 }
             }
             Outcome::Aborted { reason, .. } => match reason {
-                AbortReason::DeadlineExceeded { .. } => self.deadline_aborted += 1,
-                AbortReason::BudgetExceeded { .. } => self.budget_aborted += 1,
-                AbortReason::Cancelled => self.cancelled += 1,
-                AbortReason::Failed(_) => self.failed += 1,
+                RunError::DeadlineExceeded { .. } => self.deadline_aborted += 1,
+                RunError::BudgetExceeded { .. } => self.budget_aborted += 1,
+                RunError::Cancelled => self.cancelled += 1,
                 _ => self.failed += 1,
             },
             Outcome::Failed { .. } => self.failed += 1,

@@ -64,10 +64,9 @@ pub use taco_verify as verify;
 /// Commonly used items, for `use taco_workspaces::prelude::*`.
 pub mod prelude {
     pub use taco_core::{
-        analyze_cost, stmt_workspaces, Aborted, AbortReason, Bound, BudgetResource,
-        CancelToken, CompiledKernel, CoreError, CostEnv, CostReport, DegradeRung, ExecReport,
-        FallbackEvent, IndexStmt, Progress, ResourceBudget, Supervisor, VerifyMode,
-        VerifyReport,
+        analyze_cost, stmt_workspaces, Aborted, Bound, BudgetResource, CancelToken,
+        CompiledKernel, CoreError, CostEnv, CostReport, DegradeRung, ExecReport, FallbackEvent,
+        IndexStmt, Progress, ResourceBudget, RunError, Supervisor, VerifyMode, VerifyReport,
     };
     pub use taco_ir::concrete::{AssignOp, ConcreteStmt};
     pub use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};

@@ -368,7 +368,7 @@ fn a_parallel_run_charges_what_its_row_ranges_allocate() {
     let limit = charged.allocated_bytes - 1;
     let starved =
         Supervisor::new().with_budget(ResourceBudget::unlimited().with_max_total_bytes(limit));
-    let reason = AbortReason::BudgetExceeded {
+    let reason = RunError::BudgetExceeded {
         resource: BudgetResource::TotalBytes,
         limit,
         requested: charged.allocated_bytes,
@@ -415,7 +415,7 @@ fn parallel_aborts_agree_across_backends() {
         assert_eq!(counters, (iterations, 4), "{what}");
         let fused = matches!(
             interp.reason,
-            AbortReason::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
+            RunError::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
         );
         assert_eq!(fused, iterations > 0, "{what}: {:?}", interp.reason);
     }
@@ -546,7 +546,7 @@ fn deadline_abort_rolls_back_the_output_binding() {
     match err {
         CoreError::Aborted(a) => {
             assert!(
-                matches!(a.reason, AbortReason::DeadlineExceeded { .. }),
+                matches!(a.reason, RunError::DeadlineExceeded { .. }),
                 "expected a deadline abort, got {}",
                 a.reason
             );
@@ -577,7 +577,7 @@ fn mid_execution_cancellation_rolls_back_and_is_not_retried() {
     canceller.join().unwrap();
     match err {
         CoreError::Aborted(a) => {
-            assert_eq!(a.reason, AbortReason::Cancelled);
+            assert_eq!(a.reason, RunError::Cancelled);
             assert!(!a.reason.is_retryable(), "cancellation must not trigger the ladder");
         }
         other => panic!("expected CoreError::Aborted, got {other}"),
@@ -590,7 +590,7 @@ fn mid_execution_cancellation_rolls_back_and_is_not_retried() {
         run_supervised(&stmt, LowerOptions::fused("spgemm"), &supervisor, &[("B", &b), ("C", &c)])
             .unwrap_err();
     assert!(
-        matches!(err, CoreError::Aborted(ref a) if a.reason == AbortReason::Cancelled),
+        matches!(err, CoreError::Aborted(ref a) if a.reason == RunError::Cancelled),
         "expected an unretried cancellation, got {err}"
     );
 }
@@ -606,7 +606,7 @@ fn ladder_exhaustion_surfaces_the_last_abort() {
             .unwrap_err();
     match err {
         CoreError::Aborted(a) => {
-            assert!(matches!(a.reason, AbortReason::DeadlineExceeded { .. }));
+            assert!(matches!(a.reason, RunError::DeadlineExceeded { .. }));
         }
         other => panic!("expected CoreError::Aborted, got {other}"),
     }
@@ -632,7 +632,7 @@ fn pathological_schedule_degrades_to_direct_merge_under_deadline() {
     match err {
         CoreError::Aborted(a) => {
             assert!(
-                matches!(a.reason, AbortReason::DeadlineExceeded { .. }),
+                matches!(a.reason, RunError::DeadlineExceeded { .. }),
                 "expected a deadline abort, got {}",
                 a.reason
             );
@@ -653,7 +653,7 @@ fn pathological_schedule_degrades_to_direct_merge_under_deadline() {
             outcome.fallbacks.as_slice(),
             [FallbackEvent::DegradedRetry {
                 rung: DegradeRung::AsScheduled,
-                reason: AbortReason::DeadlineExceeded { .. },
+                reason: RunError::DeadlineExceeded { .. },
             }]
         ),
         "exactly the as-scheduled deadline abort must be recorded: {:?}",
@@ -693,7 +693,7 @@ fn supervised_runs_over_corrupted_operands_stay_graceful() {
             .unwrap_err();
     match err {
         CoreError::Aborted(a) => {
-            assert_eq!(a.reason, AbortReason::Cancelled);
+            assert_eq!(a.reason, RunError::Cancelled);
             assert!(
                 a.progress.iterations <= 1,
                 "pre-cancelled runs abort at the first back-edge, got {}",
@@ -821,7 +821,7 @@ fn deadline_abort_rolls_back_hash_and_coord_list_workspace_kernels() {
         match err {
             CoreError::Aborted(a) => {
                 assert!(
-                    matches!(a.reason, AbortReason::DeadlineExceeded { .. }),
+                    matches!(a.reason, RunError::DeadlineExceeded { .. }),
                     "{kind}: expected a deadline abort, got {}",
                     a.reason
                 );
@@ -856,7 +856,7 @@ fn mid_execution_cancellation_rolls_back_sparse_workspace_kernels() {
         canceller.join().unwrap();
         match err {
             CoreError::Aborted(a) => {
-                assert_eq!(a.reason, AbortReason::Cancelled, "{kind}");
+                assert_eq!(a.reason, RunError::Cancelled, "{kind}");
                 assert!(!a.reason.is_retryable(), "{kind}: cancellation must not ladder");
             }
             other => panic!("{kind}: expected CoreError::Aborted, got {other}"),

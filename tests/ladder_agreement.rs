@@ -412,7 +412,7 @@ fn a_rung_the_compile_already_walked_past_is_never_compiled() {
         Err(EngineError::Core(CoreError::Aborted(a))) => assert!(
             matches!(
                 a.reason,
-                AbortReason::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
+                RunError::BudgetExceeded { resource: BudgetResource::LoopIterations, .. }
             ),
             "{}",
             a.reason

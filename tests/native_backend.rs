@@ -721,7 +721,7 @@ fn a_fuse_trip_aborts_with_the_same_reason_and_counters_on_either_backend() {
         }
     };
     let (native, interp) = (abort_on(Backend::Native), abort_on(Backend::Interp));
-    assert!(matches!(native.reason, AbortReason::BudgetExceeded { .. }), "{:?}", native.reason);
+    assert!(matches!(native.reason, RunError::BudgetExceeded { .. }), "{:?}", native.reason);
     assert_eq!(native.reason, interp.reason);
     assert_eq!(native.progress, interp.progress);
     assert_eq!(native.progress.iterations, fuse, "the spent fuse, not zero progress");

@@ -290,7 +290,7 @@ fn cancellation_with_four_workers_rolls_back_bindings_byte_identically() {
     let err = kernel.run_bound_supervised(&mut binding, &supervisor).unwrap_err();
     canceller.join().unwrap();
     match err {
-        CoreError::Aborted(a) => assert_eq!(a.reason, AbortReason::Cancelled),
+        CoreError::Aborted(a) => assert_eq!(a.reason, RunError::Cancelled),
         other => panic!("expected CoreError::Aborted, got {other}"),
     }
     assert_eq!(binding, before, "cancelled parallel run must roll back byte-identically");

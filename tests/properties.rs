@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use taco_core::oracle::eval_dense;
 use taco_core::{
-    AbortReason, CoreError, DegradeRung, FallbackEvent, IndexStmt, ResourceBudget, Supervisor,
+    CoreError, DegradeRung, FallbackEvent, IndexStmt, ResourceBudget, RunError, Supervisor,
 };
 use taco_ir::expr::{sum, IndexExpr, IndexVar, TensorVar};
 use taco_ir::notation::IndexAssignment;
@@ -435,7 +435,7 @@ proptest! {
                 f,
                 FallbackEvent::DegradedRetry {
                     rung: DegradeRung::AsScheduled,
-                    reason: AbortReason::BudgetExceeded { .. },
+                    reason: RunError::BudgetExceeded { .. },
                 }
             )),
             "expected a recorded budget abort, got {:?}", outcome.fallbacks

@@ -238,7 +238,7 @@ fn deadline_expired_in_queue_aborts_with_rollback_instead_of_running() {
     // expired by the time a worker picks the request up.
     let ticket = server.submit(request("t", &stmt, &b, &c, Duration::from_nanos(1))).unwrap();
     match ticket.wait() {
-        Outcome::Aborted { reason: AbortReason::DeadlineExceeded { deadline, .. }, .. } => {
+        Outcome::Aborted { reason: RunError::DeadlineExceeded { deadline, .. }, .. } => {
             assert_eq!(deadline, Duration::from_nanos(1));
         }
         other => panic!("expected a deadline abort, got {other:?}"),
@@ -396,7 +396,8 @@ fn chaos_soak_eight_tenants_with_faults_do_not_interfere() {
                         .expect("corrupt operands are an execution fault, not an admission fault");
                     match ticket.wait() {
                         Outcome::Failed { message } => assert!(!message.is_empty()),
-                        Outcome::Aborted { reason: AbortReason::Failed(_), .. } => {}
+                        Outcome::Aborted { reason, .. }
+                            if !reason.is_retryable() && reason != RunError::Cancelled => {}
                         other => panic!("corrupted operands must fail typed, got {other:?}"),
                     }
                 }
@@ -504,14 +505,14 @@ fn shutdown_now_cancels_queued_work_with_typed_outcomes() {
 
     for ticket in queued {
         match ticket.wait() {
-            Outcome::Aborted { reason: AbortReason::Cancelled, .. } => {}
+            Outcome::Aborted { reason: RunError::Cancelled, .. } => {}
             other => panic!("queued work must be cancelled on hard shutdown, got {other:?}"),
         }
     }
     // The in-flight plug gets an outcome too: cancelled mid-run (rolled
     // back) or completed if it won the race — never dropped.
     match plugged.wait() {
-        Outcome::Completed { .. } | Outcome::Aborted { reason: AbortReason::Cancelled, .. } => {}
+        Outcome::Completed { .. } | Outcome::Aborted { reason: RunError::Cancelled, .. } => {}
         other => panic!("in-flight work must resolve on shutdown, got {other:?}"),
     }
     let stats = server.stats();
