@@ -11,10 +11,12 @@
 //! only runs on parallel loops). Exits nonzero otherwise, so CI can gate on
 //! it.
 //!
-//! The summary line ends with an FNV-1a digest of every report's diagnostic
-//! and assumption lines (each tagged with its candidate and its position in
-//! the report), sorted: two builds whose reports are byte-identical print
-//! the same digest.
+//! The summary line ends with two FNV-1a digests, each over sorted lines
+//! tagged with their candidate: the *report digest* of every verification
+//! report's diagnostic and assumption lines (with their position in the
+//! report), and the *cost digest* of every cost report's iteration bound,
+//! single-charge bounds and workspace initial footprints. Two builds whose
+//! reports are byte-identical print the same digests.
 //!
 //! ```text
 //! cargo run --release -p taco-bench --bin verify
@@ -114,6 +116,16 @@ fn kind_variants(cand: ScheduleCandidate) -> Vec<(ScheduleCandidate, WorkspaceKi
     std::iter::once((cand, WorkspaceKind::Dense)).chain(maps).collect()
 }
 
+/// FNV-1a over the lines in sorted order.
+fn digest(mut lines: Vec<String>) -> u64 {
+    lines.sort();
+    let mut digest = Fnv64::new();
+    for line in &lines {
+        digest.write_str(line);
+    }
+    digest.finish()
+}
+
 fn main() {
     let cases: Vec<(&str, IndexStmt)> = vec![
         ("spgemm", spgemm(16)),
@@ -127,6 +139,7 @@ fn main() {
     let mut denies = 0usize;
     let mut parallel = 0usize;
     let mut lines: Vec<String> = Vec::new();
+    let mut cost_lines: Vec<String> = Vec::new();
     for (case, stmt) in &cases {
         for opts in [
             LowerOptions::fused(format!("{case}_f")),
@@ -163,6 +176,15 @@ fn main() {
                 for (i, a) in report.assumptions.iter().enumerate() {
                     lines.push(format!("{tag} assumption {i}: {a}"));
                 }
+                // Charges carry no position: their order is not part of the
+                // report's contract.
+                let cost = compiled.cost_report();
+                cost_lines.push(format!("{tag} iterations: {}", cost.iterations));
+                cost_lines.extend(cost.charges.iter().map(|c| format!("{tag} charge: {c}")));
+                for w in &cost.workspaces {
+                    let (name, bytes) = (&w.name, &w.init_bytes);
+                    cost_lines.push(format!("{tag} workspace {name} init_bytes: {bytes}"));
+                }
                 if !report.accepted() {
                     denies += report.denies();
                     println!("DENY {case} [{}] ({:?}):", cand.name, opts.kind);
@@ -173,16 +195,12 @@ fn main() {
             }
         }
     }
-    lines.sort();
-    let mut digest = Fnv64::new();
-    for line in &lines {
-        digest.write_str(line);
-    }
     println!(
         "verified {lowered}/{total} lowered candidates ({parallel} parallel) across {} kernels: \
-         {denies} deny, {warns} warn, report digest {:016x}",
+         {denies} deny, {warns} warn, report digest {:016x}, cost digest {:016x}",
         cases.len(),
-        digest.finish()
+        digest(lines),
+        digest(cost_lines)
     );
     if denies > 0 || lowered != total || parallel == 0 {
         std::process::exit(1);

@@ -519,7 +519,7 @@ impl Param {
 
 /// Calls `f` on every statement of `body`, nested bodies included, in
 /// program order.
-pub fn visit_stmts(body: &[Stmt], f: &mut impl FnMut(&Stmt)) {
+pub fn visit_stmts<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for s in body {
         f(s);
         match s {

@@ -36,7 +36,7 @@ use taco_lower::params::{crd_name, dim_name, is_pos_name, level_extent, pos_name
 use taco_lower::LoweredKernel;
 
 use crate::assume::Assumptions;
-use crate::sym::{Atom, Sym};
+use crate::sym::{atoms_of, Atom, Sym};
 
 /// A proven upper bound, or a named reason none could be derived.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,17 +196,20 @@ impl CostEnv {
 
     /// Evaluates a polynomial under the environment, saturating at
     /// `u64::MAX` and clamping negative results (a bound like `dim - 1`) to
-    /// zero. `None` when an atom has no value.
+    /// zero. `None` when an atom has no value or a coefficient overflowed.
     #[must_use]
     pub fn eval(&self, s: &Sym) -> Option<u64> {
+        if s.is_overflow() {
+            return None;
+        }
         let mut acc: i128 = 0;
-        for (mono, coeff) in s.terms() {
+        for (coeff, mono) in s.terms() {
             let mut term: i128 = i128::from(coeff);
-            for atom in &mono {
+            for atom in atoms_of(mono) {
                 let v = match atom {
-                    Atom::Var(name) => *self.vars.get(name)?,
-                    Atom::Len(arr) => *self.lens.get(arr)?,
-                    Atom::Seg(pos) => *self.segs.get(pos)?,
+                    Atom::Var(name) => *self.vars.get(&**name)?,
+                    Atom::Len(arr) => *self.lens.get(&**arr)?,
+                    Atom::Seg(pos) => *self.segs.get(&**pos)?,
                     Atom::Opaque(_) => return None,
                 };
                 term = term.saturating_mul(i128::from(v));
@@ -313,17 +316,17 @@ impl CostReport {
 #[must_use]
 pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     let assume = Assumptions::for_lowered(lk);
-    let scalar_params: HashSet<String> = lk.kernel.scalar_params.iter().cloned().collect();
+    let scalar_params: HashSet<&str> = lk.kernel.scalar_params.iter().map(String::as_str).collect();
 
     // Classify scalars: a *counter* is only ever assigned `v + c` (c > 0) or
     // a nonnegative constant; every other reassigned scalar is havocked.
-    let mut assigned: HashMap<String, bool> = HashMap::new(); // name -> counter-like
-    let mut reset: HashSet<String> = HashSet::new(); // assigned a constant somewhere
+    let mut assigned: HashMap<&str, bool> = HashMap::new(); // name -> counter-like
+    let mut reset: HashSet<&str> = HashSet::new(); // assigned a constant somewhere
     classify(&lk.kernel.body, &mut assigned, &mut reset);
-    let mut sites: HashMap<String, usize> = HashMap::new();
+    let mut sites: HashMap<&str, usize> = HashMap::new();
     visit_stmts(&lk.kernel.body, &mut |s| {
         if let Stmt::WsScatter { ws, .. } = s {
-            *sites.entry(ws.clone()).or_default() += 1;
+            *sites.entry(ws).or_default() += 1;
         }
     });
 
@@ -335,12 +338,11 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     // (initially all-unknown) lookups.
     let mut state = FixState::default();
     for _ in 0..6 {
-        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state.clone());
+        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state);
         w.block(&lk.kernel.body);
-        let next = w.fix_out();
-        let stable = next == state;
-        state = next;
-        if stable {
+        let prev;
+        (prev, state) = w.fix_out();
+        if state == prev {
             break;
         }
     }
@@ -362,7 +364,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
                     .filter(|(name, _)| *name == meta.name)
                     .fold(Bound::zero(), |total, (_, bytes)| total.add(bytes)),
                 WorkspaceKind::Hash | WorkspaceKind::CoordList => {
-                    walk.map_caps.get(&meta.name).map_or_else(
+                    walk.map_caps.get(meta.name.as_str()).map_or_else(
                         || Bound::Unknown(format!("map `{}` never initialized", meta.name)),
                         |(kind, cap)| cap.mul_const(kind.entry_bytes()),
                     )
@@ -382,13 +384,13 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
 /// counter-shaped (`v = v + c`, c > 0, or `v = k`, k >= 0), `false` once any
 /// other assignment is seen. Targets of a `v = k` go into `reset` as well: a
 /// counter outside it only ever advances.
-fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<String>) {
+fn classify<'a>(body: &'a [Stmt], out: &mut HashMap<&'a str, bool>, reset: &mut HashSet<&'a str>) {
     for s in body {
         match s {
             Stmt::Assign(v, e) => {
                 let counter_shaped = match e {
                     Expr::Int(k) => {
-                        reset.insert(v.clone());
+                        reset.insert(v);
                         *k >= 0
                     }
                     Expr::Bin(BinOp::Add, a, b) => {
@@ -399,7 +401,7 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<
                     }
                     _ => false,
                 };
-                let entry = out.entry(v.clone()).or_insert(true);
+                let entry = out.entry(v).or_insert(true);
                 *entry = *entry && counter_shaped;
             }
             Stmt::For { body, .. }
@@ -418,9 +420,9 @@ fn classify(body: &[Stmt], out: &mut HashMap<String, bool>, reset: &mut HashSet<
 /// declaration scope) and per-workspace scatter totals from the previous
 /// round.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct FixState {
-    counters: HashMap<String, Option<Sym>>,
-    scatters: HashMap<String, Option<Sym>>,
+struct FixState<'a> {
+    counters: HashMap<&'a str, Option<Sym>>,
+    scatters: HashMap<&'a str, Option<Sym>>,
 }
 
 /// Per-counter accumulation during one round.
@@ -438,13 +440,13 @@ struct CounterAcc {
 
 /// One enclosing loop on the trip stack.
 #[derive(Debug, Clone, Default)]
-struct Trip {
+struct Trip<'a> {
     /// Bound on the trips of one execution of the loop (`None` = unbounded).
     bound: Option<Sym>,
     /// The variable of a `For`, while nothing in its body has
     /// redeclared or assigned it: what the index of a nested segment loop is
     /// matched against.
-    var: Option<String>,
+    var: Option<&'a str>,
     /// Telescoping rule: the stack index of the enclosing `For` whose
     /// variable selects this loop's segment(s), and the bound on this loop's
     /// trips summed over one whole execution of that `For`.
@@ -453,50 +455,51 @@ struct Trip {
 
 /// The scatters walked so far in one block, per workspace: how many scatter
 /// statements, and a bound on their executions per execution of the block.
-struct Frame {
+struct Frame<'a> {
     /// Trip-stack depth of the block.
     depth: usize,
-    scatters: HashMap<String, (usize, Option<Sym>)>,
+    scatters: HashMap<&'a str, (usize, Option<Sym>)>,
 }
 
 /// One abstract-execution round over the kernel body.
 struct Walk<'a> {
     assume: &'a Assumptions,
-    scalar_params: &'a HashSet<String>,
-    assigned: &'a HashMap<String, bool>,
-    reset: &'a HashSet<String>,
+    scalar_params: &'a HashSet<&'a str>,
+    assigned: &'a HashMap<&'a str, bool>,
+    reset: &'a HashSet<&'a str>,
     /// Scatter statements per workspace.
-    sites: &'a HashMap<String, usize>,
-    prev: FixState,
+    sites: &'a HashMap<&'a str, usize>,
+    prev: FixState<'a>,
 
     /// The enclosing loops, outermost first.
-    trips: Vec<Trip>,
+    trips: Vec<Trip<'a>>,
     /// The enclosing blocks, outermost first.
-    frames: Vec<Frame>,
-    /// Scoped upper bounds for never-reassigned declared scalars.
-    scopes: Vec<HashMap<String, Option<Sym>>>,
+    frames: Vec<Frame<'a>>,
+    /// Upper bounds for never-reassigned declared scalars, innermost
+    /// declaration last; a block truncates it back on exit.
+    scopes: Vec<(&'a str, Option<Sym>)>,
     /// This round's counter accumulation.
-    counters: HashMap<String, CounterAcc>,
+    counters: HashMap<&'a str, CounterAcc>,
     /// This round's per-workspace scatter totals.
-    scatters: HashMap<String, Option<Sym>>,
+    scatters: HashMap<&'a str, Option<Sym>>,
     /// Map init-capacity bounds (for footprint math).
-    map_caps: HashMap<String, (WorkspaceKind, Bound)>,
+    map_caps: HashMap<&'a str, (WorkspaceKind, Bound)>,
     /// Finished map footprint bounds.
-    map_footprints: HashMap<String, Bound>,
+    map_footprints: HashMap<&'a str, Bound>,
 
     /// Single-charge bounds, with the array or workspace each charges.
-    charges: Vec<(String, Bound)>,
+    charges: Vec<(&'a str, Bound)>,
     iterations: Bound,
 }
 
 impl<'a> Walk<'a> {
     fn new(
         assume: &'a Assumptions,
-        scalar_params: &'a HashSet<String>,
-        assigned: &'a HashMap<String, bool>,
-        reset: &'a HashSet<String>,
-        sites: &'a HashMap<String, usize>,
-        prev: FixState,
+        scalar_params: &'a HashSet<&'a str>,
+        assigned: &'a HashMap<&'a str, bool>,
+        reset: &'a HashSet<&'a str>,
+        sites: &'a HashMap<&'a str, usize>,
+        prev: FixState<'a>,
     ) -> Walk<'a> {
         Walk {
             assume,
@@ -507,7 +510,7 @@ impl<'a> Walk<'a> {
             prev,
             trips: Vec::new(),
             frames: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes: Vec::new(),
             counters: HashMap::new(),
             scatters: HashMap::new(),
             map_caps: HashMap::new(),
@@ -517,21 +520,23 @@ impl<'a> Walk<'a> {
         }
     }
 
-    fn fix_out(&self) -> FixState {
-        FixState {
+    /// The state this round started from, and the one it ends with.
+    fn fix_out(self) -> (FixState<'a>, FixState<'a>) {
+        let next = FixState {
             counters: self
                 .counters
-                .iter()
+                .into_iter()
                 .map(|(k, acc)| {
                     let ub = match (&acc.base, &acc.increments) {
                         (Some(b), Some(i)) => Some(b.add(i)),
                         _ => None,
                     };
-                    (k.clone(), ub)
+                    (k, ub)
                 })
                 .collect(),
-            scatters: self.scatters.clone(),
-        }
+            scatters: self.scatters,
+        };
+        (self.prev, next)
     }
 
     /// Product of the trip bounds of the loops entered since `depth`. A
@@ -539,12 +544,12 @@ impl<'a> Walk<'a> {
     /// its total over that `For`, which then counts once.
     fn trip_product_since(&self, depth: usize) -> Option<Sym> {
         // A telescope counts only when its selecting loop is inside the product.
-        fn telescoped(t: &Trip, depth: usize) -> Option<&(usize, Sym)> {
+        fn telescoped<'t>(t: &'t Trip<'_>, depth: usize) -> Option<&'t (usize, Sym)> {
             t.telescope.as_ref().filter(|(selector, _)| *selector >= depth)
         }
         let mut product = Sym::int(1);
         for (n, t) in self.trips.iter().enumerate().skip(depth) {
-            let selects = |inner: &Trip| telescoped(inner, depth).is_some_and(|(a, _)| *a == n);
+            let selects = |inner: &Trip<'_>| telescoped(inner, depth).is_some_and(|(a, _)| *a == n);
             if self.trips[n + 1..].iter().any(selects) {
                 continue; // counted once, under the loop whose segments it selects
             }
@@ -564,25 +569,25 @@ impl<'a> Walk<'a> {
     /// Stack index of the innermost enclosing `For` whose variable `e` is.
     fn selector(&self, e: &Expr) -> Option<usize> {
         let Expr::Var(x) = e else { return None };
-        self.trips.iter().rposition(|t| t.var.as_deref() == Some(x))
+        self.trips.iter().rposition(|t| t.var == Some(x.as_str()))
     }
 
     /// A loop variable that is redeclared or assigned stops selecting
     /// segments (conservatively, for the rest of its loop).
     fn forget_loop_var(&mut self, v: &str) {
-        for t in self.trips.iter_mut().filter(|t| t.var.as_deref() == Some(v)) {
+        for t in self.trips.iter_mut().filter(|t| t.var == Some(v)) {
             t.var = None;
         }
     }
 
     /// Segment and telescoping rules: the trip of a `For` over `lo..hi`,
     /// `hi` bounded by `hi_ub`.
-    fn for_trip(&self, var: &str, lo: &Expr, hi: &Expr, hi_ub: Option<Sym>) -> Trip {
-        let var = (!self.assigned.contains_key(var)).then(|| var.to_string());
+    fn for_trip(&self, var: &'a str, lo: &Expr, hi: &Expr, hi_ub: Option<Sym>) -> Trip<'a> {
+        let var = (!self.assigned.contains_key(var)).then_some(var);
         if let (Expr::Load(pos, e), Expr::Load(hi_pos, next)) = (lo, hi) {
             if let Some(total) = self.input_pos(pos).filter(|_| pos == hi_pos && is_next(e, next)) {
                 return Trip {
-                    bound: Some(Sym::atom(Atom::Seg(pos.clone()))),
+                    bound: Some(Sym::atom(Atom::Seg(pos.as_str().into()))),
                     var,
                     telescope: self.selector(e).map(|a| (a, total.clone())),
                 };
@@ -597,12 +602,7 @@ impl<'a> Walk<'a> {
     }
 
     fn lookup_scalar(&self, v: &str) -> Option<Sym> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(ub) = scope.get(v) {
-                return ub.clone();
-            }
-        }
-        None
+        self.scopes.iter().rev().find(|(name, _)| *name == v)?.1.clone()
     }
 
     /// Upper bound of an integer expression as a polynomial over dimension
@@ -614,12 +614,12 @@ impl<'a> Walk<'a> {
             Expr::Float(_) | Expr::Bool(_) => None,
             Expr::Var(v) => {
                 if self.is_counter(v) {
-                    return self.prev.counters.get(v).cloned().flatten();
+                    return self.prev.counters.get(v.as_str()).cloned().flatten();
                 }
                 if let Some(ub) = self.lookup_scalar(v) {
                     return Some(ub);
                 }
-                if self.scalar_params.contains(v) {
+                if self.scalar_params.contains(v.as_str()) {
                     // Dimension parameters are their own (canonical) atoms.
                     return Some(Sym::var(self.assume.canon_dim(v)));
                 }
@@ -630,7 +630,7 @@ impl<'a> Walk<'a> {
             // resulting polynomial is evaluable once operands are bound.
             Expr::Load(arr, _) => self.assume.arrays.get(arr)?.value_ub.clone(),
             Expr::Len(arr) => {
-                Some(self.assume.lens.get(arr).cloned().unwrap_or_else(|| Sym::len(arr.clone())))
+                Some(self.assume.lens.get(arr).cloned().unwrap_or_else(|| Sym::len(arr.as_str())))
             }
             // Negation of a nonnegative quantity is bounded by zero; `Not`
             // is boolean.
@@ -684,7 +684,7 @@ impl<'a> Walk<'a> {
     }
 
     /// Walks a loop body under `trip`, charging the loop's own back-edges.
-    fn looped(&mut self, trip: Trip, body: impl FnOnce(&mut Self)) {
+    fn looped(&mut self, trip: Trip<'a>, body: impl FnOnce(&mut Self)) {
         self.trips.push(trip);
         let total = Bound::from_opt(self.trip_product_since(0), "loop with unbounded trip count");
         self.iterations = self.iterations.add(&total);
@@ -703,7 +703,7 @@ impl<'a> Walk<'a> {
     /// and when every conjunct does, selected by one enclosing `For`, the
     /// loop telescopes to the sum of their `len(crd)`. `before` is what
     /// precedes the loop in its block.
-    fn while_trip(&self, cond: &Expr, body: &[Stmt], before: &[Stmt]) -> Trip {
+    fn while_trip(&self, cond: &Expr, body: &[Stmt], before: &[Stmt]) -> Trip<'a> {
         let mut conjuncts = Vec::new();
         split_and(cond, &mut conjuncts);
         let mut bound = Sym::int(0);
@@ -715,7 +715,7 @@ impl<'a> Walk<'a> {
             advances |= increments_var(body, v);
             let segment = self.merge_segment(v, b, body, before).filter(|_| *op == BinOp::Lt);
             if let Some((pos, e, total)) = segment {
-                bound = bound.add(&Sym::atom(Atom::Seg(pos.to_string())));
+                bound = bound.add(&Sym::atom(Atom::Seg(pos.into())));
                 telescope = telescope.and_then(|(a, sum)| {
                     let selector = self.selector(e).filter(|s| a.is_none_or(|a| a == *s))?;
                     Some((Some(selector), sum.add(total)))
@@ -773,13 +773,13 @@ impl<'a> Walk<'a> {
         stable.then_some((pos.as_str(), e.as_ref(), total))
     }
 
-    fn block(&mut self, body: &[Stmt]) {
-        self.scopes.push(HashMap::new());
+    fn block(&mut self, body: &'a [Stmt]) {
+        let mark = self.scopes.len();
         self.stmts(body);
-        self.scopes.pop();
+        self.scopes.truncate(mark);
     }
 
-    fn stmts(&mut self, body: &[Stmt]) {
+    fn stmts(&mut self, body: &'a [Stmt]) {
         self.frames.push(Frame { depth: self.trips.len(), scatters: HashMap::new() });
         for (n, s) in body.iter().enumerate() {
             self.stmt(s, &body[..n]);
@@ -800,14 +800,14 @@ impl<'a> Walk<'a> {
     }
 
     /// One statement; `before` is what precedes it in its block.
-    fn stmt(&mut self, s: &Stmt, before: &[Stmt]) {
+    fn stmt(&mut self, s: &'a Stmt, before: &[Stmt]) {
         match s {
             Stmt::DeclInt(v, e) => {
                 self.forget_loop_var(v);
                 if self.is_counter(v) {
                     let base = self.ub(e);
                     let depth = self.trips.len();
-                    let acc = self.counters.entry(v.clone()).or_insert(CounterAcc {
+                    let acc = self.counters.entry(v).or_insert(CounterAcc {
                         decl_depth: depth,
                         base: Some(Sym::int(0)),
                         increments: Some(Sym::int(0)),
@@ -818,8 +818,8 @@ impl<'a> Walk<'a> {
                         _ => None,
                     };
                 } else {
-                    let ub = if self.assigned.contains_key(v) { None } else { self.ub(e) };
-                    self.scopes.last_mut().expect("scope stack").insert(v.clone(), ub);
+                    let ub = if self.assigned.contains_key(v.as_str()) { None } else { self.ub(e) };
+                    self.scopes.push((v, ub));
                 }
             }
             Stmt::DeclFloat(..) | Stmt::DeclBool(..) => {}
@@ -833,11 +833,11 @@ impl<'a> Walk<'a> {
                         },
                         _ => None,
                     };
-                    let depth =
-                        self.counters.get(v).map_or(0, |acc| acc.decl_depth.min(self.trips.len()));
+                    let declared = self.counters.get(v.as_str()).map(|acc| acc.decl_depth);
+                    let depth = declared.map_or(0, |d| d.min(self.trips.len()));
                     let contribution =
                         inc.map(|c| self.trip_product_since(depth).map(|p| p.mul(&Sym::int(c))));
-                    let acc = self.counters.entry(v.clone()).or_insert(CounterAcc {
+                    let acc = self.counters.entry(v).or_insert(CounterAcc {
                         decl_depth: depth,
                         base: Some(Sym::int(0)),
                         increments: Some(Sym::int(0)),
@@ -871,9 +871,10 @@ impl<'a> Walk<'a> {
                 let var_ub = hi_ub.as_ref().map(|t| t.sub(&Sym::int(1)));
                 let trip = self.for_trip(var, lo, hi, hi_ub);
                 self.looped(trip, |w| {
-                    w.scopes.push(HashMap::from([(var.clone(), var_ub)]));
+                    let mark = w.scopes.len();
+                    w.scopes.push((var, var_ub));
                     w.stmts(body);
-                    w.scopes.pop();
+                    w.scopes.truncate(mark);
                 });
             }
             Stmt::While { cond, body } => {
@@ -891,7 +892,7 @@ impl<'a> Walk<'a> {
                 let bytes =
                     Bound::from_opt(self.ub(len), "allocation length not bounded by the formats")
                         .mul_const(elem_bytes(*ty));
-                self.charges.push((arr.clone(), bytes));
+                self.charges.push((arr, bytes));
             }
             Stmt::Realloc { arr, len } => {
                 // Any single growth delta is bounded by the largest length
@@ -900,14 +901,14 @@ impl<'a> Walk<'a> {
                 let bytes =
                     Bound::from_opt(self.ub(len), "realloc length not bounded by the formats")
                         .mul_const(elem_bytes(ty));
-                self.charges.push((arr.clone(), bytes));
+                self.charges.push((arr, bytes));
             }
             Stmt::WsInit { ws, kind: WorkspaceKind::Dense, ty, extent } => {
                 // Value, coordinate-list and guard arrays over the extent.
                 let len =
                     Bound::from_opt(self.ub(extent), "workspace extent not bounded by the formats");
                 for elem in [ty, &ArrayTy::Int, &ArrayTy::Bool] {
-                    self.charges.push((ws.clone(), len.mul_const(elem_bytes(*elem))));
+                    self.charges.push((ws, len.mul_const(elem_bytes(*elem))));
                 }
             }
             Stmt::WsInit { ws, kind, .. } => {
@@ -915,22 +916,20 @@ impl<'a> Walk<'a> {
                 // the footprint bound, which the meter checks in whole on
                 // every growth.
                 let cap = Bound::Finite(Sym::int(WorkspaceKind::INITIAL_CAPACITY));
-                self.map_caps.insert(ws.clone(), (*kind, cap));
+                self.map_caps.insert(ws, (*kind, cap));
                 self.finish_map_footprint(ws);
             }
             Stmt::WsScatter { ws, .. } => {
                 let contribution = self.trip_product_since(0);
-                let entry = self.scatters.entry(ws.clone()).or_insert_with(|| Some(Sym::int(0)));
+                let entry = self.scatters.entry(ws).or_insert_with(|| Some(Sym::int(0)));
                 *entry = match (entry.take(), contribution) {
                     (Some(a), Some(b)) => Some(a.add(&b)),
                     _ => None,
                 };
                 for f in 0..self.frames.len() {
                     let per_block = self.trip_product_since(self.frames[f].depth);
-                    let (sites, since) = self.frames[f]
-                        .scatters
-                        .entry(ws.clone())
-                        .or_insert((0, Some(Sym::int(0))));
+                    let (sites, since) =
+                        self.frames[f].scatters.entry(ws).or_insert((0, Some(Sym::int(0))));
                     *sites += 1;
                     *since = match (since.take(), per_block) {
                         (Some(a), Some(b)) => Some(a.add(&b)),
@@ -952,13 +951,13 @@ impl<'a> Walk<'a> {
     /// growth only happens when the capacity is below the needed entry
     /// count and at most doubles past it (with the executor's minimum grant
     /// of 8).
-    fn finish_map_footprint(&mut self, map: &str) {
+    fn finish_map_footprint(&mut self, map: &'a str) {
         let Some((kind, cap)) = self.map_caps.get(map).cloned() else { return };
         let scatters = self.prev.scatters.get(map).cloned().flatten();
         let scatters_bound = Bound::from_opt(scatters, "scatter count not bounded");
         let entries =
             cap.add(&scatters_bound.mul_const(2)).add(&Bound::Finite(Sym::int(8)));
-        self.map_footprints.insert(map.to_string(), entries.mul_const(kind.entry_bytes()));
+        self.map_footprints.insert(map, entries.mul_const(kind.entry_bytes()));
     }
 }
 

@@ -84,21 +84,28 @@ impl Zero {
     }
 }
 
-/// The walking interpreter.
+/// The walking interpreter. Names are borrowed from the kernel and the
+/// assumptions it walks.
 pub(crate) struct Analyzer<'a> {
     assume: &'a Assumptions,
     /// Current symbolic value per integer scalar.
-    env: HashMap<String, Sym>,
+    env: HashMap<&'a str, Sym>,
+    /// What each `env` update overwrote, newest last: a scope restores the
+    /// `env` it entered with by undoing back to its mark
+    /// ([`Analyzer::restore`]).
+    undo: Vec<(&'a str, Option<Sym>)>,
     pub(crate) bounds: Bounds,
     /// Known lower bound on each array's length, with an exactness flag
     /// (`true` when the bound is the precise length).
-    lens: HashMap<String, (Sym, bool)>,
+    lens: HashMap<&'a str, (Sym, bool)>,
+    /// The `len(a)` atom of each array indexed so far.
+    len_atoms: HashMap<&'a str, Sym>,
     /// Arrays whose contents are defined.
-    defined: HashSet<String>,
+    defined: HashSet<&'a str>,
     /// Arrays that are kernel parameters or locals (definedness applies).
-    known_arrays: HashSet<String>,
+    known_arrays: HashSet<&'a str>,
     /// Scalars declared as float/bool (excluded from the integer env).
-    non_int: HashSet<String>,
+    non_int: HashSet<&'a str>,
     fresh: u64,
     pub(crate) diags: Vec<Diagnostic>,
     pub(crate) notes: Vec<String>,
@@ -107,39 +114,41 @@ pub(crate) struct Analyzer<'a> {
     /// footprint: every array access inside it is recorded here.
     race: Option<RaceCtx>,
     /// Arrays already reported as read-uninitialized (one diagnostic each).
-    reported_undef: HashSet<String>,
+    reported_undef: HashSet<&'a str>,
     /// Workspaces established by a `WsInit` on the current path.
-    inited_ws: HashSet<String>,
+    inited_ws: HashSet<&'a str>,
     /// Dense workspaces: their keys index arrays over `[0, extent)`, which
     /// `lens` records under the workspace's name.
-    dense_ws: HashSet<String>,
+    dense_ws: HashSet<&'a str>,
     /// Workspaces already reported as used-before-init (one diagnostic
     /// each).
-    reported_ws: HashSet<String>,
+    reported_ws: HashSet<&'a str>,
     /// Arrays `Alloc`'d and workspaces `WsInit`'d at top level, in program
     /// order: the names the zeroness domain tracks.
-    zero_tracked: Vec<String>,
-    /// Zeroness per tracked name inside the current phase loop (empty
-    /// outside one).
-    zero: HashMap<String, Zero>,
+    zero_tracked: Vec<&'a str>,
+    /// Zeroness per tracked name inside the current phase loop, in
+    /// `zero_tracked` order (empty outside one).
+    zero: Vec<(&'a str, Zero)>,
     /// Structure-drain assumptions taken in the current phase loop, with the
     /// array each one cleans.
-    drain_notes: Vec<(String, String)>,
+    drain_notes: Vec<(&'a str, String)>,
     /// Scalars stored into a `*_pos` array: the append counters.
-    pos_counters: HashSet<String>,
+    pos_counters: HashSet<&'a str>,
     /// The row ranges of a parallel kernel.
-    rows: Option<Rows>,
+    rows: Option<&'a Rows>,
     /// The kernel's array parameters: the arrays its row ranges share.
-    params: HashSet<String>,
+    params: HashSet<&'a str>,
 }
 
 impl<'a> Analyzer<'a> {
-    pub(crate) fn new(kernel: &Kernel, assume: &'a Assumptions) -> Analyzer<'a> {
+    pub(crate) fn new(kernel: &'a Kernel, assume: &'a Assumptions) -> Analyzer<'a> {
         let mut a = Analyzer {
             assume,
             env: HashMap::new(),
+            undo: Vec::new(),
             bounds: Bounds::default(),
-            lens: assume.lens.iter().map(|(k, v)| (k.clone(), (v.clone(), true))).collect(),
+            lens: assume.lens.iter().map(|(k, v)| (k.as_str(), (v.clone(), true))).collect(),
+            len_atoms: HashMap::new(),
             defined: HashSet::new(),
             known_arrays: HashSet::new(),
             non_int: HashSet::new(),
@@ -153,32 +162,54 @@ impl<'a> Analyzer<'a> {
             dense_ws: HashSet::new(),
             reported_ws: HashSet::new(),
             zero_tracked: Vec::new(),
-            zero: HashMap::new(),
+            zero: Vec::new(),
             drain_notes: Vec::new(),
             pos_counters: HashSet::new(),
-            rows: kernel.rows.clone(),
-            params: kernel.array_params.iter().map(|p| p.name.clone()).collect(),
+            rows: kernel.rows.as_ref(),
+            params: kernel.array_params.iter().map(|p| p.name.as_str()).collect(),
         };
         for p in &kernel.array_params {
-            a.known_arrays.insert(p.name.clone());
+            a.known_arrays.insert(&p.name);
             if p.kind != ParamKind::Output {
-                a.defined.insert(p.name.clone());
+                a.defined.insert(&p.name);
             }
         }
         // Scalar parameters (dimensions, extents) are nonnegative atoms,
         // canonicalized so equal-extent dimensions share one atom.
         for s in &kernel.scalar_params {
             let canon = assume.canon_dim(s);
-            a.env.insert(s.clone(), Sym::var(canon));
+            a.env.insert(s, Sym::var(canon));
         }
         visit_stmts(&kernel.body, &mut |s| {
             if let Stmt::Store { arr, val: Expr::Var(c), .. } = s {
                 if taco_lower::params::is_pos_name(arr) {
-                    a.pos_counters.insert(c.clone());
+                    a.pos_counters.insert(c);
                 }
             }
         });
         a
+    }
+
+    /// Binds a scalar's value, remembering what it overwrote.
+    fn set(&mut self, v: &'a str, val: Sym) {
+        let old = self.env.insert(v, val);
+        self.undo.push((v, old));
+    }
+
+    /// Undoes every `env` update since `mark` (an earlier `undo.len()`).
+    fn restore(&mut self, mark: usize) {
+        for (v, old) in self.undo.drain(mark..).rev() {
+            match old {
+                Some(val) => self.env.insert(v, val),
+                None => self.env.remove(v),
+            };
+        }
+    }
+
+    /// A scalar's current value; a name the walk never bound is a
+    /// nonnegative (canonical) dimension.
+    fn lookup(&self, v: &str) -> Sym {
+        self.env.get(v).cloned().unwrap_or_else(|| Sym::var(self.assume.canon_dim(v)))
     }
 
     pub(crate) fn diag(&mut self, error: VerifyError, severity: Severity, stmt: &Stmt) {
@@ -202,12 +233,8 @@ impl<'a> Analyzer<'a> {
             Expr::Int(v) => Sym::int(*v),
             Expr::Float(_) => Sym::atom(self.fresh_atom()),
             Expr::Bool(b) => Sym::int(i64::from(*b)),
-            Expr::Var(v) => self
-                .env
-                .get(v)
-                .cloned()
-                .unwrap_or_else(|| Sym::var(self.assume.canon_dim(v))),
-            Expr::Len(arr) => Sym::len(arr.clone()),
+            Expr::Var(v) => self.lookup(v),
+            Expr::Len(arr) => Sym::len(arr.as_str()),
             Expr::Load(arr, _) => {
                 let mut b = std::mem::take(&mut self.bounds);
                 let out = self.assume.bind_load(arr, &mut b, &mut self.fresh);
@@ -220,10 +247,12 @@ impl<'a> Analyzer<'a> {
             }
             Expr::Un(UnOp::Not, _) => Sym::atom(self.fresh_atom()),
             Expr::Bin(op, a, b) => {
-                let (sa, sb) = (self.eval(a), self.eval(b));
+                let (mut sa, sb) = (self.eval(a), self.eval(b));
                 match op {
-                    BinOp::Add => sa.add(&sb),
-                    BinOp::Sub => sa.sub(&sb),
+                    BinOp::Add | BinOp::Sub => {
+                        sa.add_scaled(if *op == BinOp::Add { 1 } else { -1 }, &sb);
+                        sa
+                    }
                     BinOp::Mul => sa.mul(&sb),
                     BinOp::Min => {
                         // min(a, b) ≤ a and min(a, b) ≤ b.
@@ -240,7 +269,7 @@ impl<'a> Analyzer<'a> {
 
     /// Walks every `Load` inside an expression: checks definedness and
     /// bounds, and records reads into active parallel contexts.
-    fn check_expr(&mut self, e: &Expr, stmt: &Stmt) {
+    fn check_expr(&mut self, e: &'a Expr, stmt: &Stmt) {
         match e {
             Expr::Load(arr, idx) => {
                 self.check_expr(idx, stmt);
@@ -262,11 +291,11 @@ impl<'a> Analyzer<'a> {
 
     /// A read of an array's contents: it must be defined, and a tracked
     /// array not defined in this iteration is assumed clean at its start.
-    fn read_array(&mut self, arr: &str, stmt: &Stmt) {
+    fn read_array(&mut self, arr: &'a str, stmt: &Stmt) {
         self.zero_event(arr, Zero::read);
         if self.known_arrays.contains(arr)
             && !self.defined.contains(arr)
-            && self.reported_undef.insert(arr.to_string())
+            && self.reported_undef.insert(arr)
         {
             self.diag(
                 VerifyError::UninitializedRead { array: arr.to_string() },
@@ -278,14 +307,18 @@ impl<'a> Analyzer<'a> {
 
     /// Checks `0 ≤ idx < len(arr)`: a refutation is a deny, an undischarged
     /// obligation a warn.
-    fn check_bounds(&mut self, arr: &str, idx: &Sym, stmt: &Stmt) {
-        let lb = self.lens.get(arr).cloned();
+    fn check_bounds(&mut self, arr: &'a str, idx: &Sym, stmt: &Stmt) {
+        let lb = self.lens.get(arr);
         // Refute against the literal length atom, the exact length when
         // known, or a provably negative index.
-        let len_atom = Sym::len(arr);
-        let refuted = self.bounds.refute_in_bounds(idx, &len_atom)
-            || matches!(&lb, Some((len, true)) if self.bounds.prove_le(len, idx))
+        let len_atom = &*self.len_atoms.entry(arr).or_insert_with(|| Sym::len(arr));
+        let refuted = self.bounds.refute_in_bounds(idx, len_atom)
+            || matches!(lb, Some((len, true)) if self.bounds.prove_le(len, idx))
             || idx.as_const().is_some_and(|c| c < 0);
+        let proven = !refuted
+            && (lb.is_some_and(|(len, _)| {
+                self.bounds.prove_le(&Sym::int(0), idx) && self.bounds.prove_lt(idx, len)
+            }) || self.bounds.prove_lt(idx, len_atom));
         if refuted {
             self.diag(
                 VerifyError::OutOfBounds { array: arr.to_string(), index: idx.to_string() },
@@ -294,12 +327,6 @@ impl<'a> Analyzer<'a> {
             );
             return;
         }
-        let proven = match &lb {
-            Some((len, _)) => {
-                self.bounds.prove_le(&Sym::int(0), idx) && self.bounds.prove_lt(idx, len)
-            }
-            None => false,
-        } || self.bounds.prove_lt(idx, &len_atom);
         if !proven {
             self.diag(
                 VerifyError::Unproven {
@@ -313,7 +340,7 @@ impl<'a> Analyzer<'a> {
 
     /// Interprets a statement list. A top-level loop is a phase loop, and
     /// its back-edge is where the reset rule is checked.
-    pub(crate) fn walk_block(&mut self, body: &[Stmt]) {
+    pub(crate) fn walk_block(&mut self, body: &'a [Stmt]) {
         for (i, s) in body.iter().enumerate() {
             self.path.push(i);
             self.walk_stmt(s);
@@ -329,19 +356,16 @@ impl<'a> Analyzer<'a> {
     /// reported for the arrays the rule obliged.
     fn check_resets(&mut self, phase: &Stmt) {
         let zero = std::mem::take(&mut self.zero);
-        let obliged = |name: &str| zero.get(name).is_some_and(|z| z.assumed_clean);
-        let stale: Vec<String> = self
-            .zero_tracked
-            .iter()
-            .filter(|name| obliged(name) && zero[*name].dirty)
-            .cloned()
-            .collect();
-        for array in stale {
-            self.diag(VerifyError::MissingReset { array }, Severity::Deny, phase);
-        }
+        let obliged = |name: &str| zero.iter().any(|(n, z)| *n == name && z.assumed_clean);
         for (array, note) in std::mem::take(&mut self.drain_notes) {
-            if obliged(&array) {
+            if obliged(array) {
                 self.notes.push(note);
+            }
+        }
+        for (array, z) in &zero {
+            if z.assumed_clean && z.dirty {
+                let error = VerifyError::MissingReset { array: array.to_string() };
+                self.diag(error, Severity::Deny, phase);
             }
         }
     }
@@ -349,23 +373,23 @@ impl<'a> Analyzer<'a> {
     /// Applies a zeroness event to a tracked name (a no-op outside a phase
     /// loop).
     fn zero_event(&mut self, name: &str, event: impl FnOnce(&mut Zero)) {
-        if let Some(z) = self.zero.get_mut(name) {
+        if let Some((_, z)) = self.zero.iter_mut().find(|(n, _)| *n == name) {
             event(z);
         }
     }
 
-    fn join_zero(&mut self, other: &HashMap<String, Zero>) {
-        for (name, z) in &mut self.zero {
-            z.join(other[name]);
+    fn join_zero(&mut self, other: &[(&str, Zero)]) {
+        for ((_, z), (_, o)) in self.zero.iter_mut().zip(other) {
+            z.join(*o);
         }
     }
 
     /// Walks a loop or drain body, which may run zero times: its definitions
     /// do not outlive it, its dirt does. The body of a top-level loop starts
     /// a phase, with every tracked name undefined and clean.
-    fn walk_body(&mut self, body: &[Stmt], is_loop: bool) {
+    fn walk_body(&mut self, body: &'a [Stmt], is_loop: bool) {
         if is_loop && self.path.len() == 1 {
-            self.zero = self.zero_tracked.iter().map(|n| (n.clone(), Zero::default())).collect();
+            self.zero = self.zero_tracked.iter().map(|&n| (n, Zero::default())).collect();
         }
         let entry = self.zero.clone();
         self.walk_block(body);
@@ -373,32 +397,32 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Tracks a top-level `Alloc` or `WsInit` for the zeroness domain.
-    fn track(&mut self, name: &str) {
-        if self.path.len() == 1 && !self.zero_tracked.iter().any(|n| n == name) {
-            self.zero_tracked.push(name.to_string());
+    fn track(&mut self, name: &'a str) {
+        if self.path.len() == 1 && !self.zero_tracked.contains(&name) {
+            self.zero_tracked.push(name);
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn walk_stmt(&mut self, s: &Stmt) {
+    fn walk_stmt(&mut self, s: &'a Stmt) {
         match s {
             Stmt::DeclInt(v, e) => {
                 self.check_expr(e, s);
                 let val = self.eval(e);
-                self.env.insert(v.clone(), val);
+                self.set(v, val);
             }
             Stmt::DeclFloat(v, e) | Stmt::DeclBool(v, e) => {
                 self.check_expr(e, s);
-                self.non_int.insert(v.clone());
+                self.non_int.insert(v);
             }
             Stmt::Assign(v, e) => {
                 self.check_expr(e, s);
-                if !self.non_int.contains(v) {
+                if !self.non_int.contains(v.as_str()) {
                     let val = self.eval(e);
-                    if self.pos_counters.contains(v) {
+                    if self.pos_counters.contains(v.as_str()) {
                         self.check_counter_update(v, &val, s);
                     }
-                    self.env.insert(v.clone(), val);
+                    self.set(v, val);
                 }
                 if let Some(ctx) = &mut self.race {
                     if !ctx.declared.contains(v)
@@ -435,7 +459,7 @@ impl<'a> Analyzer<'a> {
                 self.check_bounds(arr, &idx_sym, s);
                 let kind = if is_add { WriteKind::Accumulate } else { WriteKind::Assign };
                 if let Some(ctx) = &mut self.race {
-                    ctx.record_write(arr, &idx_sym, kind, stmt_to_c(s));
+                    ctx.record_write(arr, &idx_sym, kind, s);
                 }
             }
             Stmt::For { var, lo, hi, body } => {
@@ -444,8 +468,8 @@ impl<'a> Analyzer<'a> {
                 let hi_sym = self.eval(hi);
                 // The loop a parallel kernel's row ranges split: its
                 // iterations run in different ranges.
-                let rows = self.rows.clone().filter(|r| self.path.len() == 1 && r.var == *var);
-                self.walk_loop(var, lo, hi, &hi_sym, body, rows.as_ref());
+                let rows = self.rows.filter(|r| self.path.len() == 1 && r.var == *var);
+                self.walk_loop(var, lo, hi, &hi_sym, body, rows);
                 if rows.is_some() {
                     let ctx = self.race.take().expect("set by walk_loop");
                     race::analyze(self, ctx, s);
@@ -453,11 +477,11 @@ impl<'a> Analyzer<'a> {
             }
             Stmt::While { cond, body } => {
                 self.check_expr(cond, s);
-                let saved = self.env.clone();
+                let mark = self.undo.len();
                 self.havoc_assigned(body);
                 self.refine(cond);
                 self.walk_body(body, true);
-                self.env = saved;
+                self.restore(mark);
                 self.havoc_assigned(body);
             }
             Stmt::If { cond, then, els } => {
@@ -465,57 +489,57 @@ impl<'a> Analyzer<'a> {
                 // Realloc-guard: `if (len(a) <= c) realloc(a, ...)` leaves
                 // len(a) ≥ c + 1 on both paths.
                 if let Some((arr, min_len)) = realloc_guard(cond, then, els) {
-                    let want = self.eval(&min_len).add(&Sym::int(1));
+                    let want = self.eval(min_len).add(&Sym::int(1));
                     self.walk_block(then);
                     self.lens.insert(arr, (want, false));
                     return;
                 }
-                let saved = self.env.clone();
+                let mark = self.undo.len();
                 let entry = self.zero.clone();
                 self.refine(cond);
                 self.walk_block(then);
                 let then_zero = std::mem::replace(&mut self.zero, entry);
-                self.env = saved.clone();
+                self.restore(mark);
                 self.walk_block(els);
                 self.join_zero(&then_zero);
-                self.env = saved;
+                self.restore(mark);
                 self.havoc_assigned(then);
                 self.havoc_assigned(els);
             }
             Stmt::Memset { arr, val } => {
                 self.check_expr(val, s);
                 self.zero_event(arr, |z| z.define(!is_zero(val)));
-                self.defined.insert(arr.clone());
+                self.defined.insert(arr);
                 if let Some(ctx) = &mut self.race {
-                    ctx.record_whole_array(arr, stmt_to_c(s));
+                    ctx.record_whole_array(arr, s);
                 }
             }
             Stmt::Alloc { arr, len, .. } => {
                 self.check_expr(len, s);
                 let len_sym = self.eval(len);
-                self.lens.insert(arr.clone(), (len_sym, true));
-                self.known_arrays.insert(arr.clone());
-                self.defined.insert(arr.clone());
+                self.lens.insert(arr, (len_sym, true));
+                self.known_arrays.insert(arr);
+                self.defined.insert(arr);
                 self.track(arr);
                 self.zero_event(arr, |z| z.define(false));
             }
             Stmt::Realloc { arr, len } => {
                 self.check_expr(len, s);
                 let len_sym = self.eval(len);
-                self.lens.insert(arr.clone(), (len_sym, false));
+                self.lens.insert(arr, (len_sym, false));
                 if let Some(ctx) = &mut self.race {
-                    ctx.record_whole_array(arr, stmt_to_c(s));
+                    ctx.record_whole_array(arr, s);
                 }
             }
             Stmt::WsInit { ws, kind, extent, .. } => {
                 self.check_expr(extent, s);
-                self.inited_ws.insert(ws.clone());
+                self.inited_ws.insert(ws);
                 self.track(ws);
                 self.zero_event(ws, |z| z.define(false));
                 if *kind == WorkspaceKind::Dense {
                     let extent = self.eval(extent);
-                    self.lens.insert(ws.clone(), (extent, true));
-                    self.dense_ws.insert(ws.clone());
+                    self.lens.insert(ws, (extent, true));
+                    self.dense_ws.insert(ws);
                 }
             }
             Stmt::WsScatter { ws, key, val, .. } => {
@@ -527,7 +551,7 @@ impl<'a> Analyzer<'a> {
                     ctx.record_scatter(ws);
                 }
                 // A dense key indexes the value and guard arrays.
-                if self.dense_ws.contains(ws) {
+                if self.dense_ws.contains(ws.as_str()) {
                     let key = self.eval(key);
                     self.check_bounds(ws, &key, s);
                 }
@@ -537,19 +561,19 @@ impl<'a> Analyzer<'a> {
                 if let Some(ctx) = &mut self.race {
                     ctx.record_drain(ws);
                 }
-                let saved = self.env.clone();
+                let mark = self.undo.len();
                 self.havoc_assigned(body);
                 // The drain binds each touched key and its accumulated
                 // value; a dense key passed the scatter's bound check.
                 let k_atom = self.fresh_atom();
-                if self.dense_ws.contains(ws) {
-                    let (extent, _) = &self.lens[ws];
+                if self.dense_ws.contains(ws.as_str()) {
+                    let (extent, _) = &self.lens[ws.as_str()];
                     self.bounds.add_ub(k_atom.clone(), extent.sub(&Sym::int(1)));
                 }
-                self.env.insert(key.clone(), Sym::atom(k_atom));
-                self.non_int.insert(val.clone());
+                self.set(key, Sym::atom(k_atom));
+                self.non_int.insert(val);
                 self.walk_body(body, false);
-                self.env = saved;
+                self.restore(mark);
                 self.havoc_assigned(body);
                 // The drain leaves the workspace empty.
                 self.zero_event(ws, |z| z.dirty = false);
@@ -562,7 +586,7 @@ impl<'a> Analyzer<'a> {
     /// it. Reported against the kernel rather than a statement path, so a
     /// counter updated at several sites is one finding.
     fn check_counter_update(&mut self, c: &str, new: &Sym, stmt: &Stmt) {
-        let delta = new.sub(&self.eval(&Expr::var(c)));
+        let delta = new.sub(&self.lookup(c));
         if self.bounds.prove_le(&Sym::int(0), &delta) {
             return;
         }
@@ -578,9 +602,9 @@ impl<'a> Analyzer<'a> {
     /// A scatter or drain: the workspace must be established, and a tracked
     /// one not re-initialized in this iteration is assumed empty at its
     /// start.
-    fn use_ws(&mut self, ws: &str, stmt: &Stmt) {
+    fn use_ws(&mut self, ws: &'a str, stmt: &Stmt) {
         self.zero_event(ws, Zero::read);
-        if !self.inited_ws.contains(ws) && self.reported_ws.insert(ws.to_string()) {
+        if !self.inited_ws.contains(ws) && self.reported_ws.insert(ws) {
             self.diag(
                 VerifyError::WorkspaceNotInitialized { workspace: ws.to_string() },
                 Severity::Deny,
@@ -594,18 +618,18 @@ impl<'a> Analyzer<'a> {
     /// and restore.
     fn walk_loop(
         &mut self,
-        var: &str,
+        var: &'a str,
         lo: &Expr,
         hi: &Expr,
         hi_sym: &Sym,
-        body: &[Stmt],
+        body: &'a [Stmt],
         rows: Option<&Rows>,
     ) {
         let drained = self.drained_by(var, lo, hi, hi_sym, body);
-        let saved = self.env.clone();
+        let mark = self.undo.len();
         let v_atom = self.fresh_atom();
         self.bounds.add_ub(v_atom.clone(), hi_sym.sub(&Sym::int(1)));
-        self.env.insert(var.to_string(), Sym::atom(v_atom.clone()));
+        self.set(var, Sym::atom(v_atom.clone()));
         self.havoc_assigned(body);
         if let Some(rows) = rows {
             let mut ctx = RaceCtx::new(v_atom.clone(), rows, &self.params);
@@ -623,9 +647,9 @@ impl<'a> Analyzer<'a> {
         }
         self.walk_body(body, true);
         for arr in drained {
-            self.zero_event(&arr, |z| z.dirty = false);
+            self.zero_event(arr, |z| z.dirty = false);
         }
-        self.env = saved;
+        self.restore(mark);
         self.havoc_assigned(body);
     }
 
@@ -638,16 +662,16 @@ impl<'a> Analyzer<'a> {
         lo: &Expr,
         hi: &Expr,
         hi_sym: &Sym,
-        body: &[Stmt],
-    ) -> Vec<String> {
+        body: &'a [Stmt],
+    ) -> Vec<&'a str> {
         // Unconditional `a[x] = 0` stores at the top level of the body.
-        let zeroed = |x: &str| -> Vec<String> {
+        let zeroed = |x: &str| -> Vec<&'a str> {
             body.iter()
                 .filter_map(|s| match s {
                     Stmt::Store { arr, idx: Expr::Var(v), val }
-                        if v == x && is_zero(val) && self.zero.contains_key(arr) =>
+                        if v == x && is_zero(val) && self.zero.iter().any(|(n, _)| n == arr) =>
                     {
-                        Some(arr.clone())
+                        Some(arr.as_str())
                     }
                     _ => None,
                 })
@@ -670,7 +694,7 @@ impl<'a> Analyzer<'a> {
                     "structure `{pos}`/`{crd}` covers every coordinate of `{arr}` dirtied in one \
                      iteration (preassembled output structure)"
                 );
-                self.drain_notes.push((arr.clone(), note));
+                self.drain_notes.push((arr, note));
                 out.push(arr);
             }
         }
@@ -696,11 +720,11 @@ impl<'a> Analyzer<'a> {
 
     /// Replaces every scalar assigned in the block with a fresh opaque
     /// atom.
-    fn havoc_assigned(&mut self, body: &[Stmt]) {
+    fn havoc_assigned(&mut self, body: &'a [Stmt]) {
         for v in collect_assigned(body) {
-            if !self.non_int.contains(&v) {
+            if !self.non_int.contains(v) {
                 let atom = self.fresh_atom();
-                self.env.insert(v, Sym::atom(atom));
+                self.set(v, Sym::atom(atom));
             }
         }
     }
@@ -716,7 +740,7 @@ impl<'a> Analyzer<'a> {
             }
             Expr::Bin(op @ (BinOp::Lt | BinOp::Le), lhs, rhs) => {
                 if let Expr::Var(x) = lhs.as_ref() {
-                    if let Some(atom) = self.env.get(x).and_then(single_atom) {
+                    if let Some(atom) = self.env.get(x.as_str()).and_then(Sym::as_atom).cloned() {
                         let r = self.eval(rhs);
                         let ub = if *op == BinOp::Lt { r.sub(&Sym::int(1)) } else { r };
                         self.bounds.add_ub(atom, ub);
@@ -726,7 +750,7 @@ impl<'a> Analyzer<'a> {
             Expr::Bin(op @ (BinOp::Gt | BinOp::Ge), lhs, rhs) => {
                 // `e > x` / `e ≥ x` bound x from above.
                 if let Expr::Var(x) = rhs.as_ref() {
-                    if let Some(atom) = self.env.get(x).and_then(single_atom) {
+                    if let Some(atom) = self.env.get(x.as_str()).and_then(Sym::as_atom).cloned() {
                         let l = self.eval(lhs);
                         let ub = if *op == BinOp::Gt { l.sub(&Sym::int(1)) } else { l };
                         self.bounds.add_ub(atom, ub);
@@ -742,17 +766,8 @@ fn is_zero(e: &Expr) -> bool {
     matches!(e, Expr::Int(0) | Expr::Bool(false)) || matches!(e, Expr::Float(v) if *v == 0.0)
 }
 
-/// `x` when the scalar's current value is a single atom with coefficient 1.
-fn single_atom(s: &Sym) -> Option<Atom> {
-    let atoms = s.atoms();
-    if atoms.len() == 1 && *s == Sym::atom(atoms[0].clone()) {
-        return Some(atoms[0].clone());
-    }
-    None
-}
-
 /// `if (len(a) <= c) { realloc(a, ...) }` — returns `(a, c)`.
-fn realloc_guard(cond: &Expr, then: &[Stmt], els: &[Stmt]) -> Option<(String, Expr)> {
+fn realloc_guard<'a>(cond: &'a Expr, then: &[Stmt], els: &[Stmt]) -> Option<(&'a str, &'a Expr)> {
     if !els.is_empty() || then.len() != 1 {
         return None;
     }
@@ -762,15 +777,15 @@ fn realloc_guard(cond: &Expr, then: &[Stmt], els: &[Stmt]) -> Option<(String, Ex
     if arr != target {
         return None;
     }
-    Some((arr.clone(), rhs.as_ref().clone()))
+    Some((arr, rhs))
 }
 
 /// Every scalar assigned (not declared) anywhere in the block.
-fn collect_assigned(body: &[Stmt]) -> Vec<String> {
+fn collect_assigned(body: &[Stmt]) -> Vec<&str> {
     let mut out = Vec::new();
     visit_stmts(body, &mut |s| {
         if let Stmt::Assign(v, _) = s {
-            out.push(v.clone());
+            out.push(v.as_str());
         }
     });
     out.sort();

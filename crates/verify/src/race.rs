@@ -34,11 +34,11 @@
 
 use std::collections::HashSet;
 
-use taco_llir::{Rows, Stmt};
+use taco_llir::{stmt_to_c, Rows, Stmt};
 
 use crate::dataflow::Analyzer;
 use crate::error::{Severity, VerifyError};
-use crate::sym::{Atom, Sym};
+use crate::sym::{atoms_of, Atom, Sym};
 
 /// How a store writes its target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,14 +82,14 @@ pub(crate) struct RaceCtx {
 }
 
 impl RaceCtx {
-    pub(crate) fn new(var_atom: Atom, rows: &Rows, params: &HashSet<String>) -> RaceCtx {
+    pub(crate) fn new(var_atom: Atom, rows: &Rows, params: &HashSet<&str>) -> RaceCtx {
         let stitched = |arr: &String| {
             rows.append.as_ref().is_some_and(|a| a.pos == *arr || a.data.contains(arr))
         };
         RaceCtx {
             var_name: rows.var.clone(),
             var_atom,
-            shared: params.iter().filter(|arr| !stitched(arr)).cloned().collect(),
+            shared: params.iter().map(|arr| arr.to_string()).filter(|arr| !stitched(arr)).collect(),
             counter: rows.append.as_ref().map(|a| a.counter.clone()),
             declared: HashSet::new(),
             reported_scalars: HashSet::new(),
@@ -102,8 +102,9 @@ impl RaceCtx {
         }
     }
 
-    pub(crate) fn record_write(&mut self, arr: &str, idx: &Sym, kind: WriteKind, stmt: String) {
+    pub(crate) fn record_write(&mut self, arr: &str, idx: &Sym, kind: WriteKind, stmt: &Stmt) {
         if self.shared.contains(arr) {
+            let stmt = stmt_to_c(stmt);
             self.writes.push(Write { arr: arr.to_string(), idx: idx.clone(), kind, stmt });
         }
     }
@@ -114,9 +115,9 @@ impl RaceCtx {
         }
     }
 
-    pub(crate) fn record_whole_array(&mut self, arr: &str, stmt: String) {
+    pub(crate) fn record_whole_array(&mut self, arr: &str, stmt: &Stmt) {
         if self.shared.contains(arr) {
-            self.whole.push((arr.to_string(), stmt));
+            self.whole.push((arr.to_string(), stmt_to_c(stmt)));
         }
     }
 
@@ -160,13 +161,13 @@ fn injective_mod(az: &Analyzer<'_>, ctx: &RaceCtx, idx: &Sym) -> bool {
     let v = &ctx.var_atom;
     let mut v_part = Sym::int(0);
     let mut rest = Sym::int(0);
-    for (mono, coeff) in idx.terms() {
-        if mono.contains(v) {
-            v_part = v_part.add(&Sym::int(coeff).mul(&mono_sym(&mono)));
+    for (coeff, mono) in idx.terms() {
+        if atoms_of(mono).any(|a| a == v) {
+            v_part.add_term(coeff, &[mono]);
         } else if coeff < 0 {
             return false;
         } else {
-            rest = rest.add(&Sym::int(coeff).mul(&mono_sym(&mono)));
+            rest.add_term(coeff, &[mono]);
         }
     }
     if v_part != Sym::atom(v.clone()) {
@@ -177,17 +178,9 @@ fn injective_mod(az: &Analyzer<'_>, ctx: &RaceCtx, idx: &Sym) -> bool {
     let candidates = rest.atoms();
     candidates.into_iter().any(|s| {
         s != *v
-            && rest.terms().iter().all(|(mono, _)| mono.contains(&s))
+            && rest.terms().all(|(_, mono)| atoms_of(mono).any(|a| *a == s))
             && az.bounds.prove_lt(&Sym::atom(v.clone()), &Sym::atom(s.clone()))
     }) || rest == Sym::int(0)
-}
-
-fn mono_sym(mono: &[Atom]) -> Sym {
-    let mut out = Sym::int(1);
-    for a in mono {
-        out = out.mul(&Sym::atom(a.clone()));
-    }
-    out
 }
 
 /// True when iteration `v`'s range `[lo(v), ub(v)]` provably ends before

@@ -183,6 +183,35 @@ fn out_of_bounds_append_is_denied() {
     );
 }
 
+#[test]
+fn an_index_whose_bound_overflows_is_a_warn_not_a_panic() {
+    // y[j + i64::MIN]: refuting `0 <= idx` negates the index's constant,
+    // and proving `idx < len(y)` subtracts it, and both overflow `i64`. An
+    // overflowed coefficient proves nothing and refutes nothing, so the
+    // obligation is left undischarged.
+    let mut k = Kernel::new("overflowing_index");
+    k.scalar_params.push("n".to_string());
+    k.array_params.push(Param::output("y", ArrayTy::F64));
+    k.body.push(Stmt::Memset { arr: "y".to_string(), val: Expr::float(0.0) });
+    k.body.push(Stmt::For {
+        var: "j".to_string(),
+        lo: Expr::int(0),
+        hi: Expr::var("n"),
+        body: vec![Stmt::Store {
+            arr: "y".to_string(),
+            idx: Expr::var("j") + Expr::int(i64::MIN),
+            val: Expr::float(1.0),
+        }],
+    });
+    let report = verify_kernel(&k);
+    assert_eq!((report.denies(), report.warns()), (0, 1), "{report:?}");
+    assert!(
+        matches!(&report.diagnostics[0].error, VerifyError::Unproven { obligation }
+            if obligation.contains("of `y` is within [0, len(y))")),
+        "{report:?}"
+    );
+}
+
 /// Makes `k` parallel over its top-level loop `var`, as lowering a parallel
 /// forall does: the loop must be [`rows_loop`]'s.
 fn parallel(mut k: Kernel, var: &str) -> Kernel {
