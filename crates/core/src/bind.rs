@@ -142,8 +142,9 @@ pub(crate) fn extract_result(
     let (shape, format) = (var.shape().to_vec(), var.format().clone());
     Ok(match kind {
         KernelKind::Compute => {
-            let s = output_structure(var, structure)?;
-            Tensor::from_appended_level(shape, format, s.pos(l)?, s.crd(l)?, None, Some(vals()?))?
+            let arrays = output_structure(var, structure)?.index_arrays()?;
+            let (pos, crd) = (arrays.pos(l)?, arrays.crd(l)?);
+            Tensor::from_appended_level(shape, format, pos, crd, None, Some(vals()?))?
         }
         KernelKind::Fused | KernelKind::Assemble => {
             let pos = b.int_array(&pos_name(name, l)).ok_or_else(missing)?;

@@ -28,9 +28,11 @@ pub enum CoreError {
     /// A compute kernel with a sparse result needs a pre-assembled output
     /// structure.
     MissingOutputStructure,
-    /// A resource budget was exceeded, at compile time (workspace footprint
-    /// with no viable fallback) or at run time (allocation or iteration
-    /// limits).
+    /// The compile-time budget walk found no rung of the degrade ladder
+    /// whose proven initial workspace footprint fits the budget. A run that
+    /// hits a budget stops with [`CoreError::Run`] (or
+    /// [`CoreError::Aborted`] under a supervisor) and its
+    /// `RunError::BudgetExceeded`.
     BudgetExceeded {
         /// Which budgeted resource was exhausted.
         resource: taco_llir::BudgetResource,
@@ -38,7 +40,7 @@ pub enum CoreError {
         limit: u64,
         /// The amount that was requested or reached.
         requested: u64,
-        /// The array or workspace involved, when known.
+        /// The first workspace of the kernel as scheduled.
         context: Option<String>,
     },
     /// A supervised run was rolled back (deadline, cancellation, budget, or
@@ -71,11 +73,12 @@ impl fmt::Display for CoreError {
                  pass one with `run_with` or use a fused kernel"
             ),
             CoreError::BudgetExceeded { resource, limit, requested, context } => {
-                write!(f, "resource budget exceeded: {resource} limit {limit}, needed {requested}")?;
-                if let Some(ctx) = context {
-                    write!(f, " (for `{ctx}`)")?;
-                }
-                Ok(())
+                let ws = context.as_deref().unwrap_or("?");
+                write!(
+                    f,
+                    "no rung of the degrade ladder fits the {resource} budget: \
+                     `{ws}` needs {requested} as scheduled, limit {limit}"
+                )
             }
             CoreError::Aborted(a) => write!(f, "supervised execution {a}"),
             CoreError::Verify(report) => {
@@ -126,14 +129,7 @@ impl From<taco_llir::CompileError> for CoreError {
 }
 impl From<taco_llir::RunError> for CoreError {
     fn from(e: taco_llir::RunError) -> Self {
-        // Budget violations get their own structured variant so callers can
-        // distinguish "over budget" from genuine execution failures.
-        match e {
-            taco_llir::RunError::BudgetExceeded { resource, limit, requested, array } => {
-                CoreError::BudgetExceeded { resource, limit, requested, context: array }
-            }
-            other => CoreError::Run(other),
-        }
+        CoreError::Run(e)
     }
 }
 impl From<taco_tensor::TensorError> for CoreError {

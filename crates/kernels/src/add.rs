@@ -83,27 +83,28 @@ pub fn add_kway_merge(ops: &[&Csr]) -> Csr {
     let mut crd = Vec::new();
     let mut vals = Vec::new();
     let mut cursor = vec![0usize; ops.len()];
+    let arrays: Vec<_> = ops.iter().map(|o| (o.pos(), o.crd(), o.vals())).collect();
 
     for i in 0..m {
-        for (t, o) in ops.iter().enumerate() {
-            cursor[t] = o.pos()[i];
+        for (t, (pos, _, _)) in arrays.iter().enumerate() {
+            cursor[t] = pos[i];
         }
         loop {
             // min over the active cursors (the generated code's chain of
             // min() calls and comparisons).
             let mut j = usize::MAX;
-            for (t, o) in ops.iter().enumerate() {
-                if cursor[t] < o.pos()[i + 1] {
-                    j = j.min(o.crd()[cursor[t]]);
+            for (t, (pos, crd, _)) in arrays.iter().enumerate() {
+                if cursor[t] < pos[i + 1] {
+                    j = j.min(crd[cursor[t]]);
                 }
             }
             if j == usize::MAX {
                 break;
             }
             let mut acc = 0.0;
-            for (t, o) in ops.iter().enumerate() {
-                if cursor[t] < o.pos()[i + 1] && o.crd()[cursor[t]] == j {
-                    acc += o.vals()[cursor[t]];
+            for (t, (pos, crd, vals)) in arrays.iter().enumerate() {
+                if cursor[t] < pos[i + 1] && crd[cursor[t]] == j {
+                    acc += vals[cursor[t]];
                     cursor[t] += 1;
                 }
             }

@@ -61,14 +61,16 @@ pub fn mttkrp_workspace(b: &Csf3, c: &DenseMat, d: &DenseMat) -> DenseMat {
     let n = c.ncols;
     let mut a = DenseMat::zeros(di, n);
     let mut w = vec![0.0f64; n];
+    let (pos1, crd1, pos2, crd2) = (b.pos(0), b.crd(0), b.pos(1), b.crd(1));
+    let (pos3, crd3, vals) = (b.pos(2), b.crd(2), b.vals());
 
-    for p1 in b.pos1()[0]..b.pos1()[1] {
-        let i = b.crd1()[p1];
-        for p2 in b.pos2()[p1]..b.pos2()[p1 + 1] {
-            let k = b.crd2()[p2];
-            for p3 in b.pos3()[p2]..b.pos3()[p2 + 1] {
-                let l = b.crd3()[p3];
-                let bv = b.vals()[p3];
+    for p1 in pos1[0]..pos1[1] {
+        let i = crd1[p1];
+        for p2 in pos2[p1]..pos2[p1 + 1] {
+            let k = crd2[p2];
+            for p3 in pos3[p2]..pos3[p2 + 1] {
+                let l = crd3[p3];
+                let bv = vals[p3];
                 let crow = &c.data[l * n..(l + 1) * n];
                 for (wj, cv) in w.iter_mut().zip(crow) {
                     *wj += bv * cv;
@@ -101,18 +103,20 @@ pub fn mttkrp_splatt(b: &Csf3, c: &DenseMat, d: &DenseMat) -> DenseMat {
     let n = c.ncols;
     let mut a = DenseMat::zeros(di, n);
     let mut accum = vec![0.0f64; n];
+    let (pos1, crd1, pos2, crd2) = (b.pos(0), b.crd(0), b.pos(1), b.crd(1));
+    let (pos3, crd3, vals) = (b.pos(2), b.crd(2), b.vals());
 
-    for p1 in b.pos1()[0]..b.pos1()[1] {
-        let i = b.crd1()[p1];
+    for p1 in pos1[0]..pos1[1] {
+        let i = crd1[p1];
         let arow = &mut a.data[i * n..(i + 1) * n];
-        for p2 in b.pos2()[p1]..b.pos2()[p1 + 1] {
-            let k = b.crd2()[p2];
-            let fiber = b.pos3()[p2]..b.pos3()[p2 + 1];
+        for p2 in pos2[p1]..pos2[p1 + 1] {
+            let k = crd2[p2];
+            let fiber = pos3[p2]..pos3[p2 + 1];
             // First nonzero initializes the accumulator; the rest add.
             let mut first = true;
             for p3 in fiber {
-                let l = b.crd3()[p3];
-                let bv = b.vals()[p3];
+                let l = crd3[p3];
+                let bv = vals[p3];
                 let crow = &c.data[l * n..(l + 1) * n];
                 if first {
                     for (acc, cv) in accum.iter_mut().zip(crow) {

@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn empty_operands() {
-        let b = Csr::zero(5, 5);
+        let b = Csr::from_triplets(5, 5, &[]);
         let c = random_csr(5, 5, 0.5, 7);
         assert_eq!(spgemm_workspace_sorted(&b, &c).nnz(), 0);
         assert_eq!(spgemm_mkl_style(&c, &b).nnz(), 0);

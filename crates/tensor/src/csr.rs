@@ -1,18 +1,14 @@
-use crate::{Format, LevelType, Result, Tensor, TensorBuilder, TensorError};
+use crate::storage::{check_crd_level, check_pos_level, check_vals_len};
+use crate::{Format, LevelType, ModeStorage, Result, Tensor, TensorError};
 
-/// A compressed sparse row matrix in the exact array layout of Figure 1b of
-/// the paper (`pos`, `crd`, `vals`).
+/// A compressed sparse row matrix: a rank-2 [`Tensor`] whose arrays are
+/// exactly those of Figure 1b of the paper (`pos`, `crd`, `vals`).
 ///
-/// This flat representation is what the hand-written baseline kernels
-/// (Gustavson SpGEMM, merge-based addition, MTTKRP, ...) operate on; it
-/// converts losslessly to and from a `{Dense, Compressed}` [`Tensor`]. It is
-/// a *view* over the same level-based arrays the rank-generic [`Tensor`]
-/// stores — [`Csr::validate`] delegates to the shared per-level checks, so
-/// the two representations enforce identical invariants.
-///
-/// Rows may hold their column entries *sorted* (like Eigen's products) or
-/// *unsorted* (like MKL's `mkl_sparse_spmm`); see [`Csr::is_sorted`] and
-/// [`Csr::sort_rows`].
+/// This is the view the hand-written baseline kernels (Gustavson SpGEMM,
+/// merge-based addition, ...) read and build. It holds nothing but the
+/// tensor: a `(d,s)` one when every row is strictly increasing (like Eigen's
+/// products) and a `(d,h)` one when some row is not (like MKL's
+/// `mkl_sparse_spmm`); see [`Csr::is_sorted`]. No row repeats a column.
 ///
 /// # Example
 ///
@@ -24,22 +20,35 @@ use crate::{Format, LevelType, Result, Tensor, TensorBuilder, TensorError};
 /// assert_eq!(a.row(1), (&[0, 1][..], &[2.0, 3.0][..]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Csr {
-    nrows: usize,
-    ncols: usize,
-    pos: Vec<usize>,
-    crd: Vec<usize>,
-    vals: Vec<f64>,
+pub struct Csr(Tensor);
+
+/// `(d,h)`: the format of a matrix with unsorted rows.
+fn unsorted_rows() -> Format {
+    Format::new(vec![LevelType::Dense, LevelType::Hashed])
+}
+
+/// True when every row `crd[pos[i]..pos[i + 1]]` is strictly increasing;
+/// false as well when `pos` does not delimit rows of `crd`.
+fn rows_sorted(pos: &[usize], crd: &[usize]) -> bool {
+    pos.windows(2)
+        .all(|w| crd.get(w[0]..w[1]).is_some_and(|row| row.windows(2).all(|c| c[0] < c[1])))
+}
+
+/// The levels of an `n`-row matrix: `(d,s)` when rows are `sorted`.
+fn levels(n: usize, sorted: bool, pos: Vec<usize>, crd: Vec<usize>) -> (Format, Vec<ModeStorage>) {
+    let format = if sorted { Format::csr() } else { unsorted_rows() };
+    (format, vec![ModeStorage::Dense { dim: n }, ModeStorage::Compressed { pos, crd }])
 }
 
 impl Csr {
-    /// Creates a CSR matrix from raw arrays.
+    /// Creates a CSR matrix from raw arrays, taking `pos` and `crd` as they
+    /// are and storing each value as `0.0 + v` (so `-0.0` as `+0.0`, as
+    /// [`Tensor::from_entries`] stores it).
     ///
     /// # Panics
     ///
-    /// Panics if the array lengths are inconsistent (`pos.len() != nrows+1`,
-    /// `crd.len() != vals.len()`, `pos` not monotone, or
-    /// `*pos.last() != crd.len()`).
+    /// Panics if the arrays break an invariant of [`Csr::validate`] other
+    /// than finiteness: among them, a row may not repeat a column.
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -47,12 +56,16 @@ impl Csr {
         crd: Vec<usize>,
         vals: Vec<f64>,
     ) -> Self {
-        assert_eq!(pos.len(), nrows + 1, "pos must have nrows+1 entries");
-        assert_eq!(crd.len(), vals.len(), "crd and vals must have equal length");
-        assert!(pos.windows(2).all(|w| w[0] <= w[1]), "pos must be monotone");
-        assert_eq!(*pos.last().expect("pos nonempty"), crd.len(), "pos end must equal nnz");
-        assert!(crd.iter().all(|c| *c < ncols), "column coordinate out of bounds");
-        Csr { nrows, ncols, pos, crd, vals }
+        let sorted = rows_sorted(&pos, &crd);
+        let checked = check_pos_level(&pos, crd.len(), nrows, 1)
+            .and_then(|()| check_crd_level(&pos, &crd, nrows, ncols, sorted, true, 1))
+            .and_then(|()| check_vals_len(&vals, crd.len(), 1));
+        if let Err(e) = checked {
+            panic!("invalid CSR arrays: {e}");
+        }
+        let (format, modes) = levels(nrows, sorted, pos, crd);
+        let vals = vals.iter().map(|v| v + 0.0).collect();
+        Csr(Tensor::assemble(vec![nrows, ncols], format, modes, vals))
     }
 
     /// Creates a CSR matrix from raw arrays with **no** invariant checks.
@@ -68,210 +81,116 @@ impl Csr {
         crd: Vec<usize>,
         vals: Vec<f64>,
     ) -> Self {
-        Csr { nrows, ncols, pos, crd, vals }
+        let (format, modes) = levels(nrows, rows_sorted(&pos, &crd), pos, crd);
+        Csr(Tensor::from_parts_unchecked(vec![nrows, ncols], format, modes, vals))
     }
 
-    /// Checks the CSR storage invariants: `pos` has `nrows + 1` entries,
-    /// starts at 0, is monotone and ends at `crd.len()`; `crd` and `vals`
-    /// have equal length; every column coordinate is in bounds; and every
-    /// value is finite. Row entries may be unsorted (MKL-style results are
-    /// legal), so sortedness is *not* required — see [`Csr::is_sorted`].
+    /// [`Tensor::validate`] of the matrix's `(d,s)` or `(d,h)` tensor.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidStorage`] describing the first violated
-    /// invariant (level 0 for `pos` faults, level 1 for `crd`/`vals` faults).
+    /// [`TensorError::InvalidStorage`] for the first violated invariant.
     pub fn validate(&self) -> Result<()> {
-        crate::storage::check_pos_level(&self.pos, self.crd.len(), self.nrows, 0)?;
-        // Rows may be unsorted (ordered = false) and may repeat columns
-        // (unique = false); only bounds are enforced.
-        crate::storage::check_crd_level(
-            &self.pos, &self.crd, self.nrows, self.ncols, false, false, 1,
-        )?;
-        crate::storage::check_vals_level(&self.vals, self.crd.len(), 1)?;
-        Ok(())
+        self.0.validate()
     }
 
-    /// Creates an empty (all-zero) matrix.
-    pub fn zero(nrows: usize, ncols: usize) -> Self {
-        Csr { nrows, ncols, pos: vec![0; nrows + 1], crd: Vec::new(), vals: Vec::new() }
-    }
-
-    /// Builds a CSR matrix from `(row, col, value)` triplets. Duplicates are
-    /// summed and rows end up sorted.
+    /// Builds a CSR matrix from `(row, col, value)` triplets, as
+    /// [`Tensor::from_entries`] does: duplicates are summed and rows end up
+    /// sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a triplet is out of bounds.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
-        let mut t: Vec<_> = triplets.to_vec();
-        t.sort_by_key(|&(r, c, _)| (r, c));
-        let mut pos = vec![0usize; nrows + 1];
-        let mut crd = Vec::with_capacity(t.len());
-        let mut vals: Vec<f64> = Vec::with_capacity(t.len());
-        for &(r, c, v) in &t {
-            assert!(r < nrows && c < ncols, "triplet ({r},{c}) out of bounds");
-            if crd.len() > pos[r] && *crd.last().unwrap() == c && pos[r + 1] == crd.len() {
-                *vals.last_mut().unwrap() += v;
-            } else {
-                crd.push(c);
-                vals.push(v);
-                pos[r + 1] = crd.len();
-            }
+        let entries = triplets.iter().map(|&(r, c, v)| ([r, c], v));
+        match Tensor::pack(vec![nrows, ncols], Format::csr(), entries) {
+            Ok(t) => Csr(t),
+            Err(e) => panic!("invalid triplet: {e}"),
         }
-        // Fill gaps: pos[r+1] currently only set for rows with entries.
-        for r in 0..nrows {
-            if pos[r + 1] < pos[r] {
-                pos[r + 1] = pos[r];
-            }
-        }
-        Csr { nrows, ncols, pos, crd, vals }
     }
 
     /// Number of rows.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.0.dim(0)
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.0.dim(1)
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.0.nnz()
+    }
+
+    /// The column level's `pos` and `crd` arrays.
+    fn columns(&self) -> (&[usize], &[usize]) {
+        match self.0.mode_storage(1) {
+            ModeStorage::Compressed { pos, crd } => (pos, crd),
+            _ => unreachable!("a Csr's column level is compressed or hashed"),
+        }
     }
 
     /// The row-segment position array (`B_pos` in the paper).
     pub fn pos(&self) -> &[usize] {
-        &self.pos
+        self.columns().0
     }
 
     /// The column coordinate array (`B_crd` in the paper).
     pub fn crd(&self) -> &[usize] {
-        &self.crd
+        self.columns().1
     }
 
     /// The value array (`B` in the paper).
     pub fn vals(&self) -> &[f64] {
-        &self.vals
+        self.0.vals()
     }
 
     /// The column coordinates and values of row `i`.
     pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let lo = self.pos[i];
-        let hi = self.pos[i + 1];
-        (&self.crd[lo..hi], &self.vals[lo..hi])
+        let (pos, crd) = self.columns();
+        let rows = pos[i]..pos[i + 1];
+        (&crd[rows.clone()], &self.vals()[rows])
     }
 
-    /// True if every row's column coordinates are strictly increasing.
+    /// True if the matrix is `(d,s)`: every row's column coordinates are
+    /// strictly increasing.
     pub fn is_sorted(&self) -> bool {
-        (0..self.nrows).all(|i| {
-            let (c, _) = self.row(i);
-            c.windows(2).all(|w| w[0] < w[1])
-        })
+        *self.0.format() == Format::csr()
     }
 
-    /// Sorts every row's entries by column coordinate (stable on values).
-    pub fn sort_rows(&mut self) {
-        for i in 0..self.nrows {
-            let lo = self.pos[i];
-            let hi = self.pos[i + 1];
-            let mut idx: Vec<usize> = (lo..hi).collect();
-            idx.sort_by_key(|&q| self.crd[q]);
-            let crd: Vec<usize> = idx.iter().map(|&q| self.crd[q]).collect();
-            let vals: Vec<f64> = idx.iter().map(|&q| self.vals[q]).collect();
-            self.crd[lo..hi].copy_from_slice(&crd);
-            self.vals[lo..hi].copy_from_slice(&vals);
-        }
-    }
-
-    /// Returns the transposed matrix (CSC of `self`, stored as CSR of the
-    /// transpose), with sorted rows.
-    pub fn transpose(&self) -> Csr {
-        // Counting sort by column: O(nnz + ncols).
-        let mut pos = vec![0usize; self.ncols + 1];
-        for &c in &self.crd {
-            pos[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            pos[c + 1] += pos[c];
-        }
-        let mut crd = vec![0usize; self.nnz()];
-        let mut vals = vec![0.0f64; self.nnz()];
-        let mut next = pos.clone();
-        for i in 0..self.nrows {
-            for q in self.pos[i]..self.pos[i + 1] {
-                let c = self.crd[q];
-                crd[next[c]] = i;
-                vals[next[c]] = self.vals[q];
-                next[c] += 1;
-            }
-        }
-        Csr { nrows: self.ncols, ncols: self.nrows, pos, crd, vals }
-    }
-
-    /// Converts a `(d,s)` or `(d,h)` [`Tensor`] into this flat form, rows as stored.
+    /// Wraps a `(d,s)` or `(d,h)` [`Tensor`], rows as stored.
     ///
     /// # Errors
     ///
     /// Returns an error if the tensor is not rank-2 `(d,s)` or `(d,h)`.
     pub fn from_tensor(t: &Tensor) -> Result<Self> {
-        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
-        if ![Format::csr(), dh].contains(t.format()) {
+        if ![Format::csr(), unsorted_rows()].contains(t.format()) {
             return Err(TensorError::FormatMismatch { expected: "rank-2 (d,s) or (d,h) tensor" });
         }
-        Ok(Csr {
-            nrows: t.dim(0),
-            ncols: t.dim(1),
-            pos: t.pos(1)?.to_vec(),
-            crd: t.crd(1)?.to_vec(),
-            vals: t.vals().to_vec(),
-        })
+        Ok(Csr(t.clone()))
     }
 
-    /// Converts into a CSR [`Tensor`]. Unsorted rows are sorted and repeated
-    /// columns summed, in stored order, by [`TensorBuilder`]; sorted rows are
-    /// taken as they are.
+    /// The matrix as a CSR [`Tensor`]: its own tensor when its rows are
+    /// sorted, that tensor converted to `(d,s)` when they are not.
     pub fn to_tensor(&self) -> Tensor {
-        let shape = vec![self.nrows, self.ncols];
-        let (pos, crd, vals) = (&self.pos, &self.crd, Some(&self.vals[..]));
-        let built = if self.is_sorted() {
-            Tensor::from_appended_level(shape, Format::csr(), pos, crd, None, vals)
+        if self.is_sorted() {
+            self.0.clone()
         } else {
-            TensorBuilder::new(shape, Format::csr()).and_then(|mut b| {
-                b.reserve(self.nnz());
-                for i in 0..self.nrows {
-                    let (crd, vals) = self.row(i);
-                    for (&j, &v) in crd.iter().zip(vals) {
-                        b.insert(&[i, j], v)?;
-                    }
-                }
-                Ok(b.build())
-            })
-        };
-        built.expect("pos/crd/vals agree by construction (Csr::from_raw's checks)")
+            self.0.convert(Format::csr()).expect("a (d,h) matrix converts to (d,s)")
+        }
     }
 
-    /// Dense `nrows * ncols` row-major image of the matrix (duplicates
-    /// summed).
+    /// Dense `nrows * ncols` row-major image of the matrix.
     pub fn to_dense_vec(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.nrows * self.ncols];
-        for i in 0..self.nrows {
-            let (cs, vs) = self.row(i);
-            for (c, v) in cs.iter().zip(vs) {
-                out[i * self.ncols + c] += *v;
-            }
-        }
-        out
+        self.0.to_dense().into_data()
     }
 
     /// True if the two matrices represent the same values up to `tol`
-    /// (entry order within rows does not matter; duplicates are summed).
+    /// (entry order within rows does not matter).
     pub fn approx_eq(&self, other: &Csr, tol: f64) -> bool {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return false;
-        }
-        let a = self.to_dense_vec();
-        let b = other.to_dense_vec();
-        a.iter().zip(&b).all(|(x, y)| (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())))
+        self.0.approx_eq(&other.0, tol)
     }
 }
 
@@ -296,12 +215,12 @@ mod tests {
 
     #[test]
     fn sortedness() {
-        let mut a = Csr::from_raw(1, 4, vec![0, 3], vec![2, 0, 3], vec![1.0, 2.0, 3.0]);
+        let a = Csr::from_raw(1, 4, vec![0, 3], vec![2, 0, 3], vec![1.0, 2.0, 3.0]);
         assert!(!a.is_sorted());
-        a.sort_rows();
-        assert!(a.is_sorted());
-        assert_eq!(a.crd(), &[0, 2, 3]);
-        assert_eq!(a.vals(), &[2.0, 1.0, 3.0]);
+        let t = a.to_tensor();
+        assert_eq!(t.crd(1).unwrap(), &[0, 2, 3]);
+        assert_eq!(t.vals(), &[2.0, 1.0, 3.0]);
+        assert!(Csr::from_tensor(&t).unwrap().is_sorted());
     }
 
     #[test]
@@ -327,10 +246,8 @@ mod tests {
 
     #[test]
     fn a_hashed_tensor_keeps_its_row_order() {
-        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
-        let (pos, crd) = ([0usize, 2], [3usize, 1]);
-        let t = Tensor::from_appended_level(vec![1, 4], dh, &pos, &crd, None, Some(&[1.0, 2.0]))
-            .unwrap();
+        let (format, modes) = levels(1, false, vec![0, 2], vec![3, 1]);
+        let t = Tensor::from_parts(vec![1, 4], format, modes, vec![1.0, 2.0]);
         let m = Csr::from_tensor(&t).unwrap();
         assert_eq!((m.crd(), m.vals()), (&[3, 1][..], &[1.0, 2.0][..]));
         assert_eq!(m.to_tensor(), t.convert(Format::csr()).unwrap());
@@ -344,33 +261,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pos must be monotone")]
+    #[should_panic(expected = "pos is not monotone")]
     fn from_raw_validates_pos() {
         Csr::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]);
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = crate::gen::random_csr(13, 17, 0.3, 99);
-        let t = a.transpose();
-        assert_eq!(t.nrows(), 17);
-        assert_eq!(t.ncols(), 13);
-        assert!(t.is_sorted());
-        assert!(t.transpose().approx_eq(&a, 0.0));
-        // Spot-check one entry.
-        let ad = a.to_dense_vec();
-        let td = t.to_dense_vec();
-        for i in 0..13 {
-            for j in 0..17 {
-                assert_eq!(ad[i * 17 + j], td[j * 13 + i]);
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_empty() {
-        let a = Csr::zero(3, 5);
-        let t = a.transpose();
-        assert_eq!((t.nrows(), t.ncols(), t.nnz()), (5, 3, 0));
+    #[should_panic(expected = "repeats coordinate 1")]
+    fn from_raw_refuses_a_repeated_column() {
+        Csr::from_raw(2, 3, vec![0, 1, 4], vec![0, 1, 2, 1], vec![1.0; 4]);
     }
 }

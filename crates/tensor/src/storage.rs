@@ -51,10 +51,8 @@ impl ModeStorage {
     }
 }
 
-/// Per-level `pos` invariants shared by every `pos`/`crd` representation
-/// (the generic [`Tensor`], the flat [`crate::Csr`] and [`crate::Csf3`]
-/// views): starts at 0, one entry per parent position plus one, monotone,
-/// ends at `crd_len`.
+/// Per-level `pos` invariants: starts at 0, one entry per parent position
+/// plus one, monotone, ends at `crd_len`.
 pub(crate) fn check_pos_level(
     pos: &[usize],
     crd_len: usize,
@@ -136,7 +134,7 @@ pub(crate) fn check_crd_level(
 }
 
 /// Value-array length invariant: one value per innermost position.
-fn check_vals_len(vals: &[f64], positions: usize, level: usize) -> Result<()> {
+pub(crate) fn check_vals_len(vals: &[f64], positions: usize, level: usize) -> Result<()> {
     let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
     if vals.len() != positions {
         return bad(format!(
@@ -458,19 +456,29 @@ impl Tensor {
         format: Format,
         entries: Vec<(Vec<usize>, f64)>,
     ) -> Result<Self> {
+        Tensor::pack(shape, format, entries.into_iter())
+    }
+
+    /// [`Tensor::from_entries`] over any coordinate type, so a caller with
+    /// fixed-rank coordinates (a `[usize; 2]` per entry) allocates none per
+    /// entry.
+    pub(crate) fn pack<C: AsRef<[usize]>>(
+        shape: Vec<usize>,
+        format: Format,
+        entries: impl ExactSizeIterator<Item = (C, f64)>,
+    ) -> Result<Self> {
         let mut b = TensorBuilder::new(shape, format)?;
         b.reserve(entries.len());
         for (coord, val) in entries {
-            b.insert(&coord, val)?;
+            b.insert(coord.as_ref(), val)?;
         }
         Ok(b.build())
     }
 
     /// Builds a tensor of dense levels above one innermost compressed or
     /// hashed level — `(d,s)`, `(d,d,h)`, the formats a kernel can append a
-    /// result into — directly from that level's arrays as an append-assembling
-    /// producer holds them (a kernel's `i64` buffers, a [`crate::Csr`]'s
-    /// `usize` arrays), without decoding them into coordinates.
+    /// result into — directly from that level's arrays as the kernel's `i64`
+    /// buffers hold them, without decoding them into coordinates.
     ///
     /// The arrays are untrusted and checked in one pass: `pos` has one entry
     /// per parent position plus one, starts at 0, is monotone and ends at
@@ -492,17 +500,14 @@ impl Tensor {
     /// Returns [`TensorError::FormatMismatch`] for any other format and
     /// [`TensorError::InvalidStorage`] (at the appended level) for the first
     /// violated array invariant.
-    pub fn from_appended_level<I>(
+    pub fn from_appended_level(
         shape: Vec<usize>,
         format: Format,
-        pos: &[I],
-        crd: &[I],
-        nnz: Option<I>,
+        pos: &[i64],
+        crd: &[i64],
+        nnz: Option<i64>,
         vals: Option<&[f64]>,
-    ) -> Result<Tensor>
-    where
-        I: Copy + TryInto<usize> + std::fmt::Display,
-    {
+    ) -> Result<Tensor> {
         let level = shape.len().checked_sub(1).ok_or(TensorError::EmptyShape)?;
         let hashed = format.modes().last() == Some(&LevelType::Hashed);
         let mut level_types = vec![LevelType::Dense; level];
@@ -513,12 +518,12 @@ impl Tensor {
             });
         }
         let bad = |detail: String| TensorError::InvalidStorage { level, detail };
-        let index = |what: &str, v: I| {
-            v.try_into().map_err(|_| bad(format!("{what} value {v} is not a valid index")))
+        let index = |what: &str, v: i64| {
+            usize::try_from(v).map_err(|_| bad(format!("{what} value {v} is not a valid index")))
         };
         // Sized up front: collecting into a `Result` loses the length hint
         // and would regrow the vector log(n) times.
-        let indices = |what: &str, xs: &[I]| {
+        let indices = |what: &str, xs: &[i64]| {
             let mut out = Vec::with_capacity(xs.len());
             for &v in xs {
                 out.push(index(what, v)?);

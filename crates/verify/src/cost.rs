@@ -375,8 +375,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
         .collect();
     // Map footprints are themselves single charges (the meter checks the
     // whole footprint against the single-charge limit on every growth).
-    let charges =
-        walk.charges.into_iter().map(|(_, bytes)| bytes).chain(walk.map_footprints.into_values());
+    let charges = walk.charges.into_iter().chain(walk.map_footprints).map(|(_, bytes)| bytes);
     CostReport { iterations: walk.iterations, charges: charges.collect(), workspaces }
 }
 
@@ -484,8 +483,9 @@ struct Walk<'a> {
     scatters: HashMap<&'a str, Option<Sym>>,
     /// Map init-capacity bounds (for footprint math).
     map_caps: HashMap<&'a str, (WorkspaceKind, Bound)>,
-    /// Finished map footprint bounds.
-    map_footprints: HashMap<&'a str, Bound>,
+    /// Finished map footprint bounds, in the order the maps are first
+    /// initialized.
+    map_footprints: Vec<(&'a str, Bound)>,
 
     /// Single-charge bounds, with the array or workspace each charges.
     charges: Vec<(&'a str, Bound)>,
@@ -514,7 +514,7 @@ impl<'a> Walk<'a> {
             counters: HashMap::new(),
             scatters: HashMap::new(),
             map_caps: HashMap::new(),
-            map_footprints: HashMap::new(),
+            map_footprints: Vec::new(),
             charges: Vec::new(),
             iterations: Bound::zero(),
         }
@@ -957,7 +957,11 @@ impl<'a> Walk<'a> {
         let scatters_bound = Bound::from_opt(scatters, "scatter count not bounded");
         let entries =
             cap.add(&scatters_bound.mul_const(2)).add(&Bound::Finite(Sym::int(8)));
-        self.map_footprints.insert(map, entries.mul_const(kind.entry_bytes()));
+        let footprint = entries.mul_const(kind.entry_bytes());
+        match self.map_footprints.iter_mut().find(|(m, _)| *m == map) {
+            Some((_, bound)) => *bound = footprint,
+            None => self.map_footprints.push((map, footprint)),
+        }
     }
 }
 
@@ -1214,5 +1218,31 @@ mod tests {
         // Declared from the segment of another row.
         let (other_row, _) = cursor("pB", "B", var("i") + Expr::int(1));
         assert_eq!(fused(vec![rows(vec![other_row, walk()])]), old);
+    }
+
+    #[test]
+    fn map_footprints_are_charged_in_the_order_the_maps_are_initialized() {
+        use taco_llir::ArrayTy;
+        let map = |ws: &str, kind| {
+            let init = Stmt::WsInit { ws: ws.into(), kind, ty: ArrayTy::F64, extent: var("A2_dim") };
+            let scatter =
+                Stmt::WsScatter { ws: ws.into(), key: var("j"), val: Expr::float(1.0), add: true };
+            (init, scatter)
+        };
+        let (init_h, scatter_h) = map("wh", WorkspaceKind::Hash);
+        let (init_c, scatter_c) = map("wc", WorkspaceKind::CoordList);
+        let body = vec![
+            init_h,
+            init_c,
+            rows(vec![Stmt::for_("j", Expr::int(0), var("A2_dim"), vec![scatter_h, scatter_c])]),
+        ];
+        let kernel = lowered(KernelKind::Fused, body);
+        let first = analyze_cost(&kernel).charges;
+        let rendered: Vec<String> = first.iter().map(ToString::to_string).collect();
+        assert_eq!(rendered.len(), 2, "{rendered:?}");
+        assert_ne!(rendered[0], rendered[1], "the two maps must be told apart");
+        for _ in 0..32 {
+            assert_eq!(analyze_cost(&kernel).charges, first);
+        }
     }
 }

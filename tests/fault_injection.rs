@@ -435,7 +435,7 @@ fn iteration_fuse_stops_runaway_kernels() {
         .unwrap();
     let err = kernel.run(&[("B", &b), ("C", &c)]).unwrap_err();
     match err {
-        CoreError::BudgetExceeded { resource, limit, .. } => {
+        CoreError::Run(RunError::BudgetExceeded { resource, limit, .. }) => {
             assert_eq!(resource, BudgetResource::LoopIterations);
             assert_eq!(limit, 10);
         }
@@ -457,7 +457,7 @@ fn allocation_budget_stops_oversized_runs() {
         .unwrap();
     let err = kernel.run(&[("B", &b), ("C", &c)]).unwrap_err();
     match err {
-        CoreError::BudgetExceeded { resource, .. } => {
+        CoreError::Run(RunError::BudgetExceeded { resource, .. }) => {
             assert!(
                 resource == BudgetResource::TotalBytes
                     || resource == BudgetResource::WorkspaceBytes,
@@ -787,16 +787,12 @@ fn corrupted_raw_csr_and_csf_are_rejected_by_validate() {
 
     let t = gen::random_csf3([4, 4, 4], 12, 13);
     assert!(t.validate().is_ok());
-    let mut pos1 = t.pos1().to_vec();
+    let level = |l: usize| (t.pos(l).to_vec(), t.crd(l).to_vec());
+    let mut pos1 = t.pos(0).to_vec();
     *pos1.last_mut().unwrap() += 3; // points past crd1
     let bad = Csf3::from_raw_unchecked(
         t.dims(),
-        pos1,
-        t.crd1().to_vec(),
-        t.pos2().to_vec(),
-        t.crd2().to_vec(),
-        t.pos3().to_vec(),
-        t.crd3().to_vec(),
+        [(pos1, t.crd(0).to_vec()), level(1), level(2)],
         t.vals().to_vec(),
     );
     assert!(bad.validate().is_err());

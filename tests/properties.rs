@@ -920,3 +920,94 @@ proptest! {
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }
+
+// The flat views (`Csr`, `Csf3`) are their tensors: a `Csr` is a `(d,s)`
+// tensor when its rows are sorted and a `(d,h)` one when they are not, a
+// `Csf3` an `(s,s,s)` one. Packing through a view must give bit for bit
+// what `Tensor::from_entries` gives for the same entries.
+
+/// Equal structure and bitwise-equal values (`==` lets `-0.0` equal `0.0`).
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a == b && a.vals().iter().zip(b.vals()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Sorted rows, shuffled unique rows, empty rows and explicit `0.0` and
+    /// `-0.0` values.
+    #[test]
+    fn csr_views_pack_as_from_entries_bitwise(
+        nrows in 1usize..8,
+        ncols in 1usize..9,
+        shuffled in 0usize..2,
+        seed in 0u64..100_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        const PALETTE: [f64; 6] = [1.5, -2.25, 0.0, -0.0, 7.0, -1e-300];
+        let (mut pos, mut crd, mut triplets) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..nrows {
+            let mut row: Vec<usize> = match rng.gen_range(0usize..3) {
+                0 => Vec::new(),
+                _ => (0..ncols).filter(|_| rng.gen_bool(0.6)).collect(),
+            };
+            if shuffled == 1 {
+                for k in (1..row.len()).rev() {
+                    row.swap(k, rng.gen_range(0..k + 1));
+                }
+            }
+            triplets.extend(row.iter().map(|&j| (i, j, PALETTE[rng.gen_range(0..PALETTE.len())])));
+            crd.extend(row);
+            pos.push(crd.len());
+        }
+        let vals: Vec<f64> = triplets.iter().map(|t| t.2).collect();
+        let shape = vec![nrows, ncols];
+        let entries = triplets.iter().map(|&(i, j, v)| (vec![i, j], v)).collect();
+        let want = Tensor::from_entries(shape.clone(), Format::csr(), entries).unwrap();
+
+        let m = Csr::from_raw(nrows, ncols, pos.clone(), crd.clone(), vals.clone());
+        m.validate().unwrap();
+        prop_assert!(same_bits(&m.to_tensor(), &want), "{m:?}");
+
+        // `from_tensor` keeps a `(d,s)` or `(d,h)` tensor's rows as stored.
+        let dh = Format::new(vec![LevelType::Dense, LevelType::Hashed]);
+        let modes = vec![
+            taco_tensor::ModeStorage::Dense { dim: nrows },
+            taco_tensor::ModeStorage::Compressed { pos, crd },
+        ];
+        let hashed = Tensor::from_parts(shape, dh, modes, vals);
+        for t in [&want, &hashed] {
+            let view = Csr::from_tensor(t).unwrap();
+            prop_assert_eq!(view.pos(), t.pos(1).unwrap());
+            prop_assert_eq!(view.crd(), t.crd(1).unwrap());
+            prop_assert_eq!(view.vals(), t.vals());
+            prop_assert!(same_bits(&view.to_tensor(), &t.convert(Format::csr()).unwrap()));
+        }
+    }
+
+    /// Repeated coordinates (summed), explicit `0.0` and `-0.0`, and empty
+    /// tensors.
+    #[test]
+    fn csf3_views_pack_as_from_entries_bitwise(
+        d0 in 1usize..5,
+        d1 in 1usize..5,
+        d2 in 1usize..5,
+        nnz in 0usize..24,
+        seed in 0u64..100_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        const PALETTE: [f64; 5] = [1.5, -2.25, 0.0, -0.0, 7.0];
+        let quads: Vec<(usize, usize, usize, f64)> = (0..nnz)
+            .map(|_| {
+                let v = PALETTE[rng.gen_range(0..PALETTE.len())];
+                (rng.gen_range(0..d0), rng.gen_range(0..d1), rng.gen_range(0..d2), v)
+            })
+            .collect();
+        let entries = quads.iter().map(|&(i, k, l, v)| (vec![i, k, l], v)).collect();
+        let want = Tensor::from_entries(vec![d0, d1, d2], Format::csf3(), entries).unwrap();
+        let got = taco_tensor::Csf3::from_quads([d0, d1, d2], &quads).to_tensor();
+        prop_assert!(same_bits(&got, &want), "{got:?}");
+    }
+}
