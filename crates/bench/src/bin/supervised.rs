@@ -12,7 +12,7 @@
 //! cargo run --release -p taco-bench --bin supervised
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use taco_bench::timing::{fmt_duration, time_best};
 use taco_bench::BenchArgs;
 use taco_core::{IndexStmt, Supervisor};
@@ -93,8 +93,20 @@ fn main() {
     )
     .expect("valid tensor");
 
-    println!("DEGRADE AND RETRY: sampled product with a pathological workspace, 50 ms deadline\n");
-    let deadline = Supervisor::new().with_deadline(Duration::from_millis(50));
+    // The deadline is a quarter of an unsupervised run of the scheduled
+    // kernel on the same operands, so it aborts however fast the
+    // interpreter scans.
+    let scheduled = sampled.compile(LowerOptions::fused("sampled")).expect("compiles");
+    let mut binding = scheduled.bind(&[("B", &b2t), ("C", &c2t)], None).expect("binds");
+    let start = Instant::now();
+    scheduled.run_bound(&mut binding).expect("runs");
+    let limit = start.elapsed() / 4;
+    println!(
+        "DEGRADE AND RETRY: sampled product with a pathological workspace, {} deadline \
+         (a quarter of an unsupervised run)\n",
+        fmt_duration(limit)
+    );
+    let deadline = Supervisor::new().with_deadline(limit);
     let engine = Engine::builder().backend(Backend::Interp).budget(deadline.budget()).build();
     match engine.run_supervised(
         &sampled,

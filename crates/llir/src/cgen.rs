@@ -1205,6 +1205,18 @@ mod leaf_tests {
         assert!(c.contains("a10[i7] += (a6[i5] * a7[((i6 * i0) + i7)]);"), "{c}");
         assert!(c.contains("a10[i8] = 0.0;"), "{c}");
     }
+
+    #[test]
+    fn the_interpreter_runs_exactly_the_simd_strips_as_lane_programs() {
+        for (kernel, simd) in [(workspace_mttkrp(), 2), (fig2_spgemm(), 0), (merge_add(), 0)] {
+            let exe = Executable::compile(&kernel).unwrap();
+            let lanes = crate::leaf::loop_plans(&exe.body)
+                .into_iter()
+                .filter(|p| p.and_then(|p| p.strip.as_ref()).is_some_and(|s| s.lanes.is_some()))
+                .count();
+            assert_eq!((lanes, tu(&kernel).matches(LEAF_SIMD_PRAGMA).count()), (simd, simd));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,13 @@
 //! check once, at loop entry, and then runs the loop a strip at a time —
 //! between two supervision polls — through the same evaluators under an
 //! access policy that cannot fault, over a body whose loop-invariant
-//! subexpressions were evaluated once into scalar slots. Every other loop,
-//! and a leaf loop whose precondition is false, runs one checked element at
-//! a time.
+//! subexpressions were evaluated once into scalar slots; a strip whose
+//! lanes are independent runs as its lane program instead, one statement at
+//! a time over a chunk of lanes. Every other loop, and a leaf loop whose
+//! precondition is false, runs one checked element at a time.
 
 use crate::alloc::{elem_bytes, BudgetMeter};
-use crate::leaf::{self, Access, LeafIndex, LoopBody, Slots, Strip};
+use crate::leaf::{self, Access, LaneOffset, LaneOp, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
     visit_stmts, ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
     ResourceBudget, Rows, RunError, Stmt, UnOp, WorkspaceKind,
@@ -1331,10 +1332,19 @@ impl Mach<'_> {
                 self.check_countdown -= n as u32;
                 self.budget.iterations_left -= n;
                 let end = iv.wrapping_add(n as i64);
-                while iv < end {
-                    self.ints[slot] = iv;
-                    self.exec_decided(&strip.body);
-                    iv += 1;
+                match &strip.lanes {
+                    Some(ops) if n >= leaf::MIN_LANES => {
+                        self.exec_lanes(ops, iv, n as usize);
+                        self.ints[slot] = end - 1;
+                        iv = end;
+                    }
+                    _ => {
+                        while iv < end {
+                            self.ints[slot] = iv;
+                            self.exec_decided(&strip.body);
+                            iv += 1;
+                        }
+                    }
                 }
                 if iv == hi {
                     break;
@@ -1350,6 +1360,95 @@ impl Mach<'_> {
 
     fn exec_decided(&mut self, stmts: &[RStmt]) {
         let Ok(()) = self.exec_block::<Decided>(stmts);
+    }
+
+    /// Iterations `[iv, iv + n)` of a decided strip, run as its lane
+    /// program a chunk of up to [`leaf::LANES`] iterations at a time: each
+    /// op over every lane of the chunk, then the next op. The register file
+    /// is on the stack. Like [`Decided`], nothing here can fault: the
+    /// precondition put every lane's element in range and every stored
+    /// array in the machine's own hands, and a violation is a slice-index
+    /// panic.
+    #[inline(never)]
+    fn exec_lanes(&mut self, ops: &[LaneOp], iv: i64, n: usize) {
+        let mut regs = [[0.0f64; leaf::LANES]; leaf::LANE_REGS];
+        let mut done = 0;
+        while done < n {
+            let w = (n - done).min(leaf::LANES);
+            let first = iv.wrapping_add(done as i64);
+            for op in ops {
+                self.lane_op(op, &mut regs, first, w);
+            }
+            done += w;
+        }
+    }
+
+    /// One lane op over the first `w` lanes of a chunk whose first iteration
+    /// is `first`.
+    fn lane_op(&mut self, op: &LaneOp, regs: &mut LaneRegs, first: i64, w: usize) {
+        // Lane `k`'s element: `offset + first + k`, which the precondition
+        // found in range without wrapping.
+        let at = |m: &Mach<'_>, offset: LaneOffset| {
+            let offset = match offset {
+                LaneOffset::Lit(k) => k,
+                LaneOffset::Slot(s) => m.ints[s],
+                LaneOffset::MinusSlot(s) => m.ints[s].wrapping_neg(),
+            };
+            offset.wrapping_add(first) as usize
+        };
+        match *op {
+            LaneOp::Splat(r, s) => regs[usize::from(r)][..w].fill(self.floats[s]),
+            LaneOp::Const(r, v) => regs[usize::from(r)][..w].fill(v),
+            LaneOp::LoadF64(r, arr, offset) => {
+                let at = at(self, offset);
+                let ArrayVal::F64(src) = &self.arrays[arr] else { unreachable!("an F64 array") };
+                regs[usize::from(r)][..w].copy_from_slice(&src[at..at + w]);
+            }
+            LaneOp::LoadF32(r, arr, offset) => {
+                let at = at(self, offset);
+                let ArrayVal::F32(src) = &self.arrays[arr] else { unreachable!("an F32 array") };
+                for (d, s) in regs[usize::from(r)][..w].iter_mut().zip(&src[at..at + w]) {
+                    *d = f64::from(*s);
+                }
+            }
+            LaneOp::Bin(op, r) => {
+                let (head, tail) = regs.split_at_mut(usize::from(r) + 1);
+                let (d, s) = (&mut head[usize::from(r)][..w], &tail[0][..w]);
+                match op {
+                    BinOp::Add => lanes(d, s, |x, y| x + y),
+                    BinOp::Sub => lanes(d, s, |x, y| x - y),
+                    BinOp::Mul => lanes(d, s, |x, y| x * y),
+                    BinOp::Div => lanes(d, s, |x, y| x / y),
+                    BinOp::Rem => lanes(d, s, |x, y| x % y),
+                    BinOp::Min => lanes(d, s, f64::min),
+                    BinOp::Max => lanes(d, s, f64::max),
+                    _ => unreachable!("non-arithmetic op in float expression"),
+                }
+            }
+            LaneOp::Neg(r) => regs[usize::from(r)][..w].iter_mut().for_each(|d| *d = -*d),
+            LaneOp::StoreF64 { arr, at: offset, src, add } => {
+                let at = at(self, offset);
+                let Ok(dst) = self.writable::<f64, Decided>(arr);
+                let (dst, src) = (&mut dst[at..at + w], &regs[usize::from(src)][..w]);
+                if add {
+                    lanes(dst, src, |x, y| x + y);
+                } else {
+                    dst.copy_from_slice(src);
+                }
+            }
+            LaneOp::StoreF32 { arr, at: offset, src, add } => {
+                let at = at(self, offset);
+                let Ok(dst) = self.writable::<f32, Decided>(arr);
+                let (dst, src) = (&mut dst[at..at + w], &regs[usize::from(src)][..w]);
+                for (d, v) in dst.iter_mut().zip(src) {
+                    if add {
+                        *d += *v as f32;
+                    } else {
+                        *d = *v as f32;
+                    }
+                }
+            }
+        }
     }
 
     /// Decides, from the bounds of a leaf loop entered with `lo < hi`, the
@@ -1419,6 +1518,17 @@ impl Mach<'_> {
         Ok(())
     }
 
+}
+
+/// The register file of a lane program.
+type LaneRegs = [[f64; leaf::LANES]; leaf::LANE_REGS];
+
+/// `d[k] = f(d[k], s[k])` for every lane.
+#[inline(always)]
+fn lanes(d: &mut [f64], s: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (x, y) in d.iter_mut().zip(s) {
+        *x = f(*x, *y);
+    }
 }
 
 fn cmp<T: PartialOrd>(op: BinOp, x: &T, y: &T) -> bool {

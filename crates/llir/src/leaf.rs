@@ -22,6 +22,11 @@
 //!   prologue that evaluates the body's maximal loop-invariant
 //!   subexpressions into fresh scalar slots, and the body rewritten over
 //!   those slots.
+//! * the interpreter also reads the strip's lane program, present when
+//!   [`LeafPlan::independent_lanes`] holds — the rule behind cgen's SIMD
+//!   loop — and the rewritten body is float stores of float arithmetic at
+//!   `offset ± loopvar`: a strip of at least [`MIN_LANES`] iterations then
+//!   runs one statement at a time over a chunk of [`LANES`] lanes.
 //!
 //! A loop with an access that is neither form (`x[crd[p]]`, `x[2*i]`) is
 //! *undecided*: it carries no strip and runs per element as it always did.
@@ -175,6 +180,135 @@ pub(crate) struct Strip {
     /// The body, reading the prologue's slots in place of the hoisted
     /// subexpressions.
     pub(crate) body: Vec<RStmt>,
+    /// The body as a lane program, when the strip's lanes are independent
+    /// ([`LeafPlan::independent_lanes`]) and every statement is a float
+    /// store of float arithmetic over slots, literals and unit-stride loads.
+    pub(crate) lanes: Option<Box<[LaneOp]>>,
+}
+
+// --- lane programs -------------------------------------------------------
+
+/// How many lanes one op of a lane program runs over before the next op
+/// starts: the width of a chunk, and of a register.
+pub(crate) const LANES: usize = 16;
+
+/// The registers of a lane program. A value holds one register per operand
+/// still pending on its way to a store; a body that needs more runs per
+/// element.
+pub(crate) const LANE_REGS: usize = 4;
+
+/// The fewest iterations a strip runs as its lane program. A single lane
+/// costs less per element than a register file.
+pub(crate) const MIN_LANES: u64 = 2;
+
+/// Where lane `k` of a chunk starting at iteration `iv` accesses its array:
+/// element `offset + iv + k`, the offset read once per chunk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum LaneOffset {
+    /// A literal offset; 0 for the bare loop variable.
+    Lit(i64),
+    /// An int slot the body never assigns.
+    Slot(usize),
+    /// Minus such a slot: `loopvar - slot`.
+    MinusSlot(usize),
+}
+
+/// One op of a lane program, run over every lane of a chunk before the next
+/// op starts. Registers index the chunk's register file, which holds
+/// [`LANE_REGS`] registers of [`LANES`] lanes each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum LaneOp {
+    /// `r` ← a float slot, in every lane.
+    Splat(u8, usize),
+    /// `r` ← a literal, in every lane.
+    Const(u8, f64),
+    /// `r` ← the lane's element of an `F64` array.
+    LoadF64(u8, usize, LaneOffset),
+    /// `r` ← the lane's element of an `F32` array, widened.
+    LoadF32(u8, usize, LaneOffset),
+    /// `r` ← `r op (r + 1)`, lane by lane: a float `Bin`.
+    Bin(BinOp, u8),
+    /// `r` ← `-r`.
+    Neg(u8),
+    /// The lane's element of an `F64` array ← `r`, or `+= r` when `add`.
+    StoreF64 { arr: usize, at: LaneOffset, src: u8, add: bool },
+    /// The lane's element of an `F32` array ← `r` narrowed, or `+=` it.
+    StoreF32 { arr: usize, at: LaneOffset, src: u8, add: bool },
+}
+
+/// Compiles the rewritten body of an independent strip over `var` into a
+/// lane program. `None` for a body with anything but float stores at an
+/// `offset ± var` index — an `If`, an int or bool value, `FromInt`, a load
+/// at any other index — or with a value deeper than [`LANE_REGS`].
+///
+/// Each op does, lane by lane, the IEEE operation the per-element evaluator
+/// does, with the same operands; lanes touch disjoint elements, so running
+/// a statement over all lanes before the next changes no bit of the result.
+fn lane_program(var: usize, body: &[RStmt]) -> Option<Box<[LaneOp]>> {
+    let mut ops = Vec::new();
+    for s in body {
+        let (arr, idx, val, f32, add) = match s {
+            RStmt::StoreF64(a, i, v) => (*a, i, v, false, false),
+            RStmt::StoreF32(a, i, v) => (*a, i, v, true, false),
+            RStmt::StoreAddF64(a, i, v) => (*a, i, v, false, true),
+            RStmt::StoreAddF32(a, i, v) => (*a, i, v, true, true),
+            _ => return None,
+        };
+        let at = lane_offset(var, idx)?;
+        lane_value(var, val, 0, &mut ops)?;
+        ops.push(if f32 {
+            LaneOp::StoreF32 { arr, at, src: 0, add }
+        } else {
+            LaneOp::StoreF64 { arr, at, src: 0, add }
+        });
+    }
+    Some(ops.into())
+}
+
+/// The offset of a rewritten `offset ± var` index, whose invariant operand
+/// the hoister left a literal or a slot.
+fn lane_offset(var: usize, idx: &IExpr) -> Option<LaneOffset> {
+    let is_var = |e: &IExpr| matches!(e, IExpr::Var(v) if *v == var);
+    let invariant = |e: &IExpr, minus: bool| match *e {
+        IExpr::Lit(k) => Some(LaneOffset::Lit(if minus { k.wrapping_neg() } else { k })),
+        IExpr::Var(s) if s != var => {
+            Some(if minus { LaneOffset::MinusSlot(s) } else { LaneOffset::Slot(s) })
+        }
+        _ => None,
+    };
+    match idx {
+        e if is_var(e) => Some(LaneOffset::Lit(0)),
+        IExpr::Bin(BinOp::Add, a, b) if is_var(b) => invariant(a, false),
+        IExpr::Bin(BinOp::Add, a, b) if is_var(a) => invariant(b, false),
+        IExpr::Bin(BinOp::Sub, a, b) if is_var(a) => invariant(b, true),
+        _ => None,
+    }
+}
+
+/// Appends the ops that leave `e` in register `r`, using the registers
+/// above it as scratch.
+fn lane_value(var: usize, e: &FExpr, r: u8, ops: &mut Vec<LaneOp>) -> Option<()> {
+    let op = match e {
+        FExpr::Lit(v) => LaneOp::Const(r, *v),
+        FExpr::Var(s) => LaneOp::Splat(r, *s),
+        FExpr::LoadF64(a, i) => LaneOp::LoadF64(r, *a, lane_offset(var, i)?),
+        FExpr::LoadF32(a, i) => LaneOp::LoadF32(r, *a, lane_offset(var, i)?),
+        FExpr::Bin(op, a, b) => {
+            if usize::from(r) + 1 >= LANE_REGS {
+                return None;
+            }
+            lane_value(var, a, r, ops)?;
+            lane_value(var, b, r + 1, ops)?;
+            LaneOp::Bin(*op, r)
+        }
+        FExpr::Neg(a) => {
+            lane_value(var, a, r, ops)?;
+            LaneOp::Neg(r)
+        }
+        FExpr::FromInt(_) => return None,
+    };
+    ops.push(op);
+    Some(())
 }
 
 /// Attaches a [`LeafPlan`] to every straight-line leaf loop under `body`,
@@ -341,9 +475,15 @@ fn plan(var: usize, body: &[RStmt], next: &mut Slots) -> Option<LeafPlan> {
         }
         let mut hoister = Hoister { writes: &writes, next, prologue: Vec::new() };
         let body = hoister.block(body);
-        Strip { accesses, prologue: hoister.prologue, body }
+        Strip { accesses, prologue: hoister.prologue, body, lanes: None }
     });
-    Some(LeafPlan { stores, strip })
+    let mut plan = LeafPlan { stores, strip };
+    if plan.independent_lanes() {
+        if let Some(strip) = &mut plan.strip {
+            strip.lanes = lane_program(var, &strip.body);
+        }
+    }
+    Some(plan)
 }
 
 fn push_distinct(out: &mut Vec<Access>, access: Access) {
@@ -593,8 +733,8 @@ pub(crate) fn loop_plans(body: &[RStmt]) -> Vec<Option<&LeafPlan>> {
 mod tests {
     use super::*;
     use crate::{
-        run_body, ArrayTy, Binding, Executable, Expr, Kernel, Param, ResourceBudget, RunControls,
-        Stmt,
+        run_body, ArrayTy, ArrayVal, Binding, Executable, Expr, Kernel, Param, Progress,
+        ResourceBudget, RunControls, RunError, Stmt,
     };
     use proptest::prelude::*;
 
@@ -725,59 +865,138 @@ mod tests {
         assert!(only_plan(&exe).is_none());
     }
 
+    #[test]
+    fn the_mttkrp_leaf_runs_as_four_lane_ops() {
+        // w[i] += y[c] * x[c*r + i]: splat the hoisted value, load the row
+        // at the hoisted offset, multiply, accumulate at `i`.
+        let exe = compiled(vec![Stmt::store_add(
+            "w",
+            v("i"),
+            ld("y", v("c")) * ld("x", v("c") * v("r") + v("i")),
+        )]);
+        let (value, row) = (exe.n_float, exe.n_int);
+        let arr = |name: &str| exe.array_names.iter().position(|n| n == name).unwrap();
+        assert_eq!(
+            strip(&exe).lanes.as_deref(),
+            Some(
+                &[
+                    LaneOp::Splat(0, value),
+                    LaneOp::LoadF64(1, arr("x"), LaneOffset::Slot(row)),
+                    LaneOp::Bin(BinOp::Mul, 0),
+                    LaneOp::StoreF64 { arr: arr("w"), at: LaneOffset::Lit(0), src: 0, add: true },
+                ][..]
+            )
+        );
+        // A strip whose lanes are not independent has no lane program:
+        // `w[i]` is stored, and loaded at another index.
+        let exe = compiled(vec![Stmt::store("w", v("i"), ld("w", v("c")) * Expr::float(2.0))]);
+        assert!(strip(&exe).lanes.is_none());
+    }
+
     // --- the planned interpreter against the per-element one -------------
 
-    /// Seven straight-line leaf loops over `i` in `[lo, hi)`, each run
-    /// `reps` times after an empty `spin`-trip leaf loop, so the loop is
-    /// entered at every phase of the supervision countdown.
-    fn differential_kernels() -> Vec<Executable> {
+    /// The straight-line leaf loops of the differential suite over `i` in
+    /// `[lo, hi)`, each with whether it carries a lane program. `x()` loads
+    /// `x` at `i - xo`, `x32()` its `F32` twin; `y[c]` is hoisted into a
+    /// float slot.
+    fn differential_bodies() -> Vec<(bool, Vec<Stmt>)> {
         let x = || ld("x", v("i") - v("xo"));
-        let bodies = vec![
-            // Element-wise.
-            vec![Stmt::store("out", v("off") + v("i"), Expr::float(2.0) * x())],
+        let x32 = || ld("x32", v("i") - v("xo"));
+        let y = || ld("y", v("c"));
+        let f = Expr::float;
+        let at = || v("off") + v("i");
+        let plus = |k: i64| v("i") + Expr::int(k);
+        vec![
+            // Element-wise, with a literal splat.
+            (true, vec![Stmt::store("out", at(), f(2.0) * x())]),
             // A guarded invariant accumulation with a counter.
-            vec![
-                Stmt::if_(
-                    x().gt(Expr::float(0.5)),
-                    vec![Stmt::store_add("acc", v("c"), x()), Stmt::incr("count")],
-                ),
-                Stmt::store_add("out", v("i") + v("off"), Expr::float(1.0)),
-            ],
+            (
+                false,
+                vec![
+                    Stmt::if_(
+                        x().gt(f(0.5)),
+                        vec![Stmt::store_add("acc", v("c"), x()), Stmt::incr("count")],
+                    ),
+                    Stmt::store_add("out", v("i") + v("off"), f(1.0)),
+                ],
+            ),
             // Two stores into one array at different offsets.
-            vec![
-                Stmt::store("out", v("off") + v("i"), x()),
-                Stmt::store_add("out", v("i"), Expr::float(1.0)),
-            ],
+            (false, vec![Stmt::store("out", at(), x()), Stmt::store_add("out", v("i"), f(1.0))]),
             // An integer array beside a float one.
-            vec![
-                Stmt::store("idx", v("i"), v("i") * Expr::int(3)),
-                Stmt::store_add("out", v("off") + v("i"), x()),
-            ],
+            (
+                false,
+                vec![
+                    Stmt::store("idx", v("i"), v("i") * Expr::int(3)),
+                    Stmt::store_add("out", at(), x()),
+                ],
+            ),
             // Loads from an array the body also stores to, one of them at
             // an invariant index an iteration may overwrite.
-            vec![Stmt::store(
-                "out",
-                v("off") + v("i"),
-                ld("out", v("i")) + ld("out", v("c") + Expr::int(2)) + x(),
-            )],
-            // A loop-invariant load and a loop-invariant product.
-            vec![Stmt::store(
-                "out",
-                v("off") + v("i"),
-                ld("y", v("c")) * x() + ld("y", v("c") * v("c")),
-            )],
+            (
+                false,
+                vec![Stmt::store(
+                    "out",
+                    at(),
+                    ld("out", v("i")) + ld("out", v("c") + Expr::int(2)) + x(),
+                )],
+            ),
+            // A loop-invariant load and a loop-invariant product: two slot
+            // splats.
+            (true, vec![Stmt::store("out", at(), y() * x() + ld("y", v("c") * v("c")))]),
             // A load inside an `If` no iteration takes.
-            vec![
-                Stmt::if_(
-                    v("hi").lt(v("i")),
-                    vec![Stmt::store("acc", Expr::int(0), ld("y", v("c")))],
-                ),
-                Stmt::store("out", v("off") + v("i"), x()),
-            ],
-        ];
-        bodies
+            (
+                false,
+                vec![
+                    Stmt::if_(v("hi").lt(v("i")), vec![Stmt::store("acc", Expr::int(0), y())]),
+                    Stmt::store("out", at(), x()),
+                ],
+            ),
+            // Add, Sub and Mul over a slot and a literal.
+            (true, vec![Stmt::store("out", at(), (x() + y()) - f(1.5) * x())]),
+            // An accumulation at `i + off`, through Div.
+            (true, vec![Stmt::store_add("out", v("i") + v("off"), x() / y())]),
+            // Rem, Min, Max and Neg; at `x = 0` Max meets `+0.0` and `-0.0`.
+            (true, vec![Stmt::store("out", at(), (x() % f(0.3)).min(y() * f(0.5)).max(-x()))]),
+            // Mixed precision: an `F32` accumulation, and an `F32` load
+            // widened into an `F64` store.
+            (
+                true,
+                vec![
+                    Stmt::store_add("o32", at(), x32() * y()),
+                    Stmt::store("out", at(), x32() - f(0.25)),
+                ],
+            ),
+            // A narrowing `F32` store and a literal fill.
+            (true, vec![Stmt::store("o32", at(), -x() * f(3.0)), Stmt::store("out", at(), f(0.0))]),
+            // A literal offset; the second statement reads what the first
+            // stored.
+            (
+                true,
+                vec![
+                    Stmt::store("out", plus(2), x() * f(0.5)),
+                    Stmt::store_add("out", plus(2), ld("out", plus(2)) * x()),
+                ],
+            ),
+            // `i - 2` and the bare loop variable.
+            (
+                true,
+                vec![
+                    Stmt::store("out", v("i") - Expr::int(2), x() - y()),
+                    Stmt::store("o32", v("i"), x()),
+                ],
+            ),
+            // Independent lanes, but deeper than the register file.
+            (false, vec![Stmt::store("out", at(), x() * (x() * (x() * (x() + f(1.0)))))]),
+        ]
+    }
+
+    /// The bodies of [`differential_bodies`], each run `reps` times after
+    /// an empty `spin`-trip leaf loop, so the loop is entered at every phase
+    /// of the supervision countdown; paired with their copies without plans.
+    fn differential_kernels() -> Vec<(Executable, Executable)> {
+        differential_bodies()
             .into_iter()
-            .map(|body| {
+            .map(|(lanes, body)| {
                 let kernel = Kernel::new("leaf")
                     .scalar_param("lo")
                     .scalar_param("hi")
@@ -787,8 +1006,10 @@ mod tests {
                     .scalar_param("reps")
                     .scalar_param("spin")
                     .array_param(Param::input("x", ArrayTy::F64))
+                    .array_param(Param::input("x32", ArrayTy::F32))
                     .array_param(Param::input("y", ArrayTy::F64))
                     .array_param(Param::output("out", ArrayTy::F64))
+                    .array_param(Param::output("o32", ArrayTy::F32))
                     .array_param(Param::output("acc", ArrayTy::F64))
                     .array_param(Param::output("idx", ArrayTy::Int))
                     .scalar_output("count")
@@ -804,25 +1025,116 @@ mod tests {
                     ]);
                 let exe = Executable::compile(&kernel).unwrap();
                 // The spin loop and the body loop are decided; the `rep`
-                // loop around them is not a leaf.
-                let decided = |p: &Option<&LeafPlan>| p.is_some_and(|p| p.strip.is_some());
-                assert_eq!(loop_plans(&exe.body).iter().filter(|p| decided(p)).count(), 2);
-                exe
+                // loop around them is not a leaf. The spin loop's lane
+                // program is empty.
+                let plans = loop_plans(&exe.body);
+                let decided: Vec<&Strip> =
+                    plans.iter().filter_map(|p| p.and_then(|p| p.strip.as_ref())).collect();
+                assert_eq!(decided.len(), 2);
+                assert_eq!(decided[0].lanes.as_deref(), Some(&[][..]));
+                assert_eq!(decided[1].lanes.is_some(), lanes, "{kernel:?}");
+                (exe.without_leaf_plans(), exe)
             })
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(400))]
+    /// The operands of a differential case. The loop runs `trip`
+    /// iterations from `lo`. `x` (and `x32`) starts `x_shift` elements
+    /// after the loop's first load and ends `x_slack` past its last; `out`
+    /// (and `o32`) ends `out_slack` past the largest `off + i` store.
+    struct Case {
+        lo: i64,
+        trip: i64,
+        off: i64,
+        x_shift: i64,
+        x_slack: i64,
+        out_slack: i64,
+        c: i64,
+        y_len: usize,
+        reps: u64,
+        spin: u64,
+        scale: f64,
+        seed: u64,
+    }
 
-        /// Outputs, scalar outputs, error payloads and `Progress` are
-        /// bit-identical between an `Executable` and its copy without
-        /// plans: every access in range, short by a few elements at either
-        /// end, or below zero; entered at any phase of the countdown;
-        /// unlimited or under a fuse that trips anywhere.
+    impl Case {
+        fn binding(&self) -> Binding {
+            let hi = self.lo + self.trip;
+            let mut b = Binding::new();
+            b.set_scalar("lo", self.lo)
+                .set_scalar("hi", hi)
+                .set_scalar("off", self.off)
+                .set_scalar("xo", self.lo + self.x_shift)
+                .set_scalar("c", self.c)
+                .set_scalar("reps", self.reps as i64)
+                .set_scalar("spin", self.spin as i64);
+            let x_len = (self.trip - self.x_shift + self.x_slack).max(0) as u64;
+            let x: Vec<f64> = (0..x_len)
+                .map(|k| self.scale * ((k * 7919 + self.seed) % 1000) as f64 / 1000.0)
+                .collect();
+            b.set_f32("x32", x.iter().map(|v| *v as f32).collect());
+            b.set_f64("x", x);
+            b.set_f64("y", (0..self.y_len).map(|k| 0.25 + k as f64).collect());
+            let out_len = (hi + self.off.max(0) + self.out_slack).max(0) as usize;
+            b.set_f64("out", (0..out_len).map(|k| 1.0 + k as f64).collect());
+            b.set_f32("o32", (0..out_len).map(|k| 0.5 + k as f32).collect());
+            b.set_f64("acc", vec![0.0; 4]);
+            b.set_int("idx", vec![-1; (hi + self.out_slack).max(0) as usize]);
+            b
+        }
+
+        /// Loop iterations of an unlimited run, the `rep` loop's included.
+        fn total(&self) -> u64 {
+            self.spin + self.reps * (1 + self.trip.max(0) as u64)
+        }
+    }
+
+    /// Every float of every output array, as bits.
+    fn output_bits(b: &Binding) -> Vec<u64> {
+        let mut b = b.clone();
+        ["out", "o32", "acc"]
+            .iter()
+            .flat_map(|a| match b.take(a) {
+                Some(ArrayVal::F64(v)) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                Some(ArrayVal::F32(v)) => v.iter().map(|x| u64::from(x.to_bits())).collect(),
+                other => panic!("{a} is {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Runs `binding` on a planned kernel and on its copy without plans;
+    /// outputs, scalar outputs, error payloads and `Progress` must be
+    /// bit-identical. Gives the planned run's counters and result.
+    fn differential(
+        (per_element, planned): &(Executable, Executable),
+        binding: &Binding,
+        budget: &ResourceBudget,
+    ) -> Result<(Progress, Result<(), RunError>), String> {
+        let mut pb = binding.clone();
+        let (progress, result) = run_body(planned, &mut pb, budget, RunControls::default());
+        let mut eb = binding.clone();
+        let (reference_progress, reference) =
+            run_body(per_element, &mut eb, budget, RunControls::default());
+        prop_assert_eq!(&result, &reference);
+        prop_assert_eq!(progress, reference_progress);
+        prop_assert_eq!(&pb, &eb);
+        prop_assert_eq!(output_bits(&pb), output_bits(&eb));
+        Ok((progress, result))
+    }
+
+    thread_local! {
+        static KERNELS: Vec<(Executable, Executable)> = differential_kernels();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// Every shape, every access in range, short by a few elements at
+        /// either end, or below zero; entered at any phase of the
+        /// countdown; unlimited or under a fuse that trips anywhere.
         #[test]
         fn planned_runs_match_per_element_runs(
-            shape in 0usize..7,
+            shape in 0usize..15,
             lo_raw in 0u64..13,
             trip_raw in 0u64..2600,
             long_trip in 0u8..4,
@@ -839,68 +1151,129 @@ mod tests {
             calm in 0u8..3,
             seed in 0u64..1000,
         ) {
-            thread_local! {
-                static KERNELS: Vec<(Executable, Executable)> = differential_kernels()
-                    .into_iter()
-                    .map(|exe| (exe.without_leaf_plans(), exe))
-                    .collect();
-            }
-            let lo = lo_raw as i64 - 6;
-            let trip = if long_trip == 0 { trip_raw } else { trip_raw % 40 } as i64;
-            let (hi, off) = (lo + trip, off_raw as i64 - 4);
             // About half the cases keep every access in range: the loads
             // of `x` start at its first element, `x` and `out` are long
             // enough. The rest miss by an element or a few, at either end.
             let skew = |raw: u64| [-1, 1, 0][raw.min(2) as usize];
-            let (x_shift, x_slack) = (skew(x_shift_raw), skew(x_slack_raw));
-            let out_slack = out_slack_raw.min(6) as i64 - 3;
-
-            let mut binding = Binding::new();
-            binding
-                .set_scalar("lo", lo)
-                .set_scalar("hi", hi)
-                .set_scalar("off", off)
-                .set_scalar("xo", lo + x_shift)
-                .set_scalar("c", c_raw as i64 - 2)
-                .set_scalar("reps", reps as i64)
-                .set_scalar("spin", spin as i64);
-            // A third of the cases never fire the guard of shape 1.
-            let scale = if calm == 0 { 0.5 } else { 1.0 };
-            let x_len = (trip - x_shift + x_slack).max(0) as u64;
-            let x = (0..x_len).map(|k| scale * ((k * 7919 + seed) % 1000) as f64 / 1000.0);
-            binding.set_f64("x", x.collect());
-            binding.set_f64("y", (0..y_len).map(|k| 0.25 + k as f64).collect());
-            let out_len = (hi + off.max(0) + out_slack).max(0) as usize;
-            binding.set_f64("out", (0..out_len).map(|k| 1.0 + k as f64).collect());
-            binding.set_f64("acc", vec![0.0; 4]);
-            binding.set_int("idx", vec![-1; (hi + out_slack).max(0) as usize]);
-
-            let total = spin + reps * trip as u64;
+            let case = Case {
+                lo: lo_raw as i64 - 6,
+                trip: if long_trip == 0 { trip_raw } else { trip_raw % 40 } as i64,
+                off: off_raw as i64 - 4,
+                x_shift: skew(x_shift_raw),
+                x_slack: skew(x_slack_raw),
+                out_slack: out_slack_raw.min(6) as i64 - 3,
+                c: c_raw as i64 - 2,
+                y_len,
+                reps,
+                spin,
+                // A third of the cases never fire the guard of shape 1.
+                scale: if calm == 0 { 0.5 } else { 1.0 },
+                seed,
+            };
+            let total = case.total();
             let budget = if fused == 0 {
                 ResourceBudget::unlimited()
             } else {
                 ResourceBudget::unlimited().with_max_loop_iterations(fuse_raw % (total + total / 8 + 2))
             };
+            let _ = KERNELS.with(|kernels| differential(&kernels[shape], &case.binding(), &budget))?;
+        }
+    }
 
-            KERNELS.with(|kernels| {
-                let (per_element, planned) = &kernels[shape];
-                let mut pb = binding.clone();
-                let (progress, result) = run_body(planned, &mut pb, &budget, RunControls::default());
-                let mut eb = binding.clone();
-                let (reference_progress, reference) =
-                    run_body(per_element, &mut eb, &budget, RunControls::default());
-                prop_assert_eq!(&result, &reference);
-                prop_assert_eq!(progress, reference_progress);
-                prop_assert_eq!(&pb, &eb);
-                let bits = |b: &Binding| -> Vec<u64> {
-                    ["out", "acc"]
-                        .iter()
-                        .flat_map(|a| b.f64_array(a).unwrap().iter().map(|v| v.to_bits()))
-                        .collect()
-                };
-                prop_assert_eq!(bits(&pb), bits(&eb));
-                Ok(())
-            })?;
+    /// Every shape with a lane program, in range, at the trip counts where
+    /// a chunk or a supervision stride ends: unlimited, and under a fuse
+    /// that trips halfway through the second entry. The spin loop before
+    /// it puts the poll at the start of the loop or inside it.
+    #[test]
+    fn lane_programs_match_per_element_runs_at_chunk_and_stride_edges() {
+        let width = LANES as i64;
+        let kernels = differential_kernels();
+        let lane_shapes = differential_bodies().into_iter().enumerate().filter(|(_, (l, _))| *l);
+        for (shape, _) in lane_shapes {
+            for trip in [0, 1, 2, width - 1, width, width + 1, 1023, 1024, 1025] {
+                for spin in [0, 1000] {
+                    let case = Case {
+                        lo: 3,
+                        trip,
+                        off: 1,
+                        x_shift: 0,
+                        x_slack: 0,
+                        out_slack: 3,
+                        c: 1,
+                        y_len: 4,
+                        reps: 2,
+                        spin,
+                        scale: 1.0,
+                        seed: 7,
+                    };
+                    let b = case.binding();
+                    let unlimited = ResourceBudget::unlimited();
+                    let (progress, result) = differential(&kernels[shape], &b, &unlimited)
+                        .unwrap_or_else(|e| panic!("shape {shape}, {trip} trips: {e}"));
+                    assert_eq!((progress.iterations, result), (case.total(), Ok(())));
+                    let limit = spin + 2 + trip as u64 + trip as u64 / 2;
+                    let fuse = ResourceBudget::unlimited().with_max_loop_iterations(limit);
+                    let (progress, _) = differential(&kernels[shape], &b, &fuse)
+                        .unwrap_or_else(|e| panic!("shape {shape}, {trip} trips, fused: {e}"));
+                    assert_eq!(progress.iterations, limit.min(case.total()));
+                }
+            }
+        }
+    }
+
+    /// A cancellation raised while lane strips run lands on a poll, and the
+    /// run stops with exactly the state the per-element copy has when the
+    /// fuse stops it at the iteration before that poll. Which poll it is
+    /// depends on the clock, so the reference is the fuse, not a second
+    /// cancellation.
+    #[test]
+    fn a_cancellation_inside_a_lane_strip_stops_at_a_poll() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let kernels = differential_kernels();
+        let (per_element, planned) = &kernels[7];
+        let mut reps = 1 << 10;
+        loop {
+            let case = Case {
+                lo: 0,
+                trip: 1025,
+                off: 0,
+                x_shift: 0,
+                x_slack: 0,
+                out_slack: 0,
+                c: 1,
+                y_len: 4,
+                reps,
+                spin: 0,
+                scale: 1.0,
+                seed: 3,
+            };
+            let binding = case.binding();
+            let cancel = AtomicBool::new(false);
+            let mut pb = binding.clone();
+            let (progress, result) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    cancel.store(true, Ordering::Relaxed);
+                });
+                let controls = RunControls { cancel: Some(&cancel), deadline: None };
+                run_body(planned, &mut pb, &ResourceBudget::unlimited(), controls)
+            });
+            if result.is_ok() {
+                // Finished before the flag went up: a longer run.
+                reps *= 4;
+                continue;
+            }
+            assert_eq!(result, Err(RunError::Cancelled));
+            // Polls fall on iterations 1, 2 + STRIDE, 3 + 2 * STRIDE, ...
+            let k = progress.iterations;
+            assert_eq!((k - 1) % (u64::from(crate::SUPERVISION_STRIDE) + 1), 0, "{k}");
+            let mut eb = binding.clone();
+            let fuse = ResourceBudget::unlimited().with_max_loop_iterations(k - 1);
+            let (reference, _) = run_body(per_element, &mut eb, &fuse, RunControls::default());
+            assert_eq!(reference.iterations, k - 1);
+            assert_eq!(pb, eb);
+            assert_eq!(output_bits(&pb), output_bits(&eb));
+            return;
         }
     }
 }

@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deliberately pathological schedule: precompute a dense operand of
     // the sampled product A = B .* C into a row workspace, so the scheduled
     // kernel scans all n columns per row while B holds three nonzeros. A
-    // 50 ms deadline aborts it (rolling the outputs back) and the retry
-    // ladder lands on the direct merge kernel.
+    // deadline of a quarter of its unsupervised run aborts it (rolling the
+    // outputs back) and the retry ladder lands on the direct merge kernel.
     let (m, nn) = (128, 1 << 15);
     let a2 = TensorVar::new("A", vec![m, nn], Format::csr());
     let b2 = TensorVar::new("B", vec![m, nn], Format::csr());
@@ -87,7 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         Format::dense(2),
     )?;
-    let deadline = Supervisor::new().with_deadline(std::time::Duration::from_millis(50));
+    let as_scheduled = sampled.compile(LowerOptions::fused("sampled"))?;
+    let mut binding = as_scheduled.bind(&[("B", &b2t), ("C", &c2t)], None)?;
+    let start = std::time::Instant::now();
+    as_scheduled.run_bound(&mut binding)?;
+    let deadline = Supervisor::new().with_deadline(start.elapsed() / 4);
     let engine = Engine::builder().backend(Backend::Interp).budget(deadline.budget()).build();
     let run = engine.run_supervised(
         &sampled,

@@ -182,11 +182,26 @@ fn a_second_bind_allocates_independently_of_nnz() {
     assert_eq!(small, large, "second CSR bind: (calls, bytes) at {small_nnz} vs {large_nnz} nonzeros");
 
     let (dim, rank) = (64, 8);
+    let mttkrp = workspace_mttkrp(dim, rank);
+    let factor = |seed| Tensor::from_dense(&gen::random_dense(dim, rank, seed), Format::dense(2)).unwrap();
+    let (ct, dt) = (factor(5), factor(6));
+    let csf_bind = |nnz: usize, seed| {
+        let bt = gen::random_csf3([dim; 3], nnz, seed).to_tensor();
+        second_bind(&mttkrp, &[("B", &bt), ("C", &ct), ("D", &dt)])
+    };
+    let (small, large) = (csf_bind(1_000, 7), csf_bind(32_000, 8));
+    assert_eq!(small, large, "second CSF bind: (calls, bytes) at 1000 vs 32000 nonzeros");
+}
+
+/// The paper's Section VII MTTKRP, `A(i,j) = B(i,k,l) C(l,j) D(k,j)` with
+/// `B` CSF and `B*C` precomputed into a rank-long dense workspace, compute
+/// only, over `dim`-cubed `B` and `rank` columns.
+fn workspace_mttkrp(dim: usize, rank: usize) -> CompiledKernel {
+    let (i, j, k, l) = (IndexVar::new("i"), IndexVar::new("j"), IndexVar::new("k"), IndexVar::new("l"));
     let a = TensorVar::new("A", vec![dim, rank], Format::dense(2));
     let b = TensorVar::new("B", vec![dim, dim, dim], Format::csf3());
     let c = TensorVar::new("C", vec![dim, rank], Format::dense(2));
     let d = TensorVar::new("D", vec![dim, rank], Format::dense(2));
-    let l = IndexVar::new("l");
     let bc = b.access([i.clone(), k.clone(), l.clone()]) * c.access([l.clone(), j.clone()]);
     let mut mttkrp = IndexStmt::new(IndexAssignment::assign(
         a.access([i.clone(), j.clone()]),
@@ -197,15 +212,24 @@ fn a_second_bind_allocates_independently_of_nnz() {
     mttkrp.reorder(&j, &l).unwrap();
     let w = TensorVar::new("w", vec![rank], Format::dvec());
     mttkrp.precompute(&bc, &[(j.clone(), j.clone(), j.clone())], &w).unwrap();
-    let mttkrp = mttkrp.compile(LowerOptions::compute("mttkrp")).unwrap();
+    mttkrp.compile(LowerOptions::compute("mttkrp")).unwrap()
+}
+
+/// A warm interpreted MTTKRP run asks the allocator for what it asked
+/// before its two strips ran as lane programs — 5 calls, 720 bytes: the
+/// interpreter's slot vectors and the workspace — and for no register
+/// file. Both strips run 16 lanes here, so a register file on the heap
+/// would show in the bytes.
+#[test]
+fn a_warm_interpreted_mttkrp_run_allocates_no_register_file() {
+    let (dim, rank) = (64, 16);
+    let kernel = workspace_mttkrp(dim, rank);
     let factor = |seed| Tensor::from_dense(&gen::random_dense(dim, rank, seed), Format::dense(2)).unwrap();
-    let (ct, dt) = (factor(5), factor(6));
-    let csf_bind = |nnz: usize, seed| {
-        let bt = gen::random_csf3([dim; 3], nnz, seed).to_tensor();
-        second_bind(&mttkrp, &[("B", &bt), ("C", &ct), ("D", &dt)])
-    };
-    let (small, large) = (csf_bind(1_000, 7), csf_bind(32_000, 8));
-    assert_eq!(small, large, "second CSF bind: (calls, bytes) at 1000 vs 32000 nonzeros");
+    let (bt, ct, dt) = (gen::random_csf3([dim; 3], 4_000, 9).to_tensor(), factor(10), factor(11));
+    let mut binding = kernel.bind(&[("B", &bt), ("C", &ct), ("D", &dt)], None).unwrap();
+    kernel.run_bound(&mut binding).unwrap();
+    let warm = allocations(|| kernel.run_bound(&mut binding).unwrap());
+    assert_eq!(warm, (5, 720), "a warm run_bound: (allocator calls, bytes)");
 }
 
 /// Verifying and costing the paper's Figure 13 three-way CSR addition

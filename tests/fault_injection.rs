@@ -9,7 +9,7 @@
 //! is reported as a test failure rather than aborting the harness.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use taco_workspaces::core::default_verify_mode;
 use taco_workspaces::core::oracle::eval_dense;
 use taco_workspaces::prelude::*;
@@ -614,20 +614,26 @@ fn ladder_exhaustion_surfaces_the_last_abort() {
 
 #[test]
 fn pathological_schedule_degrades_to_direct_merge_under_deadline() {
-    // The acceptance scenario: under a 50 ms deadline the as-scheduled
-    // workspace kernel (which scans all n columns per row) aborts, the
-    // binding is rolled back byte-identically, and the retry ladder lands on
-    // the direct merge kernel, which only touches B's nonzeros and commits.
+    // The acceptance scenario: under a deadline of a quarter of what the
+    // as-scheduled workspace kernel (which scans all n columns per row)
+    // takes unsupervised on this binding, it aborts, the binding is rolled
+    // back byte-identically, and the retry ladder lands on the direct merge
+    // kernel, which only touches B's nonzeros and commits. Derived from the
+    // kernel's own time, the deadline cuts it short on any machine, in any
+    // build, however fast the interpreter runs its scan.
     let (m, n) = (128, 1 << 15);
     let stmt = pathological_sampled_product(m, n);
     let (b, c) = sampled_product_inputs(m, n);
-    let supervisor = Supervisor::new().with_deadline(Duration::from_millis(50));
-
-    // First, the transactional half: the scheduled kernel alone aborts on
-    // the deadline and leaves its binding byte-identical.
     let scheduled = stmt.compile(LowerOptions::fused("sample")).unwrap();
     let mut binding = scheduled.bind(&[("B", &b), ("C", &c)], None).unwrap();
     let before = binding.clone();
+    let mut unsupervised = before.clone();
+    let start = Instant::now();
+    scheduled.run_bound(&mut unsupervised).unwrap();
+    let supervisor = Supervisor::new().with_deadline(start.elapsed() / 4);
+
+    // First, the transactional half: the scheduled kernel alone aborts on
+    // the deadline and leaves its binding byte-identical.
     let err = scheduled.run_bound_supervised(&mut binding, &supervisor).unwrap_err();
     match err {
         CoreError::Aborted(a) => {
