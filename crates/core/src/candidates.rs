@@ -24,7 +24,6 @@ use taco_ir::expr::{IndexVar, TensorVar};
 use taco_ir::transform;
 use taco_lower::LowerOptions;
 use taco_tensor::Format;
-use taco_verify::VerifyMode;
 
 /// One point in the schedule search space, and what an autotune decision
 /// remembers: replaying a candidate needs nothing but the candidate.
@@ -90,9 +89,8 @@ pub fn enumerate_candidates_for(
     let mut out: Vec<(ScheduleCandidate, FrontHalf)> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
     let mut push = |name: String, s: IndexStmt, conversions: Vec<(String, Format)>| {
-        let front =
-            FrontHalf::unverified(&s, opts.clone()).and_then(|f| f.verified(VerifyMode::Deny));
-        let Ok(front) = front else { return };
+        let front = FrontHalf::new(&s, opts.clone()).ok().filter(|f| f.verify_report().accepted());
+        let Some(front) = front else { return };
         if seen.insert(fingerprint_kernel(&front.lowered().kernel)) {
             let cand = ScheduleCandidate { name, stmt: s, conversions };
             out.push((cand, front));

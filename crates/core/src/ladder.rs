@@ -133,10 +133,10 @@ pub fn arbitrated(stmt: &IndexStmt, opts: &LowerOptions, limit: Option<u64>) -> 
 
 /// The compile-time walk down [`DegradeRung::LADDER`]. `front` is the front
 /// half of a statement as scheduled; `None` says it stands — the request is
-/// not [`arbitrated`] or its workspaces fit. Otherwise the unverified
-/// product of the first lower rung that lowers and fits replaces it, with
-/// one [`FallbackEvent::OverBudget`] per as-scheduled workspace naming that
-/// rung.
+/// not [`arbitrated`] or its workspaces fit. Otherwise the product of the
+/// first lower rung that lowers and fits replaces it, with one
+/// [`FallbackEvent::OverBudget`] per as-scheduled workspace naming that
+/// rung. Nothing here reads a verdict, so no product is verified.
 ///
 /// A product fits when its proven initial workspace footprint
 /// ([`CostReport::workspace_init_bytes`](taco_verify::CostReport::workspace_init_bytes))
@@ -159,22 +159,22 @@ pub fn arbitrate_workspaces(
         return Ok(None);
     };
     let fits = |product: &FrontHalf| {
-        let env = CostEnv::from_shapes(&product.lowered);
-        product.cost.workspace_init_bytes(&env).is_some_and(|bytes| bytes <= limit)
+        let env = CostEnv::from_shapes(product.lowered());
+        product.cost_report().workspace_init_bytes(&env).is_some_and(|bytes| bytes <= limit)
     };
     if fits(front) {
         return Ok(None);
     }
-    let env = CostEnv::from_shapes(&front.lowered);
+    let env = CostEnv::from_shapes(front.lowered());
     let bounds: Vec<(&str, u64)> = front
-        .cost
+        .cost_report()
         .workspaces
         .iter()
         .map(|w| (w.name.as_str(), w.init_bytes.concrete(&env).unwrap_or(u64::MAX)))
         .collect();
     for rung in &DegradeRung::LADDER[1..] {
         let Some((stmt, opts)) = rung.request(&front.stmt, &front.opts) else { continue };
-        let Ok(product) = FrontHalf::unverified(&stmt, opts) else { continue };
+        let Ok(product) = FrontHalf::new(&stmt, opts) else { continue };
         if fits(&product) {
             let events = bounds
                 .iter()

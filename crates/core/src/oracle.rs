@@ -6,7 +6,7 @@
 
 use crate::{CoreError, Result};
 use std::collections::HashMap;
-use taco_ir::expr::IndexExpr;
+use taco_ir::expr::{IndexExpr, IndexVar};
 use taco_ir::notation::IndexAssignment;
 use taco_tensor::{DenseTensor, Tensor};
 
@@ -66,14 +66,16 @@ pub fn eval_dense(stmt: &IndexAssignment, inputs: &[(&str, &Tensor)]) -> Result<
         })
         .collect::<Result<_>>()?;
 
-    let mut env: HashMap<String, usize> = HashMap::new();
-    let mut coord = vec![0usize; free.len()];
+    // Resolve every name once: the free variables hold slots `0..free.len()`
+    // (the coordinate), each `sum` one slot after them.
+    let mut scope: Vec<&str> = free.iter().map(|v| v.name()).collect();
+    let mut slots = scope.len();
+    let rhs = Node::resolve(stmt.rhs(), &mut scope, &mut slots, &dense, &ranges)?;
+    let mut vals = vec![0usize; slots];
+    let mut coord = Vec::new();
     loop {
-        for (n, v) in free.iter().enumerate() {
-            env.insert(v.name().to_string(), coord[n]);
-        }
-        let val = eval_expr(stmt.rhs(), &mut env, &dense, &ranges)?;
-        out.set(&coord, val);
+        let val = rhs.eval(&mut vals, &mut coord);
+        out.set(&vals[..free.len()], val);
 
         // Odometer increment.
         let mut k = free.len();
@@ -82,65 +84,89 @@ pub fn eval_dense(stmt: &IndexAssignment, inputs: &[(&str, &Tensor)]) -> Result<
                 return Ok(out);
             }
             k -= 1;
-            coord[k] += 1;
-            if coord[k] < free_dims[k] {
+            vals[k] += 1;
+            if vals[k] < free_dims[k] {
                 break;
             }
-            coord[k] = 0;
+            vals[k] = 0;
         }
     }
 }
 
-fn eval_expr(
-    e: &IndexExpr,
-    env: &mut HashMap<String, usize>,
-    dense: &HashMap<&str, DenseTensor>,
-    ranges: &HashMap<String, usize>,
-) -> Result<f64> {
-    Ok(match e {
-        IndexExpr::Access(a) => {
-            let t = dense
-                .get(a.tensor().name())
-                .ok_or_else(|| CoreError::UnknownOperand(a.tensor().name().to_string()))?;
-            let coord: Vec<usize> = a
-                .vars()
-                .iter()
-                .map(|v| {
-                    env.get(v.name())
-                        .copied()
-                        .ok_or_else(|| CoreError::UnknownOperand(v.name().to_string()))
-                })
-                .collect::<Result<_>>()?;
-            t.get(&coord)
-        }
-        IndexExpr::Literal(v) => *v,
-        IndexExpr::Neg(a) => -eval_expr(a, env, dense, ranges)?,
-        IndexExpr::Add(a, b) => {
-            eval_expr(a, env, dense, ranges)? + eval_expr(b, env, dense, ranges)?
-        }
-        IndexExpr::Sub(a, b) => {
-            eval_expr(a, env, dense, ranges)? - eval_expr(b, env, dense, ranges)?
-        }
-        IndexExpr::Mul(a, b) => {
-            eval_expr(a, env, dense, ranges)? * eval_expr(b, env, dense, ranges)?
-        }
-        IndexExpr::Sum(v, body) => {
-            let dim = *ranges
-                .get(v.name())
-                .ok_or_else(|| CoreError::UnknownOperand(v.name().to_string()))?;
-            let saved = env.get(v.name()).copied();
-            let mut acc = 0.0;
-            for x in 0..dim {
-                env.insert(v.name().to_string(), x);
-                acc += eval_expr(body, env, dense, ranges)?;
+/// An index expression with every variable resolved to a slot of the
+/// evaluator's values and every access to its dense operand.
+enum Node<'t> {
+    Access(&'t DenseTensor, Vec<usize>),
+    Literal(f64),
+    Neg(Box<Node<'t>>),
+    Bin(fn(f64, f64) -> f64, Box<Node<'t>>, Box<Node<'t>>),
+    Sum { slot: usize, dim: usize, body: Box<Node<'t>> },
+}
+
+impl<'t> Node<'t> {
+    /// Resolves `e` under `scope` (variable names by slot, innermost last;
+    /// a `sum` shadows its variable only inside its body), handing out new
+    /// slots from `slots`.
+    fn resolve<'e>(
+        e: &'e IndexExpr,
+        scope: &mut Vec<&'e str>,
+        slots: &mut usize,
+        dense: &'t HashMap<&str, DenseTensor>,
+        ranges: &HashMap<String, usize>,
+    ) -> Result<Node<'t>> {
+        let mut sub = |e: &'e IndexExpr, scope: &mut Vec<&'e str>| -> Result<Box<Node<'t>>> {
+            Ok(Box::new(Node::resolve(e, scope, slots, dense, ranges)?))
+        };
+        let unknown = |name: &str| CoreError::UnknownOperand(name.to_string());
+        Ok(match e {
+            IndexExpr::Access(a) => {
+                let t = dense.get(a.tensor().name()).ok_or_else(|| unknown(a.tensor().name()))?;
+                let slot_of = |v: &IndexVar| scope.iter().rposition(|n| *n == v.name());
+                let at = a
+                    .vars()
+                    .iter()
+                    .map(|v| slot_of(v).ok_or_else(|| unknown(v.name())))
+                    .collect::<Result<_>>()?;
+                Node::Access(t, at)
             }
-            match saved {
-                Some(s) => env.insert(v.name().to_string(), s),
-                None => env.remove(v.name()),
-            };
-            acc
+            IndexExpr::Literal(v) => Node::Literal(*v),
+            IndexExpr::Neg(a) => Node::Neg(sub(a, scope)?),
+            IndexExpr::Add(a, b) => Node::Bin(|x, y| x + y, sub(a, scope)?, sub(b, scope)?),
+            IndexExpr::Sub(a, b) => Node::Bin(|x, y| x - y, sub(a, scope)?, sub(b, scope)?),
+            IndexExpr::Mul(a, b) => Node::Bin(|x, y| x * y, sub(a, scope)?, sub(b, scope)?),
+            IndexExpr::Sum(v, body) => {
+                let dim = *ranges.get(v.name()).ok_or_else(|| unknown(v.name()))?;
+                scope.push(v.name());
+                let slot = scope.len() - 1;
+                *slots = (*slots).max(scope.len());
+                let body = Node::resolve(body, scope, slots, dense, ranges);
+                scope.pop();
+                Node::Sum { slot, dim, body: Box::new(body?) }
+            }
+        })
+    }
+
+    /// The value at `vals`; `coord` is scratch for an access's coordinate.
+    fn eval(&self, vals: &mut [usize], coord: &mut Vec<usize>) -> f64 {
+        match self {
+            Node::Access(t, at) => {
+                coord.clear();
+                coord.extend(at.iter().map(|&s| vals[s]));
+                t.get(coord)
+            }
+            Node::Literal(v) => *v,
+            Node::Neg(a) => -a.eval(vals, coord),
+            Node::Bin(op, a, b) => op(a.eval(vals, coord), b.eval(vals, coord)),
+            Node::Sum { slot, dim, body } => {
+                let mut acc = 0.0;
+                for x in 0..*dim {
+                    vals[*slot] = x;
+                    acc += body.eval(vals, coord);
+                }
+                acc
+            }
         }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -191,5 +217,21 @@ mod tests {
         let bt = Tensor::from_entries(vec![n], Format::dvec(), vec![(vec![1], 3.0)]).unwrap();
         let out = eval_dense(&stmt, &[("b", &bt)]).unwrap();
         assert_eq!(out.data(), &[0.0, -6.0]);
+    }
+
+    #[test]
+    fn a_sum_shadows_its_variable_only_inside_its_body() {
+        // a(i) = Σ_i b(i) + b(i): the sum's `i` is not the free `i`.
+        let a = TensorVar::new("a", vec![2], Format::dvec());
+        let b = TensorVar::new("b", vec![2], Format::dvec());
+        let i = IndexVar::new("i");
+        let stmt = IndexAssignment::assign(
+            a.access([i.clone()]),
+            sum(i.clone(), b.access([i.clone()])) + b.access([i]),
+        );
+        let bt = Tensor::from_entries(vec![2], Format::dvec(), vec![(vec![0], 1.0), (vec![1], 2.0)])
+            .unwrap();
+        let out = eval_dense(&stmt, &[("b", &bt)]).unwrap();
+        assert_eq!(out.data(), &[4.0, 5.0]);
     }
 }

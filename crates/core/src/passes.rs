@@ -2,32 +2,34 @@
 //! ([`FrontHalf`]), `fit the workspace budget → verify → exec-compile →
 //! fingerprint` ([`FrontHalf::finish`]) turns it into a [`CompiledKernel`],
 //! one function per pass and `?` between them. This module holds the only
-//! calls of `taco_lower::lower`, `taco_verify::verify_lowered` and
-//! `taco_verify::analyze_cost` in the compiler, the runtime and the daemon;
-//! everything else builds a `FrontHalf` and reads it or hands it on
-//! (DESIGN.md §3 lists the consumers).
+//! calls of `taco_lower::lower` and `taco_verify::Analysis::new` in the
+//! compiler, the runtime and the daemon; everything else builds a
+//! `FrontHalf` and reads it or hands it on (DESIGN.md §3 lists the
+//! consumers).
 //!
-//! The budget walk decides on costs alone, so the compile driver verifies
-//! *after* it, only what is kept; the enumerator verifies up front, because
-//! acceptance is what makes a schedule a candidate (DESIGN.md §3).
+//! The analysis derives the lowering's assumptions once; its cost is read
+//! at once, its verdict on first read ([`FrontHalf::verify_report`]). The
+//! budget walk decides on costs alone, so a product it replaces and one
+//! that serve admission only costs never run the verifier (DESIGN.md §3).
+
+use std::sync::OnceLock;
 
 use crate::ladder::arbitrate_workspaces;
 use crate::schedule::{CompiledKernel, IndexStmt};
 use crate::{CoreError, Result};
 use taco_llir::{Executable, ResourceBudget};
 use taco_lower::{LowerOptions, LoweredKernel};
-use taco_verify::{CostReport, VerifyMode, VerifyReport};
+use taco_verify::{Analysis, CostReport, VerifyMode, VerifyReport};
 
 /// The product of the front half: the statement and options it answers
 /// (owned: [`FrontHalf::finish`] takes no second copy to disagree with),
-/// the lowered kernel, its cost report and, once verified, the verdict.
+/// the analysis of its lowering, and the verdict once it is read.
 #[derive(Debug, Clone)]
 pub struct FrontHalf {
     pub(crate) stmt: IndexStmt,
     pub(crate) opts: LowerOptions,
-    pub(crate) lowered: LoweredKernel,
-    pub(crate) cost: CostReport,
-    pub(crate) verify: Option<VerifyReport>,
+    analysis: Analysis,
+    verdict: OnceLock<VerifyReport>,
 }
 
 impl FrontHalf {
@@ -36,29 +38,18 @@ impl FrontHalf {
     /// # Errors
     ///
     /// Only a lowering error: the schedule is not realizable under `opts`.
-    pub fn unverified(stmt: &IndexStmt, opts: LowerOptions) -> Result<FrontHalf> {
-        let lowered = taco_lower::lower(stmt.concrete(), &opts)?;
-        let cost = taco_verify::analyze_cost(&lowered);
-        Ok(FrontHalf { stmt: stmt.clone(), opts, lowered, cost, verify: None })
+    pub fn new(stmt: &IndexStmt, opts: LowerOptions) -> Result<FrontHalf> {
+        let analysis = Analysis::new(taco_lower::lower(stmt.concrete(), &opts)?);
+        Ok(FrontHalf { stmt: stmt.clone(), opts, analysis, verdict: OnceLock::new() })
     }
 
-    /// The verify pass under `mode`, stamping the concrete statement into
-    /// every diagnostic. A report already carried is kept, not recomputed.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Verify`] under [`VerifyMode::Deny`] on a rejected report.
-    pub fn verified(mut self, mode: VerifyMode) -> Result<FrontHalf> {
-        if self.verify.is_none() {
-            let origin = self.stmt.concrete().to_string();
-            self.verify = Some(taco_verify::verify_lowered(&self.lowered).with_origin(&origin));
-        }
-        match self.verify {
-            Some(report) if mode == VerifyMode::Deny && !report.accepted() => {
-                Err(CoreError::Verify(report))
-            }
-            _ => Ok(self),
-        }
+    /// The verify pass, run on first read under the assumptions the cost
+    /// was derived under, with the concrete statement stamped into every
+    /// diagnostic.
+    pub fn verify_report(&self) -> &VerifyReport {
+        self.verdict.get_or_init(|| {
+            self.analysis.verify().with_origin(&self.stmt.concrete().to_string())
+        })
     }
 
     /// The [fingerprint](crate::fingerprint::fingerprint) of the request this
@@ -69,18 +60,18 @@ impl FrontHalf {
 
     /// The lowered kernel and binding metadata.
     pub fn lowered(&self) -> &LoweredKernel {
-        &self.lowered
+        self.analysis.lowered()
     }
 
     /// The symbolic cost report.
     pub fn cost_report(&self) -> &CostReport {
-        &self.cost
+        self.analysis.cost()
     }
 
     /// The back half: fits the product to the budget's workspace limit
     /// ([`arbitrate_workspaces`], which may replace it with a lower rung's),
-    /// verifies the one kept, compiles it for the interpreter and
-    /// fingerprints the request.
+    /// holds the one kept to its verdict under [`VerifyMode::Deny`],
+    /// compiles it for the interpreter and fingerprints the request.
     ///
     /// # Errors
     ///
@@ -93,8 +84,10 @@ impl FrontHalf {
         let opts = replaced.as_ref().map_or(&self.opts, |(front, _)| &front.opts);
         let fingerprint = crate::fingerprint::fingerprint(self.stmt.concrete(), opts, &budget);
         let (front, fallbacks) = replaced.unwrap_or((self, Vec::new()));
-        let front = front.verified(mode)?;
-        let exe = Executable::compile(&front.lowered.kernel)?;
+        if mode == VerifyMode::Deny && !front.verify_report().accepted() {
+            return Err(CoreError::Verify(front.verify_report().clone()));
+        }
+        let exe = Executable::compile(&front.lowered().kernel)?;
         Ok(CompiledKernel { front, exe, budget, fallbacks, fingerprint })
     }
 }

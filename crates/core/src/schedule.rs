@@ -151,14 +151,15 @@ impl IndexStmt {
     /// time the compiled kernel enforces the budget's allocation and
     /// iteration limits on every [`CompiledKernel::run`].
     ///
-    /// The kernel it keeps is run through the `taco-verify` abstract
+    /// The kernel it keeps is checked by the `taco-verify` abstract
     /// interpreter (definite initialization, symbolic bounds, parallel
-    /// write-set disjointness) before it is compiled. Under
-    /// [`VerifyMode::Warn`] the report is recorded on the kernel
-    /// ([`CompiledKernel::verify_report`]); under [`VerifyMode::Deny`] a
-    /// report with any deny-severity finding fails the compile. The verdict
-    /// never changes the generated code, so it does not participate in the
-    /// kernel [fingerprint](CompiledKernel::fingerprint).
+    /// write-set disjointness), under the assumptions its cost was derived
+    /// under. Under [`VerifyMode::Deny`] the report is read before the
+    /// kernel is compiled, and any deny-severity finding fails the compile;
+    /// under [`VerifyMode::Warn`] it is derived on the first read of
+    /// [`CompiledKernel::verify_report`]. The verdict never changes the
+    /// generated code, so it does not participate in the kernel
+    /// [fingerprint](CompiledKernel::fingerprint).
     ///
     /// # Errors
     ///
@@ -174,7 +175,7 @@ impl IndexStmt {
         budget: ResourceBudget,
         verify: VerifyMode,
     ) -> Result<CompiledKernel> {
-        FrontHalf::unverified(self, opts)?.finish(budget, verify)
+        FrontHalf::new(self, opts)?.finish(budget, verify)
     }
 }
 
@@ -261,7 +262,7 @@ pub struct CompiledKernel {
 impl CompiledKernel {
     /// The generated C source (paper-style listing).
     pub fn to_c(&self) -> String {
-        self.front.lowered.kernel.to_c()
+        self.front.lowered().kernel.to_c()
     }
 
     /// The canonical structural fingerprint of the compilation request this
@@ -276,7 +277,7 @@ impl CompiledKernel {
 
     /// The lowered kernel and binding metadata.
     pub fn lowered(&self) -> &LoweredKernel {
-        &self.front.lowered
+        self.front.lowered()
     }
 
     /// The compiled imperative program. Alternate execution backends feed
@@ -334,11 +335,12 @@ impl CompiledKernel {
             .unwrap_or(DegradeRung::AsScheduled)
     }
 
-    /// The static-verification report recorded when this kernel was
-    /// compiled. A kernel compiled under [`VerifyMode::Deny`] always carries
-    /// an accepted report — rejected kernels never compile.
+    /// The static-verification report on this kernel, derived on first
+    /// read ([`FrontHalf::verify_report`]). A kernel compiled under
+    /// [`VerifyMode::Deny`] always carries an accepted report — rejected
+    /// kernels never compile.
     pub fn verify_report(&self) -> &VerifyReport {
-        self.front.verify.as_ref().expect("FrontHalf::finish verifies the product it keeps")
+        self.front.verify_report()
     }
 
     /// The symbolic cost report derived when this kernel was compiled:
@@ -348,7 +350,7 @@ impl CompiledKernel {
     /// [`CostEnv`](taco_verify::CostEnv): `from_shapes` at compile time,
     /// `from_binding` once operands are bound.
     pub fn cost_report(&self) -> &CostReport {
-        &self.front.cost
+        self.front.cost_report()
     }
 
     /// The proven ceiling on the largest single allocation charge a run of

@@ -1766,11 +1766,7 @@ pub fn check_rows(kernel: &Kernel, rows: &Rows) -> Result<(), CompileError> {
         {
             Some((arr.clone(), false))
         }
-        Stmt::Assign(v, e) if *v == a.counter => {
-            let advances = matches!(e, Expr::Bin(BinOp::Add, x, c)
-                if **x == counter && matches!(**c, Expr::Int(c) if c > 0));
-            Some((v.clone(), advances))
-        }
+        Stmt::Assign(v, _) if *v == a.counter => Some((v.clone(), s.advance().is_some())),
         Stmt::DeclInt(v, _) if *v == a.counter => Some((v.clone(), false)),
         _ => None,
     };

@@ -478,6 +478,20 @@ impl Stmt {
     pub fn incr(var: &str) -> Stmt {
         Stmt::Assign(var.to_string(), Expr::var(var) + Expr::int(1))
     }
+
+    /// The counter advance `v = v + c` (or `v = c + v`) by a positive
+    /// literal `c`: the counter and `c`. The one definition of the shape
+    /// that the cost walk bounds a counter by and the row stitch appends at.
+    #[must_use]
+    pub fn advance(&self) -> Option<(&str, i64)> {
+        let Stmt::Assign(v, Expr::Bin(BinOp::Add, a, b)) = self else { return None };
+        match (a.as_ref(), b.as_ref()) {
+            (Expr::Var(n), Expr::Int(c)) | (Expr::Int(c), Expr::Var(n)) if n == v && *c > 0 => {
+                Some((v, *c))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Whether a kernel array parameter is read, written, or both.
@@ -617,6 +631,22 @@ mod tests {
     fn incr_builds_add_one() {
         let s = Stmt::incr("p");
         assert_eq!(s, Stmt::Assign("p".into(), Expr::var("p") + Expr::int(1)));
+    }
+
+    #[test]
+    fn advance_is_a_positive_literal_step_in_either_order() {
+        let (v, w) = (|| Expr::var("v"), || Expr::var("w"));
+        let table = [
+            (Stmt::assign("v", v() + Expr::int(2)), Some(("v", 2))),
+            (Stmt::assign("v", Expr::int(1) + v()), Some(("v", 1))),
+            (Stmt::assign("v", v() + Expr::int(0)), None),
+            (Stmt::assign("v", v() - Expr::int(1)), None),
+            (Stmt::assign("v", w() + Expr::int(1)), None),
+            (Stmt::DeclInt("v".into(), v() + Expr::int(1)), None),
+        ];
+        for (s, want) in table {
+            assert_eq!(s.advance(), want, "{s:?}");
+        }
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl Engine {
         let mut compiled_now = false;
         let record = self.cache.get_or_compile(key, || {
             compiled_now = true;
-            front.map_or_else(|| FrontHalf::unverified(stmt, opts), Ok)?.finish(budget, verify)
+            front.map_or_else(|| FrontHalf::new(stmt, opts), Ok)?.finish(budget, verify)
         })?;
         if compiled_now {
             let kernel = record.kernel();

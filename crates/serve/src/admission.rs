@@ -1,8 +1,9 @@
 //! Static cost-model admission checks.
 //!
-//! Both checks read one unverified front half of the request
+//! Both checks read the costs of one front half of the request
 //! ([`FrontHalf`], `lower → cost`), built by [`front_half`] *before* the
-//! request is queued or compiled and only when one of them will read it:
+//! request is queued or compiled and only when one of them will read it.
+//! Neither reads its verdict, so admission runs no verifier:
 //!
 //! * [`budget_infeasible`] proves a request can never run under its
 //!   tenant's workspace-byte budget — the decision `compile_checked`
@@ -18,14 +19,13 @@ use crate::server::{Rejected, Request};
 use taco_core::ladder::{arbitrate_workspaces, arbitrated};
 use taco_core::{CoreError, CostEnv, FrontHalf, ResourceBudget};
 
-/// The request's front half, unverified (admission only reads costs), for
-/// both checks. `None` when neither would read it — the service-time EMA is
+/// The request's front half, for both checks (which read its costs only). `None` when neither would read it — the service-time EMA is
 /// warm and `budget` does not [arbitrate](arbitrated) the request — or the
 /// statement does not lower, which is the worker's to report, not
 /// admission's.
 pub(crate) fn front_half(req: &Request, budget: &ResourceBudget, ema_cold: bool) -> Option<FrontHalf> {
     let read = ema_cold || arbitrated(&req.stmt, &req.opts, budget.max_workspace_bytes);
-    read.then(|| FrontHalf::unverified(&req.stmt, req.opts.clone()).ok()).flatten()
+    read.then(|| FrontHalf::new(&req.stmt, req.opts.clone()).ok()).flatten()
 }
 
 /// Nanoseconds charged per bounded loop iteration in the cold-start prior.

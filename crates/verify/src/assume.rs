@@ -11,6 +11,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use taco_llir::{BinOp, Expr};
 use taco_lower::params::{crd_name, dim_name, level_extent, pos_name};
 use taco_lower::{KernelKind, LoweredKernel};
 
@@ -180,5 +181,41 @@ impl Assumptions {
         let atom = Atom::Opaque(*fresh);
         bounds.add_ub(atom.clone(), ub);
         Some(Sym::atom(atom))
+    }
+}
+
+/// The segment `P[e] .. P[e + 1]` of a `pos` array `P`, as a loop's bounds
+/// or a counter's start and end: `P` and `e`. A literal `e` counts
+/// (`P[0] .. P[1]`). This is the one definition of the shape; each caller
+/// filters on what it knows of `P`.
+pub(crate) fn pos_segment<'e>(lo: &'e Expr, hi: &'e Expr) -> Option<(&'e str, &'e Expr)> {
+    let (Expr::Load(pos, e), Expr::Load(hi_pos, next)) = (lo, hi) else { return None };
+    let follows = match next.as_ref() {
+        Expr::Bin(BinOp::Add, a, b) => a == e && **b == Expr::Int(1),
+        Expr::Int(n) => matches!(**e, Expr::Int(k) if k.checked_add(1) == Some(*n)),
+        _ => false,
+    };
+    (pos == hi_pos && follows).then_some((pos.as_str(), e.as_ref()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_segment_is_one_pos_array_from_an_index_to_the_next() {
+        let p = |idx: Expr| Expr::load("P", idx);
+        let e = || Expr::var("e");
+        let table = [
+            (p(e()), p(e() + Expr::int(1)), Some(("P", e()))),
+            (p(Expr::int(0)), p(Expr::int(1)), Some(("P", Expr::int(0)))),
+            (p(e() + Expr::int(1)), p(e()), None),
+            (p(e()), Expr::load("Q", e() + Expr::int(1)), None),
+            (p(e()), p(e() + Expr::int(2)), None),
+        ];
+        for (lo, hi, want) in table {
+            let got = pos_segment(&lo, &hi).map(|(pos, e)| (pos, e.clone()));
+            assert_eq!(got, want, "{lo:?} .. {hi:?}");
+        }
     }
 }

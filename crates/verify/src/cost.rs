@@ -35,7 +35,7 @@ use taco_llir::{
 use taco_lower::params::{crd_name, dim_name, is_pos_name, level_extent, pos_name};
 use taco_lower::LoweredKernel;
 
-use crate::assume::Assumptions;
+use crate::assume::{pos_segment, Assumptions};
 use crate::sym::{atoms_of, Atom, Sym};
 
 /// A proven upper bound, or a named reason none could be derived.
@@ -315,11 +315,15 @@ impl CostReport {
 ///   plus twice the scatter count plus the executor's minimum grant of 8.
 #[must_use]
 pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
-    let assume = Assumptions::for_lowered(lk);
+    analyze(lk, &Assumptions::for_lowered(lk))
+}
+
+/// [`analyze_cost`] under assumptions already derived for `lk`.
+pub(crate) fn analyze(lk: &LoweredKernel, assume: &Assumptions) -> CostReport {
     let scalar_params: HashSet<&str> = lk.kernel.scalar_params.iter().map(String::as_str).collect();
 
-    // Classify scalars: a *counter* is only ever assigned `v + c` (c > 0) or
-    // a nonnegative constant; every other reassigned scalar is havocked.
+    // Classify scalars: a *counter* is only ever advanced or assigned a
+    // nonnegative constant; every other reassigned scalar is havocked.
     let mut assigned: HashMap<&str, bool> = HashMap::new(); // name -> counter-like
     let mut reset: HashSet<&str> = HashSet::new(); // assigned a constant somewhere
     classify(&lk.kernel.body, &mut assigned, &mut reset);
@@ -338,7 +342,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     // (initially all-unknown) lookups.
     let mut state = FixState::default();
     for _ in 0..6 {
-        let mut w = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state);
+        let mut w = Walk::new(assume, &scalar_params, &assigned, &reset, &sites, state);
         w.block(&lk.kernel.body);
         let prev;
         (prev, state) = w.fix_out();
@@ -348,7 +352,7 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
     }
     // Final pass with the stable state collects the charges. (Every round's
     // output is sound, so an unconverged cap is conservative, not wrong.)
-    let mut walk = Walk::new(&assume, &scalar_params, &assigned, &reset, &sites, state);
+    let mut walk = Walk::new(assume, &scalar_params, &assigned, &reset, &sites, state);
     walk.block(&lk.kernel.body);
 
     let workspaces = lk
@@ -380,39 +384,22 @@ pub fn analyze_cost(lk: &LoweredKernel) -> CostReport {
 }
 
 /// Classifies every `Assign` target: `true` when all assignments are
-/// counter-shaped (`v = v + c`, c > 0, or `v = k`, k >= 0), `false` once any
-/// other assignment is seen. Targets of a `v = k` go into `reset` as well: a
-/// counter outside it only ever advances.
+/// counter-shaped (an advance, [`Stmt::advance`], or `v = k`, k >= 0),
+/// `false` once any other assignment is seen. Targets of a `v = k` go into
+/// `reset` as well: a counter outside it only ever advances.
 fn classify<'a>(body: &'a [Stmt], out: &mut HashMap<&'a str, bool>, reset: &mut HashSet<&'a str>) {
-    for s in body {
-        match s {
-            Stmt::Assign(v, e) => {
-                let counter_shaped = match e {
-                    Expr::Int(k) => {
-                        reset.insert(v);
-                        *k >= 0
-                    }
-                    Expr::Bin(BinOp::Add, a, b) => {
-                        matches!((a.as_ref(), b.as_ref()),
-                            (Expr::Var(n), Expr::Int(c)) if n == v && *c > 0)
-                            || matches!((a.as_ref(), b.as_ref()),
-                                (Expr::Int(c), Expr::Var(n)) if n == v && *c > 0)
-                    }
-                    _ => false,
-                };
-                let entry = out.entry(v).or_insert(true);
-                *entry = *entry && counter_shaped;
+    visit_stmts(body, &mut |s| {
+        let Stmt::Assign(v, e) = s else { return };
+        let counter_shaped = match e {
+            Expr::Int(k) => {
+                reset.insert(v);
+                *k >= 0
             }
-            Stmt::For { body, .. }
-            | Stmt::While { body, .. }
-            | Stmt::WsDrain { body, .. } => classify(body, out, reset),
-            Stmt::If { then, els, .. } => {
-                classify(then, out, reset);
-                classify(els, out, reset);
-            }
-            _ => {}
-        }
-    }
+            _ => s.advance().is_some(),
+        };
+        let entry = out.entry(v).or_insert(true);
+        *entry = *entry && counter_shaped;
+    });
 }
 
 /// Fixpoint-carried state: final counter bounds (relative to their
@@ -435,6 +422,18 @@ struct CounterAcc {
     base: Option<Sym>,
     /// Σ increment × enclosing trip products since declaration.
     increments: Option<Sym>,
+}
+
+impl CounterAcc {
+    /// A counter first seen at loop depth `depth`, nothing accumulated yet.
+    fn at(depth: usize) -> CounterAcc {
+        CounterAcc { decl_depth: depth, base: Some(Sym::int(0)), increments: Some(Sym::int(0)) }
+    }
+}
+
+/// The sum of two bounds; an unbounded one (`None`) absorbs.
+fn sum(a: Option<Sym>, b: Option<Sym>) -> Option<Sym> {
+    Some(a?.add(&b?))
 }
 
 /// One enclosing loop on the trip stack.
@@ -522,18 +521,9 @@ impl<'a> Walk<'a> {
 
     /// The state this round started from, and the one it ends with.
     fn fix_out(self) -> (FixState<'a>, FixState<'a>) {
+        let counters = self.counters.into_iter();
         let next = FixState {
-            counters: self
-                .counters
-                .into_iter()
-                .map(|(k, acc)| {
-                    let ub = match (&acc.base, &acc.increments) {
-                        (Some(b), Some(i)) => Some(b.add(i)),
-                        _ => None,
-                    };
-                    (k, ub)
-                })
-                .collect(),
+            counters: counters.map(|(k, acc)| (k, sum(acc.base, acc.increments))).collect(),
             scatters: self.scatters,
         };
         (self.prev, next)
@@ -584,16 +574,15 @@ impl<'a> Walk<'a> {
     /// `hi` bounded by `hi_ub`.
     fn for_trip(&self, var: &'a str, lo: &Expr, hi: &Expr, hi_ub: Option<Sym>) -> Trip<'a> {
         let var = (!self.assigned.contains_key(var)).then_some(var);
-        if let (Expr::Load(pos, e), Expr::Load(hi_pos, next)) = (lo, hi) {
-            if let Some(total) = self.input_pos(pos).filter(|_| pos == hi_pos && is_next(e, next)) {
-                return Trip {
-                    bound: Some(Sym::atom(Atom::Seg(pos.as_str().into()))),
-                    var,
-                    telescope: self.selector(e).map(|a| (a, total.clone())),
-                };
-            }
+        let segment = pos_segment(lo, hi).and_then(|(pos, e)| Some((pos, e, self.input_pos(pos)?)));
+        match segment {
+            Some((pos, e, total)) => Trip {
+                bound: Some(Sym::atom(Atom::Seg(pos.into()))),
+                var,
+                telescope: self.selector(e).map(|a| (a, total.clone())),
+            },
+            None => Trip { bound: hi_ub, var, telescope: None },
         }
-        Trip { bound: hi_ub, var, telescope: None }
     }
 
     /// `true` for scalars whose every assignment is counter-shaped.
@@ -712,7 +701,7 @@ impl<'a> Walk<'a> {
         for c in conjuncts {
             let Expr::Bin(op @ (BinOp::Lt | BinOp::Le), a, b) = c else { return Trip::default() };
             let Expr::Var(v) = a.as_ref() else { return Trip::default() };
-            advances |= increments_var(body, v);
+            visit_stmts(body, &mut |s| advances |= s.advance().is_some_and(|(n, _)| n == v));
             let segment = self.merge_segment(v, b, body, before).filter(|_| *op == BinOp::Lt);
             if let Some((pos, e, total)) = segment {
                 bound = bound.add(&Sym::atom(Atom::Seg(pos.into())));
@@ -747,15 +736,15 @@ impl<'a> Walk<'a> {
         body: &[Stmt],
         before: &'e [Stmt],
     ) -> Option<(&'e str, &'e Expr, &'e Sym)> {
-        let Expr::Load(pos, next) = end else { return None };
-        let total = self.input_pos(pos)?;
         let declared_at =
             before.iter().rposition(|s| matches!(s, Stmt::DeclInt(name, _) if name == v))?;
-        let Stmt::DeclInt(_, Expr::Load(from, e)) = &before[declared_at] else { return None };
-        if from != pos || !is_next(e, next) || !self.is_counter(v) || self.reset.contains(v) {
+        let Stmt::DeclInt(_, start) = &before[declared_at] else { return None };
+        let (pos, e) = pos_segment(start, end)?;
+        let total = self.input_pos(pos)?;
+        if !self.is_counter(v) || self.reset.contains(v) {
             return None;
         }
-        let stable = match e.as_ref() {
+        let stable = match e {
             Expr::Int(_) => true,
             Expr::Var(x) => {
                 let mut written = false;
@@ -770,7 +759,7 @@ impl<'a> Walk<'a> {
             }
             _ => false,
         };
-        stable.then_some((pos.as_str(), e.as_ref(), total))
+        stable.then_some((pos, e, total))
     }
 
     fn block(&mut self, body: &'a [Stmt]) {
@@ -807,16 +796,9 @@ impl<'a> Walk<'a> {
                 if self.is_counter(v) {
                     let base = self.ub(e);
                     let depth = self.trips.len();
-                    let acc = self.counters.entry(v).or_insert(CounterAcc {
-                        decl_depth: depth,
-                        base: Some(Sym::int(0)),
-                        increments: Some(Sym::int(0)),
-                    });
+                    let acc = self.counters.entry(v).or_insert_with(|| CounterAcc::at(depth));
                     acc.decl_depth = acc.decl_depth.min(depth);
-                    acc.base = match (&acc.base, base) {
-                        (Some(a), Some(b)) => Some(a.add(&b)),
-                        _ => None,
-                    };
+                    acc.base = sum(acc.base.take(), base);
                 } else {
                     let ub = if self.assigned.contains_key(v.as_str()) { None } else { self.ub(e) };
                     self.scopes.push((v, ub));
@@ -825,39 +807,19 @@ impl<'a> Walk<'a> {
             Stmt::DeclFloat(..) | Stmt::DeclBool(..) => {}
             Stmt::Assign(v, e) => {
                 if self.is_counter(v) {
-                    let inc = match e {
-                        Expr::Bin(BinOp::Add, a, b) => match (a.as_ref(), b.as_ref()) {
-                            (Expr::Var(n), Expr::Int(c)) if n == v => Some(*c),
-                            (Expr::Int(c), Expr::Var(n)) if n == v => Some(*c),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
+                    let inc = s.advance().map(|(_, c)| c);
                     let declared = self.counters.get(v.as_str()).map(|acc| acc.decl_depth);
                     let depth = declared.map_or(0, |d| d.min(self.trips.len()));
                     let contribution =
                         inc.map(|c| self.trip_product_since(depth).map(|p| p.mul(&Sym::int(c))));
-                    let acc = self.counters.entry(v).or_insert(CounterAcc {
-                        decl_depth: depth,
-                        base: Some(Sym::int(0)),
-                        increments: Some(Sym::int(0)),
-                    });
-                    match contribution {
-                        Some(contribution) => {
-                            acc.increments = match (&acc.increments, contribution) {
-                                (Some(a), Some(b)) => Some(a.add(&b)),
-                                _ => None,
-                            };
+                    let acc = self.counters.entry(v).or_insert_with(|| CounterAcc::at(depth));
+                    match (contribution, e) {
+                        (Some(c), _) => acc.increments = sum(acc.increments.take(), c),
+                        // `v = k` reset: fold the constant into the base.
+                        (None, Expr::Int(k)) => {
+                            acc.base = acc.base.take().map(|b| b.add(&Sym::int((*k).max(0))));
                         }
-                        None => {
-                            // `v = k` reset: fold the constant into the base.
-                            if let Expr::Int(k) = e {
-                                acc.base =
-                                    acc.base.as_ref().map(|b| b.add(&Sym::int((*k).max(0))));
-                            } else {
-                                acc.base = None;
-                            }
-                        }
+                        (None, _) => acc.base = None,
                     }
                 }
                 // Non-counter reassigned scalars were havocked at
@@ -922,19 +884,13 @@ impl<'a> Walk<'a> {
             Stmt::WsScatter { ws, .. } => {
                 let contribution = self.trip_product_since(0);
                 let entry = self.scatters.entry(ws).or_insert_with(|| Some(Sym::int(0)));
-                *entry = match (entry.take(), contribution) {
-                    (Some(a), Some(b)) => Some(a.add(&b)),
-                    _ => None,
-                };
+                *entry = sum(entry.take(), contribution);
                 for f in 0..self.frames.len() {
                     let per_block = self.trip_product_since(self.frames[f].depth);
                     let (sites, since) =
                         self.frames[f].scatters.entry(ws).or_insert((0, Some(Sym::int(0))));
                     *sites += 1;
-                    *since = match (since.take(), per_block) {
-                        (Some(a), Some(b)) => Some(a.add(&b)),
-                        _ => None,
-                    };
+                    *since = sum(since.take(), per_block);
                 }
             }
             Stmt::WsDrain { ws, body, .. } => {
@@ -987,35 +943,6 @@ fn split_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
         }
         other => out.push(other),
     }
-}
-
-/// True when `next` is `e + 1`, structurally (`0` and `1` count).
-fn is_next(e: &Expr, next: &Expr) -> bool {
-    match next {
-        Expr::Bin(BinOp::Add, a, b) => **a == *e && **b == Expr::Int(1),
-        Expr::Int(n) => matches!(e, Expr::Int(k) if k.checked_add(1) == Some(*n)),
-        _ => false,
-    }
-}
-
-/// True when the body (recursively) contains `v = v + c` with `c > 0`.
-fn increments_var(body: &[Stmt], v: &str) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Assign(name, Expr::Bin(BinOp::Add, a, b)) if name == v => {
-            matches!(
-                (a.as_ref(), b.as_ref()),
-                (Expr::Var(n), Expr::Int(c)) if n == v && *c > 0
-            ) || matches!(
-                (a.as_ref(), b.as_ref()),
-                (Expr::Int(c), Expr::Var(n)) if n == v && *c > 0
-            )
-        }
-        Stmt::For { body, .. }
-        | Stmt::While { body, .. }
-        | Stmt::WsDrain { body, .. } => increments_var(body, v),
-        Stmt::If { then, els, .. } => increments_var(then, v) || increments_var(els, v),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

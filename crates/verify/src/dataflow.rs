@@ -22,8 +22,9 @@
 //!   loops the lowerer emits:
 //!   - *full-range drain* — `for (v = 0; v < D; v++) a[v] = 0;` where `D`
 //!     provably covers the array's length;
-//!   - *structure drain* — a loop over one `pos` segment that decodes
-//!     `j = crd[p]` and zeroes `a[j]`. It covers what the iteration dirtied
+//!   - *structure drain* — a loop over one `pos` segment, `P[e] .. P[e + 1]`,
+//!     that decodes `j = crd[p]` and zeroes `a[j]`. Any other bounds may
+//!     visit nothing. It covers what the iteration dirtied
 //!     only if the structure does, which the report records as an
 //!     assumption.
 //!
@@ -49,7 +50,7 @@ use taco_llir::{
     stmt_to_c, visit_stmts, BinOp, Expr, Kernel, ParamKind, Rows, Stmt, UnOp, WorkspaceKind,
 };
 
-use crate::assume::Assumptions;
+use crate::assume::{pos_segment, Assumptions};
 use crate::error::{Diagnostic, Severity, VerifyError};
 use crate::race::{self, RaceCtx, WriteKind};
 use crate::sym::{Atom, Bounds, Sym};
@@ -636,13 +637,12 @@ impl<'a> Analyzer<'a> {
             ctx.declared.extend(collect_decls(body));
             self.race = Some(ctx);
         }
-        // A loop over one segment of a monotone pos array: its variable's
-        // slices are disjoint across the enclosing parallel iterations.
-        if let Some(parent) = self.pos_segment_loop(lo, hi) {
-            if let Some(ctx) = &mut self.race {
-                if parent == ctx.var_name {
-                    ctx.sliced.insert(v_atom.clone());
-                }
+        // A loop over one segment of a validated (monotone) pos array,
+        // selected by the parallel variable: its variable's slices are
+        // disjoint across the enclosing parallel iterations.
+        if let (Some(ctx), Some((pos, Expr::Var(parent)))) = (&mut self.race, pos_segment(lo, hi)) {
+            if self.assume.arrays.contains_key(pos) && *parent == ctx.var_name {
+                ctx.sliced.insert(v_atom.clone());
             }
         }
         self.walk_body(body, true);
@@ -687,8 +687,8 @@ impl<'a> Analyzer<'a> {
                 .collect();
         }
         let Some(Stmt::DeclInt(j, Expr::Load(crd, at))) = body.first() else { return out };
-        let (Expr::Load(pos, _), Expr::Load(pos_hi, _)) = (lo, hi) else { return out };
-        if pos == pos_hi && matches!(&**at, Expr::Var(v) if v == var) {
+        let Some((pos, _)) = pos_segment(lo, hi) else { return out };
+        if matches!(&**at, Expr::Var(v) if v == var) {
             for arr in zeroed(j) {
                 let note = format!(
                     "structure `{pos}`/`{crd}` covers every coordinate of `{arr}` dirtied in one \
@@ -699,23 +699,6 @@ impl<'a> Analyzer<'a> {
             }
         }
         out
-    }
-
-    /// Recognizes `lo = P[e]`, `hi = P[e + 1]` over a validated (monotone)
-    /// pos array `P`, returning the parent variable name when `e` is a
-    /// plain variable.
-    fn pos_segment_loop(&self, lo: &Expr, hi: &Expr) -> Option<String> {
-        let (Expr::Load(pl, pe), Expr::Load(hl, he)) = (lo, hi) else { return None };
-        if pl != hl || !self.assume.arrays.contains_key(pl) {
-            return None;
-        }
-        let Expr::Bin(BinOp::Add, a, b) = he.as_ref() else { return None };
-        if a.as_ref() == pe.as_ref() && matches!(b.as_ref(), Expr::Int(1)) {
-            if let Expr::Var(v) = pe.as_ref() {
-                return Some(v.clone());
-            }
-        }
-        None
     }
 
     /// Replaces every scalar assigned in the block with a fresh opaque

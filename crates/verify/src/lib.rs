@@ -22,7 +22,10 @@
 //! Findings are typed [`VerifyError`]s wrapped in provenance-carrying
 //! [`Diagnostic`]s; a proven violation *denies* the kernel, an
 //! undischarged obligation only warns. [`VerifyMode`] selects how the
-//! compile path enforces the verdict.
+//! compile path enforces the verdict. The compile path holds one
+//! [`Analysis`] per lowering: the assumptions derived once, the cost
+//! report under them, and the verdict under the same assumptions when it is
+//! asked for.
 //!
 //! # Example
 //!
@@ -65,13 +68,52 @@ pub use sym::{Atom, Sym};
 use taco_llir::Kernel;
 use taco_lower::LoweredKernel;
 
+/// One lowering and what the compile path derives from it before it runs:
+/// the assumption environment, derived once, and the cost report derived
+/// under it. The verifier walks under the same assumptions, and only when
+/// asked ([`Analysis::verify`]), so costing runs no verifier walk.
+#[derive(Debug, Clone)]
+pub struct Analysis {
+    lowered: LoweredKernel,
+    assume: Assumptions,
+    cost: CostReport,
+}
+
+impl Analysis {
+    /// Derives the assumptions of `lowered` and costs it under them.
+    #[must_use]
+    pub fn new(lowered: LoweredKernel) -> Analysis {
+        let assume = Assumptions::for_lowered(&lowered);
+        let cost = cost::analyze(&lowered, &assume);
+        Analysis { lowered, assume, cost }
+    }
+
+    /// The lowered kernel and binding metadata.
+    #[must_use]
+    pub fn lowered(&self) -> &LoweredKernel {
+        &self.lowered
+    }
+
+    /// The symbolic cost report: [`analyze_cost`] of the lowering.
+    #[must_use]
+    pub fn cost(&self) -> &CostReport {
+        &self.cost
+    }
+
+    /// The verifier's report on the lowering: [`verify_lowered`] of it,
+    /// under the assumptions its cost was derived under.
+    #[must_use]
+    pub fn verify(&self) -> VerifyReport {
+        run(&self.lowered.kernel, &self.assume)
+    }
+}
+
 /// Verifies a lowered kernel, deriving the assumption environment (storage
 /// invariants the runtime validates at bind time) from the operand and
 /// result tensor formats.
 #[must_use]
 pub fn verify_lowered(lk: &LoweredKernel) -> VerifyReport {
-    let assume = Assumptions::for_lowered(lk);
-    run(&lk.kernel, &assume)
+    run(&lk.kernel, &Assumptions::for_lowered(lk))
 }
 
 /// Verifies a bare kernel with no format-derived assumptions. Hand-built

@@ -239,7 +239,10 @@ fn a_warm_interpreted_mttkrp_run_allocates_no_register_file() {
 /// atom name. An engine that kept each polynomial in a
 /// `BTreeMap<Vec<Atom>, i64>` over `String` names made 16 921 allocator
 /// calls here (10 567 verifying, 6 354 costing); this one must make at most
-/// a quarter of that.
+/// a quarter of that. An [`Analysis`](taco_workspaces::verify::Analysis)
+/// derives the assumptions both walks share once, so costing and then
+/// verifying through it makes at least 100 calls fewer than the two entry
+/// points that derive them each, and costing alone runs no verifier.
 #[test]
 fn verifying_and_costing_the_three_way_addition_allocates_a_quarter_of_a_map_engine() {
     let n = 128;
@@ -262,5 +265,19 @@ fn verifying_and_costing_the_three_way_addition_allocates_a_quarter_of_a_map_eng
         verify + cost <= 16_921 / 4,
         "verify_lowered made {verify} allocator calls and analyze_cost {cost}: more than a \
          quarter of the 16 921 a map-per-polynomial engine made"
+    );
+
+    let owned = lowered.clone();
+    let (analysis, costing) = allocator_calls(|| taco_workspaces::verify::Analysis::new(owned));
+    let (again, verifying) = allocator_calls(|| analysis.verify());
+    assert_eq!(again, report);
+    assert!(
+        costing <= cost,
+        "Analysis::new made {costing} allocator calls, analyze_cost {cost}: costing verified"
+    );
+    assert!(
+        costing + verifying + 100 <= verify + cost,
+        "one analysis made {costing} + {verifying} allocator calls, the two entry points \
+         {cost} + {verify}: fewer than 100 saved"
     );
 }

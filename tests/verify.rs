@@ -481,6 +481,40 @@ fn reset_monotonicity_and_parallel_drain_rules_reach_their_verdicts() {
             Verdict::Accepted(&["structure `B2_pos`/`B2_crd` covers every coordinate of `w`"]),
         ),
         (
+            // The reset loop runs `B2_pos[i + 1] .. B2_pos[i]`: empty, so it
+            // drains nothing.
+            rule_kernel(
+                "empty_segment_drain",
+                &structure,
+                vec![
+                    Stmt::Alloc { arr: "w".to_string(), ty: ArrayTy::F64, len: Expr::var("n") },
+                    up_to_n(
+                        "i",
+                        vec![
+                            row_segment(vec![Stmt::store_add(
+                                "w",
+                                j(),
+                                Expr::load("B_vals", Expr::var("p")),
+                            )]),
+                            Stmt::for_(
+                                "p",
+                                Expr::load("B2_pos", Expr::var("i") + Expr::int(1)),
+                                Expr::load("B2_pos", Expr::var("i")),
+                                vec![
+                                    Stmt::DeclInt(
+                                        "j".to_string(),
+                                        Expr::load("B2_crd", Expr::var("p")),
+                                    ),
+                                    Stmt::store("w", j(), Expr::float(0.0)),
+                                ],
+                            ),
+                        ],
+                    ),
+                ],
+            ),
+            Verdict::Deny(|e| matches!(e, VerifyError::MissingReset { array } if array == "w")),
+        ),
+        (
             parallel(
                 rule_kernel(
                     "parallel_scatter_without_drain",
