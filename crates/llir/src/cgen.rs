@@ -38,7 +38,7 @@
 //!   scalar parameters, and the dispatcher beside
 //!   [`run_body`](crate::run_body) runs it as ranges ([`AbiPlan::rows`]).
 
-use crate::exec::{BExpr, DenseWs, FExpr, IExpr, MapWs, RStmt, Ws};
+use crate::exec::{At, BExpr, DenseWs, FExpr, IExpr, MapWs, RStmt, Ws};
 use crate::leaf::{bfaults, ffaults, ifaults, Access, LeafIndex};
 use crate::{ArrayTy, BinOp, Executable, ParamKind, Rows, WorkspaceKind};
 use std::fmt::Write;
@@ -385,6 +385,8 @@ impl Emitter<'_> {
                 }
             }
             IExpr::Neg(a) => format!("(-{})", self.iexpr(a)),
+            IExpr::VarPlus(s, k) => format!("(i{s} + {})", i64_lit(*k)),
+            IExpr::LoadAt(at) => load_at(at),
         }
     }
 
@@ -411,6 +413,7 @@ impl Emitter<'_> {
             }
             FExpr::Neg(a) => format!("(-{})", self.fexpr(a)),
             FExpr::FromInt(i) => format!("(double)({})", self.iexpr(i)),
+            FExpr::LoadF64At(at) => load_at(at),
         }
     }
 
@@ -433,6 +436,9 @@ impl Emitter<'_> {
             }
             BExpr::Bin(op, ..) => unreachable!("non-logical op {op:?} in bool expression"),
             BExpr::Not(a) => format!("(!{})", self.bexpr(a)),
+            BExpr::CmpVars(op, a, b) => format!("(i{a} {} i{b})", cmp_str(*op)),
+            BExpr::CmpVarE(op, a, b) => format!("(i{a} {} {})", cmp_str(*op), self.iexpr(b)),
+            BExpr::CmpEVar(op, a, b) => format!("({} {} i{b})", self.iexpr(a), cmp_str(*op)),
         }
     }
 
@@ -857,6 +863,17 @@ impl Emitter<'_> {
         self.depth += 1;
         self.block(body);
         self.depth -= 1;
+    }
+}
+
+/// A one-node load, printed as the load it stands for: `a[i]` for the bare
+/// slot, `a[(i + k)]` for the sum.
+fn load_at(at: &At) -> String {
+    let At { arr, slot, k } = *at;
+    if k == 0 {
+        format!("a{arr}[i{slot}]")
+    } else {
+        format!("a{arr}[(i{slot} + {})]", i64_lit(k))
     }
 }
 

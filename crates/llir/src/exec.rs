@@ -19,6 +19,7 @@
 //! precondition is false, runs one checked element at a time.
 
 use crate::alloc::{elem_bytes, BudgetMeter};
+use crate::forms::specialise;
 use crate::leaf::{self, Access, LaneOffset, LaneOp, LeafIndex, LoopBody, Slots, Strip};
 use crate::{
     visit_stmts, ArrayTy, BinOp, BudgetResource, CompileError, Expr, Kernel, ParamKind, Progress,
@@ -191,6 +192,12 @@ impl ArrayVal {
 // Resolved (typed, slot-addressed) IR
 // ---------------------------------------------------------------------------
 
+// Each expression type ends with its *operand forms* (`crate::forms`): one
+// node for a shape that is several in the tree the compiler builds, so that
+// evaluating it recurses into no child node. Only `forms::specialise` makes
+// them, once per `Executable`; each means exactly the tree it stands for,
+// down to its fault, and cgen prints it as that tree.
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum IExpr {
     Lit(i64),
@@ -199,6 +206,10 @@ pub(crate) enum IExpr {
     Len(usize),
     Bin(BinOp, Box<IExpr>, Box<IExpr>),
     Neg(Box<IExpr>),
+    /// `Var(slot) + Lit(k)`.
+    VarPlus(usize, i64),
+    /// `Load(arr, index)` for an index of an [`At`].
+    LoadAt(At),
 }
 
 #[derive(Debug, Clone)]
@@ -210,6 +221,8 @@ pub(crate) enum FExpr {
     Bin(BinOp, Box<FExpr>, Box<FExpr>),
     Neg(Box<FExpr>),
     FromInt(Box<IExpr>),
+    /// `LoadF64(arr, index)` for an index of an [`At`].
+    LoadF64At(At),
 }
 
 #[derive(Debug, Clone)]
@@ -221,6 +234,23 @@ pub(crate) enum BExpr {
     CmpF(BinOp, Box<FExpr>, Box<FExpr>),
     Bin(BinOp, Box<BExpr>, Box<BExpr>),
     Not(Box<BExpr>),
+    /// `CmpI(op, Var(a), Var(b))`.
+    CmpVars(BinOp, usize, usize),
+    /// `CmpI(op, Var(slot), e)`, `e` not a slot.
+    CmpVarE(BinOp, usize, Box<IExpr>),
+    /// `CmpI(op, e, Var(slot))`, `e` not a slot.
+    CmpEVar(BinOp, Box<IExpr>, usize),
+}
+
+/// Element `slot + k` of array `arr`, `slot` an int slot: the access of a
+/// one-node load. `k` is 0 where the index was the bare `Var(slot)` and
+/// never 0 where it was `VarPlus(slot, k)`, so cgen prints the two apart.
+/// The slots are `u32`, which keeps a load node at 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct At {
+    pub(crate) arr: u32,
+    pub(crate) slot: u32,
+    pub(crate) k: i64,
 }
 
 #[derive(Debug, Clone)]
@@ -1051,7 +1081,20 @@ impl Mach<'_> {
                 }
             }
             IExpr::Neg(a) => self.eval_i::<A>(a)?.wrapping_neg(),
+            IExpr::VarPlus(s, k) => self.ints[*s].wrapping_add(*k),
+            IExpr::LoadAt(at) => match &self.arrays[at.arr as usize] {
+                ArrayVal::Int(v) => v[self.index_at::<A>(at, v.len())?],
+                _ => unreachable!("typed at compile time"),
+            },
         })
+    }
+
+    /// The position of the element an [`At`] names, range-checked like the
+    /// load it stands for: `slot + k` wraps as that sum does.
+    #[inline(always)]
+    fn index_at<A: AccessPolicy>(&self, at: &At, len: usize) -> Result<usize, A::Fault> {
+        let idx = self.ints[at.slot as usize].wrapping_add(at.k);
+        A::index(self, at.arr as usize, idx, len)
     }
 
     fn eval_f<A: AccessPolicy>(&self, e: &FExpr) -> Result<f64, A::Fault> {
@@ -1088,6 +1131,10 @@ impl Mach<'_> {
             }
             FExpr::Neg(a) => -self.eval_f::<A>(a)?,
             FExpr::FromInt(a) => self.eval_i::<A>(a)? as f64,
+            FExpr::LoadF64At(at) => match &self.arrays[at.arr as usize] {
+                ArrayVal::F64(v) => v[self.index_at::<A>(at, v.len())?],
+                _ => unreachable!("typed at compile time"),
+            },
         })
     }
 
@@ -1116,6 +1163,9 @@ impl Mach<'_> {
             BExpr::Bin(BinOp::Or, a, b) => self.eval_b::<A>(a)? || self.eval_b::<A>(b)?,
             BExpr::Bin(op, ..) => unreachable!("non-logical op {op:?} in boolean expression"),
             BExpr::Not(a) => !self.eval_b::<A>(a)?,
+            BExpr::CmpVars(op, a, b) => cmp(*op, &self.ints[*a], &self.ints[*b]),
+            BExpr::CmpVarE(op, a, b) => cmp(*op, &self.ints[*a], &self.eval_i::<A>(b)?),
+            BExpr::CmpEVar(op, a, b) => cmp(*op, &self.eval_i::<A>(a)?, &self.ints[*b]),
         })
     }
 
@@ -1818,13 +1868,23 @@ pub struct Executable {
 }
 
 impl Executable {
-    /// Type-checks and slot-resolves a kernel.
+    /// Type-checks and slot-resolves a kernel, plans its leaf loops and
+    /// makes its operand forms.
     ///
     /// # Errors
     ///
     /// Returns a [`CompileError`] for unknown names, duplicate declarations,
     /// or type mismatches.
     pub fn compile(kernel: &Kernel) -> Result<Executable, CompileError> {
+        Executable::resolve(kernel, specialise)
+    }
+
+    /// [`Executable::compile`], with `finish` as the last rewrite of the
+    /// body, after the leaf-loop plans are attached.
+    fn resolve(
+        kernel: &Kernel,
+        finish: impl FnOnce(&mut [RStmt]),
+    ) -> Result<Executable, CompileError> {
         let mut c = Compiler {
             scopes: vec![HashMap::new()],
             arrays: HashMap::new(),
@@ -1860,6 +1920,7 @@ impl Executable {
         let mut body = c.block_in_current_scope(&kernel.body)?;
         let mut mach_slots = Slots { int: c.n_int, float: c.n_float, boolean: c.n_bool };
         leaf::attach_plans(&mut body, &mut mach_slots);
+        finish(&mut body);
 
         let mut scalar_outputs = Vec::new();
         for name in &kernel.scalar_outputs {
@@ -2366,6 +2427,13 @@ fn swap_array_params<B: KernelBody>(body: &B, binding: &mut Binding, frame: &mut
 
 #[cfg(test)]
 impl Executable {
+    /// The kernel compiled without its operand forms: every expression the
+    /// tree the compiler built. What the specialised execution is held
+    /// against, bit for bit.
+    pub(crate) fn compile_unspecialised(kernel: &Kernel) -> Result<Executable, CompileError> {
+        Executable::resolve(kernel, |_| {})
+    }
+
     /// The same kernel with no leaf-loop plan: every loop runs per element.
     /// What the planned execution is held against, bit for bit.
     pub(crate) fn without_leaf_plans(&self) -> Executable {

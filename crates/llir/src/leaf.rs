@@ -40,6 +40,7 @@ use std::ops::Deref;
 pub(crate) fn ifaults(e: &IExpr) -> bool {
     match e {
         IExpr::Lit(_) | IExpr::Var(_) | IExpr::Len(_) => false,
+        IExpr::VarPlus(..) | IExpr::LoadAt(_) => false,
         IExpr::Load(_, i) => ifaults(i),
         IExpr::Bin(op, a, b) => matches!(op, BinOp::Div | BinOp::Rem) || ifaults(a) || ifaults(b),
         IExpr::Neg(a) => ifaults(a),
@@ -48,7 +49,7 @@ pub(crate) fn ifaults(e: &IExpr) -> bool {
 
 pub(crate) fn ffaults(e: &FExpr) -> bool {
     match e {
-        FExpr::Lit(_) | FExpr::Var(_) => false,
+        FExpr::Lit(_) | FExpr::Var(_) | FExpr::LoadF64At(_) => false,
         FExpr::LoadF64(_, i) | FExpr::LoadF32(_, i) => ifaults(i),
         FExpr::Bin(_, a, b) => ffaults(a) || ffaults(b),
         FExpr::Neg(a) => ffaults(a),
@@ -58,14 +59,19 @@ pub(crate) fn ffaults(e: &FExpr) -> bool {
 
 pub(crate) fn bfaults(e: &BExpr) -> bool {
     match e {
-        BExpr::Lit(_) | BExpr::Var(_) => false,
-        BExpr::Load(_, i) => ifaults(i),
+        BExpr::Lit(_) | BExpr::Var(_) | BExpr::CmpVars(..) => false,
+        BExpr::Load(_, i) | BExpr::CmpVarE(_, _, i) | BExpr::CmpEVar(_, i, _) => ifaults(i),
         BExpr::CmpI(_, a, b) => ifaults(a) || ifaults(b),
         BExpr::CmpF(_, a, b) => ffaults(a) || ffaults(b),
         BExpr::Bin(_, a, b) => bfaults(a) || bfaults(b),
         BExpr::Not(a) => bfaults(a),
     }
 }
+
+/// What the recogniser's walkers say of an operand form: [`attach_plans`]
+/// reads the tree the compiler built, before `forms::specialise` makes the
+/// forms, and a plan's strip is never rewritten into them.
+const BEFORE_FORMS: &str = "leaf plans are made before operand forms";
 
 // --- the plan ------------------------------------------------------------
 
@@ -98,6 +104,12 @@ impl LoopBody {
     /// The plan of a straight-line leaf loop; `None` for every other loop.
     pub(crate) fn leaf_plan(&self) -> Option<&LeafPlan> {
         self.plan.as_deref()
+    }
+
+    /// The statements, for a rewrite that keeps what each one does; the
+    /// plan stays as it is.
+    pub(crate) fn stmts_mut(&mut self) -> &mut [RStmt] {
+        &mut self.stmts
     }
 }
 
@@ -306,6 +318,7 @@ fn lane_value(var: usize, e: &FExpr, r: u8, ops: &mut Vec<LaneOp>) -> Option<()>
             LaneOp::Neg(r)
         }
         FExpr::FromInt(_) => return None,
+        FExpr::LoadF64At(_) => unreachable!("{BEFORE_FORMS}"),
     };
     ops.push(op);
     Some(())
@@ -398,6 +411,7 @@ impl Writes {
             IExpr::Load(a, i) => loads && self.invariant_load(*a, i),
             IExpr::Bin(_, a, b) => self.invariant_i(a, loads) && self.invariant_i(b, loads),
             IExpr::Neg(a) => self.invariant_i(a, loads),
+            IExpr::VarPlus(..) | IExpr::LoadAt(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -413,6 +427,7 @@ impl Writes {
             FExpr::Bin(_, a, b) => self.invariant_f(a) && self.invariant_f(b),
             FExpr::Neg(a) => self.invariant_f(a),
             FExpr::FromInt(i) => self.invariant_i(i, true),
+            FExpr::LoadF64At(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -425,6 +440,9 @@ impl Writes {
             BExpr::CmpF(_, a, b) => self.invariant_f(a) && self.invariant_f(b),
             BExpr::Bin(_, a, b) => self.invariant_b(a) && self.invariant_b(b),
             BExpr::Not(a) => self.invariant_b(a),
+            BExpr::CmpVars(..) | BExpr::CmpVarE(..) | BExpr::CmpEVar(..) => {
+                unreachable!("{BEFORE_FORMS}")
+            }
         }
     }
 
@@ -570,6 +588,7 @@ impl Accesses<'_> {
                 self.int(b);
             }
             IExpr::Neg(a) => self.int(a),
+            IExpr::VarPlus(..) | IExpr::LoadAt(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -583,6 +602,7 @@ impl Accesses<'_> {
             }
             FExpr::Neg(a) => self.float(a),
             FExpr::FromInt(i) => self.int(i),
+            FExpr::LoadF64At(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -603,6 +623,9 @@ impl Accesses<'_> {
                 self.boolean(b);
             }
             BExpr::Not(a) => self.boolean(a),
+            BExpr::CmpVars(..) | BExpr::CmpVarE(..) | BExpr::CmpEVar(..) => {
+                unreachable!("{BEFORE_FORMS}")
+            }
         }
     }
 }
@@ -651,6 +674,7 @@ impl Hoister<'_> {
             IExpr::Bin(op, a, b) => IExpr::Bin(*op, Box::new(self.int(a)), Box::new(self.int(b))),
             IExpr::Neg(a) => IExpr::Neg(Box::new(self.int(a))),
             IExpr::Lit(_) | IExpr::Var(_) | IExpr::Len(_) => e.clone(),
+            IExpr::VarPlus(..) | IExpr::LoadAt(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -673,6 +697,7 @@ impl Hoister<'_> {
             FExpr::Neg(a) => FExpr::Neg(Box::new(self.float(a))),
             FExpr::FromInt(i) => FExpr::FromInt(Box::new(self.int(i))),
             FExpr::Lit(_) | FExpr::Var(_) => e.clone(),
+            FExpr::LoadF64At(_) => unreachable!("{BEFORE_FORMS}"),
         }
     }
 
@@ -697,6 +722,9 @@ impl Hoister<'_> {
             }
             BExpr::Not(a) => BExpr::Not(Box::new(self.boolean(a))),
             BExpr::Lit(_) | BExpr::Var(_) => e.clone(),
+            BExpr::CmpVars(..) | BExpr::CmpVarE(..) | BExpr::CmpEVar(..) => {
+                unreachable!("{BEFORE_FORMS}")
+            }
         }
     }
 }
@@ -990,10 +1018,15 @@ mod tests {
         ]
     }
 
+    /// A kernel of the differential suite: its copy without plans, itself,
+    /// and itself compiled without operand forms.
+    type Compiled = (Executable, Executable, Executable);
+
     /// The bodies of [`differential_bodies`], each run `reps` times after
     /// an empty `spin`-trip leaf loop, so the loop is entered at every phase
-    /// of the supervision countdown; paired with their copies without plans.
-    fn differential_kernels() -> Vec<(Executable, Executable)> {
+    /// of the supervision countdown; with their copies without plans and
+    /// without operand forms.
+    fn differential_kernels() -> Vec<Compiled> {
         differential_bodies()
             .into_iter()
             .map(|(lanes, body)| {
@@ -1033,7 +1066,7 @@ mod tests {
                 assert_eq!(decided.len(), 2);
                 assert_eq!(decided[0].lanes.as_deref(), Some(&[][..]));
                 assert_eq!(decided[1].lanes.is_some(), lanes, "{kernel:?}");
-                (exe.without_leaf_plans(), exe)
+                (exe.without_leaf_plans(), exe, Executable::compile_unspecialised(&kernel).unwrap())
             })
             .collect()
     }
@@ -1102,28 +1135,31 @@ mod tests {
             .collect()
     }
 
-    /// Runs `binding` on a planned kernel and on its copy without plans;
-    /// outputs, scalar outputs, error payloads and `Progress` must be
-    /// bit-identical. Gives the planned run's counters and result.
+    /// Runs `binding` on a planned kernel, on its copy without plans and on
+    /// its compilation without operand forms; outputs, scalar outputs, error
+    /// payloads and `Progress` must be bit-identical. Gives the planned
+    /// run's counters and result.
     fn differential(
-        (per_element, planned): &(Executable, Executable),
+        (per_element, planned, plain): &Compiled,
         binding: &Binding,
         budget: &ResourceBudget,
     ) -> Result<(Progress, Result<(), RunError>), String> {
         let mut pb = binding.clone();
         let (progress, result) = run_body(planned, &mut pb, budget, RunControls::default());
-        let mut eb = binding.clone();
-        let (reference_progress, reference) =
-            run_body(per_element, &mut eb, budget, RunControls::default());
-        prop_assert_eq!(&result, &reference);
-        prop_assert_eq!(progress, reference_progress);
-        prop_assert_eq!(&pb, &eb);
-        prop_assert_eq!(output_bits(&pb), output_bits(&eb));
+        for reference_body in [per_element, plain] {
+            let mut eb = binding.clone();
+            let (reference_progress, reference) =
+                run_body(reference_body, &mut eb, budget, RunControls::default());
+            prop_assert_eq!(&result, &reference);
+            prop_assert_eq!(progress, reference_progress);
+            prop_assert_eq!(&pb, &eb);
+            prop_assert_eq!(output_bits(&pb), output_bits(&eb));
+        }
         Ok((progress, result))
     }
 
     thread_local! {
-        static KERNELS: Vec<(Executable, Executable)> = differential_kernels();
+        static KERNELS: Vec<Compiled> = differential_kernels();
     }
 
     proptest! {
@@ -1230,7 +1266,7 @@ mod tests {
     fn a_cancellation_inside_a_lane_strip_stops_at_a_poll() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let kernels = differential_kernels();
-        let (per_element, planned) = &kernels[7];
+        let (per_element, planned, _) = &kernels[7];
         let mut reps = 1 << 10;
         loop {
             let case = Case {

@@ -45,6 +45,7 @@ mod budget;
 mod cgen;
 mod error;
 mod exec;
+mod forms;
 mod ir;
 mod leaf;
 mod printer;

@@ -83,8 +83,10 @@ pub(crate) fn check_pos_level(
 /// Per-level `crd` segment invariants, parameterized by the level's
 /// properties: bounds always; `ordered` requires sorted segments (strictly
 /// increasing when also `unique`, non-decreasing otherwise); `unique` alone,
-/// O(nnz): a lazily made `dim`-bit set cleared per segment, or a sorted
-/// copy of the segment where that set would outsize `crd`.
+/// O(nnz): a lazily made `dim`-bit set, which one pass over a segment both
+/// range-checks and marks and a second clears, or a sorted copy of the
+/// segment where that set would outsize `crd`. A coordinate out of bounds
+/// anywhere in a segment is the error before a repeat in it.
 pub(crate) fn check_crd_level(
     pos: &[usize],
     crd: &[usize],
@@ -95,11 +97,35 @@ pub(crate) fn check_crd_level(
     level: usize,
 ) -> Result<()> {
     let bad = |detail: String| Err(TensorError::InvalidStorage { level, detail });
+    let out_of_bounds = |c: usize| bad(format!("coordinate {c} out of bounds for dimension {dim}"));
+    let repeats = |p: usize, c: usize| {
+        bad(format!("crd segment of parent position {p} repeats coordinate {c}"))
+    };
+    let words = dim.div_ceil(64);
     let mut seen: Option<Vec<u64>> = None;
     for p in 0..parent_positions {
         let seg = &crd[pos[p]..pos[p + 1]];
-        if let Some(c) = seg.iter().find(|c| **c >= dim) {
-            return bad(format!("coordinate {c} out of bounds for dimension {dim}"));
+        if !ordered && unique && words <= crd.len() {
+            let seen = seen.get_or_insert_with(|| vec![0; words]);
+            let mut repeated = None;
+            for &c in seg {
+                if c >= dim {
+                    return out_of_bounds(c);
+                }
+                let (word, bit) = (c / 64, 1 << (c % 64));
+                if seen[word] & bit != 0 {
+                    repeated = repeated.or(Some(c));
+                }
+                seen[word] |= bit;
+            }
+            seg.iter().for_each(|&c| seen[c / 64] = 0);
+            if let Some(c) = repeated {
+                return repeats(p, c);
+            }
+            continue;
+        }
+        if let Some(&c) = seg.iter().find(|c| **c >= dim) {
+            return out_of_bounds(c);
         }
         if ordered {
             let violation = seg.windows(2).find(|w| if unique { w[0] >= w[1] } else { w[0] > w[1] });
@@ -111,22 +137,10 @@ pub(crate) fn check_crd_level(
                 ));
             }
         } else if unique && seg.windows(2).any(|w| w[0] >= w[1]) {
-            let repeated = if dim.div_ceil(64) <= crd.len() {
-                let seen = seen.get_or_insert_with(|| vec![0; dim.div_ceil(64)]);
-                let repeated = seg.iter().copied().find(|&c| {
-                    let hit = seen[c / 64] & 1 << (c % 64) != 0;
-                    seen[c / 64] |= 1 << (c % 64);
-                    hit
-                });
-                seg.iter().for_each(|&c| seen[c / 64] = 0);
-                repeated
-            } else {
-                let mut sorted = seg.to_vec();
-                sorted.sort_unstable();
-                sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
-            };
-            if let Some(c) = repeated {
-                return bad(format!("crd segment of parent position {p} repeats coordinate {c}"));
+            let mut sorted = seg.to_vec();
+            sorted.sort_unstable();
+            if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                return repeats(p, w[0]);
             }
         }
     }
@@ -1151,6 +1165,22 @@ mod tests {
         segs(vec![0, 3, 6, 7], vec![129, 64, 0, 0, 129, 64, 64]).unwrap();
         let err = segs(vec![0, 3, 6], vec![129, 64, 0, 0, 129, 0]).unwrap_err();
         assert!(err.to_string().contains("parent position 1 repeats coordinate 0"), "{err}");
+    }
+
+    #[test]
+    fn a_coordinate_out_of_bounds_is_the_error_before_a_repeat_in_its_segment() {
+        // Before, after and between the two copies; through the bit set
+        // (dimension 8) and through the sorted copy (a set would outsize
+        // `crd`).
+        for (dim, big) in [(8, 9), (usize::MAX / 2, usize::MAX)] {
+            for crd in [vec![3, 3, big], vec![big, 3, 3], vec![3, big, 3]] {
+                let err = check_crd_level(&[0, 3], &crd, 1, dim, false, true, 1).unwrap_err();
+                let want = format!("coordinate {big} out of bounds for dimension {dim}");
+                assert!(err.to_string().contains(&want), "{crd:?}: {err}");
+            }
+            let err = check_crd_level(&[0, 3], &[5, 3, 5], 1, dim, false, true, 1).unwrap_err();
+            assert!(err.to_string().contains("parent position 0 repeats coordinate 5"), "{err}");
+        }
     }
 
     #[test]

@@ -232,6 +232,39 @@ fn a_warm_interpreted_mttkrp_run_allocates_no_register_file() {
     assert_eq!(warm, (5, 720), "a warm run_bound: (allocator calls, bytes)");
 }
 
+/// The paper's Figure 13 three-way addition `A = B + C + D` of `n x n` CSR
+/// matrices: merge co-iteration, no workspace, fused assembly.
+fn three_way_addition(n: usize) -> CompiledKernel {
+    let (i, j) = (IndexVar::new("i"), IndexVar::new("j"));
+    let term = |name: &str| -> IndexExpr {
+        TensorVar::new(name, vec![n, n], Format::csr()).access([i.clone(), j.clone()]).into()
+    };
+    let a = TensorVar::new("A", vec![n, n], Format::csr());
+    let stmt = IndexStmt::new(IndexAssignment::assign(
+        a.access([i.clone(), j.clone()]),
+        term("B") + term("C") + term("D"),
+    ))
+    .unwrap();
+    stmt.compile(LowerOptions::fused("add3")).unwrap()
+}
+
+/// A warm interpreted run of the three-way addition asks the allocator for
+/// what it asked before the merge loops' compares, loads and sums became
+/// one-node operand forms — 5 calls, 715 bytes: the run's frame and the
+/// interpreter's slot vectors. The forms are made once, at compile time,
+/// and evaluating one allocates nothing.
+#[test]
+fn a_warm_interpreted_three_way_addition_allocates_what_it_did() {
+    let n = 256;
+    let kernel = three_way_addition(n);
+    let operand = |seed| gen::random_csr(n, n, 6.0 / n as f64, seed).to_tensor();
+    let (bt, ct, dt) = (operand(21), operand(22), operand(23));
+    let mut binding = kernel.bind(&[("B", &bt), ("C", &ct), ("D", &dt)], None).unwrap();
+    kernel.run_bound(&mut binding).unwrap();
+    let warm = allocations(|| kernel.run_bound(&mut binding).unwrap());
+    assert_eq!(warm, (5, 715), "a warm run_bound: (allocator calls, bytes)");
+}
+
 /// Verifying and costing the paper's Figure 13 three-way CSR addition
 /// (`A = B + C + D`, merge co-iteration, no workspace) is arithmetic on
 /// small polynomials. The symbolic engine keeps a polynomial in one flat
@@ -245,18 +278,7 @@ fn a_warm_interpreted_mttkrp_run_allocates_no_register_file() {
 /// points that derive them each, and costing alone runs no verifier.
 #[test]
 fn verifying_and_costing_the_three_way_addition_allocates_a_quarter_of_a_map_engine() {
-    let n = 128;
-    let (i, j) = (IndexVar::new("i"), IndexVar::new("j"));
-    let term = |name: &str| -> IndexExpr {
-        TensorVar::new(name, vec![n, n], Format::csr()).access([i.clone(), j.clone()]).into()
-    };
-    let a = TensorVar::new("A", vec![n, n], Format::csr());
-    let stmt = IndexStmt::new(IndexAssignment::assign(
-        a.access([i.clone(), j.clone()]),
-        term("B") + term("C") + term("D"),
-    ))
-    .unwrap();
-    let kernel = stmt.compile(LowerOptions::fused("add3")).unwrap();
+    let kernel = three_way_addition(128);
     let lowered = kernel.lowered();
     let (report, verify) = allocator_calls(|| taco_workspaces::verify::verify_lowered(lowered));
     let (_, cost) = allocator_calls(|| taco_workspaces::verify::analyze_cost(lowered));
